@@ -11,10 +11,8 @@
 // engine-level cost counters (distance evaluations, latency percentiles).
 // With -shards S (S > 1) the database is partitioned (any registered
 // -partition strategy) and served scatter-gather, one worker pool per
-// shard, reporting per-shard and aggregate stats. Adding -addr hands the
-// built index to the network serving subsystem (pkg/dpserver) instead: the
-// same HTTP daemon as distpermd, which is the richer entry point for
-// serving (index loading, coalescer/cache tuning, load generation).
+// shard, reporting per-shard and aggregate stats. Serving over HTTP is
+// distpermd's job (cmd/distpermd).
 //
 // Usage:
 //
@@ -24,21 +22,16 @@
 //	distperm -gen uniform -d 3 -n 100000 -metric L1 -k 5 -bounds
 //	distperm -serve -gen uniform -d 6 -n 20000 -k 12 -index distperm -queries 5000 -workers 8
 //	distperm -serve -gen uniform -d 6 -n 20000 -k 12 -queries 5000 -shards 4 -partition hash
-//	distperm -serve -gen uniform -d 6 -n 20000 -k 12 -addr :7411   # HTTP via pkg/dpserver
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"distperm/internal/core"
@@ -47,7 +40,6 @@ import (
 	"distperm/internal/metric"
 	"distperm/internal/perm"
 	"distperm/pkg/distperm"
-	"distperm/pkg/dpserver"
 )
 
 func main() {
@@ -69,7 +61,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker goroutines per shard in -serve mode (0 = NumCPU)")
 		shards    = flag.Int("shards", 1, "partition the database across this many scatter-gather shards in -serve mode")
 		partition = flag.String("partition", "roundrobin", "shard placement strategy for -shards > 1: "+strings.Join(distperm.Partitioners(), ", "))
-		addr      = flag.String("addr", "", "with -serve: serve HTTP on this address via pkg/dpserver instead of a one-shot batch")
 	)
 	flag.Parse()
 
@@ -98,13 +89,8 @@ func main() {
 			Index: *index, K: *k, KNN: *knn,
 			Queries: *queries, Workers: *workers,
 			Shards: *shards, Partition: *partition,
-			Addr: *addr,
 		}
-		run := runServe
-		if cfg.Addr != "" {
-			run = runServeHTTP
-		}
-		if err := run(os.Stdout, ds, rng, cfg); err != nil {
+		if err := runServe(os.Stdout, ds, rng, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -146,53 +132,6 @@ type serveConfig struct {
 	Workers   int
 	Shards    int
 	Partition string
-	Addr      string
-}
-
-// buildIndex builds the configured index — sharded through the partitioner
-// registry when Shards > 1, plain otherwise — over db.
-func buildIndex(db *distperm.DB, rng *rand.Rand, cfg serveConfig) (distperm.Index, error) {
-	spec := distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}
-	if cfg.Shards > 1 {
-		p, err := distperm.PartitionerByName(cfg.Partition)
-		if err != nil {
-			return nil, err
-		}
-		return distperm.BuildSharded(db, spec, cfg.Shards, p)
-	}
-	return distperm.Build(db, spec)
-}
-
-// runServeHTTP is the -addr arm of -serve: it hands the built index to the
-// network serving subsystem (pkg/dpserver) with its default coalescer and
-// cache, serving until SIGINT/SIGTERM, then draining gracefully. distpermd
-// is the full-featured daemon; this arm exists so the paper-experiment CLI
-// can expose any dataset it can build over HTTP in one step.
-func runServeHTTP(w io.Writer, ds *dataset.Dataset, rng *rand.Rand, cfg serveConfig) error {
-	db, err := distperm.NewDB(ds.Metric, ds.Points)
-	if err != nil {
-		return err
-	}
-	idx, err := buildIndex(db, rng, cfg)
-	if err != nil {
-		return err
-	}
-	srv, err := dpserver.NewFromIndex(db, idx, cfg.Workers, dpserver.Config{
-		BatchMax: 64, BatchWait: 2 * time.Millisecond, CacheSize: 4096,
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return err
-	}
-	info := srv.Info()
-	fmt.Fprintf(w, "%s: serving index=%s (%d bits, %d shards) over HTTP on %s\n",
-		ds.Name, info.Kind, info.Bits, info.Shards, ln.Addr())
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return srv.Serve(ctx, ln)
 }
 
 // runServe builds the requested index through the public Build registry and

@@ -95,7 +95,6 @@ func main() {
 		partition = flag.String("partition", "roundrobin", "shard placement strategy: "+strings.Join(distperm.Partitioners(), ", "))
 		workers   = flag.Int("workers", 0, "worker goroutines per engine pool (0 = NumCPU)")
 		rebuild   = flag.Int("rebuild-threshold", 0, "enable the live write path (POST /v1/insert, /v1/delete): background-rebuild the index once this many writes are pending (0 serves read-only)")
-		approxEll = flag.Int("approx-prefix", 0, "rebuild the approximate-search prefix-bucket directory at this permutation-prefix length ℓ before serving (0 keeps the index default; indexes produced by later background rebuilds build the default directory lazily)")
 
 		// Durability: crash-safe writes through a write-ahead log.
 		walDir     = flag.String("wal", "", "write-ahead log directory: log every write before acknowledging it, and recover on startup (newest checkpoint + log tail replay); implies the live write path. Restart with the same dataset/index flags — without a checkpoint, replay rebuilds the base from them")
@@ -203,7 +202,6 @@ func main() {
 		Index: *index, K: *k, Load: *load, Mmap: *mmapFlag,
 		Shards: *shards, Partition: *partition, Workers: *workers,
 		RebuildThreshold: *rebuild,
-		ApproxPrefix:     *approxEll,
 		WALDir:           *walDir,
 		WALSync:          syncPolicy,
 		WALSyncInterval:  *walEvery,
@@ -369,7 +367,6 @@ type daemonConfig struct {
 	Partition        string
 	Workers          int
 	RebuildThreshold int
-	ApproxPrefix     int
 	WALDir           string
 	WALSync          distperm.SyncPolicy
 	WALSyncInterval  time.Duration
@@ -499,9 +496,6 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 			distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}); err != nil {
 			return nil, "", nil, err
 		}
-	}
-	if cfg.ApproxPrefix > 0 {
-		configurePrefix(idx, cfg.ApproxPrefix)
 	}
 	if !mutable {
 		srv, err := dpserver.NewFromIndex(db, idx, cfg.Workers, cfg.Serving)
@@ -648,25 +642,6 @@ func inferSpec(idx distperm.Index) distperm.Spec {
 		return distperm.Spec{Index: "laesa", K: len(x.Pivots())}
 	default:
 		return distperm.Spec{Index: idx.Name()}
-	}
-}
-
-// configurePrefix walks idx down to every distance-permutation index inside
-// it (the shards of a sharded container, a mutable container's base) and
-// rebuilds their prefix-bucket directories at permutation-prefix length ell.
-// Indexes without an approximate form are left alone, as are indexes a
-// later background rebuild produces — those build the default directory
-// lazily on their first approximate query.
-func configurePrefix(idx distperm.Index, ell int) {
-	switch x := idx.(type) {
-	case *distperm.PermIndex:
-		x.ConfigurePrefixBuckets(ell)
-	case *distperm.ShardedIndex:
-		for i := 0; i < x.NumShards(); i++ {
-			configurePrefix(x.Shard(i), ell)
-		}
-	case *distperm.MutableIndex:
-		configurePrefix(x.Base(), ell)
 	}
 }
 

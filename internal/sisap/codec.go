@@ -21,16 +21,16 @@ import (
 // Container format (little-endian):
 //
 //	magic   [8]byte  "DPERMIDX"
-//	version uint32   (2; version 1 is the legacy PermIndex-only format,
-//	                  still accepted by ReadIndex for compatibility)
+//	version uint32   2 (version 1, a PermIndex-only container with no kind
+//	                  field, had no writer left and is rejected)
 //	kindLen uint32   length of the kind name
 //	kind    []byte   codec kind, e.g. "distperm", "vptree"
 //	payload …        codec-defined
 //
-// As with the v1 format, the database points themselves are never
-// serialised: the index file accompanies the data file, and ReadIndex
-// reconstructs against the caller-supplied DB without re-running the metric
-// evaluations that built the index.
+// The database points themselves are never serialised: the index file
+// accompanies the data file, and ReadIndex reconstructs against the
+// caller-supplied DB without re-running the metric evaluations that built
+// the index.
 const (
 	codecMagic   = "DPERMIDX"
 	codecVersion = 2
@@ -125,8 +125,7 @@ func WriteIndex(w io.Writer, x Index) (int64, error) {
 }
 
 // ReadIndex deserialises an index written by WriteIndex against db (which
-// must be the same database the index was built on). Legacy version-1 files
-// (PermIndex-only, written by WriteTo) are accepted transparently.
+// must be the same database the index was built on).
 func ReadIndex(r io.Reader, db *DB) (Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(codecMagic))
@@ -140,12 +139,8 @@ func ReadIndex(r io.Reader, db *DB) (Index, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, fmt.Errorf("sisap: reading version: %w", err)
 	}
-	switch version {
-	case permIndexVersion:
-		return decodePermPayload(br, db)
-	case codecVersion:
-	default:
-		return nil, fmt.Errorf("sisap: unsupported container version %d", version)
+	if version != codecVersion {
+		return nil, fmt.Errorf("sisap: unsupported container version %d (want %d)", version, codecVersion)
 	}
 	var kindLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
@@ -339,8 +334,7 @@ func encodeDistperm(w io.Writer, x Index) error {
 	if !ok {
 		return fmt.Errorf("sisap: distperm codec given %T", x)
 	}
-	_, err := p.encodePayload(w)
-	return err
+	return p.encodePayload(w)
 }
 
 func decodeDistperm(r io.Reader, db *DB) (Index, error) {

@@ -29,7 +29,7 @@ import (
 // Frozen payload layout (little-endian), inside the standard v2 container
 // (magic, version, kind "distperm"):
 //
-//	tag        uint32   permFrozenTag ("PFRZ")
+//	tag        uint32   permFrozenV2Tag ("PFR2")
 //	headerOff  uint64   absolute file offset of the tag (self-locating:
 //	                    section offsets below are absolute, so a
 //	                    non-seeking stream decoder derives skip distances
@@ -41,45 +41,36 @@ import (
 //	rankWidth  uint32   bytes per rank: 1 when k ≤ 256, else 2
 //	dims       uint32   dimensions of embedded point vectors (0 = none)
 //	metricLen  uint32   length of the metric name (0 when no points)
-//	sections   4 × {off uint64, len uint64, crc32c uint32, _ uint32}
+//	sections   5 × {off uint64, len uint64, crc32c uint32, _ uint32}
+//	ell        uint32   directory prefix length (1..k)
+//	nbuckets   uint32   directory size (1..distinct)
 //	metric     metricLen bytes
-//	sections:  sites  k × uint64        database IDs of the sites
-//	           ranks  distinct×k ranks  raw row-major rank matrix
-//	           ids    n × uint32        per-point table row IDs
-//	           points n × dims × float64  vectors (optional)
+//	sections:  sites   k × uint64        database IDs of the sites
+//	           ranks   distinct×k ranks  raw row-major rank matrix
+//	           ids     n × uint32        per-point table row IDs
+//	           points  n × dims × float64  vectors (optional)
+//	           buckets 4·(nbuckets·ell + 2·(nbuckets+1) + distinct + n) bytes:
+//	                   uint32 arrays [prefixes][rowStarts][rowOrder][ptStarts][ptOrder]
 //
 // Sections sit at ascending 64-byte-aligned offsets with zero padding
 // between; each carries a CRC-32C. Unlike the compact form, the frozen
 // form has no k ≤ 20 cap — ranks are stored raw, not as packed factorials.
 // The points section (plus the metric name) makes a container
 // self-contained: OpenMapped can reconstruct the database from the
-// mapping, so a serving process needs no separate data file.
-// Two frozen payload revisions exist, distinguished by tag. PFRZ is the
-// original four-section layout above. PFR2 adds a fifth "buckets" section
-// — the permutation-prefix inverted-file directory of prefixbuckets.go —
-// so mapped opens serve approximate queries zero-copy instead of
-// rebuilding the directory per process. Its fixed header keeps every PFRZ
-// field at the same offset, appends the fifth section descriptor directly
-// after the fourth, then two uint32s (ell, nbuckets):
+// mapping, so a serving process needs no separate data file. The buckets
+// section is the permutation-prefix inverted-file directory of
+// prefixbuckets.go, so mapped opens serve approximate queries zero-copy
+// instead of rebuilding the directory per process.
 //
-//	sections   5 × {off uint64, len uint64, crc32c uint32, _ uint32}
-//	ell        uint32   directory prefix length (1..k)
-//	nbuckets   uint32   directory size (1..distinct)
-//	buckets    4·(nbuckets·ell + 2·(nbuckets+1) + distinct + n) bytes:
-//	           uint32 arrays [prefixes][rowStarts][rowOrder][ptStarts][ptOrder]
-//
-// WriteFrozen emits PFR2; both revisions decode (a PFRZ file builds its
-// directory lazily on the heap instead).
+// PFR2 is the only frozen revision: its four-section predecessor ("PFRZ",
+// no directory) had no writer left and is rejected by tag.
 const (
-	permFrozenTag    = 0x5A524650 // "PFRZ" read little-endian
-	permFrozenV2Tag  = 0x32524650 // "PFR2" read little-endian
-	frozenAlign      = 64
-	frozenNumSecs    = 4
-	frozenV2NumSecs  = 5
-	frozenFixedLen   = 136 // v1 header bytes after the tag, before the metric name
-	frozenV2FixedLen = 168 // v2: + fifth descriptor (24) + ell/nbuckets (8)
-	frozenMaxDims    = 1 << 16
-	frozenKind       = "distperm"
+	permFrozenV2Tag = 0x32524650 // "PFR2" read little-endian
+	frozenAlign     = 64
+	frozenNumSecs   = 5
+	frozenFixedLen  = 168 // header bytes after the tag, before the metric name
+	frozenMaxDims   = 1 << 16
+	frozenKind      = "distperm"
 	// frozenPrefixLen is where WriteFrozen puts the tag: after the v2
 	// container prefix (magic, version, kindLen, kind).
 	frozenPrefixLen = len(codecMagic) + 4 + 4 + len(frozenKind)
@@ -91,18 +82,10 @@ const (
 	frozenSecRanks
 	frozenSecIDs
 	frozenSecPoints
-	frozenSecBuckets // PFR2 only
+	frozenSecBuckets
 )
 
-var frozenSectionName = [frozenV2NumSecs]string{"sites", "ranks", "ids", "points", "buckets"}
-
-// frozenFixedLenFor returns the fixed-header length of a payload revision.
-func frozenFixedLenFor(version int) int {
-	if version >= 2 {
-		return frozenV2FixedLen
-	}
-	return frozenFixedLen
-}
+var frozenSectionName = [frozenNumSecs]string{"sites", "ranks", "ids", "points", "buckets"}
 
 var frozenCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -127,7 +110,6 @@ type frozenSection struct {
 
 // frozenHeader is the parsed fixed header of a frozen payload.
 type frozenHeader struct {
-	version   int // payload revision: 1 (PFRZ) or 2 (PFR2)
 	headerOff uint64
 	k         int
 	dist      PermDistance
@@ -136,16 +118,16 @@ type frozenHeader struct {
 	rankWidth int
 	dims      int
 	metricLen int
-	ell       int // v2: directory prefix length
-	nbuckets  int // v2: directory size
+	ell       int // directory prefix length
+	nbuckets  int // directory size
 	sec       []frozenSection
 }
 
-// parseFrozenFixed decodes the fixed header bytes that follow the tag —
-// frozenFixedLenFor(version) of them.
-func parseFrozenFixed(b []byte, version int) frozenHeader {
+// parseFrozenFixed decodes the frozenFixedLen header bytes that follow the
+// tag.
+func parseFrozenFixed(b []byte) frozenHeader {
 	le := binary.LittleEndian
-	h := frozenHeader{version: version}
+	var h frozenHeader
 	h.headerOff = le.Uint64(b[0:])
 	h.k = int(le.Uint32(b[8:]))
 	h.dist = PermDistance(le.Uint32(b[12:]))
@@ -154,11 +136,7 @@ func parseFrozenFixed(b []byte, version int) frozenHeader {
 	h.rankWidth = int(le.Uint32(b[28:]))
 	h.dims = int(le.Uint32(b[32:]))
 	h.metricLen = int(le.Uint32(b[36:]))
-	nsec := frozenNumSecs
-	if version >= 2 {
-		nsec = frozenV2NumSecs
-	}
-	h.sec = make([]frozenSection, nsec)
+	h.sec = make([]frozenSection, frozenNumSecs)
 	for i := range h.sec {
 		base := 40 + 24*i
 		h.sec[i] = frozenSection{
@@ -167,10 +145,8 @@ func parseFrozenFixed(b []byte, version int) frozenHeader {
 			crc:    le.Uint32(b[base+16:]),
 		}
 	}
-	if version >= 2 {
-		h.ell = int(le.Uint32(b[40+24*frozenV2NumSecs:]))
-		h.nbuckets = int(le.Uint32(b[44+24*frozenV2NumSecs:]))
-	}
+	h.ell = int(le.Uint32(b[40+24*frozenNumSecs:]))
+	h.nbuckets = int(le.Uint32(b[44+24*frozenNumSecs:]))
 	return h
 }
 
@@ -178,17 +154,14 @@ func parseFrozenFixed(b []byte, version int) frozenHeader {
 // the header counts. All factors are bounded by check's field validation,
 // so the uint64 products cannot overflow.
 func (h *frozenHeader) sectionLens() []uint64 {
-	lens := []uint64{
-		frozenSecSites:  uint64(h.k) * 8,
-		frozenSecRanks:  uint64(h.distinct) * uint64(h.k) * uint64(h.rankWidth),
-		frozenSecIDs:    h.n * 4,
-		frozenSecPoints: h.n * uint64(h.dims) * 8,
+	nb := uint64(h.nbuckets)
+	return []uint64{
+		frozenSecSites:   uint64(h.k) * 8,
+		frozenSecRanks:   uint64(h.distinct) * uint64(h.k) * uint64(h.rankWidth),
+		frozenSecIDs:     h.n * 4,
+		frozenSecPoints:  h.n * uint64(h.dims) * 8,
+		frozenSecBuckets: 4 * (nb*uint64(h.ell) + 2*(nb+1) + uint64(h.distinct) + h.n),
 	}
-	if h.version >= 2 {
-		nb := uint64(h.nbuckets)
-		lens = append(lens, 4*(nb*uint64(h.ell)+2*(nb+1)+uint64(h.distinct)+h.n))
-	}
-	return lens
 }
 
 // end returns the file offset one past the last section.
@@ -230,13 +203,11 @@ func (h *frozenHeader) check() error {
 	if h.dims > 0 && h.metricLen == 0 {
 		return errors.New("sisap: frozen container embeds points but no metric name")
 	}
-	if h.version >= 2 {
-		if h.ell < 1 || h.ell > h.k {
-			return fmt.Errorf("sisap: frozen bucket prefix length %d out of range 1..%d", h.ell, h.k)
-		}
-		if h.nbuckets < 1 || h.nbuckets > h.distinct {
-			return fmt.Errorf("sisap: frozen bucket count %d out of range 1..%d", h.nbuckets, h.distinct)
-		}
+	if h.ell < 1 || h.ell > h.k {
+		return fmt.Errorf("sisap: frozen bucket prefix length %d out of range 1..%d", h.ell, h.k)
+	}
+	if h.nbuckets < 1 || h.nbuckets > h.distinct {
+		return fmt.Errorf("sisap: frozen bucket count %d out of range 1..%d", h.nbuckets, h.distinct)
 	}
 	// headerOff is bounded so the offset arithmetic below cannot overflow
 	// (section lengths are ≤ 2^51 by the field bounds above).
@@ -244,7 +215,7 @@ func (h *frozenHeader) check() error {
 		return fmt.Errorf("sisap: frozen header offset %d out of range", h.headerOff)
 	}
 	want := h.sectionLens()
-	pos := h.headerOff + 4 + uint64(frozenFixedLenFor(h.version)) + uint64(h.metricLen)
+	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
 	for i, s := range h.sec {
 		off := align64(pos)
 		if s.off != off {
@@ -299,13 +270,10 @@ func (h *frozenHeader) verifySections(secs [][]byte) error {
 			return fmt.Errorf("sisap: frozen row ID %d out of range (distinct=%d)", id, h.distinct)
 		}
 	}
-	if h.version >= 2 {
-		return h.verifyBucketSection(secs)
-	}
-	return nil
+	return h.verifyBucketSection(secs)
 }
 
-// verifyBucketSection validates the v2 inverted-file directory far beyond
+// verifyBucketSection validates the inverted-file directory far beyond
 // memory safety: the posting-list boundaries must tile the row and point
 // ranges exactly, rowOrder/ptOrder must be permutations, and — the
 // mis-probe guarantee — every row listed under a bucket must actually
@@ -465,7 +433,7 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	pb := x.buckets()
 	nb := pb.numBuckets()
 
-	secs := make([][]byte, frozenV2NumSecs)
+	secs := make([][]byte, frozenNumSecs)
 	sites := make([]byte, 8*k)
 	for i, id := range x.siteIDs {
 		binary.LittleEndian.PutUint64(sites[8*i:], uint64(id))
@@ -499,8 +467,8 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	secs[frozenSecBuckets] = buckets
 
 	headerOff := uint64(frozenPrefixLen)
-	sec := make([]frozenSection, frozenV2NumSecs)
-	pos := headerOff + 4 + frozenV2FixedLen + uint64(len(metricName))
+	sec := make([]frozenSection, frozenNumSecs)
+	pos := headerOff + 4 + frozenFixedLen + uint64(len(metricName))
 	for i, b := range secs {
 		off := align64(pos)
 		sec[i] = frozenSection{off: off, length: uint64(len(b)), crc: crc32.Checksum(b, frozenCRC)}
@@ -508,7 +476,7 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	}
 
 	le := binary.LittleEndian
-	hdr := make([]byte, 4+frozenV2FixedLen+len(metricName))
+	hdr := make([]byte, 4+frozenFixedLen+len(metricName))
 	le.PutUint32(hdr[0:], permFrozenV2Tag)
 	le.PutUint64(hdr[4:], headerOff)
 	le.PutUint32(hdr[12:], uint32(k))
@@ -524,9 +492,9 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 		le.PutUint64(hdr[base+8:], s.length)
 		le.PutUint32(hdr[base+16:], s.crc)
 	}
-	le.PutUint32(hdr[44+24*frozenV2NumSecs:], uint32(pb.ell))
-	le.PutUint32(hdr[48+24*frozenV2NumSecs:], uint32(nb))
-	copy(hdr[4+frozenV2FixedLen:], metricName)
+	le.PutUint32(hdr[44+24*frozenNumSecs:], uint32(pb.ell))
+	le.PutUint32(hdr[48+24*frozenNumSecs:], uint32(nb))
+	copy(hdr[4+frozenFixedLen:], metricName)
 
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}
@@ -676,22 +644,20 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 	}
 	ids := frozenUint32s(secs[frozenSecIDs], zeroCopy)
 	idx := newPermIndexFromTable(db, siteIDs, h.dist, table, ids)
-	if h.version >= 2 {
-		// The verified directory becomes the index's bucket directory
-		// directly — views into the mapping on the zero-copy path — so no
-		// process ever rebuilds what the file already stores.
-		u := frozenUint32s(secs[frozenSecBuckets], zeroCopy)
-		nb, ell := h.nbuckets, h.ell
-		p := 0
-		cut := func(n int) []uint32 { s := u[p : p+n : p+n]; p += n; return s }
-		idx.lb.pb = &prefixBuckets{
-			ell:       ell,
-			prefixes:  cut(nb * ell),
-			rowStarts: cut(nb + 1),
-			rowOrder:  cut(h.distinct),
-			ptStarts:  cut(nb + 1),
-			ptOrder:   cut(int(h.n)),
-		}
+	// The verified directory becomes the index's bucket directory directly —
+	// views into the mapping on the zero-copy path — so no process ever
+	// rebuilds what the file already stores.
+	u := frozenUint32s(secs[frozenSecBuckets], zeroCopy)
+	nb, ell := h.nbuckets, h.ell
+	p := 0
+	cut := func(n int) []uint32 { s := u[p : p+n : p+n]; p += n; return s }
+	idx.lb.pb = &prefixBuckets{
+		ell:       ell,
+		prefixes:  cut(nb * ell),
+		rowStarts: cut(nb + 1),
+		rowOrder:  cut(h.distinct),
+		ptStarts:  cut(nb + 1),
+		ptOrder:   cut(int(h.n)),
 	}
 	return idx, db, nil
 }
@@ -730,19 +696,18 @@ func readFrozenSection(br io.Reader, length uint64) ([]byte, error) {
 
 // decodeFrozenStream reads a frozen payload sequentially — the
 // compatibility path ReadIndex uses, materialising a heap-backed index;
-// OpenMapped is the zero-copy path. The tag has already been consumed and
-// names the payload revision. The header stores absolute section offsets,
-// but it also stores its own absolute offset, so the padding gaps can be
-// derived without seeking.
-func decodeFrozenStream(br io.Reader, db *DB, version int) (*PermIndex, error) {
+// OpenMapped is the zero-copy path. The tag has already been consumed. The
+// header stores absolute section offsets, but it also stores its own
+// absolute offset, so the padding gaps can be derived without seeking.
+func decodeFrozenStream(br io.Reader, db *DB) (*PermIndex, error) {
 	if db == nil {
 		return nil, errors.New("sisap: stream-decoding a frozen container requires a database")
 	}
-	fixed := make([]byte, frozenFixedLenFor(version))
+	fixed := make([]byte, frozenFixedLen)
 	if _, err := io.ReadFull(br, fixed); err != nil {
 		return nil, fmt.Errorf("sisap: reading frozen header: %w", err)
 	}
-	h := parseFrozenFixed(fixed, version)
+	h := parseFrozenFixed(fixed)
 	if err := h.check(); err != nil {
 		return nil, err
 	}
@@ -753,7 +718,7 @@ func decodeFrozenStream(br io.Reader, db *DB, version int) (*PermIndex, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("sisap: reading frozen metric name: %w", err)
 	}
-	pos := h.headerOff + 4 + uint64(frozenFixedLenFor(version)) + uint64(h.metricLen)
+	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
 	secs := make([][]byte, len(h.sec))
 	for i, s := range h.sec {
 		// check pinned s.off to align64(pos), so the gap is < frozenAlign.
@@ -881,26 +846,17 @@ func openFrozenBytes(data []byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error
 	if int(kindLen) != len(frozenKind) || string(data[len(codecMagic)+8:frozenPrefixLen]) != frozenKind {
 		return nil, nil, fmt.Errorf("sisap: mapped open supports only %q containers", frozenKind)
 	}
-	version := 0
-	switch le.Uint32(data[frozenPrefixLen:]) {
-	case permFrozenTag:
-		version = 1
-	case permFrozenV2Tag:
-		version = 2
-	default:
-		return nil, nil, errors.New("sisap: container payload is not frozen (write it with WriteFrozen, or stream-decode with ReadIndex)")
+	if tag := le.Uint32(data[frozenPrefixLen:]); tag != permFrozenV2Tag {
+		return nil, nil, fmt.Errorf("sisap: container payload tag %#08x is not the frozen form PFR2 (write it with WriteFrozen, or stream-decode with ReadIndex)", tag)
 	}
-	if len(data) < frozenPrefixLen+4+frozenFixedLenFor(version) {
-		return nil, nil, fmt.Errorf("sisap: %d-byte file is too short for a frozen v%d header", len(data), version)
-	}
-	h := parseFrozenFixed(data[frozenPrefixLen+4:], version)
+	h := parseFrozenFixed(data[frozenPrefixLen+4:])
 	if err := h.check(); err != nil {
 		return nil, nil, err
 	}
 	if h.headerOff != uint64(frozenPrefixLen) {
 		return nil, nil, fmt.Errorf("sisap: frozen header claims offset %d, found at %d", h.headerOff, frozenPrefixLen)
 	}
-	nameOff := frozenPrefixLen + 4 + frozenFixedLenFor(version)
+	nameOff := frozenPrefixLen + 4 + frozenFixedLen
 	if h.end() != uint64(len(data)) {
 		return nil, nil, fmt.Errorf("sisap: frozen container is %d bytes, header describes %d", len(data), h.end())
 	}

@@ -461,7 +461,7 @@ func TestFrozenRejectsCorruptBucketDirectory(t *testing.T) {
 
 // readFuzzSeed decodes one committed `go test fuzz v1` corpus file back to
 // its raw byte payload.
-func readFuzzSeed(t *testing.T, path string) []byte {
+func readFuzzSeed(t testing.TB, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -478,48 +478,6 @@ func readFuzzSeed(t *testing.T, path string) []byte {
 		t.Fatalf("unquoting %s: %v", path, err)
 	}
 	return []byte(raw)
-}
-
-func TestFrozenV1StillDecodes(t *testing.T) {
-	// The committed PFRZ fuzz seed doubles as the backward-compatibility
-	// pin: the pre-directory revision keeps decoding on both paths, with
-	// the bucket directory rebuilt lazily on the heap. The seed was
-	// written against the reproducible testDB(607, 50, 3) index.
-	raw := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-v1"))
-	db, rng := testDB(607, 50, 3, metric.L2{})
-	want := NewPermIndex(db, rng.Perm(db.N())[:5], Footrule)
-	for name, decode := range map[string]func() (*PermIndex, error){
-		"stream": func() (*PermIndex, error) {
-			got, err := ReadIndex(bytes.NewReader(raw), db)
-			if err != nil {
-				return nil, err
-			}
-			return got.(*PermIndex), nil
-		},
-		"mapped": func() (*PermIndex, error) { return OpenMappedBytesForTest(raw, db) },
-	} {
-		got, err := decode()
-		if err != nil {
-			t.Fatalf("%s: v1 frozen container no longer decodes: %v", name, err)
-		}
-		if got.lb.pb != nil {
-			t.Fatalf("%s: v1 container unexpectedly carries a directory", name)
-		}
-		q := dataset.UniformVectors(rng, 1, 3)[0]
-		a, _ := want.ScanOrder(q)
-		b, _ := got.ScanOrder(q)
-		assertSameOrder(t, name, b, a)
-		// The lazily built heap directory must agree with the original's.
-		if got.ApproxBuckets() != want.ApproxBuckets() {
-			t.Fatalf("%s: lazy directory has %d buckets, want %d", name, got.ApproxBuckets(), want.ApproxBuckets())
-		}
-		rs, st := got.KNNApprox(q, 3, 1)
-		ws, wt := want.KNNApprox(q, 3, 1)
-		sameResults(t, name+" v1 approx", rs, ws)
-		if st != wt {
-			t.Fatalf("%s: v1 approx stats %+v, want %+v", name, st, wt)
-		}
-	}
 }
 
 func TestFrozenBucketDirectoryRoundTrip(t *testing.T) {

@@ -1,7 +1,6 @@
 package sisap
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,31 +9,33 @@ import (
 	"distperm/internal/perm"
 )
 
-// Serialization of the distance-permutation index. Three payload formats
-// exist, distinguished by the first uint32 of the payload:
+// Serialization of the distance-permutation index. Two payload formats are
+// live, distinguished by the first uint32 of the payload (both travel inside
+// the DPERMIDX container of codec.go, kind "distperm"):
 //
-//   - legacy (first uint32 = k, 1..20): the sites and one bit-packed
-//     permutation per point at ⌈lg k!⌉ bits each — the naive encoding.
-//     Written by every version before the table format; still decoded.
-//   - table (first uint32 = permTableTag): the paper's §4 table encoding on
-//     disk. The distinct occurring permutations are stored once each
-//     (bit-packed Lehmer ranks) and every point stores only a table index
-//     of ⌈lg(#distinct)⌉ bits. Containers shrink by the Corollary 8 margin
-//     whenever distinct ≪ k!, and ReadIndex gets faster with them: it
-//     decodes #distinct permutations instead of n and scatters the IDs
-//     straight into the in-memory table encoding, no re-deduplication.
-//     This bit-packed form stays the compact wire format WriteIndex emits.
-//   - frozen (first uint32 = permFrozenTag, frozen.go): the table encoding
-//     laid out raw in 64-byte-aligned checksummed sections so OpenMapped
-//     can serve the file zero-copy out of the page cache; ReadIndex also
-//     stream-decodes it here for compatibility. Written by WriteFrozen.
+//   - table (permTableTag, "PTBL"): the paper's §4 table encoding on disk.
+//     The distinct occurring permutations are stored once each (bit-packed
+//     Lehmer ranks) and every point stores only a table index of
+//     ⌈lg(#distinct)⌉ bits. Containers shrink by the Corollary 8 margin
+//     whenever distinct ≪ k!, and ReadIndex decodes #distinct permutations
+//     instead of n, scattering the IDs straight into the in-memory table
+//     encoding. This bit-packed form is the compact wire format WriteIndex
+//     emits.
+//   - frozen (permFrozenV2Tag, "PFR2", frozen.go): the table encoding laid
+//     out raw in 64-byte-aligned checksummed sections so OpenMapped can
+//     serve the file zero-copy out of the page cache; ReadIndex also
+//     stream-decodes it. Written by WriteFrozen.
+//
+// Earlier generations — the per-point payload whose first uint32 was k
+// itself, the standalone version-1 container, and the four-section "PFRZ"
+// frozen revision — had no writer left and are rejected with an error.
 //
 // The database points themselves are never serialised — like the SISAP
 // library, the index file accompanies the data file.
 //
 // Table payload format (little-endian):
 //
-//	tag      uint32   permTableTag (distinguishes from legacy k ≤ 20)
+//	tag      uint32   permTableTag
 //	k        uint32   number of sites
 //	n        uint64   number of points
 //	dist     uint32   PermDistance
@@ -42,69 +43,34 @@ import (
 //	distinct uint32   number of distinct permutations (1 ≤ distinct ≤ n)
 //	table    ceil(distinct·⌈lg k!⌉ / 64) × uint64   packed Lehmer ranks
 //	ids      ceil(n·⌈lg distinct⌉ / 64) × uint64    packed table indexes
-const (
-	permIndexMagic   = "DPERMIDX"
-	permIndexVersion = 1
-	// permTableTag marks the table-encoded payload. Any value above 20 is
-	// unambiguous against the legacy payload, whose first uint32 is k; the
-	// spelled-out constant is "PTBL" read little-endian.
-	permTableTag = 0x4C425450
-)
-
-// WriteTo serialises the index in the standalone v1 container. It returns
-// the number of bytes written. The codec registry (codec.go) wraps the same
-// payload in the v2 multi-index container; both read back via ReadPermIndex
-// / ReadIndex respectively.
-func (x *PermIndex) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	if _, err := bw.WriteString(permIndexMagic); err != nil {
-		return written, err
-	}
-	written += int64(len(permIndexMagic))
-	if err := binary.Write(bw, binary.LittleEndian, uint32(permIndexVersion)); err != nil {
-		return written, err
-	}
-	written += 4
-	n, err := x.encodePayload(bw)
-	written += n
-	if err != nil {
-		return written, err
-	}
-	return written, bw.Flush()
-}
+//
+// permTableTag is "PTBL" read little-endian.
+const permTableTag = 0x4C425450
 
 // encodePayload writes the header-less table-format index body.
-func (x *PermIndex) encodePayload(w io.Writer) (int64, error) {
-	var written int64
+func (x *PermIndex) encodePayload(w io.Writer) error {
 	// The packed encoding stores Lehmer ranks in a uint64, so the on-disk
 	// format (like its decoder) caps k at 20; an in-memory index above that
 	// is usable but not serialisable.
 	if x.K() > 20 {
-		return 0, fmt.Errorf("sisap: cannot serialise distperm index with k=%d sites (format limit 20)", x.K())
+		return fmt.Errorf("sisap: cannot serialise distperm index with k=%d sites (format limit 20)", x.K())
 	}
-	put := func(v interface{}) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		written += int64(binary.Size(v))
-		return nil
-	}
+	put := func(v interface{}) error { return binary.Write(w, binary.LittleEndian, v) }
 	for _, v := range []interface{}{
 		uint32(permTableTag), uint32(x.K()), uint64(x.db.N()), uint32(x.dist),
 	} {
 		if err := put(v); err != nil {
-			return written, err
+			return err
 		}
 	}
 	for _, id := range x.siteIDs {
 		if err := put(uint64(id)); err != nil {
-			return written, err
+			return err
 		}
 	}
 	distinct := x.table.rows
 	if err := put(uint32(distinct)); err != nil {
-		return written, err
+		return err
 	}
 	// The distinct-permutation table, as forward-permutation Lehmer ranks.
 	packed := perm.NewPackedArray(x.K())
@@ -113,17 +79,17 @@ func (x *PermIndex) encodePayload(w io.Writer) (int64, error) {
 	}
 	for _, w64 := range packWords(packed) {
 		if err := put(w64); err != nil {
-			return written, err
+			return err
 		}
 	}
 	// The per-point table indexes at ⌈lg distinct⌉ bits each.
 	idWidth := tableIDBits(distinct)
 	for _, w64 := range packUint32s(x.tableIDs, idWidth) {
 		if err := put(w64); err != nil {
-			return written, err
+			return err
 		}
 	}
-	return written, nil
+	return nil
 }
 
 // tableIDBits returns ⌈lg distinct⌉, the per-point index width of the table
@@ -183,49 +149,25 @@ func getBits(words []uint64, bitPos, width uint64) uint64 {
 	return v & (uint64(1)<<width - 1)
 }
 
-// ReadPermIndex deserialises an index against db (which must be the same
-// database the index was built on; k·n metric evaluations are *not*
-// re-run — that is the point of persisting the index).
-func ReadPermIndex(r io.Reader, db *DB) (*PermIndex, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(permIndexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("sisap: reading magic: %w", err)
-	}
-	if string(magic) != permIndexMagic {
-		return nil, fmt.Errorf("sisap: bad magic %q", magic)
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != permIndexVersion {
-		return nil, fmt.Errorf("sisap: unsupported version %d", version)
-	}
-	return decodePermPayload(br, db)
-}
-
-// decodePermPayload reads a header-less index body — table format or
-// legacy, self-described by the first uint32 — and reconstructs the index
-// against db.
+// decodePermPayload reads a header-less index body — table or frozen,
+// self-described by the first uint32 — and reconstructs the index against
+// db.
 func decodePermPayload(br io.Reader, db *DB) (*PermIndex, error) {
-	var first uint32
-	if err := binary.Read(br, binary.LittleEndian, &first); err != nil {
+	var tag uint32
+	if err := binary.Read(br, binary.LittleEndian, &tag); err != nil {
 		return nil, err
 	}
-	switch first {
+	switch tag {
 	case permTableTag:
 		return decodeTablePayload(br, db)
-	case permFrozenTag:
-		return decodeFrozenStream(br, db, 1)
 	case permFrozenV2Tag:
-		return decodeFrozenStream(br, db, 2)
+		return decodeFrozenStream(br, db)
 	}
-	return decodeLegacyPayload(br, db, first)
+	return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL or PFR2; the per-point and PFRZ payloads are no longer read)", tag)
 }
 
-// readPermHeader reads the n/dist/sites fields shared by both payload
-// formats (k has already been consumed and validated).
+// readPermHeader reads the table payload's n/dist/sites fields (k has
+// already been consumed and validated).
 func readPermHeader(br io.Reader, db *DB, k uint32) (dist uint32, n uint64, siteIDs []int, err error) {
 	if err = binary.Read(br, binary.LittleEndian, &n); err != nil {
 		return
@@ -274,8 +216,7 @@ func readWords(br io.Reader, count, width uint64) ([]uint64, error) {
 
 // decodeTablePayload reads the table-encoded body: the distinct
 // permutations are decoded once each into a rankTable and the per-point
-// table IDs are scattered — O(distinct·k + n) instead of the legacy
-// O(n·k) decode.
+// table IDs are scattered — O(distinct·k + n), not O(n·k).
 func decodeTablePayload(br io.Reader, db *DB) (*PermIndex, error) {
 	var k uint32
 	if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
@@ -332,44 +273,6 @@ func decodeTablePayload(br io.Reader, db *DB) (*PermIndex, error) {
 			return nil, fmt.Errorf("sisap: table index %d out of range at point %d", id, i)
 		}
 		ids[i] = uint32(id)
-	}
-	return newPermIndexFromTable(db, siteIDs, PermDistance(dist), table, ids), nil
-}
-
-// decodeLegacyPayload reads the pre-table body (one packed permutation per
-// point), deduplicating into the in-memory table encoding as it goes. k has
-// already been read as the format discriminant.
-func decodeLegacyPayload(br io.Reader, db *DB, k uint32) (*PermIndex, error) {
-	if k == 0 || k > 20 {
-		return nil, fmt.Errorf("sisap: k=%d out of range", k)
-	}
-	dist, n, siteIDs, err := readPermHeader(br, db, k)
-	if err != nil {
-		return nil, err
-	}
-	width := uint64(perm.NewPackedArray(int(k)).BitsPerElement())
-	words, err := readWords(br, n, width)
-	if err != nil {
-		return nil, err
-	}
-	maxRank := rankLimit(int(k))
-	table := newRankTable(int(k))
-	ids := make([]uint32, n)
-	rowOf := make(map[uint64]uint32)
-	for i := uint64(0); i < n; i++ {
-		var rank uint64
-		if width > 0 {
-			rank = getBits(words, i*width, width)
-		}
-		if rank >= maxRank {
-			return nil, fmt.Errorf("sisap: corrupt permutation rank %d at point %d", rank, i)
-		}
-		id, ok := rowOf[rank]
-		if !ok {
-			id = uint32(table.appendInverseOf(perm.Unrank64(int(k), rank)))
-			rowOf[rank] = id
-		}
-		ids[i] = id
 	}
 	return newPermIndexFromTable(db, siteIDs, PermDistance(dist), table, ids), nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +20,7 @@ func TestPermIndexSerializationRoundTrip(t *testing.T) {
 		idx := NewPermIndex(db, rng.Perm(db.N())[:k], KendallTau)
 
 		var buf bytes.Buffer
-		n, err := idx.WriteTo(&buf)
+		n, err := WriteIndex(&buf, idx)
 		if err != nil {
 			t.Fatalf("k=%d: write: %v", k, err)
 		}
@@ -26,10 +28,11 @@ func TestPermIndexSerializationRoundTrip(t *testing.T) {
 			t.Errorf("k=%d: reported %d bytes, wrote %d", k, n, buf.Len())
 		}
 
-		got, err := ReadPermIndex(&buf, db)
+		read, err := ReadIndex(&buf, db)
 		if err != nil {
 			t.Fatalf("k=%d: read: %v", k, err)
 		}
+		got := read.(*PermIndex)
 		if got.K() != idx.K() || got.dist != idx.dist {
 			t.Fatalf("k=%d: header mismatch", k)
 		}
@@ -60,7 +63,7 @@ func TestPermIndexSerializationCompactness(t *testing.T) {
 	db, rng := testDB(111, 10_000, 2, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(db.N())[:8], Footrule)
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
 	naivePayload := 10_000 * 16 / 8 // n × ⌈lg 8!⌉ bits = 16 bits/point
@@ -76,10 +79,9 @@ func TestPermIndexSerializationCompactness(t *testing.T) {
 	}
 }
 
-// encodeLegacyPayload reproduces the pre-table on-disk body (k, n, dist,
-// sites, one ⌈lg k!⌉-bit packed permutation per point) so the decoder's
-// backward compatibility stays covered now that WriteTo emits the table
-// format.
+// encodeLegacyPayload reproduces the removed pre-table on-disk body (k, n,
+// dist, sites, one ⌈lg k!⌉-bit packed permutation per point) so the
+// rejection test and the fuzz seeds can present it to the decoder.
 func encodeLegacyPayload(t testing.TB, w *bytes.Buffer, x *PermIndex) {
 	t.Helper()
 	put := func(v interface{}) {
@@ -102,28 +104,50 @@ func encodeLegacyPayload(t testing.TB, w *bytes.Buffer, x *PermIndex) {
 	}
 }
 
-func TestReadPermIndexAcceptsLegacyPayload(t *testing.T) {
-	db, rng := testDB(115, 250, 3, metric.L2{})
-	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	var buf bytes.Buffer
-	buf.WriteString(permIndexMagic)
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(permIndexVersion)); err != nil {
+// removedFormats builds one well-formed file of every on-disk generation
+// the decoders no longer read: the standalone version-1 container (magic,
+// version 1, table payload, no kind field), the per-point payload (in a
+// version-1 container and in a current "distperm" one), and the committed
+// four-section PFRZ frozen revision. The PFRZ bytes come from the fuzz
+// corpus — their writer is long gone — and were written against the
+// reproducible testDB(607, 50, 3) index.
+func removedFormats(t testing.TB, idx *PermIndex) []removedFormat {
+	t.Helper()
+	var current bytes.Buffer
+	if _, err := WriteIndex(&current, idx); err != nil {
 		t.Fatal(err)
 	}
-	encodeLegacyPayload(t, &buf, idx)
-	got, err := ReadPermIndex(&buf, db)
-	if err != nil {
-		t.Fatalf("legacy payload: %v", err)
+	const prefix = len(codecMagic) + 4 + 4 + len("distperm")
+	v1Header := append([]byte(codecMagic), 1, 0, 0, 0)
+	var legacy bytes.Buffer
+	encodeLegacyPayload(t, &legacy, idx)
+	return []removedFormat{
+		{"v1 container", slices.Concat(v1Header, current.Bytes()[prefix:])},
+		{"per-point payload, v1", slices.Concat(v1Header, legacy.Bytes())},
+		{"per-point payload, current", slices.Concat(current.Bytes()[:prefix], legacy.Bytes())},
+		{"PFRZ frozen revision", readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-v1"))},
 	}
-	if got.DistinctPermutations() != idx.DistinctPermutations() {
-		t.Errorf("legacy distinct %d != %d", got.DistinctPermutations(), idx.DistinctPermutations())
-	}
-	q := dataset.UniformVectors(rng, 1, 3)[0]
-	a, _ := idx.ScanOrder(q)
-	b, _ := got.ScanOrder(q)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("legacy scan order diverges at %d", i)
+}
+
+type removedFormat struct {
+	name string
+	raw  []byte
+}
+
+// TestRemovedFormatsRejected: bytes carrying a removed tag or version fail
+// with an error on both decode paths — no panic, no index, and nothing
+// sized from the hostile header.
+func TestRemovedFormatsRejected(t *testing.T) {
+	db, rng := testDB(607, 50, 3, metric.L2{})
+	idx := NewPermIndex(db, rng.Perm(db.N())[:5], Footrule)
+	for _, f := range removedFormats(t, idx) {
+		if got, err := ReadIndex(bytes.NewReader(f.raw), db); err == nil {
+			t.Errorf("%s: ReadIndex accepted a removed format (%T)", f.name, got)
+		} else if !strings.Contains(err.Error(), "unsupported") {
+			t.Errorf("%s: ReadIndex error %q does not say the format is unsupported", f.name, err)
+		}
+		if _, err := OpenMappedBytesForTest(f.raw, db); err == nil {
+			t.Errorf("%s: mapped open accepted a removed format", f.name)
 		}
 	}
 }
@@ -132,44 +156,45 @@ func TestReadPermIndexRejectsCorruption(t *testing.T) {
 	db, rng := testDB(112, 50, 2, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(db.N())[:4], Footrule)
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
 	// Bad magic.
 	bad := append([]byte("NOTANIDX"), raw[8:]...)
-	if _, err := ReadPermIndex(bytes.NewReader(bad), db); err == nil ||
+	if _, err := ReadIndex(bytes.NewReader(bad), db); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Errorf("bad magic: %v", err)
 	}
 	// Truncated.
-	if _, err := ReadPermIndex(bytes.NewReader(raw[:len(raw)/2]), db); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(raw[:len(raw)/2]), db); err == nil {
 		t.Error("truncated file should error")
 	}
 	// Wrong database size.
 	other := NewDB(metric.L2{}, dataset.UniformVectors(rand.New(rand.NewSource(1)), 10, 2))
-	if _, err := ReadPermIndex(bytes.NewReader(raw), other); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(raw), other); err == nil {
 		t.Error("database size mismatch should error")
 	}
 	// Corrupt version.
 	vbad := append([]byte(nil), raw...)
 	vbad[8] = 99
-	if _, err := ReadPermIndex(bytes.NewReader(vbad), db); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(vbad), db); err == nil {
 		t.Error("bad version should error")
 	}
-	// Unknown payload discriminant (neither legacy k ≤ 20 nor the table
-	// tag).
+	// Unknown payload tag (neither PTBL nor PFR2), 24 bytes in: after
+	// magic, version, kind length, and the kind "distperm".
 	dbad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(dbad[12:], 999)
-	if _, err := ReadPermIndex(bytes.NewReader(dbad), db); err == nil {
+	binary.LittleEndian.PutUint32(dbad[24:], 999)
+	if _, err := ReadIndex(bytes.NewReader(dbad), db); err == nil {
 		t.Error("unknown payload discriminant should error")
 	}
 }
 
-// FuzzReadIndex drives the container decoder — v1, v2-compact, legacy,
-// and frozen payloads all dispatch from ReadIndex — with arbitrary bytes.
-// Any input may fail to decode; none may panic or over-allocate.
+// FuzzReadIndex drives the container decoder — compact and frozen payloads
+// both dispatch from ReadIndex, and the removed generations seed its
+// rejection branches — with arbitrary bytes. Any input may fail to decode;
+// none may panic or over-allocate.
 func FuzzReadIndex(f *testing.F) {
 	rng := rand.New(rand.NewSource(601))
 	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 50, 3))
@@ -192,18 +217,9 @@ func FuzzReadIndex(f *testing.F) {
 	copy(badBuckets[ptOrderOff:ptOrderOff+4], badBuckets[ptOrderOff+4:ptOrderOff+8])
 	refreezeCRC(badBuckets, frozenSecBuckets)
 	f.Add(badBuckets)
-	var v1 bytes.Buffer
-	if _, err := idx.WriteTo(&v1); err != nil {
-		f.Fatal(err)
+	for _, rf := range removedFormats(f, idx) {
+		f.Add(rf.raw)
 	}
-	f.Add(v1.Bytes())
-	var legacy bytes.Buffer
-	legacy.WriteString(permIndexMagic)
-	if err := binary.Write(&legacy, binary.LittleEndian, uint32(permIndexVersion)); err != nil {
-		f.Fatal(err)
-	}
-	encodeLegacyPayload(f, &legacy, idx)
-	f.Add(legacy.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadIndex(bytes.NewReader(data), db)
 		if err == nil && got == nil {
@@ -221,15 +237,15 @@ func TestReadPermIndexRejectsBadRank(t *testing.T) {
 	db, rng := testDB(113, 4, 2, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(4)[:3], Footrule) // k=3: 3 bits/perm, ranks 0..5
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// The table words start after 8+4 (magic+version) + 4 (tag) + 4 (k) +
-	// 8 (n) + 4 (dist) + 3*8 (sites) + 4 (distinct) = 60 bytes; set the
-	// first packed rank to 7 (0b111 > 5).
-	raw[60] |= 0b111
-	if _, err := ReadPermIndex(bytes.NewReader(raw), db); err == nil {
+	// The table words start after 8+4+4+8 (magic, version, kind length,
+	// "distperm") + 4 (tag) + 4 (k) + 8 (n) + 4 (dist) + 3*8 (sites) +
+	// 4 (distinct) = 72 bytes; set the first packed rank to 7 (0b111 > 5).
+	raw[72] |= 0b111
+	if _, err := ReadIndex(bytes.NewReader(raw), db); err == nil {
 		t.Error("out-of-range rank should error")
 	}
 }
@@ -245,20 +261,21 @@ func TestReadPermIndexRejectsBadTableID(t *testing.T) {
 		t.Skipf("distinct = %d not suitable for the corruption", distinct)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// ids words start after 60 bytes of header/sites/distinct (k=4: 4*8
-	// sites... recompute: 8+4+4+4+8+4+32+4 = 68) plus the table words.
+	// ids words start after the 24-byte container prefix, the payload
+	// header (tag 4, k 4, n 8, dist 4, 4×8 sites, distinct 4 = 56), and the
+	// table words.
 	permBits := perm.NewPackedArray(4).BitsPerElement()
 	tableWords := (distinct*permBits + 63) / 64
-	idsOff := 68 + 8*tableWords
+	idsOff := 80 + 8*tableWords
 	// Force the first id's bits all-ones: with a non-power-of-two table
 	// size, the all-ones pattern of width ⌈lg distinct⌉ is ≥ distinct.
 	width := int(tableIDBits(distinct))
 	raw[idsOff] |= byte(1<<width - 1)
-	if _, err := ReadPermIndex(bytes.NewReader(raw), db); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(raw), db); err == nil {
 		t.Error("out-of-range table index should error")
 	}
 }

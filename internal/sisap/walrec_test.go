@@ -212,9 +212,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	copy(badBuckets[ptOrderOff:ptOrderOff+4], badBuckets[ptOrderOff+4:ptOrderOff+8])
 	refreezeCRC(badBuckets, frozenSecBuckets)
 	emit("FuzzReadIndex", "seed-frozen-badbuckets", badBuckets)
-	// seed-frozen-v1 pins the PFRZ revision (no bucket directory): it was
-	// committed from the last v1 writer and cannot be regenerated, so it is
-	// asserted present but never rewritten.
+	// seed-frozen-v1 is a must-reject input: a well-formed file of the
+	// removed PFRZ revision (no bucket directory). It was committed from the
+	// last v1 writer and cannot be regenerated, so it is asserted present
+	// but never rewritten.
 	if _, err := os.Stat(filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-v1")); err != nil {
 		t.Errorf("missing committed v1 frozen seed: %v", err)
 	}

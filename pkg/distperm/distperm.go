@@ -2,13 +2,17 @@
 // index family of Skala (ICDE 2008): the paper trades metric evaluations
 // against index bits, and this package turns that trade-off into a servable
 // API. It exposes the whole index family (linear scan, AESA, iAESA, LAESA,
-// the distance-permutation index, VP-tree, GH-tree) behind three seams:
+// the distance-permutation index, VP-tree, GH-tree) behind these seams:
 //
 //   - Build: one entry point constructing any index from a Spec, extensible
 //     through a name → Builder registry (Register).
-//   - Engine: a goroutine worker pool answering batched kNN/range traffic
-//     over index replicas, aggregating per-query Stats into engine-level
-//     counters (distance evaluations, latency percentiles).
+//   - Query and Search: one comparable value saying what a batch asks (kNN,
+//     range, or approximate kNN) and one method answering it, the only
+//     query path of every engine below; KNNBatch, RangeBatch, and
+//     KNNApproxBatch are wrappers written once over it.
+//   - Engine: a goroutine worker pool answering batched traffic over index
+//     replicas, aggregating per-query Stats into engine-level counters
+//     (distance evaluations, latency percentiles).
 //   - ShardedEngine: the scatter-gather serving layer — a Partitioner splits
 //     the database into shards (BuildSharded), one Engine per shard answers
 //     every query, and the merge step returns answers identical to a single

@@ -13,56 +13,134 @@ import (
 	"distperm/pkg/obs"
 )
 
-// ErrNoApprox tags KNNApproxBatch calls against an index without the
+// ErrNoApprox tags approximate searches against an index without the
 // ApproxIndex capability, so serving layers can report the request as
 // unsupported rather than failed. Match with errors.Is.
 var ErrNoApprox = errors.New("index has no approximate-search support")
+
+// Query says what one Search asks of every point in its batch. It is
+// comparable, so serving layers can group requests by it.
+//
+// K ≥ 1 asks for the K nearest neighbours (Radius is ignored); K == 0 asks
+// for every point within Radius instead, a range query. Approx routes a kNN
+// query through the index's ApproxIndex capability, probing the NProbe
+// nearest permutation-prefix buckets (≤ 0 selects the index default; ≥ the
+// directory size degrades to the exact scan, byte-identical answers).
+type Query struct {
+	K      int
+	Radius float64
+	Approx bool
+	NProbe int
+}
+
+// knn reports whether q is a kNN query (as opposed to a range query).
+func (q Query) knn() bool { return q.K != 0 || q.Approx }
+
+// validate rejects a Query no engine over n points can serve, tagging the
+// error ErrOutOfRange.
+func (q Query) validate(n int) error {
+	switch {
+	case q.knn() && (q.K < 1 || q.K > n):
+		return fmt.Errorf("distperm: k=%d %w 1..%d", q.K, ErrOutOfRange, n)
+	case !q.knn() && q.Radius < 0:
+		return fmt.Errorf("distperm: negative radius %g is %w", q.Radius, ErrOutOfRange)
+	}
+	return nil
+}
+
+// searcher is what each engine implements itself; the rest of the shared
+// query/stats surface is engineAPI, written once over it.
+type searcher interface {
+	Search(qs []Point, q Query) ([][]Result, []ApproxStats, error)
+	counters() (EngineStats, obs.HistogramSnapshot)
+	DistinctRows() int
+}
+
+// engineAPI is the method family Engine, ShardedEngine, and MutableEngine
+// share; each engine embeds one pointing back at itself.
+type engineAPI struct{ self searcher }
+
+// KNNBatch is Search(qs, Query{K: k}): out[i] holds the k nearest database
+// points to qs[i] in increasing (distance, ID) order — identical to
+// querying the index sequentially.
+func (a engineAPI) KNNBatch(qs []Point, k int) ([][]Result, error) {
+	if k < 1 {
+		// Query{K: 0} would be a range query; k = 0 stays the error it was.
+		return nil, fmt.Errorf("distperm: k=%d %w (need k ≥ 1)", k, ErrOutOfRange)
+	}
+	outs, _, err := a.self.Search(qs, Query{K: k})
+	return outs, err
+}
+
+// RangeBatch is Search(qs, Query{Radius: r}): out[i] holds every point
+// within r of qs[i], in (distance, ID) order.
+func (a engineAPI) RangeBatch(qs []Point, r float64) ([][]Result, error) {
+	outs, _, err := a.self.Search(qs, Query{Radius: r})
+	return outs, err
+}
+
+// KNNApproxBatch is Search(qs, Query{K: k, Approx: true, NProbe: nprobe}),
+// returning the per-query probe statistics too.
+func (a engineAPI) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []ApproxStats, error) {
+	return a.self.Search(qs, Query{K: k, Approx: true, NProbe: nprobe})
+}
+
+// Stats returns a snapshot of the engine-level counters. Across shards the
+// counts sum (each shard answers every scattered query, so Queries counts
+// sub-queries); across a MutableEngine's rebuilds they accumulate, with the
+// gather-time delta scans costed into DistanceEvals.
+func (a engineAPI) Stats() EngineStats {
+	st, lat := a.self.counters()
+	st.finish(lat)
+	st.DistinctRows = a.self.DistinctRows()
+	return st
+}
+
+// LatencySnapshot returns the per-query latency histogram, merged across
+// shards and (on a MutableEngine) across every epoch served — the source
+// /metrics exposes and Stats reads its percentiles from.
+func (a engineAPI) LatencySnapshot() obs.HistogramSnapshot {
+	_, lat := a.self.counters()
+	return lat
+}
+
+// histQuantile reads the q-quantile from a latency histogram snapshot as
+// a Duration — the nearest-rank bucket edge, see
+// obs.HistogramSnapshot.Quantile.
+func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
+	return time.Duration(math.Round(s.Quantile(q) * 1e9))
+}
 
 // Engine is a concurrent query engine over one built index: a pool of
 // worker goroutines, each holding its own query replica of the index (the
 // distance-permutation index's Permuter carries scratch buffers and is not
 // goroutine-safe; sisap.QueryReplica clones it per worker, while the
-// read-only indexes are shared). Batches of kNN/range requests fan out
+// read-only indexes are shared). Each Search fans its query points out
 // across the pool and per-query Stats fold into engine-level counters.
 //
-// The batch methods are safe to call from many goroutines at once; queries
-// from concurrent batches interleave on the same pool. Close is safe to
-// race with in-flight batches: it waits for every batch that observed the
-// engine open to finish sending before the job channel closes.
+// Search (and the KNNBatch/RangeBatch/KNNApproxBatch wrappers over it) is
+// safe to call from many goroutines at once; queries from concurrent
+// batches interleave on the same pool. Close is safe to race with in-flight
+// batches: it waits for every batch that observed the engine open to finish
+// sending before the job channel closes.
 type Engine struct {
+	engineAPI
 	db      *DB
 	idx     Index
 	workers int
 	jobs    chan job
-	// batchOK records whether the index is batch-native (sisap.BatchIndex).
-	// When it is, KNNBatch hands each worker a contiguous sub-batch so the
-	// index's batched kernels amortise the table walk across queries; when it
-	// is not, batches degrade to the per-query jobs below.
-	batchOK bool
-	// approxOK records whether the index carries the approximate-search
-	// capability (sisap.ApproxIndex); without it KNNApproxBatch fails with
-	// ErrNoApprox.
-	approxOK bool
 
 	workerWG  sync.WaitGroup
 	closeOnce sync.Once
 
 	mu sync.Mutex
 	// closed and inflight together serialise submission against Close:
-	// submit registers with inflight under mu while closed is still false,
+	// Search registers with inflight under mu while closed is still false,
 	// so once Close flips closed and inflight drains, no batch can be
 	// sending on jobs and closing the channel is safe.
 	closed   bool
 	inflight sync.WaitGroup
-	queries  int64
-	evals    int64
-	batched  int64 // queries served through the sub-batch fast path
-	// Approximate-path accounting: queries served through KNNApproxBatch,
-	// their summed probed-bucket counts, and their summed candidate counts
-	// (the aggregate candidate fraction is approxCand over approxQ·N).
-	approxQ    int64
-	probed     int64
-	approxCand int64
+	sums     EngineStats // the summed fields only; see EngineStats.add
 	// lat holds every per-query latency in a fixed-bucket histogram
 	// (obs.DefLatencyBuckets): constant memory regardless of lifetime,
 	// lock-free to observe, mergeable across shards and epochs, and the
@@ -73,25 +151,19 @@ type Engine struct {
 	busy atomic.Int64
 }
 
+// job is one worker's share of a Search: a contiguous slice of its query
+// points, the Query they all carry, and the caller's result (and, for
+// approximate queries, stats) slots for exactly those points.
 type job struct {
-	q   Point
-	k   int     // > 0: kNN with this k
-	r   float64 // k == 0: range with this radius
-	out *[]Result
-	wg  *sync.WaitGroup
-
-	// Sub-batch form (batch-native indexes): when qs is non-nil the job is a
-	// contiguous slice of one KNNBatch call, outs aliases the caller's result
-	// slots for exactly these queries, and wg counts jobs, not queries.
 	qs   []Point
+	q    Query
 	outs [][]Result
-
-	// Approximate form (always sub-batch): the job routes through the
-	// replica's ApproxIndex capability with this nprobe, and asts aliases
-	// the caller's per-query stats slots.
-	approx bool
-	nprobe int
-	asts   []sisap.ApproxStats
+	asts []ApproxStats // non-nil iff q.Approx
+	// batched routes an exact kNN job through the replica's batch kernels
+	// and counts it in BatchedQueries. It belongs to the Search call, not
+	// this job: a 2-query batch on 2 workers is two batched 1-query jobs.
+	batched bool
+	wg      *sync.WaitGroup
 }
 
 // engineChunkCap bounds the queries a single sub-batch job carries. Beyond
@@ -108,17 +180,14 @@ func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	_, batchOK := idx.(sisap.BatchIndex)
-	_, approxOK := idx.(sisap.ApproxIndex)
 	e := &Engine{
-		db:       db,
-		idx:      idx,
-		workers:  workers,
-		jobs:     make(chan job, 4*workers),
-		batchOK:  batchOK,
-		approxOK: approxOK,
-		lat:      obs.NewHistogram(obs.DefLatencyBuckets),
+		db:      db,
+		idx:     idx,
+		workers: workers,
+		jobs:    make(chan job, 4*workers),
+		lat:     obs.NewHistogram(obs.DefLatencyBuckets),
 	}
+	e.engineAPI = engineAPI{e}
 	for i := 0; i < workers; i++ {
 		replica := sisap.QueryReplica(idx)
 		e.workerWG.Add(1)
@@ -137,147 +206,98 @@ func (e *Engine) worker(idx Index) {
 	defer e.workerWG.Done()
 	for j := range e.jobs {
 		e.busy.Add(1)
-		if j.qs != nil {
-			if j.approx {
-				e.serveApprox(idx, j)
-			} else {
-				e.serveBatch(idx, j)
-			}
-			e.busy.Add(-1)
-			continue
-		}
-		start := time.Now()
-		var rs []Result
-		var st Stats
-		if j.k > 0 {
-			rs, st = idx.KNN(j.q, j.k)
-		} else {
-			rs, st = idx.Range(j.q, j.r)
-		}
-		elapsed := time.Since(start)
-		*j.out = rs
-
-		e.mu.Lock()
-		e.queries++
-		e.evals += int64(st.DistanceEvals)
-		e.mu.Unlock()
-		e.lat.Observe(elapsed.Seconds())
+		e.serve(idx, j)
 		e.busy.Add(-1)
-
 		j.wg.Done()
 	}
 }
 
-// serveBatch answers one sub-batch job on the worker's replica. Stats stay
-// per-query: each query contributes its own DistanceEvals, and the job's
-// wall time is attributed evenly across its queries in the latency window
-// (queries inside one kernel pass have no individual wall times).
-func (e *Engine) serveBatch(idx Index, j job) {
+// serve answers one job on the worker's replica. Stats stay per-query:
+// each query contributes its own DistanceEvals (and probe statistics), and
+// the job's wall time is attributed evenly across its queries in the
+// latency histogram (queries inside one kernel pass have no individual
+// wall times).
+func (e *Engine) serve(idx Index, j job) {
 	start := time.Now()
-	var rs [][]Result
-	var sts []Stats
-	if b, ok := idx.(sisap.BatchIndex); ok {
-		rs, sts = b.KNNBatch(j.qs, j.k)
-	} else {
-		// The engine's index was batch-native but this worker's replica is
-		// not (a custom Replicable could downgrade); serve the sub-batch
-		// query by query with identical answers.
-		rs = make([][]Result, len(j.qs))
-		sts = make([]Stats, len(j.qs))
-		for i, q := range j.qs {
-			rs[i], sts[i] = idx.KNN(q, j.k)
+	c := EngineStats{Queries: int64(len(j.qs))}
+	switch {
+	case j.q.Approx:
+		c.ApproxQueries = c.Queries
+		if a, ok := idx.(sisap.ApproxIndex); ok {
+			rs, sts := a.KNNApproxBatch(j.qs, j.q.K, j.q.NProbe)
+			copy(j.outs, rs)
+			copy(j.asts, sts)
+		} else {
+			// The engine's index was approx-capable but this worker's replica
+			// is not (a custom Replicable could downgrade); serve exactly and
+			// report full coverage — correct answers at the cost of the
+			// speedup.
+			for i, q := range j.qs {
+				var st Stats
+				j.outs[i], st = idx.KNN(q, j.q.K)
+				j.asts[i] = ApproxStats{Stats: st, Candidates: e.db.N(), Exact: true}
+			}
 		}
-	}
-	perQuery := time.Since(start) / time.Duration(len(j.qs))
-	copy(j.outs, rs)
-
-	e.mu.Lock()
-	e.queries += int64(len(j.qs))
-	e.batched += int64(len(j.qs))
-	for _, st := range sts {
-		e.evals += int64(st.DistanceEvals)
-	}
-	e.mu.Unlock()
-	sec := perQuery.Seconds()
-	for range j.qs {
-		e.lat.Observe(sec)
-	}
-
-	j.wg.Done()
-}
-
-// serveApprox answers one approximate sub-batch job on the worker's
-// replica. Accounting mirrors serveBatch, with the probe statistics folded
-// into the approximate-path counters as well.
-func (e *Engine) serveApprox(idx Index, j job) {
-	start := time.Now()
-	var rs [][]Result
-	var sts []sisap.ApproxStats
-	if a, ok := idx.(sisap.ApproxIndex); ok {
-		rs, sts = a.KNNApproxBatch(j.qs, j.k, j.nprobe)
-	} else {
-		// The engine's index was approx-capable but this worker's replica is
-		// not (a custom Replicable could downgrade); serve exactly and report
-		// full coverage — correct answers at the cost of the speedup.
-		rs = make([][]Result, len(j.qs))
-		sts = make([]sisap.ApproxStats, len(j.qs))
+		for _, st := range j.asts {
+			c.DistanceEvals += int64(st.DistanceEvals)
+			c.ProbedBuckets += int64(st.ProbedBuckets)
+			c.ApproxCandidates += int64(st.Candidates)
+		}
+	case j.batched:
+		c.BatchedQueries = c.Queries
+		if b, ok := idx.(sisap.BatchIndex); ok {
+			rs, sts := b.KNNBatch(j.qs, j.q.K)
+			copy(j.outs, rs)
+			for _, st := range sts {
+				c.DistanceEvals += int64(st.DistanceEvals)
+			}
+			break
+		}
+		// The engine's index was batch-native but this worker's replica is
+		// not (the same downgrade); serve the sub-batch query by query with
+		// identical answers.
+		fallthrough
+	default:
 		for i, q := range j.qs {
 			var st Stats
-			rs[i], st = idx.KNN(q, j.k)
-			sts[i] = sisap.ApproxStats{Stats: st, Candidates: e.db.N(), Exact: true}
+			if j.q.knn() {
+				j.outs[i], st = idx.KNN(q, j.q.K)
+			} else {
+				j.outs[i], st = idx.Range(q, j.q.Radius)
+			}
+			c.DistanceEvals += int64(st.DistanceEvals)
 		}
 	}
-	perQuery := time.Since(start) / time.Duration(len(j.qs))
-	copy(j.outs, rs)
-	copy(j.asts, sts)
+	sec := (time.Since(start) / time.Duration(len(j.qs))).Seconds()
 
 	e.mu.Lock()
-	e.queries += int64(len(j.qs))
-	e.approxQ += int64(len(j.qs))
-	for _, st := range sts {
-		e.evals += int64(st.DistanceEvals)
-		e.probed += int64(st.ProbedBuckets)
-		e.approxCand += int64(st.Candidates)
-	}
+	e.sums.add(c)
 	e.mu.Unlock()
-	sec := perQuery.Seconds()
 	for range j.qs {
 		e.lat.Observe(sec)
 	}
-
-	j.wg.Done()
 }
 
-// KNNBatch answers one kNN query per point of qs, fanned out across the
-// worker pool. out[i] holds the k nearest database points to qs[i] in
-// increasing distance order — identical to querying the index sequentially.
-func (e *Engine) KNNBatch(qs []Point, k int) ([][]Result, error) {
-	if k < 1 || k > e.db.N() {
-		return nil, fmt.Errorf("distperm: k=%d %w 1..%d", k, ErrOutOfRange, e.db.N())
-	}
-	if e.batchOK && len(qs) > 1 {
-		return e.submitBatch(qs, k)
-	}
-	return e.submit(qs, func(i int, out *[]Result, wg *sync.WaitGroup) job {
-		return job{q: qs[i], k: k, out: out, wg: wg}
-	})
-}
-
-// KNNApproxBatch answers one approximate kNN query per point of qs through
-// the index's ApproxIndex capability, fanned out across the worker pool in
-// contiguous sub-batches. nprobe steers the recall/speed trade (≤ 0 selects
-// the index default; ≥ ApproxBuckets degrades to the exact scan with
-// answers byte-identical to KNNBatch). The returned stats are per query.
-// Indexes without the capability fail with ErrNoApprox.
-func (e *Engine) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []sisap.ApproxStats, error) {
-	if !e.approxOK {
+// Search answers q for every point of qs, fanned out across the worker
+// pool: outs[i] is the answer for qs[i], and asts[i] its probe statistics
+// when q.Approx (nil otherwise). Multi-query kNN over a batch-native index,
+// and every approximate search, travel as contiguous sub-batches so each
+// worker's batch kernels amortise one table walk across its whole chunk;
+// the chunk size spreads the batch across the full pool (⌈B/workers⌉) and
+// is capped at engineChunkCap — per-query cost is homogeneous there, so
+// equal-size contiguous chunks load-balance. Everything else travels one
+// query per job.
+func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
+	if _, ok := e.idx.(sisap.ApproxIndex); q.Approx && !ok {
 		return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
 	}
-	if k < 1 || k > e.db.N() {
-		return nil, nil, fmt.Errorf("distperm: k=%d %w 1..%d", k, ErrOutOfRange, e.db.N())
+	if err := q.validate(e.db.N()); err != nil {
+		return nil, nil, err
 	}
+	// A closed engine answers the empty batch too — there is no work a
+	// worker would have to do.
 	if len(qs) == 0 {
-		return [][]Result{}, []sisap.ApproxStats{}, nil
+		return [][]Result{}, nil, nil
 	}
 	e.mu.Lock()
 	if e.closed {
@@ -287,20 +307,27 @@ func (e *Engine) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []sisap.
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	chunk := (len(qs) + e.workers - 1) / e.workers
-	if chunk > engineChunkCap {
-		chunk = engineChunkCap
+
+	_, batchNative := e.idx.(sisap.BatchIndex)
+	batched := batchNative && q.knn() && !q.Approx && len(qs) > 1
+	chunk := 1
+	if batched || q.Approx {
+		chunk = min((len(qs)+e.workers-1)/e.workers, engineChunkCap)
 	}
 	outs := make([][]Result, len(qs))
-	asts := make([]sisap.ApproxStats, len(qs))
+	var asts []ApproxStats
+	if q.Approx {
+		asts = make([]ApproxStats, len(qs))
+	}
 	var wg sync.WaitGroup
 	for base := 0; base < len(qs); base += chunk {
-		end := base + chunk
-		if end > len(qs) {
-			end = len(qs)
+		end := min(base+chunk, len(qs))
+		j := job{qs: qs[base:end], q: q, outs: outs[base:end], batched: batched, wg: &wg}
+		if q.Approx {
+			j.asts = asts[base:end]
 		}
 		wg.Add(1)
-		e.jobs <- job{qs: qs[base:end], k: k, outs: outs[base:end], approx: true, nprobe: nprobe, asts: asts[base:end], wg: &wg}
+		e.jobs <- j
 	}
 	wg.Wait()
 	return outs, asts, nil
@@ -324,73 +351,6 @@ func (e *Engine) DistinctRows() int {
 		return d.DistinctPermutations()
 	}
 	return 0
-}
-
-// RangeBatch answers one range query of radius r per point of qs.
-func (e *Engine) RangeBatch(qs []Point, r float64) ([][]Result, error) {
-	if r < 0 {
-		return nil, fmt.Errorf("distperm: negative radius %g is %w", r, ErrOutOfRange)
-	}
-	return e.submit(qs, func(i int, out *[]Result, wg *sync.WaitGroup) job {
-		return job{q: qs[i], r: r, out: out, wg: wg}
-	})
-}
-
-func (e *Engine) submit(qs []Point, mk func(i int, out *[]Result, wg *sync.WaitGroup) job) ([][]Result, error) {
-	// An empty batch has nothing to fan out: answer it without touching the
-	// in-flight bookkeeping (a closed engine answers it too — there is no
-	// work a worker would have to do).
-	if len(qs) == 0 {
-		return [][]Result{}, nil
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("distperm: engine is closed")
-	}
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	outs := make([][]Result, len(qs))
-	var wg sync.WaitGroup
-	wg.Add(len(qs))
-	for i := range qs {
-		e.jobs <- mk(i, &outs[i], &wg)
-	}
-	wg.Wait()
-	return outs, nil
-}
-
-// submitBatch fans a kNN batch out as contiguous sub-batches instead of
-// per-query jobs, so each worker's batch kernels amortise one table walk
-// across its whole chunk. The chunk size spreads the batch across the full
-// pool (⌈B/workers⌉) and is capped at engineChunkCap — per-query cost is
-// homogeneous here, so equal-size contiguous chunks load-balance.
-func (e *Engine) submitBatch(qs []Point, k int) ([][]Result, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("distperm: engine is closed")
-	}
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	chunk := (len(qs) + e.workers - 1) / e.workers
-	if chunk > engineChunkCap {
-		chunk = engineChunkCap
-	}
-	outs := make([][]Result, len(qs))
-	var wg sync.WaitGroup
-	for base := 0; base < len(qs); base += chunk {
-		end := base + chunk
-		if end > len(qs) {
-			end = len(qs)
-		}
-		wg.Add(1)
-		e.jobs <- job{qs: qs[base:end], k: k, outs: outs[base:end], wg: &wg}
-	}
-	wg.Wait()
-	return outs, nil
 }
 
 // Close shuts the pool down after in-flight queries finish. It is
@@ -443,57 +403,36 @@ type EngineStats struct {
 	P50, P99 time.Duration
 }
 
-// histQuantile reads the q-quantile from a latency histogram snapshot as
-// a Duration — the nearest-rank bucket edge, see
-// obs.HistogramSnapshot.Quantile.
-func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
-	return time.Duration(math.Round(s.Quantile(q) * 1e9))
+// add sums o's counts into s — what a worker does per job, the sharded
+// layer across shards, and the mutable layer across epochs. MeanEvals and
+// the percentiles are finish's to derive, DistinctRows the caller's to set.
+func (s *EngineStats) add(o EngineStats) {
+	s.Queries += o.Queries
+	s.BatchedQueries += o.BatchedQueries
+	s.ApproxQueries += o.ApproxQueries
+	s.ProbedBuckets += o.ProbedBuckets
+	s.ApproxCandidates += o.ApproxCandidates
+	s.DistanceEvals += o.DistanceEvals
 }
 
-// Stats returns a snapshot of the engine-level counters.
-func (e *Engine) Stats() EngineStats {
-	c, snap := e.counters()
-	s := EngineStats{
-		Queries:          c.queries,
-		BatchedQueries:   c.batched,
-		ApproxQueries:    c.approxQ,
-		ProbedBuckets:    c.probed,
-		ApproxCandidates: c.approxCand,
-		DistanceEvals:    c.evals,
-		DistinctRows:     e.DistinctRows(),
-	}
+// finish derives the mean from the sums and the percentiles from lat.
+func (s *EngineStats) finish(lat obs.HistogramSnapshot) {
 	if s.Queries > 0 {
 		s.MeanEvals = float64(s.DistanceEvals) / float64(s.Queries)
 	}
-	if snap.Count > 0 {
-		s.P50 = histQuantile(snap, 0.50)
-		s.P99 = histQuantile(snap, 0.99)
+	if lat.Count > 0 {
+		s.P50 = histQuantile(lat, 0.50)
+		s.P99 = histQuantile(lat, 0.99)
 	}
-	return s
 }
 
-// engineCounters is a raw counter snapshot — the sharded layer sums these
-// across shards and merges the per-shard histograms before taking
-// quantiles.
-type engineCounters struct {
-	queries, evals, batched     int64
-	approxQ, probed, approxCand int64
-}
-
-// counters snapshots the raw engine counters and the latency histogram.
-func (e *Engine) counters() (engineCounters, obs.HistogramSnapshot) {
+// counters snapshots the summed counts and the latency histogram.
+func (e *Engine) counters() (EngineStats, obs.HistogramSnapshot) {
 	e.mu.Lock()
-	c := engineCounters{
-		queries: e.queries, evals: e.evals, batched: e.batched,
-		approxQ: e.approxQ, probed: e.probed, approxCand: e.approxCand,
-	}
+	c := e.sums
 	e.mu.Unlock()
 	return c, e.lat.Snapshot()
 }
-
-// LatencySnapshot returns the engine's per-query latency histogram — the
-// source /metrics exposes and Stats reads its percentiles from.
-func (e *Engine) LatencySnapshot() obs.HistogramSnapshot { return e.lat.Snapshot() }
 
 // BusyWorkers returns how many pool workers are serving a job right now,
 // in [0, Workers()] — the utilization gauge exposed on /metrics.

@@ -23,8 +23,8 @@ func TestEngineBatchFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !e.batchOK {
-		t.Fatal("distperm index should be detected as batch-native")
+	if _, ok := e.Index().(BatchIndex); !ok {
+		t.Fatal("distperm index should be batch-native")
 	}
 
 	var wantBatched int64
@@ -122,8 +122,8 @@ func TestEngineBatchNonBatchIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.batchOK {
-		t.Fatal("vptree should not be detected as batch-native")
+	if _, ok := e.Index().(BatchIndex); ok {
+		t.Fatal("vptree should not be batch-native")
 	}
 	qs := dataset.UniformVectors(rng, 40, 3)
 	got, err := e.KNNBatch(qs, 5)

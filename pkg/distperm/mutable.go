@@ -15,7 +15,7 @@ import (
 
 // ErrOutOfRange tags request-parameter errors (k or radius outside the
 // servable range) so serving layers can tell a bad request from an engine
-// failure. It is wrapped by the batch methods of Engine, ShardedEngine, and
+// failure. It is wrapped by Search on Engine, ShardedEngine, and
 // MutableEngine; match with errors.Is.
 var ErrOutOfRange = errors.New("out of range")
 
@@ -64,13 +64,8 @@ type MutableConfig struct {
 // mutBackend is the engine surface a snapshot serves base queries on;
 // *Engine and *ShardedEngine both satisfy it.
 type mutBackend interface {
-	KNNBatch(qs []Point, k int) ([][]Result, error)
-	KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []sisap.ApproxStats, error)
-	RangeBatch(qs []Point, r float64) ([][]Result, error)
-	Stats() EngineStats
+	searcher
 	ApproxBuckets() int
-	DistinctRows() int
-	LatencySnapshot() obs.HistogramSnapshot
 	BusyWorkers() int
 	Workers() int
 	Close()
@@ -163,6 +158,7 @@ func (s *mutSnapshot) live(gid int) bool {
 // All methods are safe for concurrent use. Writers serialise against each
 // other; readers never wait for writers, rebuilds, or each other.
 type MutableEngine struct {
+	engineAPI
 	cfg    MutableConfig
 	metric Metric
 	proto  Point
@@ -194,16 +190,15 @@ type MutableEngine struct {
 
 	// Cross-epoch accounting: closed epochs fold their final counters here,
 	// so Stats survives rebuilds; deltaEvals counts the gather-time scans.
-	statsMu                          sync.Mutex
-	accQueries, accEvals, accBatched int64
-	accApproxQ, accProbed, accCand   int64
-	accLat                           obs.HistogramSnapshot
-	deltaEvals                       atomic.Int64
-	inserts, deletes                 atomic.Int64
-	rebuilds                         atomic.Int64
-	rebuildFailures                  atomic.Int64
-	lastRebuildNanos                 atomic.Int64
-	lastRebuildErr                   atomic.Pointer[string]
+	statsMu          sync.Mutex
+	acc              EngineStats
+	accLat           obs.HistogramSnapshot
+	deltaEvals       atomic.Int64
+	inserts, deletes atomic.Int64
+	rebuilds         atomic.Int64
+	rebuildFailures  atomic.Int64
+	lastRebuildNanos atomic.Int64
+	lastRebuildErr   atomic.Pointer[string]
 }
 
 // MutationStats is a snapshot of the write path, reported alongside
@@ -331,6 +326,7 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
+	m.engineAPI = engineAPI{m}
 	tomb := make(map[int]struct{}, len(tombs))
 	for _, g := range tombs {
 		tomb[g] = struct{}{}
@@ -427,78 +423,52 @@ func (m *MutableEngine) LiveN() int { return m.snapshot().logical }
 // IndexBits reports the current base index's storage cost.
 func (m *MutableEngine) IndexBits() int64 { return m.snapshot().baseIdx.IndexBits() }
 
-// KNNBatch answers one kNN query per point of qs over the logical point
-// set: the base engine's answer (over-fetched by the tombstone count, dead
-// points filtered at gather) merged with a linear scan of the delta.
+// Search answers q for every point of qs over the logical point set: one
+// snapshot is pinned for the batch, the base engine answers (a kNN query
+// over-fetched by the tombstone count so dead points can be filtered at
+// gather), and each base answer merges with a linear scan of the delta.
 // Result IDs are stable global IDs.
-func (m *MutableEngine) KNNBatch(qs []Point, k int) ([][]Result, error) {
-	s, err := m.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.ep.inflight.Done()
-	if k < 1 || k > s.logical {
-		return nil, fmt.Errorf("distperm: k=%d %w 1..%d", k, ErrOutOfRange, s.logical)
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, nil
-	}
-	kb := k + len(s.tomb)
-	if kb > len(s.gids) {
-		kb = len(s.gids)
-	}
-	outs, err := s.ep.backend.KNNBatch(qs, kb)
-	if err != nil {
-		return nil, err
-	}
-	var evals int64
-	for i, q := range qs {
-		outs[i] = sisap.MergeKNN([][]Result{
-			filterBase(outs[i], s),
-			scanDelta(m.metric, s.delta, q, -1, &evals),
-		}, k)
-	}
-	m.deltaEvals.Add(evals)
-	return outs, nil
-}
-
-// KNNApproxBatch answers one approximate kNN query per point of qs over
-// the logical point set. Only the built base index answers approximately —
-// the delta buffer is always scanned exactly, so freshly inserted points
-// can never be missed by a probe miss; mutation costs distance
-// evaluations, never recall beyond the base's own probe trade. The
-// returned per-query stats carry the base's probe accounting with the
-// delta scan folded into DistanceEvals and Candidates; Exact refers to the
-// base answer (when true, results are byte-identical to KNNBatch). An
-// engine whose base index lacks the capability fails with ErrNoApprox.
-func (m *MutableEngine) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []sisap.ApproxStats, error) {
+//
+// Only the built base index answers approximately — the delta buffer is
+// always scanned exactly, so freshly inserted points can never be missed by
+// a probe miss; mutation costs distance evaluations, never recall beyond
+// the base's own probe trade. The per-query stats of an approximate search
+// carry the base's probe accounting with the delta scan folded into
+// DistanceEvals and Candidates; Exact refers to the base answer (when true,
+// results are byte-identical to the exact query). An engine whose base
+// index lacks the capability fails with ErrNoApprox.
+func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
 	s, err := m.acquire()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer s.ep.inflight.Done()
-	if k < 1 || k > s.logical {
-		return nil, nil, fmt.Errorf("distperm: k=%d %w 1..%d", k, ErrOutOfRange, s.logical)
+	if err := q.validate(s.logical); err != nil {
+		return nil, nil, err
 	}
 	if len(qs) == 0 {
-		return [][]Result{}, []sisap.ApproxStats{}, nil
+		return [][]Result{}, nil, nil
 	}
-	kb := k + len(s.tomb)
-	if kb > len(s.gids) {
-		kb = len(s.gids)
+	bq := q
+	if q.knn() {
+		bq.K = min(q.K+len(s.tomb), len(s.gids))
 	}
-	outs, sts, err := s.ep.backend.KNNApproxBatch(qs, kb, nprobe)
+	outs, sts, err := s.ep.backend.Search(qs, bq)
 	if err != nil {
 		return nil, nil, err
 	}
 	var evals int64
-	for i, q := range qs {
-		outs[i] = sisap.MergeKNN([][]Result{
-			filterBase(outs[i], s),
-			scanDelta(m.metric, s.delta, q, -1, &evals),
-		}, k)
-		sts[i].DistanceEvals += len(s.delta)
-		sts[i].Candidates += len(s.delta)
+	for i, p := range qs {
+		base := sisap.FilterLive(outs[i], s.gids, s.tomb)
+		if q.knn() {
+			outs[i] = sisap.MergeKNN([][]Result{base, scanDelta(m.metric, s.delta, p, -1, &evals)}, q.K)
+		} else {
+			outs[i] = sisap.MergeRange([][]Result{base, scanDelta(m.metric, s.delta, p, q.Radius, &evals)})
+		}
+		if q.Approx {
+			sts[i].DistanceEvals += len(s.delta)
+			sts[i].Candidates += len(s.delta)
+		}
 	}
 	m.deltaEvals.Add(evals)
 	return outs, sts, nil
@@ -513,41 +483,6 @@ func (m *MutableEngine) ApproxBuckets() int { return m.snapshot().ep.backend.App
 // count (0 when the base does not expose one). Delta points are not
 // counted until a rebuild folds them in.
 func (m *MutableEngine) DistinctRows() int { return m.snapshot().ep.backend.DistinctRows() }
-
-// RangeBatch answers one range query of radius r per point of qs over the
-// logical point set, in (distance, global ID) order.
-func (m *MutableEngine) RangeBatch(qs []Point, r float64) ([][]Result, error) {
-	s, err := m.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.ep.inflight.Done()
-	if r < 0 {
-		return nil, fmt.Errorf("distperm: negative radius %g is %w", r, ErrOutOfRange)
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, nil
-	}
-	outs, err := s.ep.backend.RangeBatch(qs, r)
-	if err != nil {
-		return nil, err
-	}
-	var evals int64
-	for i, q := range qs {
-		outs[i] = sisap.MergeRange([][]Result{
-			filterBase(outs[i], s),
-			scanDelta(m.metric, s.delta, q, r, &evals),
-		})
-	}
-	m.deltaEvals.Add(evals)
-	return outs, nil
-}
-
-// filterBase is sisap.FilterLive over the snapshot's bookkeeping — the
-// same gather step a read-only-served MutableIndex runs.
-func filterBase(rs []Result, s *mutSnapshot) []Result {
-	return sisap.FilterLive(rs, s.gids, s.tomb)
-}
 
 // scanDelta measures q against every delta point — the engine-side twin of
 // MutableIndex's delta scan (the buffer holds live points only, so there
@@ -796,15 +731,9 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	go func() {
 		defer m.reapers.Done()
 		oldEp.inflight.Wait()
-		st := oldEp.backend.Stats()
-		lat := oldEp.backend.LatencySnapshot()
+		c, lat := oldEp.backend.counters()
 		m.statsMu.Lock()
-		m.accQueries += st.Queries
-		m.accEvals += st.DistanceEvals
-		m.accBatched += st.BatchedQueries
-		m.accApproxQ += st.ApproxQueries
-		m.accProbed += st.ProbedBuckets
-		m.accCand += st.ApproxCandidates
+		m.acc.add(c)
 		m.accLat.Merge(lat)
 		m.statsMu.Unlock()
 		oldEp.close()
@@ -813,43 +742,18 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	return nil
 }
 
-// Stats aggregates across every epoch the engine has served: query and
-// distance-evaluation counts accumulate over rebuilds, the gather-time
-// delta scans are costed in, and the latency percentiles are read from the
-// cross-epoch merged histogram (closed epochs fold their histograms into
-// the accumulator, so no rebuild loses samples).
-func (m *MutableEngine) Stats() EngineStats {
-	backend := m.snapshot().ep.backend
-	st := backend.Stats()
-	lat := backend.LatencySnapshot()
+// counters aggregates across every epoch the engine has served: the current
+// base engine's counters and latency histogram plus what closed epochs
+// folded into the accumulator (so no rebuild loses a sample), with the
+// gather-time delta scans costed into the evaluation count.
+func (m *MutableEngine) counters() (EngineStats, obs.HistogramSnapshot) {
+	c, lat := m.snapshot().ep.backend.counters()
 	m.statsMu.Lock()
-	st.Queries += m.accQueries
-	st.DistanceEvals += m.accEvals
-	st.BatchedQueries += m.accBatched
-	st.ApproxQueries += m.accApproxQ
-	st.ProbedBuckets += m.accProbed
-	st.ApproxCandidates += m.accCand
+	c.add(m.acc)
 	lat.Merge(m.accLat)
 	m.statsMu.Unlock()
-	st.DistanceEvals += m.deltaEvals.Load()
-	if st.Queries > 0 {
-		st.MeanEvals = float64(st.DistanceEvals) / float64(st.Queries)
-	}
-	if lat.Count > 0 {
-		st.P50 = histQuantile(lat, 0.50)
-		st.P99 = histQuantile(lat, 0.99)
-	}
-	return st
-}
-
-// LatencySnapshot merges the current epoch's latency histogram with the
-// accumulated histograms of every closed epoch.
-func (m *MutableEngine) LatencySnapshot() obs.HistogramSnapshot {
-	lat := m.snapshot().ep.backend.LatencySnapshot()
-	m.statsMu.Lock()
-	lat.Merge(m.accLat)
-	m.statsMu.Unlock()
-	return lat
+	c.DistanceEvals += m.deltaEvals.Load()
+	return c, lat
 }
 
 // BusyWorkers returns the current base engine's busy-worker count.

@@ -71,29 +71,6 @@ func TestSerializeRoundTripEveryKind(t *testing.T) {
 	}
 }
 
-// TestReadIndexLegacyV1 checks that standalone v1 PermIndex files
-// (PermIndex.WriteTo) still load through the v2 entry point.
-func TestReadIndexLegacyV1(t *testing.T) {
-	db, rng := testDB(t, 21, 120, 3)
-	idx := mustBuild(t, db, Spec{Index: "distperm", K: 6, Seed: 4}).(*PermIndex)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIndex(&buf, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := dataset.UniformVectors(rng, 1, 3)[0]
-	a, _ := idx.KNN(q, 3)
-	b, _ := got.KNN(q, 3)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatal("legacy v1 file gives different results")
-		}
-	}
-}
-
 func TestReadIndexRejectsCorruption(t *testing.T) {
 	db, _ := testDB(t, 22, 60, 2)
 	idx := mustBuild(t, db, Spec{Index: "vptree", Seed: 5})
@@ -148,9 +125,6 @@ func TestWriteIndexOversizedK(t *testing.T) {
 	if _, err := WriteIndex(&buf, idx); err == nil ||
 		!strings.Contains(err.Error(), "limit 20") {
 		t.Errorf("k=25 WriteIndex: %v", err)
-	}
-	if _, err := idx.(*PermIndex).WriteTo(&buf); err == nil {
-		t.Error("k=25 WriteTo should error")
 	}
 }
 

@@ -175,13 +175,15 @@ func BuildSharded(db *DB, spec Spec, shards int, p Partitioner) (*ShardedIndex, 
 }
 
 // ShardedEngine is the scatter-gather serving layer: one worker-pool Engine
-// per shard of a ShardedIndex. Each batch is scattered to every shard's pool
-// concurrently and the per-shard answers are merged — top-k by (distance,
-// global ID) for kNN, concatenation in (distance, global ID) order for
-// range — so answers are identical to a single Engine over the unpartitioned
-// database. The batch methods are safe for concurrent use; Close is safe to
-// race with in-flight batches (each shard Engine drains before stopping).
+// per shard of a ShardedIndex. Each Search is scattered to every shard's
+// pool concurrently and the per-shard answers are merged — top-k by
+// (distance, global ID) for kNN, concatenation in (distance, global ID)
+// order for range — so answers are identical to a single Engine over the
+// unpartitioned database. Search and its wrappers are safe for concurrent
+// use; Close is safe to race with in-flight batches (each shard Engine
+// drains before stopping).
 type ShardedEngine struct {
+	engineAPI
 	sx      *ShardedIndex
 	engines []*Engine
 }
@@ -193,6 +195,7 @@ func NewShardedEngine(sx *ShardedIndex, workersPerShard int) (*ShardedEngine, er
 		return nil, fmt.Errorf("distperm: NewShardedEngine requires a sharded index")
 	}
 	s := &ShardedEngine{sx: sx, engines: make([]*Engine, sx.NumShards())}
+	s.engineAPI = engineAPI{s}
 	for i := range s.engines {
 		e, err := NewEngine(sx.ShardDB(i), sx.Shard(i), workersPerShard)
 		if err != nil {
@@ -210,175 +213,101 @@ func NewShardedEngine(sx *ShardedIndex, workersPerShard int) (*ShardedEngine, er
 func (s *ShardedEngine) Shards() int { return len(s.engines) }
 
 // Workers returns the total worker count across all shard pools.
-func (s *ShardedEngine) Workers() int {
-	total := 0
-	for _, e := range s.engines {
-		total += e.Workers()
-	}
-	return total
-}
+func (s *ShardedEngine) Workers() int { return s.sum((*Engine).Workers) }
 
 // Index returns the engine's sharded index.
 func (s *ShardedEngine) Index() *ShardedIndex { return s.sx }
 
-// scatter runs run concurrently against every shard engine, collecting each
-// shard's per-query result lists (remapped to global IDs), and returns the
-// first error.
-func (s *ShardedEngine) scatter(run func(shard int, e *Engine) ([][]Result, error)) ([][][]Result, error) {
+// sum adds one per-engine figure across the shard pools.
+func (s *ShardedEngine) sum(f func(*Engine) int) int {
+	total := 0
+	for _, e := range s.engines {
+		total += f(e)
+	}
+	return total
+}
+
+// Search answers q for every point of qs: each query is scattered to every
+// shard — a kNN query asking each for its min(K, shard size) best — the
+// shard answers are remapped to global IDs, and the gather merges them into
+// the global top K (kNN) or the global (distance, ID) order (range),
+// identical to a single Engine over the unpartitioned database. For an
+// approximate query every shard probes the NProbe nearest prefix buckets of
+// its own directory; the returned per-query stats sum the shard probe
+// accounting, and Exact is true only when every shard's probe set covered
+// its whole directory — in which case the answers are byte-identical to the
+// exact query. Any shard without the ApproxIndex capability fails the batch
+// with ErrNoApprox.
+func (s *ShardedEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
+	if err := q.validate(s.sx.DB().N()); err != nil {
+		return nil, nil, err
+	}
+	if len(qs) == 0 {
+		return [][]Result{}, nil, nil
+	}
 	perShard := make([][][]Result, len(s.engines)) // [shard][query][result]
+	perStats := make([][]ApproxStats, len(s.engines))
 	errs := make([]error, len(s.engines))
 	var wg sync.WaitGroup
 	for i, e := range s.engines {
 		wg.Add(1)
 		go func(i int, e *Engine) {
 			defer wg.Done()
-			rs, err := run(i, e)
-			if err != nil {
-				errs[i] = err
-				return
-			}
+			sq := q
+			sq.K = min(q.K, s.sx.ShardDB(i).N())
+			perShard[i], perStats[i], errs[i] = e.Search(qs, sq)
 			part := s.sx.Part(i)
-			for _, qr := range rs {
+			for _, qr := range perShard[i] {
 				sisap.RemapShardResults(qr, part)
 			}
-			perShard[i] = rs
 		}(i, e)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-	}
-	return perShard, nil
-}
-
-// KNNBatch answers one kNN query per point of qs: each query is scattered to
-// every shard (asking each for its min(k, shard size) best) and the gathered
-// answers merge into the global top k — identical to a single Engine over
-// the unpartitioned database.
-func (s *ShardedEngine) KNNBatch(qs []Point, k int) ([][]Result, error) {
-	n := s.sx.DB().N()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("distperm: k=%d %w 1..%d", k, ErrOutOfRange, n)
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, nil
-	}
-	perShard, err := s.scatter(func(i int, e *Engine) ([][]Result, error) {
-		ks := k
-		if sn := s.sx.ShardDB(i).N(); ks > sn {
-			ks = sn
-		}
-		return e.KNNBatch(qs, ks)
-	})
-	if err != nil {
-		return nil, err
 	}
 	out := make([][]Result, len(qs))
+	var asts []ApproxStats
+	if q.Approx {
+		asts = make([]ApproxStats, len(qs))
+	}
 	gather := make([][]Result, len(s.engines))
-	for q := range qs {
+	for qi := range qs {
 		for i := range s.engines {
-			gather[i] = perShard[i][q]
+			gather[i] = perShard[i][qi]
 		}
-		out[q] = sisap.MergeKNN(gather, k)
-	}
-	return out, nil
-}
-
-// KNNApproxBatch answers one approximate kNN query per point of qs: every
-// shard probes the nprobe nearest prefix buckets of its own directory and
-// answers over its candidate set, and the per-shard answers merge into the
-// global top k exactly as KNNBatch merges exact answers. The returned
-// per-query stats sum the shard probe accounting; Exact is true only when
-// every shard's probe set covered its whole directory — in which case the
-// answers are byte-identical to KNNBatch. Any shard without the
-// ApproxIndex capability fails the batch with ErrNoApprox.
-func (s *ShardedEngine) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []sisap.ApproxStats, error) {
-	n := s.sx.DB().N()
-	if k < 1 || k > n {
-		return nil, nil, fmt.Errorf("distperm: k=%d %w 1..%d", k, ErrOutOfRange, n)
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, []sisap.ApproxStats{}, nil
-	}
-	perStats := make([][]sisap.ApproxStats, len(s.engines))
-	perShard, err := s.scatter(func(i int, e *Engine) ([][]Result, error) {
-		ks := k
-		if sn := s.sx.ShardDB(i).N(); ks > sn {
-			ks = sn
+		if q.knn() {
+			out[qi] = sisap.MergeKNN(gather, q.K)
+		} else {
+			out[qi] = sisap.MergeRange(gather)
 		}
-		rs, sts, err := e.KNNApproxBatch(qs, ks, nprobe)
-		perStats[i] = sts
-		return rs, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]Result, len(qs))
-	asts := make([]sisap.ApproxStats, len(qs))
-	gather := make([][]Result, len(s.engines))
-	for q := range qs {
-		agg := sisap.ApproxStats{Exact: true}
-		for i := range s.engines {
-			gather[i] = perShard[i][q]
-			st := perStats[i][q]
-			agg.DistanceEvals += st.DistanceEvals
-			agg.ProbedBuckets += st.ProbedBuckets
-			agg.TotalBuckets += st.TotalBuckets
-			agg.Candidates += st.Candidates
-			agg.Exact = agg.Exact && st.Exact
+		if q.Approx {
+			agg := ApproxStats{Exact: true}
+			for i := range s.engines {
+				st := perStats[i][qi]
+				agg.DistanceEvals += st.DistanceEvals
+				agg.ProbedBuckets += st.ProbedBuckets
+				agg.TotalBuckets += st.TotalBuckets
+				agg.Candidates += st.Candidates
+				agg.Exact = agg.Exact && st.Exact
+			}
+			asts[qi] = agg
 		}
-		out[q] = sisap.MergeKNN(gather, k)
-		asts[q] = agg
 	}
 	return out, asts, nil
 }
 
 // ApproxBuckets sums the shard directories' bucket counts — the bound the
 // per-query TotalBuckets stat reports. 0 when no shard has the capability.
-func (s *ShardedEngine) ApproxBuckets() int {
-	total := 0
-	for _, e := range s.engines {
-		total += e.ApproxBuckets()
-	}
-	return total
-}
+func (s *ShardedEngine) ApproxBuckets() int { return s.sum((*Engine).ApproxBuckets) }
 
 // DistinctRows sums the shard indexes' distinct permutation-row counts.
-func (s *ShardedEngine) DistinctRows() int {
-	total := 0
-	for _, e := range s.engines {
-		total += e.DistinctRows()
-	}
-	return total
-}
+func (s *ShardedEngine) DistinctRows() int { return s.sum((*Engine).DistinctRows) }
 
-// RangeBatch answers one range query of radius r per point of qs, scattered
-// to every shard and gathered in global (distance, ID) order.
-func (s *ShardedEngine) RangeBatch(qs []Point, r float64) ([][]Result, error) {
-	if r < 0 {
-		return nil, fmt.Errorf("distperm: negative radius %g is %w", r, ErrOutOfRange)
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, nil
-	}
-	perShard, err := s.scatter(func(i int, e *Engine) ([][]Result, error) {
-		return e.RangeBatch(qs, r)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(qs))
-	gather := make([][]Result, len(s.engines))
-	for q := range qs {
-		for i := range s.engines {
-			gather[i] = perShard[i][q]
-		}
-		out[q] = sisap.MergeRange(gather)
-	}
-	return out, nil
-}
+// BusyWorkers sums the busy-worker counts across shard pools.
+func (s *ShardedEngine) BusyWorkers() int { return s.sum((*Engine).BusyWorkers) }
 
 // ShardStats returns one EngineStats snapshot per shard pool. Each shard
 // answers every scattered query, so per-shard Queries count sub-queries: S
@@ -391,52 +320,18 @@ func (s *ShardedEngine) ShardStats() []EngineStats {
 	return stats
 }
 
-// Stats aggregates across shards: Queries and DistanceEvals sum (so
-// DistanceEvals is exactly the global cost of the sharded serving, the
-// paper's cost model composing additively), MeanEvals is per sub-query, and
-// the latency percentiles are read from the merged per-shard histograms.
-func (s *ShardedEngine) Stats() EngineStats {
+// counters sums the shard counters (so DistanceEvals is exactly the global
+// cost of the sharded serving, the paper's cost model composing additively)
+// and merges the per-shard latency histograms.
+func (s *ShardedEngine) counters() (EngineStats, obs.HistogramSnapshot) {
 	var agg EngineStats
 	var lat obs.HistogramSnapshot
 	for _, e := range s.engines {
 		c, snap := e.counters()
-		agg.Queries += c.queries
-		agg.DistanceEvals += c.evals
-		agg.BatchedQueries += c.batched
-		agg.ApproxQueries += c.approxQ
-		agg.ProbedBuckets += c.probed
-		agg.ApproxCandidates += c.approxCand
-		agg.DistinctRows += e.DistinctRows()
+		agg.add(c)
 		lat.Merge(snap)
 	}
-	if agg.Queries > 0 {
-		agg.MeanEvals = float64(agg.DistanceEvals) / float64(agg.Queries)
-	}
-	if lat.Count > 0 {
-		agg.P50 = histQuantile(lat, 0.50)
-		agg.P99 = histQuantile(lat, 0.99)
-	}
-	return agg
-}
-
-// LatencySnapshot merges the per-shard latency histograms into one — every
-// sub-query the sharded engine has answered, in a single mergeable
-// snapshot.
-func (s *ShardedEngine) LatencySnapshot() obs.HistogramSnapshot {
-	var lat obs.HistogramSnapshot
-	for _, e := range s.engines {
-		lat.Merge(e.LatencySnapshot())
-	}
-	return lat
-}
-
-// BusyWorkers sums the busy-worker counts across shard pools.
-func (s *ShardedEngine) BusyWorkers() int {
-	total := 0
-	for _, e := range s.engines {
-		total += e.BusyWorkers()
-	}
-	return total
+	return agg, lat
 }
 
 // Close shuts every shard pool down after in-flight queries finish. It is

@@ -154,23 +154,21 @@ func (c *Cache) Invalidations() int64 {
 	return c.invalidates
 }
 
-// knnKey canonically encodes a kNN query for the cache. The bool reports
-// whether the point type is encodable; unencodable points simply bypass the
-// cache.
-func knnKey(q distperm.Point, k int) (string, bool) {
+// cacheKey canonically encodes an exact single query for the cache — the
+// query kind and its parameter (k, or the exact bit pattern of the radius),
+// then the point. The bool reports whether the point type is encodable;
+// unencodable points simply bypass the cache. Approximate queries never
+// reach the cache, so Approx/NProbe are not part of the key.
+func cacheKey(p distperm.Point, q distperm.Query) (string, bool) {
 	var buf [9]byte
-	buf[0] = 'k'
-	binary.LittleEndian.PutUint64(buf[1:], uint64(k))
-	return pointKey(buf[:], q)
-}
-
-// rangeKey canonically encodes a range query for the cache, keying on the
-// exact bit pattern of the radius.
-func rangeKey(q distperm.Point, r float64) (string, bool) {
-	var buf [9]byte
-	buf[0] = 'r'
-	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(r))
-	return pointKey(buf[:], q)
+	if q.K != 0 {
+		buf[0] = 'k'
+		binary.LittleEndian.PutUint64(buf[1:], uint64(q.K))
+	} else {
+		buf[0] = 'r'
+		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(q.Radius))
+	}
+	return pointKey(buf[:], p)
 }
 
 func pointKey(prefix []byte, q distperm.Point) (string, bool) {

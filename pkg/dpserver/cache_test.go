@@ -107,23 +107,23 @@ func TestCacheKeys(t *testing.T) {
 		}
 		keys[key] = label
 	}
-	k1, ok := knnKey(v, 1)
+	k1, ok := cacheKey(v, distperm.Query{K: 1})
 	add("knn k=1", k1, ok)
-	k2, ok := knnKey(v, 2)
+	k2, ok := cacheKey(v, distperm.Query{K: 2})
 	add("knn k=2", k2, ok)
-	r1, ok := rangeKey(v, 1.0)
+	r1, ok := cacheKey(v, distperm.Query{Radius: 1.0})
 	add("range r=1", r1, ok)
-	r2, ok := rangeKey(v, 0.5)
+	r2, ok := cacheKey(v, distperm.Query{Radius: 0.5})
 	add("range r=0.5", r2, ok)
-	s1, ok := knnKey(distperm.String("ab"), 1)
+	s1, ok := cacheKey(distperm.String("ab"), distperm.Query{K: 1})
 	add("knn string", s1, ok)
 	// Same inputs must re-derive the same key.
-	again, _ := knnKey(distperm.Vector{0.5, 0.25}, 1)
+	again, _ := cacheKey(distperm.Vector{0.5, 0.25}, distperm.Query{K: 1})
 	if again != k1 {
-		t.Error("knnKey not canonical")
+		t.Error("cacheKey not canonical")
 	}
 	type opaque struct{}
-	if _, ok := knnKey(opaque{}, 1); ok {
+	if _, ok := cacheKey(opaque{}, distperm.Query{K: 1}); ok {
 		t.Error("opaque point should not be cacheable")
 	}
 }

@@ -7,46 +7,48 @@ import (
 	"time"
 
 	"distperm/pkg/distperm"
+	"distperm/pkg/obs"
 )
 
-// Backend is the slice of the query-engine surface the serving layer needs;
-// *distperm.Engine, *distperm.ShardedEngine, and *distperm.MutableEngine
-// all satisfy it.
-type Backend interface {
-	KNNBatch(qs []distperm.Point, k int) ([][]distperm.Result, error)
-	RangeBatch(qs []distperm.Point, r float64) ([][]distperm.Result, error)
-	Stats() distperm.EngineStats
-	Workers() int
-	Close()
+// Searcher is the one query method the serving layer asks of an engine —
+// all the Coalescer needs; *distperm.Engine, *distperm.ShardedEngine, and
+// *distperm.MutableEngine all provide it.
+type Searcher interface {
+	Search(qs []distperm.Point, q distperm.Query) ([][]distperm.Result, []distperm.ApproxStats, error)
 }
 
-// ApproxBackend is the approximate-search surface, discovered by type
-// assertion like the other optional capabilities; *distperm.Engine,
-// *distperm.ShardedEngine, and *distperm.MutableEngine all provide it. A
-// Server whose backend lacks it (or whose index lacks the underlying
-// capability — distperm.ErrNoApprox) answers approx requests 400.
-type ApproxBackend interface {
-	KNNApproxBatch(qs []distperm.Point, k, nprobe int) ([][]distperm.Result, []distperm.ApproxStats, error)
-	ApproxBuckets() int
+// Backend is everything the Server calls on whichever engine it fronts:
+// the query path, the counters behind /v1/stats and /metrics, and Close.
+// An index without approximate-search support reports it per request
+// (distperm.ErrNoApprox from Search, answered 400).
+type Backend interface {
+	Searcher
+	Stats() distperm.EngineStats
+	LatencySnapshot() obs.HistogramSnapshot
+	Workers() int
+	BusyWorkers() int
+	Close()
 }
 
 // MutableBackend extends Backend with the live write path;
 // *distperm.MutableEngine satisfies it. A Server whose backend is mutable
-// serves POST /v1/insert and /v1/delete.
+// serves POST /v1/insert and /v1/delete. WALStats reports Enabled=false
+// when no log is attached.
 type MutableBackend interface {
 	Backend
 	Insert(p distperm.Point) (int, error)
 	Delete(id int) error
 	MutationStats() distperm.MutationStats
+	WALStats() distperm.WALStats
 }
 
-// ErrCoalescerClosed is returned by KNN/Range after Close.
+// ErrCoalescerClosed is returned by Search (and KNN) after Close.
 var ErrCoalescerClosed = errors.New("dpserver: coalescer is closed")
 
 // Coalescer turns concurrent single-query calls into engine batches: calls
-// sharing the same parameters (k for kNN, radius for range) accumulate in a
-// pending batch that flushes when it reaches max queries or when wait
-// elapses since the batch opened, whichever comes first. Every caller gets
+// sharing the same distperm.Query accumulate in a pending batch that flushes
+// when it reaches max queries or when wait elapses since the batch opened,
+// whichever comes first. Every caller gets
 // exactly the answer a direct one-query engine batch would return, but the
 // engine sees max-query batches, amortising the per-batch submission cost
 // (in-flight registration, WaitGroup traffic, lock acquisitions) that
@@ -56,7 +58,7 @@ var ErrCoalescerClosed = errors.New("dpserver: coalescer is closed")
 // batches through the backend so no caller is left waiting, then refuses
 // further calls; it does not close the backend.
 type Coalescer struct {
-	backend Backend
+	backend Searcher
 	max     int
 	wait    time.Duration
 	// OnFlush, when set before the first call, observes every flushed
@@ -99,14 +101,19 @@ type FlushInfo struct {
 // coalesceTracedIDs caps FlushInfo.RequestIDs.
 const coalesceTracedIDs = 16
 
-// batchKey groups coalescable calls: queries answer as one engine batch
-// only if they share the operation and its parameter. The radius is keyed
-// by its bit pattern, not its float value — a NaN radius must still equal
-// itself as a map key, or its pending batch could never be found again.
+// batchKey groups coalescable calls: points answer as one engine batch only
+// if they carry the same Query. The radius is keyed by its bit pattern, not
+// its float value — a NaN radius must still equal itself as a map key, or
+// its pending batch could never be found again.
 type batchKey struct {
-	op byte // 'k' (kNN) or 'r' (range)
-	k  int
-	r  uint64 // math.Float64bits of the radius
+	q distperm.Query // with Radius zeroed; r carries it
+	r uint64         // math.Float64bits of the radius
+}
+
+func keyOf(q distperm.Query) batchKey {
+	k := batchKey{q: q, r: math.Float64bits(q.Radius)}
+	k.q.Radius = 0
+	return k
 }
 
 // pendingBatch accumulates the queries of one future engine batch. Appends
@@ -115,6 +122,7 @@ type batchKey struct {
 // qs, so flush needs no further synchronisation. done closes after out,
 // err, and info are set, so waiters read them without locking.
 type pendingBatch struct {
+	q     distperm.Query
 	qs    []distperm.Point
 	ids   []string // request IDs of the coalesced calls, capped
 	out   [][]distperm.Result
@@ -128,7 +136,7 @@ type pendingBatch struct {
 // or after wait, whichever comes first. max < 1 is treated as 1 and wait ≤ 0
 // as "no window" — both degrade to per-call submission, which keeps the
 // zero Config servable.
-func NewCoalescer(backend Backend, max int, wait time.Duration) *Coalescer {
+func NewCoalescer(backend Searcher, max int, wait time.Duration) *Coalescer {
 	if max < 1 {
 		max = 1
 	}
@@ -144,29 +152,11 @@ func NewCoalescer(backend Backend, max int, wait time.Duration) *Coalescer {
 }
 
 // KNN answers one kNN query through the coalescer: identical to
-// backend.KNNBatch([]Point{q}, k) with the submission cost shared across
-// the batch it lands in.
-func (c *Coalescer) KNN(q distperm.Point, k int) ([]distperm.Result, error) {
-	rs, _, err := c.enqueue(batchKey{op: 'k', k: k}, q, "")
+// backend.Search([]Point{p}, Query{K: k}) with the submission cost shared
+// across the batch it lands in.
+func (c *Coalescer) KNN(p distperm.Point, k int) ([]distperm.Result, error) {
+	rs, _, err := c.Search(p, distperm.Query{K: k}, "")
 	return rs, err
-}
-
-// Range answers one range query through the coalescer.
-func (c *Coalescer) Range(q distperm.Point, r float64) ([]distperm.Result, error) {
-	rs, _, err := c.enqueue(batchKey{op: 'r', r: math.Float64bits(r)}, q, "")
-	return rs, err
-}
-
-// KNNTraced is KNN carrying the caller's request ID into the batch and
-// reporting, alongside the answer, which flush served it — the tracing
-// surface the server's slow-query log reads.
-func (c *Coalescer) KNNTraced(q distperm.Point, k int, reqID string) ([]distperm.Result, FlushInfo, error) {
-	return c.enqueue(batchKey{op: 'k', k: k}, q, reqID)
-}
-
-// RangeTraced is Range with request-ID tracing; see KNNTraced.
-func (c *Coalescer) RangeTraced(q distperm.Point, r float64, reqID string) ([]distperm.Result, FlushInfo, error) {
-	return c.enqueue(batchKey{op: 'r', r: math.Float64bits(r)}, q, reqID)
 }
 
 // Counters reports how many engine batches have been flushed and how many
@@ -177,7 +167,11 @@ func (c *Coalescer) Counters() (batches, queries int64) {
 	return c.batches, c.queries
 }
 
-func (c *Coalescer) enqueue(key batchKey, q distperm.Point, reqID string) ([]distperm.Result, FlushInfo, error) {
+// Search answers q for the one point p through the coalescer, carrying the
+// caller's request ID (if any) into the batch and reporting, alongside the
+// answer, which flush served it — what the server's slow-query log reads.
+func (c *Coalescer) Search(p distperm.Point, q distperm.Query, reqID string) ([]distperm.Result, FlushInfo, error) {
+	key := keyOf(q)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -185,7 +179,7 @@ func (c *Coalescer) enqueue(key batchKey, q distperm.Point, reqID string) ([]dis
 	}
 	b, open := c.pending[key]
 	if !open {
-		b = &pendingBatch{done: make(chan struct{})}
+		b = &pendingBatch{q: q, done: make(chan struct{})}
 		if c.max > 1 && c.wait > 0 {
 			c.pending[key] = b
 			open = true
@@ -195,7 +189,7 @@ func (c *Coalescer) enqueue(key batchKey, q distperm.Point, reqID string) ([]dis
 		// pending map and this call flushes it alone below.
 	}
 	idx := len(b.qs)
-	b.qs = append(b.qs, q)
+	b.qs = append(b.qs, p)
 	if reqID != "" && len(b.ids) < coalesceTracedIDs {
 		b.ids = append(b.ids, reqID)
 	}
@@ -216,7 +210,7 @@ func (c *Coalescer) enqueue(key batchKey, q distperm.Point, reqID string) ([]dis
 		if !open {
 			reason = FlushDirect
 		}
-		c.flush(key, b, reason)
+		c.flush(b, reason)
 	}
 	<-b.done
 	if b.err != nil {
@@ -235,20 +229,16 @@ func (c *Coalescer) flushTimed(key batchKey, b *pendingBatch) {
 	}
 	delete(c.pending, key)
 	c.mu.Unlock()
-	c.flush(key, b, FlushTimer)
+	c.flush(b, FlushTimer)
 }
 
 // flush submits the batch to the backend and wakes its waiters. The caller
 // must have removed b from the pending map (or never published it), so b.qs
 // is frozen here.
-func (c *Coalescer) flush(key batchKey, b *pendingBatch, reason string) {
+func (c *Coalescer) flush(b *pendingBatch, reason string) {
 	b.info = FlushInfo{Size: len(b.qs), Reason: reason, RequestIDs: b.ids}
 	defer close(b.done)
-	if key.op == 'k' {
-		b.out, b.err = c.backend.KNNBatch(b.qs, key.k)
-	} else {
-		b.out, b.err = c.backend.RangeBatch(b.qs, math.Float64frombits(key.r))
-	}
+	b.out, _, b.err = c.backend.Search(b.qs, b.q)
 	c.mu.Lock()
 	c.batches++
 	c.mu.Unlock()
@@ -258,7 +248,7 @@ func (c *Coalescer) flush(key batchKey, b *pendingBatch, reason string) {
 }
 
 // Close flushes every pending batch through the backend — callers blocked
-// in KNN/Range get real answers (or the backend's error, if it is already
+// in Search get real answers (or the backend's error, if it is already
 // closed) — and fails calls arriving afterwards with ErrCoalescerClosed.
 // Idempotent; does not close the backend.
 func (c *Coalescer) Close() {
@@ -271,10 +261,10 @@ func (c *Coalescer) Close() {
 	stale := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	for key, b := range stale {
+	for _, b := range stale {
 		if b.timer != nil {
 			b.timer.Stop()
 		}
-		c.flush(key, b, FlushClose)
+		c.flush(b, FlushClose)
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"distperm/pkg/distperm"
 )
 
-// mockBackend answers each query with its own encoded identity (ID = the
-// query vector's first coordinate) and records every batch it receives, so
-// tests can assert both correctness (every caller got its own answer back)
-// and batching behaviour (how the calls were grouped).
+// mockBackend is the whole surface the Coalescer consumes — the one Search
+// method. It answers each query with its own encoded identity (ID = the
+// query vector's first coordinate, Distance = K + Radius) and records every
+// batch it receives, so tests can assert both correctness (every caller got
+// its own answer back) and batching behaviour (how the calls were grouped).
 type mockBackend struct {
 	mu      sync.Mutex
 	batches []batchRecord
@@ -21,38 +22,24 @@ type mockBackend struct {
 }
 
 type batchRecord struct {
-	op   byte
-	k    int
-	r    float64
+	q    distperm.Query
 	size int
 }
 
-func (m *mockBackend) answer(qs []distperm.Point, op byte, k int, r float64) ([][]distperm.Result, error) {
+func (m *mockBackend) Search(qs []distperm.Point, q distperm.Query) ([][]distperm.Result, []distperm.ApproxStats, error) {
 	m.mu.Lock()
-	m.batches = append(m.batches, batchRecord{op: op, k: k, r: r, size: len(qs)})
+	m.batches = append(m.batches, batchRecord{q: q, size: len(qs)})
 	err := m.err
 	m.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([][]distperm.Result, len(qs))
-	for i, q := range qs {
-		out[i] = []distperm.Result{{ID: int(q.(distperm.Vector)[0]), Distance: float64(k) + r}}
+	for i, p := range qs {
+		out[i] = []distperm.Result{{ID: int(p.(distperm.Vector)[0]), Distance: float64(q.K) + q.Radius}}
 	}
-	return out, nil
+	return out, nil, nil
 }
-
-func (m *mockBackend) KNNBatch(qs []distperm.Point, k int) ([][]distperm.Result, error) {
-	return m.answer(qs, 'k', k, 0)
-}
-
-func (m *mockBackend) RangeBatch(qs []distperm.Point, r float64) ([][]distperm.Result, error) {
-	return m.answer(qs, 'r', 0, r)
-}
-
-func (m *mockBackend) Stats() distperm.EngineStats { return distperm.EngineStats{} }
-func (m *mockBackend) Workers() int                { return 1 }
-func (m *mockBackend) Close()                      {}
 
 func (m *mockBackend) records() []batchRecord {
 	m.mu.Lock()
@@ -100,7 +87,7 @@ func TestCoalescerFill(t *testing.T) {
 		t.Fatalf("backend saw %d batches, want 4: %+v", len(recs), recs)
 	}
 	for _, rec := range recs {
-		if rec.size != 16 || rec.k != 3 || rec.op != 'k' {
+		if rec.size != 16 || rec.q != (distperm.Query{K: 3}) {
 			t.Errorf("bad batch %+v", rec)
 		}
 	}
@@ -152,7 +139,7 @@ func TestCoalescerKeysDoNotMix(t *testing.T) {
 					t.Errorf("k=5 call: %v %v", rs, err)
 				}
 			case 2:
-				rs, err := co.Range(distperm.Vector{float64(i)}, 0.25)
+				rs, _, err := co.Search(distperm.Vector{float64(i)}, distperm.Query{Radius: 0.25}, "")
 				if err != nil || rs[0].Distance != 0.25 {
 					t.Errorf("range call: %v %v", rs, err)
 				}
@@ -161,10 +148,9 @@ func TestCoalescerKeysDoNotMix(t *testing.T) {
 	}
 	wg.Wait()
 	for _, rec := range m.records() {
-		if rec.op == 'k' && rec.k != 1 && rec.k != 5 {
-			t.Errorf("mixed-parameter batch %+v", rec)
-		}
-		if rec.op == 'r' && rec.r != 0.25 {
+		switch rec.q {
+		case distperm.Query{K: 1}, distperm.Query{K: 5}, distperm.Query{Radius: 0.25}:
+		default:
 			t.Errorf("mixed-parameter batch %+v", rec)
 		}
 	}
@@ -228,7 +214,7 @@ func TestCoalescerNaNRadius(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := co.Range(distperm.Vector{1}, math.NaN()); err != nil {
+		if _, _, err := co.Search(distperm.Vector{1}, distperm.Query{Radius: math.NaN()}, ""); err != nil {
 			t.Errorf("NaN-radius query: %v", err)
 		}
 	}()
@@ -238,7 +224,7 @@ func TestCoalescerNaNRadius(t *testing.T) {
 		t.Fatal("NaN-radius query hung past the flush window")
 	}
 	recs := m.records()
-	if len(recs) != 1 || !math.IsNaN(recs[0].r) {
+	if len(recs) != 1 || !math.IsNaN(recs[0].q.Radius) {
 		t.Errorf("backend saw %+v, want one NaN-radius batch", recs)
 	}
 }

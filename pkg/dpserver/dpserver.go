@@ -34,8 +34,8 @@
 // into engine batches (up to Config.BatchMax queries or Config.BatchWait,
 // whichever comes first), amortising the per-batch submission cost exactly
 // where the worker-pool design pays off; answers are identical to direct
-// one-query engine batches. Batched requests bypass both and reach the
-// engine as submitted.
+// one-query engine batches. Batched and approximate requests bypass both
+// and reach the engine as submitted.
 //
 // Serve runs the server with graceful shutdown: in-flight requests drain,
 // pending coalescer batches flush, and only then does the engine close.
@@ -95,13 +95,10 @@ type Server struct {
 	// mutable is backend's write surface when it has one (the type
 	// assertion happens once, in New); nil means read-only serving.
 	mutable MutableBackend
-	// approx is backend's approximate-search surface when it has one; nil
-	// means approx requests answer 400.
-	approx ApproxBackend
-	info   IndexInfo
-	co     *Coalescer
-	cache  *Cache
-	mux    *http.ServeMux
+	info    IndexInfo
+	co      *Coalescer
+	cache   *Cache
+	mux     *http.ServeMux
 	// proto is a representative database point; incoming queries are
 	// validated against its shape so a malformed request is a 400, not a
 	// metric panic in a worker. nil skips validation (New without a DB).
@@ -149,7 +146,6 @@ func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
 	if s.mutable != nil {
 		s.info.Mutable = true
 	}
-	s.approx, _ = backend.(ApproxBackend)
 	s.metrics = newServerMetrics(reg, backend, s.mutable, s.cache)
 	s.co.OnFlush = func(size int, reason string) {
 		s.metrics.batchSize.Observe(float64(size))
@@ -315,18 +311,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k=%d out of range 1..%d", req.K, s.info.N))
 		return
 	}
-	if req.Approx {
-		s.answerApprox(w, r, req)
-		return
-	}
-	s.answer(w, r, slowQueryRecord{Endpoint: "knn", K: req.K},
-		req.Query, req.Queries,
-		func(q distperm.Point) (string, bool) { return knnKey(q, req.K) },
-		func(q distperm.Point, reqID string) ([]distperm.Result, FlushInfo, error) {
-			return s.co.KNNTraced(q, req.K, reqID)
-		},
-		func(qs []distperm.Point) ([][]distperm.Result, error) { return s.backend.KNNBatch(qs, req.K) },
-	)
+	s.answer(w, r, "knn", req.Query, req.Queries,
+		distperm.Query{K: req.K, Approx: req.Approx, NProbe: req.NProbe})
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -339,39 +325,52 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad radius %g", req.R))
 		return
 	}
-	s.answer(w, r, slowQueryRecord{Endpoint: "range", Radius: req.R},
-		req.Query, req.Queries,
-		func(q distperm.Point) (string, bool) { return rangeKey(q, req.R) },
-		func(q distperm.Point, reqID string) ([]distperm.Result, FlushInfo, error) {
-			return s.co.RangeTraced(q, req.R, reqID)
-		},
-		func(qs []distperm.Point) ([][]distperm.Result, error) { return s.backend.RangeBatch(qs, req.R) },
-	)
+	s.answer(w, r, "range", req.Query, req.Queries, distperm.Query{Radius: req.R})
 }
 
 // answer runs the shared request shape of /v1/knn and /v1/range: exactly
-// one of single/batch, points decoded and validated, the single form routed
-// cache → coalescer, the batched form routed straight to the engine.
-// Computed (non-cache-hit) answers are timed against the slow-query
-// threshold; rec arrives with the endpoint and its parameter filled in.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, rec slowQueryRecord,
-	single json.RawMessage, batch []json.RawMessage,
-	key func(distperm.Point) (string, bool),
-	one func(q distperm.Point, reqID string) ([]distperm.Result, FlushInfo, error),
-	many func([]distperm.Point) ([][]distperm.Result, error),
-) {
-	rec.RequestID = requestID(r)
+// one of single/batch, points decoded and validated, then routed. An exact
+// single query goes cache → coalescer; everything else — a batch, and any
+// approximate request, whose answer depends on nprobe and on the live
+// directory — goes straight to the engine as submitted. Computed
+// (non-cache-hit) answers are timed against the slow-query threshold, and
+// approximate answers carry their aggregated probe accounting.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
+	single json.RawMessage, batch []json.RawMessage, q distperm.Query) {
+	rec := slowQueryRecord{Endpoint: endpoint, K: q.K, Radius: q.Radius, RequestID: requestID(r)}
+	raws := batch
 	switch {
 	case single != nil && batch != nil:
 		s.fail(w, http.StatusBadRequest, `"query" and "queries" are mutually exclusive`)
+		return
 	case single != nil:
-		q, err := s.decodePoint(single)
+		raws = []json.RawMessage{single}
+	case batch == nil:
+		s.fail(w, http.StatusBadRequest, `one of "query" or "queries" is required`)
+		return
+	}
+	qs := make([]distperm.Point, len(raws))
+	for i, raw := range raws {
+		p, err := s.decodePoint(raw)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err.Error())
+			msg := err.Error()
+			if single == nil {
+				msg = fmt.Sprintf("queries[%d]: %v", i, err)
+			}
+			s.fail(w, http.StatusBadRequest, msg)
 			return
 		}
-		k, cacheable := key(q)
-		if rs, ok := s.cache.Get(k); cacheable && ok {
+		qs[i] = p
+	}
+
+	// Only an exact single query is cacheable and coalescable.
+	coalesce := single != nil && !q.Approx
+	var key string
+	var cacheable bool
+	var gen uint64
+	if coalesce {
+		key, cacheable = cacheKey(qs[0], q)
+		if rs, ok := s.cache.Get(key); cacheable && ok {
 			s.bump(func(c *ServerCounters) { c.SingleQueries++ })
 			s.ok(w, QueryResponse{Results: toWire(rs)})
 			return
@@ -379,124 +378,69 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, rec slowQueryRec
 		// The generation is read before computing: if a mutation lands
 		// while the query runs, the stamp no longer matches and the Put is
 		// dropped, so the cache cannot serve the pre-mutation answer.
-		gen := s.cache.Generation()
-		evals, start := s.traceStart()
-		rs, fi, err := one(q, rec.RequestID)
-		if err != nil {
-			s.fail(w, backendErrorCode(err), err.Error())
-			return
-		}
-		rec.BatchSize = fi.Size
-		rec.FlushReason = fi.Reason
-		rec.CoalescedIDs = fi.RequestIDs
-		s.traceEnd(rec, evals, start)
-		if cacheable {
-			s.cache.Put(k, gen, rs)
-		}
-		s.bump(func(c *ServerCounters) { c.SingleQueries++ })
-		s.ok(w, QueryResponse{Results: toWire(rs)})
-	case batch != nil:
-		qs := make([]distperm.Point, len(batch))
-		for i, raw := range batch {
-			q, err := s.decodePoint(raw)
-			if err != nil {
-				s.fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d]: %v", i, err))
-				return
-			}
-			qs[i] = q
-		}
-		evals, start := s.traceStart()
-		outs, err := many(qs)
-		if err != nil {
-			s.fail(w, backendErrorCode(err), err.Error())
-			return
-		}
-		rec.Queries = len(qs)
-		s.traceEnd(rec, evals, start)
-		batches := make([][]Result, len(outs))
-		for i, rs := range outs {
-			batches[i] = toWire(rs)
-		}
-		s.bump(func(c *ServerCounters) { c.BatchQueries += int64(len(qs)) })
-		s.ok(w, QueryResponse{Batches: batches})
-	default:
-		s.fail(w, http.StatusBadRequest, `one of "query" or "queries" is required`)
+		gen = s.cache.Generation()
 	}
-}
-
-// answerApprox serves an approximate kNN request, single or batched, both
-// routed straight to the backend's ApproxBackend capability: approximate
-// answers depend on nprobe and on the live directory, so they bypass the
-// result cache and the coalescer entirely. The response aggregates the
-// per-query probe accounting into QueryResponse.Approx.
-func (s *Server) answerApprox(w http.ResponseWriter, r *http.Request, req KNNRequest) {
-	if s.approx == nil {
-		s.fail(w, http.StatusBadRequest, "this backend has no approximate-search support")
-		return
-	}
-	single := req.Query != nil
-	var raws []json.RawMessage
-	switch {
-	case single && req.Queries != nil:
-		s.fail(w, http.StatusBadRequest, `"query" and "queries" are mutually exclusive`)
-		return
-	case single:
-		raws = []json.RawMessage{req.Query}
-	case req.Queries != nil:
-		raws = req.Queries
-	default:
-		s.fail(w, http.StatusBadRequest, `one of "query" or "queries" is required`)
-		return
-	}
-	qs := make([]distperm.Point, len(raws))
-	for i, raw := range raws {
-		q, err := s.decodePoint(raw)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d]: %v", i, err))
-			return
-		}
-		qs[i] = q
-	}
-	rec := slowQueryRecord{Endpoint: "knn", K: req.K, RequestID: requestID(r)}
+	var (
+		outs [][]distperm.Result
+		sts  []distperm.ApproxStats
+		err  error
+	)
 	evals, start := s.traceStart()
-	outs, sts, err := s.approx.KNNApproxBatch(qs, req.K, req.NProbe)
+	if coalesce {
+		var fi FlushInfo
+		outs = make([][]distperm.Result, 1)
+		outs[0], fi, err = s.co.Search(qs[0], q, rec.RequestID)
+		rec.BatchSize, rec.FlushReason, rec.CoalescedIDs = fi.Size, fi.Reason, fi.RequestIDs
+	} else {
+		outs, sts, err = s.backend.Search(qs, q)
+		rec.Queries = len(qs)
+	}
 	if err != nil {
 		s.fail(w, backendErrorCode(err), err.Error())
 		return
 	}
-	rec.Queries = len(qs)
 	s.traceEnd(rec, evals, start)
-	aw := &ApproxWire{NProbe: req.NProbe, Exact: true}
+	if cacheable {
+		s.cache.Put(key, gen, outs[0])
+	}
+
+	var resp QueryResponse
+	if q.Approx {
+		resp.Approx = s.approxWire(q.NProbe, sts)
+	}
+	if single != nil {
+		resp.Results = toWire(outs[0])
+		s.bump(func(c *ServerCounters) { c.SingleQueries++ })
+	} else {
+		resp.Batches = make([][]Result, len(outs))
+		for i, rs := range outs {
+			resp.Batches[i] = toWire(rs)
+		}
+		s.bump(func(c *ServerCounters) { c.BatchQueries += int64(len(qs)) })
+	}
+	s.ok(w, resp)
+}
+
+// approxWire aggregates the per-query probe accounting of one approximate
+// request into its wire form.
+func (s *Server) approxWire(nprobe int, sts []distperm.ApproxStats) *ApproxWire {
+	aw := &ApproxWire{NProbe: nprobe, Exact: true}
 	for _, st := range sts {
 		aw.ProbedBuckets += st.ProbedBuckets
 		aw.Candidates += st.Candidates
 		aw.TotalBuckets = st.TotalBuckets // identical across the batch
 		aw.Exact = aw.Exact && st.Exact
 	}
-	if n := s.liveN(); n > 0 {
-		aw.CandidateFraction = float64(aw.Candidates) / float64(len(qs)*n)
-	}
-	if single {
-		s.bump(func(c *ServerCounters) { c.SingleQueries++ })
-		s.ok(w, QueryResponse{Results: toWire(outs[0]), Approx: aw})
-		return
-	}
-	batches := make([][]Result, len(outs))
-	for i, rs := range outs {
-		batches[i] = toWire(rs)
-	}
-	s.bump(func(c *ServerCounters) { c.BatchQueries += int64(len(qs)) })
-	s.ok(w, QueryResponse{Batches: batches, Approx: aw})
-}
-
-// liveN is the current logical database size — the candidate fraction's
-// denominator: the live count on mutable servers, info.N otherwise (0 when
-// the Server was built without one).
-func (s *Server) liveN() int {
+	// The fraction's denominator is the current logical database size: the
+	// live count on a mutable server, info.N otherwise.
+	n := s.info.N
 	if s.mutable != nil {
-		return s.mutable.MutationStats().LiveN
+		n = s.mutable.MutationStats().LiveN
 	}
-	return s.info.N
+	if n > 0 && len(sts) > 0 {
+		aw.CandidateFraction = float64(aw.Candidates) / float64(len(sts)*n)
+	}
+	return aw
 }
 
 // traceStart opens a slow-query measurement: the engine's distance-eval
@@ -692,9 +636,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := StatsResponse{Engine: statsWire(s.backend.Stats()), Server: counters}
 	if s.mutable != nil {
 		resp.Mutation = mutationWire(s.mutable.MutationStats())
-		if wb, ok := s.mutable.(walBackend); ok {
-			resp.WAL = walWire(wb.WALStats())
-		}
+		resp.WAL = walWire(s.mutable.WALStats())
 	}
 	s.ok(w, resp)
 }

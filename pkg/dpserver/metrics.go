@@ -139,24 +139,6 @@ func (m *serverMetrics) flush(reason string) *obs.Counter {
 	return m.flushes[FlushDirect]
 }
 
-// latencyBackend and busyBackend are the optional engine surfaces the
-// exporter discovers by type assertion — *distperm.Engine,
-// *distperm.ShardedEngine, and *distperm.MutableEngine provide both, but
-// a minimal custom Backend stays servable without them.
-type latencyBackend interface {
-	LatencySnapshot() obs.HistogramSnapshot
-}
-
-type busyBackend interface {
-	BusyWorkers() int
-}
-
-// walBackend is the durability surface: *distperm.MutableEngine provides
-// it, and its stats report Enabled=false when no log is attached.
-type walBackend interface {
-	WALStats() distperm.WALStats
-}
-
 // registerBackendMetrics exports the engine layer as read-time funcs: a
 // scrape reads live counters, no per-query bookkeeping is added here.
 func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend) {
@@ -184,16 +166,12 @@ func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableB
 	reg.GaugeFunc("distperm_engine_workers",
 		"Worker goroutines in the engine pool(s)", nil,
 		func() float64 { return float64(backend.Workers()) })
-	if bb, ok := backend.(busyBackend); ok {
-		reg.GaugeFunc("distperm_engine_busy_workers",
-			"Workers currently serving a job", nil,
-			func() float64 { return float64(bb.BusyWorkers()) })
-	}
-	if lb, ok := backend.(latencyBackend); ok {
-		reg.HistogramFunc("distperm_engine_query_duration_seconds",
-			"Per-query engine latency (merged across shards and epochs)", nil,
-			lb.LatencySnapshot)
-	}
+	reg.GaugeFunc("distperm_engine_busy_workers",
+		"Workers currently serving a job", nil,
+		func() float64 { return float64(backend.BusyWorkers()) })
+	reg.HistogramFunc("distperm_engine_query_duration_seconds",
+		"Per-query engine latency (merged across shards and epochs)", nil,
+		backend.LatencySnapshot)
 	if mutable != nil {
 		reg.CounterFunc("distperm_mutable_inserts_total",
 			"Accepted inserts", nil,
@@ -223,40 +201,40 @@ func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableB
 			"Duration of the most recent successful rebuild", nil,
 			func() float64 { return mutable.MutationStats().LastRebuild.Seconds() })
 	}
-	if wb, ok := mutable.(walBackend); ok && wb.WALStats().Enabled {
+	if mutable != nil && mutable.WALStats().Enabled {
 		reg.CounterFunc("distperm_wal_appended_records_total",
 			"WAL records appended (logged before the write was acknowledged)", nil,
-			func() float64 { return float64(wb.WALStats().AppendedRecords) })
+			func() float64 { return float64(mutable.WALStats().AppendedRecords) })
 		reg.CounterFunc("distperm_wal_appended_bytes_total",
 			"WAL bytes appended", nil,
-			func() float64 { return float64(wb.WALStats().AppendedBytes) })
+			func() float64 { return float64(mutable.WALStats().AppendedBytes) })
 		reg.CounterFunc("distperm_wal_syncs_total",
 			"WAL fsync calls issued by the active sync policy", nil,
-			func() float64 { return float64(wb.WALStats().Syncs) })
+			func() float64 { return float64(mutable.WALStats().Syncs) })
 		reg.CounterFunc("distperm_wal_replayed_records_total",
 			"WAL records replayed into the engine during startup recovery", nil,
-			func() float64 { return float64(wb.WALStats().ReplayedRecords) })
+			func() float64 { return float64(mutable.WALStats().ReplayedRecords) })
 		reg.CounterFunc("distperm_wal_recoveries_total",
 			"WAL open/replay recovery passes", nil,
-			func() float64 { return float64(wb.WALStats().Recoveries) })
+			func() float64 { return float64(mutable.WALStats().Recoveries) })
 		reg.CounterFunc("distperm_wal_truncated_bytes_total",
 			"Torn trailing bytes truncated from the log during recovery", nil,
-			func() float64 { return float64(wb.WALStats().TornBytesTruncated) })
+			func() float64 { return float64(mutable.WALStats().TornBytesTruncated) })
 		reg.CounterFunc("distperm_wal_checkpoints_total",
 			"Durable checkpoints written", nil,
-			func() float64 { return float64(wb.WALStats().Checkpoints) })
+			func() float64 { return float64(mutable.WALStats().Checkpoints) })
 		reg.GaugeFunc("distperm_wal_seq",
 			"Sequence number of the last logged record", nil,
-			func() float64 { return float64(wb.WALStats().Seq) })
+			func() float64 { return float64(mutable.WALStats().Seq) })
 		reg.GaugeFunc("distperm_wal_checkpoint_seq",
 			"Sequence number covered by the newest checkpoint", nil,
-			func() float64 { return float64(wb.WALStats().CheckpointSeq) })
+			func() float64 { return float64(mutable.WALStats().CheckpointSeq) })
 		reg.GaugeFunc("distperm_wal_segments",
 			"Log segment files currently retained", nil,
-			func() float64 { return float64(wb.WALStats().Segments) })
+			func() float64 { return float64(mutable.WALStats().Segments) })
 		reg.HistogramFunc("distperm_wal_fsync_duration_seconds",
 			"WAL fsync latency", nil,
-			func() obs.HistogramSnapshot { return wb.WALStats().Fsync })
+			func() obs.HistogramSnapshot { return mutable.WALStats().Fsync })
 	}
 	reg.CounterFunc("distperm_mmap_opens_total",
 		"Frozen-container opens (process-wide)", nil,

@@ -357,6 +357,16 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 		t.Fatal("no X-Request-ID minted")
 	}
 
+	// An approximate request bypasses the coalescer but is traced the same.
+	req, _ = http.NewRequest("POST", ts.URL+"/v1/knn",
+		strings.NewReader(fmt.Sprintf(`{"query":%s,"k":4,"approx":true,"nprobe":1}`, string(raw))))
+	req.Header.Set("X-Request-ID", "trace-approx")
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
 	var records []map[string]any
 	sc := bufio.NewScanner(strings.NewReader(logBuf.String()))
 	for sc.Scan() {
@@ -370,8 +380,8 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 		}
 		records = append(records, rec)
 	}
-	if len(records) != 2 {
-		t.Fatalf("got %d slow-query records, want 2:\n%s", len(records), logBuf.String())
+	if len(records) != 3 {
+		t.Fatalf("got %d slow-query records, want 3:\n%s", len(records), logBuf.String())
 	}
 	first := records[0]
 	if first["request_id"] != "trace-me-42" {
@@ -391,6 +401,13 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	}
 	if records[1]["request_id"] != minted {
 		t.Errorf("second record request_id = %v, want minted %q", records[1]["request_id"], minted)
+	}
+	approx := records[2]
+	if approx["request_id"] != "trace-approx" || approx["endpoint"] != "knn" || approx["k"] != 4.0 || approx["queries"] != 1.0 {
+		t.Errorf("approx record %v, want trace-approx / knn / k=4 / 1 query", approx)
+	}
+	if _, coalesced := approx["flush_reason"]; coalesced {
+		t.Errorf("approx record %v claims a coalescer flush", approx)
 	}
 }
 

@@ -298,6 +298,17 @@ func TestServerRequestErrors(t *testing.T) {
 		{"/v1/range", `{"query": [0.1,0.2,0.3], "r": -0.5}`, http.StatusBadRequest},                        // bad radius
 		{"/v1/range", `{"queries": [[0.1,0.2,0.3], [0.4]], "r": 0.2}`, http.StatusBadRequest},              // bad element
 		{"/v1/range", `{"query": [0.1,0.2,0.3], "r": 0}`, http.StatusOK},                                   // r=0 is valid
+		// Approximate requests run the same decode-validate-route function,
+		// so they get the same 400s — and an empty batch is a 200, not a
+		// NaN candidate fraction that fails to encode.
+		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 1, "approx": true, "nprobe": 2}`, http.StatusOK},
+		{"/v1/knn", `{"k": 1, "approx": true}`, http.StatusBadRequest},
+		{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
+		{"/v1/knn", `{"query": [0.1,0.2], "k": 1, "approx": true}`, http.StatusBadRequest},
+		{"/v1/knn", `{"queries": [[0.1,0.2,0.3], "word"], "k": 1, "approx": true}`, http.StatusBadRequest},
+		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101, "approx": true}`, http.StatusBadRequest},
+		{"/v1/knn", `{"queries": [], "k": 1}`, http.StatusOK},
+		{"/v1/knn", `{"queries": [], "k": 1, "approx": true}`, http.StatusOK},
 	}
 	for _, tc := range cases {
 		code, body := post(tc.path, tc.body)
@@ -306,6 +317,9 @@ func TestServerRequestErrors(t *testing.T) {
 		}
 		if code != http.StatusOK && !strings.Contains(body, `"error"`) {
 			t.Errorf("POST %s %s: non-JSON error body %q", tc.path, tc.body, body)
+		}
+		if code == http.StatusOK && !json.Valid([]byte(body)) {
+			t.Errorf("POST %s %s: 200 with body %q", tc.path, tc.body, body)
 		}
 	}
 	// Wrong method and unknown paths come from the mux.

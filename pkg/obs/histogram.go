@@ -12,14 +12,14 @@ import (
 // Observe and Snapshot are lock-free and safe for concurrent use.
 //
 // Snapshot is deliberately not a torn-read-free atomic cut: buckets are
-// read one by one while observations continue, so a snapshot's Count can
-// trail the sum of a later snapshot's buckets. Each individual value is
-// still an atomic read and every observation lands in exactly one
-// snapshot eventually — the monotonic guarantee Prometheus scrapes need.
+// read one by one while observations continue, so Sum can run ahead of or
+// behind the buckets. Count, though, is the sum of the buckets the snapshot
+// read — never a separately loaded total — so the cumulative series an
+// exporter derives (finite buckets, then +Inf = Count) cannot decrease, the
+// guarantee a strict Prometheus scraper checks.
 type Histogram struct {
 	edges   []float64 // ascending upper edges; immutable after construction
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
@@ -71,7 +71,6 @@ func (h *Histogram) Observe(v float64) {
 	// the overflow bucket naturally.
 	i := sort.SearchFloat64s(h.edges, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -97,11 +96,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Edges:   h.edges,
 		Buckets: make([]uint64, len(h.buckets)),
-		Count:   h.count.Load(),
 		Sum:     math.Float64frombits(h.sumBits.Load()),
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

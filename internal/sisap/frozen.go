@@ -365,35 +365,20 @@ func (h *frozenHeader) verifyBucketSection(secs [][]byte) error {
 
 // --- writing ---
 
-// frozenPoints encodes the database's point vectors for embedding, if the
-// database is self-describing: a ByName-resolvable metric over non-empty
-// equal-dimension float vectors. Otherwise it reports dims 0 and the
-// container is written without points (ErrNeedDB on a db-less open).
+// frozenPoints encodes the database's coordinate block for embedding, if
+// the database is self-describing: a ByName-resolvable metric over a packed
+// block of equal-dimension float vectors. Otherwise it reports dims 0 and
+// the container is written without points (ErrNeedDB on a db-less open).
 func frozenPoints(db *DB) (points []byte, dims int, name string) {
 	name = db.Metric.Name()
-	if _, err := metric.ByName(name); err != nil {
+	if _, err := metric.ByName(name); err != nil || db.dim == 0 || db.dim > frozenMaxDims {
 		return nil, 0, ""
 	}
-	d := 0
-	for _, p := range db.Points {
-		v, ok := p.(metric.Vector)
-		if !ok || len(v) == 0 || len(v) > frozenMaxDims || (d != 0 && len(v) != d) {
-			return nil, 0, ""
-		}
-		d = len(v)
+	buf := make([]byte, 8*len(db.block))
+	for i, f := range db.block {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(f))
 	}
-	if d == 0 {
-		return nil, 0, ""
-	}
-	buf := make([]byte, 8*d*len(db.Points))
-	off := 0
-	for _, p := range db.Points {
-		for _, f := range p.(metric.Vector) {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(f))
-			off += 8
-		}
-	}
-	return buf, d, name
+	return buf, db.dim, name
 }
 
 // WriteOptions configures WriteIndexWith.
@@ -623,13 +608,10 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 		if err != nil {
 			return nil, nil, fmt.Errorf("sisap: frozen container metric: %w", err)
 		}
+		// The points section is the database's coordinate block as stored:
+		// on the mapped path no coordinate is copied or allocated.
 		floats := frozenFloat64s(secs[frozenSecPoints], zeroCopy)
-		points := make([]metric.Point, h.n)
-		d := h.dims
-		for i := range points {
-			points[i] = metric.Vector(floats[i*d : (i+1)*d : (i+1)*d])
-		}
-		db = &DB{Metric: m, Points: points}
+		db = packedDB(m, make([]metric.Point, h.n), floats, h.dims)
 	}
 	siteIDs := make([]int, h.k)
 	for i := range siteIDs {

@@ -1,0 +1,109 @@
+package sisap
+
+import (
+	"math"
+
+	"distperm/internal/metric"
+)
+
+// collector is where a measuring pass puts its candidates: the k best in a
+// bounded (distance, ID) heap, or — with h nil — everything within radius
+// r. Either way what it ends up holding is a function of the candidate
+// *set* alone, never of the order the candidates arrive in, which is what
+// lets every scan that measures its whole candidate set visit it in memory
+// order instead of permutation order.
+type collector struct {
+	h   *knnHeap
+	r   float64
+	out []Result
+}
+
+// limit returns the distance above which a candidate cannot be kept.
+func (c *collector) limit() float64 {
+	if c.h != nil {
+		return c.h.bound()
+	}
+	return c.r
+}
+
+// add offers one measured candidate and returns the new limit.
+func (c *collector) add(id int, d float64) float64 {
+	if c.h != nil {
+		c.h.push(Result{ID: id, Distance: d})
+	} else if d <= c.r {
+		c.out = append(c.out, Result{ID: id, Distance: d})
+	}
+	return c.limit()
+}
+
+// measure is the one loop that evaluates the metric over a whole candidate
+// set: the points lo..hi-1 when ids is nil, the posting list ids[lo:hi]
+// otherwise, each offered to c with its distance to q. Over a packed
+// database under L1, L2 or L∞ it reads the coordinate block directly, with
+// the expression shape and left-to-right summation of internal/metric, so
+// every distance is bit-identical to Metric.Distance(q, Points[id]); any
+// other metric, point type or query shape takes the generic loop (where a
+// mismatched query panics exactly as the metric always has). Distances
+// above c's limit are dropped before the call — they could not be kept.
+func (db *DB) measure(q metric.Point, ids []uint32, lo, hi int, c *collector) {
+	limit := c.limit()
+	at := func(i int) int { // candidate i's point ID
+		if ids != nil {
+			return int(ids[i])
+		}
+		return i
+	}
+	if qv, ok := q.(metric.Vector); ok && db.dim > 0 && len(qv) == db.dim {
+		block, d := db.block, db.dim
+		switch db.Metric.(type) {
+		case metric.L1:
+			for i := lo; i < hi; i++ {
+				id := at(i)
+				p := block[id*d:][:len(qv)]
+				var s float64
+				for j, x := range qv {
+					s += math.Abs(x - p[j])
+				}
+				if !(s > limit) {
+					limit = c.add(id, s)
+				}
+			}
+			return
+		case metric.L2:
+			for i := lo; i < hi; i++ {
+				id := at(i)
+				p := block[id*d:][:len(qv)]
+				var s float64
+				for j, x := range qv {
+					t := x - p[j]
+					s += t * t
+				}
+				if s = math.Sqrt(s); !(s > limit) {
+					limit = c.add(id, s)
+				}
+			}
+			return
+		case metric.LInf:
+			for i := lo; i < hi; i++ {
+				id := at(i)
+				p := block[id*d:][:len(qv)]
+				var s float64
+				for j, x := range qv {
+					if t := math.Abs(x - p[j]); t > s {
+						s = t
+					}
+				}
+				if !(s > limit) {
+					limit = c.add(id, s)
+				}
+			}
+			return
+		}
+	}
+	for i := lo; i < hi; i++ {
+		id := at(i)
+		if s := db.Metric.Distance(q, db.Points[id]); !(s > limit) {
+			limit = c.add(id, s)
+		}
+	}
+}

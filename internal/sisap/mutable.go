@@ -87,7 +87,7 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 	}
 	return &MutableIndex{
 		full:    full,
-		baseDB:  NewDB(full.Metric, full.Points[:nb]),
+		baseDB:  full.prefix(nb),
 		nb:      nb,
 		base:    base,
 		gids:    gids,
@@ -325,7 +325,7 @@ func decodeMutable(r io.Reader, db *DB) (Index, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("sisap: reading base payload: %w", err)
 	}
-	baseDB := NewDB(db.Metric, db.Points[:nb])
+	baseDB := db.prefix(int(nb))
 	base, err := ReadIndex(bytes.NewReader(buf), baseDB)
 	if err != nil {
 		return nil, fmt.Errorf("sisap: decoding mutable base: %w", err)

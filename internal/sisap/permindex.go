@@ -45,7 +45,11 @@ func (p PermDistance) String() string {
 // metric, so PermIndex exposes a budgeted kNN (KNNBudget) reporting how good
 // an answer a given fraction of the database buys. That cost/quality curve
 // is the search-performance side of the paper; the index size (counted by
-// IndexBits via the paper's counting results) is the storage side.
+// IndexBits via the paper's counting results) is the storage side. Searches
+// that measure their whole candidate set whatever the order — KNN, KNNBatch,
+// Range, and the buckets an approximate query probes — compute no ordering:
+// the (distance, ID) heap makes their answers a function of the candidate
+// set, so they read the packed coordinates in memory order (DB.measure).
 //
 // The in-memory representation is the paper's table encoding, live: the
 // distinct occurring inverse permutations sit once each in a flat row-major
@@ -79,8 +83,8 @@ type permScratch struct {
 	qfwd   []int32          // qbuf as int32, for the Kendall kernel
 	qinv   []int32          // query inverse ranks, len k
 	seq    []int32          // Kendall relabel buffer, len k
-	tkeys  []int64          // one integer distance key per distinct row
-	keys   []int64          // per-point keys scattered from tkeys
+	tkeys  []int64          // one integer distance key per distinct row (orderKeys)
+	keys   []int64          // per-point keys scattered from tkeys (orderKeys)
 	counts []int32          // counting-sort buckets, grown on demand
 	batch  *batchScratch    // batch-path workspace, allocated on first batch
 	approx *approxScratch   // approximate-path workspace, on first approx query
@@ -307,20 +311,32 @@ func (x *PermIndex) NaiveIndexBits() int64 {
 }
 
 // scratchBuffers returns the per-replica query workspace, allocating it on
-// first use (Replica hands out copies with nil scratch).
+// first use (Replica hands out copies with nil scratch). Only the
+// permutation buffers are eager: the ordering keys are n- and rows-sized and
+// a replica that serves exhaustive, range and approximate queries never
+// orders anything (see orderKeys).
 func (x *PermIndex) scratchBuffers() *permScratch {
 	if x.scratch == nil {
 		k := x.K()
 		x.scratch = &permScratch{
-			qbuf:  make(perm.Permutation, k),
-			qfwd:  make([]int32, k),
-			qinv:  make([]int32, k),
-			seq:   make([]int32, k),
-			tkeys: make([]int64, x.table.rows),
-			keys:  make([]int64, x.db.N()),
+			qbuf: make(perm.Permutation, k),
+			qfwd: make([]int32, k),
+			qinv: make([]int32, k),
+			seq:  make([]int32, k),
 		}
 	}
 	return x.scratch
+}
+
+// orderKeys returns the scratch with the ordered scans' key buffers in
+// place, allocating them on the replica's first ordered scan.
+func (x *PermIndex) orderKeys() *permScratch {
+	s := x.scratchBuffers()
+	if s.keys == nil {
+		s.tkeys = make([]int64, x.table.rows)
+		s.keys = make([]int64, x.db.N())
+	}
+	return s
 }
 
 // scanOrderInto fills out with the first len(out) database indexes of the
@@ -329,7 +345,7 @@ func (x *PermIndex) scratchBuffers() *permScratch {
 // path: one permutation distance per distinct row, an O(n) key scatter, and
 // a (partial) counting sort.
 func (x *PermIndex) scanOrderInto(q metric.Point, out []int) Stats {
-	s := x.scratchBuffers()
+	s := x.orderKeys()
 	x.permuter.PermutationInto(q, s.qbuf)
 	for rank, site := range s.qbuf {
 		s.qfwd[rank] = int32(site)
@@ -391,7 +407,7 @@ func (x *PermIndex) batchBuffers() *batchScratch {
 // counting sort as the scalar path, reusing one counts buffer across the
 // whole batch. Per query it costs k metric evaluations, like scanOrderInto.
 func (x *PermIndex) scanOrderBatchInto(qs []metric.Point, outs [][]int) {
-	s := x.scratchBuffers()
+	s := x.orderKeys()
 	b := x.batchBuffers()
 	for base := 0; base < len(qs); base += b.chunk {
 		end := base + b.chunk
@@ -437,35 +453,55 @@ func (x *PermIndex) ScanOrderBatch(qs []metric.Point) ([][]int, []Stats) {
 
 // KNNBudgetBatch is the batch form of KNNBudget: each query's best k
 // results after measuring at most maxEvals candidates in permutation-scan
-// order, identical per query (budget cutoff included) to KNNBudget. The
-// candidate schedules come from one batch-kernel pass; the metric
-// evaluations against the scheduled candidates are inherently per-query.
+// order, identical per query (budget cutoff included) to KNNBudget. Below
+// n the candidate schedules come from one batch-kernel pass and the metric
+// evaluations against them are inherently per-query; at maxEvals ≥ n no
+// schedule is computed (see KNNBudget) and the batch boundary buys memory
+// traffic instead: the database is walked once in point tiles, every query
+// measured against a tile while it is resident, each into its own heap.
 func (x *PermIndex) KNNBudgetBatch(qs []metric.Point, k, maxEvals int) ([][]Result, []Stats) {
-	checkK(k, x.db.N())
-	if maxEvals > x.db.N() {
-		maxEvals = x.db.N()
+	n := x.db.N()
+	checkK(k, n)
+	maxEvals = min(max(maxEvals, 0), n)
+	cs := make([]collector, len(qs))
+	for i := range cs {
+		cs[i].h = newKNNHeap(k)
 	}
-	orders := make([][]int, len(qs))
-	for i := range orders {
-		orders[i] = make([]int, maxEvals)
+	if maxEvals == n {
+		for lo := 0; lo < n; lo += scanTilePoints {
+			for i, q := range qs {
+				x.db.measure(q, nil, lo, min(lo+scanTilePoints, n), &cs[i])
+			}
+		}
+	} else {
+		orders := make([][]int, len(qs))
+		for i := range orders {
+			orders[i] = make([]int, maxEvals)
+		}
+		x.scanOrderBatchInto(qs, orders)
+		for i, q := range qs {
+			for _, j := range orders[i] {
+				cs[i].h.push(Result{ID: j, Distance: x.db.Metric.Distance(q, x.db.Points[j])})
+			}
+		}
 	}
-	x.scanOrderBatchInto(qs, orders)
 	results := make([][]Result, len(qs))
 	stats := make([]Stats, len(qs))
-	for i, q := range qs {
-		h := newKNNHeap(k)
-		for _, j := range orders[i] {
-			h.push(Result{ID: j, Distance: x.db.Metric.Distance(q, x.db.Points[j])})
-		}
-		results[i] = h.results()
+	for i := range cs {
+		results[i] = cs[i].h.results()
 		stats[i] = Stats{DistanceEvals: x.K() + maxEvals}
 	}
 	return results, stats
 }
 
+// scanTilePoints is the tile length of the exhaustive batch scan: 24 KiB of
+// coordinates at d = 6, so a tile stays in L1 while every query of the
+// batch reads it, and long enough that the per-tile call is noise.
+const scanTilePoints = 512
+
 // KNNBatch implements BatchIndex with an exhaustive batched scan: exact
-// answers, identical per query to KNN, with the candidate-ordering pass —
-// the dominant cost — batch-amortised across qs.
+// answers, identical per query to KNN, measured in memory order with the
+// coordinate tiles shared across qs (KNNBudgetBatch at maxEvals = n).
 func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	return x.KNNBudgetBatch(qs, k, x.db.N())
 }
@@ -497,51 +533,53 @@ func (x *PermIndex) referenceScanOrder(q metric.Point) []int {
 
 // KNNBudget returns the best k results found after measuring at most
 // maxEvals database points in permutation-distance order (the query's k
-// site evaluations are charged on top). With maxEvals ≥ n the scan is
-// exhaustive and the answer exact. The candidate schedule is produced by
-// the partial counting sort, so a small budget never pays for ordering the
-// whole database.
+// site evaluations are charged on top; maxEvals is clamped to 0..n). The
+// candidate schedule is produced by the partial counting sort, so a small
+// budget never pays for ordering the whole database — and a budget of n or
+// more pays for no ordering at all: every point is measured whatever the
+// schedule, and the bounded (distance, ID) heap makes the answer a function
+// of the candidate set, not of the visiting order. The exhaustive scan
+// therefore skips permutation, row kernel, key scatter and counting sort
+// and walks the database in memory order (DB.measure): byte-identical
+// answers, and Stats still charge the k site evaluations.
 func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats) {
-	checkK(k, x.db.N())
-	if maxEvals > x.db.N() {
-		maxEvals = x.db.N()
+	n := x.db.N()
+	checkK(k, n)
+	maxEvals = min(max(maxEvals, 0), n)
+	c := collector{h: newKNNHeap(k)}
+	if maxEvals == n {
+		x.db.measure(q, nil, 0, n, &c)
+	} else {
+		order := make([]int, maxEvals)
+		x.scanOrderInto(q, order)
+		for _, i := range order {
+			c.h.push(Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Points[i])})
+		}
 	}
-	order := make([]int, maxEvals)
-	stats := x.scanOrderInto(q, order)
-	h := newKNNHeap(k)
-	for _, i := range order {
-		h.push(Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Points[i])})
-	}
-	stats.DistanceEvals += maxEvals
-	return h.results(), stats
+	return c.h.results(), Stats{DistanceEvals: x.K() + maxEvals}
 }
 
-// KNN implements Index with an exhaustive scan in permutation order: the
-// answer is exact and the candidate ordering is what distinguishes the
-// structure (early candidates are nearly always the true neighbours; see
+// KNN implements Index with an exhaustive scan: the answer is exact, at
+// the cost of a linear scan over the packed coordinates (KNNBudget at
+// maxEvals = n, which orders nothing). The permutation ordering that
+// distinguishes the structure is what the budgeted and approximate searches
+// spend (early candidates are nearly always the true neighbours; see
 // EvalsToFindTrueKNN). Cost: n + k evaluations.
 func (x *PermIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
 	return x.KNNBudget(q, k, x.db.N())
 }
 
 // Range implements Index: permutations carry no metric lower bound, so
-// every point is measured and the results are exact. The scan runs in plain
-// index order — computing the query permutation and ordering candidates
-// first (as this method once did) is pure overhead when every point is
-// measured anyway — into a result slice pre-sized to the database. Stats
-// are identical to the permutation-ordered scan this replaced: the k site
-// evaluations stay charged so the index's reported Range cost model is
-// unchanged by the optimisation.
+// every point is measured and the results are exact — in memory order
+// through DB.measure, like every scan that measures its whole candidate
+// set. Stats charge the k site evaluations of the permutation-ordered scan
+// this once was, so the index's reported Range cost model is unchanged.
 func (x *PermIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
 	n := x.db.N()
-	out := make([]Result, 0, n)
-	for i, pt := range x.db.Points {
-		if d := x.db.Metric.Distance(q, pt); d <= r {
-			out = append(out, Result{ID: i, Distance: d})
-		}
-	}
-	sortResults(out)
-	return out, Stats{DistanceEvals: x.K() + n}
+	c := collector{r: r, out: []Result{}}
+	x.db.measure(q, nil, 0, n, &c)
+	sortResults(c.out)
+	return c.out, Stats{DistanceEvals: x.K() + n}
 }
 
 // EvalsToFindTrueKNN reports how many database points must be measured, in

@@ -16,20 +16,22 @@ import (
 // posting lists cover every stored point.
 //
 // A query computes its own site permutation once (k metric evaluations,
-// exactly what the exact path pays), scores every bucket by the prefix
-// footrule distance Σ_j |j − qinv[prefix[j]]| — the same bounded-integer
-// key family the row kernels use, ordered by the same counting argsort —
-// and probes only the nprobe nearest buckets. The probed buckets' rows are
-// gathered into a contiguous candidate sub-table and run through the
-// unchanged rank-table kernels, the candidate points inherit their row's
-// key through the usual scatter, and the metric is evaluated over just
-// those candidates. Recall is bounded (a true neighbour may live in an
-// unprobed bucket) but monotone in nprobe: the probe order is a fixed
-// per-query bucket ranking, so a larger nprobe's candidate set is a
-// superset. When the probe set covers every bucket the candidate set is
-// the whole database and the answer is byte-identical to the exact scan
-// (the kNN heap's (distance, ID) ordering is set-determined), which is why
-// approx=0 / nprobe ≥ buckets can always be served safely.
+// exactly what the exact path is charged), scores every bucket by the
+// prefix footrule distance Σ_j |j − qinv[prefix[j]]| — the same
+// bounded-integer key family the row kernels use, ordered by the same
+// counting argsort — and probes only the nprobe nearest buckets. Every
+// point of a probed bucket is measured, so nothing is gained by ordering
+// them: the kNN heap's (distance, ID) ordering makes the answer a function
+// of the candidate *set*. The probed buckets' ptOrder runs are therefore
+// walked as they lie through DB.measure's posting-list shape — no row
+// gather, no sub-table kernel, no key scatter, no sort — which is
+// byte-identical to the ordered pipeline this replaced. Recall is bounded
+// (a true neighbour may live in an unprobed bucket) but monotone in nprobe:
+// the probe order is a fixed per-query bucket ranking, so a larger nprobe's
+// candidate set is a superset. When the probe set covers every bucket the
+// candidate set is the whole database and the answer is byte-identical to
+// the exact scan (set-determined again), which is why approx=0 / nprobe ≥
+// buckets can always be served safely.
 
 // prefixBuckets is the bucket directory: for each distinct length-ℓ
 // permutation prefix occurring in the rank table, the rows and points that
@@ -214,19 +216,10 @@ func buildPrefixBuckets(t *rankTable, tableIDs []uint32, ell int) *prefixBuckets
 }
 
 // approxScratch is the per-replica workspace of the approximate query
-// path, sized to the directory on first use and grown with the candidate
-// sets it gathers.
+// path, sized to the directory on first use.
 type approxScratch struct {
 	bkeys  []int64 // one prefix-footrule key per bucket
 	border []int   // full bucket probe order
-	rowPos []int32 // table row → gathered candidate row position; only
-	// entries of probed rows are valid (each is freshly written before read)
-	cand8    []uint8  // gathered candidate rank rows, narrow tables
-	cand16   []uint16 // gathered candidate rank rows, wide tables
-	candKeys []int64  // one kernel key per gathered candidate row
-	ptIDs    []int    // gathered candidate point IDs
-	pkeys    []int64  // per-candidate-point keys scattered from candKeys
-	corder   []int    // counting-argsort order over the candidate points
 }
 
 // approxBuffers returns the approximate-path workspace, allocated on first
@@ -235,11 +228,7 @@ func (x *PermIndex) approxBuffers(pb *prefixBuckets) *approxScratch {
 	s := x.scratchBuffers()
 	if s.approx == nil {
 		b := pb.numBuckets()
-		s.approx = &approxScratch{
-			bkeys:  make([]int64, b),
-			border: make([]int, b),
-			rowPos: make([]int32, x.table.rows),
-		}
+		s.approx = &approxScratch{bkeys: make([]int64, b), border: make([]int, b)}
 	}
 	return s.approx
 }
@@ -300,28 +289,22 @@ func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxSt
 	if nprobe <= 0 {
 		nprobe = defaultNProbe(nb)
 	}
-	if nprobe >= nb {
+	exact := func() ([]Result, ApproxStats) {
 		rs, st := x.KNN(q, k)
 		return rs, ApproxStats{
 			Stats: st, ProbedBuckets: nb, TotalBuckets: nb,
 			Candidates: x.db.N(), Exact: true,
 		}
 	}
+	if nprobe >= nb {
+		return exact()
+	}
 	s := x.scratchBuffers()
 	a := x.approxBuffers(pb)
 	x.permuter.PermutationInto(q, s.qbuf)
 	for rank, site := range s.qbuf {
-		s.qfwd[rank] = int32(site)
 		s.qinv[site] = int32(rank)
 	}
-	return x.knnApproxScheduled(q, k, nprobe, pb, s, a)
-}
-
-// knnApproxScheduled runs the probe/gather/measure pipeline for one query
-// whose permutation is already in the scratch buffers (shared between the
-// single and batch entry points).
-func (x *PermIndex) knnApproxScheduled(q metric.Point, k, nprobe int, pb *prefixBuckets, s *permScratch, a *approxScratch) ([]Result, ApproxStats) {
-	nb := pb.numBuckets()
 	maxBKey := pb.bucketKeys(s.qinv, a.bkeys)
 	s.counts = countingArgsortInto(a.bkeys, maxBKey, s.counts, a.border)
 	// Widen past nprobe until the candidate set can fill k answers; the
@@ -333,65 +316,13 @@ func (x *PermIndex) knnApproxScheduled(q metric.Point, k, nprobe int, pb *prefix
 		probed++
 	}
 	if probed >= nb {
-		rs, st := x.KNN(q, k)
-		return rs, ApproxStats{
-			Stats: st, ProbedBuckets: nb, TotalBuckets: nb,
-			Candidates: x.db.N(), Exact: true,
-		}
+		return exact()
 	}
-	// Gather the probed buckets' rows into a contiguous candidate
-	// sub-table and run the unchanged rank-table kernels over it.
-	kk := x.table.k
-	wide := x.table.wide()
-	a.cand8 = a.cand8[:0]
-	a.cand16 = a.cand16[:0]
-	nrows := 0
+	c := collector{h: newKNNHeap(k)}
 	for _, b := range a.border[:probed] {
-		lo, hi := pb.rowStarts[b], pb.rowStarts[b+1]
-		for _, r := range pb.rowOrder[lo:hi] {
-			a.rowPos[r] = int32(nrows)
-			if wide {
-				a.cand16 = append(a.cand16, x.table.r16.row(kk, int(r))...)
-			} else {
-				a.cand8 = append(a.cand8, x.table.r8.row(kk, int(r))...)
-			}
-			nrows++
-		}
+		x.db.measure(q, pb.ptOrder, int(pb.ptStarts[b]), int(pb.ptStarts[b+1]), &c)
 	}
-	cand := rankTable{
-		k: kk, rows: nrows,
-		r8:  rankStore[uint8]{data: a.cand8, frozen: true},
-		r16: rankStore[uint16]{data: a.cand16, frozen: true},
-	}
-	if cap(a.candKeys) < nrows {
-		a.candKeys = make([]int64, nrows)
-	}
-	candKeys := a.candKeys[:nrows]
-	maxKey := cand.distanceKeys(x.dist, s.qinv, s.qfwd, s.seq, candKeys)
-	// Scatter row keys to the probed buckets' points and order them with
-	// the same counting argsort the exact path uses.
-	if cap(a.ptIDs) < npts {
-		a.ptIDs = make([]int, npts)
-		a.pkeys = make([]int64, npts)
-		a.corder = make([]int, npts)
-	}
-	ptIDs, pkeys, corder := a.ptIDs[:npts], a.pkeys[:npts], a.corder[:npts]
-	i := 0
-	for _, b := range a.border[:probed] {
-		lo, hi := pb.ptStarts[b], pb.ptStarts[b+1]
-		for _, pt := range pb.ptOrder[lo:hi] {
-			ptIDs[i] = int(pt)
-			pkeys[i] = candKeys[a.rowPos[x.tableIDs[pt]]]
-			i++
-		}
-	}
-	s.counts = countingArgsortInto(pkeys, maxKey, s.counts, corder)
-	h := newKNNHeap(k)
-	for _, pos := range corder {
-		id := ptIDs[pos]
-		h.push(Result{ID: id, Distance: x.db.Metric.Distance(q, x.db.Points[id])})
-	}
-	return h.results(), ApproxStats{
+	return c.h.results(), ApproxStats{
 		Stats:         Stats{DistanceEvals: x.K() + npts},
 		ProbedBuckets: probed,
 		TotalBuckets:  nb,
@@ -402,8 +333,7 @@ func (x *PermIndex) knnApproxScheduled(q metric.Point, k, nprobe int, pb *prefix
 // KNNApproxBatch answers one approximate kNN query per element of qs,
 // identical per query to KNNApprox. Each query probes its own buckets, so
 // unlike the exact batch path there is no shared tile walk to amortise —
-// the win is already in touching only candidate rows — but the gathered
-// sub-tables run the same kernels.
+// the win is already in touching only the candidate points.
 func (x *PermIndex) KNNApproxBatch(qs []metric.Point, k, nprobe int) ([][]Result, []ApproxStats) {
 	results := make([][]Result, len(qs))
 	stats := make([]ApproxStats, len(qs))

@@ -31,18 +31,58 @@ import (
 	"distperm/internal/metric"
 )
 
-// DB is an immutable database of points under a metric.
+// DB is an immutable database of points under a metric: neither Points nor
+// the vectors in it may be modified once NewDB has returned.
 type DB struct {
 	Metric metric.Metric
 	Points []metric.Point
+	// block packs the coordinates of a database whose points are all
+	// metric.Vectors of one dimension dim > 0: point i is
+	// block[i*dim:(i+1)*dim], and Points[i] is a view of exactly that range,
+	// so the coordinates are held once. dim == 0 means "not packed" (any
+	// other point type, ragged or empty vectors) and every scan goes through
+	// Metric.Distance. The block may be a read-only file mapping.
+	block []float64
+	dim   int
 }
 
-// NewDB returns a database. The point slice is retained, not copied.
+// NewDB returns a database. The point slice is retained, not copied; when
+// every point is a metric.Vector of one dimension the coordinates are
+// packed into one contiguous block and the slice's entries are replaced by
+// equal-valued views into it (see DB.measure for what that buys).
 func NewDB(m metric.Metric, points []metric.Point) *DB {
 	if len(points) == 0 {
 		panic("sisap: empty database")
 	}
-	return &DB{Metric: m, Points: points}
+	db := &DB{Metric: m, Points: points}
+	first, _ := points[0].(metric.Vector)
+	d := len(first)
+	for _, p := range points {
+		if v, ok := p.(metric.Vector); !ok || len(v) != d || d == 0 {
+			return db
+		}
+	}
+	block := make([]float64, 0, len(points)*d)
+	for _, p := range points {
+		block = append(block, p.(metric.Vector)...)
+	}
+	return packedDB(m, points, block, d)
+}
+
+// packedDB assembles a database over an already-contiguous coordinate
+// block (freshly packed, or a frozen container's points section used in
+// place), pointing every entry of points at its range of the block.
+func packedDB(m metric.Metric, points []metric.Point, block []float64, d int) *DB {
+	for i := range points {
+		points[i] = metric.Vector(block[i*d : (i+1)*d : (i+1)*d])
+	}
+	return &DB{Metric: m, Points: points, block: block, dim: d}
+}
+
+// prefix returns the database of the first n points, sharing Points and
+// the coordinate block with db.
+func (db *DB) prefix(n int) *DB {
+	return &DB{Metric: db.Metric, Points: db.Points[:n], block: db.block[:n*db.dim], dim: db.dim}
 }
 
 // N returns the database size.

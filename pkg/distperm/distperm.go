@@ -122,7 +122,9 @@ func LP(p float64) Metric { return metric.NewLP(p) }
 // constructors, which panic (their callers are trusted), the public boundary
 // reports bad input as an error — including a metric that cannot measure
 // the points (e.g. Edit over Vectors), which is probed here so the mismatch
-// cannot surface later as a panic in a query worker.
+// cannot surface later as a panic in a query worker. The slice is retained
+// and the database is immutable from here on: equal-dimension Vectors are
+// packed into one coordinate block, and points' entries become views of it.
 func NewDB(m Metric, points []Point) (*DB, error) {
 	if m == nil {
 		return nil, errors.New("distperm: nil metric")

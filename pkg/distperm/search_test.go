@@ -51,9 +51,16 @@ func (c searchCase) want(p Point, q Query) []Result {
 // delta point, with automatic rebuilds off so they stay that way.
 func searchCases(t *testing.T, kind string) []searchCase {
 	t.Helper()
-	db, rng := testDB(t, 77, 600, 3)
+	// A DB is immutable once built (its scans read a packed copy of the
+	// coordinates), so the duplicates go in before the build.
+	rng := rand.New(rand.NewSource(77))
+	raw := dataset.UniformVectors(rng, 600, 3)
 	for i := 0; i < 20; i++ {
-		db.Points[300+i] = db.Points[i]
+		raw[300+i] = raw[i]
+	}
+	db, err := NewDB(L2, raw)
+	if err != nil {
+		t.Fatal(err)
 	}
 	spec := Spec{Index: kind, K: 8, Seed: 9}
 	newCase := func(name string, eng searchEngine, pts []Point, ids []int) searchCase {

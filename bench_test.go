@@ -522,15 +522,15 @@ func BenchmarkKNNBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentedKNN prices the observability layer on the hottest
-// serving shape: an 8-query budgeted batch with one latency-histogram
-// Observe per query, exactly what the engine's worker loop adds per job.
-// mode=noop drives a nil histogram (instrumentation compiled in, metrics
-// disabled) and mode=observed a registered one; the gate in CI holds their
-// gap, i.e. the cost of live instrumentation, under the bench threshold.
+// BenchmarkInstrumentedKNN prices the observability layer on the shape
+// Engine.serve really runs: KNNBatch over an 8-query sub-batch with one
+// latency-histogram Observe per query. mode=noop drives a nil histogram
+// (instrumentation compiled in, metrics disabled) and mode=observed a
+// registered one; the gate in CI holds their gap, i.e. the cost of live
+// instrumentation, under the bench threshold.
 func BenchmarkInstrumentedKNN(b *testing.B) {
 	for _, mode := range []string{"noop", "observed"} {
-		b.Run("mode="+mode, func(b *testing.B) {
+		b.Run("shape=knnbatch8/mode="+mode, func(b *testing.B) {
 			idx, queries := scanOrderDB(b, false)
 			qs := queries[:8]
 			var h *obs.Histogram
@@ -541,7 +541,7 @@ func BenchmarkInstrumentedKNN(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				qStart := time.Now()
-				idx.KNNBudgetBatch(qs, 1, 1_000)
+				idx.KNNBatch(qs, 1)
 				sec := time.Since(qStart).Seconds() / float64(len(qs))
 				for range qs {
 					h.Observe(sec)
@@ -549,29 +549,6 @@ func BenchmarkInstrumentedKNN(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*len(qs))/time.Since(start).Seconds(), "queries/s")
 		})
-	}
-}
-
-// BenchmarkBatchedKernel measures the batch-native query path at the index
-// level — single goroutine, so the batch win is pure kernel amortisation
-// (cache-tiled table walk, 4-query register blocking), not worker
-// parallelism. batch=1 pays the same table walk per query as the scalar
-// path; batch=64 streams each 32 KiB tile of rank rows once per block of
-// queries. ns/op is per batch; queries/s is the comparable per-query rate.
-func BenchmarkBatchedKernel(b *testing.B) {
-	for _, data := range []string{"uniform", "clustered"} {
-		for _, batch := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("data=%s/batch=%d", data, batch), func(b *testing.B) {
-				idx, queries := scanOrderDB(b, data == "clustered")
-				qs := queries[:batch]
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					idx.KNNBudgetBatch(qs, 1, 1_000)
-				}
-				b.ReportMetric(float64(b.N*batch)/time.Since(start).Seconds(), "queries/s")
-			})
-		}
 	}
 }
 

@@ -487,7 +487,7 @@ func TestFrozenBucketDirectoryRoundTrip(t *testing.T) {
 	db, rng := testDB(719, 500, 3, metric.L2{})
 	for _, k := range []int{6, 300} {
 		idx := NewPermIndex(db, rng.Perm(db.N())[:k], Footrule)
-		idx.ConfigurePrefixBuckets(3)
+		idx.configurePrefixBuckets(3)
 		mapped := mappedCopy(t, idx, db)
 		if mapped.lb.pb == nil {
 			t.Fatalf("k=%d: mapped open did not pre-fill the bucket directory", k)

@@ -86,52 +86,7 @@ type permScratch struct {
 	tkeys  []int64          // one integer distance key per distinct row (orderKeys)
 	keys   []int64          // per-point keys scattered from tkeys (orderKeys)
 	counts []int32          // counting-sort buckets, grown on demand
-	batch  *batchScratch    // batch-path workspace, allocated on first batch
 	approx *approxScratch   // approximate-path workspace, on first approx query
-}
-
-// batchScratch is the per-replica workspace of the batch query path: the
-// query block's rank vectors, the chunk×rows key matrix the tiled kernels
-// fill, and the Kendall tile-relabel buffer — allocated once per replica
-// and reused across batches (the counting-sort counts buffer is shared with
-// the scalar path through permScratch).
-type batchScratch struct {
-	chunk   int       // queries per kernel pass, sized by batchChunkFor
-	qinvs   [][]int32 // chunk views of k inverse ranks each
-	qfwds   [][]int32 // chunk views of k forward entries each
-	tkeys   [][]int64 // chunk views of one key per distinct row each
-	maxKeys []int64   // per-query maximum key, len chunk
-	seq     []int32   // Kendall tile relabel buffer, batchTileRows·k
-}
-
-const (
-	// batchKeyBudget bounds one replica's key-matrix scratch (chunk × rows
-	// × 8 bytes); batches beyond the resulting chunk run in chunk-sized
-	// kernel passes, so serving memory stays flat however large a batch the
-	// engine hands down.
-	batchKeyBudget = 8 << 20
-	// batchChunkMin/Max clamp the pass width: at least one full register
-	// block (4 queries) even over a huge table, at most the scale of one
-	// serving batch.
-	batchChunkMin = 4
-	batchChunkMax = 64
-)
-
-// batchChunkFor sizes the kernel pass for a table of the given row count.
-// Chunks of 8 and up are rounded down to a multiple of the SWAR group width
-// so full passes carry no scalar-remainder queries.
-func batchChunkFor(rows int) int {
-	chunk := batchChunkMax
-	if per := rows * 8; per > 0 && batchKeyBudget/per < chunk {
-		chunk = batchKeyBudget / per
-	}
-	if chunk >= swarGroup {
-		chunk &^= swarGroup - 1
-	}
-	if chunk < batchChunkMin {
-		chunk = batchChunkMin
-	}
-	return chunk
 }
 
 // parallelBuildThreshold is the database size below which sharded
@@ -369,141 +324,35 @@ func (x *PermIndex) ScanOrder(q metric.Point) ([]int, Stats) {
 	return order, stats
 }
 
-// batchBuffers returns the batch-path workspace, allocated on first use and
-// reused across batches.
-func (x *PermIndex) batchBuffers() *batchScratch {
-	s := x.scratchBuffers()
-	if s.batch == nil {
-		k := x.K()
-		rows := x.table.rows
-		chunk := batchChunkFor(rows)
-		b := &batchScratch{
-			chunk:   chunk,
-			qinvs:   make([][]int32, chunk),
-			qfwds:   make([][]int32, chunk),
-			tkeys:   make([][]int64, chunk),
-			maxKeys: make([]int64, chunk),
-			seq:     make([]int32, x.table.batchTileRows()*k),
-		}
-		qinv := make([]int32, chunk*k)
-		qfwd := make([]int32, chunk*k)
-		keys := make([]int64, chunk*rows)
-		for i := 0; i < chunk; i++ {
-			b.qinvs[i] = qinv[i*k : (i+1)*k : (i+1)*k]
-			b.qfwds[i] = qfwd[i*k : (i+1)*k : (i+1)*k]
-			b.tkeys[i] = keys[i*rows : (i+1)*rows : (i+1)*rows]
-		}
-		s.batch = b
-	}
-	return s.batch
-}
-
-// scanOrderBatchInto fills outs[i] with the first len(outs[i]) database
-// indexes of query i's permutation-distance scan order — exactly what
-// len(qs) scanOrderInto calls would produce, computed batch-natively: the
-// queries run in chunk-sized blocks, each block evaluated against the rank
-// table by the cache-tiled kernels (one tile fetch per block instead of one
-// per query), then each query scatters its keys and runs the same (partial)
-// counting sort as the scalar path, reusing one counts buffer across the
-// whole batch. Per query it costs k metric evaluations, like scanOrderInto.
-func (x *PermIndex) scanOrderBatchInto(qs []metric.Point, outs [][]int) {
-	s := x.orderKeys()
-	b := x.batchBuffers()
-	for base := 0; base < len(qs); base += b.chunk {
-		end := base + b.chunk
-		if end > len(qs) {
-			end = len(qs)
-		}
-		m := end - base
-		for i := 0; i < m; i++ {
-			x.permuter.PermutationInto(qs[base+i], s.qbuf)
-			qinv, qfwd := b.qinvs[i], b.qfwds[i]
-			for rank, site := range s.qbuf {
-				qfwd[rank] = int32(site)
-				qinv[site] = int32(rank)
-			}
-		}
-		x.table.distanceKeysBatch(x.dist, b.qinvs[:m], b.qfwds[:m], b.seq, b.tkeys[:m], b.maxKeys[:m])
-		for i := 0; i < m; i++ {
-			tkeys := b.tkeys[i]
-			for j, id := range x.tableIDs {
-				s.keys[j] = tkeys[id]
-			}
-			s.counts = countingArgsortInto(s.keys, b.maxKeys[i], s.counts, outs[base+i])
-		}
-	}
-}
-
-// ScanOrderBatch is the batch form of ScanOrder: one scan order per query
-// of qs, byte-identical (tie-breaks included) to calling ScanOrder per
-// query, with the rank table walked once per query block instead of once
-// per query. Stats are per query: k metric evaluations each.
-func (x *PermIndex) ScanOrderBatch(qs []metric.Point) ([][]int, []Stats) {
-	outs := make([][]int, len(qs))
-	for i := range outs {
-		outs[i] = make([]int, x.db.N())
-	}
-	x.scanOrderBatchInto(qs, outs)
-	stats := make([]Stats, len(qs))
-	for i := range stats {
-		stats[i] = Stats{DistanceEvals: x.K()}
-	}
-	return outs, stats
-}
-
-// KNNBudgetBatch is the batch form of KNNBudget: each query's best k
-// results after measuring at most maxEvals candidates in permutation-scan
-// order, identical per query (budget cutoff included) to KNNBudget. Below
-// n the candidate schedules come from one batch-kernel pass and the metric
-// evaluations against them are inherently per-query; at maxEvals ≥ n no
-// schedule is computed (see KNNBudget) and the batch boundary buys memory
-// traffic instead: the database is walked once in point tiles, every query
-// measured against a tile while it is resident, each into its own heap.
-func (x *PermIndex) KNNBudgetBatch(qs []metric.Point, k, maxEvals int) ([][]Result, []Stats) {
-	n := x.db.N()
-	checkK(k, n)
-	maxEvals = min(max(maxEvals, 0), n)
-	cs := make([]collector, len(qs))
-	for i := range cs {
-		cs[i].h = newKNNHeap(k)
-	}
-	if maxEvals == n {
-		for lo := 0; lo < n; lo += scanTilePoints {
-			for i, q := range qs {
-				x.db.measure(q, nil, lo, min(lo+scanTilePoints, n), &cs[i])
-			}
-		}
-	} else {
-		orders := make([][]int, len(qs))
-		for i := range orders {
-			orders[i] = make([]int, maxEvals)
-		}
-		x.scanOrderBatchInto(qs, orders)
-		for i, q := range qs {
-			for _, j := range orders[i] {
-				cs[i].h.push(Result{ID: j, Distance: x.db.Metric.Distance(q, x.db.Points[j])})
-			}
-		}
-	}
-	results := make([][]Result, len(qs))
-	stats := make([]Stats, len(qs))
-	for i := range cs {
-		results[i] = cs[i].h.results()
-		stats[i] = Stats{DistanceEvals: x.K() + maxEvals}
-	}
-	return results, stats
-}
-
 // scanTilePoints is the tile length of the exhaustive batch scan: 24 KiB of
 // coordinates at d = 6, so a tile stays in L1 while every query of the
 // batch reads it, and long enough that the per-tile call is noise.
 const scanTilePoints = 512
 
 // KNNBatch implements BatchIndex with an exhaustive batched scan: exact
-// answers, identical per query to KNN, measured in memory order with the
-// coordinate tiles shared across qs (KNNBudgetBatch at maxEvals = n).
+// answers, identical per query to KNN. No schedule is computed (see
+// KNNBudget); the batch boundary buys memory traffic instead: the database
+// is walked once in point tiles, every query measured against a tile while
+// it is resident, each into its own heap.
 func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
-	return x.KNNBudgetBatch(qs, k, x.db.N())
+	n := x.db.N()
+	checkK(k, n)
+	cs := make([]collector, len(qs))
+	for i := range cs {
+		cs[i].h = newKNNHeap(k)
+	}
+	for lo := 0; lo < n; lo += scanTilePoints {
+		for i, q := range qs {
+			x.db.measure(q, nil, lo, min(lo+scanTilePoints, n), &cs[i])
+		}
+	}
+	results := make([][]Result, len(qs))
+	stats := make([]Stats, len(qs))
+	for i := range cs {
+		results[i] = cs[i].h.results()
+		stats[i] = Stats{DistanceEvals: x.K() + n}
+	}
+	return results, stats
 }
 
 // referenceScanOrder is the pre-table-encoding scan, retained as the oracle

@@ -9,15 +9,12 @@ import (
 	"distperm/internal/metric"
 )
 
-// The tests in this file pin the batch query path to the scalar one: every
-// batch method must be byte-identical — orderings, tie-breaks, budget
-// cutoffs, and Stats — to issuing its queries one at a time (and the scalar
-// path is itself pinned to the naive reference by permindex_equiv_test.go).
-// Like the scalar oracles, every comparison runs over both storage backends
-// (permBackends): the tiled/SWAR kernels must behave identically over the
-// heap-built table and its frozen-container mmap view.
-
-var batchSizes = []int{1, 3, 17, 256}
+// The tests in this file pin the batch entry point to the scalar one:
+// KNNBatch must be byte-identical — results, tie-breaks and Stats — to
+// issuing its queries one at a time through KNN (itself pinned to LinearScan
+// by fullset_test.go). Like the scalar oracles, every comparison runs over
+// both storage backends (permBackends): the tiled walk must behave
+// identically over the heap-built store and its frozen-container mmap view.
 
 // interface conformance: the distance-permutation index is the family's
 // batch-native member.
@@ -27,127 +24,42 @@ func batchQueries(rng *rand.Rand, n, d int) []metric.Point {
 	return dataset.UniformVectors(rng, n, d)
 }
 
-func TestScanOrderBatchMatchesScalar(t *testing.T) {
-	for _, dist := range allPermDistances {
-		rng := rand.New(rand.NewSource(501))
-		db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 600, 3))
-		idx := NewPermIndex(db, rng.Perm(db.N())[:8], dist)
+func TestKNNBatchMatchesScalar(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, sites int
+		batches  []int
+	}{
+		{"one partial tile", 500, 9, []int{17}},
+		// n is deliberately not a multiple of scanTilePoints: two full
+		// tiles and a 276-point remainder.
+		{"tiles plus remainder", 2*scanTilePoints + 276, 9, []int{1, 7, 65}},
+		// k > 256 stores uint16 rank rows; the exhaustive walk never reads
+		// them, and Stats must still charge all 300 site evaluations.
+		{"wide ranks", 400, 300, []int{1, 7}},
+	} {
+		rng := rand.New(rand.NewSource(511))
+		db := NewDB(metric.L2{}, dataset.UniformVectors(rng, tc.n, 4))
+		idx := NewPermIndex(db, rng.Perm(db.N())[:tc.sites], Footrule)
+		if wide := idx.table.r16.data != nil; wide != (tc.sites > 256) {
+			t.Fatalf("%s: uint16 rank rows = %v at k=%d", tc.name, wide, tc.sites)
+		}
 		for _, be := range permBackends(t, idx, db) {
-			for _, batch := range batchSizes {
-				qs := batchQueries(rng, batch, 3)
-				got, stats := be.idx.ScanOrderBatch(qs)
+			for _, batch := range tc.batches {
+				qs := batchQueries(rng, batch, 4)
+				got, stats := be.idx.KNNBatch(qs, 5)
 				if len(got) != batch || len(stats) != batch {
-					t.Fatalf("%s %s batch %d: %d orders, %d stats", dist, be.name, batch, len(got), len(stats))
+					t.Fatalf("%s %s batch %d: %d results, %d stats", tc.name, be.name, batch, len(got), len(stats))
 				}
 				for i, q := range qs {
-					want, wantStats := be.idx.ScanOrder(q)
+					label := fmt.Sprintf("%s %s batch %d query %d", tc.name, be.name, batch, i)
+					want, wantStats := be.idx.KNN(q, 5)
 					if stats[i] != wantStats {
-						t.Fatalf("%s %s batch %d query %d: stats %+v != %+v", dist, be.name, batch, i, stats[i], wantStats)
+						t.Fatalf("%s: stats %+v != %+v", label, stats[i], wantStats)
 					}
-					assertSameOrder(t, fmt.Sprintf("%s %s batch %d query %d", dist, be.name, batch, i), got[i], want)
+					sameBits(t, label, got[i], want)
 				}
 			}
-		}
-	}
-}
-
-func TestScanOrderBatchMatchesScalarClustered(t *testing.T) {
-	// The distinct ≪ n regime, where tiles cover the whole table in a few
-	// rows and the scatter dominates — tie traffic between identical
-	// permutations must still break identically.
-	for _, dist := range allPermDistances {
-		rng := rand.New(rand.NewSource(503))
-		db := NewDB(metric.L2{}, dataset.ClusteredVectors(rng, 2_000, 4, 12, 0.02))
-		idx := NewPermIndex(db, rng.Perm(db.N())[:6], dist)
-		for _, be := range permBackends(t, idx, db) {
-			qs := batchQueries(rng, 17, 4)
-			got, _ := be.idx.ScanOrderBatch(qs)
-			for i, q := range qs {
-				want, _ := be.idx.ScanOrder(q)
-				assertSameOrder(t, fmt.Sprintf("%s %s clustered query %d", dist, be.name, i), got[i], want)
-			}
-		}
-	}
-}
-
-func TestScanOrderBatchWideRanks(t *testing.T) {
-	// k > 256 exercises the uint16 rank rows and, for rho, the sparse-key
-	// comparison-sort fallback inside the per-query ordering.
-	for _, dist := range allPermDistances {
-		rng := rand.New(rand.NewSource(505))
-		db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 400, 4))
-		idx := NewPermIndex(db, rng.Perm(db.N())[:300], dist)
-		if idx.table.r16.data == nil {
-			t.Fatalf("%s: k=300 should use uint16 rank rows", dist)
-		}
-		for _, be := range permBackends(t, idx, db) {
-			qs := batchQueries(rng, 5, 4)
-			got, _ := be.idx.ScanOrderBatch(qs)
-			for i, q := range qs {
-				want, _ := be.idx.ScanOrder(q)
-				assertSameOrder(t, fmt.Sprintf("%s %s wide query %d", dist, be.name, i), got[i], want)
-			}
-		}
-	}
-}
-
-func TestScanOrderBatchBeyondChunk(t *testing.T) {
-	// Batches wider than the kernel-pass chunk must split into passes with
-	// no seam: force a tiny chunk by hand and compare against the scalar
-	// path across the pass boundary.
-	rng := rand.New(rand.NewSource(507))
-	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 300, 3))
-	idx := NewPermIndex(db, rng.Perm(db.N())[:7], Footrule)
-	b := idx.batchBuffers()
-	if b.chunk != batchChunkMax {
-		t.Fatalf("small table should get the max chunk, got %d", b.chunk)
-	}
-	b.chunk = 5 // forces ceil(13/5) = 3 kernel passes below
-	qs := batchQueries(rng, 13, 3)
-	got, _ := idx.ScanOrderBatch(qs)
-	for i, q := range qs {
-		want, _ := idx.ScanOrder(q)
-		assertSameOrder(t, fmt.Sprintf("chunked query %d", i), got[i], want)
-	}
-}
-
-func TestKNNBudgetBatchMatchesScalar(t *testing.T) {
-	for _, dist := range allPermDistances {
-		rng := rand.New(rand.NewSource(509))
-		db := NewDB(metric.L2{}, dataset.ClusteredVectors(rng, 1_000, 3, 8, 0.05))
-		idx := NewPermIndex(db, rng.Perm(db.N())[:7], dist)
-		for _, be := range permBackends(t, idx, db) {
-			for _, batch := range batchSizes {
-				qs := batchQueries(rng, batch, 3)
-				for _, budget := range []int{1, 37, 1_000, 5_000} {
-					got, stats := be.idx.KNNBudgetBatch(qs, 3, budget)
-					for i, q := range qs {
-						want, wantStats := be.idx.KNNBudget(q, 3, budget)
-						if stats[i] != wantStats {
-							t.Fatalf("%s %s batch %d budget %d query %d: stats %+v != %+v",
-								dist, be.name, batch, budget, i, stats[i], wantStats)
-						}
-						sameResults(t, fmt.Sprintf("%s %s batch %d budget %d query %d", dist, be.name, batch, budget, i), got[i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestKNNBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(511))
-	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 500, 4))
-	idx := NewPermIndex(db, rng.Perm(db.N())[:9], Footrule)
-	for _, be := range permBackends(t, idx, db) {
-		qs := batchQueries(rng, 17, 4)
-		got, stats := be.idx.KNNBatch(qs, 5)
-		for i, q := range qs {
-			want, wantStats := be.idx.KNN(q, 5)
-			if stats[i] != wantStats {
-				t.Fatalf("%s query %d: stats %+v != %+v", be.name, i, stats[i], wantStats)
-			}
-			sameResults(t, fmt.Sprintf("%s query %d", be.name, i), got[i], want)
 		}
 	}
 }
@@ -156,29 +68,27 @@ func TestBatchEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(513))
 	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 100, 3))
 	idx := NewPermIndex(db, rng.Perm(db.N())[:5], Footrule)
-	if orders, stats := idx.ScanOrderBatch(nil); len(orders) != 0 || len(stats) != 0 {
-		t.Errorf("empty ScanOrderBatch: %d orders, %d stats", len(orders), len(stats))
-	}
 	if results, stats := idx.KNNBatch([]metric.Point{}, 2); len(results) != 0 || len(stats) != 0 {
 		t.Errorf("empty KNNBatch: %d results, %d stats", len(results), len(stats))
 	}
 }
 
 func TestBatchReplicaIndependence(t *testing.T) {
-	// Replicas share the immutable table but own their batch scratch:
-	// interleaving batches on original and replica must equal isolated runs.
+	// Replicas share the immutable table and coordinate block: interleaving
+	// batches on original and replica must equal isolated runs.
 	rng := rand.New(rand.NewSource(515))
 	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 400, 3))
 	idx := NewPermIndex(db, rng.Perm(db.N())[:8], SpearmanRho)
 	rep := idx.Replica().(*PermIndex)
 	qs1 := batchQueries(rng, 9, 3)
 	qs2 := batchQueries(rng, 9, 3)
-	got1, _ := idx.ScanOrderBatch(qs1)
-	got2, _ := rep.ScanOrderBatch(qs2)
+	got1, _ := idx.KNNBatch(qs1, 4)
+	got2, _ := rep.KNNBatch(qs2, 4)
+	oracle := NewLinearScan(db)
 	for i := range qs1 {
-		want1 := idx.referenceScanOrder(qs1[i])
-		want2 := idx.referenceScanOrder(qs2[i])
-		assertSameOrder(t, fmt.Sprintf("original %d", i), got1[i], want1)
-		assertSameOrder(t, fmt.Sprintf("replica %d", i), got2[i], want2)
+		want1, _ := oracle.KNN(qs1[i], 4)
+		want2, _ := oracle.KNN(qs2[i], 4)
+		sameBits(t, fmt.Sprintf("original %d", i), got1[i], want1)
+		sameBits(t, fmt.Sprintf("replica %d", i), got2[i], want2)
 	}
 }

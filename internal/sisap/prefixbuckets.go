@@ -244,17 +244,6 @@ func (x *PermIndex) buckets() *prefixBuckets {
 	return x.lb.pb
 }
 
-// ConfigurePrefixBuckets builds the approximate-search directory with an
-// explicit prefix length ell (clamped to 1..k; ≤ 0 selects the automatic
-// choice), replacing any directory already attached. It must be called
-// before the index starts serving — replicas cloned earlier keep the old
-// directory.
-func (x *PermIndex) ConfigurePrefixBuckets(ell int) {
-	lb := &lazyBuckets{}
-	lb.pb = buildPrefixBuckets(x.table, x.tableIDs, ell)
-	x.lb = lb
-}
-
 // ApproxBuckets returns the directory size — the value nprobe is measured
 // against — building the directory if needed.
 func (x *PermIndex) ApproxBuckets() int { return x.buckets().numBuckets() }

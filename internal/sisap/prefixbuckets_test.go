@@ -191,6 +191,14 @@ func TestApproxBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// configurePrefixBuckets attaches a directory with an explicit prefix length
+// ell (clamped to 1..k), replacing any already attached. Serving code only
+// ever builds the computed default; a frozen file may carry any ℓ, so the
+// tests need a way to write one.
+func (x *PermIndex) configurePrefixBuckets(ell int) {
+	x.lb = &lazyBuckets{pb: buildPrefixBuckets(x.table, x.tableIDs, ell)}
+}
+
 // TestConfigurePrefixBuckets pins the explicit-ℓ override: the directory
 // adopts the requested prefix length (clamped to k) and longer prefixes
 // never coarsen the directory.
@@ -200,7 +208,7 @@ func TestConfigurePrefixBuckets(t *testing.T) {
 	idx := approxTestIndex(t, points, 8, Footrule, 37)
 	prev := 0
 	for _, ell := range []int{1, 2, 3, 4, 99} {
-		idx.ConfigurePrefixBuckets(ell)
+		idx.configurePrefixBuckets(ell)
 		want := ell
 		if want > idx.K() {
 			want = idx.K()

@@ -159,16 +159,17 @@ type job struct {
 	q    Query
 	outs [][]Result
 	asts []ApproxStats // non-nil iff q.Approx
-	// batched routes an exact kNN job through the replica's batch kernels
-	// and counts it in BatchedQueries. It belongs to the Search call, not
-	// this job: a 2-query batch on 2 workers is two batched 1-query jobs.
+	// batched routes an exact kNN job through the replica's KNNBatch (one
+	// walk of the coordinate tiles for the whole job) and counts it in
+	// BatchedQueries. It belongs to the Search call, not this job: a
+	// 2-query batch on 2 workers is two batched 1-query jobs.
 	batched bool
 	wg      *sync.WaitGroup
 }
 
-// engineChunkCap bounds the queries a single sub-batch job carries. Beyond
-// it the kernels' amortisation has flattened out (the scratch chunk inside
-// the index is no larger) while bigger jobs only worsen load balance.
+// engineChunkCap bounds the queries a single sub-batch job carries. A
+// coordinate tile is already read from L1 by every query after the first,
+// so a longer job amortises nothing more and only worsens load balance.
 const engineChunkCap = 64
 
 // NewEngine starts a worker pool of the given size (≤ 0 means
@@ -281,8 +282,9 @@ func (e *Engine) serve(idx Index, j job) {
 // Search answers q for every point of qs, fanned out across the worker
 // pool: outs[i] is the answer for qs[i], and asts[i] its probe statistics
 // when q.Approx (nil otherwise). Multi-query kNN over a batch-native index,
-// and every approximate search, travel as contiguous sub-batches so each
-// worker's batch kernels amortise one table walk across its whole chunk;
+// and every approximate search, travel as contiguous sub-batches: an exact
+// chunk shares each coordinate tile across its queries (KNNBatch), an
+// approximate chunk is answered query by query on one replica's scratch;
 // the chunk size spreads the batch across the full pool (⌈B/workers⌉) and
 // is capped at engineChunkCap — per-query cost is homogeneous there, so
 // equal-size contiguous chunks load-balance. Everything else travels one

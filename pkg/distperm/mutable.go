@@ -3,6 +3,7 @@ package distperm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,9 +189,15 @@ type MutableEngine struct {
 	rebuilder sync.WaitGroup
 	reapers   sync.WaitGroup
 
-	// Cross-epoch accounting: closed epochs fold their final counters here,
-	// so Stats survives rebuilds; deltaEvals counts the gather-time scans.
+	// Cross-epoch accounting, so Stats survives rebuilds and never goes
+	// backwards: a superseded epoch sits on draining (still summed by
+	// counters) until its last reader finishes, then its reaper folds its
+	// final counters into acc and unlists it. statsMu covers the epoch
+	// swap, each fold-and-unlist and every counters read, so each epoch is
+	// counted exactly once at any instant. deltaEvals counts the
+	// gather-time scans.
 	statsMu          sync.Mutex
+	draining         []*epoch
 	acc              EngineStats
 	accLat           obs.HistogramSnapshot
 	deltaEvals       atomic.Int64
@@ -719,7 +726,10 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 		logical: len(newGids) - len(newTomb) + len(newDelta),
 	}
 	oldEp := c.ep
+	m.statsMu.Lock()
+	m.draining = append(m.draining, oldEp)
 	m.publish(next)
+	m.statsMu.Unlock()
 	m.rebuilds.Add(1)
 	m.lastRebuildNanos.Store(int64(time.Since(start)))
 	m.reapers.Add(1)
@@ -731,10 +741,11 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	go func() {
 		defer m.reapers.Done()
 		oldEp.inflight.Wait()
-		c, lat := oldEp.backend.counters()
 		m.statsMu.Lock()
+		c, lat := oldEp.backend.counters()
 		m.acc.add(c)
 		m.accLat.Merge(lat)
+		m.draining = slices.DeleteFunc(m.draining, func(e *epoch) bool { return e == oldEp })
 		m.statsMu.Unlock()
 		oldEp.close()
 	}()
@@ -743,12 +754,19 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 }
 
 // counters aggregates across every epoch the engine has served: the current
-// base engine's counters and latency histogram plus what closed epochs
-// folded into the accumulator (so no rebuild loses a sample), with the
-// gather-time delta scans costed into the evaluation count.
+// base engine's counters and latency histogram, those of superseded epochs
+// still draining their readers, and what closed epochs folded into the
+// accumulator (so no rebuild loses a sample, even for the length of a grace
+// period), with the gather-time delta scans costed into the evaluation
+// count.
 func (m *MutableEngine) counters() (EngineStats, obs.HistogramSnapshot) {
-	c, lat := m.snapshot().ep.backend.counters()
 	m.statsMu.Lock()
+	c, lat := m.snapshot().ep.backend.counters()
+	for _, ep := range m.draining {
+		dc, dlat := ep.backend.counters()
+		c.add(dc)
+		lat.Merge(dlat)
+	}
 	c.add(m.acc)
 	lat.Merge(m.accLat)
 	m.statsMu.Unlock()

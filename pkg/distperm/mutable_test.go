@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -646,5 +647,105 @@ func TestMutableRebuildKeepsTableEncoding(t *testing.T) {
 	if lbase.DistinctPermutations() != base.DistinctPermutations() {
 		t.Fatalf("distinct %d != %d after snapshot round trip",
 			lbase.DistinctPermutations(), base.DistinctPermutations())
+	}
+}
+
+// gateMetric wraps a metric so that the first Distance call after armed is
+// set signals entered and parks until release is closed — a way to hold one query inside a base engine's worker, and so
+// its epoch pinned, for exactly as long as a test wants.
+type gateMetric struct {
+	distperm.Metric
+	armed   *atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gateMetric) Distance(a, b distperm.Point) float64 {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Metric.Distance(a, b)
+}
+
+// TestMutableEngineCountersMonotonicAcrossSwap pins that the engine
+// counters never go backwards over a rebuild swap: while a reader still
+// holds the superseded epoch (so its reaper has folded nothing yet), Stats
+// must already include everything that epoch served; once everything has
+// drained, the totals are old epoch + new epoch exactly — no gap, no double
+// count.
+func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
+	const n, sites, inserted = 400, 6, 5
+	rng := rand.New(rand.NewSource(77))
+	gate := gateMetric{
+		Metric:  distperm.L2,
+		armed:   new(atomic.Bool),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	db, err := distperm.NewDB(gate, dataset.UniformVectors(rng, n, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
+		Spec:    distperm.Spec{Index: "distperm", K: sites, Seed: 77},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	for _, p := range dataset.UniformVectors(rng, inserted, 3) {
+		if _, err := me.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := me.KNNBatch(dataset.UniformVectors(rng, 20, 3), 4); err != nil {
+		t.Fatal(err)
+	}
+	before, beforeLat := me.Stats(), me.LatencySnapshot().Count
+	if before.Queries != 20 || before.BatchedQueries != 20 || beforeLat != 20 {
+		t.Fatalf("before the swap: %d queries, %d batched, %d latencies, want 20 each",
+			before.Queries, before.BatchedQueries, beforeLat)
+	}
+
+	// Park one single-query reader inside the old epoch's engine (and let
+	// it go on any exit, or the deferred Close would wait for it forever).
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release()
+	gate.armed.Store(true)
+	pinned := make(chan error, 1)
+	go func() {
+		_, err := me.KNNBatch(dataset.UniformVectors(rand.New(rand.NewSource(78)), 1, 3), 4)
+		pinned <- err
+	}()
+	<-gate.entered
+	if err := me.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	during, duringLat := me.Stats(), me.LatencySnapshot().Count
+	if during.Queries < before.Queries || during.BatchedQueries < before.BatchedQueries ||
+		during.DistanceEvals < before.DistanceEvals || duringLat < beforeLat {
+		t.Errorf("counters went backwards across the swap with a reader still pinned:\nbefore %+v (%d latencies)\nduring %+v (%d latencies)",
+			before, beforeLat, during, duringLat)
+	}
+	release()
+	if err := <-pinned; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := me.KNNBatch(dataset.UniformVectors(rng, 10, 3), 4); err != nil {
+		t.Fatal(err)
+	}
+	me.Close()
+
+	// Old epoch: 21 queries over n base points plus the delta scan; new
+	// epoch: 10 queries over the rebuilt base, nothing pending — the same
+	// sites + n + inserted evaluations either way. The single pinned query
+	// is the only one that did not travel as a sub-batch.
+	after, afterLat := me.Stats(), me.LatencySnapshot().Count
+	wantEvals := int64(31 * (sites + n + inserted))
+	if after.Queries != 31 || after.BatchedQueries != 30 || after.DistanceEvals != wantEvals || afterLat != 31 {
+		t.Errorf("after Close: %d queries, %d batched, %d evals, %d latencies; want 31, 30, %d, 31",
+			after.Queries, after.BatchedQueries, after.DistanceEvals, afterLat, wantEvals)
 	}
 }

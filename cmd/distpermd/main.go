@@ -105,8 +105,8 @@ func main() {
 
 		// Serving.
 		addr      = flag.String("addr", ":7411", "HTTP listen address")
-		batchMax  = flag.Int("batch-max", 64, "coalescer: flush a pending batch at this many queries")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "coalescer: flush a pending batch after this window")
+		batchMax  = flag.Int("batch-max", 64, "coalescer: flush a batch queued behind a busy engine at this many queries")
+		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
 		cacheSize = flag.Int("cache", 4096, "result cache entries (0 disables)")
 
 		opsAddr  = flag.String("ops-addr", "", "optional private ops listener: /metrics, /healthz, /readyz, and net/http/pprof under /debug/pprof/ (empty disables)")

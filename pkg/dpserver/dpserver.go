@@ -30,9 +30,11 @@
 //
 // Two layers sit between a single-query request and the engine. A bounded
 // LRU result cache answers repeated queries without any engine work. Below
-// it, a dynamic micro-batching Coalescer gathers concurrent single queries
-// into engine batches (up to Config.BatchMax queries or Config.BatchWait,
-// whichever comes first), amortising the per-batch submission cost exactly
+// it, a self-clocking Coalescer batches only while the engine is busy: a
+// single query that finds capacity free runs at once and alone, and the
+// ones that arrive while capacity is taken queue and are submitted together
+// (up to Config.BatchMax queries) by the flush that frees it — Config.BatchWait
+// only bounds the queueing — amortising the per-batch submission cost exactly
 // where the worker-pool design pays off; answers are identical to direct
 // one-query engine batches. Batched and approximate requests bypass both
 // and reach the engine as submitted.
@@ -67,12 +69,12 @@ import (
 // BatchMax ≤ 1 or BatchWait ≤ 0 degrade the coalescer to per-request
 // submission, CacheSize ≤ 0 disables the result cache.
 type Config struct {
-	// BatchMax is the coalescer's flush size: a pending batch is submitted
-	// as soon as it holds this many queries.
+	// BatchMax is the coalescer's flush size: a batch queued behind a busy
+	// engine is submitted as soon as it holds this many queries.
 	BatchMax int
-	// BatchWait is the coalescer's flush window: a pending batch is
-	// submitted this long after it opened even if not full, bounding the
-	// latency cost of batching.
+	// BatchWait is the coalescer's backstop: a queued batch is submitted
+	// this long after it opened even if the engine is still busy, bounding
+	// the latency cost of batching. An idle engine never waits it out.
 	BatchWait time.Duration
 	// CacheSize bounds the LRU result cache in entries.
 	CacheSize int
@@ -149,7 +151,7 @@ func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
 	s.metrics = newServerMetrics(reg, backend, s.mutable, s.cache)
 	s.co.OnFlush = func(size int, reason string) {
 		s.metrics.batchSize.Observe(float64(size))
-		s.metrics.flush(reason).Inc()
+		s.metrics.flushes[reason].Inc()
 	}
 	slowOut := cfg.SlowQueryLog
 	if slowOut == nil {

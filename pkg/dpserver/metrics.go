@@ -66,7 +66,7 @@ func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend
 		requests: make(map[string]*obs.Counter, len(metricEndpoints)),
 		errors:   make(map[string]*obs.Counter, len(metricEndpoints)),
 		latency:  make(map[string]*obs.Histogram, len(metricEndpoints)),
-		flushes:  make(map[string]*obs.Counter, 4),
+		flushes:  make(map[string]*obs.Counter, len(FlushReasons)),
 	}
 	for _, ep := range metricEndpoints {
 		ls := obs.Labels{"endpoint": ep}
@@ -83,7 +83,7 @@ func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend
 		"Queries that exceeded the slow-query threshold", nil)
 	m.batchSize = reg.Histogram("dpserver_coalescer_batch_size",
 		"Queries per flushed coalescer batch", obs.DefSizeBuckets, nil)
-	for _, reason := range []string{FlushFull, FlushTimer, FlushDirect, FlushClose} {
+	for _, reason := range FlushReasons {
 		m.flushes[reason] = reg.Counter("dpserver_coalescer_flushes_total",
 			"Coalescer batch flushes, by reason", obs.Labels{"reason": reason})
 	}
@@ -108,8 +108,10 @@ func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend
 	return m
 }
 
-// request/error/latency/flush return the instrument for a label,
-// defaulting to "other" so an unexpected value cannot nil-deref.
+// request/error/latency return the instrument for an endpoint label,
+// defaulting to "other" so an unexpected path cannot nil-deref. Flush
+// reasons have no default to hide behind: the coalescer reports only
+// FlushReasons, each of which has its series.
 func (m *serverMetrics) request(ep string) *obs.Counter {
 	if c, ok := m.requests[ep]; ok {
 		return c
@@ -130,13 +132,6 @@ func (m *serverMetrics) observeLatency(ep string, d time.Duration) {
 		h = m.latency["other"]
 	}
 	h.Observe(d.Seconds())
-}
-
-func (m *serverMetrics) flush(reason string) *obs.Counter {
-	if c, ok := m.flushes[reason]; ok {
-		return c
-	}
-	return m.flushes[FlushDirect]
 }
 
 // registerBackendMetrics exports the engine layer as read-time funcs: a

@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +96,38 @@ outer:
 	return 0
 }
 
+// flushConstants returns the value of every Flush* string constant that
+// coalesce.go declares, read from the source so a reason added without a
+// FlushReasons entry (hence without a series) cannot go unnoticed.
+func flushConstants(t *testing.T) []string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "coalesce.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var values []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if i >= len(spec.Values) {
+				break
+			}
+			if lit, ok := spec.Values[i].(*ast.BasicLit); ok && strings.HasPrefix(name.Name, "Flush") && lit.Kind == token.STRING {
+				v, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				values = append(values, v)
+			}
+		}
+		return false
+	})
+	return values
+}
+
 // TestMetricsEndpoint drives traffic through every serving layer and then
 // checks /metrics reports it: per-endpoint requests and latency, cache
 // hits/misses, coalescer flushes, engine queries and evals, and the shared
@@ -160,10 +196,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := histCount(t, fams, "distperm_engine_query_duration_seconds", nil); v < reps {
 		t.Errorf("engine latency count = %g, want >= %d", v, reps)
 	}
-	// Coalescer: flush counts across reasons equal the batch-size samples.
+	// Coalescer: every Flush* constant has its series, and flush counts
+	// across reasons equal the batch-size samples. The traffic above was one
+	// request at a time, so each of the reps+1 coalesced queries (the cache
+	// hit and the bad body never got that far) found the engine idle.
+	reasons := flushConstants(t)
+	if len(reasons) != len(dpserver.FlushReasons) {
+		t.Errorf("coalesce.go declares Flush* constants %v, FlushReasons lists %v", reasons, dpserver.FlushReasons)
+	}
+	if n := len(fams["dpserver_coalescer_flushes_total"].Samples); n != len(reasons) {
+		t.Errorf("flushes_total has %d series, want one per Flush* constant (%d)", n, len(reasons))
+	}
 	var flushes float64
-	for _, s := range fams["dpserver_coalescer_flushes_total"].Samples {
-		flushes += s.Value
+	for _, reason := range reasons {
+		v := sampleValue(t, fams, "dpserver_coalescer_flushes_total", map[string]string{"reason": reason})
+		if want := map[string]float64{dpserver.FlushIdle: reps + 1}[reason]; v != want {
+			t.Errorf("flushes_total{reason=%q} = %g, want %g", reason, v, want)
+		}
+		flushes += v
 	}
 	if batches := histCount(t, fams, "dpserver_coalescer_batch_size", nil); batches != flushes {
 		t.Errorf("batch_size count %g != flush total %g", batches, flushes)

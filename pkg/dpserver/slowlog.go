@@ -21,7 +21,7 @@ type slowQueryRecord struct {
 	Radius       float64  `json:"radius,omitempty"`
 	Queries      int      `json:"queries,omitempty"` // client batch size (batch requests)
 	BatchSize    int      `json:"batch_size,omitempty"`
-	FlushReason  string   `json:"flush_reason,omitempty"`
+	FlushReason  string   `json:"flush_reason,omitempty"` // one of FlushReasons
 	CoalescedIDs []string `json:"coalesced_ids,omitempty"`
 	Shards       int      `json:"shards,omitempty"`
 	Evals        int64    `json:"evals,omitempty"`

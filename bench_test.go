@@ -330,11 +330,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkShardedThroughput measures batched 1-NN throughput of the
-// scatter-gather serving layer as the shard count grows, total worker count
-// held fixed: one distance-permutation index and one 2-worker Engine per
-// shard, each query fanned out to every shard and merged. Per-shard indexes
-// are smaller (n/S points each), so per-sub-query work shrinks as shards
-// grow while the fan-out adds merge overhead — the trade-off this benchmark
+// scatter-gather serving layer as the shard count grows: one
+// distance-permutation index per shard, two workers per shard on one Engine,
+// each query fanned out to every shard and merged. Per-shard indexes are
+// smaller (n/S points each), so per-sub-query work shrinks as shards grow
+// while the fan-out adds merge overhead — the trade-off this benchmark
 // tracks as queries/s.
 func BenchmarkShardedThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
@@ -350,7 +350,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			se, err := distperm.NewShardedEngine(sx, 2)
+			se, err := distperm.NewEngine(db, sx, 2)
 			if err != nil {
 				b.Fatal(err)
 			}

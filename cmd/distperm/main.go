@@ -137,18 +137,29 @@ type serveConfig struct {
 // runServe builds the requested index through the public Build registry and
 // serves a batch of kNN queries (sampled from the dataset) on the engine's
 // worker pool, printing throughput and cost counters to w. With Shards > 1
-// the database is partitioned and served scatter-gather — one worker pool
-// per shard — and both per-shard and aggregate stats are reported.
+// the database is partitioned and served scatter-gather — workers per shard
+// — and both per-shard and aggregate stats are reported.
 func runServe(w io.Writer, ds *dataset.Dataset, rng *rand.Rand, cfg serveConfig) error {
 	db, err := distperm.NewDB(ds.Metric, ds.Points)
 	if err != nil {
 		return err
 	}
+	spec := distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}
+	var p distperm.Partitioner
 	if cfg.Shards > 1 {
-		return runServeSharded(w, ds, db, rng, cfg)
+		if p, err = distperm.PartitionerByName(cfg.Partition); err != nil {
+			return err
+		}
 	}
+	var idx distperm.Index
+	var sx *distperm.ShardedIndex // non-nil iff sharded
 	buildStart := time.Now()
-	idx, err := distperm.Build(db, distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()})
+	if p != nil {
+		sx, err = distperm.BuildSharded(db, spec, cfg.Shards, p)
+		idx = sx
+	} else {
+		idx, err = distperm.Build(db, spec)
+	}
 	if err != nil {
 		return err
 	}
@@ -167,56 +178,27 @@ func runServe(w io.Writer, ds *dataset.Dataset, rng *rand.Rand, cfg serveConfig)
 	elapsed := time.Since(start)
 	st := e.Stats()
 
-	fmt.Fprintf(w, "%s: n=%d metric=%s index=%s (%d bits), built in %v\n",
-		ds.Name, ds.N(), ds.Metric.Name(), idx.Name(), idx.IndexBits(), buildTime.Round(time.Millisecond))
-	fmt.Fprintf(w, "served %d %d-NN queries on %d workers in %v (%.0f queries/s)\n",
-		st.Queries, cfg.KNN, e.Workers(), elapsed.Round(time.Millisecond),
-		float64(st.Queries)/elapsed.Seconds())
-	fmt.Fprintf(w, "distance evals: %d total, %.1f mean/query; latency p50 %v, p99 %v\n",
-		st.DistanceEvals, st.MeanEvals, st.P50, st.P99)
-	return nil
-}
-
-// runServeSharded is the Shards > 1 arm of runServe: partition, build one
-// index per shard, scatter-gather the same query batch, report per-shard and
-// aggregate counters.
-func runServeSharded(w io.Writer, ds *dataset.Dataset, db *distperm.DB, rng *rand.Rand, cfg serveConfig) error {
-	p, err := distperm.PartitionerByName(cfg.Partition)
-	if err != nil {
-		return err
+	if sx == nil {
+		fmt.Fprintf(w, "%s: n=%d metric=%s index=%s (%d bits), built in %v\n",
+			ds.Name, ds.N(), ds.Metric.Name(), idx.Name(), idx.IndexBits(), buildTime.Round(time.Millisecond))
+		fmt.Fprintf(w, "served %d %d-NN queries on %d workers in %v (%.0f queries/s)\n",
+			st.Queries, cfg.KNN, e.Workers(), elapsed.Round(time.Millisecond),
+			float64(st.Queries)/elapsed.Seconds())
+		fmt.Fprintf(w, "distance evals: %d total, %.1f mean/query; latency p50 %v, p99 %v\n",
+			st.DistanceEvals, st.MeanEvals, st.P50, st.P99)
+		return nil
 	}
-	buildStart := time.Now()
-	sx, err := distperm.BuildSharded(db,
-		distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}, cfg.Shards, p)
-	if err != nil {
-		return err
-	}
-	buildTime := time.Since(buildStart)
-
-	se, err := distperm.NewShardedEngine(sx, cfg.Workers)
-	if err != nil {
-		return err
-	}
-	defer se.Close()
-
-	start := time.Now()
-	if _, err := se.KNNBatch(ds.Sample(rng, cfg.Queries), cfg.KNN); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
 	fmt.Fprintf(w, "%s: n=%d metric=%s index=%s[%s×%d] (%d bits), %s partition, built in %v\n",
 		ds.Name, ds.N(), ds.Metric.Name(), sx.Name(), cfg.Index, sx.NumShards(),
 		sx.IndexBits(), p.Name(), buildTime.Round(time.Millisecond))
 	fmt.Fprintf(w, "served %d %d-NN queries on %d shards × %d workers in %v (%.0f queries/s)\n",
-		cfg.Queries, cfg.KNN, se.Shards(), se.Workers()/se.Shards(),
+		cfg.Queries, cfg.KNN, e.Shards(), e.Workers()/e.Shards(),
 		elapsed.Round(time.Millisecond), float64(cfg.Queries)/elapsed.Seconds())
-	for s, st := range se.ShardStats() {
+	for s, sst := range e.ShardStats() {
 		fmt.Fprintf(w, "  shard %d: n=%d, %d sub-queries, %d evals (%.1f mean), p50 %v, p99 %v\n",
-			s, sx.ShardDB(s).N(), st.Queries, st.DistanceEvals, st.MeanEvals, st.P50, st.P99)
+			s, sx.ShardDB(s).N(), sst.Queries, sst.DistanceEvals, sst.MeanEvals, sst.P50, sst.P99)
 	}
-	agg := se.Stats()
 	fmt.Fprintf(w, "aggregate: distance evals %d total, %.1f mean/sub-query; latency p50 %v, p99 %v\n",
-		agg.DistanceEvals, agg.MeanEvals, agg.P50, agg.P99)
+		st.DistanceEvals, st.MeanEvals, st.P50, st.P99)
 	return nil
 }

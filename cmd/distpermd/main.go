@@ -299,7 +299,7 @@ func serveOps(ctx context.Context, ln net.Listener, gate *dpserver.Gate) error {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"status":"loading"}`)
 	})
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -6,9 +6,9 @@
 // per index, the storage bits and the engine's mean distance evaluations per
 // query. For the distance-permutation index it also reports how far down the
 // permutation-ordered scan the true nearest neighbour sits. Finally the same
-// database is partitioned across scatter-gather shards (ShardedEngine) to
-// show answers stay identical while per-shard cost counters sum to the
-// aggregate.
+// database is partitioned across shards and served scatter-gather by the
+// same Engine, to show answers stay identical while per-shard cost counters
+// sum to the aggregate.
 package main
 
 import (
@@ -53,24 +53,11 @@ func main() {
 		if p, ok := idx.(*distperm.PermIndex); ok {
 			permIdx = p
 		}
-		engine, err := distperm.NewEngine(db, idx, workers)
-		if err != nil {
-			panic(err)
-		}
-		got, err := engine.KNNBatch(queryPts, 1)
-		if err != nil {
-			panic(err)
-		}
+		engine, got := serve(db, idx, queryPts, truth)
 		if truth == nil {
 			truth = got // linear scan defines the correct answers
 		}
-		for i := range got {
-			if got[i][0].ID != truth[i][0].ID {
-				panic(fmt.Sprintf("%s: wrong 1-NN (%d vs %d)", idx.Name(), got[i][0].ID, truth[i][0].ID))
-			}
-		}
-		stats := engine.Stats()
-		fmt.Printf("%-10s %14d %18.1f\n", idx.Name(), idx.IndexBits(), stats.MeanEvals)
+		fmt.Printf("%-10s %14d %18.1f\n", idx.Name(), idx.IndexBits(), engine.Stats().MeanEvals)
 		engine.Close()
 	}
 
@@ -90,29 +77,17 @@ func main() {
 	fmt.Printf("               relative to the number of realisable permutations (paper §4).\n")
 
 	// Scatter-gather sharding: the same database partitioned across shards,
-	// one worker-pool engine per shard. Answers must stay byte-identical to
-	// the unpartitioned ground truth, and the per-shard distance-evaluation
-	// counters sum exactly to the aggregate — the paper's cost model
-	// composes additively across shards.
+	// every shard a segment of the one engine's view. Answers must stay
+	// byte-identical to the unpartitioned ground truth, and the per-shard
+	// distance-evaluation counters sum exactly to the aggregate — the paper's
+	// cost model composes additively across shards.
 	sx, err := distperm.BuildSharded(db,
 		distperm.Spec{Index: "distperm", K: kSites, Seed: seed}, shards, distperm.RoundRobin{})
 	if err != nil {
 		panic(err)
 	}
-	se, err := distperm.NewShardedEngine(sx, workers)
-	if err != nil {
-		panic(err)
-	}
+	se, _ := serve(db, sx, queryPts, truth)
 	defer se.Close()
-	got, err := se.KNNBatch(queryPts, 1)
-	if err != nil {
-		panic(err)
-	}
-	for i := range got {
-		if got[i][0].ID != truth[i][0].ID {
-			panic(fmt.Sprintf("sharded: wrong 1-NN (%d vs %d)", got[i][0].ID, truth[i][0].ID))
-		}
-	}
 	fmt.Printf("\nsharded serving (%d shards × %d workers, roundrobin): all %d answers identical\n",
 		se.Shards(), workers, queries)
 	var sum int64
@@ -122,4 +97,24 @@ func main() {
 	}
 	agg := se.Stats()
 	fmt.Printf("  aggregate: %d evals (per-shard sum %d — exact)\n", agg.DistanceEvals, sum)
+}
+
+// serve answers the 1-NN batch on an Engine over idx (workers per shard for
+// a sharded index) and panics if any answer disagrees with truth — nil for
+// the first index, whose answers define it. The caller closes the engine.
+func serve(db *distperm.DB, idx distperm.Index, qs []distperm.Point, truth [][]distperm.Result) (*distperm.Engine, [][]distperm.Result) {
+	engine, err := distperm.NewEngine(db, idx, workers)
+	if err != nil {
+		panic(err)
+	}
+	got, err := engine.KNNBatch(qs, 1)
+	if err != nil {
+		panic(err)
+	}
+	for i := range truth {
+		if got[i][0].ID != truth[i][0].ID {
+			panic(fmt.Sprintf("%s: wrong 1-NN (%d vs %d)", idx.Name(), got[i][0].ID, truth[i][0].ID))
+		}
+	}
+	return engine, got
 }

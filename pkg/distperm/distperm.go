@@ -10,14 +10,17 @@
 //     range, or approximate kNN) and one method answering it, the only
 //     query path of every engine below; KNNBatch, RangeBatch, and
 //     KNNApproxBatch are wrappers written once over it.
-//   - Engine: a goroutine worker pool answering batched traffic over index
-//     replicas, aggregating per-query Stats into engine-level counters
-//     (distance evaluations, latency percentiles).
-//   - ShardedEngine: the scatter-gather serving layer — a Partitioner splits
-//     the database into shards (BuildSharded), one Engine per shard answers
-//     every query, and the merge step returns answers identical to a single
-//     Engine over the unpartitioned database, with per-shard cost counters
+//   - Engine: one goroutine worker pool answering batched traffic over a
+//     view of the index — a single segment for a plain index, one per shard
+//     when a Partitioner has split the database (BuildSharded) — on per-
+//     worker index replicas. Every segment answers every query and the merge
+//     step returns answers identical to one index over the unpartitioned
+//     database; per-query Stats aggregate into engine-level counters
+//     (distance evaluations, latency percentiles), kept per shard and
 //     summing to the global cost.
+//   - MutableEngine: the same pool under a live write path — a delta buffer
+//     and tombstones over the built base, folded in by background rebuilds
+//     that publish a new view to the pool that is already running.
 //   - WriteIndex/ReadIndex: a versioned codec registry persisting every
 //     index kind in one container format, including the sharded container
 //     (partition map plus one embedded index per shard).

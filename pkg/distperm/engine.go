@@ -56,8 +56,8 @@ type searcher interface {
 	DistinctRows() int
 }
 
-// engineAPI is the method family Engine, ShardedEngine, and MutableEngine
-// share; each engine embeds one pointing back at itself.
+// engineAPI is the method family Engine and MutableEngine share; each
+// embeds one pointing back at itself.
 type engineAPI struct{ self searcher }
 
 // KNNBatch is Search(qs, Query{K: k}): out[i] holds the k nearest database
@@ -97,7 +97,7 @@ func (a engineAPI) Stats() EngineStats {
 }
 
 // LatencySnapshot returns the per-query latency histogram, merged across
-// shards and (on a MutableEngine) across every epoch served — the source
+// shards and (on a MutableEngine) covering every view served — the source
 // /metrics exposes and Stats reads its percentiles from.
 func (a engineAPI) LatencySnapshot() obs.HistogramSnapshot {
 	_, lat := a.self.counters()
@@ -112,11 +112,11 @@ func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
 }
 
 // Engine is a concurrent query engine over one built index: a pool of
-// worker goroutines, each holding its own query replica of the index (the
-// distance-permutation index's Permuter carries scratch buffers and is not
-// goroutine-safe; sisap.QueryReplica clones it per worker, while the
-// read-only indexes are shared). Each Search fans its query points out
-// across the pool and per-query Stats fold into engine-level counters.
+// worker goroutines answering each Search over the index's view — one
+// segment for a plain index, one per shard of a *ShardedIndex, whose
+// per-segment answers merge by (distance, global ID) into exactly what one
+// index over the unpartitioned database returns. Per-query Stats fold into
+// engine-level counters, kept per segment (ShardStats).
 //
 // Search (and the KNNBatch/RangeBatch/KNNApproxBatch wrappers over it) is
 // safe to call from many goroutines at once; queries from concurrent
@@ -125,8 +125,89 @@ func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
 // sending before the job channel closes.
 type Engine struct {
 	engineAPI
+	*pool
+	view *view
+}
+
+// segment is one built index of a view and the database it indexes; part,
+// when non-nil, maps the segment's local IDs to the view's global IDs.
+type segment struct {
+	db   *DB
+	idx  Index
+	part []int
+}
+
+// view is an immutable list of segments served together as the one database
+// db indexed by idx. refs counts the owner plus every Search pinned on the
+// view; the unpin that takes it to zero runs release, the hook that frees
+// storage backing idx — exactly once, and never under a reader. Only a
+// MutableEngine, which publishes a new view per rebuild, pins and unpins.
+type view struct {
 	db      *DB
 	idx     Index
+	segs    []segment
+	refs    atomic.Int64
+	release func()
+}
+
+// newView lays idx out for serving and takes the owner's reference: a
+// *ShardedIndex becomes one segment per shard with the shard's local→global
+// ID map, any other index the one-segment identity view.
+func newView(db *DB, idx Index, release func()) *view {
+	v := &view{db: db, idx: idx, segs: []segment{{db: db, idx: idx}}, release: release}
+	if sx, ok := idx.(*ShardedIndex); ok {
+		v.segs = make([]segment, sx.NumShards())
+		for s := range v.segs {
+			v.segs[s] = segment{db: sx.ShardDB(s), idx: sx.Shard(s), part: sx.Part(s)}
+		}
+	}
+	v.refs.Store(1)
+	return v
+}
+
+// unpin drops one reference to v.
+func (v *view) unpin() {
+	if v.refs.Add(-1) == 0 && v.release != nil {
+		v.release()
+	}
+}
+
+// approxBuckets sums the segments' inverted-file directory sizes — the
+// bound the per-query TotalBuckets stat reports; a segment without the
+// approximate-search capability counts 0.
+func (v *view) approxBuckets() int {
+	total := 0
+	for _, seg := range v.segs {
+		if a, ok := seg.idx.(sisap.ApproxIndex); ok {
+			total += a.ApproxBuckets()
+		}
+	}
+	return total
+}
+
+// distinctRows sums the segments' distinct permutation-row counts.
+func (v *view) distinctRows() int {
+	total := 0
+	for _, seg := range v.segs {
+		total += distinctRows(seg.idx)
+	}
+	return total
+}
+
+// distinctRows returns idx's distinct permutation-row count — the paper's
+// table size and the universe the prefix-bucket directory is built over —
+// or 0 when idx does not expose one.
+func distinctRows(idx Index) int {
+	if d, ok := idx.(interface{ DistinctPermutations() int }); ok {
+		return d.DistinctPermutations()
+	}
+	return 0
+}
+
+// pool is the worker pool every engine answers on: its workers serve jobs
+// over whatever view a search names, so a MutableEngine keeps one pool
+// across all the views its rebuilds publish.
+type pool struct {
 	workers int
 	jobs    chan job
 
@@ -134,35 +215,44 @@ type Engine struct {
 	closeOnce sync.Once
 
 	mu sync.Mutex
-	// closed and inflight together serialise submission against Close:
-	// Search registers with inflight under mu while closed is still false,
-	// so once Close flips closed and inflight drains, no batch can be
-	// sending on jobs and closing the channel is safe.
+	// closed and inflight together serialise submission against Close: a
+	// search enters inflight under mu while closed is still false, so once
+	// Close flips closed and inflight drains, no search can be sending on
+	// jobs and closing the channel is safe.
 	closed   bool
 	inflight sync.WaitGroup
-	sums     EngineStats // the summed fields only; see EngineStats.add
-	// lat holds every per-query latency in a fixed-bucket histogram
-	// (obs.DefLatencyBuckets): constant memory regardless of lifetime,
-	// lock-free to observe, mergeable across shards and epochs, and the
-	// one source Stats percentiles and /metrics exposition both read.
-	lat *obs.Histogram
+	// slots[s] counts what segment number s of any view has served.
+	slots []slot
 	// busy counts workers currently serving a job — the pool-utilization
 	// gauge (0..workers).
 	busy atomic.Int64
 }
 
-// job is one worker's share of a Search: a contiguous slice of its query
-// points, the Query they all carry, and the caller's result (and, for
-// approximate queries, stats) slots for exactly those points.
+// slot holds one segment number's counters. lat holds every per-query
+// latency in a fixed-bucket histogram (obs.DefLatencyBuckets): constant
+// memory regardless of lifetime, lock-free to observe, mergeable across
+// slots, and the one source Stats percentiles and /metrics exposition read.
+type slot struct {
+	mu   sync.Mutex
+	sums EngineStats // the summed fields only; see EngineStats.add
+	lat  *obs.Histogram
+}
+
+// job is one worker's share of a search: a segment of the view, a
+// contiguous slice of the query points, the Query they all carry, and the
+// caller's result (and, for approximate queries, stats) slots for exactly
+// those points on that segment.
 type job struct {
+	v    *view
+	seg  int
 	qs   []Point
 	q    Query
 	outs [][]Result
 	asts []ApproxStats // non-nil iff q.Approx
 	// batched routes an exact kNN job through the replica's KNNBatch (one
 	// walk of the coordinate tiles for the whole job) and counts it in
-	// BatchedQueries. It belongs to the Search call, not this job: a
-	// 2-query batch on 2 workers is two batched 1-query jobs.
+	// BatchedQueries. It belongs to the search, not this job: a 2-query
+	// batch on 2 workers is two batched 1-query jobs.
 	batched bool
 	wg      *sync.WaitGroup
 }
@@ -172,53 +262,82 @@ type job struct {
 // so a longer job amortises nothing more and only worsens load balance.
 const engineChunkCap = 64
 
-// NewEngine starts a worker pool of the given size (≤ 0 means
-// runtime.NumCPU()) over idx, which must have been built on db.
+// NewEngine starts a worker pool over idx, which must have been built on
+// db: workers (≤ 0 means runtime.NumCPU()) for a plain index, that many per
+// shard for a *ShardedIndex.
 func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("distperm: NewEngine requires a database and an index")
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	e := &Engine{
-		db:      db,
-		idx:     idx,
-		workers: workers,
-		jobs:    make(chan job, 4*workers),
-		lat:     obs.NewHistogram(obs.DefLatencyBuckets),
-	}
+	v := newView(db, idx, nil)
+	e := &Engine{pool: newPool(workers, len(v.segs)), view: v}
 	e.engineAPI = engineAPI{e}
-	for i := 0; i < workers; i++ {
-		replica := sisap.QueryReplica(idx)
-		e.workerWG.Add(1)
-		go e.worker(replica)
-	}
 	return e, nil
 }
 
+// newPool starts perSegment workers (≤ 0 means runtime.NumCPU()) for each
+// of segments segment numbers, with one counter slot per number.
+func newPool(perSegment, segments int) *pool {
+	if perSegment <= 0 {
+		perSegment = runtime.NumCPU()
+	}
+	p := &pool{workers: perSegment * segments, slots: make([]slot, segments)}
+	// A few jobs of slack per worker, so a submitter rarely blocks while
+	// the pool keeps up and a finishing worker finds its next job queued.
+	p.jobs = make(chan job, 4*p.workers)
+	for s := range p.slots {
+		p.slots[s].lat = obs.NewHistogram(obs.DefLatencyBuckets)
+	}
+	p.workerWG.Add(p.workers)
+	for i := 0; i < p.workers; i++ {
+		go p.worker()
+	}
+	return p
+}
+
 // Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
+func (p *pool) Workers() int { return p.workers }
+
+// BusyWorkers returns how many pool workers are serving a job right now,
+// in [0, Workers()] — the utilization gauge exposed on /metrics.
+func (p *pool) BusyWorkers() int { return int(p.busy.Load()) }
 
 // Index returns the engine's underlying index.
-func (e *Engine) Index() Index { return e.idx }
+func (e *Engine) Index() Index { return e.view.idx }
 
-func (e *Engine) worker(idx Index) {
-	defer e.workerWG.Done()
-	for j := range e.jobs {
-		e.busy.Add(1)
-		e.serve(idx, j)
-		e.busy.Add(-1)
+// Shards returns how many segments serve the index: its shard count, 1 for
+// a plain index.
+func (e *Engine) Shards() int { return len(e.view.segs) }
+
+// worker serves jobs on query replicas of the view it last served, made on
+// a segment's first job (the distance-permutation index's Permuter carries
+// scratch buffers and is not goroutine-safe; sisap.QueryReplica clones it
+// per worker, while the read-only indexes are shared). A superseded view's
+// replicas are dropped at the first job over its successor.
+func (p *pool) worker() {
+	defer p.workerWG.Done()
+	var cur *view
+	var replicas []Index
+	for j := range p.jobs {
+		if j.v != cur {
+			cur, replicas = j.v, make([]Index, len(j.v.segs))
+		}
+		if replicas[j.seg] == nil {
+			replicas[j.seg] = sisap.QueryReplica(cur.segs[j.seg].idx)
+		}
+		p.busy.Add(1)
+		p.serve(replicas[j.seg], j)
+		p.busy.Add(-1)
 		j.wg.Done()
 	}
 }
 
-// serve answers one job on the worker's replica. Stats stay per-query:
-// each query contributes its own DistanceEvals (and probe statistics), and
-// the job's wall time is attributed evenly across its queries in the
-// latency histogram (queries inside one kernel pass have no individual
-// wall times).
-func (e *Engine) serve(idx Index, j job) {
+// serve answers one job on the worker's replica and remaps the answers to
+// the view's global IDs. Stats stay per-query: each query contributes its
+// own DistanceEvals (and probe statistics), and the job's wall time is
+// attributed evenly across its queries in the latency histogram (queries
+// inside one kernel pass have no individual wall times).
+func (p *pool) serve(idx Index, j job) {
 	start := time.Now()
 	c := EngineStats{Queries: int64(len(j.qs))}
 	switch {
@@ -229,14 +348,14 @@ func (e *Engine) serve(idx Index, j job) {
 			copy(j.outs, rs)
 			copy(j.asts, sts)
 		} else {
-			// The engine's index was approx-capable but this worker's replica
+			// The segment's index was approx-capable but this worker's replica
 			// is not (a custom Replicable could downgrade); serve exactly and
 			// report full coverage — correct answers at the cost of the
 			// speedup.
 			for i, q := range j.qs {
 				var st Stats
 				j.outs[i], st = idx.KNN(q, j.q.K)
-				j.asts[i] = ApproxStats{Stats: st, Candidates: e.db.N(), Exact: true}
+				j.asts[i] = ApproxStats{Stats: st, Candidates: j.v.segs[j.seg].db.N(), Exact: true}
 			}
 		}
 		for _, st := range j.asts {
@@ -254,7 +373,7 @@ func (e *Engine) serve(idx Index, j job) {
 			}
 			break
 		}
-		// The engine's index was batch-native but this worker's replica is
+		// The segment's index was batch-native but this worker's replica is
 		// not (the same downgrade); serve the sub-batch query by query with
 		// identical answers.
 		fallthrough
@@ -269,31 +388,28 @@ func (e *Engine) serve(idx Index, j job) {
 			c.DistanceEvals += int64(st.DistanceEvals)
 		}
 	}
+	if part := j.v.segs[j.seg].part; part != nil {
+		for _, rs := range j.outs {
+			sisap.RemapShardResults(rs, part)
+		}
+	}
 	sec := (time.Since(start) / time.Duration(len(j.qs))).Seconds()
 
-	e.mu.Lock()
-	e.sums.add(c)
-	e.mu.Unlock()
+	sl := &p.slots[j.seg]
+	sl.mu.Lock()
+	sl.sums.add(c)
+	sl.mu.Unlock()
 	for range j.qs {
-		e.lat.Observe(sec)
+		sl.lat.Observe(sec)
 	}
 }
 
-// Search answers q for every point of qs, fanned out across the worker
-// pool: outs[i] is the answer for qs[i], and asts[i] its probe statistics
-// when q.Approx (nil otherwise). Multi-query kNN over a batch-native index,
-// and every approximate search, travel as contiguous sub-batches: an exact
-// chunk shares each coordinate tile across its queries (KNNBatch), an
-// approximate chunk is answered query by query on one replica's scratch;
-// the chunk size spreads the batch across the full pool (⌈B/workers⌉) and
-// is capped at engineChunkCap — per-query cost is homogeneous there, so
-// equal-size contiguous chunks load-balance. Everything else travels one
-// query per job.
+// Search answers q for every point of qs over the engine's index: outs[i]
+// is the answer for qs[i], and asts[i] its probe statistics when q.Approx
+// (nil otherwise); see search for how a sharded index is scattered and
+// gathered.
 func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
-	if _, ok := e.idx.(sisap.ApproxIndex); q.Approx && !ok {
-		return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
-	}
-	if err := q.validate(e.db.N()); err != nil {
+	if err := q.validate(e.view.db.N()); err != nil {
 		return nil, nil, err
 	}
 	// A closed engine answers the empty batch too — there is no work a
@@ -301,73 +417,137 @@ func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) 
 	if len(qs) == 0 {
 		return [][]Result{}, nil, nil
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, nil, fmt.Errorf("distperm: engine is closed")
+	if err := e.enter(); err != nil {
+		return nil, nil, err
 	}
-	e.inflight.Add(1)
-	e.mu.Unlock()
 	defer e.inflight.Done()
+	return e.search(e.view, qs, q)
+}
 
-	_, batchNative := e.idx.(sisap.BatchIndex)
-	batched := batchNative && q.knn() && !q.Approx && len(qs) > 1
-	chunk := 1
-	if batched || q.Approx {
-		chunk = min((len(qs)+e.workers-1)/e.workers, engineChunkCap)
+// enter registers one search with the pool; it fails once Close has begun.
+func (p *pool) enter() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return fmt.Errorf("distperm: engine is closed")
+	}
+	p.inflight.Add(1)
+	return nil
+}
+
+// search answers q for every point of qs on every segment of v and gathers
+// the per-segment answers; the caller has entered the pool and validated q.
+//
+// Each segment is asked for its min(K, segment size) best. Multi-query kNN
+// over a batch-native segment, and every approximate search, travel as
+// contiguous sub-batches: an exact chunk shares each coordinate tile across
+// its queries (KNNBatch), an approximate chunk is answered query by query
+// on one replica's scratch; the chunk size spreads the batch across the
+// segment's share of the pool (⌈B/(workers/segments)⌉) and is capped at
+// engineChunkCap — per-query cost is homogeneous there, so equal-size
+// contiguous chunks load-balance. Everything else travels one query per
+// job. The workers remap their answers to global IDs, and the gather merges
+// them into the global top K (kNN) or the global (distance, ID) order
+// (range), identical to one index over the unpartitioned database. Every
+// segment of an approximate search probes the NProbe nearest prefix buckets
+// of its own directory: the per-query stats sum the segments' probe
+// accounting, and Exact is true only when every segment's probe set covered
+// its whole directory — in which case the answers are byte-identical to the
+// exact query; a segment without the capability fails the batch with
+// ErrNoApprox. A one-segment view has nothing to merge: the workers' slices
+// are returned as they are.
+func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, error) {
+	if q.Approx {
+		for _, seg := range v.segs {
+			if _, ok := seg.idx.(sisap.ApproxIndex); !ok {
+				return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
+			}
+		}
+	}
+	perSeg := make([][][]Result, len(v.segs)) // [segment][query][result]
+	perStats := make([][]ApproxStats, len(v.segs))
+	share := max(p.workers/len(v.segs), 1)
+	var wg sync.WaitGroup
+	for s, seg := range v.segs {
+		sq := q
+		sq.K = min(q.K, seg.db.N())
+		_, batchNative := seg.idx.(sisap.BatchIndex)
+		batched := batchNative && q.knn() && !q.Approx && len(qs) > 1
+		chunk := 1
+		if batched || q.Approx {
+			chunk = min((len(qs)+share-1)/share, engineChunkCap)
+		}
+		perSeg[s] = make([][]Result, len(qs))
+		if q.Approx {
+			perStats[s] = make([]ApproxStats, len(qs))
+		}
+		for base := 0; base < len(qs); base += chunk {
+			end := min(base+chunk, len(qs))
+			j := job{v: v, seg: s, qs: qs[base:end], q: sq, outs: perSeg[s][base:end], batched: batched, wg: &wg}
+			if q.Approx {
+				j.asts = perStats[s][base:end]
+			}
+			wg.Add(1)
+			p.jobs <- j
+		}
+	}
+	wg.Wait()
+	if len(v.segs) == 1 {
+		return perSeg[0], perStats[0], nil
 	}
 	outs := make([][]Result, len(qs))
 	var asts []ApproxStats
 	if q.Approx {
 		asts = make([]ApproxStats, len(qs))
 	}
-	var wg sync.WaitGroup
-	for base := 0; base < len(qs); base += chunk {
-		end := min(base+chunk, len(qs))
-		j := job{qs: qs[base:end], q: q, outs: outs[base:end], batched: batched, wg: &wg}
-		if q.Approx {
-			j.asts = asts[base:end]
+	gather := make([][]Result, len(v.segs))
+	for qi := range qs {
+		for s := range v.segs {
+			gather[s] = perSeg[s][qi]
 		}
-		wg.Add(1)
-		e.jobs <- j
+		if q.knn() {
+			outs[qi] = sisap.MergeKNN(gather, q.K)
+		} else {
+			outs[qi] = sisap.MergeRange(gather)
+		}
+		if q.Approx {
+			agg := ApproxStats{Exact: true}
+			for s := range v.segs {
+				st := perStats[s][qi]
+				agg.DistanceEvals += st.DistanceEvals
+				agg.ProbedBuckets += st.ProbedBuckets
+				agg.TotalBuckets += st.TotalBuckets
+				agg.Candidates += st.Candidates
+				agg.Exact = agg.Exact && st.Exact
+			}
+			asts[qi] = agg
+		}
 	}
-	wg.Wait()
 	return outs, asts, nil
 }
 
 // ApproxBuckets returns the index's inverted-file directory size — the
-// bound nprobe is measured against — or 0 when the index has no
-// approximate-search capability.
-func (e *Engine) ApproxBuckets() int {
-	if a, ok := e.idx.(sisap.ApproxIndex); ok {
-		return a.ApproxBuckets()
-	}
-	return 0
-}
+// bound nprobe is measured against, summed across shards — or 0 when the
+// index has no approximate-search capability.
+func (e *Engine) ApproxBuckets() int { return e.view.approxBuckets() }
 
-// DistinctRows returns the index's distinct permutation-row count — the
-// paper's table size and the universe the prefix-bucket directory is built
-// over — or 0 when the index does not expose it.
-func (e *Engine) DistinctRows() int {
-	if d, ok := e.idx.(interface{ DistinctPermutations() int }); ok {
-		return d.DistinctPermutations()
-	}
-	return 0
-}
+// DistinctRows returns the index's distinct permutation-row count, summed
+// across shards, or 0 when the index does not expose it.
+func (e *Engine) DistinctRows() int { return e.view.distinctRows() }
 
 // Close shuts the pool down after in-flight queries finish. It is
 // idempotent; batches submitted after Close return an error.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		e.mu.Lock()
-		e.closed = true
-		e.mu.Unlock()
-		// New submissions are now refused; wait for batches that got in
+func (p *pool) Close() {
+	p.closeOnce.Do(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		// New submissions are now refused; wait for searches that got in
 		// before the flip to finish sending, then closing jobs is safe.
-		e.inflight.Wait()
-		close(e.jobs)
+		p.inflight.Wait()
+		close(p.jobs)
 	})
-	e.workerWG.Wait()
+	p.workerWG.Wait()
 }
 
 // EngineStats aggregates per-query Stats across everything the engine has
@@ -405,9 +585,9 @@ type EngineStats struct {
 	P50, P99 time.Duration
 }
 
-// add sums o's counts into s — what a worker does per job, the sharded
-// layer across shards, and the mutable layer across epochs. MeanEvals and
-// the percentiles are finish's to derive, DistinctRows the caller's to set.
+// add sums o's counts into s — what a worker does per job and counters does
+// across slots. MeanEvals and the percentiles are finish's to derive,
+// DistinctRows the caller's to set.
 func (s *EngineStats) add(o EngineStats) {
 	s.Queries += o.Queries
 	s.BatchedQueries += o.BatchedQueries
@@ -428,17 +608,42 @@ func (s *EngineStats) finish(lat obs.HistogramSnapshot) {
 	}
 }
 
-// counters snapshots the summed counts and the latency histogram.
-func (e *Engine) counters() (EngineStats, obs.HistogramSnapshot) {
-	e.mu.Lock()
-	c := e.sums
-	e.mu.Unlock()
-	return c, e.lat.Snapshot()
+// counters sums the slots (so DistanceEvals is exactly the global cost of
+// sharded serving, the paper's cost model composing additively) and merges
+// their latency histograms.
+func (p *pool) counters() (EngineStats, obs.HistogramSnapshot) {
+	var agg EngineStats
+	var lat obs.HistogramSnapshot
+	for s := range p.slots {
+		c, snap := p.slots[s].counters()
+		agg.add(c)
+		lat.Merge(snap)
+	}
+	return agg, lat
 }
 
-// BusyWorkers returns how many pool workers are serving a job right now,
-// in [0, Workers()] — the utilization gauge exposed on /metrics.
-func (e *Engine) BusyWorkers() int { return int(e.busy.Load()) }
+// counters snapshots one slot's summed counts and latency histogram.
+func (sl *slot) counters() (EngineStats, obs.HistogramSnapshot) {
+	sl.mu.Lock()
+	c := sl.sums
+	sl.mu.Unlock()
+	return c, sl.lat.Snapshot()
+}
+
+// ShardStats returns one EngineStats snapshot per shard (a single entry for
+// a plain index). Each shard answers every scattered query, so per-shard
+// Queries count sub-queries: S shards serving a B-query batch record B
+// sub-queries each.
+func (e *Engine) ShardStats() []EngineStats {
+	stats := make([]EngineStats, len(e.view.segs))
+	for s, seg := range e.view.segs {
+		c, lat := e.slots[s].counters()
+		c.finish(lat)
+		c.DistinctRows = distinctRows(seg.idx)
+		stats[s] = c
+	}
+	return stats
+}
 
 // Percentile reads the q-quantile from an ascending-sorted non-empty sample
 // by the nearest-rank method: the smallest value with at least q·n samples

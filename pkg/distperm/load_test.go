@@ -261,7 +261,7 @@ func TestMutableBaseRelease(t *testing.T) {
 		if err := me.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		// The reaper runs once the old epoch's readers drain — none are in
+		// The hook runs once the old view's readers drain — none are in
 		// flight, so the hook must fire promptly.
 		deadline := time.Now().Add(10 * time.Second)
 		for released.Load() == 0 && time.Now().Before(deadline) {

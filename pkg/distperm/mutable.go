@@ -3,7 +3,6 @@ package distperm
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,8 +15,8 @@ import (
 
 // ErrOutOfRange tags request-parameter errors (k or radius outside the
 // servable range) so serving layers can tell a bad request from an engine
-// failure. It is wrapped by Search on Engine, ShardedEngine, and
-// MutableEngine; match with errors.Is.
+// failure. It is wrapped by Search on Engine and MutableEngine; match with
+// errors.Is.
 var ErrOutOfRange = errors.New("out of range")
 
 // ErrUnknownID is wrapped by MutableEngine.Delete when the ID names no live
@@ -31,24 +30,24 @@ type MutableConfig struct {
 	// builds initially). For WrapMutable an empty Spec.Index defaults to the
 	// wrapped index's kind.
 	Spec Spec
-	// Workers sizes each engine worker pool (≤ 0 means NumCPU), per shard
-	// when Shards > 1.
+	// Workers sizes the engine's worker pool (≤ 0 means NumCPU), per shard
+	// of a sharded store.
 	Workers int
 	// RebuildThreshold triggers a background rebuild once the pending write
 	// count (delta points + tombstones) reaches it. ≤ 0 disables automatic
 	// rebuilds; Rebuild still folds on demand.
 	RebuildThreshold int
-	// Shards > 1 makes rebuilds produce a sharded index served by a
-	// ShardedEngine, partitioned by Partitioner — the same scatter-gather
-	// seam BuildSharded uses. Inserts are routed through the Partitioner at
-	// write time, so per-shard pending-write counts are observable before
-	// the rebuild folds the points in.
+	// Shards > 1 makes rebuilds produce a sharded index served scatter-
+	// gather, partitioned by Partitioner — the same seam BuildSharded uses.
+	// Inserts are routed through the Partitioner at write time, so per-shard
+	// pending-write counts are observable before the rebuild folds the
+	// points in.
 	Shards int
 	// Partitioner places points when Shards > 1 (required then).
 	Partitioner Partitioner
 	// BaseRelease, if set, runs once the initially wrapped base index is
-	// no longer reachable by any query: after the first rebuild's RCU swap
-	// drains its last in-flight reader, or at Close if no rebuild replaced
+	// no longer reachable by any query: when the last reader pinned before
+	// the first rebuild's swap returns, or at Close if no rebuild replaced
 	// it. It is the release point for storage backing the base — a Store
 	// opened with Mmap keeps its frozen base mapped while the delta lives
 	// on heap, and this hook is where the mapping is unmapped. Rebuilt
@@ -62,38 +61,6 @@ type MutableConfig struct {
 	WAL *WAL
 }
 
-// mutBackend is the engine surface a snapshot serves base queries on;
-// *Engine and *ShardedEngine both satisfy it.
-type mutBackend interface {
-	searcher
-	ApproxBuckets() int
-	BusyWorkers() int
-	Workers() int
-	Close()
-}
-
-// epoch ties one base engine to the set of in-flight queries using it, so a
-// superseded engine closes only after its last reader finishes — the grace
-// period of the RCU-style snapshot swap. release, when set, frees storage
-// backing the epoch's base index (e.g. a frozen-container mapping) and runs
-// exactly once, after the backend has closed.
-type epoch struct {
-	backend     mutBackend
-	inflight    sync.WaitGroup
-	release     func()
-	releaseOnce sync.Once
-}
-
-// close shuts the epoch's backend and runs its release hook. Safe to call
-// more than once as long as the backend's Close is idempotent (both engine
-// kinds are); the release hook still runs at most once.
-func (e *epoch) close() {
-	e.backend.Close()
-	if e.release != nil {
-		e.releaseOnce.Do(e.release)
-	}
-}
-
 // deltaPoint is one inserted, not-yet-indexed point.
 type deltaPoint struct {
 	gid   int
@@ -101,15 +68,13 @@ type deltaPoint struct {
 	shard int // Partitioner assignment at insert time; -1 unsharded
 }
 
-// mutSnapshot is one immutable view of the store: a built base index behind
-// a worker-pool engine, the gid map and tombstones over it, and the delta
-// of inserts since the base was built. Writers publish a fresh snapshot per
-// mutation (sharing everything unchanged); readers pin one snapshot for the
+// mutSnapshot is one immutable state of the store: the view of its built
+// base index, the gid map and tombstones over it, and the delta of inserts
+// since the base was built. Writers publish a fresh snapshot per mutation
+// (sharing everything unchanged); readers pin one snapshot's view for the
 // duration of a batch and never block on writers or rebuilds.
 type mutSnapshot struct {
-	ep      *epoch
-	baseDB  *sisap.DB
-	baseIdx Index
+	view    *view
 	gids    []int // base local -> gid, strictly increasing
 	maxBase int   // gids[len(gids)-1]
 	tomb    map[int]struct{}
@@ -140,13 +105,13 @@ func (s *mutSnapshot) live(gid int) bool {
 	return !dead
 }
 
-// MutableEngine wraps any engine of the family with a live write path:
-// inserts land in a linear-scanned delta buffer whose results merge into
-// every kNN/range answer, deletes are tombstones filtered at gather time,
-// and a background rebuilder folds delta and tombstones into a freshly
-// built index that is swapped in atomically — readers pin a snapshot per
-// batch and never see a torn index; a superseded base engine closes only
-// after its last in-flight query drains.
+// MutableEngine serves any built index with a live write path: inserts land
+// in a linear-scanned delta buffer whose results merge into every kNN/range
+// answer, deletes are tombstones filtered at gather time, and a background
+// rebuilder folds delta and tombstones into a freshly built index whose view
+// is swapped in atomically — readers pin a view per batch and never see a
+// torn index; a superseded view is let go when its last pinned reader
+// returns. One worker pool, started by the constructor, serves every view.
 //
 // Every point carries a stable global ID: the initial database occupies
 // 0..N-1 and each insert takes the next ID. Query results report these IDs,
@@ -160,12 +125,15 @@ func (s *mutSnapshot) live(gid int) bool {
 // other; readers never wait for writers, rebuilds, or each other.
 type MutableEngine struct {
 	engineAPI
+	// The pool answers the base queries of every snapshot's view, and its
+	// slots carry the engine counters across rebuilds.
+	*pool
 	cfg    MutableConfig
 	metric Metric
 	proto  Point
 
 	// curMu publishes cur; readers hold it only long enough to pin the
-	// snapshot's epoch, writers only long enough to store the new pointer.
+	// snapshot's view, writers only long enough to store the new pointer.
 	curMu  sync.RWMutex
 	cur    *mutSnapshot
 	closed atomic.Bool
@@ -187,19 +155,9 @@ type MutableEngine struct {
 	kick      chan struct{}
 	done      chan struct{}
 	rebuilder sync.WaitGroup
-	reapers   sync.WaitGroup
 
-	// Cross-epoch accounting, so Stats survives rebuilds and never goes
-	// backwards: a superseded epoch sits on draining (still summed by
-	// counters) until its last reader finishes, then its reaper folds its
-	// final counters into acc and unlists it. statsMu covers the epoch
-	// swap, each fold-and-unlist and every counters read, so each epoch is
-	// counted exactly once at any instant. deltaEvals counts the
-	// gather-time scans.
-	statsMu          sync.Mutex
-	draining         []*epoch
-	acc              EngineStats
-	accLat           obs.HistogramSnapshot
+	// deltaEvals counts the gather-time delta scans, costed into Stats on
+	// top of the pool's counters.
 	deltaEvals       atomic.Int64
 	inserts, deletes atomic.Int64
 	rebuilds         atomic.Int64
@@ -320,11 +278,10 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 	if !known {
 		return nil, fmt.Errorf("distperm: rebuild spec names unknown index kind %q", cfg.Spec.Index)
 	}
-	backend, err := engineFor(baseDB, baseIdx, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
+	v := newView(baseDB, baseIdx, cfg.BaseRelease)
 	m := &MutableEngine{
+		// Sized once, for the widest view a rebuild can publish.
+		pool:    newPool(cfg.Workers, max(len(v.segs), cfg.Shards)),
 		cfg:     cfg,
 		metric:  baseDB.Metric,
 		proto:   baseDB.Points[0],
@@ -342,9 +299,7 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 		delta[i].shard = m.routeShard(delta[i].gid, delta[i].p)
 	}
 	m.cur = &mutSnapshot{
-		ep:      &epoch{backend: backend, release: cfg.BaseRelease},
-		baseDB:  baseDB,
-		baseIdx: baseIdx,
+		view:    v,
 		gids:    gids,
 		maxBase: gids[len(gids)-1],
 		tomb:    tomb,
@@ -357,15 +312,6 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 	return m, nil
 }
 
-// engineFor starts the right engine for idx: a ShardedEngine per-shard pool
-// for a sharded index, a single Engine otherwise.
-func engineFor(db *DB, idx Index, workers int) (mutBackend, error) {
-	if sx, ok := idx.(*ShardedIndex); ok {
-		return NewShardedEngine(sx, workers)
-	}
-	return NewEngine(db, idx, workers)
-}
-
 // routeShard places a point through the Partitioner seam at write time.
 func (m *MutableEngine) routeShard(gid int, p Point) int {
 	if m.cfg.Shards > 1 {
@@ -374,18 +320,24 @@ func (m *MutableEngine) routeShard(gid int, p Point) int {
 	return -1
 }
 
-// acquire pins the current snapshot for one batch: the snapshot's epoch
-// cannot close until the matching release.
+// acquire enters the pool and pins the current snapshot's view for one
+// batch; the caller lets both go with release. Pinning under curMu is what
+// keeps a rebuild's swap from dropping the view's last reference between
+// this reader's load of cur and its pin.
 func (m *MutableEngine) acquire() (*mutSnapshot, error) {
 	m.curMu.RLock()
-	if m.closed.Load() {
-		m.curMu.RUnlock()
+	defer m.curMu.RUnlock()
+	if m.pool.enter() != nil {
 		return nil, errors.New("distperm: mutable engine is closed")
 	}
-	s := m.cur
-	s.ep.inflight.Add(1)
-	m.curMu.RUnlock()
-	return s, nil
+	m.cur.view.refs.Add(1)
+	return m.cur, nil
+}
+
+// release undoes acquire.
+func (m *MutableEngine) release(s *mutSnapshot) {
+	s.view.unpin()
+	m.pool.inflight.Done()
 }
 
 // publish installs s as the current snapshot. Callers hold writeMu.
@@ -395,27 +347,20 @@ func (m *MutableEngine) publish(s *mutSnapshot) {
 	m.curMu.Unlock()
 }
 
-// snapshot reads the current snapshot without pinning its epoch — for paths
-// that only read the immutable bookkeeping, never the engine.
+// snapshot reads the current snapshot without pinning its view — for paths
+// that only read the immutable bookkeeping, never query the index.
 func (m *MutableEngine) snapshot() *mutSnapshot {
 	m.curMu.RLock()
 	defer m.curMu.RUnlock()
 	return m.cur
 }
 
-// Workers returns the current base engine's worker count.
-func (m *MutableEngine) Workers() int { return m.snapshot().ep.backend.Workers() }
-
-// Shards returns the configured shard count (1 when unsharded).
-func (m *MutableEngine) Shards() int {
-	if m.cfg.Shards > 1 {
-		return m.cfg.Shards
-	}
-	return 1
-}
+// Shards returns how many shards serve the current base index (1 when it
+// is unsharded). It can change across rebuilds.
+func (m *MutableEngine) Shards() int { return len(m.snapshot().view.segs) }
 
 // BaseKind returns the current base index's registry kind.
-func (m *MutableEngine) BaseKind() string { return m.snapshot().baseIdx.Name() }
+func (m *MutableEngine) BaseKind() string { return m.snapshot().view.idx.Name() }
 
 // Metric returns the store's metric.
 func (m *MutableEngine) Metric() Metric { return m.metric }
@@ -428,12 +373,12 @@ func (m *MutableEngine) Proto() Point { return m.proto }
 func (m *MutableEngine) LiveN() int { return m.snapshot().logical }
 
 // IndexBits reports the current base index's storage cost.
-func (m *MutableEngine) IndexBits() int64 { return m.snapshot().baseIdx.IndexBits() }
+func (m *MutableEngine) IndexBits() int64 { return m.snapshot().view.idx.IndexBits() }
 
 // Search answers q for every point of qs over the logical point set: one
-// snapshot is pinned for the batch, the base engine answers (a kNN query
-// over-fetched by the tombstone count so dead points can be filtered at
-// gather), and each base answer merges with a linear scan of the delta.
+// snapshot is pinned for the batch, the pool answers over its view (a kNN
+// query over-fetched by the tombstone count so dead points can be filtered
+// at gather), and each base answer merges with a linear scan of the delta.
 // Result IDs are stable global IDs.
 //
 // Only the built base index answers approximately — the delta buffer is
@@ -449,7 +394,7 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 	if err != nil {
 		return nil, nil, err
 	}
-	defer s.ep.inflight.Done()
+	defer m.release(s)
 	if err := q.validate(s.logical); err != nil {
 		return nil, nil, err
 	}
@@ -460,7 +405,7 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 	if q.knn() {
 		bq.K = min(q.K+len(s.tomb), len(s.gids))
 	}
-	outs, sts, err := s.ep.backend.Search(qs, bq)
+	outs, sts, err := m.pool.search(s.view, qs, bq)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -481,15 +426,15 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 	return outs, sts, nil
 }
 
-// ApproxBuckets returns the current base engine's inverted-file directory
-// size (0 when the base index has no approximate capability). It can
-// change across rebuilds.
-func (m *MutableEngine) ApproxBuckets() int { return m.snapshot().ep.backend.ApproxBuckets() }
+// ApproxBuckets returns the current base index's inverted-file directory
+// size (0 when it has no approximate capability). It can change across
+// rebuilds.
+func (m *MutableEngine) ApproxBuckets() int { return m.snapshot().view.approxBuckets() }
 
 // DistinctRows returns the current base index's distinct permutation-row
 // count (0 when the base does not expose one). Delta points are not
 // counted until a rebuild folds them in.
-func (m *MutableEngine) DistinctRows() int { return m.snapshot().ep.backend.DistinctRows() }
+func (m *MutableEngine) DistinctRows() int { return m.snapshot().view.distinctRows() }
 
 // scanDelta measures q against every delta point — the engine-side twin of
 // MutableIndex's delta scan (the buffer holds live points only, so there
@@ -649,7 +594,13 @@ func (m *MutableEngine) Rebuild() error { return m.rebuildOnce(true) }
 func (m *MutableEngine) rebuildOnce(force bool) error {
 	m.rebuildMu.Lock()
 	defer m.rebuildMu.Unlock()
-	s := m.snapshot()
+	// Pinned like a reader: the build reads s's points, which BaseRelease
+	// may unmap, and Close waits for a rebuild that got in.
+	s, err := m.acquire()
+	if err != nil {
+		return err
+	}
+	defer m.release(s)
 	if !force && (s.pending() < m.cfg.RebuildThreshold || s.logical == 0) {
 		return nil
 	}
@@ -670,7 +621,7 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 			continue
 		}
 		newGids = append(newGids, g)
-		newPts = append(newPts, s.baseDB.Points[local])
+		newPts = append(newPts, s.view.db.Points[local])
 	}
 	for _, dp := range s.delta {
 		newGids = append(newGids, dp.gid)
@@ -690,15 +641,10 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	if err != nil {
 		return fmt.Errorf("distperm: rebuild: %w", err)
 	}
-	backend, err := engineFor(newDB, idx, cfg.Workers)
-	if err != nil {
-		return fmt.Errorf("distperm: rebuild: %w", err)
-	}
 
 	m.writeMu.Lock()
 	if m.closed.Load() {
 		m.writeMu.Unlock()
-		backend.Close()
 		return errors.New("distperm: mutable engine is closed")
 	}
 	// Writes landed since s was captured; c shares s's base (only this
@@ -716,66 +662,33 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	i, _ := c.findDelta(maxBase + 1)
 	newDelta := append([]deltaPoint(nil), c.delta[i:]...)
 	next := &mutSnapshot{
-		ep:      &epoch{backend: backend},
-		baseDB:  newDB,
-		baseIdx: idx,
+		view:    newView(newDB, idx, nil),
 		gids:    newGids,
 		maxBase: maxBase,
 		tomb:    newTomb,
 		delta:   newDelta,
 		logical: len(newGids) - len(newTomb) + len(newDelta),
 	}
-	oldEp := c.ep
-	m.statsMu.Lock()
-	m.draining = append(m.draining, oldEp)
 	m.publish(next)
-	m.statsMu.Unlock()
 	m.rebuilds.Add(1)
 	m.lastRebuildNanos.Store(int64(time.Since(start)))
-	m.reapers.Add(1)
 	m.writeMu.Unlock()
-
-	// Grace period: the old engine closes once its last pinned reader
-	// finishes; its counters fold into the cross-epoch accumulators so
-	// Stats survives the swap.
-	go func() {
-		defer m.reapers.Done()
-		oldEp.inflight.Wait()
-		m.statsMu.Lock()
-		c, lat := oldEp.backend.counters()
-		m.acc.add(c)
-		m.accLat.Merge(lat)
-		m.draining = slices.DeleteFunc(m.draining, func(e *epoch) bool { return e == oldEp })
-		m.statsMu.Unlock()
-		oldEp.close()
-	}()
+	// The owner's reference goes only now that no reader can pin c's view
+	// any more: it lives on until the last reader pinned before the publish
+	// returns.
+	c.view.unpin()
 	m.maybeKick(next)
 	return nil
 }
 
-// counters aggregates across every epoch the engine has served: the current
-// base engine's counters and latency histogram, those of superseded epochs
-// still draining their readers, and what closed epochs folded into the
-// accumulator (so no rebuild loses a sample, even for the length of a grace
-// period), with the gather-time delta scans costed into the evaluation
-// count.
+// counters is the pool's counters — which belong to the pool, not to any
+// one view, so they accumulate across rebuilds with nothing to carry over —
+// with the gather-time delta scans costed into the evaluation count.
 func (m *MutableEngine) counters() (EngineStats, obs.HistogramSnapshot) {
-	m.statsMu.Lock()
-	c, lat := m.snapshot().ep.backend.counters()
-	for _, ep := range m.draining {
-		dc, dlat := ep.backend.counters()
-		c.add(dc)
-		lat.Merge(dlat)
-	}
-	c.add(m.acc)
-	lat.Merge(m.accLat)
-	m.statsMu.Unlock()
+	c, lat := m.pool.counters()
 	c.DistanceEvals += m.deltaEvals.Load()
 	return c, lat
 }
-
-// BusyWorkers returns the current base engine's busy-worker count.
-func (m *MutableEngine) BusyWorkers() int { return m.snapshot().ep.backend.BusyWorkers() }
 
 // MutationStats snapshots the write path.
 func (m *MutableEngine) MutationStats() MutationStats {
@@ -824,7 +737,7 @@ func (m *MutableEngine) Snapshot() (*MutableIndex, error) {
 
 // assemble builds the serialisable snapshot form of s.
 func (m *MutableEngine) assemble(s *mutSnapshot, nextGid int) (*MutableIndex, error) {
-	pts := append([]Point(nil), s.baseDB.Points...)
+	pts := append([]Point(nil), s.view.db.Points...)
 	gids := append([]int(nil), s.gids...)
 	for _, dp := range s.delta {
 		pts = append(pts, dp.p)
@@ -836,7 +749,7 @@ func (m *MutableEngine) assemble(s *mutSnapshot, nextGid int) (*MutableIndex, er
 	}
 	sort.Ints(tombs)
 	full := sisap.NewDB(m.metric, pts)
-	return sisap.NewMutableIndex(full, len(s.gids), s.baseIdx, gids, tombs, nextGid)
+	return sisap.NewMutableIndex(full, len(s.gids), s.view.idx, gids, tombs, nextGid)
 }
 
 // NextGID returns the global ID the next accepted insert would take.
@@ -949,27 +862,24 @@ func (m *MutableEngine) WALStats() WALStats {
 	return w.Stats()
 }
 
-// Close stops the rebuilder, waits for superseded engines to drain, and
-// closes the current engine after its in-flight batches finish. Idempotent;
-// queries and writes after Close return an error.
+// Close stops the rebuilder and shuts the pool down after in-flight batches
+// finish, then lets the final view go (running BaseRelease if no rebuild
+// ever replaced the wrapped base). Idempotent; queries and writes after
+// Close return an error.
 func (m *MutableEngine) Close() {
+	// Holding writeMu means no rebuild swap is mid-publish, and every later
+	// one sees closed and gives up, making cur the final snapshot.
 	m.writeMu.Lock()
-	// Flipping closed under the exclusive curMu section is the barrier
-	// against acquire: a reader that saw closed=false completed its
-	// inflight.Add before this Lock could succeed, and every reader
-	// admitted afterwards observes closed=true and never Adds — so the
-	// Wait below cannot race an Add. Holding writeMu means no rebuild swap
-	// is mid-publish either, making ep the final epoch.
-	m.curMu.Lock()
 	already := m.closed.Swap(true)
-	ep := m.cur.ep
-	m.curMu.Unlock()
 	m.writeMu.Unlock()
 	if !already {
 		close(m.done)
 	}
+	// The pool refuses acquire from here on and waits for every reader and
+	// rebuild that got in, so the owner's reference is the last one.
+	m.pool.Close()
 	m.rebuilder.Wait()
-	m.reapers.Wait()
-	ep.inflight.Wait()
-	ep.close()
+	if !already {
+		m.snapshot().view.unpin()
+	}
 }

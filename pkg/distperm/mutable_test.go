@@ -651,8 +651,9 @@ func TestMutableRebuildKeepsTableEncoding(t *testing.T) {
 }
 
 // gateMetric wraps a metric so that the first Distance call after armed is
-// set signals entered and parks until release is closed — a way to hold one query inside a base engine's worker, and so
-// its epoch pinned, for exactly as long as a test wants.
+// set signals entered and parks until release is closed — a way to hold one
+// query inside a pool worker, and so its view pinned, for exactly as long as
+// a test wants.
 type gateMetric struct {
 	distperm.Metric
 	armed   *atomic.Bool
@@ -670,10 +671,9 @@ func (g gateMetric) Distance(a, b distperm.Point) float64 {
 
 // TestMutableEngineCountersMonotonicAcrossSwap pins that the engine
 // counters never go backwards over a rebuild swap: while a reader still
-// holds the superseded epoch (so its reaper has folded nothing yet), Stats
-// must already include everything that epoch served; once everything has
-// drained, the totals are old epoch + new epoch exactly — no gap, no double
-// count.
+// holds the superseded view, Stats must already include everything served
+// over it; once everything has drained, the totals are old view + new view
+// exactly — no gap, no double count.
 func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 	const n, sites, inserted = 400, 6, 5
 	rng := rand.New(rand.NewSource(77))
@@ -709,7 +709,7 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 			before.Queries, before.BatchedQueries, beforeLat)
 	}
 
-	// Park one single-query reader inside the old epoch's engine (and let
+	// Park one single-query reader in a worker, on the old view (and let
 	// it go on any exit, or the deferred Close would wait for it forever).
 	release := sync.OnceFunc(func() { close(gate.release) })
 	defer release()
@@ -738,8 +738,8 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 	}
 	me.Close()
 
-	// Old epoch: 21 queries over n base points plus the delta scan; new
-	// epoch: 10 queries over the rebuilt base, nothing pending — the same
+	// Old view: 21 queries over n base points plus the delta scan; new
+	// view: 10 queries over the rebuilt base, nothing pending — the same
 	// sites + n + inserted evaluations either way. The single pinned query
 	// is the only one that did not travel as a sub-batch.
 	after, afterLat := me.Stats(), me.LatencySnapshot().Count

@@ -10,13 +10,12 @@ import (
 	"sync"
 
 	"distperm/internal/sisap"
-	"distperm/pkg/obs"
 )
 
 // ShardedIndex partitions one database across disjoint shards, one index per
 // shard; see BuildSharded. It satisfies Index, so WriteIndex/ReadIndex
-// round-trip it through the "sharded" codec, and a plain Engine can serve
-// it; ShardedEngine serves it with one worker pool per shard instead.
+// round-trip it through the "sharded" codec; an Engine serves it scatter-
+// gather, every shard a segment of its view.
 type ShardedIndex = sisap.ShardedIndex
 
 // Partitioner assigns database points to shards — the placement seam of the
@@ -174,176 +173,11 @@ func BuildSharded(db *DB, spec Spec, shards int, p Partitioner) (*ShardedIndex, 
 	})
 }
 
-// ShardedEngine is the scatter-gather serving layer: one worker-pool Engine
-// per shard of a ShardedIndex. Each Search is scattered to every shard's
-// pool concurrently and the per-shard answers are merged — top-k by
-// (distance, global ID) for kNN, concatenation in (distance, global ID)
-// order for range — so answers are identical to a single Engine over the
-// unpartitioned database. Search and its wrappers are safe for concurrent
-// use; Close is safe to race with in-flight batches (each shard Engine
-// drains before stopping).
-type ShardedEngine struct {
-	engineAPI
-	sx      *ShardedIndex
-	engines []*Engine
-}
-
-// NewShardedEngine starts one Engine of workersPerShard workers (≤ 0 means
-// runtime.NumCPU()) over each shard of sx.
-func NewShardedEngine(sx *ShardedIndex, workersPerShard int) (*ShardedEngine, error) {
+// NewShardedEngine is NewEngine(sx.DB(), sx, workersPerShard), kept for
+// callers that hold the index by its concrete type.
+func NewShardedEngine(sx *ShardedIndex, workersPerShard int) (*Engine, error) {
 	if sx == nil {
 		return nil, fmt.Errorf("distperm: NewShardedEngine requires a sharded index")
 	}
-	s := &ShardedEngine{sx: sx, engines: make([]*Engine, sx.NumShards())}
-	s.engineAPI = engineAPI{s}
-	for i := range s.engines {
-		e, err := NewEngine(sx.ShardDB(i), sx.Shard(i), workersPerShard)
-		if err != nil {
-			for _, prev := range s.engines[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		s.engines[i] = e
-	}
-	return s, nil
-}
-
-// Shards returns the shard count.
-func (s *ShardedEngine) Shards() int { return len(s.engines) }
-
-// Workers returns the total worker count across all shard pools.
-func (s *ShardedEngine) Workers() int { return s.sum((*Engine).Workers) }
-
-// Index returns the engine's sharded index.
-func (s *ShardedEngine) Index() *ShardedIndex { return s.sx }
-
-// sum adds one per-engine figure across the shard pools.
-func (s *ShardedEngine) sum(f func(*Engine) int) int {
-	total := 0
-	for _, e := range s.engines {
-		total += f(e)
-	}
-	return total
-}
-
-// Search answers q for every point of qs: each query is scattered to every
-// shard — a kNN query asking each for its min(K, shard size) best — the
-// shard answers are remapped to global IDs, and the gather merges them into
-// the global top K (kNN) or the global (distance, ID) order (range),
-// identical to a single Engine over the unpartitioned database. For an
-// approximate query every shard probes the NProbe nearest prefix buckets of
-// its own directory; the returned per-query stats sum the shard probe
-// accounting, and Exact is true only when every shard's probe set covered
-// its whole directory — in which case the answers are byte-identical to the
-// exact query. Any shard without the ApproxIndex capability fails the batch
-// with ErrNoApprox.
-func (s *ShardedEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
-	if err := q.validate(s.sx.DB().N()); err != nil {
-		return nil, nil, err
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, nil, nil
-	}
-	perShard := make([][][]Result, len(s.engines)) // [shard][query][result]
-	perStats := make([][]ApproxStats, len(s.engines))
-	errs := make([]error, len(s.engines))
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *Engine) {
-			defer wg.Done()
-			sq := q
-			sq.K = min(q.K, s.sx.ShardDB(i).N())
-			perShard[i], perStats[i], errs[i] = e.Search(qs, sq)
-			part := s.sx.Part(i)
-			for _, qr := range perShard[i] {
-				sisap.RemapShardResults(qr, part)
-			}
-		}(i, e)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	out := make([][]Result, len(qs))
-	var asts []ApproxStats
-	if q.Approx {
-		asts = make([]ApproxStats, len(qs))
-	}
-	gather := make([][]Result, len(s.engines))
-	for qi := range qs {
-		for i := range s.engines {
-			gather[i] = perShard[i][qi]
-		}
-		if q.knn() {
-			out[qi] = sisap.MergeKNN(gather, q.K)
-		} else {
-			out[qi] = sisap.MergeRange(gather)
-		}
-		if q.Approx {
-			agg := ApproxStats{Exact: true}
-			for i := range s.engines {
-				st := perStats[i][qi]
-				agg.DistanceEvals += st.DistanceEvals
-				agg.ProbedBuckets += st.ProbedBuckets
-				agg.TotalBuckets += st.TotalBuckets
-				agg.Candidates += st.Candidates
-				agg.Exact = agg.Exact && st.Exact
-			}
-			asts[qi] = agg
-		}
-	}
-	return out, asts, nil
-}
-
-// ApproxBuckets sums the shard directories' bucket counts — the bound the
-// per-query TotalBuckets stat reports. 0 when no shard has the capability.
-func (s *ShardedEngine) ApproxBuckets() int { return s.sum((*Engine).ApproxBuckets) }
-
-// DistinctRows sums the shard indexes' distinct permutation-row counts.
-func (s *ShardedEngine) DistinctRows() int { return s.sum((*Engine).DistinctRows) }
-
-// BusyWorkers sums the busy-worker counts across shard pools.
-func (s *ShardedEngine) BusyWorkers() int { return s.sum((*Engine).BusyWorkers) }
-
-// ShardStats returns one EngineStats snapshot per shard pool. Each shard
-// answers every scattered query, so per-shard Queries count sub-queries: S
-// shards serving a B-query batch record B sub-queries each.
-func (s *ShardedEngine) ShardStats() []EngineStats {
-	stats := make([]EngineStats, len(s.engines))
-	for i, e := range s.engines {
-		stats[i] = e.Stats()
-	}
-	return stats
-}
-
-// counters sums the shard counters (so DistanceEvals is exactly the global
-// cost of the sharded serving, the paper's cost model composing additively)
-// and merges the per-shard latency histograms.
-func (s *ShardedEngine) counters() (EngineStats, obs.HistogramSnapshot) {
-	var agg EngineStats
-	var lat obs.HistogramSnapshot
-	for _, e := range s.engines {
-		c, snap := e.counters()
-		agg.add(c)
-		lat.Merge(snap)
-	}
-	return agg, lat
-}
-
-// Close shuts every shard pool down after in-flight queries finish. It is
-// idempotent; batches submitted after Close return an error.
-func (s *ShardedEngine) Close() {
-	var wg sync.WaitGroup
-	for _, e := range s.engines {
-		wg.Add(1)
-		go func(e *Engine) {
-			defer wg.Done()
-			e.Close()
-		}(e)
-	}
-	wg.Wait()
+	return NewEngine(sx.DB(), sx, workersPerShard)
 }

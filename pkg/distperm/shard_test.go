@@ -3,6 +3,8 @@ package distperm
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -483,5 +485,100 @@ func TestShardedEngineClosed(t *testing.T) {
 	}
 	if _, err := se.RangeBatch(qs, 0.1); err == nil {
 		t.Error("range batch after Close should error")
+	}
+}
+
+// TestEngineShardedViewIdenticalAnswers: one Engine type serves a plain and
+// a sharded index. On a database with planted ties (every point stored
+// twice, so equal distances straddle shards and only the global-ID
+// tie-break orders them), NewEngine over the sharded index, the
+// NewShardedEngine wrapper and an Engine over the single index give
+// byte-identical kNN, range and approximate-at-full-coverage answers, and
+// the sharded engine's per-shard counters sum field for field to Stats.
+func TestEngineShardedViewIdenticalAnswers(t *testing.T) {
+	const shards, perShard, k, radius = 4, 2, 9, 0.4
+	rng := rand.New(rand.NewSource(61))
+	pts := dataset.UniformVectors(rng, 300, 3)
+	db, err := NewDB(L2, append(pts, pts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Half the queries are database points: distance-0 ties too.
+	qs := append(dataset.UniformVectors(rng, 20, 3), pts[:20]...)
+	spec := Spec{Index: "distperm", K: 6, Seed: 61}
+	idx, err := Build(db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildSharded(db, spec, shards, RoundRobin{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewEngine(db, idx, perShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	viaNew, err := NewEngine(db, sx, perShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaNew.Close()
+	viaWrapper, err := NewShardedEngine(sx, perShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaWrapper.Close()
+	if single.Shards() != 1 || single.Workers() != perShard || len(single.ShardStats()) != 1 {
+		t.Fatalf("single index: %d shards, %d workers, %d shard stats; want 1, %d, 1",
+			single.Shards(), single.Workers(), len(single.ShardStats()), perShard)
+	}
+
+	for _, q := range []Query{
+		{K: k},
+		{K: 1},
+		{Radius: radius},
+		{K: k, Approx: true, NProbe: 1 << 30}, // every bucket of every directory
+	} {
+		want, _, err := single.Search(qs, q)
+		if err != nil {
+			t.Fatalf("%+v: single: %v", q, err)
+		}
+		for name, e := range map[string]*Engine{"NewEngine": viaNew, "NewShardedEngine": viaWrapper} {
+			got, sts, err := e.Search(qs, q)
+			if err != nil {
+				t.Fatalf("%+v: %s: %v", q, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: %s over %d shards disagrees with the single index", q, name, shards)
+			}
+			for i, st := range sts {
+				if !st.Exact {
+					t.Fatalf("%+v: %s: query %d not exact at full coverage: %+v", q, name, i, st)
+				}
+			}
+		}
+	}
+
+	for name, e := range map[string]*Engine{"NewEngine": viaNew, "NewShardedEngine": viaWrapper} {
+		if e.Shards() != shards || e.Workers() != shards*perShard {
+			t.Errorf("%s: %d shards, %d workers; want %d, %d", name, e.Shards(), e.Workers(), shards, shards*perShard)
+		}
+		var sum EngineStats
+		for s, st := range e.ShardStats() {
+			if st.Queries != int64(4*len(qs)) {
+				t.Errorf("%s: shard %d answered %d sub-queries, want %d", name, s, st.Queries, 4*len(qs))
+			}
+			sum.add(st)
+			sum.DistinctRows += st.DistinctRows
+		}
+		agg := e.Stats()
+		agg.MeanEvals, agg.P50, agg.P99 = 0, 0, 0 // derived, not summed
+		if sum != agg {
+			t.Errorf("%s: shard stats sum to %+v, Stats() is %+v", name, sum, agg)
+		}
+		if agg.BatchedQueries == 0 || agg.ApproxQueries == 0 || agg.DistinctRows == 0 {
+			t.Errorf("%s: a counter never moved: %+v", name, agg)
+		}
 	}
 }

@@ -1,0 +1,313 @@
+package distperm_test
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"distperm/internal/dataset"
+	"distperm/pkg/distperm"
+)
+
+// TestMutableEngineShardsReportsServedView: Shards() is what is being
+// served, not what rebuilds are configured to produce. A 4-shard index
+// wrapped with the zero MutableConfig serves four shards until its first
+// rebuild, which (Shards unset) legitimately folds it into one.
+func TestMutableEngineShardsReportsServedView(t *testing.T) {
+	db := mustDB(t, 81, 120)
+	sx, err := distperm.BuildSharded(db, distperm.Spec{Index: "distperm", K: 5, Seed: 81}, 4, distperm.RoundRobin{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	if me.Shards() != 4 || me.Workers() != 8 {
+		t.Fatalf("wrapped 4-shard index: Shards() = %d, Workers() = %d; want 4, 8", me.Shards(), me.Workers())
+	}
+	if _, err := me.Insert(distperm.Vector{0.5, 0.5, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := me.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if me.Shards() != 1 || me.BaseKind() != "distperm" || me.Workers() != 8 {
+		t.Fatalf("after the fold: Shards() = %d, kind %s, Workers() = %d; want 1, distperm, 8",
+			me.Shards(), me.BaseKind(), me.Workers())
+	}
+}
+
+// TestMutableEngineViewGrows: a plain index wrapped with Shards = 4 starts
+// as a one-segment view and rebuilds into a four-segment one on the same
+// pool. Answers equal the from-scratch LinearScan on both sides of the
+// swap, and the counters carry across it.
+func TestMutableEngineViewGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	pts := dataset.UniformVectors(rng, 200, 3)
+	db, err := distperm.NewDB(distperm.L2, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := distperm.Spec{Index: "distperm", K: 6, Seed: 82}
+	idx, err := distperm.Build(db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.WrapMutable(db, idx, distperm.MutableConfig{
+		Spec: spec, Workers: 2, Shards: 4, Partitioner: distperm.RoundRobin{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	model := newMutModel(pts)
+	probes := dataset.UniformVectors(rng, 8, 3)
+	if me.Shards() != 1 || me.Workers() != 8 {
+		t.Fatalf("before the rebuild: Shards() = %d, Workers() = %d; want 1, 8", me.Shards(), me.Workers())
+	}
+	checkEquivalence(t, "one segment", me, model, probes, 5, 0.5)
+	before := me.Stats()
+
+	for _, p := range dataset.UniformVectors(rng, 10, 3) {
+		gid, err := me.Insert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model.insert(gid, p)
+	}
+	if err := me.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if me.Shards() != 4 || me.BaseKind() != "sharded" || me.Workers() != 8 {
+		t.Fatalf("after the rebuild: Shards() = %d, kind %s, Workers() = %d; want 4, sharded, 8",
+			me.Shards(), me.BaseKind(), me.Workers())
+	}
+	checkEquivalence(t, "four segments", me, model, probes, 5, 0.5)
+	// Two 8-probe batches before the swap on one segment, two after on four.
+	if after := me.Stats(); before.Queries != 16 || after.Queries != 16+4*16 {
+		t.Fatalf("sub-queries: %d before the swap, %d after; want 16, 80", before.Queries, after.Queries)
+	}
+}
+
+// swapStorm drives a 4-shard mutable store from every side at once until
+// stop closes: searchers (kNN batches, ranges, single queries), writers and
+// one goroutine forcing rebuilds. Whatever is inserted is deleted again, so
+// the store stays the size it started (below the size at which an index
+// build fans out across goroutines of its own). Every goroutine returns at
+// the first error — which, once the engine has been closed under it, is the
+// expected way out.
+type swapStorm struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
+	// goroutines is how many the storm itself runs.
+	goroutines int
+	errs       atomic.Int64
+}
+
+func startSwapStorm(me *distperm.MutableEngine) *swapStorm {
+	s := &swapStorm{stop: make(chan struct{})}
+	loop := func(seed int64, step func(rng *rand.Rand) error) {
+		s.goroutines++
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-s.stop:
+					return
+				default:
+				}
+				if err := step(rng); err != nil {
+					s.errs.Add(1)
+					return
+				}
+			}
+		}()
+	}
+	for r := int64(0); r < 4; r++ {
+		loop(100+r, func(rng *rand.Rand) error {
+			qs := dataset.UniformVectors(rng, 1+rng.Intn(6), 3)
+			if rng.Intn(3) == 0 {
+				_, err := me.RangeBatch(qs, 0.2)
+				return err
+			}
+			_, err := me.KNNBatch(qs, 3)
+			return err
+		})
+	}
+	for w := int64(0); w < 2; w++ {
+		loop(200+w, func(rng *rand.Rand) error {
+			gid, err := me.Insert(dataset.UniformVectors(rng, 1, 3)[0])
+			if err != nil {
+				return err
+			}
+			return me.Delete(gid)
+		})
+	}
+	loop(300, func(rng *rand.Rand) error {
+		// Something to fold, so every call is a real swap.
+		gid, err := me.Insert(dataset.UniformVectors(rng, 1, 3)[0])
+		if err != nil {
+			return err
+		}
+		if err := me.Rebuild(); err != nil {
+			return err
+		}
+		return me.Delete(gid)
+	})
+	return s
+}
+
+// shardedMutable wraps a 4-shard distperm index over n gate-metric points.
+func shardedMutable(t *testing.T, gate gateMetric, n int, release func()) *distperm.MutableEngine {
+	t.Helper()
+	db, err := distperm.NewDB(gate, dataset.UniformVectors(rand.New(rand.NewSource(83)), n, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := distperm.Spec{Index: "distperm", K: 6, Seed: 83}
+	sx, err := distperm.BuildSharded(db, spec, 4, distperm.RoundRobin{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{
+		Spec: spec, Workers: 2, Shards: 4, Partitioner: distperm.RoundRobin{}, BaseRelease: release,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return me
+}
+
+func newGate() gateMetric {
+	return gateMetric{
+		Metric:  distperm.L2,
+		armed:   new(atomic.Bool),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+}
+
+// TestMutableEngineSwapStorm: fifty and more forced rebuilds under
+// concurrent searches and writes run on the goroutines the constructor
+// started — no rebuild and no Search starts one — the counters never go
+// backwards across a swap, and the wrapped base is released exactly once:
+// not while a reader pinned before the first swap is still out, however
+// many views have come and gone since, and at the moment it returns.
+func TestMutableEngineSwapStorm(t *testing.T) {
+	const swaps = 50
+	gate := newGate()
+	var released atomic.Int32
+	var gateOpen atomic.Bool
+	me := shardedMutable(t, gate, 400, func() {
+		if !gateOpen.Load() {
+			t.Error("BaseRelease ran while a reader pinned before the first swap was still out")
+		}
+		released.Add(1)
+	})
+	defer me.Close()
+	idle := runtime.NumGoroutine() // the pool and the rebuilder are up
+
+	// One reader parks inside a worker, pinned on the wrapped view.
+	openGate := sync.OnceFunc(func() { gateOpen.Store(true); close(gate.release) })
+	defer openGate()
+	gate.armed.Store(true)
+	pinned := make(chan error, 1)
+	go func() {
+		_, err := me.KNNBatch(dataset.UniformVectors(rand.New(rand.NewSource(84)), 1, 3), 4)
+		pinned <- err
+	}()
+	<-gate.entered
+
+	storm := startSwapStorm(me)
+	var maxGoroutines int
+	var last distperm.EngineStats
+	for me.MutationStats().Rebuilds < swaps {
+		maxGoroutines = max(maxGoroutines, runtime.NumGoroutine())
+		st := me.Stats()
+		if st.Queries < last.Queries || st.DistanceEvals < last.DistanceEvals || st.BatchedQueries < last.BatchedQueries {
+			t.Fatalf("counters went backwards across a swap:\nbefore %+v\nafter  %+v", last, st)
+		}
+		last = st
+		time.Sleep(time.Millisecond)
+	}
+	close(storm.stop)
+	storm.wg.Wait()
+	if n := storm.errs.Load(); n != 0 {
+		t.Fatalf("%d storm goroutines failed on an open engine", n)
+	}
+	// The storm's own goroutines plus the parked reader are all there is.
+	if limit := idle + storm.goroutines + 1; maxGoroutines > limit {
+		t.Errorf("%d goroutines during the storm, want ≤ %d: a rebuild or a Search started some", maxGoroutines, limit)
+	}
+
+	if got := released.Load(); got != 0 {
+		t.Fatalf("BaseRelease ran %d times with the first view's reader still pinned", got)
+	}
+	openGate()
+	if err := <-pinned; err != nil {
+		t.Fatal(err)
+	}
+	if got := released.Load(); got != 1 {
+		t.Fatalf("BaseRelease ran %d times once the pinned reader returned, want 1", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > idle && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > idle {
+		t.Errorf("%d goroutines after the storm, %d before it", got, idle)
+	}
+	me.Close()
+	if got := released.Load(); got != 1 {
+		t.Fatalf("BaseRelease ran %d times after Close, want 1", got)
+	}
+}
+
+// TestMutableEngineCloseDuringSwapStorm: Close in the middle of the storm
+// leaves no caller blocked — searchers, writers and the forced rebuilder
+// all return — and every call made after it gets the closed error.
+func TestMutableEngineCloseDuringSwapStorm(t *testing.T) {
+	var released atomic.Int32
+	me := shardedMutable(t, newGate(), 300, func() { released.Add(1) })
+	storm := startSwapStorm(me)
+	for me.MutationStats().Rebuilds < 5 {
+		time.Sleep(time.Millisecond)
+	}
+	me.Close()
+	done := make(chan struct{})
+	go func() { storm.wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("storm goroutines still blocked 30 s after Close")
+	}
+	if n := storm.errs.Load(); n != int64(storm.goroutines) {
+		t.Errorf("%d of %d storm goroutines saw the closed error", n, storm.goroutines)
+	}
+	probe := []distperm.Point{distperm.Vector{0.5, 0.5, 0.5}}
+	if _, err := me.KNNBatch(probe, 1); err == nil {
+		t.Error("KNNBatch after Close should fail")
+	}
+	if _, _, err := me.Search(probe, distperm.Query{Radius: 0.1}); err == nil {
+		t.Error("Search after Close should fail")
+	}
+	if _, err := me.Insert(probe[0]); err == nil {
+		t.Error("Insert after Close should fail")
+	}
+	if err := me.Delete(0); err == nil {
+		t.Error("Delete after Close should fail")
+	}
+	if err := me.Rebuild(); err == nil {
+		t.Error("Rebuild after Close should fail")
+	}
+	if got := released.Load(); got != 1 {
+		t.Errorf("BaseRelease ran %d times, want 1", got)
+	}
+}

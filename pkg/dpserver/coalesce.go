@@ -12,8 +12,8 @@ import (
 )
 
 // Searcher is the one query method the serving layer asks of an engine —
-// all the Coalescer needs; *distperm.Engine, *distperm.ShardedEngine, and
-// *distperm.MutableEngine all provide it.
+// all the Coalescer needs; *distperm.Engine (over a plain or a sharded
+// index) and *distperm.MutableEngine both provide it.
 type Searcher interface {
 	Search(qs []distperm.Point, q distperm.Query) ([][]distperm.Result, []distperm.ApproxStats, error)
 }

@@ -1,5 +1,5 @@
 // Package dpserver is the network serving subsystem over the distperm
-// query-engine layer: it exposes an Engine or ShardedEngine as a JSON HTTP
+// query-engine layer: it exposes an Engine or MutableEngine as a JSON HTTP
 // service, the step that takes the index family from in-process batches to
 // multi-user traffic.
 //
@@ -174,38 +174,26 @@ func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
 // mounting /metrics on an ops listener alongside the serving port.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
-// NewFromIndex starts the right engine for idx — a ShardedEngine with
-// workers per shard for a sharded index, a single Engine otherwise — and
-// wraps it in a Server. The Server owns the engine: Close (or Serve's
-// shutdown path) closes it.
+// NewFromIndex starts an Engine over idx — workers per shard for a sharded
+// index — and wraps it in a Server. The Server owns the engine: Close (or
+// Serve's shutdown path) closes it.
 func NewFromIndex(db *distperm.DB, idx distperm.Index, workers int, cfg Config) (*Server, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("dpserver: NewFromIndex requires a database and an index")
 	}
+	e, err := distperm.NewEngine(db, idx, workers)
+	if err != nil {
+		return nil, err
+	}
 	info := IndexInfo{
-		Kind:   idx.Name(),
-		Bits:   idx.IndexBits(),
-		N:      db.N(),
-		Metric: db.Metric.Name(),
-		Shards: 1,
+		Kind:    idx.Name(),
+		Bits:    idx.IndexBits(),
+		N:       db.N(),
+		Metric:  db.Metric.Name(),
+		Shards:  e.Shards(),
+		Workers: e.Workers(),
 	}
-	var backend Backend
-	if sx, ok := idx.(*distperm.ShardedIndex); ok {
-		se, err := distperm.NewShardedEngine(sx, workers)
-		if err != nil {
-			return nil, err
-		}
-		info.Shards = se.Shards()
-		backend = se
-	} else {
-		e, err := distperm.NewEngine(db, idx, workers)
-		if err != nil {
-			return nil, err
-		}
-		backend = e
-	}
-	info.Workers = backend.Workers()
-	s, err := New(backend, info, cfg)
+	s, err := New(e, info, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +270,7 @@ func (s *Server) Close() {
 // gracefully: stop accepting, drain in-flight handlers, flush the
 // coalescer, close the engine. It returns nil after a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -300,10 +288,32 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // --- handlers ---
 
+// Fixed limits on what a client may send: maxBodyBytes bounds a POST body
+// (a larger one is answered 413 before it is buffered whole), and
+// readHeaderTimeout how long a connection may take to send its headers.
+const (
+	maxBodyBytes      = 8 << 20
+	readHeaderTimeout = 10 * time.Second
+)
+
+// decodeBody decodes the JSON request body into req, answering 413 for a
+// body over maxBodyBytes and 400 for one that does not parse. It reports
+// whether the handler may go on.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	case err != nil:
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	}
+	return err == nil
+}
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req KNNRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// info.N may be unset when the Server was built with New rather than
@@ -319,8 +329,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var req RangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.R < 0 || math.IsNaN(req.R) {
@@ -522,8 +531,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	single := req.Point != nil
@@ -572,8 +580,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	single := req.ID != nil

@@ -90,7 +90,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Storage released by the caller after Serve returns — e.g. unmapping a
 // frozen container — is therefore unreachable by any handler.
 func (g *Gate) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: g}
+	hs := &http.Server{Handler: g, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	// Swapping in the closed sentinel (rather than loading once) makes the

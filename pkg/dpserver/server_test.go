@@ -217,7 +217,7 @@ func TestServerIndexAndHealth(t *testing.T) {
 	}
 }
 
-// TestServerSharded: a sharded container serves through a ShardedEngine
+// TestServerSharded: a sharded container serves through a sharded Engine
 // with scatter-gather answers identical to an unsharded engine over the
 // same database.
 func TestServerSharded(t *testing.T) {
@@ -338,6 +338,35 @@ func TestServerRequestErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /v1/nope → %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServerOversizedBody: a POST body over the server's fixed limit is
+// answered 413 with a JSON error — not buffered whole — counted against its
+// endpoint, and the server goes on answering.
+func TestServerOversizedBody(t *testing.T) {
+	_, ts, _, _ := testServer(t, 27, 100, 3, dpserver.Config{})
+	big := `{"k": 1, "query": [` + strings.Repeat("0.25, ", 2<<20) + `0.25]}` // 12 MiB
+	resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body.String(), `"error"`) {
+		t.Fatalf("oversized /v1/knn → %d %q, want 413 with a JSON error", resp.StatusCode, body.String())
+	}
+	if got := sampleValue(t, scrape(t, ts.URL), "dpserver_errors_total", map[string]string{"endpoint": "knn"}); got != 1 {
+		t.Errorf(`dpserver_errors_total{endpoint="knn"} = %v, want 1`, got)
+	}
+	resp, err = http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(`{"query": [0.1, 0.2, 0.3], "k": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("request after the oversized one → %d, want 200", resp.StatusCode)
 	}
 }
 

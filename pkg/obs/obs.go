@@ -220,7 +220,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 
 // HistogramFunc registers a histogram whose snapshot is produced by fn
 // at exposition time — the bridge for engines that aggregate their own
-// latency histograms across shards or epochs.
+// latency histograms across shards.
 func (r *Registry) HistogramFunc(name, help string, labels Labels, fn func() HistogramSnapshot) {
 	if r == nil {
 		return

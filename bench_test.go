@@ -763,12 +763,17 @@ func BenchmarkApproxKNN(b *testing.B) {
 	}
 }
 
-// BenchmarkKNNExhaustive pins "exact distperm kNN costs what a linear scan
-// costs" at serving scale (n=200k clustered, the BenchmarkApproxKNN build):
-// the index's exhaustive 10-NN, the LinearScan oracle, and the per-query
-// cost of a 32-query KNNBatch, which shares each coordinate tile across the
-// batch. All three return the same answers; a gate regression on knn or
-// knnbatch/query against linear means ordering work crept back in.
+// BenchmarkKNNExhaustive pins what the index earns on exact search at
+// serving scale (n=200k clustered, the BenchmarkApproxKNN build): the
+// index's exact 10-NN, which walks prefix buckets under their site-distance
+// bounds and measures only those that can still hold an answer (≈ 12 % of
+// the points here); the LinearScan oracle; and the per-query cost of a
+// 32-query KNNBatch, which measures every point but shares each coordinate
+// tile across the batch. All three return the same answers. knn must sit
+// well under linear on this data: a knn ≈ linear reading means the bounds
+// stopped pruning (or the store stopped qualifying for them), and a
+// regression on knnbatch/query against linear means ordering work crept
+// back into the tile walk.
 func BenchmarkKNNExhaustive(b *testing.B) {
 	idx, queries, _ := approxBenchIndex(b, "clustered")
 	scan := sisap.NewLinearScan(approxBench.db["clustered"])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -255,5 +256,43 @@ func TestCounterDeterminism(t *testing.T) {
 	b := CountDistinct(metric.L1{}, sites, pts)
 	if a != b {
 		t.Errorf("counting is not deterministic: %d vs %d", a, b)
+	}
+}
+
+// TestPermutationIntoMatchesSortReference pins the small-k insertion sort
+// (and the sort.Slice path past insertionSortMaxK) to the definition:
+// sites by (distance, index) through sort.Slice, on random, heavily tied
+// and all-tied inputs on both sides of the switch.
+func TestPermutationIntoMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, k := range []int{1, 2, 12, insertionSortMaxK, insertionSortMaxK + 1, 300} {
+		for _, levels := range []int{0, 3, 1} { // distinct distances: all, three, one
+			for trial := 0; trial < 50; trial++ {
+				sites := make([]metric.Point, k)
+				for i := range sites {
+					x := rng.Float64()
+					if levels > 0 {
+						x = float64(rng.Intn(levels))
+					}
+					sites[i] = metric.Vector{x}
+				}
+				pm := NewPermuter(metric.L1{}, sites)
+				y := metric.Vector{float64(rng.Intn(3)) / 2}
+				d := pm.Distances(y)
+				want := make(perm.Permutation, k)
+				for i := range want {
+					want[i] = i
+				}
+				sort.Slice(want, func(a, b int) bool {
+					if d[want[a]] != d[want[b]] {
+						return d[want[a]] < d[want[b]]
+					}
+					return want[a] < want[b]
+				})
+				if got := pm.Permutation(y); !got.Equal(want) {
+					t.Fatalf("k=%d levels=%d: Π = %v, want %v (distances %v)", k, levels, got, want, d)
+				}
+			}
+		}
 	}
 }

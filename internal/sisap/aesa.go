@@ -112,7 +112,7 @@ func (a *AESA) search(q metric.Point, visit func(id int, d float64) float64, rad
 			if !alive[i] {
 				continue
 			}
-			lb := math.Abs(d - row[i])
+			lb := lowerBound(d, row[i])
 			if lb > lower[i] {
 				lower[i] = lb
 			}

@@ -138,7 +138,7 @@ func (a *IAESA) search(q metric.Point, visit func(id int, d float64) float64, ra
 			if !alive[i] {
 				continue
 			}
-			lb := math.Abs(d - row[i])
+			lb := lowerBound(d, row[i])
 			if lb > lower[i] {
 				lower[i] = lb
 			}

@@ -1,7 +1,6 @@
 package sisap
 
 import (
-	"math"
 	"sort"
 
 	"distperm/internal/metric"
@@ -82,7 +81,9 @@ func (l *LAESA) Pivots() []int { return append([]int(nil), l.pivots...) }
 
 // lowerBounds measures the query-to-pivot distances (returned in qd, one
 // metric evaluation each) and computes for every database point the best
-// pivot-derived lower bound max_p |d(q, pivot_p) − table[p][i]|.
+// pivot-derived lower bound max_p |d(q, pivot_p) − table[p][i]|, each
+// shrunk by lowerBound's rounding slack (the raw float bound drops points
+// lying exactly on a range query's radius).
 func (l *LAESA) lowerBounds(q metric.Point) (lb, qd []float64) {
 	qd = make([]float64, len(l.pivots))
 	for p, id := range l.pivots {
@@ -92,7 +93,7 @@ func (l *LAESA) lowerBounds(q metric.Point) (lb, qd []float64) {
 	for i := range lb {
 		best := 0.0
 		for p := range l.pivots {
-			b := math.Abs(qd[p] - l.table[p][i])
+			b := lowerBound(qd[p], l.table[p][i])
 			if b > best {
 				best = b
 			}

@@ -45,11 +45,18 @@ func (p PermDistance) String() string {
 // metric, so PermIndex exposes a budgeted kNN (KNNBudget) reporting how good
 // an answer a given fraction of the database buys. That cost/quality curve
 // is the search-performance side of the paper; the index size (counted by
-// IndexBits via the paper's counting results) is the storage side. Searches
-// that measure their whole candidate set whatever the order — KNN, KNNBatch,
-// Range, and the buckets an approximate query probes — compute no ordering:
-// the (distance, ID) heap makes their answers a function of the candidate
-// set, so they read the packed coordinates in memory order (DB.measure).
+// IndexBits via the paper's counting results) is the storage side.
+//
+// The permutation carries no metric bound, but the site distances behind it
+// do: the points sharing a permutation prefix (a bucket of prefixbuckets.go)
+// lie within an interval of distances from every site, so the k site
+// distances a query computes anyway bound its distance to each bucket from
+// below. Exact search — KNN and Range on a packed database under L1, L2 or
+// L∞ — measures only the buckets that bound cannot exclude (walk), with
+// answers byte-identical to a linear scan. Whatever measures a candidate set
+// in full — KNNBatch, exact queries on a store without bounds, the buckets
+// an approximate query probes — computes no ordering: the (distance, ID)
+// heap makes the answer a function of the set, read in memory order.
 //
 // The in-memory representation is the paper's table encoding, live: the
 // distinct occurring inverse permutations sit once each in a flat row-major
@@ -67,10 +74,10 @@ type PermIndex struct {
 	// after construction and shared between replicas.
 	table    *rankTable
 	tableIDs []uint32
-	// lb shares the approximate-search bucket directory (prefixbuckets.go)
-	// between the index and every replica: built lazily on first
-	// approximate query, or pre-filled with container views by a frozen
-	// open.
+	// lb shares the bucket directory and its metric bounds
+	// (prefixbuckets.go) between the index and every replica: the directory
+	// built lazily or pre-filled with container views by a frozen open, the
+	// bounds computed on the first single exact or range query.
 	lb *lazyBuckets
 	// scratch holds the per-query buffers (allocated lazily, never shared:
 	// Replica clears it), which is what makes the query path non-reentrant.
@@ -87,6 +94,8 @@ type permScratch struct {
 	keys   []int64          // per-point keys scattered from tkeys (orderKeys)
 	counts []int32          // counting-sort buckets, grown on demand
 	approx *approxScratch   // approximate-path workspace, on first approx query
+	qd     []float64        // query-to-site distances, len k (walk)
+	order  []bucketLB       // buckets a walk still has to order, grown on demand
 }
 
 // parallelBuildThreshold is the database size below which sharded
@@ -278,6 +287,7 @@ func (x *PermIndex) scratchBuffers() *permScratch {
 			qfwd: make([]int32, k),
 			qinv: make([]int32, k),
 			seq:  make([]int32, k),
+			qd:   make([]float64, k),
 		}
 	}
 	return x.scratch
@@ -408,27 +418,28 @@ func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats)
 	return c.h.results(), Stats{DistanceEvals: x.K() + maxEvals}
 }
 
-// KNN implements Index with an exhaustive scan: the answer is exact, at
-// the cost of a linear scan over the packed coordinates (KNNBudget at
-// maxEvals = n, which orders nothing). The permutation ordering that
-// distinguishes the structure is what the budgeted and approximate searches
-// spend (early candidates are nearly always the true neighbours; see
-// EvalsToFindTrueKNN). Cost: n + k evaluations.
+// KNN implements Index, exactly: element for element what LinearScan
+// returns. Where the store carries bucket bounds only the buckets whose lower
+// bound does not exceed the k-th distance found so far are measured (walk);
+// elsewhere every point is, in memory order. Cost: k site evaluations plus
+// the points measured, n + k without bounds.
 func (x *PermIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
-	return x.KNNBudget(q, k, x.db.N())
+	checkK(k, x.db.N())
+	c := collector{h: newKNNHeap(k)}
+	st := x.walk(q, &c)
+	return c.h.results(), st
 }
 
-// Range implements Index: permutations carry no metric lower bound, so
-// every point is measured and the results are exact — in memory order
-// through DB.measure, like every scan that measures its whole candidate
-// set. Stats charge the k site evaluations of the permutation-ordered scan
-// this once was, so the index's reported Range cost model is unchanged.
+// Range implements Index, exactly. The permutation carries no metric lower
+// bound but the site distances behind it do, so only the buckets whose lower
+// bound is within r are measured (walk); a store without bounds measures
+// every point, in memory order. Cost: k site evaluations plus the points
+// measured.
 func (x *PermIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
-	n := x.db.N()
 	c := collector{r: r, out: []Result{}}
-	x.db.measure(q, nil, 0, n, &c)
+	st := x.walk(q, &c)
 	sortResults(c.out)
-	return c.out, Stats{DistanceEvals: x.K() + n}
+	return c.out, st
 }
 
 // EvalsToFindTrueKNN reports how many database points must be measured, in

@@ -10,7 +10,7 @@ import (
 )
 
 // The tests in this file pin the batch entry point to the scalar one:
-// KNNBatch must be byte-identical — results, tie-breaks and Stats — to
+// KNNBatch must be byte-identical — results and tie-breaks — to
 // issuing its queries one at a time through KNN (itself pinned to LinearScan
 // by fullset_test.go). Like the scalar oracles, every comparison runs over
 // both storage backends (permBackends): the tiled walk must behave
@@ -53,9 +53,13 @@ func TestKNNBatchMatchesScalar(t *testing.T) {
 				}
 				for i, q := range qs {
 					label := fmt.Sprintf("%s %s batch %d query %d", tc.name, be.name, batch, i)
-					want, wantStats := be.idx.KNN(q, 5)
-					if stats[i] != wantStats {
-						t.Fatalf("%s: stats %+v != %+v", label, stats[i], wantStats)
+					// Identical results; Stats are each path's honest cost —
+					// the tile walk measures every point, the scalar walk may
+					// have pruned some and says how many.
+					want, scalar := be.idx.KNN(q, 5)
+					if wantStats := (Stats{DistanceEvals: tc.sites + tc.n}); stats[i] != wantStats ||
+						scalar.DistanceEvals+scalar.PrunedEvals != wantStats.DistanceEvals {
+						t.Fatalf("%s: batch stats %+v, scalar %+v, want %+v and k + measured", label, stats[i], scalar, wantStats)
 					}
 					sameBits(t, label, got[i], want)
 				}

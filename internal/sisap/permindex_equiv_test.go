@@ -213,12 +213,17 @@ func TestTableEncodingSurvivesMutableSnapshot(t *testing.T) {
 }
 
 func TestPermIndexRangeStats(t *testing.T) {
-	// The index-order Range optimisation must keep the reported cost model
-	// identical to the permutation-ordered scan it replaced: k + n.
+	// Range's reported cost model is k + points measured: n + k on a store
+	// without bounds (as the permutation-ordered scan it once was), less on
+	// one with, the difference reported as pruned.
 	db, rng := testDB(141, 200, 3, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	_, stats := idx.Range(metric.Vector{0.5, 0.5, 0.5}, 0.4)
-	if stats.DistanceEvals != 6+200 {
-		t.Errorf("Range stats = %d evals, want %d", stats.DistanceEvals, 6+200)
+	got, stats := idx.Range(metric.Vector{0.5, 0.5, 0.5}, 0.4)
+	if stats.DistanceEvals+stats.PrunedEvals != 6+200 || stats.DistanceEvals < 6+len(got) {
+		t.Errorf("Range stats = %+v for %d answers, want evals + pruned = %d", stats, len(got), 6+200)
+	}
+	unbounded := NewPermIndex(NewDB(metric.LP{P: 3}, db.Points), idx.siteIDs, Footrule)
+	if _, stats := unbounded.Range(metric.Vector{0.5, 0.5, 0.5}, 0.4); stats != (Stats{DistanceEvals: 6 + 200}) {
+		t.Errorf("Range stats without bounds = %+v, want %d evals", stats, 6+200)
 	}
 }

@@ -1,9 +1,13 @@
 package sisap
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
+	"distperm/internal/core"
 	"distperm/internal/metric"
 )
 
@@ -75,35 +79,21 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 	return maxKey
 }
 
-// lazyBuckets shares one once-built directory between an index and every
-// replica cloned from it (Replica copies the struct, so the pointer is
-// shared). A frozen open pre-fills pb with container views; heap indexes
-// build it on first approximate query.
+// lazyBuckets shares one once-built directory, and the bounds exact search
+// prunes with, between an index and every replica cloned from it (Replica
+// copies the struct, so the pointer is shared). A frozen open pre-fills pb
+// with container views; heap indexes build it on first use. The bounds are
+// part of no format: every store computes them on its first exact query.
 type lazyBuckets struct {
-	once sync.Once
-	pb   *prefixBuckets
+	once       sync.Once
+	pb         *prefixBuckets
+	boundsOnce sync.Once
+	bounds     *bucketBounds // nil after boundsOnce: the store does not qualify
 }
 
 // maxAutoPrefixLen caps the automatic ℓ choice: prefixes longer than this
 // fragment the directory past any probing benefit.
 const maxAutoPrefixLen = 8
-
-// defaultPrefixLen picks ℓ from k and the distinct-row count: the shortest
-// prefix whose directory reaches ~√distinct buckets, so probe cost and
-// mean posting-list length balance at the square root of the table.
-func defaultPrefixLen(t *rankTable) int {
-	maxEll := maxAutoPrefixLen
-	if maxEll > t.k {
-		maxEll = t.k
-	}
-	target := int(math.Ceil(math.Sqrt(float64(t.rows))))
-	for ell := 1; ell < maxEll; ell++ {
-		if countDistinctPrefixes(t, ell) >= target {
-			return ell
-		}
-	}
-	return maxEll
-}
 
 // fillPrefix writes row r's length-ell permutation prefix (the ell sites
 // the row ranks closest, in rank order) into out.
@@ -123,58 +113,73 @@ func fillPrefix(t *rankTable, r, ell int, out []uint32) {
 	}
 }
 
-func countDistinctPrefixes(t *rankTable, ell int) int {
-	seen := make(map[string]struct{}, t.rows)
-	pref := make([]uint32, ell)
-	key := make([]byte, 4*ell)
-	for r := 0; r < t.rows; r++ {
-		fillPrefix(t, r, ell, pref)
-		for j, s := range pref {
-			key[4*j] = byte(s)
-			key[4*j+1] = byte(s >> 8)
-			key[4*j+2] = byte(s >> 16)
-			key[4*j+3] = byte(s >> 24)
+// numberPrefixes assigns every row the bucket of its length-ell prefix
+// key(r, ell), buckets numbered in first-occurrence row order, and returns
+// ℓ, each row's bucket and each bucket's first row. ell ≤ 0 selects the
+// shortest prefix, up to maxEll, whose directory reaches ~√rows buckets, so
+// probe cost and mean posting-list length balance at √table.
+func numberPrefixes[K comparable](rows, ell, maxEll int, key func(r, ell int) K) (int, []uint32, []uint32) {
+	auto, target := ell <= 0, int(math.Ceil(math.Sqrt(float64(rows))))
+	rowBucket := make([]uint32, rows)
+	for ell = max(ell, 1); ; ell++ {
+		index := make(map[K]uint32)
+		var first []uint32
+		for r := range rowBucket {
+			p := key(r, ell)
+			b, ok := index[p]
+			if !ok {
+				b = uint32(len(first))
+				index[p] = b
+				first = append(first, uint32(r))
+			}
+			rowBucket[r] = b
 		}
-		seen[string(key)] = struct{}{}
+		if !auto || len(first) >= target || ell == maxEll {
+			return ell, rowBucket, first
+		}
 	}
-	return len(seen)
 }
 
 // buildPrefixBuckets groups the table's rows (and, through tableIDs, the
-// points) by length-ell permutation prefix. ell ≤ 0 selects
-// defaultPrefixLen. Buckets are numbered in first-occurrence row order;
-// rows and points stay in ascending ID order within their bucket, so the
-// directory is a deterministic function of the table.
+// points) by length-ell permutation prefix (ell ≤ 0: numberPrefixes'
+// default). Buckets are numbered in first-occurrence row order; rows and
+// points stay in ascending ID order within their bucket, so the directory
+// is a deterministic function of the table. Where it fits (k ≤ 256, ℓ ≤ 8:
+// every automatic choice) a row's longest candidate prefix is packed once,
+// a byte per site, rank-major, and shifted per ℓ; else it is a string.
 func buildPrefixBuckets(t *rankTable, tableIDs []uint32, ell int) *prefixBuckets {
-	if ell <= 0 {
-		ell = defaultPrefixLen(t)
-	}
-	if ell > t.k {
-		ell = t.k
+	maxEll := min(maxAutoPrefixLen, t.k)
+	if ell > 0 {
+		ell = min(ell, t.k)
+		maxEll = ell
 	}
 	distinct := t.rows
-	index := make(map[string]uint32, distinct)
-	rowBucket := make([]uint32, distinct)
-	var prefixes []uint32
-	pref := make([]uint32, ell)
-	key := make([]byte, 4*ell)
-	for r := 0; r < distinct; r++ {
-		fillPrefix(t, r, ell, pref)
-		for j, s := range pref {
-			key[4*j] = byte(s)
-			key[4*j+1] = byte(s >> 8)
-			key[4*j+2] = byte(s >> 16)
-			key[4*j+3] = byte(s >> 24)
+	var rowBucket, first []uint32
+	if !t.wide() && maxEll <= 8 {
+		packed := make([]uint64, distinct)
+		for r := range packed {
+			for s, rank := range t.r8.row(t.k, r) {
+				if int(rank) < maxEll {
+					packed[r] |= uint64(s) << (8 * (maxEll - 1 - int(rank)))
+				}
+			}
 		}
-		b, ok := index[string(key)]
-		if !ok {
-			b = uint32(len(index))
-			index[string(key)] = b
-			prefixes = append(prefixes, pref...)
-		}
-		rowBucket[r] = b
+		ell, rowBucket, first = numberPrefixes(distinct, ell, maxEll, func(r, l int) uint64 { return packed[r] >> (8 * (maxEll - l)) })
+	} else {
+		pref, buf := make([]uint32, maxEll), make([]byte, 4*maxEll)
+		ell, rowBucket, first = numberPrefixes(distinct, ell, maxEll, func(r, l int) string {
+			fillPrefix(t, r, l, pref)
+			for j, s := range pref[:l] {
+				binary.LittleEndian.PutUint32(buf[4*j:], s)
+			}
+			return string(buf[:4*l])
+		})
 	}
-	buckets := len(index)
+	buckets := len(first)
+	prefixes := make([]uint32, buckets*ell)
+	for b, r := range first {
+		fillPrefix(t, int(r), ell, prefixes[b*ell:(b+1)*ell])
+	}
 	// Counting scatters: rows then points, grouped by bucket, ascending
 	// within each group.
 	rowStarts := make([]uint32, buckets+1)
@@ -242,6 +247,159 @@ func (x *PermIndex) buckets() *prefixBuckets {
 		}
 	})
 	return x.lb.pb
+}
+
+// bucketBounds is the metric side of the directory: lo[b*k+i] and hi[b*k+i]
+// are the least and greatest computed distance d(sᵢ, p) over the points p of
+// bucket b — 2·k·buckets float64s, LAESA's per-point table kept per cell.
+type bucketBounds struct {
+	lo, hi []float64
+}
+
+// siteBounds computes the bounds from what every store holds whatever its
+// origin — the packed coordinate block, the site IDs and the directory's
+// posting lists — with DB.measure's arithmetic (site and point swapped, which
+// changes no bit of |x − y| or (x − y)²). L2 takes the extremes of the
+// squared sums and one Sqrt per cell: Sqrt is monotone and correctly rounded,
+// so that is the extreme of the distances. min and max propagate NaN, so an
+// interval over a non-finite coordinate compares false both ways and never
+// prunes. Only a packed database under L1, L2 or L∞ (the split DB.measure
+// makes) of at most boundMaxDim dimensions qualifies; any other store gets
+// nil, and builds no directory for it.
+func (x *PermIndex) siteBounds() *bucketBounds {
+	db, d, k := x.db, x.db.dim, x.K()
+	_, l1 := db.Metric.(metric.L1)
+	_, l2 := db.Metric.(metric.L2)
+	if _, linf := db.Metric.(metric.LInf); !(l1 || l2 || linf) || d == 0 || d > boundMaxDim {
+		return nil
+	}
+	pb := x.buckets()
+	nb := pb.numBuckets()
+	bb := &bucketBounds{lo: make([]float64, nb*k), hi: make([]float64, nb*k)}
+	workers := 1
+	if db.N() >= parallelBuildThreshold {
+		workers = 4 * core.ShardWorkers(nb) // buckets are uneven: more shards than cores
+	}
+	core.ShardIndexes(nb, workers, func(_, b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			lo, hi := bb.lo[b*k:][:k], bb.hi[b*k:][:k]
+			for i := range lo {
+				lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+			}
+			for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
+				p := db.block[int(id)*d:][:d]
+				for i, site := range x.siteIDs {
+					var v float64
+					switch s := db.block[site*d:][:d]; {
+					case l1:
+						for j, a := range s {
+							v += math.Abs(a - p[j])
+						}
+					case l2:
+						for j, a := range s {
+							t := a - p[j]
+							v += t * t
+						}
+					default:
+						for j, a := range s {
+							v = max(v, math.Abs(a-p[j]))
+						}
+					}
+					lo[i], hi[i] = min(lo[i], v), max(hi[i], v)
+				}
+			}
+			for i := 0; l2 && i < k; i++ {
+				lo[i], hi[i] = math.Sqrt(lo[i]), math.Sqrt(hi[i])
+			}
+		}
+	})
+	return bb
+}
+
+// lowerBound returns LB(b) for a query at computed distances qd from the
+// sites: no point of bucket b is computed closer to the query than that.
+func (bb *bucketBounds) lowerBound(b int, qd []float64) float64 {
+	k := len(qd)
+	lo, hi := bb.lo[b*k:][:k], bb.hi[b*k:][:k]
+	var lb float64
+	for i, d := range qd { // at most one gap per site is positive; NaN never is
+		if g := slackGap(d, hi[i]); g > lb {
+			lb = g
+		}
+		if g := slackGap(lo[i], d); g > lb {
+			lb = g
+		}
+	}
+	return lb
+}
+
+// bounds returns the shared bucket bounds, computed on first use, or nil
+// when the store does not qualify (see siteBounds).
+func (x *PermIndex) bounds() *bucketBounds {
+	x.lb.boundsOnce.Do(func() { x.lb.bounds = x.siteBounds() })
+	return x.lb.bounds
+}
+
+// bucketLB is one bucket with its lower bound for the query in hand.
+type bucketLB struct {
+	lb float64
+	b  int
+}
+
+// walk answers an exact query into c by visiting prefix buckets instead of
+// points. The k site distances the query is charged for anyway give every
+// bucket b a lower bound on the distance to any of its points,
+//
+//	LB(b) = maxᵢ max(0, d(q,sᵢ) − hi[b][i], lo[b][i] − d(q,sᵢ))
+//
+// — LAESA's elimination rule at cell granularity, each difference shrunk by
+// slackGap's rounding slack — and a bucket is measured, through DB.measure's
+// posting-list form, unless LB(b) > c's limit: strictly, so equal-distance
+// ties are still seen and the (distance, ID) tie-break stays the oracle's.
+// kNN visits in ascending LB (ties by bucket number) so the limit tightens
+// early; a range query's limit is fixed and the order moot. Either way c
+// ends up holding what the full scan would have (set-determined, see
+// collector), and on a store without bounds the full scan is what runs.
+func (x *PermIndex) walk(q metric.Point, c *collector) Stats {
+	bb, k, n := x.bounds(), x.K(), x.db.N()
+	if bb == nil {
+		x.db.measure(q, nil, 0, n, c)
+		return Stats{DistanceEvals: k + n}
+	}
+	pb, s := x.lb.pb, x.scratchBuffers()
+	// The sites are measured as the scan measures any point, so a query of
+	// the wrong shape fails here with the scan's own panic.
+	for i, id := range x.siteIDs {
+		s.qd[i] = x.db.Metric.Distance(q, x.db.Points[id])
+	}
+	measured := 0
+	visit := func(b int) {
+		lo, hi := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
+		x.db.measure(q, pb.ptOrder, lo, hi, c)
+		measured += hi - lo
+	}
+	// Buckets at LB = 0 can never be skipped: they go first, as they come,
+	// and only what the limit they leave does not already exclude is ordered.
+	order := s.order[:0]
+	for b := 0; b < pb.numBuckets(); b++ {
+		if lb := bb.lowerBound(b, s.qd); lb == 0 {
+			visit(b)
+		} else if !(lb > c.limit()) {
+			order = append(order, bucketLB{lb, b})
+		}
+	}
+	if c.h != nil {
+		slices.SortFunc(order, func(a, b bucketLB) int {
+			return cmp.Or(cmp.Compare(a.lb, b.lb), a.b-b.b)
+		})
+	}
+	for _, e := range order {
+		if !(e.lb > c.limit()) {
+			visit(e.b)
+		}
+	}
+	s.order = order[:0] // keep what append grew
+	return Stats{DistanceEvals: k + measured, PrunedEvals: n - measured}
 }
 
 // ApproxBuckets returns the directory size — the value nprobe is measured

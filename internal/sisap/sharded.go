@@ -123,6 +123,7 @@ func (x *ShardedIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
 		rs, sst := idx.KNN(q, ks)
 		perShard[s] = RemapShardResults(rs, x.parts[s])
 		st.DistanceEvals += sst.DistanceEvals
+		st.PrunedEvals += sst.PrunedEvals
 	}
 	return MergeKNN(perShard, k), st
 }
@@ -136,6 +137,7 @@ func (x *ShardedIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
 		rs, sst := idx.Range(q, r)
 		perShard[s] = RemapShardResults(rs, x.parts[s])
 		st.DistanceEvals += sst.DistanceEvals
+		st.PrunedEvals += sst.PrunedEvals
 	}
 	return MergeRange(perShard), st
 }

@@ -100,6 +100,9 @@ type Stats struct {
 	// DistanceEvals counts metric evaluations between the query and
 	// database points (site/pivot distances included).
 	DistanceEvals int
+	// PrunedEvals counts the database points an exact query did not measure
+	// because a metric bound excluded them (what the bound saved).
+	PrunedEvals int
 }
 
 // Index answers proximity queries over a DB.
@@ -119,17 +122,18 @@ type Index interface {
 
 // BatchIndex is the batch-native query capability: an index whose kernels
 // evaluate a whole block of queries per pass over the index data, instead
-// of re-walking it once per query. Answers must be identical — results,
-// tie-breaks, and per-query Stats — to calling KNN once per query; the
-// batch boundary buys memory-traffic amortisation, never a different
-// answer. Engines detect this interface on their worker replicas and hand
-// down contiguous sub-batches instead of single-query jobs. A BatchIndex
-// whose scalar path is non-reentrant (Replicable) has a non-reentrant batch
-// path too: one goroutine per replica, as usual.
+// of re-walking it once per query. Results and tie-breaks must be identical
+// to calling KNN once per query — the batch boundary buys memory-traffic
+// amortisation, never a different answer; Stats are each path's honest cost
+// (a batch walk measures every point where the scalar path may prune).
+// Engines detect this interface on their worker replicas and hand down
+// contiguous sub-batches instead of single-query jobs. A BatchIndex whose
+// scalar path is non-reentrant (Replicable) has a non-reentrant batch path
+// too: one goroutine per replica, as usual.
 type BatchIndex interface {
 	Index
 	// KNNBatch answers one kNN query per element of qs, with per-query
-	// results and cost — identical to KNN(qs[i], k) for every i.
+	// results — identical to KNN(qs[i], k) for every i — and cost.
 	KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats)
 }
 

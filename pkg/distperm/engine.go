@@ -360,6 +360,7 @@ func (p *pool) serve(idx Index, j job) {
 		}
 		for _, st := range j.asts {
 			c.DistanceEvals += int64(st.DistanceEvals)
+			c.PrunedEvals += int64(st.PrunedEvals)
 			c.ProbedBuckets += int64(st.ProbedBuckets)
 			c.ApproxCandidates += int64(st.Candidates)
 		}
@@ -370,6 +371,7 @@ func (p *pool) serve(idx Index, j job) {
 			copy(j.outs, rs)
 			for _, st := range sts {
 				c.DistanceEvals += int64(st.DistanceEvals)
+				c.PrunedEvals += int64(st.PrunedEvals)
 			}
 			break
 		}
@@ -386,6 +388,7 @@ func (p *pool) serve(idx Index, j job) {
 				j.outs[i], st = idx.Range(q, j.q.Radius)
 			}
 			c.DistanceEvals += int64(st.DistanceEvals)
+			c.PrunedEvals += int64(st.PrunedEvals)
 		}
 	}
 	if part := j.v.segs[j.seg].part; part != nil {
@@ -515,6 +518,7 @@ func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, 
 			for s := range v.segs {
 				st := perStats[s][qi]
 				agg.DistanceEvals += st.DistanceEvals
+				agg.PrunedEvals += st.PrunedEvals
 				agg.ProbedBuckets += st.ProbedBuckets
 				agg.TotalBuckets += st.TotalBuckets
 				agg.Candidates += st.Candidates
@@ -574,8 +578,10 @@ type EngineStats struct {
 	// index does not expose one) — the table size of the paper's counting
 	// bounds and the row universe of the prefix-bucket directory.
 	DistinctRows int
-	// DistanceEvals is the total metric evaluations spent.
-	DistanceEvals int64
+	// DistanceEvals is the total metric evaluations spent; PrunedEvals the
+	// points exact queries did not measure because a bucket bound excluded
+	// them (the prune rate is PrunedEvals / (PrunedEvals + DistanceEvals)).
+	DistanceEvals, PrunedEvals int64
 	// MeanEvals is DistanceEvals / Queries.
 	MeanEvals float64
 	// P50 and P99 are per-query latency percentiles read from the engine's
@@ -595,6 +601,7 @@ func (s *EngineStats) add(o EngineStats) {
 	s.ProbedBuckets += o.ProbedBuckets
 	s.ApproxCandidates += o.ApproxCandidates
 	s.DistanceEvals += o.DistanceEvals
+	s.PrunedEvals += o.PrunedEvals
 }
 
 // finish derives the mean from the sums and the percentiles from lat.

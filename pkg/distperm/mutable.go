@@ -641,6 +641,13 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	if err != nil {
 		return fmt.Errorf("distperm: rebuild: %w", err)
 	}
+	// Warm the view off the read and write paths: one throwaway query per
+	// segment builds what its index builds lazily (distperm's directory and
+	// bounds) — asked directly, not through the pool: no engine counter moves.
+	nv := newView(newDB, idx, nil)
+	for _, seg := range nv.segs {
+		sisap.QueryReplica(seg.idx).KNN(seg.db.Points[0], 1)
+	}
 
 	m.writeMu.Lock()
 	if m.closed.Load() {
@@ -662,7 +669,7 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	i, _ := c.findDelta(maxBase + 1)
 	newDelta := append([]deltaPoint(nil), c.delta[i:]...)
 	next := &mutSnapshot{
-		view:    newView(newDB, idx, nil),
+		view:    nv,
 		gids:    newGids,
 		maxBase: maxBase,
 		tomb:    newTomb,

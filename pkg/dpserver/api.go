@@ -144,6 +144,7 @@ type EngineStatsWire struct {
 	// does not expose one).
 	DistinctRows  int     `json:"distinct_rows"`
 	DistanceEvals int64   `json:"distance_evals"`
+	PrunedEvals   int64   `json:"pruned_evals"` // points a bucket bound spared exact queries
 	MeanEvals     float64 `json:"mean_evals"`
 	P50Nanos      int64   `json:"p50_ns"`
 	P99Nanos      int64   `json:"p99_ns"`
@@ -341,6 +342,7 @@ func statsWire(st distperm.EngineStats) EngineStatsWire {
 		ApproxCandidates: st.ApproxCandidates,
 		DistinctRows:     st.DistinctRows,
 		DistanceEvals:    st.DistanceEvals,
+		PrunedEvals:      st.PrunedEvals,
 		MeanEvals:        st.MeanEvals,
 		P50Nanos:         st.P50.Nanoseconds(),
 		P99Nanos:         st.P99.Nanoseconds(),

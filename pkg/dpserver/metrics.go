@@ -146,6 +146,9 @@ func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableB
 	reg.CounterFunc("distperm_engine_distance_evals_total",
 		"Distance evaluations spent (the paper's cost model)", nil,
 		func() float64 { return float64(backend.Stats().DistanceEvals) })
+	reg.CounterFunc("distperm_engine_pruned_evals_total",
+		"Points exact queries did not measure because a bucket bound excluded them", nil,
+		func() float64 { return float64(backend.Stats().PrunedEvals) })
 	reg.CounterFunc("distperm_approx_queries_total",
 		"Queries served through the approximate prefix-bucket path", nil,
 		func() float64 { return float64(backend.Stats().ApproxQueries) })

@@ -3,6 +3,7 @@ package dpserver_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -21,6 +22,7 @@ import (
 	"distperm/internal/dataset"
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
+	"distperm/pkg/dpserver/client"
 	"distperm/pkg/obs"
 )
 
@@ -491,4 +493,32 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// TestPrunedEvalsSurface: the points exact queries skip under a bucket bound
+// are counted once and surface on both planes — distperm_engine_pruned_evals_total
+// on /metrics and pruned_evals on /v1/stats — and with the evaluations spent
+// they account for every (query, point) pair: the prune rate is
+// pruned / (pruned + evals).
+func TestPrunedEvalsSurface(t *testing.T) {
+	const n, sites, reps = 400, 8, 12
+	_, ts, _, queries := testServer(t, 79, n, 3, dpserver.Config{})
+	c := client.New(ts.URL)
+	for _, q := range queries[:reps] {
+		if _, err := c.KNN(context.Background(), q, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := st.Engine
+	if e.PrunedEvals <= 0 || e.DistanceEvals+e.PrunedEvals != reps*(n+sites) {
+		t.Errorf("/v1/stats: %d evals + %d pruned, want a positive pruned count and a total of %d", e.DistanceEvals, e.PrunedEvals, reps*(n+sites))
+	}
+	fams := scrape(t, ts.URL)
+	if v := sampleValue(t, fams, "distperm_engine_pruned_evals_total", nil); v != float64(e.PrunedEvals) {
+		t.Errorf("distperm_engine_pruned_evals_total = %g, /v1/stats says %d", v, e.PrunedEvals)
+	}
 }

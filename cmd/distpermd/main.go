@@ -325,14 +325,11 @@ func runFreeze(w io.Writer, out string, loadDS func() (*dataset.Dataset, error),
 	}
 	var idx distperm.Index
 	if cfg.Load != "" {
-		f, err := os.Open(cfg.Load)
+		st, err := distperm.Load(cfg.Load, distperm.LoadOptions{DB: db})
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if idx, err = distperm.ReadIndex(f, db); err != nil {
-			return fmt.Errorf("loading %s: %w", cfg.Load, err)
-		}
+		idx = st.Index
 	} else if idx, err = distperm.Build(db,
 		distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}); err != nil {
 		return err
@@ -478,14 +475,11 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 	switch {
 	case idx != nil: // mapped or checkpoint-recovered above
 	case cfg.Load != "":
-		f, err := os.Open(cfg.Load)
+		st, err := distperm.Load(cfg.Load, distperm.LoadOptions{DB: db})
 		if err != nil {
 			return nil, "", nil, err
 		}
-		defer f.Close()
-		if idx, err = distperm.ReadIndex(f, db); err != nil {
-			return nil, "", nil, fmt.Errorf("loading %s: %w", cfg.Load, err)
-		}
+		idx = st.Index
 	case cfg.Shards > 1:
 		if idx, err = distperm.BuildSharded(db,
 			distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}, cfg.Shards, p); err != nil {

@@ -139,6 +139,9 @@ func TestBuildServerModes(t *testing.T) {
 		{Index: "distperm", K: 6, Shards: 2, Partition: "modulo"},
 		{Index: "distperm", K: 6, RebuildThreshold: 16, Partition: "modulo"},
 		{Load: filepath.Join(t.TempDir(), "missing.dpermidx")},
+		// A log over a store no checkpoint could hold (k > 20) is refused
+		// at boot, not discovered one failed checkpoint at a time.
+		{Index: "distperm", K: 24, Partition: "roundrobin", WALDir: t.TempDir()},
 	} {
 		if _, _, _, err := buildServer(dsf, rng, cfg); err == nil {
 			t.Errorf("config %+v should error", cfg)

@@ -1,22 +1,18 @@
 package sisap
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync"
 )
 
 // This file generalises the distance-permutation index's DPERMIDX format
 // (serialize.go) into a versioned multi-index container: a common header
-// naming the index kind, followed by a kind-specific payload supplied by a
-// registered Codec. Every index in the family gains persistence through the
-// same two entry points, WriteIndex and ReadIndex, and new index types join
-// by calling RegisterCodec — the same extension seam the Build registry in
-// pkg/distperm uses for construction.
+// naming the index kind, followed by a kind-specific payload. Every index in
+// the family persists through the same two entry points, WriteIndex and
+// ReadIndex. The kinds are a closed set — the two switches in enc.index and
+// dec.index are the whole registry — and every payload is read and written
+// through the cursor pair of cursor.go.
 //
 // Container format (little-endian):
 //
@@ -24,507 +20,306 @@ import (
 //	version uint32   2 (version 1, a PermIndex-only container with no kind
 //	                  field, had no writer left and is rejected)
 //	kindLen uint32   length of the kind name
-//	kind    []byte   codec kind, e.g. "distperm", "vptree"
-//	payload …        codec-defined
+//	kind    []byte   index kind, e.g. "distperm", "vptree"
+//	payload …        kind-defined
 //
 // The database points themselves are never serialised: the index file
 // accompanies the data file, and ReadIndex reconstructs against the
 // caller-supplied DB without re-running the metric evaluations that built
-// the index.
+// the index. A container is exactly its bytes: trailing input is an error.
 const (
 	codecMagic   = "DPERMIDX"
 	codecVersion = 2
 	maxKindLen   = 64
 )
 
-// Codec serialises and deserialises one index kind.
-type Codec struct {
-	// Kind is the registry key; it must equal the Name() of the indexes the
-	// codec handles so WriteIndex can dispatch on the index itself.
-	Kind string
-	// Encode writes the index payload (no container header).
-	Encode func(w io.Writer, x Index) error
-	// Decode reads the payload back and reconstructs the index against db.
-	Decode func(r io.Reader, db *DB) (Index, error)
-}
-
-var (
-	codecsMu sync.RWMutex
-	codecs   = map[string]Codec{}
-)
-
-// RegisterCodec adds a codec to the registry. It panics on a duplicate or
-// incomplete registration — misregistration is a programming error.
-func RegisterCodec(c Codec) {
-	if c.Kind == "" || len(c.Kind) > maxKindLen || c.Encode == nil || c.Decode == nil {
-		panic("sisap: RegisterCodec requires a kind (≤64 bytes), an Encode, and a Decode")
-	}
-	codecsMu.Lock()
-	defer codecsMu.Unlock()
-	if _, dup := codecs[c.Kind]; dup {
-		panic(fmt.Sprintf("sisap: codec %q registered twice", c.Kind))
-	}
-	codecs[c.Kind] = c
-}
-
-// Codecs returns the registered kinds, sorted.
-func Codecs() []string {
-	codecsMu.RLock()
-	defer codecsMu.RUnlock()
-	kinds := make([]string, 0, len(codecs))
-	for k := range codecs {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
-func lookupCodec(kind string) (Codec, bool) {
-	codecsMu.RLock()
-	defer codecsMu.RUnlock()
-	c, ok := codecs[kind]
-	return c, ok
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// WriteIndex serialises x in the v2 container format, dispatching to the
-// codec registered under x.Name(). It returns the number of bytes written.
+// WriteIndex serialises x in the v2 container format. It returns the number
+// of bytes written.
 func WriteIndex(w io.Writer, x Index) (int64, error) {
-	c, ok := lookupCodec(x.Name())
-	if !ok {
-		return 0, fmt.Errorf("sisap: no codec registered for index kind %q", x.Name())
+	buf, err := AppendIndex(nil, x)
+	if err != nil {
+		return 0, err
 	}
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-	if _, err := io.WriteString(cw, codecMagic); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(codecVersion)); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(c.Kind))); err != nil {
-		return cw.n, err
-	}
-	if _, err := io.WriteString(cw, c.Kind); err != nil {
-		return cw.n, err
-	}
-	if err := c.Encode(cw, x); err != nil {
-		return cw.n, err
-	}
-	return cw.n, bw.Flush()
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
-// ReadIndex deserialises an index written by WriteIndex against db (which
-// must be the same database the index was built on).
+// AppendIndex appends x's v2 container to dst.
+func AppendIndex(dst []byte, x Index) ([]byte, error) {
+	e := enc{b: dst}
+	if err := e.index(x); err != nil {
+		return dst, err
+	}
+	return e.b, nil
+}
+
+// ReadIndex deserialises an index written by WriteIndex (or WriteFrozen)
+// against db, which must be the database the index was built on.
 func ReadIndex(r io.Reader, db *DB) (Index, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("sisap: reading magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("sisap: reading container: %w", err)
 	}
-	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("sisap: bad magic %q", magic)
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("sisap: reading version: %w", err)
-	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("sisap: unsupported container version %d (want %d)", version, codecVersion)
-	}
-	var kindLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
-		return nil, fmt.Errorf("sisap: reading kind length: %w", err)
-	}
-	if kindLen == 0 || kindLen > maxKindLen {
-		return nil, fmt.Errorf("sisap: kind length %d out of range", kindLen)
-	}
-	kind := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kind); err != nil {
-		return nil, fmt.Errorf("sisap: reading kind: %w", err)
-	}
-	c, ok := lookupCodec(string(kind))
-	if !ok {
-		return nil, fmt.Errorf("sisap: no codec registered for index kind %q", kind)
-	}
-	return c.Decode(br, db)
+	return DecodeIndex(data, db)
 }
 
-func init() {
-	RegisterCodec(Codec{Kind: "linear", Encode: encodeLinear, Decode: decodeLinear})
-	RegisterCodec(Codec{Kind: "aesa", Encode: encodeMatrixIndex, Decode: decodeAESA})
-	RegisterCodec(Codec{Kind: "iaesa", Encode: encodeMatrixIndex, Decode: decodeIAESA})
-	RegisterCodec(Codec{Kind: "laesa", Encode: encodeLAESA, Decode: decodeLAESA})
-	RegisterCodec(Codec{Kind: "distperm", Encode: encodeDistperm, Decode: decodeDistperm})
-	RegisterCodec(Codec{Kind: "vptree", Encode: encodeVPTree, Decode: decodeVPTree})
-	RegisterCodec(Codec{Kind: "ghtree", Encode: encodeGHTree, Decode: decodeGHTree})
+// DecodeIndex is ReadIndex over a container already in memory. The decoded
+// index shares nothing with data.
+func DecodeIndex(data []byte, db *DB) (Index, error) {
+	if db == nil {
+		return nil, fmt.Errorf("sisap: decoding a container requires a database")
+	}
+	return newDec(data).index(db)
+}
+
+// header writes the container prefix for kind.
+func (e *enc) header(kind string) {
+	e.str(codecMagic)
+	e.u32(codecVersion)
+	e.u32(uint32(len(kind)))
+	e.str(kind)
+}
+
+// header reads the container prefix and returns the kind it names.
+func (d *dec) header() string {
+	if magic := d.bytes(uint64(len(codecMagic))); d.err == nil && string(magic) != codecMagic {
+		d.fail("bad magic %q", magic)
+	}
+	if v := d.u32(); d.err == nil && v != codecVersion {
+		d.fail("unsupported container version %d (want %d)", v, codecVersion)
+	}
+	kindLen := d.count("kind length", uint64(d.u32()), 1, maxKindLen)
+	return string(d.bytes(uint64(kindLen)))
+}
+
+// index appends x's container: the header, then the payload of its kind.
+func (e *enc) index(x Index) error {
+	e.header(x.Name())
+	switch x := x.(type) {
+	case *LinearScan:
+		e.u64(uint64(x.db.N()))
+	case *AESA:
+		encodeMatrix(e, x.matrix)
+	case *IAESA:
+		encodeMatrix(e, x.matrix)
+	case *LAESA:
+		e.u64(uint64(x.db.N()))
+		e.u32(uint32(len(x.pivots)))
+		e.ids(x.pivots)
+		for _, row := range x.table {
+			e.f64s(row)
+		}
+	case *PermIndex:
+		return x.encodePayload(e)
+	case *VPTree:
+		e.u64(uint64(x.db.N()))
+		encodeVPNode(e, x.root)
+	case *GHTree:
+		e.u64(uint64(x.db.N()))
+		encodeGHNode(e, x.root)
+	case *ShardedIndex:
+		return encodeSharded(e, x)
+	case *MutableIndex:
+		return encodeMutable(e, x)
+	default:
+		return fmt.Errorf("sisap: no codec for index kind %q (%T)", x.Name(), x)
+	}
+	return nil
+}
+
+// index decodes one whole container — d must hold nothing else — against db.
+func (d *dec) index(db *DB) (Index, error) {
+	kind := d.header()
+	if d.err != nil {
+		return nil, d.err
+	}
+	var x Index
+	var err error
+	switch kind {
+	case "linear":
+		checkN(d, db)
+		x = NewLinearScan(db)
+	case "aesa":
+		x = &AESA{db: db, matrix: decodeMatrix(d, db)}
+	case "iaesa":
+		x = &IAESA{db: db, matrix: decodeMatrix(d, db)}
+	case "laesa":
+		x = decodeLAESA(d, db)
+	case "distperm":
+		x, err = decodePermPayload(d, db)
+	case "vptree":
+		checkN(d, db)
+		t := &VPTree{db: db}
+		t.root = decodeVPNode(d, db.N(), &t.size)
+		x = t
+	case "ghtree":
+		checkN(d, db)
+		t := &GHTree{db: db}
+		t.root = decodeGHNode(d, db.N(), &t.size)
+		x = t
+	case "sharded":
+		x, err = decodeSharded(d, db)
+	case "mutable":
+		x, err = decodeMutable(d, db)
+	default:
+		return nil, fmt.Errorf("sisap: no codec for index kind %q", kind)
+	}
+	if d.err != nil {
+		err = d.err
+	}
+	if err == nil && len(d.b) != 0 {
+		err = fmt.Errorf("sisap: %d trailing bytes after the %s payload", len(d.b), kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // checkN reads the point count stored at the front of every payload and
 // verifies it matches the database the caller supplied.
-func checkN(r io.Reader, db *DB) error {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return fmt.Errorf("sisap: reading point count: %w", err)
+func checkN(d *dec, db *DB) {
+	if n := d.u64(); d.err == nil && n != uint64(db.N()) {
+		d.fail("index has %d points, database has %d", n, db.N())
 	}
-	if int(n) != db.N() {
-		return fmt.Errorf("sisap: index has %d points, database has %d", n, db.N())
-	}
-	return nil
-}
-
-// --- linear ---
-
-func encodeLinear(w io.Writer, x Index) error {
-	s, ok := x.(*LinearScan)
-	if !ok {
-		return fmt.Errorf("sisap: linear codec given %T", x)
-	}
-	return binary.Write(w, binary.LittleEndian, uint64(s.db.N()))
-}
-
-func decodeLinear(r io.Reader, db *DB) (Index, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
-	}
-	return NewLinearScan(db), nil
 }
 
 // --- aesa / iaesa ---
 
-// encodeMatrixIndex writes the strict upper triangle of the n×n distance
-// matrix shared by AESA and IAESA: n(n−1)/2 float64s, halving the on-disk
+// encodeMatrix writes the strict upper triangle of the n×n distance matrix
+// shared by AESA and IAESA: n(n−1)/2 float64s, halving the on-disk
 // footprint relative to the in-memory representation.
-func encodeMatrixIndex(w io.Writer, x Index) error {
-	var matrix [][]float64
-	switch idx := x.(type) {
-	case *AESA:
-		matrix = idx.matrix
-	case *IAESA:
-		matrix = idx.matrix
-	default:
-		return fmt.Errorf("sisap: matrix codec given %T", x)
+func encodeMatrix(e *enc, matrix [][]float64) {
+	e.u64(uint64(len(matrix)))
+	for i, row := range matrix {
+		e.f64s(row[i+1:])
 	}
-	n := len(matrix)
-	if err := binary.Write(w, binary.LittleEndian, uint64(n)); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := binary.Write(w, binary.LittleEndian, matrix[i][i+1:]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-func decodeMatrix(r io.Reader, db *DB) ([][]float64, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
-	}
+func decodeMatrix(d *dec, db *DB) [][]float64 {
+	checkN(d, db)
 	n := db.N()
+	// The whole triangle is claimed from the input before the n×n matrix is
+	// allocated, so a short file costs nothing.
+	tri := newDec(d.bytes(8 * uint64(n) * uint64(n-1) / 2))
+	if d.err != nil {
+		return nil
+	}
 	matrix := make([][]float64, n)
 	for i := range matrix {
 		matrix[i] = make([]float64, n)
 	}
 	for i := 0; i < n; i++ {
-		row := matrix[i][i+1:]
-		if err := binary.Read(r, binary.LittleEndian, row); err != nil {
-			return nil, fmt.Errorf("sisap: reading matrix row %d: %w", i, err)
-		}
 		for j := i + 1; j < n; j++ {
-			d := matrix[i][j]
-			if math.IsNaN(d) || d < 0 {
-				return nil, fmt.Errorf("sisap: corrupt matrix entry (%d,%d) = %v", i, j, d)
+			v := tri.f64()
+			if math.IsNaN(v) || v < 0 {
+				d.fail("corrupt matrix entry (%d,%d) = %v", i, j, v)
+				return nil
 			}
-			matrix[j][i] = d
+			matrix[i][j], matrix[j][i] = v, v
 		}
 	}
-	return matrix, nil
-}
-
-func decodeAESA(r io.Reader, db *DB) (Index, error) {
-	m, err := decodeMatrix(r, db)
-	if err != nil {
-		return nil, err
-	}
-	return &AESA{db: db, matrix: m}, nil
-}
-
-func decodeIAESA(r io.Reader, db *DB) (Index, error) {
-	m, err := decodeMatrix(r, db)
-	if err != nil {
-		return nil, err
-	}
-	return &IAESA{db: db, matrix: m}, nil
+	return matrix
 }
 
 // --- laesa ---
 
-func encodeLAESA(w io.Writer, x Index) error {
-	l, ok := x.(*LAESA)
-	if !ok {
-		return fmt.Errorf("sisap: laesa codec given %T", x)
+func decodeLAESA(d *dec, db *DB) *LAESA {
+	checkN(d, db)
+	n := db.N()
+	m := d.count("pivot count", uint64(d.u32()), 1, n)
+	l := &LAESA{db: db, pivots: d.ids("pivot ID", m, n), table: make([][]float64, m)}
+	for p := range l.table {
+		l.table[p] = d.f64s(n)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(l.db.N())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(l.pivots))); err != nil {
-		return err
-	}
-	for _, id := range l.pivots {
-		if err := binary.Write(w, binary.LittleEndian, uint64(id)); err != nil {
-			return err
-		}
-	}
-	for _, row := range l.table {
-		if err := binary.Write(w, binary.LittleEndian, row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l
 }
 
-func decodeLAESA(r io.Reader, db *DB) (Index, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
-	}
-	var m uint32
-	if err := binary.Read(r, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("sisap: reading pivot count: %w", err)
-	}
-	if m == 0 || int(m) > db.N() {
-		return nil, fmt.Errorf("sisap: pivot count %d out of range 1..%d", m, db.N())
-	}
-	pivots := make([]int, m)
-	for i := range pivots {
-		var id uint64
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-			return nil, fmt.Errorf("sisap: reading pivot %d: %w", i, err)
-		}
-		if int(id) >= db.N() {
-			return nil, fmt.Errorf("sisap: pivot ID %d out of range", id)
-		}
-		pivots[i] = int(id)
-	}
-	table := make([][]float64, m)
-	for p := range table {
-		row := make([]float64, db.N())
-		if err := binary.Read(r, binary.LittleEndian, row); err != nil {
-			return nil, fmt.Errorf("sisap: reading pivot table row %d: %w", p, err)
-		}
-		table[p] = row
-	}
-	return &LAESA{db: db, pivots: pivots, table: table}, nil
-}
-
-// --- distperm ---
-
-func encodeDistperm(w io.Writer, x Index) error {
-	p, ok := x.(*PermIndex)
-	if !ok {
-		return fmt.Errorf("sisap: distperm codec given %T", x)
-	}
-	return p.encodePayload(w)
-}
-
-func decodeDistperm(r io.Reader, db *DB) (Index, error) {
-	return decodePermPayload(r, db)
-}
-
-// --- vptree ---
+// --- vptree / ghtree ---
 
 // Tree payloads store a preorder walk. Each node is a flags byte (bit 0:
 // inside/left child present, bit 1: outside/right child present) followed by
 // the node fields; children follow recursively. Reconstruction therefore
 // costs zero metric evaluations, unlike rebuilding the tree.
 
-func encodeVPTree(w io.Writer, x Index) error {
-	t, ok := x.(*VPTree)
-	if !ok {
-		return fmt.Errorf("sisap: vptree codec given %T", x)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(t.db.N())); err != nil {
-		return err
-	}
-	return encodeVPNode(w, t.root)
-}
-
-func encodeVPNode(w io.Writer, n *vpNode) error {
-	var flags byte
-	if n.inside != nil {
+// nodeFlags encodes which children follow a tree node.
+func nodeFlags(first, second bool) (flags uint8) {
+	if first {
 		flags |= 1
 	}
-	if n.outside != nil {
+	if second {
 		flags |= 2
 	}
-	if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
-		return err
+	return flags
+}
+
+// treeNode reads a node's flags byte, having counted the node against the n
+// a tree over n points can hold (which also bounds the recursion).
+func (d *dec) treeNode(kind string, n int, size *int64) (flags uint8) {
+	if *size >= int64(n) {
+		d.fail("%s has more than %d nodes", kind, n)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(n.id)); err != nil {
-		return err
+	*size++
+	if flags = d.u8(); flags > 3 {
+		d.fail("corrupt %s node flags %#x", kind, flags)
 	}
-	if err := binary.Write(w, binary.LittleEndian, n.median); err != nil {
-		return err
-	}
+	return flags
+}
+
+func encodeVPNode(e *enc, n *vpNode) {
+	e.u8(nodeFlags(n.inside != nil, n.outside != nil))
+	e.u64(uint64(n.id))
+	e.f64(n.median)
 	if n.inside != nil {
-		if err := encodeVPNode(w, n.inside); err != nil {
-			return err
-		}
+		encodeVPNode(e, n.inside)
 	}
 	if n.outside != nil {
-		return encodeVPNode(w, n.outside)
+		encodeVPNode(e, n.outside)
 	}
-	return nil
 }
 
-func decodeVPTree(r io.Reader, db *DB) (Index, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
+func decodeVPNode(d *dec, n int, size *int64) *vpNode {
+	flags := d.treeNode("vptree", n, size)
+	node := &vpNode{id: d.id("vptree vantage point", n), median: d.f64()}
+	if d.err != nil {
+		return nil
 	}
-	t := &VPTree{db: db}
-	root, err := decodeVPNode(r, db.N(), &t.size)
-	if err != nil {
-		return nil, err
-	}
-	t.root = root
-	return t, nil
-}
-
-func decodeVPNode(r io.Reader, n int, size *int64) (*vpNode, error) {
-	if *size >= int64(n) {
-		return nil, fmt.Errorf("sisap: vptree has more than %d nodes", n)
-	}
-	*size++
-	var flags byte
-	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-		return nil, fmt.Errorf("sisap: reading vptree node: %w", err)
-	}
-	if flags > 3 {
-		return nil, fmt.Errorf("sisap: corrupt vptree node flags %#x", flags)
-	}
-	var id uint64
-	if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-		return nil, fmt.Errorf("sisap: reading vptree node: %w", err)
-	}
-	if int(id) >= n {
-		return nil, fmt.Errorf("sisap: vptree vantage point %d out of range", id)
-	}
-	node := &vpNode{id: int(id)}
-	if err := binary.Read(r, binary.LittleEndian, &node.median); err != nil {
-		return nil, fmt.Errorf("sisap: reading vptree node: %w", err)
-	}
-	var err error
 	if flags&1 != 0 {
-		if node.inside, err = decodeVPNode(r, n, size); err != nil {
-			return nil, err
-		}
+		node.inside = decodeVPNode(d, n, size)
 	}
 	if flags&2 != 0 {
-		if node.outside, err = decodeVPNode(r, n, size); err != nil {
-			return nil, err
-		}
+		node.outside = decodeVPNode(d, n, size)
 	}
-	return node, nil
+	return node
 }
 
-// --- ghtree ---
-
-func encodeGHTree(w io.Writer, x Index) error {
-	t, ok := x.(*GHTree)
-	if !ok {
-		return fmt.Errorf("sisap: ghtree codec given %T", x)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(t.db.N())); err != nil {
-		return err
-	}
-	return encodeGHNode(w, t.root)
-}
-
-func encodeGHNode(w io.Writer, n *ghNode) error {
-	var flags byte
+func encodeGHNode(e *enc, n *ghNode) {
+	e.u8(nodeFlags(n.left != nil, n.right != nil))
+	e.u64(uint64(n.a))
+	e.u64(uint64(int64(n.b)))
 	if n.left != nil {
-		flags |= 1
+		encodeGHNode(e, n.left)
 	}
 	if n.right != nil {
-		flags |= 2
+		encodeGHNode(e, n.right)
 	}
-	if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(n.a)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, int64(n.b)); err != nil {
-		return err
-	}
-	if n.left != nil {
-		if err := encodeGHNode(w, n.left); err != nil {
-			return err
-		}
-	}
-	if n.right != nil {
-		return encodeGHNode(w, n.right)
-	}
-	return nil
 }
 
-func decodeGHTree(r io.Reader, db *DB) (Index, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
+func decodeGHNode(d *dec, n int, size *int64) *ghNode {
+	flags := d.treeNode("ghtree", n, size)
+	node := &ghNode{a: d.id("ghtree pivot", n), b: -1}
+	// The second pivot is an int64 on disk: −1 marks a single-point node.
+	if b := d.u64(); b != math.MaxUint64 {
+		node.b = d.count("ghtree pivot", b, 0, n-1)
 	}
-	t := &GHTree{db: db}
-	root, err := decodeGHNode(r, db.N(), &t.size)
-	if err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil
 	}
-	t.root = root
-	return t, nil
-}
-
-func decodeGHNode(r io.Reader, n int, size *int64) (*ghNode, error) {
-	if *size >= int64(n) {
-		return nil, fmt.Errorf("sisap: ghtree has more than %d nodes", n)
-	}
-	*size++
-	var flags byte
-	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-		return nil, fmt.Errorf("sisap: reading ghtree node: %w", err)
-	}
-	if flags > 3 {
-		return nil, fmt.Errorf("sisap: corrupt ghtree node flags %#x", flags)
-	}
-	var a uint64
-	var b int64
-	if err := binary.Read(r, binary.LittleEndian, &a); err != nil {
-		return nil, fmt.Errorf("sisap: reading ghtree node: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &b); err != nil {
-		return nil, fmt.Errorf("sisap: reading ghtree node: %w", err)
-	}
-	if int(a) >= n || b >= int64(n) || b < -1 {
-		return nil, fmt.Errorf("sisap: ghtree pivot (%d,%d) out of range", a, b)
-	}
-	node := &ghNode{a: int(a), b: int(b)}
-	var err error
 	if flags&1 != 0 {
-		if node.left, err = decodeGHNode(r, n, size); err != nil {
-			return nil, err
-		}
+		node.left = decodeGHNode(d, n, size)
 	}
 	if flags&2 != 0 {
-		if node.right, err = decodeGHNode(r, n, size); err != nil {
-			return nil, err
-		}
+		node.right = decodeGHNode(d, n, size)
 	}
-	return node, nil
+	return node
 }

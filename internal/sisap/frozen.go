@@ -2,10 +2,10 @@ package sisap
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -22,7 +22,7 @@ import (
 // the rankTable layout), the row IDs as plain uint32, and each section
 // 64-byte-aligned at an explicit offset — so OpenMapped can validate the
 // header and hand out zero-copy views into a read-only mapping instead of
-// stream-decoding the container onto the heap. Restart cost over a frozen
+// decoding the container onto the heap. Restart cost over a frozen
 // store is one sequential checksum pass, not a per-element decode, and
 // every process serving the same file shares one page-cache copy.
 //
@@ -30,10 +30,10 @@ import (
 // (magic, version, kind "distperm"):
 //
 //	tag        uint32   permFrozenV2Tag ("PFR2")
-//	headerOff  uint64   absolute file offset of the tag (self-locating:
-//	                    section offsets below are absolute, so a
-//	                    non-seeking stream decoder derives skip distances
-//	                    from this instead of its unknown stream position)
+//	headerOff  uint64   absolute file offset of the tag: always
+//	                    frozenPrefixLen — a frozen container is a file
+//	                    image (section offsets below are absolute) and does
+//	                    not nest inside another container
 //	k          uint32   number of sites
 //	dist       uint32   PermDistance
 //	n          uint64   number of points
@@ -87,8 +87,6 @@ const (
 
 var frozenSectionName = [frozenNumSecs]string{"sites", "ranks", "ids", "points", "buckets"}
 
-var frozenCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrNeedDB reports that a frozen container embeds no point vectors, so
 // opening it requires the caller to supply the database it was built on.
 var ErrNeedDB = errors.New("sisap: frozen container embeds no points; a database is required")
@@ -108,7 +106,7 @@ type frozenSection struct {
 	crc    uint32 // CRC-32C of the section bytes
 }
 
-// frozenHeader is the parsed fixed header of a frozen payload.
+// frozenHeader is the fixed header of a frozen payload.
 type frozenHeader struct {
 	headerOff uint64
 	k         int
@@ -120,48 +118,29 @@ type frozenHeader struct {
 	metricLen int
 	ell       int // directory prefix length
 	nbuckets  int // directory size
-	sec       []frozenSection
+	sec       [frozenNumSecs]frozenSection
 }
 
-// parseFrozenFixed decodes the frozenFixedLen header bytes that follow the
-// tag.
-func parseFrozenFixed(b []byte) frozenHeader {
-	le := binary.LittleEndian
-	var h frozenHeader
-	h.headerOff = le.Uint64(b[0:])
-	h.k = int(le.Uint32(b[8:]))
-	h.dist = PermDistance(le.Uint32(b[12:]))
-	h.n = le.Uint64(b[16:])
-	h.distinct = int(le.Uint32(b[24:]))
-	h.rankWidth = int(le.Uint32(b[28:]))
-	h.dims = int(le.Uint32(b[32:]))
-	h.metricLen = int(le.Uint32(b[36:]))
-	h.sec = make([]frozenSection, frozenNumSecs)
-	for i := range h.sec {
-		base := 40 + 24*i
-		h.sec[i] = frozenSection{
-			off:    le.Uint64(b[base:]),
-			length: le.Uint64(b[base+8:]),
-			crc:    le.Uint32(b[base+16:]),
-		}
-	}
-	h.ell = int(le.Uint32(b[40+24*frozenNumSecs:]))
-	h.nbuckets = int(le.Uint32(b[44+24*frozenNumSecs:]))
-	return h
-}
-
-// sectionLens returns the exact byte length every section must have given
-// the header counts. All factors are bounded by check's field validation,
-// so the uint64 products cannot overflow.
-func (h *frozenHeader) sectionLens() []uint64 {
+// layout returns the one section table the header's counts allow: ascending
+// 64-byte-aligned offsets and exact computed lengths (checksums left zero).
+// The writer places sections by it and the reader accepts no other, so all
+// factors are bounded by decodeFrozenHeader's field ranges before a reader
+// multiplies them, and the uint64 products cannot overflow.
+func (h *frozenHeader) layout() (sec [frozenNumSecs]frozenSection) {
 	nb := uint64(h.nbuckets)
-	return []uint64{
+	lens := [frozenNumSecs]uint64{
 		frozenSecSites:   uint64(h.k) * 8,
 		frozenSecRanks:   uint64(h.distinct) * uint64(h.k) * uint64(h.rankWidth),
 		frozenSecIDs:     h.n * 4,
 		frozenSecPoints:  h.n * uint64(h.dims) * 8,
 		frozenSecBuckets: 4 * (nb*uint64(h.ell) + 2*(nb+1) + uint64(h.distinct) + h.n),
 	}
+	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
+	for i, length := range lens {
+		sec[i] = frozenSection{off: align64(pos), length: length}
+		pos = sec[i].off + length
+	}
+	return sec
 }
 
 // end returns the file offset one past the last section.
@@ -170,68 +149,70 @@ func (h *frozenHeader) end() uint64 {
 	return last.off + last.length
 }
 
-// check validates every header field and the canonical section layout —
-// ascending 64-byte-aligned offsets with sub-alignment gaps and exact
-// computed lengths — so that a header that passes cannot direct the
-// decoder out of bounds or into an oversized allocation.
-func (h *frozenHeader) check() error {
-	if h.k < 1 || h.k > 65535 {
-		return fmt.Errorf("sisap: frozen k=%d out of range 1..65535", h.k)
+// encode appends the frozenFixedLen header bytes that follow the tag.
+func (h *frozenHeader) encode(e *enc) {
+	e.u64(h.headerOff)
+	e.u32(uint32(h.k))
+	e.u32(uint32(h.dist))
+	e.u64(h.n)
+	e.u32(uint32(h.distinct))
+	e.u32(uint32(h.rankWidth))
+	e.u32(uint32(h.dims))
+	e.u32(uint32(h.metricLen))
+	for _, s := range h.sec {
+		e.u64(s.off)
+		e.u64(s.length)
+		e.u32(s.crc)
+		e.u32(0)
 	}
-	if h.dist < Footrule || h.dist > SpearmanRho {
-		return fmt.Errorf("sisap: frozen container has unknown permutation distance %d", int(h.dist))
+	e.u32(uint32(h.ell))
+	e.u32(uint32(h.nbuckets))
+}
+
+// decodeFrozenHeader reads the header that follows the tag and validates it
+// as it goes: every field against its range, then the section table against
+// the canonical layout — so a header that decodes cannot direct a reader out
+// of bounds or into an oversized allocation.
+func decodeFrozenHeader(d *dec) frozenHeader {
+	var h frozenHeader
+	if h.headerOff = d.u64(); d.err == nil && h.headerOff != uint64(frozenPrefixLen) {
+		d.fail("frozen header claims offset %d, found at %d", h.headerOff, frozenPrefixLen)
 	}
-	if h.n == 0 || h.n >= 1<<32 {
-		return fmt.Errorf("sisap: frozen point count %d out of range", h.n)
+	h.k = d.count("frozen k", uint64(d.u32()), 1, 65535)
+	h.dist = PermDistance(d.count("frozen permutation distance", uint64(d.u32()), int(Footrule), int(SpearmanRho)))
+	if h.n = d.u64(); d.err == nil && (h.n == 0 || h.n >= 1<<32) {
+		d.fail("frozen point count %d out of range", h.n)
 	}
-	if h.distinct < 1 || uint64(h.distinct) > h.n {
-		return fmt.Errorf("sisap: frozen distinct count %d out of range 1..%d", h.distinct, h.n)
-	}
+	h.distinct = d.count("frozen distinct count", uint64(d.u32()), 1, int(min(h.n, math.MaxInt)))
 	wantWidth := 1
 	if h.k > 256 {
 		wantWidth = 2
 	}
-	if h.rankWidth != wantWidth {
-		return fmt.Errorf("sisap: frozen rank width %d does not match k=%d (want %d)", h.rankWidth, h.k, wantWidth)
+	h.rankWidth = d.count("frozen rank width", uint64(d.u32()), wantWidth, wantWidth)
+	h.dims = d.count("frozen point dimensionality", uint64(d.u32()), 0, frozenMaxDims)
+	h.metricLen = d.count("frozen metric name length", uint64(d.u32()), 0, maxKindLen)
+	for i := range h.sec {
+		h.sec[i] = frozenSection{off: d.u64(), length: d.u64(), crc: d.u32()}
+		d.u32() // reserved
 	}
-	if h.dims > frozenMaxDims {
-		return fmt.Errorf("sisap: frozen point dimensionality %d exceeds limit %d", h.dims, frozenMaxDims)
+	h.ell = d.count("frozen bucket prefix length", uint64(d.u32()), 1, h.k)
+	h.nbuckets = d.count("frozen bucket count", uint64(d.u32()), 1, h.distinct)
+	if d.err == nil && h.dims > 0 && h.metricLen == 0 {
+		d.fail("frozen container embeds points but no metric name")
 	}
-	if h.metricLen > maxKindLen {
-		return fmt.Errorf("sisap: frozen metric name length %d out of range", h.metricLen)
-	}
-	if h.dims > 0 && h.metricLen == 0 {
-		return errors.New("sisap: frozen container embeds points but no metric name")
-	}
-	if h.ell < 1 || h.ell > h.k {
-		return fmt.Errorf("sisap: frozen bucket prefix length %d out of range 1..%d", h.ell, h.k)
-	}
-	if h.nbuckets < 1 || h.nbuckets > h.distinct {
-		return fmt.Errorf("sisap: frozen bucket count %d out of range 1..%d", h.nbuckets, h.distinct)
-	}
-	// headerOff is bounded so the offset arithmetic below cannot overflow
-	// (section lengths are ≤ 2^51 by the field bounds above).
-	if h.headerOff > 1<<20 {
-		return fmt.Errorf("sisap: frozen header offset %d out of range", h.headerOff)
-	}
-	want := h.sectionLens()
-	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
-	for i, s := range h.sec {
-		off := align64(pos)
-		if s.off != off {
-			return fmt.Errorf("sisap: frozen %s section at offset %d, want %d", frozenSectionName[i], s.off, off)
+	for i, want := range h.layout() {
+		if s := h.sec[i]; d.err == nil && (s.off != want.off || s.length != want.length) {
+			d.fail("frozen %s section is %d bytes at offset %d, want %d at %d",
+				frozenSectionName[i], s.length, s.off, want.length, want.off)
 		}
-		if s.length != want[i] {
-			return fmt.Errorf("sisap: frozen %s section is %d bytes, want %d", frozenSectionName[i], s.length, want[i])
-		}
-		pos = off + s.length
 	}
-	return nil
+	return h
 }
 
 // verifySections checks each section's CRC-32C and then the value bounds
-// the query kernels index by without per-element checks: every rank < k,
-// every row ID < distinct, every site ID < n. A file that passes cannot
+// the query kernels index by without per-element checks: every rank < k and
+// every row ID < distinct (buildFrozenIndex reads the site IDs through the
+// cursor's own id rule). A file that passes cannot
 // drive the kernels or the scatter loops out of bounds. (Duplicate rank
 // rows — which the compact decoder rejects — are tolerated here: they
 // waste table space but cannot corrupt an answer, and detecting them
@@ -239,14 +220,9 @@ func (h *frozenHeader) check() error {
 func (h *frozenHeader) verifySections(secs [][]byte) error {
 	le := binary.LittleEndian
 	for i, b := range secs {
-		if got := crc32.Checksum(b, frozenCRC); got != h.sec[i].crc {
+		if got := CRC32C(b); got != h.sec[i].crc {
 			mmapCksumFail.Add(1)
 			return fmt.Errorf("sisap: frozen %s section checksum mismatch (%08x, want %08x)", frozenSectionName[i], got, h.sec[i].crc)
-		}
-	}
-	for off := 0; off < len(secs[frozenSecSites]); off += 8 {
-		if id := le.Uint64(secs[frozenSecSites][off:]); id >= h.n {
-			return fmt.Errorf("sisap: frozen site ID %d out of range", id)
 		}
 	}
 	ranks := secs[frozenSecRanks]
@@ -365,39 +341,17 @@ func (h *frozenHeader) verifyBucketSection(secs [][]byte) error {
 
 // --- writing ---
 
-// frozenPoints encodes the database's coordinate block for embedding, if
-// the database is self-describing: a ByName-resolvable metric over a packed
-// block of equal-dimension float vectors. Otherwise it reports dims 0 and
-// the container is written without points (ErrNeedDB on a db-less open).
-func frozenPoints(db *DB) (points []byte, dims int, name string) {
+// frozenPointDims reports whether the database's coordinate block can be
+// embedded — a ByName-resolvable metric over a packed block of
+// equal-dimension float vectors — as its dimension and metric name.
+// Otherwise it reports dims 0 and the container is written without points
+// (ErrNeedDB on a db-less open).
+func frozenPointDims(db *DB) (dims int, name string) {
 	name = db.Metric.Name()
 	if _, err := metric.ByName(name); err != nil || db.dim == 0 || db.dim > frozenMaxDims {
-		return nil, 0, ""
+		return 0, ""
 	}
-	buf := make([]byte, 8*len(db.block))
-	for i, f := range db.block {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(f))
-	}
-	return buf, db.dim, name
-}
-
-// WriteOptions configures WriteIndexWith.
-type WriteOptions struct {
-	// Compact selects the bit-packed wire form — exactly what WriteIndex
-	// emits, smallest on the wire but k ≤ 20 and decoded onto the heap.
-	// The default (false) writes the sectioned frozen form, larger but
-	// servable zero-copy via OpenMapped and unrestricted in k.
-	Compact bool
-}
-
-// WriteIndexWith serialises x in the v2 container, in the form opts
-// selects. The frozen form is only defined for the distperm kind; every
-// other index kind writes compact regardless.
-func WriteIndexWith(w io.Writer, x Index, opts WriteOptions) (int64, error) {
-	if px, ok := x.(*PermIndex); ok && !opts.Compact {
-		return WriteFrozen(w, px)
-	}
-	return WriteIndex(w, x)
+	return db.dim, name
 }
 
 // WriteFrozen serialises x in the sectioned frozen form (PFR2) of the v2
@@ -409,126 +363,72 @@ func WriteIndexWith(w io.Writer, x Index, opts WriteOptions) (int64, error) {
 // written as the fifth section, so mapped opens serve approximate queries
 // zero-copy.
 func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
-	k := x.K()
 	n := uint64(x.db.N())
 	if n == 0 || n >= 1<<32 {
 		return 0, fmt.Errorf("sisap: cannot freeze an index over %d points", n)
 	}
-	distinct := x.table.rows
 	pb := x.buckets()
-	nb := pb.numBuckets()
-
-	secs := make([][]byte, frozenNumSecs)
-	sites := make([]byte, 8*k)
-	for i, id := range x.siteIDs {
-		binary.LittleEndian.PutUint64(sites[8*i:], uint64(id))
+	dims, metricName := frozenPointDims(x.db)
+	h := frozenHeader{
+		headerOff: uint64(frozenPrefixLen),
+		k:         x.K(),
+		dist:      x.dist,
+		n:         n,
+		distinct:  x.table.rows,
+		rankWidth: 1,
+		dims:      dims,
+		metricLen: len(metricName),
+		ell:       pb.ell,
+		nbuckets:  pb.numBuckets(),
 	}
-	secs[frozenSecSites] = sites
-	rankWidth := 1
 	if x.table.wide() {
-		rankWidth = 2
-		ranks := make([]byte, 2*distinct*k)
-		for i, r := range x.table.r16.data {
-			binary.LittleEndian.PutUint16(ranks[2*i:], r)
-		}
-		secs[frozenSecRanks] = ranks
-	} else {
-		// The uint8 store is already the on-disk byte layout.
-		secs[frozenSecRanks] = x.table.r8.data
+		h.rankWidth = 2
 	}
-	ids := make([]byte, 4*len(x.tableIDs))
-	for i, id := range x.tableIDs {
-		binary.LittleEndian.PutUint32(ids[4*i:], id)
-	}
-	secs[frozenSecIDs] = ids
-	points, dims, metricName := frozenPoints(x.db)
-	secs[frozenSecPoints] = points
-	buckets := make([]byte, 0, 4*(nb*pb.ell+2*(nb+1)+distinct+int(n)))
-	for _, arr := range [][]uint32{pb.prefixes, pb.rowStarts, pb.rowOrder, pb.ptStarts, pb.ptOrder} {
-		for _, v := range arr {
-			buckets = binary.LittleEndian.AppendUint32(buckets, v)
-		}
-	}
-	secs[frozenSecBuckets] = buckets
+	h.sec = h.layout()
 
-	headerOff := uint64(frozenPrefixLen)
-	sec := make([]frozenSection, frozenNumSecs)
-	pos := headerOff + 4 + frozenFixedLen + uint64(len(metricName))
-	for i, b := range secs {
-		off := align64(pos)
-		sec[i] = frozenSection{off: off, length: uint64(len(b)), crc: crc32.Checksum(b, frozenCRC)}
-		pos = off + uint64(len(b))
-	}
-
-	le := binary.LittleEndian
-	hdr := make([]byte, 4+frozenFixedLen+len(metricName))
-	le.PutUint32(hdr[0:], permFrozenV2Tag)
-	le.PutUint64(hdr[4:], headerOff)
-	le.PutUint32(hdr[12:], uint32(k))
-	le.PutUint32(hdr[16:], uint32(x.dist))
-	le.PutUint64(hdr[20:], n)
-	le.PutUint32(hdr[28:], uint32(distinct))
-	le.PutUint32(hdr[32:], uint32(rankWidth))
-	le.PutUint32(hdr[36:], uint32(dims))
-	le.PutUint32(hdr[40:], uint32(len(metricName)))
-	for i, s := range sec {
-		base := 44 + 24*i
-		le.PutUint64(hdr[base:], s.off)
-		le.PutUint64(hdr[base+8:], s.length)
-		le.PutUint32(hdr[base+16:], s.crc)
-	}
-	le.PutUint32(hdr[44+24*frozenNumSecs:], uint32(pb.ell))
-	le.PutUint32(hdr[48+24*frozenNumSecs:], uint32(nb))
-	copy(hdr[4+frozenFixedLen:], metricName)
-
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-	werr := func() error {
-		if _, err := io.WriteString(cw, codecMagic); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, le, uint32(codecVersion)); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, le, uint32(len(frozenKind))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(cw, frozenKind); err != nil {
-			return err
-		}
-		if _, err := cw.Write(hdr); err != nil {
-			return err
-		}
-		for i, b := range secs {
-			if err := writeZeros(cw, int64(sec[i].off)-cw.n); err != nil {
-				return err
+	// The sections go in first, behind room for the header; the header is
+	// encoded last, over the front of the same image, once it can carry
+	// their checksums.
+	e := enc{b: make([]byte, h.sec[0].off, h.end())}
+	fill := [frozenNumSecs]func(){
+		frozenSecSites: func() { e.ids(x.siteIDs) },
+		frozenSecRanks: func() {
+			// The uint8 store is already the on-disk byte layout.
+			e.b = append(e.b, x.table.r8.data...)
+			for _, r := range x.table.r16.data {
+				e.b = binary.LittleEndian.AppendUint16(e.b, r)
 			}
-			if _, err := cw.Write(b); err != nil {
-				return err
+		},
+		frozenSecIDs: func() { e.u32s(x.tableIDs) },
+		frozenSecPoints: func() {
+			if dims > 0 {
+				e.f64s(x.db.block)
 			}
-		}
-		return bw.Flush()
-	}()
-	return cw.n, werr
+		},
+		frozenSecBuckets: func() {
+			for _, arr := range [][]uint32{pb.prefixes, pb.rowStarts, pb.rowOrder, pb.ptStarts, pb.ptOrder} {
+				e.u32s(arr)
+			}
+		},
+	}
+	for i, s := range h.sec {
+		e.b = append(e.b, make([]byte, s.off-uint64(len(e.b)))...) // zero padding
+		fill[i]()
+		h.sec[i].crc = CRC32C(e.b[s.off:])
+	}
+	hdr := enc{b: e.b[:0]}
+	hdr.header(frozenKind)
+	hdr.u32(permFrozenV2Tag)
+	h.encode(&hdr)
+	hdr.str(metricName)
+	if uint64(len(e.b)) != h.end() || uint64(len(hdr.b)) > h.sec[0].off {
+		panic("sisap: frozen writer and layout disagree")
+	}
+	nw, err := w.Write(e.b)
+	return int64(nw), err
 }
 
-var zeroPad [frozenAlign]byte
-
-func writeZeros(w io.Writer, n int64) error {
-	for n > 0 {
-		chunk := n
-		if chunk > frozenAlign {
-			chunk = frozenAlign
-		}
-		if _, err := w.Write(zeroPad[:chunk]); err != nil {
-			return err
-		}
-		n -= chunk
-	}
-	return nil
-}
-
-// --- decoding (shared by the stream and mapped paths) ---
+// --- decoding ---
 
 // Zero-copy reinterpretations of a mapping section as its typed contents.
 // Safe because the writer 64-byte-aligns every section, mappings are
@@ -613,14 +513,21 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 		floats := frozenFloat64s(secs[frozenSecPoints], zeroCopy)
 		db = packedDB(m, make([]metric.Point, h.n), floats, h.dims)
 	}
-	siteIDs := make([]int, h.k)
-	for i := range siteIDs {
-		siteIDs[i] = int(binary.LittleEndian.Uint64(secs[frozenSecSites][8*i:]))
+	sites := newDec(secs[frozenSecSites])
+	siteIDs := sites.ids("frozen site ID", h.k, int(h.n))
+	if sites.err != nil {
+		return nil, nil, sites.err
 	}
 	var table *rankTable
 	if h.rankWidth == 1 {
-		// []uint8 is []byte: the section bytes are the store, both paths.
-		table = newFrozenRankTable(h.k, h.distinct, secs[frozenSecRanks], nil)
+		// []uint8 is []byte: the section bytes are the store — in place on
+		// the mapped path, copied on the heap path so that a decoded index
+		// does not pin the whole file image.
+		ranks := secs[frozenSecRanks]
+		if !zeroCopy {
+			ranks = bytes.Clone(ranks)
+		}
+		table = newFrozenRankTable(h.k, h.distinct, ranks, nil)
 	} else {
 		table = newFrozenRankTable(h.k, h.distinct, nil, frozenUint16s(secs[frozenSecRanks], zeroCopy))
 	}
@@ -642,85 +549,6 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 		ptOrder:   cut(int(h.n)),
 	}
 	return idx, db, nil
-}
-
-// readFrozenSection reads exactly length section bytes, growing the buffer
-// in bounded chunks as data actually arrives. The header's field bounds cap
-// most sections, but a corrupt points section can legitimately claim
-// n×dims×8 bytes — far more than any real file holds — and a single
-// make([]byte, length) up front would be an attacker-priced allocation.
-// Chunked growth keeps memory proportional to the bytes the file really
-// contains: a short file fails with io.ErrUnexpectedEOF after at most one
-// chunk of slack.
-func readFrozenSection(br io.Reader, length uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	if length <= chunk {
-		b := make([]byte, length)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	b := make([]byte, 0, chunk)
-	for uint64(len(b)) < length {
-		n := length - uint64(len(b))
-		if n > chunk {
-			n = chunk
-		}
-		grown := append(b, make([]byte, n)...)
-		if _, err := io.ReadFull(br, grown[len(b):]); err != nil {
-			return nil, err
-		}
-		b = grown
-	}
-	return b, nil
-}
-
-// decodeFrozenStream reads a frozen payload sequentially — the
-// compatibility path ReadIndex uses, materialising a heap-backed index;
-// OpenMapped is the zero-copy path. The tag has already been consumed. The
-// header stores absolute section offsets, but it also stores its own
-// absolute offset, so the padding gaps can be derived without seeking.
-func decodeFrozenStream(br io.Reader, db *DB) (*PermIndex, error) {
-	if db == nil {
-		return nil, errors.New("sisap: stream-decoding a frozen container requires a database")
-	}
-	fixed := make([]byte, frozenFixedLen)
-	if _, err := io.ReadFull(br, fixed); err != nil {
-		return nil, fmt.Errorf("sisap: reading frozen header: %w", err)
-	}
-	h := parseFrozenFixed(fixed)
-	if err := h.check(); err != nil {
-		return nil, err
-	}
-	if uint64(db.N()) != h.n {
-		return nil, fmt.Errorf("sisap: index has %d points, database has %d", h.n, db.N())
-	}
-	name := make([]byte, h.metricLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("sisap: reading frozen metric name: %w", err)
-	}
-	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
-	secs := make([][]byte, len(h.sec))
-	for i, s := range h.sec {
-		// check pinned s.off to align64(pos), so the gap is < frozenAlign.
-		if gap := int64(s.off - pos); gap > 0 {
-			if _, err := io.CopyN(io.Discard, br, gap); err != nil {
-				return nil, fmt.Errorf("sisap: reading frozen %s section padding: %w", frozenSectionName[i], err)
-			}
-		}
-		b, err := readFrozenSection(br, s.length)
-		if err != nil {
-			return nil, fmt.Errorf("sisap: reading frozen %s section: %w", frozenSectionName[i], err)
-		}
-		secs[i] = b
-		pos = s.off + s.length
-	}
-	if err := h.verifySections(secs); err != nil {
-		return nil, err
-	}
-	idx, _, err := buildFrozenIndex(&h, string(name), secs, db, false)
-	return idx, err
 }
 
 // --- mapped open ---
@@ -812,37 +640,25 @@ func OpenMapped(path string, db *DB) (*Mapped, error) {
 }
 
 // openFrozenBytes validates a complete frozen container image and builds
-// the index over it (views when zeroCopy, decoded copies otherwise).
+// the index over it (views when zeroCopy, decoded copies otherwise). It is
+// the format's one reader: OpenMapped hands it the mapping, ReadIndex the
+// bytes it read.
 func openFrozenBytes(data []byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error) {
-	le := binary.LittleEndian
-	if len(data) < frozenPrefixLen+4+frozenFixedLen {
-		return nil, nil, fmt.Errorf("sisap: %d-byte file is too short for a frozen container", len(data))
+	d := newDec(data)
+	if kind := d.header(); d.err == nil && kind != frozenKind {
+		d.fail("only %q containers have a frozen form, this one holds %q", frozenKind, kind)
 	}
-	if string(data[:len(codecMagic)]) != codecMagic {
-		return nil, nil, fmt.Errorf("sisap: bad magic %q", data[:len(codecMagic)])
+	if tag := d.u32(); d.err == nil && tag != permFrozenV2Tag {
+		d.fail("container payload tag %#08x is not the frozen form PFR2 (write it with WriteFrozen, or decode it with ReadIndex)", tag)
 	}
-	if v := le.Uint32(data[len(codecMagic):]); v != codecVersion {
-		return nil, nil, fmt.Errorf("sisap: mapped open needs a v%d container, got version %d", codecVersion, v)
+	h := decodeFrozenHeader(d)
+	name := string(d.bytes(uint64(h.metricLen)))
+	if d.err == nil && h.end() != uint64(len(data)) {
+		d.fail("frozen container is %d bytes, header describes %d", len(data), h.end())
 	}
-	kindLen := le.Uint32(data[len(codecMagic)+4:])
-	if int(kindLen) != len(frozenKind) || string(data[len(codecMagic)+8:frozenPrefixLen]) != frozenKind {
-		return nil, nil, fmt.Errorf("sisap: mapped open supports only %q containers", frozenKind)
+	if d.err != nil {
+		return nil, nil, d.err
 	}
-	if tag := le.Uint32(data[frozenPrefixLen:]); tag != permFrozenV2Tag {
-		return nil, nil, fmt.Errorf("sisap: container payload tag %#08x is not the frozen form PFR2 (write it with WriteFrozen, or stream-decode with ReadIndex)", tag)
-	}
-	h := parseFrozenFixed(data[frozenPrefixLen+4:])
-	if err := h.check(); err != nil {
-		return nil, nil, err
-	}
-	if h.headerOff != uint64(frozenPrefixLen) {
-		return nil, nil, fmt.Errorf("sisap: frozen header claims offset %d, found at %d", h.headerOff, frozenPrefixLen)
-	}
-	nameOff := frozenPrefixLen + 4 + frozenFixedLen
-	if h.end() != uint64(len(data)) {
-		return nil, nil, fmt.Errorf("sisap: frozen container is %d bytes, header describes %d", len(data), h.end())
-	}
-	name := string(data[nameOff : nameOff+h.metricLen])
 	secs := make([][]byte, len(h.sec))
 	for i, s := range h.sec {
 		secs[i] = data[s.off : s.off+s.length : s.off+s.length]

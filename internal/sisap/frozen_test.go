@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -67,8 +66,8 @@ func permBackends(t testing.TB, idx *PermIndex, db *DB) []permBackend {
 }
 
 func TestFrozenStreamRoundTrip(t *testing.T) {
-	// A frozen container must also decode through the ordinary stream path
-	// (ReadIndex), yielding the same index a compact container would.
+	// A frozen container must also decode through ReadIndex — onto the
+	// heap — yielding the same index a compact container would.
 	for _, k := range []int{1, 6, 12} {
 		db, rng := testDB(710, 300, 3, metric.L2{})
 		for _, dist := range allPermDistances {
@@ -205,41 +204,6 @@ func TestFrozenRejectsWrongDatabase(t *testing.T) {
 	}
 }
 
-func TestWriteIndexWithSelectsForm(t *testing.T) {
-	db, rng := testDB(716, 150, 3, metric.L2{})
-	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	var compact, frozen bytes.Buffer
-	if _, err := WriteIndexWith(&compact, idx, WriteOptions{Compact: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteIndexWith(&frozen, idx, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var direct bytes.Buffer
-	if _, err := WriteIndex(&direct, idx); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(compact.Bytes(), direct.Bytes()) {
-		t.Error("Compact: true should emit exactly the WriteIndex wire form")
-	}
-	if tag := binary.LittleEndian.Uint32(frozen.Bytes()[frozenPrefixLen:]); tag != permFrozenV2Tag {
-		t.Errorf("default WriteIndexWith form has payload tag %#x, want frozen", tag)
-	}
-	if frozen.Len() <= compact.Len() {
-		t.Logf("note: frozen (%d bytes) not larger than compact (%d bytes)", frozen.Len(), compact.Len())
-	}
-	for _, buf := range []*bytes.Buffer{&compact, &frozen} {
-		loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()), db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := dataset.UniformVectors(rng, 1, 3)[0]
-		a, _ := idx.ScanOrder(q)
-		b, _ := loaded.(*PermIndex).ScanOrder(q)
-		assertSameOrder(t, "form", b, a)
-	}
-}
-
 // refreezeCRC recomputes the stored CRC of section i from the (possibly
 // mutated) section bytes, so corruption tests can separate "checksum
 // catches it" from "bounds validation catches it".
@@ -248,7 +212,7 @@ func refreezeCRC(data []byte, i int) {
 	base := frozenPrefixLen + 4 + 40 + 24*i
 	off := le.Uint64(data[base:])
 	length := le.Uint64(data[base+8:])
-	crc := crc32.Checksum(data[off:off+length], frozenCRC)
+	crc := CRC32C(data[off : off+length])
 	le.PutUint32(data[base+16:], crc)
 }
 
@@ -269,83 +233,81 @@ func TestFrozenRejectsCorruptContainers(t *testing.T) {
 	// tag@24, headerOff@28, k@36, dist@40, n@44, distinct@52, rankWidth@56,
 	// dims@60, metricLen@64, section descriptors @68+24i.
 	cases := []struct {
-		name       string
-		streamSkip bool // mutation invisible to the non-seeking stream decoder
-		mutate     func(d []byte) []byte
+		name   string
+		mutate func(d []byte) []byte
 	}{
-		{"truncated header", false, func(d []byte) []byte { return d[:100] }},
-		{"truncated section", false, func(d []byte) []byte { return d[:len(d)-7] }},
-		{"trailing garbage", true, func(d []byte) []byte { return append(d, 0xAB) }},
-		{"bad payload tag", false, func(d []byte) []byte {
+		{"truncated header", func(d []byte) []byte { return d[:100] }},
+		{"truncated section", func(d []byte) []byte { return d[:len(d)-7] }},
+		{"trailing garbage", func(d []byte) []byte { return append(d, 0xAB) }},
+		{"bad payload tag", func(d []byte) []byte {
 			le.PutUint32(d[24:], 0xFFFF_FFFF)
 			return d
 		}},
-		{"header offset lies", false, func(d []byte) []byte {
+		{"header offset lies", func(d []byte) []byte {
 			le.PutUint64(d[28:], 1024)
 			return d
 		}},
-		{"k zero", false, func(d []byte) []byte {
+		{"k zero", func(d []byte) []byte {
 			le.PutUint32(d[36:], 0)
 			return d
 		}},
-		{"unknown distance", false, func(d []byte) []byte {
+		{"unknown distance", func(d []byte) []byte {
 			le.PutUint32(d[40:], 9)
 			return d
 		}},
-		{"distinct zero", false, func(d []byte) []byte {
+		{"distinct zero", func(d []byte) []byte {
 			le.PutUint32(d[52:], 0)
 			return d
 		}},
-		{"distinct beyond n", false, func(d []byte) []byte {
+		{"distinct beyond n", func(d []byte) []byte {
 			le.PutUint32(d[52:], uint32(db.N()+1))
 			return d
 		}},
-		{"wrong rank width", false, func(d []byte) []byte {
+		{"wrong rank width", func(d []byte) []byte {
 			le.PutUint32(d[56:], 2)
 			return d
 		}},
-		{"oversized metric name", false, func(d []byte) []byte {
+		{"oversized metric name", func(d []byte) []byte {
 			le.PutUint32(d[64:], 2000)
 			return d
 		}},
-		{"sites offset out of bounds", false, func(d []byte) []byte {
+		{"sites offset out of bounds", func(d []byte) []byte {
 			le.PutUint64(d[68:], uint64(len(d))+(1<<20))
 			return d
 		}},
-		{"ranks length inflated", false, func(d []byte) []byte {
+		{"ranks length inflated", func(d []byte) []byte {
 			base := 68 + 24*frozenSecRanks
 			le.PutUint64(d[base+8:], le.Uint64(d[base+8:])+8)
 			return d
 		}},
-		{"ranks checksum mismatch", false, func(d []byte) []byte {
+		{"ranks checksum mismatch", func(d []byte) []byte {
 			off := le.Uint64(d[68+24*frozenSecRanks:])
 			d[off] ^= 0xFF
 			return d
 		}},
-		{"rank out of range, checksum fixed", false, func(d []byte) []byte {
+		{"rank out of range, checksum fixed", func(d []byte) []byte {
 			off := le.Uint64(d[68+24*frozenSecRanks:])
 			d[off] = 0xFF // k=6, rank 255 is out of range
 			refreezeCRC(d, frozenSecRanks)
 			return d
 		}},
-		{"row ID out of range, checksum fixed", false, func(d []byte) []byte {
+		{"row ID out of range, checksum fixed", func(d []byte) []byte {
 			off := le.Uint64(d[68+24*frozenSecIDs:])
 			le.PutUint32(d[off:], uint32(db.N())) // ≥ distinct for any table
 			refreezeCRC(d, frozenSecIDs)
 			return d
 		}},
-		{"site ID out of range, checksum fixed", false, func(d []byte) []byte {
+		{"site ID out of range, checksum fixed", func(d []byte) []byte {
 			off := le.Uint64(d[68+24*frozenSecSites:])
 			le.PutUint64(d[off:], uint64(db.N()))
 			refreezeCRC(d, frozenSecSites)
 			return d
 		}},
 		// A header whose fields pass every individual bound but whose
-		// dims inflates the points section to n×65536×8 ≈ 100GB. The
-		// mapped path rejects it as shorter than described; the stream
-		// path must fail on the short read without first attempting a
-		// 100GB allocation (readFrozenSection grows in bounded chunks).
-		{"points section claims 100GB", false, func(d []byte) []byte {
+		// dims inflates the points section to n×65536×8 ≈ 100GB. Both
+		// paths reject the image as shorter than its header describes,
+		// before anything is sized from the header.
+		{"points section claims 100GB", func(d []byte) []byte {
 			le.PutUint32(d[60:], frozenMaxDims)
 			base := 68 + 24*frozenSecPoints
 			n := le.Uint64(d[44:])
@@ -358,11 +320,8 @@ func TestFrozenRejectsCorruptContainers(t *testing.T) {
 		if _, err := OpenMappedBytesForTest(data, db); err == nil {
 			t.Errorf("%s: mapped open accepted the corruption", tc.name)
 		}
-		if tc.streamSkip {
-			continue
-		}
 		if _, err := ReadIndex(bytes.NewReader(data), db); err == nil {
-			t.Errorf("%s: stream decode accepted the corruption", tc.name)
+			t.Errorf("%s: ReadIndex accepted the corruption", tc.name)
 		}
 	}
 }

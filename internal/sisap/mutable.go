@@ -1,10 +1,8 @@
 package sisap
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"sort"
 
 	"distperm/internal/metric"
@@ -97,7 +95,7 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 	}, nil
 }
 
-// Name identifies the snapshot kind in the codec registry.
+// Name identifies the snapshot kind.
 func (x *MutableIndex) Name() string { return "mutable" }
 
 // Base returns the base index.
@@ -109,9 +107,6 @@ func (x *MutableIndex) BaseDB() *DB { return x.baseDB }
 
 // BaseN returns the number of indexed base points.
 func (x *MutableIndex) BaseN() int { return x.nb }
-
-// DeltaN returns the number of unindexed delta points (live or tombstoned).
-func (x *MutableIndex) DeltaN() int { return x.full.N() - x.nb }
 
 // LiveN returns the logical point count: all points minus tombstones.
 func (x *MutableIndex) LiveN() int { return x.full.N() - len(x.tomb) }
@@ -237,102 +232,33 @@ func (x *MutableIndex) scanDelta(q metric.Point, r float64, st *Stats) []Result 
 //	tombs   nt × uint64  tombstoned gids, ascending
 //	blen    uint64   embedded base container length
 //	base    blen bytes   WriteIndex container over the base prefix
-func encodeMutable(w io.Writer, x Index) error {
-	m, ok := x.(*MutableIndex)
-	if !ok {
-		return fmt.Errorf("sisap: mutable codec given %T", x)
-	}
-	for _, v := range []uint64{uint64(m.full.N()), uint64(m.nb), uint64(m.nextGid)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, g := range m.gids {
-		if err := binary.Write(w, binary.LittleEndian, uint64(g)); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(m.tombs))); err != nil {
-		return err
-	}
-	for _, g := range m.tombs {
-		if err := binary.Write(w, binary.LittleEndian, uint64(g)); err != nil {
-			return err
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := WriteIndex(&buf, m.base); err != nil {
+func encodeMutable(e *enc, m *MutableIndex) error {
+	e.u64(uint64(m.full.N()))
+	e.u64(uint64(m.nb))
+	e.u64(uint64(m.nextGid))
+	e.ids(m.gids)
+	e.u64(uint64(len(m.tombs)))
+	e.ids(m.tombs)
+	if err := e.sub(m.base); err != nil {
 		return fmt.Errorf("sisap: encoding mutable base: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(buf.Len())); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	return nil
 }
 
-func decodeMutable(r io.Reader, db *DB) (Index, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
+func decodeMutable(d *dec, db *DB) (Index, error) {
+	checkN(d, db)
+	n := db.N()
+	nb := d.count("base prefix", d.u64(), 1, n)
+	nextGid := d.count("next gid", d.u64(), 1, math.MaxInt)
+	gids := d.ids("gid", n, nextGid)
+	tombs := d.ids("tombstone", d.count("tombstone count", d.u64(), 0, n), nextGid)
+	payload := d.sub()
+	if d.err != nil {
+		return nil, d.err
 	}
-	var nb, nextGid uint64
-	if err := binary.Read(r, binary.LittleEndian, &nb); err != nil {
-		return nil, fmt.Errorf("sisap: reading base prefix: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &nextGid); err != nil {
-		return nil, fmt.Errorf("sisap: reading next gid: %w", err)
-	}
-	if nb == 0 || nb > uint64(db.N()) {
-		return nil, fmt.Errorf("sisap: base prefix %d out of range 1..%d", nb, db.N())
-	}
-	readInts := func(n uint64, what string) ([]int, error) {
-		if n > uint64(db.N()) {
-			return nil, fmt.Errorf("sisap: %d %s for %d points", n, what, db.N())
-		}
-		out := make([]int, n)
-		for i := range out {
-			var v uint64
-			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-				return nil, fmt.Errorf("sisap: reading %s: %w", what, err)
-			}
-			if v >= nextGid {
-				return nil, fmt.Errorf("sisap: %s entry %d ≥ next gid %d", what, v, nextGid)
-			}
-			out[i] = int(v)
-		}
-		return out, nil
-	}
-	gids, err := readInts(uint64(db.N()), "gids")
-	if err != nil {
-		return nil, err
-	}
-	var nt uint64
-	if err := binary.Read(r, binary.LittleEndian, &nt); err != nil {
-		return nil, fmt.Errorf("sisap: reading tombstone count: %w", err)
-	}
-	tombs, err := readInts(nt, "tombstones")
-	if err != nil {
-		return nil, err
-	}
-	var blen uint64
-	if err := binary.Read(r, binary.LittleEndian, &blen); err != nil {
-		return nil, fmt.Errorf("sisap: reading base payload size: %w", err)
-	}
-	if blen == 0 || blen > maxShardPayload {
-		return nil, fmt.Errorf("sisap: base payload size %d out of range", blen)
-	}
-	buf := make([]byte, blen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("sisap: reading base payload: %w", err)
-	}
-	baseDB := db.prefix(int(nb))
-	base, err := ReadIndex(bytes.NewReader(buf), baseDB)
+	base, err := newDec(payload).index(db.prefix(nb))
 	if err != nil {
 		return nil, fmt.Errorf("sisap: decoding mutable base: %w", err)
 	}
-	return NewMutableIndex(db, int(nb), base, gids, tombs, int(nextGid))
-}
-
-func init() {
-	RegisterCodec(Codec{Kind: "mutable", Encode: encodeMutable, Decode: decodeMutable})
+	return NewMutableIndex(db, nb, base, gids, tombs, nextGid)
 }

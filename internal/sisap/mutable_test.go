@@ -77,8 +77,8 @@ func TestMutableIndexMatchesRebuild(t *testing.T) {
 				want[i].ID = refGids[want[i].ID]
 			}
 			sameAnswers(t, "kNN", got, want)
-			if gst.DistanceEvals < x.DeltaN() {
-				t.Fatalf("query %d: %d evals cannot cover the %d-point delta", qi, gst.DistanceEvals, x.DeltaN())
+			if deltaN := x.DB().N() - x.BaseN(); gst.DistanceEvals < deltaN {
+				t.Fatalf("query %d: %d evals cannot cover the %d-point delta", qi, gst.DistanceEvals, deltaN)
 			}
 		}
 		for _, r := range []float64{0, 0.2, 0.6} {

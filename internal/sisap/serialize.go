@@ -1,9 +1,7 @@
 package sisap
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"distperm/internal/perm"
@@ -23,8 +21,8 @@ import (
 //     emits.
 //   - frozen (permFrozenV2Tag, "PFR2", frozen.go): the table encoding laid
 //     out raw in 64-byte-aligned checksummed sections so OpenMapped can
-//     serve the file zero-copy out of the page cache; ReadIndex also
-//     stream-decodes it. Written by WriteFrozen.
+//     serve the file zero-copy out of the page cache; ReadIndex decodes the
+//     same image onto the heap. Written by WriteFrozen.
 //
 // Earlier generations — the per-point payload whose first uint32 was k
 // itself, the standalone version-1 container, and the four-section "PFRZ"
@@ -47,48 +45,62 @@ import (
 // permTableTag is "PTBL" read little-endian.
 const permTableTag = 0x4C425450
 
+// maxPackedSites is the table payload's site limit: a Lehmer rank is packed
+// into one uint64, and 20! is the largest factorial below 2^64. An in-memory
+// index above it is usable but not serialisable in this form (the frozen
+// form stores ranks raw and has no such cap).
+const maxPackedSites = 20
+
+// CheckPackedSites reports whether a distance-permutation index with k sites
+// fits the table payload. The encoder, Serialisable and the WAL's boot check
+// all state the limit through it.
+func CheckPackedSites(k int) error {
+	if k > maxPackedSites {
+		return fmt.Errorf("sisap: cannot serialise distperm index with k=%d sites (format limit %d)", k, maxPackedSites)
+	}
+	return nil
+}
+
+// Serialisable reports, from x's structure alone — nothing is encoded —
+// whether WriteIndex can serialise it: every distance-permutation index in
+// it, however deeply sharded and mutable containers nest it, must pass
+// CheckPackedSites.
+func Serialisable(x Index) error {
+	switch x := x.(type) {
+	case *PermIndex:
+		return CheckPackedSites(x.K())
+	case *ShardedIndex:
+		for _, idx := range x.shards {
+			if err := Serialisable(idx); err != nil {
+				return err
+			}
+		}
+	case *MutableIndex:
+		return Serialisable(x.base)
+	}
+	return nil
+}
+
 // encodePayload writes the header-less table-format index body.
-func (x *PermIndex) encodePayload(w io.Writer) error {
-	// The packed encoding stores Lehmer ranks in a uint64, so the on-disk
-	// format (like its decoder) caps k at 20; an in-memory index above that
-	// is usable but not serialisable.
-	if x.K() > 20 {
-		return fmt.Errorf("sisap: cannot serialise distperm index with k=%d sites (format limit 20)", x.K())
-	}
-	put := func(v interface{}) error { return binary.Write(w, binary.LittleEndian, v) }
-	for _, v := range []interface{}{
-		uint32(permTableTag), uint32(x.K()), uint64(x.db.N()), uint32(x.dist),
-	} {
-		if err := put(v); err != nil {
-			return err
-		}
-	}
-	for _, id := range x.siteIDs {
-		if err := put(uint64(id)); err != nil {
-			return err
-		}
-	}
-	distinct := x.table.rows
-	if err := put(uint32(distinct)); err != nil {
+func (x *PermIndex) encodePayload(e *enc) error {
+	if err := CheckPackedSites(x.K()); err != nil {
 		return err
 	}
+	e.u32(permTableTag)
+	e.u32(uint32(x.K()))
+	e.u64(uint64(x.db.N()))
+	e.u32(uint32(x.dist))
+	e.ids(x.siteIDs)
+	distinct := x.table.rows
+	e.u32(uint32(distinct))
 	// The distinct-permutation table, as forward-permutation Lehmer ranks.
 	packed := perm.NewPackedArray(x.K())
 	for r := 0; r < distinct; r++ {
 		packed.Append(x.table.invAt(r).Inverse())
 	}
-	for _, w64 := range packWords(packed) {
-		if err := put(w64); err != nil {
-			return err
-		}
-	}
+	e.u64s(packWords(packed))
 	// The per-point table indexes at ⌈lg distinct⌉ bits each.
-	idWidth := tableIDBits(distinct)
-	for _, w64 := range packUint32s(x.tableIDs, idWidth) {
-		if err := put(w64); err != nil {
-			return err
-		}
-	}
+	e.u64s(packUint32s(x.tableIDs, tableIDBits(distinct)))
 	return nil
 }
 
@@ -152,97 +164,52 @@ func getBits(words []uint64, bitPos, width uint64) uint64 {
 // decodePermPayload reads a header-less index body — table or frozen,
 // self-described by the first uint32 — and reconstructs the index against
 // db.
-func decodePermPayload(br io.Reader, db *DB) (*PermIndex, error) {
-	var tag uint32
-	if err := binary.Read(br, binary.LittleEndian, &tag); err != nil {
-		return nil, err
+func decodePermPayload(d *dec, db *DB) (*PermIndex, error) {
+	switch tag := d.u32(); {
+	case d.err != nil:
+		return nil, d.err
+	case tag == permTableTag:
+		return decodeTablePayload(d, db)
+	case tag == permFrozenV2Tag:
+		// A frozen container is a file image — its section offsets are
+		// absolute — so it is validated and decoded whole, by the code that
+		// opens a mapping.
+		idx, _, err := openFrozenBytes(d.all, db, false)
+		d.b = nil
+		return idx, err
+	default:
+		return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL or PFR2; the per-point and PFRZ payloads are no longer read)", tag)
 	}
-	switch tag {
-	case permTableTag:
-		return decodeTablePayload(br, db)
-	case permFrozenV2Tag:
-		return decodeFrozenStream(br, db)
-	}
-	return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL or PFR2; the per-point and PFRZ payloads are no longer read)", tag)
 }
 
-// readPermHeader reads the table payload's n/dist/sites fields (k has
-// already been consumed and validated).
-func readPermHeader(br io.Reader, db *DB, k uint32) (dist uint32, n uint64, siteIDs []int, err error) {
-	if err = binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return
-	}
-	if err = binary.Read(br, binary.LittleEndian, &dist); err != nil {
-		return
-	}
-	if int(n) != db.N() {
-		err = fmt.Errorf("sisap: index has %d points, database has %d", n, db.N())
-		return
-	}
-	siteIDs = make([]int, k)
-	for i := range siteIDs {
-		var id uint64
-		if err = binary.Read(br, binary.LittleEndian, &id); err != nil {
-			return
-		}
-		if id >= n {
-			err = fmt.Errorf("sisap: site ID %d out of range", id)
-			return
-		}
-		siteIDs[i] = int(id)
-	}
-	return
-}
-
-// readWords reads the packed bit vector covering count elements of the
-// given width. The callers derive count and width from db-validated
-// header fields; the explicit bounds here keep a corrupt header that
-// slips past them an error rather than an overflowed allocation.
-func readWords(br io.Reader, count, width uint64) ([]uint64, error) {
-	if width > 64 {
-		return nil, fmt.Errorf("sisap: packed element width %d out of range", width)
-	}
-	if width != 0 && count > (1<<40)/width {
-		return nil, fmt.Errorf("sisap: packed section of %d×%d-bit elements out of range", count, width)
-	}
-	words := make([]uint64, (count*width+63)/64)
-	for i := range words {
-		if err := binary.Read(br, binary.LittleEndian, &words[i]); err != nil {
-			return nil, err
-		}
-	}
-	return words, nil
+// packedWords reads the packed bit vector covering count elements of the
+// given width.
+func (d *dec) packedWords(count, width uint64) []uint64 {
+	return d.u64s((count*width + 63) / 64)
 }
 
 // decodeTablePayload reads the table-encoded body: the distinct
 // permutations are decoded once each into a rankTable and the per-point
 // table IDs are scattered — O(distinct·k + n), not O(n·k).
-func decodeTablePayload(br io.Reader, db *DB) (*PermIndex, error) {
-	var k uint32
-	if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
-		return nil, err
+func decodeTablePayload(d *dec, db *DB) (*PermIndex, error) {
+	k := d.count("k", uint64(d.u32()), 1, maxPackedSites)
+	checkN(d, db)
+	n := db.N()
+	dist := PermDistance(d.count("permutation distance", uint64(d.u32()), int(Footrule), int(SpearmanRho)))
+	siteIDs := d.ids("site ID", k, n)
+	distinct := d.count("distinct count", uint64(d.u32()), 1, n)
+	if d.err != nil {
+		return nil, d.err
 	}
-	if k == 0 || k > 20 {
-		return nil, fmt.Errorf("sisap: k=%d out of range", k)
+	permWidth := uint64(perm.NewPackedArray(k).BitsPerElement())
+	permWords := d.packedWords(uint64(distinct), permWidth)
+	idWidth := uint64(tableIDBits(distinct))
+	idWords := d.packedWords(uint64(n), idWidth)
+	if d.err != nil {
+		return nil, d.err
 	}
-	dist, n, siteIDs, err := readPermHeader(br, db, k)
-	if err != nil {
-		return nil, err
-	}
-	var distinct uint32
-	if err := binary.Read(br, binary.LittleEndian, &distinct); err != nil {
-		return nil, err
-	}
-	if distinct == 0 || uint64(distinct) > n {
-		return nil, fmt.Errorf("sisap: distinct count %d out of range 1..%d", distinct, n)
-	}
-	permWidth := uint64(perm.NewPackedArray(int(k)).BitsPerElement())
-	permWords, err := readWords(br, uint64(distinct), permWidth)
-	if err != nil {
-		return nil, err
-	}
-	table := newRankTable(int(k))
-	maxRank := rankLimit(int(k))
+	table := newRankTable(k)
+	maxRank := rankLimit(k)
 	seen := make(map[uint64]bool, distinct)
 	for r := uint64(0); r < uint64(distinct); r++ {
 		var rank uint64
@@ -256,25 +223,20 @@ func decodeTablePayload(br io.Reader, db *DB) (*PermIndex, error) {
 			return nil, fmt.Errorf("sisap: duplicate permutation in table row %d", r)
 		}
 		seen[rank] = true
-		table.appendInverseOf(perm.Unrank64(int(k), rank))
-	}
-	idWidth := uint64(tableIDBits(int(distinct)))
-	idWords, err := readWords(br, n, idWidth)
-	if err != nil {
-		return nil, err
+		table.appendInverseOf(perm.Unrank64(k, rank))
 	}
 	ids := make([]uint32, n)
-	for i := uint64(0); i < n; i++ {
+	for i := range ids {
 		var id uint64
 		if idWidth > 0 {
-			id = getBits(idWords, i*idWidth, idWidth)
+			id = getBits(idWords, uint64(i)*idWidth, idWidth)
 		}
 		if id >= uint64(distinct) {
 			return nil, fmt.Errorf("sisap: table index %d out of range at point %d", id, i)
 		}
 		ids[i] = uint32(id)
 	}
-	return newPermIndexFromTable(db, siteIDs, PermDistance(dist), table, ids), nil
+	return newPermIndexFromTable(db, siteIDs, dist, table, ids), nil
 }
 
 func rankLimit(k int) uint64 {

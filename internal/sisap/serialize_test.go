@@ -191,28 +191,26 @@ func TestReadPermIndexRejectsCorruption(t *testing.T) {
 	}
 }
 
-// FuzzReadIndex drives the container decoder — compact and frozen payloads
-// both dispatch from ReadIndex, and the removed generations seed its
-// rejection branches — with arbitrary bytes. Any input may fail to decode;
-// none may panic or over-allocate.
+// FuzzReadIndex drives the container decoder with arbitrary bytes, seeded
+// with one valid container of every kind (both distperm forms), the
+// must-reject hostile containers, a torn and an inconsistent frozen image,
+// and the removed generations. Any input may fail to decode; none may panic
+// or over-allocate — and whatever does decode must answer a query, so
+// "accepted at decode, panics at query" is inside the fuzzer's reach.
 func FuzzReadIndex(f *testing.F) {
-	rng := rand.New(rand.NewSource(601))
-	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 50, 3))
-	idx := NewPermIndex(db, rng.Perm(db.N())[:5], Footrule)
-	var compact bytes.Buffer
-	if _, err := WriteIndex(&compact, idx); err != nil {
-		f.Fatal(err)
+	db, fixtures := codecFixtures(f)
+	var idx *PermIndex
+	var frozen []byte
+	for _, fx := range fixtures {
+		f.Add(fx.bytesOf(f))
+		if fx.name == "distperm-frozen" {
+			idx, frozen = fx.idx.(*PermIndex), fx.bytesOf(f)
+		}
 	}
-	f.Add(compact.Bytes())
-	var frozen bytes.Buffer
-	if _, err := WriteFrozen(&frozen, idx); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frozen.Bytes())
-	f.Add(frozen.Bytes()[:90])
+	f.Add(frozen[:90])
 	// A checksum-valid but inconsistent bucket directory, seeding the
 	// fuzzer at the directory-consistency validation.
-	badBuckets := append([]byte(nil), frozen.Bytes()...)
+	badBuckets := append([]byte(nil), frozen...)
 	_, _, _, _, _, _, _, _, ptOrderOff := frozenBucketGeometry(badBuckets)
 	copy(badBuckets[ptOrderOff:ptOrderOff+4], badBuckets[ptOrderOff+4:ptOrderOff+8])
 	refreezeCRC(badBuckets, frozenSecBuckets)
@@ -220,14 +218,21 @@ func FuzzReadIndex(f *testing.F) {
 	for _, rf := range removedFormats(f, idx) {
 		f.Add(rf.raw)
 	}
+	for _, h := range hostileContainers(f) {
+		f.Add(h.raw)
+	}
+	q := metric.Vector{0.4, 0.6, 0.5}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadIndex(bytes.NewReader(data), db)
-		if err == nil && got == nil {
-			t.Fatal("nil index with nil error")
+		if err == nil {
+			if got == nil {
+				t.Fatal("nil index with nil error")
+			}
+			got.KNN(q, 3)
 		}
 		// The mapped-open validation must be equally crash-free.
-		if _, err := OpenMappedBytesForTest(data, db); err != nil {
-			_ = err
+		if mapped, err := OpenMappedBytesForTest(data, db); err == nil {
+			mapped.KNN(q, 3)
 		}
 	})
 }

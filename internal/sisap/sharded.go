@@ -1,10 +1,7 @@
 package sisap
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"distperm/internal/metric"
 )
@@ -91,7 +88,7 @@ func NewShardedIndex(db *DB, parts [][]int, build func(shard int, sdb *DB) (Inde
 	return x, nil
 }
 
-// Name identifies the container kind in the codec registry.
+// Name identifies the container kind.
 func (x *ShardedIndex) Name() string { return "sharded" }
 
 // NumShards returns the shard count.
@@ -204,101 +201,45 @@ func MergeRange(perShard [][]Result) []Result {
 // --- sharded codec ---
 
 // The sharded container payload: the partition map, then each shard's index
-// as a length-prefixed embedded DPERMIDX container, so any codec-registered
-// kind (including another sharded container) can be a shard member.
+// as a length-prefixed embedded DPERMIDX container, so any kind (including
+// another sharded container) can be a shard member.
 //
 //	n       uint64   global point count
 //	S       uint32   shard count
 //	parts   S × (len uint64, len × uint64 global IDs)
 //	shards  S × (len uint64, len bytes: WriteIndex container)
-const maxShardPayload = 1 << 31 // sanity cap on one embedded shard index
-
-func encodeSharded(w io.Writer, x Index) error {
-	sx, ok := x.(*ShardedIndex)
-	if !ok {
-		return fmt.Errorf("sisap: sharded codec given %T", x)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(sx.db.N())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(sx.parts))); err != nil {
-		return err
-	}
+func encodeSharded(e *enc, sx *ShardedIndex) error {
+	e.u64(uint64(sx.db.N()))
+	e.u32(uint32(len(sx.parts)))
 	for _, part := range sx.parts {
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(part))); err != nil {
-			return err
-		}
-		for _, id := range part {
-			if err := binary.Write(w, binary.LittleEndian, uint64(id)); err != nil {
-				return err
-			}
-		}
+		e.u64(uint64(len(part)))
+		e.ids(part)
 	}
 	for s, idx := range sx.shards {
-		var buf bytes.Buffer
-		if _, err := WriteIndex(&buf, idx); err != nil {
+		if err := e.sub(idx); err != nil {
 			return fmt.Errorf("sisap: encoding shard %d: %w", s, err)
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(buf.Len())); err != nil {
-			return err
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-func decodeSharded(r io.Reader, db *DB) (Index, error) {
-	if err := checkN(r, db); err != nil {
-		return nil, err
-	}
-	var s32 uint32
-	if err := binary.Read(r, binary.LittleEndian, &s32); err != nil {
-		return nil, fmt.Errorf("sisap: reading shard count: %w", err)
-	}
-	if s32 == 0 || int(s32) > db.N() {
-		return nil, fmt.Errorf("sisap: shard count %d out of range 1..%d", s32, db.N())
-	}
-	parts := make([][]int, s32)
+func decodeSharded(d *dec, db *DB) (Index, error) {
+	checkN(d, db)
+	n := db.N()
+	parts := make([][]int, d.count("shard count", uint64(d.u32()), 1, n))
 	for s := range parts {
-		var plen uint64
-		if err := binary.Read(r, binary.LittleEndian, &plen); err != nil {
-			return nil, fmt.Errorf("sisap: reading shard %d size: %w", s, err)
-		}
-		// Compare in uint64 space: int(plen) would overflow (and slip past
-		// the bound) for a corrupt length in the top bit range.
-		if plen == 0 || plen > uint64(db.N()) {
-			return nil, fmt.Errorf("sisap: shard %d size %d out of range", s, plen)
-		}
-		part := make([]int, plen)
-		for i := range part {
-			var id uint64
-			if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-				return nil, fmt.Errorf("sisap: reading shard %d IDs: %w", s, err)
-			}
-			part[i] = int(id)
-		}
-		parts[s] = part
+		parts[s] = d.ids("shard member ID", d.count("shard size", d.u64(), 1, n), n)
 	}
-	// NewShardedIndex re-validates the partition (range, coverage,
-	// monotonicity) before any shard payload is trusted.
+	if d.err != nil {
+		return nil, d.err
+	}
+	// NewShardedIndex re-validates the partition (coverage, monotonicity)
+	// before any shard payload is trusted.
 	return NewShardedIndex(db, parts, func(s int, sdb *DB) (Index, error) {
-		var blen uint64
-		if err := binary.Read(r, binary.LittleEndian, &blen); err != nil {
-			return nil, fmt.Errorf("reading payload size: %w", err)
+		payload := d.sub()
+		if d.err != nil {
+			return nil, d.err
 		}
-		if blen == 0 || blen > maxShardPayload {
-			return nil, fmt.Errorf("payload size %d out of range", blen)
-		}
-		buf := make([]byte, blen)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("reading payload: %w", err)
-		}
-		return ReadIndex(bytes.NewReader(buf), sdb)
+		return newDec(payload).index(sdb)
 	})
-}
-
-func init() {
-	RegisterCodec(Codec{Kind: "sharded", Encode: encodeSharded, Decode: decodeSharded})
 }

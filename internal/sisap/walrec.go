@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"distperm/internal/metric"
@@ -16,7 +15,7 @@ import (
 // framing is what makes crash recovery decidable: a torn final record (the
 // write the crash interrupted) fails its length or checksum test and replay
 // stops cleanly at the last intact record, never inventing data from garbage
-// bytes. The CRC table is the same Castagnoli polynomial the frozen
+// bytes. The checksum is the CRC32C of cursor.go, the one the frozen
 // container's sections use.
 //
 // Frame layout (little-endian):
@@ -54,9 +53,6 @@ const maxWALBody = 64 << 20
 
 // walFrameHeader is the fixed frame prefix: length + crc.
 const walFrameHeader = 8
-
-// walCRC is the Castagnoli table shared with the frozen container.
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrWALTorn reports an incomplete or checksum-mismatched frame — the shape
 // a crash mid-append leaves behind. Replay treats it as end-of-log when it
@@ -142,7 +138,7 @@ func AppendWALRecord(dst []byte, rec WALRecord) ([]byte, error) {
 		return nil, fmt.Errorf("sisap: wal record body of %d bytes exceeds %d", len(body), maxWALBody)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, walCRC))
+	dst = binary.LittleEndian.AppendUint32(dst, CRC32C(body))
 	return append(dst, body...), nil
 }
 
@@ -165,7 +161,7 @@ func DecodeWALRecord(data []byte) (WALRecord, int, error) {
 		return WALRecord{}, 0, fmt.Errorf("sisap: wal body truncated at %d of %d bytes: %w", len(data)-walFrameHeader, length, ErrWALTorn)
 	}
 	body := data[walFrameHeader : walFrameHeader+int(length)]
-	if got := crc32.Checksum(body, walCRC); got != crc {
+	if got := CRC32C(body); got != crc {
 		return WALRecord{}, 0, fmt.Errorf("sisap: wal body checksum %#x, frame says %#x: %w", got, crc, ErrWALTorn)
 	}
 	// The body checksummed clean: from here every defect is corruption (or

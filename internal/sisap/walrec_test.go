@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -109,7 +108,7 @@ func TestWALRecordRejectsGarbage(t *testing.T) {
 // reframe wraps body in a fresh, correctly-checksummed frame.
 func reframe(body []byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, walCRC))
+	out = binary.LittleEndian.AppendUint32(out, CRC32C(body))
 	return append(out, body...)
 }
 
@@ -218,5 +217,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	// but never rewritten.
 	if _, err := os.Stat(filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-v1")); err != nil {
 		t.Errorf("missing committed v1 frozen seed: %v", err)
+	}
+	// The hostile containers are must-reject inputs too: a field that lies
+	// about an ID or a length (TestReadIndexRejectsHostileContainers).
+	for _, h := range hostileContainers(t) {
+		emit("FuzzReadIndex", "seed-hostile-"+h.name, h.raw)
 	}
 }

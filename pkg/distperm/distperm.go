@@ -21,9 +21,9 @@
 //   - MutableEngine: the same pool under a live write path — a delta buffer
 //     and tombstones over the built base, folded in by background rebuilds
 //     that publish a new view to the pool that is already running.
-//   - WriteIndex/ReadIndex: a versioned codec registry persisting every
-//     index kind in one container format, including the sharded container
-//     (partition map plus one embedded index per shard).
+//   - WriteIndex/ReadIndex: one versioned container format persisting every
+//     index kind, including the sharded container (partition map plus one
+//     embedded index per shard).
 //
 // Point, Metric, and the concrete metrics are re-exported from the internal
 // layers so callers outside the module can use the package without touching
@@ -141,8 +141,8 @@ func NewDB(m Metric, points []Point) (*DB, error) {
 	return sisap.NewDB(m, points), nil
 }
 
-// WriteIndex serialises any index with a registered codec in the versioned
-// DPERMIDX container format. It returns the number of bytes written. The
+// WriteIndex serialises any index of the family in the versioned DPERMIDX
+// container format. It returns the number of bytes written. The
 // database points are not serialised — the index file accompanies the data.
 func WriteIndex(w io.Writer, x Index) (int64, error) { return sisap.WriteIndex(w, x) }
 
@@ -150,6 +150,3 @@ func WriteIndex(w io.Writer, x Index) (int64, error) { return sisap.WriteIndex(w
 // must be the database the index was built on. No metric evaluations are
 // re-run — that is the point of persisting the index.
 func ReadIndex(r io.Reader, db *DB) (Index, error) { return sisap.ReadIndex(r, db) }
-
-// Codecs returns the registered serialization kinds, sorted.
-func Codecs() []string { return sisap.Codecs() }

@@ -343,21 +343,11 @@ func (p *pool) serve(idx Index, j job) {
 	switch {
 	case j.q.Approx:
 		c.ApproxQueries = c.Queries
-		if a, ok := idx.(sisap.ApproxIndex); ok {
-			rs, sts := a.KNNApproxBatch(j.qs, j.q.K, j.q.NProbe)
-			copy(j.outs, rs)
-			copy(j.asts, sts)
-		} else {
-			// The segment's index was approx-capable but this worker's replica
-			// is not (a custom Replicable could downgrade); serve exactly and
-			// report full coverage — correct answers at the cost of the
-			// speedup.
-			for i, q := range j.qs {
-				var st Stats
-				j.outs[i], st = idx.KNN(q, j.q.K)
-				j.asts[i] = ApproxStats{Stats: st, Candidates: j.v.segs[j.seg].db.N(), Exact: true}
-			}
-		}
+		// search only sends an approximate job to a segment whose index is
+		// approx-capable, and a replica is of its index's own type.
+		rs, sts := idx.(sisap.ApproxIndex).KNNApproxBatch(j.qs, j.q.K, j.q.NProbe)
+		copy(j.outs, rs)
+		copy(j.asts, sts)
 		for _, st := range j.asts {
 			c.DistanceEvals += int64(st.DistanceEvals)
 			c.PrunedEvals += int64(st.PrunedEvals)
@@ -366,19 +356,13 @@ func (p *pool) serve(idx Index, j job) {
 		}
 	case j.batched:
 		c.BatchedQueries = c.Queries
-		if b, ok := idx.(sisap.BatchIndex); ok {
-			rs, sts := b.KNNBatch(j.qs, j.q.K)
-			copy(j.outs, rs)
-			for _, st := range sts {
-				c.DistanceEvals += int64(st.DistanceEvals)
-				c.PrunedEvals += int64(st.PrunedEvals)
-			}
-			break
+		// batched is set only for a batch-native segment index (same argument).
+		rs, sts := idx.(sisap.BatchIndex).KNNBatch(j.qs, j.q.K)
+		copy(j.outs, rs)
+		for _, st := range sts {
+			c.DistanceEvals += int64(st.DistanceEvals)
+			c.PrunedEvals += int64(st.PrunedEvals)
 		}
-		// The segment's index was batch-native but this worker's replica is
-		// not (the same downgrade); serve the sub-batch query by query with
-		// identical answers.
-		fallthrough
 	default:
 		for i, q := range j.qs {
 			var st Stats
@@ -650,20 +634,4 @@ func (e *Engine) ShardStats() []EngineStats {
 		stats[s] = c
 	}
 	return stats
-}
-
-// Percentile reads the q-quantile from an ascending-sorted non-empty sample
-// by the nearest-rank method: the smallest value with at least q·n samples
-// at or below it, index ⌈q·n⌉−1. It is the single definition every latency
-// percentile in the repo uses — the engine, the sharded aggregate, and the
-// load driver (pkg/dpserver/client) — so they cannot drift.
-func Percentile(sorted []time.Duration, q float64) time.Duration {
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

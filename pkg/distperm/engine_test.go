@@ -264,33 +264,6 @@ func TestEngineCloseSubmitRace(t *testing.T) {
 	}
 }
 
-// TestPercentileNearestRank pins the nearest-rank definition (index
-// ⌈q·n⌉−1): P50 over four samples is the second, not the third.
-func TestPercentileNearestRank(t *testing.T) {
-	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
-	four := []time.Duration{ms(10), ms(20), ms(30), ms(40)}
-	cases := []struct {
-		sorted []time.Duration
-		q      float64
-		want   time.Duration
-	}{
-		{four, 0.50, ms(20)}, // ceil(0.5·4)−1 = 1, was index 2 pre-fix
-		{four, 0.25, ms(10)},
-		{four, 0.75, ms(30)},
-		{four, 0.99, ms(40)},
-		{four, 1.00, ms(40)},
-		{[]time.Duration{ms(5)}, 0.50, ms(5)},
-		{[]time.Duration{ms(5)}, 0.99, ms(5)},
-		{[]time.Duration{ms(1), ms(2), ms(3)}, 0.50, ms(2)},
-		{[]time.Duration{ms(1), ms(2)}, 0.50, ms(1)},
-	}
-	for _, c := range cases {
-		if got := Percentile(c.sorted, c.q); got != c.want {
-			t.Errorf("Percentile(%v, %g) = %v, want %v", c.sorted, c.q, got, c.want)
-		}
-	}
-}
-
 // TestEngineLatencyHistogram pushes a large query volume through the
 // engine and checks the histogram bookkeeping: every query is counted
 // (Count == Queries, bucket sum == Count), quantiles stay ordered, and

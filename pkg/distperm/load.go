@@ -15,19 +15,6 @@ import (
 // dataset, and retry.
 var ErrNeedDB = sisap.ErrNeedDB
 
-// WriteOptions selects the on-disk form WriteIndexWith emits.
-type WriteOptions = sisap.WriteOptions
-
-// WriteIndexWith serialises x like WriteIndex, but lets the caller pick the
-// on-disk form. With Compact false (the zero value) a PermIndex is written
-// as a frozen container — the sectioned, checksummed, 64-byte-aligned v2
-// payload that OpenMapped and Load{Mmap: true} serve zero-copy straight from
-// the page cache. Compact true, and every non-PermIndex kind, produce the
-// bit-packed stream WriteIndex emits.
-func WriteIndexWith(w io.Writer, x Index, opts WriteOptions) (int64, error) {
-	return sisap.WriteIndexWith(w, x, opts)
-}
-
 // WriteFrozenIndex writes the frozen container form of a distance-permutation
 // index: position-independent sections (sites, raw rank matrix, row IDs, and
 // — when the metric is named and the points are plain vectors — the point
@@ -78,9 +65,8 @@ func (s *Store) Close() error {
 	return s.mapped.Close()
 }
 
-// Load opens an index container written by WriteIndex, WriteIndexWith, or
-// WriteFrozenIndex. The default path decodes the stream onto the heap
-// against opts.DB; with Mmap it maps a frozen container zero-copy, sharing
+// Load opens an index container written by WriteIndex or WriteFrozenIndex.
+// The default path decodes the file onto the heap against opts.DB; with Mmap it maps a frozen container zero-copy, sharing
 // one read-only rank table across every Engine replica and every process
 // serving the same file.
 func Load(path string, opts LoadOptions) (*Store, error) {
@@ -94,12 +80,11 @@ func Load(path string, opts LoadOptions) (*Store, error) {
 	if opts.DB == nil {
 		return nil, errors.New("distperm: Load without Mmap requires LoadOptions.DB")
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("distperm: load: %w", err)
 	}
-	defer f.Close()
-	idx, err := sisap.ReadIndex(f, opts.DB)
+	idx, err := sisap.DecodeIndex(data, opts.DB)
 	if err != nil {
 		return nil, fmt.Errorf("distperm: load %s: %w", path, err)
 	}

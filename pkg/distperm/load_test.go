@@ -43,7 +43,7 @@ func buildPermStore(t *testing.T, dir string, n, d, k int) (*distperm.DB, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := distperm.WriteIndexWith(ff, idx, distperm.WriteOptions{}); err != nil {
+	if _, err := distperm.WriteFrozenIndex(ff, idx.(*distperm.PermIndex)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ff.Close(); err != nil {

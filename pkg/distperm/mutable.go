@@ -278,6 +278,11 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 	if !known {
 		return nil, fmt.Errorf("distperm: rebuild spec names unknown index kind %q", cfg.Spec.Index)
 	}
+	if cfg.WAL != nil {
+		if err := checkpointable(baseIdx, cfg.Spec); err != nil {
+			return nil, err
+		}
+	}
 	v := newView(baseDB, baseIdx, cfg.BaseRelease)
 	m := &MutableEngine{
 		// Sized once, for the widest view a rebuild can publish.
@@ -769,7 +774,8 @@ func (m *MutableEngine) NextGID() int {
 // AttachWAL starts logging every subsequent mutation to w. It must only be
 // called while no mutation is being issued, with a log whose records are
 // all already applied to this engine — the boot sequence is OpenWAL →
-// ReplayWAL → AttachWAL → serve. Attaching twice is an error.
+// ReplayWAL → AttachWAL → serve. Attaching twice is an error, as is
+// attaching to a store no checkpoint could serialise (see checkpointable).
 func (m *MutableEngine) AttachWAL(w *WAL) error {
 	if w == nil {
 		return errors.New("distperm: AttachWAL requires a WAL")
@@ -781,6 +787,9 @@ func (m *MutableEngine) AttachWAL(w *WAL) error {
 	}
 	if m.wal != nil {
 		return errors.New("distperm: a WAL is already attached")
+	}
+	if err := checkpointable(m.cur.view.idx, m.cfg.Spec); err != nil {
+		return err
 	}
 	m.wal = w
 	return nil

@@ -1,11 +1,9 @@
 package distperm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,10 +89,6 @@ const (
 	minSegmentBytes     = 4 << 10
 	defaultSyncInterval = 50 * time.Millisecond
 )
-
-// walCastagnoli is the same CRC-32C polynomial the record codec and the
-// frozen container use.
-var walCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncPolicy decides when an Append becomes durable.
 type SyncPolicy int
@@ -215,6 +209,22 @@ type WALStats struct {
 type WALCheckpoint struct {
 	Snapshot *MutableIndex
 	Seq      uint64
+}
+
+// checkpointable reports why a store serving idx, and rebuilding to spec,
+// could never write a checkpoint: WriteCheckpoint serialises the store in
+// the compact DPERMIDX form, which caps a distperm index's sites. Checked
+// from structure alone where a log is attached, so such a store is refused
+// at boot instead of failing every checkpoint while its log grows for ever.
+func checkpointable(idx Index, spec Spec) error {
+	err := sisap.Serialisable(idx)
+	if err == nil && spec.Index == "distperm" {
+		err = sisap.CheckPackedSites(spec.K)
+	}
+	if err != nil {
+		return fmt.Errorf("distperm: a WAL needs a store its checkpoints can hold: %w", err)
+	}
+	return nil
 }
 
 // OpenWAL opens (creating if needed) the log at dir, scanning existing
@@ -575,13 +585,14 @@ func (w *WAL) WriteCheckpoint(snap *MutableIndex, seq uint64) error {
 			return err
 		}
 	}
-	var container bytes.Buffer
-	if _, err := sisap.WriteIndex(&container, snap); err != nil {
+	clenAt := len(body)
+	body = binary.LittleEndian.AppendUint64(body, 0)
+	body, err := sisap.AppendIndex(body, snap)
+	if err != nil {
 		return fmt.Errorf("distperm: encoding checkpoint container: %w", err)
 	}
-	body = binary.LittleEndian.AppendUint64(body, uint64(container.Len()))
-	body = append(body, container.Bytes()...)
-	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, walCastagnoli))
+	binary.LittleEndian.PutUint64(body[clenAt:], uint64(len(body)-clenAt-8))
+	body = binary.LittleEndian.AppendUint32(body, sisap.CRC32C(body))
 
 	final := filepath.Join(w.dir, fmt.Sprintf("ckpt-%016x.ckpt", seq))
 	tmp := final + ".tmp"
@@ -645,7 +656,7 @@ func readCheckpoint(path string) (*WALCheckpoint, error) {
 		return nil, fmt.Errorf("checkpoint version %d, this build speaks %d", v, walVersion)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got := crc32.Checksum(body, walCastagnoli); got != binary.LittleEndian.Uint32(tail) {
+	if got := sisap.CRC32C(body); got != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("checksum mismatch (%#x)", got)
 	}
 	off := 16
@@ -690,7 +701,7 @@ func readCheckpoint(path string) (*WALCheckpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := sisap.ReadIndex(bytes.NewReader(body[off:]), db)
+	idx, err := sisap.DecodeIndex(body[off:], db)
 	if err != nil {
 		return nil, err
 	}

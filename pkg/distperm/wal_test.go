@@ -617,3 +617,62 @@ func TestWALStatsSurface(t *testing.T) {
 		t.Fatalf("engine wal stats: %+v", st)
 	}
 }
+
+// TestWALRefusesUncheckpointableStore: a checkpoint serialises the store in
+// the compact DPERMIDX form, which caps a distperm index at 20 sites. A store
+// over the cap — served now, nested in shards, or only promised by the
+// rebuild spec — could never checkpoint and its log would never be
+// truncated, so both ways of attaching a log refuse it up front, with the
+// encoder's own error.
+func TestWALRefusesUncheckpointableStore(t *testing.T) {
+	db := mustDB(t, 25, 60)
+	w, err := distperm.OpenWAL(t.TempDir(), distperm.WALOptions{Sync: distperm.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "k=24 sites (format limit 20)") {
+			t.Errorf("%s: %v, want the format limit", what, err)
+		}
+	}
+	wide := distperm.Spec{Index: "distperm", K: 24, Seed: 3}
+	narrow := distperm.Spec{Index: "distperm", K: 12, Seed: 3}
+
+	_, err = distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: wide, WAL: w})
+	refused("MutableConfig.WAL over k=24", err)
+
+	sx, err := distperm.BuildSharded(db, wide, 2, distperm.RoundRobin{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = distperm.WrapMutable(db, sx, distperm.MutableConfig{Spec: narrow, WAL: w})
+	refused("MutableConfig.WAL over k=24 shards", err)
+
+	idx, err := distperm.Build(db, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = distperm.WrapMutable(db, idx, distperm.MutableConfig{Spec: wide, WAL: w})
+	refused("MutableConfig.WAL with a k=24 rebuild spec", err)
+
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	refused("AttachWAL over k=24", me.AttachWAL(w))
+	if me.WALStats().Enabled {
+		t.Error("a refused AttachWAL left the log attached")
+	}
+
+	ok, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: narrow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ok.Close()
+	if err := ok.AttachWAL(w); err != nil {
+		t.Errorf("AttachWAL over k=12: %v", err)
+	}
+}

@@ -136,9 +136,8 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 }
 
 // Quantile returns the upper edge of the bucket holding the nearest-rank
-// sample for q in (0,1] — the same rank definition as
-// distperm.Percentile (index ⌈q·n⌉ in 1-based order), so histogram
-// percentiles and the engine's exact-sample percentiles agree whenever
+// sample for q in (0,1] (index ⌈q·n⌉ in 1-based order), so histogram
+// percentiles agree with exact-sample nearest-rank percentiles whenever
 // the observed values sit on bucket edges. Observations past the last
 // edge report the last finite edge (the histogram cannot resolve them
 // further). Returns 0 for an empty snapshot.

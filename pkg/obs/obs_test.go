@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"distperm/pkg/distperm"
 	"distperm/pkg/obs"
 )
 
@@ -71,8 +70,8 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-// TestQuantileMatchesPercentile pins the histogram quantile to
-// distperm.Percentile's nearest-rank semantics: observing samples that
+// TestQuantileMatchesPercentile pins the histogram quantile to nearest-rank
+// semantics (index ⌈q·n⌉−1 of the sorted sample): observing samples that
 // sit exactly on bucket edges, both must return identical values for
 // every quantile the serving stack reports.
 func TestQuantileMatchesPercentile(t *testing.T) {
@@ -90,7 +89,7 @@ func TestQuantileMatchesPercentile(t *testing.T) {
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 		snap := h.Snapshot()
 		for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0} {
-			want := distperm.Percentile(samples, q)
+			want := samples[max(int(math.Ceil(q*float64(n)))-1, 0)]
 			got := time.Duration(math.Round(snap.Quantile(q) * 1e9))
 			if got != want {
 				t.Fatalf("trial %d n=%d q=%g: histogram %v, Percentile %v", trial, n, q, got, want)

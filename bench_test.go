@@ -712,11 +712,10 @@ func approxBenchIndex(b *testing.B, data string) (*sisap.PermIndex, []metric.Poi
 // (permutation-rich) and clustered (distinct ≪ n) data. Each approximate
 // sub-benchmark reports the recall@10 of its operating point as a custom
 // metric. Two baselines sit beside the sweep: nprobe=exact is the index's
-// own exhaustive scan (memory order over the packed coordinates since PR 13,
-// no ordering paid) and linear is the LinearScan oracle over the same
-// database — the honest floor for "measure every point". The acceptance
-// point is the clustered sweep: a nprobe with recall@10 ≥ 0.9 at ≥ 3× the
-// exact ns/op (it was ≥ 5× while exact still carried the ordering).
+// own exact search (the pruned bucket walk since PR 18, over contiguous
+// buckets since PR 20; on uniform data it is the watch for a walk that
+// prunes little) and linear is the LinearScan oracle over the same
+// database — the honest floor for "measure every point".
 func BenchmarkApproxKNN(b *testing.B) {
 	for _, data := range []string{"uniform", "clustered"} {
 		b.Run("data="+data+"/linear", func(b *testing.B) {
@@ -766,16 +765,17 @@ func BenchmarkApproxKNN(b *testing.B) {
 // BenchmarkKNNExhaustive pins what the index earns on exact search at
 // serving scale (n=200k clustered, the BenchmarkApproxKNN build): the
 // index's exact 10-NN, which walks prefix buckets under their site-distance
-// bounds and measures only those that can still hold an answer (≈ 12 % of
-// the points here); the LinearScan oracle; and the per-query cost of a
-// 32-query KNNBatch, which measures every point but shares each coordinate
-// tile across the batch. All three return the same answers. knn must sit
-// well under linear on this data: a knn ≈ linear reading means the bounds
-// stopped pruning (or the store stopped qualifying for them), and a
-// regression on knnbatch/query against linear means ordering work crept
-// back into the tile walk.
+// bounds and measures only those that can still hold an answer (≈ 11 % of
+// the points here, each bucket one contiguous run); the LinearScan oracle;
+// a range query at the radius of that 10-NN answer, which rides the same
+// walk with a fixed limit; and the per-query cost of a 32-query KNNBatch,
+// which measures every point but shares each coordinate tile across the
+// batch. All four are exact. knn must sit well under linear on this data: a
+// knn ≈ linear reading means the bounds stopped pruning (or the store
+// stopped qualifying for them), and a regression on knnbatch/query against
+// linear means ordering work crept back into the tile walk.
 func BenchmarkKNNExhaustive(b *testing.B) {
-	idx, queries, _ := approxBenchIndex(b, "clustered")
+	idx, queries, truth := approxBenchIndex(b, "clustered")
 	scan := sisap.NewLinearScan(approxBench.db["clustered"])
 	b.Run("knn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -785,6 +785,11 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 	b.Run("linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			scan.KNN(queries[i&63], 10)
+		}
+	})
+	b.Run("range", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			idx.Range(queries[i&63], truth[i&63][9].Distance)
 		}
 	})
 	b.Run("knnbatch/query", func(b *testing.B) {

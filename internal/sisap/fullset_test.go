@@ -20,7 +20,7 @@ import (
 
 // sameBits asserts two result lists agree in IDs and in the bit patterns of
 // their distances.
-func sameBits(t *testing.T, label string, got, want []Result) {
+func sameBits(t testing.TB, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
@@ -96,7 +96,8 @@ func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int) (map[int]bool, 
 // fullSetStores returns idx as built, decoded from its frozen container
 // onto the heap, and opened in place from a mapping — the latter two over
 // the container's embedded database, whose coordinate block is the points
-// section itself.
+// section itself. A packed L1/L2/L∞ store gets bounds however small it is
+// (forceBounds), so its exact queries here are the pruned walk, not the scan.
 func fullSetStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
 	var buf bytes.Buffer
@@ -110,7 +111,11 @@ func fullSetStores(t *testing.T, idx *PermIndex) []permBackend {
 	if fdb.dim != idx.db.dim || len(fdb.block) != len(idx.db.block) {
 		t.Fatalf("frozen-heap database is not packed like the original: dim %d, block %d", fdb.dim, len(fdb.block))
 	}
-	return []permBackend{{"heap", idx}, {"frozen-heap", frozen}, {"mmap", mappedCopy(t, idx, nil)}}
+	stores := []permBackend{{"heap", idx}, {"frozen-heap", frozen}, {"mmap", mappedCopy(t, idx, nil)}}
+	for _, st := range stores {
+		forceBounds(st.idx)
+	}
+	return stores
 }
 
 func TestFullSetEquivalence(t *testing.T) {

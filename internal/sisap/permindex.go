@@ -52,11 +52,13 @@ func (p PermDistance) String() string {
 // lie within an interval of distances from every site, so the k site
 // distances a query computes anyway bound its distance to each bucket from
 // below. Exact search — KNN and Range on a packed database under L1, L2 or
-// L∞ — measures only the buckets that bound cannot exclude (walk), with
-// answers byte-identical to a linear scan. Whatever measures a candidate set
-// in full — KNNBatch, exact queries on a store without bounds, the buckets
-// an approximate query probes — computes no ordering: the (distance, ID)
-// heap makes the answer a function of the set, read in memory order.
+// L∞ whose buckets are large enough to be worth bounding — measures only the
+// buckets that bound cannot exclude (walk), each a contiguous run of a
+// bucket-major copy of the coordinates, with answers byte-identical to a
+// linear scan. Whatever measures a candidate set in full — KNNBatch, exact
+// queries on a store without bounds, the buckets an approximate query
+// probes — computes no ordering: the (distance, ID) heap makes the answer a
+// function of the set, read in memory order.
 //
 // The in-memory representation is the paper's table encoding, live: the
 // distinct occurring inverse permutations sit once each in a flat row-major
@@ -77,7 +79,8 @@ type PermIndex struct {
 	// lb shares the bucket directory and its metric bounds
 	// (prefixbuckets.go) between the index and every replica: the directory
 	// built lazily or pre-filled with container views by a frozen open, the
-	// bounds computed on the first single exact or range query.
+	// bounds — and the bucket-major coordinates the walk reads — computed on
+	// the first single exact or range query.
 	lb *lazyBuckets
 	// scratch holds the per-query buffers (allocated lazily, never shared:
 	// Replica clears it), which is what makes the query path non-reentrant.
@@ -149,29 +152,39 @@ func newPermIndexFromTable(db *DB, siteIDs []int, dist PermDistance, table *rank
 
 // buildPermTable computes each point's distance permutation, deduplicates
 // the inverses into a rankTable (rows in first-occurrence order), and fills
-// ids with each point's row. Large databases shard the scan: workers build
-// local tables over disjoint ranges, which are then merged in shard order —
-// shards cover ascending contiguous ranges, so the merged row order equals
-// the sequential first-occurrence order.
+// ids with each point's row. Permutations are told apart by their Lehmer
+// rank where it fits a word (maxPackedSites) — no allocation, an
+// integer-keyed map — and by perm.Key beyond.
 func buildPermTable(pm *core.Permuter, points []metric.Point, ids []uint32) *rankTable {
+	if pm.K() <= maxPackedSites {
+		return buildPermTableBy(pm, points, ids, perm.Permutation.Rank64)
+	}
+	return buildPermTableBy(pm, points, ids, perm.Permutation.Key)
+}
+
+// buildPermTableBy is buildPermTable under one dedup key. Large databases
+// shard the scan: workers build local tables over disjoint ranges, which are
+// then merged in shard order — shards cover ascending contiguous ranges, so
+// the merged row order equals the sequential first-occurrence order.
+func buildPermTableBy[K comparable](pm *core.Permuter, points []metric.Point, ids []uint32, keyOf func(perm.Permutation) K) *rankTable {
 	workers := core.ShardWorkers(len(points))
 	if workers <= 1 || len(points) < parallelBuildThreshold {
 		table := newRankTable(pm.K())
-		buildPermTableRange(pm, points, ids, table, nil)
+		buildPermTableRange(pm, points, ids, table, keyOf, nil)
 		return table
 	}
 	locals := make([]*rankTable, workers)
-	localKeys := make([][]string, workers)
+	localKeys := make([][]K, workers)
 	ranges := make([][2]int, workers)
 	shards := core.ShardIndexes(len(points), workers, func(shard, lo, hi int) {
 		table := newRankTable(pm.K())
-		keys := buildPermTableRange(pm.Clone(), points[lo:hi], ids[lo:hi], table, []string{})
+		keys := buildPermTableRange(pm.Clone(), points[lo:hi], ids[lo:hi], table, keyOf, []K{})
 		locals[shard] = table
 		localKeys[shard] = keys
 		ranges[shard] = [2]int{lo, hi}
 	})
 	table := newRankTable(pm.K())
-	global := make(map[string]uint32)
+	global := make(map[K]uint32)
 	for s := 0; s < shards; s++ {
 		local := locals[s]
 		l2g := make([]uint32, local.rows)
@@ -195,12 +208,12 @@ func buildPermTable(pm *core.Permuter, points []metric.Point, ids []uint32) *ran
 // buildPermTableRange fills ids[i] with the table row of points[i],
 // appending new rows to table. When keys is non-nil it records the dedup
 // key of every new row, in row order (the parallel merge needs them).
-func buildPermTableRange(pm *core.Permuter, points []metric.Point, ids []uint32, table *rankTable, keys []string) []string {
-	index := make(map[string]uint32)
+func buildPermTableRange[K comparable](pm *core.Permuter, points []metric.Point, ids []uint32, table *rankTable, keyOf func(perm.Permutation) K, keys []K) []K {
+	index := make(map[K]uint32)
 	buf := make(perm.Permutation, pm.K())
 	for i, pt := range points {
 		pm.PermutationInto(pt, buf)
-		key := buf.Key()
+		key := keyOf(buf)
 		id, ok := index[key]
 		if !ok {
 			id = uint32(table.appendInverseOf(buf))
@@ -341,9 +354,10 @@ const scanTilePoints = 512
 
 // KNNBatch implements BatchIndex with an exhaustive batched scan: exact
 // answers, identical per query to KNN. No schedule is computed (see
-// KNNBudget); the batch boundary buys memory traffic instead: the database
-// is walked once in point tiles, every query measured against a tile while
-// it is resident, each into its own heap.
+// KNNBudget) and nothing is pruned, so a batch costs the same whatever the
+// sites make of the data; the batch boundary buys memory traffic instead:
+// the database is walked once in point tiles, every query measured against
+// a tile while it is resident, each into its own heap.
 func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	n := x.db.N()
 	checkK(k, n)
@@ -353,7 +367,7 @@ func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	}
 	for lo := 0; lo < n; lo += scanTilePoints {
 		for i, q := range qs {
-			x.db.measure(q, nil, lo, min(lo+scanTilePoints, n), &cs[i])
+			x.db.measure(q, nil, nil, lo, min(lo+scanTilePoints, n), &cs[i])
 		}
 	}
 	results := make([][]Result, len(qs))
@@ -407,7 +421,7 @@ func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats)
 	maxEvals = min(max(maxEvals, 0), n)
 	c := collector{h: newKNNHeap(k)}
 	if maxEvals == n {
-		x.db.measure(q, nil, 0, n, &c)
+		x.db.measure(q, nil, nil, 0, n, &c)
 	} else {
 		order := make([]int, maxEvals)
 		x.scanOrderInto(q, order)

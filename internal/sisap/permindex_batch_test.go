@@ -29,14 +29,18 @@ func TestKNNBatchMatchesScalar(t *testing.T) {
 		name     string
 		n, sites int
 		batches  []int
+		prunes   bool // large enough to carry bounds (boundMinFill)
 	}{
-		{"one partial tile", 500, 9, []int{17}},
+		{"one partial tile", 500, 9, []int{17}, false},
 		// n is deliberately not a multiple of scanTilePoints: two full
 		// tiles and a 276-point remainder.
-		{"tiles plus remainder", 2*scanTilePoints + 276, 9, []int{1, 7, 65}},
+		{"tiles plus remainder", 2*scanTilePoints + 276, 9, []int{1, 7, 65}, false},
+		// A store with bounds: the scalar side is the pruned walk over the
+		// bucket-major rows, the batch side still the tiles of the block.
+		{"bounded", 6000, 5, []int{1, 7}, true},
 		// k > 256 stores uint16 rank rows; the exhaustive walk never reads
 		// them, and Stats must still charge all 300 site evaluations.
-		{"wide ranks", 400, 300, []int{1, 7}},
+		{"wide ranks", 400, 300, []int{1, 7}, false},
 	} {
 		rng := rand.New(rand.NewSource(511))
 		db := NewDB(metric.L2{}, dataset.UniformVectors(rng, tc.n, 4))
@@ -44,6 +48,7 @@ func TestKNNBatchMatchesScalar(t *testing.T) {
 		if wide := idx.table.r16.data != nil; wide != (tc.sites > 256) {
 			t.Fatalf("%s: uint16 rank rows = %v at k=%d", tc.name, wide, tc.sites)
 		}
+		pruned := 0
 		for _, be := range permBackends(t, idx, db) {
 			for _, batch := range tc.batches {
 				qs := batchQueries(rng, batch, 4)
@@ -61,9 +66,13 @@ func TestKNNBatchMatchesScalar(t *testing.T) {
 						scalar.DistanceEvals+scalar.PrunedEvals != wantStats.DistanceEvals {
 						t.Fatalf("%s: batch stats %+v, scalar %+v, want %+v and k + measured", label, stats[i], scalar, wantStats)
 					}
+					pruned += scalar.PrunedEvals
 					sameBits(t, label, got[i], want)
 				}
 			}
+		}
+		if (pruned > 0) != tc.prunes {
+			t.Fatalf("%s: the scalar walk pruned %d points, want pruning = %v", tc.name, pruned, tc.prunes)
 		}
 	}
 }

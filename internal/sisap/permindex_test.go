@@ -189,3 +189,32 @@ func TestMoreSitesImproveOrdering(t *testing.T) {
 		t.Errorf("16 sites (%.1f) should beat 2 sites (%.1f)", avgMany, avgFew)
 	}
 }
+
+// TestPermIndexBuildKeys: whichever key tells permutations apart — the
+// Lehmer rank as a word (k ≤ 20) or perm.Key (beyond) — and however many
+// shards the build is split over, the table is the sequential
+// first-occurrence dedup under perm.Key, row for row and point for point.
+func TestPermIndexBuildKeys(t *testing.T) {
+	for _, sites := range []int{12, 20, 24} {
+		db, rng := testDB(int64(33+sites), 2*parallelBuildThreshold+123, 3, metric.L2{})
+		idx := NewPermIndex(db, rng.Perm(db.N())[:sites], Footrule)
+		rows := map[string]uint32{}
+		for i, pt := range db.Points {
+			p := idx.permuter.Permutation(pt)
+			row, ok := rows[p.Key()]
+			if !ok {
+				row = uint32(len(rows))
+				rows[p.Key()] = row
+				if !idx.table.invAt(int(row)).Equal(p.Inverse()) {
+					t.Fatalf("k=%d: row %d is not the inverse permutation of point %d, its first occurrence", sites, row, i)
+				}
+			}
+			if idx.tableIDs[i] != row {
+				t.Fatalf("k=%d: point %d stored under row %d, want %d", sites, i, idx.tableIDs[i], row)
+			}
+		}
+		if idx.table.rows != len(rows) {
+			t.Fatalf("k=%d: %d rows, want %d", sites, idx.table.rows, len(rows))
+		}
+	}
+}

@@ -82,8 +82,9 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 // lazyBuckets shares one once-built directory, and the bounds exact search
 // prunes with, between an index and every replica cloned from it (Replica
 // copies the struct, so the pointer is shared). A frozen open pre-fills pb
-// with container views; heap indexes build it on first use. The bounds are
-// part of no format: every store computes them on its first exact query.
+// with container views; heap indexes build it on first use. The bounds, and
+// the bucket-major coordinates kept with them, are part of no format: every
+// store computes them on its first exact query.
 type lazyBuckets struct {
 	once       sync.Once
 	pb         *prefixBuckets
@@ -251,22 +252,46 @@ func (x *PermIndex) buckets() *prefixBuckets {
 
 // bucketBounds is the metric side of the directory: lo[b*k+i] and hi[b*k+i]
 // are the least and greatest computed distance d(sᵢ, p) over the points p of
-// bucket b — 2·k·buckets float64s, LAESA's per-point table kept per cell.
+// bucket b — 2·k·buckets float64s, LAESA's per-point table kept per cell —
+// and rows is the coordinate block over again in the order the walk reads
+// it: row j holds point ptOrder[j], so bucket b is the contiguous run
+// ptStarts[b]..ptStarts[b+1] and measuring it gathers nothing (a gathered
+// point costs ≈ 3× a contiguous one). That is n·d·8 bytes of heap per store
+// that prunes, mmap'd ones included, until the block itself is laid out
+// this way.
 type bucketBounds struct {
 	lo, hi []float64
+	rows   []float64
 }
+
+// boundMinFill is the mean bucket size below which a store gets no bounds.
+// Bounding and ordering a bucket costs 2k slack gaps plus its share of the
+// sort, ≈ 40 ns at k = 12, and buys at best not measuring its points at
+// ≈ 4.5 ns each (d = 6, contiguous). On uniform data, where the bounds
+// exclude barely half the buckets, the walk beats the memory-order scan only
+// from 25–40 points per bucket up (n / buckets → walk ÷ scan at k = 12,
+// d = 6: 6 → 2.3, 12 → 1.8, 19 → 1.4, 23 → 1.1, 40 → 1.06, 42 → 0.58);
+// clustered data stops losing at 14–18. Scaling the threshold by k/d, as the
+// two costs suggest, fits worse than the plain count (d = 2 wins from 25 up
+// at k = 12, k = 20 from 34 at d = 6): what moves the break-even is how much
+// the bounds exclude, and that follows the data, not the store's shape.
+const boundMinFill = 32
 
 // siteBounds computes the bounds from what every store holds whatever its
 // origin — the packed coordinate block, the site IDs and the directory's
 // posting lists — with DB.measure's arithmetic (site and point swapped, which
-// changes no bit of |x − y| or (x − y)²). L2 takes the extremes of the
-// squared sums and one Sqrt per cell: Sqrt is monotone and correctly rounded,
-// so that is the extreme of the distances. min and max propagate NaN, so an
-// interval over a non-finite coordinate compares false both ways and never
-// prunes. Only a packed database under L1, L2 or L∞ (the split DB.measure
-// makes) of at most boundMaxDim dimensions qualifies; any other store gets
-// nil, and builds no directory for it.
-func (x *PermIndex) siteBounds() *bucketBounds {
+// changes no bit of |x − y| or (x − y)²). Each bucket's points are copied
+// into their run first and the run is then swept once per site, the extremes
+// in registers: turned that way round the copy costs nothing over bounding
+// the scattered points. L2 takes the extremes of the squared sums and one
+// Sqrt per cell: Sqrt is monotone and correctly rounded, so that is the
+// extreme of the distances. min and max propagate NaN, so an interval over a
+// non-finite coordinate compares false both ways and never prunes. Only a
+// packed database under L1, L2 or L∞ (the split DB.measure makes) of at most
+// boundMaxDim dimensions, cut into buckets of at least minFill points on
+// average (boundMinFill), qualifies; any other store gets nil, and one the
+// kernels do not cover builds no directory for it.
+func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	db, d, k := x.db, x.db.dim, x.K()
 	_, l1 := db.Metric.(metric.L1)
 	_, l2 := db.Metric.(metric.L2)
@@ -275,22 +300,26 @@ func (x *PermIndex) siteBounds() *bucketBounds {
 	}
 	pb := x.buckets()
 	nb := pb.numBuckets()
-	bb := &bucketBounds{lo: make([]float64, nb*k), hi: make([]float64, nb*k)}
+	if db.N() < minFill*nb {
+		return nil
+	}
+	bb := &bucketBounds{lo: make([]float64, nb*k), hi: make([]float64, nb*k), rows: make([]float64, len(pb.ptOrder)*d)}
 	workers := 1
 	if db.N() >= parallelBuildThreshold {
 		workers = 4 * core.ShardWorkers(nb) // buckets are uneven: more shards than cores
 	}
 	core.ShardIndexes(nb, workers, func(_, b0, b1 int) {
 		for b := b0; b < b1; b++ {
-			lo, hi := bb.lo[b*k:][:k], bb.hi[b*k:][:k]
-			for i := range lo {
-				lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+			start, end := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
+			run := bb.rows[start*d : end*d]
+			for j, id := range pb.ptOrder[start:end] {
+				copy(run[j*d:][:d], db.block[int(id)*d:][:d])
 			}
-			for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
-				p := db.block[int(id)*d:][:d]
-				for i, site := range x.siteIDs {
+			for i, site := range x.siteIDs {
+				s, lo, hi := db.block[site*d:][:d], math.Inf(1), math.Inf(-1)
+				for r := run; len(r) > 0; r = r[d:] {
 					var v float64
-					switch s := db.block[site*d:][:d]; {
+					switch p := r[:d]; {
 					case l1:
 						for j, a := range s {
 							v += math.Abs(a - p[j])
@@ -305,11 +334,12 @@ func (x *PermIndex) siteBounds() *bucketBounds {
 							v = max(v, math.Abs(a-p[j]))
 						}
 					}
-					lo[i], hi[i] = min(lo[i], v), max(hi[i], v)
+					lo, hi = min(lo, v), max(hi, v)
 				}
-			}
-			for i := 0; l2 && i < k; i++ {
-				lo[i], hi[i] = math.Sqrt(lo[i]), math.Sqrt(hi[i])
+				if l2 {
+					lo, hi = math.Sqrt(lo), math.Sqrt(hi)
+				}
+				bb.lo[b*k+i], bb.hi[b*k+i] = lo, hi
 			}
 		}
 	})
@@ -336,7 +366,7 @@ func (bb *bucketBounds) lowerBound(b int, qd []float64) float64 {
 // bounds returns the shared bucket bounds, computed on first use, or nil
 // when the store does not qualify (see siteBounds).
 func (x *PermIndex) bounds() *bucketBounds {
-	x.lb.boundsOnce.Do(func() { x.lb.bounds = x.siteBounds() })
+	x.lb.boundsOnce.Do(func() { x.lb.bounds = x.siteBounds(boundMinFill) })
 	return x.lb.bounds
 }
 
@@ -353,9 +383,10 @@ type bucketLB struct {
 //	LB(b) = maxᵢ max(0, d(q,sᵢ) − hi[b][i], lo[b][i] − d(q,sᵢ))
 //
 // — LAESA's elimination rule at cell granularity, each difference shrunk by
-// slackGap's rounding slack — and a bucket is measured, through DB.measure's
-// posting-list form, unless LB(b) > c's limit: strictly, so equal-distance
-// ties are still seen and the (distance, ID) tie-break stays the oracle's.
+// slackGap's rounding slack — and a bucket is measured, as one contiguous run
+// of the bucket-major rows, unless LB(b) > c's limit: strictly, so
+// equal-distance ties are still seen and the (distance, ID) tie-break stays
+// the oracle's.
 // kNN visits in ascending LB (ties by bucket number) so the limit tightens
 // early; a range query's limit is fixed and the order moot. Either way c
 // ends up holding what the full scan would have (set-determined, see
@@ -363,7 +394,7 @@ type bucketLB struct {
 func (x *PermIndex) walk(q metric.Point, c *collector) Stats {
 	bb, k, n := x.bounds(), x.K(), x.db.N()
 	if bb == nil {
-		x.db.measure(q, nil, 0, n, c)
+		x.db.measure(q, nil, nil, 0, n, c)
 		return Stats{DistanceEvals: k + n}
 	}
 	pb, s := x.lb.pb, x.scratchBuffers()
@@ -375,7 +406,7 @@ func (x *PermIndex) walk(q metric.Point, c *collector) Stats {
 	measured := 0
 	visit := func(b int) {
 		lo, hi := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
-		x.db.measure(q, pb.ptOrder, lo, hi, c)
+		x.db.measure(q, bb.rows, pb.ptOrder, lo, hi, c)
 		measured += hi - lo
 	}
 	// Buckets at LB = 0 can never be skipped: they go first, as they come,
@@ -467,7 +498,7 @@ func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxSt
 	}
 	c := collector{h: newKNNHeap(k)}
 	for _, b := range a.border[:probed] {
-		x.db.measure(q, pb.ptOrder, int(pb.ptStarts[b]), int(pb.ptStarts[b+1]), &c)
+		x.db.measure(q, nil, pb.ptOrder, int(pb.ptStarts[b]), int(pb.ptStarts[b+1]), &c)
 	}
 	return c.h.results(), ApproxStats{
 		Stats:         Stats{DistanceEvals: x.K() + npts},

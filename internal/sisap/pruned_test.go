@@ -23,9 +23,20 @@ import (
 
 var boundMetrics = []metric.Metric{metric.L1{}, metric.L2{}, metric.LInf{}}
 
+// forceBounds computes x's bounds through the Once every exact query goes
+// through, but without the rule that leaves a finely cut store unbounded
+// (boundMinFill): the hostile stores these tests build are a few hundred
+// points, and a walk over them is slow, not wrong — what is pinned here is
+// that it is not wrong.
+func forceBounds(x *PermIndex) *bucketBounds {
+	x.lb.boundsOnce.Do(func() { x.lb.bounds = x.siteBounds(0) })
+	return x.lb.bounds
+}
+
 // prunedStores returns idx over every origin a store can have: as built,
 // decoded from a PTBL container, and decoded or mapped from a frozen one.
-// None of the formats carries bounds; each store computes its own.
+// None of the formats carries bounds; each store computes its own, here
+// whatever its size (forceBounds).
 func prunedStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
 	var buf bytes.Buffer
@@ -36,7 +47,13 @@ func prunedStores(t *testing.T, idx *PermIndex) []permBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(fullSetStores(t, idx), permBackend{"ptbl", loaded.(*PermIndex)})
+	stores := append(fullSetStores(t, idx), permBackend{"ptbl", loaded.(*PermIndex)})
+	for _, st := range stores {
+		if forceBounds(st.idx) == nil {
+			t.Fatalf("%s: a packed store has no bounds", st.name)
+		}
+	}
+	return stores
 }
 
 // boundShapes are the point sets the bound must survive: no structure,
@@ -78,7 +95,7 @@ func TestBoundSoundness(t *testing.T) {
 			for shape, pts := range boundShapes(rng, n, d) {
 				db := NewDB(m, pts)
 				idx := NewPermIndex(db, rng.Perm(n)[:sites], Footrule)
-				bb, pb := idx.bounds(), idx.buckets()
+				bb, pb := forceBounds(idx), idx.buckets()
 				if bb == nil {
 					t.Fatalf("d=%d %s %s: a packed store has no bounds", d, m.Name(), shape)
 				}
@@ -134,7 +151,7 @@ func TestBoundNonFinite(t *testing.T) {
 	pts[7] = metric.Vector{nan, 0.5}
 	db := NewDB(metric.L2{}, pts)
 	idx := NewPermIndex(db, []int{1, 2, 3, 4}, Footrule)
-	bb, pb := idx.bounds(), idx.buckets()
+	bb, pb := forceBounds(idx), idx.buckets()
 	far := []float64{50, 50, 50, 50}
 	for b := 0; b < pb.numBuckets(); b++ {
 		holdsNaN := false
@@ -143,6 +160,78 @@ func TestBoundNonFinite(t *testing.T) {
 		}
 		if lb := bb.lowerBound(b, far); holdsNaN != (lb == 0) {
 			t.Errorf("bucket %d (holds the NaN point: %v) has LB %v for a far query", b, holdsNaN, lb)
+		}
+	}
+}
+
+// TestBoundRowsLayout: the bucket-major rows are the coordinate block taken
+// in ptOrder, bit for bit — NaN payloads, signed zeros, denormals and
+// infinities included — on every store origin, and a replica reads the copy
+// its index made.
+func TestBoundRowsLayout(t *testing.T) {
+	const n, d = 400, 3
+	rng := rand.New(rand.NewSource(5))
+	pts := dataset.ClusteredVectors(rng, n, d, 4, 0.05)
+	for i, v := range []float64{math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Copysign(0, -1), 0,
+		5e-324, -2.2e-308, math.Inf(1), math.Inf(-1), math.MaxFloat64} {
+		pts[10*i+3].(metric.Vector)[i%d] = v
+	}
+	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(n)[:5], Footrule)
+	for _, st := range prunedStores(t, idx) {
+		bb, pb, block := st.idx.bounds(), st.idx.buckets(), st.idx.db.block
+		if len(bb.rows) != n*d || len(block) != n*d {
+			t.Fatalf("%s: %d bucket-major coordinates over a block of %d, want %d", st.name, len(bb.rows), len(block), n*d)
+		}
+		for j, id := range pb.ptOrder {
+			for c := 0; c < d; c++ {
+				if got, want := bb.rows[j*d+c], block[int(id)*d+c]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: row %d coordinate %d = %x, point %d has %x", st.name, j, c, math.Float64bits(got), id, math.Float64bits(want))
+				}
+			}
+		}
+		if rep := st.idx.Replica().(*PermIndex); &rep.bounds().rows[0] != &bb.rows[0] {
+			t.Fatalf("%s: a replica made its own copy of the coordinates", st.name)
+		}
+	}
+}
+
+// TestBoundQualification: the rule that decides which stores are worth
+// bounding (boundMinFill), on both sides. A small uniform store — the shape
+// of a shard or a freshly rebuilt mutable base — gets no bounds and no copy,
+// prunes nothing and scans; a clustered one of the benchmark's shape gets
+// both and prunes. Either way the answers are LinearScan's.
+func TestBoundQualification(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		name    string
+		pts     []metric.Point
+		bounded bool
+	}{
+		{"uniform n=500", dataset.UniformVectors(rng, 500, 6), false},
+		{"clustered n=20000", dataset.ClusteredVectors(rng, 20000, 6, 32, 0.05), true},
+	} {
+		db := NewDB(metric.L2{}, tc.pts)
+		idx := NewPermIndex(db, rng.Perm(db.N())[:12], Footrule)
+		linear := NewLinearScan(db)
+		pruned := 0
+		for qi, q := range append(dataset.UniformVectors(rng, 8, 6), tc.pts[:8]...) {
+			label := fmt.Sprintf("%s query %d", tc.name, qi)
+			want, _ := linear.KNN(q, 10)
+			got, st := idx.KNN(q, 10)
+			sameBits(t, label+" KNN", got, want)
+			wantR, _ := linear.Range(q, want[9].Distance)
+			gotR, stR := idx.Range(q, want[9].Distance)
+			sameBits(t, label+" Range", gotR, wantR)
+			batch, stB := idx.KNNBatch([]metric.Point{q}, 10)
+			sameBits(t, label+" KNNBatch", batch[0], want)
+			if st.DistanceEvals+st.PrunedEvals != 12+db.N() || stR.DistanceEvals+stR.PrunedEvals != 12+db.N() || stB[0] != (Stats{DistanceEvals: 12 + db.N()}) {
+				t.Fatalf("%s: stats %+v / %+v / %+v do not account for 12 sites + %d points", label, st, stR, stB[0], db.N())
+			}
+			pruned += st.PrunedEvals + stR.PrunedEvals
+		}
+		if bb := idx.bounds(); (bb != nil) != tc.bounded || (pruned > 0) != tc.bounded {
+			t.Fatalf("%s (%d buckets): bounds = %v, %d points pruned, want bounded = %v",
+				tc.name, idx.ApproxBuckets(), bb != nil, pruned, tc.bounded)
 		}
 	}
 }
@@ -341,37 +430,54 @@ func prunedFuzzInput(data []byte) (m metric.Metric, pts []metric.Point, q metric
 
 // FuzzPrunedKNN: whatever small store, query and k the bytes describe,
 // pruned KNN and Range (at the k-th distance — a radius on a stored
-// distance) equal LinearScan element for element.
+// distance) equal LinearScan element for element. The stores are far below
+// boundMinFill, so their bounds are forced, and the seeds are checked to
+// reach a walk that prunes.
 func FuzzPrunedKNN(f *testing.F) {
-	f.Add([]byte{1, 0, 3, 2, 0, 0, 10, 0, 20, 0, 30, 0, 30, 0, 255, 255, 15, 0})
-	f.Add([]byte{0, 1, 2, 1, 1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 1, 0, 1, 0, 0, 0, 5, 0})
 	rng := rand.New(rand.NewSource(1))
-	seed := make([]byte, 4+2*3*61)
-	rng.Read(seed)
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, pts, q, sites, k, ok := prunedFuzzInput(data)
-		if !ok {
-			t.Skip()
-		}
-		db := NewDB(m, pts)
-		siteIDs := make([]int, sites)
-		for i := range siteIDs {
-			siteIDs[i] = i * len(pts) / sites
-		}
-		idx := NewPermIndex(db, siteIDs, Footrule)
-		if idx.bounds() == nil {
-			t.Fatal("a packed store has no bounds")
-		}
-		linear := NewLinearScan(db)
-		want, _ := linear.KNN(q, k)
-		got, st := idx.KNN(q, k)
-		sameBits(t, "KNN", got, want)
-		if st.DistanceEvals+st.PrunedEvals != sites+len(pts) {
-			t.Fatalf("KNN stats %+v do not account for %d sites + %d points", st, sites, len(pts))
-		}
-		wantR, _ := linear.Range(q, want[k-1].Distance)
-		gotR, _ := idx.Range(q, want[k-1].Distance)
-		sameBits(t, "Range", gotR, wantR)
-	})
+	random := make([]byte, 4+2*3*61)
+	rng.Read(random)
+	copy(random, []byte{1, 1, 5, 2}) // L2, 2-d, 6 sites, k = 3 over 90 random points
+	pruned := 0
+	for _, seed := range [][]byte{
+		{1, 0, 3, 2, 0, 0, 10, 0, 20, 0, 30, 0, 30, 0, 255, 255, 15, 0},
+		{0, 1, 2, 1, 1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 1, 0, 1, 0, 0, 0, 5, 0},
+		random,
+	} {
+		f.Add(seed)
+		pruned += prunedFuzzCheck(f, seed).PrunedEvals
+	}
+	if pruned == 0 {
+		f.Fatal("no seed prunes: the fuzzer would only ever compare two scans")
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { prunedFuzzCheck(t, data) })
+}
+
+// prunedFuzzCheck runs one fuzz input and returns its kNN query's Stats
+// (zero when the bytes describe no store).
+func prunedFuzzCheck(t testing.TB, data []byte) Stats {
+	m, pts, q, sites, k, ok := prunedFuzzInput(data)
+	if !ok {
+		return Stats{}
+	}
+	db := NewDB(m, pts)
+	siteIDs := make([]int, sites)
+	for i := range siteIDs {
+		siteIDs[i] = i * len(pts) / sites
+	}
+	idx := NewPermIndex(db, siteIDs, Footrule)
+	if forceBounds(idx) == nil {
+		t.Fatal("a packed store has no bounds")
+	}
+	linear := NewLinearScan(db)
+	want, _ := linear.KNN(q, k)
+	got, st := idx.KNN(q, k)
+	sameBits(t, "KNN", got, want)
+	if st.DistanceEvals+st.PrunedEvals != sites+len(pts) {
+		t.Fatalf("KNN stats %+v do not account for %d sites + %d points", st, sites, len(pts))
+	}
+	wantR, _ := linear.Range(q, want[k-1].Distance)
+	gotR, _ := idx.Range(q, want[k-1].Distance)
+	sameBits(t, "Range", gotR, wantR)
+	return st
 }

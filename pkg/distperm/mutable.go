@@ -647,8 +647,9 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 		return fmt.Errorf("distperm: rebuild: %w", err)
 	}
 	// Warm the view off the read and write paths: one throwaway query per
-	// segment builds what its index builds lazily (distperm's directory and
-	// bounds) — asked directly, not through the pool: no engine counter moves.
+	// segment builds what its index builds lazily (distperm's directory,
+	// bounds and the bucket-major coordinates its walk reads) — asked
+	// directly, not through the pool: no engine counter moves.
 	nv := newView(newDB, idx, nil)
 	for _, seg := range nv.segs {
 		sisap.QueryReplica(seg.idx).KNN(seg.db.Points[0], 1)

@@ -17,6 +17,7 @@ type searchEngine interface {
 	KNNBatch(qs []Point, k int) ([][]Result, error)
 	RangeBatch(qs []Point, r float64) ([][]Result, error)
 	KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []ApproxStats, error)
+	Stats() EngineStats
 	Close()
 }
 
@@ -45,8 +46,10 @@ func (c searchCase) want(p Point, q Query) []Result {
 	return rs
 }
 
-// searchCases builds the four compositions over one database of n points
-// (with duplicated points, so equal distances exercise the ID tie-break).
+// searchCases builds the four compositions over one database (with
+// duplicated points, so equal distances exercise the ID tie-break), large
+// enough that a quarter of it still carries bucket bounds: the distperm
+// compositions answer exact queries by the pruned walk, shards included.
 // The mutable ones carry a non-empty delta, a base tombstone, and a deleted
 // delta point, with automatic rebuilds off so they stay that way.
 func searchCases(t *testing.T, kind string) []searchCase {
@@ -54,7 +57,7 @@ func searchCases(t *testing.T, kind string) []searchCase {
 	// A DB is immutable once built (its scans read a packed copy of the
 	// coordinates), so the duplicates go in before the build.
 	rng := rand.New(rand.NewSource(77))
-	raw := dataset.UniformVectors(rng, 600, 3)
+	raw := dataset.UniformVectors(rng, 6000, 3)
 	for i := 0; i < 20; i++ {
 		raw[300+i] = raw[i]
 	}
@@ -169,6 +172,15 @@ func TestSearchEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, exact) || !reflect.DeepEqual(legacy, exact) {
 				t.Fatal("kNN: Search, KNNBatch, and the oracle disagree")
+			}
+			// A multi-query search travels as sub-batches, which measure every
+			// point; a lone query takes the pruned walk and must agree too.
+			before := c.eng.Stats().PrunedEvals
+			if lone, _, err := c.eng.Search(qs[:1], Query{K: k}); err != nil || !reflect.DeepEqual(lone, exact[:1]) {
+				t.Fatalf("kNN: a lone query answered %v (%v), oracle %v", lone, err, exact[:1])
+			}
+			if st := c.eng.Stats(); st.PrunedEvals == before {
+				t.Fatalf("kNN: nothing was pruned (%+v): the walk under test did not run", st)
 			}
 
 			got, sts, err = c.eng.Search(qs, Query{Radius: radius})

@@ -501,7 +501,7 @@ func (s *syncBuffer) String() string {
 // they account for every (query, point) pair: the prune rate is
 // pruned / (pruned + evals).
 func TestPrunedEvalsSurface(t *testing.T) {
-	const n, sites, reps = 400, 8, 12
+	const n, sites, reps = 4000, 8, 12 // enough points per bucket for the store to carry bounds
 	_, ts, _, queries := testServer(t, 79, n, 3, dpserver.Config{})
 	c := client.New(ts.URL)
 	for _, q := range queries[:reps] {

@@ -12,25 +12,23 @@
 // Compare mode reads two such files and exits 1 when any benchmark present
 // in both regressed by more than -max-regress (a fraction; 0.25 means a
 // benchmark may be up to 25% slower, or serve up to 25% fewer queries/s,
-// before the gate trips):
+// before the gate trips) — measured against the anchors, not the clock:
+// every figure is first divided by the geometric mean, from its own file, of
+// the benchmarks over code the serving rounds never touched (anchors), so a
+// box that ran everything 1.7× slower on the day reads flat and the gate can
+// be armed against any committed point, whatever machine recorded it. The
+// baseline is the newest committed bench/BENCH_pr*.json:
 //
-//	benchgate -baseline bench/BENCH_baseline.json -current BENCH_$GITHUB_SHA.json
+//	benchgate -baseline bench/BENCH_pr20.json -current BENCH_$GITHUB_SHA.json
 //
 // Benchmarks present on only one side are reported but never fail the gate,
-// so adding or retiring benchmarks does not wedge CI; the committed
-// baseline is refreshed by promoting a run's artifact to
-// bench/BENCH_baseline.json (required after a runner-hardware change, since
-// absolute timings are machine-specific). A baseline recorded with -seed
-// (off-runner, bootstrapping the trajectory) is advisory: regressions are
-// reported but do not fail the gate until a runner-produced baseline is
-// promoted.
+// so adding or retiring benchmarks does not wedge CI.
 //
-// Report mode renders a series of trajectory files — in commit order, as
-// downloaded from the per-run BENCH_<sha>.json artifacts — as a markdown
-// table, one row per benchmark and one column per commit, each cell showing
-// ns/op with the drift against the previous commit carrying that
-// benchmark. It makes perf drift visible across a whole commit range before
-// any single step trips the gate:
+// Report mode renders a series of trajectory files — in commit order — as a
+// markdown table, one row per benchmark and one column per commit, each cell
+// showing ns/op with the anchor-normalised drift against the previous commit
+// carrying that benchmark. It makes perf drift visible across a whole commit
+// range before any single step trips the gate:
 //
 //	benchgate -report BENCH_aaa.json BENCH_bbb.json BENCH_ccc.json
 package main
@@ -41,9 +39,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -61,14 +62,27 @@ type Point struct {
 
 // File is one trajectory point: every benchmark of one commit's run.
 type File struct {
-	SHA string `json:"sha,omitempty"`
-	// Seed marks a baseline recorded off-runner (e.g. on a developer
-	// machine to bootstrap the trajectory). Absolute timings are
-	// machine-specific, so compare mode reports regressions against a seed
-	// baseline without failing; promoting a runner-produced artifact
-	// (which record mode never stamps as seed) arms the hard gate.
-	Seed       bool             `json:"seed,omitempty"`
+	SHA        string           `json:"sha,omitempty"`
 	Benchmarks map[string]Point `json:"benchmarks"`
+}
+
+// anchors are the benchmarks over code round two has not touched; what they
+// read is how fast the box was when the file was recorded.
+var anchors = []string{"BenchmarkKendallTau", "BenchmarkEditDistance", "BenchmarkKNNLinear", "BenchmarkKNNVPTree"}
+
+// yardstick returns the geometric mean ns/op of the anchors b carries, or 1
+// (raw comparison) when it carries none.
+func yardstick(b map[string]Point) float64 {
+	sum, n := 0.0, 0.0
+	for _, name := range anchors {
+		if p, ok := b[name]; ok && p.NsPerOp > 0 {
+			sum, n = sum+math.Log(p.NsPerOp), n+1
+		}
+	}
+	if n == 0 {
+		return 1
+	}
+	return math.Exp(sum / n)
 }
 
 // benchLine matches one `go test -bench` result line. The -N GOMAXPROCS
@@ -120,10 +134,12 @@ type regression struct {
 }
 
 // compare gates current against baseline: a benchmark regresses when its
-// ns/op grew, or its queries/s shrank, by more than maxRegress. Only
-// benchmarks present in both files are gated; the names present on one
-// side only are returned for reporting.
+// ns/op grew, or its queries/s shrank, by more than maxRegress beyond the
+// drift of the anchors between the two files. Only benchmarks present in
+// both files are gated; the names present on one side only are returned for
+// reporting.
 func compare(baseline, current map[string]Point, maxRegress float64) (regs []regression, onlyBase, onlyCur []string) {
+	drift := yardstick(current) / yardstick(baseline)
 	for name, b := range baseline {
 		c, ok := current[name]
 		if !ok {
@@ -131,12 +147,12 @@ func compare(baseline, current map[string]Point, maxRegress float64) (regs []reg
 			continue
 		}
 		if b.NsPerOp > 0 {
-			if frac := c.NsPerOp/b.NsPerOp - 1; frac > maxRegress {
+			if frac := c.NsPerOp/b.NsPerOp/drift - 1; frac > maxRegress {
 				regs = append(regs, regression{name, "ns/op", b.NsPerOp, c.NsPerOp, frac})
 			}
 		}
 		if b.QPS > 0 && c.QPS > 0 {
-			if frac := 1 - c.QPS/b.QPS; frac > maxRegress {
+			if frac := 1 - c.QPS/b.QPS*drift; frac > maxRegress {
 				regs = append(regs, regression{name, "queries/s", b.QPS, c.QPS, frac})
 			}
 		}
@@ -153,8 +169,7 @@ func compare(baseline, current map[string]Point, maxRegress float64) (regs []reg
 }
 
 // columnLabel names a trajectory file in the report header: the short SHA
-// when the file carries one (with a seed marker when applicable), else the
-// file's base name.
+// when the file carries one, else the file's base name.
 func columnLabel(path string, f File) string {
 	label := f.SHA
 	if label == "" {
@@ -163,15 +178,13 @@ func columnLabel(path string, f File) string {
 	if len(label) > 12 {
 		label = label[:12]
 	}
-	if f.Seed {
-		label += " (seed)"
-	}
 	return label
 }
 
 // writeReport renders the trajectory files (in the given order) as a
-// markdown table: benchmark × commit, ns/op with percentage drift against
-// the previous commit that has the benchmark.
+// markdown table: benchmark × commit, ns/op with percentage drift — over
+// the anchors' own drift — against the previous commit that has the
+// benchmark.
 func writeReport(w io.Writer, paths []string, files []File) error {
 	names := map[string]bool{}
 	for _, f := range files {
@@ -179,11 +192,7 @@ func writeReport(w io.Writer, paths []string, files []File) error {
 			names[name] = true
 		}
 	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
+	sorted := slices.Sorted(maps.Keys(names))
 
 	fmt.Fprintf(w, "| benchmark |")
 	for i, f := range files {
@@ -197,19 +206,20 @@ func writeReport(w io.Writer, paths []string, files []File) error {
 	fmt.Fprintln(w)
 	for _, name := range sorted {
 		fmt.Fprintf(w, "| %s |", name)
-		prev := 0.0 // last ns/op seen for this benchmark, 0 = none yet
+		prev := 0.0 // last ns/op ÷ yardstick seen for this benchmark, 0 = none yet
 		for _, f := range files {
 			p, ok := f.Benchmarks[name]
+			norm := p.NsPerOp / yardstick(f.Benchmarks)
 			switch {
 			case !ok:
 				fmt.Fprintf(w, " — |")
 			case prev == 0:
 				fmt.Fprintf(w, " %.4g ns/op |", p.NsPerOp)
 			default:
-				fmt.Fprintf(w, " %.4g ns/op (%+.1f%%) |", p.NsPerOp, (p.NsPerOp/prev-1)*100)
+				fmt.Fprintf(w, " %.4g ns/op (%+.1f%%) |", p.NsPerOp, (norm/prev-1)*100)
 			}
 			if ok {
-				prev = p.NsPerOp
+				prev = norm
 			}
 		}
 		fmt.Fprintln(w)
@@ -235,10 +245,9 @@ func main() {
 		in         = flag.String("in", "", "record: read benchmark output from this file instead of stdin")
 		out        = flag.String("out", "", "record: write the JSON here (default stdout)")
 		sha        = flag.String("sha", "", "record: commit SHA to stamp the file with")
-		seed       = flag.Bool("seed", false, "record: mark the file as an off-runner seed baseline (compare reports against it without failing)")
 		baseline   = flag.String("baseline", "", "compare: the committed baseline JSON")
 		current    = flag.String("current", "", "compare: the fresh run's JSON")
-		maxRegress = flag.Float64("max-regress", 0.25, "compare: fail when a benchmark is more than this fraction worse")
+		maxRegress = flag.Float64("max-regress", 0.25, "compare: fail when a benchmark is more than this fraction worse, over the anchors' drift")
 		report     = flag.Bool("report", false, "render the trajectory files given as arguments (in commit order) as a markdown drift table")
 	)
 	flag.Parse()
@@ -246,13 +255,13 @@ func main() {
 	if *report {
 		reportFiles = flag.Args()
 	}
-	if err := run(*record, *in, *out, *sha, *seed, *baseline, *current, *maxRegress, reportFiles, os.Stdout); err != nil {
+	if err := run(*record, *in, *out, *sha, *baseline, *current, *maxRegress, reportFiles, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(record bool, in, out, sha string, seed bool, baseline, current string, maxRegress float64, report []string, w io.Writer) error {
+func run(record bool, in, out, sha string, baseline, current string, maxRegress float64, report []string, w io.Writer) error {
 	switch {
 	case len(report) > 0:
 		files := make([]File, len(report))
@@ -281,7 +290,7 @@ func run(record bool, in, out, sha string, seed bool, baseline, current string, 
 		if len(points) == 0 {
 			return fmt.Errorf("benchgate: no benchmark lines in input")
 		}
-		raw, err := json.MarshalIndent(File{SHA: sha, Seed: seed, Benchmarks: points}, "", "  ")
+		raw, err := json.MarshalIndent(File{SHA: sha, Benchmarks: points}, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -305,29 +314,20 @@ func run(record bool, in, out, sha string, seed bool, baseline, current string, 
 			fmt.Fprintf(w, "note: %s is in the baseline only (retired?)\n", name)
 		}
 		for _, name := range onlyCur {
-			fmt.Fprintf(w, "note: %s is new (not in the baseline); promote the artifact to gate it\n", name)
+			fmt.Fprintf(w, "note: %s is new (not in the baseline)\n", name)
 		}
-		gated := 0
-		for name := range cur.Benchmarks {
-			if _, ok := base.Benchmarks[name]; ok {
-				gated++
-			}
-		}
+		drift := yardstick(cur.Benchmarks) / yardstick(base.Benchmarks)
 		if len(regs) == 0 {
-			fmt.Fprintf(w, "benchgate: %d benchmarks within %.0f%% of baseline %s\n",
-				gated, maxRegress*100, base.SHA)
+			fmt.Fprintf(w, "benchgate: %d benchmarks within %.0f%% of baseline %s, over anchors that read ×%.2f its\n",
+				len(base.Benchmarks)-len(onlyBase), maxRegress*100, base.SHA, drift)
 			return nil
 		}
 		for _, r := range regs {
-			fmt.Fprintf(w, "REGRESSION: %s %s %.4g → %.4g (%.1f%% worse, limit %.0f%%)\n",
+			fmt.Fprintf(w, "REGRESSION: %s %s %.4g → %.4g (%.1f%% worse over the anchors, limit %.0f%%)\n",
 				r.name, r.metric, r.base, r.cur, r.frac*100, maxRegress*100)
 		}
-		if base.Seed {
-			fmt.Fprintf(w, "benchgate: baseline %s is an off-runner seed — regressions reported, not fatal; promote a run's artifact to bench/BENCH_baseline.json to arm the gate\n", base.SHA)
-			return nil
-		}
-		return fmt.Errorf("benchgate: %d regression(s) beyond %.0f%% vs baseline %s",
-			len(regs), maxRegress*100, base.SHA)
+		return fmt.Errorf("benchgate: %d regression(s) beyond %.0f%% vs baseline %s, over anchors that read ×%.2f its",
+			len(regs), maxRegress*100, base.SHA, drift)
 	default:
 		return fmt.Errorf("benchgate: use -record, -baseline with -current, or -report with trajectory files (see package doc)")
 	}

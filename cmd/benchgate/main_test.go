@@ -69,6 +69,33 @@ func TestCompareGate(t *testing.T) {
 	if regs, _, _ := compare(base, base, 0.25); len(regs) != 0 {
 		t.Errorf("self-compare regressed: %+v", regs)
 	}
+	// With anchors in both files the gate measures against them: a box that
+	// ran everything 1.7× slower reads flat, the one benchmark that lost 40%
+	// on top of that is caught, and an anchor that alone doubles is caught
+	// too (it moves the four-anchor mean by only 2^¼).
+	day := func(scale float64, extra map[string]float64) map[string]Point {
+		out := map[string]Point{}
+		for name, ns := range map[string]float64{"BenchmarkKendallTau": 1300, "BenchmarkEditDistance": 220,
+			"BenchmarkKNNLinear": 20800, "BenchmarkKNNVPTree": 7300, "BenchmarkServe": 150000, "BenchmarkScan": 900000} {
+			f := scale
+			if e, ok := extra[name]; ok {
+				f *= e
+			}
+			out[name] = Point{NsPerOp: ns * f, QPS: 1e9 / (ns * f), Runs: 3}
+		}
+		return out
+	}
+	if regs, _, _ := compare(day(1, nil), day(1.7, nil), 0.25); len(regs) != 0 {
+		t.Errorf("a uniformly 1.7× slower box regressed: %+v", regs)
+	}
+	regs, _, _ = compare(day(1, nil), day(1.7, map[string]float64{"BenchmarkServe": 1.4}), 0.25)
+	if len(regs) != 2 || regs[0].name != "BenchmarkServe" || regs[1].name != "BenchmarkServe" {
+		t.Errorf("slow box + one real 40%% loss: %+v, want BenchmarkServe on ns/op and queries/s", regs)
+	}
+	regs, _, _ = compare(day(1, nil), day(1, map[string]float64{"BenchmarkKNNLinear": 2}), 0.25)
+	if len(regs) == 0 || regs[0].name != "BenchmarkKNNLinear" {
+		t.Errorf("an anchor that alone doubled: %+v, want it caught", regs)
+	}
 }
 
 // TestEndToEndGate drives record and compare through run(), including the
@@ -85,51 +112,49 @@ func TestEndToEndGate(t *testing.T) {
 	in := write("bench.txt", sampleOutput)
 	basePath := filepath.Join(dir, "base.json")
 	var sink strings.Builder
-	if err := run(true, in, basePath, "abc123", false, "", "", 0.25, nil, &sink); err != nil {
+	if err := run(true, in, basePath, "abc123", "", "", 0.25, nil, &sink); err != nil {
 		t.Fatal(err)
 	}
 	// Same numbers against themselves: the gate passes.
-	if err := run(false, "", "", "", false, basePath, basePath, 0.25, nil, &sink); err != nil {
+	if err := run(false, "", "", "", basePath, basePath, 0.25, nil, &sink); err != nil {
 		t.Fatalf("self-compare failed: %v", err)
 	}
-	// Inject a slowdown: every ns/op figure 10× worse must trip the gate.
-	slow := strings.NewReplacer("33099", "330990", "32950", "329500", "34001", "340010",
-		"456087", "4560870", "460100", "4601000", "265.1", "2651").Replace(sampleOutput)
+	// Inject a slowdown into the code under the gate — every figure but the
+	// anchor's (BenchmarkKNNLinear) 10× worse — and the gate must trip.
+	slow := strings.NewReplacer("456087", "4560870", "460100", "4601000", "265.1", "2651").Replace(sampleOutput)
 	slowIn := write("slow.txt", slow)
 	curPath := filepath.Join(dir, "cur.json")
-	if err := run(true, slowIn, curPath, "def456", false, "", "", 0.25, nil, &sink); err != nil {
+	if err := run(true, slowIn, curPath, "def456", "", "", 0.25, nil, &sink); err != nil {
 		t.Fatal(err)
 	}
 	sink.Reset()
-	err := run(false, "", "", "", false, basePath, curPath, 0.25, nil, &sink)
+	err := run(false, "", "", "", basePath, curPath, 0.25, nil, &sink)
 	if err == nil {
 		t.Fatalf("injected slowdown passed the gate:\n%s", sink.String())
 	}
-	if !strings.Contains(sink.String(), "REGRESSION: BenchmarkKNNLinear") {
+	if !strings.Contains(sink.String(), "REGRESSION: BenchmarkEngineThroughput/workers=4") ||
+		!strings.Contains(sink.String(), "REGRESSION: BenchmarkPermutationL2") {
 		t.Errorf("regression report missing:\n%s", sink.String())
 	}
-	// A seed-stamped baseline reports the same regressions without
-	// failing: absolute timings from another machine must not wedge CI
-	// until a runner-produced artifact is promoted.
-	seedPath := filepath.Join(dir, "seedbase.json")
-	if err := run(true, in, seedPath, "abc123", true, "", "", 0.25, nil, &sink); err != nil {
+	// The same 10× on every line, the anchor included, is a slower box, not
+	// a regression: figures from another machine or another day gate nothing
+	// by themselves, which is what lets any committed point be the baseline.
+	slowBox := strings.NewReplacer("33099", "330990", "32950", "329500", "34001", "340010").Replace(slow)
+	boxPath := filepath.Join(dir, "box.json")
+	if err := run(true, write("box.txt", slowBox), boxPath, "fed789", "", "", 0.25, nil, &sink); err != nil {
 		t.Fatal(err)
 	}
 	sink.Reset()
-	if err := run(false, "", "", "", false, seedPath, curPath, 0.25, nil, &sink); err != nil {
-		t.Fatalf("seed baseline must be advisory: %v", err)
-	}
-	if !strings.Contains(sink.String(), "REGRESSION: BenchmarkKNNLinear") ||
-		!strings.Contains(sink.String(), "not fatal") {
-		t.Errorf("seed-baseline report wrong:\n%s", sink.String())
+	if err := run(false, "", "", "", basePath, boxPath, 0.25, nil, &sink); err != nil || !strings.Contains(sink.String(), "×10.00") {
+		t.Errorf("a 10× slower box failed the gate: %v\n%s", err, sink.String())
 	}
 
 	// Missing-benchmark edge: an empty input errors in record mode.
-	if err := run(true, write("empty.txt", "PASS\n"), "", "", false, "", "", 0.25, nil, &sink); err == nil {
+	if err := run(true, write("empty.txt", "PASS\n"), "", "", "", "", 0.25, nil, &sink); err == nil {
 		t.Error("empty benchmark output should error")
 	}
 	// No mode selected is a usage error.
-	if err := run(false, "", "", "", false, "", "", 0.25, nil, &sink); err == nil {
+	if err := run(false, "", "", "", "", "", 0.25, nil, &sink); err == nil {
 		t.Error("no mode should error")
 	}
 }
@@ -148,7 +173,7 @@ func TestReportTable(t *testing.T) {
 	a := write("BENCH_a.json", `{"sha":"aaaaaaaaaaaaaaaa","benchmarks":{
 		"BenchmarkX":{"ns_per_op":1000,"runs":3},
 		"BenchmarkRetired":{"ns_per_op":50,"runs":3}}}`)
-	b := write("BENCH_b.json", `{"sha":"bbbbbbbbbbbbbbbb","seed":true,"benchmarks":{
+	b := write("BENCH_b.json", `{"sha":"bbbbbbbbbbbbbbbb","benchmarks":{
 		"BenchmarkX":{"ns_per_op":1100,"runs":3},
 		"BenchmarkNew":{"ns_per_op":200,"runs":3},
 		"BenchmarkBatchedKernel/data=uniform/batch=64":{"ns_per_op":16000000,"runs":3}}}`)
@@ -158,15 +183,15 @@ func TestReportTable(t *testing.T) {
 		"BenchmarkBatchedKernel/data=uniform/batch=64":{"ns_per_op":12000000,"runs":3}}}`)
 
 	var sink strings.Builder
-	if err := run(false, "", "", "", false, "", "", 0.25, []string{a, b, c}, &sink); err != nil {
+	if err := run(false, "", "", "", "", "", 0.25, []string{a, b, c}, &sink); err != nil {
 		t.Fatal(err)
 	}
 	got := sink.String()
 	for _, want := range []string{
-		// Columns: short SHA, seed marker, basename fallback. First
+		// Columns: short SHA, basename fallback. First
 		// appearance of a benchmark has no drift; later cells show % vs the
 		// previous commit carrying it, and absences render as a dash.
-		"| benchmark | aaaaaaaaaaaa | bbbbbbbbbbbb (seed) | BENCH_c.json |",
+		"| benchmark | aaaaaaaaaaaa | bbbbbbbbbbbb | BENCH_c.json |",
 		"| BenchmarkX | 1000 ns/op | 1100 ns/op (+10.0%) | 880 ns/op (-20.0%) |",
 		"| BenchmarkRetired | 50 ns/op | — | — |",
 		"| BenchmarkNew | — | 200 ns/op | 200 ns/op (+0.0%) |",
@@ -179,7 +204,23 @@ func TestReportTable(t *testing.T) {
 		}
 	}
 	// An unreadable file is an error, not a blank column.
-	if err := run(false, "", "", "", false, "", "", 0.25, []string{filepath.Join(dir, "missing.json")}, &sink); err == nil {
+	if err := run(false, "", "", "", "", "", 0.25, []string{filepath.Join(dir, "missing.json")}, &sink); err == nil {
 		t.Error("missing trajectory file should error")
+	}
+	// Files that carry anchors report drift over the anchors' own: the box
+	// ran 1.5× slower for the second file and BenchmarkX 1.53× — +2% — while
+	// BenchmarkY, unmoved on the clock, got a third faster.
+	d := write("BENCH_d.json", `{"sha":"d","benchmarks":{"BenchmarkKNNLinear":{"ns_per_op":20000,"runs":3},
+		"BenchmarkX":{"ns_per_op":1000,"runs":3},"BenchmarkY":{"ns_per_op":600,"runs":3}}}`)
+	e := write("BENCH_e.json", `{"sha":"e","benchmarks":{"BenchmarkKNNLinear":{"ns_per_op":30000,"runs":3},
+		"BenchmarkX":{"ns_per_op":1530,"runs":3},"BenchmarkY":{"ns_per_op":600,"runs":3}}}`)
+	sink.Reset()
+	if err := run(false, "", "", "", "", "", 0.25, []string{d, e}, &sink); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"| BenchmarkX | 1000 ns/op | 1530 ns/op (+2.0%) |", "| BenchmarkY | 600 ns/op | 600 ns/op (-33.3%) |"} {
+		if !strings.Contains(sink.String(), want) {
+			t.Errorf("normalised report missing %q:\n%s", want, sink.String())
+		}
 	}
 }

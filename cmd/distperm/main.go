@@ -9,7 +9,7 @@
 // it builds the requested index over the dataset and answers a batch of kNN
 // queries on a goroutine worker pool, reporting throughput and the
 // engine-level cost counters (distance evaluations, latency percentiles).
-// With -shards S (S > 1) the database is partitioned (any registered
+// With -shards S (S > 1) the database is partitioned (any built-in
 // -partition strategy) and served scatter-gather, one worker pool per
 // shard, reporting per-shard and aggregate stats. Serving over HTTP is
 // distpermd's job (cmd/distpermd).
@@ -134,7 +134,7 @@ type serveConfig struct {
 	Partition string
 }
 
-// runServe builds the requested index through the public Build registry and
+// runServe builds the requested index through the public Build entry point and
 // serves a batch of kNN queries (sampled from the dataset) on the engine's
 // worker pool, printing throughput and cost counters to w. With Shards > 1
 // the database is partitioned and served scatter-gather — workers per shard

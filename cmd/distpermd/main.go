@@ -76,7 +76,13 @@ import (
 )
 
 func main() {
+	// Every flag binds to the field that is read: dataset and listener flags
+	// to locals of main, the rest straight into the daemon's and the load
+	// driver's configuration.
 	var (
+		cfg daemonConfig
+		lc  client.LoadConfig
+
 		// Dataset: what the index is over (and, for -loadgen, the query pool).
 		gen   = flag.String("gen", "uniform", "generator: "+strings.Join(dataset.GeneratorNames(), ", "))
 		file  = flag.String("file", "", "read whitespace-separated vectors from a file instead of generating")
@@ -85,47 +91,46 @@ func main() {
 		mname = flag.String("metric", "", "override metric: L1, L2, Linf, edit, prefix, angular")
 		seed  = flag.Int64("seed", 1, "random seed")
 
-		// Index: built on startup or loaded from a container.
-		index     = flag.String("index", "distperm", "index kind to build: "+strings.Join(distperm.Kinds(), ", "))
-		k         = flag.Int("k", 8, "pivots/sites for the built index")
-		load      = flag.String("load", "", "read a DPERMIDX container (any codec kind, including sharded and mutable) instead of building")
-		mmapFlag  = flag.Bool("mmap", false, "map -load as a frozen container read-only (O(1) open) instead of stream-decoding; dataset flags are only consulted when the container embeds no points")
-		freeze    = flag.String("freeze", "", "write the built/loaded distperm index as a frozen (mmap-ready) container to this path and exit")
-		shards    = flag.Int("shards", 1, "partition the database across this many scatter-gather shards")
-		partition = flag.String("partition", "roundrobin", "shard placement strategy: "+strings.Join(distperm.Partitioners(), ", "))
-		workers   = flag.Int("workers", 0, "worker goroutines per engine pool (0 = NumCPU)")
-		rebuild   = flag.Int("rebuild-threshold", 0, "enable the live write path (POST /v1/insert, /v1/delete): background-rebuild the index once this many writes are pending (0 serves read-only)")
-
-		// Durability: crash-safe writes through a write-ahead log.
-		walDir     = flag.String("wal", "", "write-ahead log directory: log every write before acknowledging it, and recover on startup (newest checkpoint + log tail replay); implies the live write path. Restart with the same dataset/index flags — without a checkpoint, replay rebuilds the base from them")
-		walSync    = flag.String("wal-sync", "always", "wal durability: always (fsync before every ack), interval (background fsync), never (OS page cache only — survives kill -9, not power loss)")
-		walEvery   = flag.Duration("wal-sync-interval", 50*time.Millisecond, "background fsync period under -wal-sync interval")
-		walSegment = flag.Int64("wal-segment", 64<<20, "rotate wal segments at this many bytes")
-		walCkpt    = flag.Int64("wal-checkpoint", 0, "also write a checkpoint once this many records accumulate past the last one (0 = checkpoint only when a rebuild folds the delta)")
-
-		// Serving.
-		addr      = flag.String("addr", ":7411", "HTTP listen address")
-		batchMax  = flag.Int("batch-max", 64, "coalescer: flush a batch queued behind a busy engine at this many queries")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
-		cacheSize = flag.Int("cache", 4096, "result cache entries (0 disables)")
-
+		freeze   = flag.String("freeze", "", "write the built/loaded distperm index as a frozen (mmap-ready) container to this path and exit")
+		walSync  = flag.String("wal-sync", "always", "wal durability: always (fsync before every ack), interval (background fsync), never (OS page cache only — survives kill -9, not power loss)")
+		addr     = flag.String("addr", ":7411", "HTTP listen address")
 		opsAddr  = flag.String("ops-addr", "", "optional private ops listener: /metrics, /healthz, /readyz, and net/http/pprof under /debug/pprof/ (empty disables)")
-		slowQ    = flag.Duration("slow-query", 0, "log queries slower than this as one-line JSON records (0 disables)")
 		slowQLog = flag.String("slow-query-log", "", "slow-query log file (empty = stderr)")
-
-		// Load driver.
-		loadgen     = flag.Bool("loadgen", false, "drive load at a running daemon instead of serving")
-		target      = flag.String("target", "http://localhost:7411", "loadgen: server base URL")
-		knn         = flag.Int("knn", 1, "loadgen: neighbours per query (0 = range queries of -radius)")
-		radius      = flag.Float64("radius", 0.25, "loadgen: range-query radius when -knn 0")
-		qps         = flag.Float64("qps", 0, "loadgen: aggregate request rate cap (0 = unthrottled)")
-		concurrency = flag.Int("concurrency", 8, "loadgen: client workers")
-		duration    = flag.Duration("duration", 5*time.Second, "loadgen: run length")
-		reqBatch    = flag.Int("batch", 1, "loadgen: queries per request (1 = single-query form, exercising the coalescer)")
-		approxNP    = flag.Int("approx", 0, "loadgen: probe this many prefix buckets per kNN query through the server's approximate path (0 = exact; needs -knn > 0)")
-		writeRatio  = flag.Float64("write-ratio", 0, "loadgen: fraction of requests that mutate (insert/delete) instead of query; needs a -rebuild-threshold server")
-		scrape      = flag.Bool("scrape", true, "loadgen: scrape the server's /metrics after the run and print the client-vs-server latency comparison")
+		loadgen  = flag.Bool("loadgen", false, "drive load at a running daemon instead of serving")
+		scrape   = flag.Bool("scrape", true, "loadgen: scrape the server's /metrics after the run and print the client-vs-server latency comparison")
 	)
+	// Index: built on startup or loaded from a container.
+	flag.StringVar(&cfg.Index, "index", "distperm", "index kind to build: "+strings.Join(distperm.Kinds(), ", "))
+	flag.IntVar(&cfg.K, "k", 8, "pivots/sites for the built index")
+	flag.StringVar(&cfg.Load, "load", "", "read a DPERMIDX container (any codec kind, including sharded and mutable) instead of building")
+	flag.BoolVar(&cfg.Mmap, "mmap", false, "map -load as a frozen container read-only (O(1) open) instead of stream-decoding; dataset flags are only consulted when the container embeds no points")
+	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across this many scatter-gather shards")
+	flag.StringVar(&cfg.Partition, "partition", "roundrobin", "shard placement strategy: "+strings.Join(distperm.Partitioners(), ", "))
+	flag.IntVar(&cfg.Workers, "workers", 0, "worker goroutines per engine pool (0 = NumCPU)")
+	flag.IntVar(&cfg.RebuildThreshold, "rebuild-threshold", 0, "enable the live write path (POST /v1/insert, /v1/delete): background-rebuild the index once this many writes are pending (0 serves read-only)")
+
+	// Durability: crash-safe writes through a write-ahead log.
+	flag.StringVar(&cfg.WALDir, "wal", "", "write-ahead log directory: log every write before acknowledging it, and recover on startup (newest checkpoint + log tail replay); implies the live write path. Restart with the same dataset/index flags — without a checkpoint, replay rebuilds the base from them")
+	flag.DurationVar(&cfg.WAL.SyncInterval, "wal-sync-interval", 50*time.Millisecond, "background fsync period under -wal-sync interval")
+	flag.Int64Var(&cfg.WAL.SegmentBytes, "wal-segment", 64<<20, "rotate wal segments at this many bytes")
+	flag.Int64Var(&cfg.WALCheckpoint, "wal-checkpoint", 0, "also write a checkpoint once this many records accumulate past the last one (0 = checkpoint only when a rebuild folds the delta)")
+
+	// Serving.
+	flag.IntVar(&cfg.Serving.BatchMax, "batch-max", 64, "coalescer: flush a batch queued behind a busy engine at this many queries")
+	flag.DurationVar(&cfg.Serving.BatchWait, "batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
+	flag.IntVar(&cfg.Serving.CacheSize, "cache", 4096, "result cache entries (0 disables)")
+	flag.DurationVar(&cfg.Serving.SlowQuery, "slow-query", 0, "log queries slower than this as one-line JSON records (0 disables)")
+
+	// Load driver.
+	flag.StringVar(&lc.Target, "target", "http://localhost:7411", "loadgen: server base URL")
+	flag.IntVar(&lc.K, "knn", 1, "loadgen: neighbours per query (0 = range queries of -radius)")
+	flag.Float64Var(&lc.Radius, "radius", 0.25, "loadgen: range-query radius when -knn 0")
+	flag.Float64Var(&lc.QPS, "qps", 0, "loadgen: aggregate request rate cap (0 = unthrottled)")
+	flag.IntVar(&lc.Concurrency, "concurrency", 8, "loadgen: client workers")
+	flag.DurationVar(&lc.Duration, "duration", 5*time.Second, "loadgen: run length")
+	flag.IntVar(&lc.Batch, "batch", 1, "loadgen: queries per request (1 = single-query form, exercising the coalescer)")
+	flag.IntVar(&lc.ApproxNProbe, "approx", 0, "loadgen: probe this many prefix buckets per kNN query through the server's approximate path (0 = exact; needs -knn > 0)")
+	flag.Float64Var(&lc.WriteRatio, "write-ratio", 0, "loadgen: fraction of requests that mutate (insert/delete) instead of query; needs a -rebuild-threshold server")
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -161,29 +166,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg := client.LoadConfig{
-			Target:       *target,
-			Queries:      ds.Sample(rng, 1024),
-			K:            *knn,
-			Radius:       *radius,
-			QPS:          *qps,
-			Concurrency:  *concurrency,
-			Duration:     *duration,
-			Batch:        *reqBatch,
-			WriteRatio:   *writeRatio,
-			ApproxNProbe: *approxNP,
-		}
-		if err := runLoadgen(os.Stdout, cfg, *scrape); err != nil {
+		lc.Queries = ds.Sample(rng, 1024)
+		if err := runLoadgen(os.Stdout, lc, *scrape); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		return
 	}
 
-	serving := dpserver.Config{
-		BatchMax: *batchMax, BatchWait: *batchWait, CacheSize: *cacheSize,
-		SlowQuery: *slowQ,
-	}
 	if *slowQLog != "" {
 		f, err := os.OpenFile(*slowQLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -191,23 +181,12 @@ func main() {
 			os.Exit(2)
 		}
 		defer f.Close()
-		serving.SlowQueryLog = f
+		cfg.Serving.SlowQueryLog = f
 	}
-	syncPolicy, err := distperm.ParseSyncPolicy(*walSync)
-	if err != nil {
+	var err error
+	if cfg.WAL.Sync, err = distperm.ParseSyncPolicy(*walSync); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	cfg := daemonConfig{
-		Index: *index, K: *k, Load: *load, Mmap: *mmapFlag,
-		Shards: *shards, Partition: *partition, Workers: *workers,
-		RebuildThreshold: *rebuild,
-		WALDir:           *walDir,
-		WALSync:          syncPolicy,
-		WALSyncInterval:  *walEvery,
-		WALSegment:       *walSegment,
-		WALCheckpoint:    *walCkpt,
-		Serving:          serving,
 	}
 
 	if *freeze != "" {
@@ -282,34 +261,19 @@ func serveOps(ctx context.Context, ln net.Listener, gate *dpserver.Gate) error {
 			s.Registry().ServeHTTP(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"loading"}`)
+		dpserver.WriteStatus(w, http.StatusServiceUnavailable, "loading")
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"status":"ok"}`)
+		dpserver.WriteStatus(w, http.StatusOK, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		if gate.Ready() {
-			fmt.Fprintln(w, `{"status":"ready"}`)
+			dpserver.WriteStatus(w, http.StatusOK, "ready")
 			return
 		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"loading"}`)
+		dpserver.WriteStatus(w, http.StatusServiceUnavailable, "loading")
 	})
-	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return hs.Shutdown(sctx)
+	return dpserver.Serve(ctx, ln, mux, 5*time.Second, nil)
 }
 
 // runFreeze writes the frozen container form of the configured index: build
@@ -365,9 +329,7 @@ type daemonConfig struct {
 	Workers          int
 	RebuildThreshold int
 	WALDir           string
-	WALSync          distperm.SyncPolicy
-	WALSyncInterval  time.Duration
-	WALSegment       int64
+	WAL              distperm.WALOptions
 	WALCheckpoint    int64
 	Serving          dpserver.Config
 }
@@ -377,21 +339,18 @@ type daemonConfig struct {
 // read-only under -mmap — or built through the registries, engine and HTTP
 // layers from pkg/dpserver. A rebuild threshold turns the stack mutable:
 // the index (built or loaded, including a saved mutable container) is
-// wrapped in a MutableEngine and the write endpoints go live; an index
-// mapped against an external dataset is then released as soon as the first
-// rebuild swaps it out, via MutableConfig.BaseRelease, while a
-// self-contained container — whose point vectors are views into the
-// mapping that rebuilds carry forward — stays mapped for the daemon's
-// lifetime. The returned cleanup runs after the serve drain and releases
-// whatever mapping is still held.
+// wrapped in a MutableEngine and the write endpoints go live. A mapped
+// container stays mapped for the daemon's lifetime — a self-contained one's
+// point vectors are views into the mapping that every rebuild carries
+// forward. The returned cleanup runs after the serve drain, when the engine
+// has closed, and only then releases the mapping.
 func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg daemonConfig) (*dpserver.Server, string, func(), error) {
 	cleanup := func() {}
 	var (
-		db     *distperm.DB
-		idx    distperm.Index
-		store  *distperm.Store
-		src    string
-		heapDB bool // db lives on the heap, not inside store's mapping
+		db    *distperm.DB
+		idx   distperm.Index
+		store *distperm.Store
+		src   string
 
 		wal        *distperm.WAL
 		walFromSeq uint64
@@ -399,9 +358,7 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 	)
 	if cfg.WALDir != "" {
 		var err error
-		wal, err = distperm.OpenWAL(cfg.WALDir, distperm.WALOptions{
-			Sync: cfg.WALSync, SyncInterval: cfg.WALSyncInterval, SegmentBytes: cfg.WALSegment,
-		})
+		wal, err = distperm.OpenWAL(cfg.WALDir, cfg.WAL)
 		if err != nil {
 			return nil, "", nil, err
 		}
@@ -446,7 +403,6 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 			}
 			store, err = distperm.Load(cfg.Load, distperm.LoadOptions{Mmap: true, DB: db})
 			src = ds.Name + " (index mapped)"
-			heapDB = true
 		}
 		if err != nil {
 			return nil, "", nil, err
@@ -504,17 +460,6 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 		Workers:          cfg.Workers,
 		RebuildThreshold: cfg.RebuildThreshold,
 	}
-	if store != nil && heapDB {
-		// Rebuilds re-index the live Points but keep the Point values
-		// themselves. Over an external heap database that leaves nothing
-		// referencing the mapped index once the first swap drains, so the
-		// mapping can be released then. A self-contained container is
-		// different: its Points are vector views into the mapping, the
-		// rebuilt base still reads them, and releasing early would turn
-		// every post-rebuild query into a fault — so it stays mapped until
-		// the final cleanup.
-		mcfg.BaseRelease = func() { store.Close() }
-	}
 	if cfg.Load != "" || fromCkpt {
 		// Rebuilds of a loaded or checkpoint-recovered store keep the
 		// loaded shape (kind and pivot/site count) rather than following
@@ -560,7 +505,7 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 			return nil, "", nil, fmt.Errorf("wal recovery: %w", rerr)
 		}
 		src = fmt.Sprintf("%s, wal %s (replayed %d records, skipped %d, sync %s)",
-			src, cfg.WALDir, applied, skipped, cfg.WALSync)
+			src, cfg.WALDir, applied, skipped, cfg.WAL.Sync)
 	}
 	srv, err := dpserver.NewFromMutable(me, cfg.Serving)
 	if err != nil {

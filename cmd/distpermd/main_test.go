@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,15 +14,15 @@ import (
 	"time"
 
 	"distperm/internal/dataset"
+	"distperm/internal/metric"
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
 	"distperm/pkg/dpserver/client"
 	"distperm/pkg/obs"
 )
 
-// TestBuildServerModes covers the three index sources: built through the
-// registry, built sharded through the partitioner registry, and loaded from
-// a DPERMIDX container.
+// TestBuildServerModes covers the three index sources: built, built sharded
+// through a named partitioner, and loaded from a DPERMIDX container.
 func TestBuildServerModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds, err := dataset.Load(rng, "uniform", "", 300, 3)
@@ -220,7 +221,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // index to a container, then bring up a server over it with -mmap and no
 // dataset at all — the self-contained O(1) open — and check it answers
 // exactly like the original build. The mutable variant must come up too,
-// with the mapped base released to BaseRelease semantics.
+// the container staying mapped under every base its rebuilds produce.
 func TestFreezeThenMmapServe(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds, err := dataset.Load(rng, "uniform", "", 500, 3)
@@ -337,6 +338,77 @@ func TestFreezeThenMmapServe(t *testing.T) {
 		t.Fatalf("mutable Serve: %v", err)
 	}
 	mcleanup()
+}
+
+// TestMmapExternalDatasetMutableServe is the twin of the mutable leg above
+// for a container that embeds no points (LP 2.5 has no name a file could
+// carry): -mmap -load maps the index against the dataset on the heap, the
+// write path folds inserts into rebuilt bases under queries, and the mapping
+// — which nothing hands back early — is released by cleanup after the server
+// has closed the engine, the order main follows.
+func TestMmapExternalDatasetMutableServe(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ds, err := dataset.Load(rng, "uniform", "", 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Metric = metric.NewLP(2.5)
+	dsf := func() (*dataset.Dataset, error) { return ds, nil }
+	path := filepath.Join(t.TempDir(), "pointless.frozen")
+	if err := runFreeze(io.Discard, path, dsf, rand.New(rand.NewSource(12)), daemonConfig{Index: "distperm", K: 6}); err != nil {
+		t.Fatal(err)
+	}
+	srv, src, cleanup, err := buildServer(dsf, rng,
+		daemonConfig{Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(src, "index mapped") {
+		t.Errorf("source label %q, want the external-dataset open", src)
+	}
+	mapped := distperm.ReadMmapStats().MappedBytes
+	ts := httptest.NewServer(srv)
+	c := client.New(ts.URL)
+	for round := 0; round < 3; round++ {
+		rebuilds := int64(round)
+		if _, err := c.InsertBatch(context.Background(), dataset.UniformVectors(rng, 40, 3)); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			st, err := c.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Mutation.Rebuilds > rebuilds {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the background rebuild did not fold the inserts", round)
+			}
+			// Reads keep arriving while the base is being replaced.
+			if _, err := c.KNN(context.Background(), ds.Points[round], 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			got, err := c.KNN(context.Background(), ds.Points[i*7], 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0].ID != i*7 || got[0].Distance != 0 {
+				t.Fatalf("round %d: self-query %d answered %v", round, i*7, got)
+			}
+		}
+	}
+	if now := distperm.ReadMmapStats().MappedBytes; mapped > 0 && now < mapped {
+		t.Errorf("mapped bytes fell %d → %d under a live engine", mapped, now)
+	}
+	ts.Close()
+	srv.Close()
+	cleanup()
+	if now := distperm.ReadMmapStats().MappedBytes; mapped > 0 && now >= mapped {
+		t.Errorf("cleanup left %d bytes mapped (%d before it)", now, mapped)
+	}
 }
 
 // TestServeOps covers the private ops listener: health/readiness mirror

@@ -557,8 +557,8 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 // containers, its database) whose rank matrix, row IDs, and point vectors
 // are zero-copy views into one read-only file mapping. Close unmaps; the
 // views — including every Engine replica sharing the table — must not be
-// used after Close, so a server drains queries first (MutableConfig's
-// BaseRelease hook and distpermd's drain path do exactly that).
+// used after Close, so a server drains queries and closes its engine first
+// (distpermd's drain path does exactly that).
 type Mapped struct {
 	m   *mmapping // nil when the open fell back to a heap read
 	idx *PermIndex

@@ -253,13 +253,6 @@ func (x *PermIndex) SiteIDs() []int { return append([]int(nil), x.siteIDs...) }
 // and the per-query permutation-distance workload of the scan.
 func (x *PermIndex) DistinctPermutations() int { return x.table.rows }
 
-// invPermAt reconstructs the stored inverse permutation of point i
-// (allocating; the reference and serialization paths use it, queries never
-// do).
-func (x *PermIndex) invPermAt(i int) perm.Permutation {
-	return x.table.invAt(int(x.tableIDs[i]))
-}
-
 // IndexBits implements Index: the cheaper of the two encodings the paper
 // discusses. The naive encoding stores ⌈lg k!⌉ bits per point. The
 // table encoding exploits the paper's counting results: a shared table
@@ -377,31 +370,6 @@ func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 		stats[i] = Stats{DistanceEvals: x.K() + n}
 	}
 	return results, stats
-}
-
-// referenceScanOrder is the pre-table-encoding scan, retained as the oracle
-// for equivalence tests: one permutation-distance evaluation per *point*
-// over materialised inverse permutations and a stable float64 argsort. Its
-// output is byte-identical to ScanOrder by construction (integer keys order
-// identically to their float images; counting sort and SliceStable break
-// ties the same way).
-func (x *PermIndex) referenceScanOrder(q metric.Point) []int {
-	qinv := x.permuter.Permutation(q).Inverse()
-	keys := make([]float64, x.db.N())
-	for i := range keys {
-		inv := x.invPermAt(i)
-		switch x.dist {
-		case Footrule:
-			keys[i] = float64(perm.SpearmanFootrule(qinv, inv))
-		case KendallTau:
-			keys[i] = float64(perm.KendallTau(qinv, inv))
-		case SpearmanRho:
-			keys[i] = perm.SpearmanRho(qinv, inv)
-		default:
-			panic("sisap: unknown permutation distance")
-		}
-	}
-	return argsort(keys)
 }
 
 // KNNBudget returns the best k results found after measuring at most

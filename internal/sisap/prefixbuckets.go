@@ -507,16 +507,3 @@ func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxSt
 		Candidates:    npts,
 	}
 }
-
-// KNNApproxBatch answers one approximate kNN query per element of qs,
-// identical per query to KNNApprox. Each query probes its own buckets, so
-// unlike the exact batch path there is no shared tile walk to amortise —
-// the win is already in touching only the candidate points.
-func (x *PermIndex) KNNApproxBatch(qs []metric.Point, k, nprobe int) ([][]Result, []ApproxStats) {
-	results := make([][]Result, len(qs))
-	stats := make([]ApproxStats, len(qs))
-	for i, q := range qs {
-		results[i], stats[i] = x.KNNApprox(q, k, nprobe)
-	}
-	return results, stats
-}

@@ -173,24 +173,6 @@ func TestApproxWidensProbeSetForK(t *testing.T) {
 	}
 }
 
-// TestApproxBatchMatchesSingle pins KNNApproxBatch ≡ per-query KNNApprox.
-func TestApproxBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	points := dataset.UniformVectors(rng, 1500, 6)
-	idx := approxTestIndex(t, points, 12, Footrule, 17)
-	qs := dataset.UniformVectors(rng, 17, 6)
-	batch, bstats := idx.KNNApproxBatch(qs, 5, 3)
-	for i, q := range qs {
-		single, sstats := idx.KNNApprox(q, 5, 3)
-		if !reflect.DeepEqual(batch[i], single) {
-			t.Fatalf("query %d: batch answer differs from single", i)
-		}
-		if bstats[i] != sstats {
-			t.Fatalf("query %d: batch stats %+v != single %+v", i, bstats[i], sstats)
-		}
-	}
-}
-
 // configurePrefixBuckets attaches a directory with an explicit prefix length
 // ell (clamped to 1..k), replacing any already attached. Serving code only
 // ever builds the computed default; a frozen file may carry any ℓ, so the

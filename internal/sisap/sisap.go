@@ -89,10 +89,10 @@ func (db *DB) prefix(n int) *DB {
 func (db *DB) N() int { return len(db.Points) }
 
 // Result is one answer to a proximity query: a database point index and its
-// distance to the query.
+// distance to the query. The JSON tags are its wire form (pkg/dpserver).
 type Result struct {
-	ID       int
-	Distance float64
+	ID       int     `json:"id"`
+	Distance float64 `json:"distance"`
 }
 
 // Stats reports the cost of a query in the metric-evaluation cost model.
@@ -164,9 +164,6 @@ type ApproxIndex interface {
 	Index
 	// KNNApprox answers one approximate kNN query.
 	KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxStats)
-	// KNNApproxBatch answers one approximate kNN query per element of qs,
-	// identical per query to KNNApprox.
-	KNNApproxBatch(qs []metric.Point, k, nprobe int) ([][]Result, []ApproxStats)
 	// ApproxBuckets returns the inverted-file directory size nprobe is
 	// measured against.
 	ApproxBuckets() int

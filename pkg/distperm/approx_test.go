@@ -66,6 +66,43 @@ func TestEngineApproxFullCoverageByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineApproxBatchMatchesSingle: a batch of approximate queries — which
+// the pool cuts into chunks that each worker answers query by query — is,
+// answer for answer and statistic for statistic, the same queries sent one
+// at a time, on a plain and on a sharded index.
+func TestEngineApproxBatchMatchesSingle(t *testing.T) {
+	db, rng := testDB(t, 53, 1500, 6)
+	qs := dataset.UniformVectors(rng, 17, 6)
+	spec := Spec{Index: "distperm", K: 12, Seed: 17}
+	sx, err := BuildSharded(db, spec, 3, RoundRobin{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]Index{"plain": mustBuild(t, db, spec), "sharded": sx} {
+		e, err := NewEngine(db, idx, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		batch, bstats, err := e.KNNApproxBatch(qs, 5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			single, sstats, err := e.KNNApproxBatch([]Point{q}, 5, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(batch[i], single[0]) {
+				t.Fatalf("%s query %d: batch answer differs from single", name, i)
+			}
+			if bstats[i] != sstats[0] {
+				t.Fatalf("%s query %d: batch stats %+v != single %+v", name, i, bstats[i], sstats[0])
+			}
+		}
+	}
+}
+
 // TestEngineApproxMonotoneRecall checks the serving-layer contract the
 // sisap tests prove at the kernel level: per-query recall against the
 // exact answer never decreases as nprobe grows, and partial probes report
@@ -220,8 +257,8 @@ func TestMutableApproxDeltaStaysExact(t *testing.T) {
 
 	// Query exactly at an inserted point: it must be its own nearest
 	// neighbour even with the narrowest probe — the delta is never pruned.
-	q := []Point{m.snapshot().delta[0].p}
-	gid := m.snapshot().delta[0].gid
+	q := []Point{m.cur.Load().delta[0].p}
+	gid := m.cur.Load().delta[0].gid
 	narrow, _, err := m.KNNApproxBatch(q, 1, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"distperm/internal/sisap"
 )
@@ -13,9 +12,8 @@ import (
 // Spec describes an index to build. The zero value plus an Index kind is a
 // usable spec; K defaults per kind.
 type Spec struct {
-	// Index is the registry kind: one of Kinds() ("linear", "aesa",
-	// "iaesa", "laesa", "distperm", "vptree", "ghtree", plus any
-	// caller-registered kinds).
+	// Index is the index kind: one of Kinds() ("linear", "aesa", "iaesa",
+	// "laesa", "distperm", "vptree", "ghtree").
 	Index string
 	// K is the number of pivots (laesa) or sites (distperm). 0 means
 	// DefaultK, capped at the database size.
@@ -35,30 +33,28 @@ const DefaultK = 8
 // for kinds that use K, 1 ≤ spec.K ≤ db.N()).
 type Builder func(db *DB, spec Spec) (Index, error)
 
-var (
-	buildersMu sync.RWMutex
-	builders   = map[string]Builder{}
-)
-
-// Register adds an index kind to the build registry. It panics on a
-// duplicate or incomplete registration — misregistration is a programming
-// error, not a runtime condition.
-func Register(kind string, b Builder) {
-	if kind == "" || b == nil {
-		panic("distperm: Register requires a kind and a Builder")
-	}
-	buildersMu.Lock()
-	defer buildersMu.Unlock()
-	if _, dup := builders[kind]; dup {
-		panic(fmt.Sprintf("distperm: index kind %q registered twice", kind))
-	}
-	builders[kind] = b
+// builders maps every index kind to its constructor.
+var builders = map[string]Builder{
+	"linear": func(db *DB, spec Spec) (Index, error) { return sisap.NewLinearScan(db), nil },
+	"aesa":   func(db *DB, spec Spec) (Index, error) { return sisap.NewAESA(db), nil },
+	"iaesa":  func(db *DB, spec Spec) (Index, error) { return sisap.NewIAESA(db), nil },
+	"laesa": func(db *DB, spec Spec) (Index, error) {
+		return sisap.NewLAESAMaxSpread(db, spec.K), nil
+	},
+	"distperm": func(db *DB, spec Spec) (Index, error) {
+		rng := rand.New(rand.NewSource(spec.Seed))
+		return sisap.NewPermIndex(db, sampleSites(rng, db.N(), spec.K), spec.PermDist), nil
+	},
+	"vptree": func(db *DB, spec Spec) (Index, error) {
+		return sisap.NewVPTree(db, rand.New(rand.NewSource(spec.Seed))), nil
+	},
+	"ghtree": func(db *DB, spec Spec) (Index, error) {
+		return sisap.NewGHTree(db, rand.New(rand.NewSource(spec.Seed))), nil
+	},
 }
 
-// Kinds returns the registered index kinds, sorted.
+// Kinds returns the index kinds, sorted.
 func Kinds() []string {
-	buildersMu.RLock()
-	defer buildersMu.RUnlock()
 	kinds := make([]string, 0, len(builders))
 	for k := range builders {
 		kinds = append(kinds, k)
@@ -74,9 +70,7 @@ func Build(db *DB, spec Spec) (Index, error) {
 	if db == nil || db.N() == 0 {
 		return nil, fmt.Errorf("distperm: Build requires a non-empty database")
 	}
-	buildersMu.RLock()
 	b, ok := builders[spec.Index]
-	buildersMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("distperm: unknown index kind %q (have %s)",
 			spec.Index, strings.Join(Kinds(), ", "))
@@ -113,29 +107,4 @@ func sampleSites(rng *rand.Rand, n, k int) []int {
 		displaced[j] = at(i)
 	}
 	return out
-}
-
-func init() {
-	Register("linear", func(db *DB, spec Spec) (Index, error) {
-		return sisap.NewLinearScan(db), nil
-	})
-	Register("aesa", func(db *DB, spec Spec) (Index, error) {
-		return sisap.NewAESA(db), nil
-	})
-	Register("iaesa", func(db *DB, spec Spec) (Index, error) {
-		return sisap.NewIAESA(db), nil
-	})
-	Register("laesa", func(db *DB, spec Spec) (Index, error) {
-		return sisap.NewLAESAMaxSpread(db, spec.K), nil
-	})
-	Register("distperm", func(db *DB, spec Spec) (Index, error) {
-		rng := rand.New(rand.NewSource(spec.Seed))
-		return sisap.NewPermIndex(db, sampleSites(rng, db.N(), spec.K), spec.PermDist), nil
-	})
-	Register("vptree", func(db *DB, spec Spec) (Index, error) {
-		return sisap.NewVPTree(db, rand.New(rand.NewSource(spec.Seed))), nil
-	})
-	Register("ghtree", func(db *DB, spec Spec) (Index, error) {
-		return sisap.NewGHTree(db, rand.New(rand.NewSource(spec.Seed))), nil
-	})
 }

@@ -129,15 +129,6 @@ func TestSampleSitesDistinct(t *testing.T) {
 	}
 }
 
-func TestRegisterValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register should panic")
-		}
-	}()
-	Register("linear", func(db *DB, spec Spec) (Index, error) { return nil, nil })
-}
-
 func mustBuild(t *testing.T, db *DB, spec Spec) Index {
 	t.Helper()
 	idx, err := Build(db, spec)

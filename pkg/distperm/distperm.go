@@ -4,8 +4,8 @@
 // API. It exposes the whole index family (linear scan, AESA, iAESA, LAESA,
 // the distance-permutation index, VP-tree, GH-tree) behind these seams:
 //
-//   - Build: one entry point constructing any index from a Spec, extensible
-//     through a name → Builder registry (Register).
+//   - Build: one entry point constructing any index of the family from a
+//     Spec naming its kind (Kinds).
 //   - Query and Search: one comparable value saying what a batch asks (kNN,
 //     range, or approximate kNN) and one method answering it, the only
 //     query path of every engine below; KNNBatch, RangeBatch, and

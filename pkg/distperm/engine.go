@@ -138,38 +138,28 @@ type segment struct {
 }
 
 // view is an immutable list of segments served together as the one database
-// db indexed by idx. refs counts the owner plus every Search pinned on the
-// view; the unpin that takes it to zero runs release, the hook that frees
-// storage backing idx — exactly once, and never under a reader. Only a
-// MutableEngine, which publishes a new view per rebuild, pins and unpins.
+// db indexed by idx. A MutableEngine publishes a new view per rebuild; a
+// superseded one lives as long as a search still holds it and is then the
+// garbage collector's. Storage a view only borrows — a mapped container —
+// belongs to whoever opened it (see Store.Close).
 type view struct {
-	db      *DB
-	idx     Index
-	segs    []segment
-	refs    atomic.Int64
-	release func()
+	db   *DB
+	idx  Index
+	segs []segment
 }
 
-// newView lays idx out for serving and takes the owner's reference: a
-// *ShardedIndex becomes one segment per shard with the shard's local→global
-// ID map, any other index the one-segment identity view.
-func newView(db *DB, idx Index, release func()) *view {
-	v := &view{db: db, idx: idx, segs: []segment{{db: db, idx: idx}}, release: release}
+// newView lays idx out for serving: a *ShardedIndex becomes one segment per
+// shard with the shard's local→global ID map, any other index the
+// one-segment identity view.
+func newView(db *DB, idx Index) *view {
+	v := &view{db: db, idx: idx, segs: []segment{{db: db, idx: idx}}}
 	if sx, ok := idx.(*ShardedIndex); ok {
 		v.segs = make([]segment, sx.NumShards())
 		for s := range v.segs {
 			v.segs[s] = segment{db: sx.ShardDB(s), idx: sx.Shard(s), part: sx.Part(s)}
 		}
 	}
-	v.refs.Store(1)
 	return v
-}
-
-// unpin drops one reference to v.
-func (v *view) unpin() {
-	if v.refs.Add(-1) == 0 && v.release != nil {
-		v.release()
-	}
 }
 
 // approxBuckets sums the segments' inverted-file directory sizes — the
@@ -269,7 +259,7 @@ func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("distperm: NewEngine requires a database and an index")
 	}
-	v := newView(db, idx, nil)
+	v := newView(db, idx)
 	e := &Engine{pool: newPool(workers, len(v.segs)), view: v}
 	e.engineAPI = engineAPI{e}
 	return e, nil
@@ -345,10 +335,10 @@ func (p *pool) serve(idx Index, j job) {
 		c.ApproxQueries = c.Queries
 		// search only sends an approximate job to a segment whose index is
 		// approx-capable, and a replica is of its index's own type.
-		rs, sts := idx.(sisap.ApproxIndex).KNNApproxBatch(j.qs, j.q.K, j.q.NProbe)
-		copy(j.outs, rs)
-		copy(j.asts, sts)
-		for _, st := range j.asts {
+		ax := idx.(sisap.ApproxIndex)
+		for i, q := range j.qs {
+			j.outs[i], j.asts[i] = ax.KNNApprox(q, j.q.K, j.q.NProbe)
+			st := j.asts[i]
 			c.DistanceEvals += int64(st.DistanceEvals)
 			c.PrunedEvals += int64(st.PrunedEvals)
 			c.ProbedBuckets += int64(st.ProbedBuckets)

@@ -41,10 +41,10 @@ type LoadOptions struct {
 
 // Store is an opened index container: the index, the database it answers
 // against, and — for mapped opens — the mapping that backs them. The caller
-// owns the Store and must Close it once no Engine built over the index is
-// still serving queries; for a MutableEngine base, hand the Close to
-// MutableConfig.BaseRelease instead and the engine releases the mapping as
-// soon as its first rebuild swaps the base out.
+// owns the Store and must Close it only after every Engine or MutableEngine
+// over it has closed: a mapped base stays mapped until then, also after a
+// rebuild has replaced it (a self-contained container's points are views
+// into the mapping and every rebuilt base still reads them).
 type Store struct {
 	DB    *DB
 	Index Index

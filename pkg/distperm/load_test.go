@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"distperm/internal/dataset"
 	"distperm/pkg/distperm"
@@ -227,72 +225,109 @@ func TestLoadStreamRequiresDB(t *testing.T) {
 	}
 }
 
-// TestMutableBaseRelease pins the release hook's contract: it runs exactly
-// once, after the wrapped base stops serving — at the first rebuild swap, or
-// at Close when no rebuild ever replaced the base.
-func TestMutableBaseRelease(t *testing.T) {
-	build := func(t *testing.T, released *atomic.Int32) (*distperm.MutableEngine, []distperm.Point) {
-		rng := rand.New(rand.NewSource(705))
-		pts := dataset.UniformVectors(rng, 150, 3)
-		db, err := distperm.NewDB(distperm.L2, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := distperm.Build(db, distperm.Spec{Index: "distperm", K: 6, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		me, err := distperm.WrapMutable(db, idx, distperm.MutableConfig{
-			Workers:     2,
-			BaseRelease: func() { released.Add(1) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return me, pts
+// TestMutableOverMappedExternalBase is the lifecycle of a mapped base whose
+// points live elsewhere: a point-less frozen container (LP 2.5 has no name a
+// file could carry) mapped against a heap database, wrapped mutable, read
+// while rebuilds replace it, and unmapped only by Store.Close after the
+// engine has closed. Nothing is handed back early: the mapping outlives every
+// view a reader could still hold, and answers equal a heap-built twin's.
+func TestMutableOverMappedExternalBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(705))
+	pts := dataset.UniformVectors(rng, 300, 3)
+	db, err := distperm.NewDB(distperm.LP(2.5), pts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	spec := distperm.Spec{Index: "distperm", K: 6, Seed: 7}
+	idx, err := distperm.Build(db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "external.dpx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := distperm.WriteFrozenIndex(f, idx.(*distperm.PermIndex)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := distperm.Load(path, distperm.LoadOptions{Mmap: true, DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := distperm.MutableConfig{Spec: spec, Workers: 2}
+	me, err := distperm.WrapMutable(st.DB, st.Index, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := distperm.WrapMutable(db, idx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
 
-	t.Run("on rebuild swap", func(t *testing.T) {
-		var released atomic.Int32
-		me, pts := build(t, &released)
-		if _, err := me.Insert(distperm.Vector{0.5, 0.5, 0.5}); err != nil {
+	// Readers run across the rebuilds, some of them on the mapped view.
+	qs := dataset.UniformVectors(rng, 8, 3)
+	stop := make(chan struct{})
+	readers := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					readers <- nil
+					return
+				default:
+				}
+				if _, err := me.KNNBatch(qs, 4); err != nil {
+					readers <- err
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 3; round++ {
+		for _, p := range dataset.UniformVectors(rng, 5, 3) {
+			for _, e := range []*distperm.MutableEngine{me, ref} {
+				if _, err := e.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, e := range []*distperm.MutableEngine{me, ref} {
+			if err := e.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := me.KNNBatch(qs, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := me.Rebuild(); err != nil {
+		want, err := ref.KNNBatch(qs, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// The hook runs once the old view's readers drain — none are in
-		// flight, so the hook must fire promptly.
-		deadline := time.Now().Add(10 * time.Second)
-		for released.Load() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		for i := range qs {
+			if !sameResultSlices(got[i], want[i]) {
+				t.Fatalf("round %d query %d: over the mapped base %v, heap twin %v", round, i, got[i], want[i])
+			}
 		}
-		if got := released.Load(); got != 1 {
-			t.Fatalf("BaseRelease ran %d times after rebuild, want 1", got)
-		}
-		// The swapped-in base must still answer, and Close must not re-run
-		// the hook.
-		if _, err := me.KNNBatch(pts[:3], 2); err != nil {
+	}
+	close(stop)
+	for r := 0; r < 2; r++ {
+		if err := <-readers; err != nil {
 			t.Fatal(err)
 		}
-		me.Close()
-		if got := released.Load(); got != 1 {
-			t.Fatalf("BaseRelease ran %d times after Close, want 1", got)
-		}
-	})
-
-	t.Run("on close without rebuild", func(t *testing.T) {
-		var released atomic.Int32
-		me, pts := build(t, &released)
-		if _, err := me.KNNBatch(pts[:3], 2); err != nil {
-			t.Fatal(err)
-		}
-		if released.Load() != 0 {
-			t.Fatal("BaseRelease ran while the base was still serving")
-		}
-		me.Close()
-		if got := released.Load(); got != 1 {
-			t.Fatalf("BaseRelease ran %d times after Close, want 1", got)
-		}
-	})
+	}
+	if st.Mapped() && distperm.ReadMmapStats().MappedBytes == 0 {
+		t.Error("the mapping was released before Store.Close")
+	}
+	// The owner's order: the engine first, then the mapping under it.
+	me.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

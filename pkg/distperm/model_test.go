@@ -1,0 +1,332 @@
+package distperm
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"distperm/internal/sisap"
+)
+
+// The model-checked store, first slice: seeded histories of writes, queries
+// of every form, forced rebuilds and save/load round trips run against the
+// engines and against a model that is a map and a scan; after every step the
+// answers must agree to the bit. No WAL, crash or mmap legs yet.
+
+// model is the oracle: the live points by global ID, and a scan of them
+// sorted by (distance, ID).
+type model map[int]Point
+
+func (m model) scan(q Point) []Result {
+	out := make([]Result, 0, len(m))
+	for gid, p := range m {
+		out = append(out, Result{ID: gid, Distance: L2.Distance(q, p)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Distance != out[j].Distance {
+			return out[i].Distance < out[j].Distance
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// modelStore is what a history needs of the engine under test.
+type modelStore interface {
+	Search(qs []Point, q Query) ([][]Result, []ApproxStats, error)
+	ApproxBuckets() int
+	Close()
+}
+
+const (
+	modelSites = 3 // in the plane: three buckets a segment, bounds from 3 × boundMinFill points up
+	modelFlip  = 3 * 32
+	modelSwing = 8
+	modelSteps = 240
+)
+
+// modelRun is one history: the store, the model beside it, and where the
+// history is steering the store's size.
+type modelRun struct {
+	t    *testing.T
+	name string
+	seed int64
+	step int
+	op   string
+	rng  *rand.Rand
+
+	eng  modelStore
+	mut  *MutableEngine // eng when it takes writes, else nil
+	cfg  MutableConfig
+	live model
+	ids  []int // the live IDs, in a history-determined order
+	dead []int
+	next int
+
+	// flip is the store size at which a rebuilt segment crosses boundMinFill;
+	// grow says which way the writes lean. walked holds, per segment, whether
+	// the last rebuilt view carried bounds; ups and downs count the flips.
+	flip, ups, downs int
+	grow             bool
+	walked           []bool
+}
+
+func (r *modelRun) failf(format string, args ...any) {
+	r.t.Helper()
+	r.t.Fatalf("%s seed %d step %d (%s): %s", r.name, r.seed, r.step, r.op, fmt.Sprintf(format, args...))
+}
+
+func (r *modelRun) point() Point { return Vector{r.rng.Float64(), r.rng.Float64()} }
+
+// query draws a query point: a fresh one, or a live point itself — with
+// duplicates in the store that is a tie at distance zero.
+func (r *modelRun) query() Point {
+	if r.rng.Intn(2) == 0 {
+		return r.point()
+	}
+	return r.live[r.ids[r.rng.Intn(len(r.ids))]]
+}
+
+// check compares one answer with the model's: IDs and distance bits.
+func (r *modelRun) check(got, want []Result) {
+	r.t.Helper()
+	if len(got) != len(want) {
+		r.failf("%d results, model has %d\n got  %v\n want %v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+			r.failf("result %d is %+v, model has %+v\n got  %v\n want %v", i, got[i], want[i], got, want)
+		}
+	}
+}
+
+func (r *modelRun) search(qs []Point, q Query) ([][]Result, []ApproxStats) {
+	r.t.Helper()
+	outs, sts, err := r.eng.Search(qs, q)
+	if err != nil {
+		r.failf("Search(%+v): %v", q, err)
+	}
+	return outs, sts
+}
+
+// ask runs one query form against store and model.
+func (r *modelRun) ask() {
+	k := 1 + r.rng.Intn(min(8, len(r.live)))
+	switch form := r.rng.Intn(4); form {
+	case 0:
+		r.op = fmt.Sprintf("kNN k=%d", k)
+		q := r.query()
+		outs, _ := r.search([]Point{q}, Query{K: k})
+		r.check(outs[0], r.live.scan(q)[:k])
+	case 1:
+		r.op = fmt.Sprintf("batch kNN k=%d", k)
+		qs := []Point{r.query(), r.query(), r.query()}
+		outs, _ := r.search(qs, Query{K: k})
+		for i, q := range qs {
+			r.check(outs[i], r.live.scan(q)[:k])
+		}
+	case 2:
+		q := r.query()
+		all := r.live.scan(q)
+		radius := all[min(5, len(all))-1].Distance
+		r.op = fmt.Sprintf("range r=%g", radius)
+		n := sort.Search(len(all), func(i int) bool { return all[i].Distance > radius })
+		outs, _ := r.search([]Point{q}, Query{Radius: radius})
+		r.check(outs[0], all[:n])
+	case 3:
+		r.op = fmt.Sprintf("approx k=%d at full coverage", k)
+		q := r.query()
+		outs, sts := r.search([]Point{q}, Query{K: k, Approx: true, NProbe: r.eng.ApproxBuckets()})
+		if !sts[0].Exact {
+			r.failf("nprobe = ApproxBuckets() = %d did not cover the directory: %+v", r.eng.ApproxBuckets(), sts[0])
+		}
+		r.check(outs[0], r.live.scan(q)[:k])
+	}
+}
+
+func (r *modelRun) insert() {
+	p := r.point()
+	r.op = "insert"
+	if r.rng.Intn(4) == 0 {
+		p, r.op = r.live[r.ids[r.rng.Intn(len(r.ids))]], "insert duplicate"
+	}
+	gid, err := r.mut.Insert(p)
+	if err != nil || gid != r.next {
+		r.failf("Insert = %d, %v; want id %d", gid, err, r.next)
+	}
+	r.live[gid], r.ids, r.next = p, append(r.ids, gid), r.next+1
+}
+
+// remove deletes a live ID, or checks that a dead or never-issued one is
+// refused with ErrUnknownID.
+func (r *modelRun) remove() {
+	switch what := r.rng.Intn(10); {
+	case what < 7 && len(r.ids) > modelSites+8:
+		i := r.rng.Intn(len(r.ids))
+		gid := r.ids[i]
+		r.op = fmt.Sprintf("delete %d", gid)
+		if err := r.mut.Delete(gid); err != nil {
+			r.failf("Delete of a live id: %v", err)
+		}
+		delete(r.live, gid)
+		r.ids[i] = r.ids[len(r.ids)-1]
+		r.ids, r.dead = r.ids[:len(r.ids)-1], append(r.dead, gid)
+	case what < 9 && len(r.dead) > 0:
+		gid := r.dead[r.rng.Intn(len(r.dead))]
+		r.op = fmt.Sprintf("delete dead %d", gid)
+		if err := r.mut.Delete(gid); !errors.Is(err, ErrUnknownID) {
+			r.failf("Delete of a dead id: %v, want ErrUnknownID", err)
+		}
+	default:
+		gid := []int{-1, r.next, r.next + 5}[r.rng.Intn(3)]
+		r.op = fmt.Sprintf("delete never-issued %d", gid)
+		if err := r.mut.Delete(gid); !errors.Is(err, ErrUnknownID) {
+			r.failf("Delete of an id never issued: %v, want ErrUnknownID", err)
+		}
+	}
+}
+
+// rebuild folds the pending writes and notes which segments of the new view
+// carry bounds, counting the flips against the view before it.
+func (r *modelRun) rebuild() {
+	r.op = "rebuild"
+	if err := r.mut.Rebuild(); err != nil {
+		r.failf("%v", err)
+	}
+	segs := r.mut.cur.Load().view.segs
+	walked := make([]bool, len(segs))
+	for s, seg := range segs {
+		_, walked[s] = lazyBuilt(seg.idx.(*sisap.PermIndex))
+		if len(r.walked) == len(walked) && walked[s] != r.walked[s] {
+			if walked[s] {
+				r.ups++
+			} else {
+				r.downs++
+			}
+		}
+	}
+	r.walked = walked
+}
+
+// reload saves the store, reads it back and goes on with the resumed engine.
+func (r *modelRun) reload() {
+	r.op = "snapshot → write → read → resume"
+	mi, err := r.mut.Snapshot()
+	if err != nil {
+		r.failf("Snapshot: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := WriteIndex(&buf, mi); err != nil {
+		r.failf("WriteIndex: %v", err)
+	}
+	back, err := ReadIndex(&buf, mi.DB())
+	if err != nil {
+		r.failf("ReadIndex: %v", err)
+	}
+	resumed, err := NewMutableEngineFrom(back.(*MutableIndex), r.cfg)
+	if err != nil {
+		r.failf("NewMutableEngineFrom: %v", err)
+	}
+	// The resumed base is the saved one bit for bit: whether its segments
+	// qualify for bounds (walked) is unchanged, only not yet computed.
+	r.mut.Close()
+	r.eng, r.mut = resumed, resumed
+	if got := resumed.NextGID(); got != r.next {
+		r.failf("resumed store issues id %d next, model %d", got, r.next)
+	}
+}
+
+// run plays the history: writes lean towards growth until the store is
+// modelSwing points past flip, then towards shrinking until it is as far
+// below, and every turn forces a rebuild so the crossing is observed.
+func (r *modelRun) run() {
+	defer func() { r.eng.Close() }()
+	for r.step = 1; r.step <= modelSteps; r.step++ {
+		x := r.rng.Float64()
+		switch {
+		case r.mut == nil || x < 0.42:
+			r.ask()
+		case x < 0.46:
+			r.rebuild()
+		case x < 0.48:
+			r.reload()
+		case (x < 0.90) == r.grow: // four writes in five go the way the history leans
+			r.insert()
+		default:
+			r.remove()
+		}
+		if n := len(r.live); r.mut != nil && ((r.grow && n >= r.flip+modelSwing) || (!r.grow && n <= r.flip-modelSwing)) {
+			r.grow = !r.grow
+			r.rebuild()
+		}
+		r.ask() // after every step, whatever it was
+	}
+}
+
+// TestModelCheckedStore runs the histories over the four compositions. A
+// failure prints the composition, seed and step; the history is a function
+// of the seed alone.
+func TestModelCheckedStore(t *testing.T) {
+	seeds := 6
+	if testing.Short() {
+		seeds = 2
+	}
+	spec := Spec{Index: "distperm", K: modelSites}
+	for _, c := range []struct {
+		name    string
+		shards  int
+		mutable bool
+	}{{"engine", 1, false}, {"engine/4-shard", 4, false}, {"mutable", 1, true}, {"mutable/4-shard", 4, true}} {
+		ups, downs := 0, 0
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			r := &modelRun{t: t, name: c.name, seed: seed, rng: rand.New(rand.NewSource(seed)),
+				live: model{}, flip: modelFlip * c.shards, grow: seed%2 == 1}
+			// Odd seeds start below the flip and grow, even ones above it.
+			n := r.flip - modelSwing/2
+			if !r.grow {
+				n = r.flip + modelSwing/2
+			}
+			pts := make([]Point, n)
+			for i := range pts {
+				pts[i] = r.point()
+				r.live[i], r.ids = pts[i], append(r.ids, i)
+			}
+			r.next = n
+			db, err := NewDB(L2, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Seed = seed
+			r.cfg = MutableConfig{Spec: spec, Workers: 2}
+			if c.shards > 1 {
+				r.cfg.Shards, r.cfg.Partitioner = c.shards, RoundRobin{}
+			}
+			idx, err := buildForConfig(db, r.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.mutable {
+				r.mut, err = WrapMutable(db, idx, r.cfg)
+				r.eng = r.mut
+			} else {
+				r.eng, err = NewEngine(db, idx, 2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.run()
+			ups, downs = ups+r.ups, downs+r.downs
+		}
+		if !c.mutable {
+			continue
+		}
+		t.Logf("%s: %d seeds × %d steps, segments flipped scan → walk %d times, walk → scan %d", c.name, seeds, modelSteps, ups, downs)
+		if ups == 0 || downs == 0 {
+			t.Errorf("%s: %d segments flipped from scan to walk and %d back over %d seeds; the histories must cross boundMinFill both ways", c.name, ups, downs, seeds)
+		}
+	}
+}

@@ -45,14 +45,6 @@ type MutableConfig struct {
 	Shards int
 	// Partitioner places points when Shards > 1 (required then).
 	Partitioner Partitioner
-	// BaseRelease, if set, runs once the initially wrapped base index is
-	// no longer reachable by any query: when the last reader pinned before
-	// the first rebuild's swap returns, or at Close if no rebuild replaced
-	// it. It is the release point for storage backing the base — a Store
-	// opened with Mmap keeps its frozen base mapped while the delta lives
-	// on heap, and this hook is where the mapping is unmapped. Rebuilt
-	// bases are heap-owned and need no hook.
-	BaseRelease func()
 	// WAL, if set, receives an append for every mutation before it is
 	// acknowledged, making the write path crash-safe (see OpenWAL). Only
 	// attach a log whose records are already applied — when resuming from a
@@ -71,8 +63,8 @@ type deltaPoint struct {
 // mutSnapshot is one immutable state of the store: the view of its built
 // base index, the gid map and tombstones over it, and the delta of inserts
 // since the base was built. Writers publish a fresh snapshot per mutation
-// (sharing everything unchanged); readers pin one snapshot's view for the
-// duration of a batch and never block on writers or rebuilds.
+// (sharing everything unchanged); readers load one snapshot for the duration
+// of a batch and never block on writers or rebuilds.
 type mutSnapshot struct {
 	view    *view
 	gids    []int // base local -> gid, strictly increasing
@@ -109,9 +101,11 @@ func (s *mutSnapshot) live(gid int) bool {
 // in a linear-scanned delta buffer whose results merge into every kNN/range
 // answer, deletes are tombstones filtered at gather time, and a background
 // rebuilder folds delta and tombstones into a freshly built index whose view
-// is swapped in atomically — readers pin a view per batch and never see a
-// torn index; a superseded view is let go when its last pinned reader
+// is swapped in atomically — a reader holds one snapshot per batch and never
+// sees a torn index; a superseded view is garbage once its last reader
 // returns. One worker pool, started by the constructor, serves every view.
+// A wrapped base that is a mapped container must stay mapped until Close has
+// returned (see Store.Close).
 //
 // Every point carries a stable global ID: the initial database occupies
 // 0..N-1 and each insert takes the next ID. Query results report these IDs,
@@ -132,10 +126,8 @@ type MutableEngine struct {
 	metric Metric
 	proto  Point
 
-	// curMu publishes cur; readers hold it only long enough to pin the
-	// snapshot's view, writers only long enough to store the new pointer.
-	curMu  sync.RWMutex
-	cur    *mutSnapshot
+	// cur is the published snapshot: stored under writeMu, loaded by anyone.
+	cur    atomic.Pointer[mutSnapshot]
 	closed atomic.Bool
 
 	// writeMu serialises Insert/Delete/rebuild-swap/Close.
@@ -283,7 +275,7 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 			return nil, err
 		}
 	}
-	v := newView(baseDB, baseIdx, cfg.BaseRelease)
+	v := newView(baseDB, baseIdx)
 	m := &MutableEngine{
 		// Sized once, for the widest view a rebuild can publish.
 		pool:    newPool(cfg.Workers, max(len(v.segs), cfg.Shards)),
@@ -303,7 +295,7 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 	for i := range delta {
 		delta[i].shard = m.routeShard(delta[i].gid, delta[i].p)
 	}
-	m.cur = &mutSnapshot{
+	s := &mutSnapshot{
 		view:    v,
 		gids:    gids,
 		maxBase: gids[len(gids)-1],
@@ -311,9 +303,10 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 		delta:   delta,
 		logical: len(gids) - len(tomb) + len(delta),
 	}
+	m.cur.Store(s)
 	m.rebuilder.Add(1)
 	go m.rebuildLoop()
-	m.maybeKick(m.cur)
+	m.maybeKick(s)
 	return m, nil
 }
 
@@ -325,47 +318,21 @@ func (m *MutableEngine) routeShard(gid int, p Point) int {
 	return -1
 }
 
-// acquire enters the pool and pins the current snapshot's view for one
-// batch; the caller lets both go with release. Pinning under curMu is what
-// keeps a rebuild's swap from dropping the view's last reference between
-// this reader's load of cur and its pin.
+// acquire enters the pool — so Close waits for the caller, who leaves with
+// m.inflight.Done() — and returns the current snapshot.
 func (m *MutableEngine) acquire() (*mutSnapshot, error) {
-	m.curMu.RLock()
-	defer m.curMu.RUnlock()
 	if m.pool.enter() != nil {
 		return nil, errors.New("distperm: mutable engine is closed")
 	}
-	m.cur.view.refs.Add(1)
-	return m.cur, nil
-}
-
-// release undoes acquire.
-func (m *MutableEngine) release(s *mutSnapshot) {
-	s.view.unpin()
-	m.pool.inflight.Done()
-}
-
-// publish installs s as the current snapshot. Callers hold writeMu.
-func (m *MutableEngine) publish(s *mutSnapshot) {
-	m.curMu.Lock()
-	m.cur = s
-	m.curMu.Unlock()
-}
-
-// snapshot reads the current snapshot without pinning its view — for paths
-// that only read the immutable bookkeeping, never query the index.
-func (m *MutableEngine) snapshot() *mutSnapshot {
-	m.curMu.RLock()
-	defer m.curMu.RUnlock()
-	return m.cur
+	return m.cur.Load(), nil
 }
 
 // Shards returns how many shards serve the current base index (1 when it
 // is unsharded). It can change across rebuilds.
-func (m *MutableEngine) Shards() int { return len(m.snapshot().view.segs) }
+func (m *MutableEngine) Shards() int { return len(m.cur.Load().view.segs) }
 
-// BaseKind returns the current base index's registry kind.
-func (m *MutableEngine) BaseKind() string { return m.snapshot().view.idx.Name() }
+// BaseKind returns the current base index's kind.
+func (m *MutableEngine) BaseKind() string { return m.cur.Load().view.idx.Name() }
 
 // Metric returns the store's metric.
 func (m *MutableEngine) Metric() Metric { return m.metric }
@@ -375,13 +342,13 @@ func (m *MutableEngine) Metric() Metric { return m.metric }
 func (m *MutableEngine) Proto() Point { return m.proto }
 
 // LiveN returns the logical point count.
-func (m *MutableEngine) LiveN() int { return m.snapshot().logical }
+func (m *MutableEngine) LiveN() int { return m.cur.Load().logical }
 
 // IndexBits reports the current base index's storage cost.
-func (m *MutableEngine) IndexBits() int64 { return m.snapshot().view.idx.IndexBits() }
+func (m *MutableEngine) IndexBits() int64 { return m.cur.Load().view.idx.IndexBits() }
 
 // Search answers q for every point of qs over the logical point set: one
-// snapshot is pinned for the batch, the pool answers over its view (a kNN
+// snapshot is loaded for the batch, the pool answers over its view (a kNN
 // query over-fetched by the tombstone count so dead points can be filtered
 // at gather), and each base answer merges with a linear scan of the delta.
 // Result IDs are stable global IDs.
@@ -399,7 +366,7 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 	if err != nil {
 		return nil, nil, err
 	}
-	defer m.release(s)
+	defer m.inflight.Done()
 	if err := q.validate(s.logical); err != nil {
 		return nil, nil, err
 	}
@@ -434,12 +401,12 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 // ApproxBuckets returns the current base index's inverted-file directory
 // size (0 when it has no approximate capability). It can change across
 // rebuilds.
-func (m *MutableEngine) ApproxBuckets() int { return m.snapshot().view.approxBuckets() }
+func (m *MutableEngine) ApproxBuckets() int { return m.cur.Load().view.approxBuckets() }
 
 // DistinctRows returns the current base index's distinct permutation-row
 // count (0 when the base does not expose one). Delta points are not
 // counted until a rebuild folds them in.
-func (m *MutableEngine) DistinctRows() int { return m.snapshot().view.distinctRows() }
+func (m *MutableEngine) DistinctRows() int { return m.cur.Load().view.distinctRows() }
 
 // scanDelta measures q against every delta point — the engine-side twin of
 // MutableIndex's delta scan (the buffer holds live points only, so there
@@ -487,7 +454,7 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 		m.writeMu.Unlock()
 		return 0, errors.New("distperm: mutable engine is closed")
 	}
-	s := m.cur
+	s := m.cur.Load()
 	gid := m.nextGid
 	// Durability before acknowledgement: the record must be on the log
 	// before the insert becomes visible or the gid is consumed. On append
@@ -506,7 +473,7 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 	// serialise under writeMu.
 	next.delta = append(s.delta, deltaPoint{gid: gid, p: p, shard: m.routeShard(gid, p)})
 	next.logical++
-	m.publish(&next)
+	m.cur.Store(&next)
 	m.inserts.Add(1)
 	m.writeMu.Unlock()
 	m.maybeKick(&next)
@@ -523,7 +490,7 @@ func (m *MutableEngine) Delete(gid int) error {
 		m.writeMu.Unlock()
 		return errors.New("distperm: mutable engine is closed")
 	}
-	s := m.cur
+	s := m.cur.Load()
 	next := *s
 	switch {
 	case gid < 0 || gid >= m.nextGid:
@@ -555,7 +522,7 @@ func (m *MutableEngine) Delete(gid int) error {
 		}
 	}
 	next.logical--
-	m.publish(&next)
+	m.cur.Store(&next)
 	m.deletes.Add(1)
 	m.writeMu.Unlock()
 	m.maybeKick(&next)
@@ -599,13 +566,13 @@ func (m *MutableEngine) Rebuild() error { return m.rebuildOnce(true) }
 func (m *MutableEngine) rebuildOnce(force bool) error {
 	m.rebuildMu.Lock()
 	defer m.rebuildMu.Unlock()
-	// Pinned like a reader: the build reads s's points, which BaseRelease
-	// may unmap, and Close waits for a rebuild that got in.
+	// Entered like a reader: the build reads s's points, and Close waits for
+	// a rebuild that got in.
 	s, err := m.acquire()
 	if err != nil {
 		return err
 	}
-	defer m.release(s)
+	defer m.inflight.Done()
 	if !force && (s.pending() < m.cfg.RebuildThreshold || s.logical == 0) {
 		return nil
 	}
@@ -650,7 +617,7 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	// segment builds what its index builds lazily (distperm's directory,
 	// bounds and the bucket-major coordinates its walk reads) — asked
 	// directly, not through the pool: no engine counter moves.
-	nv := newView(newDB, idx, nil)
+	nv := newView(newDB, idx)
 	for _, seg := range nv.segs {
 		sisap.QueryReplica(seg.idx).KNN(seg.db.Points[0], 1)
 	}
@@ -664,7 +631,7 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	// rebuilder replaces bases, and writers only touch delta/tomb), so the
 	// new snapshot's tombstones are exactly the new-base points no longer
 	// live in c, and its delta the c-delta entries newer than the new base.
-	c := m.cur
+	c := m.cur.Load()
 	maxBase := newGids[len(newGids)-1]
 	newTomb := make(map[int]struct{})
 	for _, g := range newGids {
@@ -682,14 +649,10 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 		delta:   newDelta,
 		logical: len(newGids) - len(newTomb) + len(newDelta),
 	}
-	m.publish(next)
+	m.cur.Store(next)
 	m.rebuilds.Add(1)
 	m.lastRebuildNanos.Store(int64(time.Since(start)))
 	m.writeMu.Unlock()
-	// The owner's reference goes only now that no reader can pin c's view
-	// any more: it lives on until the last reader pinned before the publish
-	// returns.
-	c.view.unpin()
 	m.maybeKick(next)
 	return nil
 }
@@ -705,7 +668,7 @@ func (m *MutableEngine) counters() (EngineStats, obs.HistogramSnapshot) {
 
 // MutationStats snapshots the write path.
 func (m *MutableEngine) MutationStats() MutationStats {
-	s := m.snapshot()
+	s := m.cur.Load()
 	ms := MutationStats{
 		Inserts:          m.inserts.Load(),
 		Deletes:          m.deletes.Load(),
@@ -741,7 +704,7 @@ func (m *MutableEngine) MutationStats() MutationStats {
 // base points followed by the live delta points; it shares the built base
 // index with the engine, which both only read.
 func (m *MutableEngine) Snapshot() (*MutableIndex, error) {
-	s := m.snapshot()
+	s := m.cur.Load()
 	m.writeMu.Lock()
 	nextGid := m.nextGid
 	m.writeMu.Unlock()
@@ -789,7 +752,7 @@ func (m *MutableEngine) AttachWAL(w *WAL) error {
 	if m.wal != nil {
 		return errors.New("distperm: a WAL is already attached")
 	}
-	if err := checkpointable(m.cur.view.idx, m.cfg.Spec); err != nil {
+	if err := checkpointable(m.cur.Load().view.idx, m.cfg.Spec); err != nil {
 		return err
 	}
 	m.wal = w
@@ -859,7 +822,7 @@ func (m *MutableEngine) CheckpointSnapshot() (*MutableIndex, uint64, error) {
 		m.writeMu.Unlock()
 		return nil, 0, errors.New("distperm: no WAL attached")
 	}
-	s := m.cur
+	s := m.cur.Load()
 	nextGid := m.nextGid
 	seq := m.wal.Seq()
 	m.writeMu.Unlock()
@@ -880,23 +843,17 @@ func (m *MutableEngine) WALStats() WALStats {
 }
 
 // Close stops the rebuilder and shuts the pool down after in-flight batches
-// finish, then lets the final view go (running BaseRelease if no rebuild
-// ever replaced the wrapped base). Idempotent; queries and writes after
-// Close return an error.
+// and rebuilds finish; when it returns nothing reads the wrapped base any
+// more. Idempotent; queries and writes after Close return an error.
 func (m *MutableEngine) Close() {
-	// Holding writeMu means no rebuild swap is mid-publish, and every later
-	// one sees closed and gives up, making cur the final snapshot.
+	// Under writeMu no rebuild swap is mid-publish, and every later one sees
+	// closed and gives up.
 	m.writeMu.Lock()
 	already := m.closed.Swap(true)
 	m.writeMu.Unlock()
 	if !already {
 		close(m.done)
 	}
-	// The pool refuses acquire from here on and waits for every reader and
-	// rebuild that got in, so the owner's reference is the last one.
 	m.pool.Close()
 	m.rebuilder.Wait()
-	if !already {
-		m.snapshot().view.unpin()
-	}
 }

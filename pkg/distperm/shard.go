@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"distperm/internal/sisap"
 )
@@ -70,33 +69,16 @@ func (HashPoint) Shard(_ int, p Point, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
-var (
-	partitionersMu sync.RWMutex
-	partitioners   = map[string]Partitioner{}
-)
-
-// RegisterPartitioner adds a placement strategy to the partitioner registry
-// under its Name(), making it selectable by name from the CLI and the
-// serving daemon — the same extension seam Register gives index kinds. It
-// panics on a duplicate or incomplete registration; misregistration is a
-// programming error, not a runtime condition. RoundRobin and HashPoint are
-// pre-registered.
-func RegisterPartitioner(p Partitioner) {
-	if p == nil || p.Name() == "" {
-		panic("distperm: RegisterPartitioner requires a named Partitioner")
-	}
-	partitionersMu.Lock()
-	defer partitionersMu.Unlock()
-	if _, dup := partitioners[p.Name()]; dup {
-		panic(fmt.Sprintf("distperm: partitioner %q registered twice", p.Name()))
-	}
-	partitioners[p.Name()] = p
+// partitioners maps the built-in strategies' names — what the CLI and the
+// daemon select by — to their Partitioners. A caller's own Partitioner needs
+// no name here: it is passed to BuildSharded or MutableConfig directly.
+var partitioners = map[string]Partitioner{
+	RoundRobin{}.Name(): RoundRobin{},
+	HashPoint{}.Name():  HashPoint{},
 }
 
-// Partitioners returns the registered strategy names, sorted.
+// Partitioners returns the built-in strategy names, sorted.
 func Partitioners() []string {
-	partitionersMu.RLock()
-	defer partitionersMu.RUnlock()
 	names := make([]string, 0, len(partitioners))
 	for name := range partitioners {
 		names = append(names, name)
@@ -105,22 +87,15 @@ func Partitioners() []string {
 	return names
 }
 
-// PartitionerByName maps a registered strategy name ("roundrobin", "hash",
-// plus any caller-registered strategies) to its Partitioner.
+// PartitionerByName maps a built-in strategy name ("roundrobin", "hash") to
+// its Partitioner.
 func PartitionerByName(name string) (Partitioner, error) {
-	partitionersMu.RLock()
 	p, ok := partitioners[name]
-	partitionersMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("distperm: unknown partitioner %q (have %s)",
 			name, strings.Join(Partitioners(), ", "))
 	}
 	return p, nil
-}
-
-func init() {
-	RegisterPartitioner(RoundRobin{})
-	RegisterPartitioner(HashPoint{})
 }
 
 // Partition assigns every point of db to one of shards shards via p,
@@ -155,7 +130,7 @@ func Partition(db *DB, shards int, p Partitioner) ([][]int, error) {
 }
 
 // BuildSharded partitions db with p and builds one index per shard through
-// the Build registry. Each shard builds from spec with the seed offset by
+// Build. Each shard builds from spec with the seed offset by
 // the shard number (decorrelating per-shard random choices while keeping the
 // whole build reproducible) and K capped at the shard size.
 func BuildSharded(db *DB, spec Spec, shards int, p Partitioner) (*ShardedIndex, error) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -371,38 +370,22 @@ func TestPartitionerByName(t *testing.T) {
 	}
 }
 
-// evenOdd is a custom placement strategy for the registry test: shard 0 gets
-// even IDs, shard 1 odd IDs (shards must be 2).
+// evenOdd is a caller's own placement strategy: shard 0 gets even IDs,
+// shard 1 odd IDs (shards must be 2).
 type evenOdd struct{}
 
 func (evenOdd) Name() string                          { return "evenodd" }
 func (evenOdd) Shard(id int, _ Point, shards int) int { return id % 2 % shards }
 
-// registerEvenOdd keeps TestRegisterPartitioner idempotent: the registry is
-// process-global, so `go test -count=2` would otherwise hit the duplicate
-// panic on the second run.
-var registerEvenOdd sync.Once
-
-// TestRegisterPartitioner proves the registry is the extension seam the
-// Build registry is: a caller-registered strategy becomes resolvable by
-// name, shows up in Partitioners(), and drives BuildSharded.
-func TestRegisterPartitioner(t *testing.T) {
-	registerEvenOdd.Do(func() { RegisterPartitioner(evenOdd{}) })
-	p, err := PartitionerByName("evenodd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, name := range Partitioners() {
-		if name == "evenodd" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Partitioners() = %v missing evenodd", Partitioners())
+// TestCustomPartitioner: a strategy of the caller's needs no name in the
+// package's table — it is handed to BuildSharded as a value and places the
+// points; only the built-in names resolve through PartitionerByName.
+func TestCustomPartitioner(t *testing.T) {
+	if _, err := PartitionerByName("evenodd"); err == nil {
+		t.Error("PartitionerByName resolved a name that is not built in")
 	}
 	db, _ := testDB(t, 41, 20, 2)
-	sx, err := BuildSharded(db, Spec{Index: "linear"}, 2, p)
+	sx, err := BuildSharded(db, Spec{Index: "linear"}, 2, evenOdd{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,16 +395,6 @@ func TestRegisterPartitioner(t *testing.T) {
 				t.Fatalf("evenodd sent ID %d to shard %d", id, s)
 			}
 		}
-	}
-	for _, bad := range []Partitioner{nil, evenOdd{}} { // nil and duplicate
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RegisterPartitioner(%v) should panic", bad)
-				}
-			}()
-			RegisterPartitioner(bad)
-		}()
 	}
 }
 

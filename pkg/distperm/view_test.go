@@ -165,7 +165,7 @@ func startSwapStorm(me *distperm.MutableEngine) *swapStorm {
 }
 
 // shardedMutable wraps a 4-shard distperm index over n gate-metric points.
-func shardedMutable(t *testing.T, gate gateMetric, n int, release func()) *distperm.MutableEngine {
+func shardedMutable(t *testing.T, gate gateMetric, n int) *distperm.MutableEngine {
 	t.Helper()
 	db, err := distperm.NewDB(gate, dataset.UniformVectors(rand.New(rand.NewSource(83)), n, 3))
 	if err != nil {
@@ -177,7 +177,7 @@ func shardedMutable(t *testing.T, gate gateMetric, n int, release func()) *distp
 		t.Fatal(err)
 	}
 	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{
-		Spec: spec, Workers: 2, Shards: 4, Partitioner: distperm.RoundRobin{}, BaseRelease: release,
+		Spec: spec, Workers: 2, Shards: 4, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,25 +197,18 @@ func newGate() gateMetric {
 // TestMutableEngineSwapStorm: fifty and more forced rebuilds under
 // concurrent searches and writes run on the goroutines the constructor
 // started — no rebuild and no Search starts one — the counters never go
-// backwards across a swap, and the wrapped base is released exactly once:
-// not while a reader pinned before the first swap is still out, however
-// many views have come and gone since, and at the moment it returns.
+// backwards across a swap, and a reader parked on the wrapped view since
+// before the first swap still gets its answer, however many views have come
+// and gone since.
 func TestMutableEngineSwapStorm(t *testing.T) {
 	const swaps = 50
 	gate := newGate()
-	var released atomic.Int32
-	var gateOpen atomic.Bool
-	me := shardedMutable(t, gate, 400, func() {
-		if !gateOpen.Load() {
-			t.Error("BaseRelease ran while a reader pinned before the first swap was still out")
-		}
-		released.Add(1)
-	})
+	me := shardedMutable(t, gate, 400)
 	defer me.Close()
 	idle := runtime.NumGoroutine() // the pool and the rebuilder are up
 
-	// One reader parks inside a worker, pinned on the wrapped view.
-	openGate := sync.OnceFunc(func() { gateOpen.Store(true); close(gate.release) })
+	// One reader parks inside a worker, holding the wrapped view.
+	openGate := sync.OnceFunc(func() { close(gate.release) })
 	defer openGate()
 	gate.armed.Store(true)
 	pinned := make(chan error, 1)
@@ -247,15 +240,9 @@ func TestMutableEngineSwapStorm(t *testing.T) {
 		t.Errorf("%d goroutines during the storm, want ≤ %d: a rebuild or a Search started some", maxGoroutines, limit)
 	}
 
-	if got := released.Load(); got != 0 {
-		t.Fatalf("BaseRelease ran %d times with the first view's reader still pinned", got)
-	}
 	openGate()
 	if err := <-pinned; err != nil {
 		t.Fatal(err)
-	}
-	if got := released.Load(); got != 1 {
-		t.Fatalf("BaseRelease ran %d times once the pinned reader returned, want 1", got)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > idle && time.Now().Before(deadline) {
@@ -264,18 +251,13 @@ func TestMutableEngineSwapStorm(t *testing.T) {
 	if got := runtime.NumGoroutine(); got > idle {
 		t.Errorf("%d goroutines after the storm, %d before it", got, idle)
 	}
-	me.Close()
-	if got := released.Load(); got != 1 {
-		t.Fatalf("BaseRelease ran %d times after Close, want 1", got)
-	}
 }
 
 // TestMutableEngineCloseDuringSwapStorm: Close in the middle of the storm
 // leaves no caller blocked — searchers, writers and the forced rebuilder
 // all return — and every call made after it gets the closed error.
 func TestMutableEngineCloseDuringSwapStorm(t *testing.T) {
-	var released atomic.Int32
-	me := shardedMutable(t, newGate(), 300, func() { released.Add(1) })
+	me := shardedMutable(t, newGate(), 300)
 	storm := startSwapStorm(me)
 	for me.MutationStats().Rebuilds < 5 {
 		time.Sleep(time.Millisecond)
@@ -306,8 +288,5 @@ func TestMutableEngineCloseDuringSwapStorm(t *testing.T) {
 	}
 	if err := me.Rebuild(); err == nil {
 		t.Error("Rebuild after Close should fail")
-	}
-	if got := released.Load(); got != 1 {
-		t.Errorf("BaseRelease ran %d times, want 1", got)
 	}
 }

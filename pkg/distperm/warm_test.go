@@ -37,7 +37,7 @@ func TestMutableRebuildWarmsView(t *testing.T) {
 		defer m.Close()
 		// The hook discriminates: the view built at start-up, which no query
 		// has touched, holds neither.
-		for s, seg := range m.snapshot().view.segs {
+		for s, seg := range m.cur.Load().view.segs {
 			if dir, bounds := lazyBuilt(seg.idx.(*sisap.PermIndex)); dir || bounds {
 				t.Fatalf("shards=%d: untouched segment %d already holds directory=%v bounds=%v", shards, s, dir, bounds)
 			}
@@ -50,7 +50,7 @@ func TestMutableRebuildWarmsView(t *testing.T) {
 		if err := m.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		segs := m.snapshot().view.segs
+		segs := m.cur.Load().view.segs
 		if len(segs) != shards {
 			t.Fatalf("shards=%d: rebuilt view has %d segments", shards, len(segs))
 		}

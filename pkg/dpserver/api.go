@@ -42,12 +42,10 @@ type RangeRequest struct {
 	R       float64           `json:"r"`
 }
 
-// Result is one answer on the wire: a database point ID and its distance to
-// the query.
-type Result struct {
-	ID       int     `json:"id"`
-	Distance float64 `json:"distance"`
-}
+// Result is one answer on the wire — the engine's own result type, whose
+// JSON form is {"id": ..., "distance": ...}: a database point ID and its
+// distance to the query.
+type Result = distperm.Result
 
 // QueryResponse is the body of a successful /v1/knn or /v1/range answer:
 // Results for the single form, Batches (one result list per query, in
@@ -272,15 +270,6 @@ func DecodePoint(raw json.RawMessage) (distperm.Point, error) {
 	default:
 		return nil, fmt.Errorf("dpserver: point must be a JSON array (vector) or string, got %q", trimmed)
 	}
-}
-
-// toWire converts engine results to the wire shape.
-func toWire(rs []distperm.Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Distance: r.Distance}
-	}
-	return out
 }
 
 // mutationWire converts a write-path snapshot to the wire shape.

@@ -24,14 +24,20 @@ import (
 // Cached result slices are shared between the cache and its callers; they
 // are treated as immutable (the server only marshals them).
 type Cache struct {
-	mu           sync.Mutex
-	capacity     int
-	ll           *list.List // front = most recent
-	items        map[string]*list.Element
-	hits, misses int64
-	evictions    int64
-	gen          uint64
-	invalidates  int64
+	mu       sync.Mutex
+	capacity int
+	ll       *list.List // front = most recent
+	items    map[string]*list.Element
+	gen      uint64
+	stats    CacheStats // Entries is filled in by Stats
+}
+
+// CacheStats is a snapshot of a Cache's counters: Hits and Misses of Get,
+// Entries resident, Evictions by capacity pressure and Invalidations (each
+// of which emptied the cache; its entries are not counted as evictions).
+type CacheStats struct {
+	Hits, Misses, Evictions, Invalidations int64
+	Entries                                int
 }
 
 type cacheEntry struct {
@@ -63,10 +69,10 @@ func (c *Cache) Get(key string) ([]distperm.Result, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		c.stats.Misses++
 		return nil, false
 	}
-	c.hits++
+	c.stats.Hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).results, true
 }
@@ -93,7 +99,7 @@ func (c *Cache) Invalidate() {
 	c.ll.Init()
 	c.items = make(map[string]*list.Element, c.capacity)
 	c.gen++
-	c.invalidates++
+	c.stats.Invalidations++
 }
 
 // Put stores results under key, evicting the least-recently-used entry when
@@ -118,40 +124,21 @@ func (c *Cache) Put(key string, gen uint64, results []distperm.Result) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions++
+		c.stats.Evictions++
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, results: results})
 }
 
-// Counters returns the hit/miss counts and the current entry count.
-func (c *Cache) Counters() (hits, misses int64, entries int) {
+// Stats snapshots the counters under one lock; all zero on a nil cache.
+func (c *Cache) Stats() CacheStats {
 	if c == nil {
-		return 0, 0, 0
+		return CacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
-}
-
-// Evictions returns how many entries capacity pressure has pushed out
-// (invalidation flushes are counted separately, by Invalidations).
-func (c *Cache) Evictions() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// Invalidations returns how many times the cache has been invalidated.
-func (c *Cache) Invalidations() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.invalidates
+	st := c.stats
+	st.Entries = c.ll.Len()
+	return st
 }
 
 // cacheKey canonically encodes an exact single query for the cache — the

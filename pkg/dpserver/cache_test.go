@@ -30,12 +30,12 @@ func TestCacheLRU(t *testing.T) {
 	if got, _ := c.Get("c"); got[0].ID != 4 {
 		t.Errorf("refresh did not replace: %v", got)
 	}
-	hits, misses, entries := c.Counters()
-	if entries != 2 {
-		t.Errorf("entries = %d, want 2", entries)
+	st := c.Stats()
+	if st.Entries != 2 {
+		t.Errorf("entries = %d, want 2", st.Entries)
 	}
-	if hits != 4 || misses != 1 {
-		t.Errorf("hits, misses = %d, %d, want 4, 1", hits, misses)
+	if st.Hits != 4 || st.Misses != 1 {
+		t.Errorf("hits, misses = %d, %d, want 4, 1", st.Hits, st.Misses)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestCacheDisabled(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("nil cache hit")
 	}
-	if hits, misses, entries := c.Counters(); hits != 0 || misses != 0 || entries != 0 {
+	if c.Stats() != (CacheStats{}) {
 		t.Error("nil cache counted")
 	}
 }
@@ -82,12 +82,12 @@ func TestCacheInvalidation(t *testing.T) {
 	if got, ok := c.Get("a"); !ok || got[0].ID != 9 {
 		t.Errorf("current-generation Put lost: %v, %v", got, ok)
 	}
-	if c.Invalidations() != 1 {
-		t.Errorf("Invalidations = %d, want 1", c.Invalidations())
+	if got := c.Stats().Invalidations; got != 1 {
+		t.Errorf("Invalidations = %d, want 1", got)
 	}
 	// The nil (disabled) cache accepts the whole protocol as no-ops.
 	var nc *Cache
-	if nc.Generation() != 0 || nc.Invalidations() != 0 {
+	if nc.Generation() != 0 || nc.Stats().Invalidations != 0 {
 		t.Error("nil cache has state")
 	}
 	nc.Invalidate()

@@ -34,32 +34,51 @@ func New(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/")}
 }
 
+// query is the one request path under the six query methods: it encodes qs
+// — the lone point of the single form when single, else the batched form —
+// into the request body mk makes of them, posts it to path and returns the
+// decoded answer.
+func (c *Client) query(ctx context.Context, path string, qs []distperm.Point, single bool,
+	mk func(q json.RawMessage, qs []json.RawMessage) any) (resp dpserver.QueryResponse, err error) {
+	var one json.RawMessage
+	var all []json.RawMessage
+	if single {
+		one, err = dpserver.EncodePoint(qs[0])
+	} else {
+		all, err = encodeAll(qs)
+	}
+	if err == nil {
+		err = c.post(ctx, path, mk(one, all), &resp)
+	}
+	return resp, err
+}
+
+// knn is query against /v1/knn.
+func (c *Client) knn(ctx context.Context, qs []distperm.Point, single bool, k int, approx bool, nprobe int) (dpserver.QueryResponse, error) {
+	return c.query(ctx, "/v1/knn", qs, single, func(q json.RawMessage, qs []json.RawMessage) any {
+		return dpserver.KNNRequest{Query: q, Queries: qs, K: k, Approx: approx, NProbe: nprobe}
+	})
+}
+
+// rng is query against /v1/range.
+func (c *Client) rng(ctx context.Context, qs []distperm.Point, single bool, r float64) (dpserver.QueryResponse, error) {
+	return c.query(ctx, "/v1/range", qs, single, func(q json.RawMessage, qs []json.RawMessage) any {
+		return dpserver.RangeRequest{Query: q, Queries: qs, R: r}
+	})
+}
+
 // KNN answers one kNN query — the request shape that flows through the
 // server's result cache and coalescer.
 func (c *Client) KNN(ctx context.Context, q distperm.Point, k int) ([]distperm.Result, error) {
-	raw, err := dpserver.EncodePoint(q)
-	if err != nil {
-		return nil, err
-	}
-	var resp dpserver.QueryResponse
-	if err := c.post(ctx, "/v1/knn", dpserver.KNNRequest{Query: raw, K: k}, &resp); err != nil {
-		return nil, err
-	}
-	return fromWire(resp.Results), nil
+	resp, err := c.knn(ctx, []distperm.Point{q}, true, k, false, 0)
+	return resp.Results, err
 }
 
 // KNNBatch answers one kNN query per point of qs in one request, submitted
 // to the engine as one batch.
 func (c *Client) KNNBatch(ctx context.Context, qs []distperm.Point, k int) ([][]distperm.Result, error) {
-	raws, err := encodeAll(qs)
-	if err != nil {
-		return nil, err
-	}
-	var resp dpserver.QueryResponse
-	if err := c.post(ctx, "/v1/knn", dpserver.KNNRequest{Queries: raws, K: k}, &resp); err != nil {
-		return nil, err
-	}
-	return fromWireBatches(resp.Batches)
+	resp, err := c.knn(ctx, qs, false, k, false, 0)
+	return resp.Batches, err
 }
 
 // KNNApprox answers one approximate kNN query: the server probes the
@@ -68,57 +87,28 @@ func (c *Client) KNNBatch(ctx context.Context, qs []distperm.Point, k int) ([][]
 // carries the probe accounting (probed buckets, candidate fraction, and
 // whether the answer degraded to exact).
 func (c *Client) KNNApprox(ctx context.Context, q distperm.Point, k, nprobe int) ([]distperm.Result, *dpserver.ApproxWire, error) {
-	raw, err := dpserver.EncodePoint(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	var resp dpserver.QueryResponse
-	if err := c.post(ctx, "/v1/knn", dpserver.KNNRequest{Query: raw, K: k, Approx: true, NProbe: nprobe}, &resp); err != nil {
-		return nil, nil, err
-	}
-	return fromWire(resp.Results), resp.Approx, nil
+	resp, err := c.knn(ctx, []distperm.Point{q}, true, k, true, nprobe)
+	return resp.Results, resp.Approx, err
 }
 
 // KNNApproxBatch answers one approximate kNN query per point of qs in one
 // request; the ApproxWire aggregates the probe accounting over the batch.
 func (c *Client) KNNApproxBatch(ctx context.Context, qs []distperm.Point, k, nprobe int) ([][]distperm.Result, *dpserver.ApproxWire, error) {
-	raws, err := encodeAll(qs)
-	if err != nil {
-		return nil, nil, err
-	}
-	var resp dpserver.QueryResponse
-	if err := c.post(ctx, "/v1/knn", dpserver.KNNRequest{Queries: raws, K: k, Approx: true, NProbe: nprobe}, &resp); err != nil {
-		return nil, nil, err
-	}
-	outs, err := fromWireBatches(resp.Batches)
-	return outs, resp.Approx, err
+	resp, err := c.knn(ctx, qs, false, k, true, nprobe)
+	return resp.Batches, resp.Approx, err
 }
 
 // Range answers one range query of radius r.
 func (c *Client) Range(ctx context.Context, q distperm.Point, r float64) ([]distperm.Result, error) {
-	raw, err := dpserver.EncodePoint(q)
-	if err != nil {
-		return nil, err
-	}
-	var resp dpserver.QueryResponse
-	if err := c.post(ctx, "/v1/range", dpserver.RangeRequest{Query: raw, R: r}, &resp); err != nil {
-		return nil, err
-	}
-	return fromWire(resp.Results), nil
+	resp, err := c.rng(ctx, []distperm.Point{q}, true, r)
+	return resp.Results, err
 }
 
 // RangeBatch answers one range query of radius r per point of qs in one
 // request.
 func (c *Client) RangeBatch(ctx context.Context, qs []distperm.Point, r float64) ([][]distperm.Result, error) {
-	raws, err := encodeAll(qs)
-	if err != nil {
-		return nil, err
-	}
-	var resp dpserver.QueryResponse
-	if err := c.post(ctx, "/v1/range", dpserver.RangeRequest{Queries: raws, R: r}, &resp); err != nil {
-		return nil, err
-	}
-	return fromWireBatches(resp.Batches)
+	resp, err := c.rng(ctx, qs, false, r)
+	return resp.Batches, err
 }
 
 // Insert adds one point to a mutable server's logical point set and
@@ -294,20 +284,4 @@ func encodeAll(qs []distperm.Point) ([]json.RawMessage, error) {
 		raws[i] = raw
 	}
 	return raws, nil
-}
-
-func fromWire(rs []dpserver.Result) []distperm.Result {
-	out := make([]distperm.Result, len(rs))
-	for i, r := range rs {
-		out[i] = distperm.Result{ID: r.ID, Distance: r.Distance}
-	}
-	return out
-}
-
-func fromWireBatches(batches [][]dpserver.Result) ([][]distperm.Result, error) {
-	out := make([][]distperm.Result, len(batches))
-	for i, rs := range batches {
-		out[i] = fromWire(rs)
-	}
-	return out, nil
 }

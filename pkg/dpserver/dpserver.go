@@ -57,7 +57,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,8 +112,9 @@ type Server struct {
 	ridPrefix string
 	ridSeq    atomic.Uint64
 
-	mu sync.Mutex
-	ServerCounters
+	// What /v1/stats reports beyond the per-endpoint request and error
+	// counters of metrics: queries by request form and accepted mutations.
+	singleQueries, batchQueries, inserts, deletes atomic.Int64
 }
 
 // ridKey carries the request ID through the handler's context.
@@ -231,32 +231,30 @@ func NewFromMutable(me *distperm.MutableEngine, cfg Config) (*Server, error) {
 func (s *Server) Info() IndexInfo { return s.info }
 
 // ServeHTTP implements http.Handler. It is the instrumentation middleware:
-// every request gets an ID (the client's X-Request-ID, or a minted one),
-// echoed back in the response header and threaded through the handler's
-// context, and is counted into the per-endpoint request/error/latency
-// families and the in-flight gauge.
+// every request gets an ID (the client's X-Request-ID when it is at most
+// maxRequestIDBytes long, else a minted one), echoed back in the response
+// header and threaded through the handler's context, and is counted into
+// its endpoint's request/error/latency series — the only request accounting
+// there is; /v1/stats sums them — and the in-flight gauge.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ep := endpointOf(r.URL.Path)
+	em := s.metrics.endpoint(r.URL.Path)
 	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
+	if reqID == "" || len(reqID) > maxRequestIDBytes {
 		reqID = fmt.Sprintf("%s-%d", s.ridPrefix, s.ridSeq.Add(1))
 	}
 	w.Header().Set("X-Request-ID", reqID)
 	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, reqID))
 
-	s.mu.Lock()
-	s.Requests++
-	s.mu.Unlock()
-	s.metrics.request(ep).Inc()
+	em.requests.Inc()
 	s.metrics.inflight.Add(1)
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	s.mux.ServeHTTP(sw, r)
 	s.metrics.inflight.Add(-1)
 	if sw.code >= 400 {
-		s.metrics.error(ep).Inc()
+		em.errors.Inc()
 	}
-	s.metrics.observeLatency(ep, time.Since(start))
+	em.latency.Observe(time.Since(start).Seconds())
 }
 
 // Close flushes the coalescer's pending batches and closes the backend
@@ -270,31 +268,69 @@ func (s *Server) Close() {
 // gracefully: stop accepting, drain in-flight handlers, flush the
 // coalescer, close the engine. It returns nil after a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
+	return Serve(ctx, ln, s, drainTimeout, s.Close)
+}
+
+// Serve is the one serve loop of the package and its daemon: it answers
+// HTTP on ln with h until ctx is cancelled, then stops accepting, gives
+// in-flight handlers up to drain to finish, and only then runs after (nil
+// for none) — so whatever after closes is out of every handler's reach. A
+// listener failure skips the drain and runs after at once. It returns nil
+// after a clean shutdown.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration, after func()) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
+	var err error
 	select {
-	case err := <-errc:
-		s.Close()
-		return err
+	case err = <-errc:
 	case <-ctx.Done():
+		sctx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		err = hs.Shutdown(sctx) // in-flight handlers finish before this returns
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	err := hs.Shutdown(sctx) // in-flight handlers finish before this returns
-	s.Close()
+	if after != nil {
+		after()
+	}
 	return err
+}
+
+// WriteStatus answers the probes' one JSON shape, {"status": status}, under
+// code.
+func WriteStatus(w http.ResponseWriter, code int, status string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	fmt.Fprintf(w, "{\"status\":%q}\n", status)
 }
 
 // --- handlers ---
 
 // Fixed limits on what a client may send: maxBodyBytes bounds a POST body
-// (a larger one is answered 413 before it is buffered whole), and
-// readHeaderTimeout how long a connection may take to send its headers.
+// (a larger one is answered 413 before it is buffered whole), maxBatch the
+// queries, points or IDs of one request (400: a body-sized batch of exact
+// queries would hold the pool for minutes after its client has gone),
+// maxRequestIDBytes the X-Request-ID a client may choose (it is copied into
+// the slow-query record of every coalesced neighbour), readHeaderTimeout
+// how long a connection may take to send its headers and idleTimeout how
+// long a kept-alive one may sit between requests; drainTimeout is what a
+// shutdown grants in-flight handlers.
 const (
 	maxBodyBytes      = 8 << 20
+	maxBatch          = 4096
+	maxRequestIDBytes = 128
 	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 15 * time.Second
 )
+
+// batchFits answers 400 for a batched request of more than maxBatch items
+// and reports whether the handler may go on.
+func (s *Server) batchFits(w http.ResponseWriter, field string, n int) bool {
+	if n > maxBatch {
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("%d %s in one request, limit %d", n, field, maxBatch))
+	}
+	return n <= maxBatch
+}
 
 // decodeBody decodes the JSON request body into req, answering 413 for a
 // body over maxBodyBytes and 400 for one that does not parse. It reports
@@ -359,6 +395,8 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
 	case batch == nil:
 		s.fail(w, http.StatusBadRequest, `one of "query" or "queries" is required`)
 		return
+	case !s.batchFits(w, "queries", len(batch)):
+		return
 	}
 	qs := make([]distperm.Point, len(raws))
 	for i, raw := range raws {
@@ -382,8 +420,8 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
 	if coalesce {
 		key, cacheable = cacheKey(qs[0], q)
 		if rs, ok := s.cache.Get(key); cacheable && ok {
-			s.bump(func(c *ServerCounters) { c.SingleQueries++ })
-			s.ok(w, QueryResponse{Results: toWire(rs)})
+			s.singleQueries.Add(1)
+			s.ok(w, QueryResponse{Results: rs})
 			return
 		}
 		// The generation is read before computing: if a mutation lands
@@ -420,14 +458,17 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
 		resp.Approx = s.approxWire(q.NProbe, sts)
 	}
 	if single != nil {
-		resp.Results = toWire(outs[0])
-		s.bump(func(c *ServerCounters) { c.SingleQueries++ })
+		resp.Results = outs[0]
+		s.singleQueries.Add(1)
 	} else {
-		resp.Batches = make([][]Result, len(outs))
+		// An empty answer inside a batch is "[]" on the wire, never "null".
 		for i, rs := range outs {
-			resp.Batches[i] = toWire(rs)
+			if rs == nil {
+				outs[i] = []Result{}
+			}
 		}
-		s.bump(func(c *ServerCounters) { c.BatchQueries += int64(len(qs)) })
+		resp.Batches = outs
+		s.batchQueries.Add(int64(len(qs)))
 	}
 	s.ok(w, resp)
 }
@@ -544,6 +585,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	case req.Points == nil:
 		s.fail(w, http.StatusBadRequest, `one of "point" or "points" is required`)
 		return
+	case !s.batchFits(w, "points", len(req.Points)):
+		return
 	}
 	// Decode and validate everything before the first mutation, so a
 	// malformed batch is rejected whole.
@@ -593,6 +636,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	case req.IDs == nil:
 		s.fail(w, http.StatusBadRequest, `one of "id" or "ids" is required`)
 		return
+	case !s.batchFits(w, "ids", len(req.IDs)):
+		return
 	}
 	deleted := make([]int, 0, len(req.IDs))
 	for i, id := range req.IDs {
@@ -623,25 +668,28 @@ func (s *Server) mutated(inserts, deletes int64) {
 		return
 	}
 	s.cache.Invalidate()
-	s.bump(func(c *ServerCounters) {
-		c.Inserts += inserts
-		c.Deletes += deletes
-	})
+	s.inserts.Add(inserts)
+	s.deletes.Add(deletes)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	batches, queries := s.co.Counters()
-	hits, misses, entries := s.cache.Counters()
-	s.mu.Lock()
-	counters := s.ServerCounters
-	s.mu.Unlock()
-	counters.CoalescedBatches = batches
-	counters.CoalescedQueries = queries
-	counters.CacheHits = hits
-	counters.CacheMisses = misses
-	counters.CacheEntries = entries
-	counters.CacheEvictions = s.cache.Evictions()
-	counters.CacheInvalidations = s.cache.Invalidations()
+	cs := s.cache.Stats()
+	counters := ServerCounters{
+		SingleQueries:      s.singleQueries.Load(),
+		BatchQueries:       s.batchQueries.Load(),
+		CacheHits:          cs.Hits,
+		CacheMisses:        cs.Misses,
+		CacheEntries:       cs.Entries,
+		CacheEvictions:     cs.Evictions,
+		Inserts:            s.inserts.Load(),
+		Deletes:            s.deletes.Load(),
+		CacheInvalidations: cs.Invalidations,
+	}
+	counters.CoalescedBatches, counters.CoalescedQueries = s.co.Counters()
+	for _, em := range s.metrics.endpoints {
+		counters.Requests += int64(em.requests.Value())
+		counters.Errors += int64(em.errors.Value())
+	}
 	resp := StatsResponse{Engine: statsWire(s.backend.Stats()), Server: counters}
 	if s.mutable != nil {
 		resp.Mutation = mutationWire(s.mutable.MutationStats())
@@ -655,35 +703,24 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"status":"ok"}`)
+	WriteStatus(w, http.StatusOK, "ok")
 }
 
 // handleReady is the readiness half of the liveness/readiness split: a
 // request reaching a running Server is by definition ready (the Gate
 // answers 503 for it while the index is still loading).
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"status":"ready"}`)
+	WriteStatus(w, http.StatusOK, "ready")
 }
 
 func (s *Server) ok(w http.ResponseWriter, body any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(body); err != nil {
-		// Headers are gone; nothing to do but note it server-side.
-		s.bump(func(c *ServerCounters) { c.Errors++ })
-	}
+	json.NewEncoder(w).Encode(body) // on failure the headers are gone: nothing left to say
 }
 
+// fail answers code with msg; ServeHTTP counts the error from the status.
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
-	s.bump(func(c *ServerCounters) { c.Errors++ })
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: strings.TrimPrefix(msg, "distperm: ")})
-}
-
-func (s *Server) bump(f func(*ServerCounters)) {
-	s.mu.Lock()
-	f(&s.ServerCounters)
-	s.mu.Unlock()
 }

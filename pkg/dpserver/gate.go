@@ -2,11 +2,9 @@ package dpserver
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 	"sync/atomic"
-	"time"
 )
 
 // Gate is the bind-first front of a daemon: it owns the listening socket
@@ -74,14 +72,12 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.ServeHTTP(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	if r.URL.Path == "/healthz" {
-		fmt.Fprintln(w, `{"status":"ok"}`)
+		WriteStatus(w, http.StatusOK, "ok")
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	fmt.Fprintln(w, `{"status":"loading"}`)
+	WriteStatus(w, http.StatusServiceUnavailable, "loading")
 }
 
 // Serve answers HTTP on ln until ctx is cancelled, then shuts down like
@@ -90,26 +86,12 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Storage released by the caller after Serve returns — e.g. unmapping a
 // frozen container — is therefore unreachable by any handler.
 func (g *Gate) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: g, ReadHeaderTimeout: readHeaderTimeout}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 	// Swapping in the closed sentinel (rather than loading once) makes the
 	// shutdown race-free against a concurrent SetReady: whichever side's
 	// atomic wins, exactly one of them closes the Server.
-	closeSrv := func() {
+	return Serve(ctx, ln, g, drainTimeout, func() {
 		if s := g.srv.Swap(gateClosed); s != nil && s != gateClosed {
 			s.Close()
 		}
-	}
-	select {
-	case err := <-errc:
-		closeSrv()
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	err := hs.Shutdown(sctx) // in-flight handlers finish before this returns
-	closeSrv()
-	return err
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,5 +191,77 @@ func TestGateServeClosesWithoutReady(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("Serve did not return")
+	}
+}
+
+// TestServeDrainsBeforeAfter pins the one serve loop's order, the safety of
+// every listener that runs on it: cancelling the context stops accepting but
+// a handler still in flight finishes first, and only then does after run —
+// what after closes (an engine, a mapping) is out of every handler's reach.
+// A listener that fails runs after at once and returns the failure.
+func TestServeDrainsBeforeAfter(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var afterRan, handlerDone atomic.Bool
+	h := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(entered)
+		<-release
+		if afterRan.Load() {
+			t.Error("after ran while a handler was still in flight")
+		}
+		handlerDone.Store(true)
+		dpserver.WriteStatus(w, http.StatusOK, "ok")
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		served <- dpserver.Serve(ctx, ln, h, 10*time.Second, func() {
+			if !handlerDone.Load() {
+				t.Error("after ran before the in-flight handler finished")
+			}
+			afterRan.Store(true)
+		})
+	}()
+	body := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String() + "/")
+		if err != nil {
+			body <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		body <- string(b)
+	}()
+	<-entered
+	cancel()
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned %v with a handler in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v, want a clean shutdown", err)
+	}
+	if got := <-body; got != "{\"status\":\"ok\"}\n" {
+		t.Errorf("the drained request answered %q", got)
+	}
+	if !afterRan.Load() {
+		t.Error("after never ran")
+	}
+
+	// A dead listener: no drain, after runs, the error comes back.
+	ln, err = net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	afterRan.Store(false)
+	if err := dpserver.Serve(context.Background(), ln, h, time.Second, func() { afterRan.Store(true) }); err == nil || !afterRan.Load() {
+		t.Errorf("Serve on a closed listener: err=%v afterRan=%v, want an error and after run", err, afterRan.Load())
 	}
 }

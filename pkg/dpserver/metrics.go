@@ -2,7 +2,6 @@ package dpserver
 
 import (
 	"net/http"
-	"time"
 
 	"distperm/pkg/distperm"
 	"distperm/pkg/obs"
@@ -14,34 +13,13 @@ import (
 // CI lints the exposition against these prefixes and the _total/_seconds
 // suffix conventions (obs.Lint).
 
-// endpoints the per-endpoint families are labelled with. Unknown paths
-// fold into "other" so cardinality stays fixed.
-var metricEndpoints = []string{"knn", "range", "insert", "delete", "stats", "index", "metrics", "healthz", "readyz", "other"}
-
-// endpointOf maps a request path to its metric label.
-func endpointOf(path string) string {
-	switch path {
-	case "/v1/knn":
-		return "knn"
-	case "/v1/range":
-		return "range"
-	case "/v1/insert":
-		return "insert"
-	case "/v1/delete":
-		return "delete"
-	case "/v1/stats":
-		return "stats"
-	case "/v1/index":
-		return "index"
-	case "/metrics":
-		return "metrics"
-	case "/healthz":
-		return "healthz"
-	case "/readyz":
-		return "readyz"
-	default:
-		return "other"
-	}
+// metricEndpoints are the served paths and the label each one's series
+// carry, in exposition order. Any other path folds into "other" (the entry
+// without a path), so cardinality stays fixed.
+var metricEndpoints = []struct{ path, label string }{
+	{"/v1/knn", "knn"}, {"/v1/range", "range"}, {"/v1/insert", "insert"}, {"/v1/delete", "delete"},
+	{"/v1/stats", "stats"}, {"/v1/index", "index"}, {"/metrics", "metrics"},
+	{"/healthz", "healthz"}, {"/readyz", "readyz"}, {"", "other"},
 }
 
 // serverMetrics is the server's registered instrument set. Per-endpoint
@@ -49,33 +27,47 @@ func endpointOf(path string) string {
 // is a map lookup, never a registration.
 type serverMetrics struct {
 	reg         *obs.Registry
-	requests    map[string]*obs.Counter
-	errors      map[string]*obs.Counter
-	latency     map[string]*obs.Histogram
+	endpoints   map[string]*endpointMetrics // by metricEndpoints path
 	inflight    *obs.Gauge
 	slowQueries *obs.Counter
 	batchSize   *obs.Histogram
 	flushes     map[string]*obs.Counter
 }
 
+// endpointMetrics is one endpoint's request accounting: every request
+// counts into requests and latency, one answered with status ≥ 400 into
+// errors too.
+type endpointMetrics struct {
+	requests, errors *obs.Counter
+	latency          *obs.Histogram
+}
+
+// endpoint returns the instruments of the endpoint serving path.
+func (m *serverMetrics) endpoint(path string) *endpointMetrics {
+	if em, ok := m.endpoints[path]; ok {
+		return em
+	}
+	return m.endpoints[""]
+}
+
 // newServerMetrics registers every server-level family on reg and the
 // cache/engine/mutation/mmap families as read-time funcs over their owners.
 func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend, cache *Cache) *serverMetrics {
 	m := &serverMetrics{
-		reg:      reg,
-		requests: make(map[string]*obs.Counter, len(metricEndpoints)),
-		errors:   make(map[string]*obs.Counter, len(metricEndpoints)),
-		latency:  make(map[string]*obs.Histogram, len(metricEndpoints)),
-		flushes:  make(map[string]*obs.Counter, len(FlushReasons)),
+		reg:       reg,
+		endpoints: make(map[string]*endpointMetrics, len(metricEndpoints)),
+		flushes:   make(map[string]*obs.Counter, len(FlushReasons)),
 	}
 	for _, ep := range metricEndpoints {
-		ls := obs.Labels{"endpoint": ep}
-		m.requests[ep] = reg.Counter("dpserver_requests_total",
-			"HTTP requests accepted, by endpoint", ls)
-		m.errors[ep] = reg.Counter("dpserver_errors_total",
-			"HTTP requests answered with status >= 400, by endpoint", ls)
-		m.latency[ep] = reg.Histogram("dpserver_request_duration_seconds",
-			"Wall-clock HTTP request latency, by endpoint", obs.DefLatencyBuckets, ls)
+		ls := obs.Labels{"endpoint": ep.label}
+		m.endpoints[ep.path] = &endpointMetrics{
+			requests: reg.Counter("dpserver_requests_total",
+				"HTTP requests accepted, by endpoint", ls),
+			errors: reg.Counter("dpserver_errors_total",
+				"HTTP requests answered with status >= 400, by endpoint", ls),
+			latency: reg.Histogram("dpserver_request_duration_seconds",
+				"Wall-clock HTTP request latency, by endpoint", obs.DefLatencyBuckets, ls),
+		}
 	}
 	m.inflight = reg.Gauge("dpserver_inflight_requests",
 		"HTTP requests currently being served", nil)
@@ -88,50 +80,24 @@ func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend
 			"Coalescer batch flushes, by reason", obs.Labels{"reason": reason})
 	}
 	// The result cache reads out through funcs: a nil *Cache (cache
-	// disabled) answers zeros through its nil-safe accessors.
+	// disabled) answers zeros through its nil-safe Stats.
 	reg.CounterFunc("dpserver_cache_hits_total",
 		"Result-cache hits", nil,
-		func() float64 { h, _, _ := cache.Counters(); return float64(h) })
+		func() float64 { return float64(cache.Stats().Hits) })
 	reg.CounterFunc("dpserver_cache_misses_total",
 		"Result-cache misses", nil,
-		func() float64 { _, ms, _ := cache.Counters(); return float64(ms) })
+		func() float64 { return float64(cache.Stats().Misses) })
 	reg.CounterFunc("dpserver_cache_evictions_total",
 		"Result-cache entries evicted by capacity pressure", nil,
-		func() float64 { return float64(cache.Evictions()) })
+		func() float64 { return float64(cache.Stats().Evictions) })
 	reg.CounterFunc("dpserver_cache_invalidations_total",
 		"Result-cache flushes forced by mutations", nil,
-		func() float64 { return float64(cache.Invalidations()) })
+		func() float64 { return float64(cache.Stats().Invalidations) })
 	reg.GaugeFunc("dpserver_cache_entries",
 		"Result-cache entries currently resident", nil,
-		func() float64 { _, _, n := cache.Counters(); return float64(n) })
+		func() float64 { return float64(cache.Stats().Entries) })
 	registerBackendMetrics(reg, backend, mutable)
 	return m
-}
-
-// request/error/latency return the instrument for an endpoint label,
-// defaulting to "other" so an unexpected path cannot nil-deref. Flush
-// reasons have no default to hide behind: the coalescer reports only
-// FlushReasons, each of which has its series.
-func (m *serverMetrics) request(ep string) *obs.Counter {
-	if c, ok := m.requests[ep]; ok {
-		return c
-	}
-	return m.requests["other"]
-}
-
-func (m *serverMetrics) error(ep string) *obs.Counter {
-	if c, ok := m.errors[ep]; ok {
-		return c
-	}
-	return m.errors["other"]
-}
-
-func (m *serverMetrics) observeLatency(ep string, d time.Duration) {
-	h, ok := m.latency[ep]
-	if !ok {
-		h = m.latency["other"]
-	}
-	h.Observe(d.Seconds())
 }
 
 // registerBackendMetrics exports the engine layer as read-time funcs: a

@@ -228,6 +228,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	var stats struct {
 		Server struct {
 			Requests  int64 `json:"requests"`
+			Errors    int64 `json:"errors"`
 			CacheHits int64 `json:"cache_hits"`
 		} `json:"server"`
 	}
@@ -238,6 +239,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if stats.Server.CacheHits != 1 {
 		t.Errorf("/v1/stats cache_hits = %d, want 1", stats.Server.CacheHits)
+	}
+	// One accounting: requests and errors on /v1/stats are the sums over
+	// endpoints of the two counter families — a request is counted before
+	// it is served, so the scrape saw itself and only this /v1/stats is new.
+	var requests, errs float64
+	for _, sm := range fams["dpserver_requests_total"].Samples {
+		requests += sm.Value
+	}
+	for _, sm := range fams["dpserver_errors_total"].Samples {
+		errs += sm.Value
+	}
+	if float64(stats.Server.Requests) != requests+1 || float64(stats.Server.Errors) != errs || errs != 1 {
+		t.Errorf("/v1/stats requests=%d errors=%d, /metrics sums %g (+1 since) and %g",
+			stats.Server.Requests, stats.Server.Errors, requests, errs)
 	}
 }
 
@@ -407,6 +422,27 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	minted := resp.Header.Get("X-Request-ID")
 	if minted == "" {
 		t.Fatal("no X-Request-ID minted")
+	}
+
+	// A client chooses at most 128 bytes of ID: a longer one — it would be
+	// copied into every coalesced neighbour's record — is replaced by a
+	// minted one, the longest allowed is kept. Neither request has a body,
+	// so neither reaches the slow-query log.
+	for _, tc := range []struct {
+		id   string
+		kept bool
+	}{{strings.Repeat("x", 128), true}, {strings.Repeat("x", 129), false}, {strings.Repeat("x", 1<<16), false}} {
+		req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
+		req.Header.Set("X-Request-ID", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get("X-Request-ID")
+		if kept := got == tc.id; kept != tc.kept || got == "" || len(got) > 128 {
+			t.Errorf("a %d-byte X-Request-ID came back as %d bytes (kept=%v), want kept=%v", len(tc.id), len(got), kept, tc.kept)
+		}
 	}
 
 	// An approximate request bypasses the coalescer but is traced the same.

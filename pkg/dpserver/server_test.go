@@ -309,9 +309,21 @@ func TestServerRequestErrors(t *testing.T) {
 		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101, "approx": true}`, http.StatusBadRequest},
 		{"/v1/knn", `{"queries": [], "k": 1}`, http.StatusOK},
 		{"/v1/knn", `{"queries": [], "k": 1, "approx": true}`, http.StatusOK},
+		// A request carries at most 4096 queries: one more is a 400 that
+		// names the limit, on every batched form.
+		{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusOK},
+		{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest},
+		{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
+		{"/v1/range", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "r": 0.1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := post(tc.path, tc.body)
+		if len(tc.body) > 200 {
+			tc.body = tc.body[:60] + "…" + tc.body[len(tc.body)-40:]
+			if code == http.StatusBadRequest && !strings.Contains(body, "limit 4096") {
+				t.Errorf("POST %s %s: the 400 does not name the limit: %s", tc.path, tc.body, strings.TrimSpace(body))
+			}
+		}
 		if code != tc.want {
 			t.Errorf("POST %s %s → %d (%s), want %d", tc.path, tc.body, code, strings.TrimSpace(body), tc.want)
 		}
@@ -596,11 +608,12 @@ func TestServerMutation(t *testing.T) {
 	for body, want := range map[string]int{
 		`not json`: http.StatusBadRequest,
 		`{}`:       http.StatusBadRequest,
-		`{"point": [1,2,3], "points": [[1,2,3]]}`: http.StatusBadRequest,
-		`{"point": [1,2]}`:                        http.StatusBadRequest, // wrong dims
-		`{"point": "word"}`:                       http.StatusBadRequest, // wrong type
-		`{"points": [[1,2,3],[9]]}`:               http.StatusBadRequest, // batch validated whole
-		`{"point": [0.5, 0.5, 0.5]}`:              http.StatusOK,
+		`{"point": [1,2,3], "points": [[1,2,3]]}`:                       http.StatusBadRequest,
+		`{"point": [1,2]}`:                                              http.StatusBadRequest, // wrong dims
+		`{"point": "word"}`:                                             http.StatusBadRequest, // wrong type
+		`{"points": [[1,2,3],[9]]}`:                                     http.StatusBadRequest, // batch validated whole
+		`{"point": [0.5, 0.5, 0.5]}`:                                    http.StatusOK,
+		`{"points": [` + strings.Repeat("[1,2,3],", 4096) + `[1,2,3]]}`: http.StatusBadRequest, // over the batch limit: none inserted
 	} {
 		if got := post("/v1/insert", body); got != want {
 			t.Errorf("POST /v1/insert %s → %d, want %d", body, got, want)
@@ -611,6 +624,12 @@ func TestServerMutation(t *testing.T) {
 	}
 	if got := post("/v1/delete", `{}`); got != http.StatusBadRequest {
 		t.Errorf("delete without id → %d", got)
+	}
+	if got := post("/v1/delete", `{"ids": [`+strings.Repeat("0,", 4096)+`0]}`); got != http.StatusBadRequest {
+		t.Errorf("delete of 4097 ids → %d, want 400", got)
+	}
+	if st, err := c.Stats(context.Background()); err != nil || st.Server.Inserts != 4 || st.Server.Deletes != 3 {
+		t.Errorf("a request over the batch limit mutated the store: %+v, %v", st.Server, err)
 	}
 }
 

@@ -49,78 +49,59 @@ func (a *AESA) IndexBits() int64 {
 
 // KNN implements Index.
 func (a *AESA) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, a.db.N())
-	h := newKNNHeap(k)
-	stats := a.search(q, func(id int, d float64) float64 {
-		h.push(Result{ID: id, Distance: d})
-		return h.bound()
-	}, math.Inf(1))
-	return h.results(), stats
+	return searchKNN(a, a.db.N(), q, k)
 }
 
 // Range implements Index.
 func (a *AESA) Range(q metric.Point, r float64) ([]Result, Stats) {
-	var out []Result
-	stats := a.search(q, func(id int, d float64) float64 {
-		if d <= r {
-			out = append(out, Result{ID: id, Distance: d})
-		}
-		return r
-	}, r)
-	sortResults(out)
-	return out, stats
+	return searchRange(a, q, r)
 }
 
-// search runs the approximate-and-eliminate loop. visit is called with each
-// measured point and returns the current pruning radius: candidates whose
-// lower bound exceeds it are eliminated. radius0 is the initial pruning
-// radius.
-func (a *AESA) search(q metric.Point, visit func(id int, d float64) float64, radius0 float64) Stats {
-	n := a.db.N()
-	lower := make([]float64, n) // accumulated lower bound on d(q, x)
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	radius := radius0
-	evals := 0
-	for remaining := n; remaining > 0; {
-		// Approximation step: live candidate with the smallest lower
-		// bound (the "most promising" pivot).
+// search approximates by the live candidate with the smallest accumulated
+// lower bound (the "most promising" pivot).
+func (a *AESA) search(q metric.Point, c *collector) Stats {
+	return eliminate(a.db, a.matrix, q, c, func(alive []bool, lower []float64, _ []int, _ []float64) int {
 		best, bestLB := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if alive[i] && lower[i] < bestLB {
+		for i, live := range alive {
+			if live && lower[i] < bestLB {
 				best, bestLB = i, lower[i]
 			}
 		}
-		if best < 0 {
-			break
-		}
+		return best
+	})
+}
+
+// eliminate is the approximate-and-eliminate loop AESA and iAESA share over
+// a full distance matrix. A candidate is alive while its accumulated lower
+// bound on d(q, x) does not exceed c's limit. Each round next picks a live
+// candidate (-1 when none is left) — it sees who is alive, the lower bounds,
+// and the pivots measured so far with their query distances, in measurement
+// order — the candidate is measured, offered to c, and becomes a pivot
+// through which the triangle inequality tightens the other bounds.
+func eliminate(db *DB, matrix [][]float64, q metric.Point, c *collector, next func(alive []bool, lower []float64, pivots []int, qd []float64) int) Stats {
+	lower := make([]float64, db.N())
+	alive := make([]bool, db.N())
+	for i := range alive {
+		alive[i] = !(lower[i] > c.limit())
+	}
+	var pivots []int
+	var qd []float64
+	for best := next(alive, lower, pivots, qd); best >= 0; best = next(alive, lower, pivots, qd) {
 		alive[best] = false
-		remaining--
-		if bestLB > radius {
-			// Even the most promising candidate is excluded; all
-			// remaining candidates are too.
-			break
-		}
-		d := a.db.Metric.Distance(q, a.db.Points[best])
-		evals++
-		radius = visit(best, d)
+		d := db.Metric.Distance(q, db.Points[best])
+		radius := c.add(best, d)
+		pivots, qd = append(pivots, best), append(qd, d)
 		// Elimination step: tighten lower bounds through the new pivot.
-		row := a.matrix[best]
-		for i := 0; i < n; i++ {
-			if !alive[i] {
+		row := matrix[best]
+		for i, live := range alive {
+			if !live {
 				continue
 			}
-			lb := lowerBound(d, row[i])
-			if lb > lower[i] {
+			if lb := lowerBound(d, row[i]); lb > lower[i] {
 				lower[i] = lb
 			}
-			if lower[i] > radius {
-				alive[i] = false
-				remaining--
-			}
+			alive[i] = !(lower[i] > radius)
 		}
 	}
-	return Stats{DistanceEvals: evals}
+	return Stats{DistanceEvals: len(pivots)}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"distperm/internal/metric"
+	"distperm/internal/perm"
 )
 
 // GHTree is a generalized-hyperplane tree (Uhlmann 1991): each node holds
@@ -27,12 +28,8 @@ type ghNode struct {
 
 // NewGHTree builds a GH-tree over db with random pivot pairs.
 func NewGHTree(db *DB, rng *rand.Rand) *GHTree {
-	ids := make([]int, db.N())
-	for i := range ids {
-		ids[i] = i
-	}
 	t := &GHTree{db: db}
-	t.root = t.build(ids, rng)
+	t.root = t.build(perm.Identity(db.N()), rng)
 	return t
 }
 
@@ -75,72 +72,42 @@ func (t *GHTree) IndexBits() int64 { return t.size * 4 * 64 }
 
 // KNN implements Index.
 func (t *GHTree) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, t.db.N())
-	h := newKNNHeap(k)
-	evals := 0
-	var walk func(n *ghNode)
-	walk = func(n *ghNode) {
-		if n == nil {
-			return
-		}
-		da := t.db.Metric.Distance(q, t.db.Points[n.a])
-		evals++
-		h.push(Result{ID: n.a, Distance: da})
-		if n.b < 0 {
-			return
-		}
-		db := t.db.Metric.Distance(q, t.db.Points[n.b])
-		evals++
-		h.push(Result{ID: n.b, Distance: db})
-		// Generalized-hyperplane pruning: a point on the far side of the
-		// a|b bisector is at distance at least (db−da)/2 from the query
-		// side. Explore the nearer side first.
-		if da <= db {
-			walk(n.left)
-			if (db-da)/2 <= h.bound() {
-				walk(n.right)
-			}
-		} else {
-			walk(n.right)
-			if (da-db)/2 <= h.bound() {
-				walk(n.left)
-			}
-		}
-	}
-	walk(t.root)
-	return h.results(), Stats{DistanceEvals: evals}
+	return searchKNN(t, t.db.N(), q, k)
 }
 
 // Range implements Index.
 func (t *GHTree) Range(q metric.Point, r float64) ([]Result, Stats) {
-	var out []Result
-	evals := 0
-	var walk func(n *ghNode)
-	walk = func(n *ghNode) {
-		if n == nil {
-			return
-		}
-		da := t.db.Metric.Distance(q, t.db.Points[n.a])
-		evals++
-		if da <= r {
-			out = append(out, Result{ID: n.a, Distance: da})
-		}
-		if n.b < 0 {
-			return
-		}
-		db := t.db.Metric.Distance(q, t.db.Points[n.b])
-		evals++
-		if db <= r {
-			out = append(out, Result{ID: n.b, Distance: db})
-		}
-		if (da-db)/2 <= r {
-			walk(n.left)
-		}
-		if (db-da)/2 <= r {
-			walk(n.right)
-		}
+	return searchRange(t, q, r)
+}
+
+func (t *GHTree) search(q metric.Point, c *collector) Stats {
+	return Stats{DistanceEvals: t.walk(t.root, q, c)}
+}
+
+// walk measures n's pivots and descends, the nearer pivot's side first,
+// returning the number of points measured. Generalized-hyperplane pruning: a
+// point on the far side of the a|b bisector is at least (d_far − d_near)/2
+// from the query, and that side is skipped when the gap, shrunk by
+// slackGap's rounding slack, exceeds c's limit — re-read after the near
+// side, which can only have tightened it.
+func (t *GHTree) walk(n *ghNode, q metric.Point, c *collector) int {
+	if n == nil {
+		return 0
 	}
-	walk(t.root)
-	sortResults(out)
-	return out, Stats{DistanceEvals: evals}
+	da := t.db.Metric.Distance(q, t.db.Points[n.a])
+	c.add(n.a, da)
+	if n.b < 0 {
+		return 1
+	}
+	db := t.db.Metric.Distance(q, t.db.Points[n.b])
+	c.add(n.b, db)
+	near, far, gap := n.left, n.right, slackGap(db, da)
+	if da > db {
+		near, far, gap = n.right, n.left, slackGap(da, db)
+	}
+	evals := 2 + t.walk(near, q, c)
+	if !(gap/2 > c.limit()) {
+		evals += t.walk(far, q, c)
+	}
+	return evals
 }

@@ -24,8 +24,7 @@ type IAESA struct {
 // NewIAESA builds the index: the full distance matrix, n(n−1)/2 metric
 // evaluations, same as AESA.
 func NewIAESA(db *DB) *IAESA {
-	a := NewAESA(db)
-	return &IAESA{db: a.db, matrix: a.matrix}
+	return &IAESA{db: db, matrix: NewAESA(db).matrix}
 }
 
 // Name implements Index.
@@ -39,116 +38,41 @@ func (a *IAESA) IndexBits() int64 {
 
 // KNN implements Index.
 func (a *IAESA) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, a.db.N())
-	h := newKNNHeap(k)
-	stats := a.search(q, func(id int, d float64) float64 {
-		h.push(Result{ID: id, Distance: d})
-		return h.bound()
-	}, math.Inf(1))
-	return h.results(), stats
+	return searchKNN(a, a.db.N(), q, k)
 }
 
 // Range implements Index.
 func (a *IAESA) Range(q metric.Point, r float64) ([]Result, Stats) {
-	var out []Result
-	stats := a.search(q, func(id int, d float64) float64 {
-		if d <= r {
-			out = append(out, Result{ID: id, Distance: d})
-		}
-		return r
-	}, r)
-	sortResults(out)
-	return out, stats
+	return searchRange(a, q, r)
 }
 
-// search mirrors AESA's approximate-and-eliminate loop with
-// permutation-based approximation. The permutation state is maintained
-// incrementally: each candidate keeps the footrule between its ranking of
-// the measured pivots and the query's, updated by insertion as each new
-// pivot's distance becomes known.
-func (a *IAESA) search(q metric.Point, visit func(id int, d float64) float64, radius0 float64) Stats {
-	n := a.db.N()
-	lower := make([]float64, n)
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	// measured pivot ids in measurement order, with their query distances.
-	var pivots []int
-	var pivotQD []float64
-	radius := radius0
-	evals := 0
-
-	// footrule(i) computes the Spearman footrule between the query's and
-	// candidate i's rankings of the measured pivots. m = |pivots| stays
-	// small in practice (AESA-family searches measure few points), so the
-	// O(m log m) per-candidate cost per step is acceptable and keeps the
-	// implementation transparently close to the published algorithm.
-	queryRank := func() []int {
-		return rankOrder(pivotQD)
-	}
-	candidateRank := func(i int) []int {
+// search is AESA's loop with permutation-based approximation: the next
+// candidate is the live one whose ranking of the measured pivots has the
+// smallest Spearman footrule to the query's. Before anything is measured
+// every footrule is 0 and the first live candidate wins — candidate 0, by
+// convention. m = |pivots| stays small in practice (AESA-family searches
+// measure few points), so the O(m log m) per-candidate cost per step is
+// acceptable and keeps the implementation transparently close to the
+// published algorithm.
+func (a *IAESA) search(q metric.Point, c *collector) Stats {
+	return eliminate(a.db, a.matrix, q, c, func(alive []bool, _ []float64, pivots []int, qd []float64) int {
+		qr := rankOrder(qd)
 		ds := make([]float64, len(pivots))
-		for pi, p := range pivots {
-			ds[pi] = a.matrix[i][p]
-		}
-		return rankOrder(ds)
-	}
-
-	for remaining := n; remaining > 0; {
-		// Approximation: first pivot is the candidate with index 0 by
-		// convention; afterwards, the live candidate whose partial
-		// distance permutation is closest to the query's.
-		best := -1
-		if len(pivots) == 0 {
-			for i := 0; i < n; i++ {
-				if alive[i] {
-					best = i
-					break
-				}
-			}
-		} else {
-			qr := queryRank()
-			bs := math.MaxInt // footrule is integral; the integer kernel is
-			// the same one the PermIndex table path runs per distinct row.
-			for i := 0; i < n; i++ {
-				if !alive[i] {
-					continue
-				}
-				if f := footruleRanks(qr, candidateRank(i)); f < bs {
-					best, bs = i, f
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		alive[best] = false
-		remaining--
-		if lower[best] > radius {
-			continue // eliminated candidate surfaced; skip, keep scanning
-		}
-		d := a.db.Metric.Distance(q, a.db.Points[best])
-		evals++
-		radius = visit(best, d)
-		pivots = append(pivots, best)
-		pivotQD = append(pivotQD, d)
-		row := a.matrix[best]
-		for i := 0; i < n; i++ {
-			if !alive[i] {
+		best, bs := -1, math.MaxInt // footrule is integral; the integer kernel is
+		// the same one the PermIndex table path runs per distinct row.
+		for i, live := range alive {
+			if !live {
 				continue
 			}
-			lb := lowerBound(d, row[i])
-			if lb > lower[i] {
-				lower[i] = lb
+			for pi, p := range pivots {
+				ds[pi] = a.matrix[i][p]
 			}
-			if lower[i] > radius {
-				alive[i] = false
-				remaining--
+			if f := footruleRanks(qr, rankOrder(ds)); f < bs {
+				best, bs = i, f
 			}
 		}
-	}
-	return Stats{DistanceEvals: evals}
+		return best
+	})
 }
 
 // rankOrder returns, for each index position, the rank of that entry when

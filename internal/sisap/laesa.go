@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"distperm/internal/metric"
+	"distperm/internal/perm"
 )
 
 // LAESA (Linear AESA, Micó/Oncina/Vidal 1994) stores only the distances
@@ -91,81 +92,55 @@ func (l *LAESA) lowerBounds(q metric.Point) (lb, qd []float64) {
 	}
 	lb = make([]float64, l.db.N())
 	for i := range lb {
-		best := 0.0
 		for p := range l.pivots {
-			b := lowerBound(qd[p], l.table[p][i])
-			if b > best {
-				best = b
+			if b := lowerBound(qd[p], l.table[p][i]); b > lb[i] {
+				lb[i] = b
 			}
 		}
-		lb[i] = best
 	}
 	return lb, qd
 }
 
 // KNN implements Index.
 func (l *LAESA) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, l.db.N())
-	lb, qd := l.lowerBounds(q)
-	evals := len(l.pivots)
-	h := newKNNHeap(k)
-	isPivot := make(map[int]bool, len(l.pivots))
-	for p, id := range l.pivots {
-		if !isPivot[id] {
-			isPivot[id] = true
-			h.push(Result{ID: id, Distance: qd[p]}) // already measured
-		}
-	}
-	// Scan in increasing lower-bound order so the pruning radius tightens
-	// as early as possible; points with lb above the current k-th-best
-	// distance are skipped without evaluation.
-	for _, i := range argsort(lb) {
-		if isPivot[i] {
-			continue
-		}
-		if lb[i] > h.bound() {
-			continue
-		}
-		d := l.db.Metric.Distance(q, l.db.Points[i])
-		evals++
-		h.push(Result{ID: i, Distance: d})
-	}
-	return h.results(), Stats{DistanceEvals: evals}
+	return searchKNN(l, l.db.N(), q, k)
 }
 
 // Range implements Index.
 func (l *LAESA) Range(q metric.Point, r float64) ([]Result, Stats) {
+	return searchRange(l, q, r)
+}
+
+// search offers the pivots (already measured), then every other point whose
+// lower bound does not exceed c's limit. kNN scans in increasing lower-bound
+// order so the limit tightens as early as possible; a range query's limit is
+// fixed and the order moot, so it scans in memory order.
+func (l *LAESA) search(q metric.Point, c *collector) Stats {
 	lb, qd := l.lowerBounds(q)
 	evals := len(l.pivots)
-	var out []Result
 	isPivot := make(map[int]bool, len(l.pivots))
 	for p, id := range l.pivots {
 		if !isPivot[id] {
 			isPivot[id] = true
-			if qd[p] <= r {
-				out = append(out, Result{ID: id, Distance: qd[p]})
-			}
+			c.add(id, qd[p])
 		}
 	}
-	for i, b := range lb {
-		if isPivot[i] || b > r {
+	order := []int(perm.Identity(len(lb)))
+	if c.h != nil {
+		order = argsort(lb)
+	}
+	for _, i := range order {
+		if isPivot[i] || lb[i] > c.limit() {
 			continue
 		}
-		d := l.db.Metric.Distance(q, l.db.Points[i])
+		c.add(i, l.db.Metric.Distance(q, l.db.Points[i]))
 		evals++
-		if d <= r {
-			out = append(out, Result{ID: i, Distance: d})
-		}
 	}
-	sortResults(out)
-	return out, Stats{DistanceEvals: evals}
+	return Stats{DistanceEvals: evals}
 }
 
 func argsort(x []float64) []int {
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
+	idx := perm.Identity(len(x))
 	sort.SliceStable(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
 	return idx
 }

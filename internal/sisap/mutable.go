@@ -148,28 +148,36 @@ func (x *MutableIndex) Replica() Index {
 }
 
 // KNN returns the k nearest live points by (distance, gid), with Result.ID
-// carrying gids. The base index is asked for k plus the tombstone count (so
-// at least k live base points surface), the delta is linear-scanned, and
-// the merge keeps the global top k. Fewer than k results are returned when
-// fewer than k points are live.
+// carrying gids. Fewer than k results are returned when fewer than k points
+// are live.
 func (x *MutableIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, x.full.N())
-	kb := k + len(x.tomb)
-	if kb > x.nb {
-		kb = x.nb
-	}
-	rs, st := x.base.KNN(q, kb)
-	rs = x.filterBase(rs)
-	delta := x.scanDelta(q, -1, &st)
-	return MergeKNN([][]Result{rs, delta}, k), st
+	return searchKNN(x, x.full.N(), q, k)
 }
 
 // Range returns all live points within radius r, in (distance, gid) order.
 func (x *MutableIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
-	rs, st := x.base.Range(q, r)
-	rs = x.filterBase(rs)
-	delta := x.scanDelta(q, r, &st)
-	return MergeRange([][]Result{rs, delta}), st
+	return searchRange(x, q, r)
+}
+
+// search overlays the live delta on the base answer. The base index is
+// asked in the form c collects — for kNN, k plus the tombstone count, so at
+// least k live base points surface — its answer is filtered to live gids,
+// and every live delta point is measured, the evaluations counted with the
+// base's. pkg/distperm's MutableEngine carries the same semantics over its
+// deltaPoint buffer (which holds live points only, so it skips the
+// tombstone check).
+func (x *MutableIndex) search(q metric.Point, c *collector) Stats {
+	rs, st := forward(x.base, q, c, len(x.tomb), x.nb)
+	for _, r := range FilterLive(rs, x.gids, x.tomb) {
+		c.add(r.ID, r.Distance)
+	}
+	for local := x.nb; local < x.full.N(); local++ {
+		if g := x.gids[local]; !x.Tombstoned(g) {
+			c.add(g, x.full.Metric.Distance(q, x.full.Points[local]))
+			st.DistanceEvals++
+		}
+	}
+	return st
 }
 
 // FilterLive is the shared gather step of the mutation design: it drops
@@ -189,31 +197,6 @@ func FilterLive(rs []Result, gids []int, tomb map[int]struct{}) []Result {
 		keep = append(keep, r)
 	}
 	return keep
-}
-
-func (x *MutableIndex) filterBase(rs []Result) []Result {
-	return FilterLive(rs, x.gids, x.tomb)
-}
-
-// scanDelta measures the query against every live delta point, counting the
-// evaluations into st. r < 0 keeps every point (the kNN path); otherwise
-// only points within r survive. pkg/distperm's MutableEngine carries the
-// same semantics over its deltaPoint buffer (which holds live points only,
-// so it skips the tombstone check).
-func (x *MutableIndex) scanDelta(q metric.Point, r float64, st *Stats) []Result {
-	var out []Result
-	for local := x.nb; local < x.full.N(); local++ {
-		g := x.gids[local]
-		if _, dead := x.tomb[g]; dead {
-			continue
-		}
-		d := x.full.Metric.Distance(q, x.full.Points[local])
-		st.DistanceEvals++
-		if r < 0 || d <= r {
-			out = append(out, Result{ID: g, Distance: d})
-		}
-	}
-	return out
 }
 
 // --- mutable codec ---

@@ -337,22 +337,33 @@ func TestPrunedBoundaryRadius(t *testing.T) {
 }
 
 // TestBoundTriangleBaselinesBoundaryRadius is the same boundary for the
-// indexes that eliminate point by point: with the raw float bound LAESA
-// dropped a boundary point in about one query in eight here, AESA and iAESA
-// in one in twenty.
+// indexes that eliminate point by point or subtree by subtree: with the raw
+// float bound LAESA dropped a boundary point in about one query in eight here,
+// AESA and iAESA in one in twenty, and the VP-tree's range walk — the one copy
+// PR 18's slack never reached — in about one in five hundred (six of these
+// queries at d = 2 under L1, five at d = 3). The trees take every query, the
+// quadratic baselines the first 150.
 func TestBoundTriangleBaselinesBoundaryRadius(t *testing.T) {
-	for _, d := range []int{1, 2} {
-		db, rng := testDB(int64(950+d), 600, d, metric.L2{})
-		linear := NewLinearScan(db)
-		indexes := []Index{NewLAESA(db, rng.Perm(db.N())[:6]), NewAESA(db), NewIAESA(db)}
-		for qi, q := range dataset.UniformVectors(rng, 150, d) {
-			want, _ := linear.KNN(q, 5)
-			wantR, _ := linear.Range(q, want[4].Distance)
-			for _, x := range indexes {
-				got, _ := x.KNN(q, 5)
-				sameBits(t, fmt.Sprintf("d=%d %s query %d KNN", d, x.Name(), qi), got, want)
-				gotR, _ := x.Range(q, want[4].Distance)
-				sameBits(t, fmt.Sprintf("d=%d %s query %d Range", d, x.Name(), qi), gotR, wantR)
+	for _, m := range []metric.Metric{metric.L1{}, metric.L2{}} {
+		for _, d := range []int{1, 2, 3} {
+			db, rng := testDB(int64(950+d), 600, d, m)
+			linear := NewLinearScan(db)
+			trees := []Index{NewVPTree(db, rng), NewGHTree(db, rng)}
+			all := append([]Index{NewLAESA(db, rng.Perm(db.N())[:6]), NewAESA(db), NewIAESA(db)}, trees...)
+			for qi, q := range dataset.UniformVectors(rng, 2*boundaryQueries, d) {
+				want, _ := linear.KNN(q, 5)
+				wantR, _ := linear.Range(q, want[4].Distance)
+				indexes := trees
+				if qi < 150 {
+					indexes = all
+				}
+				for _, x := range indexes {
+					label := fmt.Sprintf("%s d=%d %s query %d", m.Name(), d, x.Name(), qi)
+					got, _ := x.KNN(q, 5)
+					sameBits(t, label+" KNN", got, want)
+					gotR, _ := x.Range(q, want[4].Distance)
+					sameBits(t, label+" Range", gotR, wantR)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sisap
 
 import (
 	"fmt"
+	"math"
 
 	"distperm/internal/metric"
 )
@@ -106,37 +107,30 @@ func (x *ShardedIndex) Part(s int) []int { return x.parts[s] }
 // DB returns the global database the index partitions.
 func (x *ShardedIndex) DB() *DB { return x.db }
 
-// KNN scatters the query to every shard (asking each for its min(k, shard
-// size) best) and gathers the global top k. Stats sum across shards.
+// KNN gathers the global top k from every shard's min(k, shard size) best.
 func (x *ShardedIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, x.db.N())
-	perShard := make([][]Result, len(x.shards))
-	var st Stats
-	for s, idx := range x.shards {
-		ks := k
-		if ks > x.dbs[s].N() {
-			ks = x.dbs[s].N()
-		}
-		rs, sst := idx.KNN(q, ks)
-		perShard[s] = RemapShardResults(rs, x.parts[s])
-		st.DistanceEvals += sst.DistanceEvals
-		st.PrunedEvals += sst.PrunedEvals
-	}
-	return MergeKNN(perShard, k), st
+	return searchKNN(x, x.db.N(), q, k)
 }
 
-// Range scatters the query to every shard and concatenates the gathered
-// answers in global (distance, ID) order. Stats sum across shards.
+// Range gathers every shard's answer in global (distance, ID) order.
 func (x *ShardedIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
-	perShard := make([][]Result, len(x.shards))
+	return searchRange(x, q, r)
+}
+
+// search scatters the query to every shard, in the form c collects (a kNN
+// asks each for its min(k, shard size) best), and offers c each shard's
+// answer under global IDs. Stats sum across shards.
+func (x *ShardedIndex) search(q metric.Point, c *collector) Stats {
 	var st Stats
 	for s, idx := range x.shards {
-		rs, sst := idx.Range(q, r)
-		perShard[s] = RemapShardResults(rs, x.parts[s])
+		rs, sst := forward(idx, q, c, 0, x.dbs[s].N())
+		for _, r := range RemapShardResults(rs, x.parts[s]) {
+			c.add(r.ID, r.Distance)
+		}
 		st.DistanceEvals += sst.DistanceEvals
 		st.PrunedEvals += sst.PrunedEvals
 	}
-	return MergeRange(perShard), st
+	return st
 }
 
 // IndexBits sums the shard indexes plus the partition map (⌈lg S⌉ bits per
@@ -188,15 +182,8 @@ func MergeKNN(perShard [][]Result, k int) []Result {
 }
 
 // MergeRange gathers per-shard range answers (already remapped to global
-// IDs) into one (distance, ID)-ordered slice.
-func MergeRange(perShard [][]Result) []Result {
-	var all []Result
-	for _, rs := range perShard {
-		all = append(all, rs...)
-	}
-	sortResults(all)
-	return all
-}
+// IDs) into one (distance, ID)-ordered slice: MergeKNN without a bound.
+func MergeRange(perShard [][]Result) []Result { return MergeKNN(perShard, math.MaxInt) }
 
 // --- sharded codec ---
 

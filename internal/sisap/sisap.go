@@ -21,6 +21,18 @@
 //
 // Every query reports the number of metric evaluations via Stats, the cost
 // model the whole literature (and the paper's §1) uses.
+//
+// Each kind has exactly one traversal, search(q, *collector): it offers
+// every point it measures to the collector and skips what the collector's
+// limit excludes. A collector (measure.go) is the k best so far in a bounded
+// heap, its limit the k-th distance, or everything within a radius, its
+// limit the radius — so KNN and Range are one walk under two collectors,
+// written once (searchKNN, searchRange) for every kind but LinearScan, the
+// oracle, and PermIndex, whose walk predates them; the ShardedIndex and
+// MutableIndex containers are searchers too (one scatter, one overlay). All
+// six pruning kinds skip through slackGap/lowerBound (measure.go) — a raw
+// float triangle bound drops points lying exactly on the limit — whose
+// rounding argument covers L1, L2 and L∞ only.
 package sisap
 
 import (
@@ -188,6 +200,40 @@ func QueryReplica(x Index) Index {
 		return r.Replica()
 	}
 	return x
+}
+
+// searcher is an index kind's one traversal: search offers every point it
+// measures to c, skips whatever a metric bound proves farther than c.limit()
+// (strictly, so equal-distance ties are still seen), and reports the cost.
+// What c collects decides whether the walk was a kNN or a range query.
+type searcher interface {
+	search(q metric.Point, c *collector) Stats
+}
+
+// searchKNN is Index.KNN over a searcher of n points: a heap collector.
+func searchKNN(s searcher, n int, q metric.Point, k int) ([]Result, Stats) {
+	checkK(k, n)
+	c := collector{h: newKNNHeap(k)}
+	st := s.search(q, &c)
+	return c.h.results(), st
+}
+
+// searchRange is Index.Range over a searcher: a radius collector.
+func searchRange(s searcher, q metric.Point, r float64) ([]Result, Stats) {
+	c := collector{r: r}
+	st := s.search(q, &c)
+	sortResults(c.out)
+	return c.out, st
+}
+
+// forward puts the query c is collecting to a whole index of n points, for
+// the containers that search through member indexes: range at c's radius, or
+// kNN for c's k plus extra (what the caller will discard), at most n.
+func forward(x Index, q metric.Point, c *collector, extra, n int) ([]Result, Stats) {
+	if c.h != nil {
+		return x.KNN(q, min(c.h.k+extra, n))
+	}
+	return x.Range(q, c.r)
 }
 
 // sortResults orders results by (distance, id).

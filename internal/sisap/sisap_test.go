@@ -281,3 +281,34 @@ func TestRangeRadiusZero(t *testing.T) {
 		}
 	}
 }
+
+// TestDistanceEvalsPinned pins the cost model itself — the paper's metric,
+// summed distance evaluations per index kind — to the figures the per-kind
+// kNN and range loops produced before they became one traversal each
+// (PR 24's parent): a rewrite of a walk may not move what the walk costs.
+func TestDistanceEvalsPinned(t *testing.T) {
+	want := map[int]map[string][2]int{ // d → kind → {kNN, range}
+		2: {"laesa": {3428, 3428}, "aesa": {2295, 2295}, "iaesa": {4254, 2374}, "vptree": {10939, 9983}, "ghtree": {24926, 23655}},
+		6: {"laesa": {59347, 59347}, "aesa": {8491, 8491}, "iaesa": {9304, 8684}, "vptree": {122112, 114466}, "ghtree": {234922, 234325}},
+	}
+	for _, d := range []int{2, 6} {
+		db, rng := testDB(int64(7+d), 800, d, metric.L2{})
+		linear := NewLinearScan(db)
+		indexes := []Index{NewLAESA(db, rng.Perm(db.N())[:6]), NewAESA(db), NewIAESA(db), NewVPTree(db, rng), NewGHTree(db, rng)}
+		got := map[string][2]int{}
+		for _, q := range dataset.UniformVectors(rng, 300, d) {
+			nn, _ := linear.KNN(q, 5)
+			for _, x := range indexes {
+				_, knnSt := x.KNN(q, 5)
+				_, rangeSt := x.Range(q, nn[4].Distance)
+				sum := got[x.Name()]
+				got[x.Name()] = [2]int{sum[0] + knnSt.DistanceEvals, sum[1] + rangeSt.DistanceEvals}
+			}
+		}
+		for kind, w := range want[d] {
+			if got[kind] != w {
+				t.Errorf("d=%d %s: %d kNN / %d range evaluations, want %d / %d", d, kind, got[kind][0], got[kind][1], w[0], w[1])
+			}
+		}
+	}
+}

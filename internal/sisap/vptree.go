@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"distperm/internal/metric"
+	"distperm/internal/perm"
 )
 
 // VPTree is a vantage-point tree (Uhlmann 1991; Yianilos 1993): each node
@@ -28,12 +29,8 @@ type vpNode struct {
 // random with the supplied source. Construction is O(n log n) metric
 // evaluations in expectation.
 func NewVPTree(db *DB, rng *rand.Rand) *VPTree {
-	ids := make([]int, db.N())
-	for i := range ids {
-		ids[i] = i
-	}
 	t := &VPTree{db: db}
-	t.root = t.build(ids, rng)
+	t.root = t.build(perm.Identity(db.N()), rng)
 	return t
 }
 
@@ -91,57 +88,37 @@ func (t *VPTree) IndexBits() int64 { return t.size * (64 + 2*64) }
 
 // KNN implements Index.
 func (t *VPTree) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, t.db.N())
-	h := newKNNHeap(k)
-	evals := 0
-	var walk func(n *vpNode)
-	walk = func(n *vpNode) {
-		if n == nil {
-			return
-		}
-		d := t.db.Metric.Distance(q, t.db.Points[n.id])
-		evals++
-		h.push(Result{ID: n.id, Distance: d})
-		// h.bound() is re-read after each recursive call: it can only
-		// tighten, enabling more pruning on the second subtree.
-		if d < n.median {
-			walk(n.inside)
-			if d+h.bound() >= n.median {
-				walk(n.outside)
-			}
-		} else {
-			walk(n.outside)
-			if d-h.bound() <= n.median {
-				walk(n.inside)
-			}
-		}
-	}
-	walk(t.root)
-	return h.results(), Stats{DistanceEvals: evals}
+	return searchKNN(t, t.db.N(), q, k)
 }
 
 // Range implements Index.
 func (t *VPTree) Range(q metric.Point, r float64) ([]Result, Stats) {
-	var out []Result
-	evals := 0
-	var walk func(n *vpNode)
-	walk = func(n *vpNode) {
-		if n == nil {
-			return
-		}
-		d := t.db.Metric.Distance(q, t.db.Points[n.id])
-		evals++
-		if d <= r {
-			out = append(out, Result{ID: n.id, Distance: d})
-		}
-		if d-r < n.median {
-			walk(n.inside)
-		}
-		if d+r >= n.median {
-			walk(n.outside)
-		}
+	return searchRange(t, q, r)
+}
+
+func (t *VPTree) search(q metric.Point, c *collector) Stats {
+	return Stats{DistanceEvals: t.walk(t.root, q, c)}
+}
+
+// walk measures n's vantage point and descends, the query's side of the
+// median first, returning the number of points measured. A point inside is
+// at least d − median from a query at d, a point outside at least median − d:
+// the far side is skipped when that gap, shrunk by slackGap's rounding
+// slack, exceeds c's limit — re-read after the near side, which can only
+// have tightened it.
+func (t *VPTree) walk(n *vpNode, q metric.Point, c *collector) int {
+	if n == nil {
+		return 0
 	}
-	walk(t.root)
-	sortResults(out)
-	return out, Stats{DistanceEvals: evals}
+	d := t.db.Metric.Distance(q, t.db.Points[n.id])
+	c.add(n.id, d)
+	near, far, gap := n.inside, n.outside, slackGap(n.median, d)
+	if d >= n.median {
+		near, far, gap = n.outside, n.inside, slackGap(d, n.median)
+	}
+	evals := 1 + t.walk(near, q, c)
+	if !(gap > c.limit()) {
+		evals += t.walk(far, q, c)
+	}
+	return evals
 }

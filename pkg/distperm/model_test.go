@@ -9,13 +9,18 @@ import (
 	"sort"
 	"testing"
 
+	"distperm/internal/counting"
 	"distperm/internal/sisap"
 )
 
 // The model-checked store, first slice: seeded histories of writes, queries
 // of every form, forced rebuilds and save/load round trips run against the
 // engines and against a model that is a map and a scan; after every step the
-// answers must agree to the bit. No WAL, crash or mmap legs yet.
+// answers must agree to the bit. No WAL, crash or mmap legs yet. The distperm
+// legs steer every segment across boundMinFill and hold the paper's count as
+// an invariant of every rebuilt table; two shorter legs rebuild into a
+// VP-tree and into LAESA, so those kinds' traversals run under tombstone
+// over-fetch, delta merge and the save/load round trip too.
 
 // model is the oracle: the live points by global ID, and a scan of them
 // sorted by (distance, ID).
@@ -140,6 +145,12 @@ func (r *modelRun) ask() {
 	case 3:
 		r.op = fmt.Sprintf("approx k=%d at full coverage", k)
 		q := r.query()
+		if r.cfg.Spec.Index != "distperm" {
+			if _, _, err := r.eng.Search([]Point{q}, Query{K: k, Approx: true}); !errors.Is(err, ErrNoApprox) {
+				r.failf("approximate search over %s: %v, want ErrNoApprox", r.cfg.Spec.Index, err)
+			}
+			return
+		}
 		outs, sts := r.search([]Point{q}, Query{K: k, Approx: true, NProbe: r.eng.ApproxBuckets()})
 		if !sts[0].Exact {
 			r.failf("nprobe = ApproxBuckets() = %d did not cover the directory: %+v", r.eng.ApproxBuckets(), sts[0])
@@ -190,17 +201,26 @@ func (r *modelRun) remove() {
 	}
 }
 
-// rebuild folds the pending writes and notes which segments of the new view
-// carry bounds, counting the flips against the view before it.
+// rebuild folds the pending writes and, of a distperm store, notes which
+// segments of the new view carry bounds, counting the flips against the view
+// before it — and holds every segment's table to the paper's count: k sites
+// in the Euclidean plane order the points in at most N_{2,2}(k) ways.
 func (r *modelRun) rebuild() {
 	r.op = "rebuild"
 	if err := r.mut.Rebuild(); err != nil {
 		r.failf("%v", err)
 	}
+	if r.cfg.Spec.Index != "distperm" {
+		return
+	}
 	segs := r.mut.cur.Load().view.segs
 	walked := make([]bool, len(segs))
 	for s, seg := range segs {
-		_, walked[s] = lazyBuilt(seg.idx.(*sisap.PermIndex))
+		px := seg.idx.(*sisap.PermIndex)
+		if got, bound := px.DistinctPermutations(), counting.EuclideanCount64(2, modelSites); int64(got) > bound {
+			r.failf("segment %d holds %d distinct permutations, over N_{2,2}(%d) = %d", s, got, modelSites, bound)
+		}
+		_, walked[s] = lazyBuilt(px)
 		if len(r.walked) == len(walked) && walked[s] != r.walked[s] {
 			if walked[s] {
 				r.ups++
@@ -267,20 +287,28 @@ func (r *modelRun) run() {
 	}
 }
 
-// TestModelCheckedStore runs the histories over the four compositions. A
-// failure prints the composition, seed and step; the history is a function
-// of the seed alone.
+// TestModelCheckedStore runs the histories over the four distperm
+// compositions, and a third as many over the two other kinds. A failure
+// prints the composition, seed and step; the history is a function of the
+// seed alone.
 func TestModelCheckedStore(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
-	spec := Spec{Index: "distperm", K: modelSites}
 	for _, c := range []struct {
 		name    string
+		kind    string
 		shards  int
 		mutable bool
-	}{{"engine", 1, false}, {"engine/4-shard", 4, false}, {"mutable", 1, true}, {"mutable/4-shard", 4, true}} {
+	}{{"engine", "distperm", 1, false}, {"engine/4-shard", "distperm", 4, false},
+		{"mutable", "distperm", 1, true}, {"mutable/4-shard", "distperm", 4, true},
+		{"mutable/vptree", "vptree", 1, true}, {"mutable/4-shard/laesa", "laesa", 4, true}} {
+		spec := Spec{Index: c.kind, K: modelSites}
+		seeds := seeds
+		if c.kind != "distperm" {
+			seeds = (seeds + 2) / 3
+		}
 		ups, downs := 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			r := &modelRun{t: t, name: c.name, seed: seed, rng: rand.New(rand.NewSource(seed)),
@@ -321,7 +349,7 @@ func TestModelCheckedStore(t *testing.T) {
 			r.run()
 			ups, downs = ups+r.ups, downs+r.downs
 		}
-		if !c.mutable {
+		if !c.mutable || c.kind != "distperm" {
 			continue
 		}
 		t.Logf("%s: %d seeds × %d steps, segments flipped scan → walk %d times, walk → scan %d", c.name, seeds, modelSteps, ups, downs)

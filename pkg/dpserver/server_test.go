@@ -22,7 +22,7 @@ import (
 // testServer builds a db + index, a server over it, and an independent
 // truth engine over the same built index, so HTTP answers can be compared
 // against direct engine batches exactly.
-func testServer(t *testing.T, seed int64, n, dim int, cfg dpserver.Config) (*dpserver.Server, *httptest.Server, *distperm.Engine, []distperm.Point) {
+func testServer(t testing.TB, seed int64, n, dim int, cfg dpserver.Config) (*dpserver.Server, *httptest.Server, *distperm.Engine, []distperm.Point) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, n, dim))
@@ -268,6 +268,44 @@ func TestServerSharded(t *testing.T) {
 	}
 }
 
+// requestErrorCases are the bodies TestServerRequestErrors posts to a
+// 100-point, 3-dimensional store and the status each must get; the /v1/knn
+// ones also seed FuzzKNNRequest.
+var requestErrorCases = []struct {
+	path, body string
+	want       int
+}{
+	{"/v1/knn", `{"query": [0.1, 0.2, 0.3], "k": 1}`, http.StatusOK},
+	{"/v1/knn", `not json`, http.StatusBadRequest},
+	{"/v1/knn", `{"k": 1}`, http.StatusBadRequest},                                                     // no query
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest}, // both
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 0}`, http.StatusBadRequest},                             // bad k
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101}`, http.StatusBadRequest},                           // k > n
+	{"/v1/knn", `{"query": [0.1,0.2], "k": 1}`, http.StatusBadRequest},                                 // wrong dims
+	{"/v1/knn", `{"query": "word", "k": 1}`, http.StatusBadRequest},                                    // wrong type
+	{"/v1/knn", `{"query": 7, "k": 1}`, http.StatusBadRequest},                                         // not a point
+	{"/v1/range", `{"query": [0.1,0.2,0.3], "r": -0.5}`, http.StatusBadRequest},                        // bad radius
+	{"/v1/range", `{"queries": [[0.1,0.2,0.3], [0.4]], "r": 0.2}`, http.StatusBadRequest},              // bad element
+	{"/v1/range", `{"query": [0.1,0.2,0.3], "r": 0}`, http.StatusOK},                                   // r=0 is valid
+	// Approximate requests run the same decode-validate-route function,
+	// so they get the same 400s — and an empty batch is a 200, not a
+	// NaN candidate fraction that fails to encode.
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 1, "approx": true, "nprobe": 2}`, http.StatusOK},
+	{"/v1/knn", `{"k": 1, "approx": true}`, http.StatusBadRequest},
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
+	{"/v1/knn", `{"query": [0.1,0.2], "k": 1, "approx": true}`, http.StatusBadRequest},
+	{"/v1/knn", `{"queries": [[0.1,0.2,0.3], "word"], "k": 1, "approx": true}`, http.StatusBadRequest},
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101, "approx": true}`, http.StatusBadRequest},
+	{"/v1/knn", `{"queries": [], "k": 1}`, http.StatusOK},
+	{"/v1/knn", `{"queries": [], "k": 1, "approx": true}`, http.StatusOK},
+	// A request carries at most 4096 queries: one more is a 400 that
+	// names the limit, on every batched form.
+	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusOK},
+	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest},
+	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
+	{"/v1/range", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "r": 0.1}`, http.StatusBadRequest},
+}
+
 // TestServerRequestErrors: malformed requests are clean 4xx JSON errors,
 // not panics or hangs.
 func TestServerRequestErrors(t *testing.T) {
@@ -282,41 +320,7 @@ func TestServerRequestErrors(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		return resp.StatusCode, buf.String()
 	}
-	cases := []struct {
-		path, body string
-		want       int
-	}{
-		{"/v1/knn", `{"query": [0.1, 0.2, 0.3], "k": 1}`, http.StatusOK},
-		{"/v1/knn", `not json`, http.StatusBadRequest},
-		{"/v1/knn", `{"k": 1}`, http.StatusBadRequest},                                                     // no query
-		{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest}, // both
-		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 0}`, http.StatusBadRequest},                             // bad k
-		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101}`, http.StatusBadRequest},                           // k > n
-		{"/v1/knn", `{"query": [0.1,0.2], "k": 1}`, http.StatusBadRequest},                                 // wrong dims
-		{"/v1/knn", `{"query": "word", "k": 1}`, http.StatusBadRequest},                                    // wrong type
-		{"/v1/knn", `{"query": 7, "k": 1}`, http.StatusBadRequest},                                         // not a point
-		{"/v1/range", `{"query": [0.1,0.2,0.3], "r": -0.5}`, http.StatusBadRequest},                        // bad radius
-		{"/v1/range", `{"queries": [[0.1,0.2,0.3], [0.4]], "r": 0.2}`, http.StatusBadRequest},              // bad element
-		{"/v1/range", `{"query": [0.1,0.2,0.3], "r": 0}`, http.StatusOK},                                   // r=0 is valid
-		// Approximate requests run the same decode-validate-route function,
-		// so they get the same 400s — and an empty batch is a 200, not a
-		// NaN candidate fraction that fails to encode.
-		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 1, "approx": true, "nprobe": 2}`, http.StatusOK},
-		{"/v1/knn", `{"k": 1, "approx": true}`, http.StatusBadRequest},
-		{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
-		{"/v1/knn", `{"query": [0.1,0.2], "k": 1, "approx": true}`, http.StatusBadRequest},
-		{"/v1/knn", `{"queries": [[0.1,0.2,0.3], "word"], "k": 1, "approx": true}`, http.StatusBadRequest},
-		{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101, "approx": true}`, http.StatusBadRequest},
-		{"/v1/knn", `{"queries": [], "k": 1}`, http.StatusOK},
-		{"/v1/knn", `{"queries": [], "k": 1, "approx": true}`, http.StatusOK},
-		// A request carries at most 4096 queries: one more is a 400 that
-		// names the limit, on every batched form.
-		{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusOK},
-		{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest},
-		{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
-		{"/v1/range", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "r": 0.1}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range requestErrorCases {
 		code, body := post(tc.path, tc.body)
 		if len(tc.body) > 200 {
 			tc.body = tc.body[:60] + "…" + tc.body[len(tc.body)-40:]
@@ -823,4 +827,31 @@ func TestPointCodec(t *testing.T) {
 			t.Errorf("DecodePoint(%q) should error", bad)
 		}
 	}
+}
+
+// FuzzKNNRequest: arbitrary bytes as a /v1/knn body never panic the handler,
+// are answered 200, 400 or 413 and nothing else, and a 200 decodes as a
+// QueryResponse. The request goes through Server.ServeHTTP on a recorder —
+// decode, validation, cache, coalescer, engine, encode — with no socket.
+func FuzzKNNRequest(f *testing.F) {
+	for _, tc := range requestErrorCases {
+		if tc.path == "/v1/knn" && len(tc.body) < 1<<10 {
+			f.Add([]byte(tc.body))
+		}
+	}
+	srv, _, _, _ := testServer(f, 26, 100, 3, dpserver.Config{CacheSize: 4})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/knn", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var resp dpserver.QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 with a body that is no QueryResponse (%v): %q", err, rec.Body.String())
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
+		}
+	})
 }

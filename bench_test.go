@@ -631,6 +631,9 @@ func openContainerFiles(b *testing.B) (*distperm.DB, string, string) {
 // copying. The gap is the daemon's O(index) → O(1) restart win; the
 // open-and-queryable contract is kept honest by one budgeted kNN per open
 // (a full scan would bury the open cost under 200k metric evaluations).
+// mode=mmap-selfcontained supplies no database — the open a restarted daemon
+// (and perflab's approx-mmap set-up) pays: on top of the checksum pass it
+// makes the 200k Points views of the mapped coordinates, and nothing else.
 func BenchmarkOpenContainer(b *testing.B) {
 	db, compact, frozen := openContainerFiles(b)
 	q := db.Points[0]
@@ -650,6 +653,7 @@ func BenchmarkOpenContainer(b *testing.B) {
 	}
 	b.Run("mode=stream", func(b *testing.B) { open(b, compact, distperm.LoadOptions{DB: db}) })
 	b.Run("mode=mmap", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true, DB: db}) })
+	b.Run("mode=mmap-selfcontained", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true}) })
 }
 
 // approxBench holds the one-time n=200k builds behind BenchmarkApproxKNN:
@@ -760,6 +764,35 @@ func BenchmarkApproxKNN(b *testing.B) {
 			})
 		}
 	}
+	// The clustered index again, frozen and opened from the mapping with no
+	// database: its buckets are runs of the file's own points section.
+	idx, queries, _ := approxBenchIndex(b, "clustered")
+	path := filepath.Join(b.TempDir(), "clustered.frozen")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sisap.WriteFrozen(f, idx); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	m, err := sisap.OpenMapped(path, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	b.Run("data=clustered/origin=mmap/nprobe=exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Index().KNN(queries[i&63], 10)
+		}
+	})
+	b.Run("data=clustered/origin=mmap/nprobe=4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Index().KNNApprox(queries[i&63], 10, 4)
+		}
+	})
 }
 
 // BenchmarkKNNExhaustive pins what the index earns on exact search at

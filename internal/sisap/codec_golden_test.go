@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -85,9 +86,16 @@ func (fx codecFixture) bytesOf(t testing.TB) []byte {
 // and WriteFrozen emit for every kind must equal, byte for byte, the files
 // under testdata/golden, which commit 35e7fe6 (PR 18, the last one before
 // the codecs were rewritten over the cursor) wrote from this same fixture
-// function. Each golden file must also decode to an index that answers as
-// the built one does. GEN_GOLDEN=1 rewrites the files — only ever from a
-// commit whose encoders are the reference.
+// function — but for distperm-frozen, which PR 25 rewrote when WriteFrozen
+// went from PFR2 to PFR3. Each golden file must also decode to an index that
+// answers as the built one does. GEN_GOLDEN=1 rewrites the files — only ever
+// from a commit whose encoders are the reference.
+//
+// distperm-frozen-pfr2 is PR 18's file under its old name: load-only, since
+// its writer is gone. It must keep opening, with a database and without, to
+// the index the PFR3 file opens to, and is, byte for byte, what pfr2Image
+// makes of the PFR3 file — the two revisions differ in the tag, the order of
+// the points section and that section's checksum, and in nothing else.
 func TestGoldenContainers(t *testing.T) {
 	db, fixtures := codecFixtures(t)
 	q := metric.Vector{0.4, 0.6, 0.5}
@@ -123,6 +131,40 @@ func TestGoldenContainers(t *testing.T) {
 		sameResults(t, fx.name+" golden kNN", a, b)
 		if ast != bst {
 			t.Errorf("%s: loaded index costs %+v, built one %+v", fx.name, ast, bst)
+		}
+	}
+	if os.Getenv("GEN_GOLDEN") == "1" {
+		return
+	}
+	read := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", "golden", name+".dpermidx"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	pfr3, pfr2 := read("distperm-frozen"), read("distperm-frozen-pfr2")
+	if !bytes.Equal(pfr2Image(t, pfr3), pfr2) {
+		t.Error("the PFR2 golden file is not the PFR3 one with its tag, point order and points checksum put back")
+	}
+	for _, against := range []*DB{db, nil} {
+		old, odb, err := openFrozenBytes(pfr2, against, false)
+		if err != nil {
+			t.Fatalf("PFR2 golden file does not load: %v", err)
+		}
+		cur, _, err := openFrozenBytes(pfr3, against, false)
+		if err != nil {
+			t.Fatalf("PFR3 golden file does not load: %v", err)
+		}
+		if odb.order != nil || !reflect.DeepEqual(old.SiteIDs(), cur.SiteIDs()) || old.IndexBits() != cur.IndexBits() {
+			t.Errorf("PFR2 golden file: order %v, sites %v, %d bits; the PFR3 one has sites %v, %d bits",
+				odb.order, old.SiteIDs(), old.IndexBits(), cur.SiteIDs(), cur.IndexBits())
+		}
+		a, ast := old.KNN(q, 7)
+		b, bst := cur.KNN(q, 7)
+		sameResults(t, "PFR2 golden kNN", a, b)
+		if ast != bst {
+			t.Errorf("PFR2 golden file costs %+v, the PFR3 one %+v", ast, bst)
 		}
 	}
 }

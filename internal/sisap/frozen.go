@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -29,7 +31,7 @@ import (
 // Frozen payload layout (little-endian), inside the standard v2 container
 // (magic, version, kind "distperm"):
 //
-//	tag        uint32   permFrozenV2Tag ("PFR2")
+//	tag        uint32   permFrozenV3Tag ("PFR3"), or permFrozenV2Tag ("PFR2")
 //	headerOff  uint64   absolute file offset of the tag: always
 //	                    frozenPrefixLen — a frozen container is a file
 //	                    image (section offsets below are absolute) and does
@@ -48,13 +50,14 @@ import (
 //	sections:  sites   k × uint64        database IDs of the sites
 //	           ranks   distinct×k ranks  raw row-major rank matrix
 //	           ids     n × uint32        per-point table row IDs
-//	           points  n × dims × float64  vectors (optional)
+//	           points  n × dims × float64  vectors (optional): row j is
+//	                   point ptOrder[j] under PFR3, point j under PFR2
 //	           buckets 4·(nbuckets·ell + 2·(nbuckets+1) + distinct + n) bytes:
 //	                   uint32 arrays [prefixes][rowStarts][rowOrder][ptStarts][ptOrder]
 //
 // Sections sit at ascending 64-byte-aligned offsets with zero padding
-// between; each carries a CRC-32C. Unlike the compact form, the frozen
-// form has no k ≤ 20 cap — ranks are stored raw, not as packed factorials.
+// between; each carries a CRC-32C (sectionCRC). Unlike the compact form, the
+// frozen form has no k ≤ 20 cap: ranks are stored raw, not as packed factorials.
 // The points section (plus the metric name) makes a container
 // self-contained: OpenMapped can reconstruct the database from the
 // mapping, so a serving process needs no separate data file. The buckets
@@ -62,10 +65,15 @@ import (
 // prefixbuckets.go, so mapped opens serve approximate queries zero-copy
 // instead of rebuilding the directory per process.
 //
-// PFR2 is the only frozen revision: its four-section predecessor ("PFRZ",
-// no directory) had no writer left and is rejected by tag.
+// The two revisions differ in the order of the points section's rows alone.
+// PFR3, the one WriteFrozen emits, lists the points as the directory does, so
+// a mapped store reads every bucket it probes or walks as one run of the
+// mapping and never copies a coordinate. PFR2 keeps ID order and still loads,
+// to a store that makes the bucket-major copy a heap-built one makes
+// (re-freeze it). "PFRZ", four sections and no directory, is rejected by tag.
 const (
 	permFrozenV2Tag = 0x32524650 // "PFR2" read little-endian
+	permFrozenV3Tag = 0x33524650 // "PFR3"
 	frozenAlign     = 64
 	frozenNumSecs   = 5
 	frozenFixedLen  = 168 // header bytes after the tag, before the metric name
@@ -106,8 +114,9 @@ type frozenSection struct {
 	crc    uint32 // CRC-32C of the section bytes
 }
 
-// frozenHeader is the fixed header of a frozen payload.
+// frozenHeader is the tag and the fixed header of a frozen payload.
 type frozenHeader struct {
+	tag       uint32 // permFrozenV3Tag or permFrozenV2Tag
 	headerOff uint64
 	k         int
 	dist      PermDistance
@@ -149,8 +158,9 @@ func (h *frozenHeader) end() uint64 {
 	return last.off + last.length
 }
 
-// encode appends the frozenFixedLen header bytes that follow the tag.
+// encode appends the tag and the frozenFixedLen header bytes that follow it.
 func (h *frozenHeader) encode(e *enc) {
+	e.u32(h.tag)
 	e.u64(h.headerOff)
 	e.u32(uint32(h.k))
 	e.u32(uint32(h.dist))
@@ -169,12 +179,15 @@ func (h *frozenHeader) encode(e *enc) {
 	e.u32(uint32(h.nbuckets))
 }
 
-// decodeFrozenHeader reads the header that follows the tag and validates it
-// as it goes: every field against its range, then the section table against
-// the canonical layout — so a header that decodes cannot direct a reader out
-// of bounds or into an oversized allocation.
+// decodeFrozenHeader reads the tag and the header that follows it and
+// validates it as it goes: every field against its range, then the section
+// table against the canonical layout — so a header that decodes cannot direct
+// a reader out of bounds or into an oversized allocation.
 func decodeFrozenHeader(d *dec) frozenHeader {
 	var h frozenHeader
+	if h.tag = d.u32(); d.err == nil && h.tag != permFrozenV3Tag && h.tag != permFrozenV2Tag {
+		d.fail("container payload tag %#08x is not a frozen form, PFR3 or PFR2 (write it with WriteFrozen, or decode it with ReadIndex)", h.tag)
+	}
 	if h.headerOff = d.u64(); d.err == nil && h.headerOff != uint64(frozenPrefixLen) {
 		d.fail("frozen header claims offset %d, found at %d", h.headerOff, frozenPrefixLen)
 	}
@@ -209,6 +222,19 @@ func decodeFrozenHeader(d *dec) frozenHeader {
 	return h
 }
 
+// sectionCRC returns the checksum section i carries over its bytes b. The
+// tags are one bit apart, say which point every row is, and sit in a header
+// with no checksum of its own: a PFR3 points section is summed behind its tag
+// (PFR2's stays the plain sum its writer made), so a file re-tagged either
+// way fails here instead of opening with every point mislabelled.
+func (h *frozenHeader) sectionCRC(i int, b []byte) uint32 {
+	if i == frozenSecPoints && h.tag == permFrozenV3Tag {
+		tag := binary.LittleEndian.AppendUint32(nil, h.tag)
+		return crc32.Update(CRC32C(tag), castagnoli, b)
+	}
+	return CRC32C(b)
+}
+
 // verifySections checks each section's CRC-32C and then the value bounds
 // the query kernels index by without per-element checks: every rank < k and
 // every row ID < distinct (buildFrozenIndex reads the site IDs through the
@@ -220,7 +246,7 @@ func decodeFrozenHeader(d *dec) frozenHeader {
 func (h *frozenHeader) verifySections(secs [][]byte) error {
 	le := binary.LittleEndian
 	for i, b := range secs {
-		if got := CRC32C(b); got != h.sec[i].crc {
+		if got := h.sectionCRC(i, b); got != h.sec[i].crc {
 			mmapCksumFail.Add(1)
 			return fmt.Errorf("sisap: frozen %s section checksum mismatch (%08x, want %08x)", frozenSectionName[i], got, h.sec[i].crc)
 		}
@@ -254,7 +280,7 @@ func (h *frozenHeader) verifySections(secs [][]byte) error {
 // ranges exactly, rowOrder/ptOrder must be permutations, and — the
 // mis-probe guarantee — every row listed under a bucket must actually
 // carry that bucket's prefix (checked against the rank matrix) and every
-// point must be listed under its own row's bucket. A hostile directory
+// point must be listed under its own row's bucket, in ascending order. A hostile directory
 // that survives this is, by construction, a correct directory: probing it
 // can only ever select the points it claims, so corruption fails decode
 // instead of silently degrading answers.
@@ -321,19 +347,21 @@ func (h *frozenHeader) verifyBucketSection(secs [][]byte) error {
 			}
 		}
 	}
+	// Taken in ID order, every point must sit in the next slot of its own
+	// row's bucket: n points in n distinct slots make ptOrder a permutation
+	// that lists each point under its bucket and each bucket ascending — the
+	// one directory buildPrefixBuckets builds, and what lets a PFR3 open label
+	// its points section front to back (bucketMajorDB).
 	ids := secs[frozenSecIDs]
-	seenPt := make([]bool, n)
-	for bkt := 0; bkt < nb; bkt++ {
-		lo, hi := int(u32(ptStartsOff+bkt)), int(u32(ptStartsOff+bkt+1))
-		for i := lo; i < hi; i++ {
-			pt := u32(ptOrderOff + i)
-			if int(pt) >= n || seenPt[pt] {
-				return fmt.Errorf("sisap: frozen bucket point list is not a permutation (point %d)", pt)
-			}
-			seenPt[pt] = true
-			if rowBucket[le.Uint32(ids[4*pt:])] != uint32(bkt) {
-				return fmt.Errorf("sisap: frozen point %d listed under the wrong bucket", pt)
-			}
+	next := make([]uint32, nb)
+	for bkt := range next {
+		next[bkt] = u32(ptStartsOff + bkt)
+	}
+	for pt := 0; pt < n; pt++ {
+		bkt := int(rowBucket[le.Uint32(ids[4*pt:])])
+		j := int(next[bkt])
+		if next[bkt]++; j >= int(u32(ptStartsOff+bkt+1)) || int(u32(ptOrderOff+j)) != pt {
+			return fmt.Errorf("sisap: frozen point %d is not listed, in ascending order, under its row's bucket", pt)
 		}
 	}
 	return nil
@@ -354,14 +382,14 @@ func frozenPointDims(db *DB) (dims int, name string) {
 	return db.dim, name
 }
 
-// WriteFrozen serialises x in the sectioned frozen form (PFR2) of the v2
+// WriteFrozen serialises x in the sectioned frozen form (PFR3) of the v2
 // container. Unlike WriteIndex's compact payload it has no k ≤ 20 cap,
 // and when the database is self-describing (a named metric over
 // equal-dimension vectors) the point vectors are embedded, making the
 // file self-contained for OpenMapped. The prefix-bucket directory is
 // built (if the index has not served an approximate query yet) and
-// written as the fifth section, so mapped opens serve approximate queries
-// zero-copy.
+// written as the fifth section and the points in its order (gathered once
+// here, so that no reader gathers): mapped opens serve every query zero-copy.
 func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	n := uint64(x.db.N())
 	if n == 0 || n >= 1<<32 {
@@ -370,6 +398,7 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	pb := x.buckets()
 	dims, metricName := frozenPointDims(x.db)
 	h := frozenHeader{
+		tag:       permFrozenV3Tag,
 		headerOff: uint64(frozenPrefixLen),
 		k:         x.K(),
 		dist:      x.dist,
@@ -402,7 +431,9 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 		frozenSecIDs: func() { e.u32s(x.tableIDs) },
 		frozenSecPoints: func() {
 			if dims > 0 {
-				e.f64s(x.db.block)
+				for _, id := range pb.ptOrder {
+					e.f64s(x.db.row(int(id)))
+				}
 			}
 		},
 		frozenSecBuckets: func() {
@@ -414,11 +445,10 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	for i, s := range h.sec {
 		e.b = append(e.b, make([]byte, s.off-uint64(len(e.b)))...) // zero padding
 		fill[i]()
-		h.sec[i].crc = CRC32C(e.b[s.off:])
+		h.sec[i].crc = h.sectionCRC(i, e.b[s.off:])
 	}
 	hdr := enc{b: e.b[:0]}
 	hdr.header(frozenKind)
-	hdr.u32(permFrozenV2Tag)
 	h.encode(&hdr)
 	hdr.str(metricName)
 	if uint64(len(e.b)) != h.end() || uint64(len(hdr.b)) > h.sec[0].off {
@@ -430,72 +460,46 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 
 // --- decoding ---
 
-// Zero-copy reinterpretations of a mapping section as its typed contents.
-// Safe because the writer 64-byte-aligns every section, mappings are
-// page-aligned (so section bases are at least 8-byte-aligned), and the
-// callers gate on hostLittleEndian; the heap fallbacks below decode
-// copies instead.
-
-func viewUint16(b []byte) []uint16 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), len(b)/2)
-}
-
-func viewUint32(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func viewFloat64(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-func frozenUint16s(b []byte, zeroCopy bool) []uint16 {
+// frozenView returns a section's bytes as its typed contents: with zeroCopy
+// reinterpreted in place — safe because the writer 64-byte-aligns every
+// section, mappings are page-aligned and the callers gate on hostLittleEndian
+// — and otherwise decoded into a copy, whatever the host's byte order.
+func frozenView[T uint16 | uint32 | float64](b []byte, zeroCopy bool) []T {
+	size := int(unsafe.Sizeof(T(0)))
 	if zeroCopy {
-		return viewUint16(b)
+		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/size)
 	}
-	out := make([]uint16, len(b)/2)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-	return out
-}
-
-func frozenUint32s(b []byte, zeroCopy bool) []uint32 {
-	if zeroCopy {
-		return viewUint32(b)
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-func frozenFloat64s(b []byte, zeroCopy bool) []float64 {
-	if zeroCopy {
-		return viewFloat64(b)
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	out := make([]T, len(b)/size)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), len(out)*size)
+	copy(raw, b)
+	for i := 0; !hostLittleEndian && i < len(raw); i += size {
+		slices.Reverse(raw[i : i+size])
 	}
 	return out
 }
 
 // buildFrozenIndex assembles the index (and, for a self-contained
 // container opened without a database, the database itself) from verified
-// section bytes. With zeroCopy the rank matrix, row IDs, and point
+// section bytes. With zeroCopy the rank matrix, row IDs, directory and point
 // vectors are views into the section bytes — the mapped path; otherwise
 // they are decoded copies and the section bytes may be discarded.
 func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error) {
+	// The verified directory becomes the index's bucket directory directly —
+	// views into the mapping on the zero-copy path — so no process ever
+	// rebuilds what the file already stores.
+	u := frozenView[uint32](secs[frozenSecBuckets], zeroCopy)
+	nb, ell := h.nbuckets, h.ell
+	p := 0
+	cut := func(n int) []uint32 { s := u[p : p+n : p+n]; p += n; return s }
+	lb := &lazyBuckets{pb: &prefixBuckets{
+		ell:       ell,
+		prefixes:  cut(nb * ell),
+		rowStarts: cut(nb + 1),
+		rowOrder:  cut(h.distinct),
+		ptStarts:  cut(nb + 1),
+		ptOrder:   cut(int(h.n)),
+	}}
+	ids := frozenView[uint32](secs[frozenSecIDs], zeroCopy)
 	if db != nil {
 		if uint64(db.N()) != h.n {
 			return nil, nil, fmt.Errorf("sisap: index has %d points, database has %d", h.n, db.N())
@@ -509,9 +513,14 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 			return nil, nil, fmt.Errorf("sisap: frozen container metric: %w", err)
 		}
 		// The points section is the database's coordinate block as stored:
-		// on the mapped path no coordinate is copied or allocated.
-		floats := frozenFloat64s(secs[frozenSecPoints], zeroCopy)
-		db = packedDB(m, make([]metric.Point, h.n), floats, h.dims)
+		// on the mapped path no coordinate is copied or allocated. Under PFR3
+		// it is the bucket-major rows already.
+		floats := frozenView[float64](secs[frozenSecPoints], zeroCopy)
+		if h.tag == permFrozenV3Tag {
+			db, lb.rows = bucketMajorDB(m, floats, h.dims, lb.pb, ids), floats
+		} else {
+			db = packedDB(m, make([]metric.Point, h.n), floats, h.dims)
+		}
 	}
 	sites := newDec(secs[frozenSecSites])
 	siteIDs := sites.ids("frozen site ID", h.k, int(h.n))
@@ -529,26 +538,33 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 		}
 		table = newFrozenRankTable(h.k, h.distinct, ranks, nil)
 	} else {
-		table = newFrozenRankTable(h.k, h.distinct, nil, frozenUint16s(secs[frozenSecRanks], zeroCopy))
+		table = newFrozenRankTable(h.k, h.distinct, nil, frozenView[uint16](secs[frozenSecRanks], zeroCopy))
 	}
-	ids := frozenUint32s(secs[frozenSecIDs], zeroCopy)
 	idx := newPermIndexFromTable(db, siteIDs, h.dist, table, ids)
-	// The verified directory becomes the index's bucket directory directly —
-	// views into the mapping on the zero-copy path — so no process ever
-	// rebuilds what the file already stores.
-	u := frozenUint32s(secs[frozenSecBuckets], zeroCopy)
-	nb, ell := h.nbuckets, h.ell
-	p := 0
-	cut := func(n int) []uint32 { s := u[p : p+n : p+n]; p += n; return s }
-	idx.lb.pb = &prefixBuckets{
-		ell:       ell,
-		prefixes:  cut(nb * ell),
-		rowStarts: cut(nb + 1),
-		rowOrder:  cut(h.distinct),
-		ptStarts:  cut(nb + 1),
-		ptOrder:   cut(int(h.n)),
-	}
+	idx.lb = lb
 	return idx, db, nil
+}
+
+// bucketMajorDB assembles the database of a PFR3 container over its points
+// section, whose row j holds point ptOrder[j]. Points is filled in ID order —
+// scattered through ptOrder, 200k points cost the open half as much again —
+// by re-running the directory's counting scatter: each point takes the next
+// row of its bucket, which verifyBucketSection has proved carries its label.
+func bucketMajorDB(m metric.Metric, block []float64, d int, pb *prefixBuckets, tableIDs []uint32) *DB {
+	rowBucket := make([]uint32, len(pb.rowOrder))
+	for b, end := range pb.rowStarts[1:] {
+		for _, r := range pb.rowOrder[pb.rowStarts[b]:end] {
+			rowBucket[r] = uint32(b)
+		}
+	}
+	next := slices.Clone(pb.ptStarts)
+	points := make([]metric.Point, len(tableIDs))
+	for id, row := range tableIDs {
+		j := int(next[rowBucket[row]])
+		next[rowBucket[row]]++
+		points[id] = metric.Vector(block[j*d : (j+1)*d : (j+1)*d])
+	}
+	return &DB{Metric: m, Points: points, block: block, dim: d, order: pb.ptOrder}
 }
 
 // --- mapped open ---
@@ -647,9 +663,6 @@ func openFrozenBytes(data []byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error
 	d := newDec(data)
 	if kind := d.header(); d.err == nil && kind != frozenKind {
 		d.fail("only %q containers have a frozen form, this one holds %q", frozenKind, kind)
-	}
-	if tag := d.u32(); d.err == nil && tag != permFrozenV2Tag {
-		d.fail("container payload tag %#08x is not the frozen form PFR2 (write it with WriteFrozen, or decode it with ReadIndex)", tag)
 	}
 	h := decodeFrozenHeader(d)
 	name := string(d.bytes(uint64(h.metricLen)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -20,18 +21,7 @@ import (
 // path.
 func writeFrozenFile(t testing.TB, idx *PermIndex) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "frozen.dpidx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteFrozen(f, idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeImage(t, frozenImage(t, idx))
 }
 
 // mappedCopy round-trips idx through a frozen container into an
@@ -39,7 +29,14 @@ func writeFrozenFile(t testing.TB, idx *PermIndex) string {
 // mapping when the test ends.
 func mappedCopy(t testing.TB, idx *PermIndex, db *DB) *PermIndex {
 	t.Helper()
-	m, err := OpenMapped(writeFrozenFile(t, idx), db)
+	return openMappedPath(t, writeFrozenFile(t, idx), db)
+}
+
+// openMappedPath opens the container at path with OpenMapped, closing the
+// mapping when the test ends.
+func openMappedPath(t testing.TB, path string, db *DB) *PermIndex {
+	t.Helper()
+	m, err := OpenMapped(path, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +46,49 @@ func mappedCopy(t testing.TB, idx *PermIndex, db *DB) *PermIndex {
 		}
 	})
 	return m.Index()
+}
+
+// frozenImage is what WriteFrozen emits for idx: a PFR3 container.
+func frozenImage(t testing.TB, idx *PermIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := WriteFrozen(&buf, idx); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// pfr2Image rewrites a PFR3 image as the PFR2 file of the same index — the
+// bytes the last PFR2 writer (PR 24) produced, which TestGoldenContainers
+// holds it to: the tag, the points section put back in ID order, and that
+// section's checksum taken plain. Nothing else differs between the revisions.
+func pfr2Image(t testing.TB, pfr3 []byte) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	if le.Uint32(pfr3[frozenPrefixLen:]) != permFrozenV3Tag {
+		t.Fatal("pfr2Image: not a PFR3 image")
+	}
+	out := bytes.Clone(pfr3)
+	le.PutUint32(out[frozenPrefixLen:], permFrozenV2Tag)
+	n, _, _, _, _, _, _, _, ptOrderOff := frozenBucketGeometry(pfr3)
+	rowLen := 8 * int(le.Uint32(pfr3[60:]))
+	points := int(le.Uint64(pfr3[68+24*frozenSecPoints:]))
+	for j := 0; j < n; j++ {
+		id := int(le.Uint32(pfr3[ptOrderOff+4*j:]))
+		copy(out[points+id*rowLen:][:rowLen], pfr3[points+j*rowLen:])
+	}
+	refreezeCRC(out, frozenSecPoints)
+	return out
+}
+
+// writeImage puts a container image in a temp file and returns its path.
+func writeImage(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "image.dpidx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 type permBackend struct {
@@ -205,30 +245,60 @@ func TestFrozenRejectsWrongDatabase(t *testing.T) {
 }
 
 // refreezeCRC recomputes the stored CRC of section i from the (possibly
-// mutated) section bytes, so corruption tests can separate "checksum
-// catches it" from "bounds validation catches it".
+// mutated) section bytes, under the tag the image carries, so corruption
+// tests can separate "checksum catches it" from "bounds validation catches
+// it".
 func refreezeCRC(data []byte, i int) {
 	le := binary.LittleEndian
 	base := frozenPrefixLen + 4 + 40 + 24*i
 	off := le.Uint64(data[base:])
 	length := le.Uint64(data[base+8:])
-	crc := CRC32C(data[off : off+length])
-	le.PutUint32(data[base+16:], crc)
+	h := frozenHeader{tag: le.Uint32(data[frozenPrefixLen:])}
+	le.PutUint32(data[base+16:], h.sectionCRC(i, data[off:off+length]))
+}
+
+// frozenRevisions returns idx frozen under both revisions the reader takes:
+// what WriteFrozen emits, and the PFR2 file of the same index.
+func frozenRevisions(t testing.TB, idx *PermIndex) map[string][]byte {
+	pfr3 := frozenImage(t, idx)
+	return map[string][]byte{"PFR3": pfr3, "PFR2": pfr2Image(t, pfr3)}
 }
 
 func TestFrozenRejectsCorruptContainers(t *testing.T) {
 	db, rng := testDB(717, 200, 3, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	var buf bytes.Buffer
-	if _, err := WriteFrozen(&buf, idx); err != nil {
-		t.Fatal(err)
+	// The tags are one bit apart and decide which point every row is: a file
+	// re-tagged either way, every other byte intact, must fail on the points
+	// section's checksum — with or without a database to open against — and
+	// be counted.
+	for rev, pristine := range frozenRevisions(t, idx) {
+		flipped := bytes.Clone(pristine)
+		flipped[frozenPrefixLen+3] ^= '2' ^ '3' // the tag's one differing bit
+		for _, against := range []*DB{db, nil} {
+			before := ReadMmapStats().ChecksumFailures
+			_, _, err := openFrozenBytes(flipped, against, false)
+			if err == nil || !strings.Contains(err.Error(), "points section checksum mismatch") {
+				t.Errorf("%s re-tagged: open returned %v, want the points-section checksum error", rev, err)
+			}
+			if got := ReadMmapStats().ChecksumFailures; got != before+1 {
+				t.Errorf("%s re-tagged: %d checksum failures counted, want 1", rev, got-before)
+			}
+		}
+		if _, err := ReadIndex(bytes.NewReader(flipped), db); err == nil {
+			t.Errorf("%s re-tagged: ReadIndex accepted it", rev)
+		}
+		t.Run(rev, func(t *testing.T) { rejectCorruptContainers(t, db, pristine) })
 	}
-	pristine := buf.Bytes()
+}
+
+// rejectCorruptContainers replays every header and section corruption over
+// one pristine image.
+func rejectCorruptContainers(t *testing.T, db *DB, pristine []byte) {
+	le := binary.LittleEndian
 	if _, err := OpenMappedBytesForTest(pristine, db); err != nil {
 		t.Fatalf("pristine container should open: %v", err)
 	}
 
-	le := binary.LittleEndian
 	// Field offsets within the file: container prefix is 24 bytes, then
 	// tag@24, headerOff@28, k@36, dist@40, n@44, distinct@52, rankWidth@56,
 	// dims@60, metricLen@64, section descriptors @68+24i.
@@ -333,7 +403,7 @@ func OpenMappedBytesForTest(data []byte, db *DB) (*PermIndex, error) {
 	return idx, err
 }
 
-// frozenBucketGeometry reads the PFR2 directory geometry back out of a
+// frozenBucketGeometry reads the directory geometry back out of a frozen
 // container image: the absolute byte offsets of the five uint32 arrays in
 // the buckets section, plus ell and nbuckets. Field positions: n@44,
 // distinct@52, buckets descriptor @68+24·frozenSecBuckets, ell@188,
@@ -359,11 +429,16 @@ func TestFrozenRejectsCorruptBucketDirectory(t *testing.T) {
 	// candidates.
 	db, rng := testDB(718, 200, 3, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	var buf bytes.Buffer
-	if _, err := WriteFrozen(&buf, idx); err != nil {
-		t.Fatal(err)
+	for rev, pristine := range frozenRevisions(t, idx) {
+		t.Run(rev, func(t *testing.T) { rejectCorruptBucketDirectory(t, db, pristine) })
 	}
-	pristine := buf.Bytes()
+}
+
+// rejectCorruptBucketDirectory replays every directory corruption over one
+// pristine image. Each is also opened with no database: the reader must
+// refuse before it labels a single row of the points section by a posting
+// list that is not a permutation.
+func rejectCorruptBucketDirectory(t *testing.T, db *DB, pristine []byte) {
 	le := binary.LittleEndian
 	n, distinct, _, nb, prefixesOff, rowStartsOff, rowOrderOff, ptStartsOff, ptOrderOff := frozenBucketGeometry(pristine)
 	if nb < 2 {
@@ -399,6 +474,14 @@ func TestFrozenRejectsCorruptBucketDirectory(t *testing.T) {
 		{"duplicate point in posting list", true, func(d []byte) {
 			copy(d[ptOrderOff:ptOrderOff+4], d[ptOrderOff+4:ptOrderOff+8])
 		}},
+		{"bucket lists its points out of order", true, func(d []byte) {
+			b := 0 // the first bucket of two points or more
+			for le.Uint32(d[ptStartsOff+4*(b+1):])-le.Uint32(d[ptStartsOff+4*b:]) < 2 {
+				b++
+			}
+			first := ptOrderOff + 4*int(le.Uint32(d[ptStartsOff+4*b:]))
+			swap4(d, first, first+4)
+		}},
 		{"point boundaries end short", true, func(d []byte) {
 			le.PutUint32(d[ptStartsOff+4*nb:], uint32(n-1))
 		}},
@@ -414,6 +497,9 @@ func TestFrozenRejectsCorruptBucketDirectory(t *testing.T) {
 		}
 		if _, err := ReadIndex(bytes.NewReader(data), db); err == nil {
 			t.Errorf("%s: stream decode accepted the corruption", tc.name)
+		}
+		if x, fdb, err := openFrozenBytes(data, nil, false); err == nil || x != nil || fdb != nil {
+			t.Errorf("%s: self-contained open returned (%v, %v, %v), want only an error", tc.name, x, fdb, err)
 		}
 	}
 }
@@ -467,6 +553,57 @@ func TestFrozenBucketDirectoryRoundTrip(t *testing.T) {
 					t.Fatalf("k=%d nprobe=%d: mapped stats %+v, heap stats %+v", k, nprobe, gotSt, wantSt)
 				}
 			}
+		}
+	}
+}
+
+// TestFrozenBucketMajorDBPrefix: a "mutable" container decoded against the
+// database of a PFR3 store builds its base over a prefix of it. The whole
+// store keeps its block with the row labels; a proper prefix is no run of a
+// bucket-major block and is served through Points. Either way the base's
+// scans, batch tiles included, answer as a scan of the source's points does.
+func TestFrozenBucketMajorDBPrefix(t *testing.T) {
+	db, rng := testDB(721, 300, 3, metric.L2{})
+	_, fdb, err := openFrozenBytes(frozenImage(t, NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fdb.order == nil {
+		t.Fatal("a PFR3 store opened in ID order")
+	}
+	queries := dataset.UniformVectors(rng, 8, 3)
+	for _, nb := range []int{db.N(), 200} {
+		src := NewDB(db.Metric, append([]metric.Point(nil), db.Points[:nb]...))
+		gids := make([]int, db.N())
+		for i := range gids {
+			gids[i] = i
+		}
+		built, err := NewMutableIndex(db, nb, NewPermIndex(src, []int{5, 50, 150, 199}, Footrule), gids, nil, db.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := WriteIndex(&buf, built); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadIndex(&buf, fdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := loaded.(*MutableIndex).Base().(*PermIndex)
+		if packed := base.db.dim > 0; packed != (nb == db.N()) {
+			t.Fatalf("nb=%d: the base's database is packed: %v", nb, packed)
+		}
+		linear := NewLinearScan(src)
+		batch, _ := base.KNNBatch(queries, 5)
+		for qi, q := range queries {
+			want, _ := linear.KNN(q, 5)
+			got, _ := base.KNN(q, 5)
+			sameBits(t, fmt.Sprintf("nb=%d query %d KNN", nb, qi), got, want)
+			sameBits(t, fmt.Sprintf("nb=%d query %d KNNBatch", nb, qi), batch[qi], want)
+			all, _ := loaded.KNN(q, 5)
+			whole, _ := NewLinearScan(db).KNN(q, 5)
+			sameBits(t, fmt.Sprintf("nb=%d query %d mutable KNN", nb, qi), all, whole)
 		}
 	}
 }

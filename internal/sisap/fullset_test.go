@@ -1,7 +1,6 @@
 package sisap
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -94,24 +93,25 @@ func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int) (map[int]bool, 
 }
 
 // fullSetStores returns idx as built, decoded from its frozen container
-// onto the heap, and opened in place from a mapping — the latter two over
-// the container's embedded database, whose coordinate block is the points
-// section itself. A packed L1/L2/L∞ store gets bounds however small it is
-// (forceBounds), so its exact queries here are the pruned walk, not the scan.
+// (PFR3) onto the heap, opened in place from a mapping of it, and opened from
+// a mapping of the PFR2 file of the same index — the latter three over the
+// container's embedded database, whose coordinate block is the points section
+// itself: bucket-major under PFR3, labelled by the directory's posting list,
+// and in ID order under PFR2. A packed L1/L2/L∞ store gets bounds however
+// small it is (forceBounds), so its exact queries here are the pruned walk,
+// not the scan.
 func fullSetStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := WriteFrozen(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	frozen, fdb, err := openFrozenBytes(buf.Bytes(), nil, false)
+	image := frozenImage(t, idx)
+	frozen, fdb, err := openFrozenBytes(image, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fdb.dim != idx.db.dim || len(fdb.block) != len(idx.db.block) {
 		t.Fatalf("frozen-heap database is not packed like the original: dim %d, block %d", fdb.dim, len(fdb.block))
 	}
-	stores := []permBackend{{"heap", idx}, {"frozen-heap", frozen}, {"mmap", mappedCopy(t, idx, nil)}}
+	stores := []permBackend{{"heap", idx}, {"frozen-heap", frozen}, {"mmap", mappedCopy(t, idx, nil)},
+		{"pfr2-mmap", openMappedPath(t, writeImage(t, pfr2Image(t, image)), nil)}}
 	for _, st := range stores {
 		forceBounds(st.idx)
 	}
@@ -146,9 +146,20 @@ func TestFullSetEquivalence(t *testing.T) {
 				idx := NewPermIndex(db, rng.Perm(n)[:sites], Footrule)
 				queries := dataset.UniformVectors(rng, 3, d)
 				queries = append(queries, pts[0], pts[n-1]) // sitting on (duplicated) points
+				source := NewLinearScan(db)
+				// What the as-built store reports, per query and form: every
+				// other origin must report the same, to the digit.
+				type cost struct {
+					knn, rng Stats
+					approx   [3]ApproxStats
+				}
+				var built []cost
 				for _, st := range fullSetStores(t, idx) {
 					x := st.idx
 					label := fmt.Sprintf("d=%d/%s/%s/%s", d, shape, m.Name(), st.name)
+					// The oracle over the store as opened, which must be the
+					// oracle over the source: Points[id] is point id whatever
+					// order the block lies in.
 					linear := NewLinearScan(x.db)
 					// The cost contract: k site evaluations plus the points
 					// measured — every point for KNNBatch, and for the pruned
@@ -160,11 +171,18 @@ func TestFullSetEquivalence(t *testing.T) {
 					}
 					batch, batchStats := x.KNNBatch(queries, k)
 					for qi, q := range queries {
-						want, _ := linear.KNN(q, k)
+						want, _ := source.KNN(q, k)
+						opened, _ := linear.KNN(q, k)
+						sameBits(t, label+" LinearScan over the opened database", opened, want)
 						sameBits(t, label+" ordered reference", orderedReference(x, q, k, 0, nil), want)
 						got, knnStats := x.KNN(q, k)
 						sameBits(t, label+" KNN", got, want)
 						sameBits(t, label+" KNNBatch", batch[qi], want)
+						full, fullStats := x.KNNBudget(q, k, n)
+						sameBits(t, label+" KNNBudget(n)", full, want)
+						if fullStats != wantStats {
+							t.Fatalf("%s: KNNBudget(n) stats %+v, want %+v", label, fullStats, wantStats)
+						}
 						if !honest(knnStats, k) || batchStats[qi] != wantStats {
 							t.Fatalf("%s: KNN stats %+v, batch %+v, want k + measured and %+v", label, knnStats, batchStats[qi], wantStats)
 						}
@@ -184,7 +202,8 @@ func TestFullSetEquivalence(t *testing.T) {
 							t.Fatalf("%s: Range(-1) returned %v", label, none)
 						}
 
-						for _, nprobe := range []int{1, 4, x.ApproxBuckets()} {
+						this := cost{knn: knnStats, rng: stats}
+						for pi, nprobe := range []int{1, 4, x.ApproxBuckets()} {
 							cand, wantA := referenceProbe(x, q, k, nprobe)
 							if wantA.Exact {
 								wantA.Stats = knnStats // full coverage is KNN, bounds and all
@@ -197,6 +216,12 @@ func TestFullSetEquivalence(t *testing.T) {
 							if wantA.Exact {
 								sameBits(t, label+" KNNApprox at full coverage", gotA, want)
 							}
+							this.approx[pi] = statsA
+						}
+						if st.name == "heap" {
+							built = append(built, this)
+						} else if this != built[qi] {
+							t.Fatalf("%s query %d: costs %+v, the as-built store's %+v", label, qi, this, built[qi])
 						}
 					}
 				}

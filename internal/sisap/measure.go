@@ -68,68 +68,59 @@ func slackGap(a, b float64) float64 { return a - b - boundSlack*(a+b) - boundFlo
 func lowerBound(a, b float64) float64 { return math.Abs(a-b) - boundSlack*(a+b) - boundFloor }
 
 // measure is the one loop that evaluates the metric over a whole candidate
-// set: the points lo..hi-1 when ids is nil, the posting list ids[lo:hi]
-// otherwise, each offered to c with its distance to q. What differs between
-// callers is where a candidate's coordinates are read, never how they are
-// measured: the points themselves come from the coordinate block in memory
-// order; with rows nil a listed point is gathered from the block; otherwise
-// rows is the block over again in the list's order — row i holds the
-// coordinates of point ids[i] — so a run of the list is a contiguous run of
-// coordinates that ids only labels. Over a packed database under L1, L2 or
-// L∞ it reads the coordinates directly, with the expression shape and
-// left-to-right summation of internal/metric, so every distance is
+// set: candidates lo..hi-1, candidate i being point ids[i] (point i when ids
+// is nil), each offered to c with its distance to q. A caller chooses where
+// the coordinates are read, never how they are measured: row i of rows holds
+// candidate i, so a run of candidates is a contiguous run of coordinates that
+// ids only labels — the database's block under its own labels (db.block,
+// db.order: the store in memory order), or the bucket-major rows under the
+// directory's posting list (a bucket).
+// Under L1, L2 or L∞ it reads such rows directly, with the expression shape
+// and left-to-right summation of internal/metric, so every distance is
 // bit-identical to Metric.Distance(q, Points[id]); any other metric, point
-// type or query shape takes the generic loop (where a mismatched query
-// panics exactly as the metric always has). Distances above c's limit are
-// dropped before the call — they could not be kept.
+// type or query shape, and a store without rows (nil), takes the generic loop
+// by label (where a mismatched query panics exactly as the metric always
+// has). Distances above c's limit are dropped before the call — they could
+// not be kept.
 func (db *DB) measure(q metric.Point, rows []float64, ids []uint32, lo, hi int, c *collector) {
-	limit, block := c.limit(), db.block
-	if rows != nil {
-		block = rows
-	}
-	at := func(i int) (id, row int) { // candidate i's point ID and coordinate row
+	limit := c.limit()
+	label := func(i int) int { // candidate i's point ID
 		if ids == nil {
-			return i, i
+			return i
 		}
-		if rows == nil {
-			return int(ids[i]), int(ids[i])
-		}
-		return int(ids[i]), i
+		return int(ids[i])
 	}
-	if qv, ok := q.(metric.Vector); ok && db.dim > 0 && len(qv) == db.dim {
+	if qv, ok := q.(metric.Vector); ok && rows != nil && len(qv) == db.dim {
 		d := db.dim
 		switch db.Metric.(type) {
 		case metric.L1:
 			for i := lo; i < hi; i++ {
-				id, row := at(i)
-				p := block[row*d:][:len(qv)]
+				p := rows[i*d:][:len(qv)]
 				var s float64
 				for j, x := range qv {
 					s += math.Abs(x - p[j])
 				}
 				if !(s > limit) {
-					limit = c.add(id, s)
+					limit = c.add(label(i), s)
 				}
 			}
 			return
 		case metric.L2:
 			for i := lo; i < hi; i++ {
-				id, row := at(i)
-				p := block[row*d:][:len(qv)]
+				p := rows[i*d:][:len(qv)]
 				var s float64
 				for j, x := range qv {
 					t := x - p[j]
 					s += t * t
 				}
 				if s = math.Sqrt(s); !(s > limit) {
-					limit = c.add(id, s)
+					limit = c.add(label(i), s)
 				}
 			}
 			return
 		case metric.LInf:
 			for i := lo; i < hi; i++ {
-				id, row := at(i)
-				p := block[row*d:][:len(qv)]
+				p := rows[i*d:][:len(qv)]
 				var s float64
 				for j, x := range qv {
 					if t := math.Abs(x - p[j]); t > s {
@@ -137,14 +128,14 @@ func (db *DB) measure(q metric.Point, rows []float64, ids []uint32, lo, hi int, 
 					}
 				}
 				if !(s > limit) {
-					limit = c.add(id, s)
+					limit = c.add(label(i), s)
 				}
 			}
 			return
 		}
 	}
 	for i := lo; i < hi; i++ {
-		id, _ := at(i)
+		id := label(i)
 		if s := db.Metric.Distance(q, db.Points[id]); !(s > limit) {
 			limit = c.add(id, s)
 		}

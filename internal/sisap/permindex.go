@@ -360,7 +360,7 @@ func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	}
 	for lo := 0; lo < n; lo += scanTilePoints {
 		for i, q := range qs {
-			x.db.measure(q, nil, nil, lo, min(lo+scanTilePoints, n), &cs[i])
+			x.db.measure(q, x.db.block, x.db.order, lo, min(lo+scanTilePoints, n), &cs[i])
 		}
 	}
 	results := make([][]Result, len(qs))
@@ -389,7 +389,7 @@ func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats)
 	maxEvals = min(max(maxEvals, 0), n)
 	c := collector{h: newKNNHeap(k)}
 	if maxEvals == n {
-		x.db.measure(q, nil, nil, 0, n, &c)
+		x.db.measure(q, x.db.block, x.db.order, 0, n, &c)
 	} else {
 		order := make([]int, maxEvals)
 		x.scanOrderInto(q, order)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"distperm/internal/core"
 	"distperm/internal/metric"
@@ -26,9 +27,9 @@ import (
 // counting argsort — and probes only the nprobe nearest buckets. Every
 // point of a probed bucket is measured, so nothing is gained by ordering
 // them: the kNN heap's (distance, ID) ordering makes the answer a function
-// of the candidate *set*. The probed buckets' ptOrder runs are therefore
-// walked as they lie through DB.measure's posting-list shape — no row
-// gather, no sub-table kernel, no key scatter, no sort — which is
+// of the candidate *set*. Each probed bucket is therefore read as it lies,
+// one contiguous run of the bucket-major rows that its ptOrder run labels —
+// no gather, no sub-table kernel, no key scatter, no sort — which is
 // byte-identical to the ordered pipeline this replaced. Recall is bounded
 // (a true neighbour may live in an unprobed bucket) but monotone in nprobe:
 // the probe order is a fixed per-query bucket ranking, so a larger nprobe's
@@ -79,15 +80,20 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 	return maxKey
 }
 
-// lazyBuckets shares one once-built directory, and the bounds exact search
-// prunes with, between an index and every replica cloned from it (Replica
-// copies the struct, so the pointer is shared). A frozen open pre-fills pb
-// with container views; heap indexes build it on first use. The bounds, and
-// the bucket-major coordinates kept with them, are part of no format: every
-// store computes them on its first exact query.
+// lazyBuckets shares one once-built directory, and the bucket-major rows and
+// bounds its buckets are read and pruned with, between an index and every
+// replica cloned from it (Replica copies the struct, so the pointer is
+// shared). A frozen open pre-fills pb with container views and, under PFR3,
+// rows with the database's own block; heap indexes build the directory on
+// first use. The bounds are part of no format: every store computes them on
+// its first exact query, and rows it was not opened with on its first read
+// of a bucket.
 type lazyBuckets struct {
 	once       sync.Once
 	pb         *prefixBuckets
+	rowsOnce   sync.Once
+	rows       []float64    // nil after rowsOnce: DB.measure's kernels do not cover the store
+	rowsHeap   atomic.Int64 // bytes rowsOnce had to copy (RowsHeapBytes)
 	boundsOnce sync.Once
 	bounds     *bucketBounds // nil after boundsOnce: the store does not qualify
 }
@@ -250,18 +256,67 @@ func (x *PermIndex) buckets() *prefixBuckets {
 	return x.lb.pb
 }
 
+// rows returns the coordinate block in the order the buckets are read: row j
+// holds point ptOrder[j], so bucket b is the contiguous run
+// ptStarts[b]..ptStarts[b+1] and measuring it gathers nothing (a gathered
+// point costs ≈ 4× a contiguous one). A store opened from a PFR3 container has
+// them already: they are its database's block, mapped or decoded. Any other
+// packed store under L1, L2 or L∞ (the split DB.measure makes) copies its
+// points once, n·d·8 bytes of heap, on its first query that reads a bucket;
+// any other store has none (nil), and builds no directory for them.
+func (x *PermIndex) rows() []float64 {
+	x.fillRows(nil)
+	return x.lb.rows
+}
+
+// fillRows makes the rows of a store that has them to make, once, and reports
+// whether this call did: it has then handed every run to visit (when not nil)
+// while still in cache — the first exact query bounds a bucket as it fills it.
+func (x *PermIndex) fillRows(visit func(b int, run []float64)) (filled bool) {
+	x.lb.rowsOnce.Do(func() {
+		switch d := x.db.dim; x.db.Metric.(type) {
+		case metric.L1, metric.L2, metric.LInf:
+			if x.lb.rows == nil && d > 0 {
+				rows := make([]float64, x.db.N()*d)
+				x.eachRun(rows, true, visit)
+				x.lb.rows, filled = rows, true
+				x.lb.rowsHeap.Store(int64(8 * len(rows)))
+			}
+		}
+	})
+	return filled
+}
+
+// eachRun hands every bucket's run of rows to visit, many buckets at a time,
+// copying the bucket's points into the run first when fill is set.
+func (x *PermIndex) eachRun(rows []float64, fill bool, visit func(b int, run []float64)) {
+	db, d, pb := x.db, x.db.dim, x.buckets()
+	workers := 1
+	if db.N() >= parallelBuildThreshold {
+		workers = 4 * core.ShardWorkers(pb.numBuckets()) // buckets are uneven: more shards than cores
+	}
+	core.ShardIndexes(pb.numBuckets(), workers, func(_, b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			start, end := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
+			for j := start; fill && j < end; j++ {
+				copy(rows[j*d:][:d], db.row(int(pb.ptOrder[j])))
+			}
+			if visit != nil {
+				visit(b, rows[start*d:end*d])
+			}
+		}
+	})
+}
+
+// RowsHeapBytes returns the heap held by this index's copy of the rows: n·d·8
+// once rows has had to make one, 0 before that and on a PFR3 store always.
+func (x *PermIndex) RowsHeapBytes() int64 { return x.lb.rowsHeap.Load() }
+
 // bucketBounds is the metric side of the directory: lo[b*k+i] and hi[b*k+i]
 // are the least and greatest computed distance d(sᵢ, p) over the points p of
-// bucket b — 2·k·buckets float64s, LAESA's per-point table kept per cell —
-// and rows is the coordinate block over again in the order the walk reads
-// it: row j holds point ptOrder[j], so bucket b is the contiguous run
-// ptStarts[b]..ptStarts[b+1] and measuring it gathers nothing (a gathered
-// point costs ≈ 3× a contiguous one). That is n·d·8 bytes of heap per store
-// that prunes, mmap'd ones included, until the block itself is laid out
-// this way.
+// bucket b — 2·k·buckets float64s, LAESA's per-point table kept per cell.
 type bucketBounds struct {
 	lo, hi []float64
-	rows   []float64
 }
 
 // boundMinFill is the mean bucket size below which a store gets no bounds.
@@ -278,19 +333,17 @@ type bucketBounds struct {
 const boundMinFill = 32
 
 // siteBounds computes the bounds from what every store holds whatever its
-// origin — the packed coordinate block, the site IDs and the directory's
-// posting lists — with DB.measure's arithmetic (site and point swapped, which
-// changes no bit of |x − y| or (x − y)²). Each bucket's points are copied
-// into their run first and the run is then swept once per site, the extremes
-// in registers: turned that way round the copy costs nothing over bounding
-// the scattered points. L2 takes the extremes of the squared sums and one
-// Sqrt per cell: Sqrt is monotone and correctly rounded, so that is the
-// extreme of the distances. min and max propagate NaN, so an interval over a
-// non-finite coordinate compares false both ways and never prunes. Only a
-// packed database under L1, L2 or L∞ (the split DB.measure makes) of at most
-// boundMaxDim dimensions, cut into buckets of at least minFill points on
-// average (boundMinFill), qualifies; any other store gets nil, and one the
-// kernels do not cover builds no directory for it.
+// origin — its points, the site IDs and the bucket-major rows — with
+// DB.measure's arithmetic (site and point swapped, which changes no bit of
+// |x − y| or (x − y)²). Each bucket's run is swept once per site, the extremes
+// in registers — right after it is filled, where the rows are still to make:
+// turned that way round the copy costs nothing over bounding the scattered
+// points. L2 takes the extremes of the squared sums and one Sqrt per cell:
+// Sqrt is monotone and correctly rounded, so that is the extreme of the
+// distances. min and max propagate NaN, so an interval over a non-finite
+// coordinate compares false both ways and never prunes. Only a store that has
+// rows, of at most boundMaxDim dimensions, in buckets of at least minFill
+// points on average (boundMinFill), qualifies; any other gets nil at once.
 func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	db, d, k := x.db, x.db.dim, x.K()
 	_, l1 := db.Metric.(metric.L1)
@@ -303,46 +356,38 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	if db.N() < minFill*nb {
 		return nil
 	}
-	bb := &bucketBounds{lo: make([]float64, nb*k), hi: make([]float64, nb*k), rows: make([]float64, len(pb.ptOrder)*d)}
-	workers := 1
-	if db.N() >= parallelBuildThreshold {
-		workers = 4 * core.ShardWorkers(nb) // buckets are uneven: more shards than cores
-	}
-	core.ShardIndexes(nb, workers, func(_, b0, b1 int) {
-		for b := b0; b < b1; b++ {
-			start, end := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
-			run := bb.rows[start*d : end*d]
-			for j, id := range pb.ptOrder[start:end] {
-				copy(run[j*d:][:d], db.block[int(id)*d:][:d])
-			}
-			for i, site := range x.siteIDs {
-				s, lo, hi := db.block[site*d:][:d], math.Inf(1), math.Inf(-1)
-				for r := run; len(r) > 0; r = r[d:] {
-					var v float64
-					switch p := r[:d]; {
-					case l1:
-						for j, a := range s {
-							v += math.Abs(a - p[j])
-						}
-					case l2:
-						for j, a := range s {
-							t := a - p[j]
-							v += t * t
-						}
-					default:
-						for j, a := range s {
-							v = max(v, math.Abs(a-p[j]))
-						}
+	bb := &bucketBounds{lo: make([]float64, nb*k), hi: make([]float64, nb*k)}
+	sweep := func(b int, run []float64) {
+		for i, site := range x.siteIDs {
+			s, lo, hi := db.row(site)[:d], math.Inf(1), math.Inf(-1)
+			for r := run; len(r) > 0; r = r[d:] {
+				var v float64
+				switch p := r[:d]; {
+				case l1:
+					for j, a := range s {
+						v += math.Abs(a - p[j])
 					}
-					lo, hi = min(lo, v), max(hi, v)
+				case l2:
+					for j, a := range s {
+						t := a - p[j]
+						v += t * t
+					}
+				default:
+					for j, a := range s {
+						v = max(v, math.Abs(a-p[j]))
+					}
 				}
-				if l2 {
-					lo, hi = math.Sqrt(lo), math.Sqrt(hi)
-				}
-				bb.lo[b*k+i], bb.hi[b*k+i] = lo, hi
+				lo, hi = min(lo, v), max(hi, v)
 			}
+			if l2 {
+				lo, hi = math.Sqrt(lo), math.Sqrt(hi)
+			}
+			bb.lo[b*k+i], bb.hi[b*k+i] = lo, hi
 		}
-	})
+	}
+	if !x.fillRows(sweep) {
+		x.eachRun(x.lb.rows, false, sweep)
+	}
 	return bb
 }
 
@@ -394,10 +439,10 @@ type bucketLB struct {
 func (x *PermIndex) walk(q metric.Point, c *collector) Stats {
 	bb, k, n := x.bounds(), x.K(), x.db.N()
 	if bb == nil {
-		x.db.measure(q, nil, nil, 0, n, c)
+		x.db.measure(q, x.db.block, x.db.order, 0, n, c)
 		return Stats{DistanceEvals: k + n}
 	}
-	pb, s := x.lb.pb, x.scratchBuffers()
+	pb, rows, s := x.lb.pb, x.rows(), x.scratchBuffers()
 	// The sites are measured as the scan measures any point, so a query of
 	// the wrong shape fails here with the scan's own panic.
 	for i, id := range x.siteIDs {
@@ -406,7 +451,7 @@ func (x *PermIndex) walk(q metric.Point, c *collector) Stats {
 	measured := 0
 	visit := func(b int) {
 		lo, hi := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
-		x.db.measure(q, bb.rows, pb.ptOrder, lo, hi, c)
+		x.db.measure(q, rows, pb.ptOrder, lo, hi, c)
 		measured += hi - lo
 	}
 	// Buckets at LB = 0 can never be skipped: they go first, as they come,
@@ -496,9 +541,9 @@ func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxSt
 	if probed >= nb {
 		return exact()
 	}
-	c := collector{h: newKNNHeap(k)}
+	c, rows := collector{h: newKNNHeap(k)}, x.rows()
 	for _, b := range a.border[:probed] {
-		x.db.measure(q, nil, pb.ptOrder, int(pb.ptStarts[b]), int(pb.ptStarts[b+1]), &c)
+		x.db.measure(q, rows, pb.ptOrder, int(pb.ptStarts[b]), int(pb.ptStarts[b+1]), &c)
 	}
 	return c.h.results(), ApproxStats{
 		Stats:         Stats{DistanceEvals: x.K() + npts},

@@ -136,19 +136,43 @@ func TestApproxFullCoverageByteIdentical(t *testing.T) {
 	pts := dataset.UniformVectors(rng, 400, 5)
 	points := append(append([]metric.Point{}, pts...), pts[:100]...)
 	for _, pd := range []PermDistance{Footrule, KendallTau, SpearmanRho} {
-		idx := approxTestIndex(t, points, 9, pd, 29)
-		nb := idx.ApproxBuckets()
-		qrng := rand.New(rand.NewSource(31))
-		for qi := 0; qi < 10; qi++ {
-			q := dataset.UniformVectors(qrng, 1, 5)[0]
-			want, wantSt := idx.KNN(q, 7)
-			for _, nprobe := range []int{nb, nb + 3, 1 << 20} {
-				got, st := idx.KNNApprox(q, 7, nprobe)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: nprobe=%d answers differ from exact KNN", pd, nprobe)
+		built := approxTestIndex(t, points, 9, pd, 29)
+		// Every frozen origin too — PFR3 mapped and decoded, PFR2 mapped —
+		// opened with no database and left to the qualification rule.
+		image := frozenImage(t, built)
+		decoded, _, err := openFrozenBytes(image, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []permBackend{{"heap", built}, {"pfr3-mmap", mappedCopy(t, built, nil)}, {"pfr3-heap", decoded},
+			{"pfr2-mmap", openMappedPath(t, writeImage(t, pfr2Image(t, image)), nil)}} {
+			idx, nb := st.idx, st.idx.ApproxBuckets()
+			linear := NewLinearScan(idx.db)
+			qrng := rand.New(rand.NewSource(31))
+			for qi := 0; qi < 10; qi++ {
+				q := dataset.UniformVectors(qrng, 1, 5)[0]
+				want, wantSt := idx.KNN(q, 7)
+				if oracle, _ := linear.KNN(q, 7); !reflect.DeepEqual(want, oracle) {
+					t.Fatalf("%s/%s: exact KNN differs from LinearScan over the opened database", pd, st.name)
 				}
-				if !st.Exact || st.DistanceEvals != wantSt.DistanceEvals {
-					t.Fatalf("%s: full-coverage stats %+v not exact (want evals %d)", pd, st, wantSt.DistanceEvals)
+				if source, _ := built.KNN(q, 7); !reflect.DeepEqual(want, source) {
+					t.Fatalf("%s/%s: exact KNN differs from the as-built index's", pd, st.name)
+				}
+				for _, nprobe := range []int{nb, nb + 3, 1 << 20} {
+					got, st := idx.KNNApprox(q, 7, nprobe)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: nprobe=%d answers differ from exact KNN", pd, nprobe)
+					}
+					if !st.Exact || st.DistanceEvals != wantSt.DistanceEvals {
+						t.Fatalf("%s: full-coverage stats %+v not exact (want evals %d)", pd, st, wantSt.DistanceEvals)
+					}
+				}
+				for _, nprobe := range []int{1, 4} {
+					got, gotSt := idx.KNNApprox(q, 7, nprobe)
+					src, srcSt := built.KNNApprox(q, 7, nprobe)
+					if !reflect.DeepEqual(got, src) || gotSt != srcSt {
+						t.Fatalf("%s/%s: nprobe=%d answers %v (%+v), the as-built index's %v (%+v)", pd, st.name, nprobe, got, gotSt, src, srcSt)
+					}
 				}
 			}
 		}

@@ -34,9 +34,9 @@ func forceBounds(x *PermIndex) *bucketBounds {
 }
 
 // prunedStores returns idx over every origin a store can have: as built,
-// decoded from a PTBL container, and decoded or mapped from a frozen one.
-// None of the formats carries bounds; each store computes its own, here
-// whatever its size (forceBounds).
+// decoded from a PTBL container, and decoded or mapped from a frozen one of
+// either revision. None of the formats carries bounds; each store computes
+// its own, here whatever its size (forceBounds).
 func prunedStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
 	var buf bytes.Buffer
@@ -164,10 +164,13 @@ func TestBoundNonFinite(t *testing.T) {
 	}
 }
 
-// TestBoundRowsLayout: the bucket-major rows are the coordinate block taken
-// in ptOrder, bit for bit — NaN payloads, signed zeros, denormals and
-// infinities included — on every store origin, and a replica reads the copy
-// its index made.
+// TestBoundRowsLayout: the bucket-major rows hold point ptOrder[j] in row j,
+// bit for bit — NaN payloads, signed zeros, denormals and infinities included
+// — on every store origin, Points[id] is the source's point whatever order the
+// block lies in, and a replica reads the rows its index has. A store opened
+// from a PFR3 container, mapped or decoded, has no copy to compare: its rows
+// are its database's block, the file's points section as it lies. Every other
+// origin keeps an ID-ordered block and the one copy of it.
 func TestBoundRowsLayout(t *testing.T) {
 	const n, d = 400, 3
 	rng := rand.New(rand.NewSource(5))
@@ -177,19 +180,36 @@ func TestBoundRowsLayout(t *testing.T) {
 		pts[10*i+3].(metric.Vector)[i%d] = v
 	}
 	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(n)[:5], Footrule)
-	for _, st := range prunedStores(t, idx) {
-		bb, pb, block := st.idx.bounds(), st.idx.buckets(), st.idx.db.block
-		if len(bb.rows) != n*d || len(block) != n*d {
-			t.Fatalf("%s: %d bucket-major coordinates over a block of %d, want %d", st.name, len(bb.rows), len(block), n*d)
-		}
-		for j, id := range pb.ptOrder {
-			for c := 0; c < d; c++ {
-				if got, want := bb.rows[j*d+c], block[int(id)*d+c]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: row %d coordinate %d = %x, point %d has %x", st.name, j, c, math.Float64bits(got), id, math.Float64bits(want))
-				}
+	sameRow := func(label string, got, want []float64) {
+		t.Helper()
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("%s: coordinate %d = %x, want %x", label, c, math.Float64bits(got[c]), math.Float64bits(want[c]))
 			}
 		}
-		if rep := st.idx.Replica().(*PermIndex); &rep.bounds().rows[0] != &bb.rows[0] {
+	}
+	for _, st := range prunedStores(t, idx) {
+		rows, pb, db := st.idx.rows(), st.idx.buckets(), st.idx.db
+		if len(rows) != n*d || len(db.block) != n*d {
+			t.Fatalf("%s: %d bucket-major coordinates over a block of %d, want %d", st.name, len(rows), len(db.block), n*d)
+		}
+		switch heap := st.idx.RowsHeapBytes(); st.name {
+		case "frozen-heap", "mmap":
+			if &rows[0] != &db.block[0] || heap != 0 {
+				t.Fatalf("%s: a store opened bucket-major copied its rows (%d bytes)", st.name, heap)
+			}
+		default:
+			if &rows[0] == &db.block[0] || db.order != nil || heap != n*d*8 {
+				t.Fatalf("%s: an ID-ordered store without its one copy of the rows (%d bytes)", st.name, heap)
+			}
+		}
+		for j, id := range pb.ptOrder {
+			sameRow(fmt.Sprintf("%s: row %d against point %d", st.name, j, id), rows[j*d:][:d], db.Points[id].(metric.Vector))
+		}
+		for id, p := range pts {
+			sameRow(fmt.Sprintf("%s: point %d against the source", st.name, id), db.Points[id].(metric.Vector), p.(metric.Vector))
+		}
+		if rep := st.idx.Replica().(*PermIndex); &rep.rows()[0] != &rows[0] {
 			t.Fatalf("%s: a replica made its own copy of the coordinates", st.name)
 		}
 	}
@@ -229,9 +249,15 @@ func TestBoundQualification(t *testing.T) {
 			}
 			pruned += st.PrunedEvals + stR.PrunedEvals
 		}
-		if bb := idx.bounds(); (bb != nil) != tc.bounded || (pruned > 0) != tc.bounded {
-			t.Fatalf("%s (%d buckets): bounds = %v, %d points pruned, want bounded = %v",
-				tc.name, idx.ApproxBuckets(), bb != nil, pruned, tc.bounded)
+		if bb := idx.bounds(); (bb != nil) != tc.bounded || (pruned > 0) != tc.bounded || (idx.RowsHeapBytes() > 0) != tc.bounded {
+			t.Fatalf("%s (%d buckets): bounds = %v, %d points pruned, %d bytes of rows, want bounded = %v",
+				tc.name, idx.ApproxBuckets(), bb != nil, pruned, idx.RowsHeapBytes(), tc.bounded)
+		}
+		// The rule decides nothing else: an approximate probe of either store
+		// reads runs of the one copy, made when first wanted.
+		if _, st := idx.KNNApprox(tc.pts[0], 10, 1); st.Exact || idx.RowsHeapBytes() != int64(8*len(db.block)) {
+			t.Fatalf("%s: after an approximate probe (%+v) the store holds %d bytes of rows, want %d",
+				tc.name, st, idx.RowsHeapBytes(), 8*len(db.block))
 		}
 	}
 }

@@ -208,6 +208,7 @@ func FuzzReadIndex(f *testing.F) {
 		}
 	}
 	f.Add(frozen[:90])
+	f.Add(pfr2Image(f, frozen))
 	// A checksum-valid but inconsistent bucket directory, seeding the
 	// fuzzer at the directory-consistency validation.
 	badBuckets := append([]byte(nil), frozen...)
@@ -230,9 +231,15 @@ func FuzzReadIndex(f *testing.F) {
 			}
 			got.KNN(q, 3)
 		}
-		// The mapped-open validation must be equally crash-free.
+		// The mapped-open validation must be equally crash-free — and so
+		// must the open that makes its database out of the container's own
+		// points section, in whichever order the tag says they lie.
 		if mapped, err := OpenMappedBytesForTest(data, db); err == nil {
 			mapped.KNN(q, 3)
+		}
+		if own, _, err := openFrozenBytes(data, nil, false); err == nil {
+			own.KNN(q, 3)
+			own.KNNApprox(q, 3, 1)
 		}
 	})
 }

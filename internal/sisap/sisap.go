@@ -56,6 +56,10 @@ type DB struct {
 	// Metric.Distance. The block may be a read-only file mapping.
 	block []float64
 	dim   int
+	// order labels the block's rows when they are not in ID order: row j is
+	// point order[j]. nil, what NewDB makes, is the identity; a PFR3 container
+	// (frozen.go) opens to the directory's posting list.
+	order []uint32
 }
 
 // NewDB returns a database. The point slice is retained, not copied; when
@@ -82,8 +86,8 @@ func NewDB(m metric.Metric, points []metric.Point) *DB {
 }
 
 // packedDB assembles a database over an already-contiguous coordinate
-// block (freshly packed, or a frozen container's points section used in
-// place), pointing every entry of points at its range of the block.
+// block (freshly packed, or a frozen container's ID-ordered points section
+// used in place), pointing every entry of points at its range of the block.
 func packedDB(m metric.Metric, points []metric.Point, block []float64, d int) *DB {
 	for i := range points {
 		points[i] = metric.Vector(block[i*d : (i+1)*d : (i+1)*d])
@@ -91,10 +95,23 @@ func packedDB(m metric.Metric, points []metric.Point, block []float64, d int) *D
 	return &DB{Metric: m, Points: points, block: block, dim: d}
 }
 
-// prefix returns the database of the first n points, sharing Points and
-// the coordinate block with db.
+// prefix returns the database of the first n points, sharing Points and the
+// block with db; a proper prefix of reordered rows is no run of the block and
+// is served unpacked.
 func (db *DB) prefix(n int) *DB {
-	return &DB{Metric: db.Metric, Points: db.Points[:n], block: db.block[:n*db.dim], dim: db.dim}
+	if n < db.N() && db.order != nil {
+		return &DB{Metric: db.Metric, Points: db.Points[:n]}
+	}
+	return &DB{Metric: db.Metric, Points: db.Points[:n], block: db.block[:n*db.dim], dim: db.dim, order: db.order}
+}
+
+// row returns point id's coordinates in a packed database, sparing Points'
+// two dependent loads where the block is in ID order.
+func (db *DB) row(id int) []float64 {
+	if db.order == nil {
+		return db.block[id*db.dim:][:db.dim]
+	}
+	return db.Points[id].(metric.Vector)
 }
 
 // N returns the database size.

@@ -201,7 +201,8 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	if _, err := WriteFrozen(&frozen, idx); err != nil {
 		t.Fatal(err)
 	}
-	emit("FuzzReadIndex", "seed-frozen", frozen.Bytes())
+	emit("FuzzReadIndex", "seed-frozen", frozen.Bytes()) // PFR3, points embedded
+	emit("FuzzReadIndex", "seed-frozen-pfr2", pfr2Image(t, frozen.Bytes()))
 	emit("FuzzReadIndex", "seed-frozen-torn", frozen.Bytes()[:90])
 	// A directory-inconsistency seed: duplicate the first point posting and
 	// recompute the section CRC, starting the fuzzer right at the

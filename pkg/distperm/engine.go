@@ -53,7 +53,7 @@ func (q Query) validate(n int) error {
 type searcher interface {
 	Search(qs []Point, q Query) ([][]Result, []ApproxStats, error)
 	counters() (EngineStats, obs.HistogramSnapshot)
-	DistinctRows() int
+	served() *view // the view queries are being answered from
 }
 
 // engineAPI is the method family Engine and MutableEngine share; each
@@ -92,9 +92,22 @@ func (a engineAPI) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []Appr
 func (a engineAPI) Stats() EngineStats {
 	st, lat := a.self.counters()
 	st.finish(lat)
-	st.DistinctRows = a.self.DistinctRows()
+	v := a.self.served()
+	st.DistinctRows, st.BucketRowsHeapBytes = v.distinctRows(), v.bucketRowsHeapBytes()
 	return st
 }
+
+// Shards returns how many segments serve the index: its shard count, 1 for a
+// plain index. It can change across a rebuild.
+func (a engineAPI) Shards() int { return len(a.self.served().segs) }
+
+// ApproxBuckets returns the served index's inverted-file directory size, the
+// bound nprobe is measured against, summed across shards (0: no such capability).
+func (a engineAPI) ApproxBuckets() int { return a.self.served().approxBuckets() }
+
+// DistinctRows returns the served index's distinct permutation-row count,
+// summed across shards (0: not exposed); a rebuild folds the delta points in.
+func (a engineAPI) DistinctRows() int { return a.self.served().distinctRows() }
 
 // LatencySnapshot returns the per-query latency histogram, merged across
 // shards and (on a MutableEngine) covering every view served — the source
@@ -180,6 +193,17 @@ func (v *view) distinctRows() int {
 	total := 0
 	for _, seg := range v.segs {
 		total += distinctRows(seg.idx)
+	}
+	return total
+}
+
+// bucketRowsHeapBytes sums the heap the segments' indexes hold in bucket-major
+// copies of the coordinates (sisap.PermIndex.RowsHeapBytes).
+func (v *view) bucketRowsHeapBytes() (total int64) {
+	for _, seg := range v.segs {
+		if r, ok := seg.idx.(interface{ RowsHeapBytes() int64 }); ok {
+			total += r.RowsHeapBytes()
+		}
 	}
 	return total
 }
@@ -294,10 +318,6 @@ func (p *pool) BusyWorkers() int { return int(p.busy.Load()) }
 
 // Index returns the engine's underlying index.
 func (e *Engine) Index() Index { return e.view.idx }
-
-// Shards returns how many segments serve the index: its shard count, 1 for
-// a plain index.
-func (e *Engine) Shards() int { return len(e.view.segs) }
 
 // worker serves jobs on query replicas of the view it last served, made on
 // a segment's first job (the distance-permutation index's Permuter carries
@@ -504,14 +524,7 @@ func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, 
 	return outs, asts, nil
 }
 
-// ApproxBuckets returns the index's inverted-file directory size — the
-// bound nprobe is measured against, summed across shards — or 0 when the
-// index has no approximate-search capability.
-func (e *Engine) ApproxBuckets() int { return e.view.approxBuckets() }
-
-// DistinctRows returns the index's distinct permutation-row count, summed
-// across shards, or 0 when the index does not expose it.
-func (e *Engine) DistinctRows() int { return e.view.distinctRows() }
+func (e *Engine) served() *view { return e.view }
 
 // Close shuts the pool down after in-flight queries finish. It is
 // idempotent; batches submitted after Close return an error.
@@ -552,6 +565,9 @@ type EngineStats struct {
 	// index does not expose one) — the table size of the paper's counting
 	// bounds and the row universe of the prefix-bucket directory.
 	DistinctRows int
+	// BucketRowsHeapBytes is the heap held by bucket-major copies of the
+	// coordinates under the served view (sisap.PermIndex.RowsHeapBytes).
+	BucketRowsHeapBytes int64
 	// DistanceEvals is the total metric evaluations spent; PrunedEvals the
 	// points exact queries did not measure because a bucket bound excluded
 	// them (the prune rate is PrunedEvals / (PrunedEvals + DistanceEvals)).
@@ -567,7 +583,7 @@ type EngineStats struct {
 
 // add sums o's counts into s — what a worker does per job and counters does
 // across slots. MeanEvals and the percentiles are finish's to derive,
-// DistinctRows the caller's to set.
+// DistinctRows and BucketRowsHeapBytes the caller's to set.
 func (s *EngineStats) add(o EngineStats) {
 	s.Queries += o.Queries
 	s.BatchedQueries += o.BatchedQueries

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -16,7 +18,11 @@ import (
 // The model-checked store, first slice: seeded histories of writes, queries
 // of every form, forced rebuilds and save/load round trips run against the
 // engines and against a model that is a map and a scan; after every step the
-// answers must agree to the bit. No WAL, crash or mmap legs yet. The distperm
+// answers must agree to the bit. The unsharded distperm legs also freeze the
+// store in mid-history, map the file back with no database and go on over the
+// mapping — a PFR3 container, whose points lie bucket by bucket — so the plain
+// engine reads it under every query form and the mutable one lays tombstones,
+// a delta and gids over it and rebuilds out of it. No WAL or crash legs yet. The distperm
 // legs steer every segment across boundMinFill and hold the paper's count as
 // an invariant of every rebuilt table; two shorter legs rebuild into a
 // VP-tree and into LAESA, so those kinds' traversals run under tombstone
@@ -66,6 +72,8 @@ type modelRun struct {
 
 	eng  modelStore
 	mut  *MutableEngine // eng when it takes writes, else nil
+	px   *PermIndex     // what a plain engine serves, when that has a frozen form
+	maps int            // times the history went on over a mapped file
 	cfg  MutableConfig
 	live model
 	ids  []int // the live IDs, in a history-determined order
@@ -260,6 +268,91 @@ func (r *modelRun) reload() {
 	}
 }
 
+// mapped freezes px and maps the file back with no database: the store a
+// restarted daemon serves. It stays mapped until the test ends, after every
+// engine of the history has closed.
+func (r *modelRun) mapped(px *PermIndex) *Store {
+	var buf bytes.Buffer
+	if _, err := WriteFrozenIndex(&buf, px); err != nil {
+		r.failf("WriteFrozenIndex: %v", err)
+	}
+	path := filepath.Join(r.t.TempDir(), "store.frozen")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		r.failf("%v", err)
+	}
+	st, err := Load(path, LoadOptions{Mmap: true})
+	if err != nil {
+		r.failf("Load: %v", err)
+	}
+	r.t.Cleanup(func() { st.Close() })
+	r.maps++
+	return st
+}
+
+// refreeze puts a plain engine's store through a frozen file and goes on with
+// an engine over the mapping, once both have answered every query form alike:
+// single and batched kNN, range at the 5th neighbour's distance, approximate
+// at full coverage and at one probe — results to the bit, and the probe
+// accounting with them.
+func (r *modelRun) refreeze() {
+	r.op = "freeze → Load(mmap) → NewEngine"
+	st := r.mapped(r.px)
+	fresh, err := NewEngine(st.DB, st.Index, 2)
+	if err != nil {
+		r.failf("NewEngine: %v", err)
+	}
+	k := 1 + r.rng.Intn(8)
+	qs := []Point{r.query(), r.query(), r.query()}
+	all := r.live.scan(qs[0])
+	for _, c := range []struct {
+		qs []Point
+		q  Query
+	}{{qs[:1], Query{K: k}}, {qs, Query{K: k}}, {qs[:1], Query{Radius: all[4].Distance}},
+		{qs, Query{K: k, Approx: true, NProbe: r.eng.ApproxBuckets()}}, {qs, Query{K: k, Approx: true, NProbe: 1}}} {
+		r.op = fmt.Sprintf("freeze → Load(mmap) → NewEngine, then %+v", c.q)
+		want, wantSt := r.search(c.qs, c.q)
+		got, gotSt, err := fresh.Search(c.qs, c.q)
+		if err != nil {
+			r.failf("Search over the mapped store: %v", err)
+		}
+		for i := range want {
+			r.check(got[i], want[i])
+			if c.q.Approx && gotSt[i] != wantSt[i] {
+				r.failf("query %d: the mapped store reports %+v, the store it was frozen from %+v", i, gotSt[i], wantSt[i])
+			}
+		}
+	}
+	r.eng.Close()
+	r.eng, r.px = fresh, st.Index.(*PermIndex)
+}
+
+// thaw folds the pending writes into the base, freezes it, and resumes the
+// store over the mapped file: until the next rebuild, what lies under the
+// tombstones, the delta merge and the gids is the container's bucket-major
+// points section, and the rebuild that ends it reads its points out of the
+// mapping. An insert and a delete follow at once, so no history leaves the
+// mapped base unwritten.
+func (r *modelRun) thaw() {
+	r.rebuild()
+	r.op = "freeze base → Load(mmap) → resume"
+	s := r.mut.cur.Load()
+	st := r.mapped(s.view.idx.(*PermIndex))
+	mi, err := sisap.NewMutableIndex(st.DB, st.DB.N(), st.Index, s.gids, nil, r.next)
+	if err != nil {
+		r.failf("NewMutableIndex: %v", err)
+	}
+	resumed, err := NewMutableEngineFrom(mi, r.cfg)
+	if err != nil {
+		r.failf("NewMutableEngineFrom: %v", err)
+	}
+	r.mut.Close()
+	r.eng, r.mut = resumed, resumed
+	r.ask()
+	r.insert()
+	r.ask()
+	r.remove()
+}
+
 // run plays the history: writes lean towards growth until the store is
 // modelSwing points past flip, then towards shrinking until it is as far
 // below, and every turn forces a rebuild so the crossing is observed.
@@ -268,12 +361,16 @@ func (r *modelRun) run() {
 	for r.step = 1; r.step <= modelSteps; r.step++ {
 		x := r.rng.Float64()
 		switch {
+		case r.mut == nil && r.px != nil && x < 0.04:
+			r.refreeze()
 		case r.mut == nil || x < 0.42:
 			r.ask()
 		case x < 0.46:
 			r.rebuild()
 		case x < 0.48:
 			r.reload()
+		case x < 0.50 && r.cfg.Shards <= 1 && r.cfg.Spec.Index == "distperm":
+			r.thaw()
 		case (x < 0.90) == r.grow: // four writes in five go the way the history leans
 			r.insert()
 		default:
@@ -309,7 +406,7 @@ func TestModelCheckedStore(t *testing.T) {
 		if c.kind != "distperm" {
 			seeds = (seeds + 2) / 3
 		}
-		ups, downs := 0, 0
+		ups, downs, maps := 0, 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			r := &modelRun{t: t, name: c.name, seed: seed, rng: rand.New(rand.NewSource(seed)),
 				live: model{}, flip: modelFlip * c.shards, grow: seed%2 == 1}
@@ -342,12 +439,16 @@ func TestModelCheckedStore(t *testing.T) {
 				r.eng = r.mut
 			} else {
 				r.eng, err = NewEngine(db, idx, 2)
+				r.px, _ = idx.(*PermIndex)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.run()
-			ups, downs = ups+r.ups, downs+r.downs
+			ups, downs, maps = ups+r.ups, downs+r.downs, maps+r.maps
+		}
+		if freezes := c.kind == "distperm" && c.shards == 1; freezes != (maps > 0) {
+			t.Errorf("%s: %d histories went over a mapped file %d times", c.name, seeds, maps)
 		}
 		if !c.mutable || c.kind != "distperm" {
 			continue

@@ -327,10 +327,6 @@ func (m *MutableEngine) acquire() (*mutSnapshot, error) {
 	return m.cur.Load(), nil
 }
 
-// Shards returns how many shards serve the current base index (1 when it
-// is unsharded). It can change across rebuilds.
-func (m *MutableEngine) Shards() int { return len(m.cur.Load().view.segs) }
-
 // BaseKind returns the current base index's kind.
 func (m *MutableEngine) BaseKind() string { return m.cur.Load().view.idx.Name() }
 
@@ -398,15 +394,7 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 	return outs, sts, nil
 }
 
-// ApproxBuckets returns the current base index's inverted-file directory
-// size (0 when it has no approximate capability). It can change across
-// rebuilds.
-func (m *MutableEngine) ApproxBuckets() int { return m.cur.Load().view.approxBuckets() }
-
-// DistinctRows returns the current base index's distinct permutation-row
-// count (0 when the base does not expose one). Delta points are not
-// counted until a rebuild folds them in.
-func (m *MutableEngine) DistinctRows() int { return m.cur.Load().view.distinctRows() }
+func (m *MutableEngine) served() *view { return m.cur.Load().view }
 
 // scanDelta measures q against every delta point — the engine-side twin of
 // MutableIndex's delta scan (the buffer holds live points only, so there

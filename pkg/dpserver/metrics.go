@@ -127,6 +127,9 @@ func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableB
 	reg.GaugeFunc("distperm_engine_distinct_rows",
 		"Distinct permutation rows in the served rank table", nil,
 		func() float64 { return float64(backend.Stats().DistinctRows) })
+	reg.GaugeFunc("distperm_engine_bucket_rows_heap_bytes",
+		"Heap held by bucket-major copies of the coordinates under the served view (0 for a PFR3 store)", nil,
+		func() float64 { return float64(backend.Stats().BucketRowsHeapBytes) })
 	reg.GaugeFunc("distperm_engine_workers",
 		"Worker goroutines in the engine pool(s)", nil,
 		func() float64 { return float64(backend.Workers()) })

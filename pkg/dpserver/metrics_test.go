@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -287,6 +289,75 @@ func TestMetricNamingConventions(t *testing.T) {
 	}
 	if problems := obs.Lint(fams, []string{"dpserver_", "distperm_"}); len(problems) > 0 {
 		t.Errorf("metric naming problems:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// TestMetricsBucketRowsHeapBytes: distperm_engine_bucket_rows_heap_bytes is
+// the heap a store spends on a bucket-major copy of its coordinates — n·d·8
+// for a heap-built store from the first query that reads a bucket, exact or
+// approximate, and nothing, ever, for one served out of a frozen (PFR3)
+// container, whose points section already lies that way.
+func TestMetricsBucketRowsHeapBytes(t *testing.T) {
+	const n, d = 2400, 3
+	rng := rand.New(rand.NewSource(91))
+	db, err := distperm.NewDB(distperm.L2, dataset.ClusteredVectors(rng, n, d, 6, 0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := distperm.Build(db, distperm.Spec{Index: "distperm", K: 6, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frozen bytes.Buffer
+	if _, err := distperm.WriteFrozenIndex(&frozen, idx.(*distperm.PermIndex)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.frozen")
+	if err := os.WriteFile(path, frozen.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := distperm.Load(path, distperm.LoadOptions{Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	q, err := dpserver.EncodePoint(db.Points[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		db   *distperm.DB
+		idx  distperm.Index
+		want float64 // after the first query that reads a bucket
+	}{{"heap-built", db, idx, n * d * 8}, {"frozen", st.DB, st.Index, 0}} {
+		srv, err := dpserver.NewFromIndex(c.db, c.idx, 2, dpserver.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		gauge := func() float64 {
+			return sampleValue(t, scrape(t, ts.URL), "distperm_engine_bucket_rows_heap_bytes", nil)
+		}
+		if v := gauge(); v != 0 {
+			t.Errorf("%s: %g bytes of rows before any query", c.name, v)
+		}
+		for _, body := range []string{`{"query":%s,"k":3,"approx":true,"nprobe":1}`, `{"query":%s,"k":3}`} {
+			resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(fmt.Sprintf(body, q)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: POST /v1/knn %s = %d", c.name, body, resp.StatusCode)
+			}
+			if v := gauge(); v != c.want {
+				t.Errorf("%s: %g bytes of rows after %s, want %g", c.name, v, body, c.want)
+			}
+		}
+		ts.Close()
+		srv.Close()
 	}
 }
 

@@ -7,9 +7,12 @@
 package distperm_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -29,6 +32,7 @@ import (
 	"distperm/internal/voronoi"
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
+	"distperm/pkg/dpserver/client"
 	"distperm/pkg/obs"
 )
 
@@ -443,6 +447,76 @@ func BenchmarkCoalescedServing(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkServeLoopback is perflab's cache-hot in process: two
+// one-connection Go clients (pkg/dpserver/client) over 127.0.0.1 share b.N
+// single 10-NN queries whose answers the server's result cache already
+// holds (req=knn-hit) — the wire codec, net/http, the handler and the cache,
+// no engine work — beside the floor net/http sets for the same clients
+// (req=healthz). With -benchmem, allocs/op and B/op count both ends of the
+// socket, as perflab's proc.allocs_per_query does.
+func BenchmarkServeLoopback(b *testing.B) {
+	rng := rand.New(rand.NewSource(19))
+	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 2_000, 6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := distperm.Build(db, distperm.Spec{Index: "distperm", K: 12, Seed: 19})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := dpserver.NewFromIndex(db, idx, 0, dpserver.Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, CacheSize: 4096})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() { cancel(); <-served }()
+	clients := make([]*client.Client, 2)
+	for i := range clients {
+		clients[i] = client.New("http://" + ln.Addr().String())
+		clients[i].HTTPClient = &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+		defer clients[i].HTTPClient.CloseIdleConnections()
+	}
+	queries := dataset.UniformVectors(rng, 256, 6)
+	for _, q := range queries {
+		if _, err := clients[0].KNN(ctx, q, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, row := range []struct {
+		name string
+		call func(c *client.Client, i int) error
+	}{
+		{"req=knn-hit", func(c *client.Client, i int) error { _, err := c.KNN(ctx, queries[i&255], 10); return err }},
+		{"req=healthz", func(c *client.Client, _ int) error { return c.Health(ctx) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for _, c := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+						if err := row.call(c, i); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

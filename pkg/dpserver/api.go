@@ -235,10 +235,14 @@ type StatsResponse struct {
 }
 
 // EncodePoint marshals a point into its wire shape: a Vector as a JSON
-// array of numbers, a String as a JSON string.
+// array of numbers, a String as a JSON string — the bytes json.Marshal
+// gives, a vector's appended by the codec (wire.go).
 func EncodePoint(p distperm.Point) (json.RawMessage, error) {
 	switch v := p.(type) {
 	case distperm.Vector:
+		if b, ok := appendVector(make([]byte, 0, 24*len(v)+2), v); ok {
+			return b, nil
+		}
 		return json.Marshal([]float64(v))
 	case distperm.String:
 		return json.Marshal(string(v))
@@ -248,7 +252,8 @@ func EncodePoint(p distperm.Point) (json.RawMessage, error) {
 }
 
 // DecodePoint unmarshals a wire point: a JSON array of numbers becomes a
-// Vector, a JSON string becomes a String.
+// Vector, a JSON string becomes a String. A vector is read by the codec
+// (wire.go), and by encoding/json when the codec declines it.
 func DecodePoint(raw json.RawMessage) (distperm.Point, error) {
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) == 0 {
@@ -256,6 +261,10 @@ func DecodePoint(raw json.RawMessage) (distperm.Point, error) {
 	}
 	switch trimmed[0] {
 	case '[':
+		l := lexer{b: trimmed}
+		if v, ok := l.vector(); ok && l.end() {
+			return v, nil
+		}
 		var v []float64
 		if err := json.Unmarshal(trimmed, &v); err != nil {
 			return nil, fmt.Errorf("dpserver: bad vector point: %w", err)

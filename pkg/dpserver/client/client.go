@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
@@ -34,37 +35,34 @@ func New(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/")}
 }
 
-// query is the one request path under the six query methods: it encodes qs
-// — the lone point of the single form when single, else the batched form —
-// into the request body mk makes of them, posts it to path and returns the
-// decoded answer.
-func (c *Client) query(ctx context.Context, path string, qs []distperm.Point, single bool,
-	mk func(q json.RawMessage, qs []json.RawMessage) any) (resp dpserver.QueryResponse, err error) {
-	var one json.RawMessage
-	var all []json.RawMessage
+// knn posts one /v1/knn request: qs[0] alone in the single form when
+// single, else all of qs.
+func (c *Client) knn(ctx context.Context, qs []distperm.Point, single bool, k int, approx bool, nprobe int) (resp dpserver.QueryResponse, err error) {
+	req := dpserver.KNNRequest{K: k, Approx: approx, NProbe: nprobe}
+	if req.Query, req.Queries, err = encodeQueries(qs, single); err == nil {
+		err = c.post(ctx, "/v1/knn", req, &resp)
+	}
+	return resp, err
+}
+
+// rng is knn for /v1/range.
+func (c *Client) rng(ctx context.Context, qs []distperm.Point, single bool, r float64) (resp dpserver.QueryResponse, err error) {
+	req := dpserver.RangeRequest{R: r}
+	if req.Query, req.Queries, err = encodeQueries(qs, single); err == nil {
+		err = c.post(ctx, "/v1/range", req, &resp)
+	}
+	return resp, err
+}
+
+// encodeQueries puts a query request's points on the wire: qs[0] alone
+// when single, else all of qs.
+func encodeQueries(qs []distperm.Point, single bool) (one json.RawMessage, all []json.RawMessage, err error) {
 	if single {
 		one, err = dpserver.EncodePoint(qs[0])
 	} else {
 		all, err = encodeAll(qs)
 	}
-	if err == nil {
-		err = c.post(ctx, path, mk(one, all), &resp)
-	}
-	return resp, err
-}
-
-// knn is query against /v1/knn.
-func (c *Client) knn(ctx context.Context, qs []distperm.Point, single bool, k int, approx bool, nprobe int) (dpserver.QueryResponse, error) {
-	return c.query(ctx, "/v1/knn", qs, single, func(q json.RawMessage, qs []json.RawMessage) any {
-		return dpserver.KNNRequest{Query: q, Queries: qs, K: k, Approx: approx, NProbe: nprobe}
-	})
-}
-
-// rng is query against /v1/range.
-func (c *Client) rng(ctx context.Context, qs []distperm.Point, single bool, r float64) (dpserver.QueryResponse, error) {
-	return c.query(ctx, "/v1/range", qs, single, func(q json.RawMessage, qs []json.RawMessage) any {
-		return dpserver.RangeRequest{Query: q, Queries: qs, R: r}
-	})
+	return one, all, err
 }
 
 // KNN answers one kNN query — the request shape that flows through the
@@ -237,8 +235,17 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// post sends body to path and decodes the answer into out. A query request
+// is marshalled by its own MarshalJSON, sparing the pass json.Marshal makes
+// over what a MarshalJSON returns.
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	payload, err := json.Marshal(body)
+	var payload []byte
+	var err error
+	if m, ok := body.(json.Marshaler); ok {
+		payload, err = m.MarshalJSON()
+	} else {
+		payload, err = json.Marshal(body)
+	}
 	if err != nil {
 		return err
 	}
@@ -271,7 +278,28 @@ func (c *Client) do(req *http.Request, out any) error {
 		}
 		return fmt.Errorf("client: %s %s: HTTP %d", req.Method, req.URL.Path, resp.StatusCode)
 	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		// A query answer: read whole into a pooled buffer and parsed by the
+		// codec behind QueryResponse.UnmarshalJSON.
+		buf := bodies.Get().(*bytes.Buffer)
+		defer putBody(buf)
+		buf.Reset()
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return err
+		}
+		return u.UnmarshalJSON(buf.Bytes())
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// bodies pools the buffers query answers are read into; one grown past 64
+// KiB is left to the collector, so that one large batch cannot pin it.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		bodies.Put(b)
+	}
 }
 
 func encodeAll(qs []distperm.Point) ([]json.RawMessage, error) {

@@ -56,6 +56,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -117,15 +118,6 @@ type Server struct {
 	singleQueries, batchQueries, inserts, deletes atomic.Int64
 }
 
-// ridKey carries the request ID through the handler's context.
-type ridKey struct{}
-
-// requestID returns the ID ServeHTTP assigned to this request.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ridKey{}).(string)
-	return id
-}
-
 // New wraps backend, described by info, in a Server with cfg's coalescer
 // and cache.
 func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
@@ -142,7 +134,7 @@ func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
 		co:        NewCoalescer(backend, cfg.BatchMax, cfg.BatchWait),
 		cache:     NewCache(cfg.CacheSize),
 		mux:       http.NewServeMux(),
-		ridPrefix: fmt.Sprintf("%x", time.Now().UnixNano()),
+		ridPrefix: fmt.Sprintf("%x-", time.Now().UnixNano()),
 	}
 	s.mutable, _ = backend.(MutableBackend)
 	if s.mutable != nil {
@@ -230,21 +222,25 @@ func NewFromMutable(me *distperm.MutableEngine, cfg Config) (*Server, error) {
 // Info returns what the server is serving.
 func (s *Server) Info() IndexInfo { return s.info }
 
+// ridHeader is X-Request-ID in its canonical form, which net/http looks up
+// without allocating.
+const ridHeader = "X-Request-Id"
+
 // ServeHTTP implements http.Handler. It is the instrumentation middleware:
 // every request gets an ID (the client's X-Request-ID when it is at most
-// maxRequestIDBytes long, else a minted one), echoed back in the response
-// header and threaded through the handler's context, and is counted into
-// its endpoint's request/error/latency series — the only request accounting
-// there is; /v1/stats sums them — and the in-flight gauge.
+// maxRequestIDBytes long, else a minted one), set on the response header —
+// where the handler reads it back — and is counted into its endpoint's
+// request/error/latency series — the only request accounting there is;
+// /v1/stats sums them — and the in-flight gauge.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	em := s.metrics.endpoint(r.URL.Path)
-	reqID := r.Header.Get("X-Request-ID")
+	reqID := r.Header.Get(ridHeader)
 	if reqID == "" || len(reqID) > maxRequestIDBytes {
-		reqID = fmt.Sprintf("%s-%d", s.ridPrefix, s.ridSeq.Add(1))
+		var buf [48]byte
+		reqID = string(strconv.AppendUint(append(buf[:0], s.ridPrefix...), s.ridSeq.Add(1), 10))
 	}
-	w.Header().Set("X-Request-ID", reqID)
-	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, reqID))
+	w.Header().Set(ridHeader, reqID)
 
 	em.requests.Inc()
 	s.metrics.inflight.Add(1)
@@ -309,6 +305,8 @@ func WriteStatus(w http.ResponseWriter, code int, status string) {
 // (a larger one is answered 413 before it is buffered whole), maxBatch the
 // queries, points or IDs of one request (400: a body-sized batch of exact
 // queries would hold the pool for minutes after its client has gone),
+// maxResults the answers one kNN request may ask for, queries × k (400: the
+// engine holds every one before the first byte is written),
 // maxRequestIDBytes the X-Request-ID a client may choose (it is copied into
 // the slow-query record of every coalesced neighbour), readHeaderTimeout
 // how long a connection may take to send its headers and idleTimeout how
@@ -317,6 +315,7 @@ func WriteStatus(w http.ResponseWriter, code int, status string) {
 const (
 	maxBodyBytes      = 8 << 20
 	maxBatch          = 4096
+	maxResults        = 1 << 20
 	maxRequestIDBytes = 128
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -332,88 +331,103 @@ func (s *Server) batchFits(w http.ResponseWriter, field string, n int) bool {
 	return n <= maxBatch
 }
 
-// decodeBody decodes the JSON request body into req, answering 413 for a
-// body over maxBodyBytes and 400 for one that does not parse. It reports
-// whether the handler may go on.
+// decodeBody decodes the JSON request body of a write into req, answering
+// as badBody does when it cannot. It reports whether the handler may go on.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-	case err != nil:
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err != nil {
+		s.badBody(w, err)
 	}
 	return err == nil
 }
 
+// badBody answers a body that could not be read or decoded: 413 for one
+// over maxBodyBytes, 400 otherwise.
+func (s *Server) badBody(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+}
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req KNNRequest
-	if !s.decodeBody(w, r, &req) {
+	qb, ok := s.readQuery(w, r, false)
+	if !ok {
 		return
 	}
 	// info.N may be unset when the Server was built with New rather than
 	// NewFromIndex, and goes stale on a mutable server; then the bound
 	// check falls to the backend, whose range errors surface as 400s below.
-	if req.K < 1 || (s.info.N > 0 && !s.info.Mutable && req.K > s.info.N) {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k=%d out of range 1..%d", req.K, s.info.N))
+	if k := qb.q.K; k < 1 || (s.info.N > 0 && !s.info.Mutable && k > s.info.N) {
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k=%d out of range 1..%d", k, s.info.N))
 		return
 	}
-	s.answer(w, r, "knn", req.Query, req.Queries,
-		distperm.Query{K: req.K, Approx: req.Approx, NProbe: req.NProbe})
+	s.answer(w, "knn", qb)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req RangeRequest
-	if !s.decodeBody(w, r, &req) {
+	qb, ok := s.readQuery(w, r, true)
+	if !ok {
 		return
 	}
-	if req.R < 0 || math.IsNaN(req.R) {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad radius %g", req.R))
+	if rad := qb.q.Radius; rad < 0 || math.IsNaN(rad) {
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad radius %g", rad))
 		return
 	}
-	s.answer(w, r, "range", req.Query, req.Queries, distperm.Query{Radius: req.R})
+	s.answer(w, "range", qb)
 }
 
 // answer runs the shared request shape of /v1/knn and /v1/range: exactly
-// one of single/batch, points decoded and validated, then routed. An exact
-// single query goes cache → coalescer; everything else — a batch, and any
-// approximate request, whose answer depends on nprobe and on the live
-// directory — goes straight to the engine as submitted. Computed
-// (non-cache-hit) answers are timed against the slow-query threshold, and
-// approximate answers carry their aggregated probe accounting.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
-	single json.RawMessage, batch []json.RawMessage, q distperm.Query) {
-	rec := slowQueryRecord{Endpoint: endpoint, K: q.K, Radius: q.Radius, RequestID: requestID(r)}
-	raws := batch
+// one of single/batch, at most maxResults answers, points decoded and
+// validated, then routed. An exact single query goes cache → coalescer;
+// everything else — a batch, and any approximate request, whose answer
+// depends on nprobe and on the live directory — goes straight to the engine
+// as submitted. Computed (non-cache-hit) answers are timed against the
+// slow-query threshold, and approximate answers carry their aggregated
+// probe accounting.
+func (s *Server) answer(w http.ResponseWriter, endpoint string, qb queryBody) {
+	q := qb.q
+	rec := slowQueryRecord{Endpoint: endpoint, K: q.K, Radius: q.Radius, RequestID: w.Header().Get(ridHeader)}
+	n := len(qb.pts) + len(qb.raws)
 	switch {
-	case single != nil && batch != nil:
+	case qb.single && qb.batch:
 		s.fail(w, http.StatusBadRequest, `"query" and "queries" are mutually exclusive`)
 		return
-	case single != nil:
-		raws = []json.RawMessage{single}
-	case batch == nil:
+	case !qb.single && !qb.batch:
 		s.fail(w, http.StatusBadRequest, `one of "query" or "queries" is required`)
 		return
-	case !s.batchFits(w, "queries", len(batch)):
+	case qb.batch && !s.batchFits(w, "queries", n):
+		return
+	case n > 0 && q.K > maxResults/n:
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("%d queries × k=%d results in one request, limit %d", n, q.K, maxResults))
 		return
 	}
-	qs := make([]distperm.Point, len(raws))
-	for i, raw := range raws {
-		p, err := s.decodePoint(raw)
+	qs := qb.pts
+	if qb.raws != nil {
+		qs = make([]distperm.Point, n)
+	}
+	for i := range qs {
+		var err error
+		if qb.raws != nil {
+			qs[i], err = DecodePoint(qb.raws[i])
+		}
+		if err == nil {
+			err = s.checkPoint(qs[i])
+		}
 		if err != nil {
 			msg := err.Error()
-			if single == nil {
+			if !qb.single {
 				msg = fmt.Sprintf("queries[%d]: %v", i, err)
 			}
 			s.fail(w, http.StatusBadRequest, msg)
 			return
 		}
-		qs[i] = p
 	}
 
 	// Only an exact single query is cacheable and coalescable.
-	coalesce := single != nil && !q.Approx
+	coalesce := qb.single && !q.Approx
 	var key string
 	var cacheable bool
 	var gen uint64
@@ -421,7 +435,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
 		key, cacheable = cacheKey(qs[0], q)
 		if rs, ok := s.cache.Get(key); cacheable && ok {
 			s.singleQueries.Add(1)
-			s.ok(w, QueryResponse{Results: rs})
+			s.reply(w, &QueryResponse{Results: rs})
 			return
 		}
 		// The generation is read before computing: if a mutation lands
@@ -457,7 +471,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
 	if q.Approx {
 		resp.Approx = s.approxWire(q.NProbe, sts)
 	}
-	if single != nil {
+	if qb.single {
 		resp.Results = outs[0]
 		s.singleQueries.Add(1)
 	} else {
@@ -470,7 +484,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string,
 		resp.Batches = outs
 		s.batchQueries.Add(int64(len(qs)))
 	}
-	s.ok(w, resp)
+	s.reply(w, &resp)
 }
 
 // approxWire aggregates the per-query probe accounting of one approximate
@@ -521,29 +535,33 @@ func (s *Server) traceEnd(rec slowQueryRecord, evalsBefore int64, start time.Tim
 	s.slow.emit(rec, d)
 }
 
-// decodePoint decodes a wire point and checks it against the database's
-// point shape, so a malformed query is a 400, not a metric panic in a
-// worker.
+// decodePoint decodes a wire point and checks it.
 func (s *Server) decodePoint(raw json.RawMessage) (distperm.Point, error) {
 	q, err := DecodePoint(raw)
 	if err != nil {
 		return nil, err
 	}
+	return q, s.checkPoint(q)
+}
+
+// checkPoint checks a point against the database's point shape, so a
+// malformed query is a 400, not a metric panic in a worker.
+func (s *Server) checkPoint(q distperm.Point) error {
 	switch proto := s.proto.(type) {
 	case distperm.Vector:
 		v, ok := q.(distperm.Vector)
 		if !ok {
-			return nil, fmt.Errorf("this server serves vector points; got a string")
+			return fmt.Errorf("this server serves vector points; got a string")
 		}
 		if len(v) != len(proto) {
-			return nil, fmt.Errorf("query has %d dimensions, database has %d", len(v), len(proto))
+			return fmt.Errorf("query has %d dimensions, database has %d", len(v), len(proto))
 		}
 	case distperm.String:
 		if _, ok := q.(distperm.String); !ok {
-			return nil, fmt.Errorf("this server serves string points; got a vector")
+			return fmt.Errorf("this server serves string points; got a vector")
 		}
 	}
-	return q, nil
+	return nil
 }
 
 // backendErrorCode maps an engine error to an HTTP status: parameter

@@ -30,8 +30,10 @@ type serverMetrics struct {
 	endpoints   map[string]*endpointMetrics // by metricEndpoints path
 	inflight    *obs.Gauge
 	slowQueries *obs.Counter
-	batchSize   *obs.Histogram
-	flushes     map[string]*obs.Counter
+	// wireFallbacks counts query bodies the codec declined (wire.go).
+	wireFallbacks *obs.Counter
+	batchSize     *obs.Histogram
+	flushes       map[string]*obs.Counter
 }
 
 // endpointMetrics is one endpoint's request accounting: every request
@@ -73,6 +75,8 @@ func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend
 		"HTTP requests currently being served", nil)
 	m.slowQueries = reg.Counter("dpserver_slow_queries_total",
 		"Queries that exceeded the slow-query threshold", nil)
+	m.wireFallbacks = reg.Counter("dpserver_wire_fallbacks_total",
+		"Query bodies decoded by encoding/json because they left the codec's grammar", nil)
 	m.batchSize = reg.Histogram("dpserver_coalescer_batch_size",
 		"Queries per flushed coalescer batch", obs.DefSizeBuckets, nil)
 	for _, reason := range FlushReasons {

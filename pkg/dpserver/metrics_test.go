@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -260,20 +261,32 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricNamingConventions lints the live server exposition: every
 // family carries a known prefix, counters end in _total, histograms in a
-// unit suffix, and every family has help text.
+// unit suffix, and every family has help text. On the way it drives
+// dpserver_wire_fallbacks_total: a canonical body leaves it at 0, one the
+// codec declines ("Query") moves it to 1 and gets the same bytes back.
 func TestMetricNamingConventions(t *testing.T) {
 	_, ts, _, queries := testServer(t, 78, 200, 3, dpserver.Config{CacheSize: 4})
 	raw, err := dpserver.EncodePoint(queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/knn", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"query":%s,"k":2}`, string(raw))))
-	if err != nil {
-		t.Fatal(err)
+	var answers []string
+	for i, key := range []string{"query", "Query"} {
+		resp, err := http.Post(ts.URL+"/v1/knn", "application/json",
+			strings.NewReader(fmt.Sprintf(`{%q:%s,"k":2}`, key, string(raw))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		answers = append(answers, string(body))
+		if got := sampleValue(t, scrape(t, ts.URL), "dpserver_wire_fallbacks_total", nil); got != float64(i) {
+			t.Errorf("after a %q body dpserver_wire_fallbacks_total = %g, want %d", key, got, i)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	if answers[0] != answers[1] || !strings.Contains(answers[0], `"results"`) {
+		t.Errorf("the declined body got %q, the canonical one %q", answers[1], answers[0])
+	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -289,6 +302,29 @@ func TestMetricNamingConventions(t *testing.T) {
 	}
 	if problems := obs.Lint(fams, []string{"dpserver_", "distperm_"}); len(problems) > 0 {
 		t.Errorf("metric naming problems:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// TestMetricFamilyInventory pins the server-level families a read-only
+// server exports: one added or dropped shows up here, beside its lint.
+func TestMetricFamilyInventory(t *testing.T) {
+	_, ts, _, _ := testServer(t, 79, 100, 3, dpserver.Config{CacheSize: 4})
+	var got []string
+	for name := range scrape(t, ts.URL) {
+		if strings.HasPrefix(name, "dpserver_") {
+			got = append(got, name)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"dpserver_cache_entries", "dpserver_cache_evictions_total", "dpserver_cache_hits_total",
+		"dpserver_cache_invalidations_total", "dpserver_cache_misses_total", "dpserver_coalescer_batch_size",
+		"dpserver_coalescer_flushes_total", "dpserver_errors_total", "dpserver_inflight_requests",
+		"dpserver_request_duration_seconds", "dpserver_requests_total", "dpserver_slow_queries_total",
+		"dpserver_wire_fallbacks_total",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("server families:\n got  %v\n want %v", got, want)
 	}
 }
 

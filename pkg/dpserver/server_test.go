@@ -269,8 +269,8 @@ func TestServerSharded(t *testing.T) {
 }
 
 // requestErrorCases are the bodies TestServerRequestErrors posts to a
-// 100-point, 3-dimensional store and the status each must get; the /v1/knn
-// ones also seed FuzzKNNRequest.
+// 300-point, 3-dimensional store and the status each must get; the /v1/knn
+// ones also seed FuzzKNNRequest, and all of them FuzzWireCodec.
 var requestErrorCases = []struct {
 	path, body string
 	want       int
@@ -280,7 +280,7 @@ var requestErrorCases = []struct {
 	{"/v1/knn", `{"k": 1}`, http.StatusBadRequest},                                                     // no query
 	{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest}, // both
 	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 0}`, http.StatusBadRequest},                             // bad k
-	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101}`, http.StatusBadRequest},                           // k > n
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 301}`, http.StatusBadRequest},                           // k > n
 	{"/v1/knn", `{"query": [0.1,0.2], "k": 1}`, http.StatusBadRequest},                                 // wrong dims
 	{"/v1/knn", `{"query": "word", "k": 1}`, http.StatusBadRequest},                                    // wrong type
 	{"/v1/knn", `{"query": 7, "k": 1}`, http.StatusBadRequest},                                         // not a point
@@ -295,7 +295,7 @@ var requestErrorCases = []struct {
 	{"/v1/knn", `{"query": [0.1,0.2,0.3], "queries": [[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
 	{"/v1/knn", `{"query": [0.1,0.2], "k": 1, "approx": true}`, http.StatusBadRequest},
 	{"/v1/knn", `{"queries": [[0.1,0.2,0.3], "word"], "k": 1, "approx": true}`, http.StatusBadRequest},
-	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 101, "approx": true}`, http.StatusBadRequest},
+	{"/v1/knn", `{"query": [0.1,0.2,0.3], "k": 301, "approx": true}`, http.StatusBadRequest},
 	{"/v1/knn", `{"queries": [], "k": 1}`, http.StatusOK},
 	{"/v1/knn", `{"queries": [], "k": 1, "approx": true}`, http.StatusOK},
 	// A request carries at most 4096 queries: one more is a 400 that
@@ -304,12 +304,22 @@ var requestErrorCases = []struct {
 	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1}`, http.StatusBadRequest},
 	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "k": 1, "approx": true}`, http.StatusBadRequest},
 	{"/v1/range", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4096) + `[0.1,0.2,0.3]], "r": 0.1}`, http.StatusBadRequest},
+	// A kNN request asks for at most 1 << 20 answers, queries × k: one more
+	// is a 400 that names the limit, on the exact and the approximate path.
+	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 256}`, http.StatusOK},
+	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 257}`, http.StatusBadRequest},
+	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 257, "approx": true}`, http.StatusBadRequest},
+	// A query so far from the data that its distances overflow to +Inf,
+	// which JSON cannot carry: a 400 naming it, not an empty 200.
+	{"/v1/knn", `{"query": [1e300, 0, 0], "k": 1}`, http.StatusBadRequest},
+	{"/v1/knn", `{"queries": [[0.1,0.2,0.3], [1e300, 0, 0]], "k": 1}`, http.StatusBadRequest},
+	{"/v1/knn", `{"query": [1e300, 0, 0], "k": 1, "approx": true}`, http.StatusBadRequest},
 }
 
 // TestServerRequestErrors: malformed requests are clean 4xx JSON errors,
 // not panics or hangs.
 func TestServerRequestErrors(t *testing.T) {
-	_, ts, _, _ := testServer(t, 26, 100, 3, dpserver.Config{CacheSize: 4})
+	_, ts, _, _ := testServer(t, 26, 300, 3, dpserver.Config{CacheSize: 4})
 	post := func(path, body string) (int, string) {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -324,9 +334,12 @@ func TestServerRequestErrors(t *testing.T) {
 		code, body := post(tc.path, tc.body)
 		if len(tc.body) > 200 {
 			tc.body = tc.body[:60] + "…" + tc.body[len(tc.body)-40:]
-			if code == http.StatusBadRequest && !strings.Contains(body, "limit 4096") {
+			if code == http.StatusBadRequest && !strings.Contains(body, "limit 4096") && !strings.Contains(body, "limit 1048576") {
 				t.Errorf("POST %s %s: the 400 does not name the limit: %s", tc.path, tc.body, strings.TrimSpace(body))
 			}
+		}
+		if code == http.StatusBadRequest && strings.Contains(tc.body, "1e300") && !strings.Contains(body, "distance +Inf") {
+			t.Errorf("POST %s %s: the 400 does not name the distance: %s", tc.path, tc.body, strings.TrimSpace(body))
 		}
 		if code != tc.want {
 			t.Errorf("POST %s %s → %d (%s), want %d", tc.path, tc.body, code, strings.TrimSpace(body), tc.want)
@@ -359,24 +372,30 @@ func TestServerRequestErrors(t *testing.T) {
 
 // TestServerOversizedBody: a POST body over the server's fixed limit is
 // answered 413 with a JSON error — not buffered whole — counted against its
-// endpoint, and the server goes on answering.
+// endpoint, and the server goes on answering. A query body is read whole
+// before it is parsed, so one whose JSON value ends early is a 413 too (an
+// encoding/json stream decoder stopped at the value's end and answered it).
 func TestServerOversizedBody(t *testing.T) {
 	_, ts, _, _ := testServer(t, 27, 100, 3, dpserver.Config{})
-	big := `{"k": 1, "query": [` + strings.Repeat("0.25, ", 2<<20) + `0.25]}` // 12 MiB
-	resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	for i, big := range []string{
+		`{"k": 1, "query": [` + strings.Repeat("0.25, ", 2<<20) + `0.25]}`, // 12 MiB
+		`{"query": [0.1, 0.2, 0.3], "k": 1}` + strings.Repeat(" ", 9<<20),  // 9 MiB, the value in its first 35 bytes
+	} {
+		resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body.String(), `"error"`) {
+			t.Fatalf("oversized /v1/knn %q… → %d %q, want 413 with a JSON error", big[:35], resp.StatusCode, body.String())
+		}
+		if got := sampleValue(t, scrape(t, ts.URL), "dpserver_errors_total", map[string]string{"endpoint": "knn"}); got != float64(i+1) {
+			t.Errorf(`dpserver_errors_total{endpoint="knn"} = %v, want %d`, got, i+1)
+		}
 	}
-	var body bytes.Buffer
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body.String(), `"error"`) {
-		t.Fatalf("oversized /v1/knn → %d %q, want 413 with a JSON error", resp.StatusCode, body.String())
-	}
-	if got := sampleValue(t, scrape(t, ts.URL), "dpserver_errors_total", map[string]string{"endpoint": "knn"}); got != 1 {
-		t.Errorf(`dpserver_errors_total{endpoint="knn"} = %v, want 1`, got)
-	}
-	resp, err = http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(`{"query": [0.1, 0.2, 0.3], "k": 1}`))
+	resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(`{"query": [0.1, 0.2, 0.3], "k": 1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,7 +858,7 @@ func FuzzKNNRequest(f *testing.F) {
 			f.Add([]byte(tc.body))
 		}
 	}
-	srv, _, _, _ := testServer(f, 26, 100, 3, dpserver.Config{CacheSize: 4})
+	srv, _, _, _ := testServer(f, 26, 300, 3, dpserver.Config{CacheSize: 4})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/knn", bytes.NewReader(body)))

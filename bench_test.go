@@ -522,7 +522,7 @@ func BenchmarkServeLoopback(b *testing.B) {
 
 // BenchmarkMutableKNN measures the live-mutation read path: batched 1-NN
 // through a MutableEngine as the pending delta grows. delta=0 is the
-// pass-through cost of the gather-time filter/remap; larger deltas add the
+// pass-through cost of the snapshot's gid remap; larger deltas add the
 // exact linear scan each query pays until the background rebuild folds the
 // writes in — the knob -rebuild-threshold trades this per-query cost
 // against rebuild churn.
@@ -554,6 +554,61 @@ func BenchmarkMutableKNN(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMutableKNNTombstones measures a mutated store's exact read path:
+// single 10-NN queries through a 4-shard MutableEngine over 50k clustered
+// points with 64 tombstones and 64 delta points pending, as between two
+// rebuilds of the mixed read/write workload. Every shard's walk skips the
+// tombstones and prunes at the 10th live distance; the delta points are
+// offered to the merged answer.
+func BenchmarkMutableKNNTombstones(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	pts := dataset.ClusteredVectors(rng, 50_000, 6, 32, 0.05)
+	near := func() distperm.Point { // a stored point plus a little noise
+		v := slices.Clone(pts[rng.Intn(len(pts))].(metric.Vector))
+		for j := range v {
+			v[j] += 0.01 * rng.NormFloat64()
+		}
+		return v
+	}
+	db, err := distperm.NewDB(distperm.L2, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
+		Spec:   distperm.Spec{Index: "distperm", K: 12, Seed: 31},
+		Shards: 4, Partitioner: distperm.RoundRobin{}, Workers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer me.Close()
+	for _, id := range rng.Perm(db.N())[:64] {
+		if err := me.Delete(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for range 64 {
+		if _, err := me.Insert(near()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := make([]distperm.Point, 64)
+	for i := range queries {
+		queries[i] = near()
+	}
+	q := distperm.Query{K: 10}
+	if _, _, err := me.Search(queries[:1], q); err != nil { // the first query sweeps the bounds
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := me.Search(queries[i&63:i&63+1], q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -50,7 +52,7 @@ func orderedReference(x *PermIndex, q metric.Point, k int, r float64, cand map[i
 		}
 	}
 	if k > 0 {
-		return h.results()
+		return (&collector{h: h}).results()
 	}
 	sortResults(out)
 	return out
@@ -58,9 +60,9 @@ func orderedReference(x *PermIndex, q metric.Point, k int, r float64, cand map[i
 
 // referenceProbe recomputes an approximate query's probe schedule from the
 // directory alone — buckets ranked by prefix footrule (ties by bucket
-// number), widened past nprobe until k candidates are covered — and returns
-// the candidate set with the stats the query must report.
-func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int) (map[int]bool, ApproxStats) {
+// number), widened past nprobe until k candidates outside dead are covered —
+// and returns the candidate set with the stats the query must report.
+func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int, dead Tombs) (map[int]bool, ApproxStats) {
 	pb := x.buckets()
 	nb := pb.numBuckets()
 	qinv := x.permuter.Permutation(q).Inverse()
@@ -72,11 +74,14 @@ func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int) (map[int]bool, 
 	}
 	order := argsort(keys)
 	cand := map[int]bool{}
-	probed := 0
-	for probed < nb && (probed < nprobe || len(cand) < k) {
+	probed, live := 0, 0
+	for probed < nb && (probed < nprobe || live < k) {
 		b := order[probed]
 		for _, pt := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
 			cand[int(pt)] = true
+			if !dead.Has(int(pt)) {
+				live++
+			}
 		}
 		probed++
 	}
@@ -89,6 +94,51 @@ func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int) (map[int]bool, 
 	return cand, ApproxStats{
 		Stats: Stats{DistanceEvals: x.K() + len(cand)}, ProbedBuckets: probed,
 		TotalBuckets: nb, Candidates: len(cand),
+	}
+}
+
+// checkSkip is the dead-set leg: with dead left out, KNN, Range (at the k-th
+// live distance), KNNBatch and KNNApprox answer what LinearScan answers over
+// the live points, and the kNN walk measures no more than the walk it replaces
+// — KNN for k plus the dead count, then filtered.
+func checkSkip(t testing.TB, label string, x *PermIndex, q metric.Point, k int, dead Tombs) {
+	t.Helper()
+	n, sc := x.db.N(), Scope{Dead: dead}
+	all, _ := NewLinearScan(x.db).KNN(q, n)
+	live := slices.DeleteFunc(all, func(r Result) bool { return dead.Has(r.ID) })
+	ndead := n - len(live)
+	want := live[:min(k, len(live))]
+	got, st := sc.Search(x, q, k, 0)
+	sameBits(t, label+" KNN skipping", got, want)
+	if _, inflated := x.KNN(q, min(k+ndead, n)); st.DistanceEvals > inflated.DistanceEvals {
+		t.Fatalf("%s: the skipping walk measures %d, KNN for k + %d dead %d", label, st.DistanceEvals, ndead, inflated.DistanceEvals)
+	}
+	batch, _ := sc.KNNBatch(x, []metric.Point{q}, k)
+	sameBits(t, label+" KNNBatch skipping", batch[0], want)
+	if len(want) > 0 {
+		r := want[len(want)-1].Distance
+		gotR, _ := sc.Search(x, q, 0, r)
+		sameBits(t, label+" Range skipping", gotR, live[:sort.Search(len(live), func(i int) bool { return live[i].Distance > r })])
+	}
+	for _, nprobe := range []int{1, 4, x.ApproxBuckets()} {
+		cand, wantA := referenceProbe(x, q, k, nprobe, dead)
+		gotA, statsA := sc.KNNApprox(x, q, k, nprobe)
+		if wantA.Exact {
+			wantA.Stats, cand = st, nil
+		}
+		for id := range cand {
+			if dead.Has(id) {
+				delete(cand, id)
+			}
+		}
+		if wantA.Exact {
+			sameBits(t, fmt.Sprintf("%s KNNApprox(nprobe=%d) skipping", label, nprobe), gotA, want)
+		} else {
+			sameBits(t, fmt.Sprintf("%s KNNApprox(nprobe=%d) skipping", label, nprobe), gotA, orderedReference(x, q, k, 0, cand))
+		}
+		if statsA != wantA {
+			t.Fatalf("%s: KNNApprox(nprobe=%d) skipping stats %+v, want %+v", label, nprobe, statsA, wantA)
+		}
 	}
 }
 
@@ -202,9 +252,19 @@ func TestFullSetEquivalence(t *testing.T) {
 							t.Fatalf("%s: Range(-1) returned %v", label, none)
 						}
 
+						// Dead: the answer, and every seventh point from qi on.
+						dead := Tombs{}
+						for _, r := range want {
+							dead = dead.With(r.ID)
+						}
+						for i := qi; i < n; i += 7 {
+							dead = dead.With(i)
+						}
+						checkSkip(t, label, x, q, k, dead)
+
 						this := cost{knn: knnStats, rng: stats}
 						for pi, nprobe := range []int{1, 4, x.ApproxBuckets()} {
-							cand, wantA := referenceProbe(x, q, k, nprobe)
+							cand, wantA := referenceProbe(x, q, k, nprobe, nil)
 							if wantA.Exact {
 								wantA.Stats = knnStats // full coverage is KNN, bounds and all
 							}
@@ -260,7 +320,7 @@ func TestFullSetHeapOrderIndependence(t *testing.T) {
 			for _, r := range order {
 				h.push(r)
 			}
-			if got := h.results(); oi == 0 {
+			if got := (&collector{h: h}).results(); oi == 0 {
 				want = got
 			} else if !reflect.DeepEqual(got, want) {
 				t.Fatalf("k=%d: order %d left the heap with different results", k, oi)
@@ -339,7 +399,7 @@ func TestFullSetFallbacks(t *testing.T) {
 			gotR, _ := idx.Range(q, want[8].Distance)
 			sameBits(t, tc.name+" Range", gotR, wantR)
 			for _, nprobe := range []int{1, 3, idx.ApproxBuckets()} {
-				cand, wantA := referenceProbe(idx, q, 9, nprobe)
+				cand, wantA := referenceProbe(idx, q, 9, nprobe, nil)
 				gotA, statsA := idx.KNNApprox(q, 9, nprobe)
 				sameBits(t, fmt.Sprintf("%s KNNApprox(nprobe=%d)", tc.name, nprobe), gotA, orderedReference(idx, q, 9, 0, cand))
 				if statsA != wantA {

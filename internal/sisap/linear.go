@@ -20,22 +20,17 @@ func (s *LinearScan) IndexBits() int64 { return 0 }
 
 // KNN implements Index.
 func (s *LinearScan) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, s.db.N())
-	h := newKNNHeap(k)
-	for i, p := range s.db.Points {
-		h.push(Result{ID: i, Distance: s.db.Metric.Distance(q, p)})
-	}
-	return h.results(), Stats{DistanceEvals: s.db.N()}
+	return searchKNN(s, s.db.N(), q, k)
 }
 
 // Range implements Index.
 func (s *LinearScan) Range(q metric.Point, r float64) ([]Result, Stats) {
-	var out []Result
-	for i, p := range s.db.Points {
-		if d := s.db.Metric.Distance(q, p); d <= r {
-			out = append(out, Result{ID: i, Distance: d})
-		}
-	}
-	sortResults(out)
-	return out, Stats{DistanceEvals: s.db.N()}
+	return searchRange(s, q, r)
+}
+
+// search measures every point by Metric.Distance (measure's generic loop:
+// no rows, so the oracle shares no kernel with what it checks).
+func (s *LinearScan) search(q metric.Point, c *collector) Stats {
+	s.db.measure(q, nil, nil, 0, s.db.N(), c)
+	return Stats{DistanceEvals: s.db.N()}
 }

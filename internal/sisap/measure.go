@@ -2,20 +2,71 @@ package sisap
 
 import (
 	"math"
+	"slices"
 
 	"distperm/internal/metric"
 )
 
+// MaxResults is the most answers a range collector holds: one more and it
+// stops, so an answer of MaxResults + 1 says the true one is longer.
+const MaxResults = 1 << 20
+
+var maxRange = MaxResults // what the collector reads; tests lower it
+
+// Tombs is a copy-on-write set of point IDs, one bit each: With returns a new
+// set, so the one a published snapshot holds never changes.
+type Tombs []uint64
+
+// Has reports whether id is in the set.
+func (t Tombs) Has(id int) bool { return id>>6 < len(t) && t[id>>6]&(1<<(id&63)) != 0 }
+
+// With returns the set with ids added.
+func (t Tombs) With(ids ...int) Tombs {
+	u := slices.Clone(t)
+	for _, id := range ids {
+		for id>>6 >= len(u) {
+			u = append(u, 0)
+		}
+		u[id>>6] |= 1 << (id & 63)
+	}
+	return u
+}
+
+// Scope is the frame a query answers in: Part (nil: the identity) names the
+// searched index's point i Part[i] in the answer — a shard's part, a
+// snapshot's gids — and the points Dead names are left out. A dead point may
+// be measured, and counts in Stats, but it is never collected and never sets
+// a limit, so a walk prunes at the k-th distance it may answer with.
+type Scope struct {
+	Dead Tombs
+	Part []int
+}
+
+// under returns sc for a member index whose point i is the searched index's
+// point part[i].
+func (sc Scope) under(part []int) Scope {
+	if sc.Part != nil {
+		composed := make([]int, len(part))
+		for i, id := range part {
+			composed[i] = sc.Part[id]
+		}
+		part = composed
+	}
+	return Scope{sc.Dead, part}
+}
+
 // collector is where a measuring pass puts its candidates: the k best in a
 // bounded (distance, ID) heap, or — with h nil — everything within radius
-// r. Either way what it ends up holding is a function of the candidate
-// *set* alone, never of the order the candidates arrive in, which is what
-// lets every scan that measures its whole candidate set visit it in memory
-// order instead of permutation order.
+// r, at most maxRange + 1 of them. Either way what it ends up holding is a
+// function of the candidate *set* alone, never of the order the candidates
+// arrive in, which is what lets every scan that measures its whole candidate
+// set visit it in memory order instead of permutation order, and lets the
+// members of a container walk into one collector, each under its own scope.
 type collector struct {
 	h   *knnHeap
 	r   float64
 	out []Result
+	sc  Scope
 }
 
 // limit returns the distance above which a candidate cannot be kept.
@@ -28,12 +79,30 @@ func (c *collector) limit() float64 {
 
 // add offers one measured candidate and returns the new limit.
 func (c *collector) add(id int, d float64) float64 {
-	if c.h != nil {
+	if c.sc.Part != nil {
+		id = c.sc.Part[id]
+	}
+	switch {
+	case c.sc.Dead.Has(id):
+	case c.h != nil:
 		c.h.push(Result{ID: id, Distance: d})
-	} else if d <= c.r {
+	case d <= c.r:
 		c.out = append(c.out, Result{ID: id, Distance: d})
+		if len(c.out) > maxRange {
+			c.r = math.Inf(-1)
+		}
 	}
 	return c.limit()
+}
+
+// results returns what c holds in (distance, ID) order.
+func (c *collector) results() []Result {
+	rs := c.out
+	if c.h != nil {
+		rs = c.h.rs
+	}
+	sortResults(rs)
+	return rs
 }
 
 // Triangle-inequality elimination compares *computed* distances. The metric

@@ -11,8 +11,8 @@ import (
 // MutableIndex is the snapshot form of a live-mutated store: an immutable
 // base index over the first nb points of the database, a delta of unindexed
 // points (the rest of the database) answered by linear scan, and a tombstone
-// set of deleted points filtered at gather time. Every point carries a
-// stable global ID (gid) that survives rebuilds, deletions, and save/load;
+// set of deleted points every query leaves out (Scope). Every point carries
+// a stable global ID (gid) that survives rebuilds, deletions, and save/load;
 // query results report gids, so answers stay comparable across snapshots of
 // the same logical point set.
 //
@@ -24,8 +24,8 @@ import (
 //     and all below nextGid;
 //   - tombstones name gids present in the database.
 //
-// A query merges the base answer (tombstones filtered, IDs remapped to
-// gids) with a linear scan of the live delta — exactly the answer an index
+// A query collects the base answer and a linear scan of the delta, skipping
+// tombstones, and remaps IDs to gids — exactly the answer an index
 // built from scratch over the logical point set would give, with the
 // logical set ordered by gid. MutableIndex satisfies Index and Replicable,
 // so a plain engine can serve a loaded snapshot read-only; the live write
@@ -36,8 +36,8 @@ type MutableIndex struct {
 	nb      int
 	base    Index
 	gids    []int
-	tomb    map[int]struct{}
-	tombs   []int // ascending, the serialised form of tomb
+	dead    Tombs // tombs as a set
+	tombs   []int // ascending, the serialised form of dead
 	nextGid int
 }
 
@@ -51,8 +51,8 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 	if full == nil || full.N() == 0 {
 		return nil, fmt.Errorf("sisap: mutable index requires a non-empty database")
 	}
-	if base == nil {
-		return nil, fmt.Errorf("sisap: mutable index requires a base index")
+	if !Walks(base) {
+		return nil, fmt.Errorf("sisap: mutable index requires a base index of this package")
 	}
 	if nb < 1 || nb > full.N() {
 		return nil, fmt.Errorf("sisap: base prefix %d out of range 1..%d", nb, full.N())
@@ -70,7 +70,6 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 	if prev >= nextGid {
 		return nil, fmt.Errorf("sisap: max gid %d ≥ next gid %d", prev, nextGid)
 	}
-	tomb := make(map[int]struct{}, len(tombs))
 	prev = -1
 	for _, g := range tombs {
 		if g <= prev {
@@ -81,7 +80,6 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 		if i >= len(gids) || gids[i] != g {
 			return nil, fmt.Errorf("sisap: tombstone %d names no point", g)
 		}
-		tomb[g] = struct{}{}
 	}
 	return &MutableIndex{
 		full:    full,
@@ -89,7 +87,7 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 		nb:      nb,
 		base:    base,
 		gids:    gids,
-		tomb:    tomb,
+		dead:    Tombs{}.With(tombs...),
 		tombs:   append([]int(nil), tombs...),
 		nextGid: nextGid,
 	}, nil
@@ -109,7 +107,7 @@ func (x *MutableIndex) BaseDB() *DB { return x.baseDB }
 func (x *MutableIndex) BaseN() int { return x.nb }
 
 // LiveN returns the logical point count: all points minus tombstones.
-func (x *MutableIndex) LiveN() int { return x.full.N() - len(x.tomb) }
+func (x *MutableIndex) LiveN() int { return x.full.N() - len(x.tombs) }
 
 // NextGID returns the gid the next insert would take.
 func (x *MutableIndex) NextGID() int { return x.nextGid }
@@ -123,14 +121,11 @@ func (x *MutableIndex) GIDs() []int { return x.gids }
 func (x *MutableIndex) Tombstones() []int { return x.tombs }
 
 // Tombstoned reports whether gid is deleted.
-func (x *MutableIndex) Tombstoned(gid int) bool {
-	_, dead := x.tomb[gid]
-	return dead
-}
+func (x *MutableIndex) Tombstoned(gid int) bool { return x.dead.Has(gid) }
 
 // DB returns the full database: base points then delta points, including
-// tombstoned ones (the base index is built over them; they are filtered at
-// gather time).
+// tombstoned ones (the base index is built over them; every query skips
+// them).
 func (x *MutableIndex) DB() *DB { return x.full }
 
 // IndexBits counts the base index plus the snapshot bookkeeping: 64 bits of
@@ -159,44 +154,18 @@ func (x *MutableIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
 	return searchRange(x, q, r)
 }
 
-// search overlays the live delta on the base answer. The base index is
-// asked in the form c collects — for kNN, k plus the tombstone count, so at
-// least k live base points surface — its answer is filtered to live gids,
-// and every live delta point is measured, the evaluations counted with the
-// base's. pkg/distperm's MutableEngine carries the same semantics over its
-// deltaPoint buffer (which holds live points only, so it skips the
-// tombstone check).
+// search walks the base and scans the delta into c in the snapshot's own
+// scope (gids for names, the tombstones left out), so the base walk prunes at
+// the k-th live distance; the delta's evaluations count with the base's.
+// pkg/distperm's MutableEngine has the same semantics (Scope, Overlay).
 func (x *MutableIndex) search(q metric.Point, c *collector) Stats {
-	rs, st := forward(x.base, q, c, len(x.tomb), x.nb)
-	for _, r := range FilterLive(rs, x.gids, x.tomb) {
-		c.add(r.ID, r.Distance)
-	}
-	for local := x.nb; local < x.full.N(); local++ {
-		if g := x.gids[local]; !x.Tombstoned(g) {
-			c.add(g, x.full.Metric.Distance(q, x.full.Points[local]))
-			st.DistanceEvals++
-		}
-	}
+	outer := c.sc
+	c.sc = Scope{Dead: x.dead, Part: x.gids}
+	st := x.base.(searcher).search(q, c)
+	x.full.measure(q, nil, nil, x.nb, x.full.N(), c)
+	st.DistanceEvals += x.full.N() - x.nb
+	c.sc = outer
 	return st
-}
-
-// FilterLive is the shared gather step of the mutation design: it drops
-// tombstoned base answers and remaps base-local IDs to gids, in place.
-// Remapping preserves (distance, ID) order because gids are strictly
-// increasing in local order. Both MutableIndex and the live engine
-// (pkg/distperm MutableEngine) filter through here, so their answers
-// cannot drift.
-func FilterLive(rs []Result, gids []int, tomb map[int]struct{}) []Result {
-	keep := rs[:0]
-	for _, r := range rs {
-		g := gids[r.ID]
-		if _, dead := tomb[g]; dead {
-			continue
-		}
-		r.ID = g
-		keep = append(keep, r)
-	}
-	return keep
 }
 
 // --- mutable codec ---

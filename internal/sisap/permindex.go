@@ -53,7 +53,7 @@ func (p PermDistance) String() string {
 // distances a query computes anyway bound its distance to each bucket from
 // below. Exact search — KNN and Range on a packed database under L1, L2 or
 // L∞ whose buckets are large enough to be worth bounding — measures only the
-// buckets that bound cannot exclude (walk), each a contiguous run of a
+// buckets that bound cannot exclude (search), each a contiguous run of a
 // bucket-major copy of the coordinates, with answers byte-identical to a
 // linear scan. Whatever measures a candidate set in full — KNNBatch, exact
 // queries on a store without bounds, the buckets an approximate query
@@ -97,7 +97,7 @@ type permScratch struct {
 	keys   []int64          // per-point keys scattered from tkeys (orderKeys)
 	counts []int32          // counting-sort buckets, grown on demand
 	approx *approxScratch   // approximate-path workspace, on first approx query
-	qd     []float64        // query-to-site distances, len k (walk)
+	qd     []float64        // query-to-site distances, len k (search)
 	order  []bucketLB       // buckets a walk still has to order, grown on demand
 }
 
@@ -352,11 +352,15 @@ const scanTilePoints = 512
 // the database is walked once in point tiles, every query measured against
 // a tile while it is resident, each into its own heap.
 func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
+	checkK(k, x.db.N())
+	return x.knnBatch(qs, k, Scope{})
+}
+
+func (x *PermIndex) knnBatch(qs []metric.Point, k int, sc Scope) ([][]Result, []Stats) {
 	n := x.db.N()
-	checkK(k, n)
 	cs := make([]collector, len(qs))
 	for i := range cs {
-		cs[i].h = newKNNHeap(k)
+		cs[i] = collector{h: newKNNHeap(k), sc: sc}
 	}
 	for lo := 0; lo < n; lo += scanTilePoints {
 		for i, q := range qs {
@@ -366,7 +370,7 @@ func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	results := make([][]Result, len(qs))
 	stats := make([]Stats, len(qs))
 	for i := range cs {
-		results[i] = cs[i].h.results()
+		results[i] = cs[i].results()
 		stats[i] = Stats{DistanceEvals: x.K() + n}
 	}
 	return results, stats
@@ -397,31 +401,25 @@ func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats)
 			c.h.push(Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Points[i])})
 		}
 	}
-	return c.h.results(), Stats{DistanceEvals: x.K() + maxEvals}
+	return c.results(), Stats{DistanceEvals: x.K() + maxEvals}
 }
 
 // KNN implements Index, exactly: element for element what LinearScan
 // returns. Where the store carries bucket bounds only the buckets whose lower
-// bound does not exceed the k-th distance found so far are measured (walk);
+// bound does not exceed the k-th distance found so far are measured (search);
 // elsewhere every point is, in memory order. Cost: k site evaluations plus
 // the points measured, n + k without bounds.
 func (x *PermIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
-	checkK(k, x.db.N())
-	c := collector{h: newKNNHeap(k)}
-	st := x.walk(q, &c)
-	return c.h.results(), st
+	return searchKNN(x, x.db.N(), q, k)
 }
 
 // Range implements Index, exactly. The permutation carries no metric lower
 // bound but the site distances behind it do, so only the buckets whose lower
-// bound is within r are measured (walk); a store without bounds measures
+// bound is within r are measured (search); a store without bounds measures
 // every point, in memory order. Cost: k site evaluations plus the points
 // measured.
 func (x *PermIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
-	c := collector{r: r, out: []Result{}}
-	st := x.walk(q, &c)
-	sortResults(c.out)
-	return c.out, st
+	return searchRange(x, q, r)
 }
 
 // EvalsToFindTrueKNN reports how many database points must be measured, in

@@ -421,7 +421,7 @@ type bucketLB struct {
 	b  int
 }
 
-// walk answers an exact query into c by visiting prefix buckets instead of
+// search answers an exact query into c by visiting prefix buckets instead of
 // points. The k site distances the query is charged for anyway give every
 // bucket b a lower bound on the distance to any of its points,
 //
@@ -436,7 +436,7 @@ type bucketLB struct {
 // early; a range query's limit is fixed and the order moot. Either way c
 // ends up holding what the full scan would have (set-determined, see
 // collector), and on a store without bounds the full scan is what runs.
-func (x *PermIndex) walk(q metric.Point, c *collector) Stats {
+func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 	bb, k, n := x.bounds(), x.K(), x.db.N()
 	if bb == nil {
 		x.db.measure(q, x.db.block, x.db.order, 0, n, c)
@@ -507,13 +507,17 @@ func defaultNProbe(buckets int) int {
 // candidate.
 func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxStats) {
 	checkK(k, x.db.N())
+	return x.knnApprox(q, k, nprobe, Scope{})
+}
+
+func (x *PermIndex) knnApprox(q metric.Point, k, nprobe int, sc Scope) ([]Result, ApproxStats) {
 	pb := x.buckets()
 	nb := pb.numBuckets()
 	if nprobe <= 0 {
 		nprobe = defaultNProbe(nb)
 	}
 	exact := func() ([]Result, ApproxStats) {
-		rs, st := x.KNN(q, k)
+		rs, st := sc.collect(x, q, k, 0)
 		return rs, ApproxStats{
 			Stats: st, ProbedBuckets: nb, TotalBuckets: nb,
 			Candidates: x.db.N(), Exact: true,
@@ -530,22 +534,21 @@ func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxSt
 	}
 	maxBKey := pb.bucketKeys(s.qinv, a.bkeys)
 	s.counts = countingArgsortInto(a.bkeys, maxBKey, s.counts, a.border)
-	// Widen past nprobe until the candidate set can fill k answers; the
-	// probe order is fixed, so this only ever grows the candidate set.
+	// Measure bucket by bucket, widening past nprobe until the heap holds k
+	// points that are not dead; the probe order is fixed, so this only ever
+	// grows the candidate set. A probe that widens to every bucket is the
+	// exact query, answered as one.
+	c, rows := collector{h: newKNNHeap(k), sc: sc}, x.rows()
 	probed, npts := 0, 0
-	for probed < nb && (probed < nprobe || npts < k) {
-		b := a.border[probed]
-		npts += int(pb.ptStarts[b+1] - pb.ptStarts[b])
-		probed++
+	for ; probed < nb && (probed < nprobe || len(c.h.rs) < k); probed++ {
+		lo, hi := int(pb.ptStarts[a.border[probed]]), int(pb.ptStarts[a.border[probed]+1])
+		x.db.measure(q, rows, pb.ptOrder, lo, hi, &c)
+		npts += hi - lo
 	}
 	if probed >= nb {
 		return exact()
 	}
-	c, rows := collector{h: newKNNHeap(k)}, x.rows()
-	for _, b := range a.border[:probed] {
-		x.db.measure(q, rows, pb.ptOrder, int(pb.ptStarts[b]), int(pb.ptStarts[b+1]), &c)
-	}
-	return c.h.results(), ApproxStats{
+	return c.results(), ApproxStats{
 		Stats:         Stats{DistanceEvals: x.K() + npts},
 		ProbedBuckets: probed,
 		TotalBuckets:  nb,

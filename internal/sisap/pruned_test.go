@@ -14,7 +14,7 @@ import (
 	"distperm/internal/metric"
 )
 
-// The tests in this file pin the bucket walk (PermIndex.walk): its bounds
+// The tests in this file pin the bucket walk (PermIndex.search): its bounds
 // never exceed a computed distance, and the answers it prunes its way to
 // are LinearScan's, element for element, where pruning is most likely to
 // bite — ties across a bucket boundary and a radius that sits exactly on a
@@ -467,7 +467,8 @@ func prunedFuzzInput(data []byte) (m metric.Metric, pts []metric.Point, q metric
 
 // FuzzPrunedKNN: whatever small store, query and k the bytes describe,
 // pruned KNN and Range (at the k-th distance — a radius on a stored
-// distance) equal LinearScan element for element. The stores are far below
+// distance) equal LinearScan element for element, and so do they with a dead
+// set the bytes also describe left out (checkSkip). The stores are far below
 // boundMinFill, so their bounds are forced, and the seeds are checked to
 // reach a walk that prunes.
 func FuzzPrunedKNN(f *testing.F) {
@@ -516,5 +517,15 @@ func prunedFuzzCheck(t testing.TB, data []byte) Stats {
 	wantR, _ := linear.Range(q, want[k-1].Distance)
 	gotR, _ := idx.Range(q, want[k-1].Distance)
 	sameBits(t, "Range", gotR, wantR)
+	// The dead set: the first data[0]/8 mod (k+1) answers and every point
+	// whose ID is a multiple of 2 + data[1]/16.
+	dead := Tombs{}
+	for _, r := range want[:int(data[0]/8)%(k+1)] {
+		dead = dead.With(r.ID)
+	}
+	for i := 0; i < len(pts); i += 2 + int(data[1]/16) {
+		dead = dead.With(i)
+	}
+	checkSkip(t, "skipping", idx, q, k, dead)
 	return st
 }

@@ -2,7 +2,6 @@ package sisap
 
 import (
 	"fmt"
-	"math"
 
 	"distperm/internal/metric"
 )
@@ -81,8 +80,8 @@ func NewShardedIndex(db *DB, parts [][]int, build func(shard int, sdb *DB) (Inde
 		if err != nil {
 			return nil, fmt.Errorf("sisap: building shard %d: %w", s, err)
 		}
-		if idx == nil {
-			return nil, fmt.Errorf("sisap: shard %d built a nil index", s)
+		if !Walks(idx) {
+			return nil, fmt.Errorf("sisap: shard %d built a nil index or one of another package", s)
 		}
 		x.shards[s] = idx
 	}
@@ -107,7 +106,7 @@ func (x *ShardedIndex) Part(s int) []int { return x.parts[s] }
 // DB returns the global database the index partitions.
 func (x *ShardedIndex) DB() *DB { return x.db }
 
-// KNN gathers the global top k from every shard's min(k, shard size) best.
+// KNN gathers the global top k from every shard.
 func (x *ShardedIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
 	return searchKNN(x, x.db.N(), q, k)
 }
@@ -117,19 +116,19 @@ func (x *ShardedIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
 	return searchRange(x, q, r)
 }
 
-// search scatters the query to every shard, in the form c collects (a kNN
-// asks each for its min(k, shard size) best), and offers c each shard's
-// answer under global IDs. Stats sum across shards.
+// search walks every shard into c, each under c's scope composed with its
+// part, so a kNN shard prunes at the k-th distance of every shard before it.
+// Stats sum across shards.
 func (x *ShardedIndex) search(q metric.Point, c *collector) Stats {
 	var st Stats
+	outer := c.sc
 	for s, idx := range x.shards {
-		rs, sst := forward(idx, q, c, 0, x.dbs[s].N())
-		for _, r := range RemapShardResults(rs, x.parts[s]) {
-			c.add(r.ID, r.Distance)
-		}
+		c.sc = outer.under(x.parts[s])
+		sst := idx.(searcher).search(q, c)
 		st.DistanceEvals += sst.DistanceEvals
 		st.PrunedEvals += sst.PrunedEvals
 	}
+	c.sc = outer
 	return st
 }
 
@@ -159,31 +158,28 @@ func (x *ShardedIndex) Replica() Index {
 }
 
 // RemapShardResults rewrites shard-local result IDs to global IDs via the
-// shard's local→global part, in place.
+// shard's local→global part (nil: the identity), in place.
 func RemapShardResults(rs []Result, part []int) []Result {
-	for i := range rs {
+	for i := 0; part != nil && i < len(rs); i++ {
 		rs[i].ID = part[rs[i].ID]
 	}
 	return rs
 }
 
 // MergeKNN gathers per-shard kNN answers (already remapped to global IDs)
-// into the global top k in (distance, ID) order.
+// into the global top k in (distance, ID) order; with k = 0 it merges
+// per-shard range answers, keeping all.
 func MergeKNN(perShard [][]Result, k int) []Result {
 	var all []Result
 	for _, rs := range perShard {
 		all = append(all, rs...)
 	}
 	sortResults(all)
-	if len(all) > k {
+	if k > 0 && len(all) > k {
 		all = all[:k]
 	}
 	return all
 }
-
-// MergeRange gathers per-shard range answers (already remapped to global
-// IDs) into one (distance, ID)-ordered slice: MergeKNN without a bound.
-func MergeRange(perShard [][]Result) []Result { return MergeKNN(perShard, math.MaxInt) }
 
 // --- sharded codec ---
 

@@ -27,18 +27,21 @@
 // limit excludes. A collector (measure.go) is the k best so far in a bounded
 // heap, its limit the k-th distance, or everything within a radius, its
 // limit the radius — so KNN and Range are one walk under two collectors,
-// written once (searchKNN, searchRange) for every kind but LinearScan, the
-// oracle, and PermIndex, whose walk predates them; the ShardedIndex and
-// MutableIndex containers are searchers too (one scatter, one overlay). All
+// written once (searchKNN, searchRange) for every kind; the ShardedIndex and
+// MutableIndex containers walk their members into the same collector. A
+// collector answers in a Scope: IDs renamed, and a dead set measured but
+// never collected, so a mutated store's walk prunes at its k-th live
+// distance. All
 // six pruning kinds skip through slackGap/lowerBound (measure.go) — a raw
 // float triangle bound drops points lying exactly on the limit — whose
 // rounding argument covers L1, L2 and L∞ only.
 package sisap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"distperm/internal/metric"
 )
@@ -227,39 +230,90 @@ type searcher interface {
 	search(q metric.Point, c *collector) Stats
 }
 
+// Walks reports whether x's walk sees a Scope's dead set: x is of this package.
+func Walks(x Index) bool { _, ok := x.(searcher); return ok }
+
 // searchKNN is Index.KNN over a searcher of n points: a heap collector.
 func searchKNN(s searcher, n int, q metric.Point, k int) ([]Result, Stats) {
 	checkK(k, n)
-	c := collector{h: newKNNHeap(k)}
-	st := s.search(q, &c)
-	return c.h.results(), st
+	return Scope{}.collect(s, q, k, 0)
 }
 
 // searchRange is Index.Range over a searcher: a radius collector.
 func searchRange(s searcher, q metric.Point, r float64) ([]Result, Stats) {
-	c := collector{r: r}
-	st := s.search(q, &c)
-	sortResults(c.out)
-	return c.out, st
+	return Scope{}.collect(s, q, 0, r)
 }
 
-// forward puts the query c is collecting to a whole index of n points, for
-// the containers that search through member indexes: range at c's radius, or
-// kNN for c's k plus extra (what the caller will discard), at most n.
-func forward(x Index, q metric.Point, c *collector, extra, n int) ([]Result, Stats) {
-	if c.h != nil {
-		return x.KNN(q, min(c.h.k+extra, n))
+// collect runs s's traversal into a collector in scope sc for the k best or,
+// with k = 0, everything within r.
+func (sc Scope) collect(s searcher, q metric.Point, k int, r float64) ([]Result, Stats) {
+	c := collector{r: r, sc: sc}
+	if k > 0 {
+		c.h = newKNNHeap(k)
 	}
-	return x.Range(q, c.r)
+	st := s.search(q, &c)
+	return c.results(), st
+}
+
+// Search is x.KNN(q, k), or x.Range(q, r) when k is 0, in scope sc: a kNN
+// answer is shorter than k when fewer than k points are left. An Index of
+// another package is only renamed: it cannot leave points out.
+func (sc Scope) Search(x Index, q metric.Point, k int, r float64) ([]Result, Stats) {
+	if s, ok := x.(searcher); ok {
+		return sc.collect(s, q, k, r)
+	}
+	if k > 0 {
+		rs, st := x.KNN(q, k)
+		return RemapShardResults(rs, sc.Part), st
+	}
+	rs, st := x.Range(q, r)
+	return RemapShardResults(rs, sc.Part), st
+}
+
+// KNNBatch is x.KNNBatch(qs, k) in scope sc.
+func (sc Scope) KNNBatch(x BatchIndex, qs []metric.Point, k int) ([][]Result, []Stats) {
+	if px, ok := x.(*PermIndex); ok {
+		return px.knnBatch(qs, k, sc)
+	}
+	rss, sts := x.KNNBatch(qs, k)
+	for _, rs := range rss {
+		RemapShardResults(rs, sc.Part)
+	}
+	return rss, sts
+}
+
+// KNNApprox is x.KNNApprox(q, k, nprobe) in scope sc: the probe set widens
+// until it holds k points that are not dead.
+func (sc Scope) KNNApprox(x ApproxIndex, q metric.Point, k, nprobe int) ([]Result, ApproxStats) {
+	if px, ok := x.(*PermIndex); ok {
+		return px.knnApprox(q, k, nprobe, sc)
+	}
+	rs, st := x.KNNApprox(q, k, nprobe)
+	return RemapShardResults(rs, sc.Part), st
+}
+
+// Overlay offers rs — a kNN answer for k or, with k = 0, a range answer at
+// radius r — points 0..n-1, point i being at(i) = (its ID, the point), and
+// returns the answer over both in (distance, ID) order, measured under m.
+func Overlay(m metric.Metric, q metric.Point, rs []Result, k int, r float64, n int, at func(i int) (int, metric.Point)) []Result {
+	c := collector{r: r}
+	if k > 0 {
+		c.h = newKNNHeap(k)
+	}
+	for _, x := range rs {
+		c.add(x.ID, x.Distance)
+	}
+	for i := 0; i < n; i++ {
+		id, p := at(i)
+		c.add(id, m.Distance(q, p))
+	}
+	return c.results()
 }
 
 // sortResults orders results by (distance, id).
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Distance != rs[j].Distance {
-			return rs[i].Distance < rs[j].Distance
-		}
-		return rs[i].ID < rs[j].ID
+	slices.SortFunc(rs, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID, b.ID))
 	})
 }
 
@@ -329,12 +383,6 @@ func (h *knnHeap) siftDown(i int) {
 		h.rs[i], h.rs[largest] = h.rs[largest], h.rs[i]
 		i = largest
 	}
-}
-
-func (h *knnHeap) results() []Result {
-	out := append([]Result(nil), h.rs...)
-	sortResults(out)
-	return out
 }
 
 func checkK(k, n int) {

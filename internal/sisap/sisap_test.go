@@ -2,6 +2,8 @@ package sisap
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -239,15 +241,15 @@ func TestHeapBehaviour(t *testing.T) {
 	} {
 		h.push(r)
 	}
-	rs := h.results()
+	if h.bound() != 0.5 {
+		t.Errorf("bound = %v, want 0.5", h.bound())
+	}
+	rs := (&collector{h: h}).results() // sorts the heap's own slice: last
 	want := []int{3, 1, 4}
 	for i := range want {
 		if rs[i].ID != want[i] {
 			t.Fatalf("heap results %v", rs)
 		}
-	}
-	if h.bound() != 0.5 {
-		t.Errorf("bound = %v, want 0.5", h.bound())
 	}
 }
 
@@ -309,6 +311,53 @@ func TestDistanceEvalsPinned(t *testing.T) {
 			if got[kind] != w {
 				t.Errorf("d=%d %s: %d kNN / %d range evaluations, want %d / %d", d, kind, got[kind][0], got[kind][1], w[0], w[1])
 			}
+		}
+	}
+}
+
+// TestAllIndexesSkipDead: every kind, and a sharded container over one,
+// leaves a dead set out of its kNN and range answers inside its
+// walk — what LinearScan answers over the live points — down to a dead set
+// holding every point.
+func TestAllIndexesSkipDead(t *testing.T) {
+	for _, m := range []metric.Metric{metric.L2{}, metric.LInf{}} {
+		db, rng := testDB(23, 200, 2, m)
+		indexes := append(buildAll(db, rng), NewIAESA(db))
+		sx, err := NewShardedIndex(db, roundRobinParts(db.N(), 3), func(_ int, sdb *DB) (Index, error) { return NewVPTree(sdb, rng), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes = append(indexes, sx)
+		all, _ := indexes[0].KNN(dataset.UniformVectors(rng, 1, 2)[0], db.N())
+		for _, dead := range []Tombs{Tombs{}.With(all[0].ID, all[1].ID, all[2].ID), Tombs{}.With(rng.Perm(db.N())[:150]...), Tombs{}.With(rng.Perm(db.N())...)} {
+			for _, q := range dataset.UniformVectors(rng, 5, 2) {
+				all, _ := indexes[0].KNN(q, db.N())
+				live := slices.DeleteFunc(all, func(r Result) bool { return dead.Has(r.ID) })
+				for _, idx := range indexes {
+					sc := Scope{Dead: dead}
+					got, _ := sc.Search(idx, q, 10, 0)
+					sameResults(t, m.Name()+"/"+idx.Name()+" kNN", got, live[:min(10, len(live))])
+					got, _ = sc.Search(idx, q, 0, 0.3)
+					sameResults(t, m.Name()+"/"+idx.Name()+" range", got, live[:sort.Search(len(live), func(i int) bool { return live[i].Distance > 0.3 })])
+				}
+			}
+		}
+	}
+}
+
+// TestRangeStopsPastMaxRange: a radius collector holds at most maxRange + 1
+// answers, whichever kind walks into it, so an answer one past the limit is
+// how every caller learns the true one was longer.
+func TestRangeStopsPastMaxRange(t *testing.T) {
+	defer func(m int) { maxRange = m }(maxRange)
+	maxRange = 20
+	db, rng := testDB(24, 200, 2, metric.L2{})
+	for _, idx := range append(buildAll(db, rng), NewIAESA(db)) {
+		if got, _ := idx.Range(metric.Vector{0.5, 0.5}, 10); len(got) != maxRange+1 {
+			t.Errorf("%s: a range over every point holds %d answers, want %d", idx.Name(), len(got), maxRange+1)
+		}
+		if got, _ := idx.Range(metric.Vector{0.5, 0.5}, 0.05); len(got) > maxRange {
+			t.Errorf("%s: a range of %d answers was cut", idx.Name(), len(got))
 		}
 	}
 }

@@ -263,6 +263,8 @@ type job struct {
 	q    Query
 	outs [][]Result
 	asts []ApproxStats // non-nil iff q.Approx
+	// dead is what no answer may hold: the view's deleted points.
+	dead sisap.Tombs
 	// batched routes an exact kNN job through the replica's KNNBatch (one
 	// walk of the coordinate tiles for the whole job) and counts it in
 	// BatchedQueries. It belongs to the search, not this job: a 2-query
@@ -350,6 +352,7 @@ func (p *pool) worker() {
 func (p *pool) serve(idx Index, j job) {
 	start := time.Now()
 	c := EngineStats{Queries: int64(len(j.qs))}
+	sc := sisap.Scope{Dead: j.dead, Part: j.v.segs[j.seg].part}
 	switch {
 	case j.q.Approx:
 		c.ApproxQueries = c.Queries
@@ -357,7 +360,7 @@ func (p *pool) serve(idx Index, j job) {
 		// approx-capable, and a replica is of its index's own type.
 		ax := idx.(sisap.ApproxIndex)
 		for i, q := range j.qs {
-			j.outs[i], j.asts[i] = ax.KNNApprox(q, j.q.K, j.q.NProbe)
+			j.outs[i], j.asts[i] = sc.KNNApprox(ax, q, j.q.K, j.q.NProbe)
 			st := j.asts[i]
 			c.DistanceEvals += int64(st.DistanceEvals)
 			c.PrunedEvals += int64(st.PrunedEvals)
@@ -367,7 +370,7 @@ func (p *pool) serve(idx Index, j job) {
 	case j.batched:
 		c.BatchedQueries = c.Queries
 		// batched is set only for a batch-native segment index (same argument).
-		rs, sts := idx.(sisap.BatchIndex).KNNBatch(j.qs, j.q.K)
+		rs, sts := sc.KNNBatch(idx.(sisap.BatchIndex), j.qs, j.q.K)
 		copy(j.outs, rs)
 		for _, st := range sts {
 			c.DistanceEvals += int64(st.DistanceEvals)
@@ -376,18 +379,9 @@ func (p *pool) serve(idx Index, j job) {
 	default:
 		for i, q := range j.qs {
 			var st Stats
-			if j.q.knn() {
-				j.outs[i], st = idx.KNN(q, j.q.K)
-			} else {
-				j.outs[i], st = idx.Range(q, j.q.Radius)
-			}
+			j.outs[i], st = sc.Search(idx, q, j.q.K, j.q.Radius)
 			c.DistanceEvals += int64(st.DistanceEvals)
 			c.PrunedEvals += int64(st.PrunedEvals)
-		}
-	}
-	if part := j.v.segs[j.seg].part; part != nil {
-		for _, rs := range j.outs {
-			sisap.RemapShardResults(rs, part)
 		}
 	}
 	sec := (time.Since(start) / time.Duration(len(j.qs))).Seconds()
@@ -418,7 +412,7 @@ func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) 
 		return nil, nil, err
 	}
 	defer e.inflight.Done()
-	return e.search(e.view, qs, q)
+	return e.search(e.view, qs, q, nil)
 }
 
 // enter registers one search with the pool; it fails once Close has begun.
@@ -433,7 +427,8 @@ func (p *pool) enter() error {
 }
 
 // search answers q for every point of qs on every segment of v and gathers
-// the per-segment answers; the caller has entered the pool and validated q.
+// the per-segment answers, leaving out the view's points dead names;
+// the caller has entered the pool and validated q.
 //
 // Each segment is asked for its min(K, segment size) best. Multi-query kNN
 // over a batch-native segment, and every approximate search, travel as
@@ -453,7 +448,7 @@ func (p *pool) enter() error {
 // exact query; a segment without the capability fails the batch with
 // ErrNoApprox. A one-segment view has nothing to merge: the workers' slices
 // are returned as they are.
-func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, error) {
+func (p *pool) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Result, []ApproxStats, error) {
 	if q.Approx {
 		for _, seg := range v.segs {
 			if _, ok := seg.idx.(sisap.ApproxIndex); !ok {
@@ -480,7 +475,7 @@ func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, 
 		}
 		for base := 0; base < len(qs); base += chunk {
 			end := min(base+chunk, len(qs))
-			j := job{v: v, seg: s, qs: qs[base:end], q: sq, outs: perSeg[s][base:end], batched: batched, wg: &wg}
+			j := job{v: v, seg: s, qs: qs[base:end], q: sq, outs: perSeg[s][base:end], dead: dead, batched: batched, wg: &wg}
 			if q.Approx {
 				j.asts = perStats[s][base:end]
 			}
@@ -490,7 +485,7 @@ func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, 
 	}
 	wg.Wait()
 	if len(v.segs) == 1 {
-		return perSeg[0], perStats[0], nil
+		return perSeg[0], perStats[0], rangeFits(perSeg[0])
 	}
 	outs := make([][]Result, len(qs))
 	var asts []ApproxStats
@@ -502,11 +497,7 @@ func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, 
 		for s := range v.segs {
 			gather[s] = perSeg[s][qi]
 		}
-		if q.knn() {
-			outs[qi] = sisap.MergeKNN(gather, q.K)
-		} else {
-			outs[qi] = sisap.MergeRange(gather)
-		}
+		outs[qi] = sisap.MergeKNN(gather, q.K)
 		if q.Approx {
 			agg := ApproxStats{Exact: true}
 			for s := range v.segs {
@@ -521,7 +512,17 @@ func (p *pool) search(v *view, qs []Point, q Query) ([][]Result, []ApproxStats, 
 			asts[qi] = agg
 		}
 	}
-	return outs, asts, nil
+	return outs, asts, rangeFits(outs)
+}
+
+// rangeFits fails a search with an answer a range collector cut short.
+func rangeFits(outs [][]Result) error {
+	for _, rs := range outs {
+		if len(rs) > sisap.MaxResults {
+			return fmt.Errorf("distperm: a range answer holds more than %d results: %w", sisap.MaxResults, ErrOutOfRange)
+		}
+	}
+	return nil
 }
 
 func (e *Engine) served() *view { return e.view }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,8 +26,11 @@ import (
 // a delta and gids over it and rebuilds out of it. No WAL or crash legs yet. The distperm
 // legs steer every segment across boundMinFill and hold the paper's count as
 // an invariant of every rebuilt table; two shorter legs rebuild into a
-// VP-tree and into LAESA, so those kinds' traversals run under tombstone
-// over-fetch, delta merge and the save/load round trip too.
+// VP-tree and into LAESA, so those kinds' traversals run under the tombstone
+// skip, delta merge and the save/load round trip too. A mutable store's walk
+// skips its tombstones and prunes at the k-th live distance;
+// TestModelCheckedTombstones holds that where it is hardest: more tombstones
+// near a query than k, and a segment with fewer than k live points.
 
 // model is the oracle: the live points by global ID, and a scan of them
 // sorted by (distance, ID).
@@ -79,6 +83,8 @@ type modelRun struct {
 	ids  []int // the live IDs, in a history-determined order
 	dead []int
 	next int
+	// focus, when set, is asked about as often as all other queries together.
+	focus Point
 
 	// flip is the store size at which a rebuilt segment crosses boundMinFill;
 	// grow says which way the writes lean. walked holds, per segment, whether
@@ -98,6 +104,9 @@ func (r *modelRun) point() Point { return Vector{r.rng.Float64(), r.rng.Float64(
 // query draws a query point: a fresh one, or a live point itself — with
 // duplicates in the store that is a tie at distance zero.
 func (r *modelRun) query() Point {
+	if r.focus != nil && r.rng.Intn(2) == 0 {
+		return r.focus
+	}
 	if r.rng.Intn(2) == 0 {
 		return r.point()
 	}
@@ -180,20 +189,24 @@ func (r *modelRun) insert() {
 	r.live[gid], r.ids, r.next = p, append(r.ids, gid), r.next+1
 }
 
+// kill deletes the live ID r.ids[i].
+func (r *modelRun) kill(i int) {
+	gid := r.ids[i]
+	r.op = fmt.Sprintf("delete %d", gid)
+	if err := r.mut.Delete(gid); err != nil {
+		r.failf("Delete of a live id: %v", err)
+	}
+	delete(r.live, gid)
+	r.ids[i] = r.ids[len(r.ids)-1]
+	r.ids, r.dead = r.ids[:len(r.ids)-1], append(r.dead, gid)
+}
+
 // remove deletes a live ID, or checks that a dead or never-issued one is
 // refused with ErrUnknownID.
 func (r *modelRun) remove() {
 	switch what := r.rng.Intn(10); {
 	case what < 7 && len(r.ids) > modelSites+8:
-		i := r.rng.Intn(len(r.ids))
-		gid := r.ids[i]
-		r.op = fmt.Sprintf("delete %d", gid)
-		if err := r.mut.Delete(gid); err != nil {
-			r.failf("Delete of a live id: %v", err)
-		}
-		delete(r.live, gid)
-		r.ids[i] = r.ids[len(r.ids)-1]
-		r.ids, r.dead = r.ids[:len(r.ids)-1], append(r.dead, gid)
+		r.kill(r.rng.Intn(len(r.ids)))
 	case what < 9 && len(r.dead) > 0:
 		gid := r.dead[r.rng.Intn(len(r.dead))]
 		r.op = fmt.Sprintf("delete dead %d", gid)
@@ -384,6 +397,43 @@ func (r *modelRun) run() {
 	}
 }
 
+// newModelRun starts a history over n random points: a MutableEngine when
+// mutable, else a plain Engine, over spec built whole or, with shards > 1,
+// into that many RoundRobin shards (point g in shard g mod shards).
+func newModelRun(t *testing.T, name string, seed int64, spec Spec, shards int, mutable bool, n int) *modelRun {
+	r := &modelRun{t: t, name: name, seed: seed, rng: rand.New(rand.NewSource(seed)), live: model{}}
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = r.point()
+		r.live[i], r.ids = pts[i], append(r.ids, i)
+	}
+	r.next = n
+	db, err := NewDB(L2, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = seed
+	r.cfg = MutableConfig{Spec: spec, Workers: 2}
+	if shards > 1 {
+		r.cfg.Shards, r.cfg.Partitioner = shards, RoundRobin{}
+	}
+	idx, err := buildForConfig(db, r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutable {
+		r.mut, err = WrapMutable(db, idx, r.cfg)
+		r.eng = r.mut
+	} else {
+		r.eng, err = NewEngine(db, idx, 2)
+		r.px, _ = idx.(*PermIndex)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestModelCheckedStore runs the histories over the four distperm
 // compositions, and a third as many over the two other kinds. A failure
 // prints the composition, seed and step; the history is a function of the
@@ -408,42 +458,14 @@ func TestModelCheckedStore(t *testing.T) {
 		}
 		ups, downs, maps := 0, 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			r := &modelRun{t: t, name: c.name, seed: seed, rng: rand.New(rand.NewSource(seed)),
-				live: model{}, flip: modelFlip * c.shards, grow: seed%2 == 1}
 			// Odd seeds start below the flip and grow, even ones above it.
-			n := r.flip - modelSwing/2
-			if !r.grow {
-				n = r.flip + modelSwing/2
+			grow := seed%2 == 1
+			n := modelFlip*c.shards - modelSwing/2
+			if !grow {
+				n += modelSwing
 			}
-			pts := make([]Point, n)
-			for i := range pts {
-				pts[i] = r.point()
-				r.live[i], r.ids = pts[i], append(r.ids, i)
-			}
-			r.next = n
-			db, err := NewDB(L2, pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec.Seed = seed
-			r.cfg = MutableConfig{Spec: spec, Workers: 2}
-			if c.shards > 1 {
-				r.cfg.Shards, r.cfg.Partitioner = c.shards, RoundRobin{}
-			}
-			idx, err := buildForConfig(db, r.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.mutable {
-				r.mut, err = WrapMutable(db, idx, r.cfg)
-				r.eng = r.mut
-			} else {
-				r.eng, err = NewEngine(db, idx, 2)
-				r.px, _ = idx.(*PermIndex)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newModelRun(t, c.name, seed, spec, c.shards, c.mutable, n)
+			r.flip, r.grow = modelFlip*c.shards, grow
 			r.run()
 			ups, downs, maps = ups+r.ups, downs+r.downs, maps+r.maps
 		}
@@ -456,6 +478,60 @@ func TestModelCheckedStore(t *testing.T) {
 		t.Logf("%s: %d seeds × %d steps, segments flipped scan → walk %d times, walk → scan %d", c.name, seeds, modelSteps, ups, downs)
 		if ups == 0 || downs == 0 {
 			t.Errorf("%s: %d segments flipped from scan to walk and %d back over %d seeds; the histories must cross boundMinFill both ways", c.name, ups, downs, seeds)
+		}
+	}
+}
+
+// TestModelCheckedTombstones piles up, with no rebuild to fold them away, the
+// tombstones a walk has to skip without losing an answer: first the points of
+// segment 0 nearest a query asked about throughout, more of them than the
+// largest k asked, then every other point segment 0 holds, so it answers with
+// fewer than k live points, or none. Every query form is checked after each
+// delete; a rebuild and a fresh insert end the history.
+func TestModelCheckedTombstones(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		kind   string
+		shards int
+	}{{"mutable", "distperm", 1}, {"mutable/4-shard", "distperm", 4}, {"mutable/4-shard/laesa", "laesa", 4}} {
+		for seed := int64(1); seed <= 2; seed++ {
+			r := newModelRun(t, c.name, seed, Spec{Index: c.kind, K: modelSites}, c.shards, true, 2*modelFlip*c.shards)
+			func() {
+				defer r.eng.Close()
+				if c.shards == 1 {
+					// Segment 0 is the whole base: the delta keeps the store answering.
+					for range 8 {
+						r.insert()
+					}
+				}
+				r.focus = r.point()
+				seg0 := func(gid int) bool { return gid%c.shards == 0 && gid < 2*modelFlip*c.shards }
+				near := 0
+				for _, res := range r.live.scan(r.focus) {
+					if seg0(res.ID) && near <= 2*8 {
+						r.kill(slices.Index(r.ids, res.ID))
+						r.ask()
+						near++
+					}
+				}
+				for i := len(r.ids) - 1; i >= 0; i-- {
+					if seg0(r.ids[i]) {
+						r.kill(i)
+						r.ask()
+					}
+				}
+				if got, want := r.mut.MutationStats().Tombstones, 2*modelFlip; got != want {
+					r.failf("%d tombstones pending, want segment 0's %d points", got, want)
+				}
+				for range 8 {
+					r.ask()
+				}
+				r.rebuild()
+				r.insert()
+				for range 8 {
+					r.ask()
+				}
+			}()
 		}
 	}
 }

@@ -67,14 +67,17 @@ type deltaPoint struct {
 // of a batch and never block on writers or rebuilds.
 type mutSnapshot struct {
 	view    *view
-	gids    []int // base local -> gid, strictly increasing
-	maxBase int   // gids[len(gids)-1]
-	tomb    map[int]struct{}
+	gids    []int        // base local -> gid, strictly increasing
+	maxBase int          // gids[len(gids)-1]
+	dead    sisap.Tombs  // the tombstoned base points' local IDs
 	delta   []deltaPoint // ascending gid, every gid > maxBase
 	logical int          // live point count
 }
 
-func (s *mutSnapshot) pending() int { return len(s.delta) + len(s.tomb) }
+func (s *mutSnapshot) pending() int { return len(s.delta) + s.tombs() }
+
+// tombs returns the number of tombstones.
+func (s *mutSnapshot) tombs() int { return len(s.gids) + len(s.delta) - s.logical }
 
 // findDelta returns the position of gid in the delta, or (i, false) with
 // the insertion point.
@@ -90,16 +93,12 @@ func (s *mutSnapshot) live(gid int) bool {
 		return ok
 	}
 	i := sort.SearchInts(s.gids, gid)
-	if i >= len(s.gids) || s.gids[i] != gid {
-		return false
-	}
-	_, dead := s.tomb[gid]
-	return !dead
+	return i < len(s.gids) && s.gids[i] == gid && !s.dead.Has(i)
 }
 
 // MutableEngine serves any built index with a live write path: inserts land
 // in a linear-scanned delta buffer whose results merge into every kNN/range
-// answer, deletes are tombstones filtered at gather time, and a background
+// answer, deletes are tombstones every walk skips, and a background
 // rebuilder folds delta and tombstones into a freshly built index whose view
 // is swapped in atomically — a reader holds one snapshot per batch and never
 // sees a torn index; a superseded view is garbage once its last reader
@@ -206,10 +205,11 @@ func buildForConfig(db *DB, cfg MutableConfig) (Index, error) {
 // WrapMutable wraps an already-built index (any kind, including "sharded")
 // with the write path. idx must have been built on db; the db points take
 // global IDs 0..N-1. An empty cfg.Spec.Index defaults to idx's kind, so
-// rebuilds reproduce what was wrapped.
+// rebuilds reproduce what was wrapped. idx must be one this package built or
+// read: a deleted point is left out inside its walk.
 func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*MutableEngine, error) {
-	if db == nil || db.N() == 0 || idx == nil {
-		return nil, errors.New("distperm: WrapMutable requires a database and an index")
+	if db == nil || db.N() == 0 || !sisap.Walks(idx) {
+		return nil, errors.New("distperm: WrapMutable requires a database and an index of this package")
 	}
 	gids := make([]int, db.N())
 	for i := range gids {
@@ -288,9 +288,9 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 		done:    make(chan struct{}),
 	}
 	m.engineAPI = engineAPI{m}
-	tomb := make(map[int]struct{}, len(tombs))
-	for _, g := range tombs {
-		tomb[g] = struct{}{}
+	locals := make([]int, len(tombs))
+	for i, g := range tombs {
+		locals[i] = sort.SearchInts(gids, g)
 	}
 	for i := range delta {
 		delta[i].shard = m.routeShard(delta[i].gid, delta[i].p)
@@ -299,9 +299,9 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 		view:    v,
 		gids:    gids,
 		maxBase: gids[len(gids)-1],
-		tomb:    tomb,
+		dead:    sisap.Tombs{}.With(locals...),
 		delta:   delta,
-		logical: len(gids) - len(tomb) + len(delta),
+		logical: len(gids) - len(tombs) + len(delta),
 	}
 	m.cur.Store(s)
 	m.rebuilder.Add(1)
@@ -344,10 +344,10 @@ func (m *MutableEngine) LiveN() int { return m.cur.Load().logical }
 func (m *MutableEngine) IndexBits() int64 { return m.cur.Load().view.idx.IndexBits() }
 
 // Search answers q for every point of qs over the logical point set: one
-// snapshot is loaded for the batch, the pool answers over its view (a kNN
-// query over-fetched by the tombstone count so dead points can be filtered
-// at gather), and each base answer merges with a linear scan of the delta.
-// Result IDs are stable global IDs.
+// snapshot is loaded for the batch, the pool answers over its view skipping
+// the tombstones inside every walk (so a kNN walk prunes at the K-th live
+// distance), and the delta points are offered to each base answer's
+// collector. Result IDs are stable global IDs.
 //
 // Only the built base index answers approximately — the delta buffer is
 // always scanned exactly, so freshly inserted points can never be missed by
@@ -369,48 +369,24 @@ func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, 
 	if len(qs) == 0 {
 		return [][]Result{}, nil, nil
 	}
-	bq := q
-	if q.knn() {
-		bq.K = min(q.K+len(s.tomb), len(s.gids))
-	}
-	outs, sts, err := m.pool.search(s.view, qs, bq)
+	outs, sts, err := m.pool.search(s.view, qs, q, s.dead)
 	if err != nil {
 		return nil, nil, err
 	}
-	var evals int64
+	delta := func(i int) (int, Point) { return s.delta[i].gid, s.delta[i].p }
 	for i, p := range qs {
-		base := sisap.FilterLive(outs[i], s.gids, s.tomb)
-		if q.knn() {
-			outs[i] = sisap.MergeKNN([][]Result{base, scanDelta(m.metric, s.delta, p, -1, &evals)}, q.K)
-		} else {
-			outs[i] = sisap.MergeRange([][]Result{base, scanDelta(m.metric, s.delta, p, q.Radius, &evals)})
-		}
+		base := sisap.RemapShardResults(outs[i], s.gids)
+		outs[i] = sisap.Overlay(m.metric, p, base, q.K, q.Radius, len(s.delta), delta)
 		if q.Approx {
 			sts[i].DistanceEvals += len(s.delta)
 			sts[i].Candidates += len(s.delta)
 		}
 	}
-	m.deltaEvals.Add(evals)
-	return outs, sts, nil
+	m.deltaEvals.Add(int64(len(qs) * len(s.delta)))
+	return outs, sts, rangeFits(outs)
 }
 
 func (m *MutableEngine) served() *view { return m.cur.Load().view }
-
-// scanDelta measures q against every delta point — the engine-side twin of
-// MutableIndex's delta scan (the buffer holds live points only, so there
-// is no tombstone check here). r < 0 keeps all (kNN); otherwise only
-// points within r. Evaluations are counted into evals.
-func scanDelta(m Metric, delta []deltaPoint, q Point, r float64, evals *int64) []Result {
-	var out []Result
-	for _, dp := range delta {
-		d := m.Distance(q, dp.p)
-		*evals++
-		if r < 0 || d <= r {
-			out = append(out, Result{ID: dp.gid, Distance: d})
-		}
-	}
-	return out
-}
 
 // checkPoint validates an insert against the store's point shape, so a
 // malformed write is an error here, not a metric panic in a later query.
@@ -469,7 +445,7 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 }
 
 // Delete removes the live point with the given global ID: a base point is
-// tombstoned (filtered from every subsequent answer, physically dropped by
+// tombstoned (left out of every subsequent answer, physically dropped by
 // the next rebuild), a delta point leaves the buffer directly. Unknown and
 // already-deleted IDs fail with ErrUnknownID.
 func (m *MutableEngine) Delete(gid int) error {
@@ -497,11 +473,7 @@ func (m *MutableEngine) Delete(gid int) error {
 			m.writeMu.Unlock()
 			return fmt.Errorf("distperm: id %d: %w", gid, ErrUnknownID)
 		}
-		next.tomb = make(map[int]struct{}, len(s.tomb)+1)
-		for g := range s.tomb {
-			next.tomb[g] = struct{}{}
-		}
-		next.tomb[gid] = struct{}{}
+		next.dead = s.dead.With(sort.SearchInts(s.gids, gid))
 	}
 	if m.wal != nil {
 		if err := m.wal.Append(WALRecord{Op: WALDelete, GID: gid}); err != nil {
@@ -577,7 +549,7 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	newGids := make([]int, 0, s.logical)
 	newPts := make([]Point, 0, s.logical)
 	for local, g := range s.gids {
-		if _, dead := s.tomb[g]; dead {
+		if s.dead.Has(local) {
 			continue
 		}
 		newGids = append(newGids, g)
@@ -621,10 +593,10 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	// live in c, and its delta the c-delta entries newer than the new base.
 	c := m.cur.Load()
 	maxBase := newGids[len(newGids)-1]
-	newTomb := make(map[int]struct{})
-	for _, g := range newGids {
+	var locals []int
+	for local, g := range newGids {
 		if !c.live(g) {
-			newTomb[g] = struct{}{}
+			locals = append(locals, local)
 		}
 	}
 	i, _ := c.findDelta(maxBase + 1)
@@ -633,9 +605,9 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 		view:    nv,
 		gids:    newGids,
 		maxBase: maxBase,
-		tomb:    newTomb,
+		dead:    sisap.Tombs{}.With(locals...),
 		delta:   newDelta,
-		logical: len(newGids) - len(newTomb) + len(newDelta),
+		logical: len(newGids) - len(locals) + len(newDelta),
 	}
 	m.cur.Store(next)
 	m.rebuilds.Add(1)
@@ -662,7 +634,7 @@ func (m *MutableEngine) MutationStats() MutationStats {
 		Deletes:          m.deletes.Load(),
 		LiveN:            s.logical,
 		DeltaSize:        len(s.delta),
-		Tombstones:       len(s.tomb),
+		Tombstones:       s.tombs(),
 		PendingWrites:    s.pending(),
 		RebuildThreshold: m.cfg.RebuildThreshold,
 		Rebuilds:         m.rebuilds.Load(),
@@ -707,11 +679,12 @@ func (m *MutableEngine) assemble(s *mutSnapshot, nextGid int) (*MutableIndex, er
 		pts = append(pts, dp.p)
 		gids = append(gids, dp.gid)
 	}
-	tombs := make([]int, 0, len(s.tomb))
-	for g := range s.tomb {
-		tombs = append(tombs, g)
+	tombs := make([]int, 0, s.tombs())
+	for local, g := range s.gids {
+		if s.dead.Has(local) {
+			tombs = append(tombs, g)
+		}
 	}
-	sort.Ints(tombs)
 	full := sisap.NewDB(m.metric, pts)
 	return sisap.NewMutableIndex(full, len(s.gids), s.view.idx, gids, tombs, nextGid)
 }

@@ -189,7 +189,7 @@ func TestSearchEquivalence(t *testing.T) {
 				t.Fatalf("range: err %v / %v, stats %v", err, lerr, sts)
 			}
 			for i := range qs {
-				// MergeRange yields nil for an empty answer, the oracle an
+				// A merged range yields nil for an empty answer, the oracle an
 				// empty slice; compare contents.
 				if !sameResults(got[i], ranged[i]) || !sameResults(legacy[i], ranged[i]) {
 					t.Fatalf("range probe %d: Search %v, RangeBatch %v, oracle %v", i, got[i], legacy[i], ranged[i])

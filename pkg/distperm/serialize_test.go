@@ -132,6 +132,18 @@ func TestWriteIndexUnknownKind(t *testing.T) {
 	}
 }
 
+// TestWrapMutableForeignIndex: an index of another package cannot leave a
+// deleted point out of its walk, so it does not get the write path.
+func TestWrapMutableForeignIndex(t *testing.T) {
+	db, err := NewDB(L2, []Point{Vector{0, 0}, Vector{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WrapMutable(db, unknownIndex{}, MutableConfig{}); err == nil {
+		t.Error("WrapMutable accepted an index of another package")
+	}
+}
+
 type unknownIndex struct{}
 
 func (unknownIndex) Name() string                               { return "qqtree" }

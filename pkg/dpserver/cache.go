@@ -97,7 +97,7 @@ func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.capacity)
+	clear(c.items)
 	c.gen++
 	c.stats.Invalidations++
 }

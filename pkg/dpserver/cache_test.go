@@ -93,6 +93,18 @@ func TestCacheInvalidation(t *testing.T) {
 	nc.Invalidate()
 }
 
+// TestCacheInvalidateAllocs: emptying the cache, which every insert and
+// delete does, allocates nothing.
+func TestCacheInvalidateAllocs(t *testing.T) {
+	c := NewCache(4096)
+	for i := 0; i < 4096; i++ {
+		c.Put(string(rune(i)), c.Generation(), []distperm.Result{{ID: i}})
+	}
+	if n := testing.AllocsPerRun(100, c.Invalidate); n != 0 {
+		t.Errorf("Invalidate allocates %v times, want 0", n)
+	}
+}
+
 // TestCacheKeys: the canonical encoding separates operations, parameters,
 // and point types, and rejects unencodable points.
 func TestCacheKeys(t *testing.T) {

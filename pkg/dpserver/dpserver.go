@@ -305,8 +305,8 @@ func WriteStatus(w http.ResponseWriter, code int, status string) {
 // (a larger one is answered 413 before it is buffered whole), maxBatch the
 // queries, points or IDs of one request (400: a body-sized batch of exact
 // queries would hold the pool for minutes after its client has gone),
-// maxResults the answers one kNN request may ask for, queries × k (400: the
-// engine holds every one before the first byte is written),
+// maxResults the answers one request may ask for (queries × k) or find (400:
+// the engine holds every one before the first byte is written),
 // maxRequestIDBytes the X-Request-ID a client may choose (it is copied into
 // the slow-query record of every coalesced neighbour), readHeaderTimeout
 // how long a connection may take to send its headers and idleTimeout how
@@ -460,6 +460,14 @@ func (s *Server) answer(w http.ResponseWriter, endpoint string, qb queryBody) {
 	}
 	if err != nil {
 		s.fail(w, backendErrorCode(err), err.Error())
+		return
+	}
+	found := 0
+	for _, rs := range outs {
+		found += len(rs)
+	}
+	if found > maxResults {
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("%d results in one request, limit %d", found, maxResults))
 		return
 	}
 	s.traceEnd(rec, evals, start)

@@ -309,6 +309,10 @@ var requestErrorCases = []struct {
 	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 256}`, http.StatusOK},
 	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 257}`, http.StatusBadRequest},
 	{"/v1/knn", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "k": 257, "approx": true}`, http.StatusBadRequest},
+	// A range request holds at most as many answers: 256 points of the store
+	// lie within 0.9705 of the query, 257 within 0.9707.
+	{"/v1/range", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "r": 0.9705}`, http.StatusOK},
+	{"/v1/range", `{"queries": [` + strings.Repeat("[0.1,0.2,0.3],", 4095) + `[0.1,0.2,0.3]], "r": 0.9707}`, http.StatusBadRequest},
 	// A query so far from the data that its distances overflow to +Inf,
 	// which JSON cannot carry: a 400 naming it, not an empty 200.
 	{"/v1/knn", `{"query": [1e300, 0, 0], "k": 1}`, http.StatusBadRequest},

@@ -20,11 +20,6 @@
 // embeds its points (named metric over plain vectors) the daemon needs no
 // dataset flags at all.
 //
-// With -loadgen it is the matching load driver instead: it fires
-// configurable QPS/concurrency at a running daemon through the Go client
-// and reports achieved throughput and latency percentiles — the repo's
-// qps-vs-workers and qps-vs-shards benchmark story extended over the wire.
-//
 // With -rebuild-threshold N the daemon serves the live write path too:
 // POST /v1/insert and /v1/delete mutate the logical point set (delta buffer
 // + tombstones, stable global IDs), and once N writes are pending a
@@ -39,8 +34,6 @@
 //	distpermd -file points.txt -load index.dpermidx -addr :7411
 //	distpermd -gen uniform -n 20000 -d 6 -index distperm -k 12 -freeze index.frozen
 //	distpermd -mmap -load index.frozen -addr :7411
-//	distpermd -loadgen -target http://localhost:7411 -gen uniform -n 1000 -d 6 \
-//	    -knn 3 -qps 500 -concurrency 16 -duration 10s
 //
 //	curl -s localhost:7411/v1/knn -d '{"query": [0.5,0.5,0.5,0.5,0.5,0.5], "k": 3}'
 //	curl -s localhost:7411/v1/knn -d '{"query": [0.5,0.5,0.5,0.5,0.5,0.5], "k": 3, "approx": true, "nprobe": 4}'
@@ -53,14 +46,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -71,19 +62,15 @@ import (
 	"distperm/internal/sisap"
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
-	"distperm/pkg/dpserver/client"
-	"distperm/pkg/obs"
 )
 
 func main() {
 	// Every flag binds to the field that is read: dataset and listener flags
-	// to locals of main, the rest straight into the daemon's and the load
-	// driver's configuration.
+	// to locals of main, the rest straight into the daemon's configuration.
 	var (
 		cfg daemonConfig
-		lc  client.LoadConfig
 
-		// Dataset: what the index is over (and, for -loadgen, the query pool).
+		// Dataset: what the index is over.
 		gen   = flag.String("gen", "uniform", "generator: "+strings.Join(dataset.GeneratorNames(), ", "))
 		file  = flag.String("file", "", "read whitespace-separated vectors from a file instead of generating")
 		n     = flag.Int("n", 20_000, "points to generate")
@@ -96,8 +83,6 @@ func main() {
 		addr     = flag.String("addr", ":7411", "HTTP listen address")
 		opsAddr  = flag.String("ops-addr", "", "optional private ops listener: /metrics, /healthz, /readyz, and net/http/pprof under /debug/pprof/ (empty disables)")
 		slowQLog = flag.String("slow-query-log", "", "slow-query log file (empty = stderr)")
-		loadgen  = flag.Bool("loadgen", false, "drive load at a running daemon instead of serving")
-		scrape   = flag.Bool("scrape", true, "loadgen: scrape the server's /metrics after the run and print the client-vs-server latency comparison")
 	)
 	// Index: built on startup or loaded from a container.
 	flag.StringVar(&cfg.Index, "index", "distperm", "index kind to build: "+strings.Join(distperm.Kinds(), ", "))
@@ -120,17 +105,6 @@ func main() {
 	flag.DurationVar(&cfg.Serving.BatchWait, "batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
 	flag.IntVar(&cfg.Serving.CacheSize, "cache", 4096, "result cache entries (0 disables)")
 	flag.DurationVar(&cfg.Serving.SlowQuery, "slow-query", 0, "log queries slower than this as one-line JSON records (0 disables)")
-
-	// Load driver.
-	flag.StringVar(&lc.Target, "target", "http://localhost:7411", "loadgen: server base URL")
-	flag.IntVar(&lc.K, "knn", 1, "loadgen: neighbours per query (0 = range queries of -radius)")
-	flag.Float64Var(&lc.Radius, "radius", 0.25, "loadgen: range-query radius when -knn 0")
-	flag.Float64Var(&lc.QPS, "qps", 0, "loadgen: aggregate request rate cap (0 = unthrottled)")
-	flag.IntVar(&lc.Concurrency, "concurrency", 8, "loadgen: client workers")
-	flag.DurationVar(&lc.Duration, "duration", 5*time.Second, "loadgen: run length")
-	flag.IntVar(&lc.Batch, "batch", 1, "loadgen: queries per request (1 = single-query form, exercising the coalescer)")
-	flag.IntVar(&lc.ApproxNProbe, "approx", 0, "loadgen: probe this many prefix buckets per kNN query through the server's approximate path (0 = exact; needs -knn > 0)")
-	flag.Float64Var(&lc.WriteRatio, "write-ratio", 0, "loadgen: fraction of requests that mutate (insert/delete) instead of query; needs a -rebuild-threshold server")
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -158,20 +132,6 @@ func main() {
 			}
 		})
 		return dsVal, dsErr
-	}
-
-	if *loadgen {
-		ds, err := loadDS()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		lc.Queries = ds.Sample(rng, 1024)
-		if err := runLoadgen(os.Stdout, lc, *scrape); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
 	}
 
 	if *slowQLog != "" {
@@ -537,31 +497,38 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 func runCheckpoints(me *distperm.MutableEngine, wal *distperm.WAL, recordEvery int64, stop chan struct{}) {
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
-	var lastRebuilds int64
+	var folded int64
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
 		}
-		ms := me.MutationStats()
-		ws := me.WALStats()
-		need := ms.Rebuilds > lastRebuilds
-		if recordEvery > 0 && ws.Seq-ws.CheckpointSeq >= uint64(recordEvery) {
-			need = true
-		}
-		if !need {
-			continue
-		}
-		lastRebuilds = ms.Rebuilds
-		snap, seq, err := me.CheckpointSnapshot()
-		if err == nil && seq > ws.CheckpointSeq {
-			err = wal.WriteCheckpoint(snap, seq)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distpermd: wal checkpoint: %v\n", err)
-		}
+		folded = checkpointOnce(me, wal, recordEvery, folded)
 	}
+}
+
+// checkpointOnce is one tick of runCheckpoints: it writes a checkpoint when
+// a rebuild has happened since the one the log was last folded behind
+// (folded counts rebuilds), or when recordEvery records have accumulated. It
+// returns the new folded count, which moves only once the log is folded —
+// the checkpoint was written, or there was nothing to write — so a failed
+// checkpoint is retried on the next tick, not left until the next rebuild.
+func checkpointOnce(me *distperm.MutableEngine, wal *distperm.WAL, recordEvery, folded int64) int64 {
+	ms := me.MutationStats()
+	ws := me.WALStats()
+	if ms.Rebuilds <= folded && (recordEvery <= 0 || ws.Seq-ws.CheckpointSeq < uint64(recordEvery)) {
+		return folded
+	}
+	snap, seq, err := me.CheckpointSnapshot()
+	if err == nil && seq > ws.CheckpointSeq {
+		err = wal.WriteCheckpoint(snap, seq)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "distpermd: wal checkpoint: %v\n", err)
+		return folded
+	}
+	return ms.Rebuilds
 }
 
 // inferSpec derives a rebuild Spec from a loaded index: its kind and, for
@@ -592,68 +559,4 @@ func shardedBase(idx distperm.Index) *distperm.ShardedIndex {
 	}
 	sx, _ := idx.(*distperm.ShardedIndex)
 	return sx
-}
-
-// runLoadgen drives RunLoad and prints the report: overall and
-// per-endpoint client-side percentiles and, with scrape, the server's own
-// /metrics view of the same traffic next to them — the wire-vs-engine
-// latency split in one table.
-func runLoadgen(w io.Writer, cfg client.LoadConfig, scrape bool) error {
-	mode := fmt.Sprintf("%d-NN", cfg.K)
-	if cfg.K == 0 {
-		mode = fmt.Sprintf("range r=%g", cfg.Radius)
-	} else if cfg.ApproxNProbe > 0 {
-		mode = fmt.Sprintf("approximate %d-NN (nprobe %d)", cfg.K, cfg.ApproxNProbe)
-	}
-	fmt.Fprintf(w, "loadgen: %s queries × batch %d at %s (%d workers, qps cap %g) for %v\n",
-		mode, max(cfg.Batch, 1), cfg.Target, max(cfg.Concurrency, 1), cfg.QPS, cfg.Duration)
-	report, err := client.RunLoad(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "sent %d requests (%d queries, %d errors) in %v: %.0f queries/s, latency p50 %v p95 %v p99 %v\n",
-		report.Requests, report.Queries, report.Errors, report.Elapsed.Round(time.Millisecond),
-		report.QueriesPerSecond, report.P50, report.P95, report.P99)
-	if report.Inserts > 0 || report.Deletes > 0 {
-		fmt.Fprintf(w, "mutations: %d inserts, %d deletes\n", report.Inserts, report.Deletes)
-	}
-	if report.ApproxRequests > 0 {
-		fmt.Fprintf(w, "approx: %d requests, mean candidate fraction %.3f (share of the database scanned per query)\n",
-			report.ApproxRequests, report.MeanCandidateFraction)
-	}
-	endpoints := make([]string, 0, len(report.PerEndpoint))
-	for ep := range report.PerEndpoint {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		s := report.PerEndpoint[ep]
-		fmt.Fprintf(w, "  client %-7s %7d reqs  p50 %-10v p95 %-10v p99 %v\n",
-			ep, s.Count, s.P50, s.P95, s.P99)
-	}
-	if !scrape {
-		return nil
-	}
-	// The run's context has expired; the scrape gets its own deadline.
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	fams, err := client.New(cfg.Target).Metrics(sctx)
-	if err != nil {
-		fmt.Fprintf(w, "  (server /metrics scrape failed: %v)\n", err)
-		return nil
-	}
-	secs := func(v float64) time.Duration { return time.Duration(math.Round(v * 1e9)) }
-	for _, ep := range endpoints {
-		snap, ok := fams["dpserver_request_duration_seconds"].HistogramSnapshot(obs.Labels{"endpoint": ep})
-		if !ok || snap.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  server %-7s %7d reqs  p50 %-10v p95 %-10v p99 %v\n",
-			ep, snap.Count, secs(snap.Quantile(0.50)), secs(snap.Quantile(0.95)), secs(snap.Quantile(0.99)))
-	}
-	if snap, ok := fams["distperm_engine_query_duration_seconds"].HistogramSnapshot(nil); ok && snap.Count > 0 {
-		fmt.Fprintf(w, "  engine  query   %7d qs    p50 %-10v p95 %-10v p99 %v\n",
-			snap.Count, secs(snap.Quantile(0.50)), secs(snap.Quantile(0.95)), secs(snap.Quantile(0.99)))
-	}
-	return nil
 }

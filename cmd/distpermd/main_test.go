@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,9 +152,62 @@ func TestBuildServerModes(t *testing.T) {
 	}
 }
 
+// TestCheckpointRetriedAfterFailure: a checkpoint that fails after a rebuild
+// is written on the next tick, not left until the next rebuild — the log
+// is folded with no second rebuild.
+func TestCheckpointRetriedAfterFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 200, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	wal, err := distperm.OpenWAL(dir, distperm.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	if err := me.AttachWAL(wal); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range dataset.UniformVectors(rng, 10, 3) {
+		if _, err := me.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := me.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	seq := me.WALStats().Seq
+	// A directory where the checkpoint's temporary file goes makes writing
+	// it fail (EISDIR), even as root.
+	tmp := filepath.Join(dir, fmt.Sprintf("ckpt-%016x.ckpt.tmp", seq))
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	folded := checkpointOnce(me, wal, 0, 0)
+	if got := me.WALStats().CheckpointSeq; got != 0 {
+		t.Fatalf("checkpoint seq %d after a failed write, want 0", got)
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	checkpointOnce(me, wal, 0, folded)
+	if got := me.WALStats().CheckpointSeq; got != seq {
+		t.Errorf("checkpoint seq %d after the retry, want %d", got, seq)
+	}
+	if r := me.MutationStats().Rebuilds; r != 1 {
+		t.Errorf("%d rebuilds, want 1", r)
+	}
+}
+
 // TestDaemonEndToEnd runs the serving stack the way main does — listener,
-// Serve, graceful cancellation — and drives it with the client and the
-// loadgen driver.
+// Serve, graceful cancellation — and drives it with the client.
 func TestDaemonEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds, err := dataset.Load(rng, "uniform", "", 400, 3)
@@ -192,23 +247,33 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var out strings.Builder
-	if err := runLoadgen(&out, client.LoadConfig{
-		Target:      base,
-		Queries:     ds.Sample(rng, 64),
-		K:           2,
-		Concurrency: 4,
-		Duration:    100 * time.Millisecond,
-	}, true); err != nil {
+	// A concurrent burst of single and 8-query batched requests: the batches
+	// reach the engine's batch path, and no request fails.
+	queries := ds.Sample(rng, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * 8; i+8 <= len(queries); i += 32 {
+				if _, err := c.KNN(context.Background(), queries[i], 2); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := c.KNNBatch(context.Background(), queries[i:i+8], 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st, err := c.Stats(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The scrape-on report carries both halves of the comparison: client-
-	// side per-endpoint percentiles and the server's /metrics view.
-	for _, want := range []string{"loadgen: 2-NN", "queries/s", "p50", "p95", "p99", " 0 errors",
-		"client knn", "server knn", "engine"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("loadgen report missing %q:\n%s", want, out.String())
-		}
+	if st.Engine.BatchedQueries == 0 || st.Server.Errors != 0 {
+		t.Errorf("after the burst: batched_queries %d, errors %d", st.Engine.BatchedQueries, st.Server.Errors)
 	}
 
 	cancel()

@@ -66,7 +66,7 @@ func Load(rng *rand.Rand, gen, file string, n, d int) (*Dataset, error) {
 }
 
 // Sample draws n query points from the dataset's own points, with
-// replacement — the query workload of the serving and loadgen modes.
+// replacement — the query workload of distperm's -serve mode.
 func (d *Dataset) Sample(rng *rand.Rand, n int) []metric.Point {
 	qs := make([]metric.Point, n)
 	for i := range qs {

@@ -75,10 +75,7 @@ func TestServerApprox(t *testing.T) {
 	if st.Engine.DistinctRows <= 0 {
 		t.Errorf("DistinctRows = %d, want > 0", st.Engine.DistinctRows)
 	}
-	fams, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fams := scrape(t, ts.URL)
 	for _, name := range []string{
 		"distperm_approx_queries_total",
 		"distperm_approx_probed_buckets_total",
@@ -145,41 +142,5 @@ func TestServerApproxUnsupported(t *testing.T) {
 	_, _, err = c.KNNApprox(context.Background(), dataset.UniformVectors(rng, 1, 3)[0], 2, 1)
 	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("approx against a vptree backend: err = %v, want HTTP 400", err)
-	}
-}
-
-// TestRunLoadApprox: the load driver's -approx mode reports the candidate
-// fraction and labels the endpoints it used.
-func TestRunLoadApprox(t *testing.T) {
-	_, ts, _, queries := testServer(t, 94, 400, 3,
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond})
-	report, err := client.RunLoad(context.Background(), client.LoadConfig{
-		Target:       ts.URL,
-		Queries:      queries,
-		K:            3,
-		Concurrency:  2,
-		Duration:     200 * time.Millisecond,
-		ApproxNProbe: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 {
-		t.Fatalf("load run had %d errors", report.Errors)
-	}
-	if report.ApproxRequests != report.Requests || report.ApproxRequests == 0 {
-		t.Errorf("ApproxRequests = %d of %d requests, want all", report.ApproxRequests, report.Requests)
-	}
-	if report.MeanCandidateFraction <= 0 || report.MeanCandidateFraction > 1 {
-		t.Errorf("MeanCandidateFraction = %g out of (0, 1]", report.MeanCandidateFraction)
-	}
-	if _, ok := report.PerEndpoint["knn"]; !ok {
-		t.Errorf("per-endpoint summary %v missing \"knn\"", report.PerEndpoint)
-	}
-	// ApproxNProbe without kNN queries is a misconfigured load.
-	if _, err := client.RunLoad(context.Background(), client.LoadConfig{
-		Target: ts.URL, Queries: queries, Radius: 0.2, ApproxNProbe: 2,
-	}); err == nil {
-		t.Error("range-query load with ApproxNProbe accepted, want error")
 	}
 }

@@ -1,7 +1,6 @@
 // Package client is the Go client for a dpserver HTTP endpoint (the
 // distpermd daemon): typed kNN/range queries in single and batched form,
-// stats and index introspection, plus a configurable load-generation driver
-// (RunLoad) that extends the repo's throughput benchmarks over the wire.
+// inserts and deletes, stats, index introspection and health probes.
 package client
 
 import (
@@ -16,7 +15,6 @@ import (
 
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
-	"distperm/pkg/obs"
 )
 
 // Client talks to one dpserver base URL. The zero HTTPClient means
@@ -201,40 +199,6 @@ func (c *Client) Ready(ctx context.Context) error {
 	return nil
 }
 
-// Metrics scrapes GET /metrics and returns the parsed families, keyed by
-// family name — the server-side half of a client-vs-server latency
-// comparison after a load run.
-func (c *Client) Metrics(ctx context.Context) (map[string]obs.Family, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	fams, err := obs.ParsePrometheus(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: GET /metrics: %w", err)
-	}
-	byName := make(map[string]obs.Family, len(fams))
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	return byName, nil
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
 // post sends body to path and decodes the answer into out. A query request
 // is marshalled by its own MarshalJSON, sparing the pass json.Marshal makes
 // over what a MarshalJSON returns.
@@ -266,7 +230,11 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 }
 
 func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.httpClient().Do(req)
+	hc := c.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return err
 	}

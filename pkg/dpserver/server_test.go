@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -480,61 +481,8 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestRunLoad drives the load generator against a live server in both
-// single-query (coalescer-exercising) and batched form.
-func TestRunLoad(t *testing.T) {
-	_, ts, _, queries := testServer(t, 28, 300, 3,
-		dpserver.Config{BatchMax: 8, BatchWait: time.Millisecond, CacheSize: 32})
-	for _, batch := range []int{1, 8} {
-		report, err := client.RunLoad(context.Background(), client.LoadConfig{
-			Target:      ts.URL,
-			Queries:     queries,
-			K:           2,
-			Concurrency: 4,
-			Duration:    150 * time.Millisecond,
-			Batch:       batch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Requests == 0 || report.Queries < report.Requests {
-			t.Errorf("batch=%d: implausible report %+v", batch, report)
-		}
-		if report.Errors != 0 {
-			t.Errorf("batch=%d: %d request errors", batch, report.Errors)
-		}
-		if report.QueriesPerSecond <= 0 || report.P99 < report.P50 {
-			t.Errorf("batch=%d: implausible metrics %+v", batch, report)
-		}
-	}
-	// A throttled run stays near the requested rate (loose upper bound:
-	// tokens meter requests, so well under the unthrottled hundreds/s).
-	report, err := client.RunLoad(context.Background(), client.LoadConfig{
-		Target: ts.URL, Queries: queries, K: 1,
-		Concurrency: 2, QPS: 50, Duration: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Requests > 30 {
-		t.Errorf("QPS=50 for 200ms sent %d requests", report.Requests)
-	}
-	// Misconfigurations are errors.
-	if _, err := client.RunLoad(context.Background(), client.LoadConfig{}); err == nil {
-		t.Error("empty config should error")
-	}
-	if _, err := client.RunLoad(context.Background(), client.LoadConfig{Target: ts.URL}); err == nil {
-		t.Error("no queries should error")
-	}
-	if _, err := client.RunLoad(context.Background(), client.LoadConfig{
-		Target: ts.URL, Queries: queries, Radius: -1,
-	}); err == nil {
-		t.Error("negative radius should error")
-	}
-}
-
 // mutableServer builds a live-mutation serving stack over a fresh store.
-func mutableServer(t *testing.T, seed int64, n int, mcfg distperm.MutableConfig, cfg dpserver.Config) (*dpserver.Server, *httptest.Server, []distperm.Point) {
+func mutableServer(t testing.TB, seed int64, n int, mcfg distperm.MutableConfig, cfg dpserver.Config) (*dpserver.Server, *httptest.Server, []distperm.Point) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, n, 3))
@@ -555,6 +503,26 @@ func mutableServer(t *testing.T, seed int64, n int, mcfg distperm.MutableConfig,
 		srv.Close()
 	})
 	return srv, ts, dataset.UniformVectors(rng, 32, 3)
+}
+
+// mutateRequestCases are write-endpoint bodies and the status each gets from
+// a mutable server over 3-d points; exactly one of them mutates the store
+// (one insert).
+var mutateRequestCases = []struct {
+	path, body string
+	want       int
+}{
+	{"/v1/insert", `not json`, http.StatusBadRequest},
+	{"/v1/insert", `{}`, http.StatusBadRequest},
+	{"/v1/insert", `{"point": [1,2,3], "points": [[1,2,3]]}`, http.StatusBadRequest},
+	{"/v1/insert", `{"point": [1,2]}`, http.StatusBadRequest},          // wrong dims
+	{"/v1/insert", `{"point": "word"}`, http.StatusBadRequest},         // wrong type
+	{"/v1/insert", `{"points": [[1,2,3],[9]]}`, http.StatusBadRequest}, // batch validated whole
+	{"/v1/insert", `{"point": [0.5, 0.5, 0.5]}`, http.StatusOK},
+	{"/v1/insert", `{"points": [` + strings.Repeat("[1,2,3],", 4096) + `[1,2,3]]}`, http.StatusBadRequest}, // over the batch limit: none inserted
+	{"/v1/delete", `{"ids": []}`, http.StatusOK},
+	{"/v1/delete", `{}`, http.StatusBadRequest},
+	{"/v1/delete", `{"ids": [` + strings.Repeat("0,", 4096) + `0]}`, http.StatusBadRequest},
 }
 
 // TestServerMutation: the write endpoints mutate the logical point set with
@@ -632,28 +600,10 @@ func TestServerMutation(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for body, want := range map[string]int{
-		`not json`: http.StatusBadRequest,
-		`{}`:       http.StatusBadRequest,
-		`{"point": [1,2,3], "points": [[1,2,3]]}`:                       http.StatusBadRequest,
-		`{"point": [1,2]}`:                                              http.StatusBadRequest, // wrong dims
-		`{"point": "word"}`:                                             http.StatusBadRequest, // wrong type
-		`{"points": [[1,2,3],[9]]}`:                                     http.StatusBadRequest, // batch validated whole
-		`{"point": [0.5, 0.5, 0.5]}`:                                    http.StatusOK,
-		`{"points": [` + strings.Repeat("[1,2,3],", 4096) + `[1,2,3]]}`: http.StatusBadRequest, // over the batch limit: none inserted
-	} {
-		if got := post("/v1/insert", body); got != want {
-			t.Errorf("POST /v1/insert %s → %d, want %d", body, got, want)
+	for _, tc := range mutateRequestCases {
+		if got := post(tc.path, tc.body); got != tc.want {
+			t.Errorf("POST %s %.80s → %d, want %d", tc.path, tc.body, got, tc.want)
 		}
-	}
-	if got := post("/v1/delete", `{"ids": []}`); got != http.StatusOK {
-		t.Errorf("empty ids delete → %d", got)
-	}
-	if got := post("/v1/delete", `{}`); got != http.StatusBadRequest {
-		t.Errorf("delete without id → %d", got)
-	}
-	if got := post("/v1/delete", `{"ids": [`+strings.Repeat("0,", 4096)+`0]}`); got != http.StatusBadRequest {
-		t.Errorf("delete of 4097 ids → %d, want 400", got)
 	}
 	if st, err := c.Stats(context.Background()); err != nil || st.Server.Inserts != 4 || st.Server.Deletes != 3 {
 		t.Errorf("a request over the batch limit mutated the store: %+v, %v", st.Server, err)
@@ -729,7 +679,7 @@ func TestServerCacheNotStaleAfterMutation(t *testing.T) {
 }
 
 // TestServerMutableSharded: writes route through the Partitioner seam into
-// a sharded mutable store, the loadgen's write mix drives it, and answers
+// a sharded mutable store, a concurrent write mix drives it, and answers
 // keep matching a from-scratch linear scan after a background fold.
 func TestServerMutableSharded(t *testing.T) {
 	srv, ts, queries := mutableServer(t, 34, 300,
@@ -743,34 +693,54 @@ func TestServerMutableSharded(t *testing.T) {
 	if info := srv.Info(); info.Shards != 2 || !info.Mutable || info.Base != "sharded" {
 		t.Fatalf("sharded mutable IndexInfo %+v", info)
 	}
-	report, err := client.RunLoad(context.Background(), client.LoadConfig{
-		Target:      ts.URL,
-		Queries:     queries,
-		K:           2,
-		Concurrency: 4,
-		Duration:    250 * time.Millisecond,
-		WriteRatio:  0.4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 {
-		t.Fatalf("write-mix load saw %d errors: %+v", report.Errors, report)
-	}
-	if report.Inserts == 0 {
-		t.Fatalf("write-mix load never inserted: %+v", report)
-	}
+	// Four clients send a 40 % insert/delete mix beside kNN reads, each
+	// deleting only its own inserts, so every delete names a live point.
 	c := client.New(ts.URL)
+	var inserts, deletes atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(int64(w) + 1))
+			var mine []int
+			for i := w; i < w+60; i++ {
+				q := queries[i%len(queries)]
+				var err error
+				switch {
+				case wrng.Float64() >= 0.4:
+					_, err = c.KNN(context.Background(), q, 2)
+				case len(mine) > 0 && wrng.Intn(2) == 0:
+					if err = c.Delete(context.Background(), mine[0]); err == nil {
+						mine = mine[1:]
+						deletes.Add(1)
+					}
+				default:
+					var id int
+					if id, err = c.Insert(context.Background(), q); err == nil {
+						mine = append(mine, id)
+						inserts.Add(1)
+					}
+				}
+				if err != nil {
+					t.Errorf("client %d, request %d: %v", w, i-w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if inserts.Load() == 0 {
+		t.Fatal("the write mix never inserted")
+	}
 	st, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The server may have applied a trailing mutation whose response the
-	// run deadline cut off, so its counters bound the report from above.
-	if st.Mutation == nil || st.Mutation.Inserts < report.Inserts || st.Mutation.Deletes < report.Deletes {
-		t.Fatalf("server mutation stats %+v vs report %+v", st.Mutation, report)
+	if st.Mutation == nil || st.Mutation.Inserts < inserts.Load() || st.Mutation.Deletes < deletes.Load() {
+		t.Fatalf("server mutation stats %+v vs %d inserts, %d deletes acked", st.Mutation, inserts.Load(), deletes.Load())
 	}
-	// The load mix deletes its own inserts (delta entries cancel), so the
+	// The mix deletes its own inserts (delta entries cancel), so the
 	// threshold may never trip during the run; a pure insert burst past the
 	// threshold must trigger the background fold.
 	burst := make([]distperm.Point, 40)
@@ -796,17 +766,6 @@ func TestServerMutableSharded(t *testing.T) {
 	}
 	if st.Mutation.RebuildFailures != 0 || st.Mutation.LastRebuildError != "" {
 		t.Errorf("fold failed: %+v", st.Mutation)
-	}
-}
-
-// TestRunLoadWriteRatioValidation: the write mix is validated like the
-// other load parameters.
-func TestRunLoadWriteRatioValidation(t *testing.T) {
-	_, ts, _, queries := testServer(t, 35, 100, 3, dpserver.Config{})
-	if _, err := client.RunLoad(context.Background(), client.LoadConfig{
-		Target: ts.URL, Queries: queries, K: 1, WriteRatio: 1.5,
-	}); err == nil {
-		t.Error("write ratio > 1 should error")
 	}
 }
 
@@ -875,6 +834,38 @@ func FuzzKNNRequest(f *testing.F) {
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
+		}
+	})
+}
+
+// FuzzMutateRequest is FuzzKNNRequest for the write endpoints: arbitrary
+// bytes posted to /v1/insert and to /v1/delete of a mutable server never
+// panic the handler, are answered 200, 400, 404 or 413 and nothing else,
+// and a 200 decodes as a MutateResponse. Background rebuilds fold what the
+// accepted inserts and deletes leave pending.
+func FuzzMutateRequest(f *testing.F) {
+	for _, tc := range mutateRequestCases {
+		if len(tc.body) < 1<<10 {
+			f.Add([]byte(tc.body))
+		}
+	}
+	srv, _, _ := mutableServer(f, 31, 200,
+		distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 31}, RebuildThreshold: 64},
+		dpserver.Config{CacheSize: 4})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/insert", "/v1/delete"} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK:
+				var resp dpserver.MutateResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("POST %s: 200 with a body that is no MutateResponse (%v): %q", path, err, rec.Body.String())
+				}
+			case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("POST %s: status %d for body %q: %s", path, rec.Code, body, rec.Body.String())
+			}
 		}
 	})
 }

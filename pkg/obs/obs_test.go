@@ -341,60 +341,3 @@ func TestConcurrentObserveExport(t *testing.T) {
 		t.Fatalf("bucket sum %d != count %d after quiesce", cum, snap.Count)
 	}
 }
-
-// TestHistogramReconstruction: a histogram written to the exposition format
-// and parsed back yields, via Family.HistogramSnapshot, exactly the
-// snapshot that produced it — edges, per-bucket counts, count, and sum —
-// so a scraper's quantiles equal the server's.
-func TestHistogramReconstruction(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("recon_seconds", "round-trip", obs.ExponentialBuckets(0.001, 4, 6), obs.Labels{"endpoint": "knn"})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		h.Observe(rng.Float64() * 5)
-	}
-	want := h.Snapshot()
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := obs.ParsePrometheus(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fam obs.Family
-	for _, f := range fams {
-		if f.Name == "recon_seconds" {
-			fam = f
-		}
-	}
-	got, ok := fam.HistogramSnapshot(obs.Labels{"endpoint": "knn"})
-	if !ok {
-		t.Fatal("no snapshot reconstructed")
-	}
-	if _, ok := fam.HistogramSnapshot(nil); ok {
-		t.Fatal("unlabelled snapshot reconstructed from a labelled family")
-	}
-	if got.Count != want.Count || math.Abs(got.Sum-want.Sum) > 1e-9 {
-		t.Fatalf("count/sum = %d/%g, want %d/%g", got.Count, got.Sum, want.Count, want.Sum)
-	}
-	if len(got.Edges) != len(want.Edges) || len(got.Buckets) != len(want.Buckets) {
-		t.Fatalf("shape %d/%d edges, %d/%d buckets", len(got.Edges), len(want.Edges), len(got.Buckets), len(want.Buckets))
-	}
-	for i := range want.Edges {
-		if math.Abs(got.Edges[i]-want.Edges[i]) > 1e-12 {
-			t.Fatalf("edge[%d] = %g, want %g", i, got.Edges[i], want.Edges[i])
-		}
-	}
-	for i := range want.Buckets {
-		if got.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("bucket[%d] = %d, want %d", i, got.Buckets[i], want.Buckets[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("q%g = %g, want %g", q, got.Quantile(q), want.Quantile(q))
-		}
-	}
-}

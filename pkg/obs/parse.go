@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -197,68 +196,6 @@ func checkHistogram(f *Family) error {
 		}
 	}
 	return nil
-}
-
-// HistogramSnapshot reconstructs the snapshot behind a parsed histogram
-// family's sample set with the given label group (nil matches the
-// unlabelled series), undoing the cumulative-bucket encoding. The bool is
-// false when the family has no such label group. This is how a scraper
-// (e.g. the loadgen client-vs-server comparison) recovers quantiles from a
-// server's exposition.
-func (f Family) HistogramSnapshot(labels Labels) (HistogramSnapshot, bool) {
-	match := func(ls Labels) bool {
-		if len(stripLe(ls)) != len(labels) {
-			return false
-		}
-		for k, v := range labels {
-			if ls[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var (
-		bs    []bucket
-		snap  HistogramSnapshot
-		found bool
-	)
-	for _, s := range f.Samples {
-		if !match(s.Labels) {
-			continue
-		}
-		switch s.Name {
-		case f.Name + "_bucket":
-			le, err := parseLe(s.Labels["le"])
-			if err != nil {
-				return HistogramSnapshot{}, false
-			}
-			bs = append(bs, bucket{le: le, cum: s.Value})
-			found = true
-		case f.Name + "_sum":
-			snap.Sum = s.Value
-			found = true
-		case f.Name + "_count":
-			snap.Count = uint64(s.Value)
-			found = true
-		}
-	}
-	if !found {
-		return HistogramSnapshot{}, false
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	prev := 0.0
-	for _, b := range bs {
-		if !math.IsInf(b.le, 1) {
-			snap.Edges = append(snap.Edges, b.le)
-		}
-		snap.Buckets = append(snap.Buckets, uint64(b.cum-prev))
-		prev = b.cum
-	}
-	return snap, true
 }
 
 func stripLe(ls Labels) Labels {

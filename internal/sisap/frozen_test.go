@@ -561,7 +561,7 @@ func TestFrozenBucketDirectoryRoundTrip(t *testing.T) {
 // database of a PFR3 store builds its base over a prefix of it. The whole
 // store keeps its block with the row labels; a proper prefix is no run of a
 // bucket-major block and is served through Points. Either way the base's
-// scans, batch tiles included, answer as a scan of the source's points does.
+// scans, batches included, answer as a scan of the source's points does.
 func TestFrozenBucketMajorDBPrefix(t *testing.T) {
 	db, rng := testDB(721, 300, 3, metric.L2{})
 	_, fdb, err := openFrozenBytes(frozenImage(t, NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)), nil, false)

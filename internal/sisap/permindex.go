@@ -55,10 +55,11 @@ func (p PermDistance) String() string {
 // L∞ whose buckets are large enough to be worth bounding — measures only the
 // buckets that bound cannot exclude (search), each a contiguous run of a
 // bucket-major copy of the coordinates, with answers byte-identical to a
-// linear scan. Whatever measures a candidate set in full — KNNBatch, exact
-// queries on a store without bounds, the buckets an approximate query
-// probes — computes no ordering: the (distance, ID) heap makes the answer a
-// function of the set, read in memory order.
+// linear scan; KNNBatch is that walk once per query. Whatever measures a
+// candidate set in full — exact queries on a store without bounds, the
+// buckets an approximate query probes — computes no ordering: the
+// (distance, ID) heap makes the answer a function of the set, read in
+// memory order.
 //
 // The in-memory representation is the paper's table encoding, live: the
 // distinct occurring inverse permutations sit once each in a flat row-major
@@ -80,7 +81,7 @@ type PermIndex struct {
 	// (prefixbuckets.go) between the index and every replica: the directory
 	// built lazily or pre-filled with container views by a frozen open, the
 	// bounds — and the bucket-major coordinates the walk reads — computed on
-	// the first single exact or range query.
+	// the first exact kNN or range query.
 	lb *lazyBuckets
 	// scratch holds the per-query buffers (allocated lazily, never shared:
 	// Replica clears it), which is what makes the query path non-reentrant.
@@ -174,18 +175,18 @@ func buildPermTableBy[K comparable](pm *core.Permuter, points []metric.Point, id
 		return table
 	}
 	locals := make([]*rankTable, workers)
+	indexes := make([]map[K]uint32, workers)
 	localKeys := make([][]K, workers)
 	ranges := make([][2]int, workers)
 	shards := core.ShardIndexes(len(points), workers, func(shard, lo, hi int) {
-		table := newRankTable(pm.K())
-		keys := buildPermTableRange(pm.Clone(), points[lo:hi], ids[lo:hi], table, keyOf, []K{})
-		locals[shard] = table
-		localKeys[shard] = keys
+		locals[shard] = newRankTable(pm.K())
+		indexes[shard], localKeys[shard] = buildPermTableRange(pm.Clone(), points[lo:hi], ids[lo:hi], locals[shard], keyOf, []K{})
 		ranges[shard] = [2]int{lo, hi}
 	})
-	table := newRankTable(pm.K())
-	global := make(map[K]uint32)
-	for s := 0; s < shards; s++ {
+	// The first shard's rows are the first global rows as they stand; the
+	// others merge into its table and index.
+	table, global := locals[0], indexes[0]
+	for s := 1; s < shards; s++ {
 		local := locals[s]
 		l2g := make([]uint32, local.rows)
 		for r, key := range localKeys[s] {
@@ -206,9 +207,10 @@ func buildPermTableBy[K comparable](pm *core.Permuter, points []metric.Point, id
 }
 
 // buildPermTableRange fills ids[i] with the table row of points[i],
-// appending new rows to table. When keys is non-nil it records the dedup
-// key of every new row, in row order (the parallel merge needs them).
-func buildPermTableRange[K comparable](pm *core.Permuter, points []metric.Point, ids []uint32, table *rankTable, keyOf func(perm.Permutation) K, keys []K) []K {
+// appending new rows to table, and returns the dedup index it kept. When keys
+// is non-nil it records the dedup key of every new row, in row order (the
+// parallel merge needs them).
+func buildPermTableRange[K comparable](pm *core.Permuter, points []metric.Point, ids []uint32, table *rankTable, keyOf func(perm.Permutation) K, keys []K) (map[K]uint32, []K) {
 	index := make(map[K]uint32)
 	buf := make(perm.Permutation, pm.K())
 	for i, pt := range points {
@@ -224,7 +226,7 @@ func buildPermTableRange[K comparable](pm *core.Permuter, points []metric.Point,
 		}
 		ids[i] = id
 	}
-	return keys
+	return index, keys
 }
 
 // Name implements Index.
@@ -340,38 +342,15 @@ func (x *PermIndex) ScanOrder(q metric.Point) ([]int, Stats) {
 	return order, stats
 }
 
-// scanTilePoints is the tile length of the exhaustive batch scan: 24 KiB of
-// coordinates at d = 6, so a tile stays in L1 while every query of the
-// batch reads it, and long enough that the per-tile call is noise.
-const scanTilePoints = 512
-
-// KNNBatch implements BatchIndex with an exhaustive batched scan: exact
-// answers, identical per query to KNN. No schedule is computed (see
-// KNNBudget) and nothing is pruned, so a batch costs the same whatever the
-// sites make of the data; the batch boundary buys memory traffic instead:
-// the database is walked once in point tiles, every query measured against
-// a tile while it is resident, each into its own heap.
+// KNNBatch implements BatchIndex: every query is KNN's own walk (search), so
+// results[i] and stats[i] are exactly what KNN(qs[i], k) returns, pruned
+// buckets included.
 func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	checkK(k, x.db.N())
-	return x.knnBatch(qs, k, Scope{})
-}
-
-func (x *PermIndex) knnBatch(qs []metric.Point, k int, sc Scope) ([][]Result, []Stats) {
-	n := x.db.N()
-	cs := make([]collector, len(qs))
-	for i := range cs {
-		cs[i] = collector{h: newKNNHeap(k), sc: sc}
-	}
-	for lo := 0; lo < n; lo += scanTilePoints {
-		for i, q := range qs {
-			x.db.measure(q, x.db.block, x.db.order, lo, min(lo+scanTilePoints, n), &cs[i])
-		}
-	}
 	results := make([][]Result, len(qs))
 	stats := make([]Stats, len(qs))
-	for i := range cs {
-		results[i] = cs[i].results()
-		stats[i] = Stats{DistanceEvals: x.K() + n}
+	for i, q := range qs {
+		results[i], stats[i] = Scope{}.collect(x, q, k, 0)
 	}
 	return results, stats
 }

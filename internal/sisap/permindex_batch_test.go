@@ -10,14 +10,14 @@ import (
 )
 
 // The tests in this file pin the batch entry point to the scalar one:
-// KNNBatch must be byte-identical — results and tie-breaks — to
+// KNNBatch must be byte-identical — results, tie-breaks and Stats — to
 // issuing its queries one at a time through KNN (itself pinned to LinearScan
 // by fullset_test.go). Like the scalar oracles, every comparison runs over
-// both storage backends (permBackends): the tiled walk must behave
-// identically over the heap-built store and its frozen-container mmap view.
+// both storage backends (permBackends): the heap-built store and its
+// frozen-container mmap view.
 
 // interface conformance: the distance-permutation index is the family's
-// batch-native member.
+// batch member.
 var _ BatchIndex = (*PermIndex)(nil)
 
 func batchQueries(rng *rand.Rand, n, d int) []metric.Point {
@@ -31,12 +31,10 @@ func TestKNNBatchMatchesScalar(t *testing.T) {
 		batches  []int
 		prunes   bool // large enough to carry bounds (boundMinFill)
 	}{
-		{"one partial tile", 500, 9, []int{17}, false},
-		// n is deliberately not a multiple of scanTilePoints: two full
-		// tiles and a 276-point remainder.
-		{"tiles plus remainder", 2*scanTilePoints + 276, 9, []int{1, 7, 65}, false},
-		// A store with bounds: the scalar side is the pruned walk over the
-		// bucket-major rows, the batch side still the tiles of the block.
+		{"small", 500, 9, []int{17}, false},
+		{"unbounded", 1300, 9, []int{1, 7, 65}, false},
+		// A store with bounds: both sides are the pruned walk over the
+		// bucket-major rows, and both say how many points they skipped.
 		{"bounded", 6000, 5, []int{1, 7}, true},
 		// k > 256 stores uint16 rank rows; the exhaustive walk never reads
 		// them, and Stats must still charge all 300 site evaluations.
@@ -58,21 +56,19 @@ func TestKNNBatchMatchesScalar(t *testing.T) {
 				}
 				for i, q := range qs {
 					label := fmt.Sprintf("%s %s batch %d query %d", tc.name, be.name, batch, i)
-					// Identical results; Stats are each path's honest cost —
-					// the tile walk measures every point, the scalar walk may
-					// have pruned some and says how many.
+					// Identical results and identical Stats: k sites plus
+					// the points measured, the rest accounted as pruned.
 					want, scalar := be.idx.KNN(q, 5)
-					if wantStats := (Stats{DistanceEvals: tc.sites + tc.n}); stats[i] != wantStats ||
-						scalar.DistanceEvals+scalar.PrunedEvals != wantStats.DistanceEvals {
-						t.Fatalf("%s: batch stats %+v, scalar %+v, want %+v and k + measured", label, stats[i], scalar, wantStats)
+					if stats[i] != scalar || stats[i].DistanceEvals+stats[i].PrunedEvals != tc.sites+tc.n {
+						t.Fatalf("%s: batch stats %+v, scalar %+v, want equal and summing to %d", label, stats[i], scalar, tc.sites+tc.n)
 					}
-					pruned += scalar.PrunedEvals
+					pruned += stats[i].PrunedEvals
 					sameBits(t, label, got[i], want)
 				}
 			}
 		}
 		if (pruned > 0) != tc.prunes {
-			t.Fatalf("%s: the scalar walk pruned %d points, want pruning = %v", tc.name, pruned, tc.prunes)
+			t.Fatalf("%s: the batch pruned %d points, want pruning = %v", tc.name, pruned, tc.prunes)
 		}
 	}
 }

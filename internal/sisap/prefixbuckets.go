@@ -165,11 +165,12 @@ func buildPrefixBuckets(t *rankTable, tableIDs []uint32, ell int) *prefixBuckets
 	if !t.wide() && maxEll <= 8 {
 		packed := make([]uint64, distinct)
 		for r := range packed {
+			var key uint64
 			for s, rank := range t.r8.row(t.k, r) {
-				if int(rank) < maxEll {
-					packed[r] |= uint64(s) << (8 * (maxEll - 1 - int(rank)))
-				}
+				// A shift of 64 or more is 0: ranks from maxEll on add nothing.
+				key |= uint64(s) << uint(8*(maxEll-1-int(rank)))
 			}
+			packed[r] = key
 		}
 		ell, rowBucket, first = numberPrefixes(distinct, ell, maxEll, func(r, l int) uint64 { return packed[r] >> (8 * (maxEll - l)) })
 	} else {

@@ -244,7 +244,7 @@ func TestBoundQualification(t *testing.T) {
 			sameBits(t, label+" Range", gotR, wantR)
 			batch, stB := idx.KNNBatch([]metric.Point{q}, 10)
 			sameBits(t, label+" KNNBatch", batch[0], want)
-			if st.DistanceEvals+st.PrunedEvals != 12+db.N() || stR.DistanceEvals+stR.PrunedEvals != 12+db.N() || stB[0] != (Stats{DistanceEvals: 12 + db.N()}) {
+			if st.DistanceEvals+st.PrunedEvals != 12+db.N() || stR.DistanceEvals+stR.PrunedEvals != 12+db.N() || stB[0] != st {
 				t.Fatalf("%s: stats %+v / %+v / %+v do not account for 12 sites + %d points", label, st, stR, stB[0], db.N())
 			}
 			pruned += st.PrunedEvals + stR.PrunedEvals

@@ -152,20 +152,17 @@ type Index interface {
 	IndexBits() int64
 }
 
-// BatchIndex is the batch-native query capability: an index whose kernels
-// evaluate a whole block of queries per pass over the index data, instead
-// of re-walking it once per query. Results and tie-breaks must be identical
-// to calling KNN once per query — the batch boundary buys memory-traffic
-// amortisation, never a different answer; Stats are each path's honest cost
-// (a batch walk measures every point where the scalar path may prune).
-// Engines detect this interface on their worker replicas and hand down
+// BatchIndex is the batch capability: KNNBatch answers a block of kNN
+// queries, each exactly as KNN would — results, tie-breaks and Stats alike,
+// so the batch boundary never changes what is measured. Engines detect this
+// interface on a segment's index and hand its batches to workers as
 // contiguous sub-batches instead of single-query jobs. A BatchIndex whose
 // scalar path is non-reentrant (Replicable) has a non-reentrant batch path
 // too: one goroutine per replica, as usual.
 type BatchIndex interface {
 	Index
-	// KNNBatch answers one kNN query per element of qs, with per-query
-	// results — identical to KNN(qs[i], k) for every i — and cost.
+	// KNNBatch answers one kNN query per element of qs: results[i] and
+	// stats[i] are what KNN(qs[i], k) returns.
 	KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats)
 }
 
@@ -268,18 +265,6 @@ func (sc Scope) Search(x Index, q metric.Point, k int, r float64) ([]Result, Sta
 	}
 	rs, st := x.Range(q, r)
 	return RemapShardResults(rs, sc.Part), st
-}
-
-// KNNBatch is x.KNNBatch(qs, k) in scope sc.
-func (sc Scope) KNNBatch(x BatchIndex, qs []metric.Point, k int) ([][]Result, []Stats) {
-	if px, ok := x.(*PermIndex); ok {
-		return px.knnBatch(qs, k, sc)
-	}
-	rss, sts := x.KNNBatch(qs, k)
-	for _, rs := range rss {
-		RemapShardResults(rs, sc.Part)
-	}
-	return rss, sts
 }
 
 // KNNApprox is x.KNNApprox(q, k, nprobe) in scope sc: the probe set widens

@@ -79,9 +79,9 @@ type (
 	// kind. MutableEngine produces one via Snapshot and resumes one via
 	// NewMutableEngineFrom; a plain Engine can serve it read-only.
 	MutableIndex = sisap.MutableIndex
-	// BatchIndex is the batch-native query capability: KNNBatch answers a
-	// block of queries per pass over the index data, identically to per-query
-	// KNN. Engine detects it and hands workers contiguous sub-batches.
+	// BatchIndex is the batch capability: KNNBatch answers a block of
+	// queries, each exactly as per-query KNN would. Engine detects it and
+	// hands workers contiguous sub-batches.
 	BatchIndex = sisap.BatchIndex
 	// ApproxIndex is the approximate-search capability: KNNApprox trades
 	// bounded recall for a smaller candidate set, steered by nprobe (how

@@ -265,17 +265,17 @@ type job struct {
 	asts []ApproxStats // non-nil iff q.Approx
 	// dead is what no answer may hold: the view's deleted points.
 	dead sisap.Tombs
-	// batched routes an exact kNN job through the replica's KNNBatch (one
-	// walk of the coordinate tiles for the whole job) and counts it in
-	// BatchedQueries. It belongs to the search, not this job: a 2-query
-	// batch on 2 workers is two batched 1-query jobs.
+	// batched marks an exact kNN job cut from a multi-query batch over a
+	// BatchIndex segment, counted in BatchedQueries; its queries are walked
+	// one by one like any other. It belongs to the search, not this job: a
+	// 2-query batch on 2 workers is two batched 1-query jobs.
 	batched bool
 	wg      *sync.WaitGroup
 }
 
-// engineChunkCap bounds the queries a single sub-batch job carries. A
-// coordinate tile is already read from L1 by every query after the first,
-// so a longer job amortises nothing more and only worsens load balance.
+// engineChunkCap bounds the queries a single sub-batch job carries. Each
+// query of a chunk is its own walk, so a chunk saves only job hand-offs; a
+// longer one saves nothing more and only worsens load balance.
 const engineChunkCap = 64
 
 // NewEngine starts a worker pool over idx, which must have been built on
@@ -344,55 +344,38 @@ func (p *pool) worker() {
 	}
 }
 
-// serve answers one job on the worker's replica and remaps the answers to
-// the view's global IDs. Stats stay per-query: each query contributes its
-// own DistanceEvals (and probe statistics), and the job's wall time is
-// attributed evenly across its queries in the latency histogram (queries
-// inside one kernel pass have no individual wall times).
+// serve answers one job on the worker's replica, query by query, and remaps
+// the answers to the view's global IDs. Every query is its own walk, so its
+// Stats (and probe statistics) and its wall time in the latency histogram
+// are its own, whether it came alone or in a chunk.
 func (p *pool) serve(idx Index, j job) {
-	start := time.Now()
 	c := EngineStats{Queries: int64(len(j.qs))}
-	sc := sisap.Scope{Dead: j.dead, Part: j.v.segs[j.seg].part}
-	switch {
-	case j.q.Approx:
-		c.ApproxQueries = c.Queries
-		// search only sends an approximate job to a segment whose index is
-		// approx-capable, and a replica is of its index's own type.
-		ax := idx.(sisap.ApproxIndex)
-		for i, q := range j.qs {
-			j.outs[i], j.asts[i] = sc.KNNApprox(ax, q, j.q.K, j.q.NProbe)
-			st := j.asts[i]
-			c.DistanceEvals += int64(st.DistanceEvals)
-			c.PrunedEvals += int64(st.PrunedEvals)
-			c.ProbedBuckets += int64(st.ProbedBuckets)
-			c.ApproxCandidates += int64(st.Candidates)
-		}
-	case j.batched:
+	if j.batched {
 		c.BatchedQueries = c.Queries
-		// batched is set only for a batch-native segment index (same argument).
-		rs, sts := sc.KNNBatch(idx.(sisap.BatchIndex), j.qs, j.q.K)
-		copy(j.outs, rs)
-		for _, st := range sts {
-			c.DistanceEvals += int64(st.DistanceEvals)
-			c.PrunedEvals += int64(st.PrunedEvals)
-		}
-	default:
-		for i, q := range j.qs {
-			var st Stats
-			j.outs[i], st = sc.Search(idx, q, j.q.K, j.q.Radius)
-			c.DistanceEvals += int64(st.DistanceEvals)
-			c.PrunedEvals += int64(st.PrunedEvals)
-		}
 	}
-	sec := (time.Since(start) / time.Duration(len(j.qs))).Seconds()
-
+	sc := sisap.Scope{Dead: j.dead, Part: j.v.segs[j.seg].part}
 	sl := &p.slots[j.seg]
+	for i, q := range j.qs {
+		start := time.Now()
+		var st Stats
+		if j.q.Approx {
+			// search only sends an approximate job to a segment whose index
+			// is approx-capable, and a replica is of its index's own type.
+			j.outs[i], j.asts[i] = sc.KNNApprox(idx.(sisap.ApproxIndex), q, j.q.K, j.q.NProbe)
+			st = j.asts[i].Stats
+			c.ApproxQueries++
+			c.ProbedBuckets += int64(j.asts[i].ProbedBuckets)
+			c.ApproxCandidates += int64(j.asts[i].Candidates)
+		} else {
+			j.outs[i], st = sc.Search(idx, q, j.q.K, j.q.Radius)
+		}
+		c.DistanceEvals += int64(st.DistanceEvals)
+		c.PrunedEvals += int64(st.PrunedEvals)
+		sl.lat.Observe(time.Since(start).Seconds())
+	}
 	sl.mu.Lock()
 	sl.sums.add(c)
 	sl.mu.Unlock()
-	for range j.qs {
-		sl.lat.Observe(sec)
-	}
 }
 
 // Search answers q for every point of qs over the engine's index: outs[i]
@@ -431,14 +414,13 @@ func (p *pool) enter() error {
 // the caller has entered the pool and validated q.
 //
 // Each segment is asked for its min(K, segment size) best. Multi-query kNN
-// over a batch-native segment, and every approximate search, travel as
-// contiguous sub-batches: an exact chunk shares each coordinate tile across
-// its queries (KNNBatch), an approximate chunk is answered query by query
-// on one replica's scratch; the chunk size spreads the batch across the
-// segment's share of the pool (⌈B/(workers/segments)⌉) and is capped at
-// engineChunkCap — per-query cost is homogeneous there, so equal-size
-// contiguous chunks load-balance. Everything else travels one query per
-// job. The workers remap their answers to global IDs, and the gather merges
+// over a BatchIndex segment, and every approximate search, travel as
+// contiguous sub-batches, each answered query by query on one replica's
+// scratch; the chunk size spreads the batch across the segment's share of
+// the pool (⌈B/(workers/segments)⌉) and is capped at engineChunkCap.
+// Everything else travels one query per job. Whatever the job, every query
+// walks alone and costs what it would cost alone. The workers remap their
+// answers to global IDs, and the gather merges
 // them into the global top K (kNN) or the global (distance, ID) order
 // (range), identical to one index over the unpartitioned database. Every
 // segment of an approximate search probes the NProbe nearest prefix buckets
@@ -548,9 +530,9 @@ func (p *pool) Close() {
 type EngineStats struct {
 	// Queries is the number of queries answered.
 	Queries int64
-	// BatchedQueries is how many of those were served through the sub-batch
-	// fast path (batch-native index kernels); 0 means every query ran the
-	// per-query path.
+	// BatchedQueries is how many of those travelled in exact sub-batch jobs
+	// (multi-query kNN over a BatchIndex segment); 0 means every exact query
+	// travelled alone.
 	BatchedQueries int64
 	// ApproxQueries is how many queries were served through the approximate
 	// path (KNNApproxBatch), including those whose probe set covered the

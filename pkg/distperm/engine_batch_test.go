@@ -9,9 +9,9 @@ import (
 	"distperm/internal/sisap"
 )
 
-// TestEngineBatchFastPath pins the sub-batch scheduling: over a batch-native
-// index (distperm) every multi-query KNNBatch must flow through the batched
-// kernels — Stats().BatchedQueries counts them — with answers identical to
+// TestEngineBatchFastPath pins the sub-batch scheduling: over a BatchIndex
+// (distperm) every multi-query KNNBatch must travel in sub-batch jobs —
+// Stats().BatchedQueries counts them — with answers identical to
 // the sequential LinearScan ground truth, across batch shapes around the
 // chunking boundaries (1 = scalar path, < workers, > workers·chunkCap).
 func TestEngineBatchFastPath(t *testing.T) {

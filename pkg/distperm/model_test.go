@@ -53,6 +53,7 @@ func (m model) scan(q Point) []Result {
 // modelStore is what a history needs of the engine under test.
 type modelStore interface {
 	Search(qs []Point, q Query) ([][]Result, []ApproxStats, error)
+	Stats() EngineStats
 	ApproxBuckets() int
 	Close()
 }
@@ -147,9 +148,22 @@ func (r *modelRun) ask() {
 	case 1:
 		r.op = fmt.Sprintf("batch kNN k=%d", k)
 		qs := []Point{r.query(), r.query(), r.query()}
+		st0 := r.eng.Stats()
 		outs, _ := r.search(qs, Query{K: k})
+		st1 := r.eng.Stats()
 		for i, q := range qs {
 			r.check(outs[i], r.live.scan(q)[:k])
+			single, _ := r.search([]Point{q}, Query{K: k})
+			r.check(single[0], outs[i])
+		}
+		// A batch is its queries' walks: asked singly they measure and prune
+		// exactly what the batch did.
+		st2 := r.eng.Stats()
+		if st1.DistanceEvals-st0.DistanceEvals != st2.DistanceEvals-st1.DistanceEvals ||
+			st1.PrunedEvals-st0.PrunedEvals != st2.PrunedEvals-st1.PrunedEvals {
+			r.failf("the batch cost %d evals + %d pruned, its queries asked singly %d + %d",
+				st1.DistanceEvals-st0.DistanceEvals, st1.PrunedEvals-st0.PrunedEvals,
+				st2.DistanceEvals-st1.DistanceEvals, st2.PrunedEvals-st1.PrunedEvals)
 		}
 	case 2:
 		q := r.query()

@@ -740,12 +740,12 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 
 	// Old view: 21 queries over n base points plus the delta scan; new
 	// view: 10 queries over the rebuilt base, nothing pending — the same
-	// sites + n + inserted evaluations either way. The single pinned query
-	// is the only one that did not travel as a sub-batch.
+	// sites + n + inserted points measured or pruned either way. The single
+	// pinned query is the only one that did not travel as a sub-batch.
 	after, afterLat := me.Stats(), me.LatencySnapshot().Count
 	wantEvals := int64(31 * (sites + n + inserted))
-	if after.Queries != 31 || after.BatchedQueries != 30 || after.DistanceEvals != wantEvals || afterLat != 31 {
-		t.Errorf("after Close: %d queries, %d batched, %d evals, %d latencies; want 31, 30, %d, 31",
-			after.Queries, after.BatchedQueries, after.DistanceEvals, afterLat, wantEvals)
+	if after.Queries != 31 || after.BatchedQueries != 30 || after.DistanceEvals+after.PrunedEvals != wantEvals || afterLat != 31 {
+		t.Errorf("after Close: %d queries, %d batched, %d evals + %d pruned, %d latencies; want 31, 30, %d, 31",
+			after.Queries, after.BatchedQueries, after.DistanceEvals, after.PrunedEvals, afterLat, wantEvals)
 	}
 }

@@ -128,8 +128,8 @@ type IndexInfo struct {
 // (for humans reading curl output).
 type EngineStatsWire struct {
 	Queries int64 `json:"queries"`
-	// BatchedQueries counts queries served through the engine's sub-batch
-	// fast path (batch-native index kernels).
+	// BatchedQueries counts queries that travelled in the engine's exact
+	// sub-batch jobs.
 	BatchedQueries int64 `json:"batched_queries"`
 	// ApproxQueries counts queries served through the approximate path;
 	// ProbedBuckets and ApproxCandidates sum their probe sets and

@@ -111,7 +111,7 @@ func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableB
 		"Queries the engine has answered", nil,
 		func() float64 { return float64(backend.Stats().Queries) })
 	reg.CounterFunc("distperm_engine_batched_queries_total",
-		"Queries served through the sub-batch fast path", nil,
+		"Queries served in exact sub-batch jobs", nil,
 		func() float64 { return float64(backend.Stats().BatchedQueries) })
 	reg.CounterFunc("distperm_engine_distance_evals_total",
 		"Distance evaluations spent (the paper's cost model)", nil,

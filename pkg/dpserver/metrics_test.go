@@ -642,23 +642,36 @@ func (s *syncBuffer) String() string {
 // are counted once and surface on both planes — distperm_engine_pruned_evals_total
 // on /metrics and pruned_evals on /v1/stats — and with the evaluations spent
 // they account for every (query, point) pair: the prune rate is
-// pruned / (pruned + evals).
+// pruned / (pruned + evals). A "queries" batch is its queries' pruned walks,
+// so it adds to the count as singles do.
 func TestPrunedEvalsSurface(t *testing.T) {
 	const n, sites, reps = 4000, 8, 12 // enough points per bucket for the store to carry bounds
 	_, ts, _, queries := testServer(t, 79, n, 3, dpserver.Config{})
 	c := client.New(ts.URL)
+	engineStats := func() dpserver.EngineStatsWire {
+		st, err := c.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Engine
+	}
 	for _, q := range queries[:reps] {
 		if _, err := c.KNN(context.Background(), q, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Stats(context.Background())
-	if err != nil {
+	single := engineStats()
+	if single.PrunedEvals <= 0 || single.DistanceEvals+single.PrunedEvals != reps*(n+sites) {
+		t.Errorf("/v1/stats after singles: %d evals + %d pruned, want a positive pruned count and a total of %d",
+			single.DistanceEvals, single.PrunedEvals, reps*(n+sites))
+	}
+	if _, err := c.KNNBatch(context.Background(), queries[reps:2*reps], 3); err != nil {
 		t.Fatal(err)
 	}
-	e := st.Engine
-	if e.PrunedEvals <= 0 || e.DistanceEvals+e.PrunedEvals != reps*(n+sites) {
-		t.Errorf("/v1/stats: %d evals + %d pruned, want a positive pruned count and a total of %d", e.DistanceEvals, e.PrunedEvals, reps*(n+sites))
+	e := engineStats()
+	if e.BatchedQueries != reps || e.PrunedEvals <= single.PrunedEvals || e.DistanceEvals+e.PrunedEvals != 2*reps*(n+sites) {
+		t.Errorf("/v1/stats after a %d-query batch: %d batched, %d evals + %d pruned (%d pruned before), want the pruned count to grow and a total of %d",
+			reps, e.BatchedQueries, e.DistanceEvals, e.PrunedEvals, single.PrunedEvals, 2*reps*(n+sites))
 	}
 	fams := scrape(t, ts.URL)
 	if v := sampleValue(t, fams, "distperm_engine_pruned_evals_total", nil); v != float64(e.PrunedEvals) {

@@ -3,6 +3,7 @@ package sisap
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -37,15 +38,7 @@ func buildMutableFixture(t *testing.T, seed int64, nb, nd int) (*MutableIndex, *
 // over the live points in gid order, plus the local→gid map to translate
 // its answers.
 func mutableReference(x *MutableIndex) (*LinearScan, []int) {
-	var pts []metric.Point
-	var gids []int
-	for local, g := range x.GIDs() {
-		if x.Tombstoned(g) {
-			continue
-		}
-		pts = append(pts, x.DB().Points[local])
-		gids = append(gids, g)
-	}
+	gids, pts := x.Live()
 	return NewLinearScan(NewDB(x.DB().Metric, pts)), gids
 }
 
@@ -213,5 +206,61 @@ func TestMutableCodecCorruptPayload(t *testing.T) {
 	small := NewDB(full.Metric, full.Points[:full.N()-1])
 	if _, err := ReadIndex(bytes.NewReader(whole), small); err == nil {
 		t.Error("wrong database size should fail")
+	}
+}
+
+// TestMutableIndexWrites: Insert, Delete and Rebase return snapshots that
+// answer as a scan of their live points does, and leave the snapshot they
+// were called on as it was — including a snapshot read back with tombstoned
+// delta points, whose delta delete drops those first.
+func TestMutableIndexWrites(t *testing.T) {
+	x, _ := buildMutableFixture(t, 48, 60, 15)
+	rng := rand.New(rand.NewSource(49))
+	queries := dataset.UniformVectors(rng, 10, 3)
+	check := func(label string, y *MutableIndex) {
+		t.Helper()
+		ref, refGids := mutableReference(y)
+		for _, q := range queries {
+			for _, k := range []int{1, 5, y.LiveN()} {
+				got, _ := y.KNN(q, k)
+				want, _ := ref.KNN(q, k)
+				sameAnswers(t, label+" kNN", got, RemapShardResults(want, refGids))
+			}
+			got, _ := y.Range(q, 0.4)
+			want, _ := ref.Range(q, 0.4)
+			sameAnswers(t, label+" range", got, RemapShardResults(want, refGids))
+		}
+	}
+	before, _ := x.KNN(queries[0], 7)
+	y := x.Insert(dataset.UniformVectors(rng, 1, 3)[0])
+	if y.NextGID() != x.NextGID()+1 || y.LiveN() != x.LiveN()+1 {
+		t.Fatalf("insert: next %d live %d, from %d %d", y.NextGID(), y.LiveN(), x.NextGID(), x.LiveN())
+	}
+	check("insert", y)
+	dgids, _ := y.Delta()
+	y, ok := y.Delete(dgids[1]) // a live delta point, past a tombstoned one
+	if !ok || y.LiveN() != x.LiveN() || y.Tombstones()[len(y.Tombstones())-1] >= y.GIDs()[y.BaseN()] {
+		t.Fatalf("delta delete: ok %v, live %d; the tombstoned delta points should be gone", ok, y.LiveN())
+	}
+	check("delta delete", y)
+	base := y.GIDs()[1]
+	y, ok = y.Delete(base)
+	if !ok || !slices.Contains(y.Tombstones(), base) {
+		t.Fatalf("base delete of %d: ok %v, tombstones %v", base, ok, y.Tombstones())
+	}
+	check("base delete", y)
+	for _, gid := range []int{base, -1, y.NextGID(), 1} { // dead, never issued, a gap
+		if _, ok := y.Delete(gid); ok {
+			t.Errorf("Delete(%d) of no live point succeeded", gid)
+		}
+	}
+	gids, pts := y.Live()
+	z := y.Insert(pts[0]).Rebase(NewDB(metric.L2{}, pts), NewLinearScan(NewDB(metric.L2{}, pts)), gids)
+	if z.BaseN() != len(gids) || z.LiveN() != len(gids)+1 || len(z.Tombstones()) != 0 {
+		t.Fatalf("rebase: base %d live %d tombstones %v", z.BaseN(), z.LiveN(), z.Tombstones())
+	}
+	check("rebase", z)
+	if after, _ := x.KNN(queries[0], 7); !slices.Equal(after, before) {
+		t.Errorf("the writes changed the snapshot they started from: %v, was %v", after, before)
 	}
 }

@@ -27,11 +27,12 @@
 // limit excludes. A collector (measure.go) is the k best so far in a bounded
 // heap, its limit the k-th distance, or everything within a radius, its
 // limit the radius — so KNN and Range are one walk under two collectors,
-// written once (searchKNN, searchRange) for every kind; the ShardedIndex and
-// MutableIndex containers walk their members into the same collector. A
-// collector answers in a Scope: IDs renamed, and a dead set measured but
-// never collected, so a mutated store's walk prunes at its k-th live
-// distance. All
+// written once (searchKNN, searchRange) for every kind; the ShardedIndex
+// container walks its members into the same collector. A collector answers
+// in a Scope: IDs renamed, and a dead set measured but never collected, so a
+// mutated store's walk prunes at its k-th live distance. A MutableIndex walks
+// its base that way and lays its delta over the answer (Overlay), the step
+// pkg/distperm's engines take after merging their shards' answers. All
 // six pruning kinds skip through slackGap/lowerBound (measure.go) — a raw
 // float triangle bound drops points lying exactly on the limit — whose
 // rounding argument covers L1, L2 and L∞ only.
@@ -275,24 +276,6 @@ func (sc Scope) KNNApprox(x ApproxIndex, q metric.Point, k, nprobe int) ([]Resul
 	}
 	rs, st := x.KNNApprox(q, k, nprobe)
 	return RemapShardResults(rs, sc.Part), st
-}
-
-// Overlay offers rs — a kNN answer for k or, with k = 0, a range answer at
-// radius r — points 0..n-1, point i being at(i) = (its ID, the point), and
-// returns the answer over both in (distance, ID) order, measured under m.
-func Overlay(m metric.Metric, q metric.Point, rs []Result, k int, r float64, n int, at func(i int) (int, metric.Point)) []Result {
-	c := collector{r: r}
-	if k > 0 {
-		c.h = newKNNHeap(k)
-	}
-	for _, x := range rs {
-		c.add(x.ID, x.Distance)
-	}
-	for i := 0; i < n; i++ {
-		id, p := at(i)
-		c.add(id, m.Distance(q, p))
-	}
-	return c.results()
 }
 
 // sortResults orders results by (distance, id).

@@ -257,8 +257,8 @@ func TestMutableApproxDeltaStaysExact(t *testing.T) {
 
 	// Query exactly at an inserted point: it must be its own nearest
 	// neighbour even with the narrowest probe — the delta is never pruned.
-	q := []Point{m.cur.Load().delta[0].p}
-	gid := m.cur.Load().delta[0].gid
+	gids, delta := m.cur.Load().mi.Delta()
+	q, gid := []Point{delta[0]}, gids[0]
 	narrow, _, err := m.KNNApproxBatch(q, 1, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,10 @@
 //     summing to the global cost.
 //   - MutableEngine: the same pool under a live write path — a delta buffer
 //     and tombstones over the built base, folded in by background rebuilds
-//     that publish a new view to the pool that is already running.
+//     that publish a new view to the pool that is already running. Its
+//     published state is one immutable MutableIndex, which a plain Engine
+//     serves read-only through the same search once it is saved and read
+//     back.
 //   - WriteIndex/ReadIndex: one versioned container format persisting every
 //     index kind, including the sharded container (partition map plus one
 //     embedded index per shard).
@@ -74,10 +77,12 @@ type (
 	PermIndex = sisap.PermIndex
 	// PermDistance selects the candidate-ordering permutation distance.
 	PermDistance = sisap.PermDistance
-	// MutableIndex is the serialisable snapshot of a live-mutated store
-	// (base index + delta + tombstones), the DPERMIDX "mutable" container
-	// kind. MutableEngine produces one via Snapshot and resumes one via
-	// NewMutableEngineFrom; a plain Engine can serve it read-only.
+	// MutableIndex is one immutable state of a live-mutated store (base
+	// index + delta + tombstones + next ID), and the DPERMIDX "mutable"
+	// container kind. It is what a MutableEngine publishes, copy-on-write,
+	// and Snapshot returns; NewMutableEngineFrom resumes one, and a plain
+	// Engine serves one read-only over its base's shards, checking k against
+	// its live points.
 	MutableIndex = sisap.MutableIndex
 	// BatchIndex is the batch capability: KNNBatch answers a block of
 	// queries, each exactly as per-query KNN would. Engine detects it and

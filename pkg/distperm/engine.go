@@ -48,17 +48,76 @@ func (q Query) validate(n int) error {
 	return nil
 }
 
-// searcher is what each engine implements itself; the rest of the shared
-// query/stats surface is engineAPI, written once over it.
-type searcher interface {
-	Search(qs []Point, q Query) ([][]Result, []ApproxStats, error)
-	counters() (EngineStats, obs.HistogramSnapshot)
-	served() *view // the view queries are being answered from
+// engineAPI is the method family Engine and MutableEngine share, written once
+// over the pool and the state a search loads: fixed for an Engine, the
+// published snapshot for a MutableEngine.
+type engineAPI struct {
+	*pool
+	load func() *state
 }
 
-// engineAPI is the method family Engine and MutableEngine share; each
-// embeds one pointing back at itself.
-type engineAPI struct{ self searcher }
+// state is what a search answers over: the view of a built index and, over a
+// mutated store, the snapshot laid on that index (nil: the view's index as it
+// is). Every snapshot over one base shares the base's view.
+type state struct {
+	*view
+	mi *MutableIndex
+}
+
+// liveN returns how many points a search over s may answer with.
+func (s *state) liveN() int {
+	if s.mi != nil {
+		return s.mi.LiveN()
+	}
+	return s.db.N()
+}
+
+// Search answers q for every point of qs over the store the engine serves:
+// outs[i] is the answer for qs[i], and asts[i] its probe statistics when
+// q.Approx (nil otherwise). The state is loaded once for the batch; see
+// pool.search for how a sharded index is scattered and gathered. Over a
+// mutated store every walk leaves the tombstones out (so a kNN walk prunes
+// at the K-th live distance) and the snapshot's delta is laid over each
+// gathered answer (MutableIndex.Overlay), which names it by stable global
+// IDs.
+//
+// Only the base answers approximately — the delta is always scanned exactly,
+// so a freshly inserted point is never missed by a probe; mutation costs
+// distance evaluations, never recall beyond the base's own probe trade. The
+// per-query stats of an approximate search carry the delta scan in
+// DistanceEvals and Candidates, and Exact refers to the base answer.
+func (a engineAPI) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
+	s := a.load()
+	if err := q.validate(s.liveN()); err != nil {
+		return nil, nil, err
+	}
+	// A closed engine answers the empty batch too — there is no work a
+	// worker would have to do.
+	if len(qs) == 0 {
+		return [][]Result{}, nil, nil
+	}
+	if err := a.enter(); err != nil {
+		return nil, nil, err
+	}
+	defer a.inflight.Done()
+	if s.mi == nil {
+		return a.search(s.view, qs, q, nil)
+	}
+	outs, asts, err := a.search(s.view, qs, q, s.mi.Dead())
+	if err != nil {
+		return nil, nil, err
+	}
+	_, delta := s.mi.Delta()
+	for i, p := range qs {
+		outs[i] = s.mi.Overlay(p, outs[i], q.K, q.Radius)
+		if q.Approx {
+			asts[i].DistanceEvals += len(delta)
+			asts[i].Candidates += len(delta)
+		}
+	}
+	a.deltaEvals.Add(int64(len(qs) * len(delta)))
+	return outs, asts, rangeFits(outs)
+}
 
 // KNNBatch is Search(qs, Query{K: k}): out[i] holds the k nearest database
 // points to qs[i] in increasing (distance, ID) order — identical to
@@ -68,21 +127,21 @@ func (a engineAPI) KNNBatch(qs []Point, k int) ([][]Result, error) {
 		// Query{K: 0} would be a range query; k = 0 stays the error it was.
 		return nil, fmt.Errorf("distperm: k=%d %w (need k ≥ 1)", k, ErrOutOfRange)
 	}
-	outs, _, err := a.self.Search(qs, Query{K: k})
+	outs, _, err := a.Search(qs, Query{K: k})
 	return outs, err
 }
 
 // RangeBatch is Search(qs, Query{Radius: r}): out[i] holds every point
 // within r of qs[i], in (distance, ID) order.
 func (a engineAPI) RangeBatch(qs []Point, r float64) ([][]Result, error) {
-	outs, _, err := a.self.Search(qs, Query{Radius: r})
+	outs, _, err := a.Search(qs, Query{Radius: r})
 	return outs, err
 }
 
 // KNNApproxBatch is Search(qs, Query{K: k, Approx: true, NProbe: nprobe}),
 // returning the per-query probe statistics too.
 func (a engineAPI) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []ApproxStats, error) {
-	return a.self.Search(qs, Query{K: k, Approx: true, NProbe: nprobe})
+	return a.Search(qs, Query{K: k, Approx: true, NProbe: nprobe})
 }
 
 // Stats returns a snapshot of the engine-level counters. Across shards the
@@ -90,30 +149,34 @@ func (a engineAPI) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []Appr
 // sub-queries); across a MutableEngine's rebuilds they accumulate, with the
 // gather-time delta scans costed into DistanceEvals.
 func (a engineAPI) Stats() EngineStats {
-	st, lat := a.self.counters()
+	st, lat := a.counters()
 	st.finish(lat)
-	v := a.self.served()
+	v := a.load()
 	st.DistinctRows, st.BucketRowsHeapBytes = v.distinctRows(), v.bucketRowsHeapBytes()
 	return st
 }
 
+// LiveN returns the logical point count: what k is checked against.
+func (a engineAPI) LiveN() int { return a.load().liveN() }
+
 // Shards returns how many segments serve the index: its shard count, 1 for a
-// plain index. It can change across a rebuild.
-func (a engineAPI) Shards() int { return len(a.self.served().segs) }
+// plain index — of a mutated store, its base's. It can change across a
+// rebuild.
+func (a engineAPI) Shards() int { return len(a.load().segs) }
 
 // ApproxBuckets returns the served index's inverted-file directory size, the
 // bound nprobe is measured against, summed across shards (0: no such capability).
-func (a engineAPI) ApproxBuckets() int { return a.self.served().approxBuckets() }
+func (a engineAPI) ApproxBuckets() int { return a.load().approxBuckets() }
 
 // DistinctRows returns the served index's distinct permutation-row count,
 // summed across shards (0: not exposed); a rebuild folds the delta points in.
-func (a engineAPI) DistinctRows() int { return a.self.served().distinctRows() }
+func (a engineAPI) DistinctRows() int { return a.load().distinctRows() }
 
 // LatencySnapshot returns the per-query latency histogram, merged across
 // shards and (on a MutableEngine) covering every view served — the source
 // /metrics exposes and Stats reads its percentiles from.
 func (a engineAPI) LatencySnapshot() obs.HistogramSnapshot {
-	_, lat := a.self.counters()
+	_, lat := a.counters()
 	return lat
 }
 
@@ -128,8 +191,10 @@ func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
 // worker goroutines answering each Search over the index's view — one
 // segment for a plain index, one per shard of a *ShardedIndex, whose
 // per-segment answers merge by (distance, global ID) into exactly what one
-// index over the unpartitioned database returns. Per-query Stats fold into
-// engine-level counters, kept per segment (ShardStats).
+// index over the unpartitioned database returns. A *MutableIndex (a saved
+// mutated store) is served read-only the way a MutableEngine serves it: over
+// its base's segments, with k checked against its live points. Per-query
+// Stats fold into engine-level counters, kept per segment (ShardStats).
 //
 // Search (and the KNNBatch/RangeBatch/KNNApproxBatch wrappers over it) is
 // safe to call from many goroutines at once; queries from concurrent
@@ -138,8 +203,7 @@ func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
 // sending before the job channel closes.
 type Engine struct {
 	engineAPI
-	*pool
-	view *view
+	idx Index
 }
 
 // segment is one built index of a view and the database it indexes; part,
@@ -240,6 +304,9 @@ type pool struct {
 	// busy counts workers currently serving a job — the pool-utilization
 	// gauge (0..workers).
 	busy atomic.Int64
+	// deltaEvals counts the gather-time delta scans of mutated stores,
+	// costed into Stats on top of the slots.
+	deltaEvals atomic.Int64
 }
 
 // slot holds one segment number's counters. lat holds every per-query
@@ -263,7 +330,7 @@ type job struct {
 	q    Query
 	outs [][]Result
 	asts []ApproxStats // non-nil iff q.Approx
-	// dead is what no answer may hold: the view's deleted points.
+	// dead is what no answer may hold: a mutated store's tombstoned positions.
 	dead sisap.Tombs
 	// batched marks an exact kNN job cut from a multi-query batch over a
 	// BatchIndex segment, counted in BatchedQueries; its queries are walked
@@ -280,15 +347,16 @@ const engineChunkCap = 64
 
 // NewEngine starts a worker pool over idx, which must have been built on
 // db: workers (≤ 0 means runtime.NumCPU()) for a plain index, that many per
-// shard for a *ShardedIndex.
+// shard for a *ShardedIndex or a *MutableIndex over one.
 func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("distperm: NewEngine requires a database and an index")
 	}
-	v := newView(db, idx)
-	e := &Engine{pool: newPool(workers, len(v.segs)), view: v}
-	e.engineAPI = engineAPI{e}
-	return e, nil
+	s := &state{view: newView(db, idx)}
+	if mi, ok := idx.(*MutableIndex); ok {
+		s = &state{view: newView(mi.BaseDB(), mi.Base()), mi: mi}
+	}
+	return &Engine{engineAPI{newPool(workers, len(s.segs)), func() *state { return s }}, idx}, nil
 }
 
 // newPool starts perSegment workers (≤ 0 means runtime.NumCPU()) for each
@@ -319,7 +387,7 @@ func (p *pool) Workers() int { return p.workers }
 func (p *pool) BusyWorkers() int { return int(p.busy.Load()) }
 
 // Index returns the engine's underlying index.
-func (e *Engine) Index() Index { return e.view.idx }
+func (e *Engine) Index() Index { return e.idx }
 
 // worker serves jobs on query replicas of the view it last served, made on
 // a segment's first job (the distance-permutation index's Permuter carries
@@ -376,26 +444,6 @@ func (p *pool) serve(idx Index, j job) {
 	sl.mu.Lock()
 	sl.sums.add(c)
 	sl.mu.Unlock()
-}
-
-// Search answers q for every point of qs over the engine's index: outs[i]
-// is the answer for qs[i], and asts[i] its probe statistics when q.Approx
-// (nil otherwise); see search for how a sharded index is scattered and
-// gathered.
-func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
-	if err := q.validate(e.view.db.N()); err != nil {
-		return nil, nil, err
-	}
-	// A closed engine answers the empty batch too — there is no work a
-	// worker would have to do.
-	if len(qs) == 0 {
-		return [][]Result{}, nil, nil
-	}
-	if err := e.enter(); err != nil {
-		return nil, nil, err
-	}
-	defer e.inflight.Done()
-	return e.search(e.view, qs, q, nil)
 }
 
 // enter registers one search with the pool; it fails once Close has begun.
@@ -507,8 +555,6 @@ func rangeFits(outs [][]Result) error {
 	return nil
 }
 
-func (e *Engine) served() *view { return e.view }
-
 // Close shuts the pool down after in-flight queries finish. It is
 // idempotent; batches submitted after Close return an error.
 func (p *pool) Close() {
@@ -589,10 +635,11 @@ func (s *EngineStats) finish(lat obs.HistogramSnapshot) {
 }
 
 // counters sums the slots (so DistanceEvals is exactly the global cost of
-// sharded serving, the paper's cost model composing additively) and merges
-// their latency histograms.
+// sharded serving, the paper's cost model composing additively), with the
+// delta scans costed in, and merges their latency histograms. They belong to
+// the pool, not to any one view, so they accumulate across rebuilds.
 func (p *pool) counters() (EngineStats, obs.HistogramSnapshot) {
-	var agg EngineStats
+	agg := EngineStats{DistanceEvals: p.deltaEvals.Load()}
 	var lat obs.HistogramSnapshot
 	for s := range p.slots {
 		c, snap := p.slots[s].counters()
@@ -615,8 +662,9 @@ func (sl *slot) counters() (EngineStats, obs.HistogramSnapshot) {
 // Queries count sub-queries: S shards serving a B-query batch record B
 // sub-queries each.
 func (e *Engine) ShardStats() []EngineStats {
-	stats := make([]EngineStats, len(e.view.segs))
-	for s, seg := range e.view.segs {
+	segs := e.load().segs
+	stats := make([]EngineStats, len(segs))
+	for s, seg := range segs {
 		c, lat := e.slots[s].counters()
 		c.finish(lat)
 		c.DistinctRows = distinctRows(seg.idx)

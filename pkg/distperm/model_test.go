@@ -19,7 +19,8 @@ import (
 // The model-checked store, first slice: seeded histories of writes, queries
 // of every form, forced rebuilds and save/load round trips run against the
 // engines and against a model that is a map and a scan; after every step the
-// answers must agree to the bit. The unsharded distperm legs also freeze the
+// answers must agree to the bit. Every round trip also serves the container
+// it read back through a plain Engine, read-only, under every query form. The unsharded distperm legs also freeze the
 // store in mid-history, map the file back with no database and go on over the
 // mapping — a PFR3 container, whose points lie bucket by bucket — so the plain
 // engine reads it under every query form and the mutable one lays tombstones,
@@ -136,10 +137,17 @@ func (r *modelRun) search(qs []Point, q Query) ([][]Result, []ApproxStats) {
 	return outs, sts
 }
 
-// ask runs one query form against store and model.
+// ask runs a random query form against store and model.
 func (r *modelRun) ask() {
 	k := 1 + r.rng.Intn(min(8, len(r.live)))
-	switch form := r.rng.Intn(4); form {
+	r.askForm(r.rng.Intn(4), k)
+}
+
+// askForm runs query form 0 (kNN), 1 (batched kNN), 2 (range at the 5th
+// neighbour's distance) or 3 (approximate at full coverage) for k against
+// store and model.
+func (r *modelRun) askForm(form, k int) {
+	switch form {
 	case 0:
 		r.op = fmt.Sprintf("kNN k=%d", k)
 		q := r.query()
@@ -267,7 +275,9 @@ func (r *modelRun) rebuild() {
 	r.walked = walked
 }
 
-// reload saves the store, reads it back and goes on with the resumed engine.
+// reload saves the store, reads it back, serves what it read read-only
+// through a plain Engine — every query form, against the model — and goes on
+// with the resumed engine.
 func (r *modelRun) reload() {
 	r.op = "snapshot → write → read → resume"
 	mi, err := r.mut.Snapshot()
@@ -278,10 +288,24 @@ func (r *modelRun) reload() {
 	if _, err := WriteIndex(&buf, mi); err != nil {
 		r.failf("WriteIndex: %v", err)
 	}
-	back, err := ReadIndex(&buf, mi.DB())
+	full := mi.DB()
+	back, err := ReadIndex(&buf, full)
 	if err != nil {
 		r.failf("ReadIndex: %v", err)
 	}
+	ro, err := NewEngine(full, back, 2)
+	if err != nil {
+		r.failf("NewEngine: %v", err)
+	}
+	// The read-only queries draw from a stream of their own, so the history
+	// goes on as it would without them.
+	eng, rng, name := r.eng, r.rng, r.name
+	r.eng, r.rng, r.name = ro, rand.New(rand.NewSource(r.seed<<16|int64(r.step))), name+" (read back, read-only)"
+	for form := range 4 {
+		r.askForm(form, 1+r.rng.Intn(min(8, len(r.live))))
+	}
+	r.eng, r.rng, r.name, r.op = eng, rng, name, "snapshot → write → read → resume"
+	ro.Close()
 	resumed, err := NewMutableEngineFrom(back.(*MutableIndex), r.cfg)
 	if err != nil {
 		r.failf("NewMutableEngineFrom: %v", err)
@@ -364,7 +388,7 @@ func (r *modelRun) thaw() {
 	r.op = "freeze base → Load(mmap) → resume"
 	s := r.mut.cur.Load()
 	st := r.mapped(s.view.idx.(*PermIndex))
-	mi, err := sisap.NewMutableIndex(st.DB, st.DB.N(), st.Index, s.gids, nil, r.next)
+	mi, err := sisap.NewMutableIndex(st.DB, st.DB.N(), st.Index, s.mi.GIDs(), nil, r.next)
 	if err != nil {
 		r.failf("NewMutableIndex: %v", err)
 	}

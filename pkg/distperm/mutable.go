@@ -3,14 +3,13 @@ package distperm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"distperm/internal/metric"
 	"distperm/internal/sisap"
-	"distperm/pkg/obs"
 )
 
 // ErrOutOfRange tags request-parameter errors (k or radius outside the
@@ -53,49 +52,6 @@ type MutableConfig struct {
 	WAL *WAL
 }
 
-// deltaPoint is one inserted, not-yet-indexed point.
-type deltaPoint struct {
-	gid   int
-	p     Point
-	shard int // Partitioner assignment at insert time; -1 unsharded
-}
-
-// mutSnapshot is one immutable state of the store: the view of its built
-// base index, the gid map and tombstones over it, and the delta of inserts
-// since the base was built. Writers publish a fresh snapshot per mutation
-// (sharing everything unchanged); readers load one snapshot for the duration
-// of a batch and never block on writers or rebuilds.
-type mutSnapshot struct {
-	view    *view
-	gids    []int        // base local -> gid, strictly increasing
-	maxBase int          // gids[len(gids)-1]
-	dead    sisap.Tombs  // the tombstoned base points' local IDs
-	delta   []deltaPoint // ascending gid, every gid > maxBase
-	logical int          // live point count
-}
-
-func (s *mutSnapshot) pending() int { return len(s.delta) + s.tombs() }
-
-// tombs returns the number of tombstones.
-func (s *mutSnapshot) tombs() int { return len(s.gids) + len(s.delta) - s.logical }
-
-// findDelta returns the position of gid in the delta, or (i, false) with
-// the insertion point.
-func (s *mutSnapshot) findDelta(gid int) (int, bool) {
-	i := sort.Search(len(s.delta), func(i int) bool { return s.delta[i].gid >= gid })
-	return i, i < len(s.delta) && s.delta[i].gid == gid
-}
-
-// live reports whether gid names a live point in this snapshot.
-func (s *mutSnapshot) live(gid int) bool {
-	if gid > s.maxBase {
-		_, ok := s.findDelta(gid)
-		return ok
-	}
-	i := sort.SearchInts(s.gids, gid)
-	return i < len(s.gids) && s.gids[i] == gid && !s.dead.Has(i)
-}
-
 // MutableEngine serves any built index with a live write path: inserts land
 // in a linear-scanned delta buffer whose results merge into every kNN/range
 // answer, deletes are tombstones every walk skips, and a background
@@ -106,32 +62,30 @@ func (s *mutSnapshot) live(gid int) bool {
 // A wrapped base that is a mapped container must stay mapped until Close has
 // returned (see Store.Close).
 //
+// The published state is an immutable *MutableIndex, copy-on-write on every
+// insert and delete and paired with its base's view; Snapshot returns it.
 // Every point carries a stable global ID: the initial database occupies
 // 0..N-1 and each insert takes the next ID. Query results report these IDs,
 // so answers are comparable across mutations, rebuilds, and save/load
-// (Snapshot serialises the store in the DPERMIDX "mutable" container kind).
-// After any sequence of writes, answers equal a from-scratch rebuild over
-// the logical point set — the delta scan is exact, so mutation costs
+// (WriteIndex serialises a snapshot in the DPERMIDX "mutable" container
+// kind). After any sequence of writes, answers equal a from-scratch rebuild
+// over the logical point set — the delta scan is exact, so mutation costs
 // distance evaluations (visible in Stats), never recall.
 //
 // All methods are safe for concurrent use. Writers serialise against each
 // other; readers never wait for writers, rebuilds, or each other.
 type MutableEngine struct {
+	// engineAPI's pool answers over every published view, and its slots
+	// carry the engine counters across rebuilds.
 	engineAPI
-	// The pool answers the base queries of every snapshot's view, and its
-	// slots carry the engine counters across rebuilds.
-	*pool
-	cfg    MutableConfig
-	metric Metric
-	proto  Point
+	cfg MutableConfig
 
-	// cur is the published snapshot: stored under writeMu, loaded by anyone.
-	cur    atomic.Pointer[mutSnapshot]
+	// cur is the published state: stored under writeMu, loaded by anyone.
+	cur    atomic.Pointer[state]
 	closed atomic.Bool
 
 	// writeMu serialises Insert/Delete/rebuild-swap/Close.
 	writeMu sync.Mutex
-	nextGid int
 	// wal, when non-nil, is appended to under writeMu before a mutation
 	// publishes — the durability handshake: no acknowledgement without a
 	// logged record. Set by MutableConfig.WAL or AttachWAL.
@@ -147,9 +101,6 @@ type MutableEngine struct {
 	done      chan struct{}
 	rebuilder sync.WaitGroup
 
-	// deltaEvals counts the gather-time delta scans, costed into Stats on
-	// top of the pool's counters.
-	deltaEvals       atomic.Int64
 	inserts, deletes atomic.Int64
 	rebuilds         atomic.Int64
 	rebuildFailures  atomic.Int64
@@ -215,39 +166,27 @@ func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*MutableEngine, error) {
 	for i := range gids {
 		gids[i] = i
 	}
-	return newMutable(db, idx, gids, nil, nil, db.N(), cfg)
+	mi, err := sisap.NewMutableIndex(db, db.N(), idx, gids, nil, db.N())
+	if err != nil {
+		return nil, err
+	}
+	return newMutable(mi, cfg)
 }
 
 // NewMutableEngineFrom resumes a saved store: a *MutableIndex read back
 // from the DPERMIDX "mutable" container (ReadIndex against the full
 // base+delta database) becomes a live engine again, with its gids,
-// tombstones, and pending delta intact.
+// tombstones, and pending delta intact. A tombstoned delta point never
+// re-enters the delta: the engine's delta holds live points only.
 func NewMutableEngineFrom(mi *MutableIndex, cfg MutableConfig) (*MutableEngine, error) {
 	if mi == nil {
 		return nil, errors.New("distperm: NewMutableEngineFrom requires a snapshot")
 	}
-	full, nb := mi.DB(), mi.BaseN()
-	gids := mi.GIDs()
-	var tombs []int
-	var delta []deltaPoint
-	for _, g := range mi.Tombstones() {
-		// Tombstoned delta points simply never re-enter the delta; only
-		// base tombstones are carried (the engine's delta holds live points
-		// only).
-		if g <= gids[nb-1] {
-			tombs = append(tombs, g)
-		}
-	}
-	for local := nb; local < full.N(); local++ {
-		if mi.Tombstoned(gids[local]) {
-			continue
-		}
-		delta = append(delta, deltaPoint{gid: gids[local], p: full.Points[local], shard: -1})
-	}
-	return newMutable(mi.BaseDB(), mi.Base(), append([]int(nil), gids[:nb]...), tombs, delta, mi.NextGID(), cfg)
+	return newMutable(mi.Rebase(mi.BaseDB(), mi.Base(), mi.GIDs()[:mi.BaseN()]), cfg)
 }
 
-func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint, nextGid int, cfg MutableConfig) (*MutableEngine, error) {
+func newMutable(mi *MutableIndex, cfg MutableConfig) (*MutableEngine, error) {
+	baseIdx := mi.Base()
 	if cfg.Shards > 1 && cfg.Partitioner == nil {
 		return nil, fmt.Errorf("distperm: %d shards need a Partitioner", cfg.Shards)
 	}
@@ -260,14 +199,7 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 			cfg.Spec.Index = baseIdx.Name()
 		}
 	}
-	known := false
-	for _, kind := range Kinds() {
-		if kind == cfg.Spec.Index {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(Kinds(), cfg.Spec.Index) {
 		return nil, fmt.Errorf("distperm: rebuild spec names unknown index kind %q", cfg.Spec.Index)
 	}
 	if cfg.WAL != nil {
@@ -275,118 +207,34 @@ func newMutable(baseDB *DB, baseIdx Index, gids, tombs []int, delta []deltaPoint
 			return nil, err
 		}
 	}
-	v := newView(baseDB, baseIdx)
+	s := &state{view: newView(mi.BaseDB(), baseIdx), mi: mi}
 	m := &MutableEngine{
-		// Sized once, for the widest view a rebuild can publish.
-		pool:    newPool(cfg.Workers, max(len(v.segs), cfg.Shards)),
-		cfg:     cfg,
-		metric:  baseDB.Metric,
-		proto:   baseDB.Points[0],
-		nextGid: nextGid,
-		wal:     cfg.WAL,
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		cfg:  cfg,
+		wal:  cfg.WAL,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	m.engineAPI = engineAPI{m}
-	locals := make([]int, len(tombs))
-	for i, g := range tombs {
-		locals[i] = sort.SearchInts(gids, g)
-	}
-	for i := range delta {
-		delta[i].shard = m.routeShard(delta[i].gid, delta[i].p)
-	}
-	s := &mutSnapshot{
-		view:    v,
-		gids:    gids,
-		maxBase: gids[len(gids)-1],
-		dead:    sisap.Tombs{}.With(locals...),
-		delta:   delta,
-		logical: len(gids) - len(tombs) + len(delta),
-	}
+	// The pool is sized once, for the widest view a rebuild can publish.
+	m.engineAPI = engineAPI{newPool(cfg.Workers, max(len(s.segs), cfg.Shards)), m.cur.Load}
 	m.cur.Store(s)
 	m.rebuilder.Add(1)
 	go m.rebuildLoop()
-	m.maybeKick(s)
+	m.maybeKick(mi)
 	return m, nil
 }
 
-// routeShard places a point through the Partitioner seam at write time.
-func (m *MutableEngine) routeShard(gid int, p Point) int {
-	if m.cfg.Shards > 1 {
-		return m.cfg.Partitioner.Shard(gid, p, m.cfg.Shards)
-	}
-	return -1
-}
-
-// acquire enters the pool — so Close waits for the caller, who leaves with
-// m.inflight.Done() — and returns the current snapshot.
-func (m *MutableEngine) acquire() (*mutSnapshot, error) {
-	if m.pool.enter() != nil {
-		return nil, errors.New("distperm: mutable engine is closed")
-	}
-	return m.cur.Load(), nil
-}
-
 // BaseKind returns the current base index's kind.
-func (m *MutableEngine) BaseKind() string { return m.cur.Load().view.idx.Name() }
+func (m *MutableEngine) BaseKind() string { return m.cur.Load().idx.Name() }
 
 // Metric returns the store's metric.
-func (m *MutableEngine) Metric() Metric { return m.metric }
+func (m *MutableEngine) Metric() Metric { return m.cur.Load().db.Metric }
 
 // Proto returns a representative point of the store — the shape inserts
 // and queries are validated against.
-func (m *MutableEngine) Proto() Point { return m.proto }
-
-// LiveN returns the logical point count.
-func (m *MutableEngine) LiveN() int { return m.cur.Load().logical }
+func (m *MutableEngine) Proto() Point { return m.cur.Load().db.Points[0] }
 
 // IndexBits reports the current base index's storage cost.
-func (m *MutableEngine) IndexBits() int64 { return m.cur.Load().view.idx.IndexBits() }
-
-// Search answers q for every point of qs over the logical point set: one
-// snapshot is loaded for the batch, the pool answers over its view skipping
-// the tombstones inside every walk (so a kNN walk prunes at the K-th live
-// distance), and the delta points are offered to each base answer's
-// collector. Result IDs are stable global IDs.
-//
-// Only the built base index answers approximately — the delta buffer is
-// always scanned exactly, so freshly inserted points can never be missed by
-// a probe miss; mutation costs distance evaluations, never recall beyond
-// the base's own probe trade. The per-query stats of an approximate search
-// carry the base's probe accounting with the delta scan folded into
-// DistanceEvals and Candidates; Exact refers to the base answer (when true,
-// results are byte-identical to the exact query). An engine whose base
-// index lacks the capability fails with ErrNoApprox.
-func (m *MutableEngine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
-	s, err := m.acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer m.inflight.Done()
-	if err := q.validate(s.logical); err != nil {
-		return nil, nil, err
-	}
-	if len(qs) == 0 {
-		return [][]Result{}, nil, nil
-	}
-	outs, sts, err := m.pool.search(s.view, qs, q, s.dead)
-	if err != nil {
-		return nil, nil, err
-	}
-	delta := func(i int) (int, Point) { return s.delta[i].gid, s.delta[i].p }
-	for i, p := range qs {
-		base := sisap.RemapShardResults(outs[i], s.gids)
-		outs[i] = sisap.Overlay(m.metric, p, base, q.K, q.Radius, len(s.delta), delta)
-		if q.Approx {
-			sts[i].DistanceEvals += len(s.delta)
-			sts[i].Candidates += len(s.delta)
-		}
-	}
-	m.deltaEvals.Add(int64(len(qs) * len(s.delta)))
-	return outs, sts, rangeFits(outs)
-}
-
-func (m *MutableEngine) served() *view { return m.cur.Load().view }
+func (m *MutableEngine) IndexBits() int64 { return m.cur.Load().idx.IndexBits() }
 
 // checkPoint validates an insert against the store's point shape, so a
 // malformed write is an error here, not a metric panic in a later query.
@@ -394,10 +242,10 @@ func (m *MutableEngine) checkPoint(p Point) error {
 	if p == nil {
 		return errors.New("distperm: nil point")
 	}
-	if err := metric.Probe(m.metric, p); err != nil {
+	if err := metric.Probe(m.Metric(), p); err != nil {
 		return fmt.Errorf("distperm: %w", err)
 	}
-	if proto, ok := m.proto.(Vector); ok {
+	if proto, ok := m.Proto().(Vector); ok {
 		if v, ok := p.(Vector); !ok || len(v) != len(proto) {
 			return fmt.Errorf("distperm: insert must be a %d-dimensional vector", len(proto))
 		}
@@ -419,7 +267,7 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 		return 0, errors.New("distperm: mutable engine is closed")
 	}
 	s := m.cur.Load()
-	gid := m.nextGid
+	gid := s.mi.NextGID()
 	// Durability before acknowledgement: the record must be on the log
 	// before the insert becomes visible or the gid is consumed. On append
 	// failure nothing changed — but the WAL itself has poisoned, so the gid
@@ -430,17 +278,11 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 			return 0, err
 		}
 	}
-	m.nextGid++
-	next := *s
-	// Appending may share the backing array with s.delta; that is safe —
-	// s's readers never look past their own length, and all appends
-	// serialise under writeMu.
-	next.delta = append(s.delta, deltaPoint{gid: gid, p: p, shard: m.routeShard(gid, p)})
-	next.logical++
-	m.cur.Store(&next)
+	next := s.mi.Insert(p)
+	m.cur.Store(&state{s.view, next})
 	m.inserts.Add(1)
 	m.writeMu.Unlock()
-	m.maybeKick(&next)
+	m.maybeKick(next)
 	return gid, nil
 }
 
@@ -455,25 +297,10 @@ func (m *MutableEngine) Delete(gid int) error {
 		return errors.New("distperm: mutable engine is closed")
 	}
 	s := m.cur.Load()
-	next := *s
-	switch {
-	case gid < 0 || gid >= m.nextGid:
+	mi, ok := s.mi.Delete(gid)
+	if !ok {
 		m.writeMu.Unlock()
 		return fmt.Errorf("distperm: id %d: %w", gid, ErrUnknownID)
-	case gid > s.maxBase:
-		i, ok := s.findDelta(gid)
-		if !ok {
-			m.writeMu.Unlock()
-			return fmt.Errorf("distperm: id %d: %w", gid, ErrUnknownID)
-		}
-		next.delta = make([]deltaPoint, 0, len(s.delta)-1)
-		next.delta = append(append(next.delta, s.delta[:i]...), s.delta[i+1:]...)
-	default:
-		if !s.live(gid) {
-			m.writeMu.Unlock()
-			return fmt.Errorf("distperm: id %d: %w", gid, ErrUnknownID)
-		}
-		next.dead = s.dead.With(sort.SearchInts(s.gids, gid))
 	}
 	if m.wal != nil {
 		if err := m.wal.Append(WALRecord{Op: WALDelete, GID: gid}); err != nil {
@@ -481,18 +308,25 @@ func (m *MutableEngine) Delete(gid int) error {
 			return err
 		}
 	}
-	next.logical--
-	m.cur.Store(&next)
+	m.cur.Store(&state{s.view, mi})
 	m.deletes.Add(1)
 	m.writeMu.Unlock()
-	m.maybeKick(&next)
+	m.maybeKick(mi)
 	return nil
+}
+
+// pending returns the write count a rebuild of mi would fold: its delta
+// points and its tombstones, the points of base and delta not live.
+func pending(mi *MutableIndex) int {
+	gids, _ := mi.Delta()
+	tombs := mi.BaseN() + len(gids) - mi.LiveN()
+	return len(gids) + tombs
 }
 
 // maybeKick wakes the background rebuilder when the pending write set has
 // reached the threshold.
-func (m *MutableEngine) maybeKick(s *mutSnapshot) {
-	if m.cfg.RebuildThreshold > 0 && s.pending() >= m.cfg.RebuildThreshold && s.logical > 0 {
+func (m *MutableEngine) maybeKick(mi *MutableIndex) {
+	if m.cfg.RebuildThreshold > 0 && pending(mi) >= m.cfg.RebuildThreshold && mi.LiveN() > 0 {
 		select {
 		case m.kick <- struct{}{}:
 		default:
@@ -526,40 +360,27 @@ func (m *MutableEngine) Rebuild() error { return m.rebuildOnce(true) }
 func (m *MutableEngine) rebuildOnce(force bool) error {
 	m.rebuildMu.Lock()
 	defer m.rebuildMu.Unlock()
-	// Entered like a reader: the build reads s's points, and Close waits for
-	// a rebuild that got in.
-	s, err := m.acquire()
-	if err != nil {
-		return err
+	// Entered like a reader: the build reads mi's points, and Close waits
+	// for a rebuild that got in.
+	if m.enter() != nil {
+		return errors.New("distperm: mutable engine is closed")
 	}
 	defer m.inflight.Done()
-	if !force && (s.pending() < m.cfg.RebuildThreshold || s.logical == 0) {
+	mi := m.cur.Load().mi
+	if !force && (pending(mi) < m.cfg.RebuildThreshold || mi.LiveN() == 0) {
 		return nil
 	}
-	if s.logical == 0 {
+	if mi.LiveN() == 0 {
 		return errors.New("distperm: cannot rebuild an empty store")
 	}
-	if s.pending() == 0 {
+	if pending(mi) == 0 {
 		return nil // nothing to fold
 	}
 	start := time.Now()
 
-	// The new base: s's logical point set in gid order. Delta gids all
-	// exceed base gids, so base-then-delta concatenation is gid-ascending.
-	newGids := make([]int, 0, s.logical)
-	newPts := make([]Point, 0, s.logical)
-	for local, g := range s.gids {
-		if s.dead.Has(local) {
-			continue
-		}
-		newGids = append(newGids, g)
-		newPts = append(newPts, s.view.db.Points[local])
-	}
-	for _, dp := range s.delta {
-		newGids = append(newGids, dp.gid)
-		newPts = append(newPts, dp.p)
-	}
-	newDB := sisap.NewDB(m.metric, newPts)
+	// The new base: mi's logical point set in gid order.
+	newGids, newPts := mi.Live()
+	newDB := sisap.NewDB(m.Metric(), newPts)
 
 	cfg := m.cfg
 	cfg.Spec.Seed += m.rebuilds.Load() // decorrelate successive rebuilds, reproducibly
@@ -587,29 +408,12 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 		m.writeMu.Unlock()
 		return errors.New("distperm: mutable engine is closed")
 	}
-	// Writes landed since s was captured; c shares s's base (only this
-	// rebuilder replaces bases, and writers only touch delta/tomb), so the
-	// new snapshot's tombstones are exactly the new-base points no longer
-	// live in c, and its delta the c-delta entries newer than the new base.
-	c := m.cur.Load()
-	maxBase := newGids[len(newGids)-1]
-	var locals []int
-	for local, g := range newGids {
-		if !c.live(g) {
-			locals = append(locals, local)
-		}
-	}
-	i, _ := c.findDelta(maxBase + 1)
-	newDelta := append([]deltaPoint(nil), c.delta[i:]...)
-	next := &mutSnapshot{
-		view:    nv,
-		gids:    newGids,
-		maxBase: maxBase,
-		dead:    sisap.Tombs{}.With(locals...),
-		delta:   newDelta,
-		logical: len(newGids) - len(locals) + len(newDelta),
-	}
-	m.cur.Store(next)
+	// Writes landed since mi was captured, over its base (only this
+	// rebuilder replaces bases): the current snapshot rebased on the new
+	// index tombstones the points they deleted and keeps the points they
+	// inserted as its delta.
+	next := m.cur.Load().mi.Rebase(newDB, idx, newGids)
+	m.cur.Store(&state{nv, next})
 	m.rebuilds.Add(1)
 	m.lastRebuildNanos.Store(int64(time.Since(start)))
 	m.writeMu.Unlock()
@@ -617,84 +421,50 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	return nil
 }
 
-// counters is the pool's counters — which belong to the pool, not to any
-// one view, so they accumulate across rebuilds with nothing to carry over —
-// with the gather-time delta scans costed into the evaluation count.
-func (m *MutableEngine) counters() (EngineStats, obs.HistogramSnapshot) {
-	c, lat := m.pool.counters()
-	c.DistanceEvals += m.deltaEvals.Load()
-	return c, lat
-}
-
-// MutationStats snapshots the write path.
+// MutationStats snapshots the write path; the store's counts are read from
+// one published snapshot.
 func (m *MutableEngine) MutationStats() MutationStats {
-	s := m.cur.Load()
+	mi := m.cur.Load().mi
+	gids, delta := mi.Delta()
 	ms := MutationStats{
 		Inserts:          m.inserts.Load(),
 		Deletes:          m.deletes.Load(),
-		LiveN:            s.logical,
-		DeltaSize:        len(s.delta),
-		Tombstones:       s.tombs(),
-		PendingWrites:    s.pending(),
+		LiveN:            mi.LiveN(),
+		NextID:           mi.NextGID(),
+		DeltaSize:        len(delta),
+		Tombstones:       pending(mi) - len(delta),
+		PendingWrites:    pending(mi),
 		RebuildThreshold: m.cfg.RebuildThreshold,
 		Rebuilds:         m.rebuilds.Load(),
 		RebuildFailures:  m.rebuildFailures.Load(),
 		LastRebuild:      time.Duration(m.lastRebuildNanos.Load()),
 	}
-	m.writeMu.Lock()
-	ms.NextID = m.nextGid
-	m.writeMu.Unlock()
 	if msg := m.lastRebuildErr.Load(); msg != nil {
 		ms.LastRebuildError = *msg
 	}
 	if m.cfg.Shards > 1 {
+		// The Partitioner is deterministic: where it routes a pending insert
+		// now is where it routed it at write time.
 		ms.DeltaPerShard = make([]int, m.cfg.Shards)
-		for _, dp := range s.delta {
-			if dp.shard >= 0 && dp.shard < len(ms.DeltaPerShard) {
-				ms.DeltaPerShard[dp.shard]++
+		for i, p := range delta {
+			if s := m.cfg.Partitioner.Shard(gids[i], p, m.cfg.Shards); s >= 0 && s < len(ms.DeltaPerShard) {
+				ms.DeltaPerShard[s]++
 			}
 		}
 	}
 	return ms
 }
 
-// Snapshot captures the store as a serialisable *MutableIndex — write it
-// with WriteIndex (the DPERMIDX "mutable" container kind) and resume it
-// with ReadIndex + NewMutableEngineFrom. The snapshot's database is the
-// base points followed by the live delta points; it shares the built base
-// index with the engine, which both only read.
-func (m *MutableEngine) Snapshot() (*MutableIndex, error) {
-	s := m.cur.Load()
-	m.writeMu.Lock()
-	nextGid := m.nextGid
-	m.writeMu.Unlock()
-	return m.assemble(s, nextGid)
-}
-
-// assemble builds the serialisable snapshot form of s.
-func (m *MutableEngine) assemble(s *mutSnapshot, nextGid int) (*MutableIndex, error) {
-	pts := append([]Point(nil), s.view.db.Points...)
-	gids := append([]int(nil), s.gids...)
-	for _, dp := range s.delta {
-		pts = append(pts, dp.p)
-		gids = append(gids, dp.gid)
-	}
-	tombs := make([]int, 0, s.tombs())
-	for local, g := range s.gids {
-		if s.dead.Has(local) {
-			tombs = append(tombs, g)
-		}
-	}
-	full := sisap.NewDB(m.metric, pts)
-	return sisap.NewMutableIndex(full, len(s.gids), s.view.idx, gids, tombs, nextGid)
-}
+// Snapshot returns the store as a serialisable *MutableIndex — one atomic
+// load of the published state. Write it with WriteIndex (the DPERMIDX
+// "mutable" container kind) and resume it with ReadIndex +
+// NewMutableEngineFrom; its DB is the base points followed by the delta
+// points. It shares the built base index with the engine, which both only
+// read.
+func (m *MutableEngine) Snapshot() (*MutableIndex, error) { return m.cur.Load().mi, nil }
 
 // NextGID returns the global ID the next accepted insert would take.
-func (m *MutableEngine) NextGID() int {
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	return m.nextGid
-}
+func (m *MutableEngine) NextGID() int { return m.cur.Load().mi.NextGID() }
 
 // AttachWAL starts logging every subsequent mutation to w. It must only be
 // called while no mutation is being issued, with a log whose records are
@@ -713,7 +483,7 @@ func (m *MutableEngine) AttachWAL(w *WAL) error {
 	if m.wal != nil {
 		return errors.New("distperm: a WAL is already attached")
 	}
-	if err := checkpointable(m.cur.Load().view.idx, m.cfg.Spec); err != nil {
+	if err := checkpointable(m.cur.Load().idx, m.cfg.Spec); err != nil {
 		return err
 	}
 	m.wal = w
@@ -775,20 +545,14 @@ func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint
 // WAL.WriteCheckpoint.
 func (m *MutableEngine) CheckpointSnapshot() (*MutableIndex, uint64, error) {
 	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
 	if m.closed.Load() {
-		m.writeMu.Unlock()
 		return nil, 0, errors.New("distperm: mutable engine is closed")
 	}
 	if m.wal == nil {
-		m.writeMu.Unlock()
 		return nil, 0, errors.New("distperm: no WAL attached")
 	}
-	s := m.cur.Load()
-	nextGid := m.nextGid
-	seq := m.wal.Seq()
-	m.writeMu.Unlock()
-	mi, err := m.assemble(s, nextGid)
-	return mi, seq, err
+	return m.cur.Load().mi, m.wal.Seq(), nil
 }
 
 // WALStats snapshots the attached log's counters; the zero value (Enabled

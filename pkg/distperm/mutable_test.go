@@ -749,3 +749,96 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 			after.Queries, after.BatchedQueries, after.DistanceEvals, after.PrunedEvals, afterLat, wantEvals)
 	}
 }
+
+// TestSavedStoreServedReadOnly: one snapshot of a 40-point, 2-shard store
+// with 5 tombstones, served read-only by a plain Engine and live by the
+// MutableEngine it came from, gives the same errors, the same answers and
+// the same Shards() at k = LiveN and k = LiveN + 1 — the plain Engine fans
+// out over the base's shards and checks k against the live points.
+func TestSavedStoreServedReadOnly(t *testing.T) {
+	db := mustDB(t, 71, 40)
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
+		Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 7}, Workers: 2, Shards: 2, Partitioner: distperm.RoundRobin{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	for _, gid := range []int{1, 8, 13, 30, 39} {
+		if err := me.Delete(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := me.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := distperm.NewEngine(snap.DB(), snap, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if ro.Shards() != me.Shards() || me.Shards() != 2 {
+		t.Errorf("read-only Shards() = %d, live %d; want 2", ro.Shards(), me.Shards())
+	}
+	probes := db.Points[:4]
+	for _, k := range []int{me.LiveN(), me.LiveN() + 1} {
+		want, werr := me.KNNBatch(probes, k)
+		got, gerr := ro.KNNBatch(probes, k)
+		if (werr == nil) != (gerr == nil) || (werr != nil && !errors.Is(gerr, distperm.ErrOutOfRange)) {
+			t.Fatalf("k=%d: read-only error %v, live %v", k, gerr, werr)
+		}
+		for i := range want {
+			if !sameResultSlices(got[i], want[i]) {
+				t.Fatalf("k=%d probe %d: read-only %v, live %v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSnapshotIsOneState: Snapshot and MutationStats each read one published
+// state. With one goroutine inserting and none deleting, every snapshot's
+// next ID is one past its largest ID, and every MutationStats reports as many
+// live points as IDs issued.
+func TestSnapshotIsOneState(t *testing.T) {
+	db := mustDB(t, 73, 50)
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "linear"}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }() // before Close
+	go func() {
+		defer close(done)
+		for i := 0; i < 4000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := me.Insert(db.Points[i%db.N()]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for checked := 0; ; checked++ {
+		select {
+		case <-done:
+			t.Logf("%d snapshots and stats checked under inserts", checked)
+			return
+		default:
+		}
+		snap, err := me.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gids := snap.GIDs(); snap.NextGID() != gids[len(gids)-1]+1 {
+			t.Fatalf("snapshot %d holds IDs up to %d but says the next is %d", checked, gids[len(gids)-1], snap.NextGID())
+		}
+		if ms := me.MutationStats(); ms.NextID != ms.LiveN {
+			t.Fatalf("stats %d: %d live points, next ID %d", checked, ms.LiveN, ms.NextID)
+		}
+	}
+}

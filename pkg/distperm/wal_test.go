@@ -416,11 +416,9 @@ func liveSet(t *testing.T, me *distperm.MutableEngine) map[int]string {
 		t.Fatal(err)
 	}
 	out := make(map[int]string)
-	full := snap.DB()
-	for local, g := range snap.GIDs() {
-		if !snap.Tombstoned(g) {
-			out[g] = fmt.Sprintf("%v", full.Points[local])
-		}
+	gids, pts := snap.Live()
+	for i, g := range gids {
+		out[g] = fmt.Sprintf("%v", pts[i])
 	}
 	return out
 }

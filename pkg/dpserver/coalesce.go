@@ -19,11 +19,12 @@ type Searcher interface {
 }
 
 // Backend is everything the Server calls on whichever engine it fronts:
-// the query path, the counters behind /v1/stats and /metrics, and Close.
-// An index without approximate-search support reports it per request
-// (distperm.ErrNoApprox from Search, answered 400).
+// the query path, the live point count, the counters behind /v1/stats and
+// /metrics, and Close. An index without approximate-search support reports
+// it per request (distperm.ErrNoApprox from Search, answered 400).
 type Backend interface {
 	Searcher
+	LiveN() int
 	Stats() distperm.EngineStats
 	LatencySnapshot() obs.HistogramSnapshot
 	Workers() int

@@ -167,8 +167,9 @@ func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
 // NewFromIndex starts an Engine over idx — workers per shard for a sharded
-// index — and wraps it in a Server. The Server owns the engine: Close (or
-// Serve's shutdown path) closes it.
+// index, or for a saved mutable store's sharded base — and wraps it in a
+// Server. IndexInfo.N is the live point count. The Server owns the engine:
+// Close (or Serve's shutdown path) closes it.
 func NewFromIndex(db *distperm.DB, idx distperm.Index, workers int, cfg Config) (*Server, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("dpserver: NewFromIndex requires a database and an index")
@@ -180,7 +181,7 @@ func NewFromIndex(db *distperm.DB, idx distperm.Index, workers int, cfg Config) 
 	info := IndexInfo{
 		Kind:    idx.Name(),
 		Bits:    idx.IndexBits(),
-		N:       db.N(),
+		N:       e.LiveN(),
 		Metric:  db.Metric.Name(),
 		Shards:  e.Shards(),
 		Workers: e.Workers(),
@@ -505,13 +506,8 @@ func (s *Server) approxWire(nprobe int, sts []distperm.ApproxStats) *ApproxWire 
 		aw.TotalBuckets = st.TotalBuckets // identical across the batch
 		aw.Exact = aw.Exact && st.Exact
 	}
-	// The fraction's denominator is the current logical database size: the
-	// live count on a mutable server, info.N otherwise.
-	n := s.info.N
-	if s.mutable != nil {
-		n = s.mutable.MutationStats().LiveN
-	}
-	if n > 0 && len(sts) > 0 {
+	// The fraction's denominator is the current logical database size.
+	if n := s.backend.LiveN(); n > 0 && len(sts) > 0 {
 		aw.CandidateFraction = float64(aw.Candidates) / float64(len(sts)*n)
 	}
 	return aw

@@ -624,6 +624,48 @@ func TestServerReadOnlyRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestServerReadOnlySavedStore: a saved mutable store served read-only
+// reports its live point count and its base's shards in IndexInfo, and a k
+// past the live count is a 400, as on the live server.
+func TestServerReadOnlySavedStore(t *testing.T) {
+	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rand.New(rand.NewSource(33)), 40, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
+		Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 33}, Workers: 2, Shards: 2, Partitioner: distperm.RoundRobin{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	for _, gid := range []int{2, 5, 11, 20, 31} {
+		if err := me.Delete(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := me.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dpserver.NewFromIndex(snap.DB(), snap, 2, dpserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); srv.Close() }()
+	if info := srv.Info(); info.Mutable || info.Kind != "mutable" || info.N != 35 || info.Shards != 2 {
+		t.Errorf("read-only saved store IndexInfo %+v, want N 35 over 2 shards", info)
+	}
+	c := client.New(ts.URL)
+	if rs, err := c.KNN(context.Background(), db.Points[0], 35); err != nil || len(rs) != 35 {
+		t.Errorf("k = live count: %d results, %v", len(rs), err)
+	}
+	if _, err := c.KNN(context.Background(), db.Points[0], 36); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("k past the live count: %v, want a 400", err)
+	}
+}
+
 // TestServerCacheNotStaleAfterMutation is the invalidation acceptance test:
 // a cached kNN answer must not be served stale after an insert or delete
 // that changes it.

@@ -926,22 +926,35 @@ func BenchmarkApproxKNN(b *testing.B) {
 
 // BenchmarkKNNExhaustive pins what the index earns on exact search at
 // serving scale (n=200k clustered, the BenchmarkApproxKNN build): the
-// index's exact 10-NN, which walks prefix buckets under their site-distance
-// bounds and measures only those that can still hold an answer (≈ 11 % of
-// the points here, each bucket one contiguous run); the LinearScan oracle;
-// a range query at the radius of that 10-NN answer, which rides the same
-// walk with a fixed limit; and the per-query cost of a 32-query KNNBatch,
-// which is that walk once per query. All four are exact. knn must sit well
-// under linear on this data: a knn ≈ linear reading means the bounds stopped
-// pruning (or the store stopped qualifying for them). knnbatch/query should
-// track knn; a reading near linear means a batch stopped pruning.
+// index's exact 10-NN, which walks prefix buckets, and the cells inside the
+// buckets that survive, under their site-distance bounds and measures only
+// the cells that can still hold an answer (≈ 4 % of the points here, each
+// cell one contiguous run); the LinearScan oracle; a range query at the
+// radius of that 10-NN answer, which rides the same walk with a fixed limit;
+// and the per-query cost of a 32-query KNNBatch, which is that walk once per
+// query. All four are exact. knn must sit well under linear on this data: a
+// knn ≈ linear reading means the bounds stopped pruning (or the store stopped
+// qualifying for them). knnbatch/query should track knn; a reading near
+// linear means a batch stopped pruning. knn and range also report evals/op,
+// the mean DistanceEvals of the 64 queries: a count, so it repeats exactly
+// and records the points the walk measures.
 func BenchmarkKNNExhaustive(b *testing.B) {
 	idx, queries, truth := approxBenchIndex(b, "clustered")
 	scan := sisap.NewLinearScan(approxBench.db["clustered"])
-	b.Run("knn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.KNN(queries[i&63], 10)
+	evals := func(b *testing.B, walk func(i int) sisap.Stats) {
+		b.StopTimer()
+		sum := 0
+		for i := range queries {
+			sum += walk(i).DistanceEvals
 		}
+		b.ReportMetric(float64(sum)/float64(len(queries)), "evals/op")
+	}
+	b.Run("knn", func(b *testing.B) {
+		knn := func(i int) sisap.Stats { _, st := idx.KNN(queries[i&63], 10); return st }
+		for i := 0; i < b.N; i++ {
+			knn(i)
+		}
+		evals(b, knn)
 	})
 	b.Run("linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -949,9 +962,11 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 		}
 	})
 	b.Run("range", func(b *testing.B) {
+		within := func(i int) sisap.Stats { _, st := idx.Range(queries[i&63], truth[i&63][9].Distance); return st }
 		for i := 0; i < b.N; i++ {
-			idx.Range(queries[i&63], truth[i&63][9].Distance)
+			within(i)
 		}
+		evals(b, within)
 	})
 	b.Run("knnbatch/query", func(b *testing.B) {
 		for i := 0; i < b.N; i += 32 {

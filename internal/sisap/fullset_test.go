@@ -196,13 +196,15 @@ func TestFullSetEquivalence(t *testing.T) {
 				queries := dataset.UniformVectors(rng, 3, d)
 				queries = append(queries, pts[0], pts[n-1]) // sitting on (duplicated) points
 				source := NewLinearScan(db)
-				// What the as-built store reports, per query and form: every
-				// other origin must report the same, to the digit.
+				// What the stores report, per query and form: every origin
+				// laid out alike — in cells, or one cell per bucket (PFR3) —
+				// must report the same, to the digit, and a probe that does
+				// not cover the directory costs the same on every origin.
 				type cost struct {
 					knn, rng Stats
 					approx   [3]ApproxStats
 				}
-				var built []cost
+				built := map[bool][]cost{} // keyed by "has cells"
 				for _, st := range fullSetStores(t, idx) {
 					x := st.idx
 					label := fmt.Sprintf("d=%d/%s/%s/%s", d, shape, m.Name(), st.name)
@@ -278,10 +280,16 @@ func TestFullSetEquivalence(t *testing.T) {
 							}
 							this.approx[pi] = statsA
 						}
-						if st.name == "heap" {
-							built = append(built, this)
-						} else if this != built[qi] {
-							t.Fatalf("%s query %d: costs %+v, the as-built store's %+v", label, qi, this, built[qi])
+						cells := x.RowsHeapBytes() > 0
+						if qi == len(built[cells]) {
+							built[cells] = append(built[cells], this)
+						} else if this != built[cells][qi] {
+							t.Fatalf("%s query %d: costs %+v, a store laid out alike %+v", label, qi, this, built[cells][qi])
+						}
+						for pi, a := range this.approx {
+							if b := built[true][qi].approx[pi]; !a.Exact && a != b {
+								t.Fatalf("%s query %d: probe %d costs %+v, the as-built store's %+v", label, qi, pi, a, b)
+							}
 						}
 					}
 				}

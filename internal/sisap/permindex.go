@@ -99,7 +99,7 @@ type permScratch struct {
 	counts []int32          // counting-sort buckets, grown on demand
 	approx *approxScratch   // approximate-path workspace, on first approx query
 	qd     []float64        // query-to-site distances, len k (search)
-	order  []bucketLB       // buckets a walk still has to order, grown on demand
+	queue  []pending        // buckets and cells a walk still has to reach, grown on demand
 }
 
 // parallelBuildThreshold is the database size below which sharded

@@ -25,18 +25,14 @@ import (
 // prefix footrule distance Σ_j |j − qinv[prefix[j]]| — the same
 // bounded-integer key family the row kernels use, ordered by the same
 // counting argsort — and probes only the nprobe nearest buckets. Every
-// point of a probed bucket is measured, so nothing is gained by ordering
-// them: the kNN heap's (distance, ID) ordering makes the answer a function
-// of the candidate *set*. Each probed bucket is therefore read as it lies,
-// one contiguous run of the bucket-major rows that its ptOrder run labels —
-// no gather, no sub-table kernel, no key scatter, no sort — which is
-// byte-identical to the ordered pipeline this replaced. Recall is bounded
-// (a true neighbour may live in an unprobed bucket) but monotone in nprobe:
-// the probe order is a fixed per-query bucket ranking, so a larger nprobe's
-// candidate set is a superset. When the probe set covers every bucket the
-// candidate set is the whole database and the answer is byte-identical to
-// the exact scan (set-determined again), which is why approx=0 / nprobe ≥
-// buckets can always be served safely.
+// point of a probed bucket is measured, and the kNN heap's (distance, ID)
+// ordering makes the answer a function of the candidate *set*, so a probed
+// bucket is read as it lies: one contiguous run of the bucket-major rows, in
+// whatever order its points lie there. Recall is bounded (a true neighbour
+// may live in an unprobed bucket) but monotone in nprobe: the probe order is
+// a fixed per-query bucket ranking, so a larger nprobe's candidate set is a
+// superset. A probe set that covers every bucket is the exact query, which
+// is why approx=0 / nprobe ≥ buckets can always be served safely.
 
 // prefixBuckets is the bucket directory: for each distinct length-ℓ
 // permutation prefix occurring in the rank table, the rows and points that
@@ -89,13 +85,17 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 // its first exact query, and rows it was not opened with on its first read
 // of a bucket.
 type lazyBuckets struct {
-	once       sync.Once
-	pb         *prefixBuckets
-	rowsOnce   sync.Once
-	rows       []float64    // nil after rowsOnce: DB.measure's kernels do not cover the store
-	rowsHeap   atomic.Int64 // bytes rowsOnce had to copy (RowsHeapBytes)
-	boundsOnce sync.Once
-	bounds     *bucketBounds // nil after boundsOnce: the store does not qualify
+	once     sync.Once
+	pb       *prefixBuckets
+	rowsOnce sync.Once
+	rows     []float64 // nil after rowsOnce: DB.measure's kernels do not cover the store
+	// Row j holds point labels[j], cell c is rows cellStarts[c]..cellStarts[c+1]
+	// and bucket b cells bucketCells[b]..bucketCells[b+1] (cellLayout).
+	labels, cellStarts, bucketCells []uint32
+	rowsHeap                        atomic.Int64 // bytes rowsOnce had to allocate (RowsHeapBytes)
+	boundsOnce                      sync.Once
+	bounds                          *bucketBounds // nil after boundsOnce: the store does not qualify
+	boundCells                      atomic.Int64  // cells the bounds cover (BoundCells)
 }
 
 // maxAutoPrefixLen caps the automatic ℓ choice: prefixes longer than this
@@ -163,15 +163,7 @@ func buildPrefixBuckets(t *rankTable, tableIDs []uint32, ell int) *prefixBuckets
 	distinct := t.rows
 	var rowBucket, first []uint32
 	if !t.wide() && maxEll <= 8 {
-		packed := make([]uint64, distinct)
-		for r := range packed {
-			var key uint64
-			for s, rank := range t.r8.row(t.k, r) {
-				// A shift of 64 or more is 0: ranks from maxEll on add nothing.
-				key |= uint64(s) << uint(8*(maxEll-1-int(rank)))
-			}
-			packed[r] = key
-		}
+		packed := packPrefixes(t, maxEll)
 		ell, rowBucket, first = numberPrefixes(distinct, ell, maxEll, func(r, l int) uint64 { return packed[r] >> (8 * (maxEll - l)) })
 	} else {
 		pref, buf := make([]uint32, maxEll), make([]byte, 4*maxEll)
@@ -188,36 +180,8 @@ func buildPrefixBuckets(t *rankTable, tableIDs []uint32, ell int) *prefixBuckets
 	for b, r := range first {
 		fillPrefix(t, int(r), ell, prefixes[b*ell:(b+1)*ell])
 	}
-	// Counting scatters: rows then points, grouped by bucket, ascending
-	// within each group.
-	rowStarts := make([]uint32, buckets+1)
-	for _, b := range rowBucket {
-		rowStarts[b+1]++
-	}
-	for b := 0; b < buckets; b++ {
-		rowStarts[b+1] += rowStarts[b]
-	}
-	rowOrder := make([]uint32, distinct)
-	cur := make([]uint32, buckets)
-	copy(cur, rowStarts[:buckets])
-	for r, b := range rowBucket {
-		rowOrder[cur[b]] = uint32(r)
-		cur[b]++
-	}
-	ptStarts := make([]uint32, buckets+1)
-	for _, row := range tableIDs {
-		ptStarts[rowBucket[row]+1]++
-	}
-	for b := 0; b < buckets; b++ {
-		ptStarts[b+1] += ptStarts[b]
-	}
-	ptOrder := make([]uint32, len(tableIDs))
-	copy(cur, ptStarts[:buckets])
-	for pt, row := range tableIDs {
-		b := rowBucket[row]
-		ptOrder[cur[b]] = uint32(pt)
-		cur[b]++
-	}
+	rowStarts, rowOrder := groupBy(rowBucket, ascending(distinct), buckets)
+	ptStarts, ptOrder := groupBy(rowBucket, tableIDs, buckets)
 	return &prefixBuckets{
 		ell:       ell,
 		prefixes:  prefixes,
@@ -226,6 +190,92 @@ func buildPrefixBuckets(t *rankTable, tableIDs []uint32, ell int) *prefixBuckets
 		ptStarts:  ptStarts,
 		ptOrder:   ptOrder,
 	}
+}
+
+// packPrefixes packs every row's length-maxEll prefix (maxEll ≤ 8, k ≤ 256),
+// a byte per site, rank-major: keys sharing their top l bytes share l ranks.
+func packPrefixes(t *rankTable, maxEll int) []uint64 {
+	packed := make([]uint64, t.rows)
+	for r := range packed {
+		var key uint64
+		for s, rank := range t.r8.row(t.k, r) {
+			// A shift of 64 or more is 0: ranks from maxEll on add nothing.
+			key |= uint64(s) << uint(8*(maxEll-1-int(rank)))
+		}
+		packed[r] = key
+	}
+	return packed
+}
+
+// ascending returns 0, 1, …, n−1.
+func ascending(n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = uint32(i)
+	}
+	return out
+}
+
+// groupBy is a counting scatter of the items i, of row rows[i], by their
+// row's group, ascending within a group: it returns each group's first
+// position in order, and which item is at each.
+func groupBy(group, rows []uint32, groups int) (starts, order []uint32) {
+	starts = make([]uint32, groups+1)
+	for _, r := range rows {
+		starts[group[r]+1]++
+	}
+	for g := range groups {
+		starts[g+1] += starts[g]
+	}
+	order, next := make([]uint32, len(rows)), slices.Clone(starts[:groups])
+	for i, r := range rows {
+		order[next[group[r]]] = uint32(i)
+		next[group[r]]++
+	}
+	return starts, order
+}
+
+// cellLayout lays out the rows a store makes (lazyBuckets' labels, cellStarts
+// and bucketCells): by bucket and, within one, by cell — the points whose rows
+// share their length-ℓ' prefix, ascending. ℓ' is the longest prefix, up to
+// maxAutoPrefixLen, whose cells hold minFill points on average (boundMinFill's
+// break-even holds for any run a bound skips); a bucket is one cell if none
+// longer than ℓ qualifies. Cells are numbered in row order, bucket by bucket.
+func cellLayout(t *rankTable, tableIDs []uint32, pb *prefixBuckets, minFill int) (labels, cellStarts, bucketCells []uint32) {
+	nb, maxEll := pb.numBuckets(), min(maxAutoPrefixLen, t.k)
+	rowCell, cells, bucketCells := make([]uint32, t.rows), nb, ascending(nb+1)
+	for b := range nb {
+		for _, r := range pb.rowOrder[pb.rowStarts[b]:pb.rowStarts[b+1]] {
+			rowCell[r] = uint32(b)
+		}
+	}
+	var packed []uint64
+	if !t.wide() && pb.ell < maxEll {
+		packed = packPrefixes(t, maxEll)
+	}
+	// Cut every cell by the site its rows rank (l+1)-th, while the cuts still
+	// hold minFill points on average.
+	for l := pb.ell; packed != nil && l < maxEll; l++ {
+		cut, ids, firstCut, next := make([]uint32, t.rows), make([]uint32, cells*t.k), make([]uint32, nb+1), uint32(0)
+		for b := range nb {
+			firstCut[b] = next
+			for _, r := range pb.rowOrder[pb.rowStarts[b]:pb.rowStarts[b+1]] {
+				id := int(rowCell[r])*t.k + int(packed[r]>>(8*(maxEll-1-l))&0xff)
+				if ids[id] == 0 {
+					next++
+					ids[id] = next
+				}
+				cut[r] = ids[id] - 1
+			}
+		}
+		if len(tableIDs) < minFill*int(next) {
+			break
+		}
+		firstCut[nb] = next
+		rowCell, cells, bucketCells = cut, int(next), firstCut
+	}
+	cellStarts, labels = groupBy(rowCell, tableIDs, cells)
+	return labels, cellStarts, bucketCells
 }
 
 // approxScratch is the per-replica workspace of the approximate query
@@ -257,68 +307,83 @@ func (x *PermIndex) buckets() *prefixBuckets {
 	return x.lb.pb
 }
 
-// rows returns the coordinate block in the order the buckets are read: row j
-// holds point ptOrder[j], so bucket b is the contiguous run
-// ptStarts[b]..ptStarts[b+1] and measuring it gathers nothing (a gathered
-// point costs ≈ 4× a contiguous one). A store opened from a PFR3 container has
-// them already: they are its database's block, mapped or decoded. Any other
-// packed store under L1, L2 or L∞ (the split DB.measure makes) copies its
-// points once, n·d·8 bytes of heap, on its first query that reads a bucket;
-// any other store has none (nil), and builds no directory for them.
-func (x *PermIndex) rows() []float64 {
-	x.fillRows(nil)
-	return x.lb.rows
+// rows returns the coordinate block in the order the buckets are read, row j
+// holding point labels[j]: bucket b is the contiguous run
+// ptStarts[b]..ptStarts[b+1] of the points ptOrder lists for it, and
+// measuring it gathers nothing (a gathered point costs ≈ 4× a contiguous
+// one). A PFR3 store has them already — its database's block under ptOrder.
+// Any other packed store under L1, L2 or L∞ (the split DB.measure makes)
+// lays them out in cells (cellLayout), n·d·8 bytes of heap and n·4 of labels,
+// on its first query that reads a bucket; any other store has none (nil).
+func (x *PermIndex) rows() ([]float64, []uint32) {
+	x.fillRows(boundMinFill, nil)
+	return x.lb.rows, x.lb.labels
 }
 
-// fillRows makes the rows of a store that has them to make, once, and reports
-// whether this call did: it has then handed every run to visit (when not nil)
-// while still in cache — the first exact query bounds a bucket as it fills it.
-func (x *PermIndex) fillRows(visit func(b int, run []float64)) (filled bool) {
+// fillRows makes the rows of a store that has them to make, once, in cells of
+// minFill points on average, and reports whether this call did: it has then
+// bounded every bucket into bb (when not nil) while still in cache. Rows a
+// store was opened with are read one cell per bucket.
+func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) (filled bool) {
 	x.lb.rowsOnce.Do(func() {
-		switch d := x.db.dim; x.db.Metric.(type) {
+		lb, pb, d := x.lb, x.buckets(), x.db.dim
+		switch x.db.Metric.(type) {
 		case metric.L1, metric.L2, metric.LInf:
-			if x.lb.rows == nil && d > 0 {
-				rows := make([]float64, x.db.N()*d)
-				x.eachRun(rows, true, visit)
-				x.lb.rows, filled = rows, true
-				x.lb.rowsHeap.Store(int64(8 * len(rows)))
-			}
+			filled = lb.rows == nil && d > 0
 		}
+		if !filled {
+			lb.labels, lb.cellStarts, lb.bucketCells = pb.ptOrder, pb.ptStarts, ascending(pb.numBuckets()+1)
+			return
+		}
+		lb.labels, lb.cellStarts, lb.bucketCells = cellLayout(x.table, x.tableIDs, pb, minFill)
+		lb.rows = make([]float64, x.db.N()*d)
+		lb.rowsHeap.Store(int64(8*len(lb.rows) + 4*len(lb.labels)))
+		x.eachBucket(true, bb)
 	})
 	return filled
 }
 
-// eachRun hands every bucket's run of rows to visit, many buckets at a time,
-// copying the bucket's points into the run first when fill is set.
-func (x *PermIndex) eachRun(rows []float64, fill bool, visit func(b int, run []float64)) {
-	db, d, pb := x.db, x.db.dim, x.buckets()
+// eachBucket works through the buckets, many at a time, filling a bucket's
+// rows if fill is set, then bounding it into bb, sized here, unless bb is nil.
+func (x *PermIndex) eachBucket(fill bool, bb *bucketBounds) {
+	db, d, lb := x.db, x.db.dim, x.lb
+	nb, k := len(lb.bucketCells)-1, x.K()
+	if bb != nil {
+		cells := int(lb.bucketCells[nb])
+		bb.cells = siteRanges{make([]float64, cells*k), make([]float64, cells*k)}
+		bb.buckets = siteRanges{make([]float64, nb*k), make([]float64, nb*k)}
+	}
 	workers := 1
 	if db.N() >= parallelBuildThreshold {
-		workers = 4 * core.ShardWorkers(pb.numBuckets()) // buckets are uneven: more shards than cores
+		workers = 4 * core.ShardWorkers(nb) // buckets are uneven: more shards than cores
 	}
-	core.ShardIndexes(pb.numBuckets(), workers, func(_, b0, b1 int) {
+	core.ShardIndexes(nb, workers, func(_, b0, b1 int) {
 		for b := b0; b < b1; b++ {
-			start, end := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
-			for j := start; fill && j < end; j++ {
-				copy(rows[j*d:][:d], db.row(int(pb.ptOrder[j])))
+			for j := int(lb.pb.ptStarts[b]); fill && j < int(lb.pb.ptStarts[b+1]); j++ {
+				copy(lb.rows[j*d:][:d], db.row(int(lb.labels[j])))
 			}
-			if visit != nil {
-				visit(b, rows[start*d:end*d])
+			if bb != nil {
+				x.bound(bb, b)
 			}
 		}
 	})
 }
 
-// RowsHeapBytes returns the heap held by this index's copy of the rows: n·d·8
-// once rows has had to make one, 0 before that and on a PFR3 store always.
+// RowsHeapBytes returns the heap held by this index's copy of the rows and
+// labels: n·d·8 + n·4 once rows has made one, 0 before and on PFR3 stores.
 func (x *PermIndex) RowsHeapBytes() int64 { return x.lb.rowsHeap.Load() }
 
-// bucketBounds is the metric side of the directory: lo[b*k+i] and hi[b*k+i]
-// are the least and greatest computed distance d(sᵢ, p) over the points p of
-// bucket b — 2·k·buckets float64s, LAESA's per-point table kept per cell.
-type bucketBounds struct {
-	lo, hi []float64
-}
+// BoundCells returns how many cells the exact walk bounds, once it has
+// bounds; 0 before that and on a store without them.
+func (x *PermIndex) BoundCells() int { return int(x.lb.boundCells.Load()) }
+
+// siteRanges holds lo[i*k+s] and hi[i*k+s], the least and greatest computed
+// d(sₛ, p) over the points p of run i: LAESA's per-point table, per cell.
+type siteRanges struct{ lo, hi []float64 }
+
+// bucketBounds is the metric side of the directory: the site ranges of every
+// cell, and of every bucket as the hull of its cells'.
+type bucketBounds struct{ cells, buckets siteRanges }
 
 // boundMinFill is the mean bucket size below which a store gets no bounds.
 // Bounding and ordering a bucket costs 2k slack gaps plus its share of the
@@ -334,34 +399,43 @@ type bucketBounds struct {
 const boundMinFill = 32
 
 // siteBounds computes the bounds from what every store holds whatever its
-// origin — its points, the site IDs and the bucket-major rows — with
-// DB.measure's arithmetic (site and point swapped, which changes no bit of
-// |x − y| or (x − y)²). Each bucket's run is swept once per site, the extremes
-// in registers — right after it is filled, where the rows are still to make:
-// turned that way round the copy costs nothing over bounding the scattered
-// points. L2 takes the extremes of the squared sums and one Sqrt per cell:
-// Sqrt is monotone and correctly rounded, so that is the extreme of the
-// distances. min and max propagate NaN, so an interval over a non-finite
-// coordinate compares false both ways and never prunes. Only a store that has
-// rows, of at most boundMaxDim dimensions, in buckets of at least minFill
-// points on average (boundMinFill), qualifies; any other gets nil at once.
+// origin — points, site IDs, bucket-major rows — right after a bucket is
+// filled where the rows are still to make, so the copy costs nothing over
+// bounding scattered points. Only a store with rows, of at most boundMaxDim
+// dimensions, in buckets of minFill points on average qualifies; else nil.
 func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
-	db, d, k := x.db, x.db.dim, x.K()
+	switch x.db.Metric.(type) {
+	case metric.L1, metric.L2, metric.LInf:
+	default:
+		return nil
+	}
+	if d := x.db.dim; d == 0 || d > boundMaxDim || x.db.N() < minFill*x.buckets().numBuckets() {
+		return nil
+	}
+	bb := &bucketBounds{}
+	if !x.fillRows(minFill, bb) {
+		x.eachBucket(false, bb)
+	}
+	x.lb.boundCells.Store(int64(len(bb.cells.lo) / x.K()))
+	return bb
+}
+
+// bound sweeps bucket b's cells once per site with DB.measure's arithmetic
+// (site and point swapped changes no bit of |x − y| or (x − y)²), the
+// extremes in registers, and takes the bucket's ranges as their hull. L2
+// keeps the extreme squared sums and takes one Sqrt, monotone and correctly
+// rounded, per cell, and min and max are associative, so the hull is what one
+// sweep of the bucket gives (NaN payloads aside). min and max propagate NaN:
+// an interval over a non-finite coordinate compares false both ways.
+func (x *PermIndex) bound(bb *bucketBounds, b int) {
+	db, d, k, lb := x.db, x.db.dim, x.K(), x.lb
 	_, l1 := db.Metric.(metric.L1)
 	_, l2 := db.Metric.(metric.L2)
-	if _, linf := db.Metric.(metric.LInf); !(l1 || l2 || linf) || d == 0 || d > boundMaxDim {
-		return nil
-	}
-	pb := x.buckets()
-	nb := pb.numBuckets()
-	if db.N() < minFill*nb {
-		return nil
-	}
-	bb := &bucketBounds{lo: make([]float64, nb*k), hi: make([]float64, nb*k)}
-	sweep := func(b int, run []float64) {
-		for i, site := range x.siteIDs {
-			s, lo, hi := db.row(site)[:d], math.Inf(1), math.Inf(-1)
-			for r := run; len(r) > 0; r = r[d:] {
+	for i, site := range x.siteIDs {
+		s, blo, bhi := db.row(site)[:d], math.Inf(1), math.Inf(-1)
+		for c := lb.bucketCells[b]; c < lb.bucketCells[b+1]; c++ {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for r := lb.rows[int(lb.cellStarts[c])*d : int(lb.cellStarts[c+1])*d]; len(r) > 0; r = r[d:] {
 				var v float64
 				switch p := r[:d]; {
 				case l1:
@@ -383,27 +457,28 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 			if l2 {
 				lo, hi = math.Sqrt(lo), math.Sqrt(hi)
 			}
-			bb.lo[b*k+i], bb.hi[b*k+i] = lo, hi
+			bb.cells.lo[int(c)*k+i], bb.cells.hi[int(c)*k+i] = lo, hi
+			blo, bhi = min(blo, lo), max(bhi, hi)
 		}
+		bb.buckets.lo[b*k+i], bb.buckets.hi[b*k+i] = blo, bhi
 	}
-	if !x.fillRows(sweep) {
-		x.eachRun(x.lb.rows, false, sweep)
-	}
-	return bb
 }
 
-// lowerBound returns LB(b) for a query at computed distances qd from the
-// sites: no point of bucket b is computed closer to the query than that.
-func (bb *bucketBounds) lowerBound(b int, qd []float64) float64 {
+// lowerBound returns LB(i) for a query at computed distances qd from the
+// sites (no point of run i is computed closer), or a partial LB above limit.
+func (sr siteRanges) lowerBound(i int, qd []float64, limit float64) float64 {
 	k := len(qd)
-	lo, hi := bb.lo[b*k:][:k], bb.hi[b*k:][:k]
+	lo, hi := sr.lo[i*k:][:k], sr.hi[i*k:][:k]
 	var lb float64
-	for i, d := range qd { // at most one gap per site is positive; NaN never is
-		if g := slackGap(d, hi[i]); g > lb {
+	for s, d := range qd { // at most one gap per site is positive; NaN never is
+		if g := slackGap(d, hi[s]); g > lb {
 			lb = g
 		}
-		if g := slackGap(lo[i], d); g > lb {
+		if g := slackGap(lo[s], d); g > lb {
 			lb = g
+		}
+		if lb > limit {
+			return lb
 		}
 	}
 	return lb
@@ -416,66 +491,88 @@ func (x *PermIndex) bounds() *bucketBounds {
 	return x.lb.bounds
 }
 
-// bucketLB is one bucket with its lower bound for the query in hand.
-type bucketLB struct {
-	lb float64
-	b  int
+// pending is the cells c0..c1-1 the walk has yet to reach — a bucket's, or
+// one cell — with their lower bound for the query in hand.
+type pending struct {
+	lb     float64
+	c0, c1 int
 }
 
-// search answers an exact query into c by visiting prefix buckets instead of
-// points. The k site distances the query is charged for anyway give every
-// bucket b a lower bound on the distance to any of its points,
+// after orders a walk's queue: descending LB, ties by number; NaN, which
+// never prunes, last — the next visited.
+func (e pending) after(o pending) int { return cmp.Or(cmp.Compare(o.lb, e.lb), o.c0-e.c0) }
+
+// search answers an exact query into c by visiting cells of prefix buckets
+// instead of points. The k site distances the query is charged for anyway
+// bound every bucket's and cell's distance to any of its points,
 //
-//	LB(b) = maxᵢ max(0, d(q,sᵢ) − hi[b][i], lo[b][i] − d(q,sᵢ))
+//	LB = maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ))
 //
-// — LAESA's elimination rule at cell granularity, each difference shrunk by
-// slackGap's rounding slack — and a bucket is measured, as one contiguous run
-// of the bucket-major rows, unless LB(b) > c's limit: strictly, so
-// equal-distance ties are still seen and the (distance, ID) tie-break stays
-// the oracle's.
-// kNN visits in ascending LB (ties by bucket number) so the limit tightens
-// early; a range query's limit is fixed and the order moot. Either way c
-// ends up holding what the full scan would have (set-determined, see
-// collector), and on a store without bounds the full scan is what runs.
+// — LAESA's rule at cell granularity, each difference shrunk by slackGap's
+// rounding slack — and a cell, one contiguous run of the bucket-major rows,
+// is measured unless its bucket's LB or its own exceeds c's limit: strictly,
+// so ties are still seen and the (distance, ID) tie-break stays the oracle's.
+// A bucket at LB 0 is expanded at once (its cells at LB 0 measured, the rest
+// queued), any other queued and expanded when the walk reaches it; a bucket
+// of one cell is bounded once. The queue is visited in ascending LB so a kNN
+// limit tightens early (a range query's is fixed). Either way c ends up
+// holding what the full scan would have (set-determined, see collector), and
+// on a store without bounds the full scan is what runs.
 func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 	bb, k, n := x.bounds(), x.K(), x.db.N()
 	if bb == nil {
 		x.db.measure(q, x.db.block, x.db.order, 0, n, c)
 		return Stats{DistanceEvals: k + n}
 	}
-	pb, rows, s := x.lb.pb, x.rows(), x.scratchBuffers()
+	lb, s := x.lb, x.scratchBuffers()
 	// The sites are measured as the scan measures any point, so a query of
 	// the wrong shape fails here with the scan's own panic.
 	for i, id := range x.siteIDs {
 		s.qd[i] = x.db.Metric.Distance(q, x.db.Points[id])
 	}
-	measured := 0
-	visit := func(b int) {
-		lo, hi := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
-		x.db.measure(q, rows, pb.ptOrder, lo, hi, c)
+	measured, queue, sorted := 0, s.queue[:0], false
+	enqueue := func(e pending) {
+		at := len(queue)
+		if sorted {
+			at, _ = slices.BinarySearchFunc(queue, e, pending.after)
+		}
+		queue = slices.Insert(queue, at, e)
+	}
+	visit := func(cell int) {
+		lo, hi := int(lb.cellStarts[cell]), int(lb.cellStarts[cell+1])
+		x.db.measure(q, lb.rows, lb.labels, lo, hi, c)
 		measured += hi - lo
 	}
-	// Buckets at LB = 0 can never be skipped: they go first, as they come,
-	// and only what the limit they leave does not already exclude is ordered.
-	order := s.order[:0]
-	for b := 0; b < pb.numBuckets(); b++ {
-		if lb := bb.lowerBound(b, s.qd); lb == 0 {
-			visit(b)
-		} else if !(lb > c.limit()) {
-			order = append(order, bucketLB{lb, b})
+	expand := func(c0, c1 int) {
+		if c1-c0 == 1 {
+			visit(c0)
+			return
+		}
+		for cell := c0; cell < c1; cell++ {
+			if l := bb.cells.lowerBound(cell, s.qd, c.limit()); l == 0 {
+				visit(cell)
+			} else if !(l > c.limit()) {
+				enqueue(pending{l, cell, cell + 1})
+			}
 		}
 	}
-	if c.h != nil {
-		slices.SortFunc(order, func(a, b bucketLB) int {
-			return cmp.Or(cmp.Compare(a.lb, b.lb), a.b-b.b)
-		})
-	}
-	for _, e := range order {
-		if !(e.lb > c.limit()) {
-			visit(e.b)
+	for b := range len(lb.bucketCells) - 1 {
+		c0, c1 := int(lb.bucketCells[b]), int(lb.bucketCells[b+1])
+		if l := bb.buckets.lowerBound(b, s.qd, c.limit()); l == 0 {
+			expand(c0, c1)
+		} else if !(l > c.limit()) {
+			enqueue(pending{l, c0, c1})
 		}
 	}
-	s.order = order[:0] // keep what append grew
+	slices.SortFunc(queue, pending.after)
+	for sorted = true; len(queue) > 0; {
+		e := queue[len(queue)-1]
+		if queue = queue[:len(queue)-1]; e.lb > c.limit() {
+			break
+		}
+		expand(e.c0, e.c1)
+	}
+	s.queue = queue[:0] // keep what append grew
 	return Stats{DistanceEvals: k + measured, PrunedEvals: n - measured}
 }
 
@@ -491,13 +588,7 @@ func (x *PermIndex) PrefixLen() int { return x.buckets().ell }
 // search without choosing nprobe: an eighth of the directory, at least one
 // bucket. The recall sweep in internal/experiments is the tool for tuning
 // past this.
-func defaultNProbe(buckets int) int {
-	np := (buckets + 7) / 8
-	if np < 1 {
-		np = 1
-	}
-	return np
-}
+func defaultNProbe(buckets int) int { return max(1, (buckets+7)/8) }
 
 // KNNApprox answers a k-nearest-neighbour query approximately: only the
 // nprobe nearest prefix buckets are probed and only their points measured.
@@ -539,11 +630,12 @@ func (x *PermIndex) knnApprox(q metric.Point, k, nprobe int, sc Scope) ([]Result
 	// points that are not dead; the probe order is fixed, so this only ever
 	// grows the candidate set. A probe that widens to every bucket is the
 	// exact query, answered as one.
-	c, rows := collector{h: newKNNHeap(k), sc: sc}, x.rows()
+	c := collector{h: newKNNHeap(k), sc: sc}
+	rows, labels := x.rows()
 	probed, npts := 0, 0
 	for ; probed < nb && (probed < nprobe || len(c.h.rs) < k); probed++ {
 		lo, hi := int(pb.ptStarts[a.border[probed]]), int(pb.ptStarts[a.border[probed]+1])
-		x.db.measure(q, rows, pb.ptOrder, lo, hi, &c)
+		x.db.measure(q, rows, labels, lo, hi, &c)
 		npts += hi - lo
 	}
 	if probed >= nb {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,23 +83,24 @@ func boundShapes(rng *rand.Rand, n, d int) map[string][]metric.Point {
 	}
 }
 
-// TestBoundSoundness: for every bucket b and every point p in it, the
-// slack-shrunk LB(b) is at most the distance the metric computes from the
-// query to p — for queries inside the data, on a site, on a data point, on
-// the data's line, and far outside it.
+// TestBoundSoundness: for every bucket b, every cell c of it and every point
+// p in c, the slack-shrunk LB(b) and LB(c) are at most the distance the
+// metric computes from the query to p — for queries inside the data, on a
+// site, on a data point, on the data's line, and far outside it.
 func TestBoundSoundness(t *testing.T) {
 	const n, sites = 180, 5
-	positive := 0
+	positive, split := 0, 0
 	for d := 1; d <= 8; d++ {
 		for mi, m := range boundMetrics {
 			rng := rand.New(rand.NewSource(int64(100*d + mi)))
 			for shape, pts := range boundShapes(rng, n, d) {
 				db := NewDB(m, pts)
 				idx := NewPermIndex(db, rng.Perm(n)[:sites], Footrule)
-				bb, pb := forceBounds(idx), idx.buckets()
+				bb, lb := forceBounds(idx), idx.lb
 				if bb == nil {
 					t.Fatalf("d=%d %s %s: a packed store has no bounds", d, m.Name(), shape)
 				}
+				split += int(lb.bucketCells[len(lb.bucketCells)-1]) - idx.ApproxBuckets()
 				queries := dataset.UniformVectors(rng, 6, d)
 				queries = append(queries, pts[idx.siteIDs[0]], pts[idx.siteIDs[sites-1]], pts[rng.Intn(n)], pts[rng.Intn(n)])
 				a, b := pts[0].(metric.Vector), pts[1].(metric.Vector)
@@ -114,15 +116,18 @@ func TestBoundSoundness(t *testing.T) {
 					for i, id := range idx.siteIDs {
 						qd[i] = m.Distance(q, pts[id])
 					}
-					for bk := 0; bk < pb.numBuckets(); bk++ {
-						lb := bb.lowerBound(bk, qd)
-						if lb > 0 {
-							positive++
-						}
-						for _, id := range pb.ptOrder[pb.ptStarts[bk]:pb.ptStarts[bk+1]] {
-							if dist := m.Distance(q, pts[id]); lb > dist {
-								t.Fatalf("d=%d %s %s query %d: LB(bucket %d) = %v exceeds d(q, point %d) = %v",
-									d, m.Name(), shape, qi, bk, lb, id, dist)
+					for bk := range len(lb.bucketCells) - 1 {
+						bucketLB := bb.buckets.lowerBound(bk, qd, math.Inf(1))
+						for c := lb.bucketCells[bk]; c < lb.bucketCells[bk+1]; c++ {
+							cellLB := bb.cells.lowerBound(int(c), qd, math.Inf(1))
+							if cellLB > 0 {
+								positive++
+							}
+							for _, id := range lb.labels[lb.cellStarts[c]:lb.cellStarts[c+1]] {
+								if dist := m.Distance(q, pts[id]); cellLB > dist || bucketLB > dist {
+									t.Fatalf("d=%d %s %s query %d: LB(cell %d) = %v or LB(bucket %d) = %v exceeds d(q, point %d) = %v",
+										d, m.Name(), shape, qi, c, cellLB, bk, bucketLB, id, dist)
+								}
 							}
 						}
 					}
@@ -130,8 +135,8 @@ func TestBoundSoundness(t *testing.T) {
 			}
 		}
 	}
-	if positive == 0 {
-		t.Fatal("every bound was 0: the property held vacuously")
+	if positive == 0 || split == 0 {
+		t.Fatalf("%d positive bounds, %d cells beyond one a bucket: the property held vacuously", positive, split)
 	}
 }
 
@@ -158,19 +163,21 @@ func TestBoundNonFinite(t *testing.T) {
 		for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
 			holdsNaN = holdsNaN || id == 7
 		}
-		if lb := bb.lowerBound(b, far); holdsNaN != (lb == 0) {
+		if lb := bb.buckets.lowerBound(b, far, math.Inf(1)); holdsNaN != (lb == 0) {
 			t.Errorf("bucket %d (holds the NaN point: %v) has LB %v for a far query", b, holdsNaN, lb)
 		}
 	}
 }
 
-// TestBoundRowsLayout: the bucket-major rows hold point ptOrder[j] in row j,
+// TestBoundRowsLayout: the bucket-major rows hold point labels[j] in row j,
 // bit for bit — NaN payloads, signed zeros, denormals and infinities included
 // — on every store origin, Points[id] is the source's point whatever order the
-// block lies in, and a replica reads the rows its index has. A store opened
-// from a PFR3 container, mapped or decoded, has no copy to compare: its rows
-// are its database's block, the file's points section as it lies. Every other
-// origin keeps an ID-ordered block and the one copy of it.
+// block lies in, and a replica reads the rows its index has. Every bucket's
+// run of labels is the set ptOrder lists for it, cut into cells of ascending
+// IDs. A store opened from a PFR3 container, mapped or decoded, has no copy to
+// compare: its rows are its database's block, the file's points section as it
+// lies, labelled by ptOrder, one cell per bucket. Every other origin keeps an
+// ID-ordered block and the one copy of it, in cells under labels of its own.
 func TestBoundRowsLayout(t *testing.T) {
 	const n, d = 400, 3
 	rng := rand.New(rand.NewSource(5))
@@ -189,30 +196,120 @@ func TestBoundRowsLayout(t *testing.T) {
 		}
 	}
 	for _, st := range prunedStores(t, idx) {
-		rows, pb, db := st.idx.rows(), st.idx.buckets(), st.idx.db
-		if len(rows) != n*d || len(db.block) != n*d {
-			t.Fatalf("%s: %d bucket-major coordinates over a block of %d, want %d", st.name, len(rows), len(db.block), n*d)
+		pb, db, lb := st.idx.buckets(), st.idx.db, st.idx.lb
+		rows, labels := st.idx.rows()
+		if len(rows) != n*d || len(db.block) != n*d || len(labels) != n {
+			t.Fatalf("%s: %d bucket-major coordinates and %d labels over a block of %d, want %d", st.name, len(rows), len(labels), len(db.block), n*d)
 		}
+		nb, cells := pb.numBuckets(), len(lb.cellStarts)-1
 		switch heap := st.idx.RowsHeapBytes(); st.name {
 		case "frozen-heap", "mmap":
-			if &rows[0] != &db.block[0] || heap != 0 {
-				t.Fatalf("%s: a store opened bucket-major copied its rows (%d bytes)", st.name, heap)
+			if &rows[0] != &db.block[0] || &labels[0] != &pb.ptOrder[0] || cells != nb || heap != 0 {
+				t.Fatalf("%s: a store opened bucket-major copied its rows or relabelled them (%d bytes, %d cells, %d buckets)", st.name, heap, cells, nb)
 			}
 		default:
-			if &rows[0] == &db.block[0] || db.order != nil || heap != n*d*8 {
-				t.Fatalf("%s: an ID-ordered store without its one copy of the rows (%d bytes)", st.name, heap)
+			if &rows[0] == &db.block[0] || &labels[0] == &pb.ptOrder[0] || db.order != nil || heap != n*d*8+n*4 {
+				t.Fatalf("%s: an ID-ordered store without its one copy of the rows and labels (%d bytes)", st.name, heap)
+			}
+			if cells <= nb {
+				t.Fatalf("%s: %d cells in %d buckets: no bucket was cut", st.name, cells, nb)
 			}
 		}
-		for j, id := range pb.ptOrder {
+		for b := range nb {
+			lo, hi := pb.ptStarts[b], pb.ptStarts[b+1]
+			if lb.cellStarts[lb.bucketCells[b]] != lo || lb.cellStarts[lb.bucketCells[b+1]] != hi {
+				t.Fatalf("%s: bucket %d's cells do not cover its run %d..%d", st.name, b, lo, hi)
+			}
+			if run := slices.Sorted(slices.Values(labels[lo:hi])); !slices.Equal(run, pb.ptOrder[lo:hi]) {
+				t.Fatalf("%s: bucket %d's rows are labelled %v, its posting list is %v", st.name, b, run, pb.ptOrder[lo:hi])
+			}
+		}
+		for c := range cells {
+			if cell := labels[lb.cellStarts[c]:lb.cellStarts[c+1]]; len(cell) == 0 || !slices.IsSorted(cell) {
+				t.Fatalf("%s: cell %d is labelled %v, want ascending IDs", st.name, c, cell)
+			}
+		}
+		for j, id := range labels {
 			sameRow(fmt.Sprintf("%s: row %d against point %d", st.name, j, id), rows[j*d:][:d], db.Points[id].(metric.Vector))
 		}
 		for id, p := range pts {
 			sameRow(fmt.Sprintf("%s: point %d against the source", st.name, id), db.Points[id].(metric.Vector), p.(metric.Vector))
 		}
-		if rep := st.idx.Replica().(*PermIndex); &rep.rows()[0] != &rows[0] {
+		if repRows, _ := st.idx.Replica().(*PermIndex).rows(); &repRows[0] != &rows[0] {
 			t.Fatalf("%s: a replica made its own copy of the coordinates", st.name)
 		}
 	}
+}
+
+// TestBoundHullMatchesBucketSweep: a bucket's bounds, the hull of its cells',
+// are bit for bit what sweeping the whole bucket at once gives (NaN for NaN)
+// — over the coordinates TestBoundRowsLayout uses (NaN payloads, ±Inf, −0,
+// subnormals, MaxFloat64, whose square overflows), under every metric and on
+// every store origin, cut into cells or not.
+func TestBoundHullMatchesBucketSweep(t *testing.T) {
+	const n, d = 400, 3
+	for mi, m := range boundMetrics {
+		rng := rand.New(rand.NewSource(int64(15 + mi)))
+		pts := dataset.ClusteredVectors(rng, n, d, 4, 0.05)
+		for i, v := range []float64{math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Copysign(0, -1), 0,
+			5e-324, -2.2e-308, math.Inf(1), math.Inf(-1), math.MaxFloat64} {
+			pts[10*i+3].(metric.Vector)[i%d] = v
+		}
+		idx := NewPermIndex(NewDB(m, pts), rng.Perm(n)[:5], Footrule)
+		split := false
+		for _, st := range prunedStores(t, idx) {
+			bb, k := st.idx.bounds(), st.idx.K()
+			split = split || len(bb.cells.lo) > len(bb.buckets.lo)
+			for b := range st.idx.ApproxBuckets() {
+				for i := range k {
+					lo, hi := bucketSweep(st.idx, b, i)
+					gotLo, gotHi := bb.buckets.lo[b*k+i], bb.buckets.hi[b*k+i]
+					if !sameFloat(gotLo, lo) || !sameFloat(gotHi, hi) {
+						t.Fatalf("%s/%s bucket %d site %d: hull [%x, %x], one sweep [%x, %x]", m.Name(), st.name, b, i,
+							math.Float64bits(gotLo), math.Float64bits(gotHi), math.Float64bits(lo), math.Float64bits(hi))
+					}
+				}
+			}
+		}
+		if !split {
+			t.Fatalf("%s: no store cut a bucket into cells", m.Name())
+		}
+	}
+}
+
+// sameFloat reports whether a and b have the same bits, or are both NaN: a
+// NaN interval never prunes, whichever NaN it is, and which of a bucket's
+// NaNs min and max keep depends on the order they meet them in.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// bucketSweep is the sweep the cells replaced: site i's range over bucket b,
+// all its points at once, in ptOrder, with the same arithmetic.
+func bucketSweep(x *PermIndex, b, i int) (lo, hi float64) {
+	db, pb := x.db, x.buckets()
+	_, l1 := db.Metric.(metric.L1)
+	_, l2 := db.Metric.(metric.L2)
+	s := db.row(x.siteIDs[i])
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
+		var v float64
+		for j, p := range db.row(int(id)) {
+			switch t := s[j] - p; {
+			case l1:
+				v += math.Abs(t)
+			case l2:
+				v += t * t
+			default:
+				v = max(v, math.Abs(t))
+			}
+		}
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if l2 {
+		lo, hi = math.Sqrt(lo), math.Sqrt(hi)
+	}
+	return lo, hi
 }
 
 // TestBoundQualification: the rule that decides which stores are worth
@@ -255,10 +352,41 @@ func TestBoundQualification(t *testing.T) {
 		}
 		// The rule decides nothing else: an approximate probe of either store
 		// reads runs of the one copy, made when first wanted.
-		if _, st := idx.KNNApprox(tc.pts[0], 10, 1); st.Exact || idx.RowsHeapBytes() != int64(8*len(db.block)) {
-			t.Fatalf("%s: after an approximate probe (%+v) the store holds %d bytes of rows, want %d",
-				tc.name, st, idx.RowsHeapBytes(), 8*len(db.block))
+		if _, st := idx.KNNApprox(tc.pts[0], 10, 1); st.Exact || idx.RowsHeapBytes() != int64(8*len(db.block)+4*db.N()) {
+			t.Fatalf("%s: after an approximate probe (%+v) the store holds %d bytes of rows and labels, want %d",
+				tc.name, st, idx.RowsHeapBytes(), 8*len(db.block)+4*db.N())
 		}
+	}
+}
+
+// TestApproxCellsMatchFrozenTwin: an approximate probe reads a probed
+// bucket's whole run, whatever order its rows lie in, so a heap-built store
+// cut into cells and its mapped PFR3 twin, one cell per bucket, answer alike
+// from the same candidates at every nprobe short of the whole directory; the
+// exact walk that serves full coverage answers alike too, cells or not. The
+// stores are bounded first and whatever their size (forceBounds), so the heap
+// one is cut as finely as its prefixes go.
+func TestApproxCellsMatchFrozenTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pts := dataset.ClusteredVectors(rng, 20000, 6, 32, 0.05)
+	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(len(pts))[:12], Footrule)
+	twin := mappedCopy(t, idx, nil)
+	forceBounds(idx)
+	forceBounds(twin)
+	queries := append(dataset.UniformVectors(rng, 8, 6), pts[:24]...)
+	for qi, q := range queries {
+		for _, nprobe := range []int{1, 3, 8, idx.ApproxBuckets() / 2, idx.ApproxBuckets()} {
+			label := fmt.Sprintf("query %d nprobe=%d", qi, nprobe)
+			got, gst := idx.KNNApprox(q, 10, nprobe)
+			want, wst := twin.KNNApprox(q, 10, nprobe)
+			sameBits(t, label, got, want)
+			if gst.Candidates != wst.Candidates || gst.ProbedBuckets != wst.ProbedBuckets || gst.Exact != wst.Exact || !gst.Exact && gst != wst {
+				t.Fatalf("%s: the store in cells reports %+v, its PFR3 twin %+v", label, gst, wst)
+			}
+		}
+	}
+	if cells, buckets := idx.BoundCells(), twin.BoundCells(); buckets != idx.ApproxBuckets() || cells <= buckets {
+		t.Fatalf("the heap-built store bounds %d cells, its twin %d, over %d buckets", cells, buckets, idx.ApproxBuckets())
 	}
 }
 
@@ -332,8 +460,10 @@ const boundaryQueries = 1500
 // (the 5th neighbour's) and kNN at that k equal LinearScan on low-
 // dimensional data, where three near-collinear points make the triangle
 // inequality tight. This is the case that returns wrong answers when
-// boundSlack is forced to 0. Stats agree across stores: every origin
-// computes the same bounds.
+// boundSlack is forced to 0. Every store accounts for each site and point
+// once, stores laid out alike agree on Stats, and the stores that cut their
+// buckets into cells (every origin but PFR3) measure no more than a PFR3
+// store, which walks one cell per bucket.
 func TestPrunedBoundaryRadius(t *testing.T) {
 	for _, d := range []int{1, 2} {
 		for mi, m := range boundMetrics {
@@ -341,22 +471,37 @@ func TestPrunedBoundaryRadius(t *testing.T) {
 			idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
 			stores := prunedStores(t, idx)
 			linear := NewLinearScan(db)
+			var evals [2]int // kNN evals summed over the queries: with cells, then PFR3's
 			for qi, q := range dataset.UniformVectors(rng, boundaryQueries, d) {
 				want, _ := linear.KNN(q, 5)
 				wantR, _ := linear.Range(q, want[4].Distance)
-				var heapKNN, heapRange Stats
-				for si, st := range stores {
+				byLayout := map[bool][2]Stats{} // keyed by "has cells"
+				for _, st := range stores {
 					label := fmt.Sprintf("d=%d %s/%s query %d", d, m.Name(), st.name, qi)
 					got, knnStats := st.idx.KNN(q, 5)
 					sameBits(t, label+" KNN", got, want)
 					gotR, rangeStats := st.idx.Range(q, want[4].Distance)
 					sameBits(t, label+" Range", gotR, wantR)
-					if si == 0 {
-						heapKNN, heapRange = knnStats, rangeStats
-					} else if knnStats != heapKNN || rangeStats != heapRange {
-						t.Fatalf("%s: stats %+v / %+v differ from the heap store's %+v / %+v", label, knnStats, rangeStats, heapKNN, heapRange)
+					for _, s := range []Stats{knnStats, rangeStats} {
+						if s.DistanceEvals+s.PrunedEvals != 6+db.N() {
+							t.Fatalf("%s: stats %+v do not account for 6 sites + %d points", label, s, db.N())
+						}
 					}
+					cells := st.idx.RowsHeapBytes() > 0
+					if prev, ok := byLayout[cells]; ok && prev != [2]Stats{knnStats, rangeStats} {
+						t.Fatalf("%s: stats %+v / %+v differ from a store laid out alike, %+v / %+v", label, knnStats, rangeStats, prev[0], prev[1])
+					}
+					byLayout[cells] = [2]Stats{knnStats, rangeStats}
 				}
+				cut, whole := byLayout[true], byLayout[false]
+				if cut[1].DistanceEvals > whole[1].DistanceEvals {
+					t.Fatalf("d=%d %s query %d: range over cells measures %d, over whole buckets %d", d, m.Name(), qi, cut[1].DistanceEvals, whole[1].DistanceEvals)
+				}
+				evals[0] += cut[0].DistanceEvals
+				evals[1] += whole[0].DistanceEvals
+			}
+			if evals[0] > evals[1] {
+				t.Fatalf("d=%d %s: kNN over cells measures %d in all, over whole buckets %d", d, m.Name(), evals[0], evals[1])
 			}
 		}
 	}
@@ -428,8 +573,8 @@ func TestPrunedFirstQueryRace(t *testing.T) {
 			t.Fatal("no bounds after the first wave")
 		}
 		if wave == 0 {
-			first = &bb.lo[0]
-		} else if first != &bb.lo[0] {
+			first = &bb.cells.lo[0]
+		} else if first != &bb.cells.lo[0] {
 			t.Fatal("the bounds were computed again")
 		}
 	}
@@ -470,33 +615,43 @@ func prunedFuzzInput(data []byte) (m metric.Metric, pts []metric.Point, q metric
 // distance) equal LinearScan element for element, and so do they with a dead
 // set the bytes also describe left out (checkSkip). The stores are far below
 // boundMinFill, so their bounds are forced, and the seeds are checked to
-// reach a walk that prunes.
+// reach a walk that prunes, and one that walks buckets of several cells.
 func FuzzPrunedKNN(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 4+2*3*61)
 	rng.Read(random)
 	copy(random, []byte{1, 1, 5, 2}) // L2, 2-d, 6 sites, k = 3 over 90 random points
-	pruned := 0
+	cells := make([]byte, 4+2*2*201)
+	rng.Read(cells)
+	copy(cells, []byte{0, 1, 3, 9}) // L1, 2-d, 4 sites, k = 10 over 200 random points
+	pruned, cut := 0, 0
 	for _, seed := range [][]byte{
 		{1, 0, 3, 2, 0, 0, 10, 0, 20, 0, 30, 0, 30, 0, 255, 255, 15, 0},
 		{0, 1, 2, 1, 1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 1, 0, 1, 0, 0, 0, 5, 0},
 		random,
+		cells,
 	} {
 		f.Add(seed)
-		pruned += prunedFuzzCheck(f, seed).PrunedEvals
+		st, idx := prunedFuzzCheck(f, seed)
+		pruned += st.PrunedEvals
+		for b := 0; idx != nil && b < idx.ApproxBuckets(); b++ {
+			if idx.lb.bucketCells[b+1]-idx.lb.bucketCells[b] >= 2 {
+				cut++
+			}
+		}
 	}
-	if pruned == 0 {
-		f.Fatal("no seed prunes: the fuzzer would only ever compare two scans")
+	if pruned == 0 || cut == 0 {
+		f.Fatalf("%d points pruned, %d buckets of several cells: the fuzzer would only ever compare two scans, or walk whole buckets", pruned, cut)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { prunedFuzzCheck(t, data) })
 }
 
-// prunedFuzzCheck runs one fuzz input and returns its kNN query's Stats
-// (zero when the bytes describe no store).
-func prunedFuzzCheck(t testing.TB, data []byte) Stats {
+// prunedFuzzCheck runs one fuzz input and returns its kNN query's Stats and
+// the index it built (zero and nil when the bytes describe no store).
+func prunedFuzzCheck(t testing.TB, data []byte) (Stats, *PermIndex) {
 	m, pts, q, sites, k, ok := prunedFuzzInput(data)
 	if !ok {
-		return Stats{}
+		return Stats{}, nil
 	}
 	db := NewDB(m, pts)
 	siteIDs := make([]int, sites)
@@ -527,5 +682,5 @@ func prunedFuzzCheck(t testing.TB, data []byte) Stats {
 		dead = dead.With(i)
 	}
 	checkSkip(t, "skipping", idx, q, k, dead)
-	return st
+	return st, idx
 }

@@ -152,7 +152,8 @@ func (a engineAPI) Stats() EngineStats {
 	st, lat := a.counters()
 	st.finish(lat)
 	v := a.load()
-	st.DistinctRows, st.BucketRowsHeapBytes = v.distinctRows(), v.bucketRowsHeapBytes()
+	st.BucketRowsHeapBytes, st.BoundCells = v.bucketWalk()
+	st.DistinctRows = v.distinctRows()
 	return st
 }
 
@@ -261,15 +262,16 @@ func (v *view) distinctRows() int {
 	return total
 }
 
-// bucketRowsHeapBytes sums the heap the segments' indexes hold in bucket-major
-// copies of the coordinates (sisap.PermIndex.RowsHeapBytes).
-func (v *view) bucketRowsHeapBytes() (total int64) {
+// bucketWalk sums, over the segments' indexes, the heap held in bucket-major
+// copies of the coordinates and their labels (sisap.PermIndex.RowsHeapBytes)
+// and the cells their exact walks bound (sisap.PermIndex.BoundCells).
+func (v *view) bucketWalk() (heapBytes int64, cells int) {
 	for _, seg := range v.segs {
-		if r, ok := seg.idx.(interface{ RowsHeapBytes() int64 }); ok {
-			total += r.RowsHeapBytes()
+		if x, ok := seg.idx.(*sisap.PermIndex); ok {
+			heapBytes, cells = heapBytes+x.RowsHeapBytes(), cells+x.BoundCells()
 		}
 	}
-	return total
+	return heapBytes, cells
 }
 
 // distinctRows returns idx's distinct permutation-row count — the paper's
@@ -595,8 +597,10 @@ type EngineStats struct {
 	// bounds and the row universe of the prefix-bucket directory.
 	DistinctRows int
 	// BucketRowsHeapBytes is the heap held by bucket-major copies of the
-	// coordinates under the served view (sisap.PermIndex.RowsHeapBytes).
+	// coordinates and labels under the served view (PermIndex.RowsHeapBytes).
 	BucketRowsHeapBytes int64
+	// BoundCells is the cells its exact walks bound (PermIndex.BoundCells).
+	BoundCells int
 	// DistanceEvals is the total metric evaluations spent; PrunedEvals the
 	// points exact queries did not measure because a bucket bound excluded
 	// them (the prune rate is PrunedEvals / (PrunedEvals + DistanceEvals)).
@@ -612,7 +616,7 @@ type EngineStats struct {
 
 // add sums o's counts into s — what a worker does per job and counters does
 // across slots. MeanEvals and the percentiles are finish's to derive,
-// DistinctRows and BucketRowsHeapBytes the caller's to set.
+// DistinctRows, BucketRowsHeapBytes and BoundCells the caller's to set.
 func (s *EngineStats) add(o EngineStats) {
 	s.Queries += o.Queries
 	s.BatchedQueries += o.BatchedQueries

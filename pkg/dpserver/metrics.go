@@ -132,8 +132,11 @@ func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableB
 		"Distinct permutation rows in the served rank table", nil,
 		func() float64 { return float64(backend.Stats().DistinctRows) })
 	reg.GaugeFunc("distperm_engine_bucket_rows_heap_bytes",
-		"Heap held by bucket-major copies of the coordinates under the served view (0 for a PFR3 store)", nil,
+		"Heap held by bucket-major copies of the coordinates and their labels under the served view (0 for a PFR3 store)", nil,
 		func() float64 { return float64(backend.Stats().BucketRowsHeapBytes) })
+	reg.GaugeFunc("distperm_engine_bound_cells",
+		"Cells the exact walk bounds, summed over the served view's segments (0 for a store without bounds)", nil,
+		func() float64 { return float64(backend.Stats().BoundCells) })
 	reg.GaugeFunc("distperm_engine_workers",
 		"Worker goroutines in the engine pool(s)", nil,
 		func() float64 { return float64(backend.Workers()) })

@@ -305,34 +305,50 @@ func TestMetricNamingConventions(t *testing.T) {
 	}
 }
 
-// TestMetricFamilyInventory pins the server-level families a read-only
-// server exports: one added or dropped shows up here, beside its lint.
+// TestMetricFamilyInventory pins the server-level and engine families a
+// read-only server exports: one added or dropped shows up here, beside its
+// lint.
 func TestMetricFamilyInventory(t *testing.T) {
 	_, ts, _, _ := testServer(t, 79, 100, 3, dpserver.Config{CacheSize: 4})
-	var got []string
-	for name := range scrape(t, ts.URL) {
-		if strings.HasPrefix(name, "dpserver_") {
-			got = append(got, name)
+	fams := scrape(t, ts.URL)
+	for _, tc := range []struct {
+		prefix string
+		want   []string
+	}{
+		{"dpserver_", []string{
+			"dpserver_cache_entries", "dpserver_cache_evictions_total", "dpserver_cache_hits_total",
+			"dpserver_cache_invalidations_total", "dpserver_cache_misses_total", "dpserver_coalescer_batch_size",
+			"dpserver_coalescer_flushes_total", "dpserver_errors_total", "dpserver_inflight_requests",
+			"dpserver_request_duration_seconds", "dpserver_requests_total", "dpserver_slow_queries_total",
+			"dpserver_wire_fallbacks_total",
+		}},
+		{"distperm_engine_", []string{
+			"distperm_engine_batched_queries_total", "distperm_engine_bound_cells", "distperm_engine_bucket_rows_heap_bytes",
+			"distperm_engine_busy_workers", "distperm_engine_distance_evals_total", "distperm_engine_distinct_rows",
+			"distperm_engine_pruned_evals_total", "distperm_engine_queries_total", "distperm_engine_query_duration_seconds",
+			"distperm_engine_workers",
+		}},
+	} {
+		var got []string
+		for name := range fams {
+			if strings.HasPrefix(name, tc.prefix) {
+				got = append(got, name)
+			}
 		}
-	}
-	slices.Sort(got)
-	want := []string{
-		"dpserver_cache_entries", "dpserver_cache_evictions_total", "dpserver_cache_hits_total",
-		"dpserver_cache_invalidations_total", "dpserver_cache_misses_total", "dpserver_coalescer_batch_size",
-		"dpserver_coalescer_flushes_total", "dpserver_errors_total", "dpserver_inflight_requests",
-		"dpserver_request_duration_seconds", "dpserver_requests_total", "dpserver_slow_queries_total",
-		"dpserver_wire_fallbacks_total",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("server families:\n got  %v\n want %v", got, want)
+		if slices.Sort(got); !slices.Equal(got, tc.want) {
+			t.Errorf("%s families:\n got  %v\n want %v", tc.prefix, got, tc.want)
+		}
 	}
 }
 
 // TestMetricsBucketRowsHeapBytes: distperm_engine_bucket_rows_heap_bytes is
-// the heap a store spends on a bucket-major copy of its coordinates — n·d·8
-// for a heap-built store from the first query that reads a bucket, exact or
-// approximate, and nothing, ever, for one served out of a frozen (PFR3)
-// container, whose points section already lies that way.
+// the heap a store spends on a bucket-major copy of its coordinates and their
+// labels — n·d·8 + n·4 for a heap-built store from the first query that reads
+// a bucket, exact or approximate, and nothing, ever, for one served out of a
+// frozen (PFR3) container, whose points section already lies that way. Beside
+// it, distperm_engine_bound_cells is 0 until the first exact query bounds the
+// store, then the heap-built store's cells (more than its buckets) and the
+// PFR3 store's buckets, one cell each.
 func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 	const n, d = 2400, 3
 	rng := rand.New(rand.NewSource(91))
@@ -361,22 +377,24 @@ func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buckets := float64(idx.(*distperm.PermIndex).ApproxBuckets())
 	for _, c := range []struct {
 		name string
 		db   *distperm.DB
 		idx  distperm.Index
 		want float64 // after the first query that reads a bucket
-	}{{"heap-built", db, idx, n * d * 8}, {"frozen", st.DB, st.Index, 0}} {
+	}{{"heap-built", db, idx, n*d*8 + n*4}, {"frozen", st.DB, st.Index, 0}} {
 		srv, err := dpserver.NewFromIndex(c.db, c.idx, 2, dpserver.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
-		gauge := func() float64 {
-			return sampleValue(t, scrape(t, ts.URL), "distperm_engine_bucket_rows_heap_bytes", nil)
+		gauges := func() (float64, float64) {
+			fams := scrape(t, ts.URL)
+			return sampleValue(t, fams, "distperm_engine_bucket_rows_heap_bytes", nil), sampleValue(t, fams, "distperm_engine_bound_cells", nil)
 		}
-		if v := gauge(); v != 0 {
-			t.Errorf("%s: %g bytes of rows before any query", c.name, v)
+		if v, cells := gauges(); v != 0 || cells != 0 {
+			t.Errorf("%s: %g bytes of rows and %g bound cells before any query", c.name, v, cells)
 		}
 		for _, body := range []string{`{"query":%s,"k":3,"approx":true,"nprobe":1}`, `{"query":%s,"k":3}`} {
 			resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(fmt.Sprintf(body, q)))
@@ -388,8 +406,13 @@ func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: POST /v1/knn %s = %d", c.name, body, resp.StatusCode)
 			}
-			if v := gauge(); v != c.want {
+			v, cells := gauges()
+			if v != c.want {
 				t.Errorf("%s: %g bytes of rows after %s, want %g", c.name, v, body, c.want)
+			}
+			switch exact := !strings.Contains(body, "approx"); {
+			case !exact && cells != 0, exact && c.want > 0 && cells <= buckets, exact && c.want == 0 && cells != buckets:
+				t.Errorf("%s: %g bound cells after %s over %g buckets", c.name, cells, body, buckets)
 			}
 		}
 		ts.Close()

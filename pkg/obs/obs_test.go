@@ -243,6 +243,7 @@ func TestLint(t *testing.T) {
 		{Name: "distperm_engine_query_duration_seconds", Type: "histogram", Help: "x"},
 		{Name: "dpserver_cache_entries", Type: "gauge", Help: "x"},
 		{Name: "distperm_engine_bucket_rows_heap_bytes", Type: "gauge", Help: "x"}, // a unit suffix is not a histogram's alone
+		{Name: "distperm_engine_bound_cells", Type: "gauge", Help: "x"},
 	}
 	if probs := obs.Lint(good, []string{"dpserver_", "distperm_"}); len(probs) != 0 {
 		t.Fatalf("clean families flagged: %v", probs)

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,69 +12,38 @@ import (
 	"distperm/internal/dataset"
 )
 
-func TestRunServe(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ds, err := dataset.Load(rng, "uniform", "", 400, 3)
-	if err != nil {
-		t.Fatal(err)
+// TestMain runs the test binary as the CLI when DISTPERM_RUN_MAIN is set,
+// so a test can check what a command line prints and how it exits.
+func TestMain(m *testing.M) {
+	if os.Getenv("DISTPERM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
 	}
-	for _, kind := range []string{"distperm", "linear", "vptree"} {
-		var out strings.Builder
-		cfg := serveConfig{Index: kind, K: 6, KNN: 2, Queries: 50, Workers: 4}
-		if err := runServe(&out, ds, rng, cfg); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		got := out.String()
-		for _, want := range []string{"index=" + kind, "50 2-NN queries", "4 workers", "distance evals"} {
-			if !strings.Contains(got, want) {
-				t.Errorf("%s: output missing %q:\n%s", kind, want, got)
-			}
-		}
-	}
-	// Bad spec surfaces as an error, not a panic.
-	var out strings.Builder
-	if err := runServe(&out, ds, rng, serveConfig{Index: "bogus", K: 4, KNN: 1, Queries: 1}); err == nil {
-		t.Error("unknown index kind should error")
-	}
+	os.Exit(m.Run())
 }
 
-func TestRunServeSharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	ds, err := dataset.Load(rng, "uniform", "", 600, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, partition := range []string{"roundrobin", "hash"} {
-		var out strings.Builder
-		cfg := serveConfig{
-			Index: "distperm", K: 6, KNN: 2, Queries: 40, Workers: 2,
-			Shards: 4, Partition: partition,
+// TestBadParameters: a site count outside 1..n is a one-line error and exit
+// status 2, never a panic.
+func TestBadParameters(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "5", "-k", "8"},
+		{"-k", "0"},
+		{"-k", "-3"},
+		{"-n", "0", "-k", "3"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-n", "50"}, args...)...)
+		cmd.Env = append(os.Environ(), "DISTPERM_RUN_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit status 2", args, err)
 		}
-		if err := runServe(&out, ds, rng, cfg); err != nil {
-			t.Fatalf("%s: %v", partition, err)
+		msg := stderr.String()
+		if strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line and no stack trace", args, msg)
 		}
-		got := out.String()
-		for _, want := range []string{
-			"index=sharded[distperm×4]", partition + " partition",
-			"4 shards × 2 workers",
-			"shard 0:", "shard 3:", "sub-queries",
-			"aggregate: distance evals",
-		} {
-			if !strings.Contains(got, want) {
-				t.Errorf("%s: output missing %q:\n%s", partition, want, got)
-			}
-		}
-	}
-	// A partitioner typo is an error, not a panic.
-	var out strings.Builder
-	cfg := serveConfig{Index: "linear", KNN: 1, Queries: 1, Shards: 2, Partition: "modulo"}
-	if err := runServe(&out, ds, rng, cfg); err == nil {
-		t.Error("unknown partitioner should error")
-	}
-	// More shards than points is an error.
-	cfg = serveConfig{Index: "linear", KNN: 1, Queries: 1, Shards: 601, Partition: "roundrobin"}
-	if err := runServe(&out, ds, rng, cfg); err == nil {
-		t.Error("shards > n should error")
 	}
 }
 

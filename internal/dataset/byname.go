@@ -65,16 +65,6 @@ func Load(rng *rand.Rand, gen, file string, n, d int) (*Dataset, error) {
 	return Generate(rng, gen, n, d)
 }
 
-// Sample draws n query points from the dataset's own points, with
-// replacement — the query workload of distperm's -serve mode.
-func (d *Dataset) Sample(rng *rand.Rand, n int) []metric.Point {
-	qs := make([]metric.Point, n)
-	for i := range qs {
-		qs[i] = d.Points[rng.Intn(d.N())]
-	}
-	return qs
-}
-
 // ReadVectorFile reads whitespace-separated vectors, one per line, into an
 // L2 dataset named after the path. Every line must have the same number of
 // fields; blank lines are skipped.

@@ -81,8 +81,7 @@ func TestServerApprox(t *testing.T) {
 		"distperm_approx_probed_buckets_total",
 		"distperm_approx_candidates_total",
 	} {
-		f, ok := fams[name]
-		if !ok || len(f.Samples) == 0 || f.Samples[0].Value <= 0 {
+		if vals := samples(t, fams, name, nil); len(vals) == 0 || vals[0] <= 0 {
 			t.Errorf("metric %s missing or zero after approx traffic", name)
 		}
 	}

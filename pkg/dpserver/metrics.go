@@ -10,8 +10,8 @@ import (
 // The metric families GET /metrics exports. Server-level families carry
 // the dpserver_ prefix; engine, mutation, and mmap families carry
 // distperm_ (they describe the engine layer, whichever server fronts it).
-// CI lints the exposition against these prefixes and the _total/_seconds
-// suffix conventions (obs.Lint).
+// TestMetricNamingConventions lints the exposition against these prefixes
+// and the _total/_seconds suffix conventions.
 
 // metricEndpoints are the served paths and the label each one's series
 // carry, in exposition order. Any other path folds into "other" (the entry

@@ -328,10 +328,10 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 			return nil, "", nil, fmt.Errorf("wal recovery: %w", err)
 		}
 		if ck != nil {
-			// The checkpoint is self-contained: its database and "mutable"
-			// container replace the dataset/-load boot entirely, and replay
-			// resumes from the sequence it covers.
-			db, idx = ck.Snapshot.DB(), ck.Snapshot
+			// The checkpoint is self-contained: its snapshot, which carries
+			// its own points, replaces the dataset/-load boot entirely, and
+			// replay resumes from the sequence it covers.
+			idx = ck.Snapshot
 			walFromSeq, fromCkpt = ck.Seq, true
 			src = fmt.Sprintf("%s checkpoint (seq %d)", cfg.WALDir, ck.Seq)
 		}

@@ -2,14 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +206,109 @@ func TestCheckpointRetriedAfterFailure(t *testing.T) {
 	}
 	if r := me.MutationStats().Rebuilds; r != 1 {
 		t.Errorf("%d rebuilds, want 1", r)
+	}
+}
+
+// TestMisshapedCheckpointRefusedAtBoot: a checkpoint whose checksum checks
+// clean but one of whose points is shaped unlike the others — or whose point
+// 0 is — is refused by LoadCheckpoint, which names the point, and so by
+// buildServer: the daemon exits 2 instead of serving a store whose first
+// query panics a worker. Beside an older intact checkpoint, recovery starts
+// from that one instead.
+func TestMisshapedCheckpointRefusedAtBoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ds, err := dataset.Load(rng, "uniform", "", 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := distperm.NewDB(ds.Metric, ds.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	wal, err := distperm.OpenWAL(dir, distperm.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 17}, WAL: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range dataset.UniformVectors(rng, 5, 3) {
+		if _, err := me.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// checkpoint deletes gid, then writes a checkpoint (which removes the
+	// one before it) and returns its path and bytes.
+	checkpoint := func(gid int) (string, []byte) {
+		if err := me.Delete(gid); err != nil {
+			t.Fatal(err)
+		}
+		snap, seq, err := me.CheckpointSnapshot()
+		if err == nil {
+			err = wal.WriteCheckpoint(snap, seq)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("ckpt-%016x.ckpt", seq))
+		raw, rerr := os.ReadFile(path)
+		if err != nil || rerr != nil {
+			t.Fatal(err, rerr)
+		}
+		return path, raw
+	}
+	olderPath, older := checkpoint(3)
+	path, raw := checkpoint(5)
+	me.Close()
+	wal.Close()
+	// The points follow magic, version, flags, seq, the metric name and the
+	// point count; each is a 3-d vector: kind, count, three float64s.
+	first, size := 8+4+4+8+4+len(ds.Metric.Name())+8, 1+4+3*8
+	half := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
+	short := slices.Concat([]byte{0, 2, 0, 0, 0}, half, half) // a 2-d vector
+	dsf := func() (*dataset.Dataset, error) { return ds, nil }
+	for _, c := range []struct {
+		name  string
+		at    int
+		point []byte
+	}{
+		{"short vector at point 7", 7, short},
+		{"string at point 7", 7, append([]byte{1, 3, 0, 0, 0}, "abc"...)},
+		{"short point 0", 0, short},
+	} {
+		body := slices.Concat(raw[:first+size*c.at], c.point, raw[first+size*(c.at+1):len(raw)-4])
+		bad := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		named := fmt.Sprintf("point %d", c.at)
+		w, err := distperm.OpenWAL(dir, distperm.WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), named) {
+			t.Errorf("%s: LoadCheckpoint returned %v, want an error naming %s", c.name, err, named)
+		}
+		w.Close()
+		srv, _, cleanup, err := buildServer(dsf, rng, daemonConfig{Index: "distperm", K: 6, Partition: "roundrobin", WALDir: dir})
+		if err == nil {
+			srv.Close()
+			cleanup()
+		}
+		if err == nil || !strings.Contains(err.Error(), named) {
+			t.Errorf("%s: buildServer returned %v, want an error naming %s", c.name, err, named)
+		}
+	}
+	if err := os.WriteFile(olderPath, older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, src, cleanup, err := buildServer(dsf, rng, daemonConfig{Index: "distperm", K: 6, Partition: "roundrobin", WALDir: dir})
+	if err != nil {
+		t.Fatalf("beside an older intact checkpoint: %v", err)
+	}
+	defer cleanup()
+	defer srv.Close()
+	if info := srv.Info(); info.N != 203 || !strings.Contains(src, "checkpoint (seq 6)") {
+		t.Errorf("recovered %d live points from %q, want 203 from the checkpoint at seq 6", info.N, src)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 
 // This file is the one place where bytes from outside become numbers a
 // decoder acts on. Every DPERMIDX codec (codec.go, serialize.go, frozen.go,
-// and the sharded and mutable containers) reads through a dec and writes
-// through its append-style mirror enc, so the two decisions a hostile file
-// attacks are made once:
+// and the sharded and mutable containers) and the write-ahead log's record
+// frames and checkpoints (walrec.go) read through a dec and write through its
+// append-style mirror enc, so the two decisions a hostile file attacks are
+// made once:
 //
 //   - an untrusted uint64 becomes an int only through count or id, which
 //     compare in uint64 space — int(v) >= n is false for v = 1<<63, which is
@@ -156,6 +157,10 @@ func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) str(s string) { e.b = append(e.b, s...) }
 
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// putU32 overwrites the word at b[at:], a field reserved before the bytes it
+// describes were written.
+func (e *enc) putU32(at int, v uint32) { binary.LittleEndian.PutUint32(e.b[at:], v) }
 
 // grow extends b by n bytes and returns them for the caller to fill: the
 // bulk writers below store into place instead of appending per element.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"distperm/internal/metric"
@@ -224,4 +226,181 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	for _, h := range hostileContainers(t) {
 		emit("FuzzReadIndex", "seed-hostile-"+h.name, h.raw)
 	}
+}
+
+// checkpointSeq is the WAL sequence the golden checkpoint covers: the six
+// inserts and three deletes of checkpointStore.
+const checkpointSeq = 9
+
+// checkpointStore is the mutated store behind the checkpoint golden: 40
+// base points under a distperm index, six inserts, then deletes of base gids
+// 3 and 17 and of inserted gid 42. Everything is seeded, so the same function
+// run at another commit builds the same store — testdata/golden/checkpoint.ckpt
+// is what WAL.WriteCheckpoint wrote of it at sequence 9 before the checkpoint
+// codec moved onto the cursor.
+func checkpointStore(t testing.TB) *MutableIndex {
+	t.Helper()
+	db, rng := testDB(611, 40, 3, metric.L2{})
+	gids := make([]int, db.N())
+	for i := range gids {
+		gids[i] = i
+	}
+	x, err := NewMutableIndex(db, db.N(), NewPermIndex(db, []int{4, 11, 23, 35, 2}, Footrule), gids, nil, db.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		x = x.Insert(metric.Vector{rng.Float64(), rng.Float64(), rng.Float64()})
+	}
+	for _, g := range []int{3, 42, 17} {
+		var ok bool
+		if x, ok = x.Delete(g); !ok {
+			t.Fatalf("gid %d names no live point", g)
+		}
+	}
+	return x
+}
+
+func goldenCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "checkpoint.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestGoldenCheckpoint pins the DPWALCKP bytes both ways: the store encodes
+// to the golden, and the golden decodes to a store that answers as the built
+// one and encodes back to the same bytes.
+func TestGoldenCheckpoint(t *testing.T) {
+	want, store := goldenCheckpoint(t), checkpointStore(t)
+	got, err := AppendCheckpoint(nil, checkpointSeq, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("wrote %d bytes that differ from the %d golden ones", len(got), len(want))
+	}
+	seq, snap, err := DecodeCheckpoint(want)
+	if err != nil {
+		t.Fatalf("golden checkpoint does not decode: %v", err)
+	}
+	again, err := AppendCheckpoint(nil, seq, snap)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Errorf("decoded golden re-encodes to %d different bytes (%v)", len(again), err)
+	}
+	if seq != checkpointSeq || snap.NextGID() != store.NextGID() || !reflect.DeepEqual(snap.Tombstones(), store.Tombstones()) {
+		t.Errorf("decoded seq %d, next gid %d, tombstones %v; want %d, %d, %v", seq, snap.NextGID(),
+			snap.Tombstones(), checkpointSeq, store.NextGID(), store.Tombstones())
+	}
+	q := metric.Vector{0.4, 0.6, 0.5}
+	a, ast := snap.KNN(q, 7)
+	b, bst := store.KNN(q, 7)
+	sameResults(t, "golden checkpoint kNN", a, b)
+	if ast != bst {
+		t.Errorf("decoded store costs %+v, built one %+v", ast, bst)
+	}
+}
+
+// resum returns body under the checksum a checkpoint ends with.
+func resum(body []byte) []byte {
+	e := enc{b: bytes.Clone(body)}
+	e.u32(CRC32C(body))
+	return e.b
+}
+
+// hostileCheckpoint is a must-reject checkpoint: the golden with one field
+// made to lie and the checksum recomputed, so the lie reaches the decoder.
+type hostileCheckpoint struct {
+	name string
+	raw  []byte
+	want string // what the error must name
+}
+
+func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
+	t.Helper()
+	raw := goldenCheckpoint(t)
+	// The points follow the fixed fields, the metric name "L2" and the
+	// point count; the golden's are 3-d vectors, 29 bytes each.
+	const first, size = 8 + 4 + 4 + 8 + 4 + 2 + 8, 1 + 4 + 3*8
+	reshape := func(i int, p metric.Point) []byte {
+		e := enc{b: bytes.Clone(raw[:first+size*i])}
+		if err := e.point(p); err != nil {
+			t.Fatal(err)
+		}
+		return resum(append(e.b, raw[first+size*(i+1):len(raw)-4]...))
+	}
+	count := bytes.Clone(raw[:len(raw)-4])
+	binary.LittleEndian.PutUint64(count[first-8:], 1<<40)
+	flags := bytes.Clone(raw[:len(raw)-4])
+	flags[12] = 1
+	return []hostileCheckpoint{
+		{"short vector at point 7", reshape(7, metric.Vector{0.5, 0.5}), "point 7"},
+		{"string at point 7", reshape(7, metric.String("abc")), "point 7"},
+		{"short point 0", reshape(0, metric.Vector{0.5, 0.5}), "point 0"},
+		{"point count", resum(count), "point count"},
+		{"flags", resum(flags), "flags"},
+	}
+}
+
+// TestCheckpointRejectsHostile: a checksum that checks clean is not enough.
+// Each hostile checkpoint is an error naming what lies, having allocated
+// nothing its point count claimed; and the golden cut short anywhere is an
+// error too.
+func TestCheckpointRejectsHostile(t *testing.T) {
+	for _, h := range hostileCheckpoints(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeCheckpoint(h.raw)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: decoded with error %v, want one naming %q", h.name, err, h.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte input allocated %d bytes", h.name, len(h.raw), grew)
+		}
+	}
+	raw := goldenCheckpoint(t)
+	for cut := range raw {
+		if _, _, err := DecodeCheckpoint(raw[:cut]); err == nil {
+			t.Fatalf("the golden cut to %d of %d bytes decoded", cut, len(raw))
+		}
+	}
+}
+
+// FuzzCheckpoint drives the checkpoint decoder with arbitrary bytes, as they
+// come and under a checksum made to agree with them (so that mutations reach
+// the fields behind it): any input may fail to decode, none may panic or
+// allocate beyond a small multiple of its own size, and anything that
+// decodes re-encodes to the input byte for byte.
+func FuzzCheckpoint(f *testing.F) {
+	raw := goldenCheckpoint(f)
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	for _, h := range hostileCheckpoints(f) {
+		f.Add(h.raw)
+	}
+	check := func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seq, snap, err := DecodeCheckpoint(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding a %d-byte input allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		again, err := AppendCheckpoint(nil, seq, snap)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("a decoded checkpoint re-encodes to %d other bytes (%v)", len(again), err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if len(data) >= 4 {
+			check(t, resum(data[:len(data)-4]))
+		}
+	})
 }

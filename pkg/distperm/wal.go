@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distperm/internal/metric"
 	"distperm/internal/sisap"
 	"distperm/pkg/obs"
 )
@@ -26,9 +25,10 @@ import (
 // whole store that lets replay start from its covered sequence instead of
 // zero, and lets the segments behind it be deleted).
 //
-// Record framing and torn-tail semantics live in internal/sisap's WAL
-// record codec: every record is length-prefixed and CRC-32C-checksummed, so
-// the write a crash interrupted fails its checksum and OpenWAL physically
+// This file handles the log's files; the bytes of a record frame and of a
+// checkpoint are internal/sisap's (walrec.go), read through its bounds-checked
+// cursor. Every record is length-prefixed and CRC-32C-checksummed, so the
+// write a crash interrupted fails its checksum and OpenWAL physically
 // truncates the log at the last intact record. A frame that fails anywhere
 // other than the tail of the final segment is corruption, not a crash
 // artifact, and opening refuses rather than silently dropping records.
@@ -41,23 +41,9 @@ import (
 //	firstSeq uint64   sequence number of the first record in this file
 //	records  …        sisap WAL record frames, back to back
 //
-// Checkpoint file layout (little-endian, CRC-32C over all prior bytes at
-// the end):
-//
-//	magic    [8]byte  "DPWALCKP"
-//	version  uint32   walVersion
-//	flags    uint32   reserved, 0
-//	seq      uint64   WAL sequence this snapshot covers (replay resumes at seq+1)
-//	mlen     uint32 + metric name
-//	npoints  uint64 + wire points (base points then delta points, gid order)
-//	clen     uint64 + DPERMIDX "mutable" container over those points
-//	crc      uint32
-//
-// Checkpoints are self-contained on purpose: DPERMIDX containers never
-// carry the point data, so the checkpoint embeds the full point set in the
-// record codec's wire-point encoding. With no checkpoint, recovery rebuilds
-// the base the same way the daemon built it the first time (the dataset
-// flags are deterministic) and replays the log from sequence zero.
+// With no checkpoint, recovery rebuilds the base the same way the daemon
+// built it the first time (the dataset flags are deterministic) and replays
+// the log from sequence zero.
 
 // Aliases re-exporting the record codec at the public boundary, so WAL
 // callers and tests never import internal/sisap.
@@ -81,7 +67,6 @@ var ErrWALTorn = sisap.ErrWALTorn
 
 const (
 	walSegMagic  = "DPWALSEG"
-	walCkptMagic = "DPWALCKP"
 	walVersion   = 1
 	segHeaderLen = 8 + 4 + 4 + 8
 
@@ -455,16 +440,6 @@ func (w *WAL) fsyncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the append segment regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.failed != nil {
-		return w.failed
-	}
-	return w.fsyncLocked()
-}
-
 func (w *WAL) syncLoop() {
 	defer w.wg.Done()
 	t := time.NewTicker(w.opts.SyncInterval)
@@ -490,9 +465,6 @@ func (w *WAL) Seq() uint64 {
 	defer w.mu.Unlock()
 	return w.seq
 }
-
-// Dir returns the log's directory.
-func (w *WAL) Dir() string { return w.dir }
 
 // Replay streams every record with sequence > fromSeq, in order, to fn
 // (which must not call back into this WAL). A missing prefix — fromSeq
@@ -566,34 +538,10 @@ func (w *WAL) truncateThroughLocked(seq uint64) error {
 // checkpoints and the segments the new one covers. The snapshot/seq pair
 // must be an exact cut — MutableEngine.CheckpointSnapshot produces one.
 func (w *WAL) WriteCheckpoint(snap *MutableIndex, seq uint64) error {
-	db := snap.DB()
-	name := db.Metric.Name()
-	if m, err := metric.ByName(name); err != nil || m.Name() != name {
-		return fmt.Errorf("distperm: wal checkpoints need a metric loadable by name, %q is not", name)
-	}
-	body := make([]byte, 0, 1<<20)
-	body = append(body, walCkptMagic...)
-	body = binary.LittleEndian.AppendUint32(body, walVersion)
-	body = binary.LittleEndian.AppendUint32(body, 0)
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(name)))
-	body = append(body, name...)
-	body = binary.LittleEndian.AppendUint64(body, uint64(db.N()))
-	for _, p := range db.Points {
-		var err error
-		if body, err = sisap.AppendWirePoint(body, p); err != nil {
-			return err
-		}
-	}
-	clenAt := len(body)
-	body = binary.LittleEndian.AppendUint64(body, 0)
-	body, err := sisap.AppendIndex(body, snap)
+	body, err := sisap.AppendCheckpoint(make([]byte, 0, 1<<20), seq, snap)
 	if err != nil {
-		return fmt.Errorf("distperm: encoding checkpoint container: %w", err)
+		return fmt.Errorf("distperm: encoding checkpoint: %w", err)
 	}
-	binary.LittleEndian.PutUint64(body[clenAt:], uint64(len(body)-clenAt-8))
-	body = binary.LittleEndian.AppendUint32(body, sisap.CRC32C(body))
-
 	final := filepath.Join(w.dir, fmt.Sprintf("ckpt-%016x.ckpt", seq))
 	tmp := final + ".tmp"
 	if err := writeFileSync(tmp, body); err != nil {
@@ -619,10 +567,11 @@ func (w *WAL) WriteCheckpoint(snap *MutableIndex, seq uint64) error {
 }
 
 // LoadCheckpoint loads the newest intact checkpoint, or (nil, nil) when
-// none exists. A checkpoint that fails its checksum is skipped in favour of
-// an older one; if every candidate is corrupt the first failure is the
-// error (recovery may still be possible by deleting the bad files and
-// replaying the full log, but that is the operator's call, not ours).
+// none exists. A checkpoint that fails its checksum, or holds points no query
+// could run over, is skipped in favour of an older one; if every candidate is
+// refused the first failure is the error (recovery may still be possible by
+// deleting the bad files and replaying the full log, but that is the
+// operator's call, not ours).
 func (w *WAL) LoadCheckpoint() (*WALCheckpoint, error) {
 	names, err := filepath.Glob(filepath.Join(w.dir, "ckpt-*.ckpt"))
 	if err != nil {
@@ -631,7 +580,11 @@ func (w *WAL) LoadCheckpoint() (*WALCheckpoint, error) {
 	sort.Sort(sort.Reverse(sort.StringSlice(names))) // newest (highest seq) first
 	var firstErr error
 	for _, path := range names {
-		ck, err := readCheckpoint(path)
+		var ck WALCheckpoint
+		data, err := os.ReadFile(path)
+		if err == nil {
+			ck.Seq, ck.Snapshot, err = sisap.DecodeCheckpoint(data)
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("distperm: checkpoint %s: %w", filepath.Base(path), err)
@@ -639,77 +592,9 @@ func (w *WAL) LoadCheckpoint() (*WALCheckpoint, error) {
 			continue
 		}
 		w.ckptSeq.Store(ck.Seq)
-		return ck, nil
+		return &ck, nil
 	}
 	return nil, firstErr
-}
-
-func readCheckpoint(path string) (*WALCheckpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 8+4+4+8+4+8+8+4 || string(data[:8]) != walCkptMagic {
-		return nil, errors.New("not a wal checkpoint")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != walVersion {
-		return nil, fmt.Errorf("checkpoint version %d, this build speaks %d", v, walVersion)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got := sisap.CRC32C(body); got != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("checksum mismatch (%#x)", got)
-	}
-	off := 16
-	seq := binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	mlen := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if mlen < 0 || off+mlen > len(body) {
-		return nil, errors.New("metric name overruns checkpoint")
-	}
-	m, err := metric.ByName(string(body[off : off+mlen]))
-	if err != nil {
-		return nil, err
-	}
-	off += mlen
-	if off+8 > len(body) {
-		return nil, errors.New("point count overruns checkpoint")
-	}
-	n := binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	if n > uint64(len(body)) { // every point costs ≥ 1 byte on the wire
-		return nil, fmt.Errorf("point count %d overruns checkpoint", n)
-	}
-	points := make([]metric.Point, n)
-	for i := range points {
-		p, used, err := sisap.DecodeWirePoint(body[off:])
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %v", i, err)
-		}
-		points[i] = p
-		off += used
-	}
-	if off+8 > len(body) {
-		return nil, errors.New("container length overruns checkpoint")
-	}
-	clen := binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	if clen != uint64(len(body)-off) {
-		return nil, fmt.Errorf("container length %d, %d bytes remain", clen, len(body)-off)
-	}
-	db, err := NewDB(m, points)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := sisap.DecodeIndex(body[off:], db)
-	if err != nil {
-		return nil, err
-	}
-	snap, ok := idx.(*MutableIndex)
-	if !ok {
-		return nil, fmt.Errorf("checkpoint holds a %q container, want mutable", idx.Name())
-	}
-	return &WALCheckpoint{Snapshot: snap, Seq: seq}, nil
 }
 
 // Stats snapshots the log's counters.

@@ -333,14 +333,18 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThroughput measures batched 1-NN throughput of the
-// scatter-gather serving layer as the shard count grows: one
-// distance-permutation index per shard, two workers per shard on one Engine,
-// each query fanned out to every shard and merged. Per-shard indexes are
-// smaller (n/S points each), so per-sub-query work shrinks as shards grow
-// while the fan-out adds merge overhead — the trade-off this benchmark
-// tracks as queries/s.
+// BenchmarkShardedThroughput measures the sharded serving layer: one
+// distance-permutation index per shard on one Engine, each query walking the
+// shards in turn into one collector. The shards=S rows are batched 1-NN
+// throughput as the shard count grows (4 000 uniform points, two workers per
+// shard): per-shard indexes are smaller (n/S points each), while every query
+// pays each shard's fixed cost (its site distances, its bucket bounds). The
+// single/callers=C rows are the lone query on the store shape of perflab's
+// mixed-rw-sharded (50 000 clustered 6-d points, 4 round-robin shards, 12
+// sites, Footrule, workers = NumCPU per shard): single exact 10-NN queries
+// from C closed-loop callers, in p50-µs and queries/s.
 func BenchmarkShardedThroughput(b *testing.B) {
+	b.Run("single", benchShardedSingle)
 	rng := rand.New(rand.NewSource(9))
 	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 4_000, 6))
 	if err != nil {
@@ -371,6 +375,76 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			b.ReportMetric(float64(served)/time.Since(start).Seconds(), "queries/s")
 		})
 	}
+}
+
+func benchShardedSingle(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	pts := dataset.ClusteredVectors(rng, 50_000, 6, 32, 0.05)
+	db, err := distperm.NewDB(distperm.L2, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sx, err := distperm.BuildSharded(db,
+		distperm.Spec{Index: "distperm", K: 12, PermDist: distperm.Footrule, Seed: 12}, 4, distperm.RoundRobin{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := distperm.NewEngine(db, sx, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	queries := make([]distperm.Point, 256) // a data point plus N(0, 0.01) noise
+	for i := range queries {
+		v := slices.Clone(pts[rng.Intn(len(pts))].(distperm.Vector))
+		for j := range v {
+			v[j] += 0.01 * rng.NormFloat64()
+		}
+		queries[i] = v
+	}
+	// The first exact query of each shard sweeps its bounds and lays out its
+	// bucket-major rows; that is set-up, not the query under test.
+	if _, err := e.KNNBatch(queries[:1], 10); err != nil {
+		b.Fatal(err)
+	}
+	knn := distperm.Query{K: 10}
+	for _, callers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			closedLoop(b, callers, func(q distperm.Point) error {
+				_, _, err := e.Search([]distperm.Point{q}, knn)
+				return err
+			}, queries)
+		})
+	}
+}
+
+// closedLoop shares b.N calls of fire, over queries in turn, among callers
+// closed-loop goroutines (each sends its next call once its last returns)
+// and reports queries/s and the median call's latency, p50-µs.
+func closedLoop(b *testing.B, callers int, fire func(distperm.Point) error, queries []distperm.Point) {
+	lat := make([]time.Duration, b.N)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+				t0 := time.Now()
+				if err := fire(queries[i%len(queries)]); err != nil {
+					b.Error(err)
+					return
+				}
+				lat[i] = time.Since(t0)
+			}
+		}()
+	}
+	wg.Wait()
+	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2])/float64(time.Microsecond), "p50-µs")
 }
 
 // BenchmarkCoalescedServing measures the serving subsystem's coalescer
@@ -417,30 +491,7 @@ func BenchmarkCoalescedServing(b *testing.B) {
 						return err
 					}
 				}
-				// conc closed-loop callers share the b.N calls.
-				lat := make([]time.Duration, b.N)
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				start := time.Now()
-				for g := 0; g < conc; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
-							t0 := time.Now()
-							if err := fire(queries[i&255]); err != nil {
-								b.Error(err)
-								return
-							}
-							lat[i] = time.Since(t0)
-						}
-					}()
-				}
-				wg.Wait()
-				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
-				slices.Sort(lat)
-				b.ReportMetric(float64(lat[len(lat)/2])/float64(time.Microsecond), "p50-µs")
+				closedLoop(b, conc, fire, queries)
 				if co != nil {
 					batches, enqueued := co.Counters()
 					b.ReportMetric(float64(enqueued)/float64(batches), "fill")

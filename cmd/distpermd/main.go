@@ -89,7 +89,7 @@ func main() {
 	flag.IntVar(&cfg.K, "k", 8, "pivots/sites for the built index")
 	flag.StringVar(&cfg.Load, "load", "", "read a DPERMIDX container (any codec kind, including sharded and mutable) instead of building")
 	flag.BoolVar(&cfg.Mmap, "mmap", false, "map -load as a frozen container read-only (O(1) open) instead of stream-decoding; dataset flags are only consulted when the container embeds no points")
-	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across this many scatter-gather shards")
+	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across this many shards")
 	flag.StringVar(&cfg.Partition, "partition", "roundrobin", "shard placement strategy: "+strings.Join(distperm.Partitioners(), ", "))
 	flag.IntVar(&cfg.Workers, "workers", 0, "worker goroutines per engine pool (0 = NumCPU)")
 	flag.IntVar(&cfg.RebuildThreshold, "rebuild-threshold", 0, "enable the live write path (POST /v1/insert, /v1/delete): background-rebuild the index once this many writes are pending (0 serves read-only)")

@@ -101,7 +101,7 @@ func referenceProbe(x *PermIndex, q metric.Point, k, nprobe int, dead Tombs) (ma
 // live distance) and KNNApprox answer what LinearScan answers over the live
 // points, and the kNN walk measures no more than the walk it replaces — KNN
 // for k plus the dead count, then filtered. (A batch is that kNN walk per
-// query: the engine's batched jobs go through Scope.Search too.)
+// query: the engine's jobs walk through Walk.Search, as Scope.Search does.)
 func checkSkip(t testing.TB, label string, x *PermIndex, q metric.Point, k int, dead Tombs) {
 	t.Helper()
 	n, sc := x.db.N(), Scope{Dead: dead}
@@ -121,7 +121,7 @@ func checkSkip(t testing.TB, label string, x *PermIndex, q metric.Point, k int, 
 	}
 	for _, nprobe := range []int{1, 4, x.ApproxBuckets()} {
 		cand, wantA := referenceProbe(x, q, k, nprobe, dead)
-		gotA, statsA := sc.KNNApprox(x, q, k, nprobe)
+		gotA, statsA := x.knnApprox(q, k, nprobe, sc)
 		if wantA.Exact {
 			wantA.Stats, cand = st, nil
 		}

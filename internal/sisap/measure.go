@@ -105,6 +105,69 @@ func (c *collector) results() []Result {
 	return rs
 }
 
+// Walk is one query answered over disjoint member indexes — a view's
+// segments — walked in turn into one collector, each under the dead set and
+// its own part: a kNN member prunes at the k-th live distance of the members
+// before it, and Results is already the merged answer. It is
+// ShardedIndex.search with a seam between members, where a caller books each
+// member's cost and time apart.
+type Walk struct{ c collector }
+
+// NewWalk starts a walk for the k best or, with k = 0, everything within r,
+// leaving out the points dead names.
+func NewWalk(k int, r float64, dead Tombs) Walk {
+	w := Walk{collector{r: r, sc: Scope{Dead: dead}}}
+	if k > 0 {
+		w.c.h = newKNNHeap(k)
+	}
+	return w
+}
+
+// Search walks member x, whose point i is the view's point part[i] (nil: the
+// identity), into w. An Index of another package answers whole and cannot
+// leave points out.
+func (w *Walk) Search(x Index, part []int, q metric.Point) Stats {
+	w.c.sc.Part = part
+	if s, ok := x.(searcher); ok {
+		return s.search(q, &w.c)
+	}
+	if w.c.h == nil {
+		rs, st := x.Range(q, w.c.r)
+		w.offer(rs)
+		return st
+	}
+	rs, st := x.KNN(q, w.c.h.k)
+	w.offer(rs)
+	return st
+}
+
+// Approx offers w member x's own approximate answer: its k best in its
+// nprobe nearest buckets, the probe widened until it holds k points that are
+// not dead, exactly as if x were asked alone.
+func (w *Walk) Approx(x ApproxIndex, part []int, q metric.Point, k, nprobe int) ApproxStats {
+	w.c.sc.Part = part
+	px, ok := x.(*PermIndex)
+	if !ok {
+		rs, st := x.KNNApprox(q, k, nprobe)
+		w.offer(rs)
+		return st
+	}
+	rs, st := px.knnApprox(q, k, nprobe, w.c.sc)
+	w.c.sc.Part = nil // rs is renamed already
+	w.offer(rs)
+	return st
+}
+
+// offer adds rs, a member's answer, to w.
+func (w *Walk) offer(rs []Result) {
+	for _, r := range rs {
+		w.c.add(r.ID, r.Distance)
+	}
+}
+
+// Results returns what w holds in (distance, ID) order.
+func (w *Walk) Results() []Result { return w.c.results() }
+
 // Triangle-inequality elimination compares *computed* distances. The metric
 // guarantees d(q,p) ≥ |d(q,s) − d(s,p)|, but each of the three is rounded on
 // its own, and where the inequality is tight (collinear points) the raw float

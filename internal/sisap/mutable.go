@@ -24,7 +24,7 @@ import (
 // delta into the base's answer and names it by gids — exactly the answer an
 // index built from scratch over the logical point set would give, with the
 // logical set ordered by gid. pkg/distperm's engines lay the same Overlay
-// over their merged per-shard answers; a MutableEngine publishes a
+// over their answers from the base's shards; a MutableEngine publishes a
 // MutableIndex, and Insert, Delete and Rebase return its successors, sharing
 // whatever did not change.
 type MutableIndex struct {
@@ -253,17 +253,12 @@ func (x *MutableIndex) search(q metric.Point, k int, r float64) ([]Result, Stats
 // left out: the delta is measured into it (len(delta) evaluations, the
 // caller's to count) and the answer is named by gids.
 func (x *MutableIndex) Overlay(q metric.Point, rs []Result, k int, r float64) []Result {
-	c := collector{r: r, sc: Scope{Dead: x.dead}}
-	if k > 0 {
-		c.h = newKNNHeap(k)
-	}
-	for _, res := range rs {
-		c.add(res.ID, res.Distance)
-	}
+	w := NewWalk(k, r, x.dead)
+	w.offer(rs)
 	for j, p := range x.delta {
-		c.add(x.BaseN()+j, x.baseDB.Metric.Distance(q, p))
+		w.c.add(x.BaseN()+j, x.baseDB.Metric.Distance(q, p))
 	}
-	return RemapShardResults(c.results(), x.gids)
+	return RemapShardResults(w.Results(), x.gids)
 }
 
 // --- mutable codec ---

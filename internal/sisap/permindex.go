@@ -350,7 +350,7 @@ func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	results := make([][]Result, len(qs))
 	stats := make([]Stats, len(qs))
 	for i, q := range qs {
-		results[i], stats[i] = Scope{}.collect(x, q, k, 0)
+		results[i], stats[i] = Scope{}.Search(x, q, k, 0)
 	}
 	return results, stats
 }

@@ -609,7 +609,7 @@ func (x *PermIndex) knnApprox(q metric.Point, k, nprobe int, sc Scope) ([]Result
 		nprobe = defaultNProbe(nb)
 	}
 	exact := func() ([]Result, ApproxStats) {
-		rs, st := sc.collect(x, q, k, 0)
+		rs, st := sc.Search(x, q, k, 0)
 		return rs, ApproxStats{
 			Stats: st, ProbedBuckets: nb, TotalBuckets: nb,
 			Candidates: x.db.N(), Exact: true,

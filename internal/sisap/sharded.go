@@ -7,19 +7,18 @@ import (
 )
 
 // ShardedIndex partitions one database across S disjoint shards and holds
-// one member-family index per shard. A query is scattered to every shard and
-// the per-shard answers are merged back into global terms — exactly the
-// answer the unpartitioned index would give, because each shard's local ID
-// order mirrors the global ID order (parts are strictly increasing), so
-// per-shard (distance, ID) tie-breaking agrees with global tie-breaking.
+// one member-family index per shard. A query walks the shards in turn into
+// one collector, so a kNN shard prunes at the k-th distance of the shards
+// before it — exactly the answer the unpartitioned index would give, because
+// each shard's local ID order mirrors the global ID order (parts are strictly
+// increasing), so per-shard (distance, ID) tie-breaking agrees with global.
 //
 // The per-shard Stats sum to the query's global cost: the metric-evaluation
 // cost model of the paper composes additively across shards.
 //
 // ShardedIndex itself satisfies Index (and Replicable, cloning per-shard
-// query replicas), so it can be served by a plain Engine; the sharded
-// serving layer in pkg/distperm instead runs one worker-pool Engine per
-// shard and merges in the gather step.
+// query replicas); pkg/distperm's engines walk its shards through Walk, to
+// book each shard's cost apart.
 type ShardedIndex struct {
 	db     *DB
 	parts  [][]int // parts[s][local] = global ID, strictly increasing
@@ -106,12 +105,12 @@ func (x *ShardedIndex) Part(s int) []int { return x.parts[s] }
 // DB returns the global database the index partitions.
 func (x *ShardedIndex) DB() *DB { return x.db }
 
-// KNN gathers the global top k from every shard.
+// KNN returns the global top k over every shard.
 func (x *ShardedIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
 	return searchKNN(x, x.db.N(), q, k)
 }
 
-// Range gathers every shard's answer in global (distance, ID) order.
+// Range returns every shard's points within r in global (distance, ID) order.
 func (x *ShardedIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
 	return searchRange(x, q, r)
 }
@@ -168,7 +167,8 @@ func RemapShardResults(rs []Result, part []int) []Result {
 
 // MergeKNN gathers per-shard kNN answers (already remapped to global IDs)
 // into the global top k in (distance, ID) order; with k = 0 it merges
-// per-shard range answers, keeping all.
+// per-shard range answers, keeping all. No serving path merges: it prices
+// the merge that one walk across the shards saves.
 func MergeKNN(perShard [][]Result, k int) []Result {
 	var all []Result
 	for _, rs := range perShard {

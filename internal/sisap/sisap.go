@@ -32,7 +32,7 @@
 // in a Scope: IDs renamed, and a dead set measured but never collected, so a
 // mutated store's walk prunes at its k-th live distance. A MutableIndex walks
 // its base that way and lays its delta over the answer (Overlay), the step
-// pkg/distperm's engines take after merging their shards' answers. All
+// pkg/distperm's engines take after walking their shards (Walk). All
 // six pruning kinds skip through slackGap/lowerBound (measure.go) — a raw
 // float triangle bound drops points lying exactly on the limit — whose
 // rounding argument covers L1, L2 and L∞ only.
@@ -231,51 +231,24 @@ type searcher interface {
 // Walks reports whether x's walk sees a Scope's dead set: x is of this package.
 func Walks(x Index) bool { _, ok := x.(searcher); return ok }
 
-// searchKNN is Index.KNN over a searcher of n points: a heap collector.
-func searchKNN(s searcher, n int, q metric.Point, k int) ([]Result, Stats) {
+// searchKNN is Index.KNN over x of n points: a heap collector.
+func searchKNN(x Index, n int, q metric.Point, k int) ([]Result, Stats) {
 	checkK(k, n)
-	return Scope{}.collect(s, q, k, 0)
+	return Scope{}.Search(x, q, k, 0)
 }
 
-// searchRange is Index.Range over a searcher: a radius collector.
-func searchRange(s searcher, q metric.Point, r float64) ([]Result, Stats) {
-	return Scope{}.collect(s, q, 0, r)
-}
-
-// collect runs s's traversal into a collector in scope sc for the k best or,
-// with k = 0, everything within r.
-func (sc Scope) collect(s searcher, q metric.Point, k int, r float64) ([]Result, Stats) {
-	c := collector{r: r, sc: sc}
-	if k > 0 {
-		c.h = newKNNHeap(k)
-	}
-	st := s.search(q, &c)
-	return c.results(), st
+// searchRange is Index.Range over x: a radius collector.
+func searchRange(x Index, q metric.Point, r float64) ([]Result, Stats) {
+	return Scope{}.Search(x, q, 0, r)
 }
 
 // Search is x.KNN(q, k), or x.Range(q, r) when k is 0, in scope sc: a kNN
-// answer is shorter than k when fewer than k points are left. An Index of
-// another package is only renamed: it cannot leave points out.
+// answer is shorter than k when fewer than k points are left. It is a Walk
+// of the one member x.
 func (sc Scope) Search(x Index, q metric.Point, k int, r float64) ([]Result, Stats) {
-	if s, ok := x.(searcher); ok {
-		return sc.collect(s, q, k, r)
-	}
-	if k > 0 {
-		rs, st := x.KNN(q, k)
-		return RemapShardResults(rs, sc.Part), st
-	}
-	rs, st := x.Range(q, r)
-	return RemapShardResults(rs, sc.Part), st
-}
-
-// KNNApprox is x.KNNApprox(q, k, nprobe) in scope sc: the probe set widens
-// until it holds k points that are not dead.
-func (sc Scope) KNNApprox(x ApproxIndex, q metric.Point, k, nprobe int) ([]Result, ApproxStats) {
-	if px, ok := x.(*PermIndex); ok {
-		return px.knnApprox(q, k, nprobe, sc)
-	}
-	rs, st := x.KNNApprox(q, k, nprobe)
-	return RemapShardResults(rs, sc.Part), st
+	w := NewWalk(k, r, sc.Dead)
+	st := w.Search(x, sc.Part, q)
+	return w.Results(), st
 }
 
 // sortResults orders results by (distance, id).

@@ -13,8 +13,9 @@
 //   - Engine: one goroutine worker pool answering batched traffic over a
 //     view of the index — a single segment for a plain index, one per shard
 //     when a Partitioner has split the database (BuildSharded) — on per-
-//     worker index replicas. Every segment answers every query and the merge
-//     step returns answers identical to one index over the unpartitioned
+//     worker index replicas. A query walks the segments one after another
+//     into one collector, each pruning at the distances the ones before it
+//     found, and answers identically to one index over the unpartitioned
 //     database; per-query Stats aggregate into engine-level counters
 //     (distance evaluations, latency percentiles), kept per shard and
 //     summing to the global cost.

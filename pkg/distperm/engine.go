@@ -75,11 +75,10 @@ func (s *state) liveN() int {
 // Search answers q for every point of qs over the store the engine serves:
 // outs[i] is the answer for qs[i], and asts[i] its probe statistics when
 // q.Approx (nil otherwise). The state is loaded once for the batch; see
-// pool.search for how a sharded index is scattered and gathered. Over a
-// mutated store every walk leaves the tombstones out (so a kNN walk prunes
+// pool.search for how a query walks a sharded index's shards in turn. Over
+// a mutated store every walk leaves the tombstones out (so a kNN walk prunes
 // at the K-th live distance) and the snapshot's delta is laid over each
-// gathered answer (MutableIndex.Overlay), which names it by stable global
-// IDs.
+// merged answer (MutableIndex.Overlay), which names it by stable global IDs.
 //
 // Only the base answers approximately — the delta is always scanned exactly,
 // so a freshly inserted point is never missed by a probe; mutation costs
@@ -145,15 +144,16 @@ func (a engineAPI) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []Appr
 }
 
 // Stats returns a snapshot of the engine-level counters. Across shards the
-// counts sum (each shard answers every scattered query, so Queries counts
-// sub-queries); across a MutableEngine's rebuilds they accumulate, with the
-// gather-time delta scans costed into DistanceEvals.
+// counts sum (every query walks every shard, so Queries counts sub-queries);
+// across a MutableEngine's rebuilds they accumulate, with the delta scans
+// costed into DistanceEvals.
 func (a engineAPI) Stats() EngineStats {
 	st, lat := a.counters()
 	st.finish(lat)
-	v := a.load()
-	st.BucketRowsHeapBytes, st.BoundCells = v.bucketWalk()
-	st.DistinctRows = v.distinctRows()
+	v := a.load().view
+	st.BucketRowsHeapBytes = segSum(v, (*sisap.PermIndex).RowsHeapBytes)
+	st.BoundCells = segSum(v, (*sisap.PermIndex).BoundCells)
+	st.DistinctRows = segSum(v, distinctRows)
 	return st
 }
 
@@ -167,11 +167,13 @@ func (a engineAPI) Shards() int { return len(a.load().segs) }
 
 // ApproxBuckets returns the served index's inverted-file directory size, the
 // bound nprobe is measured against, summed across shards (0: no such capability).
-func (a engineAPI) ApproxBuckets() int { return a.load().approxBuckets() }
+func (a engineAPI) ApproxBuckets() int {
+	return segSum(a.load().view, sisap.ApproxIndex.ApproxBuckets)
+}
 
 // DistinctRows returns the served index's distinct permutation-row count,
 // summed across shards (0: not exposed); a rebuild folds the delta points in.
-func (a engineAPI) DistinctRows() int { return a.load().distinctRows() }
+func (a engineAPI) DistinctRows() int { return segSum(a.load().view, distinctRows) }
 
 // LatencySnapshot returns the per-query latency histogram, merged across
 // shards and (on a MutableEngine) covering every view served — the source
@@ -190,8 +192,9 @@ func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
 
 // Engine is a concurrent query engine over one built index: a pool of
 // worker goroutines answering each Search over the index's view — one
-// segment for a plain index, one per shard of a *ShardedIndex, whose
-// per-segment answers merge by (distance, global ID) into exactly what one
+// segment for a plain index, one per shard of a *ShardedIndex, walked one
+// after another into one collector per query, so each shard prunes at the
+// K-th distance of the shards before it and the answer is exactly what one
 // index over the unpartitioned database returns. A *MutableIndex (a saved
 // mutated store) is served read-only the way a MutableEngine serves it: over
 // its base's segments, with k checked against its live points. Per-query
@@ -240,38 +243,15 @@ func newView(db *DB, idx Index) *view {
 	return v
 }
 
-// approxBuckets sums the segments' inverted-file directory sizes — the
-// bound the per-query TotalBuckets stat reports; a segment without the
-// approximate-search capability counts 0.
-func (v *view) approxBuckets() int {
-	total := 0
+// segSum sums f over the view's segment indexes that are an I; the rest
+// count 0.
+func segSum[I any, N int | int64](v *view, f func(I) N) (total N) {
 	for _, seg := range v.segs {
-		if a, ok := seg.idx.(sisap.ApproxIndex); ok {
-			total += a.ApproxBuckets()
+		if x, ok := seg.idx.(I); ok {
+			total += f(x)
 		}
 	}
 	return total
-}
-
-// distinctRows sums the segments' distinct permutation-row counts.
-func (v *view) distinctRows() int {
-	total := 0
-	for _, seg := range v.segs {
-		total += distinctRows(seg.idx)
-	}
-	return total
-}
-
-// bucketWalk sums, over the segments' indexes, the heap held in bucket-major
-// copies of the coordinates and their labels (sisap.PermIndex.RowsHeapBytes)
-// and the cells their exact walks bound (sisap.PermIndex.BoundCells).
-func (v *view) bucketWalk() (heapBytes int64, cells int) {
-	for _, seg := range v.segs {
-		if x, ok := seg.idx.(*sisap.PermIndex); ok {
-			heapBytes, cells = heapBytes+x.RowsHeapBytes(), cells+x.BoundCells()
-		}
-	}
-	return heapBytes, cells
 }
 
 // distinctRows returns idx's distinct permutation-row count — the paper's
@@ -306,8 +286,8 @@ type pool struct {
 	// busy counts workers currently serving a job — the pool-utilization
 	// gauge (0..workers).
 	busy atomic.Int64
-	// deltaEvals counts the gather-time delta scans of mutated stores,
-	// costed into Stats on top of the slots.
+	// deltaEvals counts the delta scans of mutated stores, costed into
+	// Stats on top of the slots.
 	deltaEvals atomic.Int64
 }
 
@@ -321,23 +301,22 @@ type slot struct {
 	lat  *obs.Histogram
 }
 
-// job is one worker's share of a search: a segment of the view, a
-// contiguous slice of the query points, the Query they all carry, and the
+// job is one worker's share of a search: a contiguous slice of the query
+// points, the view they are answered over, the Query they all carry, and the
 // caller's result (and, for approximate queries, stats) slots for exactly
-// those points on that segment.
+// those points.
 type job struct {
 	v    *view
-	seg  int
 	qs   []Point
 	q    Query
 	outs [][]Result
 	asts []ApproxStats // non-nil iff q.Approx
 	// dead is what no answer may hold: a mutated store's tombstoned positions.
 	dead sisap.Tombs
-	// batched marks an exact kNN job cut from a multi-query batch over a
-	// BatchIndex segment, counted in BatchedQueries; its queries are walked
-	// one by one like any other. It belongs to the search, not this job: a
-	// 2-query batch on 2 workers is two batched 1-query jobs.
+	// batched marks an exact kNN job cut from a multi-query batch over
+	// BatchIndex segments, counted in every segment's BatchedQueries; its
+	// queries are walked one by one like any other. It belongs to the search,
+	// not this job: a 2-query batch on 2 workers is two batched 1-query jobs.
 	batched bool
 	wg      *sync.WaitGroup
 }
@@ -391,11 +370,12 @@ func (p *pool) BusyWorkers() int { return int(p.busy.Load()) }
 // Index returns the engine's underlying index.
 func (e *Engine) Index() Index { return e.idx }
 
-// worker serves jobs on query replicas of the view it last served, made on
-// a segment's first job (the distance-permutation index's Permuter carries
-// scratch buffers and is not goroutine-safe; sisap.QueryReplica clones it
-// per worker, while the read-only indexes are shared). A superseded view's
-// replicas are dropped at the first job over its successor.
+// worker serves jobs on query replicas of the segments of the view it last
+// served, made at its first job over that view (the distance-permutation
+// index's Permuter carries scratch buffers and is not goroutine-safe;
+// sisap.QueryReplica clones it per worker, while the read-only indexes are
+// shared). A superseded view's replicas are dropped at the first job over its
+// successor.
 func (p *pool) worker() {
 	defer p.workerWG.Done()
 	var cur *view
@@ -403,49 +383,67 @@ func (p *pool) worker() {
 	for j := range p.jobs {
 		if j.v != cur {
 			cur, replicas = j.v, make([]Index, len(j.v.segs))
-		}
-		if replicas[j.seg] == nil {
-			replicas[j.seg] = sisap.QueryReplica(cur.segs[j.seg].idx)
+			for s, seg := range cur.segs {
+				replicas[s] = sisap.QueryReplica(seg.idx)
+			}
 		}
 		p.busy.Add(1)
-		p.serve(replicas[j.seg], j)
+		p.serve(replicas, j)
 		p.busy.Add(-1)
 		j.wg.Done()
 	}
 }
 
-// serve answers one job on the worker's replica, query by query, and remaps
-// the answers to the view's global IDs. Every query is its own walk, so its
-// Stats (and probe statistics) and its wall time in the latency histogram
-// are its own, whether it came alone or in a chunk.
-func (p *pool) serve(idx Index, j job) {
-	c := EngineStats{Queries: int64(len(j.qs))}
-	if j.batched {
-		c.BatchedQueries = c.Queries
-	}
-	sc := sisap.Scope{Dead: j.dead, Part: j.v.segs[j.seg].part}
-	sl := &p.slots[j.seg]
+// serve answers one job on the worker's replicas, query by query: a query is
+// one walk of the view's segments in turn into one collector (sisap.Walk), so
+// segment s prunes at the K-th live distance of segments 0…s−1 and the answer
+// comes out merged, in the view's global IDs. Each segment's slot books every
+// query as a sub-query, with the Stats (and probe statistics) and the wall
+// time of that segment's own walk, whether the query came alone or in a chunk.
+func (p *pool) serve(replicas []Index, j job) {
+	sums := make([]EngineStats, len(replicas))
 	for i, q := range j.qs {
-		start := time.Now()
-		var st Stats
+		w := sisap.NewWalk(j.q.K, j.q.Radius, j.dead)
 		if j.q.Approx {
-			// search only sends an approximate job to a segment whose index
-			// is approx-capable, and a replica is of its index's own type.
-			j.outs[i], j.asts[i] = sc.KNNApprox(idx.(sisap.ApproxIndex), q, j.q.K, j.q.NProbe)
-			st = j.asts[i].Stats
-			c.ApproxQueries++
-			c.ProbedBuckets += int64(j.asts[i].ProbedBuckets)
-			c.ApproxCandidates += int64(j.asts[i].Candidates)
-		} else {
-			j.outs[i], st = sc.Search(idx, q, j.q.K, j.q.Radius)
+			j.asts[i] = ApproxStats{Exact: true}
 		}
-		c.DistanceEvals += int64(st.DistanceEvals)
-		c.PrunedEvals += int64(st.PrunedEvals)
-		sl.lat.Observe(time.Since(start).Seconds())
+		for s, seg := range j.v.segs {
+			start := time.Now()
+			var st Stats
+			if j.q.Approx {
+				// search only sends an approximate job over a view whose
+				// segments are all approx-capable, and a replica is of its
+				// index's own type.
+				a := w.Approx(replicas[s].(sisap.ApproxIndex), seg.part, q, min(j.q.K, seg.db.N()), j.q.NProbe)
+				st = a.Stats
+				sums[s].ProbedBuckets += int64(a.ProbedBuckets)
+				sums[s].ApproxCandidates += int64(a.Candidates)
+				t := &j.asts[i]
+				t.DistanceEvals, t.PrunedEvals = t.DistanceEvals+a.DistanceEvals, t.PrunedEvals+a.PrunedEvals
+				t.ProbedBuckets, t.TotalBuckets = t.ProbedBuckets+a.ProbedBuckets, t.TotalBuckets+a.TotalBuckets
+				t.Candidates, t.Exact = t.Candidates+a.Candidates, t.Exact && a.Exact
+			} else {
+				st = w.Search(replicas[s], seg.part, q)
+			}
+			sums[s].DistanceEvals += int64(st.DistanceEvals)
+			sums[s].PrunedEvals += int64(st.PrunedEvals)
+			p.slots[s].lat.Observe(time.Since(start).Seconds())
+		}
+		j.outs[i] = w.Results()
 	}
-	sl.mu.Lock()
-	sl.sums.add(c)
-	sl.mu.Unlock()
+	for s, c := range sums {
+		c.Queries = int64(len(j.qs))
+		if j.batched {
+			c.BatchedQueries = c.Queries
+		}
+		if j.q.Approx {
+			c.ApproxQueries = c.Queries
+		}
+		sl := &p.slots[s]
+		sl.mu.Lock()
+		sl.sums.add(c)
+		sl.mu.Unlock()
+	}
 }
 
 // enter registers one search with the pool; it fails once Close has begun.
@@ -459,91 +457,46 @@ func (p *pool) enter() error {
 	return nil
 }
 
-// search answers q for every point of qs on every segment of v and gathers
-// the per-segment answers, leaving out the view's points dead names;
-// the caller has entered the pool and validated q.
-//
-// Each segment is asked for its min(K, segment size) best. Multi-query kNN
-// over a BatchIndex segment, and every approximate search, travel as
-// contiguous sub-batches, each answered query by query on one replica's
-// scratch; the chunk size spreads the batch across the segment's share of
-// the pool (⌈B/(workers/segments)⌉) and is capped at engineChunkCap.
-// Everything else travels one query per job. Whatever the job, every query
-// walks alone and costs what it would cost alone. The workers remap their
-// answers to global IDs, and the gather merges
-// them into the global top K (kNN) or the global (distance, ID) order
-// (range), identical to one index over the unpartitioned database. Every
-// segment of an approximate search probes the NProbe nearest prefix buckets
-// of its own directory: the per-query stats sum the segments' probe
-// accounting, and Exact is true only when every segment's probe set covered
-// its whole directory — in which case the answers are byte-identical to the
-// exact query; a segment without the capability fails the batch with
-// ErrNoApprox. A one-segment view has nothing to merge: the workers' slices
-// are returned as they are.
+// search answers q for every point of qs over v, leaving out the points dead
+// names; the caller has entered the pool and validated q. A job is a chunk of
+// the batch over the whole view (see serve), so the answers come back merged,
+// identical to one index over the unpartitioned database. Multi-query kNN
+// over BatchIndex segments, and every approximate search, travel as chunks of
+// ⌈B/workers⌉ (at most engineChunkCap); everything else one query per job.
+// Every segment of an approximate search probes the NProbe nearest buckets of
+// its own directory for its own min(K, segment size) best: the per-query
+// stats sum the segments' probe accounting, Exact only when every segment's
+// probe covered its whole directory (then the answers are the exact query's);
+// a segment without the capability fails the batch with ErrNoApprox.
 func (p *pool) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Result, []ApproxStats, error) {
-	if q.Approx {
-		for _, seg := range v.segs {
-			if _, ok := seg.idx.(sisap.ApproxIndex); !ok {
-				return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
-			}
+	batched := q.knn() && !q.Approx && len(qs) > 1
+	for _, seg := range v.segs {
+		if _, ok := seg.idx.(sisap.ApproxIndex); q.Approx && !ok {
+			return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
 		}
-	}
-	perSeg := make([][][]Result, len(v.segs)) // [segment][query][result]
-	perStats := make([][]ApproxStats, len(v.segs))
-	share := max(p.workers/len(v.segs), 1)
-	var wg sync.WaitGroup
-	for s, seg := range v.segs {
-		sq := q
-		sq.K = min(q.K, seg.db.N())
-		_, batchNative := seg.idx.(sisap.BatchIndex)
-		batched := batchNative && q.knn() && !q.Approx && len(qs) > 1
-		chunk := 1
-		if batched || q.Approx {
-			chunk = min((len(qs)+share-1)/share, engineChunkCap)
-		}
-		perSeg[s] = make([][]Result, len(qs))
-		if q.Approx {
-			perStats[s] = make([]ApproxStats, len(qs))
-		}
-		for base := 0; base < len(qs); base += chunk {
-			end := min(base+chunk, len(qs))
-			j := job{v: v, seg: s, qs: qs[base:end], q: sq, outs: perSeg[s][base:end], dead: dead, batched: batched, wg: &wg}
-			if q.Approx {
-				j.asts = perStats[s][base:end]
-			}
-			wg.Add(1)
-			p.jobs <- j
-		}
-	}
-	wg.Wait()
-	if len(v.segs) == 1 {
-		return perSeg[0], perStats[0], rangeFits(perSeg[0])
+		_, ok := seg.idx.(sisap.BatchIndex)
+		batched = batched && ok
 	}
 	outs := make([][]Result, len(qs))
 	var asts []ApproxStats
 	if q.Approx {
 		asts = make([]ApproxStats, len(qs))
 	}
-	gather := make([][]Result, len(v.segs))
-	for qi := range qs {
-		for s := range v.segs {
-			gather[s] = perSeg[s][qi]
-		}
-		outs[qi] = sisap.MergeKNN(gather, q.K)
-		if q.Approx {
-			agg := ApproxStats{Exact: true}
-			for s := range v.segs {
-				st := perStats[s][qi]
-				agg.DistanceEvals += st.DistanceEvals
-				agg.PrunedEvals += st.PrunedEvals
-				agg.ProbedBuckets += st.ProbedBuckets
-				agg.TotalBuckets += st.TotalBuckets
-				agg.Candidates += st.Candidates
-				agg.Exact = agg.Exact && st.Exact
-			}
-			asts[qi] = agg
-		}
+	chunk := 1
+	if batched || q.Approx {
+		chunk = min((len(qs)+p.workers-1)/p.workers, engineChunkCap)
 	}
+	var wg sync.WaitGroup
+	for base := 0; base < len(qs); base += chunk {
+		end := min(base+chunk, len(qs))
+		j := job{v: v, qs: qs[base:end], q: q, outs: outs[base:end], dead: dead, batched: batched, wg: &wg}
+		if q.Approx {
+			j.asts = asts[base:end]
+		}
+		wg.Add(1)
+		p.jobs <- j
+	}
+	wg.Wait()
 	return outs, asts, rangeFits(outs)
 }
 
@@ -662,9 +615,9 @@ func (sl *slot) counters() (EngineStats, obs.HistogramSnapshot) {
 }
 
 // ShardStats returns one EngineStats snapshot per shard (a single entry for
-// a plain index). Each shard answers every scattered query, so per-shard
-// Queries count sub-queries: S shards serving a B-query batch record B
-// sub-queries each.
+// a plain index). Every query walks every shard, so per-shard Queries count
+// sub-queries: S shards serving a B-query batch record B sub-queries each,
+// and a shard's DistanceEvals, PrunedEvals and latencies are its own walks'.
 func (e *Engine) ShardStats() []EngineStats {
 	segs := e.load().segs
 	stats := make([]EngineStats, len(segs))

@@ -36,8 +36,8 @@ type MutableConfig struct {
 	// count (delta points + tombstones) reaches it. ≤ 0 disables automatic
 	// rebuilds; Rebuild still folds on demand.
 	RebuildThreshold int
-	// Shards > 1 makes rebuilds produce a sharded index served scatter-
-	// gather, partitioned by Partitioner — the same seam BuildSharded uses.
+	// Shards > 1 makes rebuilds produce a sharded index, partitioned by
+	// Partitioner over the points' gids — the same seam BuildSharded uses.
 	// Inserts are routed through the Partitioner at write time, so per-shard
 	// pending-write counts are observable before the rebuild folds the
 	// points in.
@@ -390,6 +390,7 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 	if cfg.Shards > newDB.N() {
 		cfg.Shards = newDB.N()
 	}
+	cfg.Partitioner = byGID{cfg.Partitioner, newGids}
 	idx, err := buildForConfig(newDB, cfg)
 	if err != nil {
 		return fmt.Errorf("distperm: rebuild: %w", err)

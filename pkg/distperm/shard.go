@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,8 +14,8 @@ import (
 
 // ShardedIndex partitions one database across disjoint shards, one index per
 // shard; see BuildSharded. It satisfies Index, so WriteIndex/ReadIndex
-// round-trip it through the "sharded" codec; an Engine serves it scatter-
-// gather, every shard a segment of its view.
+// round-trip it through the "sharded" codec; an Engine serves it with every
+// shard a segment of its view, a query walking them in turn.
 type ShardedIndex = sisap.ShardedIndex
 
 // Partitioner assigns database points to shards — the placement seam of the
@@ -99,11 +100,24 @@ func PartitionerByName(name string) (Partitioner, error) {
 	return p, nil
 }
 
+// byGID asks a Partitioner about a rebuilt base's point i by its global ID,
+// gids[i]: the point the contract names, and where MutationStats predicted a
+// pending insert would land.
+type byGID struct {
+	Partitioner
+	gids []int
+}
+
+func (b byGID) Shard(i int, p Point, shards int) int {
+	return b.Partitioner.Shard(b.gids[i], p, shards)
+}
+
 // Partition assigns every point of db to one of shards shards via p,
 // returning per-shard global ID lists in increasing order (so shard-local
 // tie-breaking agrees with global tie-breaking). Every shard must end up
 // non-empty; a partitioner that leaves one empty (possible with HashPoint)
-// is an error, not a silent degradation.
+// is an error, not a silent degradation — except in a rebuild, whose shard
+// may have lost every point to deletes and is left out.
 func Partition(db *DB, shards int, p Partitioner) ([][]int, error) {
 	if db == nil || db.N() == 0 {
 		return nil, fmt.Errorf("distperm: Partition requires a non-empty database")
@@ -123,11 +137,11 @@ func Partition(db *DB, shards int, p Partitioner) ([][]int, error) {
 		parts[s] = append(parts[s], id)
 	}
 	for s, part := range parts {
-		if len(part) == 0 {
+		if _, rebuild := p.(byGID); len(part) == 0 && !rebuild {
 			return nil, fmt.Errorf("distperm: partitioner %s left shard %d of %d empty; use fewer shards or roundrobin", p.Name(), s, shards)
 		}
 	}
-	return parts, nil
+	return slices.DeleteFunc(parts, func(part []int) bool { return len(part) == 0 }), nil
 }
 
 // BuildSharded partitions db with p and builds one index per shard through

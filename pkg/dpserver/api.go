@@ -113,7 +113,7 @@ type IndexInfo struct {
 	N int `json:"n"`
 	// Metric names the database metric.
 	Metric string `json:"metric"`
-	// Shards is the scatter-gather shard count (1 for a single engine).
+	// Shards is the served view's shard count (1 for a single engine).
 	Shards int `json:"shards"`
 	// Workers is the total worker-goroutine count across pools.
 	Workers int `json:"workers"`

@@ -59,7 +59,6 @@ import (
 
 	"distperm/internal/dataset"
 	"distperm/internal/metric"
-	"distperm/internal/sisap"
 	"distperm/pkg/distperm"
 	"distperm/pkg/dpserver"
 )
@@ -89,7 +88,7 @@ func main() {
 	flag.IntVar(&cfg.K, "k", 8, "pivots/sites for the built index")
 	flag.StringVar(&cfg.Load, "load", "", "read a DPERMIDX container (any codec kind, including sharded and mutable) instead of building")
 	flag.BoolVar(&cfg.Mmap, "mmap", false, "map -load as a frozen container read-only (O(1) open) instead of stream-decoding; dataset flags are only consulted when the container embeds no points")
-	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across this many shards")
+	flag.IntVar(&cfg.Shards, "shards", 1, "partition a freshly built database across this many shards (a loaded or recovered store keeps its own)")
 	flag.StringVar(&cfg.Partition, "partition", "roundrobin", "shard placement strategy: "+strings.Join(distperm.Partitioners(), ", "))
 	flag.IntVar(&cfg.Workers, "workers", 0, "worker goroutines per engine pool (0 = NumCPU)")
 	flag.IntVar(&cfg.RebuildThreshold, "rebuild-threshold", 0, "enable the live write path (POST /v1/insert, /v1/delete): background-rebuild the index once this many writes are pending (0 serves read-only)")
@@ -298,12 +297,16 @@ type daemonConfig struct {
 // from the mapped container itself), index loaded from a container — mapped
 // read-only under -mmap — or built through the registries, engine and HTTP
 // layers from pkg/dpserver. A rebuild threshold turns the stack mutable:
-// the index (built or loaded, including a saved mutable container) is
-// wrapped in a MutableEngine and the write endpoints go live. A mapped
-// container stays mapped for the daemon's lifetime — a self-contained one's
-// point vectors are views into the mapping that every rebuild carries
-// forward. The returned cleanup runs after the serve drain, when the engine
-// has closed, and only then releases the mapping.
+// the index (built, loaded, mapped, or a saved mutable container) is wrapped
+// in a MutableEngine that rebuilds it in its own shape, and the write
+// endpoints go live. With -wal the one resume path is OpenWAL →
+// LoadCheckpoint → the checkpoint's snapshot, or else the mapping or the
+// dataset → WrapMutable with the log attached → ReplayWAL of the tail →
+// NewFromMutable → the checkpointer. A mapped container stays mapped for the
+// daemon's lifetime — a self-contained one's point vectors are views into
+// the mapping that every rebuild carries forward. The returned cleanup runs
+// after the serve drain, when the engine has closed, and only then releases
+// the mapping.
 func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg daemonConfig) (*dpserver.Server, string, func(), error) {
 	cleanup := func() {}
 	var (
@@ -314,7 +317,6 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 
 		wal        *distperm.WAL
 		walFromSeq uint64
-		fromCkpt   bool
 	)
 	if cfg.WALDir != "" {
 		var err error
@@ -331,8 +333,7 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 			// The checkpoint is self-contained: its snapshot, which carries
 			// its own points, replaces the dataset/-load boot entirely, and
 			// replay resumes from the sequence it covers.
-			idx = ck.Snapshot
-			walFromSeq, fromCkpt = ck.Seq, true
+			idx, walFromSeq = ck.Snapshot, ck.Seq
 			src = fmt.Sprintf("%s checkpoint (seq %d)", cfg.WALDir, ck.Seq)
 		}
 	}
@@ -344,7 +345,7 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 		}
 	}()
 	switch {
-	case fromCkpt: // store recovered above
+	case idx != nil: // recovered from the checkpoint above
 	case cfg.Mmap:
 		if cfg.Load == "" {
 			return nil, "", nil, fmt.Errorf("-mmap needs -load <container>")
@@ -415,54 +416,26 @@ func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg da
 		}
 		return srv, src, cleanup, nil
 	}
-	mcfg := distperm.MutableConfig{
-		Spec:             distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()},
+	// Rebuilds keep the shape of what was built, loaded or recovered; a
+	// sharded store's placement follows -partition, since the partition map
+	// a container carries names no strategy.
+	me, err := distperm.WrapMutable(db, idx, distperm.MutableConfig{
+		Spec:             distperm.Spec{Seed: rng.Int63()},
 		Workers:          cfg.Workers,
 		RebuildThreshold: cfg.RebuildThreshold,
-	}
-	if cfg.Load != "" || fromCkpt {
-		// Rebuilds of a loaded or checkpoint-recovered store keep the
-		// loaded shape (kind and pivot/site count) rather than following
-		// the possibly-defaulted -index/-k flags: resuming a store must not
-		// silently rebuild it into a different index.
-		mcfg.Spec = inferSpec(idx)
-		mcfg.Spec.Seed = rng.Int63()
-	}
-	if cfg.Shards > 1 {
-		mcfg.Shards = cfg.Shards
-		mcfg.Partitioner = p
-	} else if sx := shardedBase(idx); (cfg.Load != "" || fromCkpt) && sx != nil {
-		// A loaded sharded store stays sharded across rebuilds even when
-		// -shards was not repeated on the command line. The partition map
-		// in the container carries no strategy name, so placement follows
-		// -partition (default roundrobin).
-		mcfg.Shards = sx.NumShards()
-		mcfg.Partitioner = p
-	}
-	var me *distperm.MutableEngine
-	if mi, ok := idx.(*distperm.MutableIndex); ok {
-		// A saved mutable container resumes with its write history; the
-		// loaded database must hold its base points then its delta points.
-		me, err = distperm.NewMutableEngineFrom(mi, mcfg)
-	} else {
-		me, err = distperm.WrapMutable(db, idx, mcfg)
-	}
+		Partitioner:      p,
+		WAL:              wal,
+	})
 	if err != nil {
 		cleanup()
 		return nil, "", nil, err
 	}
 	if wal != nil {
-		// Recovery order matters: replay the log tail into the engine first
-		// (the engine is not attached yet, so replayed records are not
-		// re-appended), then attach so new writes log before acknowledging.
-		applied, skipped, rerr := me.ReplayWAL(wal, walFromSeq)
-		if rerr == nil {
-			rerr = me.AttachWAL(wal)
-		}
-		if rerr != nil {
+		applied, skipped, err := me.ReplayWAL(wal, walFromSeq)
+		if err != nil {
 			me.Close()
 			cleanup()
-			return nil, "", nil, fmt.Errorf("wal recovery: %w", rerr)
+			return nil, "", nil, fmt.Errorf("wal recovery: %w", err)
 		}
 		src = fmt.Sprintf("%s, wal %s (replayed %d records, skipped %d, sync %s)",
 			src, cfg.WALDir, applied, skipped, cfg.WAL.Sync)
@@ -529,34 +502,4 @@ func checkpointOnce(me *distperm.MutableEngine, wal *distperm.WAL, recordEvery, 
 		return folded
 	}
 	return ms.Rebuilds
-}
-
-// inferSpec derives a rebuild Spec from a loaded index: its kind and, for
-// the parameterised kinds, its pivot/site count, so a resumed store folds
-// back into the shape it was saved with. Containers defer to what they
-// embed (a sharded container to its first shard, a mutable one to its
-// base); kinds without a K leave it zero.
-func inferSpec(idx distperm.Index) distperm.Spec {
-	switch x := idx.(type) {
-	case *distperm.ShardedIndex:
-		return inferSpec(x.Shard(0))
-	case *distperm.MutableIndex:
-		return inferSpec(x.Base())
-	case *distperm.PermIndex:
-		return distperm.Spec{Index: "distperm", K: x.K()}
-	case *sisap.LAESA:
-		return distperm.Spec{Index: "laesa", K: len(x.Pivots())}
-	default:
-		return distperm.Spec{Index: idx.Name()}
-	}
-}
-
-// shardedBase unwraps idx to the sharded container it serves from, if any:
-// the index itself, or a mutable snapshot's base.
-func shardedBase(idx distperm.Index) *distperm.ShardedIndex {
-	if mi, ok := idx.(*distperm.MutableIndex); ok {
-		idx = mi.Base()
-	}
-	sx, _ := idx.(*distperm.ShardedIndex)
-	return sx
 }

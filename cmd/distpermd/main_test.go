@@ -170,14 +170,11 @@ func TestCheckpointRetriedAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 13}})
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 13}, WAL: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer me.Close()
-	if err := me.AttachWAL(wal); err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range dataset.UniformVectors(rng, 10, 3) {
 		if _, err := me.Insert(p); err != nil {
 			t.Fatal(err)

@@ -247,6 +247,9 @@ func (x *PermIndex) Replica() Index {
 // K returns the number of sites.
 func (x *PermIndex) K() int { return len(x.siteIDs) }
 
+// PermDist returns the candidate-ordering permutation distance.
+func (x *PermIndex) PermDist() PermDistance { return x.dist }
+
 // SiteIDs returns a copy of the database IDs of the sites, in site order.
 func (x *PermIndex) SiteIDs() []int { return append([]int(nil), x.siteIDs...) }
 

@@ -81,7 +81,7 @@ type (
 	// MutableIndex is one immutable state of a live-mutated store (base
 	// index + delta + tombstones + next ID), and the DPERMIDX "mutable"
 	// container kind. It is what a MutableEngine publishes, copy-on-write,
-	// and Snapshot returns; NewMutableEngineFrom resumes one, and a plain
+	// and Snapshot returns; WrapMutable resumes one, and a plain
 	// Engine serves one read-only over its base's shards, checking k against
 	// its live points.
 	MutableIndex = sisap.MutableIndex

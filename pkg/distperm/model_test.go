@@ -24,7 +24,12 @@ import (
 // store in mid-history, map the file back with no database and go on over the
 // mapping — a PFR3 container, whose points lie bucket by bucket — so the plain
 // engine reads it under every query form and the mutable one lays tombstones,
-// a delta and gids over it and rebuilds out of it. No WAL or crash legs yet. The distperm
+// a delta and gids over it and rebuilds out of it. Every MutableEngine history
+// logs to a WAL, writes a checkpoint at a seeded step, writes on, and crashes
+// at a later one: the engine is dropped with its log unflushed, and the store
+// resumes the one way a daemon's does — the checkpoint's snapshot wrapped with
+// the log attached, then the log's tail replayed — before the history goes on
+// against the same model. The distperm
 // legs steer every segment across boundMinFill and hold the paper's count as
 // an invariant of every rebuilt table; two shorter legs rebuild into a
 // VP-tree and into LAESA, so those kinds' traversals run under the tombstone
@@ -80,11 +85,15 @@ type modelRun struct {
 	mut  *MutableEngine // eng when it takes writes, else nil
 	px   *PermIndex     // what a plain engine serves, when that has a frozen form
 	maps int            // times the history went on over a mapped file
-	cfg  MutableConfig
+	cfg  MutableConfig  // cfg.WAL logs every write of a MutableEngine history
 	live model
 	ids  []int // the live IDs, in a history-determined order
 	dead []int
 	next int
+	// walDir holds that log; the history checkpoints it at step ckptAt and
+	// crashes at step crashAt.
+	walDir          string
+	ckptAt, crashAt int
 	// focus, when set, is asked about as often as all other queries together.
 	focus Point
 
@@ -306,9 +315,9 @@ func (r *modelRun) reload() {
 	}
 	r.eng, r.rng, r.name, r.op = eng, rng, name, "snapshot → write → read → resume"
 	ro.Close()
-	resumed, err := NewMutableEngineFrom(back.(*MutableIndex), r.cfg)
+	resumed, err := WrapMutable(nil, back, r.cfg)
 	if err != nil {
-		r.failf("NewMutableEngineFrom: %v", err)
+		r.failf("WrapMutable: %v", err)
 	}
 	// The resumed base is the saved one bit for bit: whether its segments
 	// qualify for bounds (walked) is unchanged, only not yet computed.
@@ -316,6 +325,55 @@ func (r *modelRun) reload() {
 	r.eng, r.mut = resumed, resumed
 	if got := resumed.NextGID(); got != r.next {
 		r.failf("resumed store issues id %d next, model %d", got, r.next)
+	}
+}
+
+// openWAL opens the history's log and closes it when the test ends — after a
+// crash, too, since a crash leaves it open.
+func (r *modelRun) openWAL() *WAL {
+	w, err := OpenWAL(r.walDir, WALOptions{Sync: SyncNever})
+	if err != nil {
+		r.failf("OpenWAL: %v", err)
+	}
+	r.t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// checkpoint writes the store and the log sequence it covers to the log.
+func (r *modelRun) checkpoint() {
+	r.op = "checkpoint"
+	snap, seq, err := r.mut.CheckpointSnapshot()
+	if err == nil {
+		err = r.cfg.WAL.WriteCheckpoint(snap, seq)
+	}
+	if err != nil {
+		r.failf("%v", err)
+	}
+}
+
+// restart crashes the store — the engine closed, its log neither flushed nor
+// closed — and resumes it from the log: LoadCheckpoint → WrapMutable with the
+// log attached → ReplayWAL of the records past the checkpoint.
+func (r *modelRun) restart() {
+	r.op = "crash → LoadCheckpoint → WrapMutable → ReplayWAL"
+	r.mut.Close()
+	w := r.openWAL()
+	ck, err := w.LoadCheckpoint()
+	if err != nil || ck == nil {
+		r.failf("LoadCheckpoint = %v, %v", ck, err)
+	}
+	r.cfg.WAL = w
+	resumed, err := WrapMutable(nil, ck.Snapshot, r.cfg)
+	if err != nil {
+		r.failf("WrapMutable: %v", err)
+	}
+	r.eng, r.mut = resumed, resumed
+	seq := w.Seq()
+	if applied, skipped, err := resumed.ReplayWAL(w, ck.Seq); err != nil || applied != seq-ck.Seq || skipped != 0 || w.Seq() != seq {
+		r.failf("ReplayWAL applied %d, skipped %d of the %d records past the checkpoint (%v); log moved to seq %d", applied, skipped, seq-ck.Seq, err, w.Seq())
+	}
+	if got := resumed.NextGID(); got != r.next {
+		r.failf("restarted store issues id %d next, model %d", got, r.next)
 	}
 }
 
@@ -392,9 +450,9 @@ func (r *modelRun) thaw() {
 	if err != nil {
 		r.failf("NewMutableIndex: %v", err)
 	}
-	resumed, err := NewMutableEngineFrom(mi, r.cfg)
+	resumed, err := WrapMutable(nil, mi, r.cfg)
 	if err != nil {
-		r.failf("NewMutableEngineFrom: %v", err)
+		r.failf("WrapMutable: %v", err)
 	}
 	r.mut.Close()
 	r.eng, r.mut = resumed, resumed
@@ -410,6 +468,12 @@ func (r *modelRun) thaw() {
 func (r *modelRun) run() {
 	defer func() { r.eng.Close() }()
 	for r.step = 1; r.step <= modelSteps; r.step++ {
+		if r.mut != nil && r.step == r.ckptAt {
+			r.checkpoint()
+		}
+		if r.mut != nil && r.step == r.crashAt {
+			r.restart()
+		}
 		x := r.rng.Float64()
 		switch {
 		case r.mut == nil && r.px != nil && x < 0.04:
@@ -460,6 +524,13 @@ func newModelRun(t *testing.T, name string, seed int64, spec Spec, shards int, m
 		t.Fatal(err)
 	}
 	if mutable {
+		// The crash steps come from a stream of their own, so the history is
+		// the one it would be without them.
+		crash := rand.New(rand.NewSource(^seed))
+		r.ckptAt = 1 + crash.Intn(modelSteps/2)
+		r.crashAt = r.ckptAt + 1 + crash.Intn(modelSteps/3)
+		r.walDir = t.TempDir()
+		r.cfg.WAL = r.openWAL()
 		r.mut, err = WrapMutable(db, idx, r.cfg)
 		r.eng = r.mut
 	} else {

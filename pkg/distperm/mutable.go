@@ -26,8 +26,9 @@ var ErrUnknownID = errors.New("no live point with this id")
 // MutableConfig tunes a MutableEngine.
 type MutableConfig struct {
 	// Spec describes the index kind rebuilds construct (and NewMutableEngine
-	// builds initially). For WrapMutable an empty Spec.Index defaults to the
-	// wrapped index's kind.
+	// builds initially). For WrapMutable an empty Spec.Index means "rebuild
+	// what was wrapped": its kind, K (sites or pivots) and permutation
+	// distance, and its shard count unless Shards is set; Seed is kept.
 	Spec Spec
 	// Workers sizes the engine's worker pool (≤ 0 means NumCPU), per shard
 	// of a sharded store.
@@ -40,15 +41,14 @@ type MutableConfig struct {
 	// Partitioner over the points' gids — the same seam BuildSharded uses.
 	// Inserts are routed through the Partitioner at write time, so per-shard
 	// pending-write counts are observable before the rebuild folds the
-	// points in.
+	// points in. 0 under an empty Spec.Index keeps the wrapped shard count.
 	Shards int
 	// Partitioner places points when Shards > 1 (required then).
 	Partitioner Partitioner
 	// WAL, if set, receives an append for every mutation before it is
-	// acknowledged, making the write path crash-safe (see OpenWAL). Only
-	// attach a log whose records are already applied — when resuming from a
-	// recovery, replay with ReplayWAL first and use AttachWAL after, or the
-	// replayed records would be appended a second time.
+	// acknowledged, making the write path crash-safe (see OpenWAL). It is
+	// the only way to attach a log; a store resumed from the log's
+	// checkpoint catches up on it with ReplayWAL.
 	WAL *WAL
 }
 
@@ -84,11 +84,11 @@ type MutableEngine struct {
 	cur    atomic.Pointer[state]
 	closed atomic.Bool
 
-	// writeMu serialises Insert/Delete/rebuild-swap/Close.
+	// writeMu serialises Insert/Delete/ReplayWAL/rebuild-swap/Close.
 	writeMu sync.Mutex
 	// wal, when non-nil, is appended to under writeMu before a mutation
 	// publishes — the durability handshake: no acknowledgement without a
-	// logged record. Set by MutableConfig.WAL or AttachWAL.
+	// logged record. MutableConfig.WAL, fixed for the engine's lifetime.
 	wal *WAL
 
 	// rebuildMu serialises whole rebuilds (capture → build → swap) against
@@ -153,12 +153,20 @@ func buildForConfig(db *DB, cfg MutableConfig) (Index, error) {
 	return Build(db, cfg.Spec)
 }
 
-// WrapMutable wraps an already-built index (any kind, including "sharded")
-// with the write path. idx must have been built on db; the db points take
-// global IDs 0..N-1. An empty cfg.Spec.Index defaults to idx's kind, so
-// rebuilds reproduce what was wrapped. idx must be one this package built or
-// read: a deleted point is left out inside its walk.
+// WrapMutable gives any built, loaded or resumed index the write path. A
+// *MutableIndex — a saved "mutable" container read back, or a WAL
+// checkpoint's snapshot — resumes with its gids, tombstones and pending
+// delta, and db is not consulted (nil will do), since the snapshot carries
+// its own points; any other idx must have been built on db, whose points
+// take global IDs 0..N-1. An empty cfg.Spec.Index rebuilds in the wrapped shape (see
+// MutableConfig). idx must be one this package built or read: a deleted
+// point is left out inside its walk.
 func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*MutableEngine, error) {
+	if mi, ok := idx.(*MutableIndex); ok && mi != nil {
+		// A tombstoned delta point never re-enters the delta: the engine's
+		// delta holds live points only.
+		return newMutable(mi.Rebase(mi.BaseDB(), mi.Base(), mi.GIDs()[:mi.BaseN()]), cfg)
+	}
 	if db == nil || db.N() == 0 || !sisap.Walks(idx) {
 		return nil, errors.New("distperm: WrapMutable requires a database and an index of this package")
 	}
@@ -173,31 +181,28 @@ func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*MutableEngine, error) {
 	return newMutable(mi, cfg)
 }
 
-// NewMutableEngineFrom resumes a saved store: a *MutableIndex read back
-// from the DPERMIDX "mutable" container (ReadIndex against the full
-// base+delta database) becomes a live engine again, with its gids,
-// tombstones, and pending delta intact. A tombstoned delta point never
-// re-enters the delta: the engine's delta holds live points only.
-func NewMutableEngineFrom(mi *MutableIndex, cfg MutableConfig) (*MutableEngine, error) {
-	if mi == nil {
-		return nil, errors.New("distperm: NewMutableEngineFrom requires a snapshot")
-	}
-	return newMutable(mi.Rebase(mi.BaseDB(), mi.Base(), mi.GIDs()[:mi.BaseN()]), cfg)
-}
-
 func newMutable(mi *MutableIndex, cfg MutableConfig) (*MutableEngine, error) {
 	baseIdx := mi.Base()
+	if cfg.Spec.Index == "" {
+		// Rebuild what was wrapped: a sharded base's shape is its first
+		// member's (the container kind "sharded" is not buildable).
+		one := baseIdx
+		if sx, ok := baseIdx.(*ShardedIndex); ok {
+			one = sx.Shard(0)
+			if cfg.Shards == 0 {
+				cfg.Shards = sx.NumShards()
+			}
+		}
+		cfg.Spec.Index = one.Name()
+		switch x := one.(type) {
+		case *PermIndex:
+			cfg.Spec.K, cfg.Spec.PermDist = x.K(), x.PermDist()
+		case *sisap.LAESA:
+			cfg.Spec.K = len(x.Pivots())
+		}
+	}
 	if cfg.Shards > 1 && cfg.Partitioner == nil {
 		return nil, fmt.Errorf("distperm: %d shards need a Partitioner", cfg.Shards)
-	}
-	if cfg.Spec.Index == "" {
-		// Default rebuilds to the wrapped kind; a sharded base defers to
-		// its first member (the container kind "sharded" is not buildable).
-		if sx, ok := baseIdx.(*ShardedIndex); ok {
-			cfg.Spec.Index = sx.Shard(0).Name()
-		} else {
-			cfg.Spec.Index = baseIdx.Name()
-		}
 	}
 	if !slices.Contains(Kinds(), cfg.Spec.Index) {
 		return nil, fmt.Errorf("distperm: rebuild spec names unknown index kind %q", cfg.Spec.Index)
@@ -261,29 +266,7 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 	if err := m.checkPoint(p); err != nil {
 		return 0, err
 	}
-	m.writeMu.Lock()
-	if m.closed.Load() {
-		m.writeMu.Unlock()
-		return 0, errors.New("distperm: mutable engine is closed")
-	}
-	s := m.cur.Load()
-	gid := s.mi.NextGID()
-	// Durability before acknowledgement: the record must be on the log
-	// before the insert becomes visible or the gid is consumed. On append
-	// failure nothing changed — but the WAL itself has poisoned, so the gid
-	// cannot be double-logged by a retry.
-	if m.wal != nil {
-		if err := m.wal.Append(WALRecord{Op: WALInsert, GID: gid, Point: p}); err != nil {
-			m.writeMu.Unlock()
-			return 0, err
-		}
-	}
-	next := s.mi.Insert(p)
-	m.cur.Store(&state{s.view, next})
-	m.inserts.Add(1)
-	m.writeMu.Unlock()
-	m.maybeKick(next)
-	return gid, nil
+	return m.write(WALRecord{Op: WALInsert, Point: p})
 }
 
 // Delete removes the live point with the given global ID: a base point is
@@ -291,28 +274,58 @@ func (m *MutableEngine) Insert(p Point) (int, error) {
 // the next rebuild), a delta point leaves the buffer directly. Unknown and
 // already-deleted IDs fail with ErrUnknownID.
 func (m *MutableEngine) Delete(gid int) error {
+	_, err := m.write(WALRecord{Op: WALDelete, GID: gid})
+	return err
+}
+
+// write applies rec under the write lock, logged to the attached WAL.
+func (m *MutableEngine) write(rec WALRecord) (int, error) {
 	m.writeMu.Lock()
+	gid, err := m.apply(rec, m.wal)
+	m.writeMu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	m.maybeKick(m.cur.Load().mi)
+	return gid, nil
+}
+
+// apply publishes one mutation (an insert takes the next gid, which it
+// returns) and must be called under writeMu. Durability before
+// acknowledgement: with log non-nil the record is on the log before the
+// mutation becomes visible or the gid is consumed. On append failure nothing
+// changed — but the WAL itself has poisoned, so the gid cannot be
+// double-logged by a retry.
+func (m *MutableEngine) apply(rec WALRecord, log *WAL) (int, error) {
 	if m.closed.Load() {
-		m.writeMu.Unlock()
-		return errors.New("distperm: mutable engine is closed")
+		return 0, errors.New("distperm: mutable engine is closed")
 	}
 	s := m.cur.Load()
-	mi, ok := s.mi.Delete(gid)
-	if !ok {
-		m.writeMu.Unlock()
-		return fmt.Errorf("distperm: id %d: %w", gid, ErrUnknownID)
+	var next *MutableIndex
+	switch rec.Op {
+	case WALInsert:
+		rec.GID = s.mi.NextGID()
+		next = s.mi.Insert(rec.Point)
+	case WALDelete:
+		var ok bool
+		if next, ok = s.mi.Delete(rec.GID); !ok {
+			return 0, fmt.Errorf("distperm: id %d: %w", rec.GID, ErrUnknownID)
+		}
+	default:
+		return 0, fmt.Errorf("distperm: unknown write op %d", rec.Op)
 	}
-	if m.wal != nil {
-		if err := m.wal.Append(WALRecord{Op: WALDelete, GID: gid}); err != nil {
-			m.writeMu.Unlock()
-			return err
+	if log != nil {
+		if err := log.Append(rec); err != nil {
+			return 0, err
 		}
 	}
-	m.cur.Store(&state{s.view, mi})
-	m.deletes.Add(1)
-	m.writeMu.Unlock()
-	m.maybeKick(mi)
-	return nil
+	m.cur.Store(&state{s.view, next})
+	if rec.Op == WALInsert {
+		m.inserts.Add(1)
+	} else {
+		m.deletes.Add(1)
+	}
+	return rec.GID, nil
 }
 
 // pending returns the write count a rebuild of mi would fold: its delta
@@ -458,56 +471,31 @@ func (m *MutableEngine) MutationStats() MutationStats {
 
 // Snapshot returns the store as a serialisable *MutableIndex — one atomic
 // load of the published state. Write it with WriteIndex (the DPERMIDX
-// "mutable" container kind) and resume it with ReadIndex +
-// NewMutableEngineFrom; its DB is the base points followed by the delta
-// points. It shares the built base index with the engine, which both only
-// read.
+// "mutable" container kind) and resume it with ReadIndex + WrapMutable; its
+// DB is the base points followed by the delta points. It shares the built
+// base index with the engine, which both only read.
 func (m *MutableEngine) Snapshot() (*MutableIndex, error) { return m.cur.Load().mi, nil }
 
 // NextGID returns the global ID the next accepted insert would take.
 func (m *MutableEngine) NextGID() int { return m.cur.Load().mi.NextGID() }
 
-// AttachWAL starts logging every subsequent mutation to w. It must only be
-// called while no mutation is being issued, with a log whose records are
-// all already applied to this engine — the boot sequence is OpenWAL →
-// ReplayWAL → AttachWAL → serve. Attaching twice is an error, as is
-// attaching to a store no checkpoint could serialise (see checkpointable).
-func (m *MutableEngine) AttachWAL(w *WAL) error {
-	if w == nil {
-		return errors.New("distperm: AttachWAL requires a WAL")
-	}
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	if m.closed.Load() {
-		return errors.New("distperm: mutable engine is closed")
-	}
-	if m.wal != nil {
-		return errors.New("distperm: a WAL is already attached")
-	}
-	if err := checkpointable(m.cur.Load().idx, m.cfg.Spec); err != nil {
-		return err
-	}
-	m.wal = w
-	return nil
-}
-
 // ReplayWAL applies every record of w with sequence > fromSeq to the
-// engine, in order. It must run before AttachWAL (an attached log would
-// re-append what it replays). Replay is idempotent against a conservative
-// fromSeq: an insert whose gid the engine already issued is skipped, as is
-// a delete of an unknown gid; an insert that would skip a gid is a gap —
-// evidence of log loss — and errors. Returns applied and skipped counts.
+// engine, in order; run it before the engine takes writes, which wait for it
+// once it has begun. When w is the
+// attached log (MutableConfig.WAL) the records are already in it and are not
+// appended again; a log other than the attached one is refused. Replay is
+// idempotent against a conservative fromSeq: an insert whose gid the engine
+// already issued is skipped, as is a delete of an unknown gid; an insert that
+// would skip a gid is a gap — evidence of log loss — and errors. Returns
+// applied and skipped counts.
 func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint64, err error) {
-	m.writeMu.Lock()
-	attached := m.wal != nil
-	m.writeMu.Unlock()
-	if attached {
-		return 0, 0, errors.New("distperm: ReplayWAL must run before AttachWAL")
+	if m.wal != nil && m.wal != w {
+		return 0, 0, errors.New("distperm: ReplayWAL of a log other than the attached one")
 	}
+	m.writeMu.Lock()
 	_, err = w.Replay(fromSeq, func(seq uint64, rec WALRecord) error {
-		switch rec.Op {
-		case WALInsert:
-			next := m.NextGID()
+		if rec.Op == WALInsert {
+			next := m.cur.Load().mi.NextGID()
 			if rec.GID < next {
 				skipped++
 				return nil
@@ -515,27 +503,22 @@ func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint
 			if rec.GID > next {
 				return fmt.Errorf("distperm: wal seq %d inserts gid %d but engine expects %d — records are missing", seq, rec.GID, next)
 			}
-			gid, err := m.Insert(rec.Point)
-			if err != nil {
+			if err := m.checkPoint(rec.Point); err != nil {
 				return fmt.Errorf("distperm: replaying wal seq %d: %w", seq, err)
 			}
-			if gid != rec.GID {
-				return fmt.Errorf("distperm: replaying wal seq %d issued gid %d, record says %d", seq, gid, rec.GID)
+		}
+		if _, err := m.apply(rec, nil); err != nil {
+			if rec.Op == WALDelete && errors.Is(err, ErrUnknownID) {
+				skipped++
+				return nil
 			}
-		case WALDelete:
-			if err := m.Delete(rec.GID); err != nil {
-				if errors.Is(err, ErrUnknownID) {
-					skipped++
-					return nil
-				}
-				return fmt.Errorf("distperm: replaying wal seq %d: %w", seq, err)
-			}
-		default:
-			return fmt.Errorf("distperm: wal seq %d has unknown op %d", seq, rec.Op)
+			return fmt.Errorf("distperm: replaying wal seq %d: %w", seq, err)
 		}
 		applied++
 		return nil
 	})
+	m.writeMu.Unlock()
+	m.maybeKick(m.cur.Load().mi)
 	return applied, skipped, err
 }
 
@@ -559,13 +542,10 @@ func (m *MutableEngine) CheckpointSnapshot() (*MutableIndex, uint64, error) {
 // WALStats snapshots the attached log's counters; the zero value (Enabled
 // false) when no WAL is attached.
 func (m *MutableEngine) WALStats() WALStats {
-	m.writeMu.Lock()
-	w := m.wal
-	m.writeMu.Unlock()
-	if w == nil {
+	if m.wal == nil {
 		return WALStats{}
 	}
-	return w.Stats()
+	return m.wal.Stats()
 }
 
 // Close stops the rebuilder and shuts the pool down after in-flight batches

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"distperm/internal/dataset"
 	"distperm/pkg/distperm"
@@ -185,7 +186,7 @@ func runMutationEquivalence(t *testing.T, cfg distperm.MutableConfig, seed int64
 	if !ok {
 		t.Fatalf("loaded %T, want *MutableIndex", back)
 	}
-	resumed, err := distperm.NewMutableEngineFrom(mi, cfg)
+	resumed, err := distperm.WrapMutable(nil, mi, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +284,16 @@ func TestMutableEngineConcurrent(t *testing.T) {
 	model := newMutModel(pts)
 	probes := dataset.UniformVectors(rng, 16, 3)
 
+	// Each writer issues 150 writes, and the storm goes on until a
+	// background rebuild has swapped under it (or the deadline passes): on a
+	// busy box 600 writes can finish before the rebuilder is first scheduled.
+	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 150; i++ {
+			for i := 0; i < 150 || (me.MutationStats().Rebuilds == 0 && time.Now().Before(deadline)); i++ {
 				mu.Lock()
 				if rng.Intn(3) > 0 || len(model.gids) < 10 {
 					p := dataset.UniformVectors(rng, 1, 3)[0]

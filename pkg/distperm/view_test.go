@@ -14,15 +14,15 @@ import (
 
 // TestMutableEngineShardsReportsServedView: Shards() is what is being
 // served, not what rebuilds are configured to produce. A 4-shard index
-// wrapped with the zero MutableConfig serves four shards until its first
-// rebuild, which (Shards unset) legitimately folds it into one.
+// wrapped with Shards = 1 serves four shards until its first rebuild, which
+// folds it into one.
 func TestMutableEngineShardsReportsServedView(t *testing.T) {
 	db := mustDB(t, 81, 120)
 	sx, err := distperm.BuildSharded(db, distperm.Spec{Index: "distperm", K: 5, Seed: 81}, 4, distperm.RoundRobin{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{Workers: 2})
+	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{Workers: 2, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

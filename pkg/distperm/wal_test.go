@@ -470,40 +470,44 @@ func TestWALEngineRecovery(t *testing.T) {
 	}
 	me.Close() // the WAL deliberately stays un-Closed: a crash would not flush it either
 
-	w, err := distperm.OpenWAL(dir, distperm.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// Recovery attaches the log it replays: the records are applied to the
+	// engine, not appended to the log a second time.
+	recover := func() (*distperm.MutableEngine, *distperm.WAL) {
+		t.Helper()
+		w, err := distperm.OpenWAL(dir, distperm.WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 11}, WAL: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied, skipped, err := me.ReplayWAL(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied != 120 || skipped != 0 || w.Seq() != 120 {
+			t.Fatalf("replay applied %d skipped %d, log at seq %d; want 120/0 at seq 120", applied, skipped, w.Seq())
+		}
+		if got := liveSet(t, me); !reflect.DeepEqual(got, acked) {
+			t.Fatalf("recovered live set has %d points, acknowledged %d — contents diverge", len(got), len(acked))
+		}
+		return me, w
 	}
-	me2, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer me2.Close()
-	applied, skipped, err := me2.ReplayWAL(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 120 || skipped != 0 {
-		t.Fatalf("replay applied %d skipped %d, want 120/0", applied, skipped)
-	}
-	if err := me2.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := me2.AttachWAL(w); err == nil {
-		t.Fatal("AttachWAL attached twice")
-	}
-	if got := liveSet(t, me2); !reflect.DeepEqual(got, acked) {
-		t.Fatalf("recovered live set has %d points, acknowledged %d — contents diverge", len(got), len(acked))
-	}
+	me2, w2 := recover()
+	me2.Close()
+	w2.Close()
+	// Recovering again finds the same 120 records: nothing was logged twice.
+	me3, w3 := recover()
+	defer me3.Close()
 	// The recovered engine keeps logging: one more write, one more record.
-	before := w.Seq()
-	if _, err := me2.Insert(distperm.Vector{9, 9, 9}); err != nil {
+	if _, err := me3.Insert(distperm.Vector{9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if w.Seq() != before+1 {
-		t.Fatalf("post-recovery insert moved seq %d→%d", before, w.Seq())
+	if w3.Seq() != 121 {
+		t.Fatalf("post-recovery insert moved seq 120→%d", w3.Seq())
 	}
-	w.Close()
+	w3.Close()
 }
 
 // TestWALCheckpointRecovery covers the checkpoint path: recovery loads the
@@ -546,7 +550,7 @@ func TestWALCheckpointRecovery(t *testing.T) {
 		t.Fatalf("loaded checkpoint %+v, want seq %d", ck, seq)
 	}
 	for _, fromSeq := range []uint64{ck.Seq, 0} {
-		me2, err := distperm.NewMutableEngineFrom(ck.Snapshot, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 11}})
+		me2, err := distperm.WrapMutable(nil, ck.Snapshot, distperm.MutableConfig{WAL: w2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,8 +566,8 @@ func TestWALCheckpointRecovery(t *testing.T) {
 			// skipped, not double-applied.
 			t.Fatalf("conservative replay applied %d records, want 40 (skipped %d)", applied, skipped)
 		}
-		if got := liveSet(t, me2); !reflect.DeepEqual(got, acked) {
-			t.Fatalf("recovery from seq %d diverged from the acknowledged set", fromSeq)
+		if got := liveSet(t, me2); !reflect.DeepEqual(got, acked) || w2.Seq() != 100 {
+			t.Fatalf("recovery from seq %d diverged from the acknowledged set, or moved the log to seq %d", fromSeq, w2.Seq())
 		}
 		me2.Close()
 	}
@@ -620,8 +624,8 @@ func TestWALStatsSurface(t *testing.T) {
 // the compact DPERMIDX form, which caps a distperm index at 20 sites. A store
 // over the cap — served now, nested in shards, or only promised by the
 // rebuild spec — could never checkpoint and its log would never be
-// truncated, so both ways of attaching a log refuse it up front, with the
-// encoder's own error.
+// truncated, so MutableConfig.WAL refuses it up front, with the encoder's
+// own error.
 func TestWALRefusesUncheckpointableStore(t *testing.T) {
 	db := mustDB(t, 25, 60)
 	w, err := distperm.OpenWAL(t.TempDir(), distperm.WALOptions{Sync: distperm.SyncNever})
@@ -655,22 +659,9 @@ func TestWALRefusesUncheckpointableStore(t *testing.T) {
 	_, err = distperm.WrapMutable(db, idx, distperm.MutableConfig{Spec: wide, WAL: w})
 	refused("MutableConfig.WAL with a k=24 rebuild spec", err)
 
-	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: wide})
+	ok, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: narrow, WAL: w})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("MutableConfig.WAL over k=12: %v", err)
 	}
-	defer me.Close()
-	refused("AttachWAL over k=24", me.AttachWAL(w))
-	if me.WALStats().Enabled {
-		t.Error("a refused AttachWAL left the log attached")
-	}
-
-	ok, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: narrow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ok.Close()
-	if err := ok.AttachWAL(w); err != nil {
-		t.Errorf("AttachWAL over k=12: %v", err)
-	}
+	ok.Close()
 }

@@ -2,6 +2,7 @@ package sisap
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"distperm/internal/core"
@@ -102,35 +103,34 @@ type permScratch struct {
 	queue  []pending        // buckets and cells a walk still has to reach, grown on demand
 }
 
-// parallelBuildThreshold is the database size below which sharded
-// construction is not worth the goroutine overhead.
+// parallelBuildThreshold is the database size below which a build's rows,
+// and a store's bounds sweep, are not worth spreading over goroutines.
 const parallelBuildThreshold = 2048
 
 // NewPermIndex builds the index with the given site IDs (database indexes)
-// and candidate-ordering distance. Construction costs k·n metric
-// evaluations, sharded across runtime.NumCPU() workers for large databases
-// (each worker clones the Permuter, which is not goroutine-safe). The result
-// is identical to a sequential build, including the table row order
-// (first occurrence in index order).
+// and candidate-ordering distance: exactly the table a sequential build through
+// core.Permuter makes, over GOMAXPROCS workers for large databases (buildTable).
 func NewPermIndex(db *DB, siteIDs []int, dist PermDistance) *PermIndex {
 	if len(siteIDs) == 0 {
 		panic("sisap: PermIndex requires at least one site")
 	}
-	sites := make([]metric.Point, len(siteIDs))
-	for i, id := range siteIDs {
-		sites[i] = db.Points[id]
+	x := newPermIndexFromTable(db, append([]int(nil), siteIDs...), dist, nil, make([]uint32, db.N()))
+	if x.K() <= 16 { // the inverse ranks themselves, 4 bits a site
+		x.table = buildTable(x, func(fwd perm.Permutation, _ []byte) (key uint64) {
+			for rank, site := range fwd {
+				key |= uint64(rank) << (4 * site)
+			}
+			return key
+		})
+	} else { // two bytes a site
+		x.table = buildTable(x, func(fwd perm.Permutation, buf []byte) string {
+			for rank, site := range fwd {
+				buf[2*site], buf[2*site+1] = byte(rank), byte(rank>>8)
+			}
+			return string(buf)
+		})
 	}
-	pm := core.NewPermuter(db.Metric, sites)
-	ids := make([]uint32, db.N())
-	return &PermIndex{
-		db:       db,
-		siteIDs:  append([]int(nil), siteIDs...),
-		permuter: pm,
-		dist:     dist,
-		table:    buildPermTable(pm, db.Points, ids),
-		tableIDs: ids,
-		lb:       &lazyBuckets{},
-	}
+	return x
 }
 
 // newPermIndexFromTable assembles an index from an already-built table
@@ -151,82 +151,119 @@ func newPermIndexFromTable(db *DB, siteIDs []int, dist PermDistance, table *rank
 	}
 }
 
-// buildPermTable computes each point's distance permutation, deduplicates
-// the inverses into a rankTable (rows in first-occurrence order), and fills
-// ids with each point's row. Permutations are told apart by their Lehmer
-// rank where it fits a word (maxPackedSites) — no allocation, an
-// integer-keyed map — and by perm.Key beyond.
-func buildPermTable(pm *core.Permuter, points []metric.Point, ids []uint32) *rankTable {
-	if pm.K() <= maxPackedSites {
-		return buildPermTableBy(pm, points, ids, perm.Permutation.Rank64)
-	}
-	return buildPermTableBy(pm, points, ids, perm.Permutation.Key)
+// siteKernel measures a packed row against all k sites, their coordinates
+// site-major, in DB.measure's arithmetic; nil where that does not cover a store.
+type siteKernel struct {
+	sites  []float64
+	l1, l2 bool
 }
 
-// buildPermTableBy is buildPermTable under one dedup key. Large databases
-// shard the scan: workers build local tables over disjoint ranges, which are
-// then merged in shard order — shards cover ascending contiguous ranges, so
-// the merged row order equals the sequential first-occurrence order.
-func buildPermTableBy[K comparable](pm *core.Permuter, points []metric.Point, ids []uint32, keyOf func(perm.Permutation) K) *rankTable {
-	workers := core.ShardWorkers(len(points))
-	if workers <= 1 || len(points) < parallelBuildThreshold {
-		table := newRankTable(pm.K())
-		buildPermTableRange(pm, points, ids, table, keyOf, nil)
-		return table
+// newSiteKernel returns the kernel of x's sites, or nil.
+func (x *PermIndex) newSiteKernel() *siteKernel {
+	_, l1 := x.db.Metric.(metric.L1)
+	_, l2 := x.db.Metric.(metric.L2)
+	if _, linf := x.db.Metric.(metric.LInf); x.db.dim == 0 || !l1 && !l2 && !linf {
+		return nil
 	}
-	locals := make([]*rankTable, workers)
-	indexes := make([]map[K]uint32, workers)
-	localKeys := make([][]K, workers)
-	ranges := make([][2]int, workers)
-	shards := core.ShardIndexes(len(points), workers, func(shard, lo, hi int) {
-		locals[shard] = newRankTable(pm.K())
-		indexes[shard], localKeys[shard] = buildPermTableRange(pm.Clone(), points[lo:hi], ids[lo:hi], locals[shard], keyOf, []K{})
-		ranges[shard] = [2]int{lo, hi}
-	})
-	// The first shard's rows are the first global rows as they stand; the
-	// others merge into its table and index.
-	table, global := locals[0], indexes[0]
-	for s := 1; s < shards; s++ {
-		local := locals[s]
-		l2g := make([]uint32, local.rows)
-		for r, key := range localKeys[s] {
-			gid, ok := global[key]
+	kern := &siteKernel{l1: l1, l2: l2}
+	for _, id := range x.siteIDs {
+		kern.sites = append(kern.sites, x.db.row(id)...)
+	}
+	return kern
+}
+
+// sums fills out (len k) with row p's raw sums against every site, site minus
+// point, left to right: Σ|s − p|, Σ(s − p)² (no root), or max |s − p| by the
+// builtin, which keeps a NaN term as the sweep's min and max do; measure skips it.
+func (kern *siteKernel) sums(p, out []float64) {
+	d, sites := len(p), kern.sites
+	for s := range out {
+		a, v := sites[s*d:][:d], 0.0
+		switch {
+		case kern.l2:
+			for j, x := range p {
+				t := a[j] - x
+				v += t * t
+			}
+		case kern.l1:
+			for j, x := range p {
+				v += math.Abs(a[j] - x)
+			}
+		default:
+			for j, x := range p {
+				v = max(v, math.Abs(a[j]-x))
+			}
+		}
+		out[s] = v
+	}
+}
+
+// permute writes row p's distance permutation into fwd as core.Permuter
+// does: the sums, rooted under L2, in insertion order, ties to the lower site.
+// At a NaN sum it reports false, fwd unfinished (L∞ Metric.Distance skips it).
+func (kern *siteKernel) permute(p, d []float64, fwd perm.Permutation) bool {
+	kern.sums(p, d)
+	for s, v := range d { // d[:s] holds the sorted distances, fwd[:s] their sites
+		if v != v {
+			return false
+		}
+		if kern.l2 {
+			v = math.Sqrt(v)
+		}
+		j := s
+		for ; j > 0 && v < d[j-1]; j-- {
+			d[j], fwd[j] = d[j-1], fwd[j-1]
+		}
+		d[j], fwd[j] = v, s
+	}
+	return true
+}
+
+// buildTable fills x.tableIDs and returns the table, each distinct inverse
+// permutation once, told apart by keyOf (injective, given 2k bytes of scratch).
+// Shards merge in shard order, so rows are in first-occurrence order.
+func buildTable[K comparable](x *PermIndex, keyOf func(fwd perm.Permutation, buf []byte) K) *rankTable {
+	n, k, kern, workers := x.db.N(), x.K(), x.newSiteKernel(), core.ShardWorkers(x.db.N())
+	tables, keys, ends, global := make([]*rankTable, workers), make([][]K, workers), make([]int, workers+1), map[K]uint32{}
+	build := func(shard, lo, hi int) {
+		table, index, pm := newRankTable(k), global, x.permuter.Clone()
+		if shard > 0 { // the first shard's rows are the first global rows as they stand
+			index = map[K]uint32{}
+		}
+		d, fwd, buf := make([]float64, k), make(perm.Permutation, k), make([]byte, 2*k)
+		for i := lo; i < hi; i++ {
+			if kern == nil || !kern.permute(x.db.row(i), d, fwd) {
+				pm.PermutationInto(x.db.Points[i], fwd)
+			}
+			key := keyOf(fwd, buf)
+			row, ok := index[key]
 			if !ok {
-				gid = uint32(table.rows)
-				global[key] = gid
-				table.appendRowFrom(local, r)
+				row = uint32(table.appendInverseOf(fwd))
+				index[key], keys[shard] = row, append(keys[shard], key)
 			}
-			l2g[r] = gid
+			x.tableIDs[i] = row
 		}
-		// Remap this shard's point IDs from local to global rows.
-		for i := ranges[s][0]; i < ranges[s][1]; i++ {
-			ids[i] = l2g[ids[i]]
+		tables[shard], ends[shard+1] = table, hi
+	}
+	if workers <= 1 || n < parallelBuildThreshold {
+		build(0, 0, n)
+		return tables[0]
+	}
+	shards := core.ShardIndexes(n, workers, build)
+	for s := 1; s < shards; s++ { // the others merge into them, and their points are renumbered
+		l2g := make([]uint32, tables[s].rows)
+		for r, key := range keys[s] {
+			if _, ok := global[key]; !ok {
+				global[key] = uint32(tables[0].rows)
+				tables[0].appendRowFrom(tables[s], r)
+			}
+			l2g[r] = global[key]
+		}
+		for i := ends[s]; i < ends[s+1]; i++ {
+			x.tableIDs[i] = l2g[x.tableIDs[i]]
 		}
 	}
-	return table
-}
-
-// buildPermTableRange fills ids[i] with the table row of points[i],
-// appending new rows to table, and returns the dedup index it kept. When keys
-// is non-nil it records the dedup key of every new row, in row order (the
-// parallel merge needs them).
-func buildPermTableRange[K comparable](pm *core.Permuter, points []metric.Point, ids []uint32, table *rankTable, keyOf func(perm.Permutation) K, keys []K) (map[K]uint32, []K) {
-	index := make(map[K]uint32)
-	buf := make(perm.Permutation, pm.K())
-	for i, pt := range points {
-		pm.PermutationInto(pt, buf)
-		key := keyOf(buf)
-		id, ok := index[key]
-		if !ok {
-			id = uint32(table.appendInverseOf(buf))
-			index[key] = id
-			if keys != nil {
-				keys = append(keys, key)
-			}
-		}
-		ids[i] = id
-	}
-	return index, keys
+	return tables[0]
 }
 
 // Name implements Index.

@@ -1,7 +1,11 @@
 package sisap
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"distperm/internal/counting"
@@ -190,31 +194,102 @@ func TestMoreSitesImproveOrdering(t *testing.T) {
 	}
 }
 
-// TestPermIndexBuildKeys: whichever key tells permutations apart — the
-// Lehmer rank as a word (k ≤ 20) or perm.Key (beyond) — and however many
-// shards the build is split over, the table is the sequential
-// first-occurrence dedup under perm.Key, row for row and point for point.
+// TestPermIndexBuildKeys: however a point's site distances are taken — the
+// packed kernel under L1, L2 and L∞, Metric.Distance on an unpacked store
+// (edit distance on words) — whichever key tells the rows apart (4 bits a
+// site up to k = 16, two rank bytes a site beyond), and
+// however many shards the build is split over (n on both sides of
+// parallelBuildThreshold, GOMAXPROCS 1 and 4), the table is the sequential first-occurrence dedup of
+// core.Permuter's permutations under perm.Key, row for row and point for
+// point — hostile coordinates (NaN payloads, ±Inf, −0, subnormals,
+// MaxFloat64) in ordinary points and in one site included. On the packed
+// stores every cell's and every bucket's bounds are, bit for bit (NaN for
+// NaN), what sweeping its points one site at a time gives.
 func TestPermIndexBuildKeys(t *testing.T) {
-	for _, sites := range []int{12, 20, 24} {
-		db, rng := testDB(int64(33+sites), 2*parallelBuildThreshold+123, 3, metric.L2{})
-		idx := NewPermIndex(db, rng.Perm(db.N())[:sites], Footrule)
-		rows := map[string]uint32{}
-		for i, pt := range db.Points {
-			p := idx.permuter.Permutation(pt)
-			row, ok := rows[p.Key()]
-			if !ok {
-				row = uint32(len(rows))
-				rows[p.Key()] = row
-				if !idx.table.invAt(int(row)).Equal(p.Inverse()) {
-					t.Fatalf("k=%d: row %d is not the inverse permutation of point %d, its first occurrence", sites, row, i)
+	for _, procs := range []int{1, 4} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, n := range []int{parallelBuildThreshold / 2, 2*parallelBuildThreshold + 123} {
+			for mi, m := range []metric.Metric{metric.L1{}, metric.L2{}, metric.LInf{}, metric.Edit{}} {
+				for ki, k := range []int{1, 12, 16, 17, 24} {
+					checkBuild(t, fmt.Sprintf("procs=%d/n=%d/%s/k=%d", procs, n, m.Name(), k), m, n, k, 5*mi+ki)
 				}
 			}
-			if idx.tableIDs[i] != row {
-				t.Fatalf("k=%d: point %d stored under row %d, want %d", sites, i, idx.tableIDs[i], row)
+		}
+	}
+	checkBuild(t, "wide table", metric.L1{}, parallelBuildThreshold/2, 300, 0) // ranks past a byte
+}
+
+// checkBuild builds a k-site index over n points under m — words under edit
+// distance, else clustered 3-d vectors with every hostile coordinate in
+// ordinary points, hostile[h] in site k−1, and, from k = 3, sites 0 and 1 at
+// L2 sums that tie only at the root from a point at the origin — and holds
+// its table to the Permuter's and, on a packed store, its bounds to one-site
+// sweeps.
+func checkBuild(t *testing.T, name string, m metric.Metric, n, k, h int) {
+	t.Helper()
+	hostile := []float64{math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Copysign(0, -1), 0,
+		5e-324, -2.2e-308, math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	rng := rand.New(rand.NewSource(int64(33 + h + k)))
+	siteIDs := rng.Perm(n)[:k]
+	var db *DB
+	if _, ok := m.(metric.Edit); ok {
+		db, _ = stringDB(n)
+	} else {
+		const d = 3
+		pts := dataset.ClusteredVectors(rng, n, d, 8, 0.05)
+		for i, v := range hostile {
+			pts[10*i+3].(metric.Vector)[i%d] = v
+		}
+		if k > 2 { // 1 + 2⁻⁵² and 1 round to one root: site 0 ranks first
+			pts[siteIDs[0]], pts[siteIDs[1]] = metric.Vector{1, 0x1p-26, 0}, metric.Vector{1, 0, 0}
+			origin := 0
+			for slices.Contains(siteIDs, origin) {
+				origin++
+			}
+			pts[origin] = metric.Vector{0, 0, 0}
+		}
+		pts[siteIDs[k-1]].(metric.Vector)[h%d] = hostile[h%len(hostile)]
+		db = NewDB(m, pts)
+	}
+	idx := NewPermIndex(db, siteIDs, Footrule)
+	rows := map[string]uint32{}
+	for i, pt := range db.Points {
+		p := idx.permuter.Permutation(pt)
+		row, ok := rows[p.Key()]
+		if !ok {
+			row = uint32(len(rows))
+			rows[p.Key()] = row
+			if !idx.table.invAt(int(row)).Equal(p.Inverse()) {
+				t.Fatalf("%s: row %d is not the inverse permutation of point %d, its first occurrence", name, row, i)
 			}
 		}
-		if idx.table.rows != len(rows) {
-			t.Fatalf("k=%d: %d rows, want %d", sites, idx.table.rows, len(rows))
+		if idx.tableIDs[i] != row {
+			t.Fatalf("%s: point %d stored under row %d, want %d", name, i, idx.tableIDs[i], row)
+		}
+	}
+	if idx.table.rows != len(rows) {
+		t.Fatalf("%s: %d rows, want %d", name, idx.table.rows, len(rows))
+	}
+	if db.dim == 0 {
+		return
+	}
+	bb, lb := forceBounds(idx), idx.lb
+	same := func(what string, gotLo, gotHi, lo, hi float64) {
+		if !sameFloat(gotLo, lo) || !sameFloat(gotHi, hi) {
+			t.Fatalf("%s: %s: swept [%x, %x], one site at a time [%x, %x]", name, what,
+				math.Float64bits(gotLo), math.Float64bits(gotHi), math.Float64bits(lo), math.Float64bits(hi))
+		}
+	}
+	for b := range idx.ApproxBuckets() {
+		for i := range k {
+			lo, hi := bucketSweep(idx, b, i)
+			same(fmt.Sprintf("bucket %d site %d", b, i), bb.buckets.lo[b*k+i], bb.buckets.hi[b*k+i], lo, hi)
+		}
+		for c := int(lb.bucketCells[b]); c < int(lb.bucketCells[b+1]); c++ {
+			for i := range k {
+				lo, hi := cellSweep(idx, c, i)
+				same(fmt.Sprintf("cell %d site %d", c, i), bb.cells.lo[c*k+i], bb.cells.hi[c*k+i], lo, hi)
+			}
 		}
 	}
 }

@@ -327,11 +327,7 @@ func (x *PermIndex) rows() ([]float64, []uint32) {
 func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) (filled bool) {
 	x.lb.rowsOnce.Do(func() {
 		lb, pb, d := x.lb, x.buckets(), x.db.dim
-		switch x.db.Metric.(type) {
-		case metric.L1, metric.L2, metric.LInf:
-			filled = lb.rows == nil && d > 0
-		}
-		if !filled {
+		if filled = lb.rows == nil && x.newSiteKernel() != nil; !filled {
 			lb.labels, lb.cellStarts, lb.bucketCells = pb.ptOrder, pb.ptStarts, ascending(pb.numBuckets()+1)
 			return
 		}
@@ -344,14 +340,15 @@ func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) (filled bool) {
 }
 
 // eachBucket works through the buckets, many at a time, filling a bucket's
-// rows if fill is set, then bounding it into bb, sized here, unless bb is nil.
+// rows if fill is set, then bounding it into bb, sized (and set to empty
+// ranges) here, unless bb is nil.
 func (x *PermIndex) eachBucket(fill bool, bb *bucketBounds) {
-	db, d, lb := x.db, x.db.dim, x.lb
+	db, d, lb, kern := x.db, x.db.dim, x.lb, x.newSiteKernel()
 	nb, k := len(lb.bucketCells)-1, x.K()
 	if bb != nil {
 		cells := int(lb.bucketCells[nb])
-		bb.cells = siteRanges{make([]float64, cells*k), make([]float64, cells*k)}
-		bb.buckets = siteRanges{make([]float64, nb*k), make([]float64, nb*k)}
+		bb.cells = siteRanges{slices.Repeat([]float64{math.Inf(1)}, cells*k), slices.Repeat([]float64{math.Inf(-1)}, cells*k)}
+		bb.buckets = siteRanges{slices.Repeat([]float64{math.Inf(1)}, nb*k), slices.Repeat([]float64{math.Inf(-1)}, nb*k)}
 	}
 	workers := 1
 	if db.N() >= parallelBuildThreshold {
@@ -363,7 +360,7 @@ func (x *PermIndex) eachBucket(fill bool, bb *bucketBounds) {
 				copy(lb.rows[j*d:][:d], db.row(int(lb.labels[j])))
 			}
 			if bb != nil {
-				x.bound(bb, b)
+				x.bound(bb, b, kern)
 			}
 		}
 	})
@@ -399,17 +396,12 @@ type bucketBounds struct{ cells, buckets siteRanges }
 const boundMinFill = 32
 
 // siteBounds computes the bounds from what every store holds whatever its
-// origin — points, site IDs, bucket-major rows — right after a bucket is
-// filled where the rows are still to make, so the copy costs nothing over
-// bounding scattered points. Only a store with rows, of at most boundMaxDim
-// dimensions, in buckets of minFill points on average qualifies; else nil.
+// origin — points, site IDs, bucket-major rows — in one pass (bound) right
+// after a bucket is filled where the rows are still to make, so the copy costs
+// nothing over bounding scattered points. Only a store with rows, of at most
+// boundMaxDim dimensions, in buckets of minFill points on average qualifies.
 func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
-	switch x.db.Metric.(type) {
-	case metric.L1, metric.L2, metric.LInf:
-	default:
-		return nil
-	}
-	if d := x.db.dim; d == 0 || d > boundMaxDim || x.db.N() < minFill*x.buckets().numBuckets() {
+	if x.newSiteKernel() == nil || x.db.dim > boundMaxDim || x.db.N() < minFill*x.buckets().numBuckets() {
 		return nil
 	}
 	bb := &bucketBounds{}
@@ -420,47 +412,29 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	return bb
 }
 
-// bound sweeps bucket b's cells once per site with DB.measure's arithmetic
-// (site and point swapped changes no bit of |x − y| or (x − y)²), the
-// extremes in registers, and takes the bucket's ranges as their hull. L2
-// keeps the extreme squared sums and takes one Sqrt, monotone and correctly
-// rounded, per cell, and min and max are associative, so the hull is what one
-// sweep of the bucket gives (NaN payloads aside). min and max propagate NaN:
-// an interval over a non-finite coordinate compares false both ways.
-func (x *PermIndex) bound(bb *bucketBounds, b int) {
-	db, d, k, lb := x.db, x.db.dim, x.K(), x.lb
-	_, l1 := db.Metric.(metric.L1)
-	_, l2 := db.Metric.(metric.L2)
-	for i, site := range x.siteIDs {
-		s, blo, bhi := db.row(site)[:d], math.Inf(1), math.Inf(-1)
-		for c := lb.bucketCells[b]; c < lb.bucketCells[b+1]; c++ {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for r := lb.rows[int(lb.cellStarts[c])*d : int(lb.cellStarts[c+1])*d]; len(r) > 0; r = r[d:] {
-				var v float64
-				switch p := r[:d]; {
-				case l1:
-					for j, a := range s {
-						v += math.Abs(a - p[j])
-					}
-				case l2:
-					for j, a := range s {
-						t := a - p[j]
-						v += t * t
-					}
-				default:
-					for j, a := range s {
-						v = max(v, math.Abs(a-p[j]))
-					}
-				}
-				lo, hi = min(lo, v), max(hi, v)
+// bound sweeps bucket b's cells, each row once for all k sites (siteKernel),
+// and takes the bucket's ranges as their hull. L2 keeps the extreme squared
+// sums and takes one Sqrt, monotone and correctly rounded, per cell and site;
+// min and max are associative, so the hull is what one sweep of the bucket
+// gives, and they propagate NaN: such an interval compares false both ways.
+func (x *PermIndex) bound(bb *bucketBounds, b int, kern *siteKernel) {
+	d, k, lb := x.db.dim, x.K(), x.lb
+	sums := make([]float64, k)
+	blo, bhi := bb.buckets.lo[b*k:][:k], bb.buckets.hi[b*k:][:k]
+	for c := int(lb.bucketCells[b]); c < int(lb.bucketCells[b+1]); c++ {
+		lo, hi := bb.cells.lo[c*k:][:k], bb.cells.hi[c*k:][:k]
+		for r := lb.rows[int(lb.cellStarts[c])*d : int(lb.cellStarts[c+1])*d]; len(r) > 0; r = r[d:] {
+			kern.sums(r[:d], sums)
+			for i, v := range sums {
+				lo[i], hi[i] = min(lo[i], v), max(hi[i], v)
 			}
-			if l2 {
-				lo, hi = math.Sqrt(lo), math.Sqrt(hi)
-			}
-			bb.cells.lo[int(c)*k+i], bb.cells.hi[int(c)*k+i] = lo, hi
-			blo, bhi = min(blo, lo), max(bhi, hi)
 		}
-		bb.buckets.lo[b*k+i], bb.buckets.hi[b*k+i] = blo, bhi
+		for i := range lo {
+			if kern.l2 {
+				lo[i], hi[i] = math.Sqrt(lo[i]), math.Sqrt(hi[i])
+			}
+			blo[i], bhi[i] = min(blo[i], lo[i]), max(bhi[i], hi[i])
+		}
 	}
 }
 

@@ -287,12 +287,26 @@ func sameFloat(a, b float64) bool {
 // bucketSweep is the sweep the cells replaced: site i's range over bucket b,
 // all its points at once, in ptOrder, with the same arithmetic.
 func bucketSweep(x *PermIndex, b, i int) (lo, hi float64) {
-	db, pb := x.db, x.buckets()
+	pb := x.buckets()
+	return siteSweep(x, pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]], i)
+}
+
+// cellSweep is bucketSweep's per-cell twin: site i's range over cell c's
+// points, read through their labels, one site at a time.
+func cellSweep(x *PermIndex, c, i int) (lo, hi float64) {
+	lb := x.lb
+	return siteSweep(x, lb.labels[lb.cellStarts[c]:lb.cellStarts[c+1]], i)
+}
+
+// siteSweep is site i's range over the points ids, each measured on its own,
+// site minus point, in the arithmetic the bounds are swept with.
+func siteSweep(x *PermIndex, ids []uint32, i int) (lo, hi float64) {
+	db := x.db
 	_, l1 := db.Metric.(metric.L1)
 	_, l2 := db.Metric.(metric.L2)
 	s := db.row(x.siteIDs[i])
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
+	for _, id := range ids {
 		var v float64
 		for j, p := range db.row(int(id)) {
 			switch t := s[j] - p; {

@@ -518,7 +518,11 @@ func BenchmarkServeLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := dpserver.NewFromIndex(db, idx, 0, dpserver.Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, CacheSize: 4096})
+	e, err := distperm.NewEngine(db, idx, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := dpserver.New(e, dpserver.Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, CacheSize: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}

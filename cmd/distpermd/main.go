@@ -13,6 +13,11 @@
 // in-flight requests drain and pending coalescer batches flush before the
 // engine closes and any mapped container is unmapped.
 //
+// The daemon is flags around three calls: distperm.Open boots the engine
+// (WAL, checkpoint, container or dataset, build, replay, checkpointer),
+// dpserver.New serves it, and a dpserver.Gate fronts the socket while it
+// loads.
+//
 // With -freeze it writes the frozen container form of a distance-permutation
 // index — position-independent, checksummed, mmap-ready sections — and
 // exits. A daemon restarted with -mmap -load over such a container maps it
@@ -42,7 +47,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,7 +57,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -65,9 +68,11 @@ import (
 
 func main() {
 	// Every flag binds to the field that is read: dataset and listener flags
-	// to locals of main, the rest straight into the daemon's configuration.
+	// to locals of main, the rest straight into the boot and serving
+	// configurations.
 	var (
-		cfg daemonConfig
+		cfg     distperm.OpenConfig
+		serving dpserver.Config
 
 		// Dataset: what the index is over.
 		gen   = flag.String("gen", "uniform", "generator: "+strings.Join(dataset.GeneratorNames(), ", "))
@@ -75,7 +80,6 @@ func main() {
 		n     = flag.Int("n", 20_000, "points to generate")
 		d     = flag.Int("d", 6, "dimensions (vector generators)")
 		mname = flag.String("metric", "", "override metric: L1, L2, Linf, edit, prefix, angular")
-		seed  = flag.Int64("seed", 1, "random seed")
 
 		freeze   = flag.String("freeze", "", "write the built/loaded distperm index as a frozen (mmap-ready) container to this path and exit")
 		walSync  = flag.String("wal-sync", "always", "wal durability: always (fsync before every ack), interval (background fsync), never (OS page cache only — survives kill -9, not power loss)")
@@ -83,6 +87,7 @@ func main() {
 		opsAddr  = flag.String("ops-addr", "", "optional private ops listener: /metrics, /healthz, /readyz, and net/http/pprof under /debug/pprof/ (empty disables)")
 		slowQLog = flag.String("slow-query-log", "", "slow-query log file (empty = stderr)")
 	)
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed")
 	// Index: built on startup or loaded from a container.
 	flag.StringVar(&cfg.Index, "index", "distperm", "index kind to build: "+strings.Join(distperm.Kinds(), ", "))
 	flag.IntVar(&cfg.K, "k", 8, "pivots/sites for the built index")
@@ -100,37 +105,33 @@ func main() {
 	flag.Int64Var(&cfg.WALCheckpoint, "wal-checkpoint", 0, "also write a checkpoint once this many records accumulate past the last one (0 = checkpoint only when a rebuild folds the delta)")
 
 	// Serving.
-	flag.IntVar(&cfg.Serving.BatchMax, "batch-max", 64, "coalescer: flush a batch queued behind a busy engine at this many queries")
-	flag.DurationVar(&cfg.Serving.BatchWait, "batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
-	flag.IntVar(&cfg.Serving.CacheSize, "cache", 4096, "result cache entries (0 disables)")
-	flag.DurationVar(&cfg.Serving.SlowQuery, "slow-query", 0, "log queries slower than this as one-line JSON records (0 disables)")
+	flag.IntVar(&serving.BatchMax, "batch-max", 64, "coalescer: flush a batch queued behind a busy engine at this many queries")
+	flag.DurationVar(&serving.BatchWait, "batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
+	flag.IntVar(&serving.CacheSize, "cache", 4096, "result cache entries (0 disables)")
+	flag.DurationVar(&serving.SlowQuery, "slow-query", 0, "log queries slower than this as one-line JSON records (0 disables)")
 	flag.Parse()
 
-	rng := rand.New(rand.NewSource(*seed))
-	// Dataset loading is deferred behind a memoised closure: the serve path
-	// binds its socket before touching the dataset, and a -mmap restart over
-	// a self-contained container never loads one at all.
-	var (
-		dsOnce sync.Once
-		dsVal  *dataset.Dataset
-		dsErr  error
-	)
-	loadDS := func() (*dataset.Dataset, error) {
-		dsOnce.Do(func() {
-			dsVal, dsErr = dataset.Load(rng, *gen, *file, *n, *d)
-			if dsErr == nil && *mname != "" {
-				var m metric.Metric
-				if m, dsErr = metric.ByName(*mname); dsErr == nil {
-					// e.g. -metric edit over a vector dataset: refuse at
-					// startup, not as a panic in a query worker on the first
-					// request.
-					if dsErr = metric.Probe(m, dsVal.Points[0]); dsErr == nil {
-						dsVal.Metric = m
-					}
+	// Open loads the dataset only when it needs it: the serve path binds its
+	// socket first, and a -mmap restart over a self-contained container or
+	// from a checkpoint never loads one at all.
+	cfg.Dataset = func(rng *rand.Rand) (*distperm.DB, string, error) {
+		ds, err := dataset.Load(rng, *gen, *file, *n, *d)
+		if err == nil && *mname != "" {
+			var m metric.Metric
+			if m, err = metric.ByName(*mname); err == nil {
+				// e.g. -metric edit over a vector dataset: refuse at
+				// startup, not as a panic in a query worker on the first
+				// request.
+				if err = metric.Probe(m, ds.Points[0]); err == nil {
+					ds.Metric = m
 				}
 			}
-		})
-		return dsVal, dsErr
+		}
+		if err != nil {
+			return nil, "", err
+		}
+		db, err := distperm.NewDB(ds.Metric, ds.Points)
+		return db, ds.Name, err
 	}
 
 	if *slowQLog != "" {
@@ -140,7 +141,7 @@ func main() {
 			os.Exit(2)
 		}
 		defer f.Close()
-		cfg.Serving.SlowQueryLog = f
+		serving.SlowQueryLog = f
 	}
 	var err error
 	if cfg.WAL.Sync, err = distperm.ParseSyncPolicy(*walSync); err != nil {
@@ -149,7 +150,7 @@ func main() {
 	}
 
 	if *freeze != "" {
-		if err := runFreeze(os.Stdout, *freeze, loadDS, rng, cfg); err != nil {
+		if err := runFreeze(os.Stdout, *freeze, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -181,7 +182,15 @@ func main() {
 		fmt.Printf("distpermd: ops listener (metrics, pprof) on %s\n", opsLn.Addr())
 	}
 
-	srv, src, cleanup, err := buildServer(loadDS, rng, cfg)
+	// The engine owns what Open opened; the gate's shutdown closes the
+	// server, and so the engine, the mapping and the log, after the drain.
+	e, err := distperm.Open(cfg)
+	var srv *dpserver.Server
+	if err == nil {
+		if srv, err = dpserver.New(e, serving); err != nil {
+			e.Close()
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		stop()
@@ -191,11 +200,9 @@ func main() {
 	gate.SetReady(srv)
 	info := srv.Info()
 	fmt.Printf("distpermd: serving %s (n=%d metric=%s index=%s %d bits, %d shards × %d workers) on %s\n",
-		src, info.N, info.Metric, info.Kind, info.Bits, info.Shards, info.Workers/info.Shards, ln.Addr())
+		e.Source(), info.N, info.Metric, info.Kind, info.Bits, info.Shards, info.Workers/info.Shards, ln.Addr())
 
-	err = <-serveErr
-	cleanup() // after the drain: no handler can still touch mapped memory
-	if err != nil {
+	if err := <-serveErr; err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -235,28 +242,18 @@ func serveOps(ctx context.Context, ln net.Listener, gate *dpserver.Gate) error {
 	return dpserver.Serve(ctx, ln, mux, 5*time.Second, nil)
 }
 
-// runFreeze writes the frozen container form of the configured index: build
-// (or load) it, then emit the mmap-ready sectioned layout and exit.
-func runFreeze(w io.Writer, out string, loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg daemonConfig) error {
-	ds, err := loadDS()
+// runFreeze writes the frozen container form of the configured index: boot
+// it (built, or loaded with -load) through Open, read-only and unsharded,
+// then emit the mmap-ready sectioned layout and exit.
+func runFreeze(w io.Writer, out string, cfg distperm.OpenConfig) error {
+	e, err := distperm.Open(distperm.OpenConfig{
+		Dataset: cfg.Dataset, Seed: cfg.Seed, Index: cfg.Index, K: cfg.K, Load: cfg.Load, Workers: 1,
+	})
 	if err != nil {
 		return err
 	}
-	db, err := distperm.NewDB(ds.Metric, ds.Points)
-	if err != nil {
-		return err
-	}
-	var idx distperm.Index
-	if cfg.Load != "" {
-		st, err := distperm.Load(cfg.Load, distperm.LoadOptions{DB: db})
-		if err != nil {
-			return err
-		}
-		idx = st.Index
-	} else if idx, err = distperm.Build(db,
-		distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}); err != nil {
-		return err
-	}
+	defer e.Close()
+	idx := e.Index()
 	px, ok := idx.(*distperm.PermIndex)
 	if !ok {
 		return fmt.Errorf("only the distance-permutation index has a frozen form; got %q", idx.Name())
@@ -273,233 +270,6 @@ func runFreeze(w io.Writer, out string, loadDS func() (*dataset.Dataset, error),
 		return err
 	}
 	fmt.Fprintf(w, "distpermd: froze %s over %s (n=%d k=%d) to %s, %d bytes\n",
-		idx.Name(), ds.Name, db.N(), px.K(), out, nb)
+		idx.Name(), e.Source(), e.LiveN(), px.K(), out, nb)
 	return nil
-}
-
-// daemonConfig collects the index/serving parameters of one daemon run.
-type daemonConfig struct {
-	Index            string
-	K                int
-	Load             string
-	Mmap             bool
-	Shards           int
-	Partition        string
-	Workers          int
-	RebuildThreshold int
-	WALDir           string
-	WAL              distperm.WALOptions
-	WALCheckpoint    int64
-	Serving          dpserver.Config
-}
-
-// buildServer assembles the serving stack: database from the dataset (or
-// from the mapped container itself), index loaded from a container — mapped
-// read-only under -mmap — or built through the registries, engine and HTTP
-// layers from pkg/dpserver. A rebuild threshold turns the stack mutable:
-// the index (built, loaded, mapped, or a saved mutable container) is wrapped
-// in a MutableEngine that rebuilds it in its own shape, and the write
-// endpoints go live. With -wal the one resume path is OpenWAL →
-// LoadCheckpoint → the checkpoint's snapshot, or else the mapping or the
-// dataset → WrapMutable with the log attached → ReplayWAL of the tail →
-// NewFromMutable → the checkpointer. A mapped container stays mapped for the
-// daemon's lifetime — a self-contained one's point vectors are views into
-// the mapping that every rebuild carries forward. The returned cleanup runs
-// after the serve drain, when the engine has closed, and only then releases
-// the mapping.
-func buildServer(loadDS func() (*dataset.Dataset, error), rng *rand.Rand, cfg daemonConfig) (*dpserver.Server, string, func(), error) {
-	cleanup := func() {}
-	var (
-		db    *distperm.DB
-		idx   distperm.Index
-		store *distperm.Store
-		src   string
-
-		wal        *distperm.WAL
-		walFromSeq uint64
-	)
-	if cfg.WALDir != "" {
-		var err error
-		wal, err = distperm.OpenWAL(cfg.WALDir, cfg.WAL)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		ck, err := wal.LoadCheckpoint()
-		if err != nil {
-			wal.Close()
-			return nil, "", nil, fmt.Errorf("wal recovery: %w", err)
-		}
-		if ck != nil {
-			// The checkpoint is self-contained: its snapshot, which carries
-			// its own points, replaces the dataset/-load boot entirely, and
-			// replay resumes from the sequence it covers.
-			idx, walFromSeq = ck.Snapshot, ck.Seq
-			src = fmt.Sprintf("%s checkpoint (seq %d)", cfg.WALDir, ck.Seq)
-		}
-	}
-	// On any failure below the open log must not stay held.
-	walOK := false
-	defer func() {
-		if wal != nil && !walOK {
-			wal.Close()
-		}
-	}()
-	switch {
-	case idx != nil: // recovered from the checkpoint above
-	case cfg.Mmap:
-		if cfg.Load == "" {
-			return nil, "", nil, fmt.Errorf("-mmap needs -load <container>")
-		}
-		var err error
-		store, err = distperm.Load(cfg.Load, distperm.LoadOptions{Mmap: true})
-		src = cfg.Load + " (mapped, self-contained)"
-		if errors.Is(err, distperm.ErrNeedDB) {
-			// The container embeds no points: map it against the dataset.
-			ds, derr := loadDS()
-			if derr != nil {
-				return nil, "", nil, derr
-			}
-			if db, derr = distperm.NewDB(ds.Metric, ds.Points); derr != nil {
-				return nil, "", nil, derr
-			}
-			store, err = distperm.Load(cfg.Load, distperm.LoadOptions{Mmap: true, DB: db})
-			src = ds.Name + " (index mapped)"
-		}
-		if err != nil {
-			return nil, "", nil, err
-		}
-		cleanup = func() { store.Close() }
-		db, idx = store.DB, store.Index
-	default:
-		ds, err := loadDS()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		src = ds.Name
-		if db, err = distperm.NewDB(ds.Metric, ds.Points); err != nil {
-			return nil, "", nil, err
-		}
-	}
-	mutable := cfg.RebuildThreshold > 0 || wal != nil
-	var p distperm.Partitioner
-	if cfg.Shards > 1 || mutable {
-		var err error
-		if p, err = distperm.PartitionerByName(cfg.Partition); err != nil {
-			return nil, "", nil, err
-		}
-	}
-	var err error
-	switch {
-	case idx != nil: // mapped or checkpoint-recovered above
-	case cfg.Load != "":
-		st, err := distperm.Load(cfg.Load, distperm.LoadOptions{DB: db})
-		if err != nil {
-			return nil, "", nil, err
-		}
-		idx = st.Index
-	case cfg.Shards > 1:
-		if idx, err = distperm.BuildSharded(db,
-			distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}, cfg.Shards, p); err != nil {
-			return nil, "", nil, err
-		}
-	default:
-		if idx, err = distperm.Build(db,
-			distperm.Spec{Index: cfg.Index, K: cfg.K, Seed: rng.Int63()}); err != nil {
-			return nil, "", nil, err
-		}
-	}
-	if !mutable {
-		srv, err := dpserver.NewFromIndex(db, idx, cfg.Workers, cfg.Serving)
-		if err != nil {
-			cleanup()
-			return nil, "", nil, err
-		}
-		return srv, src, cleanup, nil
-	}
-	// Rebuilds keep the shape of what was built, loaded or recovered; a
-	// sharded store's placement follows -partition, since the partition map
-	// a container carries names no strategy.
-	me, err := distperm.WrapMutable(db, idx, distperm.MutableConfig{
-		Spec:             distperm.Spec{Seed: rng.Int63()},
-		Workers:          cfg.Workers,
-		RebuildThreshold: cfg.RebuildThreshold,
-		Partitioner:      p,
-		WAL:              wal,
-	})
-	if err != nil {
-		cleanup()
-		return nil, "", nil, err
-	}
-	if wal != nil {
-		applied, skipped, err := me.ReplayWAL(wal, walFromSeq)
-		if err != nil {
-			me.Close()
-			cleanup()
-			return nil, "", nil, fmt.Errorf("wal recovery: %w", err)
-		}
-		src = fmt.Sprintf("%s, wal %s (replayed %d records, skipped %d, sync %s)",
-			src, cfg.WALDir, applied, skipped, cfg.WAL.Sync)
-	}
-	srv, err := dpserver.NewFromMutable(me, cfg.Serving)
-	if err != nil {
-		me.Close()
-		return nil, "", nil, err
-	}
-	if wal != nil {
-		// The checkpointer folds the log behind durable snapshots; cleanup
-		// (after the serve drain, when the engine is closed) stops it and
-		// closes the log last.
-		stopCkpt := make(chan struct{})
-		go runCheckpoints(me, wal, cfg.WALCheckpoint, stopCkpt)
-		prev := cleanup
-		cleanup = func() {
-			close(stopCkpt)
-			prev()
-			wal.Close()
-		}
-		walOK = true
-	}
-	return srv, src, cleanup, nil
-}
-
-// runCheckpoints folds the write-ahead log behind durable snapshots: after
-// every background rebuild (the delta is freshly folded, so the snapshot
-// is at its smallest) and, when recordEvery > 0, once that many records
-// accumulate past the last checkpoint. Each checkpoint prunes the log
-// segments and checkpoint files it supersedes.
-func runCheckpoints(me *distperm.MutableEngine, wal *distperm.WAL, recordEvery int64, stop chan struct{}) {
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	var folded int64
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		folded = checkpointOnce(me, wal, recordEvery, folded)
-	}
-}
-
-// checkpointOnce is one tick of runCheckpoints: it writes a checkpoint when
-// a rebuild has happened since the one the log was last folded behind
-// (folded counts rebuilds), or when recordEvery records have accumulated. It
-// returns the new folded count, which moves only once the log is folded —
-// the checkpoint was written, or there was nothing to write — so a failed
-// checkpoint is retried on the next tick, not left until the next rebuild.
-func checkpointOnce(me *distperm.MutableEngine, wal *distperm.WAL, recordEvery, folded int64) int64 {
-	ms := me.MutationStats()
-	ws := me.WALStats()
-	if ms.Rebuilds <= folded && (recordEvery <= 0 || ws.Seq-ws.CheckpointSeq < uint64(recordEvery)) {
-		return folded
-	}
-	snap, seq, err := me.CheckpointSnapshot()
-	if err == nil && seq > ws.CheckpointSeq {
-		err = wal.WriteCheckpoint(snap, seq)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "distpermd: wal checkpoint: %v\n", err)
-		return folded
-	}
-	return ms.Rebuilds
 }

@@ -26,6 +26,37 @@ import (
 	"distperm/pkg/dpserver/client"
 )
 
+// pointsOf is a Dataset for Open that serves ds as it is.
+func pointsOf(ds *dataset.Dataset) func(*rand.Rand) (*distperm.DB, string, error) {
+	return func(*rand.Rand) (*distperm.DB, string, error) {
+		db, err := distperm.NewDB(ds.Metric, ds.Points)
+		return db, ds.Name, err
+	}
+}
+
+// noPoints is a Dataset for a boot that must not read one.
+func noPoints(t *testing.T) func(*rand.Rand) (*distperm.DB, string, error) {
+	return func(*rand.Rand) (*distperm.DB, string, error) {
+		t.Error("the boot loaded the dataset")
+		return nil, "", os.ErrNotExist
+	}
+}
+
+// boot is main's boot sequence: Open, then dpserver.New over the engine. It
+// returns the server and the engine's Source.
+func boot(cfg distperm.OpenConfig, serving dpserver.Config) (*dpserver.Server, string, error) {
+	e, err := distperm.Open(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	srv, err := dpserver.New(e, serving)
+	if err != nil {
+		e.Close()
+		return nil, "", err
+	}
+	return srv, e.Source(), nil
+}
+
 // TestBuildServerModes covers the three index sources: built, built sharded
 // through a named partitioner, and loaded from a DPERMIDX container.
 func TestBuildServerModes(t *testing.T) {
@@ -35,18 +66,17 @@ func TestBuildServerModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dsf := func() (*dataset.Dataset, error) { return ds, nil }
-	srv, _, cleanup, err := buildServer(dsf, rng, daemonConfig{Index: "distperm", K: 6})
+	dsf := pointsOf(ds)
+	srv, _, err := boot(distperm.OpenConfig{Dataset: dsf, Index: "distperm", K: 6}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	if info := srv.Info(); info.Kind != "distperm" || info.Shards != 1 {
 		t.Errorf("built server info %+v", info)
 	}
 	srv.Close()
 
-	srv, _, _, err = buildServer(dsf, rng, daemonConfig{Index: "distperm", K: 6, Shards: 3, Partition: "hash"})
+	srv, _, err = boot(distperm.OpenConfig{Dataset: dsf, Index: "distperm", K: 6, Shards: 3, Partition: "hash"}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +103,7 @@ func TestBuildServerModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	srv, _, _, err = buildServer(dsf, rng, daemonConfig{Load: path})
+	srv, _, err = boot(distperm.OpenConfig{Dataset: dsf, Load: path}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +113,9 @@ func TestBuildServerModes(t *testing.T) {
 	srv.Close()
 
 	// A rebuild threshold turns any of the sources mutable.
-	srv, _, _, err = buildServer(dsf, rng, daemonConfig{
+	srv, _, err = boot(distperm.OpenConfig{Dataset: dsf,
 		Index: "distperm", K: 6, Shards: 2, Partition: "roundrobin", RebuildThreshold: 128,
-	})
+	}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +123,7 @@ func TestBuildServerModes(t *testing.T) {
 		t.Errorf("mutable sharded server info %+v", info)
 	}
 	srv.Close()
-	srv, _, _, err = buildServer(dsf, rng, daemonConfig{Load: path, Partition: "roundrobin", RebuildThreshold: 64})
+	srv, _, err = boot(distperm.OpenConfig{Dataset: dsf, Load: path, Partition: "roundrobin", RebuildThreshold: 64}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +144,8 @@ func TestBuildServerModes(t *testing.T) {
 	if _, err := me.Insert(ds.Points[0]); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := me.Snapshot()
+	snap := me.Snapshot()
 	me.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	mpath := filepath.Join(t.TempDir(), "mutable.dpermidx")
 	mf, err := os.Create(mpath)
 	if err != nil {
@@ -130,7 +157,7 @@ func TestBuildServerModes(t *testing.T) {
 	mf.Close()
 	// The resumed database is base + delta: the snapshot's own point set.
 	mds := &dataset.Dataset{Name: "resumed", Metric: snap.DB().Metric, Points: snap.DB().Points}
-	srv, _, _, err = buildServer(func() (*dataset.Dataset, error) { return mds, nil }, rng, daemonConfig{Load: mpath, Partition: "roundrobin", RebuildThreshold: 32})
+	srv, _, err = boot(distperm.OpenConfig{Dataset: pointsOf(mds), Load: mpath, Partition: "roundrobin", RebuildThreshold: 32}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +167,7 @@ func TestBuildServerModes(t *testing.T) {
 	srv.Close()
 
 	// Failure modes are errors, not panics.
-	for _, cfg := range []daemonConfig{
+	for _, cfg := range []distperm.OpenConfig{
 		{Index: "bogus"},
 		{Index: "distperm", K: 6, Shards: 2, Partition: "modulo"},
 		{Index: "distperm", K: 6, RebuildThreshold: 16, Partition: "modulo"},
@@ -149,67 +176,18 @@ func TestBuildServerModes(t *testing.T) {
 		// at boot, not discovered one failed checkpoint at a time.
 		{Index: "distperm", K: 24, Partition: "roundrobin", WALDir: t.TempDir()},
 	} {
-		if _, _, _, err := buildServer(dsf, rng, cfg); err == nil {
+		cfg.Dataset = dsf
+		if srv, _, err := boot(cfg, dpserver.Config{}); err == nil {
+			srv.Close()
 			t.Errorf("config %+v should error", cfg)
 		}
-	}
-}
-
-// TestCheckpointRetriedAfterFailure: a checkpoint that fails after a rebuild
-// is written on the next tick, not left until the next rebuild — the log
-// is folded with no second rebuild.
-func TestCheckpointRetriedAfterFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 200, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	wal, err := distperm.OpenWAL(dir, distperm.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 13}, WAL: wal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer me.Close()
-	for _, p := range dataset.UniformVectors(rng, 10, 3) {
-		if _, err := me.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := me.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	seq := me.WALStats().Seq
-	// A directory where the checkpoint's temporary file goes makes writing
-	// it fail (EISDIR), even as root.
-	tmp := filepath.Join(dir, fmt.Sprintf("ckpt-%016x.ckpt.tmp", seq))
-	if err := os.Mkdir(tmp, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	folded := checkpointOnce(me, wal, 0, 0)
-	if got := me.WALStats().CheckpointSeq; got != 0 {
-		t.Fatalf("checkpoint seq %d after a failed write, want 0", got)
-	}
-	if err := os.Remove(tmp); err != nil {
-		t.Fatal(err)
-	}
-	checkpointOnce(me, wal, 0, folded)
-	if got := me.WALStats().CheckpointSeq; got != seq {
-		t.Errorf("checkpoint seq %d after the retry, want %d", got, seq)
-	}
-	if r := me.MutationStats().Rebuilds; r != 1 {
-		t.Errorf("%d rebuilds, want 1", r)
 	}
 }
 
 // TestMisshapedCheckpointRefusedAtBoot: a checkpoint whose checksum checks
 // clean but one of whose points is shaped unlike the others — or whose point
 // 0 is — is refused by LoadCheckpoint, which names the point, and so by
-// buildServer: the daemon exits 2 instead of serving a store whose first
+// Open: the daemon exits 2 instead of serving a store whose first
 // query panics a worker. Beside an older intact checkpoint, recovery starts
 // from that one instead.
 func TestMisshapedCheckpointRefusedAtBoot(t *testing.T) {
@@ -262,7 +240,7 @@ func TestMisshapedCheckpointRefusedAtBoot(t *testing.T) {
 	first, size := 8+4+4+8+4+len(ds.Metric.Name())+8, 1+4+3*8
 	half := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
 	short := slices.Concat([]byte{0, 2, 0, 0, 0}, half, half) // a 2-d vector
-	dsf := func() (*dataset.Dataset, error) { return ds, nil }
+	dsf := pointsOf(ds)
 	for _, c := range []struct {
 		name  string
 		at    int
@@ -286,23 +264,21 @@ func TestMisshapedCheckpointRefusedAtBoot(t *testing.T) {
 			t.Errorf("%s: LoadCheckpoint returned %v, want an error naming %s", c.name, err, named)
 		}
 		w.Close()
-		srv, _, cleanup, err := buildServer(dsf, rng, daemonConfig{Index: "distperm", K: 6, Partition: "roundrobin", WALDir: dir})
+		srv, _, err := boot(distperm.OpenConfig{Dataset: dsf, Index: "distperm", K: 6, Partition: "roundrobin", WALDir: dir}, dpserver.Config{})
 		if err == nil {
 			srv.Close()
-			cleanup()
 		}
 		if err == nil || !strings.Contains(err.Error(), named) {
-			t.Errorf("%s: buildServer returned %v, want an error naming %s", c.name, err, named)
+			t.Errorf("%s: Open returned %v, want an error naming %s", c.name, err, named)
 		}
 	}
 	if err := os.WriteFile(olderPath, older, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, src, cleanup, err := buildServer(dsf, rng, daemonConfig{Index: "distperm", K: 6, Partition: "roundrobin", WALDir: dir})
+	srv, src, err := boot(distperm.OpenConfig{Dataset: dsf, Index: "distperm", K: 6, Partition: "roundrobin", WALDir: dir}, dpserver.Config{})
 	if err != nil {
 		t.Fatalf("beside an older intact checkpoint: %v", err)
 	}
-	defer cleanup()
 	defer srv.Close()
 	if info := srv.Info(); info.N != 203 || !strings.Contains(src, "checkpoint (seq 6)") {
 		t.Errorf("recovered %d live points from %q, want 203 from the checkpoint at seq 6", info.N, src)
@@ -317,14 +293,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, cleanup, err := buildServer(func() (*dataset.Dataset, error) { return ds, nil }, rng, daemonConfig{
-		Index: "distperm", K: 6, Workers: 2,
-		Serving: dpserver.Config{BatchMax: 8, BatchWait: time.Millisecond, CacheSize: 32},
-	})
+	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6, Workers: 2},
+		dpserver.Config{BatchMax: 8, BatchWait: time.Millisecond, CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -398,8 +371,7 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "index.frozen")
 	var out strings.Builder
-	if err := runFreeze(&out, path, func() (*dataset.Dataset, error) { return ds, nil },
-		rand.New(rand.NewSource(9)), daemonConfig{Index: "distperm", K: 6}); err != nil {
+	if err := runFreeze(&out, path, distperm.OpenConfig{Dataset: pointsOf(ds), Seed: 9, Index: "distperm", K: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "froze distperm") {
@@ -407,19 +379,13 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	}
 
 	// Reference answers from a heap build with the same seed.
-	refSrv, _, refClean, err := buildServer(func() (*dataset.Dataset, error) { return ds, nil },
-		rand.New(rand.NewSource(9)), daemonConfig{Index: "distperm", K: 6, Workers: 2})
+	refSrv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Seed: 9, Index: "distperm", K: 6, Workers: 2}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer refClean()
 	defer refSrv.Close()
 
-	noDS := func() (*dataset.Dataset, error) {
-		t.Error("self-contained mmap serve loaded the dataset")
-		return nil, os.ErrNotExist
-	}
-	srv, src, cleanup, err := buildServer(noDS, rng, daemonConfig{Load: path, Mmap: true, Workers: 2})
+	srv, src, err := boot(distperm.OpenConfig{Dataset: noPoints(t), Load: path, Mmap: true, Workers: 2}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +416,6 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	cleanup() // munmap after drain, as main does
 
 	// The mutable wrap over the same mapped container. The container is
 	// self-contained, so its point vectors are views into the mapping and
@@ -458,8 +423,8 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	// must stay live across the fold. Insert past the threshold, wait for
 	// the background rebuild, and re-query the original points — releasing
 	// the mapping on rebuild would make these reads fault.
-	msrv, _, mcleanup, err := buildServer(noDS, rng,
-		daemonConfig{Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 64})
+	msrv, _, err := boot(distperm.OpenConfig{Dataset: noPoints(t), Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 64},
+		dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,15 +470,14 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	if err := <-mserved; err != nil {
 		t.Fatalf("mutable Serve: %v", err)
 	}
-	mcleanup()
 }
 
 // TestMmapExternalDatasetMutableServe is the twin of the mutable leg above
 // for a container that embeds no points (LP 2.5 has no name a file could
 // carry): -mmap -load maps the index against the dataset on the heap, the
 // write path folds inserts into rebuilt bases under queries, and the mapping
-// — which nothing hands back early — is released by cleanup after the server
-// has closed the engine, the order main follows.
+// — which nothing hands back early — is released when the server closes the
+// engine Open returned, after its pool has drained.
 func TestMmapExternalDatasetMutableServe(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ds, err := dataset.Load(rng, "uniform", "", 500, 3)
@@ -521,13 +485,13 @@ func TestMmapExternalDatasetMutableServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Metric = metric.NewLP(2.5)
-	dsf := func() (*dataset.Dataset, error) { return ds, nil }
+	dsf := pointsOf(ds)
 	path := filepath.Join(t.TempDir(), "pointless.frozen")
-	if err := runFreeze(io.Discard, path, dsf, rand.New(rand.NewSource(12)), daemonConfig{Index: "distperm", K: 6}); err != nil {
+	if err := runFreeze(io.Discard, path, distperm.OpenConfig{Dataset: dsf, Seed: 12, Index: "distperm", K: 6}); err != nil {
 		t.Fatal(err)
 	}
-	srv, src, cleanup, err := buildServer(dsf, rng,
-		daemonConfig{Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 32})
+	srv, src, err := boot(distperm.OpenConfig{Dataset: dsf, Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 32},
+		dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,9 +537,8 @@ func TestMmapExternalDatasetMutableServe(t *testing.T) {
 	}
 	ts.Close()
 	srv.Close()
-	cleanup()
 	if now := distperm.ReadMmapStats().MappedBytes; mapped > 0 && now >= mapped {
-		t.Errorf("cleanup left %d bytes mapped (%d before it)", now, mapped)
+		t.Errorf("closing the server left %d bytes mapped (%d before it)", now, mapped)
 	}
 }
 
@@ -621,12 +584,10 @@ func TestServeOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, cleanup, err := buildServer(func() (*dataset.Dataset, error) { return ds, nil }, rng,
-		daemonConfig{Index: "distperm", K: 6, Workers: 2})
+	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6, Workers: 2}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	gate.SetReady(srv)
 	defer srv.Close()
 	if code, body := get("/readyz"); code != http.StatusOK || !strings.Contains(body, "ready") {

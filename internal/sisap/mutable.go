@@ -24,7 +24,7 @@ import (
 // delta into the base's answer and names it by gids — exactly the answer an
 // index built from scratch over the logical point set would give, with the
 // logical set ordered by gid. pkg/distperm's engines lay the same Overlay
-// over their answers from the base's shards; a MutableEngine publishes a
+// over their answers from the base's shards; a writable Engine publishes a
 // MutableIndex, and Insert, Delete and Rebase return its successors, sharing
 // whatever did not change.
 type MutableIndex struct {
@@ -154,7 +154,7 @@ func (x *MutableIndex) Live() ([]int, []metric.Point) {
 
 // Insert returns x with p added to the delta under gid NextGID(). It may
 // share x's storage, so only the newest snapshot of a store is inserted
-// into, by its one writer (MutableEngine, under its write lock).
+// into, by its one writer (a writable Engine, under its write lock).
 func (x *MutableIndex) Insert(p metric.Point) *MutableIndex {
 	y := *x
 	y.delta, y.gids, y.nextGid = append(x.delta, p), append(x.gids, x.nextGid), x.nextGid+1

@@ -269,7 +269,7 @@ func TestMutableApproxDeltaStaysExact(t *testing.T) {
 	if st := m.Stats(); st.ApproxQueries != int64(len(qs)+1) {
 		t.Errorf("ApproxQueries = %d, want %d", st.ApproxQueries, len(qs)+1)
 	}
-	if m.DistinctRows() <= 0 {
+	if m.Stats().DistinctRows <= 0 {
 		t.Error("mutable DistinctRows should be positive")
 	}
 }

@@ -18,13 +18,15 @@
 //     found, and answers identically to one index over the unpartitioned
 //     database; per-query Stats aggregate into engine-level counters
 //     (distance evaluations, latency percentiles), kept per shard and
-//     summing to the global cost.
-//   - MutableEngine: the same pool under a live write path — a delta buffer
-//     and tombstones over the built base, folded in by background rebuilds
-//     that publish a new view to the pool that is already running. Its
-//     published state is one immutable MutableIndex, which a plain Engine
-//     serves read-only through the same search once it is saved and read
-//     back.
+//     summing to the global cost. NewEngine makes it read-only; WrapMutable
+//     gives it a live write path — a delta buffer and tombstones over the
+//     built base, folded in by background rebuilds that publish a new view
+//     to the pool that is already running. Its published state is one
+//     immutable MutableIndex, which a read-only Engine serves through the
+//     same search once it is saved and read back.
+//   - Open: the one boot from durable state — a write-ahead log and its
+//     checkpoints, a mapped or decoded container, or a build over a dataset
+//     — into a serving Engine that owns what it opened.
 //   - WriteIndex/ReadIndex: one versioned container format persisting every
 //     index kind, including the sharded container (partition map plus one
 //     embedded index per shard).
@@ -80,10 +82,10 @@ type (
 	PermDistance = sisap.PermDistance
 	// MutableIndex is one immutable state of a live-mutated store (base
 	// index + delta + tombstones + next ID), and the DPERMIDX "mutable"
-	// container kind. It is what a MutableEngine publishes, copy-on-write,
-	// and Snapshot returns; WrapMutable resumes one, and a plain
-	// Engine serves one read-only over its base's shards, checking k against
-	// its live points.
+	// container kind. It is what a writable Engine publishes, copy-on-write,
+	// and Snapshot returns; WrapMutable resumes one, and a read-only
+	// Engine serves one over its base's shards, checking k against its live
+	// points.
 	MutableIndex = sisap.MutableIndex
 	// BatchIndex is the batch capability: KNNBatch answers a block of
 	// queries, each exactly as per-query KNN would. Engine detects it and

@@ -48,14 +48,6 @@ func (q Query) validate(n int) error {
 	return nil
 }
 
-// engineAPI is the method family Engine and MutableEngine share, written once
-// over the pool and the state a search loads: fixed for an Engine, the
-// published snapshot for a MutableEngine.
-type engineAPI struct {
-	*pool
-	load func() *state
-}
-
 // state is what a search answers over: the view of a built index and, over a
 // mutated store, the snapshot laid on that index (nil: the view's index as it
 // is). Every snapshot over one base shares the base's view.
@@ -72,6 +64,73 @@ func (s *state) liveN() int {
 	return s.db.N()
 }
 
+// Engine is a concurrent query engine over one store: a pool of worker
+// goroutines answering each Search over the view of the published state —
+// one segment for a plain index, one per shard of a *ShardedIndex, walked
+// one after another into one collector per query, so each shard prunes at
+// the K-th distance of the shards before it and the answer is exactly what
+// one index over the unpartitioned database returns. Per-query Stats fold
+// into engine-level counters, kept per segment (ShardStats).
+//
+// NewEngine and NewShardedEngine make a read-only engine, whose state never
+// changes: Insert, Delete, Rebuild, ReplayWAL and CheckpointSnapshot return
+// ErrReadOnly. A *MutableIndex (a saved mutated store) is served read-only
+// over its base's segments, with k checked against its live points.
+// WrapMutable and NewMutableEngine make an engine that takes writes, and
+// Open boots either kind from durable state.
+//
+// Search (and the KNNBatch/RangeBatch/KNNApproxBatch wrappers over it) is
+// safe to call from many goroutines at once; queries from concurrent
+// batches interleave on the same pool. Close is safe to race with in-flight
+// batches: it waits for every batch that observed the engine open to finish
+// sending before the job channel closes.
+type Engine struct {
+	// pool answers over every view the engine publishes, and its slots
+	// carry the engine counters across rebuilds.
+	*pool
+
+	// cur is the published state: stored under writeMu, loaded by anyone.
+	cur    atomic.Pointer[state]
+	closed atomic.Bool
+	// boot is what Open opened for the engine (nil otherwise), released by
+	// Close once the pool has drained.
+	boot *boot
+
+	// The write path (mutable.go). kick is nil on a read-only engine.
+	cfg MutableConfig
+	// writeMu serialises Insert/Delete/ReplayWAL/rebuild-swap/Close.
+	writeMu sync.Mutex
+	// wal, when non-nil, is appended to under writeMu before a mutation
+	// publishes — the durability handshake: no acknowledgement without a
+	// logged record. MutableConfig.WAL, fixed for the engine's lifetime.
+	wal *WAL
+	// rebuildMu serialises whole rebuilds (capture → build → swap) against
+	// each other — the background loop and manual Rebuild calls. The swap
+	// arithmetic relies on the base being unchanged between its snapshot
+	// capture and its swap, which only holds with one rebuild in flight.
+	rebuildMu sync.Mutex
+
+	kick, done chan struct{}
+	rebuilder  sync.WaitGroup
+
+	inserts, deletes atomic.Int64
+	rebuilds         atomic.Int64
+	rebuildFailures  atomic.Int64
+	lastRebuildNanos atomic.Int64
+	lastRebuildErr   atomic.Pointer[string]
+}
+
+// MutableEngine is another name for Engine, kept for callers that name it.
+type MutableEngine = Engine
+
+// newEngine starts an engine over s with perSegment workers for each of
+// segments segment numbers; the caller makes it writable.
+func newEngine(s *state, perSegment, segments int) *Engine {
+	e := &Engine{pool: newPool(perSegment, segments), done: make(chan struct{})}
+	e.cur.Store(s)
+	return e
+}
+
 // Search answers q for every point of qs over the store the engine serves:
 // outs[i] is the answer for qs[i], and asts[i] its probe statistics when
 // q.Approx (nil otherwise). The state is loaded once for the batch; see
@@ -85,8 +144,8 @@ func (s *state) liveN() int {
 // distance evaluations, never recall beyond the base's own probe trade. The
 // per-query stats of an approximate search carry the delta scan in
 // DistanceEvals and Candidates, and Exact refers to the base answer.
-func (a engineAPI) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
-	s := a.load()
+func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
+	s := e.cur.Load()
 	if err := q.validate(s.liveN()); err != nil {
 		return nil, nil, err
 	}
@@ -95,14 +154,14 @@ func (a engineAPI) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error
 	if len(qs) == 0 {
 		return [][]Result{}, nil, nil
 	}
-	if err := a.enter(); err != nil {
+	if err := e.enter(); err != nil {
 		return nil, nil, err
 	}
-	defer a.inflight.Done()
+	defer e.inflight.Done()
 	if s.mi == nil {
-		return a.search(s.view, qs, q, nil)
+		return e.search(s.view, qs, q, nil)
 	}
-	outs, asts, err := a.search(s.view, qs, q, s.mi.Dead())
+	outs, asts, err := e.search(s.view, qs, q, s.mi.Dead())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -114,43 +173,43 @@ func (a engineAPI) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error
 			asts[i].Candidates += len(delta)
 		}
 	}
-	a.deltaEvals.Add(int64(len(qs) * len(delta)))
+	e.deltaEvals.Add(int64(len(qs) * len(delta)))
 	return outs, asts, rangeFits(outs)
 }
 
 // KNNBatch is Search(qs, Query{K: k}): out[i] holds the k nearest database
 // points to qs[i] in increasing (distance, ID) order — identical to
 // querying the index sequentially.
-func (a engineAPI) KNNBatch(qs []Point, k int) ([][]Result, error) {
+func (e *Engine) KNNBatch(qs []Point, k int) ([][]Result, error) {
 	if k < 1 {
 		// Query{K: 0} would be a range query; k = 0 stays the error it was.
 		return nil, fmt.Errorf("distperm: k=%d %w (need k ≥ 1)", k, ErrOutOfRange)
 	}
-	outs, _, err := a.Search(qs, Query{K: k})
+	outs, _, err := e.Search(qs, Query{K: k})
 	return outs, err
 }
 
 // RangeBatch is Search(qs, Query{Radius: r}): out[i] holds every point
 // within r of qs[i], in (distance, ID) order.
-func (a engineAPI) RangeBatch(qs []Point, r float64) ([][]Result, error) {
-	outs, _, err := a.Search(qs, Query{Radius: r})
+func (e *Engine) RangeBatch(qs []Point, r float64) ([][]Result, error) {
+	outs, _, err := e.Search(qs, Query{Radius: r})
 	return outs, err
 }
 
 // KNNApproxBatch is Search(qs, Query{K: k, Approx: true, NProbe: nprobe}),
 // returning the per-query probe statistics too.
-func (a engineAPI) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []ApproxStats, error) {
-	return a.Search(qs, Query{K: k, Approx: true, NProbe: nprobe})
+func (e *Engine) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []ApproxStats, error) {
+	return e.Search(qs, Query{K: k, Approx: true, NProbe: nprobe})
 }
 
 // Stats returns a snapshot of the engine-level counters. Across shards the
 // counts sum (every query walks every shard, so Queries counts sub-queries);
-// across a MutableEngine's rebuilds they accumulate, with the delta scans
-// costed into DistanceEvals.
-func (a engineAPI) Stats() EngineStats {
-	st, lat := a.counters()
+// across rebuilds they accumulate, with the delta scans costed into
+// DistanceEvals.
+func (e *Engine) Stats() EngineStats {
+	st, lat := e.counters()
 	st.finish(lat)
-	v := a.load().view
+	v := e.cur.Load().view
 	st.BucketRowsHeapBytes = segSum(v, (*sisap.PermIndex).RowsHeapBytes)
 	st.BoundCells = segSum(v, (*sisap.PermIndex).BoundCells)
 	st.DistinctRows = segSum(v, distinctRows)
@@ -158,56 +217,59 @@ func (a engineAPI) Stats() EngineStats {
 }
 
 // LiveN returns the logical point count: what k is checked against.
-func (a engineAPI) LiveN() int { return a.load().liveN() }
+func (e *Engine) LiveN() int { return e.cur.Load().liveN() }
 
 // Shards returns how many segments serve the index: its shard count, 1 for a
 // plain index — of a mutated store, its base's. It can change across a
 // rebuild.
-func (a engineAPI) Shards() int { return len(a.load().segs) }
+func (e *Engine) Shards() int { return len(e.cur.Load().segs) }
 
 // ApproxBuckets returns the served index's inverted-file directory size, the
 // bound nprobe is measured against, summed across shards (0: no such capability).
-func (a engineAPI) ApproxBuckets() int {
-	return segSum(a.load().view, sisap.ApproxIndex.ApproxBuckets)
+func (e *Engine) ApproxBuckets() int {
+	return segSum(e.cur.Load().view, sisap.ApproxIndex.ApproxBuckets)
 }
-
-// DistinctRows returns the served index's distinct permutation-row count,
-// summed across shards (0: not exposed); a rebuild folds the delta points in.
-func (a engineAPI) DistinctRows() int { return segSum(a.load().view, distinctRows) }
 
 // LatencySnapshot returns the per-query latency histogram, merged across
-// shards and (on a MutableEngine) covering every view served — the source
-// /metrics exposes and Stats reads its percentiles from.
-func (a engineAPI) LatencySnapshot() obs.HistogramSnapshot {
-	_, lat := a.counters()
+// shards and covering every view served — the source /metrics exposes and
+// Stats reads its percentiles from.
+func (e *Engine) LatencySnapshot() obs.HistogramSnapshot {
+	_, lat := e.counters()
 	return lat
 }
+
+// Index returns the index the engine serves: the one a read-only engine was
+// made over, a writable engine's current snapshot.
+func (e *Engine) Index() Index {
+	s := e.cur.Load()
+	if s.mi != nil {
+		return s.mi
+	}
+	return s.idx
+}
+
+// BaseKind returns the kind of the index under the served view: a mutated
+// store's base.
+func (e *Engine) BaseKind() string { return e.cur.Load().idx.Name() }
+
+// Metric returns the store's metric.
+func (e *Engine) Metric() Metric { return e.cur.Load().db.Metric }
+
+// Proto returns a representative point of the store — the shape inserts
+// and queries are validated against.
+func (e *Engine) Proto() Point { return e.cur.Load().db.Points[0] }
+
+// IndexBits reports the storage cost of the index under the served view.
+func (e *Engine) IndexBits() int64 { return e.cur.Load().idx.IndexBits() }
+
+// Mutable reports whether the engine takes writes.
+func (e *Engine) Mutable() bool { return e.kick != nil }
 
 // histQuantile reads the q-quantile from a latency histogram snapshot as
 // a Duration — the nearest-rank bucket edge, see
 // obs.HistogramSnapshot.Quantile.
 func histQuantile(s obs.HistogramSnapshot, q float64) time.Duration {
 	return time.Duration(math.Round(s.Quantile(q) * 1e9))
-}
-
-// Engine is a concurrent query engine over one built index: a pool of
-// worker goroutines answering each Search over the index's view — one
-// segment for a plain index, one per shard of a *ShardedIndex, walked one
-// after another into one collector per query, so each shard prunes at the
-// K-th distance of the shards before it and the answer is exactly what one
-// index over the unpartitioned database returns. A *MutableIndex (a saved
-// mutated store) is served read-only the way a MutableEngine serves it: over
-// its base's segments, with k checked against its live points. Per-query
-// Stats fold into engine-level counters, kept per segment (ShardStats).
-//
-// Search (and the KNNBatch/RangeBatch/KNNApproxBatch wrappers over it) is
-// safe to call from many goroutines at once; queries from concurrent
-// batches interleave on the same pool. Close is safe to race with in-flight
-// batches: it waits for every batch that observed the engine open to finish
-// sending before the job channel closes.
-type Engine struct {
-	engineAPI
-	idx Index
 }
 
 // segment is one built index of a view and the database it indexes; part,
@@ -219,7 +281,7 @@ type segment struct {
 }
 
 // view is an immutable list of segments served together as the one database
-// db indexed by idx. A MutableEngine publishes a new view per rebuild; a
+// db indexed by idx. A writable Engine publishes a new view per rebuild; a
 // superseded one lives as long as a search still holds it and is then the
 // garbage collector's. Storage a view only borrows — a mapped container —
 // belongs to whoever opened it (see Store.Close).
@@ -265,7 +327,7 @@ func distinctRows(idx Index) int {
 }
 
 // pool is the worker pool every engine answers on: its workers serve jobs
-// over whatever view a search names, so a MutableEngine keeps one pool
+// over whatever view a search names, so a writable Engine keeps one pool
 // across all the views its rebuilds publish.
 type pool struct {
 	workers int
@@ -326,9 +388,9 @@ type job struct {
 // longer one saves nothing more and only worsens load balance.
 const engineChunkCap = 64
 
-// NewEngine starts a worker pool over idx, which must have been built on
-// db: workers (≤ 0 means runtime.NumCPU()) for a plain index, that many per
-// shard for a *ShardedIndex or a *MutableIndex over one.
+// NewEngine starts a read-only engine over idx, which must have been built
+// on db: workers (≤ 0 means runtime.NumCPU()) for a plain index, that many
+// per shard for a *ShardedIndex or a *MutableIndex over one.
 func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("distperm: NewEngine requires a database and an index")
@@ -337,7 +399,7 @@ func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if mi, ok := idx.(*MutableIndex); ok {
 		s = &state{view: newView(mi.BaseDB(), mi.Base()), mi: mi}
 	}
-	return &Engine{engineAPI{newPool(workers, len(s.segs)), func() *state { return s }}, idx}, nil
+	return newEngine(s, workers, len(s.segs)), nil
 }
 
 // newPool starts perSegment workers (≤ 0 means runtime.NumCPU()) for each
@@ -366,9 +428,6 @@ func (p *pool) Workers() int { return p.workers }
 // BusyWorkers returns how many pool workers are serving a job right now,
 // in [0, Workers()] — the utilization gauge exposed on /metrics.
 func (p *pool) BusyWorkers() int { return int(p.busy.Load()) }
-
-// Index returns the engine's underlying index.
-func (e *Engine) Index() Index { return e.idx }
 
 // worker serves jobs on query replicas of the segments of the view it last
 // served, made at its first job over that view (the distance-permutation
@@ -619,7 +678,7 @@ func (sl *slot) counters() (EngineStats, obs.HistogramSnapshot) {
 // sub-queries: S shards serving a B-query batch record B sub-queries each,
 // and a shard's DistanceEvals, PrunedEvals and latencies are its own walks'.
 func (e *Engine) ShardStats() []EngineStats {
-	segs := e.load().segs
+	segs := e.cur.Load().segs
 	stats := make([]EngineStats, len(segs))
 	for s, seg := range segs {
 		c, lat := e.slots[s].counters()

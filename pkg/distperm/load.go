@@ -43,10 +43,11 @@ type LoadOptions struct {
 
 // Store is an opened index container: the index, the database it answers
 // against, and — for mapped opens — the mapping that backs them. The caller
-// owns the Store and must Close it only after every Engine or MutableEngine
-// over it has closed: a mapped base stays mapped until then, also after a
-// rebuild has replaced it (a self-contained container's points are views
-// into the mapping and every rebuilt base still reads them).
+// owns the Store and must Close it only after every Engine over it has
+// closed: a mapped base stays mapped until then, also after a rebuild has
+// replaced it (a self-contained container's points are views into the
+// mapping and every rebuilt base still reads them). An Engine from Open owns
+// the Store it opened and closes it itself.
 type Store struct {
 	DB    *DB
 	Index Index

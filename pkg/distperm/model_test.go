@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"distperm/internal/counting"
@@ -24,12 +26,15 @@ import (
 // store in mid-history, map the file back with no database and go on over the
 // mapping — a PFR3 container, whose points lie bucket by bucket — so the plain
 // engine reads it under every query form and the mutable one lays tombstones,
-// a delta and gids over it and rebuilds out of it. Every MutableEngine history
+// a delta and gids over it and rebuilds out of it. Every writable history
 // logs to a WAL, writes a checkpoint at a seeded step, writes on, and crashes
-// at a later one: the engine is dropped with its log unflushed, and the store
-// resumes the one way a daemon's does — the checkpoint's snapshot wrapped with
-// the log attached, then the log's tail replayed — before the history goes on
-// against the same model. The distperm
+// at a later one: the engine is dropped with its log unflushed — in a third of
+// the histories the log is also cut at a seeded byte inside the records past
+// the checkpoint — and the store boots the one way a daemon's does, through
+// Open: the checkpoint's snapshot wrapped with the log attached, then the
+// log's tail replayed. The restarted store must be the model as of the last
+// whole record before the cut, under every query form, before the history
+// goes on against it. The distperm
 // legs steer every segment across boundMinFill and hold the paper's count as
 // an invariant of every rebuilt table; two shorter legs rebuild into a
 // VP-tree and into LAESA, so those kinds' traversals run under the tombstone
@@ -82,18 +87,24 @@ type modelRun struct {
 	rng  *rand.Rand
 
 	eng  modelStore
-	mut  *MutableEngine // eng when it takes writes, else nil
-	px   *PermIndex     // what a plain engine serves, when that has a frozen form
-	maps int            // times the history went on over a mapped file
-	cfg  MutableConfig  // cfg.WAL logs every write of a MutableEngine history
+	mut  *Engine       // eng when it takes writes, else nil
+	px   *PermIndex    // what a plain engine serves, when that has a frozen form
+	maps int           // times the history went on over a mapped file
+	cfg  MutableConfig // cfg.WAL logs a writable history's writes until it restarts
 	live model
 	ids  []int // the live IDs, in a history-determined order
 	dead []int
 	next int
 	// walDir holds that log; the history checkpoints it at step ckptAt and
-	// crashes at step crashAt.
+	// crashes at step crashAt, drawn from crash, which also draws where a
+	// tearing history (tear) cuts the log. marks holds, from the checkpoint
+	// to the crash, the log's length and the model after each logged write.
 	walDir          string
 	ckptAt, crashAt int
+	crash           *rand.Rand
+	tear            bool
+	tears           int
+	marks           []modelMark
 	// focus, when set, is asked about as often as all other queries together.
 	focus Point
 
@@ -103,6 +114,26 @@ type modelRun struct {
 	flip, ups, downs int
 	grow             bool
 	walked           []bool
+}
+
+// modelMark is the model as of one logged write: the bytes the log had
+// appended and its sequence then.
+type modelMark struct {
+	bytes int64
+	seq   uint64
+	live  model
+	ids   []int
+	dead  []int
+	next  int
+}
+
+// mark notes the log and the model after a write, between the checkpoint and
+// the crash.
+func (r *modelRun) mark() {
+	if r.marks != nil {
+		ws := r.mut.WALStats()
+		r.marks = append(r.marks, modelMark{ws.AppendedBytes, ws.Seq, maps.Clone(r.live), slices.Clone(r.ids), slices.Clone(r.dead), r.next})
+	}
 }
 
 func (r *modelRun) failf(format string, args ...any) {
@@ -218,6 +249,7 @@ func (r *modelRun) insert() {
 		r.failf("Insert = %d, %v; want id %d", gid, err, r.next)
 	}
 	r.live[gid], r.ids, r.next = p, append(r.ids, gid), r.next+1
+	r.mark()
 }
 
 // kill deletes the live ID r.ids[i].
@@ -230,6 +262,7 @@ func (r *modelRun) kill(i int) {
 	delete(r.live, gid)
 	r.ids[i] = r.ids[len(r.ids)-1]
 	r.ids, r.dead = r.ids[:len(r.ids)-1], append(r.dead, gid)
+	r.mark()
 }
 
 // remove deletes a live ID, or checks that a dead or never-issued one is
@@ -289,10 +322,7 @@ func (r *modelRun) rebuild() {
 // with the resumed engine.
 func (r *modelRun) reload() {
 	r.op = "snapshot → write → read → resume"
-	mi, err := r.mut.Snapshot()
-	if err != nil {
-		r.failf("Snapshot: %v", err)
-	}
+	mi := r.mut.Snapshot()
 	var buf bytes.Buffer
 	if _, err := WriteIndex(&buf, mi); err != nil {
 		r.failf("WriteIndex: %v", err)
@@ -323,7 +353,7 @@ func (r *modelRun) reload() {
 	// qualify for bounds (walked) is unchanged, only not yet computed.
 	r.mut.Close()
 	r.eng, r.mut = resumed, resumed
-	if got := resumed.NextGID(); got != r.next {
+	if got := resumed.Snapshot().NextGID(); got != r.next {
 		r.failf("resumed store issues id %d next, model %d", got, r.next)
 	}
 }
@@ -349,31 +379,60 @@ func (r *modelRun) checkpoint() {
 	if err != nil {
 		r.failf("%v", err)
 	}
+	r.marks = []modelMark{}
+	r.mark()
 }
 
 // restart crashes the store — the engine closed, its log neither flushed nor
-// closed — and resumes it from the log: LoadCheckpoint → WrapMutable with the
-// log attached → ReplayWAL of the records past the checkpoint.
+// closed — and, in a tearing history, cuts the log's active segment at a
+// seeded byte inside the records past the checkpoint, rolling the model back
+// to the last whole record before the cut. The store then boots through
+// Open, from the checkpoint and the log, and must answer as the model does
+// under every query form and issue the model's next id.
 func (r *modelRun) restart() {
-	r.op = "crash → LoadCheckpoint → WrapMutable → ReplayWAL"
+	r.op = "crash → Open"
 	r.mut.Close()
-	w := r.openWAL()
-	ck, err := w.LoadCheckpoint()
-	if err != nil || ck == nil {
-		r.failf("LoadCheckpoint = %v, %v", ck, err)
+	first, want := r.marks[0], r.marks[len(r.marks)-1]
+	var torn int64
+	if end := want.bytes; r.tear && end > first.bytes {
+		cut := first.bytes + r.crash.Int63n(end-first.bytes)
+		segs, err := filepath.Glob(filepath.Join(r.walDir, "wal-*.seg"))
+		if err != nil || len(segs) == 0 {
+			r.failf("no log segment (%v)", err)
+		}
+		fi, err := os.Stat(segs[len(segs)-1])
+		if err == nil {
+			err = os.Truncate(segs[len(segs)-1], fi.Size()-(end-cut))
+		}
+		if err != nil {
+			r.failf("cutting the log: %v", err)
+		}
+		want = r.marks[sort.Search(len(r.marks), func(i int) bool { return r.marks[i].bytes > cut })-1]
+		torn = cut - want.bytes
+		r.live, r.ids, r.dead, r.next = want.live, want.ids, want.dead, want.next
+		r.op, r.tears = fmt.Sprintf("crash, log cut %d bytes short → Open", end-cut), r.tears+1
 	}
-	r.cfg.WAL = w
-	resumed, err := WrapMutable(nil, ck.Snapshot, r.cfg)
+	e, err := Open(OpenConfig{
+		Dataset: func(*rand.Rand) (*DB, string, error) {
+			return nil, "", errors.New("a restart with a checkpoint read the dataset")
+		},
+		Seed: r.seed, Partition: "roundrobin", Workers: 2, WALDir: r.walDir, WAL: WALOptions{Sync: SyncNever},
+	})
 	if err != nil {
-		r.failf("WrapMutable: %v", err)
+		r.failf("Open: %v", err)
 	}
-	r.eng, r.mut = resumed, resumed
-	seq := w.Seq()
-	if applied, skipped, err := resumed.ReplayWAL(w, ck.Seq); err != nil || applied != seq-ck.Seq || skipped != 0 || w.Seq() != seq {
-		r.failf("ReplayWAL applied %d, skipped %d of the %d records past the checkpoint (%v); log moved to seq %d", applied, skipped, seq-ck.Seq, err, w.Seq())
+	// The restarted engine owns its log; the history's later writes go
+	// unlogged.
+	r.eng, r.mut, r.cfg.WAL, r.marks = e, e, nil, nil
+	replayed := fmt.Sprintf("replayed %d records, skipped 0", want.seq-first.seq)
+	if ws := e.WALStats(); ws.Seq != want.seq || ws.TornBytesTruncated != torn || !strings.Contains(e.Source(), replayed) {
+		r.failf("booted %q at seq %d, %d torn bytes truncated; want %s, seq %d, %d torn", e.Source(), ws.Seq, ws.TornBytesTruncated, replayed, want.seq, torn)
 	}
-	if got := resumed.NextGID(); got != r.next {
+	if got := e.Snapshot().NextGID(); got != r.next {
 		r.failf("restarted store issues id %d next, model %d", got, r.next)
+	}
+	for form := range 4 {
+		r.askForm(form, 1+r.rng.Intn(min(8, len(r.live))))
 	}
 }
 
@@ -526,9 +585,10 @@ func newModelRun(t *testing.T, name string, seed int64, spec Spec, shards int, m
 	if mutable {
 		// The crash steps come from a stream of their own, so the history is
 		// the one it would be without them.
-		crash := rand.New(rand.NewSource(^seed))
-		r.ckptAt = 1 + crash.Intn(modelSteps/2)
-		r.crashAt = r.ckptAt + 1 + crash.Intn(modelSteps/3)
+		r.crash = rand.New(rand.NewSource(^seed))
+		r.ckptAt = 1 + r.crash.Intn(modelSteps/2)
+		r.crashAt = r.ckptAt + 1 + r.crash.Intn(modelSteps/3)
+		r.tear = seed%3 == 1
 		r.walDir = t.TempDir()
 		r.cfg.WAL = r.openWAL()
 		r.mut, err = WrapMutable(db, idx, r.cfg)
@@ -565,7 +625,7 @@ func TestModelCheckedStore(t *testing.T) {
 		if c.kind != "distperm" {
 			seeds = (seeds + 2) / 3
 		}
-		ups, downs, maps := 0, 0, 0
+		ups, downs, maps, tears := 0, 0, 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			// Odd seeds start below the flip and grow, even ones above it.
 			grow := seed%2 == 1
@@ -576,7 +636,10 @@ func TestModelCheckedStore(t *testing.T) {
 			r := newModelRun(t, c.name, seed, spec, c.shards, c.mutable, n)
 			r.flip, r.grow = modelFlip*c.shards, grow
 			r.run()
-			ups, downs, maps = ups+r.ups, downs+r.downs, maps+r.maps
+			ups, downs, maps, tears = ups+r.ups, downs+r.downs, maps+r.maps, tears+r.tears
+		}
+		if c.mutable && tears == 0 {
+			t.Errorf("%s: no history cut its log before restarting", c.name)
 		}
 		if freezes := c.kind == "distperm" && c.shards == 1; freezes != (maps > 0) {
 			t.Errorf("%s: %d histories went over a mapped file %d times", c.name, seeds, maps)

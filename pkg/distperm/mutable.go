@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"distperm/internal/metric"
@@ -14,16 +12,19 @@ import (
 
 // ErrOutOfRange tags request-parameter errors (k or radius outside the
 // servable range) so serving layers can tell a bad request from an engine
-// failure. It is wrapped by Search on Engine and MutableEngine; match with
-// errors.Is.
+// failure. It is wrapped by Engine.Search; match with errors.Is.
 var ErrOutOfRange = errors.New("out of range")
 
-// ErrUnknownID is wrapped by MutableEngine.Delete when the ID names no live
-// point: never issued, already deleted, or dropped by an earlier delete and
+// ErrUnknownID is wrapped by Engine.Delete when the ID names no live point:
+// never issued, already deleted, or dropped by an earlier delete and
 // rebuild. Match with errors.Is.
 var ErrUnknownID = errors.New("no live point with this id")
 
-// MutableConfig tunes a MutableEngine.
+// ErrReadOnly is returned by every write method of a read-only engine
+// (NewEngine, NewShardedEngine). Match with errors.Is.
+var ErrReadOnly = errors.New("distperm: engine is read-only")
+
+// MutableConfig tunes a writable engine.
 type MutableConfig struct {
 	// Spec describes the index kind rebuilds construct (and NewMutableEngine
 	// builds initially). For WrapMutable an empty Spec.Index means "rebuild
@@ -52,62 +53,6 @@ type MutableConfig struct {
 	WAL *WAL
 }
 
-// MutableEngine serves any built index with a live write path: inserts land
-// in a linear-scanned delta buffer whose results merge into every kNN/range
-// answer, deletes are tombstones every walk skips, and a background
-// rebuilder folds delta and tombstones into a freshly built index whose view
-// is swapped in atomically — a reader holds one snapshot per batch and never
-// sees a torn index; a superseded view is garbage once its last reader
-// returns. One worker pool, started by the constructor, serves every view.
-// A wrapped base that is a mapped container must stay mapped until Close has
-// returned (see Store.Close).
-//
-// The published state is an immutable *MutableIndex, copy-on-write on every
-// insert and delete and paired with its base's view; Snapshot returns it.
-// Every point carries a stable global ID: the initial database occupies
-// 0..N-1 and each insert takes the next ID. Query results report these IDs,
-// so answers are comparable across mutations, rebuilds, and save/load
-// (WriteIndex serialises a snapshot in the DPERMIDX "mutable" container
-// kind). After any sequence of writes, answers equal a from-scratch rebuild
-// over the logical point set — the delta scan is exact, so mutation costs
-// distance evaluations (visible in Stats), never recall.
-//
-// All methods are safe for concurrent use. Writers serialise against each
-// other; readers never wait for writers, rebuilds, or each other.
-type MutableEngine struct {
-	// engineAPI's pool answers over every published view, and its slots
-	// carry the engine counters across rebuilds.
-	engineAPI
-	cfg MutableConfig
-
-	// cur is the published state: stored under writeMu, loaded by anyone.
-	cur    atomic.Pointer[state]
-	closed atomic.Bool
-
-	// writeMu serialises Insert/Delete/ReplayWAL/rebuild-swap/Close.
-	writeMu sync.Mutex
-	// wal, when non-nil, is appended to under writeMu before a mutation
-	// publishes — the durability handshake: no acknowledgement without a
-	// logged record. MutableConfig.WAL, fixed for the engine's lifetime.
-	wal *WAL
-
-	// rebuildMu serialises whole rebuilds (capture → build → swap) against
-	// each other — the background loop and manual Rebuild calls. The swap
-	// arithmetic relies on the base being unchanged between its snapshot
-	// capture and its swap, which only holds with one rebuild in flight.
-	rebuildMu sync.Mutex
-
-	kick      chan struct{}
-	done      chan struct{}
-	rebuilder sync.WaitGroup
-
-	inserts, deletes atomic.Int64
-	rebuilds         atomic.Int64
-	rebuildFailures  atomic.Int64
-	lastRebuildNanos atomic.Int64
-	lastRebuildErr   atomic.Pointer[string]
-}
-
 // MutationStats is a snapshot of the write path, reported alongside
 // EngineStats by serving layers.
 type MutationStats struct {
@@ -132,8 +77,8 @@ type MutationStats struct {
 }
 
 // NewMutableEngine builds cfg.Spec over db (sharded when cfg.Shards > 1)
-// and wraps it mutable. The db points take global IDs 0..N-1.
-func NewMutableEngine(db *DB, cfg MutableConfig) (*MutableEngine, error) {
+// and wraps it writable. The db points take global IDs 0..N-1.
+func NewMutableEngine(db *DB, cfg MutableConfig) (*Engine, error) {
 	if db == nil || db.N() == 0 {
 		return nil, errors.New("distperm: NewMutableEngine requires a non-empty database")
 	}
@@ -153,15 +98,34 @@ func buildForConfig(db *DB, cfg MutableConfig) (Index, error) {
 	return Build(db, cfg.Spec)
 }
 
-// WrapMutable gives any built, loaded or resumed index the write path. A
-// *MutableIndex — a saved "mutable" container read back, or a WAL
+// WrapMutable gives any built, loaded or resumed index the write path:
+// inserts land in a linear-scanned delta buffer whose results merge into
+// every kNN/range answer, deletes are tombstones every walk skips, and a
+// background rebuilder folds delta and tombstones into a freshly built index
+// whose view is swapped in atomically — a reader holds one snapshot per
+// batch and never sees a torn index; a superseded view is garbage once its
+// last reader returns. A wrapped base that is a mapped container must stay
+// mapped until Close has returned (see Store.Close).
+//
+// The published state is an immutable *MutableIndex, copy-on-write on every
+// insert and delete and paired with its base's view; Snapshot returns it.
+// Every point carries a stable global ID, which query results report, so
+// answers are comparable across mutations, rebuilds, and save/load
+// (WriteIndex serialises a snapshot in the DPERMIDX "mutable" container
+// kind). After any sequence of writes, answers equal a from-scratch rebuild
+// over the logical point set — the delta scan is exact, so mutation costs
+// distance evaluations (visible in Stats), never recall. Writers serialise
+// against each other; readers never wait for writers, rebuilds, or each
+// other.
+//
+// A *MutableIndex — a saved "mutable" container read back, or a WAL
 // checkpoint's snapshot — resumes with its gids, tombstones and pending
 // delta, and db is not consulted (nil will do), since the snapshot carries
 // its own points; any other idx must have been built on db, whose points
 // take global IDs 0..N-1. An empty cfg.Spec.Index rebuilds in the wrapped shape (see
 // MutableConfig). idx must be one this package built or read: a deleted
 // point is left out inside its walk.
-func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*MutableEngine, error) {
+func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*Engine, error) {
 	if mi, ok := idx.(*MutableIndex); ok && mi != nil {
 		// A tombstoned delta point never re-enters the delta: the engine's
 		// delta holds live points only.
@@ -181,7 +145,7 @@ func WrapMutable(db *DB, idx Index, cfg MutableConfig) (*MutableEngine, error) {
 	return newMutable(mi, cfg)
 }
 
-func newMutable(mi *MutableIndex, cfg MutableConfig) (*MutableEngine, error) {
+func newMutable(mi *MutableIndex, cfg MutableConfig) (*Engine, error) {
 	baseIdx := mi.Base()
 	if cfg.Spec.Index == "" {
 		// Rebuild what was wrapped: a sharded base's shape is its first
@@ -213,44 +177,25 @@ func newMutable(mi *MutableIndex, cfg MutableConfig) (*MutableEngine, error) {
 		}
 	}
 	s := &state{view: newView(mi.BaseDB(), baseIdx), mi: mi}
-	m := &MutableEngine{
-		cfg:  cfg,
-		wal:  cfg.WAL,
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
 	// The pool is sized once, for the widest view a rebuild can publish.
-	m.engineAPI = engineAPI{newPool(cfg.Workers, max(len(s.segs), cfg.Shards)), m.cur.Load}
-	m.cur.Store(s)
-	m.rebuilder.Add(1)
-	go m.rebuildLoop()
-	m.maybeKick(mi)
-	return m, nil
+	e := newEngine(s, cfg.Workers, max(len(s.segs), cfg.Shards))
+	e.cfg, e.wal, e.kick = cfg, cfg.WAL, make(chan struct{}, 1)
+	e.rebuilder.Add(1)
+	go e.rebuildLoop()
+	e.maybeKick(mi)
+	return e, nil
 }
-
-// BaseKind returns the current base index's kind.
-func (m *MutableEngine) BaseKind() string { return m.cur.Load().idx.Name() }
-
-// Metric returns the store's metric.
-func (m *MutableEngine) Metric() Metric { return m.cur.Load().db.Metric }
-
-// Proto returns a representative point of the store — the shape inserts
-// and queries are validated against.
-func (m *MutableEngine) Proto() Point { return m.cur.Load().db.Points[0] }
-
-// IndexBits reports the current base index's storage cost.
-func (m *MutableEngine) IndexBits() int64 { return m.cur.Load().idx.IndexBits() }
 
 // checkPoint validates an insert against the store's point shape, so a
 // malformed write is an error here, not a metric panic in a later query.
-func (m *MutableEngine) checkPoint(p Point) error {
+func (e *Engine) checkPoint(p Point) error {
 	if p == nil {
 		return errors.New("distperm: nil point")
 	}
-	if err := metric.Probe(m.Metric(), p); err != nil {
+	if err := metric.Probe(e.Metric(), p); err != nil {
 		return fmt.Errorf("distperm: %w", err)
 	}
-	if proto, ok := m.Proto().(Vector); ok {
+	if proto, ok := e.Proto().(Vector); ok {
 		if v, ok := p.(Vector); !ok || len(v) != len(proto) {
 			return fmt.Errorf("distperm: insert must be a %d-dimensional vector", len(proto))
 		}
@@ -262,31 +207,28 @@ func (m *MutableEngine) checkPoint(p Point) error {
 // The point is immediately visible to every query submitted after Insert
 // returns (read-your-writes), served from the delta buffer until a rebuild
 // folds it into the base index.
-func (m *MutableEngine) Insert(p Point) (int, error) {
-	if err := m.checkPoint(p); err != nil {
-		return 0, err
-	}
-	return m.write(WALRecord{Op: WALInsert, Point: p})
+func (e *Engine) Insert(p Point) (int, error) {
+	return e.write(WALRecord{Op: WALInsert, Point: p})
 }
 
 // Delete removes the live point with the given global ID: a base point is
 // tombstoned (left out of every subsequent answer, physically dropped by
 // the next rebuild), a delta point leaves the buffer directly. Unknown and
 // already-deleted IDs fail with ErrUnknownID.
-func (m *MutableEngine) Delete(gid int) error {
-	_, err := m.write(WALRecord{Op: WALDelete, GID: gid})
+func (e *Engine) Delete(gid int) error {
+	_, err := e.write(WALRecord{Op: WALDelete, GID: gid})
 	return err
 }
 
 // write applies rec under the write lock, logged to the attached WAL.
-func (m *MutableEngine) write(rec WALRecord) (int, error) {
-	m.writeMu.Lock()
-	gid, err := m.apply(rec, m.wal)
-	m.writeMu.Unlock()
+func (e *Engine) write(rec WALRecord) (int, error) {
+	e.writeMu.Lock()
+	gid, err := e.apply(rec, e.wal)
+	e.writeMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	m.maybeKick(m.cur.Load().mi)
+	e.maybeKick(e.cur.Load().mi)
 	return gid, nil
 }
 
@@ -296,14 +238,20 @@ func (m *MutableEngine) write(rec WALRecord) (int, error) {
 // mutation becomes visible or the gid is consumed. On append failure nothing
 // changed — but the WAL itself has poisoned, so the gid cannot be
 // double-logged by a retry.
-func (m *MutableEngine) apply(rec WALRecord, log *WAL) (int, error) {
-	if m.closed.Load() {
+func (e *Engine) apply(rec WALRecord, log *WAL) (int, error) {
+	switch {
+	case e.kick == nil:
+		return 0, ErrReadOnly
+	case e.closed.Load():
 		return 0, errors.New("distperm: mutable engine is closed")
 	}
-	s := m.cur.Load()
+	s := e.cur.Load()
 	var next *MutableIndex
 	switch rec.Op {
 	case WALInsert:
+		if err := e.checkPoint(rec.Point); err != nil {
+			return 0, err
+		}
 		rec.GID = s.mi.NextGID()
 		next = s.mi.Insert(rec.Point)
 	case WALDelete:
@@ -319,11 +267,11 @@ func (m *MutableEngine) apply(rec WALRecord, log *WAL) (int, error) {
 			return 0, err
 		}
 	}
-	m.cur.Store(&state{s.view, next})
+	e.cur.Store(&state{s.view, next})
 	if rec.Op == WALInsert {
-		m.inserts.Add(1)
+		e.inserts.Add(1)
 	} else {
-		m.deletes.Add(1)
+		e.deletes.Add(1)
 	}
 	return rec.GID, nil
 }
@@ -338,27 +286,27 @@ func pending(mi *MutableIndex) int {
 
 // maybeKick wakes the background rebuilder when the pending write set has
 // reached the threshold.
-func (m *MutableEngine) maybeKick(mi *MutableIndex) {
-	if m.cfg.RebuildThreshold > 0 && pending(mi) >= m.cfg.RebuildThreshold && mi.LiveN() > 0 {
+func (e *Engine) maybeKick(mi *MutableIndex) {
+	if e.cfg.RebuildThreshold > 0 && pending(mi) >= e.cfg.RebuildThreshold && mi.LiveN() > 0 {
 		select {
-		case m.kick <- struct{}{}:
+		case e.kick <- struct{}{}:
 		default:
 		}
 	}
 }
 
-func (m *MutableEngine) rebuildLoop() {
-	defer m.rebuilder.Done()
+func (e *Engine) rebuildLoop() {
+	defer e.rebuilder.Done()
 	for {
 		select {
-		case <-m.done:
+		case <-e.done:
 			return
-		case <-m.kick:
+		case <-e.kick:
 		}
-		if err := m.rebuildOnce(false); err != nil {
-			m.rebuildFailures.Add(1)
+		if err := e.rebuildOnce(false); err != nil {
+			e.rebuildFailures.Add(1)
 			msg := err.Error()
-			m.lastRebuildErr.Store(&msg)
+			e.lastRebuildErr.Store(&msg)
 		}
 	}
 }
@@ -368,19 +316,24 @@ func (m *MutableEngine) rebuildLoop() {
 // what the background rebuilder does. It is safe to call concurrently with
 // queries and writes; writes landing during the build carry over into the
 // new snapshot's delta and tombstones.
-func (m *MutableEngine) Rebuild() error { return m.rebuildOnce(true) }
+func (e *Engine) Rebuild() error {
+	if e.kick == nil {
+		return ErrReadOnly
+	}
+	return e.rebuildOnce(true)
+}
 
-func (m *MutableEngine) rebuildOnce(force bool) error {
-	m.rebuildMu.Lock()
-	defer m.rebuildMu.Unlock()
+func (e *Engine) rebuildOnce(force bool) error {
+	e.rebuildMu.Lock()
+	defer e.rebuildMu.Unlock()
 	// Entered like a reader: the build reads mi's points, and Close waits
 	// for a rebuild that got in.
-	if m.enter() != nil {
+	if e.enter() != nil {
 		return errors.New("distperm: mutable engine is closed")
 	}
-	defer m.inflight.Done()
-	mi := m.cur.Load().mi
-	if !force && (pending(mi) < m.cfg.RebuildThreshold || mi.LiveN() == 0) {
+	defer e.inflight.Done()
+	mi := e.cur.Load().mi
+	if !force && (pending(mi) < e.cfg.RebuildThreshold || mi.LiveN() == 0) {
 		return nil
 	}
 	if mi.LiveN() == 0 {
@@ -393,10 +346,10 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 
 	// The new base: mi's logical point set in gid order.
 	newGids, newPts := mi.Live()
-	newDB := sisap.NewDB(m.Metric(), newPts)
+	newDB := sisap.NewDB(e.Metric(), newPts)
 
-	cfg := m.cfg
-	cfg.Spec.Seed += m.rebuilds.Load() // decorrelate successive rebuilds, reproducibly
+	cfg := e.cfg
+	cfg.Spec.Seed += e.rebuilds.Load() // decorrelate successive rebuilds, reproducibly
 	if cfg.Spec.K > newDB.N() {
 		cfg.Spec.K = newDB.N()
 	}
@@ -417,51 +370,55 @@ func (m *MutableEngine) rebuildOnce(force bool) error {
 		sisap.QueryReplica(seg.idx).KNN(seg.db.Points[0], 1)
 	}
 
-	m.writeMu.Lock()
-	if m.closed.Load() {
-		m.writeMu.Unlock()
+	e.writeMu.Lock()
+	if e.closed.Load() {
+		e.writeMu.Unlock()
 		return errors.New("distperm: mutable engine is closed")
 	}
 	// Writes landed since mi was captured, over its base (only this
 	// rebuilder replaces bases): the current snapshot rebased on the new
 	// index tombstones the points they deleted and keeps the points they
 	// inserted as its delta.
-	next := m.cur.Load().mi.Rebase(newDB, idx, newGids)
-	m.cur.Store(&state{nv, next})
-	m.rebuilds.Add(1)
-	m.lastRebuildNanos.Store(int64(time.Since(start)))
-	m.writeMu.Unlock()
-	m.maybeKick(next)
+	next := e.cur.Load().mi.Rebase(newDB, idx, newGids)
+	e.cur.Store(&state{nv, next})
+	e.rebuilds.Add(1)
+	e.lastRebuildNanos.Store(int64(time.Since(start)))
+	e.writeMu.Unlock()
+	e.maybeKick(next)
 	return nil
 }
 
 // MutationStats snapshots the write path; the store's counts are read from
 // one published snapshot.
-func (m *MutableEngine) MutationStats() MutationStats {
-	mi := m.cur.Load().mi
+func (e *Engine) MutationStats() MutationStats {
+	s := e.cur.Load()
+	mi := s.mi
+	if mi == nil {
+		return MutationStats{LiveN: s.liveN()}
+	}
 	gids, delta := mi.Delta()
 	ms := MutationStats{
-		Inserts:          m.inserts.Load(),
-		Deletes:          m.deletes.Load(),
+		Inserts:          e.inserts.Load(),
+		Deletes:          e.deletes.Load(),
 		LiveN:            mi.LiveN(),
 		NextID:           mi.NextGID(),
 		DeltaSize:        len(delta),
 		Tombstones:       pending(mi) - len(delta),
 		PendingWrites:    pending(mi),
-		RebuildThreshold: m.cfg.RebuildThreshold,
-		Rebuilds:         m.rebuilds.Load(),
-		RebuildFailures:  m.rebuildFailures.Load(),
-		LastRebuild:      time.Duration(m.lastRebuildNanos.Load()),
+		RebuildThreshold: e.cfg.RebuildThreshold,
+		Rebuilds:         e.rebuilds.Load(),
+		RebuildFailures:  e.rebuildFailures.Load(),
+		LastRebuild:      time.Duration(e.lastRebuildNanos.Load()),
 	}
-	if msg := m.lastRebuildErr.Load(); msg != nil {
+	if msg := e.lastRebuildErr.Load(); msg != nil {
 		ms.LastRebuildError = *msg
 	}
-	if m.cfg.Shards > 1 {
+	if e.cfg.Shards > 1 {
 		// The Partitioner is deterministic: where it routes a pending insert
 		// now is where it routed it at write time.
-		ms.DeltaPerShard = make([]int, m.cfg.Shards)
+		ms.DeltaPerShard = make([]int, e.cfg.Shards)
 		for i, p := range delta {
-			if s := m.cfg.Partitioner.Shard(gids[i], p, m.cfg.Shards); s >= 0 && s < len(ms.DeltaPerShard) {
+			if s := e.cfg.Partitioner.Shard(gids[i], p, e.cfg.Shards); s >= 0 && s < len(ms.DeltaPerShard) {
 				ms.DeltaPerShard[s]++
 			}
 		}
@@ -470,14 +427,12 @@ func (m *MutableEngine) MutationStats() MutationStats {
 }
 
 // Snapshot returns the store as a serialisable *MutableIndex — one atomic
-// load of the published state. Write it with WriteIndex (the DPERMIDX
-// "mutable" container kind) and resume it with ReadIndex + WrapMutable; its
-// DB is the base points followed by the delta points. It shares the built
-// base index with the engine, which both only read.
-func (m *MutableEngine) Snapshot() (*MutableIndex, error) { return m.cur.Load().mi, nil }
-
-// NextGID returns the global ID the next accepted insert would take.
-func (m *MutableEngine) NextGID() int { return m.cur.Load().mi.NextGID() }
+// load of the published state (nil on a read-only engine over a plain
+// index). Write it with WriteIndex (the DPERMIDX "mutable" container kind)
+// and resume it with ReadIndex + WrapMutable; its DB is the base points
+// followed by the delta points. It shares the built base index with the
+// engine, which both only read.
+func (e *Engine) Snapshot() *MutableIndex { return e.cur.Load().mi }
 
 // ReplayWAL applies every record of w with sequence > fromSeq to the
 // engine, in order; run it before the engine takes writes, which wait for it
@@ -488,14 +443,17 @@ func (m *MutableEngine) NextGID() int { return m.cur.Load().mi.NextGID() }
 // already issued is skipped, as is a delete of an unknown gid; an insert that
 // would skip a gid is a gap — evidence of log loss — and errors. Returns
 // applied and skipped counts.
-func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint64, err error) {
-	if m.wal != nil && m.wal != w {
+func (e *Engine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint64, err error) {
+	switch {
+	case e.kick == nil:
+		return 0, 0, ErrReadOnly
+	case e.wal != nil && e.wal != w:
 		return 0, 0, errors.New("distperm: ReplayWAL of a log other than the attached one")
 	}
-	m.writeMu.Lock()
+	e.writeMu.Lock()
 	_, err = w.Replay(fromSeq, func(seq uint64, rec WALRecord) error {
 		if rec.Op == WALInsert {
-			next := m.cur.Load().mi.NextGID()
+			next := e.cur.Load().mi.NextGID()
 			if rec.GID < next {
 				skipped++
 				return nil
@@ -503,11 +461,8 @@ func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint
 			if rec.GID > next {
 				return fmt.Errorf("distperm: wal seq %d inserts gid %d but engine expects %d — records are missing", seq, rec.GID, next)
 			}
-			if err := m.checkPoint(rec.Point); err != nil {
-				return fmt.Errorf("distperm: replaying wal seq %d: %w", seq, err)
-			}
 		}
-		if _, err := m.apply(rec, nil); err != nil {
+		if _, err := e.apply(rec, nil); err != nil {
 			if rec.Op == WALDelete && errors.Is(err, ErrUnknownID) {
 				skipped++
 				return nil
@@ -517,8 +472,8 @@ func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint
 		applied++
 		return nil
 	})
-	m.writeMu.Unlock()
-	m.maybeKick(m.cur.Load().mi)
+	e.writeMu.Unlock()
+	e.maybeKick(e.cur.Load().mi)
 	return applied, skipped, err
 }
 
@@ -527,39 +482,46 @@ func (m *MutableEngine) ReplayWAL(w *WAL, fromSeq uint64) (applied, skipped uint
 // publish holds): replaying the log from the returned sequence onto the
 // returned snapshot reproduces the live store. Feed the pair to
 // WAL.WriteCheckpoint.
-func (m *MutableEngine) CheckpointSnapshot() (*MutableIndex, uint64, error) {
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	if m.closed.Load() {
+func (e *Engine) CheckpointSnapshot() (*MutableIndex, uint64, error) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	switch {
+	case e.kick == nil:
+		return nil, 0, ErrReadOnly
+	case e.closed.Load():
 		return nil, 0, errors.New("distperm: mutable engine is closed")
-	}
-	if m.wal == nil {
+	case e.wal == nil:
 		return nil, 0, errors.New("distperm: no WAL attached")
 	}
-	return m.cur.Load().mi, m.wal.Seq(), nil
+	return e.cur.Load().mi, e.wal.Seq(), nil
 }
 
 // WALStats snapshots the attached log's counters; the zero value (Enabled
 // false) when no WAL is attached.
-func (m *MutableEngine) WALStats() WALStats {
-	if m.wal == nil {
+func (e *Engine) WALStats() WALStats {
+	if e.wal == nil {
 		return WALStats{}
 	}
-	return m.wal.Stats()
+	return e.wal.Stats()
 }
 
 // Close stops the rebuilder and shuts the pool down after in-flight batches
 // and rebuilds finish; when it returns nothing reads the wrapped base any
-// more. Idempotent; queries and writes after Close return an error.
-func (m *MutableEngine) Close() {
+// more. An engine Open returned then releases what Open opened: the
+// checkpointer, then the mapping, then the log. Idempotent; queries and
+// writes after Close return an error.
+func (e *Engine) Close() {
 	// Under writeMu no rebuild swap is mid-publish, and every later one sees
 	// closed and gives up.
-	m.writeMu.Lock()
-	already := m.closed.Swap(true)
-	m.writeMu.Unlock()
+	e.writeMu.Lock()
+	already := e.closed.Swap(true)
+	e.writeMu.Unlock()
 	if !already {
-		close(m.done)
+		close(e.done)
 	}
-	m.pool.Close()
-	m.rebuilder.Wait()
+	e.pool.Close()
+	e.rebuilder.Wait()
+	if e.boot != nil {
+		e.boot.release()
+	}
 }

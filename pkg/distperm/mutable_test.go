@@ -170,10 +170,7 @@ func runMutationEquivalence(t *testing.T, cfg distperm.MutableConfig, seed int64
 		t.Fatal(err)
 	}
 	model.insert(me.MutationStats().NextID-1, probes[0])
-	snap, err := me.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := me.Snapshot()
 	var buf bytes.Buffer
 	if _, err := distperm.WriteIndex(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -629,10 +626,7 @@ func TestMutableRebuildKeepsTableEncoding(t *testing.T) {
 	probes := dataset.UniformVectors(rng, 6, 3)
 	checkEquivalence(t, "post-fold", me, model, probes, 4, 0.5)
 
-	snap, err := me.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := me.Snapshot()
 	base, ok := snap.Base().(*distperm.PermIndex)
 	if !ok {
 		t.Fatalf("folded base is %T, want *PermIndex", snap.Base())
@@ -774,10 +768,7 @@ func TestSavedStoreServedReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := me.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := me.Snapshot()
 	ro, err := distperm.NewEngine(snap.DB(), snap, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -835,10 +826,7 @@ func TestSnapshotIsOneState(t *testing.T) {
 			return
 		default:
 		}
-		snap, err := me.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := me.Snapshot()
 		if gids := snap.GIDs(); snap.NextGID() != gids[len(gids)-1]+1 {
 			t.Fatalf("snapshot %d holds IDs up to %d but says the next is %d", checked, gids[len(gids)-1], snap.NextGID())
 		}

@@ -58,7 +58,7 @@ func TestWrapMutableRebuildsWrappedShape(t *testing.T) {
 	if _, err := saved.Insert(Vector{0.5, 0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := saved.Snapshot()
+	snap := saved.Snapshot()
 	saved.Close()
 	var buf bytes.Buffer
 	if _, err := WriteIndex(&buf, snap); err != nil {
@@ -97,7 +97,7 @@ func TestWrapMutableRebuildsWrappedShape(t *testing.T) {
 		if err := me.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		got, _ := me.Snapshot()
+		got := me.Snapshot()
 		if shapeOf(got.Base()) != shapeOf(want) {
 			t.Errorf("%s: rebuilt %s, wrapped %s", c.name, shapeOf(got.Base()), shapeOf(want))
 		}

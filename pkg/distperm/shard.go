@@ -21,7 +21,7 @@ type ShardedIndex = sisap.ShardedIndex
 // Partitioner assigns database points to shards — the placement seam of the
 // sharded layer. Implementations must be deterministic: the partition map is
 // serialised with the index, rebuilding with the same inputs must shard
-// identically, and a MutableEngine counts its pending inserts per shard by
+// identically, and a writable Engine counts its pending inserts per shard by
 // asking again (from any goroutine).
 type Partitioner interface {
 	// Name identifies the strategy (e.g. for CLI flags).

@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the durability layer of the write path: an append-only
-// write-ahead log that a MutableEngine appends to before acknowledging a
+// write-ahead log that a writable Engine appends to before acknowledging a
 // mutation, so a kill -9 between an acknowledged insert and the next
 // snapshot rebuild loses nothing. The log is a directory of segment files
 // (rotated at a size threshold, named by the sequence number of their first
@@ -536,7 +536,7 @@ func (w *WAL) truncateThroughLocked(seq uint64) error {
 // WriteCheckpoint durably writes a self-contained checkpoint of snap
 // covering WAL sequence seq (tmp + fsync + rename), then deletes older
 // checkpoints and the segments the new one covers. The snapshot/seq pair
-// must be an exact cut — MutableEngine.CheckpointSnapshot produces one.
+// must be an exact cut — Engine.CheckpointSnapshot produces one.
 func (w *WAL) WriteCheckpoint(snap *MutableIndex, seq uint64) error {
 	body, err := sisap.AppendCheckpoint(make([]byte, 0, 1<<20), seq, snap)
 	if err != nil {

@@ -224,7 +224,7 @@ func TestRebuildPartitionsByGID(t *testing.T) {
 		if err := me.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		mi, _ := me.Snapshot()
+		mi := me.Snapshot()
 		sx := mi.Base().(*ShardedIndex)
 		landed, misplaced := make([]int, shards), 0
 		for s := range sx.NumShards() {

@@ -103,13 +103,14 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// IndexInfo is the body of GET /v1/index: what is being served.
+// IndexInfo is the body of GET /v1/index: what is being served, read off
+// the engine when the request is answered.
 type IndexInfo struct {
 	// Kind is the index's registry kind ("distperm", "sharded", ...).
 	Kind string `json:"kind"`
 	// Bits is the index's storage cost (the paper's cost model).
 	Bits int64 `json:"bits"`
-	// N is the database size.
+	// N is the live point count.
 	N int `json:"n"`
 	// Metric names the database metric.
 	Metric string `json:"metric"`

@@ -128,10 +128,7 @@ func TestServerApproxUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dpserver.NewFromIndex(db, idx, 2, dpserver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, db, idx, 2, dpserver.Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

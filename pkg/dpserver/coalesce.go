@@ -8,40 +8,12 @@ import (
 	"time"
 
 	"distperm/pkg/distperm"
-	"distperm/pkg/obs"
 )
 
-// Searcher is the one query method the serving layer asks of an engine —
-// all the Coalescer needs; *distperm.Engine (over a plain or a sharded
-// index) and *distperm.MutableEngine both provide it.
+// Searcher is the one query method the Coalescer asks of an engine;
+// *distperm.Engine provides it.
 type Searcher interface {
 	Search(qs []distperm.Point, q distperm.Query) ([][]distperm.Result, []distperm.ApproxStats, error)
-}
-
-// Backend is everything the Server calls on whichever engine it fronts:
-// the query path, the live point count, the counters behind /v1/stats and
-// /metrics, and Close. An index without approximate-search support reports
-// it per request (distperm.ErrNoApprox from Search, answered 400).
-type Backend interface {
-	Searcher
-	LiveN() int
-	Stats() distperm.EngineStats
-	LatencySnapshot() obs.HistogramSnapshot
-	Workers() int
-	BusyWorkers() int
-	Close()
-}
-
-// MutableBackend extends Backend with the live write path;
-// *distperm.MutableEngine satisfies it. A Server whose backend is mutable
-// serves POST /v1/insert and /v1/delete. WALStats reports Enabled=false
-// when no log is attached.
-type MutableBackend interface {
-	Backend
-	Insert(p distperm.Point) (int, error)
-	Delete(id int) error
-	MutationStats() distperm.MutationStats
-	WALStats() distperm.WALStats
 }
 
 // ErrCoalescerClosed is returned by Search (and KNN) after Close.

@@ -1,6 +1,6 @@
 // Package dpserver is the network serving subsystem over the distperm
-// query-engine layer: it exposes an Engine or MutableEngine as a JSON HTTP
-// service, the step that takes the index family from in-process batches to
+// query-engine layer: it exposes a distperm.Engine as a JSON HTTP service,
+// the step that takes the index family from in-process batches to
 // multi-user traffic.
 //
 // Endpoints:
@@ -15,14 +15,16 @@
 //	                percentiles) plus server counters (coalescer fill,
 //	                cache hits/misses) and, on mutable servers, the write
 //	                path (delta size, tombstones, rebuilds)
-//	GET  /v1/index  what is being served (kind, bits, shards, workers)
+//	GET  /v1/index  what is being served (kind, bits, live points, shards,
+//	                workers), read off the engine at each request
 //	GET  /healthz   liveness (200 whenever the process can answer HTTP)
 //	GET  /readyz    readiness (the Gate answers 503 until the index loads)
 //	GET  /metrics   Prometheus text exposition (see the Observability
 //	                section of the README for the metric inventory)
 //
-// The write endpoints are live when the backend is a MutableBackend
-// (distperm.MutableEngine); a read-only server answers them 409. A write
+// The write endpoints are live when the engine takes writes
+// (distperm.WrapMutable, or Open with a log or a rebuild threshold); a
+// read-only engine's server answers them 409. A write
 // returns only after the mutation is visible to every subsequent query
 // (read-your-writes) and after the result cache is invalidated — the cache
 // is generation-stamped, so a query racing the mutation cannot re-poison
@@ -42,8 +44,7 @@
 // Serve runs the server with graceful shutdown: in-flight requests drain,
 // pending coalescer batches flush, and only then does the engine close.
 // Command distpermd is the daemon around this package, and
-// pkg/dpserver/client is the matching Go client with a load-generation
-// driver.
+// pkg/dpserver/client is the matching Go client.
 package dpserver
 
 import (
@@ -89,22 +90,13 @@ type Config struct {
 	SlowQueryLog io.Writer
 }
 
-// Server is the HTTP serving layer over one Backend. Create with New or
-// NewFromIndex, serve with Serve (or mount it as an http.Handler and call
-// Close yourself).
+// Server is the HTTP serving layer over one engine. Create with New, serve
+// with Serve (or mount it as an http.Handler and call Close yourself).
 type Server struct {
-	backend Backend
-	// mutable is backend's write surface when it has one (the type
-	// assertion happens once, in New); nil means read-only serving.
-	mutable MutableBackend
-	info    IndexInfo
-	co      *Coalescer
-	cache   *Cache
-	mux     *http.ServeMux
-	// proto is a representative database point; incoming queries are
-	// validated against its shape so a malformed request is a 400, not a
-	// metric panic in a worker. nil skips validation (New without a DB).
-	proto distperm.Point
+	engine *distperm.Engine
+	co     *Coalescer
+	cache  *Cache
+	mux    *http.ServeMux
 
 	metrics *serverMetrics
 	slow    *slowLogger
@@ -118,29 +110,26 @@ type Server struct {
 	singleQueries, batchQueries, inserts, deletes atomic.Int64
 }
 
-// New wraps backend, described by info, in a Server with cfg's coalescer
-// and cache.
-func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
-	if backend == nil {
-		return nil, fmt.Errorf("dpserver: New requires a backend")
+// New wraps e in a Server with cfg's coalescer and cache. What it serves —
+// kind, base, bits, metric, shards, workers, whether writes are taken and
+// the point shape — is read off the engine. The Server owns the engine:
+// Close (or Serve's shutdown path) closes it.
+func New(e *distperm.Engine, cfg Config) (*Server, error) {
+	if e == nil {
+		return nil, fmt.Errorf("dpserver: New requires an engine")
 	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		backend:   backend,
-		info:      info,
-		co:        NewCoalescer(backend, cfg.BatchMax, cfg.BatchWait),
+		engine:    e,
+		co:        NewCoalescer(e, cfg.BatchMax, cfg.BatchWait),
 		cache:     NewCache(cfg.CacheSize),
 		mux:       http.NewServeMux(),
 		ridPrefix: fmt.Sprintf("%x-", time.Now().UnixNano()),
 	}
-	s.mutable, _ = backend.(MutableBackend)
-	if s.mutable != nil {
-		s.info.Mutable = true
-	}
-	s.metrics = newServerMetrics(reg, backend, s.mutable, s.cache)
+	s.metrics = newServerMetrics(reg, e, s.cache)
 	s.co.OnFlush = func(size int, reason string) {
 		s.metrics.batchSize.Observe(float64(size))
 		s.metrics.flushes[reason].Inc()
@@ -166,62 +155,37 @@ func New(backend Backend, info IndexInfo, cfg Config) (*Server, error) {
 // mounting /metrics on an ops listener alongside the serving port.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
-// NewFromIndex starts an Engine over idx — workers per shard for a sharded
-// index, or for a saved mutable store's sharded base — and wraps it in a
-// Server. IndexInfo.N is the live point count. The Server owns the engine:
-// Close (or Serve's shutdown path) closes it.
+// NewFromIndex is New over NewEngine(db, idx, workers).
 func NewFromIndex(db *distperm.DB, idx distperm.Index, workers int, cfg Config) (*Server, error) {
-	if db == nil || idx == nil {
-		return nil, fmt.Errorf("dpserver: NewFromIndex requires a database and an index")
-	}
 	e, err := distperm.NewEngine(db, idx, workers)
 	if err != nil {
 		return nil, err
 	}
+	return New(e, cfg)
+}
+
+// NewFromMutable is New(me, cfg).
+func NewFromMutable(me *distperm.Engine, cfg Config) (*Server, error) { return New(me, cfg) }
+
+// Info returns what the server is serving now: the body of GET /v1/index.
+// N is the live point count; a writable store's Kind is "mutable", and its
+// Base and Bits are those of the index under its delta.
+func (s *Server) Info() IndexInfo {
+	e := s.engine
 	info := IndexInfo{
-		Kind:    idx.Name(),
-		Bits:    idx.IndexBits(),
+		Kind:    e.Index().Name(),
+		Bits:    e.Index().IndexBits(),
 		N:       e.LiveN(),
-		Metric:  db.Metric.Name(),
+		Metric:  e.Metric().Name(),
 		Shards:  e.Shards(),
 		Workers: e.Workers(),
+		Mutable: e.Mutable(),
 	}
-	s, err := New(e, info, cfg)
-	if err != nil {
-		return nil, err
+	if info.Mutable {
+		info.Base, info.Bits = e.BaseKind(), e.IndexBits()
 	}
-	s.proto = db.Points[0]
-	return s, nil
+	return info
 }
-
-// NewFromMutable wraps a live-mutation engine in a Server: the query
-// endpoints serve through the cache and coalescer as usual, and the write
-// endpoints mutate the store. The Server owns the engine: Close (or
-// Serve's shutdown path) closes it. IndexInfo.N reports the live count at
-// wrap time; /v1/stats tracks it as it moves.
-func NewFromMutable(me *distperm.MutableEngine, cfg Config) (*Server, error) {
-	if me == nil {
-		return nil, fmt.Errorf("dpserver: NewFromMutable requires an engine")
-	}
-	info := IndexInfo{
-		Kind:    "mutable",
-		Base:    me.BaseKind(),
-		Bits:    me.IndexBits(),
-		N:       me.LiveN(),
-		Metric:  me.Metric().Name(),
-		Shards:  me.Shards(),
-		Workers: me.Workers(),
-	}
-	s, err := New(me, info, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.proto = me.Proto()
-	return s, nil
-}
-
-// Info returns what the server is serving.
-func (s *Server) Info() IndexInfo { return s.info }
 
 // ridHeader is X-Request-ID in its canonical form, which net/http looks up
 // without allocating.
@@ -254,11 +218,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	em.latency.Observe(time.Since(start).Seconds())
 }
 
-// Close flushes the coalescer's pending batches and closes the backend
-// engine. Idempotent. Callers using Serve never need it.
+// Close flushes the coalescer's pending batches and closes the engine.
+// Idempotent. Callers using Serve never need it.
 func (s *Server) Close() {
 	s.co.Close()
-	s.backend.Close()
+	s.engine.Close()
 }
 
 // Serve answers HTTP on ln until ctx is cancelled, then shuts down
@@ -358,11 +322,10 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// info.N may be unset when the Server was built with New rather than
-	// NewFromIndex, and goes stale on a mutable server; then the bound
-	// check falls to the backend, whose range errors surface as 400s below.
-	if k := qb.q.K; k < 1 || (s.info.N > 0 && !s.info.Mutable && k > s.info.N) {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k=%d out of range 1..%d", k, s.info.N))
+	// A writable store's count can move before the query runs; there the
+	// bound check falls to the engine, whose range errors surface as 400s.
+	if k, n := qb.q.K, s.engine.LiveN(); k < 1 || (!s.engine.Mutable() && k > n) {
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k=%d out of range 1..%d", k, n))
 		return
 	}
 	s.answer(w, "knn", qb)
@@ -456,11 +419,11 @@ func (s *Server) answer(w http.ResponseWriter, endpoint string, qb queryBody) {
 		outs[0], fi, err = s.co.Search(qs[0], q, rec.RequestID)
 		rec.BatchSize, rec.FlushReason, rec.CoalescedIDs = fi.Size, fi.Reason, fi.RequestIDs
 	} else {
-		outs, sts, err = s.backend.Search(qs, q)
+		outs, sts, err = s.engine.Search(qs, q)
 		rec.Queries = len(qs)
 	}
 	if err != nil {
-		s.fail(w, backendErrorCode(err), err.Error())
+		s.fail(w, engineErrorCode(err), err.Error())
 		return
 	}
 	found := 0
@@ -507,7 +470,7 @@ func (s *Server) approxWire(nprobe int, sts []distperm.ApproxStats) *ApproxWire 
 		aw.Exact = aw.Exact && st.Exact
 	}
 	// The fraction's denominator is the current logical database size.
-	if n := s.backend.LiveN(); n > 0 && len(sts) > 0 {
+	if n := s.engine.LiveN(); n > 0 && len(sts) > 0 {
 		aw.CandidateFraction = float64(aw.Candidates) / float64(len(sts)*n)
 	}
 	return aw
@@ -520,7 +483,7 @@ func (s *Server) traceStart() (evalsBefore int64, start time.Time) {
 	if !s.slow.enabled() {
 		return 0, time.Time{}
 	}
-	return s.backend.Stats().DistanceEvals, time.Now()
+	return s.engine.Stats().DistanceEvals, time.Now()
 }
 
 // traceEnd closes the measurement and emits the record if over threshold.
@@ -534,8 +497,8 @@ func (s *Server) traceEnd(rec slowQueryRecord, evalsBefore int64, start time.Tim
 	if d < s.slow.threshold {
 		return
 	}
-	rec.Shards = s.info.Shards
-	rec.Evals = s.backend.Stats().DistanceEvals - evalsBefore
+	rec.Shards = s.engine.Shards()
+	rec.Evals = s.engine.Stats().DistanceEvals - evalsBefore
 	s.slow.emit(rec, d)
 }
 
@@ -548,10 +511,11 @@ func (s *Server) decodePoint(raw json.RawMessage) (distperm.Point, error) {
 	return q, s.checkPoint(q)
 }
 
-// checkPoint checks a point against the database's point shape, so a
-// malformed query is a 400, not a metric panic in a worker.
+// checkPoint checks a point against the shape of the engine's points
+// (Engine.Proto), so a malformed query is a 400, not a metric panic in a
+// worker.
 func (s *Server) checkPoint(q distperm.Point) error {
-	switch proto := s.proto.(type) {
+	switch proto := s.engine.Proto().(type) {
 	case distperm.Vector:
 		v, ok := q.(distperm.Vector)
 		if !ok {
@@ -568,29 +532,28 @@ func (s *Server) checkPoint(q distperm.Point) error {
 	return nil
 }
 
-// backendErrorCode maps an engine error to an HTTP status: parameter
+// engineErrorCode maps an engine error to an HTTP status: parameter
 // errors (k or radius out of the servable range, approximate search
 // against an index without the capability) are the client's fault,
 // everything else (typically a closing engine) is 503.
-func backendErrorCode(err error) int {
+func engineErrorCode(err error) int {
 	if errors.Is(err, distperm.ErrOutOfRange) || errors.Is(err, distperm.ErrNoApprox) {
 		return http.StatusBadRequest
 	}
 	return http.StatusServiceUnavailable
 }
 
-// requireMutable answers nil and a 409 when the backend has no write path.
-func (s *Server) requireMutable(w http.ResponseWriter) MutableBackend {
-	if s.mutable == nil {
+// writable answers 409 when the engine takes no writes, and reports whether
+// the handler may go on.
+func (s *Server) writable(w http.ResponseWriter) bool {
+	if !s.engine.Mutable() {
 		s.fail(w, http.StatusConflict, "server is read-only; start with a mutable engine (-rebuild-threshold) to enable writes")
-		return nil
 	}
-	return s.mutable
+	return s.engine.Mutable()
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	mb := s.requireMutable(w)
-	if mb == nil {
+	if !s.writable(w) {
 		return
 	}
 	var req InsertRequest
@@ -623,7 +586,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	ids := make([]int, 0, len(pts))
 	for i, p := range pts {
-		id, err := mb.Insert(p)
+		id, err := s.engine.Insert(p)
 		if err != nil {
 			s.mutated(int64(len(ids)), 0)
 			s.fail(w, http.StatusServiceUnavailable, fmt.Sprintf("points[%d]: %v (%d of %d inserted)", i, err, len(ids), len(pts)))
@@ -640,8 +603,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	mb := s.requireMutable(w)
-	if mb == nil {
+	if !s.writable(w) {
 		return
 	}
 	var req DeleteRequest
@@ -663,7 +625,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	deleted := make([]int, 0, len(req.IDs))
 	for i, id := range req.IDs {
-		if err := mb.Delete(id); err != nil {
+		if err := s.engine.Delete(id); err != nil {
 			s.mutated(0, int64(len(deleted)))
 			code := http.StatusServiceUnavailable
 			if errors.Is(err, distperm.ErrUnknownID) {
@@ -712,16 +674,16 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		counters.Requests += int64(em.requests.Value())
 		counters.Errors += int64(em.errors.Value())
 	}
-	resp := StatsResponse{Engine: statsWire(s.backend.Stats()), Server: counters}
-	if s.mutable != nil {
-		resp.Mutation = mutationWire(s.mutable.MutationStats())
-		resp.WAL = walWire(s.mutable.WALStats())
+	resp := StatsResponse{Engine: statsWire(s.engine.Stats()), Server: counters}
+	if s.engine.Mutable() {
+		resp.Mutation = mutationWire(s.engine.MutationStats())
+		resp.WAL = walWire(s.engine.WALStats())
 	}
 	s.ok(w, resp)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
-	s.ok(w, s.info)
+	s.ok(w, s.Info())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -31,11 +31,7 @@ func gateServer(t *testing.T) *dpserver.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dpserver.NewFromIndex(db, idx, 2, dpserver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	return newServer(t, db, idx, 2, dpserver.Config{})
 }
 
 // TestGateNotReadyThenReady pins the daemon's liveness/readiness contract:

@@ -54,7 +54,7 @@ func (m *serverMetrics) endpoint(path string) *endpointMetrics {
 
 // newServerMetrics registers every server-level family on reg and the
 // cache/engine/mutation/mmap families as read-time funcs over their owners.
-func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend, cache *Cache) *serverMetrics {
+func newServerMetrics(reg *obs.Registry, e *distperm.Engine, cache *Cache) *serverMetrics {
 	m := &serverMetrics{
 		reg:       reg,
 		endpoints: make(map[string]*endpointMetrics, len(metricEndpoints)),
@@ -100,115 +100,117 @@ func newServerMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend
 	reg.GaugeFunc("dpserver_cache_entries",
 		"Result-cache entries currently resident", nil,
 		func() float64 { return float64(cache.Stats().Entries) })
-	registerBackendMetrics(reg, backend, mutable)
+	registerEngineMetrics(reg, e)
 	return m
 }
 
-// registerBackendMetrics exports the engine layer as read-time funcs: a
-// scrape reads live counters, no per-query bookkeeping is added here.
-func registerBackendMetrics(reg *obs.Registry, backend Backend, mutable MutableBackend) {
+// registerEngineMetrics exports the engine layer as read-time funcs: a
+// scrape reads live counters, no per-query bookkeeping is added here. The
+// mutation families are a writable engine's, the WAL families a logged
+// one's.
+func registerEngineMetrics(reg *obs.Registry, e *distperm.Engine) {
 	reg.CounterFunc("distperm_engine_queries_total",
 		"Queries the engine has answered", nil,
-		func() float64 { return float64(backend.Stats().Queries) })
+		func() float64 { return float64(e.Stats().Queries) })
 	reg.CounterFunc("distperm_engine_batched_queries_total",
 		"Queries served in exact sub-batch jobs", nil,
-		func() float64 { return float64(backend.Stats().BatchedQueries) })
+		func() float64 { return float64(e.Stats().BatchedQueries) })
 	reg.CounterFunc("distperm_engine_distance_evals_total",
 		"Distance evaluations spent (the paper's cost model)", nil,
-		func() float64 { return float64(backend.Stats().DistanceEvals) })
+		func() float64 { return float64(e.Stats().DistanceEvals) })
 	reg.CounterFunc("distperm_engine_pruned_evals_total",
 		"Points exact queries did not measure because a bucket bound excluded them", nil,
-		func() float64 { return float64(backend.Stats().PrunedEvals) })
+		func() float64 { return float64(e.Stats().PrunedEvals) })
 	reg.CounterFunc("distperm_approx_queries_total",
 		"Queries served through the approximate prefix-bucket path", nil,
-		func() float64 { return float64(backend.Stats().ApproxQueries) })
+		func() float64 { return float64(e.Stats().ApproxQueries) })
 	reg.CounterFunc("distperm_approx_probed_buckets_total",
 		"Prefix buckets probed by approximate queries", nil,
-		func() float64 { return float64(backend.Stats().ProbedBuckets) })
+		func() float64 { return float64(e.Stats().ProbedBuckets) })
 	reg.CounterFunc("distperm_approx_candidates_total",
 		"Candidate points measured by approximate queries", nil,
-		func() float64 { return float64(backend.Stats().ApproxCandidates) })
+		func() float64 { return float64(e.Stats().ApproxCandidates) })
 	reg.GaugeFunc("distperm_engine_distinct_rows",
 		"Distinct permutation rows in the served rank table", nil,
-		func() float64 { return float64(backend.Stats().DistinctRows) })
+		func() float64 { return float64(e.Stats().DistinctRows) })
 	reg.GaugeFunc("distperm_engine_bucket_rows_heap_bytes",
 		"Heap held by bucket-major copies of the coordinates and their labels under the served view (0 for a PFR3 store)", nil,
-		func() float64 { return float64(backend.Stats().BucketRowsHeapBytes) })
+		func() float64 { return float64(e.Stats().BucketRowsHeapBytes) })
 	reg.GaugeFunc("distperm_engine_bound_cells",
 		"Cells the exact walk bounds, summed over the served view's segments (0 for a store without bounds)", nil,
-		func() float64 { return float64(backend.Stats().BoundCells) })
+		func() float64 { return float64(e.Stats().BoundCells) })
 	reg.GaugeFunc("distperm_engine_workers",
 		"Worker goroutines in the engine pool(s)", nil,
-		func() float64 { return float64(backend.Workers()) })
+		func() float64 { return float64(e.Workers()) })
 	reg.GaugeFunc("distperm_engine_busy_workers",
 		"Workers currently serving a job", nil,
-		func() float64 { return float64(backend.BusyWorkers()) })
+		func() float64 { return float64(e.BusyWorkers()) })
 	reg.HistogramFunc("distperm_engine_query_duration_seconds",
 		"Per-query engine latency (merged across shards and epochs)", nil,
-		backend.LatencySnapshot)
-	if mutable != nil {
+		e.LatencySnapshot)
+	if e.Mutable() {
 		reg.CounterFunc("distperm_mutable_inserts_total",
 			"Accepted inserts", nil,
-			func() float64 { return float64(mutable.MutationStats().Inserts) })
+			func() float64 { return float64(e.MutationStats().Inserts) })
 		reg.CounterFunc("distperm_mutable_deletes_total",
 			"Accepted deletes", nil,
-			func() float64 { return float64(mutable.MutationStats().Deletes) })
+			func() float64 { return float64(e.MutationStats().Deletes) })
 		reg.CounterFunc("distperm_mutable_rebuilds_total",
 			"Completed background rebuilds (epoch swaps)", nil,
-			func() float64 { return float64(mutable.MutationStats().Rebuilds) })
+			func() float64 { return float64(e.MutationStats().Rebuilds) })
 		reg.CounterFunc("distperm_mutable_rebuild_failures_total",
 			"Rebuilds that failed", nil,
-			func() float64 { return float64(mutable.MutationStats().RebuildFailures) })
+			func() float64 { return float64(e.MutationStats().RebuildFailures) })
 		reg.GaugeFunc("distperm_mutable_delta_size",
 			"Inserted points pending the next rebuild", nil,
-			func() float64 { return float64(mutable.MutationStats().DeltaSize) })
+			func() float64 { return float64(e.MutationStats().DeltaSize) })
 		reg.GaugeFunc("distperm_mutable_tombstones",
 			"Deleted base points pending the next rebuild", nil,
-			func() float64 { return float64(mutable.MutationStats().Tombstones) })
+			func() float64 { return float64(e.MutationStats().Tombstones) })
 		reg.GaugeFunc("distperm_mutable_pending_writes",
 			"Rebuild backlog: delta size plus tombstones", nil,
-			func() float64 { return float64(mutable.MutationStats().PendingWrites) })
+			func() float64 { return float64(e.MutationStats().PendingWrites) })
 		reg.GaugeFunc("distperm_mutable_live_points",
 			"Logical live point count", nil,
-			func() float64 { return float64(mutable.MutationStats().LiveN) })
+			func() float64 { return float64(e.MutationStats().LiveN) })
 		reg.GaugeFunc("distperm_mutable_last_rebuild_seconds",
 			"Duration of the most recent successful rebuild", nil,
-			func() float64 { return mutable.MutationStats().LastRebuild.Seconds() })
+			func() float64 { return e.MutationStats().LastRebuild.Seconds() })
 	}
-	if mutable != nil && mutable.WALStats().Enabled {
+	if e.Mutable() && e.WALStats().Enabled {
 		reg.CounterFunc("distperm_wal_appended_records_total",
 			"WAL records appended (logged before the write was acknowledged)", nil,
-			func() float64 { return float64(mutable.WALStats().AppendedRecords) })
+			func() float64 { return float64(e.WALStats().AppendedRecords) })
 		reg.CounterFunc("distperm_wal_appended_bytes_total",
 			"WAL bytes appended", nil,
-			func() float64 { return float64(mutable.WALStats().AppendedBytes) })
+			func() float64 { return float64(e.WALStats().AppendedBytes) })
 		reg.CounterFunc("distperm_wal_syncs_total",
 			"WAL fsync calls issued by the active sync policy", nil,
-			func() float64 { return float64(mutable.WALStats().Syncs) })
+			func() float64 { return float64(e.WALStats().Syncs) })
 		reg.CounterFunc("distperm_wal_replayed_records_total",
 			"WAL records replayed into the engine during startup recovery", nil,
-			func() float64 { return float64(mutable.WALStats().ReplayedRecords) })
+			func() float64 { return float64(e.WALStats().ReplayedRecords) })
 		reg.CounterFunc("distperm_wal_recoveries_total",
 			"WAL open/replay recovery passes", nil,
-			func() float64 { return float64(mutable.WALStats().Recoveries) })
+			func() float64 { return float64(e.WALStats().Recoveries) })
 		reg.CounterFunc("distperm_wal_truncated_bytes_total",
 			"Torn trailing bytes truncated from the log during recovery", nil,
-			func() float64 { return float64(mutable.WALStats().TornBytesTruncated) })
+			func() float64 { return float64(e.WALStats().TornBytesTruncated) })
 		reg.CounterFunc("distperm_wal_checkpoints_total",
 			"Durable checkpoints written", nil,
-			func() float64 { return float64(mutable.WALStats().Checkpoints) })
+			func() float64 { return float64(e.WALStats().Checkpoints) })
 		reg.GaugeFunc("distperm_wal_seq",
 			"Sequence number of the last logged record", nil,
-			func() float64 { return float64(mutable.WALStats().Seq) })
+			func() float64 { return float64(e.WALStats().Seq) })
 		reg.GaugeFunc("distperm_wal_checkpoint_seq",
 			"Sequence number covered by the newest checkpoint", nil,
-			func() float64 { return float64(mutable.WALStats().CheckpointSeq) })
+			func() float64 { return float64(e.WALStats().CheckpointSeq) })
 		reg.GaugeFunc("distperm_wal_segments",
 			"Log segment files currently retained", nil,
-			func() float64 { return float64(mutable.WALStats().Segments) })
+			func() float64 { return float64(e.WALStats().Segments) })
 		reg.HistogramFunc("distperm_wal_fsync_duration_seconds",
 			"WAL fsync latency", nil,
-			func() obs.HistogramSnapshot { return mutable.WALStats().Fsync })
+			func() obs.HistogramSnapshot { return e.WALStats().Fsync })
 	}
 	reg.CounterFunc("distperm_mmap_opens_total",
 		"Frozen-container opens (process-wide)", nil,

@@ -433,10 +433,7 @@ func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 		idx  distperm.Index
 		want float64 // after the first query that reads a bucket
 	}{{"heap-built", db, idx, n*d*8 + n*4}, {"frozen", st.DB, st.Index, 0}} {
-		srv, err := dpserver.NewFromIndex(c.db, c.idx, 2, dpserver.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newServer(t, c.db, c.idx, 2, dpserver.Config{})
 		ts := httptest.NewServer(srv)
 		gauges := func() (float64, float64) {
 			fams := scrape(t, ts.URL)
@@ -558,13 +555,10 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dpserver.NewFromIndex(db, idx, 2, dpserver.Config{
+	srv := newServer(t, db, idx, 2, dpserver.Config{
 		SlowQuery:    time.Nanosecond,
 		SlowQueryLog: &logBuf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()

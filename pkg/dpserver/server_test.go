@@ -20,6 +20,21 @@ import (
 	"distperm/pkg/dpserver/client"
 )
 
+// newServer is dpserver.New over a read-only engine serving idx with
+// workers workers.
+func newServer(t testing.TB, db *distperm.DB, idx distperm.Index, workers int, cfg dpserver.Config) *dpserver.Server {
+	t.Helper()
+	e, err := distperm.NewEngine(db, idx, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dpserver.New(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // testServer builds a db + index, a server over it, and an independent
 // truth engine over the same built index, so HTTP answers can be compared
 // against direct engine batches exactly.
@@ -34,10 +49,7 @@ func testServer(t testing.TB, seed int64, n, dim int, cfg dpserver.Config) (*dps
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dpserver.NewFromIndex(db, idx, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, db, idx, 4, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close() // drains handlers before the engine goes away
@@ -231,10 +243,7 @@ func TestServerSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dpserver.NewFromIndex(db, sx, 2, dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, db, sx, 2, dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -436,11 +445,8 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 
 	for iter := 0; iter < 3; iter++ {
-		srv, err := dpserver.NewFromIndex(db, idx, 2,
+		srv := newServer(t, db, idx, 2,
 			dpserver.Config{BatchMax: 16, BatchWait: 500 * time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -493,7 +499,7 @@ func mutableServer(t testing.TB, seed int64, n int, mcfg distperm.MutableConfig,
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dpserver.NewFromMutable(me, cfg)
+	srv, err := dpserver.New(me, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,6 +630,50 @@ func TestServerReadOnlyRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestIndexInfoFollowsTheStore: /v1/index is read off the engine at each
+// request, so after inserts and a rebuild it reports the live point count and
+// the rebuilt base's bits — and at boot exactly what Server.Info says.
+func TestIndexInfoFollowsTheStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 200, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
+		Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 41}, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dpserver.New(me, dpserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); srv.Close() }()
+	c := client.New(ts.URL)
+	boot, err := c.IndexInfo(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boot != srv.Info() || boot.N != 200 || !boot.Mutable || boot.Kind != "mutable" || boot.Base != "distperm" {
+		t.Errorf("/v1/index at boot %+v, Info %+v", boot, srv.Info())
+	}
+	if _, err := c.InsertBatch(context.Background(), dataset.UniformVectors(rng, 10, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := me.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.IndexInfo(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != 210 || got.Bits != me.IndexBits() || got.Bits == boot.Bits {
+		t.Errorf("/v1/index after 10 inserts and a rebuild %+v, want n 210 and the rebuilt base's %d bits (boot: %d)", got, me.IndexBits(), boot.Bits)
+	}
+}
+
 // TestServerReadOnlySavedStore: a saved mutable store served read-only
 // reports its live point count and its base's shards in IndexInfo, and a k
 // past the live count is a 400, as on the live server.
@@ -644,14 +694,8 @@ func TestServerReadOnlySavedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := me.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := dpserver.NewFromIndex(snap.DB(), snap, 2, dpserver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := me.Snapshot()
+	srv := newServer(t, snap.DB(), snap, 2, dpserver.Config{})
 	ts := httptest.NewServer(srv)
 	defer func() { ts.Close(); srv.Close() }()
 	if info := srv.Info(); info.Mutable || info.Kind != "mutable" || info.N != 35 || info.Shards != 2 {

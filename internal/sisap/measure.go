@@ -199,6 +199,40 @@ func slackGap(a, b float64) float64 { return a - b - boundSlack*(a+b) - boundFlo
 // nothing; NaN, which compares greater than nothing, for non-finite input).
 func lowerBound(a, b float64) float64 { return math.Abs(a-b) - boundSlack*(a+b) - boundFloor }
 
+// Every point p of a bucket of prefix a₁…a_ℓ is computed no farther from aₘ
+// than from a site s ranked after it: d̂(p,aₘ) ≤ d̂(p,s), ties to the lower
+// site. Under L2, f(x) = (δ(x,a)² − δ(x,s)²) / 2δ(a,s) is affine with a unit
+// gradient, so δ(q,p) ≥ f(q) − f(p) (Hilbert exclusion). With A = d̂(q,a),
+// B = d̂(q,s), D = d̂(a,s) and Rₛ the store's largest computed distance to s
+// (the buckets' hi; NaN if any is, which turns the term off): squaring A and
+// B, their difference, the division by the computed 2D and the final d̂(q,p)
+// err by ≤ 4.2ε·(A² + B²)/2D; p may lie past the bisector on its computed
+// side by f(p) ≤ ε·(δ(p,a) + δ(p,s))²/2δ(a,s) ≤ 1.02ε·(Rₐ + Rₛ)²/2D, and by
+// ℓ·2⁻⁵⁰·(Rₐ + Rₛ)²/2D more where onPrefix lets a sum through; and
+// underflow, absolute (≤ √dim·2⁻⁵³⁷ a distance), stays within boundFloor·(1 +
+// 1/2D) while 2⁻⁴⁰⁰ < D < 2⁴⁰⁰ and A, B ≤ 2²⁵⁰. So with β = boundSlack ≥ 4ε
+// up to boundMaxDim, bisectorGap is at most d̂(q,p). The triangle inequality
+// gives (δ(q,a) − δ(q,s))/2 in any metric, too weak to pay under L1 (40 %
+// fewer points measured on a uniform store, in no less time).
+
+// bisectorPair returns 1/2D and the slack β·r²/2D + boundFloor·(1 + 1/2D) of
+// sites D apart, r = Rₐ + Rₛ, or zeros for sites with no bisector to use.
+func bisectorPair(d, r float64) (inv, slack float64) {
+	if !(d > 0x1p-400 && d < 0x1p400) {
+		return 0, 0
+	}
+	inv = 0.5 / d
+	return inv, boundSlack*r*r*inv + boundFloor*(1+inv)
+}
+
+// bisectorGap returns ((1 − 2β)·A² − (1 + 2β)·B²)·inv − slack, NaN past 2²⁵⁰.
+func bisectorGap(a, b, inv, slack float64) float64 {
+	if !(a <= 0x1p250 && b <= 0x1p250) {
+		return math.NaN()
+	}
+	return (a*a*(1-2*boundSlack)-b*b*(1+2*boundSlack))*inv - slack
+}
+
 // measure is the one loop that evaluates the metric over a whole candidate
 // set: candidates lo..hi-1, candidate i being point ids[i] (point i when ids
 // is nil), each offered to c with its distance to q. A caller chooses where

@@ -41,22 +41,23 @@ func (p PermDistance) String() string {
 // stores only the point's distance permutation with respect to k sites. A
 // query computes its own permutation (k metric evaluations) and scans the
 // database in increasing permutation-distance order — points whose
-// permutation resembles the query's are probably close. The scan is
-// probabilistic, not exact: permutation distance gives no lower bound on the
-// metric, so PermIndex exposes a budgeted kNN (KNNBudget) reporting how good
-// an answer a given fraction of the database buys. That cost/quality curve
-// is the search-performance side of the paper; the index size (counted by
-// IndexBits via the paper's counting results) is the storage side.
+// permutation resembles the query's are probably close. That scan is
+// probabilistic, not exact: a permutation *distance* gives no lower bound on
+// the metric, so PermIndex exposes a budgeted kNN (KNNBudget) reporting how
+// good an answer a given fraction of the database buys. That cost/quality
+// curve is the search-performance side of the paper; the index size (counted
+// by IndexBits via the paper's counting results) is the storage side.
 //
-// The permutation carries no metric bound, but the site distances behind it
-// do: the points sharing a permutation prefix (a bucket of prefixbuckets.go)
-// lie within an interval of distances from every site, so the k site
-// distances a query computes anyway bound its distance to each bucket from
-// below. Exact search — KNN and Range on a packed database under L1, L2 or
-// L∞ whose buckets are large enough to be worth bounding — measures only the
-// buckets that bound cannot exclude (search), each a contiguous run of a
-// bucket-major copy of the coordinates, with answers byte-identical to a
-// linear scan; KNNBatch is that walk once per query. Whatever measures a
+// A permutation prefix does bound the metric: the points sharing one (a
+// bucket of prefixbuckets.go) lie in one cell of the arrangement of bisectors
+// between sites that the paper counts, and within an interval of distances
+// from every site, so the k site distances a query computes anyway bound its
+// distance to each bucket from below. Exact search — KNN and Range on a
+// packed database under L1, L2 or L∞ whose buckets are large enough to be
+// worth bounding — measures only the buckets those bounds cannot exclude
+// (search), each a contiguous run of a bucket-major copy of the coordinates,
+// with answers byte-identical to a linear scan; KNNBatch is that walk once
+// per query. Whatever measures a
 // candidate set in full — exact queries on a store without bounds, the
 // buckets an approximate query probes — computes no ordering: the
 // (distance, ID) heap makes the answer a function of the set, read in
@@ -101,6 +102,8 @@ type permScratch struct {
 	approx *approxScratch   // approximate-path workspace, on first approx query
 	qd     []float64        // query-to-site distances, len k (search)
 	queue  []pending        // buckets and cells a walk still has to reach, grown on demand
+	near   []uint32         // the sites by query distance, len k (bisectors)
+	gaps   []siteGap        // every site's largest bisector gaps, len k·ℓ
 }
 
 // parallelBuildThreshold is the database size below which a build's rows,
@@ -432,11 +435,10 @@ func (x *PermIndex) KNN(q metric.Point, k int) ([]Result, Stats) {
 	return searchKNN(x, x.db.N(), q, k)
 }
 
-// Range implements Index, exactly. The permutation carries no metric lower
-// bound but the site distances behind it do, so only the buckets whose lower
-// bound is within r are measured (search); a store without bounds measures
-// every point, in memory order. Cost: k site evaluations plus the points
-// measured.
+// Range implements Index, exactly: only the buckets whose lower bound — from
+// their permutation prefix and their site-distance ranges — is within r are
+// measured (search); a store without bounds measures every point, in memory
+// order. Cost: k site evaluations plus the points measured.
 func (x *PermIndex) Range(q metric.Point, r float64) ([]Result, Stats) {
 	return searchRange(x, q, r)
 }

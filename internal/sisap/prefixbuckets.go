@@ -50,6 +50,9 @@ type prefixBuckets struct {
 // numBuckets returns the directory size (distinct occurring prefixes).
 func (pb *prefixBuckets) numBuckets() int { return len(pb.rowStarts) - 1 }
 
+// prefix returns bucket b's prefix, its ℓ sites in rank order.
+func (pb *prefixBuckets) prefix(b int) []uint32 { return pb.prefixes[b*pb.ell:][:pb.ell] }
+
 // bucketKeys scores every bucket against the query's inverse permutation
 // with the prefix footrule Σ_j |j − qinv[prefix[j]]|, filling keys (len
 // numBuckets) and returning the maximum key — the same bounded-integer
@@ -379,8 +382,15 @@ func (x *PermIndex) BoundCells() int { return int(x.lb.boundCells.Load()) }
 type siteRanges struct{ lo, hi []float64 }
 
 // bucketBounds is the metric side of the directory: the site ranges of every
-// cell, and of every bucket as the hull of its cells'.
-type bucketBounds struct{ cells, buckets siteRanges }
+// cell, and of every bucket as the hull of its cells', and under L2, for the
+// bisector term, bisectorPair's factor and slack of every pair of sites, a·k + s,
+// and the buckets in prefix order, where a query looks up its own (bisectors).
+type bucketBounds struct {
+	cells, buckets siteRanges
+	inv, slack     []float64
+	byPrefix       []uint32
+	offPrefix      atomic.Bool // a point's sums disagree with its bucket's prefix (onPrefix)
+}
 
 // boundMinFill is the mean bucket size below which a store gets no bounds.
 // Bounding and ordering a bucket costs 2k slack gaps plus its share of the
@@ -408,7 +418,25 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	if !x.fillRows(minFill, bb) {
 		x.eachBucket(false, bb)
 	}
-	x.lb.boundCells.Store(int64(len(bb.cells.lo) / x.K()))
+	k := x.K()
+	x.lb.boundCells.Store(int64(len(bb.cells.lo) / k))
+	if _, l2 := x.db.Metric.(metric.L2); !l2 || bb.offPrefix.Load() {
+		return bb
+	}
+	far := make([]float64, k) // each site's Rₛ: max keeps a NaN
+	for i, h := range bb.buckets.hi {
+		far[i%k] = max(far[i%k], h)
+	}
+	bb.inv, bb.slack = make([]float64, k*k), make([]float64, k*k)
+	for a, ida := range x.siteIDs {
+		for s, ids := range x.siteIDs {
+			d := x.db.Metric.Distance(x.db.Points[ida], x.db.Points[ids])
+			bb.inv[a*k+s], bb.slack[a*k+s] = bisectorPair(d, far[a]+far[s])
+		}
+	}
+	pb := x.buckets()
+	bb.byPrefix = ascending(pb.numBuckets())
+	slices.SortFunc(bb.byPrefix, func(a, b uint32) int { return slices.Compare(pb.prefix(int(a)), pb.prefix(int(b))) })
 	return bb
 }
 
@@ -419,12 +447,15 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 // gives, and they propagate NaN: such an interval compares false both ways.
 func (x *PermIndex) bound(bb *bucketBounds, b int, kern *siteKernel) {
 	d, k, lb := x.db.dim, x.K(), x.lb
-	sums := make([]float64, k)
+	sums, pref := make([]float64, k), lb.pb.prefix(b)
 	blo, bhi := bb.buckets.lo[b*k:][:k], bb.buckets.hi[b*k:][:k]
 	for c := int(lb.bucketCells[b]); c < int(lb.bucketCells[b+1]); c++ {
 		lo, hi := bb.cells.lo[c*k:][:k], bb.cells.hi[c*k:][:k]
 		for r := lb.rows[int(lb.cellStarts[c])*d : int(lb.cellStarts[c+1])*d]; len(r) > 0; r = r[d:] {
 			kern.sums(r[:d], sums)
+			if kern.l2 && !onPrefix(sums, pref) {
+				bb.offPrefix.Store(true)
+			}
 			for i, v := range sums {
 				lo[i], hi[i] = min(lo[i], v), max(hi[i], v)
 			}
@@ -436,6 +467,25 @@ func (x *PermIndex) bound(bb *bucketBounds, b int, kern *siteKernel) {
 			blo[i], bhi[i] = min(blo[i], lo[i]), max(bhi[i], hi[i])
 		}
 	}
+}
+
+// onPrefix reports whether a point at squared sums from the sites ranks the
+// sites of pref first, in order, to within the 2⁻⁵⁰ a root may round away:
+// what the bisector term takes of every point of a bucket, and a table
+// loaded beside its database need not be that database's.
+func onPrefix(sums []float64, pref []uint32) bool {
+	for m := 1; m < len(pref); m++ {
+		if !(sums[pref[m-1]] <= sums[pref[m]]*(1+0x1p-50)) {
+			return false
+		}
+	}
+	last := sums[pref[len(pref)-1]]
+	for s, v := range sums {
+		if !(last <= v*(1+0x1p-50)) && !slices.Contains(pref, uint32(s)) {
+			return false
+		}
+	}
+	return true
 }
 
 // lowerBound returns LB(i) for a query at computed distances qd from the
@@ -453,6 +503,68 @@ func (sr siteRanges) lowerBound(i int, qd []float64, limit float64) float64 {
 		}
 		if lb > limit {
 			return lb
+		}
+	}
+	return lb
+}
+
+// siteGap is one positive bisector gap of a site, to the other site named.
+type siteGap struct {
+	gap  float64
+	site uint32
+}
+
+// bisectors readies the bisector term for a query at computed distances qd
+// from the sites and returns the query's own bucket, or -1 if no point has
+// it. s.near lists the sites nearest first, ties to the lower, so its first ℓ
+// are the own bucket's prefix, looked up in byPrefix; s.gaps[a·ℓ:][:ℓ] holds
+// site a's positive gaps to those ℓ sites, descending, then zeros: only a
+// site nearer the query than a gives a positive gap, so k·ℓ are tried.
+func (bb *bucketBounds) bisectors(qd []float64, pb *prefixBuckets, s *permScratch) int {
+	k, ell := len(qd), pb.ell
+	if len(s.gaps) != k*ell {
+		s.near, s.gaps = make([]uint32, k), make([]siteGap, k*ell)
+	}
+	for i := range s.near {
+		s.near[i] = uint32(i)
+	}
+	slices.SortStableFunc(s.near, func(a, b uint32) int { return cmp.Compare(qd[a], qd[b]) })
+	for a := range k {
+		gaps := s.gaps[a*ell:][:ell]
+		clear(gaps)
+		for _, t := range s.near[:ell] { // at most ℓ: a list's last slot is always free
+			g := bisectorGap(qd[a], qd[t], bb.inv[a*k+int(t)], bb.slack[a*k+int(t)])
+			if !(g > 0) { // NaN never is
+				continue
+			}
+			j := ell - 1
+			for ; j > 0 && g > gaps[j-1].gap; j-- {
+				gaps[j] = gaps[j-1]
+			}
+			gaps[j] = siteGap{g, t}
+		}
+	}
+	cmpPrefix := func(b uint32, t []uint32) int { return slices.Compare(pb.prefix(int(b)), t) }
+	if i, ok := slices.BinarySearchFunc(bb.byPrefix, s.near[:ell], cmpPrefix); ok {
+		return int(bb.byPrefix[i])
+	}
+	return -1
+}
+
+// bisectorLB returns the bisector term of the bucket of prefix pref: every
+// point of it lies on aₘ's side of the bisector with each site not among
+// a₁…aₘ, so aₘ's largest gap to one of them, over m, bounds the bucket. At
+// most ℓ − 1 of a site's ℓ gaps are excluded; a gap of 0 adds nothing.
+func bisectorLB(pref []uint32, gaps []siteGap) float64 {
+	ell, lb := len(pref), 0.0
+	for m, a := range pref {
+		for _, g := range gaps[int(a)*ell:][:ell] {
+			if !slices.Contains(pref[:m], g.site) {
+				if g.gap > lb {
+					lb = g.gap
+				}
+				break
+			}
 		}
 	}
 	return lb
@@ -478,15 +590,18 @@ func (e pending) after(o pending) int { return cmp.Or(cmp.Compare(o.lb, e.lb), o
 
 // search answers an exact query into c by visiting cells of prefix buckets
 // instead of points. The k site distances the query is charged for anyway
-// bound every bucket's and cell's distance to any of its points,
+// bound every cell's and bucket's distance to any of its points by LAESA's
+// rule, and under L2 a bucket's of prefix a₁…a_ℓ also by the bisector term:
 //
-//	LB = maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ))
+//	LB = max(maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ)),
+//	         maxₘ max_{s ∉ a₁…aₘ} (d(q,aₘ)² − d(q,s)²) / 2·d(aₘ,s))
 //
-// — LAESA's rule at cell granularity, each difference shrunk by slackGap's
-// rounding slack — and a cell, one contiguous run of the bucket-major rows,
-// is measured unless its bucket's LB or its own exceeds c's limit: strictly,
-// so ties are still seen and the (distance, ID) tie-break stays the oracle's.
-// A bucket at LB 0 is expanded at once (its cells at LB 0 measured, the rest
+// each term shrunk by its rounding slack (slackGap, bisectorGap), the range
+// term evaluated only where the bisector term leaves the bucket in reach. A
+// cell, one contiguous run of the bucket-major rows, is measured unless its
+// bucket's LB or its own exceeds c's limit: strictly, so ties are still seen
+// and the (distance, ID) tie-break stays the oracle's. The query's own bucket
+// (L2) and any at LB 0 are expanded at once (cells at LB 0 measured, the rest
 // queued), any other queued and expanded when the walk reaches it; a bucket
 // of one cell is bounded once. The queue is visited in ascending LB so a kNN
 // limit tightens early (a range query's is fixed). Either way c ends up
@@ -530,9 +645,24 @@ func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 			}
 		}
 	}
+	// Under L2 the query's own bucket, at bisector LB 0, goes first, so that
+	// the limit is finite from the first bucket bounded.
+	pb, own := lb.pb, -1
+	if bb.inv != nil {
+		if own = bb.bisectors(s.qd, pb, s); own >= 0 {
+			expand(int(lb.bucketCells[own]), int(lb.bucketCells[own+1]))
+		}
+	}
 	for b := range len(lb.bucketCells) - 1 {
+		l := 0.0
+		if bb.inv != nil {
+			l = bisectorLB(pb.prefix(b), s.gaps)
+		}
+		if b == own || l > c.limit() {
+			continue
+		}
 		c0, c1 := int(lb.bucketCells[b]), int(lb.bucketCells[b+1])
-		if l := bb.buckets.lowerBound(b, s.qd, c.limit()); l == 0 {
+		if l = max(l, bb.buckets.lowerBound(b, s.qd, c.limit())); l == 0 {
 			expand(c0, c1)
 		} else if !(l > c.limit()) {
 			enqueue(pending{l, c0, c1})

@@ -83,13 +83,29 @@ func boundShapes(rng *rand.Rand, n, d int) map[string][]metric.Point {
 	}
 }
 
+// bisectorTerms returns every bucket's bisector term (bisectorLB) for a
+// query at computed distances qd from the sites of x, an L2 store with a
+// table, the query's own bucket (bisectors) and the scratch that holds the
+// query's own prefix (near) and the sites' gaps.
+func bisectorTerms(x *PermIndex, qd []float64) ([]float64, int, *permScratch) {
+	bb, pb, s := x.bounds(), x.buckets(), &permScratch{}
+	own := bb.bisectors(qd, pb, s)
+	terms := make([]float64, pb.numBuckets())
+	for b := range terms {
+		terms[b] = bisectorLB(pb.prefix(b), s.gaps)
+	}
+	return terms, own, s
+}
+
 // TestBoundSoundness: for every bucket b, every cell c of it and every point
 // p in c, the slack-shrunk LB(b) and LB(c) are at most the distance the
 // metric computes from the query to p — for queries inside the data, on a
-// site, on a data point, on the data's line, and far outside it.
+// site, on a data point, on the data's line, and far outside it — and so, under
+// L2, is b's bisector term. The bisector term must exclude, at the query's
+// nearest distance, some bucket the range term keeps.
 func TestBoundSoundness(t *testing.T) {
 	const n, sites = 180, 5
-	positive, split := 0, 0
+	positive, split, bisectorOnly := 0, 0, 0
 	for d := 1; d <= 8; d++ {
 		for mi, m := range boundMetrics {
 			rng := rand.New(rand.NewSource(int64(100*d + mi)))
@@ -97,8 +113,9 @@ func TestBoundSoundness(t *testing.T) {
 				db := NewDB(m, pts)
 				idx := NewPermIndex(db, rng.Perm(n)[:sites], Footrule)
 				bb, lb := forceBounds(idx), idx.lb
-				if bb == nil {
-					t.Fatalf("d=%d %s %s: a packed store has no bounds", d, m.Name(), shape)
+				_, l2 := m.(metric.L2)
+				if bb == nil || l2 == (bb.inv == nil) {
+					t.Fatalf("d=%d %s %s: a packed store has no bounds, or an L2 store built here no bisector table, or an L1/L∞ store one", d, m.Name(), shape)
 				}
 				split += int(lb.bucketCells[len(lb.bucketCells)-1]) - idx.ApproxBuckets()
 				queries := dataset.UniformVectors(rng, 6, d)
@@ -116,17 +133,28 @@ func TestBoundSoundness(t *testing.T) {
 					for i, id := range idx.siteIDs {
 						qd[i] = m.Distance(q, pts[id])
 					}
+					bisector := make([]float64, idx.ApproxBuckets()) // L1/L∞: no term
+					if l2 {
+						bisector, _, _ = bisectorTerms(idx, qd)
+					}
+					nearest := math.Inf(1)
+					for _, p := range pts {
+						nearest = min(nearest, m.Distance(q, p))
+					}
 					for bk := range len(lb.bucketCells) - 1 {
 						bucketLB := bb.buckets.lowerBound(bk, qd, math.Inf(1))
+						if bisector[bk] > nearest && !(bucketLB > nearest) {
+							bisectorOnly++
+						}
 						for c := lb.bucketCells[bk]; c < lb.bucketCells[bk+1]; c++ {
 							cellLB := bb.cells.lowerBound(int(c), qd, math.Inf(1))
 							if cellLB > 0 {
 								positive++
 							}
 							for _, id := range lb.labels[lb.cellStarts[c]:lb.cellStarts[c+1]] {
-								if dist := m.Distance(q, pts[id]); cellLB > dist || bucketLB > dist {
-									t.Fatalf("d=%d %s %s query %d: LB(cell %d) = %v or LB(bucket %d) = %v exceeds d(q, point %d) = %v",
-										d, m.Name(), shape, qi, c, cellLB, bk, bucketLB, id, dist)
+								if dist := m.Distance(q, pts[id]); cellLB > dist || bucketLB > dist || bisector[bk] > dist {
+									t.Fatalf("d=%d %s %s query %d: LB(cell %d) = %v, LB(bucket %d) = %v or its bisector term %v exceeds d(q, point %d) = %v",
+										d, m.Name(), shape, qi, c, cellLB, bk, bucketLB, bisector[bk], id, dist)
 								}
 							}
 						}
@@ -135,8 +163,43 @@ func TestBoundSoundness(t *testing.T) {
 			}
 		}
 	}
-	if positive == 0 || split == 0 {
-		t.Fatalf("%d positive bounds, %d cells beyond one a bucket: the property held vacuously", positive, split)
+	if positive == 0 || split == 0 || bisectorOnly == 0 {
+		t.Fatalf("%d positive bounds, %d cells beyond one a bucket, %d buckets only the bisector term excludes: the property held vacuously",
+			positive, split, bisectorOnly)
+	}
+}
+
+// TestBoundBisectorOwnBucket: a query on a data point lists the sites in the
+// order of that point's own permutation, so its bucket is the query's own —
+// the one the walk looks up (bisectors) and expands first — at bisector term
+// 0, on every L2 shape.
+func TestBoundBisectorOwnBucket(t *testing.T) {
+	const n, sites = 600, 8
+	rng := rand.New(rand.NewSource(41))
+	for shape, pts := range boundShapes(rng, n, 3) {
+		idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(n)[:sites], Footrule)
+		forceBounds(idx)
+		pb, positive := idx.buckets(), 0
+		qd := make([]float64, sites)
+		for b := range pb.numBuckets() {
+			for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
+				for i, site := range idx.siteIDs {
+					qd[i] = idx.db.Metric.Distance(pts[id], pts[site])
+				}
+				terms, own, s := bisectorTerms(idx, qd)
+				if own != b || terms[b] != 0 {
+					t.Fatalf("%s: point %d, of prefix %v, has the query prefix %v, own bucket %d and bisector term %v", shape, id, pb.prefix(b), s.near[:pb.ell], own, terms[b])
+				}
+				for _, l := range terms {
+					if l > 0 {
+						positive++
+					}
+				}
+			}
+		}
+		if positive == 0 {
+			t.Fatalf("%s: no bucket had a positive bisector term", shape)
+		}
 	}
 }
 
@@ -158,6 +221,11 @@ func TestBoundNonFinite(t *testing.T) {
 	idx := NewPermIndex(db, []int{1, 2, 3, 4}, Footrule)
 	bb, pb := forceBounds(idx), idx.buckets()
 	far := []float64{50, 50, 50, 50}
+	// The NaN point is on no bucket's prefix (onPrefix), which turns the
+	// bisector term off for the whole store.
+	if bb.inv != nil {
+		t.Error("a store holding a NaN point has a bisector table")
+	}
 	for b := 0; b < pb.numBuckets(); b++ {
 		holdsNaN := false
 		for _, id := range pb.ptOrder[pb.ptStarts[b]:pb.ptStarts[b+1]] {
@@ -166,6 +234,62 @@ func TestBoundNonFinite(t *testing.T) {
 		if lb := bb.buckets.lowerBound(b, far, math.Inf(1)); holdsNaN != (lb == 0) {
 			t.Errorf("bucket %d (holds the NaN point: %v) has LB %v for a far query", b, holdsNaN, lb)
 		}
+	}
+	// Coincident sites (sites 1 and 2 on one point) have no bisector, and a
+	// query with a NaN coordinate, NaN from every site, prunes nothing. (Its
+	// answer is not LinearScan's: NaN distances do not order, so the heap
+	// keeps whichever it met first, at the parent as here.)
+	pts = dataset.UniformVectors(rng, 120, 2)
+	pts[2] = slices.Clone(pts[1].(metric.Vector))
+	idx = NewPermIndex(NewDB(metric.L2{}, pts), []int{0, 1, 2, 3}, Footrule)
+	bb, k := forceBounds(idx), idx.K()
+	for a := range k {
+		for s := range k {
+			if coincident := a == s || a+s == 3 && a*s == 2; coincident != (bb.inv[a*k+s] == 0) {
+				t.Errorf("sites %d and %d: bisector factor %v", a, s, bb.inv[a*k+s])
+			}
+		}
+	}
+	linear := NewLinearScan(idx.db)
+	for _, q := range []metric.Point{pts[1], pts[2], metric.Vector{0.5, 0.5}} {
+		want, _ := linear.KNN(q, 5)
+		got, _ := idx.KNN(q, 5)
+		sameBits(t, fmt.Sprintf("query %v", q), got, want)
+	}
+	if _, st := idx.KNN(metric.Vector{nan, 0.5}, 5); st.PrunedEvals != 0 {
+		t.Errorf("a NaN query pruned %d points", st.PrunedEvals)
+	}
+	if terms, _, _ := bisectorTerms(idx, []float64{nan, nan, nan, nan}); slices.Max(terms) != 0 {
+		t.Errorf("a query at NaN from every site has bisector terms %v", terms)
+	}
+}
+
+// TestBoundBisectorNeedsItsPoints: a PTBL container read beside a database
+// of the right size but other points carries prefixes its points do not have.
+// The range bounds come from the points and stay sound; the bisector term
+// would not, so the sweep that finds a point off its bucket's prefix turns it
+// off and the answers stay LinearScan's.
+func TestBoundBisectorNeedsItsPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	idx := NewPermIndex(NewDB(metric.L2{}, dataset.UniformVectors(rng, 2000, 2)), rng.Perm(2000)[:8], Footrule)
+	var buf bytes.Buffer
+	if _, err := WriteIndex(&buf, idx); err != nil {
+		t.Fatal(err)
+	}
+	other := NewDB(metric.L2{}, dataset.UniformVectors(rng, 2000, 2))
+	loaded, err := ReadIndex(&buf, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := loaded.(*PermIndex)
+	if bb := forceBounds(x); bb.inv != nil || forceBounds(idx).inv == nil {
+		t.Fatal("the bisector term is on over a table that is not its points', or off over one that is")
+	}
+	linear := NewLinearScan(other)
+	for qi, q := range dataset.UniformVectors(rng, 200, 2) {
+		want, _ := linear.KNN(q, 5)
+		got, _ := x.KNN(q, 5)
+		sameBits(t, fmt.Sprintf("query %d", qi), got, want)
 	}
 }
 
@@ -629,7 +753,8 @@ func prunedFuzzInput(data []byte) (m metric.Metric, pts []metric.Point, q metric
 // distance) equal LinearScan element for element, and so do they with a dead
 // set the bytes also describe left out (checkSkip). The stores are far below
 // boundMinFill, so their bounds are forced, and the seeds are checked to
-// reach a walk that prunes, and one that walks buckets of several cells.
+// reach a walk that prunes, one that walks buckets of several cells, and one
+// with a bucket that only the bisector term excludes at the k-th distance.
 func FuzzPrunedKNN(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 4+2*3*61)
@@ -638,24 +763,47 @@ func FuzzPrunedKNN(f *testing.F) {
 	cells := make([]byte, 4+2*2*201)
 	rng.Read(cells)
 	copy(cells, []byte{0, 1, 3, 9}) // L1, 2-d, 4 sites, k = 10 over 200 random points
-	pruned, cut := 0, 0
+	bisector := make([]byte, 4+2*3*241)
+	rng.Read(bisector)
+	copy(bisector, []byte{1, 2, 7, 0}) // L2, 3-d, 8 sites, k = 1 over 240 random points
+	pruned, cut, bisectorOnly := 0, 0, 0
 	for _, seed := range [][]byte{
 		{1, 0, 3, 2, 0, 0, 10, 0, 20, 0, 30, 0, 30, 0, 255, 255, 15, 0},
 		{0, 1, 2, 1, 1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 1, 0, 1, 0, 0, 0, 5, 0},
 		random,
 		cells,
+		bisector,
 	} {
 		f.Add(seed)
 		st, idx := prunedFuzzCheck(f, seed)
 		pruned += st.PrunedEvals
-		for b := 0; idx != nil && b < idx.ApproxBuckets(); b++ {
+		if idx == nil {
+			continue
+		}
+		for b := 0; b < idx.ApproxBuckets(); b++ {
 			if idx.lb.bucketCells[b+1]-idx.lb.bucketCells[b] >= 2 {
 				cut++
 			}
 		}
+		_, _, q, _, k, _ := prunedFuzzInput(seed)
+		want, _ := NewLinearScan(idx.db).KNN(q, k)
+		qd := make([]float64, idx.K())
+		for i, id := range idx.siteIDs {
+			qd[i] = idx.db.Metric.Distance(q, idx.db.Points[id])
+		}
+		if idx.bounds().inv == nil { // L1/L∞: no bisector term
+			continue
+		}
+		terms, _, _ := bisectorTerms(idx, qd)
+		for b, l := range terms {
+			if limit := want[k-1].Distance; l > limit && !(idx.bounds().buckets.lowerBound(b, qd, limit) > limit) {
+				bisectorOnly++
+			}
+		}
 	}
-	if pruned == 0 || cut == 0 {
-		f.Fatalf("%d points pruned, %d buckets of several cells: the fuzzer would only ever compare two scans, or walk whole buckets", pruned, cut)
+	if pruned == 0 || cut == 0 || bisectorOnly == 0 {
+		f.Fatalf("%d points pruned, %d buckets of several cells, %d buckets only the bisector term excludes: the fuzzer would only ever compare two scans, walk whole buckets, or never reach the bisector term",
+			pruned, cut, bisectorOnly)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { prunedFuzzCheck(t, data) })
 }

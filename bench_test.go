@@ -987,14 +987,15 @@ func BenchmarkApproxKNN(b *testing.B) {
 // cell one contiguous run); the LinearScan oracle; a range query at the
 // radius of that 10-NN answer, which rides the same walk with a fixed limit;
 // and the per-query cost of a 32-query KNNBatch, which is that walk once per
-// query; then the walk and the scan again on a uniform store at perflab's S2
-// shape (uniform/knn, uniform/linear). All are exact. knn must sit well under
+// query; then the walk, the range query at each query's true 10th distance
+// and the scan again on a uniform store at perflab's S2 shape (uniform/knn,
+// uniform/range, uniform/linear). All are exact. knn must sit well under
 // linear on this data: a knn ≈ linear reading means the bounds stopped
 // pruning (or the store stopped qualifying for them). knnbatch/query should
-// track knn; a reading near linear means a batch stopped pruning. knn, range
-// and uniform/knn also report evals/op, the mean DistanceEvals of the 64
-// queries: a count, so it repeats exactly and records the points the walk
-// measures.
+// track knn; a reading near linear means a batch stopped pruning. knn, range,
+// uniform/knn and uniform/range also report evals/op, the mean DistanceEvals
+// of the 64 queries: a count, so it repeats exactly and records the points
+// the walk measures.
 func BenchmarkKNNExhaustive(b *testing.B) {
 	idx, queries, truth := approxBenchIndex(b, "clustered")
 	scan := sisap.NewLinearScan(approxBench.db["clustered"])
@@ -1031,7 +1032,7 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 		}
 	})
 	b.Run("uniform/knn", func(b *testing.B) {
-		_, uidx, uqueries := s2BenchIndex()
+		_, uidx, uqueries, _ := s2BenchIndex()
 		b.ResetTimer()
 		knn := func(i int) sisap.Stats { _, st := uidx.KNN(uqueries[i&63], 10); return st }
 		for i := 0; i < b.N; i++ {
@@ -1039,8 +1040,17 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 		}
 		evals(b, knn)
 	})
+	b.Run("uniform/range", func(b *testing.B) {
+		_, uidx, uqueries, tenth := s2BenchIndex()
+		b.ResetTimer()
+		within := func(i int) sisap.Stats { _, st := uidx.Range(uqueries[i&63], tenth[i&63]); return st }
+		for i := 0; i < b.N; i++ {
+			within(i)
+		}
+		evals(b, within)
+	})
 	b.Run("uniform/linear", func(b *testing.B) {
-		db, _, uqueries := s2BenchIndex()
+		db, _, uqueries, _ := s2BenchIndex()
 		uscan := sisap.NewLinearScan(db)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -1050,26 +1060,32 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 }
 
 // s2Bench is perflab's S2 store (batch64-uniform): n=50k uniform 6-d points,
-// 12 sites, uniform queries — the store where the bisector term of each
-// bucket's prefix, not its site ranges, does most of the pruning. Built on
-// first use, so a run that selects none of BenchmarkKNNExhaustive's uniform/*
-// sub-benchmarks does not pay for it.
+// 12 sites, uniform queries and each one's true 10th distance — the store
+// where the bisector term of each bucket's prefix, not its site ranges, does
+// most of the pruning. Built on first use, so a run that selects none of
+// BenchmarkKNNExhaustive's uniform/* sub-benchmarks does not pay for it.
 var s2Bench struct {
 	once    sync.Once
 	db      *sisap.DB
 	idx     *sisap.PermIndex
 	queries []metric.Point
+	tenth   []float64
 }
 
-func s2BenchIndex() (*sisap.DB, *sisap.PermIndex, []metric.Point) {
+func s2BenchIndex() (*sisap.DB, *sisap.PermIndex, []metric.Point, []float64) {
 	s := &s2Bench
 	s.once.Do(func() {
 		rng := rand.New(rand.NewSource(44))
 		s.db = sisap.NewDB(metric.L2{}, dataset.UniformVectors(rng, 50_000, 6))
 		s.idx, s.queries = sisap.NewPermIndex(s.db, rng.Perm(s.db.N())[:12], sisap.Footrule), dataset.UniformVectors(rng, 64, 6)
 		s.idx.KNN(s.queries[0], 10) // the rows and bounds are set-up, not the query under test
+		scan := sisap.NewLinearScan(s.db)
+		for _, q := range s.queries {
+			rs, _ := scan.KNN(q, 10)
+			s.tenth = append(s.tenth, rs[9].Distance)
+		}
 	})
-	return s.db, s.idx, s.queries
+	return s.db, s.idx, s.queries, s.tenth
 }
 
 // BenchmarkPermIndexBuild measures what a store pays before it answers an

@@ -104,6 +104,7 @@ type permScratch struct {
 	queue  []pending        // buckets and cells a walk still has to reach, grown on demand
 	near   []uint32         // the sites by query distance, len k (bisectors)
 	gaps   []siteGap        // every site's largest bisector gaps, len k·ℓ
+	terms  []float64        // a prefix's bisector term at each level, len ℓ (descend)
 }
 
 // parallelBuildThreshold is the database size below which a build's rows,

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -523,7 +524,7 @@ type siteGap struct {
 func (bb *bucketBounds) bisectors(qd []float64, pb *prefixBuckets, s *permScratch) int {
 	k, ell := len(qd), pb.ell
 	if len(s.gaps) != k*ell {
-		s.near, s.gaps = make([]uint32, k), make([]siteGap, k*ell)
+		s.near, s.gaps, s.terms = make([]uint32, k), make([]siteGap, k*ell), make([]float64, ell)
 	}
 	for i := range s.near {
 		s.near[i] = uint32(i)
@@ -551,23 +552,54 @@ func (bb *bucketBounds) bisectors(qd []float64, pb *prefixBuckets, s *permScratc
 	return -1
 }
 
-// bisectorLB returns the bisector term of the bucket of prefix pref: every
-// point of it lies on aₘ's side of the bisector with each site not among
-// a₁…aₘ, so aₘ's largest gap to one of them, over m, bounds the bucket. At
-// most ℓ − 1 of a site's ℓ gaps are excluded; a gap of 0 adds nothing.
-func bisectorLB(pref []uint32, gaps []siteGap) float64 {
-	ell, lb := len(pref), 0.0
-	for m, a := range pref {
-		for _, g := range gaps[int(a)*ell:][:ell] {
-			if !slices.Contains(pref[:m], g.site) {
-				if g.gap > lb {
-					lb = g.gap
-				}
+// levelGap is the bisector term's step at level m of prefix pref: every point
+// of its buckets lies on aₘ's side of the bisector with each site not among
+// a₁…aₘ, so aₘ's largest gap to one of them bounds them all. At most m < ℓ of
+// aₘ's ℓ gaps are excluded; a gap of 0 adds nothing.
+func levelGap(pref []uint32, m int, gaps []siteGap) float64 {
+	for _, g := range gaps[int(pref[m])*len(pref):][:len(pref)] {
+		if !slices.Contains(pref[:m], g.site) {
+			return g.gap
+		}
+	}
+	return 0
+}
+
+// descend walks the buckets in prefix order, a trie of nested cells of the
+// bisector arrangement: a₁…aₘ holds every bucket that extends it, and its
+// term, the greater of a₁…aₘ₋₁'s and levelGap(m), bounds them all, one
+// lookup a level shared by every bucket below. A prefix whose term exceeds
+// c's limit, which may only fall, skips its run of buckets (galloping, then
+// bisecting); reach gets every other bucket with its term.
+func (bb *bucketBounds) descend(pb *prefixBuckets, s *permScratch, c *collector, reach func(b int, term float64)) {
+	order, terms, ell := bb.byPrefix, s.terms, pb.ell
+	var pref, prev []uint32
+	m := 0
+	below := func(j int) bool { return slices.Equal(pb.prefix(int(order[j]))[:m+1], pref[:m+1]) }
+	for i := 0; i < len(order); {
+		pref, m = pb.prefix(int(order[i])), 0
+		for m < len(prev) && pref[m] == prev[m] { // levels shared with the last prefix
+			m++
+		}
+		for prev = pref; m < ell; m++ {
+			if terms[m] = levelGap(pref, m, s.gaps); m > 0 {
+				terms[m] = max(terms[m], terms[m-1])
+			}
+			if terms[m] > c.limit() {
 				break
 			}
 		}
+		if m == ell {
+			reach(int(order[i]), terms[ell-1])
+			i++
+			continue
+		}
+		lo, hi := i, i+1 // order[lo] is below pref[:m+1], order[hi] past it
+		for hi < len(order) && below(hi) {
+			lo, hi = hi, min(i+2*(hi-i), len(order))
+		}
+		i = lo + 1 + sort.Search(hi-lo-1, func(j int) bool { return !below(lo + 1 + j) })
 	}
-	return lb
 }
 
 // bounds returns the shared bucket bounds, computed on first use, or nil
@@ -584,29 +616,79 @@ type pending struct {
 	c0, c1 int
 }
 
-// after orders a walk's queue: descending LB, ties by number; NaN, which
-// never prunes, last — the next visited.
-func (e pending) after(o pending) int { return cmp.Or(cmp.Compare(o.lb, e.lb), o.c0-e.c0) }
+// after orders a walk's queue, whose LBs are positive (offer): descending LB,
+// ties by descending number, so the last is visited next.
+func (e pending) after(o pending) int {
+	if e.lb > o.lb || e.lb == o.lb && e.c0 > o.c0 {
+		return -1
+	} else if e == o {
+		return 0
+	}
+	return 1
+}
+
+// walk is one exact query's search over a store with bounds: the collector,
+// the query's site distances qd, the points measured and the runs queued,
+// sorted once every bucket is offered.
+type walk struct {
+	x        *PermIndex
+	bb       *bucketBounds
+	q        metric.Point
+	c        *collector
+	qd       []float64
+	queue    []pending
+	sorted   bool
+	measured int
+}
+
+// offer takes cells c0..c1-1 at lower bound l: expanded at once at 0 or NaN,
+// which never prunes, queued at most c's limit, dropped above it.
+func (w *walk) offer(l float64, c0, c1 int) {
+	if !(l > 0) {
+		w.expand(c0, c1)
+	} else if l <= w.c.limit() {
+		e, at := pending{l, c0, c1}, len(w.queue)
+		if w.sorted {
+			at, _ = slices.BinarySearchFunc(w.queue, e, pending.after)
+		}
+		w.queue = slices.Insert(w.queue, at, e)
+	}
+}
+
+// expand measures a run of one cell, and offers each cell of a longer one at
+// its own LB.
+func (w *walk) expand(c0, c1 int) {
+	if lb := w.x.lb; c1-c0 == 1 {
+		lo, hi := int(lb.cellStarts[c0]), int(lb.cellStarts[c1])
+		w.x.db.measure(w.q, lb.rows, lb.labels, lo, hi, w.c)
+		w.measured += hi - lo
+		return
+	}
+	for cell := c0; cell < c1; cell++ {
+		w.offer(w.bb.cells.lowerBound(cell, w.qd, w.c.limit()), cell, cell+1)
+	}
+}
 
 // search answers an exact query into c by visiting cells of prefix buckets
 // instead of points. The k site distances the query is charged for anyway
 // bound every cell's and bucket's distance to any of its points by LAESA's
 // rule, and under L2 a bucket's of prefix a₁…a_ℓ also by the bisector term:
 //
-//	LB = max(maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ)),
-//	         maxₘ max_{s ∉ a₁…aₘ} (d(q,aₘ)² − d(q,s)²) / 2·d(aₘ,s))
+//	LB = max(maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ)), T(a₁…a_ℓ)),
+//	T(a₁…aₘ) = max(T(a₁…aₘ₋₁), max_{s ∉ a₁…aₘ} (d(q,aₘ)² − d(q,s)²) / 2·d(aₘ,s))
 //
-// each term shrunk by its rounding slack (slackGap, bisectorGap), the range
-// term evaluated only where the bisector term leaves the bucket in reach. A
-// cell, one contiguous run of the bucket-major rows, is measured unless its
-// bucket's LB or its own exceeds c's limit: strictly, so ties are still seen
-// and the (distance, ID) tie-break stays the oracle's. The query's own bucket
-// (L2) and any at LB 0 are expanded at once (cells at LB 0 measured, the rest
-// queued), any other queued and expanded when the walk reaches it; a bucket
-// of one cell is bounded once. The queue is visited in ascending LB so a kNN
-// limit tightens early (a range query's is fixed). Either way c ends up
-// holding what the full scan would have (set-determined, see collector), and
-// on a store without bounds the full scan is what runs.
+// each term shrunk by its rounding slack (slackGap, bisectorGap), T descended
+// once a prefix for every bucket below it (descend), the range term evaluated
+// only where T leaves the bucket in reach. A cell, one contiguous run of the
+// bucket-major rows, is measured unless its bucket's LB or its own exceeds
+// c's limit: strictly, so ties are still seen and the (distance, ID)
+// tie-break stays the oracle's. The query's own bucket (L2) goes first, so
+// that the limit is finite from the first bucket bounded; a bucket or cell at
+// LB 0 is expanded at once, any other queued and expanded when the walk
+// reaches it; a bucket of one cell is bounded once. The queue is visited in
+// ascending LB so a kNN limit tightens early (a range query's is fixed).
+// Either way c ends up holding what the full scan would have (set-determined,
+// see collector), and on a store without bounds the full scan is what runs.
 func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 	bb, k, n := x.bounds(), x.K(), x.db.N()
 	if bb == nil {
@@ -619,65 +701,35 @@ func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 	for i, id := range x.siteIDs {
 		s.qd[i] = x.db.Metric.Distance(q, x.db.Points[id])
 	}
-	measured, queue, sorted := 0, s.queue[:0], false
-	enqueue := func(e pending) {
-		at := len(queue)
-		if sorted {
-			at, _ = slices.BinarySearchFunc(queue, e, pending.after)
-		}
-		queue = slices.Insert(queue, at, e)
+	w := walk{x: x, bb: bb, q: q, c: c, qd: s.qd, queue: s.queue[:0]}
+	bucket := func(b int, term float64) { // at the greater of term and its range LB
+		w.offer(max(term, bb.buckets.lowerBound(b, s.qd, c.limit())), int(lb.bucketCells[b]), int(lb.bucketCells[b+1]))
 	}
-	visit := func(cell int) {
-		lo, hi := int(lb.cellStarts[cell]), int(lb.cellStarts[cell+1])
-		x.db.measure(q, lb.rows, lb.labels, lo, hi, c)
-		measured += hi - lo
-	}
-	expand := func(c0, c1 int) {
-		if c1-c0 == 1 {
-			visit(c0)
-			return
+	if bb.inv == nil {
+		for b := range len(lb.bucketCells) - 1 {
+			bucket(b, 0)
 		}
-		for cell := c0; cell < c1; cell++ {
-			if l := bb.cells.lowerBound(cell, s.qd, c.limit()); l == 0 {
-				visit(cell)
-			} else if !(l > c.limit()) {
-				enqueue(pending{l, cell, cell + 1})
+	} else {
+		own := bb.bisectors(s.qd, lb.pb, s)
+		if own >= 0 {
+			w.expand(int(lb.bucketCells[own]), int(lb.bucketCells[own+1]))
+		}
+		bb.descend(lb.pb, s, c, func(b int, term float64) {
+			if b != own {
+				bucket(b, term)
 			}
-		}
+		})
 	}
-	// Under L2 the query's own bucket, at bisector LB 0, goes first, so that
-	// the limit is finite from the first bucket bounded.
-	pb, own := lb.pb, -1
-	if bb.inv != nil {
-		if own = bb.bisectors(s.qd, pb, s); own >= 0 {
-			expand(int(lb.bucketCells[own]), int(lb.bucketCells[own+1]))
-		}
-	}
-	for b := range len(lb.bucketCells) - 1 {
-		l := 0.0
-		if bb.inv != nil {
-			l = bisectorLB(pb.prefix(b), s.gaps)
-		}
-		if b == own || l > c.limit() {
-			continue
-		}
-		c0, c1 := int(lb.bucketCells[b]), int(lb.bucketCells[b+1])
-		if l = max(l, bb.buckets.lowerBound(b, s.qd, c.limit())); l == 0 {
-			expand(c0, c1)
-		} else if !(l > c.limit()) {
-			enqueue(pending{l, c0, c1})
-		}
-	}
-	slices.SortFunc(queue, pending.after)
-	for sorted = true; len(queue) > 0; {
-		e := queue[len(queue)-1]
-		if queue = queue[:len(queue)-1]; e.lb > c.limit() {
+	slices.SortFunc(w.queue, pending.after)
+	for w.sorted = true; len(w.queue) > 0; {
+		e := w.queue[len(w.queue)-1]
+		if w.queue = w.queue[:len(w.queue)-1]; e.lb > c.limit() {
 			break
 		}
-		expand(e.c0, e.c1)
+		w.expand(e.c0, e.c1)
 	}
-	s.queue = queue[:0] // keep what append grew
-	return Stats{DistanceEvals: k + measured, PrunedEvals: n - measured}
+	s.queue = w.queue[:0] // keep what append grew
+	return Stats{DistanceEvals: k + w.measured, PrunedEvals: n - w.measured}
 }
 
 // ApproxBuckets returns the directory size — the value nprobe is measured

@@ -83,16 +83,19 @@ func boundShapes(rng *rand.Rand, n, d int) map[string][]metric.Point {
 	}
 }
 
-// bisectorTerms returns every bucket's bisector term (bisectorLB) for a
-// query at computed distances qd from the sites of x, an L2 store with a
-// table, the query's own bucket (bisectors) and the scratch that holds the
+// bisectorTerms returns every bucket's bisector term for a query at computed
+// distances qd from the sites of x, an L2 store with a table — the walk's own
+// per-level step (levelGap) folded over the bucket's prefix, one bucket at a
+// time — the query's own bucket (bisectors) and the scratch that holds the
 // query's own prefix (near) and the sites' gaps.
 func bisectorTerms(x *PermIndex, qd []float64) ([]float64, int, *permScratch) {
 	bb, pb, s := x.bounds(), x.buckets(), &permScratch{}
 	own := bb.bisectors(qd, pb, s)
 	terms := make([]float64, pb.numBuckets())
 	for b := range terms {
-		terms[b] = bisectorLB(pb.prefix(b), s.gaps)
+		for m := range pb.ell {
+			terms[b] = max(terms[b], levelGap(pb.prefix(b), m, s.gaps))
+		}
 	}
 	return terms, own, s
 }
@@ -203,7 +206,124 @@ func TestBoundBisectorOwnBucket(t *testing.T) {
 	}
 }
 
-// TestBoundNonFinite: an interval that is not finite, or a query whose site
+// TestBoundDescent: at a fixed limit, the descent of the prefix trie passes
+// on exactly the buckets whose bisector term, folded one bucket at a time
+// (bisectorTerms), is at most the limit, each once and with that term bit for
+// bit — at limit 0, at the query's true k-th distance and at +Inf, on every
+// L2 shape at d = 1…8. Some excluded bucket must share the first site that
+// excludes it with another, or no run was ever skipped.
+func TestBoundDescent(t *testing.T) {
+	const n, sites, k = 400, 7, 10
+	runs := 0
+	for d := 1; d <= 8; d++ {
+		rng := rand.New(rand.NewSource(int64(450 + d)))
+		for shape, pts := range boundShapes(rng, n, d) {
+			idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(n)[:sites], Footrule)
+			bb, pb := forceBounds(idx), idx.buckets()
+			if bb.inv == nil {
+				t.Fatalf("d=%d %s: an L2 store built here has no bisector table", d, shape)
+			}
+			firsts := make(map[uint32]int) // buckets per first site
+			for b := range pb.numBuckets() {
+				firsts[pb.prefix(b)[0]]++
+			}
+			linear, qd := NewLinearScan(idx.db), make([]float64, sites)
+			for qi, q := range append(dataset.UniformVectors(rng, 6, d), pts[rng.Intn(n)]) {
+				for i, id := range idx.siteIDs {
+					qd[i] = idx.db.Metric.Distance(q, pts[id])
+				}
+				want, _, s := bisectorTerms(idx, qd)
+				truth, _ := linear.KNN(q, k)
+				for _, limit := range []float64{0, truth[k-1].Distance, math.Inf(1)} {
+					got, reached := make([]float64, len(want)), make([]int, len(want))
+					bb.descend(pb, s, &collector{r: limit}, func(b int, term float64) { got[b], reached[b] = term, reached[b]+1 })
+					for b, term := range want {
+						if reached[b] != 1 && !(term > limit) || reached[b] != 0 && term > limit || reached[b] == 1 && math.Float64bits(got[b]) != math.Float64bits(term) {
+							t.Fatalf("d=%d %s query %d, limit %v: bucket %d, of term %v, reached %d times at term %v", d, shape, qi, limit, b, term, reached[b], got[b])
+						}
+						if first := pb.prefix(b)[0]; term > limit && levelGap(pb.prefix(b), 0, s.gaps) > limit && firsts[first] > 1 {
+							runs++
+						}
+					}
+				}
+			}
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no excluded first site led more than one bucket: the descent never skipped a run")
+	}
+}
+
+// TestPrunedPrefixLenK: a directory whose prefixes are whole permutations,
+// ℓ = k past maxAutoPrefixLen (a PFR3 file may carry one), descends all k
+// levels and still answers exact kNN and range queries like LinearScan.
+func TestPrunedPrefixLenK(t *testing.T) {
+	const n, sites = 1500, 10
+	rng := rand.New(rand.NewSource(47))
+	pts := dataset.ClusteredVectors(rng, n, 3, 6, 0.1)
+	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(n)[:sites], Footrule)
+	idx.configurePrefixBuckets(sites)
+	if bb := forceBounds(idx); idx.PrefixLen() != sites || sites <= maxAutoPrefixLen || bb.inv == nil {
+		t.Fatalf("ℓ = %d of k = %d sites, bisector table %v", idx.PrefixLen(), sites, bb.inv != nil)
+	}
+	linear, pruned := NewLinearScan(idx.db), 0
+	for qi, q := range append(dataset.UniformVectors(rng, 20, 3), pts[:5]...) {
+		for _, k := range []int{1, 10} {
+			want, _ := linear.KNN(q, k)
+			got, st := idx.KNN(q, k)
+			sameBits(t, fmt.Sprintf("query %d, %d-NN", qi, k), got, want)
+			pruned += st.PrunedEvals
+			within, _ := linear.Range(q, want[k-1].Distance)
+			got, _ = idx.Range(q, want[k-1].Distance)
+			sameBits(t, fmt.Sprintf("query %d, range at the %d-th distance", qi, k), got, within)
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no query pruned a point: the property held vacuously")
+	}
+}
+
+// TestPrunedNaNExpanded: a run offered at LB NaN, which never prunes, is
+// expanded at once like one at LB 0 (its cells measured or queued at their
+// own, positive, LBs), never queued whole; one at a positive LB within the
+// limit is queued whole, and one above it dropped.
+func TestPrunedNaNExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	pts := dataset.ClusteredVectors(rng, 600, 2, 3, 0.1)
+	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(600)[:5], Footrule)
+	bb, lb, q := forceBounds(idx), idx.lb, dataset.UniformVectors(rng, 1, 2)[0]
+	qd := make([]float64, idx.K())
+	for i, id := range idx.siteIDs {
+		qd[i] = idx.db.Metric.Distance(q, pts[id])
+	}
+	split := 0
+	for b := range idx.ApproxBuckets() {
+		c0, c1 := int(lb.bucketCells[b]), int(lb.bucketCells[b+1])
+		size := int(lb.cellStarts[c1] - lb.cellStarts[c0])
+		split += c1 - c0 - 1
+		for _, l := range []float64{math.NaN(), 0, 1, 3} {
+			w := walk{x: idx, bb: bb, q: q, c: &collector{r: 2}, qd: qd}
+			w.offer(l, c0, c1)
+			queued := w.measured
+			for _, e := range w.queue {
+				if e.c1-e.c0 != 1 || !(e.lb > 0) {
+					queued = -1
+					break
+				}
+				queued += int(lb.cellStarts[e.c1] - lb.cellStarts[e.c0])
+			}
+			switch whole := len(w.queue) == 1 && w.queue[0] == (pending{l, c0, c1}) && w.measured == 0; {
+			case l == 1 && !whole, l == 3 && (len(w.queue) > 0 || w.measured > 0), !(l > 0) && queued != size:
+				t.Fatalf("bucket %d (%d cells, %d points) offered at %v: %d points measured, queue %v", b, c1-c0, size, l, w.measured, w.queue)
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no bucket of several cells: expansion was never more than a visit")
+	}
+}
+
+// TestBoundNonFinite:an interval that is not finite, or a query whose site
 // distances are not, must never prune.
 func TestBoundNonFinite(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,16 +37,26 @@ type Query struct {
 // knn reports whether q is a kNN query (as opposed to a range query).
 func (q Query) knn() bool { return q.K != 0 || q.Approx }
 
-// validate rejects a Query no engine over n points can serve, tagging the
-// error ErrOutOfRange.
-func (q Query) validate(n int) error {
+// validate rejects a Query no engine over n points can serve, and a NaN
+// radius or query coordinate, which no distance orders, tagging the error
+// ErrOutOfRange.
+func (q Query) validate(n int, qs []Point) error {
 	switch {
 	case q.knn() && (q.K < 1 || q.K > n):
 		return fmt.Errorf("distperm: k=%d %w 1..%d", q.K, ErrOutOfRange, n)
-	case !q.knn() && q.Radius < 0:
-		return fmt.Errorf("distperm: negative radius %g is %w", q.Radius, ErrOutOfRange)
+	case !q.knn() && !(q.Radius >= 0):
+		return fmt.Errorf("distperm: radius %g is %w (need r ≥ 0)", q.Radius, ErrOutOfRange)
+	}
+	if i := slices.IndexFunc(qs, hasNaN); i >= 0 {
+		return fmt.Errorf("distperm: query %d has a NaN coordinate: %w", i, ErrOutOfRange)
 	}
 	return nil
+}
+
+// hasNaN reports whether p is a Vector with a NaN coordinate.
+func hasNaN(p Point) bool {
+	v, ok := p.(Vector)
+	return ok && slices.ContainsFunc(v, math.IsNaN)
 }
 
 // state is what a search answers over: the view of a built index and, over a
@@ -146,7 +157,7 @@ func newEngine(s *state, perSegment, segments int) *Engine {
 // DistanceEvals and Candidates, and Exact refers to the base answer.
 func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) {
 	s := e.cur.Load()
-	if err := q.validate(s.liveN()); err != nil {
+	if err := q.validate(s.liveN(), qs); err != nil {
 		return nil, nil, err
 	}
 	// A closed engine answers the empty batch too — there is no work a

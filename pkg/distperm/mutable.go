@@ -187,13 +187,17 @@ func newMutable(mi *MutableIndex, cfg MutableConfig) (*Engine, error) {
 }
 
 // checkPoint validates an insert against the store's point shape, so a
-// malformed write is an error here, not a metric panic in a later query.
+// malformed write is an error here, not a metric panic in a later query, and
+// refuses a NaN coordinate, which no distance orders.
 func (e *Engine) checkPoint(p Point) error {
 	if p == nil {
 		return errors.New("distperm: nil point")
 	}
 	if err := metric.Probe(e.Metric(), p); err != nil {
 		return fmt.Errorf("distperm: %w", err)
+	}
+	if hasNaN(p) {
+		return fmt.Errorf("distperm: an insert with a NaN coordinate is %w", ErrOutOfRange)
 	}
 	if proto, ok := e.Proto().(Vector); ok {
 		if v, ok := p.(Vector); !ok || len(v) != len(proto) {

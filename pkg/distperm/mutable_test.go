@@ -3,6 +3,7 @@ package distperm_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -505,6 +506,9 @@ func TestMutableEngineErrors(t *testing.T) {
 	}
 	if _, err := me.Insert(distperm.String("word")); err == nil {
 		t.Error("wrong point type should not insert")
+	}
+	if _, err := me.Insert(distperm.Vector{0.1, math.NaN(), 0.1}); !errors.Is(err, distperm.ErrOutOfRange) {
+		t.Errorf("NaN coordinate: %v", err)
 	}
 	// The k bound tracks the logical size, not the physical one.
 	if _, err := me.KNNBatch(probe, 49); err != nil {

@@ -2,6 +2,7 @@ package distperm
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -232,9 +233,17 @@ func TestSearchRejections(t *testing.T) {
 	probe := []Point{Vector{0.5, 0.5, 0.5}}
 	for _, c := range searchCases(t, "distperm") {
 		n := len(c.ids)
-		for _, q := range []Query{{K: n + 1}, {K: -1}, {Approx: true}, {K: n + 1, Approx: true}, {Radius: -0.5}} {
+		for _, q := range []Query{{K: n + 1}, {K: -1}, {Approx: true}, {K: n + 1, Approx: true}, {Radius: -0.5}, {Radius: math.NaN()}} {
 			if _, _, err := c.eng.Search(probe, q); !errors.Is(err, ErrOutOfRange) {
 				t.Errorf("%s: Search(%+v) = %v, want ErrOutOfRange", c.name, q, err)
+			}
+		}
+		// No distance to a NaN coordinate orders, so no answer to it is the
+		// oracle's: every query form refuses it, anywhere in the batch.
+		nan := []Point{probe[0], Vector{0.5, math.NaN(), 0.5}}
+		for _, q := range []Query{{K: 3}, {Radius: 0.1}, {K: 3, Approx: true}} {
+			if _, _, err := c.eng.Search(nan, q); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s: Search(%+v) of a NaN query = %v, want ErrOutOfRange", c.name, q, err)
 			}
 		}
 		if _, err := c.eng.KNNBatch(probe, 0); !errors.Is(err, ErrOutOfRange) {

@@ -1032,7 +1032,7 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 		}
 	})
 	b.Run("uniform/knn", func(b *testing.B) {
-		_, uidx, uqueries, _ := s2BenchIndex()
+		_, uidx, uqueries, _ := s2BenchIndex("uniform")
 		b.ResetTimer()
 		knn := func(i int) sisap.Stats { _, st := uidx.KNN(uqueries[i&63], 10); return st }
 		for i := 0; i < b.N; i++ {
@@ -1041,7 +1041,7 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 		evals(b, knn)
 	})
 	b.Run("uniform/range", func(b *testing.B) {
-		_, uidx, uqueries, tenth := s2BenchIndex()
+		_, uidx, uqueries, tenth := s2BenchIndex("uniform")
 		b.ResetTimer()
 		within := func(i int) sisap.Stats { _, st := uidx.Range(uqueries[i&63], tenth[i&63]); return st }
 		for i := 0; i < b.N; i++ {
@@ -1050,33 +1050,49 @@ func BenchmarkKNNExhaustive(b *testing.B) {
 		evals(b, within)
 	})
 	b.Run("uniform/linear", func(b *testing.B) {
-		db, _, uqueries, _ := s2BenchIndex()
+		db, _, uqueries, _ := s2BenchIndex("uniform")
 		uscan := sisap.NewLinearScan(db)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			uscan.KNN(uqueries[i&63], 10)
 		}
 	})
+	for _, store := range []string{"uniform-l1", "uniform-linf"} {
+		b.Run(store+"/knn", func(b *testing.B) {
+			_, uidx, uqueries, _ := s2BenchIndex(store)
+			b.ResetTimer()
+			knn := func(i int) sisap.Stats { _, st := uidx.KNN(uqueries[i&63], 10); return st }
+			for i := 0; i < b.N; i++ {
+				knn(i)
+			}
+			evals(b, knn)
+		})
+	}
 }
 
 // s2Bench is perflab's S2 store (batch64-uniform): n=50k uniform 6-d points,
 // 12 sites, uniform queries and each one's true 10th distance — the store
 // where the bisector term of each bucket's prefix, not its site ranges, does
-// most of the pruning. Built on first use, so a run that selects none of
-// BenchmarkKNNExhaustive's uniform/* sub-benchmarks does not pay for it.
-var s2Bench struct {
+// most of the pruning — under L2 ("uniform"), and the same points, sites and
+// queries under L1 and L∞, which have no bisector term and walk from their
+// buckets. Each is built on first use, so a run that selects none of
+// BenchmarkKNNExhaustive's uniform* sub-benchmarks does not pay for it.
+var s2Bench = map[string]*s2Store{"uniform": {m: metric.L2{}}, "uniform-l1": {m: metric.L1{}}, "uniform-linf": {m: metric.LInf{}}}
+
+type s2Store struct {
 	once    sync.Once
+	m       metric.Metric
 	db      *sisap.DB
 	idx     *sisap.PermIndex
 	queries []metric.Point
 	tenth   []float64
 }
 
-func s2BenchIndex() (*sisap.DB, *sisap.PermIndex, []metric.Point, []float64) {
-	s := &s2Bench
+func s2BenchIndex(store string) (*sisap.DB, *sisap.PermIndex, []metric.Point, []float64) {
+	s := s2Bench[store]
 	s.once.Do(func() {
 		rng := rand.New(rand.NewSource(44))
-		s.db = sisap.NewDB(metric.L2{}, dataset.UniformVectors(rng, 50_000, 6))
+		s.db = sisap.NewDB(s.m, dataset.UniformVectors(rng, 50_000, 6))
 		s.idx, s.queries = sisap.NewPermIndex(s.db, rng.Perm(s.db.N())[:12], sisap.Footrule), dataset.UniformVectors(rng, 64, 6)
 		s.idx.KNN(s.queries[0], 10) // the rows and bounds are set-up, not the query under test
 		scan := sisap.NewLinearScan(s.db)

@@ -101,10 +101,9 @@ type permScratch struct {
 	counts []int32          // counting-sort buckets, grown on demand
 	approx *approxScratch   // approximate-path workspace, on first approx query
 	qd     []float64        // query-to-site distances, len k (search)
-	queue  []pending        // buckets and cells a walk still has to reach, grown on demand
+	heap   []entry          // a walk's frontier, grown on demand
 	near   []uint32         // the sites by query distance, len k (bisectors)
 	gaps   []siteGap        // every site's largest bisector gaps, len k·ℓ
-	terms  []float64        // a prefix's bisector term at each level, len ℓ (descend)
 }
 
 // parallelBuildThreshold is the database size below which a build's rows,
@@ -386,9 +385,9 @@ func (x *PermIndex) ScanOrder(q metric.Point) ([]int, Stats) {
 	return order, stats
 }
 
-// KNNBatch implements BatchIndex: every query is KNN's own walk (search), so
-// results[i] and stats[i] are exactly what KNN(qs[i], k) returns, pruned
-// buckets included.
+// KNNBatch answers one kNN query per element of qs, each KNN's own walk
+// (search), so results[i] and stats[i] are exactly what KNN(qs[i], k)
+// returns, pruned buckets included.
 func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 	checkK(k, x.db.N())
 	results := make([][]Result, len(qs))

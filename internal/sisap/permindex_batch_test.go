@@ -16,10 +16,6 @@ import (
 // both storage backends (permBackends): the heap-built store and its
 // frozen-container mmap view.
 
-// interface conformance: the distance-permutation index is the family's
-// batch member.
-var _ BatchIndex = (*PermIndex)(nil)
-
 func batchQueries(rng *rand.Rand, n, d int) []metric.Point {
 	return dataset.UniformVectors(rng, n, d)
 }

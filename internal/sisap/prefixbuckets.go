@@ -383,9 +383,10 @@ func (x *PermIndex) BoundCells() int { return int(x.lb.boundCells.Load()) }
 type siteRanges struct{ lo, hi []float64 }
 
 // bucketBounds is the metric side of the directory: the site ranges of every
-// cell, and of every bucket as the hull of its cells', and under L2, for the
-// bisector term, bisectorPair's factor and slack of every pair of sites, a·k + s,
-// and the buckets in prefix order, where a query looks up its own (bisectors).
+// cell, and of every bucket as the hull of its cells', under L2, for the
+// bisector term, bisectorPair's factor and slack of every pair of sites, a·k +
+// s, and the buckets in prefix order, the trie the walk searches (the identity
+// without the table).
 type bucketBounds struct {
 	cells, buckets siteRanges
 	inv, slack     []float64
@@ -419,8 +420,9 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	if !x.fillRows(minFill, bb) {
 		x.eachBucket(false, bb)
 	}
-	k := x.K()
+	k, pb := x.K(), x.buckets()
 	x.lb.boundCells.Store(int64(len(bb.cells.lo) / k))
+	bb.byPrefix = ascending(pb.numBuckets())
 	if _, l2 := x.db.Metric.(metric.L2); !l2 || bb.offPrefix.Load() {
 		return bb
 	}
@@ -435,8 +437,6 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 			bb.inv[a*k+s], bb.slack[a*k+s] = bisectorPair(d, far[a]+far[s])
 		}
 	}
-	pb := x.buckets()
-	bb.byPrefix = ascending(pb.numBuckets())
 	slices.SortFunc(bb.byPrefix, func(a, b uint32) int { return slices.Compare(pb.prefix(int(a)), pb.prefix(int(b))) })
 	return bb
 }
@@ -516,15 +516,14 @@ type siteGap struct {
 }
 
 // bisectors readies the bisector term for a query at computed distances qd
-// from the sites and returns the query's own bucket, or -1 if no point has
-// it. s.near lists the sites nearest first, ties to the lower, so its first ℓ
-// are the own bucket's prefix, looked up in byPrefix; s.gaps[a·ℓ:][:ℓ] holds
+// from the sites. s.near lists the sites nearest first, ties to the lower, so
+// its first ℓ are the prefix of the query's own cell; s.gaps[a·ℓ:][:ℓ] holds
 // site a's positive gaps to those ℓ sites, descending, then zeros: only a
 // site nearer the query than a gives a positive gap, so k·ℓ are tried.
-func (bb *bucketBounds) bisectors(qd []float64, pb *prefixBuckets, s *permScratch) int {
-	k, ell := len(qd), pb.ell
+func (bb *bucketBounds) bisectors(qd []float64, ell int, s *permScratch) {
+	k := len(qd)
 	if len(s.gaps) != k*ell {
-		s.near, s.gaps, s.terms = make([]uint32, k), make([]siteGap, k*ell), make([]float64, ell)
+		s.near, s.gaps = make([]uint32, k), make([]siteGap, k*ell)
 	}
 	for i := range s.near {
 		s.near[i] = uint32(i)
@@ -545,11 +544,6 @@ func (bb *bucketBounds) bisectors(qd []float64, pb *prefixBuckets, s *permScratc
 			gaps[j] = siteGap{g, t}
 		}
 	}
-	cmpPrefix := func(b uint32, t []uint32) int { return slices.Compare(pb.prefix(int(b)), t) }
-	if i, ok := slices.BinarySearchFunc(bb.byPrefix, s.near[:ell], cmpPrefix); ok {
-		return int(bb.byPrefix[i])
-	}
-	return -1
 }
 
 // levelGap is the bisector term's step at level m of prefix pref: every point
@@ -565,43 +559,6 @@ func levelGap(pref []uint32, m int, gaps []siteGap) float64 {
 	return 0
 }
 
-// descend walks the buckets in prefix order, a trie of nested cells of the
-// bisector arrangement: a₁…aₘ holds every bucket that extends it, and its
-// term, the greater of a₁…aₘ₋₁'s and levelGap(m), bounds them all, one
-// lookup a level shared by every bucket below. A prefix whose term exceeds
-// c's limit, which may only fall, skips its run of buckets (galloping, then
-// bisecting); reach gets every other bucket with its term.
-func (bb *bucketBounds) descend(pb *prefixBuckets, s *permScratch, c *collector, reach func(b int, term float64)) {
-	order, terms, ell := bb.byPrefix, s.terms, pb.ell
-	var pref, prev []uint32
-	m := 0
-	below := func(j int) bool { return slices.Equal(pb.prefix(int(order[j]))[:m+1], pref[:m+1]) }
-	for i := 0; i < len(order); {
-		pref, m = pb.prefix(int(order[i])), 0
-		for m < len(prev) && pref[m] == prev[m] { // levels shared with the last prefix
-			m++
-		}
-		for prev = pref; m < ell; m++ {
-			if terms[m] = levelGap(pref, m, s.gaps); m > 0 {
-				terms[m] = max(terms[m], terms[m-1])
-			}
-			if terms[m] > c.limit() {
-				break
-			}
-		}
-		if m == ell {
-			reach(int(order[i]), terms[ell-1])
-			i++
-			continue
-		}
-		lo, hi := i, i+1 // order[lo] is below pref[:m+1], order[hi] past it
-		for hi < len(order) && below(hi) {
-			lo, hi = hi, min(i+2*(hi-i), len(order))
-		}
-		i = lo + 1 + sort.Search(hi-lo-1, func(j int) bool { return !below(lo + 1 + j) })
-	}
-}
-
 // bounds returns the shared bucket bounds, computed on first use, or nil
 // when the store does not qualify (see siteBounds).
 func (x *PermIndex) bounds() *bucketBounds {
@@ -609,63 +566,96 @@ func (x *PermIndex) bounds() *bucketBounds {
 	return x.lb.bounds
 }
 
-// pending is the cells c0..c1-1 the walk has yet to reach — a bucket's, or
-// one cell — with their lower bound for the query in hand.
-type pending struct {
-	lb     float64
-	c0, c1 int
+// entry is one item of a walk's frontier, at lower bound lb: at depth m < ℓ
+// the trie node byPrefix[lo:hi], whose buckets share their first m sites; at
+// m = ℓ the buckets byPrefix[lo:hi], yet to get their range terms; past ℓ the
+// cells lo..hi-1.
+type entry struct {
+	lb        float64
+	lo, hi, m int
 }
 
-// after orders a walk's queue, whose LBs are positive (offer): descending LB,
-// ties by descending number, so the last is visited next.
-func (e pending) after(o pending) int {
-	if e.lb > o.lb || e.lb == o.lb && e.c0 > o.c0 {
-		return -1
-	} else if e == o {
-		return 0
-	}
-	return 1
-}
-
-// walk is one exact query's search over a store with bounds: the collector,
-// the query's site distances qd, the points measured and the runs queued,
-// sorted once every bucket is offered.
+// walk is one exact query's best-first search over a store with bounds: the
+// collector, the query's site distances qd and bisector gaps, the frontier (a
+// binary min-heap on lb), the LB of the entry being expanded and the points
+// measured.
 type walk struct {
 	x        *PermIndex
 	bb       *bucketBounds
 	q        metric.Point
 	c        *collector
 	qd       []float64
-	queue    []pending
-	sorted   bool
+	gaps     []siteGap
+	heap     []entry
+	front    float64
 	measured int
 }
 
-// offer takes cells c0..c1-1 at lower bound l: expanded at once at 0 or NaN,
-// which never prunes, queued at most c's limit, dropped above it.
-func (w *walk) offer(l float64, c0, c1 int) {
-	if !(l > 0) {
-		w.expand(c0, c1)
-	} else if l <= w.c.limit() {
-		e, at := pending{l, c0, c1}, len(w.queue)
-		if w.sorted {
-			at, _ = slices.BinarySearchFunc(w.queue, e, pending.after)
-		}
-		w.queue = slices.Insert(w.queue, at, e)
-	}
-}
-
-// expand measures a run of one cell, and offers each cell of a longer one at
-// its own LB.
-func (w *walk) expand(c0, c1 int) {
-	if lb := w.x.lb; c1-c0 == 1 {
-		lo, hi := int(lb.cellStarts[c0]), int(lb.cellStarts[c1])
-		w.x.db.measure(w.q, lb.rows, lb.labels, lo, hi, w.c)
-		w.measured += hi - lo
+// push drops e above c's limit, expands it at once at an LB not above the
+// front's — 0 or NaN, which never prunes, included — and queues it otherwise.
+func (w *walk) push(e entry) {
+	if e.lb > w.c.limit() {
+		return
+	} else if !(e.lb > w.front) {
+		w.expand(e)
 		return
 	}
-	for cell := c0; cell < c1; cell++ {
-		w.offer(w.bb.cells.lowerBound(cell, w.qd, w.c.limit()), cell, cell+1)
+	h := append(w.heap, e)
+	for i := len(h) - 1; i > 0 && e.lb < h[(i-1)/2].lb; i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], e
+	}
+	w.heap = h
+}
+
+// pop takes the least-LB entry off the frontier.
+func (w *walk) pop() entry {
+	h, n := w.heap, len(w.heap)-1
+	e := h[0]
+	h[0], h = h[n], h[:n]
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && h[j+1].lb < h[j].lb {
+			j++
+		}
+		if !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+	}
+	w.heap = h
+	return e
+}
+
+// expand pushes e's children: a trie node's runs one site longer, each at the
+// greater of e's term and levelGap (its end found galloping, then bisecting);
+// each bucket at the greater of its term and range term; each cell of a longer
+// run at its own range term. A run of one cell is measured.
+func (w *walk) expand(e entry) {
+	lb, order := w.x.lb, w.bb.byPrefix
+	switch ell := lb.pb.ell; {
+	case e.m < ell:
+		for i := e.lo; i < e.hi; {
+			pref := lb.pb.prefix(int(order[i]))
+			below := func(j int) bool { return lb.pb.prefix(int(order[j]))[e.m] == pref[e.m] }
+			lo, hi := i, i+1 // order[lo] is in the run, order[hi] past it
+			for hi < e.hi && below(hi) {
+				lo, hi = hi, min(i+2*(hi-i), e.hi)
+			}
+			j := lo + 1 + sort.Search(hi-lo-1, func(j int) bool { return !below(lo + 1 + j) })
+			w.push(entry{max(e.lb, levelGap(pref, e.m, w.gaps)), i, j, e.m + 1})
+			i = j
+		}
+	case e.m == ell:
+		for _, b := range order[e.lo:e.hi] {
+			w.push(entry{max(e.lb, w.bb.buckets.lowerBound(int(b), w.qd, w.c.limit())), int(lb.bucketCells[b]), int(lb.bucketCells[b+1]), ell + 1})
+		}
+	case e.hi-e.lo == 1:
+		lo, hi := int(lb.cellStarts[e.lo]), int(lb.cellStarts[e.hi])
+		w.x.db.measure(w.q, lb.rows, lb.labels, lo, hi, w.c)
+		w.measured += hi - lo
+	default:
+		for cell := e.lo; cell < e.hi; cell++ {
+			w.push(entry{w.bb.cells.lowerBound(cell, w.qd, w.c.limit()), cell, cell + 1, ell + 1})
+		}
 	}
 }
 
@@ -674,61 +664,47 @@ func (w *walk) expand(c0, c1 int) {
 // bound every cell's and bucket's distance to any of its points by LAESA's
 // rule, and under L2 a bucket's of prefix a₁…a_ℓ also by the bisector term:
 //
-//	LB = max(maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ)), T(a₁…a_ℓ)),
-//	T(a₁…aₘ) = max(T(a₁…aₘ₋₁), max_{s ∉ a₁…aₘ} (d(q,aₘ)² − d(q,s)²) / 2·d(aₘ,s))
+//	LB = max(T(a₁…a_ℓ), maxᵢ max(0, d(q,sᵢ) − hi[i], lo[i] − d(q,sᵢ))),
+//	T(a₁…aₘ) = max(T(a₁…aₘ₋₁), max_{s ∉ a₁…aₘ} (d(q,aₘ)² − d(q,s)²) / 2·d(aₘ,s)), T() = 0
 //
-// each term shrunk by its rounding slack (slackGap, bisectorGap), T descended
-// once a prefix for every bucket below it (descend), the range term evaluated
-// only where T leaves the bucket in reach. A cell, one contiguous run of the
-// bucket-major rows, is measured unless its bucket's LB or its own exceeds
-// c's limit: strictly, so ties are still seen and the (distance, ID)
-// tie-break stays the oracle's. The query's own bucket (L2) goes first, so
-// that the limit is finite from the first bucket bounded; a bucket or cell at
-// LB 0 is expanded at once, any other queued and expanded when the walk
-// reaches it; a bucket of one cell is bounded once. The queue is visited in
-// ascending LB so a kNN limit tightens early (a range query's is fixed).
-// Either way c ends up holding what the full scan would have (set-determined,
-// see collector), and on a store without bounds the full scan is what runs.
+// each term shrunk by its rounding slack (slackGap, bisectorGap). The walk is
+// one best-first search over the trie of nested cells of the bisector
+// arrangement (Hjaltason & Samet): a frontier of trie nodes keyed by T, one
+// levelGap lookup a child, buckets re-keyed by LB when they first reach the
+// front, so a bucket's range term is computed only there, and cells keyed by
+// their own range term. A store without a bisector table starts at its buckets
+// (byPrefix the identity) at T = 0. The front is expanded while its key is at
+// most c's limit: strictly, so ties are still seen and the (distance, ID)
+// tie-break stays the oracle's. Keys are visited in ascending order, so a kNN
+// limit tightens early (a range query's is fixed). Either way c ends up
+// holding what the full scan would have (set-determined, see collector), and
+// on a store without bounds the full scan is what runs.
 func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 	bb, k, n := x.bounds(), x.K(), x.db.N()
 	if bb == nil {
 		x.db.measure(q, x.db.block, x.db.order, 0, n, c)
 		return Stats{DistanceEvals: k + n}
 	}
-	lb, s := x.lb, x.scratchBuffers()
+	s := x.scratchBuffers()
 	// The sites are measured as the scan measures any point, so a query of
 	// the wrong shape fails here with the scan's own panic.
 	for i, id := range x.siteIDs {
 		s.qd[i] = x.db.Metric.Distance(q, x.db.Points[id])
 	}
-	w := walk{x: x, bb: bb, q: q, c: c, qd: s.qd, queue: s.queue[:0]}
-	bucket := func(b int, term float64) { // at the greater of term and its range LB
-		w.offer(max(term, bb.buckets.lowerBound(b, s.qd, c.limit())), int(lb.bucketCells[b]), int(lb.bucketCells[b+1]))
+	w, m := walk{x: x, bb: bb, q: q, c: c, qd: s.qd, heap: s.heap[:0]}, x.lb.pb.ell
+	if bb.inv != nil { // from the trie's root
+		bb.bisectors(s.qd, m, s)
+		w.gaps, m = s.gaps, 0
 	}
-	if bb.inv == nil {
-		for b := range len(lb.bucketCells) - 1 {
-			bucket(b, 0)
-		}
-	} else {
-		own := bb.bisectors(s.qd, lb.pb, s)
-		if own >= 0 {
-			w.expand(int(lb.bucketCells[own]), int(lb.bucketCells[own+1]))
-		}
-		bb.descend(lb.pb, s, c, func(b int, term float64) {
-			if b != own {
-				bucket(b, term)
-			}
-		})
-	}
-	slices.SortFunc(w.queue, pending.after)
-	for w.sorted = true; len(w.queue) > 0; {
-		e := w.queue[len(w.queue)-1]
-		if w.queue = w.queue[:len(w.queue)-1]; e.lb > c.limit() {
+	for w.push(entry{0, 0, len(bb.byPrefix), m}); len(w.heap) > 0; {
+		e := w.pop()
+		if e.lb > c.limit() {
 			break
 		}
-		w.expand(e.c0, e.c1)
+		w.front = e.lb
+		w.expand(e)
 	}
-	s.queue = w.queue[:0] // keep what append grew
+	s.heap = w.heap[:0] // keep what append grew
 	return Stats{DistanceEvals: k + w.measured, PrunedEvals: n - w.measured}
 }
 

@@ -86,18 +86,18 @@ func boundShapes(rng *rand.Rand, n, d int) map[string][]metric.Point {
 // bisectorTerms returns every bucket's bisector term for a query at computed
 // distances qd from the sites of x, an L2 store with a table — the walk's own
 // per-level step (levelGap) folded over the bucket's prefix, one bucket at a
-// time — the query's own bucket (bisectors) and the scratch that holds the
-// query's own prefix (near) and the sites' gaps.
-func bisectorTerms(x *PermIndex, qd []float64) ([]float64, int, *permScratch) {
+// time — the prefix of the query's own cell, its ℓ nearest sites (near), and
+// the sites' gaps (bisectors).
+func bisectorTerms(x *PermIndex, qd []float64) ([]float64, []uint32, []siteGap) {
 	bb, pb, s := x.bounds(), x.buckets(), &permScratch{}
-	own := bb.bisectors(qd, pb, s)
+	bb.bisectors(qd, pb.ell, s)
 	terms := make([]float64, pb.numBuckets())
 	for b := range terms {
 		for m := range pb.ell {
 			terms[b] = max(terms[b], levelGap(pb.prefix(b), m, s.gaps))
 		}
 	}
-	return terms, own, s
+	return terms, s.near[:pb.ell], s.gaps
 }
 
 // TestBoundSoundness: for every bucket b, every cell c of it and every point
@@ -173,9 +173,8 @@ func TestBoundSoundness(t *testing.T) {
 }
 
 // TestBoundBisectorOwnBucket: a query on a data point lists the sites in the
-// order of that point's own permutation, so its bucket is the query's own —
-// the one the walk looks up (bisectors) and expands first — at bisector term
-// 0, on every L2 shape.
+// order of that point's own prefix, so that point's bucket — the query's own —
+// is at bisector term 0, on every L2 shape.
 func TestBoundBisectorOwnBucket(t *testing.T) {
 	const n, sites = 600, 8
 	rng := rand.New(rand.NewSource(41))
@@ -189,9 +188,9 @@ func TestBoundBisectorOwnBucket(t *testing.T) {
 				for i, site := range idx.siteIDs {
 					qd[i] = idx.db.Metric.Distance(pts[id], pts[site])
 				}
-				terms, own, s := bisectorTerms(idx, qd)
-				if own != b || terms[b] != 0 {
-					t.Fatalf("%s: point %d, of prefix %v, has the query prefix %v, own bucket %d and bisector term %v", shape, id, pb.prefix(b), s.near[:pb.ell], own, terms[b])
+				terms, own, _ := bisectorTerms(idx, qd)
+				if !slices.Equal(own, pb.prefix(b)) || terms[b] != 0 {
+					t.Fatalf("%s: point %d, of prefix %v, has the query prefix %v and bisector term %v", shape, id, pb.prefix(b), own, terms[b])
 				}
 				for _, l := range terms {
 					if l > 0 {
@@ -206,12 +205,15 @@ func TestBoundBisectorOwnBucket(t *testing.T) {
 	}
 }
 
-// TestBoundDescent: at a fixed limit, the descent of the prefix trie passes
-// on exactly the buckets whose bisector term, folded one bucket at a time
-// (bisectorTerms), is at most the limit, each once and with that term bit for
-// bit — at limit 0, at the query's true k-th distance and at +Inf, on every
-// L2 shape at d = 1…8. Some excluded bucket must share the first site that
-// excludes it with another, or no run was ever skipped.
+// TestBoundDescent: at a fixed limit, the walk's frontier, searched from the
+// trie's root by a pop loop of the test's own at front −Inf (so that every
+// entry within the limit is queued, and seen), reaches exactly the buckets
+// whose bisector term, folded one bucket at a time (bisectorTerms), is at most
+// the limit, each once, in ascending term and with that term bit for bit — so
+// no bucket could get a range term while its term is above the limit — at
+// limit 0, at the query's true k-th distance and at +Inf, on every L2 shape at
+// d = 1…8. Some excluded bucket must share the first site that excludes it
+// with another, or no trie node was ever dropped whole.
 func TestBoundDescent(t *testing.T) {
 	const n, sites, k = 400, 7, 10
 	runs := 0
@@ -232,16 +234,29 @@ func TestBoundDescent(t *testing.T) {
 				for i, id := range idx.siteIDs {
 					qd[i] = idx.db.Metric.Distance(q, pts[id])
 				}
-				want, _, s := bisectorTerms(idx, qd)
+				want, _, gaps := bisectorTerms(idx, qd)
 				truth, _ := linear.KNN(q, k)
 				for _, limit := range []float64{0, truth[k-1].Distance, math.Inf(1)} {
 					got, reached := make([]float64, len(want)), make([]int, len(want))
-					bb.descend(pb, s, &collector{r: limit}, func(b int, term float64) { got[b], reached[b] = term, reached[b]+1 })
+					w := walk{x: idx, bb: bb, q: q, c: &collector{r: limit}, qd: qd, gaps: gaps, front: math.Inf(-1)}
+					last := math.Inf(-1)
+					for w.push(entry{0, 0, len(bb.byPrefix), 0}); len(w.heap) > 0; {
+						e := w.pop()
+						if e.lb < last || e.m > pb.ell || e.m == pb.ell && e.hi-e.lo != 1 {
+							t.Fatalf("d=%d %s query %d, limit %v: entry %+v popped after one at %v", d, shape, qi, limit, e, last)
+						}
+						if last = e.lb; e.m < pb.ell {
+							w.expand(e)
+							continue
+						}
+						b := bb.byPrefix[e.lo]
+						got[b], reached[b] = e.lb, reached[b]+1
+					}
 					for b, term := range want {
 						if reached[b] != 1 && !(term > limit) || reached[b] != 0 && term > limit || reached[b] == 1 && math.Float64bits(got[b]) != math.Float64bits(term) {
 							t.Fatalf("d=%d %s query %d, limit %v: bucket %d, of term %v, reached %d times at term %v", d, shape, qi, limit, b, term, reached[b], got[b])
 						}
-						if first := pb.prefix(b)[0]; term > limit && levelGap(pb.prefix(b), 0, s.gaps) > limit && firsts[first] > 1 {
+						if first := pb.prefix(b)[0]; term > limit && levelGap(pb.prefix(b), 0, gaps) > limit && firsts[first] > 1 {
 							runs++
 						}
 					}
@@ -250,7 +265,7 @@ func TestBoundDescent(t *testing.T) {
 		}
 	}
 	if runs == 0 {
-		t.Fatal("no excluded first site led more than one bucket: the descent never skipped a run")
+		t.Fatal("no excluded first site led more than one bucket: the frontier never dropped a node whole")
 	}
 }
 
@@ -283,7 +298,7 @@ func TestPrunedPrefixLenK(t *testing.T) {
 	}
 }
 
-// TestPrunedNaNExpanded: a run offered at LB NaN, which never prunes, is
+// TestPrunedNaNExpanded: a run pushed at LB NaN, which never prunes, is
 // expanded at once like one at LB 0 (its cells measured or queued at their
 // own, positive, LBs), never queued whole; one at a positive LB within the
 // limit is queued whole, and one above it dropped.
@@ -296,25 +311,25 @@ func TestPrunedNaNExpanded(t *testing.T) {
 	for i, id := range idx.siteIDs {
 		qd[i] = idx.db.Metric.Distance(q, pts[id])
 	}
-	split := 0
+	split, cells := 0, idx.PrefixLen()+1
 	for b := range idx.ApproxBuckets() {
 		c0, c1 := int(lb.bucketCells[b]), int(lb.bucketCells[b+1])
 		size := int(lb.cellStarts[c1] - lb.cellStarts[c0])
 		split += c1 - c0 - 1
 		for _, l := range []float64{math.NaN(), 0, 1, 3} {
 			w := walk{x: idx, bb: bb, q: q, c: &collector{r: 2}, qd: qd}
-			w.offer(l, c0, c1)
+			w.push(entry{l, c0, c1, cells})
 			queued := w.measured
-			for _, e := range w.queue {
-				if e.c1-e.c0 != 1 || !(e.lb > 0) {
+			for _, e := range w.heap {
+				if e.hi-e.lo != 1 || !(e.lb > 0) {
 					queued = -1
 					break
 				}
-				queued += int(lb.cellStarts[e.c1] - lb.cellStarts[e.c0])
+				queued += int(lb.cellStarts[e.hi] - lb.cellStarts[e.lo])
 			}
-			switch whole := len(w.queue) == 1 && w.queue[0] == (pending{l, c0, c1}) && w.measured == 0; {
-			case l == 1 && !whole, l == 3 && (len(w.queue) > 0 || w.measured > 0), !(l > 0) && queued != size:
-				t.Fatalf("bucket %d (%d cells, %d points) offered at %v: %d points measured, queue %v", b, c1-c0, size, l, w.measured, w.queue)
+			switch whole := len(w.heap) == 1 && w.heap[0] == (entry{l, c0, c1, cells}) && w.measured == 0; {
+			case l == 1 && !whole, l == 3 && (len(w.heap) > 0 || w.measured > 0), !(l > 0) && queued != size:
+				t.Fatalf("bucket %d (%d cells, %d points) pushed at %v: %d points measured, frontier %v", b, c1-c0, size, l, w.measured, w.heap)
 			}
 		}
 	}

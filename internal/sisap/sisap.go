@@ -153,20 +153,6 @@ type Index interface {
 	IndexBits() int64
 }
 
-// BatchIndex is the batch capability: KNNBatch answers a block of kNN
-// queries, each exactly as KNN would — results, tie-breaks and Stats alike,
-// so the batch boundary never changes what is measured. Engines detect this
-// interface on a segment's index and hand its batches to workers as
-// contiguous sub-batches instead of single-query jobs. A BatchIndex whose
-// scalar path is non-reentrant (Replicable) has a non-reentrant batch path
-// too: one goroutine per replica, as usual.
-type BatchIndex interface {
-	Index
-	// KNNBatch answers one kNN query per element of qs: results[i] and
-	// stats[i] are what KNN(qs[i], k) returns.
-	KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats)
-}
-
 // ApproxStats extends Stats with the probe accounting of an approximate
 // query: how much of the bucket directory was consulted and how much of
 // the database was actually measured.
@@ -188,8 +174,7 @@ type ApproxStats struct {
 // (how many inverted-file buckets to probe; ≤ 0 selects the index's
 // default, ≥ the directory size degrades to the exact scan with
 // byte-identical answers). Recall must be monotone non-decreasing in
-// nprobe. Engines detect this interface on their worker replicas, exactly
-// as they detect BatchIndex.
+// nprobe. Engines detect this interface on their worker replicas.
 type ApproxIndex interface {
 	Index
 	// KNNApprox answers one approximate kNN query.

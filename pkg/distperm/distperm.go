@@ -87,14 +87,10 @@ type (
 	// Engine serves one over its base's shards, checking k against its live
 	// points.
 	MutableIndex = sisap.MutableIndex
-	// BatchIndex is the batch capability: KNNBatch answers a block of
-	// queries, each exactly as per-query KNN would. Engine detects it and
-	// hands workers contiguous sub-batches.
-	BatchIndex = sisap.BatchIndex
 	// ApproxIndex is the approximate-search capability: KNNApprox trades
 	// bounded recall for a smaller candidate set, steered by nprobe (how
 	// many permutation-prefix buckets to probe). PermIndex implements it;
-	// the engines detect it on their replicas as they detect BatchIndex.
+	// the engines detect it on their replicas.
 	ApproxIndex = sisap.ApproxIndex
 	// ApproxStats extends Stats with the probe accounting of an approximate
 	// query: probed buckets against the directory size, candidate count,

@@ -386,10 +386,10 @@ type job struct {
 	asts []ApproxStats // non-nil iff q.Approx
 	// dead is what no answer may hold: a mutated store's tombstoned positions.
 	dead sisap.Tombs
-	// batched marks an exact kNN job cut from a multi-query batch over
-	// BatchIndex segments, counted in every segment's BatchedQueries; its
-	// queries are walked one by one like any other. It belongs to the search,
-	// not this job: a 2-query batch on 2 workers is two batched 1-query jobs.
+	// batched marks an exact kNN job cut from a multi-query batch, counted in
+	// every segment's BatchedQueries; its queries are walked one by one like
+	// any other. It belongs to the search, not this job: a 2-query batch on 2
+	// workers is two batched 1-query jobs.
 	batched bool
 	wg      *sync.WaitGroup
 }
@@ -530,8 +530,8 @@ func (p *pool) enter() error {
 // search answers q for every point of qs over v, leaving out the points dead
 // names; the caller has entered the pool and validated q. A job is a chunk of
 // the batch over the whole view (see serve), so the answers come back merged,
-// identical to one index over the unpartitioned database. Multi-query kNN
-// over BatchIndex segments, and every approximate search, travel as chunks of
+// identical to one index over the unpartitioned database. Multi-query exact
+// kNN over any index kind, and every approximate search, travel as chunks of
 // ⌈B/workers⌉ (at most engineChunkCap); everything else one query per job.
 // Every segment of an approximate search probes the NProbe nearest buckets of
 // its own directory for its own min(K, segment size) best: the per-query
@@ -544,8 +544,6 @@ func (p *pool) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Resul
 		if _, ok := seg.idx.(sisap.ApproxIndex); q.Approx && !ok {
 			return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
 		}
-		_, ok := seg.idx.(sisap.BatchIndex)
-		batched = batched && ok
 	}
 	outs := make([][]Result, len(qs))
 	var asts []ApproxStats
@@ -602,8 +600,7 @@ type EngineStats struct {
 	// Queries is the number of queries answered.
 	Queries int64
 	// BatchedQueries is how many of those travelled in exact sub-batch jobs
-	// (multi-query kNN over a BatchIndex segment); 0 means every exact query
-	// travelled alone.
+	// (multi-query kNN); 0 means every exact query travelled alone.
 	BatchedQueries int64
 	// ApproxQueries is how many queries were served through the approximate
 	// path (KNNApproxBatch), including those whose probe set covered the

@@ -420,7 +420,8 @@ func benchShardedSingle(b *testing.B) {
 
 // closedLoop shares b.N calls of fire, over queries in turn, among callers
 // closed-loop goroutines (each sends its next call once its last returns)
-// and reports queries/s and the median call's latency, p50-µs.
+// and reports queries/s and the median and 99th-percentile call's latency,
+// p50-µs and p99-µs.
 func closedLoop(b *testing.B, callers int, fire func(distperm.Point) error, queries []distperm.Point) {
 	lat := make([]time.Duration, b.N)
 	var next atomic.Int64
@@ -445,18 +446,21 @@ func closedLoop(b *testing.B, callers int, fire func(distperm.Point) error, quer
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
 	slices.Sort(lat)
 	b.ReportMetric(float64(lat[len(lat)/2])/float64(time.Microsecond), "p50-µs")
+	b.ReportMetric(float64(lat[len(lat)*99/100])/float64(time.Microsecond), "p99-µs")
 }
 
-// BenchmarkCoalescedServing measures the serving subsystem's coalescer
-// (pkg/dpserver) against per-request submission on a store where a flush
-// does real work: single exact 10-NN queries over n=20k clustered points
-// (distperm, k=12) from 1, 2 and 64 closed-loop callers, either each as its
-// own one-query Engine.Search (mode=per-request) or through a Coalescer at
-// the daemon's defaults, 64 queries / 2 ms (mode=coalesced). conc=1 and 2
-// are the idle path: the coalescer must cost next to nothing there
-// (coalesced ≈ per-request in queries/s and p50-µs, not + BatchWait, fill
-// ≈ 1). conc=64 is the loaded path: arrivals queue behind a busy engine and
-// drain as batches (fill ≫ 1), amortising the per-batch submission cost.
+// BenchmarkCoalescedServing measures the serving subsystem's admission gate
+// (pkg/dpserver) against per-request submission: single exact 10-NN
+// queries over n=20k clustered points (distperm, k=12) from 1, 2, 8 and 64
+// closed-loop callers, either each as its own one-query Engine.Search
+// (mode=per-request) or through the gate the server runs, GOMAXPROCS
+// searches inside the engine at once and the rest queued in arrival order
+// (mode=admitted). conc=1 and 2 are the idle path: the gate must cost next
+// to nothing there (admitted ≈ per-request in queries/s and p50-µs). conc=8
+// and 64 are the loaded path, where the trade shows: per-request callers
+// race for the engine's job channel and the unlucky ones starve (p99-µs),
+// while admitted callers wait their turn — a higher p50-µs for a bounded
+// p99-µs.
 func BenchmarkCoalescedServing(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	db, err := distperm.NewDB(distperm.L2, dataset.ClusteredVectors(rng, 20_000, 6, 32, 0.02))
@@ -470,8 +474,8 @@ func BenchmarkCoalescedServing(b *testing.B) {
 	queries := dataset.UniformVectors(rng, 256, 6)
 	knn := distperm.Query{K: 10}
 
-	for _, conc := range []int{1, 2, 64} {
-		for _, mode := range []string{"per-request", "coalesced"} {
+	for _, conc := range []int{1, 2, 8, 64} {
+		for _, mode := range []string{"per-request", "admitted"} {
 			b.Run(fmt.Sprintf("conc=%d/mode=%s", conc, mode), func(b *testing.B) {
 				e, err := distperm.NewEngine(db, idx, 0)
 				if err != nil {
@@ -482,20 +486,14 @@ func BenchmarkCoalescedServing(b *testing.B) {
 					_, _, err := e.Search([]distperm.Point{q}, knn)
 					return err
 				}
-				var co *dpserver.Coalescer
-				if mode == "coalesced" {
-					co = dpserver.NewCoalescer(e, 64, 2*time.Millisecond)
-					defer co.Close()
+				if mode == "admitted" {
+					gate := dpserver.NewCoalescer(e, 0, 0)
 					fire = func(q distperm.Point) error {
-						_, _, err := co.Search(q, knn, "")
+						_, err := gate.KNN(q, knn.K)
 						return err
 					}
 				}
 				closedLoop(b, conc, fire, queries)
-				if co != nil {
-					batches, enqueued := co.Counters()
-					b.ReportMetric(float64(enqueued)/float64(batches), "fill")
-				}
 			})
 		}
 	}
@@ -522,7 +520,7 @@ func BenchmarkServeLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := dpserver.New(e, dpserver.Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, CacheSize: 4096})
+	srv, err := dpserver.New(e, dpserver.Config{CacheSize: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,8 +16,10 @@
 // every figure is first divided by the geometric mean, from its own file, of
 // the benchmarks over code the serving rounds never touched (anchors), so a
 // box that ran everything 1.7× slower on the day reads flat and the gate can
-// be armed against any committed point, whatever machine recorded it. The
-// baseline is the newest committed bench/BENCH_pr*.json:
+// be armed against any committed point, whatever machine recorded it. An
+// evals/op metric is a count of distance evaluations, the same on every
+// machine, so it is gated raw: any increase fails. The baseline is the
+// newest committed bench/BENCH_pr*.json:
 //
 //	benchgate -baseline bench/BENCH_pr20.json -current BENCH_$GITHUB_SHA.json
 //
@@ -56,6 +58,9 @@ type Point struct {
 	// QPS is the best (maximum) custom queries/s metric, 0 when the
 	// benchmark does not report one.
 	QPS float64 `json:"qps,omitempty"`
+	// Evals is the largest evals/op metric, 0 when the benchmark does not
+	// report one.
+	Evals float64 `json:"evals_per_op,omitempty"`
 	// Runs counts the repetitions aggregated.
 	Runs int `json:"runs"`
 }
@@ -88,10 +93,13 @@ func yardstick(b map[string]Point) float64 {
 // benchLine matches one `go test -bench` result line. The -N GOMAXPROCS
 // suffix is stripped so the name is stable across machines.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(.*)$`)
-var qpsMetric = regexp.MustCompile(`([0-9.e+]+) queries/s`)
+var (
+	qpsMetric   = regexp.MustCompile(`([0-9.e+]+) queries/s`)
+	evalsMetric = regexp.MustCompile(`([0-9.e+]+) evals/op`)
+)
 
 // parseBench folds benchmark output into per-name Points: minimum ns/op and
-// maximum queries/s across repeated lines.
+// maximum queries/s and evals/op across repeated lines.
 func parseBench(r io.Reader) (map[string]Point, error) {
 	out := map[string]Point{}
 	sc := bufio.NewScanner(r)
@@ -109,13 +117,13 @@ func parseBench(r io.Reader) (map[string]Point, error) {
 		if p.Runs == 0 || ns < p.NsPerOp {
 			p.NsPerOp = ns
 		}
-		if q := qpsMetric.FindStringSubmatch(m[3]); q != nil {
-			qps, err := strconv.ParseFloat(q[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchgate: bad queries/s %q: %w", q[1], err)
-			}
-			if qps > p.QPS {
-				p.QPS = qps
+		for re, best := range map[*regexp.Regexp]*float64{qpsMetric: &p.QPS, evalsMetric: &p.Evals} {
+			if q := re.FindStringSubmatch(m[3]); q != nil {
+				v, err := strconv.ParseFloat(q[1], 64)
+				if err != nil {
+					return nil, fmt.Errorf("benchgate: bad metric %q: %w", q[0], err)
+				}
+				*best = max(*best, v)
 			}
 		}
 		p.Runs++
@@ -135,9 +143,9 @@ type regression struct {
 
 // compare gates current against baseline: a benchmark regresses when its
 // ns/op grew, or its queries/s shrank, by more than maxRegress beyond the
-// drift of the anchors between the two files. Only benchmarks present in
-// both files are gated; the names present on one side only are returned for
-// reporting.
+// drift of the anchors between the two files, or its evals/op grew at all.
+// Only benchmarks present in both files are gated; the names present on one
+// side only are returned for reporting.
 func compare(baseline, current map[string]Point, maxRegress float64) (regs []regression, onlyBase, onlyCur []string) {
 	drift := yardstick(current) / yardstick(baseline)
 	for name, b := range baseline {
@@ -155,6 +163,9 @@ func compare(baseline, current map[string]Point, maxRegress float64) (regs []reg
 			if frac := 1 - c.QPS/b.QPS*drift; frac > maxRegress {
 				regs = append(regs, regression{name, "queries/s", b.QPS, c.QPS, frac})
 			}
+		}
+		if b.Evals > 0 && c.Evals > b.Evals {
+			regs = append(regs, regression{name, "evals/op", b.Evals, c.Evals, c.Evals/b.Evals - 1})
 		}
 	}
 	for name := range current {
@@ -323,6 +334,10 @@ func run(record bool, in, out, sha string, baseline, current string, maxRegress 
 			return nil
 		}
 		for _, r := range regs {
+			if r.metric == "evals/op" {
+				fmt.Fprintf(w, "REGRESSION: %s evals/op %.6g → %.6g (a count: any increase fails)\n", r.name, r.base, r.cur)
+				continue
+			}
 			fmt.Fprintf(w, "REGRESSION: %s %s %.4g → %.4g (%.1f%% worse over the anchors, limit %.0f%%)\n",
 				r.name, r.metric, r.base, r.cur, r.frac*100, maxRegress*100)
 		}

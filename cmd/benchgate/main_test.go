@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +97,65 @@ func TestCompareGate(t *testing.T) {
 	regs, _, _ = compare(day(1, nil), day(1, map[string]float64{"BenchmarkKNNLinear": 2}), 0.25)
 	if len(regs) == 0 || regs[0].name != "BenchmarkKNNLinear" {
 		t.Errorf("an anchor that alone doubled: %+v, want it caught", regs)
+	}
+}
+
+// TestEvalsGate: evals/op is parsed beside ns/op and gated raw — a count
+// of distance evaluations reads the same on any box, so one more eval a
+// query fails even when the anchors say the box ran 2× faster, and fewer
+// evals pass even on a box 2× slower.
+func TestEvalsGate(t *testing.T) {
+	const out = `BenchmarkKNNLinear-2   	   35870	     33099 ns/op
+BenchmarkKNNExhaustive/knn-2   	    8000	    150000 ns/op	      6402 evals/op
+BenchmarkKNNExhaustive/knn-2   	    8200	    148000 ns/op	      6402 evals/op
+BenchmarkKNNExhaustive/linear-2	     900	   1300000 ns/op
+`
+	points, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := points["BenchmarkKNNExhaustive/knn"]; p.Evals != 6402 || p.NsPerOp != 148000 || p.Runs != 2 {
+		t.Errorf("knn = %+v, want 6402 evals/op at 148000 ns/op over 2 runs", p)
+	}
+	if p := points["BenchmarkKNNExhaustive/linear"]; p.Evals != 0 {
+		t.Errorf("linear = %+v, want no evals/op", p)
+	}
+	at := func(anchorNs, evals float64) map[string]Point {
+		return map[string]Point{
+			"BenchmarkKNNLinear":         {NsPerOp: anchorNs, Runs: 1},
+			"BenchmarkKNNExhaustive/knn": {NsPerOp: 150000 * anchorNs / 33099, Evals: evals, Runs: 1},
+		}
+	}
+	base := at(33099, 6402)
+	if regs, _, _ := compare(base, at(33099, 6402), 0.25); len(regs) != 0 {
+		t.Errorf("same evals regressed: %+v", regs)
+	}
+	if regs, _, _ := compare(base, at(33099/2.0, 6403), 0.25); len(regs) != 1 || regs[0].metric != "evals/op" || regs[0].cur != 6403 {
+		t.Errorf("one more eval a query on a 2× faster box: %+v, want exactly the evals/op regression", regs)
+	}
+	if regs, _, _ := compare(base, at(33099*2, 6000), 0.25); len(regs) != 0 {
+		t.Errorf("fewer evals on a 2× slower box regressed: %+v", regs)
+	}
+	// A baseline without the field gates nothing on it.
+	if regs, _, _ := compare(at(33099, 0), base, 0.25); len(regs) != 0 {
+		t.Errorf("a baseline without evals/op gated it: %+v", regs)
+	}
+	dir := t.TempDir()
+	var paths [2]string
+	for i, text := range []string{out, strings.ReplaceAll(out, "6402 evals/op", "6410 evals/op")} {
+		in := filepath.Join(dir, "in.txt")
+		if err := os.WriteFile(in, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("p%d.json", i))
+		if err := run(true, in, paths[i], "", "", "", 0.25, nil, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sink strings.Builder
+	if err := run(false, "", "", "", paths[0], paths[1], 0.25, nil, &sink); err == nil ||
+		!strings.Contains(sink.String(), "REGRESSION: BenchmarkKNNExhaustive/knn evals/op 6402 → 6410") {
+		t.Errorf("8 more evals a query passed the gate (%v):\n%s", err, sink.String())
 	}
 }
 

@@ -2,7 +2,7 @@
 // permutation index family: it loads a dataset (generated or from a file)
 // plus an index — built on startup or read from a DPERMIDX container of any
 // codec kind, including "sharded" — and serves JSON kNN/range traffic on a
-// worker-pool engine behind a result cache and a micro-batching coalescer
+// worker-pool engine behind a result cache and a FIFO admission gate
 // (pkg/dpserver). The listen socket binds before any loading starts;
 // /healthz answers 200 (alive) from that moment, while /readyz and every
 // other endpoint answer 503 {"status":"loading"} until the store is ready
@@ -10,8 +10,8 @@
 // on. GET /metrics serves Prometheus text exposition, and -ops-addr adds a
 // private listener with /metrics, the health probes, and net/http/pprof.
 // Shutdown on SIGINT/SIGTERM is graceful:
-// in-flight requests drain and pending coalescer batches flush before the
-// engine closes and any mapped container is unmapped.
+// in-flight requests drain before the engine closes and any mapped
+// container is unmapped.
 //
 // The daemon is flags around three calls: distperm.Open boots the engine
 // (WAL, checkpoint, container or dataset, build, replay, checkpointer),
@@ -105,8 +105,6 @@ func main() {
 	flag.Int64Var(&cfg.WALCheckpoint, "wal-checkpoint", 0, "also write a checkpoint once this many records accumulate past the last one (0 = checkpoint only when a rebuild folds the delta)")
 
 	// Serving.
-	flag.IntVar(&serving.BatchMax, "batch-max", 64, "coalescer: flush a batch queued behind a busy engine at this many queries")
-	flag.DurationVar(&serving.BatchWait, "batch-wait", 2*time.Millisecond, "coalescer: longest a query may queue behind a busy engine (an idle engine never waits)")
 	flag.IntVar(&serving.CacheSize, "cache", 4096, "result cache entries (0 disables)")
 	flag.DurationVar(&serving.SlowQuery, "slow-query", 0, "log queries slower than this as one-line JSON records (0 disables)")
 	flag.Parse()

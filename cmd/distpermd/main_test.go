@@ -294,7 +294,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6, Workers: 2},
-		dpserver.Config{BatchMax: 8, BatchWait: time.Millisecond, CacheSize: 32})
+		dpserver.Config{CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,15 +288,18 @@ func TestRangeRadiusZero(t *testing.T) {
 // summed distance evaluations per index kind — to the figures the per-kind
 // kNN and range loops produced before they became one traversal each
 // (PR 24's parent): a rewrite of a walk may not move what the walk costs.
+// The distperm kind's figures are its bounded best-first walk's, with k
+// chosen so that each store qualifies for bounds.
 func TestDistanceEvalsPinned(t *testing.T) {
 	want := map[int]map[string][2]int{ // d → kind → {kNN, range}
-		2: {"laesa": {3428, 3428}, "aesa": {2295, 2295}, "iaesa": {4254, 2374}, "vptree": {10939, 9983}, "ghtree": {24926, 23655}},
-		6: {"laesa": {59347, 59347}, "aesa": {8491, 8491}, "iaesa": {9304, 8684}, "vptree": {122112, 114466}, "ghtree": {234922, 234325}},
+		2: {"laesa": {3428, 3428}, "aesa": {2295, 2295}, "iaesa": {4254, 2374}, "vptree": {10939, 9983}, "ghtree": {24926, 23655}, "distperm": {40349, 40349}},
+		6: {"laesa": {59347, 59347}, "aesa": {8491, 8491}, "iaesa": {9304, 8684}, "vptree": {122112, 114466}, "ghtree": {234922, 234325}, "distperm": {177534, 177534}},
 	}
 	for _, d := range []int{2, 6} {
 		db, rng := testDB(int64(7+d), 800, d, metric.L2{})
 		linear := NewLinearScan(db)
-		indexes := []Index{NewLAESA(db, rng.Perm(db.N())[:6]), NewAESA(db), NewIAESA(db), NewVPTree(db, rng), NewGHTree(db, rng)}
+		px := NewPermIndex(db, rand.New(rand.NewSource(int64(d))).Perm(db.N())[:map[int]int{2: 8, 6: 4}[d]], Footrule)
+		indexes := []Index{NewLAESA(db, rng.Perm(db.N())[:6]), NewAESA(db), NewIAESA(db), NewVPTree(db, rng), NewGHTree(db, rng), px}
 		got := map[string][2]int{}
 		for _, q := range dataset.UniformVectors(rng, 300, d) {
 			nn, _ := linear.KNN(q, 5)
@@ -311,6 +314,9 @@ func TestDistanceEvalsPinned(t *testing.T) {
 			if got[kind] != w {
 				t.Errorf("d=%d %s: %d kNN / %d range evaluations, want %d / %d", d, kind, got[kind][0], got[kind][1], w[0], w[1])
 			}
+		}
+		if px.BoundCells() == 0 {
+			t.Errorf("d=%d: the distperm store has no bounds, so its figures pin the scan, not the walk", d)
 		}
 	}
 }

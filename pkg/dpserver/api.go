@@ -15,15 +15,15 @@ import (
 // curl requests read exactly like the data.
 
 // KNNRequest is the body of POST /v1/knn: exactly one of Query (single
-// form, eligible for the result cache and the coalescer) or Queries
-// (batched form, submitted to the engine as one batch), plus K.
+// form, eligible for the result cache) or Queries (batched form, submitted
+// to the engine as one batch), plus K.
 //
 // Approx switches the request to the approximate path: the engine probes
 // the NProbe nearest permutation-prefix buckets per query instead of
 // scanning the whole rank table (NProbe ≤ 0 selects the engine default; ≥
 // the directory size degrades to the exact scan with byte-identical
-// answers). Approximate requests bypass the result cache and the
-// coalescer, and the response carries probe accounting in Approx. With
+// answers). Approximate requests bypass the result cache, and the
+// response carries probe accounting in Approx. With
 // Approx false the request is served exactly — byte-identical to a server
 // without the feature.
 type KNNRequest struct {
@@ -151,21 +151,21 @@ type EngineStatsWire struct {
 	P99           string  `json:"p99"`
 }
 
-// ServerCounters is the server-level half of GET /v1/stats: HTTP traffic,
-// coalescer fill, and result-cache effectiveness.
+// ServerCounters is the server-level half of GET /v1/stats: HTTP traffic
+// and result-cache effectiveness.
 type ServerCounters struct {
 	// Requests counts HTTP requests accepted on any endpoint.
 	Requests int64 `json:"requests"`
 	// Errors counts requests answered with a non-2xx status.
 	Errors int64 `json:"errors"`
 	// SingleQueries and BatchQueries split the served queries by request
-	// form: singles flow through the cache and coalescer, batches go to the
-	// engine as submitted.
+	// form: singles flow through the cache, batches go to the engine as
+	// submitted.
 	SingleQueries int64 `json:"single_queries"`
 	BatchQueries  int64 `json:"batch_queries"`
-	// CoalescedBatches and CoalescedQueries describe the micro-batcher:
-	// CoalescedQueries single queries were submitted to the engine in
-	// CoalescedBatches batches, so their ratio is the mean fill.
+	// CoalescedBatches and CoalescedQueries always read 0: they described
+	// a micro-batcher the server no longer has, and stay on the wire for
+	// readers that still parse them.
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	CoalescedQueries int64 `json:"coalesced_queries"`
 	// CacheHits, CacheMisses, and CacheEntries report the result cache

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"distperm/internal/dataset"
 	"distperm/pkg/distperm"
@@ -20,7 +19,7 @@ import (
 // served traffic must show up in /v1/stats and /metrics.
 func TestServerApprox(t *testing.T) {
 	_, ts, truth, queries := testServer(t, 91, 700, 3,
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond, CacheSize: 16})
+		dpserver.Config{CacheSize: 16})
 	c := client.New(ts.URL)
 	qs := queries[:24]
 	const k = 4
@@ -92,7 +91,7 @@ func TestServerApprox(t *testing.T) {
 // k with different nprobe would otherwise alias.
 func TestServerApproxBypassesCache(t *testing.T) {
 	_, ts, _, queries := testServer(t, 92, 500, 3,
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond, CacheSize: 64})
+		dpserver.Config{CacheSize: 64})
 	c := client.New(ts.URL)
 	q := queries[0]
 	const k = 3

@@ -10,8 +10,8 @@ import (
 )
 
 // Cache is a bounded LRU over query results, keyed by a canonical binary
-// encoding of (query point, k | radius). It sits in front of the coalescer:
-// a hit skips the engine entirely, a miss pays one coalesced query and
+// encoding of (query point, k | radius). It sits in front of the admission
+// gate: a hit skips the engine entirely, a miss pays one gated query and
 // populates the entry. Safe for concurrent use.
 //
 // The cache is generation-stamped for mutation safety: Put only stores a

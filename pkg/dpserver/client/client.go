@@ -64,7 +64,7 @@ func encodeQueries(qs []distperm.Point, single bool) (one json.RawMessage, all [
 }
 
 // KNN answers one kNN query — the request shape that flows through the
-// server's result cache and coalescer.
+// server's result cache.
 func (c *Client) KNN(ctx context.Context, q distperm.Point, k int) ([]distperm.Result, error) {
 	resp, err := c.knn(ctx, []distperm.Point{q}, true, k, false, 0)
 	return resp.Results, err

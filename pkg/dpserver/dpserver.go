@@ -12,9 +12,9 @@
 //	                answers carry the stable global IDs granted
 //	POST /v1/delete remove points by global ID ({"id": 4} or {"ids": [...]})
 //	GET  /v1/stats  engine counters (queries, distance evaluations, latency
-//	                percentiles) plus server counters (coalescer fill,
-//	                cache hits/misses) and, on mutable servers, the write
-//	                path (delta size, tombstones, rebuilds)
+//	                percentiles) plus server counters (requests, cache
+//	                hits/misses) and, on mutable servers, the write path
+//	                (delta size, tombstones, rebuilds)
 //	GET  /v1/index  what is being served (kind, bits, live points, shards,
 //	                workers), read off the engine at each request
 //	GET  /healthz   liveness (200 whenever the process can answer HTTP)
@@ -30,21 +30,16 @@
 // is generation-stamped, so a query racing the mutation cannot re-poison
 // it with a pre-mutation answer.
 //
-// Two layers sit between a single-query request and the engine. A bounded
-// LRU result cache answers repeated queries without any engine work. Below
-// it, a self-clocking Coalescer batches only while the engine is busy: a
-// single query that finds capacity free runs at once and alone, and the
-// ones that arrive while capacity is taken queue and are submitted together
-// (up to Config.BatchMax queries) by the flush that frees it — Config.BatchWait
-// only bounds the queueing — amortising the per-batch submission cost exactly
-// where the worker-pool design pays off; answers are identical to direct
-// one-query engine batches. Batched and approximate requests bypass both
-// and reach the engine as submitted.
+// A bounded LRU result cache answers a repeated exact single query without
+// any engine work. Every other query request — single or batch, exact or
+// approximate — is one Engine.Search behind an admission gate: at most
+// GOMAXPROCS requests are inside the engine at once, the rest wait for a
+// slot in arrival order, and one whose client leaves while it waits never
+// reaches the engine. An idle gate admits at once. Writes bypass the gate.
 //
 // Serve runs the server with graceful shutdown: in-flight requests drain,
-// pending coalescer batches flush, and only then does the engine close.
-// Command distpermd is the daemon around this package, and
-// pkg/dpserver/client is the matching Go client.
+// and only then does the engine close. Command distpermd is the daemon
+// around this package, and pkg/dpserver/client is the matching Go client.
 package dpserver
 
 import (
@@ -67,15 +62,11 @@ import (
 )
 
 // Config tunes the serving layers. The zero value serves correctly:
-// BatchMax ≤ 1 or BatchWait ≤ 0 degrade the coalescer to per-request
-// submission, CacheSize ≤ 0 disables the result cache.
+// CacheSize ≤ 0 disables the result cache.
 type Config struct {
-	// BatchMax is the coalescer's flush size: a batch queued behind a busy
-	// engine is submitted as soon as it holds this many queries.
+	// Deprecated: ignored; nothing batches queries across requests.
 	BatchMax int
-	// BatchWait is the coalescer's backstop: a queued batch is submitted
-	// this long after it opened even if the engine is still busy, bounding
-	// the latency cost of batching. An idle engine never waits it out.
+	// Deprecated: ignored; nothing batches queries across requests.
 	BatchWait time.Duration
 	// CacheSize bounds the LRU result cache in entries.
 	CacheSize int
@@ -94,7 +85,7 @@ type Config struct {
 // with Serve (or mount it as an http.Handler and call Close yourself).
 type Server struct {
 	engine *distperm.Engine
-	co     *Coalescer
+	admit  *admission
 	cache  *Cache
 	mux    *http.ServeMux
 
@@ -110,9 +101,9 @@ type Server struct {
 	singleQueries, batchQueries, inserts, deletes atomic.Int64
 }
 
-// New wraps e in a Server with cfg's coalescer and cache. What it serves —
-// kind, base, bits, metric, shards, workers, whether writes are taken and
-// the point shape — is read off the engine. The Server owns the engine:
+// New wraps e in a Server with an admission gate and cfg's cache. What it
+// serves — kind, base, bits, metric, shards, workers, whether writes are
+// taken and the point shape — is read off the engine. The Server owns the engine:
 // Close (or Serve's shutdown path) closes it.
 func New(e *distperm.Engine, cfg Config) (*Server, error) {
 	if e == nil {
@@ -124,16 +115,12 @@ func New(e *distperm.Engine, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		engine:    e,
-		co:        NewCoalescer(e, cfg.BatchMax, cfg.BatchWait),
 		cache:     NewCache(cfg.CacheSize),
 		mux:       http.NewServeMux(),
 		ridPrefix: fmt.Sprintf("%x-", time.Now().UnixNano()),
 	}
 	s.metrics = newServerMetrics(reg, e, s.cache)
-	s.co.OnFlush = func(size int, reason string) {
-		s.metrics.batchSize.Observe(float64(size))
-		s.metrics.flushes[reason].Inc()
-	}
+	s.admit = newAdmission(e, s.metrics.admissionWait)
 	slowOut := cfg.SlowQueryLog
 	if slowOut == nil {
 		slowOut = os.Stderr
@@ -218,16 +205,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	em.latency.Observe(time.Since(start).Seconds())
 }
 
-// Close flushes the coalescer's pending batches and closes the engine.
-// Idempotent. Callers using Serve never need it.
-func (s *Server) Close() {
-	s.co.Close()
-	s.engine.Close()
-}
+// Close closes the engine. Idempotent. Callers using Serve never need it.
+func (s *Server) Close() { s.engine.Close() }
 
 // Serve answers HTTP on ln until ctx is cancelled, then shuts down
-// gracefully: stop accepting, drain in-flight handlers, flush the
-// coalescer, close the engine. It returns nil after a clean shutdown.
+// gracefully: stop accepting, drain in-flight handlers, close the engine.
+// It returns nil after a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return Serve(ctx, ln, s, drainTimeout, s.Close)
 }
@@ -272,11 +255,11 @@ func WriteStatus(w http.ResponseWriter, code int, status string) {
 // queries would hold the pool for minutes after its client has gone),
 // maxResults the answers one request may ask for (queries × k) or find (400:
 // the engine holds every one before the first byte is written),
-// maxRequestIDBytes the X-Request-ID a client may choose (it is copied into
-// the slow-query record of every coalesced neighbour), readHeaderTimeout
-// how long a connection may take to send its headers and idleTimeout how
-// long a kept-alive one may sit between requests; drainTimeout is what a
-// shutdown grants in-flight handlers.
+// maxRequestIDBytes the X-Request-ID a client may choose (it is echoed and
+// copied into the slow-query record), readHeaderTimeout how long a
+// connection may take to send its headers and idleTimeout how long a
+// kept-alive one may sit between requests; drainTimeout is what a shutdown
+// grants in-flight handlers.
 const (
 	maxBodyBytes      = 8 << 20
 	maxBatch          = 4096
@@ -328,7 +311,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k=%d out of range 1..%d", k, n))
 		return
 	}
-	s.answer(w, "knn", qb)
+	s.answer(w, r, "knn", qb)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -340,18 +323,18 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad radius %g", rad))
 		return
 	}
-	s.answer(w, "range", qb)
+	s.answer(w, r, "range", qb)
 }
 
 // answer runs the shared request shape of /v1/knn and /v1/range: exactly
 // one of single/batch, at most maxResults answers, points decoded and
-// validated, then routed. An exact single query goes cache → coalescer;
-// everything else — a batch, and any approximate request, whose answer
-// depends on nprobe and on the live directory — goes straight to the engine
-// as submitted. Computed (non-cache-hit) answers are timed against the
-// slow-query threshold, and approximate answers carry their aggregated
-// probe accounting.
-func (s *Server) answer(w http.ResponseWriter, endpoint string, qb queryBody) {
+// validated, then answered: an exact single query from the cache if it
+// can be, everything else — a cache miss, a batch, and any approximate
+// request, whose answer depends on nprobe and on the live directory — by
+// one Engine.Search through the admission gate. Computed (non-cache-hit)
+// answers are timed against the slow-query threshold, and approximate
+// answers carry their aggregated probe accounting.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, endpoint string, qb queryBody) {
 	q := qb.q
 	rec := slowQueryRecord{Endpoint: endpoint, K: q.K, Radius: q.Radius, RequestID: w.Header().Get(ridHeader)}
 	n := len(qb.pts) + len(qb.raws)
@@ -390,12 +373,11 @@ func (s *Server) answer(w http.ResponseWriter, endpoint string, qb queryBody) {
 		}
 	}
 
-	// Only an exact single query is cacheable and coalescable.
-	coalesce := qb.single && !q.Approx
+	// Only an exact single query is cacheable.
 	var key string
 	var cacheable bool
 	var gen uint64
-	if coalesce {
+	if qb.single && !q.Approx {
 		key, cacheable = cacheKey(qs[0], q)
 		if rs, ok := s.cache.Get(key); cacheable && ok {
 			s.singleQueries.Add(1)
@@ -407,21 +389,9 @@ func (s *Server) answer(w http.ResponseWriter, endpoint string, qb queryBody) {
 		// dropped, so the cache cannot serve the pre-mutation answer.
 		gen = s.cache.Generation()
 	}
-	var (
-		outs [][]distperm.Result
-		sts  []distperm.ApproxStats
-		err  error
-	)
 	evals, start := s.traceStart()
-	if coalesce {
-		var fi FlushInfo
-		outs = make([][]distperm.Result, 1)
-		outs[0], fi, err = s.co.Search(qs[0], q, rec.RequestID)
-		rec.BatchSize, rec.FlushReason, rec.CoalescedIDs = fi.Size, fi.Reason, fi.RequestIDs
-	} else {
-		outs, sts, err = s.engine.Search(qs, q)
-		rec.Queries = len(qs)
-	}
+	outs, sts, waited, err := s.admit.search(r.Context(), qs, q)
+	rec.Queries, rec.WaitMS = len(qs), float64(waited)/float64(time.Millisecond)
 	if err != nil {
 		s.fail(w, engineErrorCode(err), err.Error())
 		return
@@ -669,7 +639,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Deletes:            s.deletes.Load(),
 		CacheInvalidations: cs.Invalidations,
 	}
-	counters.CoalescedBatches, counters.CoalescedQueries = s.co.Counters()
 	for _, em := range s.metrics.endpoints {
 		counters.Requests += int64(em.requests.Value())
 		counters.Errors += int64(em.errors.Value())

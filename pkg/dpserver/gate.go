@@ -82,7 +82,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Serve answers HTTP on ln until ctx is cancelled, then shuts down like
 // Server.Serve: stop accepting, drain in-flight handlers, and close the
-// published Server (flush the coalescer, close the engine) if one was set.
+// published Server (close the engine) if one was set.
 // Storage released by the caller after Serve returns — e.g. unmapping a
 // frozen container — is therefore unreachable by any handler.
 func (g *Gate) Serve(ctx context.Context, ln net.Listener) error {

@@ -151,9 +151,9 @@ func TestGateSetReadyAfterShutdown(t *testing.T) {
 	if gate.Ready() || gate.Server() != nil {
 		t.Fatal("shut-down gate published a server")
 	}
-	// The gate closed the Server on publish: its coalescer and engine
-	// reject work, so a request served directly against it fails instead
-	// of reaching live workers.
+	// The gate closed the Server on publish: its engine rejects work, so a
+	// request served directly against it fails instead of reaching live
+	// workers.
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/v1/knn",
 		strings.NewReader(`{"query":[0.5,0.5,0.5],"k":2}`))

@@ -32,8 +32,7 @@ type serverMetrics struct {
 	slowQueries *obs.Counter
 	// wireFallbacks counts query bodies the codec declined (wire.go).
 	wireFallbacks *obs.Counter
-	batchSize     *obs.Histogram
-	flushes       map[string]*obs.Counter
+	admissionWait *obs.Histogram
 }
 
 // endpointMetrics is one endpoint's request accounting: every request
@@ -58,7 +57,6 @@ func newServerMetrics(reg *obs.Registry, e *distperm.Engine, cache *Cache) *serv
 	m := &serverMetrics{
 		reg:       reg,
 		endpoints: make(map[string]*endpointMetrics, len(metricEndpoints)),
-		flushes:   make(map[string]*obs.Counter, len(FlushReasons)),
 	}
 	for _, ep := range metricEndpoints {
 		ls := obs.Labels{"endpoint": ep.label}
@@ -77,12 +75,8 @@ func newServerMetrics(reg *obs.Registry, e *distperm.Engine, cache *Cache) *serv
 		"Queries that exceeded the slow-query threshold", nil)
 	m.wireFallbacks = reg.Counter("dpserver_wire_fallbacks_total",
 		"Query bodies decoded by encoding/json because they left the codec's grammar", nil)
-	m.batchSize = reg.Histogram("dpserver_coalescer_batch_size",
-		"Queries per flushed coalescer batch", obs.DefSizeBuckets, nil)
-	for _, reason := range FlushReasons {
-		m.flushes[reason] = reg.Counter("dpserver_coalescer_flushes_total",
-			"Coalescer batch flushes, by reason", obs.Labels{"reason": reason})
-	}
+	m.admissionWait = reg.Histogram("dpserver_admission_wait_seconds",
+		"Time a query request waited for an engine slot at the admission gate", obs.DefLatencyBuckets, nil)
 	// The result cache reads out through funcs: a nil *Cache (cache
 	// disabled) answers zeros through its nil-safe Stats.
 	reg.CounterFunc("dpserver_cache_hits_total",

@@ -6,9 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"math/rand"
 	"net/http"
@@ -129,44 +126,12 @@ func namingProblems(fams map[string]family) []string {
 	return problems
 }
 
-// flushConstants returns the value of every Flush* string constant that
-// coalesce.go declares, read from the source so a reason added without a
-// FlushReasons entry (hence without a series) cannot go unnoticed.
-func flushConstants(t *testing.T) []string {
-	t.Helper()
-	file, err := parser.ParseFile(token.NewFileSet(), "coalesce.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var values []string
-	ast.Inspect(file, func(n ast.Node) bool {
-		spec, ok := n.(*ast.ValueSpec)
-		if !ok {
-			return true
-		}
-		for i, name := range spec.Names {
-			if i >= len(spec.Values) {
-				break
-			}
-			if lit, ok := spec.Values[i].(*ast.BasicLit); ok && strings.HasPrefix(name.Name, "Flush") && lit.Kind == token.STRING {
-				v, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					t.Fatal(err)
-				}
-				values = append(values, v)
-			}
-		}
-		return false
-	})
-	return values
-}
-
 // TestMetricsEndpoint drives traffic through every serving layer and then
 // checks /metrics reports it: per-endpoint requests and latency, cache
-// hits/misses, coalescer flushes, and engine queries and evals. The
+// hits/misses, admission waits, and engine queries and evals. The
 // exposition format itself is pinned by pkg/obs's golden.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts, _, queries := testServer(t, 77, 300, 4, dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond, CacheSize: 8})
+	_, ts, _, queries := testServer(t, 77, 300, 4, dpserver.Config{CacheSize: 8})
 
 	post := func(path, body string) {
 		t.Helper()
@@ -227,27 +192,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := histCount(t, fams, "distperm_engine_query_duration_seconds", nil); v < reps {
 		t.Errorf("engine latency count = %g, want >= %d", v, reps)
 	}
-	// Coalescer: every Flush* constant has its series, and flush counts
-	// across reasons equal the batch-size samples. The traffic above was one
-	// request at a time, so each of the reps+1 coalesced queries (the cache
-	// hit and the bad body never got that far) found the engine idle.
-	reasons := flushConstants(t)
-	if len(reasons) != len(dpserver.FlushReasons) {
-		t.Errorf("coalesce.go declares Flush* constants %v, FlushReasons lists %v", reasons, dpserver.FlushReasons)
-	}
-	if n := len(samples(t, fams, "dpserver_coalescer_flushes_total", nil)); n != len(reasons) {
-		t.Errorf("flushes_total has %d series, want one per Flush* constant (%d)", n, len(reasons))
-	}
-	var flushes float64
-	for _, reason := range reasons {
-		v := sampleValue(t, fams, "dpserver_coalescer_flushes_total", map[string]string{"reason": reason})
-		if want := map[string]float64{dpserver.FlushIdle: reps + 1}[reason]; v != want {
-			t.Errorf("flushes_total{reason=%q} = %g, want %g", reason, v, want)
-		}
-		flushes += v
-	}
-	if batches := histCount(t, fams, "dpserver_coalescer_batch_size", nil); batches != flushes {
-		t.Errorf("batch_size count %g != flush total %g", batches, flushes)
+	// Admission: each of the reps+1 requests that reached the engine (the
+	// cache hit and the bad body never got that far) passed the gate once.
+	if v := histCount(t, fams, "dpserver_admission_wait_seconds", nil); v != reps+1 {
+		t.Errorf("admission wait count = %g, want %d", v, reps+1)
 	}
 	// /v1/stats still carries the same counters (JSON surface unchanged).
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -365,9 +313,9 @@ func TestMetricFamilyInventory(t *testing.T) {
 		want   []string
 	}{
 		{"dpserver_", []string{
-			"dpserver_cache_entries", "dpserver_cache_evictions_total", "dpserver_cache_hits_total",
-			"dpserver_cache_invalidations_total", "dpserver_cache_misses_total", "dpserver_coalescer_batch_size",
-			"dpserver_coalescer_flushes_total", "dpserver_errors_total", "dpserver_inflight_requests",
+			"dpserver_admission_wait_seconds", "dpserver_cache_entries", "dpserver_cache_evictions_total",
+			"dpserver_cache_hits_total", "dpserver_cache_invalidations_total", "dpserver_cache_misses_total",
+			"dpserver_errors_total", "dpserver_inflight_requests",
 			"dpserver_request_duration_seconds", "dpserver_requests_total", "dpserver_slow_queries_total",
 			"dpserver_wire_fallbacks_total",
 		}},
@@ -543,7 +491,7 @@ func TestServerWALSurface(t *testing.T) {
 // TestRequestIDsAndSlowQueryLog pins the tracing contract: the client's
 // X-Request-ID is echoed back and lands in the slow-query log (threshold 0
 // via 1ns, so every query logs), records parse as one-line JSON with the
-// endpoint, parameters, and coalescer batch facts filled in.
+// endpoint, parameters, and admission wait filled in.
 func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	var logBuf syncBuffer
 	rng := rand.New(rand.NewSource(99))
@@ -594,7 +542,7 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	}
 
 	// A client chooses at most 128 bytes of ID: a longer one — it would be
-	// copied into every coalesced neighbour's record — is replaced by a
+	// echoed and copied into the slow-query record — is replaced by a
 	// minted one, the longest allowed is kept. Neither request has a body,
 	// so neither reaches the slow-query log.
 	for _, tc := range []struct {
@@ -614,7 +562,7 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 		}
 	}
 
-	// An approximate request bypasses the coalescer but is traced the same.
+	// An approximate request bypasses the cache but is traced the same.
 	req, _ = http.NewRequest("POST", ts.URL+"/v1/knn",
 		strings.NewReader(fmt.Sprintf(`{"query":%s,"k":4,"approx":true,"nprobe":1}`, string(raw))))
 	req.Header.Set("X-Request-ID", "trace-approx")
@@ -653,8 +601,8 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	if d, _ := first["duration_ms"].(float64); d <= 0 {
 		t.Errorf("record duration_ms = %v, want > 0", first["duration_ms"])
 	}
-	if _, ok := first["flush_reason"].(string); !ok {
-		t.Errorf("record has no flush_reason: %v", first)
+	if w, ok := first["wait_ms"].(float64); !ok || w < 0 {
+		t.Errorf("record has no wait_ms: %v", first)
 	}
 	if records[1]["request_id"] != minted {
 		t.Errorf("second record request_id = %v, want minted %q", records[1]["request_id"], minted)
@@ -663,8 +611,8 @@ func TestRequestIDsAndSlowQueryLog(t *testing.T) {
 	if approx["request_id"] != "trace-approx" || approx["endpoint"] != "knn" || approx["k"] != 4.0 || approx["queries"] != 1.0 {
 		t.Errorf("approx record %v, want trace-approx / knn / k=4 / 1 query", approx)
 	}
-	if _, coalesced := approx["flush_reason"]; coalesced {
-		t.Errorf("approx record %v claims a coalescer flush", approx)
+	if _, ok := approx["wait_ms"].(float64); !ok {
+		t.Errorf("approx record %v has no wait_ms: it went through the gate too", approx)
 	}
 }
 

@@ -77,12 +77,12 @@ func sameResults(a, b []distperm.Result) bool {
 
 // TestServerCoalescedKNNMatchesEngine is the serving acceptance test: many
 // goroutines firing concurrent single-query HTTP requests — the path
-// through the result cache and the coalescer — must get answers identical
-// to direct Engine.KNNBatch calls. Run under -race this also proves the
-// coalescer keeps concurrent requests off each other's batches.
+// through the result cache and the admission gate — must get answers
+// identical to direct Engine.KNNBatch calls, and the counters of the
+// micro-batcher the gate replaced read 0.
 func TestServerCoalescedKNNMatchesEngine(t *testing.T) {
 	_, ts, truth, queries := testServer(t, 21, 600, 3,
-		dpserver.Config{BatchMax: 8, BatchWait: time.Millisecond, CacheSize: 64})
+		dpserver.Config{CacheSize: 64})
 	c := client.New(ts.URL)
 	const k = 3
 	want, err := truth.KNNBatch(queries, k)
@@ -117,8 +117,8 @@ func TestServerCoalescedKNNMatchesEngine(t *testing.T) {
 	if st.Server.SingleQueries != int64(len(queries)) {
 		t.Errorf("SingleQueries = %d, want %d", st.Server.SingleQueries, len(queries))
 	}
-	if st.Server.CoalescedBatches == 0 || st.Server.CoalescedQueries < st.Server.CoalescedBatches {
-		t.Errorf("implausible coalescer counters: %+v", st.Server)
+	if st.Server.CoalescedBatches != 0 || st.Server.CoalescedQueries != 0 {
+		t.Errorf("coalescer counters = %d / %d, want 0 / 0", st.Server.CoalescedBatches, st.Server.CoalescedQueries)
 	}
 	if st.Engine.Queries == 0 || st.Engine.DistanceEvals == 0 {
 		t.Errorf("engine counters not surfaced: %+v", st.Engine)
@@ -129,7 +129,7 @@ func TestServerCoalescedKNNMatchesEngine(t *testing.T) {
 // one batch and matches direct engine answers for both kNN and range.
 func TestServerBatchedForms(t *testing.T) {
 	_, ts, truth, queries := testServer(t, 22, 400, 3,
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond})
+		dpserver.Config{})
 	c := client.New(ts.URL)
 	qs := queries[:32]
 
@@ -172,7 +172,7 @@ func TestServerBatchedForms(t *testing.T) {
 // with identical answers and visible hit counters.
 func TestServerCache(t *testing.T) {
 	_, ts, _, queries := testServer(t, 23, 300, 3,
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond, CacheSize: 16})
+		dpserver.Config{CacheSize: 16})
 	c := client.New(ts.URL)
 	q := queries[0]
 	first, err := c.KNN(context.Background(), q, 2)
@@ -243,7 +243,7 @@ func TestServerSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(t, db, sx, 2, dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond})
+	srv := newServer(t, db, sx, 2, dpserver.Config{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -446,7 +446,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 
 	for iter := 0; iter < 3; iter++ {
 		srv := newServer(t, db, idx, 2,
-			dpserver.Config{BatchMax: 16, BatchWait: 500 * time.Microsecond})
+			dpserver.Config{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -537,7 +537,7 @@ var mutateRequestCases = []struct {
 func TestServerMutation(t *testing.T) {
 	srv, ts, _ := mutableServer(t, 31, 200,
 		distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 31}},
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond, CacheSize: 16})
+		dpserver.Config{CacheSize: 16})
 	c := client.New(ts.URL)
 
 	if info := srv.Info(); !info.Mutable || info.Kind != "mutable" || info.Base != "distperm" || info.N != 200 {
@@ -716,7 +716,7 @@ func TestServerReadOnlySavedStore(t *testing.T) {
 func TestServerCacheNotStaleAfterMutation(t *testing.T) {
 	_, ts, _ := mutableServer(t, 33, 150,
 		distperm.MutableConfig{Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 33}},
-		dpserver.Config{BatchMax: 4, BatchWait: time.Millisecond, CacheSize: 32})
+		dpserver.Config{CacheSize: 32})
 	c := client.New(ts.URL)
 	q := distperm.Vector{5, 5, 5} // far from the uniform [0,1]³ cloud
 
@@ -775,7 +775,7 @@ func TestServerMutableSharded(t *testing.T) {
 			Partitioner:      distperm.RoundRobin{},
 			RebuildThreshold: 32,
 		},
-		dpserver.Config{BatchMax: 8, BatchWait: time.Millisecond, CacheSize: 32})
+		dpserver.Config{CacheSize: 32})
 	if info := srv.Info(); info.Shards != 2 || !info.Mutable || info.Base != "sharded" {
 		t.Fatalf("sharded mutable IndexInfo %+v", info)
 	}
@@ -900,7 +900,7 @@ func TestPointCodec(t *testing.T) {
 // FuzzKNNRequest: arbitrary bytes as a /v1/knn body never panic the handler,
 // are answered 200, 400 or 413 and nothing else, and a 200 decodes as a
 // QueryResponse. The request goes through Server.ServeHTTP on a recorder —
-// decode, validation, cache, coalescer, engine, encode — with no socket.
+// decode, validation, cache, admission gate, engine, encode — with no socket.
 func FuzzKNNRequest(f *testing.F) {
 	for _, tc := range requestErrorCases {
 		if tc.path == "/v1/knn" && len(tc.body) < 1<<10 {

@@ -10,22 +10,20 @@ import (
 )
 
 // slowQueryRecord is one line of the slow-query log: everything needed to
-// reconstruct why a single query was slow — what was asked, how the
-// coalescer batched it, and what the engine spent on it. Emitted as
+// reconstruct why a query was slow — what was asked, how long it waited
+// for an engine slot, and what the engine spent on it. Emitted as
 // single-line JSON so any log pipeline can parse it.
 type slowQueryRecord struct {
-	TS           string   `json:"ts"`
-	RequestID    string   `json:"request_id"`
-	Endpoint     string   `json:"endpoint"`
-	K            int      `json:"k,omitempty"`
-	Radius       float64  `json:"radius,omitempty"`
-	Queries      int      `json:"queries,omitempty"` // client batch size (batch requests)
-	BatchSize    int      `json:"batch_size,omitempty"`
-	FlushReason  string   `json:"flush_reason,omitempty"` // one of FlushReasons
-	CoalescedIDs []string `json:"coalesced_ids,omitempty"`
-	Shards       int      `json:"shards,omitempty"`
-	Evals        int64    `json:"evals,omitempty"`
-	DurationMS   float64  `json:"duration_ms"`
+	TS         string  `json:"ts"`
+	RequestID  string  `json:"request_id"`
+	Endpoint   string  `json:"endpoint"`
+	K          int     `json:"k,omitempty"`
+	Radius     float64 `json:"radius,omitempty"`
+	Queries    int     `json:"queries,omitempty"` // queries in the request
+	WaitMS     float64 `json:"wait_ms"`           // wait for an engine slot
+	Shards     int     `json:"shards,omitempty"`
+	Evals      int64   `json:"evals,omitempty"`
+	DurationMS float64 `json:"duration_ms"`
 }
 
 // slowLogger emits slow-query records as one JSON object per line. A nil

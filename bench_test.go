@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -297,10 +298,11 @@ func BenchmarkSiteSweep(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures batched 1-NN throughput of the public
-// query engine (pkg/distperm) over the distance-permutation index as the
-// worker pool grows. Each query is its own exact walk on a worker's
-// replica, so the work parallelises across replicas; the queries/s metric
-// should scale well beyond 2× from 1 to 4 workers.
+// query engine (pkg/distperm) over the distance-permutation index as a
+// batch's fan-out grows: the workers=W row runs at GOMAXPROCS = W, the width
+// Search fans a batch out to. Each query is its own exact walk on a
+// goroutine's replica, so the work parallelises across replicas, up to the
+// cores there are.
 func BenchmarkEngineThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 4_000, 6))
@@ -314,7 +316,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	queries := dataset.UniformVectors(rng, 256, 6)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e, err := distperm.NewEngine(db, idx, workers)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			e, err := distperm.NewEngine(db, idx, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -336,13 +339,13 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkShardedThroughput measures the sharded serving layer: one
 // distance-permutation index per shard on one Engine, each query walking the
 // shards in turn into one collector. The shards=S rows are batched 1-NN
-// throughput as the shard count grows (4 000 uniform points, two workers per
-// shard): per-shard indexes are smaller (n/S points each), while every query
-// pays each shard's fixed cost (its site distances, its bucket bounds). The
-// single/callers=C rows are the lone query on the store shape of perflab's
-// mixed-rw-sharded (50 000 clustered 6-d points, 4 round-robin shards, 12
-// sites, Footrule, workers = NumCPU per shard): single exact 10-NN queries
-// from C closed-loop callers, in p50-µs and queries/s.
+// throughput as the shard count grows (4 000 uniform points): per-shard
+// indexes are smaller (n/S points each), while every query pays each shard's
+// fixed cost (its site distances, its bucket bounds). The single/callers=C
+// rows are the lone query on the store shape of perflab's mixed-rw-sharded
+// (50 000 clustered 6-d points, 4 round-robin shards, 12 sites, Footrule):
+// single exact 10-NN queries from C closed-loop callers, in p50-µs and
+// queries/s.
 func BenchmarkShardedThroughput(b *testing.B) {
 	b.Run("single", benchShardedSingle)
 	rng := rand.New(rand.NewSource(9))
@@ -358,7 +361,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			se, err := distperm.NewEngine(db, sx, 2)
+			se, err := distperm.NewEngine(db, sx, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -458,7 +461,7 @@ func closedLoop(b *testing.B, callers int, fire func(distperm.Point) error, quer
 // (mode=admitted). conc=1 and 2 are the idle path: the gate must cost next
 // to nothing there (admitted ≈ per-request in queries/s and p50-µs). conc=8
 // and 64 are the loaded path, where the trade shows: per-request callers
-// race for the engine's job channel and the unlucky ones starve (p99-µs),
+// all search at once and the unlucky ones starve (p99-µs),
 // while admitted callers wait their turn — a higher p50-µs for a bounded
 // p99-µs.
 func BenchmarkCoalescedServing(b *testing.B) {
@@ -588,7 +591,7 @@ func BenchmarkMutableKNN(b *testing.B) {
 				b.Fatal(err)
 			}
 			me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-				Spec: distperm.Spec{Index: "distperm", K: 12, Seed: 13}, Workers: 4,
+				Spec: distperm.Spec{Index: "distperm", K: 12, Seed: 13},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -632,7 +635,7 @@ func BenchmarkMutableKNNTombstones(b *testing.B) {
 	}
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
 		Spec:   distperm.Spec{Index: "distperm", K: 12, Seed: 31},
-		Shards: 4, Partitioner: distperm.RoundRobin{}, Workers: 1,
+		Shards: 4, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		b.Fatal(err)

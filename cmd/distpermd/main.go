@@ -1,17 +1,16 @@
 // Command distpermd is the network serving daemon over the distance-
 // permutation index family: it loads a dataset (generated or from a file)
 // plus an index — built on startup or read from a DPERMIDX container of any
-// codec kind, including "sharded" — and serves JSON kNN/range traffic on a
-// worker-pool engine behind a result cache and a FIFO admission gate
-// (pkg/dpserver). The listen socket binds before any loading starts;
-// /healthz answers 200 (alive) from that moment, while /readyz and every
-// other endpoint answer 503 {"status":"loading"} until the store is ready
-// — the explicit not-ready → ready transition restart orchestration keys
-// on. GET /metrics serves Prometheus text exposition, and -ops-addr adds a
-// private listener with /metrics, the health probes, and net/http/pprof.
-// Shutdown on SIGINT/SIGTERM is graceful:
-// in-flight requests drain before the engine closes and any mapped
-// container is unmapped.
+// codec kind, including "sharded" — and serves JSON kNN/range traffic on an
+// engine behind a result cache and a FIFO admission gate (pkg/dpserver).
+// The listen socket binds before any loading starts; /healthz answers 200
+// (alive) from that moment, while /readyz and every other endpoint answer
+// 503 {"status":"loading"} until the store is ready — the explicit
+// not-ready → ready transition restart orchestration keys on. GET /metrics
+// serves Prometheus text exposition, and -ops-addr adds a private listener
+// with /metrics, the health probes, and net/http/pprof. Shutdown on
+// SIGINT/SIGTERM is graceful: in-flight requests drain before the engine
+// closes and any mapped container is unmapped.
 //
 // The daemon is flags around three calls: distperm.Open boots the engine
 // (WAL, checkpoint, container or dataset, build, replay, checkpointer),
@@ -95,7 +94,6 @@ func main() {
 	flag.BoolVar(&cfg.Mmap, "mmap", false, "map -load as a frozen container read-only (O(1) open) instead of stream-decoding; dataset flags are only consulted when the container embeds no points")
 	flag.IntVar(&cfg.Shards, "shards", 1, "partition a freshly built database across this many shards (a loaded or recovered store keeps its own)")
 	flag.StringVar(&cfg.Partition, "partition", "roundrobin", "shard placement strategy: "+strings.Join(distperm.Partitioners(), ", "))
-	flag.IntVar(&cfg.Workers, "workers", 0, "worker goroutines per engine pool (0 = NumCPU)")
 	flag.IntVar(&cfg.RebuildThreshold, "rebuild-threshold", 0, "enable the live write path (POST /v1/insert, /v1/delete): background-rebuild the index once this many writes are pending (0 serves read-only)")
 
 	// Durability: crash-safe writes through a write-ahead log.
@@ -118,7 +116,7 @@ func main() {
 			var m metric.Metric
 			if m, err = metric.ByName(*mname); err == nil {
 				// e.g. -metric edit over a vector dataset: refuse at
-				// startup, not as a panic in a query worker on the first
+				// startup, not as a panic in a query on the first
 				// request.
 				if err = metric.Probe(m, ds.Points[0]); err == nil {
 					ds.Metric = m
@@ -197,8 +195,8 @@ func main() {
 	}
 	gate.SetReady(srv)
 	info := srv.Info()
-	fmt.Printf("distpermd: serving %s (n=%d metric=%s index=%s %d bits, %d shards × %d workers) on %s\n",
-		e.Source(), info.N, info.Metric, info.Kind, info.Bits, info.Shards, info.Workers/info.Shards, ln.Addr())
+	fmt.Printf("distpermd: serving %s (n=%d metric=%s index=%s %d bits, %d shards) on %s\n",
+		e.Source(), info.N, info.Metric, info.Kind, info.Bits, info.Shards, ln.Addr())
 
 	if err := <-serveErr; err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -245,7 +243,7 @@ func serveOps(ctx context.Context, ln net.Listener, gate *dpserver.Gate) error {
 // then emit the mmap-ready sectioned layout and exit.
 func runFreeze(w io.Writer, out string, cfg distperm.OpenConfig) error {
 	e, err := distperm.Open(distperm.OpenConfig{
-		Dataset: cfg.Dataset, Seed: cfg.Seed, Index: cfg.Index, K: cfg.K, Load: cfg.Load, Workers: 1,
+		Dataset: cfg.Dataset, Seed: cfg.Seed, Index: cfg.Index, K: cfg.K, Load: cfg.Load,
 	})
 	if err != nil {
 		return err

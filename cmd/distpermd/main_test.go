@@ -293,7 +293,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6, Workers: 2},
+	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6},
 		dpserver.Config{CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -379,13 +379,13 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	}
 
 	// Reference answers from a heap build with the same seed.
-	refSrv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Seed: 9, Index: "distperm", K: 6, Workers: 2}, dpserver.Config{})
+	refSrv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Seed: 9, Index: "distperm", K: 6}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer refSrv.Close()
 
-	srv, src, err := boot(distperm.OpenConfig{Dataset: noPoints(t), Load: path, Mmap: true, Workers: 2}, dpserver.Config{})
+	srv, src, err := boot(distperm.OpenConfig{Dataset: noPoints(t), Load: path, Mmap: true}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestFreezeThenMmapServe(t *testing.T) {
 	// must stay live across the fold. Insert past the threshold, wait for
 	// the background rebuild, and re-query the original points — releasing
 	// the mapping on rebuild would make these reads fault.
-	msrv, _, err := boot(distperm.OpenConfig{Dataset: noPoints(t), Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 64},
+	msrv, _, err := boot(distperm.OpenConfig{Dataset: noPoints(t), Load: path, Mmap: true, Partition: "roundrobin", RebuildThreshold: 64},
 		dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestMmapExternalDatasetMutableServe(t *testing.T) {
 	if err := runFreeze(io.Discard, path, distperm.OpenConfig{Dataset: dsf, Seed: 12, Index: "distperm", K: 6}); err != nil {
 		t.Fatal(err)
 	}
-	srv, src, err := boot(distperm.OpenConfig{Dataset: dsf, Load: path, Mmap: true, Workers: 2, Partition: "roundrobin", RebuildThreshold: 32},
+	srv, src, err := boot(distperm.OpenConfig{Dataset: dsf, Load: path, Mmap: true, Partition: "roundrobin", RebuildThreshold: 32},
 		dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -584,7 +584,7 @@ func TestServeOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6, Workers: 2}, dpserver.Config{})
+	srv, _, err := boot(distperm.OpenConfig{Dataset: pointsOf(ds), Index: "distperm", K: 6}, dpserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

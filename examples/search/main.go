@@ -25,7 +25,6 @@ const (
 	kSites  = 12
 	queries = 50
 	seed    = 3
-	workers = 4
 	shards  = 4
 )
 
@@ -42,8 +41,8 @@ func main() {
 	var truth [][]distperm.Result
 	var permIdx *distperm.PermIndex
 
-	fmt.Printf("database: n=%d, %d-dim uniform, L2; %d 1-NN queries; k=%d pivots/sites; %d workers\n\n",
-		n, dims, queries, kSites, workers)
+	fmt.Printf("database: n=%d, %d-dim uniform, L2; %d 1-NN queries; k=%d pivots/sites\n\n",
+		n, dims, queries, kSites)
 	fmt.Printf("%-10s %14s %18s\n", "index", "bits", "avg dist evals")
 	for _, kind := range kinds {
 		idx, err := distperm.Build(db, distperm.Spec{Index: kind, K: kSites, Seed: seed})
@@ -88,8 +87,8 @@ func main() {
 	}
 	se, _ := serve(db, sx, queryPts, truth)
 	defer se.Close()
-	fmt.Printf("\nsharded serving (%d shards × %d workers, roundrobin): all %d answers identical\n",
-		se.Shards(), workers, queries)
+	fmt.Printf("\nsharded serving (%d shards, roundrobin): all %d answers identical\n",
+		se.Shards(), queries)
 	var sum int64
 	for s, st := range se.ShardStats() {
 		fmt.Printf("  shard %d: n=%d, %d evals\n", s, sx.ShardDB(s).N(), st.DistanceEvals)
@@ -99,11 +98,10 @@ func main() {
 	fmt.Printf("  aggregate: %d evals (per-shard sum %d — exact)\n", agg.DistanceEvals, sum)
 }
 
-// serve answers the 1-NN batch on an Engine over idx (workers per shard for
-// a sharded index) and panics if any answer disagrees with truth — nil for
+// serve answers the 1-NN batch on an Engine over idx and panics if any answer disagrees with truth — nil for
 // the first index, whose answers define it. The caller closes the engine.
 func serve(db *distperm.DB, idx distperm.Index, qs []distperm.Point, truth [][]distperm.Result) (*distperm.Engine, [][]distperm.Result) {
-	engine, err := distperm.NewEngine(db, idx, workers)
+	engine, err := distperm.NewEngine(db, idx, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -27,7 +27,7 @@ func approxTruthRecall(truth, got []Result) float64 {
 // contract at the engine layer: an approximate batch whose probe set covers
 // the whole directory must return byte-identical answers to KNNBatch —
 // including tie-breaks — and report Exact. Run under -race this also
-// exercises the approx scheduling path across the worker pool.
+// exercises the approximate path across a batch's fan-out.
 func TestEngineApproxFullCoverageByteIdentical(t *testing.T) {
 	const k = 7
 	db, rng := testDB(t, 41, 900, 3)
@@ -67,7 +67,8 @@ func TestEngineApproxFullCoverageByteIdentical(t *testing.T) {
 }
 
 // TestEngineApproxBatchMatchesSingle: a batch of approximate queries — which
-// the pool cuts into chunks that each worker answers query by query — is,
+// the batch's goroutines answer query by query, in whatever order they take
+// them — is,
 // answer for answer and statistic for statistic, the same queries sent one
 // at a time, on a plain and on a sharded index.
 func TestEngineApproxBatchMatchesSingle(t *testing.T) {
@@ -217,7 +218,7 @@ func TestMutableApproxDeltaStaysExact(t *testing.T) {
 	const k = 5
 	db, rng := testDB(t, 44, 800, 3)
 	qs := dataset.UniformVectors(rng, 80, 3)
-	m, err := NewMutableEngine(db, MutableConfig{Spec: Spec{Index: "distperm", K: 8, Seed: 9}, Workers: 4})
+	m, err := NewMutableEngine(db, MutableConfig{Spec: Spec{Index: "distperm", K: 8, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestApproxUnsupportedIndex(t *testing.T) {
 		t.Errorf("vptree ApproxBuckets = %d, want 0", e.ApproxBuckets())
 	}
 
-	m, err := NewMutableEngine(db, MutableConfig{Spec: Spec{Index: "vptree", Seed: 1}, Workers: 2})
+	m, err := NewMutableEngine(db, MutableConfig{Spec: Spec{Index: "vptree", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,8 @@ type Builder func(db *DB, spec Spec) (Index, error)
 // builders maps every index kind to its constructor.
 var builders = map[string]Builder{
 	"linear": func(db *DB, spec Spec) (Index, error) { return sisap.NewLinearScan(db), nil },
-	"aesa":   func(db *DB, spec Spec) (Index, error) { return sisap.NewAESA(db), nil },
-	"iaesa":  func(db *DB, spec Spec) (Index, error) { return sisap.NewIAESA(db), nil },
+	"aesa":   matrixBuilder(sisap.NewAESA),
+	"iaesa":  matrixBuilder(sisap.NewIAESA),
 	"laesa": func(db *DB, spec Spec) (Index, error) {
 		return sisap.NewLAESAMaxSpread(db, spec.K), nil
 	},
@@ -51,6 +51,23 @@ var builders = map[string]Builder{
 	"ghtree": func(db *DB, spec Spec) (Index, error) {
 		return sisap.NewGHTree(db, rand.New(rand.NewSource(spec.Seed))), nil
 	},
+}
+
+// maxMatrixN is the largest store the aesa and iaesa kinds build over: their
+// n×n float64 distance matrix is then at most 1 GiB (11 585² · 8 B ≤ 2³⁰ B <
+// 11 586² · 8 B).
+const maxMatrixN = 11_585
+
+// matrixBuilder is the Builder of an index holding the full distance matrix,
+// which refuses a store over maxMatrixN points before allocating any of it.
+func matrixBuilder[I Index](build func(*DB) I) Builder {
+	return func(db *DB, spec Spec) (Index, error) {
+		if db.N() > maxMatrixN {
+			return nil, fmt.Errorf("distperm: %s over %d points needs a %d-byte distance matrix: n is %w 1..%d (1 GiB)",
+				spec.Index, db.N(), 8*int64(db.N())*int64(db.N()), ErrOutOfRange, maxMatrixN)
+		}
+		return build(db), nil
+	}
 }
 
 // Kinds returns the index kinds, sorted.

@@ -1,7 +1,9 @@
 package distperm
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,6 +66,35 @@ func TestBuildErrors(t *testing.T) {
 	for _, k := range []int{-1, 51} {
 		if _, err := Build(db, Spec{Index: "distperm", K: k}); err == nil {
 			t.Errorf("k=%d should error", k)
+		}
+	}
+}
+
+// TestBuildMatrixBound: aesa and iaesa refuse a store whose n×n float64
+// distance matrix would exceed 1 GiB, with ErrOutOfRange naming the bound,
+// before allocating any of it.
+func TestBuildMatrixBound(t *testing.T) {
+	if maxMatrixN*maxMatrixN*8 > 1<<30 || (maxMatrixN+1)*(maxMatrixN+1)*8 <= 1<<30 {
+		t.Fatalf("maxMatrixN = %d is not the largest n with an n² float64 matrix ≤ 1 GiB", maxMatrixN)
+	}
+	pts := make([]Point, maxMatrixN+1)
+	for i := range pts {
+		pts[i] = Vector{float64(i)}
+	}
+	db, err := NewDB(L1, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"aesa", "iaesa"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Build(db, Spec{Index: kind})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrOutOfRange) || !strings.Contains(err.Error(), "11585") {
+			t.Errorf("%s over %d points: err %v, want ErrOutOfRange naming the bound", kind, db.N(), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s over %d points allocated %d bytes before refusing", kind, db.N(), grew)
 		}
 	}
 }

@@ -8,12 +8,13 @@
 //     Spec naming its kind (Kinds).
 //   - Query and Search: one comparable value saying what a batch asks (kNN,
 //     range, or approximate kNN) and one method answering it, the only
-//     query path of every engine below; KNNBatch, RangeBatch, and
-//     KNNApproxBatch are wrappers written once over it.
-//   - Engine: one goroutine worker pool answering batched traffic over a
-//     view of the index — a single segment for a plain index, one per shard
-//     when a Partitioner has split the database (BuildSharded) — on per-
-//     worker index replicas. A query walks the segments one after another
+//     query path of every engine below; KNNBatch and KNNApproxBatch are
+//     wrappers written once over it.
+//   - Engine: answers each Search on its caller's goroutine — a batch fans
+//     out over at most GOMAXPROCS goroutines, each on index replicas it
+//     borrows from the view — over a view of the index: a single segment
+//     for a plain index, one per shard when a Partitioner has split the
+//     database (BuildSharded). A query walks the segments one after another
 //     into one collector, each pruning at the distances the ones before it
 //     found, and answers identically to one index over the unpartitioned
 //     database; per-query Stats aggregate into engine-level counters
@@ -21,7 +22,7 @@
 //     summing to the global cost. NewEngine makes it read-only; WrapMutable
 //     gives it a live write path — a delta buffer and tombstones over the
 //     built base, folded in by background rebuilds that publish a new view
-//     to the pool that is already running. Its published state is one
+//     to the engine that is already serving. Its published state is one
 //     immutable MutableIndex, which a read-only Engine serves through the
 //     same search once it is saved and read back.
 //   - Open: the one boot from durable state — a write-ahead log and its
@@ -129,7 +130,7 @@ func LP(p float64) Metric { return metric.NewLP(p) }
 // constructors, which panic (their callers are trusted), the public boundary
 // reports bad input as an error — including a metric that cannot measure
 // the points (e.g. Edit over Vectors), which is probed here so the mismatch
-// cannot surface later as a panic in a query worker. The slice is retained
+// cannot surface later as a panic in a query. The slice is retained
 // and the database is immutable from here on: equal-dimension Vectors are
 // packed into one coordinate block, and points' entries become views of it.
 func NewDB(m Metric, points []Point) (*DB, error) {

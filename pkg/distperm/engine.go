@@ -75,13 +75,14 @@ func (s *state) liveN() int {
 	return s.db.N()
 }
 
-// Engine is a concurrent query engine over one store: a pool of worker
-// goroutines answering each Search over the view of the published state —
-// one segment for a plain index, one per shard of a *ShardedIndex, walked
-// one after another into one collector per query, so each shard prunes at
-// the K-th distance of the shards before it and the answer is exactly what
-// one index over the unpartitioned database returns. Per-query Stats fold
-// into engine-level counters, kept per segment (ShardStats).
+// Engine is a concurrent query engine over one store. Search runs on its
+// caller's goroutine — a multi-query batch fans out over at most GOMAXPROCS
+// goroutines, all gone when it returns — over the view of the published
+// state: one segment for a plain index, one per shard of a *ShardedIndex,
+// walked one after another into one collector per query, so each shard
+// prunes at the K-th distance of the shards before it and the answer is
+// exactly what one index over the unpartitioned database returns. Per-query
+// Stats fold into engine-level counters, kept per segment (ShardStats).
 //
 // NewEngine and NewShardedEngine make a read-only engine, whose state never
 // changes: Insert, Delete, Rebuild, ReplayWAL and CheckpointSnapshot return
@@ -90,21 +91,29 @@ func (s *state) liveN() int {
 // WrapMutable and NewMutableEngine make an engine that takes writes, and
 // Open boots either kind from durable state.
 //
-// Search (and the KNNBatch/RangeBatch/KNNApproxBatch wrappers over it) is
-// safe to call from many goroutines at once; queries from concurrent
-// batches interleave on the same pool. Close is safe to race with in-flight
-// batches: it waits for every batch that observed the engine open to finish
-// sending before the job channel closes.
+// Search (and the KNNBatch/KNNApproxBatch wrappers over it) is safe to call
+// from many goroutines at once; bounding how many run is the caller's
+// business (dpserver's admission gate). Close is safe to race with
+// in-flight searches: it waits for every search that observed the engine
+// open to finish.
 type Engine struct {
-	// pool answers over every view the engine publishes, and its slots
-	// carry the engine counters across rebuilds.
-	*pool
-
 	// cur is the published state: stored under writeMu, loaded by anyone.
-	cur    atomic.Pointer[state]
-	closed atomic.Bool
+	cur atomic.Pointer[state]
+
+	// mu, closed and inflight serialise searches and rebuilds against Close:
+	// one enters inflight under mu while closed is still false, so once Close
+	// has set closed under mu and inflight has drained, nothing reads the
+	// store any more. The write path reads closed under writeMu.
+	mu       sync.Mutex
+	closed   atomic.Bool
+	inflight sync.WaitGroup
+	// slots[s] counts what segment number s of any view has served, so the
+	// counters carry across rebuilds; deltaEvals counts the delta scans of
+	// mutated stores, costed into Stats on top of them.
+	slots      []slot
+	deltaEvals atomic.Int64
 	// boot is what Open opened for the engine (nil otherwise), released by
-	// Close once the pool has drained.
+	// Close once every search and rebuild has drained.
 	boot *boot
 
 	// The write path (mutable.go). kick is nil on a read-only engine.
@@ -134,10 +143,13 @@ type Engine struct {
 // MutableEngine is another name for Engine, kept for callers that name it.
 type MutableEngine = Engine
 
-// newEngine starts an engine over s with perSegment workers for each of
-// segments segment numbers; the caller makes it writable.
-func newEngine(s *state, perSegment, segments int) *Engine {
-	e := &Engine{pool: newPool(perSegment, segments), done: make(chan struct{})}
+// newEngine makes an engine over s with a counter slot for each of segments
+// segment numbers; the caller makes it writable.
+func newEngine(s *state, segments int) *Engine {
+	e := &Engine{slots: make([]slot, segments), done: make(chan struct{})}
+	for i := range e.slots {
+		e.slots[i].lat = obs.NewHistogram(obs.DefLatencyBuckets)
+	}
 	e.cur.Store(s)
 	return e
 }
@@ -145,7 +157,7 @@ func newEngine(s *state, perSegment, segments int) *Engine {
 // Search answers q for every point of qs over the store the engine serves:
 // outs[i] is the answer for qs[i], and asts[i] its probe statistics when
 // q.Approx (nil otherwise). The state is loaded once for the batch; see
-// pool.search for how a query walks a sharded index's shards in turn. Over
+// search for how a query walks a sharded index's shards in turn. Over
 // a mutated store every walk leaves the tombstones out (so a kNN walk prunes
 // at the K-th live distance) and the snapshot's delta is laid over each
 // merged answer (MutableIndex.Overlay), which names it by stable global IDs.
@@ -160,8 +172,7 @@ func (e *Engine) Search(qs []Point, q Query) ([][]Result, []ApproxStats, error) 
 	if err := q.validate(s.liveN(), qs); err != nil {
 		return nil, nil, err
 	}
-	// A closed engine answers the empty batch too — there is no work a
-	// worker would have to do.
+	// A closed engine answers the empty batch too: there is no work to do.
 	if len(qs) == 0 {
 		return [][]Result{}, nil, nil
 	}
@@ -197,13 +208,6 @@ func (e *Engine) KNNBatch(qs []Point, k int) ([][]Result, error) {
 		return nil, fmt.Errorf("distperm: k=%d %w (need k ≥ 1)", k, ErrOutOfRange)
 	}
 	outs, _, err := e.Search(qs, Query{K: k})
-	return outs, err
-}
-
-// RangeBatch is Search(qs, Query{Radius: r}): out[i] holds every point
-// within r of qs[i], in (distance, ID) order.
-func (e *Engine) RangeBatch(qs []Point, r float64) ([][]Result, error) {
-	outs, _, err := e.Search(qs, Query{Radius: r})
 	return outs, err
 }
 
@@ -293,13 +297,18 @@ type segment struct {
 
 // view is an immutable list of segments served together as the one database
 // db indexed by idx. A writable Engine publishes a new view per rebuild; a
-// superseded one lives as long as a search still holds it and is then the
-// garbage collector's. Storage a view only borrows — a mapped container —
-// belongs to whoever opened it (see Store.Close).
+// superseded one, its replicas with it, lives as long as a search still holds
+// it and is then the garbage collector's. Storage a view only borrows — a
+// mapped container — belongs to whoever opened it (see Store.Close).
 type view struct {
 	db   *DB
 	idx  Index
 	segs []segment
+	// replicas holds *[]Index query replicas of the segments, one per
+	// segment (the distance-permutation index's Permuter carries scratch
+	// buffers and is not goroutine-safe; sisap.QueryReplica clones it, while
+	// the read-only indexes are shared). A search goroutine borrows one set.
+	replicas sync.Pool
 }
 
 // newView lays idx out for serving: a *ShardedIndex becomes one segment per
@@ -312,6 +321,13 @@ func newView(db *DB, idx Index) *view {
 		for s := range v.segs {
 			v.segs[s] = segment{db: sx.ShardDB(s), idx: sx.Shard(s), part: sx.Part(s)}
 		}
+	}
+	v.replicas.New = func() any {
+		r := make([]Index, len(v.segs))
+		for s, seg := range v.segs {
+			r[s] = sisap.QueryReplica(seg.idx)
+		}
+		return &r
 	}
 	return v
 }
@@ -337,33 +353,6 @@ func distinctRows(idx Index) int {
 	return 0
 }
 
-// pool is the worker pool every engine answers on: its workers serve jobs
-// over whatever view a search names, so a writable Engine keeps one pool
-// across all the views its rebuilds publish.
-type pool struct {
-	workers int
-	jobs    chan job
-
-	workerWG  sync.WaitGroup
-	closeOnce sync.Once
-
-	mu sync.Mutex
-	// closed and inflight together serialise submission against Close: a
-	// search enters inflight under mu while closed is still false, so once
-	// Close flips closed and inflight drains, no search can be sending on
-	// jobs and closing the channel is safe.
-	closed   bool
-	inflight sync.WaitGroup
-	// slots[s] counts what segment number s of any view has served.
-	slots []slot
-	// busy counts workers currently serving a job — the pool-utilization
-	// gauge (0..workers).
-	busy atomic.Int64
-	// deltaEvals counts the delta scans of mutated stores, costed into
-	// Stats on top of the slots.
-	deltaEvals atomic.Int64
-}
-
 // slot holds one segment number's counters. lat holds every per-query
 // latency in a fixed-bucket histogram (obs.DefLatencyBuckets): constant
 // memory regardless of lifetime, lock-free to observe, mergeable across
@@ -374,34 +363,8 @@ type slot struct {
 	lat  *obs.Histogram
 }
 
-// job is one worker's share of a search: a contiguous slice of the query
-// points, the view they are answered over, the Query they all carry, and the
-// caller's result (and, for approximate queries, stats) slots for exactly
-// those points.
-type job struct {
-	v    *view
-	qs   []Point
-	q    Query
-	outs [][]Result
-	asts []ApproxStats // non-nil iff q.Approx
-	// dead is what no answer may hold: a mutated store's tombstoned positions.
-	dead sisap.Tombs
-	// batched marks an exact kNN job cut from a multi-query batch, counted in
-	// every segment's BatchedQueries; its queries are walked one by one like
-	// any other. It belongs to the search, not this job: a 2-query batch on 2
-	// workers is two batched 1-query jobs.
-	batched bool
-	wg      *sync.WaitGroup
-}
-
-// engineChunkCap bounds the queries a single sub-batch job carries. Each
-// query of a chunk is its own walk, so a chunk saves only job hand-offs; a
-// longer one saves nothing more and only worsens load balance.
-const engineChunkCap = 64
-
-// NewEngine starts a read-only engine over idx, which must have been built
-// on db: workers (≤ 0 means runtime.NumCPU()) for a plain index, that many
-// per shard for a *ShardedIndex or a *MutableIndex over one.
+// NewEngine makes a read-only engine over idx, which must have been built on
+// db. workers is ignored: a search runs on its caller (see Workers).
 func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if db == nil || idx == nil {
 		return nil, fmt.Errorf("distperm: NewEngine requires a database and an index")
@@ -410,136 +373,40 @@ func NewEngine(db *DB, idx Index, workers int) (*Engine, error) {
 	if mi, ok := idx.(*MutableIndex); ok {
 		s = &state{view: newView(mi.BaseDB(), mi.Base()), mi: mi}
 	}
-	return newEngine(s, workers, len(s.segs)), nil
+	return newEngine(s, len(s.segs)), nil
 }
 
-// newPool starts perSegment workers (≤ 0 means runtime.NumCPU()) for each
-// of segments segment numbers, with one counter slot per number.
-func newPool(perSegment, segments int) *pool {
-	if perSegment <= 0 {
-		perSegment = runtime.NumCPU()
-	}
-	p := &pool{workers: perSegment * segments, slots: make([]slot, segments)}
-	// A few jobs of slack per worker, so a submitter rarely blocks while
-	// the pool keeps up and a finishing worker finds its next job queued.
-	p.jobs = make(chan job, 4*p.workers)
-	for s := range p.slots {
-		p.slots[s].lat = obs.NewHistogram(obs.DefLatencyBuckets)
-	}
-	p.workerWG.Add(p.workers)
-	for i := 0; i < p.workers; i++ {
-		go p.worker()
-	}
-	return p
-}
+// Workers returns how many goroutines one Search fans out over at most:
+// GOMAXPROCS, the caller's included.
+func (e *Engine) Workers() int { return runtime.GOMAXPROCS(0) }
 
-// Workers returns the pool size.
-func (p *pool) Workers() int { return p.workers }
-
-// BusyWorkers returns how many pool workers are serving a job right now,
-// in [0, Workers()] — the utilization gauge exposed on /metrics.
-func (p *pool) BusyWorkers() int { return int(p.busy.Load()) }
-
-// worker serves jobs on query replicas of the segments of the view it last
-// served, made at its first job over that view (the distance-permutation
-// index's Permuter carries scratch buffers and is not goroutine-safe;
-// sisap.QueryReplica clones it per worker, while the read-only indexes are
-// shared). A superseded view's replicas are dropped at the first job over its
-// successor.
-func (p *pool) worker() {
-	defer p.workerWG.Done()
-	var cur *view
-	var replicas []Index
-	for j := range p.jobs {
-		if j.v != cur {
-			cur, replicas = j.v, make([]Index, len(j.v.segs))
-			for s, seg := range cur.segs {
-				replicas[s] = sisap.QueryReplica(seg.idx)
-			}
-		}
-		p.busy.Add(1)
-		p.serve(replicas, j)
-		p.busy.Add(-1)
-		j.wg.Done()
-	}
-}
-
-// serve answers one job on the worker's replicas, query by query: a query is
-// one walk of the view's segments in turn into one collector (sisap.Walk), so
-// segment s prunes at the K-th live distance of segments 0…s−1 and the answer
-// comes out merged, in the view's global IDs. Each segment's slot books every
-// query as a sub-query, with the Stats (and probe statistics) and the wall
-// time of that segment's own walk, whether the query came alone or in a chunk.
-func (p *pool) serve(replicas []Index, j job) {
-	sums := make([]EngineStats, len(replicas))
-	for i, q := range j.qs {
-		w := sisap.NewWalk(j.q.K, j.q.Radius, j.dead)
-		if j.q.Approx {
-			j.asts[i] = ApproxStats{Exact: true}
-		}
-		for s, seg := range j.v.segs {
-			start := time.Now()
-			var st Stats
-			if j.q.Approx {
-				// search only sends an approximate job over a view whose
-				// segments are all approx-capable, and a replica is of its
-				// index's own type.
-				a := w.Approx(replicas[s].(sisap.ApproxIndex), seg.part, q, min(j.q.K, seg.db.N()), j.q.NProbe)
-				st = a.Stats
-				sums[s].ProbedBuckets += int64(a.ProbedBuckets)
-				sums[s].ApproxCandidates += int64(a.Candidates)
-				t := &j.asts[i]
-				t.DistanceEvals, t.PrunedEvals = t.DistanceEvals+a.DistanceEvals, t.PrunedEvals+a.PrunedEvals
-				t.ProbedBuckets, t.TotalBuckets = t.ProbedBuckets+a.ProbedBuckets, t.TotalBuckets+a.TotalBuckets
-				t.Candidates, t.Exact = t.Candidates+a.Candidates, t.Exact && a.Exact
-			} else {
-				st = w.Search(replicas[s], seg.part, q)
-			}
-			sums[s].DistanceEvals += int64(st.DistanceEvals)
-			sums[s].PrunedEvals += int64(st.PrunedEvals)
-			p.slots[s].lat.Observe(time.Since(start).Seconds())
-		}
-		j.outs[i] = w.Results()
-	}
-	for s, c := range sums {
-		c.Queries = int64(len(j.qs))
-		if j.batched {
-			c.BatchedQueries = c.Queries
-		}
-		if j.q.Approx {
-			c.ApproxQueries = c.Queries
-		}
-		sl := &p.slots[s]
-		sl.mu.Lock()
-		sl.sums.add(c)
-		sl.mu.Unlock()
-	}
-}
-
-// enter registers one search with the pool; it fails once Close has begun.
-func (p *pool) enter() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+// enter registers one search or rebuild; it fails once Close has begun.
+func (e *Engine) enter() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
 		return fmt.Errorf("distperm: engine is closed")
 	}
-	p.inflight.Add(1)
+	e.inflight.Add(1)
 	return nil
 }
 
 // search answers q for every point of qs over v, leaving out the points dead
-// names; the caller has entered the pool and validated q. A job is a chunk of
-// the batch over the whole view (see serve), so the answers come back merged,
-// identical to one index over the unpartitioned database. Multi-query exact
-// kNN over any index kind, and every approximate search, travel as chunks of
-// ⌈B/workers⌉ (at most engineChunkCap); everything else one query per job.
-// Every segment of an approximate search probes the NProbe nearest buckets of
-// its own directory for its own min(K, segment size) best: the per-query
-// stats sum the segments' probe accounting, Exact only when every segment's
-// probe covered its whole directory (then the answers are the exact query's);
-// a segment without the capability fails the batch with ErrNoApprox.
-func (p *pool) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Result, []ApproxStats, error) {
-	batched := q.knn() && !q.Approx && len(qs) > 1
+// names; the caller has entered the engine and validated q. The caller and
+// up to min(len(qs), GOMAXPROCS) − 1 goroutines each borrow a replica set
+// from v and take the next query off one shared counter until none is left.
+// A query is one walk of the view's segments in turn into one collector
+// (sisap.Walk), so segment s prunes at the K-th live distance of segments
+// 0…s−1 and the answer comes out merged, in the view's global IDs. Each
+// segment's slot books every query as a sub-query, with the Stats (and probe
+// statistics) and the wall time of that segment's own walk; a multi-query
+// exact kNN counts in BatchedQueries. Every segment of an approximate search
+// probes the NProbe nearest buckets of its own directory for its own
+// min(K, segment size) best: the per-query stats sum the segments' probe
+// accounting, Exact only when every segment's probe covered its whole
+// directory (then the answers are the exact query's); a segment without the
+// capability fails the batch with ErrNoApprox.
+func (e *Engine) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Result, []ApproxStats, error) {
 	for _, seg := range v.segs {
 		if _, ok := seg.idx.(sisap.ApproxIndex); q.Approx && !ok {
 			return nil, nil, fmt.Errorf("distperm: %w", ErrNoApprox)
@@ -550,20 +417,64 @@ func (p *pool) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Resul
 	if q.Approx {
 		asts = make([]ApproxStats, len(qs))
 	}
-	chunk := 1
-	if batched || q.Approx {
-		chunk = min((len(qs)+p.workers-1)/p.workers, engineChunkCap)
+	batched := q.knn() && !q.Approx && len(qs) > 1
+	var next atomic.Int64
+	serve := func() {
+		borrowed := v.replicas.Get().(*[]Index)
+		defer v.replicas.Put(borrowed)
+		replicas := *borrowed
+		sums := make([]EngineStats, len(v.segs))
+		for i := int(next.Add(1) - 1); i < len(qs); i = int(next.Add(1) - 1) {
+			w := sisap.NewWalk(q.K, q.Radius, dead)
+			if q.Approx {
+				asts[i] = ApproxStats{Exact: true}
+			}
+			for s, seg := range v.segs {
+				start := time.Now()
+				var st Stats
+				if q.Approx {
+					// Every segment is approx-capable (checked above), and a
+					// replica is of its index's own type.
+					a := w.Approx(replicas[s].(sisap.ApproxIndex), seg.part, qs[i], min(q.K, seg.db.N()), q.NProbe)
+					st = a.Stats
+					sums[s].ProbedBuckets += int64(a.ProbedBuckets)
+					sums[s].ApproxCandidates += int64(a.Candidates)
+					t := &asts[i]
+					t.DistanceEvals, t.PrunedEvals = t.DistanceEvals+a.DistanceEvals, t.PrunedEvals+a.PrunedEvals
+					t.ProbedBuckets, t.TotalBuckets = t.ProbedBuckets+a.ProbedBuckets, t.TotalBuckets+a.TotalBuckets
+					t.Candidates, t.Exact = t.Candidates+a.Candidates, t.Exact && a.Exact
+				} else {
+					st = w.Search(replicas[s], seg.part, qs[i])
+				}
+				sums[s].DistanceEvals += int64(st.DistanceEvals)
+				sums[s].PrunedEvals += int64(st.PrunedEvals)
+				sums[s].Queries++
+				e.slots[s].lat.Observe(time.Since(start).Seconds())
+			}
+			outs[i] = w.Results()
+		}
+		for s, c := range sums {
+			if batched {
+				c.BatchedQueries = c.Queries
+			}
+			if q.Approx {
+				c.ApproxQueries = c.Queries
+			}
+			sl := &e.slots[s]
+			sl.mu.Lock()
+			sl.sums.add(c)
+			sl.mu.Unlock()
+		}
 	}
 	var wg sync.WaitGroup
-	for base := 0; base < len(qs); base += chunk {
-		end := min(base+chunk, len(qs))
-		j := job{v: v, qs: qs[base:end], q: q, outs: outs[base:end], dead: dead, batched: batched, wg: &wg}
-		if q.Approx {
-			j.asts = asts[base:end]
-		}
+	for range min(len(qs), runtime.GOMAXPROCS(0)) - 1 {
 		wg.Add(1)
-		p.jobs <- j
+		go func() {
+			defer wg.Done()
+			serve()
+		}()
 	}
+	serve()
 	wg.Wait()
 	return outs, asts, rangeFits(outs)
 }
@@ -578,29 +489,14 @@ func rangeFits(outs [][]Result) error {
 	return nil
 }
 
-// Close shuts the pool down after in-flight queries finish. It is
-// idempotent; batches submitted after Close return an error.
-func (p *pool) Close() {
-	p.closeOnce.Do(func() {
-		p.mu.Lock()
-		p.closed = true
-		p.mu.Unlock()
-		// New submissions are now refused; wait for searches that got in
-		// before the flip to finish sending, then closing jobs is safe.
-		p.inflight.Wait()
-		close(p.jobs)
-	})
-	p.workerWG.Wait()
-}
-
 // EngineStats aggregates per-query Stats across everything the engine has
 // answered — the paper's cost model (distance evaluations) lifted to the
 // serving layer, plus wall-clock latency percentiles.
 type EngineStats struct {
 	// Queries is the number of queries answered.
 	Queries int64
-	// BatchedQueries is how many of those travelled in exact sub-batch jobs
-	// (multi-query kNN); 0 means every exact query travelled alone.
+	// BatchedQueries is how many of those came in a multi-query exact kNN
+	// search; 0 means every exact query came alone.
 	BatchedQueries int64
 	// ApproxQueries is how many queries were served through the approximate
 	// path (KNNApproxBatch), including those whose probe set covered the
@@ -634,8 +530,8 @@ type EngineStats struct {
 	P50, P99 time.Duration
 }
 
-// add sums o's counts into s — what a worker does per job and counters does
-// across slots. MeanEvals and the percentiles are finish's to derive,
+// add sums o's counts into s — what a search does per goroutine and
+// counters does across slots. MeanEvals and the percentiles are finish's to derive,
 // DistinctRows, BucketRowsHeapBytes and BoundCells the caller's to set.
 func (s *EngineStats) add(o EngineStats) {
 	s.Queries += o.Queries
@@ -661,12 +557,12 @@ func (s *EngineStats) finish(lat obs.HistogramSnapshot) {
 // counters sums the slots (so DistanceEvals is exactly the global cost of
 // sharded serving, the paper's cost model composing additively), with the
 // delta scans costed in, and merges their latency histograms. They belong to
-// the pool, not to any one view, so they accumulate across rebuilds.
-func (p *pool) counters() (EngineStats, obs.HistogramSnapshot) {
-	agg := EngineStats{DistanceEvals: p.deltaEvals.Load()}
+// the engine, not to any one view, so they accumulate across rebuilds.
+func (e *Engine) counters() (EngineStats, obs.HistogramSnapshot) {
+	agg := EngineStats{DistanceEvals: e.deltaEvals.Load()}
 	var lat obs.HistogramSnapshot
-	for s := range p.slots {
-		c, snap := p.slots[s].counters()
+	for s := range e.slots {
+		c, snap := e.slots[s].counters()
 		agg.add(c)
 		lat.Merge(snap)
 	}

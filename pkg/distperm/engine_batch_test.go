@@ -9,11 +9,11 @@ import (
 	"distperm/internal/sisap"
 )
 
-// TestEngineBatchFastPath pins the sub-batch scheduling: over a distperm
-// index every multi-query KNNBatch must travel in sub-batch jobs —
-// Stats().BatchedQueries counts them — with answers identical to
-// the sequential LinearScan ground truth, across batch shapes around the
-// chunking boundaries (1 = scalar path, < workers, > workers·chunkCap).
+// TestEngineBatchFastPath pins the batch accounting: over a distperm index
+// every query of a multi-query KNNBatch counts in Stats().BatchedQueries,
+// with answers identical to the sequential LinearScan ground truth, across
+// batch shapes around the fan-out width (1 = on the caller alone, fewer
+// queries than GOMAXPROCS, many more).
 func TestEngineBatchFastPath(t *testing.T) {
 	db, rng := testDB(t, 21, 1500, 4)
 	truth := sisap.NewLinearScan(db)
@@ -108,8 +108,7 @@ func TestEngineBatchStorm(t *testing.T) {
 }
 
 // TestEngineBatchNonBatchIndex: an index kind with no batch method of its
-// own (a linear scan) serves a multi-query batch in sub-batch jobs like any
-// other — identical answers, every query counted in BatchedQueries.
+// own (a linear scan) serves a multi-query batch like any other — identical answers, every query counted in BatchedQueries.
 func TestEngineBatchNonBatchIndex(t *testing.T) {
 	db, rng := testDB(t, 37, 600, 3)
 	truth := sisap.NewLinearScan(db)
@@ -170,7 +169,7 @@ func TestShardedEngineBatchStats(t *testing.T) {
 // linear scan of the logical point set.
 func TestMutableEngineBatchFastPath(t *testing.T) {
 	db, rng := testDB(t, 53, 400, 3)
-	me, err := NewMutableEngine(db, MutableConfig{Spec: Spec{Index: "distperm", K: 6, Seed: 59}, Workers: 2})
+	me, err := NewMutableEngine(db, MutableConfig{Spec: Spec{Index: "distperm", K: 6, Seed: 59}})
 	if err != nil {
 		t.Fatal(err)
 	}

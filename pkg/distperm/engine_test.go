@@ -1,7 +1,11 @@
 package distperm
 
 import (
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,10 +15,10 @@ import (
 )
 
 // TestEngineMatchesLinearScan is the concurrency acceptance test: a
-// 1000-query batch answered by the pooled engine over the
-// distance-permutation index (whose Permuter forces per-worker replicas)
+// 1000-query batch answered by the engine's fan-out over the
+// distance-permutation index (whose Permuter forces per-goroutine replicas)
 // must equal the sequential LinearScan ground truth exactly. Run under
-// `go test -race` this also proves the replica scheme keeps workers off
+// `go test -race` this also proves the replica scheme keeps goroutines off
 // each other's scratch buffers.
 func TestEngineMatchesLinearScan(t *testing.T) {
 	const (
@@ -115,7 +119,7 @@ func TestEngineRangeBatch(t *testing.T) {
 	defer e.Close()
 	queryPts := dataset.UniformVectors(rng, 40, 3)
 	const radius = 0.35
-	got, err := e.RangeBatch(queryPts, radius)
+	got, _, err := e.Search(queryPts, Query{Radius: radius})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +161,12 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := NewEngine(db, nil, 1); err == nil {
 		t.Error("nil index should error")
 	}
-	e, err := NewEngine(db, idx, 0) // 0 → NumCPU
+	e, err := NewEngine(db, idx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() < 1 {
-		t.Errorf("Workers() = %d", e.Workers())
+	if e.Workers() != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers() = %d, want GOMAXPROCS %d", e.Workers(), runtime.GOMAXPROCS(0))
 	}
 	qs := dataset.UniformVectors(rng, 2, 2)
 	if _, err := e.KNNBatch(qs, 0); err == nil {
@@ -171,7 +175,7 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := e.KNNBatch(qs, 31); err == nil {
 		t.Error("k>n should error")
 	}
-	if _, err := e.RangeBatch(qs, -1); err == nil {
+	if _, _, err := e.Search(qs, Query{Radius: -1}); err == nil {
 		t.Error("negative radius should error")
 	}
 	e.Close()
@@ -182,7 +186,7 @@ func TestEngineErrors(t *testing.T) {
 }
 
 // TestEngineEmptyBatch: an empty query slice short-circuits — no in-flight
-// bookkeeping, no jobs, an empty (non-nil) answer — and still works after
+// bookkeeping, no walks, an empty (non-nil) answer — and still works after
 // Close, since there is no work to refuse.
 func TestEngineEmptyBatch(t *testing.T) {
 	db, _ := testDB(t, 17, 30, 2)
@@ -194,8 +198,8 @@ func TestEngineEmptyBatch(t *testing.T) {
 	for _, call := range []func() ([][]Result, error){
 		func() ([][]Result, error) { return e.KNNBatch(nil, 1) },
 		func() ([][]Result, error) { return e.KNNBatch([]Point{}, 1) },
-		func() ([][]Result, error) { return e.RangeBatch(nil, 0.2) },
-		func() ([][]Result, error) { return e.RangeBatch([]Point{}, 0.2) },
+		func() ([][]Result, error) { out, _, err := e.Search(nil, Query{Radius: 0.2}); return out, err },
+		func() ([][]Result, error) { out, _, err := e.Search([]Point{}, Query{Radius: 0.2}); return out, err },
 	} {
 		out, err := call()
 		if err != nil {
@@ -212,7 +216,7 @@ func TestEngineEmptyBatch(t *testing.T) {
 	if _, err := e.KNNBatch(nil, 0); err == nil {
 		t.Error("k=0 should error even on an empty batch")
 	}
-	if _, err := e.RangeBatch(nil, -1); err == nil {
+	if _, _, err := e.Search(nil, Query{Radius: -1}); err == nil {
 		t.Error("negative radius should error even on an empty batch")
 	}
 	e.Close()
@@ -221,19 +225,16 @@ func TestEngineEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestEngineCloseSubmitRace hammers concurrent batch submission against
-// Close. Before the in-flight guard, submit could pass its closed check,
-// then Close would close the jobs channel while the batch was still
-// sending — "send on closed channel". Now every batch either completes or
-// reports the engine closed; run under -race this also proves the guard is
-// data-race-free.
+// TestEngineCloseSubmitRace hammers concurrent batch searches against
+// Close: a search can pass its closed check just as Close begins, and the
+// in-flight guard must then make Close wait for it. Every batch either
+// completes or reports the engine closed; run under -race this also proves
+// the guard is data-race-free.
 func TestEngineCloseSubmitRace(t *testing.T) {
 	db, rng := testDB(t, 15, 512, 4)
 	idx := mustBuild(t, db, Spec{Index: "linear"})
-	// One worker and batches much larger than the job buffer (4×workers)
-	// keep submitters blocked inside the send loop for milliseconds, which
-	// is exactly where the unguarded engine panicked when Close closed the
-	// channel under them.
+	// 256-query batches keep searches in flight for milliseconds, so Close
+	// lands in the middle of them.
 	qs := dataset.UniformVectors(rng, 256, 4)
 	for iter := 0; iter < 10; iter++ {
 		e, err := NewEngine(db, idx, 1)
@@ -311,13 +312,92 @@ func TestEngineLatencyHistogram(t *testing.T) {
 	if st.P50 < 0 || st.P99 < st.P50 {
 		t.Errorf("implausible percentiles: p50=%v p99=%v", st.P50, st.P99)
 	}
-	if e.BusyWorkers() != 0 {
-		t.Errorf("BusyWorkers = %d after quiesce, want 0", e.BusyWorkers())
-	}
 	var merged obs.HistogramSnapshot
 	merged.Merge(snap)
 	merged.Merge(e.LatencySnapshot())
 	if merged.Count != 2*total {
 		t.Errorf("merged count = %d, want %d", merged.Count, 2*total)
+	}
+}
+
+// countingIndex is a foreign Index (no walk of this package, no replicas):
+// its KNN counts the calls in flight and keeps their peak, sleeps a little
+// so that concurrent calls overlap, and counts the calls made on the
+// goroutine of the test that called Search.
+type countingIndex struct {
+	Index
+	test                   string
+	calls, onCaller        atomic.Int64
+	inFlight, peakInFlight atomic.Int64
+}
+
+func (c *countingIndex) KNN(q Point, k int) ([]Result, Stats) {
+	now := c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
+	for p := c.peakInFlight.Load(); now > p; p = c.peakInFlight.Load() {
+		if c.peakInFlight.CompareAndSwap(p, now) {
+			break
+		}
+	}
+	c.calls.Add(1)
+	buf := make([]byte, 4096)
+	if strings.Contains(string(buf[:runtime.Stack(buf, false)]), c.test) {
+		c.onCaller.Add(1)
+	}
+	time.Sleep(50 * time.Microsecond)
+	return c.Index.KNN(q, k)
+}
+
+// TestEngineSearchFanOut: a search runs on its caller, and a batch fans out
+// over at most GOMAXPROCS goroutines, the caller's included, whatever the
+// workers argument says — all of them gone once Search has returned — with
+// every answer its own single-query answer.
+func TestEngineSearchFanOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	db, rng := testDB(t, 47, 300, 3)
+	idx := &countingIndex{Index: mustBuild(t, db, Spec{Index: "linear"}), test: t.Name()}
+	e, err := NewEngine(db, idx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	qs := dataset.UniformVectors(rng, 256, 3)
+
+	idle := runtime.NumGoroutine()
+	if _, _, err := e.Search(qs[:1], Query{K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if calls, on, peak := idx.calls.Load(), idx.onCaller.Load(), idx.peakInFlight.Load(); calls != 1 || on != 1 || peak != 1 {
+		t.Fatalf("a one-query Search: %d calls, %d on the caller, peak %d in flight; want 1, 1, 1", calls, on, peak)
+	}
+	if got := runtime.NumGoroutine(); got > idle {
+		t.Fatalf("a one-query Search left %d goroutines, %d before it", got, idle)
+	}
+
+	got, _, err := e.Search(qs, Query{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := idx.peakInFlight.Load(); peak != 2 {
+		t.Errorf("a %d-query batch peaked at %d KNN calls in flight; want GOMAXPROCS = 2", len(qs), peak)
+	}
+	if on := idx.onCaller.Load(); on < 2 || on == idx.calls.Load() {
+		t.Errorf("%d of %d calls on the caller: the batch did not share its queries with the caller", on, idx.calls.Load())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > idle && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > idle {
+		t.Errorf("%d goroutines after the batch, %d before it", n, idle)
+	}
+	for i, q := range qs {
+		want, _, err := e.Search([]Point{q}, Query{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want[0]) {
+			t.Fatalf("query %d: batched %v, alone %v", i, got[i], want[0])
+		}
 	}
 }

@@ -100,11 +100,11 @@ func TestLoadMappedMatchesStream(t *testing.T) {
 			t.Fatalf("query %d: mapped kNN %v != heap %v", i, gotK[i], wantK[i])
 		}
 	}
-	wantR, err := he.RangeBatch(qs[:16], 0.3)
+	wantR, _, err := he.Search(qs[:16], distperm.Query{Radius: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotR, err := me.RangeBatch(qs[:16], 0.3)
+	gotR, _, err := me.Search(qs[:16], distperm.Query{Radius: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestMutableOverMappedExternalBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := distperm.MutableConfig{Spec: spec, Workers: 2}
+	cfg := distperm.MutableConfig{Spec: spec}
 	me, err := distperm.WrapMutable(st.DB, st.Index, cfg)
 	if err != nil {
 		t.Fatal(err)

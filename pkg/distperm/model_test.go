@@ -416,7 +416,7 @@ func (r *modelRun) restart() {
 		Dataset: func(*rand.Rand) (*DB, string, error) {
 			return nil, "", errors.New("a restart with a checkpoint read the dataset")
 		},
-		Seed: r.seed, Partition: "roundrobin", Workers: 2, WALDir: r.walDir, WAL: WALOptions{Sync: SyncNever},
+		Seed: r.seed, Partition: "roundrobin", WALDir: r.walDir, WAL: WALOptions{Sync: SyncNever},
 	})
 	if err != nil {
 		r.failf("Open: %v", err)
@@ -574,7 +574,7 @@ func newModelRun(t *testing.T, name string, seed int64, spec Spec, shards int, m
 		t.Fatal(err)
 	}
 	spec.Seed = seed
-	r.cfg = MutableConfig{Spec: spec, Workers: 2}
+	r.cfg = MutableConfig{Spec: spec}
 	if shards > 1 {
 		r.cfg.Shards, r.cfg.Partitioner = shards, RoundRobin{}
 	}

@@ -31,9 +31,6 @@ type MutableConfig struct {
 	// what was wrapped": its kind, K (sites or pivots) and permutation
 	// distance, and its shard count unless Shards is set; Seed is kept.
 	Spec Spec
-	// Workers sizes the engine's worker pool (≤ 0 means NumCPU), per shard
-	// of a sharded store.
-	Workers int
 	// RebuildThreshold triggers a background rebuild once the pending write
 	// count (delta points + tombstones) reaches it. ≤ 0 disables automatic
 	// rebuilds; Rebuild still folds on demand.
@@ -177,8 +174,9 @@ func newMutable(mi *MutableIndex, cfg MutableConfig) (*Engine, error) {
 		}
 	}
 	s := &state{view: newView(mi.BaseDB(), baseIdx), mi: mi}
-	// The pool is sized once, for the widest view a rebuild can publish.
-	e := newEngine(s, cfg.Workers, max(len(s.segs), cfg.Shards))
+	// The counter slots are sized once, for the widest view a rebuild can
+	// publish.
+	e := newEngine(s, max(len(s.segs), cfg.Shards))
 	e.cfg, e.wal, e.kick = cfg, cfg.WAL, make(chan struct{}, 1)
 	e.rebuilder.Add(1)
 	go e.rebuildLoop()
@@ -368,7 +366,7 @@ func (e *Engine) rebuildOnce(force bool) error {
 	// Warm the view off the read and write paths: one throwaway query per
 	// segment builds what its index builds lazily (distperm's directory,
 	// bounds and the bucket-major coordinates its walk reads) — asked
-	// directly, not through the pool: no engine counter moves.
+	// directly, not through Search: no engine counter moves.
 	nv := newView(newDB, idx)
 	for _, seg := range nv.segs {
 		sisap.QueryReplica(seg.idx).KNN(seg.db.Points[0], 1)
@@ -509,21 +507,24 @@ func (e *Engine) WALStats() WALStats {
 	return e.wal.Stats()
 }
 
-// Close stops the rebuilder and shuts the pool down after in-flight batches
-// and rebuilds finish; when it returns nothing reads the wrapped base any
-// more. An engine Open returned then releases what Open opened: the
-// checkpointer, then the mapping, then the log. Idempotent; queries and
-// writes after Close return an error.
+// Close refuses new searches and writes, then waits for in-flight searches
+// and rebuilds and stops the rebuilder; when it returns nothing reads the
+// wrapped base any more. An engine Open returned then releases what Open
+// opened: the checkpointer, then the mapping, then the log. Idempotent;
+// queries and writes after Close return an error.
 func (e *Engine) Close() {
 	// Under writeMu no rebuild swap is mid-publish, and every later one sees
-	// closed and gives up.
+	// closed and gives up; under mu no search is between its check of closed
+	// and its entry into inflight.
 	e.writeMu.Lock()
+	e.mu.Lock()
 	already := e.closed.Swap(true)
+	e.mu.Unlock()
 	e.writeMu.Unlock()
 	if !already {
 		close(e.done)
 	}
-	e.pool.Close()
+	e.inflight.Wait()
 	e.rebuilder.Wait()
 	if e.boot != nil {
 		e.boot.release()

@@ -52,7 +52,7 @@ func (m *mutModel) randomLive(rng *rand.Rand) int { return m.gids[rng.Intn(len(m
 // Engine serving a loaded snapshot.
 type batchBackend interface {
 	KNNBatch(qs []distperm.Point, k int) ([][]distperm.Result, error)
-	RangeBatch(qs []distperm.Point, r float64) ([][]distperm.Result, error)
+	Search(qs []distperm.Point, q distperm.Query) ([][]distperm.Result, []distperm.ApproxStats, error)
 }
 
 // checkEquivalence compares backend answers against a from-scratch
@@ -75,9 +75,9 @@ func checkEquivalence(t *testing.T, label string, backend batchBackend, m *mutMo
 	if err != nil {
 		t.Fatalf("%s: KNNBatch: %v", label, err)
 	}
-	gotR, err := backend.RangeBatch(probes, radius)
+	gotR, _, err := backend.Search(probes, distperm.Query{Radius: radius})
 	if err != nil {
-		t.Fatalf("%s: RangeBatch: %v", label, err)
+		t.Fatalf("%s: range Search: %v", label, err)
 	}
 	for i, q := range probes {
 		wantK, _ := ref.KNN(q, k)
@@ -216,8 +216,7 @@ func runMutationEquivalence(t *testing.T, cfg distperm.MutableConfig, seed int64
 // unsharded MutableEngine always answer like a from-scratch rebuild.
 func TestMutableEngineEquivalence(t *testing.T) {
 	runMutationEquivalence(t, distperm.MutableConfig{
-		Spec:    distperm.Spec{Index: "distperm", K: 6, Seed: 31},
-		Workers: 2,
+		Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 31},
 	}, 31)
 }
 
@@ -226,7 +225,6 @@ func TestMutableEngineEquivalence(t *testing.T) {
 func TestMutableShardedEquivalence(t *testing.T) {
 	runMutationEquivalence(t, distperm.MutableConfig{
 		Spec:        distperm.Spec{Index: "distperm", K: 6, Seed: 33},
-		Workers:     2,
 		Shards:      3,
 		Partitioner: distperm.RoundRobin{},
 	}, 33)
@@ -270,7 +268,6 @@ func TestMutableEngineConcurrent(t *testing.T) {
 	}
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
 		Spec:             distperm.Spec{Index: "distperm", K: 6, Seed: 51},
-		Workers:          2,
 		RebuildThreshold: 24, // low: many swaps during the storm
 	})
 	if err != nil {
@@ -371,7 +368,6 @@ func TestMutableEngineRebuildRace(t *testing.T) {
 	db := mustDB(t, 81, 100)
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
 		Spec:             distperm.Spec{Index: "distperm", K: 5, Seed: 81},
-		Workers:          2,
 		RebuildThreshold: 8, // constant background folding
 	})
 	if err != nil {
@@ -438,7 +434,7 @@ func TestMutableEngineCloseUnderTraffic(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		db := mustDB(t, int64(90+iter), 80)
 		me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-			Spec: distperm.Spec{Index: "linear", Seed: int64(iter)}, Workers: 2,
+			Spec: distperm.Spec{Index: "linear", Seed: int64(iter)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -479,7 +475,7 @@ func TestMutableEngineErrors(t *testing.T) {
 	if _, err := me.KNNBatch(probe, 51); !errors.Is(err, distperm.ErrOutOfRange) {
 		t.Errorf("k>live: %v", err)
 	}
-	if _, err := me.RangeBatch(probe, -1); !errors.Is(err, distperm.ErrOutOfRange) {
+	if _, _, err := me.Search(probe, distperm.Query{Radius: -1}); !errors.Is(err, distperm.ErrOutOfRange) {
 		t.Errorf("negative radius: %v", err)
 	}
 	if err := me.Delete(999); !errors.Is(err, distperm.ErrUnknownID) {
@@ -561,7 +557,7 @@ func TestWrapMutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{
-		Shards: 3, Partitioner: distperm.RoundRobin{}, Workers: 1,
+		Shards: 3, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,7 +606,7 @@ func TestMutableRebuildKeepsTableEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-		Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 55}, Workers: 2,
+		Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 55},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -655,8 +651,8 @@ func TestMutableRebuildKeepsTableEncoding(t *testing.T) {
 
 // gateMetric wraps a metric so that the first Distance call after armed is
 // set signals entered and parks until release is closed — a way to hold one
-// query inside a pool worker, and so its view pinned, for exactly as long as
-// a test wants.
+// query inside its walk, and so its view pinned, for exactly as long as a
+// test wants.
 type gateMetric struct {
 	distperm.Metric
 	armed   *atomic.Bool
@@ -691,8 +687,7 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-		Spec:    distperm.Spec{Index: "distperm", K: sites, Seed: 77},
-		Workers: 2,
+		Spec: distperm.Spec{Index: "distperm", K: sites, Seed: 77},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -712,7 +707,7 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 			before.Queries, before.BatchedQueries, beforeLat)
 	}
 
-	// Park one single-query reader in a worker, on the old view (and let
+	// Park one single-query reader in its walk, on the old view (and let
 	// it go on any exit, or the deferred Close would wait for it forever).
 	release := sync.OnceFunc(func() { close(gate.release) })
 	defer release()
@@ -744,7 +739,7 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 	// Old view: 21 queries over n base points plus the delta scan; new
 	// view: 10 queries over the rebuilt base, nothing pending — the same
 	// sites + n + inserted points measured or pruned either way. The single
-	// pinned query is the only one that did not travel as a sub-batch.
+	// pinned query is the only one that did not come in a multi-query batch.
 	after, afterLat := me.Stats(), me.LatencySnapshot().Count
 	wantEvals := int64(31 * (sites + n + inserted))
 	if after.Queries != 31 || after.BatchedQueries != 30 || after.DistanceEvals+after.PrunedEvals != wantEvals || afterLat != 31 {
@@ -761,7 +756,7 @@ func TestMutableEngineCountersMonotonicAcrossSwap(t *testing.T) {
 func TestSavedStoreServedReadOnly(t *testing.T) {
 	db := mustDB(t, 71, 40)
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-		Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 7}, Workers: 2, Shards: 2, Partitioner: distperm.RoundRobin{},
+		Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 7}, Shards: 2, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -802,7 +797,7 @@ func TestSavedStoreServedReadOnly(t *testing.T) {
 // live points as IDs issued.
 func TestSnapshotIsOneState(t *testing.T) {
 	db := mustDB(t, 73, 50)
-	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "linear"}, Workers: 1})
+	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{Spec: distperm.Spec{Index: "linear"}})
 	if err != nil {
 		t.Fatal(err)
 	}

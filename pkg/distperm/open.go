@@ -33,8 +33,6 @@ type OpenConfig struct {
 	Load string
 	Mmap bool
 
-	// Workers sizes the engine's pool, per shard (≤ 0 means NumCPU).
-	Workers int
 	// RebuildThreshold > 0 makes the engine writable (see
 	// MutableConfig.RebuildThreshold).
 	RebuildThreshold int
@@ -81,7 +79,7 @@ func (b *boot) release() {
 // NewEngine, or WrapMutable with the log attached → ReplayWAL of the log's
 // tail → the checkpointer. A writable store rebuilds in the shape of what it
 // wraps. The engine owns what Open opened — the mapping, the log and the
-// checkpointer — and its Close releases them after the pool has drained; a
+// checkpointer — and its Close releases them once its searches have drained; a
 // mapped container stays mapped until then, since a self-contained one's
 // points are views into the mapping that every rebuild carries forward.
 func Open(cfg OpenConfig) (*Engine, error) {
@@ -184,13 +182,12 @@ func open(cfg OpenConfig, b *boot) (*Engine, error) {
 		// map a container carries names no strategy.
 		e, err = WrapMutable(db, idx, MutableConfig{
 			Spec:             Spec{Seed: rng.Int63()},
-			Workers:          cfg.Workers,
 			RebuildThreshold: cfg.RebuildThreshold,
 			Partitioner:      p,
 			WAL:              b.wal,
 		})
 	} else {
-		e, err = NewEngine(db, idx, cfg.Workers)
+		e, err = NewEngine(db, idx, 0)
 	}
 	if err != nil {
 		return nil, err

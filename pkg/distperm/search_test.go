@@ -16,7 +16,6 @@ import (
 type searchEngine interface {
 	Search(qs []Point, q Query) ([][]Result, []ApproxStats, error)
 	KNNBatch(qs []Point, k int) ([][]Result, error)
-	RangeBatch(qs []Point, r float64) ([][]Result, error)
 	KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []ApproxStats, error)
 	Stats() EngineStats
 	Close()
@@ -102,8 +101,8 @@ func searchCases(t *testing.T, kind string) []searchCase {
 		name string
 		cfg  MutableConfig
 	}{
-		{"mutable", MutableConfig{Spec: spec, Workers: 2}},
-		{"mutable×4", MutableConfig{Spec: spec, Workers: 2, Shards: 4, Partitioner: RoundRobin{}}},
+		{"mutable", MutableConfig{Spec: spec}},
+		{"mutable×4", MutableConfig{Spec: spec, Shards: 4, Partitioner: RoundRobin{}}},
 	} {
 		me, err := NewMutableEngine(db, mc.cfg)
 		if err != nil {
@@ -185,15 +184,14 @@ func TestSearchEquivalence(t *testing.T) {
 			}
 
 			got, sts, err = c.eng.Search(qs, Query{Radius: radius})
-			legacy, lerr = c.eng.RangeBatch(qs, radius)
-			if err != nil || lerr != nil || sts != nil {
-				t.Fatalf("range: err %v / %v, stats %v", err, lerr, sts)
+			if err != nil || sts != nil {
+				t.Fatalf("range: err %v, stats %v", err, sts)
 			}
 			for i := range qs {
 				// A merged range yields nil for an empty answer, the oracle an
 				// empty slice; compare contents.
-				if !sameResults(got[i], ranged[i]) || !sameResults(legacy[i], ranged[i]) {
-					t.Fatalf("range probe %d: Search %v, RangeBatch %v, oracle %v", i, got[i], legacy[i], ranged[i])
+				if !sameResults(got[i], ranged[i]) {
+					t.Fatalf("range probe %d: Search %v, oracle %v", i, got[i], ranged[i])
 				}
 			}
 

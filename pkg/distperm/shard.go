@@ -164,7 +164,8 @@ func BuildSharded(db *DB, spec Spec, shards int, p Partitioner) (*ShardedIndex, 
 }
 
 // NewShardedEngine is NewEngine(sx.DB(), sx, workersPerShard), kept for
-// callers that hold the index by its concrete type.
+// callers that hold the index by its concrete type; workersPerShard is
+// ignored.
 func NewShardedEngine(sx *ShardedIndex, workersPerShard int) (*Engine, error) {
 	if sx == nil {
 		return nil, fmt.Errorf("distperm: NewShardedEngine requires a sharded index")

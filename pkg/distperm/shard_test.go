@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -54,9 +55,9 @@ func TestShardedEngineMatchesSingleEngine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: KNNBatch: %v", name, err)
 				}
-				gotRange, err := se.RangeBatch(queryPts, radius)
+				gotRange, _, err := se.Search(queryPts, Query{Radius: radius})
 				if err != nil {
-					t.Fatalf("%s: RangeBatch: %v", name, err)
+					t.Fatalf("%s: range Search: %v", name, err)
 				}
 				se.Close()
 				for i := range queryPts {
@@ -117,7 +118,7 @@ func TestShardedEngineSmallShards(t *testing.T) {
 }
 
 // TestShardedIndexServedByPlainEngine: a ShardedIndex satisfies Index and
-// Replicable, so the single-pool Engine can serve it directly too.
+// Replicable, so a plain Engine can serve it directly too.
 func TestShardedIndexServedByPlainEngine(t *testing.T) {
 	db, rng := testDB(t, 33, 300, 3)
 	queryPts := dataset.UniformVectors(rng, 40, 3)
@@ -399,7 +400,7 @@ func TestCustomPartitioner(t *testing.T) {
 }
 
 // TestShardedEngineEmptyBatch: an empty batch short-circuits without
-// scattering — no sub-queries reach any shard pool.
+// scattering — no sub-queries reach any shard.
 func TestShardedEngineEmptyBatch(t *testing.T) {
 	db, _ := testDB(t, 42, 30, 2)
 	sx, err := BuildSharded(db, Spec{Index: "linear"}, 3, RoundRobin{})
@@ -414,7 +415,7 @@ func TestShardedEngineEmptyBatch(t *testing.T) {
 	for _, call := range []func() ([][]Result, error){
 		func() ([][]Result, error) { return se.KNNBatch(nil, 2) },
 		func() ([][]Result, error) { return se.KNNBatch([]Point{}, 2) },
-		func() ([][]Result, error) { return se.RangeBatch(nil, 0.3) },
+		func() ([][]Result, error) { out, _, err := se.Search(nil, Query{Radius: 0.3}); return out, err },
 	} {
 		out, err := call()
 		if err != nil {
@@ -448,7 +449,7 @@ func TestShardedEngineClosed(t *testing.T) {
 	if _, err := se.KNNBatch(qs, 41); err == nil {
 		t.Error("k>n should error")
 	}
-	if _, err := se.RangeBatch(qs, -0.5); err == nil {
+	if _, _, err := se.Search(qs, Query{Radius: -0.5}); err == nil {
 		t.Error("negative radius should error")
 	}
 	se.Close()
@@ -456,7 +457,7 @@ func TestShardedEngineClosed(t *testing.T) {
 	if _, err := se.KNNBatch(qs, 1); err == nil {
 		t.Error("batch after Close should error")
 	}
-	if _, err := se.RangeBatch(qs, 0.1); err == nil {
+	if _, _, err := se.Search(qs, Query{Radius: 0.1}); err == nil {
 		t.Error("range batch after Close should error")
 	}
 }
@@ -502,9 +503,10 @@ func TestEngineShardedViewIdenticalAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer viaWrapper.Close()
-	if single.Shards() != 1 || single.Workers() != perShard || len(single.ShardStats()) != 1 {
+	procs := runtime.GOMAXPROCS(0)
+	if single.Shards() != 1 || single.Workers() != procs || len(single.ShardStats()) != 1 {
 		t.Fatalf("single index: %d shards, %d workers, %d shard stats; want 1, %d, 1",
-			single.Shards(), single.Workers(), len(single.ShardStats()), perShard)
+			single.Shards(), single.Workers(), len(single.ShardStats()), procs)
 	}
 
 	for _, q := range []Query{
@@ -534,8 +536,8 @@ func TestEngineShardedViewIdenticalAnswers(t *testing.T) {
 	}
 
 	for name, e := range map[string]*Engine{"NewEngine": viaNew, "NewShardedEngine": viaWrapper} {
-		if e.Shards() != shards || e.Workers() != shards*perShard {
-			t.Errorf("%s: %d shards, %d workers; want %d, %d", name, e.Shards(), e.Workers(), shards, shards*perShard)
+		if e.Shards() != shards || e.Workers() != procs {
+			t.Errorf("%s: %d shards, %d workers; want %d, %d", name, e.Shards(), e.Workers(), shards, procs)
 		}
 		var sum EngineStats
 		for s, st := range e.ShardStats() {

@@ -2,6 +2,7 @@ package distperm_test
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,13 +23,14 @@ func TestMutableEngineShardsReportsServedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{Workers: 2, Shards: 1})
+	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer me.Close()
-	if me.Shards() != 4 || me.Workers() != 8 {
-		t.Fatalf("wrapped 4-shard index: Shards() = %d, Workers() = %d; want 4, 8", me.Shards(), me.Workers())
+	procs := runtime.GOMAXPROCS(0)
+	if me.Shards() != 4 || me.Workers() != procs {
+		t.Fatalf("wrapped 4-shard index: Shards() = %d, Workers() = %d; want 4, %d", me.Shards(), me.Workers(), procs)
 	}
 	if _, err := me.Insert(distperm.Vector{0.5, 0.5, 0.5}); err != nil {
 		t.Fatal(err)
@@ -36,15 +38,15 @@ func TestMutableEngineShardsReportsServedView(t *testing.T) {
 	if err := me.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if me.Shards() != 1 || me.BaseKind() != "distperm" || me.Workers() != 8 {
-		t.Fatalf("after the fold: Shards() = %d, kind %s, Workers() = %d; want 1, distperm, 8",
-			me.Shards(), me.BaseKind(), me.Workers())
+	if me.Shards() != 1 || me.BaseKind() != "distperm" || me.Workers() != procs {
+		t.Fatalf("after the fold: Shards() = %d, kind %s, Workers() = %d; want 1, distperm, %d",
+			me.Shards(), me.BaseKind(), me.Workers(), procs)
 	}
 }
 
 // TestMutableEngineViewGrows: a plain index wrapped with Shards = 4 starts
 // as a one-segment view and rebuilds into a four-segment one on the same
-// pool. Answers equal the from-scratch LinearScan on both sides of the
+// engine. Answers equal the from-scratch LinearScan on both sides of the
 // swap, and the counters carry across it.
 func TestMutableEngineViewGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
@@ -59,7 +61,7 @@ func TestMutableEngineViewGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	me, err := distperm.WrapMutable(db, idx, distperm.MutableConfig{
-		Spec: spec, Workers: 2, Shards: 4, Partitioner: distperm.RoundRobin{},
+		Spec: spec, Shards: 4, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +69,9 @@ func TestMutableEngineViewGrows(t *testing.T) {
 	defer me.Close()
 	model := newMutModel(pts)
 	probes := dataset.UniformVectors(rng, 8, 3)
-	if me.Shards() != 1 || me.Workers() != 8 {
-		t.Fatalf("before the rebuild: Shards() = %d, Workers() = %d; want 1, 8", me.Shards(), me.Workers())
+	procs := runtime.GOMAXPROCS(0)
+	if me.Shards() != 1 || me.Workers() != procs {
+		t.Fatalf("before the rebuild: Shards() = %d, Workers() = %d; want 1, %d", me.Shards(), me.Workers(), procs)
 	}
 	checkEquivalence(t, "one segment", me, model, probes, 5, 0.5)
 	before := me.Stats()
@@ -83,9 +86,9 @@ func TestMutableEngineViewGrows(t *testing.T) {
 	if err := me.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if me.Shards() != 4 || me.BaseKind() != "sharded" || me.Workers() != 8 {
-		t.Fatalf("after the rebuild: Shards() = %d, kind %s, Workers() = %d; want 4, sharded, 8",
-			me.Shards(), me.BaseKind(), me.Workers())
+	if me.Shards() != 4 || me.BaseKind() != "sharded" || me.Workers() != procs {
+		t.Fatalf("after the rebuild: Shards() = %d, kind %s, Workers() = %d; want 4, sharded, %d",
+			me.Shards(), me.BaseKind(), me.Workers(), procs)
 	}
 	checkEquivalence(t, "four segments", me, model, probes, 5, 0.5)
 	// Two 8-probe batches before the swap on one segment, two after on four.
@@ -134,7 +137,7 @@ func startSwapStorm(me *distperm.MutableEngine) *swapStorm {
 		loop(100+r, func(rng *rand.Rand) error {
 			qs := dataset.UniformVectors(rng, 1+rng.Intn(6), 3)
 			if rng.Intn(3) == 0 {
-				_, err := me.RangeBatch(qs, 0.2)
+				_, _, err := me.Search(qs, distperm.Query{Radius: 0.2})
 				return err
 			}
 			_, err := me.KNNBatch(qs, 3)
@@ -177,7 +180,7 @@ func shardedMutable(t *testing.T, gate gateMetric, n int) *distperm.MutableEngin
 		t.Fatal(err)
 	}
 	me, err := distperm.WrapMutable(db, sx, distperm.MutableConfig{
-		Spec: spec, Workers: 2, Shards: 4, Partitioner: distperm.RoundRobin{},
+		Spec: spec, Shards: 4, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,19 +198,19 @@ func newGate() gateMetric {
 }
 
 // TestMutableEngineSwapStorm: fifty and more forced rebuilds under
-// concurrent searches and writes run on the goroutines the constructor
-// started — no rebuild and no Search starts one — the counters never go
-// backwards across a swap, and a reader parked on the wrapped view since
-// before the first swap still gets its answer, however many views have come
-// and gone since.
+// concurrent searches and writes start no goroutine of their own beyond a
+// batch search's fan-out — at most GOMAXPROCS − 1 each, all gone when it
+// returns — the counters never go backwards across a swap, and a reader
+// parked on the wrapped view since before the first swap still gets its
+// answer, however many views have come and gone since.
 func TestMutableEngineSwapStorm(t *testing.T) {
 	const swaps = 50
 	gate := newGate()
 	me := shardedMutable(t, gate, 400)
 	defer me.Close()
-	idle := runtime.NumGoroutine() // the pool and the rebuilder are up
+	idle := runtime.NumGoroutine() // the rebuilder is up
 
-	// One reader parks inside a worker, holding the wrapped view.
+	// One reader parks inside its walk, holding the wrapped view.
 	openGate := sync.OnceFunc(func() { close(gate.release) })
 	defer openGate()
 	gate.armed.Store(true)
@@ -235,9 +238,10 @@ func TestMutableEngineSwapStorm(t *testing.T) {
 	if n := storm.errs.Load(); n != 0 {
 		t.Fatalf("%d storm goroutines failed on an open engine", n)
 	}
-	// The storm's own goroutines plus the parked reader are all there is.
-	if limit := idle + storm.goroutines + 1; maxGoroutines > limit {
-		t.Errorf("%d goroutines during the storm, want ≤ %d: a rebuild or a Search started some", maxGoroutines, limit)
+	// The storm's own goroutines, the parked reader and the fan-out of the
+	// storm's 4 searchers are all there is.
+	if limit := idle + storm.goroutines + 1 + 4*(runtime.GOMAXPROCS(0)-1); maxGoroutines > limit {
+		t.Errorf("%d goroutines during the storm, want ≤ %d: a rebuild or a Search started more", maxGoroutines, limit)
 	}
 
 	openGate()
@@ -288,5 +292,86 @@ func TestMutableEngineCloseDuringSwapStorm(t *testing.T) {
 	}
 	if err := me.Rebuild(); err == nil {
 		t.Error("Rebuild after Close should fail")
+	}
+}
+
+// TestEngineCloseWaitsForSearch: Close refuses new searches at once but
+// does not return while a search that got in before it is still walking;
+// that search finishes with its correct answer.
+func TestEngineCloseWaitsForSearch(t *testing.T) {
+	gate := newGate()
+	pts := dataset.UniformVectors(rand.New(rand.NewSource(85)), 300, 3)
+	db, err := distperm.NewDB(gate, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := distperm.Build(db, distperm.Spec{Index: "distperm", K: 6, Seed: 85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := distperm.NewEngine(db, idx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := distperm.Query{K: 5}
+	probe := dataset.UniformVectors(rand.New(rand.NewSource(86)), 1, 3)
+	truthDB, err := distperm.NewDB(distperm.L2, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := distperm.Build(truthDB, distperm.Spec{Index: "linear"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := truth.KNN(probe[0], q.K)
+
+	openGate := sync.OnceFunc(func() { close(gate.release) })
+	defer openGate()
+	gate.armed.Store(true)
+	type answer struct {
+		rs  [][]distperm.Result
+		err error
+	}
+	parked := make(chan answer, 1)
+	go func() {
+		rs, _, err := e.Search(probe, q)
+		parked <- answer{rs, err}
+	}()
+	<-gate.entered
+
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	// Close has begun once a new search is refused.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, _, err := e.Search(probe, q); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("searches still admitted 10 s after Close began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a search was still walking")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	openGate()
+	a := <-parked
+	if a.err != nil {
+		t.Fatalf("the parked search failed: %v", a.err)
+	}
+	if !reflect.DeepEqual(a.rs[0], want) {
+		t.Fatalf("the parked search answered %v, want %v", a.rs[0], want)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return 10 s after the search finished")
 	}
 }

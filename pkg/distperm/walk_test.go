@@ -52,7 +52,7 @@ func TestShardedWalkTiesAndBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer se.Close()
-	me, err := WrapMutable(db, sx, MutableConfig{Spec: spec, Workers: 2, Shards: shards, Partitioner: RoundRobin{}})
+	me, err := WrapMutable(db, sx, MutableConfig{Spec: spec, Shards: shards, Partitioner: RoundRobin{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRebuildPartitionsByGID(t *testing.T) {
 	db, rng := testDB(t, 39, 400, 3)
 	for _, p := range []Partitioner{RoundRobin{}, HashPoint{}} {
 		me, err := NewMutableEngine(db, MutableConfig{
-			Spec: Spec{Index: "distperm", K: 6, Seed: 39}, Workers: 1, Shards: shards, Partitioner: p,
+			Spec: Spec{Index: "distperm", K: 6, Seed: 39}, Shards: shards, Partitioner: p,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestRebuildPartitionsByGID(t *testing.T) {
 	}
 
 	me, err := NewMutableEngine(db, MutableConfig{
-		Spec: Spec{Index: "distperm", K: 6, Seed: 39}, Workers: 1, Shards: shards, Partitioner: RoundRobin{},
+		Spec: Spec{Index: "distperm", K: 6, Seed: 39}, Shards: shards, Partitioner: RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)

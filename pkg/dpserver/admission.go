@@ -20,9 +20,10 @@ type Searcher interface {
 // progress together), and the rest wait for a slot in arrival order — Go
 // hands a freed channel slot to its longest-blocked sender, select or not —
 // so under load a request waits behind the ones that came before it
-// instead of racing every caller for the engine's job channel. An idle
-// gate admits at once. A request is one Search, single or batch, exact or
-// approximate: nothing is batched across requests.
+// instead of racing every caller for the CPUs. It is the only queue: the
+// engine runs a Search on its caller's goroutine. An idle gate admits at
+// once. A request is one Search, single or batch, exact or approximate:
+// nothing is batched across requests.
 type admission struct {
 	backend Searcher
 	slots   chan struct{}

@@ -116,7 +116,8 @@ type IndexInfo struct {
 	Metric string `json:"metric"`
 	// Shards is the served view's shard count (1 for a single engine).
 	Shards int `json:"shards"`
-	// Workers is the total worker-goroutine count across pools.
+	// Workers is how many goroutines one engine search fans out over at
+	// most: GOMAXPROCS.
 	Workers int `json:"workers"`
 	// Mutable reports whether the write endpoints (/v1/insert, /v1/delete)
 	// are live; Base then names the rebuilt index kind behind the delta.

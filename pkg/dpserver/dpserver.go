@@ -16,7 +16,7 @@
 //	                hits/misses) and, on mutable servers, the write path
 //	                (delta size, tombstones, rebuilds)
 //	GET  /v1/index  what is being served (kind, bits, live points, shards,
-//	                workers), read off the engine at each request
+//	                fan-out width), read off the engine at each request
 //	GET  /healthz   liveness (200 whenever the process can answer HTTP)
 //	GET  /readyz    readiness (the Gate answers 503 until the index loads)
 //	GET  /metrics   Prometheus text exposition (see the Observability
@@ -142,7 +142,7 @@ func New(e *distperm.Engine, cfg Config) (*Server, error) {
 // mounting /metrics on an ops listener alongside the serving port.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
-// NewFromIndex is New over NewEngine(db, idx, workers).
+// NewFromIndex is New over NewEngine(db, idx, workers); workers is ignored.
 func NewFromIndex(db *distperm.DB, idx distperm.Index, workers int, cfg Config) (*Server, error) {
 	e, err := distperm.NewEngine(db, idx, workers)
 	if err != nil {
@@ -252,7 +252,7 @@ func WriteStatus(w http.ResponseWriter, code int, status string) {
 // Fixed limits on what a client may send: maxBodyBytes bounds a POST body
 // (a larger one is answered 413 before it is buffered whole), maxBatch the
 // queries, points or IDs of one request (400: a body-sized batch of exact
-// queries would hold the pool for minutes after its client has gone),
+// queries would hold the engine for minutes after its client has gone),
 // maxResults the answers one request may ask for (queries × k) or find (400:
 // the engine holds every one before the first byte is written),
 // maxRequestIDBytes the X-Request-ID a client may choose (it is echoed and
@@ -483,7 +483,7 @@ func (s *Server) decodePoint(raw json.RawMessage) (distperm.Point, error) {
 
 // checkPoint checks a point against the shape of the engine's points
 // (Engine.Proto), so a malformed query is a 400, not a metric panic in a
-// worker.
+// search.
 func (s *Server) checkPoint(q distperm.Point) error {
 	switch proto := s.engine.Proto().(type) {
 	case distperm.Vector:

@@ -36,7 +36,7 @@ func NewGate() *Gate { return &Gate{} }
 // Requests already in flight finish with the loading answer. SetReady after
 // the Gate's Serve has shut down is harmless — the Gate closes the Server
 // immediately instead of publishing it, so a load racing a shutdown never
-// leaks engine workers past Serve's return.
+// leaks an open engine past Serve's return.
 func (g *Gate) SetReady(s *Server) {
 	for {
 		old := g.srv.Load()

@@ -126,7 +126,7 @@ func TestGateNotReadyThenReady(t *testing.T) {
 // daemon has drained must not leak a running Server. SetReady on a
 // shut-down gate closes the Server instead of publishing it, so the
 // caller's post-Serve cleanup (e.g. unmapping the store) never races
-// live engine workers.
+// live engine searches.
 func TestGateSetReadyAfterShutdown(t *testing.T) {
 	gate := dpserver.NewGate()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -152,8 +152,8 @@ func TestGateSetReadyAfterShutdown(t *testing.T) {
 		t.Fatal("shut-down gate published a server")
 	}
 	// The gate closed the Server on publish: its engine rejects work, so a
-	// request served directly against it fails instead of reaching live
-	// workers.
+	// request served directly against it fails instead of reaching the
+	// store.
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/v1/knn",
 		strings.NewReader(`{"query":[0.5,0.5,0.5],"k":2}`))

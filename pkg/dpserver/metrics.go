@@ -134,11 +134,8 @@ func registerEngineMetrics(reg *obs.Registry, e *distperm.Engine) {
 		"Cells the exact walk bounds, summed over the served view's segments (0 for a store without bounds)", nil,
 		func() float64 { return float64(e.Stats().BoundCells) })
 	reg.GaugeFunc("distperm_engine_workers",
-		"Worker goroutines in the engine pool(s)", nil,
+		"Goroutines one engine search fans out over at most (GOMAXPROCS)", nil,
 		func() float64 { return float64(e.Workers()) })
-	reg.GaugeFunc("distperm_engine_busy_workers",
-		"Workers currently serving a job", nil,
-		func() float64 { return float64(e.BusyWorkers()) })
 	reg.HistogramFunc("distperm_engine_query_duration_seconds",
 		"Per-query engine latency (merged across shards and epochs)", nil,
 		e.LatencySnapshot)

@@ -321,7 +321,7 @@ func TestMetricFamilyInventory(t *testing.T) {
 		}},
 		{"distperm_engine_", []string{
 			"distperm_engine_batched_queries_total", "distperm_engine_bound_cells", "distperm_engine_bucket_rows_heap_bytes",
-			"distperm_engine_busy_workers", "distperm_engine_distance_evals_total", "distperm_engine_distinct_rows",
+			"distperm_engine_distance_evals_total", "distperm_engine_distinct_rows",
 			"distperm_engine_pruned_evals_total", "distperm_engine_queries_total", "distperm_engine_query_duration_seconds",
 			"distperm_engine_workers",
 		}},

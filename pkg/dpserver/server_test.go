@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,8 +21,8 @@ import (
 	"distperm/pkg/dpserver/client"
 )
 
-// newServer is dpserver.New over a read-only engine serving idx with
-// workers workers.
+// newServer is dpserver.New over a read-only engine serving idx; workers is
+// passed to NewEngine, which ignores it.
 func newServer(t testing.TB, db *distperm.DB, idx distperm.Index, workers int, cfg dpserver.Config) *dpserver.Server {
 	t.Helper()
 	e, err := distperm.NewEngine(db, idx, workers)
@@ -142,7 +143,7 @@ func TestServerBatchedForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	const radius = 0.3
-	wantR, err := truth.RangeBatch(qs, radius)
+	wantR, _, err := truth.Search(qs, distperm.Query{Radius: radius})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestServerIndexAndHealth(t *testing.T) {
 	if info != srv.Info() {
 		t.Errorf("IndexInfo = %+v, want %+v", info, srv.Info())
 	}
-	if info.Kind != "distperm" || info.N != 200 || info.Shards != 1 || info.Workers != 4 || info.Bits <= 0 || info.Metric != "L2" {
+	if info.Kind != "distperm" || info.N != 200 || info.Shards != 1 || info.Workers != runtime.GOMAXPROCS(0) || info.Bits <= 0 || info.Metric != "L2" {
 		t.Errorf("implausible IndexInfo %+v", info)
 	}
 }
@@ -249,7 +250,7 @@ func TestServerSharded(t *testing.T) {
 		ts.Close()
 		srv.Close()
 	}()
-	if info := srv.Info(); info.Kind != "sharded" || info.Shards != 3 || info.Workers != 6 {
+	if info := srv.Info(); info.Kind != "sharded" || info.Shards != 3 || info.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("sharded IndexInfo = %+v", info)
 	}
 	lin, err := distperm.Build(db, distperm.Spec{Index: "linear"})
@@ -640,7 +641,7 @@ func TestIndexInfoFollowsTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-		Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 41}, Workers: 2,
+		Spec: distperm.Spec{Index: "distperm", K: 6, Seed: 41},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -683,7 +684,7 @@ func TestServerReadOnlySavedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	me, err := distperm.NewMutableEngine(db, distperm.MutableConfig{
-		Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 33}, Workers: 2, Shards: 2, Partitioner: distperm.RoundRobin{},
+		Spec: distperm.Spec{Index: "distperm", K: 4, Seed: 33}, Shards: 2, Partitioner: distperm.RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,11 @@
 // every figure is first divided by the geometric mean, from its own file, of
 // the benchmarks over code the serving rounds never touched (anchors), so a
 // box that ran everything 1.7× slower on the day reads flat and the gate can
-// be armed against any committed point, whatever machine recorded it. An
-// evals/op metric is a count of distance evaluations, the same on every
-// machine, so it is gated raw: any increase fails. The baseline is the
-// newest committed bench/BENCH_pr*.json:
+// be armed against any committed point, whatever machine recorded it (the
+// pass and fail lines print each anchor's own ratio and their max ÷ min
+// spread beside that mean). An evals/op metric is a count of distance
+// evaluations, the same on every machine, so it is gated raw: any increase
+// fails. The baseline is the newest committed bench/BENCH_pr*.json:
 //
 //	benchgate -baseline bench/BENCH_pr20.json -current BENCH_$GITHUB_SHA.json
 //
@@ -49,6 +50,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Point is one benchmark's measurement in a trajectory file.
@@ -88,6 +90,24 @@ func yardstick(b map[string]Point) float64 {
 		return 1
 	}
 	return math.Exp(sum / n)
+}
+
+// anchorRatios renders each anchor's own current ÷ baseline ns/op, where
+// both files carry it, and the spread max ÷ min between them: a geometric
+// mean over anchors that disagree says little about how fast the box was.
+func anchorRatios(base, cur map[string]Point) string {
+	each, lo, hi := []string(nil), math.Inf(1), 0.0
+	for _, name := range anchors {
+		if b, c := base[name], cur[name]; b.NsPerOp > 0 && c.NsPerOp > 0 {
+			r := c.NsPerOp / b.NsPerOp
+			lo, hi = min(lo, r), max(hi, r)
+			each = append(each, fmt.Sprintf("%s ×%.2f", strings.TrimPrefix(name, "Benchmark"), r))
+		}
+	}
+	if len(each) == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" (%s; max ÷ min ×%.2f)", strings.Join(each, ", "), hi/lo)
 }
 
 // benchLine matches one `go test -bench` result line. The -N GOMAXPROCS
@@ -328,9 +348,10 @@ func run(record bool, in, out, sha string, baseline, current string, maxRegress 
 			fmt.Fprintf(w, "note: %s is new (not in the baseline)\n", name)
 		}
 		drift := yardstick(cur.Benchmarks) / yardstick(base.Benchmarks)
+		each := anchorRatios(base.Benchmarks, cur.Benchmarks)
 		if len(regs) == 0 {
-			fmt.Fprintf(w, "benchgate: %d benchmarks within %.0f%% of baseline %s, over anchors that read ×%.2f its\n",
-				len(base.Benchmarks)-len(onlyBase), maxRegress*100, base.SHA, drift)
+			fmt.Fprintf(w, "benchgate: %d benchmarks within %.0f%% of baseline %s, over anchors that read ×%.2f its%s\n",
+				len(base.Benchmarks)-len(onlyBase), maxRegress*100, base.SHA, drift, each)
 			return nil
 		}
 		for _, r := range regs {
@@ -341,8 +362,8 @@ func run(record bool, in, out, sha string, baseline, current string, maxRegress 
 			fmt.Fprintf(w, "REGRESSION: %s %s %.4g → %.4g (%.1f%% worse over the anchors, limit %.0f%%)\n",
 				r.name, r.metric, r.base, r.cur, r.frac*100, maxRegress*100)
 		}
-		return fmt.Errorf("benchgate: %d regression(s) beyond %.0f%% vs baseline %s, over anchors that read ×%.2f its",
-			len(regs), maxRegress*100, base.SHA, drift)
+		return fmt.Errorf("benchgate: %d regression(s) beyond %.0f%% vs baseline %s, over anchors that read ×%.2f its%s",
+			len(regs), maxRegress*100, base.SHA, drift, each)
 	default:
 		return fmt.Errorf("benchgate: use -record, -baseline with -current, or -report with trajectory files (see package doc)")
 	}

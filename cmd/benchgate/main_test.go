@@ -206,8 +206,25 @@ func TestEndToEndGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink.Reset()
-	if err := run(false, "", "", "", basePath, boxPath, 0.25, nil, &sink); err != nil || !strings.Contains(sink.String(), "×10.00") {
+	if err := run(false, "", "", "", basePath, boxPath, 0.25, nil, &sink); err != nil ||
+		!strings.Contains(sink.String(), "anchors that read ×10.00 its (KNNLinear ×10.00; max ÷ min ×1.00)") {
 		t.Errorf("a 10× slower box failed the gate: %v\n%s", err, sink.String())
+	}
+	// Anchors that disagree — KendallTau 4× slower, KNNLinear 10× — are each
+	// reported beside their geometric mean, with their spread; the mean, √40,
+	// still leaves the rest 1.58× worse, and the gate trips.
+	kendall := "BenchmarkKendallTau-8  1000  %s ns/op\n"
+	twoBase := filepath.Join(dir, "two-base.json")
+	twoBox := filepath.Join(dir, "two-box.json")
+	if err := run(true, write("two-base.txt", sampleOutput+fmt.Sprintf(kendall, "100")), twoBase, "a2", "", "", 0.25, nil, &sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(true, write("two-box.txt", slowBox+fmt.Sprintf(kendall, "400")), twoBox, "b2", "", "", 0.25, nil, &sink); err != nil {
+		t.Fatal(err)
+	}
+	err = run(false, "", "", "", twoBase, twoBox, 0.25, nil, &sink)
+	if want := "anchors that read ×6.32 its (KendallTau ×4.00, KNNLinear ×10.00; max ÷ min ×2.50)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("disagreeing anchors: got %v, want the fail line to carry %q", err, want)
 	}
 
 	// Missing-benchmark edge: an empty input errors in record mode.

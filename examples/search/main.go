@@ -91,7 +91,7 @@ func main() {
 		se.Shards(), queries)
 	var sum int64
 	for s, st := range se.ShardStats() {
-		fmt.Printf("  shard %d: n=%d, %d evals\n", s, sx.ShardDB(s).N(), st.DistanceEvals)
+		fmt.Printf("  shard %d: n=%d, %d evals, %d bound cells\n", s, sx.ShardDB(s).N(), st.DistanceEvals, st.BoundCells)
 		sum += st.DistanceEvals
 	}
 	agg := se.Stats()

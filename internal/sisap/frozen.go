@@ -572,7 +572,7 @@ func bucketMajorDB(m metric.Metric, block []float64, d int, pb *prefixBuckets, t
 // Mapped is an open frozen container: an index (and, for self-contained
 // containers, its database) whose rank matrix, row IDs, and point vectors
 // are zero-copy views into one read-only file mapping. Close unmaps; the
-// views — including every Engine replica sharing the table — must not be
+// views — including every Engine serving the index — must not be
 // used after Close, so a server drains queries and closes its engine first
 // (distpermd's drain path does exactly that).
 type Mapped struct {
@@ -581,7 +581,7 @@ type Mapped struct {
 	db  *DB
 }
 
-// Index returns the mapped index. Replicas share the mapping.
+// Index returns the mapped index, which any number of queries may read at once.
 func (m *Mapped) Index() *PermIndex { return m.idx }
 
 // DB returns the database the index is served against: the one supplied

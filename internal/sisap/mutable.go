@@ -219,14 +219,6 @@ func (x *MutableIndex) IndexBits() int64 {
 	return x.base.IndexBits() + 64*int64(len(x.gids)) + 64*int64(x.ntombs)
 }
 
-// Replica satisfies Replicable: the base index's scratch state is cloned,
-// everything else is immutable and shared.
-func (x *MutableIndex) Replica() Index {
-	r := *x
-	r.base = QueryReplica(x.base)
-	return &r
-}
-
 // KNN returns the k nearest live points by (distance, gid), with Result.ID
 // carrying gids. Fewer than k results are returned when fewer than k points
 // are live.

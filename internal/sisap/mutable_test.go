@@ -85,21 +85,6 @@ func TestMutableIndexMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestMutableIndexReplica: replicas answer identically and satisfy
-// Replicable (the engine's per-worker seam).
-func TestMutableIndexReplica(t *testing.T) {
-	x, _ := buildMutableFixture(t, 43, 80, 20)
-	r, ok := any(x).(Replicable)
-	if !ok {
-		t.Fatal("MutableIndex should be Replicable")
-	}
-	rep := r.Replica().(*MutableIndex)
-	q := dataset.UniformVectors(rand.New(rand.NewSource(44)), 1, 3)[0]
-	got, _ := rep.KNN(q, 4)
-	want, _ := x.KNN(q, 4)
-	sameAnswers(t, "replica kNN", got, want)
-}
-
 // TestMutableCodecRoundTrip: the "mutable" container kind round-trips
 // through WriteIndex/ReadIndex with identical answers, including the
 // embedded base container.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 
 	"distperm/internal/core"
 	"distperm/internal/counting"
@@ -76,22 +77,22 @@ type PermIndex struct {
 	dist     PermDistance
 	// table holds one row per distinct stored inverse permutation
 	// (site → rank); tableIDs[i] is the row of point i. Both are immutable
-	// after construction and shared between replicas.
+	// after construction, so any number of queries read them at once.
 	table    *rankTable
 	tableIDs []uint32
-	// lb shares the bucket directory and its metric bounds
-	// (prefixbuckets.go) between the index and every replica: the directory
-	// built lazily or pre-filled with container views by a frozen open, the
-	// bounds — and the bucket-major coordinates the walk reads — computed on
-	// the first exact kNN or range query.
+	// lb holds the bucket directory and its metric bounds (prefixbuckets.go):
+	// the directory built lazily or pre-filled with container views by a
+	// frozen open, the bounds — and the bucket-major coordinates the walk
+	// reads — computed on the first exact kNN or range query.
 	lb *lazyBuckets
-	// scratch holds the per-query buffers (allocated lazily, never shared:
-	// Replica clears it), which is what makes the query path non-reentrant.
-	scratch *permScratch
+	// scratch pools the *permScratch query workspaces: a query borrows one
+	// for its duration, so any number of goroutines may query the index.
+	scratch *sync.Pool
 }
 
-// permScratch is the per-replica query workspace.
+// permScratch is one query's workspace, its Permuter's buffers included.
 type permScratch struct {
+	pm     *core.Permuter   // a clone of the index's, for the query permutation
 	qbuf   perm.Permutation // forward query permutation, len k
 	qfwd   []int32          // qbuf as int32, for the Kendall kernel
 	qinv   []int32          // query inverse ranks, len k
@@ -151,6 +152,7 @@ func newPermIndexFromTable(db *DB, siteIDs []int, dist PermDistance, table *rank
 		table:    table,
 		tableIDs: ids,
 		lb:       &lazyBuckets{},
+		scratch:  &sync.Pool{},
 	}
 }
 
@@ -272,18 +274,6 @@ func buildTable[K comparable](x *PermIndex, keyOf func(fwd perm.Permutation, buf
 // Name implements Index.
 func (x *PermIndex) Name() string { return "distperm" }
 
-// Replica implements Replicable: the returned index shares the immutable
-// table encoding and database but owns fresh query scratch and a fresh
-// Permuter (whose buffers make the query path non-reentrant), so it can be
-// queried concurrently with the original as long as each replica stays on
-// one goroutine.
-func (x *PermIndex) Replica() Index {
-	y := *x
-	y.permuter = x.permuter.Clone()
-	y.scratch = nil
-	return &y
-}
-
 // K returns the number of sites.
 func (x *PermIndex) K() int { return len(x.siteIDs) }
 
@@ -325,34 +315,23 @@ func (x *PermIndex) NaiveIndexBits() int64 {
 	return int64(x.db.N()) * int64(naiveBitsPerPerm(x.K()))
 }
 
-// scratchBuffers returns the per-replica query workspace, allocating it on
-// first use (Replica hands out copies with nil scratch). Only the
-// permutation buffers are eager: the ordering keys are n- and rows-sized and
-// a replica that serves exhaustive, range and approximate queries never
-// orders anything (see orderKeys).
+// scratchBuffers borrows a query workspace from the pool, or makes one; the
+// caller hands it back with x.scratch.Put. Only the permutation buffers are
+// eager: the ordering keys are n- and rows-sized and a workspace that serves
+// exhaustive, range and approximate queries never orders anything.
 func (x *PermIndex) scratchBuffers() *permScratch {
-	if x.scratch == nil {
-		k := x.K()
-		x.scratch = &permScratch{
-			qbuf: make(perm.Permutation, k),
-			qfwd: make([]int32, k),
-			qinv: make([]int32, k),
-			seq:  make([]int32, k),
-			qd:   make([]float64, k),
-		}
+	if s, ok := x.scratch.Get().(*permScratch); ok {
+		return s
 	}
-	return x.scratch
-}
-
-// orderKeys returns the scratch with the ordered scans' key buffers in
-// place, allocating them on the replica's first ordered scan.
-func (x *PermIndex) orderKeys() *permScratch {
-	s := x.scratchBuffers()
-	if s.keys == nil {
-		s.tkeys = make([]int64, x.table.rows)
-		s.keys = make([]int64, x.db.N())
+	k := x.K()
+	return &permScratch{
+		pm:   x.permuter.Clone(),
+		qbuf: make(perm.Permutation, k),
+		qfwd: make([]int32, k),
+		qinv: make([]int32, k),
+		seq:  make([]int32, k),
+		qd:   make([]float64, k),
 	}
-	return s
 }
 
 // scanOrderInto fills out with the first len(out) database indexes of the
@@ -361,8 +340,13 @@ func (x *PermIndex) orderKeys() *permScratch {
 // path: one permutation distance per distinct row, an O(n) key scatter, and
 // a (partial) counting sort.
 func (x *PermIndex) scanOrderInto(q metric.Point, out []int) Stats {
-	s := x.orderKeys()
-	x.permuter.PermutationInto(q, s.qbuf)
+	s := x.scratchBuffers()
+	defer x.scratch.Put(s)
+	if s.keys == nil { // the workspace's first ordered scan
+		s.tkeys = make([]int64, x.table.rows)
+		s.keys = make([]int64, x.db.N())
+	}
+	s.pm.PermutationInto(q, s.qbuf)
 	for rank, site := range s.qbuf {
 		s.qfwd[rank] = int32(site)
 		s.qinv[site] = int32(rank)

@@ -3,6 +3,7 @@ package sisap
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -79,21 +80,32 @@ func TestBatchEmpty(t *testing.T) {
 }
 
 func TestBatchReplicaIndependence(t *testing.T) {
-	// Replicas share the immutable table and coordinate block: interleaving
-	// batches on original and replica must equal isolated runs.
+	// Two goroutines interleave batches on one index, sharing its table and
+	// coordinate block: both must equal isolated runs.
 	rng := rand.New(rand.NewSource(515))
 	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 400, 3))
 	idx := NewPermIndex(db, rng.Perm(db.N())[:8], SpearmanRho)
-	rep := idx.Replica().(*PermIndex)
-	qs1 := batchQueries(rng, 9, 3)
-	qs2 := batchQueries(rng, 9, 3)
-	got1, _ := idx.KNNBatch(qs1, 4)
-	got2, _ := rep.KNNBatch(qs2, 4)
+	qs := [2][]metric.Point{batchQueries(rng, 9, 3), batchQueries(rng, 9, 3)}
+	var got [2][][][]Result
+	var wg sync.WaitGroup
+	for g := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				rs, _ := idx.KNNBatch(qs[g], 4)
+				got[g] = append(got[g], rs)
+			}
+		}()
+	}
+	wg.Wait()
 	oracle := NewLinearScan(db)
-	for i := range qs1 {
-		want1, _ := oracle.KNN(qs1[i], 4)
-		want2, _ := oracle.KNN(qs2[i], 4)
-		sameBits(t, fmt.Sprintf("original %d", i), got1[i], want1)
-		sameBits(t, fmt.Sprintf("replica %d", i), got2[i], want2)
+	for g := range qs {
+		for i, q := range qs[g] {
+			want, _ := oracle.KNN(q, 4)
+			for r, rs := range got[g] {
+				sameBits(t, fmt.Sprintf("goroutine %d, batch %d, query %d", g, r, i), rs[i], want)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -125,21 +126,31 @@ func TestKNNBudgetPartialOrderMatchesPrefix(t *testing.T) {
 }
 
 func TestScanOrderReplicaIndependence(t *testing.T) {
-	// Replicas share the immutable table but must not share query scratch:
-	// interleaved queries on original and replica give the same answers as
-	// isolated queries.
+	// Two goroutines interleave scans on one index: each borrows its own
+	// query workspace, so both get the orders isolated queries give.
 	rng := rand.New(rand.NewSource(111))
 	db := NewDB(metric.L2{}, dataset.UniformVectors(rng, 400, 3))
 	idx := NewPermIndex(db, rng.Perm(db.N())[:8], Footrule)
-	rep := idx.Replica().(*PermIndex)
-	q1 := dataset.UniformVectors(rng, 1, 3)[0]
-	q2 := dataset.UniformVectors(rng, 1, 3)[0]
-	want1 := idx.referenceScanOrder(q1)
-	want2 := idx.referenceScanOrder(q2)
-	got1, _ := idx.ScanOrder(q1)
-	got2, _ := rep.ScanOrder(q2)
-	assertSameOrder(t, "original", got1, want1)
-	assertSameOrder(t, "replica", got2, want2)
+	qs := dataset.UniformVectors(rng, 2, 3)
+	var got [2][][]int
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				order, _ := idx.ScanOrder(qs[g])
+				got[g] = append(got[g], order)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		want := idx.referenceScanOrder(qs[g])
+		for i, order := range got[g] {
+			assertSameOrder(t, fmt.Sprintf("goroutine %d, scan %d", g, i), order, want)
+		}
+	}
 }
 
 func TestTableEncodingCodecRoundTripClustered(t *testing.T) {

@@ -80,14 +80,13 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 	return maxKey
 }
 
-// lazyBuckets shares one once-built directory, and the bucket-major rows and
-// bounds its buckets are read and pruned with, between an index and every
-// replica cloned from it (Replica copies the struct, so the pointer is
-// shared). A frozen open pre-fills pb with container views and, under PFR3,
-// rows with the database's own block; heap indexes build the directory on
-// first use. The bounds are part of no format: every store computes them on
-// its first exact query, and rows it was not opened with on its first read
-// of a bucket.
+// lazyBuckets holds an index's once-built directory, and the bucket-major
+// rows and bounds its buckets are read and pruned with, for every query
+// running on it at once. A frozen open pre-fills pb with container views
+// and, under PFR3, rows with the database's own block; heap indexes build the
+// directory on first use. The bounds are part of no format: every store
+// computes them on its first exact query, and rows it was not opened with on
+// its first read of a bucket.
 type lazyBuckets struct {
 	once     sync.Once
 	pb       *prefixBuckets
@@ -282,8 +281,8 @@ func cellLayout(t *rankTable, tableIDs []uint32, pb *prefixBuckets, minFill int)
 	return labels, cellStarts, bucketCells
 }
 
-// approxScratch is the per-replica workspace of the approximate query
-// path, sized to the directory on first use.
+// approxScratch is a query workspace's part for the approximate path, sized
+// to the directory on first use.
 type approxScratch struct {
 	bkeys  []int64 // one prefix-footrule key per bucket
 	border []int   // full bucket probe order
@@ -291,8 +290,7 @@ type approxScratch struct {
 
 // approxBuffers returns the approximate-path workspace, allocated on first
 // use against the given directory.
-func (x *PermIndex) approxBuffers(pb *prefixBuckets) *approxScratch {
-	s := x.scratchBuffers()
+func (s *permScratch) approxBuffers(pb *prefixBuckets) *approxScratch {
 	if s.approx == nil {
 		b := pb.numBuckets()
 		s.approx = &approxScratch{bkeys: make([]int64, b), border: make([]int, b)}
@@ -686,6 +684,7 @@ func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 		return Stats{DistanceEvals: k + n}
 	}
 	s := x.scratchBuffers()
+	defer x.scratch.Put(s)
 	// The sites are measured as the scan measures any point, so a query of
 	// the wrong shape fails here with the scan's own panic.
 	for i, id := range x.siteIDs {
@@ -751,8 +750,9 @@ func (x *PermIndex) knnApprox(q metric.Point, k, nprobe int, sc Scope) ([]Result
 		return exact()
 	}
 	s := x.scratchBuffers()
-	a := x.approxBuffers(pb)
-	x.permuter.PermutationInto(q, s.qbuf)
+	defer x.scratch.Put(s)
+	a := s.approxBuffers(pb)
+	s.pm.PermutationInto(q, s.qbuf)
 	for rank, site := range s.qbuf {
 		s.qinv[site] = int32(rank)
 	}

@@ -3,6 +3,7 @@ package sisap
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -230,21 +231,25 @@ func TestConfigurePrefixBuckets(t *testing.T) {
 	}
 }
 
-// TestApproxReplicaSharesDirectory pins that replicas share one bucket
-// directory (the build is once-per-index, not once-per-worker) and answer
-// identically.
+// TestApproxReplicaSharesDirectory pins that approximate queries on one
+// index, from two goroutines at once, answer identically.
 func TestApproxReplicaSharesDirectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	points := dataset.UniformVectors(rng, 800, 6)
 	idx := approxTestIndex(t, points, 10, Footrule, 41)
-	rep := idx.Replica().(*PermIndex)
-	if idx.lb != rep.lb {
-		t.Fatalf("replica does not share the lazyBuckets handle")
-	}
 	q := dataset.UniformVectors(rng, 1, 6)[0]
-	a, ast := idx.KNNApprox(q, 5, 2)
-	b, bst := rep.KNNApprox(q, 5, 2)
-	if !reflect.DeepEqual(a, b) || ast != bst {
-		t.Fatalf("replica answers differ from the original")
+	var rs [2][]Result
+	var sts [2]ApproxStats
+	var wg sync.WaitGroup
+	for g := range rs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs[g], sts[g] = idx.KNNApprox(q, 5, 2)
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(rs[0], rs[1]) || sts[0] != sts[1] {
+		t.Fatalf("concurrent approximate answers differ")
 	}
 }

@@ -431,7 +431,7 @@ func TestBoundBisectorNeedsItsPoints(t *testing.T) {
 // TestBoundRowsLayout: the bucket-major rows hold point labels[j] in row j,
 // bit for bit — NaN payloads, signed zeros, denormals and infinities included
 // — on every store origin, Points[id] is the source's point whatever order the
-// block lies in, and a replica reads the rows its index has. Every bucket's
+// block lies in. Every bucket's
 // run of labels is the set ptOrder lists for it, cut into cells of ascending
 // IDs. A store opened from a PFR3 container, mapped or decoded, has no copy to
 // compare: its rows are its database's block, the file's points section as it
@@ -493,9 +493,6 @@ func TestBoundRowsLayout(t *testing.T) {
 		}
 		for id, p := range pts {
 			sameRow(fmt.Sprintf("%s: point %d against the source", st.name, id), db.Points[id].(metric.Vector), p.(metric.Vector))
-		}
-		if repRows, _ := st.idx.Replica().(*PermIndex).rows(); &repRows[0] != &rows[0] {
-			t.Fatalf("%s: a replica made its own copy of the coordinates", st.name)
 		}
 	}
 }
@@ -813,10 +810,10 @@ func TestBoundTriangleBaselinesBoundaryRadius(t *testing.T) {
 	}
 }
 
-// TestPrunedFirstQueryRace: many replicas issue their first exact query at
-// once. The bounds are computed exactly once — every replica answers from
-// the one table the first wave left, and a second wave of fresh replicas
-// finds it in place — and every answer is the oracle's.
+// TestPrunedFirstQueryRace: many goroutines send the index's first exact
+// queries at once. The bounds are computed exactly once — every query answers
+// from the one table the first wave left, and a second wave finds it in
+// place — and every answer is the oracle's.
 func TestPrunedFirstQueryRace(t *testing.T) {
 	db, rng := testDB(77, 3000, 4, metric.L2{}) // ≥ parallelBuildThreshold: the sharded bound pass
 	idx := NewPermIndex(db, rng.Perm(db.N())[:8], Footrule)
@@ -826,17 +823,16 @@ func TestPrunedFirstQueryRace(t *testing.T) {
 	for wave := 0; wave < 2; wave++ {
 		var wg sync.WaitGroup
 		for _, q := range queries {
-			rep := idx.Replica().(*PermIndex)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				want, _ := linear.KNN(q, 6)
-				if got, _ := rep.KNN(q, 6); !reflect.DeepEqual(got, want) {
-					t.Errorf("wave %d: replica KNN differs from LinearScan", wave)
+				if got, _ := idx.KNN(q, 6); !reflect.DeepEqual(got, want) {
+					t.Errorf("wave %d: KNN differs from LinearScan", wave)
 				}
 				wantR, _ := linear.Range(q, want[5].Distance)
-				if got, _ := rep.Range(q, want[5].Distance); !reflect.DeepEqual(got, wantR) {
-					t.Errorf("wave %d: replica Range differs from LinearScan", wave)
+				if got, _ := idx.Range(q, want[5].Distance); !reflect.DeepEqual(got, wantR) {
+					t.Errorf("wave %d: Range differs from LinearScan", wave)
 				}
 			}()
 		}

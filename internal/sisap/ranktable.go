@@ -70,7 +70,7 @@ func (s *rankStore[T]) checkMutable() {
 // rankTable stores the distinct inverse distance permutations of an index
 // as a flat rows×k row-major matrix: row r, column s holds the rank of site
 // s in the r-th distinct permutation's closeness order. Rows are immutable
-// once built and shared between replicas. The backing store is heap-owned
+// once built, so concurrent queries share them. The backing store is heap-owned
 // for built and stream-decoded tables, or a zero-copy view into a mapped
 // frozen container (newFrozenRankTable); every kernel runs unchanged over
 // both.
@@ -204,7 +204,7 @@ func footruleKeys[T uint8 | uint16](k int, qinv []int32, rows []T, out []int64) 
 // cleanly concordant or discordant. The O(k²) pair scan beats the
 // allocating O(k log k) merge sort at the k this index runs at, and runs
 // once per distinct row rather than once per point. seq is k-length scratch
-// owned by the per-replica permScratch (sized once per index, not per call).
+// owned by the query's permScratch (sized once per workspace, not per call).
 func kendallKeys[T uint8 | uint16](k int, qfwd []int32, rows []T, seq []int32, out []int64) int64 {
 	// The three-index recap pins len(seq) to k, like row below, so the
 	// relabel loop's seq[s] store needs no per-iteration bounds check.

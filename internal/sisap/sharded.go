@@ -16,9 +16,8 @@ import (
 // The per-shard Stats sum to the query's global cost: the metric-evaluation
 // cost model of the paper composes additively across shards.
 //
-// ShardedIndex itself satisfies Index (and Replicable, cloning per-shard
-// query replicas); pkg/distperm's engines walk its shards through Walk, to
-// book each shard's cost apart.
+// ShardedIndex itself satisfies Index; pkg/distperm's engines walk its
+// shards through Walk, to book each shard's cost apart.
 type ShardedIndex struct {
 	db     *DB
 	parts  [][]int // parts[s][local] = global ID, strictly increasing
@@ -143,17 +142,6 @@ func (x *ShardedIndex) IndexBits() int64 {
 		shardBits++
 	}
 	return bits + int64(x.db.N())*int64(shardBits)
-}
-
-// Replica clones per-shard query replicas over the shared built structures,
-// satisfying Replicable: shard indexes with mutable scratch state (the
-// distperm index) are cloned, read-only ones are shared.
-func (x *ShardedIndex) Replica() Index {
-	shards := make([]Index, len(x.shards))
-	for s, idx := range x.shards {
-		shards[s] = QueryReplica(idx)
-	}
-	return &ShardedIndex{db: x.db, parts: x.parts, dbs: x.dbs, shards: shards}
 }
 
 // RemapShardResults rewrites shard-local result IDs to global IDs via the

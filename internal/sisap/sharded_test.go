@@ -123,41 +123,3 @@ func TestNewShardedIndexValidation(t *testing.T) {
 		t.Errorf("nil member index: %v", err)
 	}
 }
-
-// TestShardedIndexReplica: Replica must clone replicas of replicable member
-// indexes (distperm) while sharing the built structures, so sharded serving
-// through one Engine is race-free.
-func TestShardedIndexReplica(t *testing.T) {
-	const n = 90
-	db, rng := shardedTestDB(52, n, 3)
-	x, err := NewShardedIndex(db, roundRobinParts(n, 3), func(s int, sdb *DB) (Index, error) {
-		ids := make([]int, 4)
-		for i := range ids {
-			ids[i] = (i * 7) % sdb.N()
-		}
-		return NewPermIndex(sdb, ids, Footrule), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := QueryReplica(x).(*ShardedIndex)
-	if !ok {
-		t.Fatalf("replica is %T", QueryReplica(x))
-	}
-	if r == x {
-		t.Fatal("replica should be a distinct handle")
-	}
-	for s := 0; s < x.NumShards(); s++ {
-		if r.Shard(s) == x.Shard(s) {
-			t.Errorf("shard %d replica shares the mutable member index", s)
-		}
-	}
-	q := dataset.UniformVectors(rng, 1, 3)[0]
-	a, _ := x.KNN(q, 3)
-	b, _ := r.KNN(q, 3)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatalf("replica answer %d differs", j)
-		}
-	}
-}

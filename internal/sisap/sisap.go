@@ -138,7 +138,8 @@ type Stats struct {
 	PrunedEvals int
 }
 
-// Index answers proximity queries over a DB.
+// Index answers proximity queries over a DB. Every index of this package
+// may be queried from any number of goroutines at once.
 type Index interface {
 	// Name identifies the index type.
 	Name() string
@@ -174,7 +175,7 @@ type ApproxStats struct {
 // (how many inverted-file buckets to probe; ≤ 0 selects the index's
 // default, ≥ the directory size degrades to the exact scan with
 // byte-identical answers). Recall must be monotone non-decreasing in
-// nprobe. Engines detect this interface on their worker replicas.
+// nprobe. Engines detect this interface on each segment's index.
 type ApproxIndex interface {
 	Index
 	// KNNApprox answers one approximate kNN query.
@@ -184,26 +185,9 @@ type ApproxIndex interface {
 	ApproxBuckets() int
 }
 
-// Replicable is implemented by indexes whose query path mutates per-index
-// scratch state and which can therefore not be shared across goroutines.
-// Replica returns an independent view over the same immutable built
-// structure, cheap to create (no metric evaluations) and safe to query from
-// one goroutine at a time. Indexes that do not implement Replicable have
-// read-only query paths and may be shared freely.
-type Replicable interface {
-	Index
-	// Replica returns an independent query handle over the same data.
-	Replica() Index
-}
-
-// QueryReplica returns a handle on x suitable for a dedicated worker
-// goroutine: x.Replica() when x is Replicable, x itself otherwise.
-func QueryReplica(x Index) Index {
-	if r, ok := x.(Replicable); ok {
-		return r.Replica()
-	}
-	return x
-}
+// QueryReplica returns x: every index answers concurrent queries. It is kept
+// only for perflab, whose ladder still calls it.
+func QueryReplica(x Index) Index { return x }
 
 // searcher is an index kind's one traversal: search offers every point it
 // measures to c, skips whatever a metric bound proves farther than c.limit()

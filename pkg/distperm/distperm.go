@@ -11,8 +11,8 @@
 //     query path of every engine below; KNNBatch and KNNApproxBatch are
 //     wrappers written once over it.
 //   - Engine: answers each Search on its caller's goroutine — a batch fans
-//     out over at most GOMAXPROCS goroutines, each on index replicas it
-//     borrows from the view — over a view of the index: a single segment
+//     out over at most GOMAXPROCS goroutines, all reading the one index,
+//     which every kind answers concurrently — over a view of it: a single segment
 //     for a plain index, one per shard when a Partitioner has split the
 //     database (BuildSharded). A query walks the segments one after another
 //     into one collector, each pruning at the distances the ones before it
@@ -91,7 +91,7 @@ type (
 	// ApproxIndex is the approximate-search capability: KNNApprox trades
 	// bounded recall for a smaller candidate set, steered by nprobe (how
 	// many permutation-prefix buckets to probe). PermIndex implements it;
-	// the engines detect it on their replicas.
+	// the engines detect it on each segment's index.
 	ApproxIndex = sisap.ApproxIndex
 	// ApproxStats extends Stats with the probe accounting of an approximate
 	// query: probed buckets against the directory size, candidate count,

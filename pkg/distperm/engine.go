@@ -224,10 +224,11 @@ func (e *Engine) KNNApproxBatch(qs []Point, k, nprobe int) ([][]Result, []Approx
 func (e *Engine) Stats() EngineStats {
 	st, lat := e.counters()
 	st.finish(lat)
-	v := e.cur.Load().view
-	st.BucketRowsHeapBytes = segSum(v, (*sisap.PermIndex).RowsHeapBytes)
-	st.BoundCells = segSum(v, (*sisap.PermIndex).BoundCells)
-	st.DistinctRows = segSum(v, distinctRows)
+	for _, sh := range e.ShardStats() {
+		st.DistinctRows += sh.DistinctRows
+		st.BucketRowsHeapBytes += sh.BucketRowsHeapBytes
+		st.BoundCells += sh.BoundCells
+	}
 	return st
 }
 
@@ -241,8 +242,13 @@ func (e *Engine) Shards() int { return len(e.cur.Load().segs) }
 
 // ApproxBuckets returns the served index's inverted-file directory size, the
 // bound nprobe is measured against, summed across shards (0: no such capability).
-func (e *Engine) ApproxBuckets() int {
-	return segSum(e.cur.Load().view, sisap.ApproxIndex.ApproxBuckets)
+func (e *Engine) ApproxBuckets() (total int) {
+	for _, seg := range e.cur.Load().segs {
+		if ax, ok := seg.idx.(sisap.ApproxIndex); ok {
+			total += ax.ApproxBuckets()
+		}
+	}
+	return total
 }
 
 // LatencySnapshot returns the per-query latency histogram, merged across
@@ -254,7 +260,8 @@ func (e *Engine) LatencySnapshot() obs.HistogramSnapshot {
 }
 
 // Index returns the index the engine serves: the one a read-only engine was
-// made over, a writable engine's current snapshot.
+// made over, a writable engine's current snapshot. Like every index, it may
+// be queried from any number of goroutines at once.
 func (e *Engine) Index() Index {
 	s := e.cur.Load()
 	if s.mi != nil {
@@ -297,18 +304,13 @@ type segment struct {
 
 // view is an immutable list of segments served together as the one database
 // db indexed by idx. A writable Engine publishes a new view per rebuild; a
-// superseded one, its replicas with it, lives as long as a search still holds
-// it and is then the garbage collector's. Storage a view only borrows — a
-// mapped container — belongs to whoever opened it (see Store.Close).
+// superseded one lives as long as a search still holds it and is then the
+// garbage collector's. Storage a view only borrows — a mapped container —
+// belongs to whoever opened it (see Store.Close).
 type view struct {
 	db   *DB
 	idx  Index
 	segs []segment
-	// replicas holds *[]Index query replicas of the segments, one per
-	// segment (the distance-permutation index's Permuter carries scratch
-	// buffers and is not goroutine-safe; sisap.QueryReplica clones it, while
-	// the read-only indexes are shared). A search goroutine borrows one set.
-	replicas sync.Pool
 }
 
 // newView lays idx out for serving: a *ShardedIndex becomes one segment per
@@ -322,35 +324,19 @@ func newView(db *DB, idx Index) *view {
 			v.segs[s] = segment{db: sx.ShardDB(s), idx: sx.Shard(s), part: sx.Part(s)}
 		}
 	}
-	v.replicas.New = func() any {
-		r := make([]Index, len(v.segs))
-		for s, seg := range v.segs {
-			r[s] = sisap.QueryReplica(seg.idx)
-		}
-		return &r
-	}
 	return v
 }
 
-// segSum sums f over the view's segment indexes that are an I; the rest
-// count 0.
-func segSum[I any, N int | int64](v *view, f func(I) N) (total N) {
-	for _, seg := range v.segs {
-		if x, ok := seg.idx.(I); ok {
-			total += f(x)
-		}
-	}
-	return total
-}
-
-// distinctRows returns idx's distinct permutation-row count — the paper's
-// table size and the universe the prefix-bucket directory is built over —
-// or 0 when idx does not expose one.
-func distinctRows(idx Index) int {
+// describe sets the fields of st that describe idx, not its queries: the
+// distinct permutation rows (the paper's table size, the universe of the
+// bucket directory) and a PermIndex's bucket-major heap and bound cells.
+func (st *EngineStats) describe(idx Index) {
 	if d, ok := idx.(interface{ DistinctPermutations() int }); ok {
-		return d.DistinctPermutations()
+		st.DistinctRows = d.DistinctPermutations()
 	}
-	return 0
+	if px, ok := idx.(*sisap.PermIndex); ok {
+		st.BucketRowsHeapBytes, st.BoundCells = px.RowsHeapBytes(), px.BoundCells()
+	}
 }
 
 // slot holds one segment number's counters. lat holds every per-query
@@ -393,8 +379,8 @@ func (e *Engine) enter() error {
 
 // search answers q for every point of qs over v, leaving out the points dead
 // names; the caller has entered the engine and validated q. The caller and
-// up to min(len(qs), GOMAXPROCS) − 1 goroutines each borrow a replica set
-// from v and take the next query off one shared counter until none is left.
+// up to min(len(qs), GOMAXPROCS) − 1 goroutines each take the next query off
+// one shared counter until none is left, all on the view's own indexes.
 // A query is one walk of the view's segments in turn into one collector
 // (sisap.Walk), so segment s prunes at the K-th live distance of segments
 // 0…s−1 and the answer comes out merged, in the view's global IDs. Each
@@ -420,9 +406,6 @@ func (e *Engine) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Res
 	batched := q.knn() && !q.Approx && len(qs) > 1
 	var next atomic.Int64
 	serve := func() {
-		borrowed := v.replicas.Get().(*[]Index)
-		defer v.replicas.Put(borrowed)
-		replicas := *borrowed
 		sums := make([]EngineStats, len(v.segs))
 		for i := int(next.Add(1) - 1); i < len(qs); i = int(next.Add(1) - 1) {
 			w := sisap.NewWalk(q.K, q.Radius, dead)
@@ -433,9 +416,8 @@ func (e *Engine) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Res
 				start := time.Now()
 				var st Stats
 				if q.Approx {
-					// Every segment is approx-capable (checked above), and a
-					// replica is of its index's own type.
-					a := w.Approx(replicas[s].(sisap.ApproxIndex), seg.part, qs[i], min(q.K, seg.db.N()), q.NProbe)
+					// Every segment is approx-capable (checked above).
+					a := w.Approx(seg.idx.(sisap.ApproxIndex), seg.part, qs[i], min(q.K, seg.db.N()), q.NProbe)
 					st = a.Stats
 					sums[s].ProbedBuckets += int64(a.ProbedBuckets)
 					sums[s].ApproxCandidates += int64(a.Candidates)
@@ -444,7 +426,7 @@ func (e *Engine) search(v *view, qs []Point, q Query, dead sisap.Tombs) ([][]Res
 					t.ProbedBuckets, t.TotalBuckets = t.ProbedBuckets+a.ProbedBuckets, t.TotalBuckets+a.TotalBuckets
 					t.Candidates, t.Exact = t.Candidates+a.Candidates, t.Exact && a.Exact
 				} else {
-					st = w.Search(replicas[s], seg.part, qs[i])
+					st = w.Search(seg.idx, seg.part, qs[i])
 				}
 				sums[s].DistanceEvals += int64(st.DistanceEvals)
 				sums[s].PrunedEvals += int64(st.PrunedEvals)
@@ -532,7 +514,7 @@ type EngineStats struct {
 
 // add sums o's counts into s — what a search does per goroutine and
 // counters does across slots. MeanEvals and the percentiles are finish's to derive,
-// DistinctRows, BucketRowsHeapBytes and BoundCells the caller's to set.
+// DistinctRows, BucketRowsHeapBytes and BoundCells describe's.
 func (s *EngineStats) add(o EngineStats) {
 	s.Queries += o.Queries
 	s.BatchedQueries += o.BatchedQueries
@@ -581,13 +563,15 @@ func (sl *slot) counters() (EngineStats, obs.HistogramSnapshot) {
 // a plain index). Every query walks every shard, so per-shard Queries count
 // sub-queries: S shards serving a B-query batch record B sub-queries each,
 // and a shard's DistanceEvals, PrunedEvals and latencies are its own walks'.
+// DistinctRows, BucketRowsHeapBytes and BoundCells are the shard index's
+// own, and Stats reports their sums.
 func (e *Engine) ShardStats() []EngineStats {
 	segs := e.cur.Load().segs
 	stats := make([]EngineStats, len(segs))
 	for s, seg := range segs {
 		c, lat := e.slots[s].counters()
 		c.finish(lat)
-		c.DistinctRows = distinctRows(seg.idx)
+		c.describe(seg.idx)
 		stats[s] = c
 	}
 	return stats

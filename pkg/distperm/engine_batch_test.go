@@ -53,7 +53,7 @@ func TestEngineBatchFastPath(t *testing.T) {
 
 // TestEngineBatchStorm hammers the batch fast path from many goroutines at
 // once — under -race this proves concurrent sub-batches stay off each other's
-// replicas and result slots — and checks every answer against LinearScan.
+// query workspaces and result slots — and checks every answer against LinearScan.
 func TestEngineBatchStorm(t *testing.T) {
 	const (
 		goroutines = 8

@@ -15,11 +15,10 @@ import (
 )
 
 // TestEngineMatchesLinearScan is the concurrency acceptance test: a
-// 1000-query batch answered by the engine's fan-out over the
-// distance-permutation index (whose Permuter forces per-goroutine replicas)
-// must equal the sequential LinearScan ground truth exactly. Run under
-// `go test -race` this also proves the replica scheme keeps goroutines off
-// each other's scratch buffers.
+// 1000-query batch answered by the engine's fan-out over the one
+// distance-permutation index must equal the sequential LinearScan ground
+// truth exactly. Run under `go test -race` this also proves the index's
+// pooled query workspaces keep goroutines off each other's buffers.
 func TestEngineMatchesLinearScan(t *testing.T) {
 	const (
 		queries = 1000
@@ -320,7 +319,7 @@ func TestEngineLatencyHistogram(t *testing.T) {
 	}
 }
 
-// countingIndex is a foreign Index (no walk of this package, no replicas):
+// countingIndex is a foreign Index (no walk of this package):
 // its KNN counts the calls in flight and keeps their peak, sleeps a little
 // so that concurrent calls overlap, and counts the calls made on the
 // goroutine of the test that called Search.

@@ -70,8 +70,8 @@ func (s *Store) Close() error {
 
 // Load opens an index container written by WriteIndex or WriteFrozenIndex.
 // The default path decodes the file onto the heap against opts.DB; with Mmap it maps a frozen container zero-copy, sharing
-// one read-only rank table across every Engine replica and every process
-// serving the same file.
+// one read-only rank table across every query and every process serving the
+// same file.
 func Load(path string, opts LoadOptions) (*Store, error) {
 	if opts.Mmap {
 		m, err := sisap.OpenMapped(path, opts.DB)

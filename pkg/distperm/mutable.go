@@ -369,7 +369,7 @@ func (e *Engine) rebuildOnce(force bool) error {
 	// directly, not through Search: no engine counter moves.
 	nv := newView(newDB, idx)
 	for _, seg := range nv.segs {
-		sisap.QueryReplica(seg.idx).KNN(seg.db.Points[0], 1)
+		seg.idx.KNN(seg.db.Points[0], 1)
 	}
 
 	e.writeMu.Lock()

@@ -117,8 +117,8 @@ func TestShardedEngineSmallShards(t *testing.T) {
 	}
 }
 
-// TestShardedIndexServedByPlainEngine: a ShardedIndex satisfies Index and
-// Replicable, so a plain Engine can serve it directly too.
+// TestShardedIndexServedByPlainEngine: a ShardedIndex satisfies Index, so a
+// plain Engine can serve it directly too.
 func TestShardedIndexServedByPlainEngine(t *testing.T) {
 	db, rng := testDB(t, 33, 300, 3)
 	queryPts := dataset.UniformVectors(rng, 40, 3)
@@ -555,5 +555,50 @@ func TestEngineShardedViewIdenticalAnswers(t *testing.T) {
 		if agg.BatchedQueries == 0 || agg.ApproxQueries == 0 || agg.DistinctRows == 0 {
 			t.Errorf("%s: a counter never moved: %+v", name, agg)
 		}
+	}
+}
+
+// TestShardStatsReportBounds: ShardStats reports each segment's own bound
+// cells, and Stats their sum. Over 4 000 points and 12 sites the plain engine
+// bounds its buckets once an exact query has run; split four ways round-robin,
+// no shard's buckets are large enough to be worth bounding, which only the
+// per-shard figures show.
+func TestShardStatsReportBounds(t *testing.T) {
+	const n, k = 4000, 12
+	db, rng := testDB(t, 47, n, 4)
+	q := dataset.UniformVectors(rng, 1, 4)
+	spec := Spec{Index: "distperm", K: k, Seed: 5}
+	idx, err := Build(db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildSharded(db, spec, 4, RoundRobin{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		idx   Index
+		bound bool
+	}{{"plain", idx, true}, {"4 shards", sx, false}} {
+		e, err := NewEngine(db, c.idx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.KNNBatch(q, 10); err != nil {
+			t.Fatal(err)
+		}
+		shards, total := e.ShardStats(), e.Stats()
+		sum := 0
+		for s, st := range shards {
+			if c.bound != (st.BoundCells > 0) {
+				t.Errorf("%s: shard %d reports %d bound cells", c.name, s, st.BoundCells)
+			}
+			sum += st.BoundCells
+		}
+		if sum != total.BoundCells {
+			t.Errorf("%s: shards report %d bound cells, Stats %d", c.name, sum, total.BoundCells)
+		}
+		e.Close()
 	}
 }

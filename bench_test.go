@@ -819,16 +819,24 @@ func openContainerFiles(b *testing.B) (*distperm.DB, string, string) {
 // mode=mmap-selfcontained supplies no database — the open a restarted daemon
 // (and perflab's approx-mmap set-up) pays: on top of the checksum pass it
 // makes the 200k Points views of the mapped coordinates, and nothing else.
+// mode=mmap-selfcontained/first=knn is that open through its first exact
+// 10-NN answer: the walk over the cells and bounds the file carries (PFR4),
+// where a PFR3 file's store first swept its own, one cell per bucket.
 func BenchmarkOpenContainer(b *testing.B) {
 	db, compact, frozen := openContainerFiles(b)
 	q := db.Points[0]
-	open := func(b *testing.B, path string, opts distperm.LoadOptions) {
+	open := func(b *testing.B, path string, opts distperm.LoadOptions, exact bool) {
 		for i := 0; i < b.N; i++ {
 			st, err := distperm.Load(path, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rs, _ := st.Index.(*distperm.PermIndex).KNNBudget(q, 1, 64); rs[0].ID != 0 {
+			px := st.Index.(*distperm.PermIndex)
+			rs, _ := px.KNNBudget(q, 1, 64)
+			if exact {
+				rs, _ = px.KNN(q, 10)
+			}
+			if rs[0].ID != 0 {
 				b.Fatalf("self-query answered %v", rs)
 			}
 			if err := st.Close(); err != nil {
@@ -836,9 +844,10 @@ func BenchmarkOpenContainer(b *testing.B) {
 			}
 		}
 	}
-	b.Run("mode=stream", func(b *testing.B) { open(b, compact, distperm.LoadOptions{DB: db}) })
-	b.Run("mode=mmap", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true, DB: db}) })
-	b.Run("mode=mmap-selfcontained", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true}) })
+	b.Run("mode=stream", func(b *testing.B) { open(b, compact, distperm.LoadOptions{DB: db}, false) })
+	b.Run("mode=mmap", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true, DB: db}, false) })
+	b.Run("mode=mmap-selfcontained", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true}, false) })
+	b.Run("mode=mmap-selfcontained/first=knn", func(b *testing.B) { open(b, frozen, distperm.LoadOptions{Mmap: true}, true) })
 }
 
 // approxBench holds the one-time n=200k builds behind BenchmarkApproxKNN:
@@ -904,8 +913,21 @@ func approxBenchIndex(b *testing.B, data string) (*sisap.PermIndex, []metric.Poi
 // own exact search (the pruned bucket walk since PR 18, over contiguous
 // buckets since PR 20; on uniform data it is the watch for a walk that
 // prunes little) and linear is the LinearScan oracle over the same
-// database — the honest floor for "measure every point".
+// database — the honest floor for "measure every point". Every row but linear
+// also reports evals/op, the mean DistanceEvals of the 64 queries (k sites
+// plus the points measured: a probe measures only the cells of its buckets
+// that its bounds do not exclude), and so do the clustered index's rows over
+// its frozen (PFR4) file mapped with no database, which walks the heap
+// store's cells under its bounds: their evals/op equal the heap rows'.
 func BenchmarkApproxKNN(b *testing.B) {
+	evals := func(b *testing.B, walk func(i int) sisap.Stats) {
+		b.StopTimer()
+		sum := 0
+		for i := range 64 {
+			sum += walk(i).DistanceEvals
+		}
+		b.ReportMetric(float64(sum)/64, "evals/op")
+	}
 	for _, data := range []string{"uniform", "clustered"} {
 		b.Run("data="+data+"/linear", func(b *testing.B) {
 			_, queries, _ := approxBenchIndex(b, data)
@@ -918,11 +940,13 @@ func BenchmarkApproxKNN(b *testing.B) {
 		})
 		b.Run("data="+data+"/nprobe=exact", func(b *testing.B) {
 			idx, queries, _ := approxBenchIndex(b, data)
+			knn := func(i int) sisap.Stats { _, st := idx.KNN(queries[i&63], 10); return st }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx.KNN(queries[i&63], 10)
+				knn(i)
 			}
 			b.ReportMetric(1, "recall@10")
+			evals(b, knn)
 		})
 		for _, nprobe := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("data=%s/nprobe=%d", data, nprobe), func(b *testing.B) {
@@ -941,11 +965,13 @@ func BenchmarkApproxKNN(b *testing.B) {
 					}
 					recall += float64(hit) / float64(len(truth[qi]))
 				}
+				probe := func(i int) sisap.Stats { _, st := idx.KNNApprox(queries[i&63], 10, nprobe); return st.Stats }
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					idx.KNNApprox(queries[i&63], 10, nprobe)
+					probe(i)
 				}
 				b.ReportMetric(recall/float64(len(queries)), "recall@10")
+				evals(b, probe)
 			})
 		}
 	}
@@ -969,14 +995,18 @@ func BenchmarkApproxKNN(b *testing.B) {
 	}
 	defer m.Close()
 	b.Run("data=clustered/origin=mmap/nprobe=exact", func(b *testing.B) {
+		knn := func(i int) sisap.Stats { _, st := m.Index().KNN(queries[i&63], 10); return st }
 		for i := 0; i < b.N; i++ {
-			m.Index().KNN(queries[i&63], 10)
+			knn(i)
 		}
+		evals(b, knn)
 	})
 	b.Run("data=clustered/origin=mmap/nprobe=4", func(b *testing.B) {
+		probe := func(i int) sisap.Stats { _, st := m.Index().KNNApprox(queries[i&63], 10, 4); return st.Stats }
 		for i := 0; i < b.N; i++ {
-			m.Index().KNNApprox(queries[i&63], 10, 4)
+			probe(i)
 		}
+		evals(b, probe)
 	})
 }
 

@@ -194,15 +194,24 @@ func main() {
 		os.Exit(2)
 	}
 	gate.SetReady(srv)
-	info := srv.Info()
-	fmt.Printf("distpermd: serving %s (n=%d metric=%s index=%s %d bits, %d shards) on %s\n",
-		e.Source(), info.N, info.Metric, info.Kind, info.Bits, info.Shards, ln.Addr())
+	announce(os.Stdout, e, srv.Info(), ln.Addr())
 
 	if err := <-serveErr; err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Println("distpermd: drained and closed cleanly")
+}
+
+// announce prints the serving line, with how many segments walk under bounds,
+// and a warning naming those too small to bound: they measure every point.
+func announce(w io.Writer, e *distperm.Engine, info dpserver.IndexInfo, addr net.Addr) {
+	perm, scans := e.ScanSegments()
+	fmt.Fprintf(w, "distpermd: serving %s (n=%d metric=%s index=%s %d bits, %d shards, %d bounded) on %s\n",
+		e.Source(), info.N, info.Metric, info.Kind, info.Bits, info.Shards, perm-len(scans), addr)
+	if len(scans) > 0 {
+		fmt.Fprintf(w, "distpermd: warning: segments %v have too few points a bucket to bound: an exact query measures every point of each\n", scans)
+	}
 }
 
 // serveOps answers the daemon's private operations surface on ln until ctx

@@ -609,3 +609,41 @@ func TestServeOps(t *testing.T) {
 		t.Fatalf("serveOps: %v", err)
 	}
 }
+
+// TestAnnounceBoundedSegments: the serving line counts the segments whose
+// exact queries walk under bounds. At examples/search's shape — 4 000 uniform
+// 6-d points, 12 sites — the unsharded store is bounded and no warning is
+// printed; cut into 4 shards of 1 000, none is, and one warning line names
+// all four.
+func TestAnnounceBoundedSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rng, 4_000, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7411}
+	for _, tc := range []struct {
+		shards int
+		line   string
+		warn   string
+	}{{1, "1 shards, 1 bounded) on 127.0.0.1:7411\n", ""}, {4, "4 shards, 0 bounded) on 127.0.0.1:7411\n", "segments [0 1 2 3] have too few points a bucket to bound"}} {
+		e, err := distperm.Open(distperm.OpenConfig{
+			Dataset: func(*rand.Rand) (*distperm.DB, string, error) { return db, "search", nil },
+			Seed:    3, Index: "distperm", K: 12, Shards: tc.shards, Partition: "roundrobin",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := dpserver.New(e, dpserver.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		announce(&out, e, srv.Info(), addr)
+		lines := strings.SplitAfter(out.String(), "\n")
+		if !strings.HasSuffix(lines[0], tc.line) || (tc.warn == "") != (len(lines) == 2) || !strings.Contains(out.String(), tc.warn) {
+			t.Errorf("%d shards: announced %q, want a line ending %q and a warning %q", tc.shards, out.String(), tc.line, tc.warn)
+		}
+		srv.Close()
+	}
+}

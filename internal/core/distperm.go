@@ -81,6 +81,13 @@ func (p *Permuter) PermutationInto(y metric.Point, out perm.Permutation) {
 	for i, s := range p.sites {
 		d[i] = p.m.Distance(s, y)
 	}
+	Order(d, out)
+}
+
+// Order writes into out (len(d)) the sites ordered by their distances d,
+// nearest first, ties to the lower site: the permutation PermutationInto
+// derives from the distances it measures.
+func Order(d []float64, out perm.Permutation) {
 	if len(d) > insertionSortMaxK {
 		for i := range out {
 			out[i] = i

@@ -86,16 +86,19 @@ func (fx codecFixture) bytesOf(t testing.TB) []byte {
 // and WriteFrozen emit for every kind must equal, byte for byte, the files
 // under testdata/golden, which commit 35e7fe6 (PR 18, the last one before
 // the codecs were rewritten over the cursor) wrote from this same fixture
-// function — but for distperm-frozen, which PR 25 rewrote when WriteFrozen
-// went from PFR2 to PFR3. Each golden file must also decode to an index that
-// answers as the built one does. GEN_GOLDEN=1 rewrites the files — only ever
-// from a commit whose encoders are the reference.
+// function — but for distperm-frozen, rewritten each time WriteFrozen moved
+// to a new revision (PFR2 → PFR3 → PFR4). Each golden file
+// must also decode to an index that answers as the built one does.
+// GEN_GOLDEN=1 rewrites the files — only ever from a commit whose encoders
+// are the reference.
 //
-// distperm-frozen-pfr2 is PR 18's file under its old name: load-only, since
-// its writer is gone. It must keep opening, with a database and without, to
-// the index the PFR3 file opens to, and is, byte for byte, what pfr2Image
-// makes of the PFR3 file — the two revisions differ in the tag, the order of
-// the points section and that section's checksum, and in nothing else.
+// distperm-frozen-pfr3 and distperm-frozen-pfr2 are the files the earlier
+// writers produced: load-only, since those writers are gone. They must keep opening,
+// with a database and without, to the index the PFR4 file opens to, and are,
+// byte for byte, what pfr3Image and pfr2Image make of the PFR4 file — the
+// revisions differ in the tag, the layout section, the order of the points
+// section (and of the posting lists, where a bucket has several cells) and
+// that section's checksum, and in nothing else.
 func TestGoldenContainers(t *testing.T) {
 	db, fixtures := codecFixtures(t)
 	q := metric.Vector{0.4, 0.6, 0.5}
@@ -143,28 +146,30 @@ func TestGoldenContainers(t *testing.T) {
 		}
 		return raw
 	}
-	pfr3, pfr2 := read("distperm-frozen"), read("distperm-frozen-pfr2")
-	if !bytes.Equal(pfr2Image(t, pfr3), pfr2) {
-		t.Error("the PFR2 golden file is not the PFR3 one with its tag, point order and points checksum put back")
+	pfr4, pfr3, pfr2 := read("distperm-frozen"), read("distperm-frozen-pfr3"), read("distperm-frozen-pfr2")
+	if !bytes.Equal(pfr3Image(t, pfr4), pfr3) || !bytes.Equal(pfr2Image(t, pfr4), pfr2) || !bytes.Equal(pfr2Image(t, pfr3), pfr2) {
+		t.Error("the PFR3 and PFR2 golden files are not the PFR4 one with its tag, layout, point order and points checksum put back")
 	}
 	for _, against := range []*DB{db, nil} {
-		old, odb, err := openFrozenBytes(pfr2, against, false)
+		cur, _, err := openFrozenBytes(pfr4, against, false)
 		if err != nil {
-			t.Fatalf("PFR2 golden file does not load: %v", err)
+			t.Fatalf("PFR4 golden file does not load: %v", err)
 		}
-		cur, _, err := openFrozenBytes(pfr3, against, false)
-		if err != nil {
-			t.Fatalf("PFR3 golden file does not load: %v", err)
-		}
-		if odb.order != nil || !reflect.DeepEqual(old.SiteIDs(), cur.SiteIDs()) || old.IndexBits() != cur.IndexBits() {
-			t.Errorf("PFR2 golden file: order %v, sites %v, %d bits; the PFR3 one has sites %v, %d bits",
-				odb.order, old.SiteIDs(), old.IndexBits(), cur.SiteIDs(), cur.IndexBits())
-		}
-		a, ast := old.KNN(q, 7)
 		b, bst := cur.KNN(q, 7)
-		sameResults(t, "PFR2 golden kNN", a, b)
-		if ast != bst {
-			t.Errorf("PFR2 golden file costs %+v, the PFR3 one %+v", ast, bst)
+		for rev, raw := range map[string][]byte{"PFR3": pfr3, "PFR2": pfr2} {
+			old, odb, err := openFrozenBytes(raw, against, false)
+			if err != nil {
+				t.Fatalf("%s golden file does not load: %v", rev, err)
+			}
+			if (odb.order == nil) != (rev == "PFR2" || against != nil) || !reflect.DeepEqual(old.SiteIDs(), cur.SiteIDs()) || old.IndexBits() != cur.IndexBits() {
+				t.Errorf("%s golden file: order %v, sites %v, %d bits; the PFR4 one has sites %v, %d bits",
+					rev, odb.order, old.SiteIDs(), old.IndexBits(), cur.SiteIDs(), cur.IndexBits())
+			}
+			a, ast := old.KNN(q, 7)
+			sameResults(t, rev+" golden kNN", a, b)
+			if ast != bst {
+				t.Errorf("%s golden file costs %+v, the PFR4 one %+v", rev, ast, bst)
+			}
 		}
 	}
 }

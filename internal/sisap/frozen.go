@@ -31,7 +31,8 @@ import (
 // Frozen payload layout (little-endian), inside the standard v2 container
 // (magic, version, kind "distperm"):
 //
-//	tag        uint32   permFrozenV3Tag ("PFR3"), or permFrozenV2Tag ("PFR2")
+//	tag        uint32   permFrozenV4Tag ("PFR4"), permFrozenV3Tag ("PFR3") or
+//	                    permFrozenV2Tag ("PFR2")
 //	headerOff  uint64   absolute file offset of the tag: always
 //	                    frozenPrefixLen — a frozen container is a file
 //	                    image (section offsets below are absolute) and does
@@ -43,17 +44,22 @@ import (
 //	rankWidth  uint32   bytes per rank: 1 when k ≤ 256, else 2
 //	dims       uint32   dimensions of embedded point vectors (0 = none)
 //	metricLen  uint32   length of the metric name (0 when no points)
-//	sections   5 × {off uint64, len uint64, crc32c uint32, _ uint32}
+//	sections   5 × {off uint64, len uint64, crc32c uint32, _ uint32} (PFR4: 6)
 //	ell        uint32   directory prefix length (1..k)
 //	nbuckets   uint32   directory size (1..distinct)
+//	cellEll    uint32   PFR4 only: the cells' prefix length ℓ' (ell..k),
+//	cells      uint32   their count (1..n) and the layout's flags
+//	flags      uint32   (1: bounds, 2: the sweep's bisector verdict offPrefix)
 //	metric     metricLen bytes
 //	sections:  sites   k × uint64        database IDs of the sites
 //	           ranks   distinct×k ranks  raw row-major rank matrix
 //	           ids     n × uint32        per-point table row IDs
 //	           points  n × dims × float64  vectors (optional): row j is
-//	                   point ptOrder[j] under PFR3, point j under PFR2
+//	                   point ptOrder[j] under PFR4 and PFR3, point j under PFR2
 //	           buckets 4·(nbuckets·ell + 2·(nbuckets+1) + distinct + n) bytes:
 //	                   uint32 arrays [prefixes][rowStarts][rowOrder][ptStarts][ptOrder]
+//	           layout  (PFR4) with bounds, float64 arrays [cell lo][cell hi]
+//	                   (cells×k); without, empty
 //
 // Sections sit at ascending 64-byte-aligned offsets with zero padding
 // between; each carries a CRC-32C (sectionCRC). Unlike the compact form, the
@@ -65,18 +71,20 @@ import (
 // prefixbuckets.go, so mapped opens serve approximate queries zero-copy
 // instead of rebuilding the directory per process.
 //
-// The two revisions differ in the order of the points section's rows alone.
-// PFR3, the one WriteFrozen emits, lists the points as the directory does, so
-// a mapped store reads every bucket it probes or walks as one run of the
-// mapping and never copies a coordinate. PFR2 keeps ID order and still loads,
-// to a store that makes the bucket-major copy a heap-built one makes
-// (re-freeze it). "PFRZ", four sections and no directory, is rejected by tag.
+// PFR4, the one WriteFrozen emits, is the heap store's walk layout: points,
+// ptOrder and each bucket's rows go by cell (cellLayout), which the reader
+// re-derives from ℓ' (verifyDirectory), and the layout section carries the
+// cells' bounds where the store had them, so a mapped store walks its cells in
+// place, copying and sweeping nothing. PFR3 lists the points by bucket: its
+// store walks one cell per bucket and sweeps on its first query. PFR2 keeps ID
+// order and makes the copy a heap store makes. "PFRZ" is rejected by tag.
 const (
 	permFrozenV2Tag = 0x32524650 // "PFR2" read little-endian
 	permFrozenV3Tag = 0x33524650 // "PFR3"
+	permFrozenV4Tag = 0x34524650 // "PFR4"
 	frozenAlign     = 64
-	frozenNumSecs   = 5
-	frozenFixedLen  = 168 // header bytes after the tag, before the metric name
+	frozenNumSecs   = 6
+	frozenFixedLen  = 168 // header bytes after the tag, before the metric name (PFR4: 204)
 	frozenMaxDims   = 1 << 16
 	frozenKind      = "distperm"
 	// frozenPrefixLen is where WriteFrozen puts the tag: after the v2
@@ -91,9 +99,10 @@ const (
 	frozenSecIDs
 	frozenSecPoints
 	frozenSecBuckets
+	frozenSecLayout // PFR4 only
 )
 
-var frozenSectionName = [frozenNumSecs]string{"sites", "ranks", "ids", "points", "buckets"}
+var frozenSectionName = [frozenNumSecs]string{"sites", "ranks", "ids", "points", "buckets", "layout"}
 
 // ErrNeedDB reports that a frozen container embeds no point vectors, so
 // opening it requires the caller to supply the database it was built on.
@@ -116,7 +125,7 @@ type frozenSection struct {
 
 // frozenHeader is the tag and the fixed header of a frozen payload.
 type frozenHeader struct {
-	tag       uint32 // permFrozenV3Tag or permFrozenV2Tag
+	tag       uint32 // permFrozenV4Tag, permFrozenV3Tag or permFrozenV2Tag
 	headerOff uint64
 	k         int
 	dist      PermDistance
@@ -127,7 +136,18 @@ type frozenHeader struct {
 	metricLen int
 	ell       int // directory prefix length
 	nbuckets  int // directory size
+	cellEll   int // PFR4: the cells' prefix length ℓ', their count and flags
+	cells     int
+	flags     uint32
 	sec       [frozenNumSecs]frozenSection
+}
+
+// nsec returns how many sections the revision has: a layout under PFR4.
+func (h *frozenHeader) nsec() int {
+	if h.tag == permFrozenV4Tag {
+		return frozenNumSecs
+	}
+	return frozenSecLayout
 }
 
 // layout returns the one section table the header's counts allow: ascending
@@ -136,16 +156,17 @@ type frozenHeader struct {
 // factors are bounded by decodeFrozenHeader's field ranges before a reader
 // multiplies them, and the uint64 products cannot overflow.
 func (h *frozenHeader) layout() (sec [frozenNumSecs]frozenSection) {
-	nb := uint64(h.nbuckets)
+	nb, cells := uint64(h.nbuckets), uint64(h.cells)
 	lens := [frozenNumSecs]uint64{
 		frozenSecSites:   uint64(h.k) * 8,
 		frozenSecRanks:   uint64(h.distinct) * uint64(h.k) * uint64(h.rankWidth),
 		frozenSecIDs:     h.n * 4,
 		frozenSecPoints:  h.n * uint64(h.dims) * 8,
 		frozenSecBuckets: 4 * (nb*uint64(h.ell) + 2*(nb+1) + uint64(h.distinct) + h.n),
+		frozenSecLayout:  16 * uint64(h.k) * cells * uint64(h.flags&1),
 	}
-	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
-	for i, length := range lens {
+	pos := h.headerOff + 4 + frozenFixedLen + 36*uint64(h.nsec()-frozenSecLayout) + uint64(h.metricLen)
+	for i, length := range lens[:h.nsec()] {
 		sec[i] = frozenSection{off: align64(pos), length: length}
 		pos = sec[i].off + length
 	}
@@ -154,7 +175,7 @@ func (h *frozenHeader) layout() (sec [frozenNumSecs]frozenSection) {
 
 // end returns the file offset one past the last section.
 func (h *frozenHeader) end() uint64 {
-	last := h.sec[len(h.sec)-1]
+	last := h.sec[h.nsec()-1]
 	return last.off + last.length
 }
 
@@ -169,7 +190,7 @@ func (h *frozenHeader) encode(e *enc) {
 	e.u32(uint32(h.rankWidth))
 	e.u32(uint32(h.dims))
 	e.u32(uint32(h.metricLen))
-	for _, s := range h.sec {
+	for _, s := range h.sec[:h.nsec()] {
 		e.u64(s.off)
 		e.u64(s.length)
 		e.u32(s.crc)
@@ -177,6 +198,9 @@ func (h *frozenHeader) encode(e *enc) {
 	}
 	e.u32(uint32(h.ell))
 	e.u32(uint32(h.nbuckets))
+	if h.nsec() > frozenSecLayout {
+		e.u32s([]uint32{uint32(h.cellEll), uint32(h.cells), h.flags})
+	}
 }
 
 // decodeFrozenHeader reads the tag and the header that follows it and
@@ -185,8 +209,8 @@ func (h *frozenHeader) encode(e *enc) {
 // a reader out of bounds or into an oversized allocation.
 func decodeFrozenHeader(d *dec) frozenHeader {
 	var h frozenHeader
-	if h.tag = d.u32(); d.err == nil && h.tag != permFrozenV3Tag && h.tag != permFrozenV2Tag {
-		d.fail("container payload tag %#08x is not a frozen form, PFR3 or PFR2 (write it with WriteFrozen, or decode it with ReadIndex)", h.tag)
+	if h.tag = d.u32(); d.err == nil && h.tag != permFrozenV4Tag && h.tag != permFrozenV3Tag && h.tag != permFrozenV2Tag {
+		d.fail("container payload tag %#08x is not a frozen form, PFR4, PFR3 or PFR2 (write it with WriteFrozen, or decode it with ReadIndex)", h.tag)
 	}
 	if h.headerOff = d.u64(); d.err == nil && h.headerOff != uint64(frozenPrefixLen) {
 		d.fail("frozen header claims offset %d, found at %d", h.headerOff, frozenPrefixLen)
@@ -204,16 +228,22 @@ func decodeFrozenHeader(d *dec) frozenHeader {
 	h.rankWidth = d.count("frozen rank width", uint64(d.u32()), wantWidth, wantWidth)
 	h.dims = d.count("frozen point dimensionality", uint64(d.u32()), 0, frozenMaxDims)
 	h.metricLen = d.count("frozen metric name length", uint64(d.u32()), 0, maxKindLen)
-	for i := range h.sec {
+	for i := range h.nsec() {
 		h.sec[i] = frozenSection{off: d.u64(), length: d.u64(), crc: d.u32()}
 		d.u32() // reserved
 	}
 	h.ell = d.count("frozen bucket prefix length", uint64(d.u32()), 1, h.k)
 	h.nbuckets = d.count("frozen bucket count", uint64(d.u32()), 1, h.distinct)
+	h.cellEll, h.cells = h.ell, h.nbuckets // PFR3 and PFR2: a cell a bucket
+	if h.nsec() > frozenSecLayout {
+		h.cellEll = d.count("frozen cell prefix length", uint64(d.u32()), h.ell, h.k)
+		h.cells = d.count("frozen cell count", uint64(d.u32()), 1, int(min(h.n, math.MaxInt)))
+		h.flags = uint32(d.count("frozen layout flags", uint64(d.u32()), 0, 3))
+	}
 	if d.err == nil && h.dims > 0 && h.metricLen == 0 {
 		d.fail("frozen container embeds points but no metric name")
 	}
-	for i, want := range h.layout() {
+	for i, want := range h.layout() { // a PFR3 or PFR2 header's sixth is zero both ways
 		if s := h.sec[i]; d.err == nil && (s.off != want.off || s.length != want.length) {
 			d.fail("frozen %s section is %d bytes at offset %d, want %d at %d",
 				frozenSectionName[i], s.length, s.off, want.length, want.off)
@@ -223,32 +253,38 @@ func decodeFrozenHeader(d *dec) frozenHeader {
 }
 
 // sectionCRC returns the checksum section i carries over its bytes b. The
-// tags are one bit apart, say which point every row is, and sit in a header
-// with no checksum of its own: a PFR3 points section is summed behind its tag
-// (PFR2's stays the plain sum its writer made), so a file re-tagged either
-// way fails here instead of opening with every point mislabelled.
+// tags, in a header with no checksum of its own, say which point every row is:
+// a PFR3 or PFR4 points section is summed behind its tag (PFR2's stays plain),
+// so a re-tagged file fails here. The layout section is summed behind the
+// sites' and points' sums, whose distances its bounds are, and its fields.
 func (h *frozenHeader) sectionCRC(i int, b []byte) uint32 {
-	if i == frozenSecPoints && h.tag == permFrozenV3Tag {
-		tag := binary.LittleEndian.AppendUint32(nil, h.tag)
-		return crc32.Update(CRC32C(tag), castagnoli, b)
+	var head []byte
+	switch {
+	case i == frozenSecPoints && h.tag != permFrozenV2Tag:
+		head = binary.LittleEndian.AppendUint32(nil, h.tag)
+	case i == frozenSecLayout:
+		for _, v := range []uint32{h.sec[frozenSecSites].crc, h.sec[frozenSecPoints].crc, uint32(h.cellEll), uint32(h.cells), h.flags} {
+			head = binary.LittleEndian.AppendUint32(head, v)
+		}
+	default:
+		return CRC32C(b)
 	}
-	return CRC32C(b)
+	return crc32.Update(CRC32C(head), castagnoli, b)
 }
 
-// verifySections checks each section's CRC-32C and then the value bounds
-// the query kernels index by without per-element checks: every rank < k and
-// every row ID < distinct (buildFrozenIndex reads the site IDs through the
-// cursor's own id rule). A file that passes cannot
-// drive the kernels or the scatter loops out of bounds. (Duplicate rank
-// rows — which the compact decoder rejects — are tolerated here: they
-// waste table space but cannot corrupt an answer, and detecting them
-// would cost the O(n·k) hashing pass this format exists to avoid.)
-func (h *frozenHeader) verifySections(secs [][]byte) error {
+// verifySections checks each section's CRC-32C and then the values the query
+// kernels and the scatter loops index by without per-element checks: every
+// rank < k, every row ID < distinct (buildFrozenIndex reads the site IDs
+// through the cursor's own id rule), the directory and its cells
+// (verifyDirectory). It returns them as typed views of secs (zeroCopy) or
+// decoded copies. Duplicate rank rows waste table space but cannot corrupt an
+// answer; finding them would cost the O(n·k) pass this format exists to avoid.
+func (h *frozenHeader) verifySections(secs [][]byte, zeroCopy bool) (*frozenParts, error) {
 	le := binary.LittleEndian
 	for i, b := range secs {
 		if got := h.sectionCRC(i, b); got != h.sec[i].crc {
 			mmapCksumFail.Add(1)
-			return fmt.Errorf("sisap: frozen %s section checksum mismatch (%08x, want %08x)", frozenSectionName[i], got, h.sec[i].crc)
+			return nil, fmt.Errorf("sisap: frozen %s section checksum mismatch (%08x, want %08x)", frozenSectionName[i], got, h.sec[i].crc)
 		}
 	}
 	ranks := secs[frozenSecRanks]
@@ -256,114 +292,131 @@ func (h *frozenHeader) verifySections(secs [][]byte) error {
 	case h.rankWidth == 1 && h.k < 256:
 		for _, r := range ranks {
 			if int(r) >= h.k {
-				return fmt.Errorf("sisap: frozen rank %d out of range (k=%d)", r, h.k)
+				return nil, fmt.Errorf("sisap: frozen rank %d out of range (k=%d)", r, h.k)
 			}
 		}
 	case h.rankWidth == 2:
 		for off := 0; off < len(ranks); off += 2 {
 			if r := le.Uint16(ranks[off:]); int(r) >= h.k {
-				return fmt.Errorf("sisap: frozen rank %d out of range (k=%d)", r, h.k)
+				return nil, fmt.Errorf("sisap: frozen rank %d out of range (k=%d)", r, h.k)
 			}
 		}
 	}
-	ids := secs[frozenSecIDs]
-	for off := 0; off < len(ids); off += 4 {
-		if id := le.Uint32(ids[off:]); int(id) >= h.distinct {
-			return fmt.Errorf("sisap: frozen row ID %d out of range (distinct=%d)", id, h.distinct)
+	p := &frozenParts{ranks: ranks, ids: frozenView[uint32](secs[frozenSecIDs], zeroCopy)}
+	for _, id := range p.ids {
+		if int(id) >= h.distinct {
+			return nil, fmt.Errorf("sisap: frozen row ID %d out of range (distinct=%d)", id, h.distinct)
 		}
 	}
-	return h.verifyBucketSection(secs)
+	u, nb, at := frozenView[uint32](secs[frozenSecBuckets], zeroCopy), h.nbuckets, 0
+	cut := func(n int) []uint32 { s := u[at : at+n : at+n]; at += n; return s }
+	p.pb = &prefixBuckets{ell: h.ell, prefixes: cut(nb * h.ell), rowStarts: cut(nb + 1), rowOrder: cut(h.distinct), ptStarts: cut(nb + 1), ptOrder: cut(int(h.n))}
+	if h.tag == permFrozenV4Tag {
+		// No bound may run below 0 or backwards (a NaN never prunes; buildFrozenIndex).
+		r := frozenView[float64](secs[frozenSecLayout], zeroCopy)
+		for i, lo := range r[:len(r)/2] {
+			if hi := r[len(r)/2+i]; lo < 0 || lo > hi {
+				return nil, fmt.Errorf("sisap: frozen cell %d's range of site %d is [%v, %v]", i/h.k, i%h.k, lo, hi)
+			}
+		}
+		p.bounds = r
+	}
+	return p, h.verifyDirectory(p)
 }
 
-// verifyBucketSection validates the inverted-file directory far beyond
-// memory safety: the posting-list boundaries must tile the row and point
-// ranges exactly, rowOrder/ptOrder must be permutations, and — the
-// mis-probe guarantee — every row listed under a bucket must actually
-// carry that bucket's prefix (checked against the rank matrix) and every
-// point must be listed under its own row's bucket, in ascending order. A hostile directory
-// that survives this is, by construction, a correct directory: probing it
-// can only ever select the points it claims, so corruption fails decode
-// instead of silently degrading answers.
-func (h *frozenHeader) verifyBucketSection(secs [][]byte) error {
-	le := binary.LittleEndian
-	b := secs[frozenSecBuckets]
-	u32 := func(i int) uint32 { return le.Uint32(b[4*i:]) }
-	nb, ell, distinct := h.nbuckets, h.ell, h.distinct
-	n := int(h.n)
-	prefixesOff := 0
-	rowStartsOff := prefixesOff + nb*ell
-	rowOrderOff := rowStartsOff + nb + 1
-	ptStartsOff := rowOrderOff + distinct
-	ptOrderOff := ptStartsOff + nb + 1
-	for i := 0; i < nb*ell; i++ {
-		if int(u32(prefixesOff+i)) >= h.k {
-			return fmt.Errorf("sisap: frozen bucket prefix site %d out of range (k=%d)", u32(prefixesOff+i), h.k)
+// frozenParts is what verifySections read: the ranks section, row IDs,
+// directory, the cells (verifyDirectory), each table row's, and their bounds.
+type frozenParts struct {
+	ranks                                 []byte
+	ids, rowCell, cellStarts, bucketCells []uint32
+	pb                                    *prefixBuckets
+	bounds                                []float64
+}
+
+// rankAt reads the stored rank of site s in table row r straight from the
+// verified ranks section.
+func (h *frozenHeader) rankAt(p *frozenParts, r, s int) int {
+	if h.rankWidth == 2 {
+		return int(binary.LittleEndian.Uint16(p.ranks[2*(r*h.k+s):]))
+	}
+	return int(p.ranks[r*h.k+s])
+}
+
+// verifyDirectory validates the inverted-file directory far beyond memory
+// safety, deriving the cells as it goes: the row boundaries must tile the rows,
+// rowOrder must be a permutation and — the mis-probe guarantee — every row
+// listed under a bucket must carry its prefix (read from the rank matrix). A
+// bucket's rows open a cell at each row that does not carry the ℓ'-prefix of
+// the row before (ℓ' = ℓ under PFR3 and PFR2: a cell a bucket), as many as the
+// header gives; ptStarts must bound each bucket's cells, and ptOrder list each
+// point under its row's cell, ascending. A directory that survives this is a
+// correct one, so corruption fails decode instead of silently degrading
+// answers. It sets p's cells and each table row's.
+func (h *frozenHeader) verifyDirectory(p *frozenParts) error {
+	pb, nb, c := p.pb, h.nbuckets, -1
+	for _, s := range pb.prefixes {
+		if int(s) >= h.k {
+			return fmt.Errorf("sisap: frozen bucket prefix site %d out of range (k=%d)", s, h.k)
 		}
 	}
-	checkStarts := func(off, total int, what string) error {
-		if u32(off) != 0 {
-			return fmt.Errorf("sisap: frozen bucket %s do not start at 0", what)
-		}
-		for i := 1; i <= nb; i++ {
-			if u32(off+i) < u32(off+i-1) {
-				return fmt.Errorf("sisap: frozen bucket %s not monotone at bucket %d", what, i-1)
-			}
-		}
-		if int(u32(off+nb)) != total {
-			return fmt.Errorf("sisap: frozen bucket %s end at %d, want %d", what, u32(off+nb), total)
-		}
-		return nil
+	if pb.rowStarts[0] != 0 || int(pb.rowStarts[nb]) != h.distinct || !slices.IsSorted(pb.rowStarts) {
+		return fmt.Errorf("sisap: frozen bucket row boundaries do not run from 0 to %d, monotone", h.distinct)
 	}
-	if err := checkStarts(rowStartsOff, distinct, "row boundaries"); err != nil {
-		return err
-	}
-	if err := checkStarts(ptStartsOff, n, "point boundaries"); err != nil {
-		return err
-	}
-	// rankAt reads the stored rank of site s in table row r straight from
-	// the verified ranks section.
-	ranks := secs[frozenSecRanks]
-	rankAt := func(r, s int) int {
-		if h.rankWidth == 2 {
-			return int(le.Uint16(ranks[2*(r*h.k+s):]))
-		}
-		return int(ranks[r*h.k+s])
-	}
-	rowBucket := make([]uint32, distinct)
-	seenRow := make([]bool, distinct)
-	for bkt := 0; bkt < nb; bkt++ {
-		lo, hi := int(u32(rowStartsOff+bkt)), int(u32(rowStartsOff+bkt+1))
-		for i := lo; i < hi; i++ {
-			r := u32(rowOrderOff + i)
-			if int(r) >= distinct || seenRow[r] {
+	rowCell, seenRow, pref, cells := make([]uint32, h.distinct), make([]bool, h.distinct), make([]int, h.cellEll), make([]uint32, nb+1)
+	for b := range nb {
+		cells[b] = uint32(c + 1)
+		for i, r := range pb.rowOrder[pb.rowStarts[b]:pb.rowStarts[b+1]] {
+			if int(r) >= h.distinct || seenRow[r] {
 				return fmt.Errorf("sisap: frozen bucket row list is not a permutation (row %d)", r)
 			}
 			seenRow[r] = true
-			rowBucket[r] = uint32(bkt)
-			for j := 0; j < ell; j++ {
-				if rankAt(int(r), int(u32(prefixesOff+bkt*ell+j))) != j {
+			for j, s := range pb.prefix(b) {
+				if h.rankAt(p, int(r), int(s)) != j {
 					return fmt.Errorf("sisap: frozen table row %d does not carry its bucket's prefix", r)
 				}
 			}
+			same := i > 0
+			for m := h.ell; same && m < h.cellEll; m++ {
+				same = h.rankAt(p, int(r), pref[m]) == m
+			}
+			for s := 0; !same && s < h.k; s++ {
+				if m := h.rankAt(p, int(r), s); m < h.cellEll {
+					pref[m] = s
+				}
+			}
+			if !same {
+				c++
+			}
+			rowCell[r] = uint32(c)
 		}
 	}
-	// Taken in ID order, every point must sit in the next slot of its own
-	// row's bucket: n points in n distinct slots make ptOrder a permutation
-	// that lists each point under its bucket and each bucket ascending — the
-	// one directory buildPrefixBuckets builds, and what lets a PFR3 open label
-	// its points section front to back (bucketMajorDB).
-	ids := secs[frozenSecIDs]
-	next := make([]uint32, nb)
-	for bkt := range next {
-		next[bkt] = u32(ptStartsOff + bkt)
+	if cells[nb] = uint32(c + 1); c+1 != h.cells {
+		return fmt.Errorf("sisap: frozen rows fall in %d cells, not the %d the header gives", c+1, h.cells)
 	}
-	for pt := 0; pt < n; pt++ {
-		bkt := int(rowBucket[le.Uint32(ids[4*pt:])])
-		j := int(next[bkt])
-		if next[bkt]++; j >= int(u32(ptStartsOff+bkt+1)) || int(u32(ptOrderOff+j)) != pt {
-			return fmt.Errorf("sisap: frozen point %d is not listed, in ascending order, under its row's bucket", pt)
+	starts := make([]uint32, h.cells+1)
+	for _, r := range p.ids {
+		starts[rowCell[r]+1]++
+	}
+	for c := range h.cells {
+		starts[c+1] += starts[c]
+	}
+	for b, c := range cells {
+		if starts[c] != pb.ptStarts[b] {
+			return fmt.Errorf("sisap: frozen bucket %d's point boundary is not its cells'", b)
 		}
 	}
+	// Taken in ID order, every point must sit in the next slot of its row's
+	// cell: n points in n slots make ptOrder the permutation cellLayout makes,
+	// which lets a frozen open label its points section (bucketMajorDB).
+	next := slices.Clone(starts[:h.cells])
+	for pt, row := range p.ids {
+		g := rowCell[row]
+		j := next[g]
+		if next[g]++; j >= starts[g+1] || int(pb.ptOrder[j]) != pt {
+			return fmt.Errorf("sisap: frozen point %d is not listed, in ascending order, under its row's cell", pt)
+		}
+	}
+	p.cellStarts, p.bucketCells, p.rowCell = starts, cells, rowCell
 	return nil
 }
 
@@ -382,23 +435,30 @@ func frozenPointDims(db *DB) (dims int, name string) {
 	return db.dim, name
 }
 
-// WriteFrozen serialises x in the sectioned frozen form (PFR3) of the v2
-// container. Unlike WriteIndex's compact payload it has no k ≤ 20 cap,
-// and when the database is self-describing (a named metric over
-// equal-dimension vectors) the point vectors are embedded, making the
-// file self-contained for OpenMapped. The prefix-bucket directory is
-// built (if the index has not served an approximate query yet) and
-// written as the fifth section and the points in its order (gathered once
-// here, so that no reader gathers): mapped opens serve every query zero-copy.
+// WriteFrozen serialises x in the sectioned frozen form (PFR4) of the v2
+// container. Unlike WriteIndex's compact payload it has no k ≤ 20 cap, and
+// when the database is self-describing (a named metric over equal-dimension
+// vectors) the point vectors are embedded, making the file self-contained for
+// OpenMapped. It writes x's walk layout — its directory, cells and bounds, and
+// the points in cell order — or, before x has bounds, the one x's first query
+// makes, made on a twin so that x is left to make its own.
 func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 	n := uint64(x.db.N())
 	if n == 0 || n >= 1<<32 {
 		return 0, fmt.Errorf("sisap: cannot freeze an index over %d points", n)
 	}
 	pb := x.buckets()
+	if x.BoundCells() == 0 {
+		twin := newPermIndexFromTable(x.db, x.siteIDs, x.dist, x.table, x.tableIDs)
+		twin.lb.pb, x = pb, twin
+	}
+	bb, lb := x.bounds(), x.lb
+	if bb == nil { // a store without bounds walks no cells: one a bucket
+		lb.cellEll, lb.labels, lb.cellStarts, lb.bucketCells = pb.ell, pb.ptOrder, pb.ptStarts, ascending(pb.numBuckets()+1)
+	}
 	dims, metricName := frozenPointDims(x.db)
 	h := frozenHeader{
-		tag:       permFrozenV3Tag,
+		tag:       permFrozenV4Tag,
 		headerOff: uint64(frozenPrefixLen),
 		k:         x.K(),
 		dist:      x.dist,
@@ -409,9 +469,17 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 		metricLen: len(metricName),
 		ell:       pb.ell,
 		nbuckets:  pb.numBuckets(),
+		cellEll:   lb.cellEll,
+		cells:     len(lb.cellStarts) - 1,
 	}
 	if x.table.wide() {
 		h.rankWidth = 2
+	}
+	if bb != nil {
+		h.flags = 1
+		if bb.offPrefix.Load() {
+			h.flags = 3
+		}
 	}
 	h.sec = h.layout()
 
@@ -431,14 +499,27 @@ func WriteFrozen(w io.Writer, x *PermIndex) (int64, error) {
 		frozenSecIDs: func() { e.u32s(x.tableIDs) },
 		frozenSecPoints: func() {
 			if dims > 0 {
-				for _, id := range pb.ptOrder {
+				for _, id := range lb.labels {
 					e.f64s(x.db.row(int(id)))
 				}
 			}
 		},
 		frozenSecBuckets: func() {
-			for _, arr := range [][]uint32{pb.prefixes, pb.rowStarts, pb.rowOrder, pb.ptStarts, pb.ptOrder} {
+			// Each bucket's rows go by cell, in the order its points do.
+			rows, seen := make([]uint32, 0, x.table.rows), make([]bool, x.table.rows)
+			for _, id := range lb.labels {
+				if r := x.tableIDs[id]; !seen[r] {
+					rows, seen[r] = append(rows, r), true
+				}
+			}
+			for _, arr := range [][]uint32{pb.prefixes, pb.rowStarts, rows, pb.ptStarts, lb.labels} {
 				e.u32s(arr)
+			}
+		},
+		frozenSecLayout: func() {
+			if bb != nil {
+				e.f64s(bb.cells.lo)
+				e.f64s(bb.cells.hi)
 			}
 		},
 	}
@@ -480,26 +561,22 @@ func frozenView[T uint16 | uint32 | float64](b []byte, zeroCopy bool) []T {
 
 // buildFrozenIndex assembles the index (and, for a self-contained
 // container opened without a database, the database itself) from verified
-// section bytes. With zeroCopy the rank matrix, row IDs, directory and point
-// vectors are views into the section bytes — the mapped path; otherwise
-// they are decoded copies and the section bytes may be discarded.
-func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error) {
+// section bytes and the parts verifySections read of them: views into the
+// section bytes with zeroCopy, otherwise decoded copies.
+//
+// Opened without a database, a PFR4 store walks under the bounds its file
+// carries. They are trusted input — re-deriving them is the sweep the section
+// saves — summed behind the sites and points sections just verified, so a
+// section spliced in from another file fails the open; a file forged with the
+// chained sum recomputed opens and can answer wrongly. Beside a caller's
+// database, which need not be the one they were swept from, the store makes
+// its own cells, copy and sweep.
+func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *frozenParts, db *DB, zeroCopy bool) (*PermIndex, *DB, error) {
 	// The verified directory becomes the index's bucket directory directly —
 	// views into the mapping on the zero-copy path — so no process ever
 	// rebuilds what the file already stores.
-	u := frozenView[uint32](secs[frozenSecBuckets], zeroCopy)
-	nb, ell := h.nbuckets, h.ell
-	p := 0
-	cut := func(n int) []uint32 { s := u[p : p+n : p+n]; p += n; return s }
-	lb := &lazyBuckets{pb: &prefixBuckets{
-		ell:       ell,
-		prefixes:  cut(nb * ell),
-		rowStarts: cut(nb + 1),
-		rowOrder:  cut(h.distinct),
-		ptStarts:  cut(nb + 1),
-		ptOrder:   cut(int(h.n)),
-	}}
-	ids := frozenView[uint32](secs[frozenSecIDs], zeroCopy)
+	lb, ids := &lazyBuckets{pb: p.pb}, p.ids
+	var bb *bucketBounds
 	if db != nil {
 		if uint64(db.N()) != h.n {
 			return nil, nil, fmt.Errorf("sisap: index has %d points, database has %d", h.n, db.N())
@@ -513,13 +590,20 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 			return nil, nil, fmt.Errorf("sisap: frozen container metric: %w", err)
 		}
 		// The points section is the database's coordinate block as stored:
-		// on the mapped path no coordinate is copied or allocated. Under PFR3
-		// it is the bucket-major rows already.
+		// on the mapped path no coordinate is copied or allocated. Under PFR4
+		// and PFR3 it is the bucket-major rows already.
 		floats := frozenView[float64](secs[frozenSecPoints], zeroCopy)
-		if h.tag == permFrozenV3Tag {
-			db, lb.rows = bucketMajorDB(m, floats, h.dims, lb.pb, ids), floats
-		} else {
+		if r := p.bounds; len(r) > 0 {
+			bb = &bucketBounds{cells: siteRanges{r[:len(r)/2], r[len(r)/2:]}}
+			bb.offPrefix.Store(h.flags&2 != 0)
+		}
+		if h.tag == permFrozenV2Tag {
 			db = packedDB(m, make([]metric.Point, h.n), floats, h.dims)
+		} else {
+			db = bucketMajorDB(m, floats, h.dims, p.cellStarts, p.rowCell, ids, lb.pb.ptOrder)
+			lb.rowsOnce.Do(func() {
+				lb.rows, lb.labels, lb.cellStarts, lb.bucketCells, lb.cellEll = floats, lb.pb.ptOrder, p.cellStarts, p.bucketCells, h.cellEll
+			})
 		}
 	}
 	sites := newDec(secs[frozenSecSites])
@@ -542,29 +626,25 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, db *DB,
 	}
 	idx := newPermIndexFromTable(db, siteIDs, h.dist, table, ids)
 	idx.lb = lb
+	if bb != nil {
+		lb.boundsOnce.Do(func() { lb.bounds = idx.finishBounds(bb) })
+	}
 	return idx, db, nil
 }
 
-// bucketMajorDB assembles the database of a PFR3 container over its points
-// section, whose row j holds point ptOrder[j]. Points is filled in ID order —
-// scattered through ptOrder, 200k points cost the open half as much again —
-// by re-running the directory's counting scatter: each point takes the next
-// row of its bucket, which verifyBucketSection has proved carries its label.
-func bucketMajorDB(m metric.Metric, block []float64, d int, pb *prefixBuckets, tableIDs []uint32) *DB {
-	rowBucket := make([]uint32, len(pb.rowOrder))
-	for b, end := range pb.rowStarts[1:] {
-		for _, r := range pb.rowOrder[pb.rowStarts[b]:end] {
-			rowBucket[r] = uint32(b)
-		}
-	}
-	next := slices.Clone(pb.ptStarts)
+// bucketMajorDB assembles the database of a PFR3 or PFR4 container over its
+// points section, whose row j holds point order[j]. Points is filled in ID
+// order (through order, 200k points cost the open half as much again): each
+// point takes the next row of its row's cell (starts), as verifyDirectory proved.
+func bucketMajorDB(m metric.Metric, block []float64, d int, starts, rowCell, tableIDs, order []uint32) *DB {
+	next := slices.Clone(starts)
 	points := make([]metric.Point, len(tableIDs))
 	for id, row := range tableIDs {
-		j := int(next[rowBucket[row]])
-		next[rowBucket[row]]++
+		j := int(next[rowCell[row]])
+		next[rowCell[row]]++
 		points[id] = metric.Vector(block[j*d : (j+1)*d : (j+1)*d])
 	}
-	return &DB{Metric: m, Points: points, block: block, dim: d, order: pb.ptOrder}
+	return &DB{Metric: m, Points: points, block: block, dim: d, order: order}
 }
 
 // --- mapped open ---
@@ -612,9 +692,12 @@ func (m *Mapped) Close() error {
 // copying it: the header and per-section checksums are verified (one
 // sequential pass, no per-element decode or allocation), then the index
 // is assembled from views into the read-only mapping. db may be nil for
-// self-contained containers (embedded points); otherwise it must be the
-// database the index was built on. On platforms without mmap support the
-// same validation runs over a heap read of the file.
+// self-contained containers (embedded points) — a PFR4 one then walks the
+// cells and bounds of the store it was frozen from, with no copy and no
+// sweep, and those bounds are trusted input (buildFrozenIndex); otherwise db
+// must be the database the index was built on, and the store lays out and
+// bounds itself. On platforms without mmap support the same validation runs
+// over a heap read of the file.
 func OpenMapped(path string, db *DB) (*Mapped, error) {
 	start := time.Now()
 	f, err := os.Open(path)
@@ -672,12 +755,13 @@ func openFrozenBytes(data []byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	secs := make([][]byte, len(h.sec))
-	for i, s := range h.sec {
+	secs := make([][]byte, h.nsec())
+	for i, s := range h.sec[:h.nsec()] {
 		secs[i] = data[s.off : s.off+s.length : s.off+s.length]
 	}
-	if err := h.verifySections(secs); err != nil {
+	p, err := h.verifySections(secs, zeroCopy)
+	if err != nil {
 		return nil, nil, err
 	}
-	return buildFrozenIndex(&h, name, secs, db, zeroCopy)
+	return buildFrozenIndex(&h, name, secs, p, db, zeroCopy)
 }

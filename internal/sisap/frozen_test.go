@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,7 +50,7 @@ func openMappedPath(t testing.TB, path string, db *DB) *PermIndex {
 	return m.Index()
 }
 
-// frozenImage is what WriteFrozen emits for idx: a PFR3 container.
+// frozenImage is what WriteFrozen emits for idx: a PFR4 container.
 func frozenImage(t testing.TB, idx *PermIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -58,26 +60,68 @@ func frozenImage(t testing.TB, idx *PermIndex) []byte {
 	return buf.Bytes()
 }
 
-// pfr2Image rewrites a PFR3 image as the PFR2 file of the same index — the
-// bytes the last PFR2 writer (PR 24) produced, which TestGoldenContainers
-// holds it to: the tag, the points section put back in ID order, and that
-// section's checksum taken plain. Nothing else differs between the revisions.
-func pfr2Image(t testing.TB, pfr3 []byte) []byte {
+// pfr2Image rewrites a PFR4 or PFR3 image as the PFR2 file of the same index
+// (frozenAs).
+func pfr2Image(t testing.TB, image []byte) []byte { return frozenAs(t, image, permFrozenV2Tag) }
+
+// pfr3Image rewrites a PFR4 image as the PFR3 file of the same index
+// (frozenAs).
+func pfr3Image(t testing.TB, pfr4 []byte) []byte { return frozenAs(t, pfr4, permFrozenV3Tag) }
+
+// frozenAs rewrites a PFR4 or PFR3 image as the file of the same index under
+// an earlier revision, tag — the bytes the last PFR3 and PFR2 writers
+// produced, which TestGoldenContainers holds it to: no layout section, the
+// directory's row and posting lists ascending within each bucket, the points
+// section in their order under PFR3 and in ID order under PFR2, and its
+// checksum taken as the revision takes it. Nothing else differs.
+func frozenAs(t testing.TB, image []byte, tag uint32) []byte {
 	t.Helper()
 	le := binary.LittleEndian
-	if le.Uint32(pfr3[frozenPrefixLen:]) != permFrozenV3Tag {
-		t.Fatal("pfr2Image: not a PFR3 image")
+	d := newDec(image)
+	d.header()
+	h := decodeFrozenHeader(d)
+	name := d.bytes(uint64(h.metricLen))
+	if d.err != nil || h.tag == permFrozenV2Tag || h.tag == tag || tag != permFrozenV3Tag && tag != permFrozenV2Tag {
+		t.Fatalf("frozenAs: cannot rewrite %#08x as %#08x (%v)", h.tag, tag, d.err)
 	}
-	out := bytes.Clone(pfr3)
-	le.PutUint32(out[frozenPrefixLen:], permFrozenV2Tag)
-	n, _, _, _, _, _, _, _, ptOrderOff := frozenBucketGeometry(pfr3)
-	rowLen := 8 * int(le.Uint32(pfr3[60:]))
-	points := int(le.Uint64(pfr3[68+24*frozenSecPoints:]))
-	for j := 0; j < n; j++ {
-		id := int(le.Uint32(pfr3[ptOrderOff+4*j:]))
-		copy(out[points+id*rowLen:][:rowLen], pfr3[points+j*rowLen:])
+	sec := func(i int) []byte { return image[h.sec[i].off:][:h.sec[i].length] }
+	n, nb, rowLen := int(h.n), h.nbuckets, 8*h.dims
+	buckets, ptStarts := bytes.Clone(sec(frozenSecBuckets)), 4*(nb*h.ell+nb+1+h.distinct)
+	ptOrder := frozenView[uint32](buckets[ptStarts+4*(nb+1):], false)
+	byID := make([][]byte, n)
+	for j, id := range ptOrder {
+		byID[id] = sec(frozenSecPoints)[j*rowLen:][:rowLen]
 	}
-	refreezeCRC(out, frozenSecPoints)
+	rowStarts, rowOrder := 4*nb*h.ell, frozenView[uint32](buckets[4*(nb*h.ell+nb+1):ptStarts], false)
+	for b := range nb {
+		slices.Sort(ptOrder[le.Uint32(buckets[ptStarts+4*b:]):le.Uint32(buckets[ptStarts+4*b+4:])])
+		slices.Sort(rowOrder[le.Uint32(buckets[rowStarts+4*b:]):le.Uint32(buckets[rowStarts+4*b+4:])])
+	}
+	var points []byte
+	for j := range n {
+		if tag == permFrozenV3Tag {
+			j = int(ptOrder[j])
+		}
+		points = append(points, byID[j]...)
+	}
+	for j, id := range ptOrder {
+		le.PutUint32(buckets[ptStarts+4*(nb+1+j):], id)
+	}
+	for i, r := range rowOrder {
+		le.PutUint32(buckets[4*(nb*h.ell+nb+1+i):], r)
+	}
+	content := [][]byte{sec(frozenSecSites), sec(frozenSecRanks), sec(frozenSecIDs), points, buckets}
+	h.tag, h.sec[frozenSecLayout] = tag, frozenSection{}
+	h.sec = h.layout()
+	out := make([]byte, h.end())
+	for i, b := range content {
+		copy(out[h.sec[i].off:], b)
+		h.sec[i].crc = h.sectionCRC(i, b)
+	}
+	hdr := enc{b: out[:0]}
+	hdr.header(frozenKind)
+	h.encode(&hdr)
+	hdr.str(string(name))
 	return out
 }
 
@@ -245,33 +289,57 @@ func TestFrozenRejectsWrongDatabase(t *testing.T) {
 }
 
 // refreezeCRC recomputes the stored CRC of section i from the (possibly
-// mutated) section bytes, under the tag the image carries, so corruption
-// tests can separate "checksum catches it" from "bounds validation catches
-// it".
+// mutated) section bytes, under the tag the image carries — and, in a PFR4
+// image, the layout's, which is summed behind the sites' and points' — so
+// corruption tests can separate "checksum catches it" from "bounds validation
+// catches it".
 func refreezeCRC(data []byte, i int) {
 	le := binary.LittleEndian
-	base := frozenPrefixLen + 4 + 40 + 24*i
-	off := le.Uint64(data[base:])
-	length := le.Uint64(data[base+8:])
+	desc := func(i int) int { return frozenPrefixLen + 4 + 40 + 24*i } // where section i's descriptor is
 	h := frozenHeader{tag: le.Uint32(data[frozenPrefixLen:])}
-	le.PutUint32(data[base+16:], h.sectionCRC(i, data[off:off+length]))
+	h.sec[frozenSecSites].crc = le.Uint32(data[desc(frozenSecSites)+16:])
+	h.sec[frozenSecPoints].crc = le.Uint32(data[desc(frozenSecPoints)+16:])
+	if at := frozenPrefixLen + 4 + frozenFixedLen + 24; h.tag == permFrozenV4Tag {
+		h.cellEll, h.cells, h.flags = int(le.Uint32(data[at:])), int(le.Uint32(data[at+4:])), le.Uint32(data[at+8:])
+	}
+	off, length := le.Uint64(data[desc(i):]), le.Uint64(data[desc(i)+8:])
+	le.PutUint32(data[desc(i)+16:], h.sectionCRC(i, data[off:off+length]))
+	if h.tag == permFrozenV4Tag && (i == frozenSecSites || i == frozenSecPoints) {
+		refreezeCRC(data, frozenSecLayout)
+	}
 }
 
-// frozenRevisions returns idx frozen under both revisions the reader takes:
-// what WriteFrozen emits, and the PFR2 file of the same index.
+// frozenRevisions returns idx frozen under every revision the reader takes:
+// what WriteFrozen emits, and the PFR3 and PFR2 files of the same index.
 func frozenRevisions(t testing.TB, idx *PermIndex) map[string][]byte {
-	pfr3 := frozenImage(t, idx)
-	return map[string][]byte{"PFR3": pfr3, "PFR2": pfr2Image(t, pfr3)}
+	pfr4 := frozenImage(t, idx)
+	return map[string][]byte{"PFR4": pfr4, "PFR3": pfr3Image(t, pfr4), "PFR2": pfr2Image(t, pfr4)}
 }
 
 func TestFrozenRejectsCorruptContainers(t *testing.T) {
 	db, rng := testDB(717, 200, 3, metric.L2{})
-	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	// The tags are one bit apart and decide which point every row is: a file
-	// re-tagged either way, every other byte intact, must fail on the points
-	// section's checksum — with or without a database to open against — and
-	// be counted.
+	sites := rng.Perm(db.N())[:6]
+	idx := NewPermIndex(db, sites, Footrule)
+	// The tags decide which point every row is. PFR3 and PFR2 are one bit
+	// apart: a file re-tagged as the other, every other byte intact, must fail
+	// on the points section's checksum — with or without a database to open
+	// against — and be counted. A PFR4 header has one section descriptor more
+	// than theirs: re-tagged as either, its layout section's offset, past the
+	// 8k bytes of sites, is read as ℓ and fails its range.
 	for rev, pristine := range frozenRevisions(t, idx) {
+		t.Run(rev, func(t *testing.T) { rejectCorruptContainers(t, db, pristine) })
+		if rev == "PFR4" {
+			for _, tag := range []uint32{permFrozenV3Tag, permFrozenV2Tag} {
+				retagged := bytes.Clone(pristine)
+				binary.LittleEndian.PutUint32(retagged[frozenPrefixLen:], tag)
+				for _, against := range []*DB{db, nil} {
+					if _, _, err := openFrozenBytes(retagged, against, false); err == nil || !strings.Contains(err.Error(), "frozen bucket prefix length") {
+						t.Errorf("PFR4 re-tagged %#08x: open returned %v, want ℓ out of range", tag, err)
+					}
+				}
+			}
+			continue
+		}
 		flipped := bytes.Clone(pristine)
 		flipped[frozenPrefixLen+3] ^= '2' ^ '3' // the tag's one differing bit
 		for _, against := range []*DB{db, nil} {
@@ -287,7 +355,92 @@ func TestFrozenRejectsCorruptContainers(t *testing.T) {
 		if _, err := ReadIndex(bytes.NewReader(flipped), db); err == nil {
 			t.Errorf("%s re-tagged: ReadIndex accepted it", rev)
 		}
-		t.Run(rev, func(t *testing.T) { rejectCorruptContainers(t, db, pristine) })
+	}
+	// The layout section's every field, on a store cut into cells under
+	// bounds: each corruption, its checksum recomputed, fails the open.
+	forced := NewPermIndex(db, sites, Footrule)
+	forceBounds(forced)
+	t.Run("PFR4 layout", func(t *testing.T) { rejectCorruptLayout(t, db, frozenImage(t, forced)) })
+}
+
+// frozenLayoutAt returns where a PFR4 image's layout fields are in its header
+// (ℓ', then the cell count and the flags), where its layout section and the
+// cells' hi ranges in it start, and k, the cell and bucket counts.
+func frozenLayoutAt(d []byte) (head, lo, hi, k, cells, nb int) {
+	le := binary.LittleEndian
+	head = frozenPrefixLen + 4 + frozenFixedLen + 24
+	lo = int(le.Uint64(d[68+24*frozenSecLayout:]))
+	k, cells, nb = int(le.Uint32(d[36:])), int(le.Uint32(d[head+4:])), int(le.Uint32(d[head-4:]))
+	return head, lo, lo + 8*k*cells, k, cells, nb
+}
+
+// rejectCorruptLayout replays every layout corruption over one pristine PFR4
+// image of a store with cells and bounds, each must fail with a database and
+// without. The header fields and the bounds the reader checks are given their
+// section's checksum back, chained as the writer chains it, and fail those
+// checks; the bounds it cannot check, the plain checksum a tool that patched
+// the section would recompute, and fail on the chained one.
+func rejectCorruptLayout(t *testing.T, db *DB, pristine []byte) {
+	le := binary.LittleEndian
+	head, lo, hi, k, cells, nb := frozenLayoutAt(pristine)
+	ell := int(le.Uint32(pristine[head-8:]))
+	if cells <= nb || le.Uint32(pristine[head+8:])&1 == 0 {
+		t.Fatalf("need a layout with bounds and more cells than buckets, have %d cells over %d buckets, flags %d", cells, nb, le.Uint32(pristine[head+8:]))
+	}
+	if _, _, err := openFrozenBytes(pristine, nil, false); err != nil {
+		t.Fatalf("pristine container should open: %v", err)
+	}
+	f64 := func(d []byte, at int) float64 { return math.Float64frombits(le.Uint64(d[at:])) }
+	put64 := func(d []byte, at int, v float64) { le.PutUint64(d[at:], math.Float64bits(v)) }
+	cases := []struct {
+		name   string
+		mutate func(d []byte)
+		plain  bool
+	}{
+		{"prefix length below ℓ", func(d []byte) { le.PutUint32(d[head:], uint32(ell-1)) }, false},
+		{"prefix length beyond k", func(d []byte) { le.PutUint32(d[head:], uint32(k+1)) }, false},
+		{"prefix length ℓ", func(d []byte) { le.PutUint32(d[head:], uint32(ell)) }, false},
+		{"one cell more", func(d []byte) { le.PutUint32(d[head+4:], uint32(cells+1)) }, false},
+		{"no cells", func(d []byte) { le.PutUint32(d[head+4:], 0) }, false},
+		{"no bounds", func(d []byte) { le.PutUint32(d[head+8:], 0) }, false},
+		{"bisector verdict without bounds", func(d []byte) { le.PutUint32(d[head+8:], 2) }, false},
+		{"unknown flag", func(d []byte) { le.PutUint32(d[head+8:], 5) }, false},
+		{"bisector verdict flipped", func(d []byte) { le.PutUint32(d[head+8:], le.Uint32(d[head+8:])^2) }, true},
+		{"a row moved to another cell", func(d []byte) {
+			// The first row of the first bucket with rows of several cells
+			// swapped with its last: its rows are no longer grouped by cell.
+			_, _, _, _, _, rowStartsOff, rowOrderOff, _, _ := frozenBucketGeometry(d)
+			x, _, err := openFrozenBytes(d, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := 0
+			for x.lb.bucketCells[b+1]-x.lb.bucketCells[b] < 2 {
+				b++
+			}
+			first := rowOrderOff + 4*int(le.Uint32(d[rowStartsOff+4*b:]))
+			last := rowOrderOff + 4*int(le.Uint32(d[rowStartsOff+4*b+4:])-1)
+			r, q := le.Uint32(d[first:]), le.Uint32(d[last:])
+			le.PutUint32(d[first:], q)
+			le.PutUint32(d[last:], r)
+			refreezeCRC(d, frozenSecBuckets)
+		}, false},
+		{"cell range backwards", func(d []byte) { put64(d, lo, f64(d, hi)+1) }, false},
+		{"cell range below 0", func(d []byte) { put64(d, lo, -1) }, false},
+		{"cell range narrowed", func(d []byte) { put64(d, lo, f64(d, lo)+1e-3) }, true},
+		{"cell range widened", func(d []byte) { put64(d, hi, f64(d, hi)+1) }, true},
+	}
+	for _, tc := range cases {
+		data := bytes.Clone(pristine)
+		tc.mutate(data)
+		if refreezeCRC(data, frozenSecLayout); tc.plain {
+			le.PutUint32(data[68+24*frozenSecLayout+16:], CRC32C(data[lo:]))
+		}
+		for _, against := range []*DB{db, nil} {
+			if x, _, err := openFrozenBytes(data, against, false); err == nil || x != nil {
+				t.Errorf("%s (database %v): open accepted the corruption", tc.name, against != nil)
+			}
+		}
 	}
 }
 
@@ -403,17 +556,25 @@ func OpenMappedBytesForTest(data []byte, db *DB) (*PermIndex, error) {
 	return idx, err
 }
 
+// frozenEllAt is where an image's ℓ is, nbuckets four bytes on.
+func frozenEllAt(d []byte) int {
+	if binary.LittleEndian.Uint32(d[frozenPrefixLen:]) == permFrozenV4Tag {
+		return 212
+	}
+	return 188
+}
+
 // frozenBucketGeometry reads the directory geometry back out of a frozen
 // container image: the absolute byte offsets of the five uint32 arrays in
 // the buckets section, plus ell and nbuckets. Field positions: n@44,
-// distinct@52, buckets descriptor @68+24·frozenSecBuckets, ell@188,
-// nbuckets@192.
+// distinct@52, buckets descriptor @68+24·frozenSecBuckets, ell@188 and
+// nbuckets@192 (PFR4, with a sixth section descriptor: @212 and @216).
 func frozenBucketGeometry(d []byte) (n, distinct, ell, nb, prefixesOff, rowStartsOff, rowOrderOff, ptStartsOff, ptOrderOff int) {
 	le := binary.LittleEndian
 	n = int(le.Uint64(d[44:]))
 	distinct = int(le.Uint32(d[52:]))
-	ell = int(le.Uint32(d[188:]))
-	nb = int(le.Uint32(d[192:]))
+	ell = int(le.Uint32(d[frozenEllAt(d):]))
+	nb = int(le.Uint32(d[frozenEllAt(d)+4:]))
 	prefixesOff = int(le.Uint64(d[68+24*frozenSecBuckets:]))
 	rowStartsOff = prefixesOff + 4*nb*ell
 	rowOrderOff = rowStartsOff + 4*(nb+1)
@@ -456,10 +617,10 @@ func rejectCorruptBucketDirectory(t *testing.T, db *DB, pristine []byte) {
 		mutate func(d []byte)
 	}{
 		{"buckets checksum mismatch", false, func(d []byte) { d[prefixesOff] ^= 0xFF }},
-		{"ell zero", false, func(d []byte) { le.PutUint32(d[188:], 0) }},
-		{"ell beyond k", false, func(d []byte) { le.PutUint32(d[188:], 7) }},
-		{"nbuckets zero", false, func(d []byte) { le.PutUint32(d[192:], 0) }},
-		{"nbuckets beyond distinct", false, func(d []byte) { le.PutUint32(d[192:], uint32(distinct)+1) }},
+		{"ell zero", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d):], 0) }},
+		{"ell beyond k", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d):], 7) }},
+		{"nbuckets zero", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d)+4:], 0) }},
+		{"nbuckets beyond distinct", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d)+4:], uint32(distinct)+1) }},
 		{"prefix site out of range", true, func(d []byte) { le.PutUint32(d[prefixesOff:], 99) }},
 		{"row boundaries start past 0", true, func(d []byte) { le.PutUint32(d[rowStartsOff:], 1) }},
 		{"duplicate row in posting list", true, func(d []byte) {
@@ -605,5 +766,103 @@ func TestFrozenBucketMajorDBPrefix(t *testing.T) {
 			whole, _ := NewLinearScan(db).KNN(q, 5)
 			sameBits(t, fmt.Sprintf("nb=%d query %d mutable KNN", nb, qi), all, whole)
 		}
+	}
+}
+
+// TestFrozenLayoutSplice: a layout section's bounds are the distances from
+// its own file's sites to its own file's points. A store over the same points
+// doubled has the same permutations, so the same directory and cells, and
+// every bound doubled: its layout section passes every check the reader makes
+// of the other file's cells. Spliced in with its own stored sum, or with a
+// plain one recomputed, it fails the open; only the sum chained behind the
+// other file's sites and points, which a forger would have to recompute, gets
+// it past.
+func TestFrozenLayoutSplice(t *testing.T) {
+	db, rng := testDB(722, 400, 3, metric.L2{})
+	sites := rng.Perm(db.N())[:6]
+	twice := make([]metric.Point, db.N())
+	for i, p := range db.Points {
+		v := slices.Clone(p.(metric.Vector))
+		for j := range v {
+			v[j] *= 2
+		}
+		twice[i] = v
+	}
+	var images [2][]byte
+	for i, d := range []*DB{db, NewDB(metric.L2{}, twice)} {
+		x := NewPermIndex(d, sites, Footrule)
+		forceBounds(x)
+		images[i] = frozenImage(t, x)
+	}
+	own, other := images[0], images[1]
+	head, off, _, _, _, _ := frozenLayoutAt(own)
+	_, _, _, _, _, _, _, _, ptOrder := frozenBucketGeometry(own)
+	if len(own) != len(other) || !bytes.Equal(own[head:head+12], other[head:head+12]) ||
+		!bytes.Equal(own[ptOrder:off], other[ptOrder:off]) || bytes.Equal(own[off:], other[off:]) {
+		t.Fatal("the doubled store is not laid out alike with other bounds")
+	}
+	desc := 68 + 24*frozenSecLayout + 16 // the layout section's stored sum
+	spliced := func(sum func(d []byte) uint32) []byte {
+		d := append(bytes.Clone(own[:off]), other[off:]...)
+		binary.LittleEndian.PutUint32(d[desc:], sum(d))
+		return d
+	}
+	for name, d := range map[string][]byte{
+		"the other file's sum": spliced(func([]byte) uint32 { return binary.LittleEndian.Uint32(other[desc:]) }),
+		"a plain sum":          spliced(func(d []byte) uint32 { return CRC32C(d[off:]) }),
+	} {
+		for _, against := range []*DB{db, nil} {
+			if _, _, err := openFrozenBytes(d, against, false); err == nil || !strings.Contains(err.Error(), "layout section checksum mismatch") {
+				t.Errorf("layout spliced with %s: open returned %v, want the layout checksum error", name, err)
+			}
+		}
+	}
+	forged := spliced(func([]byte) uint32 { return 0 })
+	refreezeCRC(forged, frozenSecLayout)
+	if _, _, err := openFrozenBytes(forged, nil, false); err != nil {
+		t.Fatalf("the splice, its chained sum recomputed, fails on its own: %v", err)
+	}
+}
+
+// TestFrozenLayoutBesideCallerDB: opened beside a caller's database, which
+// need not be the one the bounds were swept from, a PFR4 store takes the lazy
+// path — its own cells, copy and sweep — and never the bounds the file
+// carries. The file here carries forged ones, every range [0, 0], its chained
+// checksum recomputed: they pass every check the reader makes, so opened with
+// no database the store walks under them (the bounds are trusted input), and
+// beside the database it answers as LinearScan does.
+func TestFrozenLayoutBesideCallerDB(t *testing.T) {
+	db, rng := testDB(723, 2000, 3, metric.L2{})
+	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
+	forceBounds(idx)
+	image := frozenImage(t, idx)
+	_, lo, _, _, _, _ := frozenLayoutAt(image)
+	clear(image[lo:])
+	refreezeCRC(image, frozenSecLayout)
+	own, _, err := openFrozenBytes(image, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bb := own.bounds(); bb == nil || slices.ContainsFunc(bb.cells.hi, func(v float64) bool { return v != 0 }) {
+		t.Fatal("the store opened with no database does not walk under its file's bounds")
+	}
+	beside, _, err := openFrozenBytes(image, db, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beside.BoundCells() != 0 || beside.RowsHeapBytes() != 0 {
+		t.Fatalf("opened beside a database, the store holds %d bound cells and %d bytes of rows before a query", beside.BoundCells(), beside.RowsHeapBytes())
+	}
+	linear := NewLinearScan(db)
+	for qi, q := range dataset.UniformVectors(rng, 20, 3) {
+		want, _ := linear.KNN(q, 5)
+		got, _ := beside.KNN(q, 5)
+		sameBits(t, fmt.Sprintf("query %d", qi), got, want)
+		if approx, st := beside.KNNApprox(q, 5, 2); len(approx) != 5 || st.Exact {
+			t.Fatalf("query %d: approximate answer %v (%+v)", qi, approx, st)
+		}
+	}
+	if bb := beside.bounds(); beside.RowsHeapBytes() == 0 || bb == nil || !slices.ContainsFunc(bb.cells.hi, func(v float64) bool { return v != 0 }) {
+		t.Fatalf("beside a database the store walks under the file's bounds, or none (%d bytes of rows)", beside.RowsHeapBytes())
 	}
 }

@@ -55,14 +55,10 @@ func (p PermDistance) String() string {
 // from every site, so the k site distances a query computes anyway bound its
 // distance to each bucket from below. Exact search — KNN and Range on a
 // packed database under L1, L2 or L∞ whose buckets are large enough to be
-// worth bounding — measures only the buckets those bounds cannot exclude
-// (search), each a contiguous run of a bucket-major copy of the coordinates,
-// with answers byte-identical to a linear scan; KNNBatch is that walk once
-// per query. Whatever measures a
-// candidate set in full — exact queries on a store without bounds, the
-// buckets an approximate query probes — computes no ordering: the
-// (distance, ID) heap makes the answer a function of the set, read in
-// memory order.
+// worth bounding — and the approximate probe measure only the cells those
+// bounds cannot exclude (search), each a contiguous run of a bucket-major
+// copy of the coordinates; the (distance, ID) heap makes every answer a
+// function of the candidate set, so nothing is ordered first.
 //
 // The in-memory representation is the paper's table encoding, live: the
 // distinct occurring inverse permutations sit once each in a flat row-major
@@ -80,10 +76,9 @@ type PermIndex struct {
 	// after construction, so any number of queries read them at once.
 	table    *rankTable
 	tableIDs []uint32
-	// lb holds the bucket directory and its metric bounds (prefixbuckets.go):
-	// the directory built lazily or pre-filled with container views by a
-	// frozen open, the bounds — and the bucket-major coordinates the walk
-	// reads — computed on the first exact kNN or range query.
+	// lb holds the bucket directory, the bucket-major coordinates the walk
+	// reads and their bounds (prefixbuckets.go): made on first use, or
+	// pre-filled with container views by a frozen open.
 	lb *lazyBuckets
 	// scratch pools the *permScratch query workspaces: a query borrows one
 	// for its duration, so any number of goroutines may query the index.
@@ -100,7 +95,8 @@ type permScratch struct {
 	tkeys  []int64          // one integer distance key per distinct row (orderKeys)
 	keys   []int64          // per-point keys scattered from tkeys (orderKeys)
 	counts []int32          // counting-sort buckets, grown on demand
-	approx *approxScratch   // approximate-path workspace, on first approx query
+	bkeys  []int64          // one prefix-footrule key per bucket (knnApprox)
+	border []int            // the buckets in probe order
 	qd     []float64        // query-to-site distances, len k (search)
 	heap   []entry          // a walk's frontier, grown on demand
 	near   []uint32         // the sites by query distance, len k (bisectors)

@@ -25,15 +25,15 @@ import (
 // exactly what the exact path is charged), scores every bucket by the
 // prefix footrule distance Σ_j |j − qinv[prefix[j]]| — the same
 // bounded-integer key family the row kernels use, ordered by the same
-// counting argsort — and probes only the nprobe nearest buckets. Every
-// point of a probed bucket is measured, and the kNN heap's (distance, ID)
-// ordering makes the answer a function of the candidate *set*, so a probed
-// bucket is read as it lies: one contiguous run of the bucket-major rows, in
-// whatever order its points lie there. Recall is bounded (a true neighbour
-// may live in an unprobed bucket) but monotone in nprobe: the probe order is
-// a fixed per-query bucket ranking, so a larger nprobe's candidate set is a
-// superset. A probe set that covers every bucket is the exact query, which
-// is why approx=0 / nprobe ≥ buckets can always be served safely.
+// counting argsort — and probes only the nprobe nearest buckets. The kNN
+// heap's (distance, ID) ordering makes the answer a function of the
+// candidate *set*, so a probed bucket is read as it lies, in runs of the
+// bucket-major rows, and a cell its bounds exclude is not read at all. Recall
+// is bounded (a true neighbour may live in an unprobed bucket) but monotone
+// in nprobe: the probe order is a fixed per-query bucket ranking, so a larger
+// nprobe's candidate set is a superset. A probe set that covers every bucket
+// is the exact query, which is why approx=0 / nprobe ≥ buckets can always be
+// served safely.
 
 // prefixBuckets is the bucket directory: for each distinct length-ℓ
 // permutation prefix occurring in the rank table, the rows and points that
@@ -82,19 +82,19 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 
 // lazyBuckets holds an index's once-built directory, and the bucket-major
 // rows and bounds its buckets are read and pruned with, for every query
-// running on it at once. A frozen open pre-fills pb with container views
-// and, under PFR3, rows with the database's own block; heap indexes build the
-// directory on first use. The bounds are part of no format: every store
-// computes them on its first exact query, and rows it was not opened with on
-// its first read of a bucket.
+// running on it at once. A frozen open pre-fills pb and, with no database,
+// rows and cells (rowsOnce) and a PFR4 file's bounds (boundsOnce); any other
+// store makes them on its first query that reads a bucket, exact or not.
 type lazyBuckets struct {
 	once     sync.Once
 	pb       *prefixBuckets
 	rowsOnce sync.Once
 	rows     []float64 // nil after rowsOnce: DB.measure's kernels do not cover the store
 	// Row j holds point labels[j], cell c is rows cellStarts[c]..cellStarts[c+1]
-	// and bucket b cells bucketCells[b]..bucketCells[b+1] (cellLayout).
+	// and bucket b cells bucketCells[b]..bucketCells[b+1]: the points whose
+	// rows share their length-cellEll prefix (cellLayout).
 	labels, cellStarts, bucketCells []uint32
+	cellEll                         int
 	rowsHeap                        atomic.Int64 // bytes rowsOnce had to allocate (RowsHeapBytes)
 	boundsOnce                      sync.Once
 	bounds                          *bucketBounds // nil after boundsOnce: the store does not qualify
@@ -238,13 +238,14 @@ func groupBy(group, rows []uint32, groups int) (starts, order []uint32) {
 	return starts, order
 }
 
-// cellLayout lays out the rows a store makes (lazyBuckets' labels, cellStarts
-// and bucketCells): by bucket and, within one, by cell — the points whose rows
-// share their length-ℓ' prefix, ascending. ℓ' is the longest prefix, up to
-// maxAutoPrefixLen, whose cells hold minFill points on average (boundMinFill's
-// break-even holds for any run a bound skips); a bucket is one cell if none
-// longer than ℓ qualifies. Cells are numbered in row order, bucket by bucket.
-func cellLayout(t *rankTable, tableIDs []uint32, pb *prefixBuckets, minFill int) (labels, cellStarts, bucketCells []uint32) {
+// cellLayout lays out the rows a store makes (lazyBuckets' cellEll, labels,
+// cellStarts and bucketCells): by bucket and, within one, by cell — the points
+// whose rows share their length-ℓ' prefix, ascending. ℓ' is the longest
+// prefix, up to maxAutoPrefixLen, whose cells hold minFill points on average
+// (boundMinFill's break-even holds for any run a bound skips); a bucket is one
+// cell if none longer than ℓ qualifies. Cells are numbered in row order,
+// bucket by bucket.
+func cellLayout(t *rankTable, tableIDs []uint32, pb *prefixBuckets, minFill int) (ell int, labels, cellStarts, bucketCells []uint32) {
 	nb, maxEll := pb.numBuckets(), min(maxAutoPrefixLen, t.k)
 	rowCell, cells, bucketCells := make([]uint32, t.rows), nb, ascending(nb+1)
 	for b := range nb {
@@ -258,6 +259,7 @@ func cellLayout(t *rankTable, tableIDs []uint32, pb *prefixBuckets, minFill int)
 	}
 	// Cut every cell by the site its rows rank (l+1)-th, while the cuts still
 	// hold minFill points on average.
+	ell = pb.ell
 	for l := pb.ell; packed != nil && l < maxEll; l++ {
 		cut, ids, firstCut, next := make([]uint32, t.rows), make([]uint32, cells*t.k), make([]uint32, nb+1), uint32(0)
 		for b := range nb {
@@ -275,27 +277,10 @@ func cellLayout(t *rankTable, tableIDs []uint32, pb *prefixBuckets, minFill int)
 			break
 		}
 		firstCut[nb] = next
-		rowCell, cells, bucketCells = cut, int(next), firstCut
+		rowCell, cells, bucketCells, ell = cut, int(next), firstCut, l+1
 	}
 	cellStarts, labels = groupBy(rowCell, tableIDs, cells)
-	return labels, cellStarts, bucketCells
-}
-
-// approxScratch is a query workspace's part for the approximate path, sized
-// to the directory on first use.
-type approxScratch struct {
-	bkeys  []int64 // one prefix-footrule key per bucket
-	border []int   // full bucket probe order
-}
-
-// approxBuffers returns the approximate-path workspace, allocated on first
-// use against the given directory.
-func (s *permScratch) approxBuffers(pb *prefixBuckets) *approxScratch {
-	if s.approx == nil {
-		b := pb.numBuckets()
-		s.approx = &approxScratch{bkeys: make([]int64, b), border: make([]int, b)}
-	}
-	return s.approx
+	return ell, labels, cellStarts, bucketCells
 }
 
 // buckets returns the shared directory, building it on first use for
@@ -310,13 +295,11 @@ func (x *PermIndex) buckets() *prefixBuckets {
 }
 
 // rows returns the coordinate block in the order the buckets are read, row j
-// holding point labels[j]: bucket b is the contiguous run
-// ptStarts[b]..ptStarts[b+1] of the points ptOrder lists for it, and
-// measuring it gathers nothing (a gathered point costs ≈ 4× a contiguous
-// one). A PFR3 store has them already — its database's block under ptOrder.
-// Any other packed store under L1, L2 or L∞ (the split DB.measure makes)
-// lays them out in cells (cellLayout), n·d·8 bytes of heap and n·4 of labels,
-// on its first query that reads a bucket; any other store has none (nil).
+// holding point labels[j]: bucket b is the run ptStarts[b]..ptStarts[b+1],
+// measured without a gather (a gathered point costs ≈ 4× a contiguous one). A
+// frozen store opened with no database has them: its block. Any other packed
+// store under L1, L2 or L∞ (DB.measure's split) lays them out in cells
+// (cellLayout), n·d·8 bytes of heap and n·4 of labels; others have none (nil).
 func (x *PermIndex) rows() ([]float64, []uint32) {
 	x.fillRows(boundMinFill, nil)
 	return x.lb.rows, x.lb.labels
@@ -324,17 +307,17 @@ func (x *PermIndex) rows() ([]float64, []uint32) {
 
 // fillRows makes the rows of a store that has them to make, once, in cells of
 // minFill points on average, and reports whether this call did: it has then
-// bounded every bucket into bb (when not nil) while still in cache. Rows a
-// store was opened with are read one cell per bucket.
+// bounded every bucket into bb (when not nil) while still in cache. A store
+// with none reads its buckets by ptOrder, one cell each.
 func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) (filled bool) {
 	x.lb.rowsOnce.Do(func() {
-		lb, pb, d := x.lb, x.buckets(), x.db.dim
-		if filled = lb.rows == nil && x.newSiteKernel() != nil; !filled {
-			lb.labels, lb.cellStarts, lb.bucketCells = pb.ptOrder, pb.ptStarts, ascending(pb.numBuckets()+1)
+		lb, pb := x.lb, x.buckets()
+		if filled = x.newSiteKernel() != nil; !filled {
+			lb.cellEll, lb.labels, lb.cellStarts, lb.bucketCells = pb.ell, pb.ptOrder, pb.ptStarts, ascending(pb.numBuckets()+1)
 			return
 		}
-		lb.labels, lb.cellStarts, lb.bucketCells = cellLayout(x.table, x.tableIDs, pb, minFill)
-		lb.rows = make([]float64, x.db.N()*d)
+		lb.cellEll, lb.labels, lb.cellStarts, lb.bucketCells = cellLayout(x.table, x.tableIDs, pb, minFill)
+		lb.rows = make([]float64, x.db.N()*x.db.dim)
 		lb.rowsHeap.Store(int64(8*len(lb.rows) + 4*len(lb.labels)))
 		x.eachBucket(true, bb)
 	})
@@ -342,15 +325,12 @@ func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) (filled bool) {
 }
 
 // eachBucket works through the buckets, many at a time, filling a bucket's
-// rows if fill is set, then bounding it into bb, sized (and set to empty
-// ranges) here, unless bb is nil.
+// rows if fill is set, then bounding it into bb (sized here) unless bb is nil.
 func (x *PermIndex) eachBucket(fill bool, bb *bucketBounds) {
 	db, d, lb, kern := x.db, x.db.dim, x.lb, x.newSiteKernel()
 	nb, k := len(lb.bucketCells)-1, x.K()
 	if bb != nil {
-		cells := int(lb.bucketCells[nb])
-		bb.cells = siteRanges{slices.Repeat([]float64{math.Inf(1)}, cells*k), slices.Repeat([]float64{math.Inf(-1)}, cells*k)}
-		bb.buckets = siteRanges{slices.Repeat([]float64{math.Inf(1)}, nb*k), slices.Repeat([]float64{math.Inf(-1)}, nb*k)}
+		bb.cells = emptyRanges(int(lb.bucketCells[nb]) * k)
 	}
 	workers := 1
 	if db.N() >= parallelBuildThreshold {
@@ -369,7 +349,8 @@ func (x *PermIndex) eachBucket(fill bool, bb *bucketBounds) {
 }
 
 // RowsHeapBytes returns the heap held by this index's copy of the rows and
-// labels: n·d·8 + n·4 once rows has made one, 0 before and on PFR3 stores.
+// labels: n·d·8 + n·4 once rows has made one, 0 before and on frozen stores
+// opened with no database.
 func (x *PermIndex) RowsHeapBytes() int64 { return x.lb.rowsHeap.Load() }
 
 // BoundCells returns how many cells the exact walk bounds, once it has
@@ -379,6 +360,11 @@ func (x *PermIndex) BoundCells() int { return int(x.lb.boundCells.Load()) }
 // siteRanges holds lo[i*k+s] and hi[i*k+s], the least and greatest computed
 // d(sₛ, p) over the points p of run i: LAESA's per-point table, per cell.
 type siteRanges struct{ lo, hi []float64 }
+
+// emptyRanges returns n ranges [+Inf, −Inf], which any value widens.
+func emptyRanges(n int) siteRanges {
+	return siteRanges{slices.Repeat([]float64{math.Inf(1)}, n), slices.Repeat([]float64{math.Inf(-1)}, n)}
+}
 
 // bucketBounds is the metric side of the directory: the site ranges of every
 // cell, and of every bucket as the hull of its cells', under L2, for the
@@ -408,18 +394,42 @@ const boundMinFill = 32
 // siteBounds computes the bounds from what every store holds whatever its
 // origin — points, site IDs, bucket-major rows — in one pass (bound) right
 // after a bucket is filled where the rows are still to make, so the copy costs
-// nothing over bounding scattered points. Only a store with rows, of at most
-// boundMaxDim dimensions, in buckets of minFill points on average qualifies.
+// nothing over bounding scattered points.
 func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
-	if x.newSiteKernel() == nil || x.db.dim > boundMaxDim || x.db.N() < minFill*x.buckets().numBuckets() {
+	if !x.qualifies(minFill) {
 		return nil
 	}
 	bb := &bucketBounds{}
 	if !x.fillRows(minFill, bb) {
 		x.eachBucket(false, bb)
 	}
-	k, pb := x.K(), x.buckets()
-	x.lb.boundCells.Store(int64(len(bb.cells.lo) / k))
+	return x.finishBounds(bb)
+}
+
+// qualifies is siteBounds' rule: only a store with rows, of at most
+// boundMaxDim dimensions, in buckets of minFill points on average gets bounds.
+func (x *PermIndex) qualifies(minFill int) bool {
+	return x.newSiteKernel() != nil && x.db.dim <= boundMaxDim && x.db.N() >= minFill*x.buckets().numBuckets()
+}
+
+// Bounded reports whether x's exact queries walk under bounds, by the rule
+// that decides which stores get them: otherwise each measures every point.
+func (x *PermIndex) Bounded() bool { return x.qualifies(boundMinFill) }
+
+// finishBounds completes bounds whose cells' ranges are in: takes each
+// bucket's as their hull (what one sweep of it gives; min and max keep a NaN,
+// whose interval compares false both ways), counts the cells, orders the
+// buckets by prefix and builds the bisector table where it holds.
+func (x *PermIndex) finishBounds(bb *bucketBounds) *bucketBounds {
+	k, pb, lb := x.K(), x.buckets(), x.lb
+	bb.buckets = emptyRanges(pb.numBuckets() * k)
+	for b := range pb.numBuckets() {
+		for i := int(lb.bucketCells[b]) * k; i < int(lb.bucketCells[b+1])*k; i++ {
+			j := b*k + i%k
+			bb.buckets.lo[j], bb.buckets.hi[j] = min(bb.buckets.lo[j], bb.cells.lo[i]), max(bb.buckets.hi[j], bb.cells.hi[i])
+		}
+	}
+	lb.boundCells.Store(int64(len(bb.cells.lo) / k))
 	bb.byPrefix = ascending(pb.numBuckets())
 	if _, l2 := x.db.Metric.(metric.L2); !l2 || bb.offPrefix.Load() {
 		return bb
@@ -439,15 +449,12 @@ func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	return bb
 }
 
-// bound sweeps bucket b's cells, each row once for all k sites (siteKernel),
-// and takes the bucket's ranges as their hull. L2 keeps the extreme squared
-// sums and takes one Sqrt, monotone and correctly rounded, per cell and site;
-// min and max are associative, so the hull is what one sweep of the bucket
-// gives, and they propagate NaN: such an interval compares false both ways.
+// bound sweeps bucket b's cells, each row once for all k sites (siteKernel).
+// L2 keeps the extreme squared sums and takes one Sqrt, monotone and correctly
+// rounded, per cell and site.
 func (x *PermIndex) bound(bb *bucketBounds, b int, kern *siteKernel) {
 	d, k, lb := x.db.dim, x.K(), x.lb
 	sums, pref := make([]float64, k), lb.pb.prefix(b)
-	blo, bhi := bb.buckets.lo[b*k:][:k], bb.buckets.hi[b*k:][:k]
 	for c := int(lb.bucketCells[b]); c < int(lb.bucketCells[b+1]); c++ {
 		lo, hi := bb.cells.lo[c*k:][:k], bb.cells.hi[c*k:][:k]
 		for r := lb.rows[int(lb.cellStarts[c])*d : int(lb.cellStarts[c+1])*d]; len(r) > 0; r = r[d:] {
@@ -459,11 +466,8 @@ func (x *PermIndex) bound(bb *bucketBounds, b int, kern *siteKernel) {
 				lo[i], hi[i] = min(lo[i], v), max(hi[i], v)
 			}
 		}
-		for i := range lo {
-			if kern.l2 {
-				lo[i], hi[i] = math.Sqrt(lo[i]), math.Sqrt(hi[i])
-			}
-			blo[i], bhi[i] = min(blo[i], lo[i]), max(bhi[i], hi[i])
+		for i := 0; kern.l2 && i < k; i++ {
+			lo[i], hi[i] = math.Sqrt(lo[i]), math.Sqrt(hi[i])
 		}
 	}
 }
@@ -605,6 +609,20 @@ func (w *walk) push(e entry) {
 	w.heap = h
 }
 
+// drain expands the frontier's entries in ascending LB while the front is at
+// most c's limit, and drops the rest: the limit only falls.
+func (w *walk) drain() {
+	for len(w.heap) > 0 {
+		e := w.pop()
+		if e.lb > w.c.limit() {
+			w.heap = w.heap[:0]
+			return
+		}
+		w.front = e.lb
+		w.expand(e)
+	}
+}
+
 // pop takes the least-LB entry off the frontier.
 func (w *walk) pop() entry {
 	h, n := w.heap, len(w.heap)-1
@@ -695,14 +713,8 @@ func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 		bb.bisectors(s.qd, m, s)
 		w.gaps, m = s.gaps, 0
 	}
-	for w.push(entry{0, 0, len(bb.byPrefix), m}); len(w.heap) > 0; {
-		e := w.pop()
-		if e.lb > c.limit() {
-			break
-		}
-		w.front = e.lb
-		w.expand(e)
-	}
+	w.push(entry{0, 0, len(bb.byPrefix), m})
+	w.drain()
 	s.heap = w.heap[:0] // keep what append grew
 	return Stats{DistanceEvals: k + w.measured, PrunedEvals: n - w.measured}
 }
@@ -721,62 +733,83 @@ func (x *PermIndex) PrefixLen() int { return x.buckets().ell }
 // past this.
 func defaultNProbe(buckets int) int { return max(1, (buckets+7)/8) }
 
-// KNNApprox answers a k-nearest-neighbour query approximately: only the
-// nprobe nearest prefix buckets are probed and only their points measured.
-// nprobe ≤ 0 selects defaultNProbe. The probe set is widened past nprobe
-// if needed until it holds at least k candidate points, and when it covers
-// every bucket the answer is byte-identical to KNN (Exact is reported in
-// the stats). Cost: k site evaluations plus one metric evaluation per
-// candidate.
+// KNNApprox answers a k-nearest-neighbour query approximately from the points
+// of the nprobe nearest prefix buckets. nprobe ≤ 0 selects defaultNProbe. The
+// probe set is widened past nprobe if needed until it holds at least k
+// candidate points, and when it covers every bucket the answer is
+// byte-identical to KNN (Exact is reported in the stats). Cost: k site
+// evaluations plus the candidates measured — on a store with bounds only
+// those in cells the k-th distance so far does not exclude.
 func (x *PermIndex) KNNApprox(q metric.Point, k, nprobe int) ([]Result, ApproxStats) {
 	checkK(k, x.db.N())
 	return x.knnApprox(q, k, nprobe, Scope{})
 }
 
 func (x *PermIndex) knnApprox(q metric.Point, k, nprobe int, sc Scope) ([]Result, ApproxStats) {
-	pb := x.buckets()
-	nb := pb.numBuckets()
+	pb, nb := x.buckets(), x.ApproxBuckets()
 	if nprobe <= 0 {
 		nprobe = defaultNProbe(nb)
 	}
 	exact := func() ([]Result, ApproxStats) {
 		rs, st := sc.Search(x, q, k, 0)
-		return rs, ApproxStats{
-			Stats: st, ProbedBuckets: nb, TotalBuckets: nb,
-			Candidates: x.db.N(), Exact: true,
-		}
+		return rs, ApproxStats{Stats: st, ProbedBuckets: nb, TotalBuckets: nb, Candidates: x.db.N(), Exact: true}
 	}
 	if nprobe >= nb {
 		return exact()
 	}
+	bb := x.bounds()
 	s := x.scratchBuffers()
 	defer x.scratch.Put(s)
-	a := s.approxBuffers(pb)
-	s.pm.PermutationInto(q, s.qbuf)
+	if s.bkeys == nil { // the workspace's first probe
+		s.bkeys, s.border = make([]int64, nb), make([]int, nb)
+	}
+	// The site distances, measured as the Permuter measures them (under L1,
+	// L2 and L∞ the bits search's are), give the footrule its permutation.
+	for i, id := range x.siteIDs {
+		s.qd[i] = x.db.Metric.Distance(x.db.Points[id], q)
+	}
+	core.Order(s.qd, s.qbuf)
 	for rank, site := range s.qbuf {
 		s.qinv[site] = int32(rank)
 	}
-	maxBKey := pb.bucketKeys(s.qinv, a.bkeys)
-	s.counts = countingArgsortInto(a.bkeys, maxBKey, s.counts, a.border)
-	// Measure bucket by bucket, widening past nprobe until the heap holds k
-	// points that are not dead; the probe order is fixed, so this only ever
-	// grows the candidate set. A probe that widens to every bucket is the
-	// exact query, answered as one.
+	s.counts = countingArgsortInto(s.bkeys, pb.bucketKeys(s.qinv, s.bkeys), s.counts, s.border)
+	// Probe bucket by bucket, widening past nprobe until the heap holds k live
+	// points (the fixed probe order only grows the candidate set; every bucket
+	// is the exact query). With bounds, a bucket enters the exact walk's
+	// frontier at the greater of its range and bisector terms, its cells at
+	// their own, drained once nprobe are in and after each widening: a dropped
+	// cell lies above the limit, which only falls, so the answer is the whole
+	// buckets'.
 	c := collector{h: newKNNHeap(k), sc: sc}
 	rows, labels := x.rows()
+	w := walk{x: x, bb: bb, q: q, c: &c, qd: s.qd, heap: s.heap[:0]}
+	if bb != nil && bb.inv != nil {
+		bb.bisectors(s.qd, pb.ell, s)
+		w.gaps = s.gaps
+	}
 	probed, npts := 0, 0
 	for ; probed < nb && (probed < nprobe || len(c.h.rs) < k); probed++ {
-		lo, hi := int(pb.ptStarts[a.border[probed]]), int(pb.ptStarts[a.border[probed]+1])
-		x.db.measure(q, rows, labels, lo, hi, &c)
-		npts += hi - lo
+		b := s.border[probed]
+		lo, hi := int(pb.ptStarts[b]), int(pb.ptStarts[b+1])
+		if npts += hi - lo; bb == nil {
+			x.db.measure(q, rows, labels, lo, hi, &c)
+			w.measured += hi - lo
+			continue
+		}
+		key := bb.buckets.lowerBound(b, s.qd, c.limit())
+		for m := 0; w.gaps != nil && m < pb.ell; m++ {
+			key = max(key, levelGap(pb.prefix(b), m, w.gaps))
+		}
+		w.push(entry{key, int(x.lb.bucketCells[b]), int(x.lb.bucketCells[b+1]), pb.ell + 1})
+		if probed+1 >= nprobe {
+			w.drain()
+			w.front = 0 // a widening bucket is keyed into the empty frontier
+		}
 	}
+	s.heap = w.heap[:0]
 	if probed >= nb {
 		return exact()
 	}
-	return c.results(), ApproxStats{
-		Stats:         Stats{DistanceEvals: x.K() + npts},
-		ProbedBuckets: probed,
-		TotalBuckets:  nb,
-		Candidates:    npts,
-	}
+	return c.results(), ApproxStats{Stats: Stats{DistanceEvals: x.K() + w.measured, PrunedEvals: npts - w.measured},
+		ProbedBuckets: probed, TotalBuckets: nb, Candidates: npts}
 }

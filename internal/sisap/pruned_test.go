@@ -36,7 +36,8 @@ func forceBounds(x *PermIndex) *bucketBounds {
 
 // prunedStores returns idx over every origin a store can have: as built,
 // decoded from a PTBL container, and decoded or mapped from a frozen one of
-// either revision. None of the formats carries bounds; each store computes
+// each revision. A PFR4 store opened with no database walks the bounds its
+// file carries (idx's, forced before freezing); every other store computes
 // its own, here whatever its size (forceBounds).
 func prunedStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
@@ -432,11 +433,13 @@ func TestBoundBisectorNeedsItsPoints(t *testing.T) {
 // bit for bit — NaN payloads, signed zeros, denormals and infinities included
 // — on every store origin, Points[id] is the source's point whatever order the
 // block lies in. Every bucket's
-// run of labels is the set ptOrder lists for it, cut into cells of ascending
-// IDs. A store opened from a PFR3 container, mapped or decoded, has no copy to
-// compare: its rows are its database's block, the file's points section as it
-// lies, labelled by ptOrder, one cell per bucket. Every other origin keeps an
-// ID-ordered block and the one copy of it, in cells under labels of its own.
+// run of labels is the set the as-built store's ptOrder lists for it, cut into
+// cells of ascending IDs. A store opened from a PFR3 or PFR4 container, mapped
+// or decoded, has no copy to compare: its rows are its database's block, the
+// file's points section as it lies, labelled by ptOrder — one cell per bucket
+// under PFR3, under PFR4 the cells of the store it was frozen from. Every
+// other origin keeps an ID-ordered block and the one copy of it, in cells
+// under labels of its own.
 func TestBoundRowsLayout(t *testing.T) {
 	const n, d = 400, 3
 	rng := rand.New(rand.NewSource(5))
@@ -454,17 +457,24 @@ func TestBoundRowsLayout(t *testing.T) {
 			}
 		}
 	}
-	for _, st := range prunedStores(t, idx) {
+	stores := prunedStores(t, idx)
+	for _, st := range stores {
 		pb, db, lb := st.idx.buckets(), st.idx.db, st.idx.lb
 		rows, labels := st.idx.rows()
 		if len(rows) != n*d || len(db.block) != n*d || len(labels) != n {
 			t.Fatalf("%s: %d bucket-major coordinates and %d labels over a block of %d, want %d", st.name, len(rows), len(labels), len(db.block), n*d)
 		}
 		nb, cells := pb.numBuckets(), len(lb.cellStarts)-1
+		built := stores[0].idx.lb
 		switch heap := st.idx.RowsHeapBytes(); st.name {
-		case "frozen-heap", "mmap":
+		case "pfr3-frozen-heap", "pfr3-mmap":
 			if &rows[0] != &db.block[0] || &labels[0] != &pb.ptOrder[0] || cells != nb || heap != 0 {
 				t.Fatalf("%s: a store opened bucket-major copied its rows or relabelled them (%d bytes, %d cells, %d buckets)", st.name, heap, cells, nb)
+			}
+		case "frozen-heap", "mmap":
+			if &rows[0] != &db.block[0] || &labels[0] != &pb.ptOrder[0] || heap != 0 ||
+				!slices.Equal(labels, built.labels) || !slices.Equal(lb.cellStarts, built.cellStarts) || !slices.Equal(lb.bucketCells, built.bucketCells) {
+				t.Fatalf("%s: a store opened in cells copied its rows, relabelled them or cut other cells (%d bytes, %d cells, %d buckets)", st.name, heap, cells, nb)
 			}
 		default:
 			if &rows[0] == &db.block[0] || &labels[0] == &pb.ptOrder[0] || db.order != nil || heap != n*d*8+n*4 {
@@ -479,8 +489,8 @@ func TestBoundRowsLayout(t *testing.T) {
 			if lb.cellStarts[lb.bucketCells[b]] != lo || lb.cellStarts[lb.bucketCells[b+1]] != hi {
 				t.Fatalf("%s: bucket %d's cells do not cover its run %d..%d", st.name, b, lo, hi)
 			}
-			if run := slices.Sorted(slices.Values(labels[lo:hi])); !slices.Equal(run, pb.ptOrder[lo:hi]) {
-				t.Fatalf("%s: bucket %d's rows are labelled %v, its posting list is %v", st.name, b, run, pb.ptOrder[lo:hi])
+			if run := slices.Sorted(slices.Values(labels[lo:hi])); !slices.Equal(run, built.pb.ptOrder[lo:hi]) {
+				t.Fatalf("%s: bucket %d's rows are labelled %v, its posting list is %v", st.name, b, run, built.pb.ptOrder[lo:hi])
 			}
 		}
 		for c := range cells {
@@ -629,19 +639,21 @@ func TestBoundQualification(t *testing.T) {
 	}
 }
 
-// TestApproxCellsMatchFrozenTwin: an approximate probe reads a probed
-// bucket's whole run, whatever order its rows lie in, so a heap-built store
-// cut into cells and its mapped PFR3 twin, one cell per bucket, answer alike
-// from the same candidates at every nprobe short of the whole directory; the
-// exact walk that serves full coverage answers alike too, cells or not. The
-// stores are bounded first and whatever their size (forceBounds), so the heap
-// one is cut as finely as its prefixes go.
+// TestApproxCellsMatchFrozenTwin: an approximate probe measures the cells of
+// its probed buckets that its bounds do not exclude, so a heap-built store cut
+// into cells and its mapped PFR4 twin, which carries those cells and their
+// bounds, answer alike from the same candidates at the same cost at every
+// nprobe short of the whole directory; the exact walk that serves full
+// coverage answers alike too. The store is bounded whatever its size
+// (forceBounds), so it is cut as finely as its prefixes go, and then frozen,
+// so that the twin walks those cells without a sweep of its own (a store
+// frozen unbounded gets the cells its first query would make, not these).
 func TestApproxCellsMatchFrozenTwin(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := dataset.ClusteredVectors(rng, 20000, 6, 32, 0.05)
 	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(len(pts))[:12], Footrule)
-	twin := mappedCopy(t, idx, nil)
 	forceBounds(idx)
+	twin := mappedCopy(t, idx, nil)
 	forceBounds(twin)
 	queries := append(dataset.UniformVectors(rng, 8, 6), pts[:24]...)
 	for qi, q := range queries {
@@ -651,12 +663,12 @@ func TestApproxCellsMatchFrozenTwin(t *testing.T) {
 			want, wst := twin.KNNApprox(q, 10, nprobe)
 			sameBits(t, label, got, want)
 			if gst.Candidates != wst.Candidates || gst.ProbedBuckets != wst.ProbedBuckets || gst.Exact != wst.Exact || !gst.Exact && gst != wst {
-				t.Fatalf("%s: the store in cells reports %+v, its PFR3 twin %+v", label, gst, wst)
+				t.Fatalf("%s: the store in cells reports %+v, its PFR4 twin %+v", label, gst, wst)
 			}
 		}
 	}
-	if cells, buckets := idx.BoundCells(), twin.BoundCells(); buckets != idx.ApproxBuckets() || cells <= buckets {
-		t.Fatalf("the heap-built store bounds %d cells, its twin %d, over %d buckets", cells, buckets, idx.ApproxBuckets())
+	if cells, twins := idx.BoundCells(), twin.BoundCells(); twins != cells || cells <= idx.ApproxBuckets() || twin.RowsHeapBytes() != 0 {
+		t.Fatalf("the heap-built store bounds %d cells, its twin %d (%d bytes of rows), over %d buckets", cells, twins, twin.RowsHeapBytes(), idx.ApproxBuckets())
 	}
 }
 
@@ -757,7 +769,7 @@ func TestPrunedBoundaryRadius(t *testing.T) {
 							t.Fatalf("%s: stats %+v do not account for 6 sites + %d points", label, s, db.N())
 						}
 					}
-					cells := st.idx.RowsHeapBytes() > 0
+					cells := st.idx.BoundCells() > st.idx.ApproxBuckets()
 					if prev, ok := byLayout[cells]; ok && prev != [2]Stats{knnStats, rangeStats} {
 						t.Fatalf("%s: stats %+v / %+v differ from a store laid out alike, %+v / %+v", label, knnStats, rangeStats, prev[0], prev[1])
 					}

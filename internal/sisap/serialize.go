@@ -19,8 +19,8 @@ import (
 //     instead of n, scattering the IDs straight into the in-memory table
 //     encoding. This bit-packed form is the compact wire format WriteIndex
 //     emits.
-//   - frozen (permFrozenV3Tag, "PFR3", and its ID-ordered predecessor
-//     permFrozenV2Tag, "PFR2"; frozen.go): the table encoding laid
+//   - frozen (permFrozenV4Tag, "PFR4", and its predecessors permFrozenV3Tag,
+//     "PFR3", and permFrozenV2Tag, "PFR2"; frozen.go): the table encoding laid
 //     out raw in 64-byte-aligned checksummed sections so OpenMapped can
 //     serve the file zero-copy out of the page cache; ReadIndex decodes the
 //     same image onto the heap. Written by WriteFrozen.
@@ -171,7 +171,7 @@ func decodePermPayload(d *dec, db *DB) (*PermIndex, error) {
 		return nil, d.err
 	case tag == permTableTag:
 		return decodeTablePayload(d, db)
-	case tag == permFrozenV3Tag || tag == permFrozenV2Tag:
+	case tag == permFrozenV4Tag || tag == permFrozenV3Tag || tag == permFrozenV2Tag:
 		// A frozen container is a file image — its section offsets are
 		// absolute — so it is validated and decoded whole, by the code that
 		// opens a mapping.
@@ -179,7 +179,7 @@ func decodePermPayload(d *dec, db *DB) (*PermIndex, error) {
 		d.b = nil
 		return idx, err
 	default:
-		return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL, PFR3 or PFR2; the per-point and PFRZ payloads are no longer read)", tag)
+		return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL, PFR4, PFR3 or PFR2; the per-point and PFRZ payloads are no longer read)", tag)
 	}
 }
 

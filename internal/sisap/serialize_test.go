@@ -208,7 +208,11 @@ func FuzzReadIndex(f *testing.F) {
 		}
 	}
 	f.Add(frozen[:90])
+	f.Add(pfr3Image(f, frozen))
 	f.Add(pfr2Image(f, frozen))
+	bounded := NewPermIndex(db, idx.siteIDs, idx.dist)
+	forceBounds(bounded)
+	f.Add(frozenImage(f, bounded))
 	// A checksum-valid but inconsistent bucket directory, seeding the
 	// fuzzer at the directory-consistency validation.
 	badBuckets := append([]byte(nil), frozen...)

@@ -61,8 +61,8 @@ type DB struct {
 	block []float64
 	dim   int
 	// order labels the block's rows when they are not in ID order: row j is
-	// point order[j]. nil, what NewDB makes, is the identity; a PFR3 container
-	// (frozen.go) opens to the directory's posting list.
+	// point order[j]. nil, what NewDB makes, is the identity; a PFR4 or PFR3
+	// container (frozen.go) opens to the directory's posting list.
 	order []uint32
 }
 
@@ -155,13 +155,13 @@ type Index interface {
 }
 
 // ApproxStats extends Stats with the probe accounting of an approximate
-// query: how much of the bucket directory was consulted and how much of
-// the database was actually measured.
+// query. ProbedBuckets and TotalBuckets report the probe set against the
+// directory size, Candidates the points in the probed buckets (the candidate
+// fraction is Candidates over the database size); Stats counts the k sites
+// plus the candidates measured in DistanceEvals, and the rest, which the
+// walk's bounds excluded, in PrunedEvals.
 type ApproxStats struct {
 	Stats
-	// ProbedBuckets and TotalBuckets report the probe set against the
-	// directory size; Candidates counts the points measured (the candidate
-	// fraction is Candidates over the database size).
 	ProbedBuckets int
 	TotalBuckets  int
 	Candidates    int

@@ -203,8 +203,13 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	if _, err := WriteFrozen(&frozen, idx); err != nil {
 		t.Fatal(err)
 	}
-	emit("FuzzReadIndex", "seed-frozen", frozen.Bytes()) // PFR3, points embedded
+	emit("FuzzReadIndex", "seed-frozen", frozen.Bytes()) // PFR4, points embedded
+	emit("FuzzReadIndex", "seed-frozen-pfr3", pfr3Image(t, frozen.Bytes()))
 	emit("FuzzReadIndex", "seed-frozen-pfr2", pfr2Image(t, frozen.Bytes()))
+	// The same store cut into cells and bounded, as a PFR4 file carries them.
+	bounded := NewPermIndex(db, idx.siteIDs, Footrule)
+	forceBounds(bounded)
+	emit("FuzzReadIndex", "seed-frozen-bounds", frozenImage(t, bounded))
 	emit("FuzzReadIndex", "seed-frozen-torn", frozen.Bytes()[:90])
 	// A directory-inconsistency seed: duplicate the first point posting and
 	// recompute the section CRC, starting the fuzzer right at the

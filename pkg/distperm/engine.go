@@ -559,6 +559,20 @@ func (sl *slot) counters() (EngineStats, obs.HistogramSnapshot) {
 	return c, sl.lat.Snapshot()
 }
 
+// ScanSegments returns how many of the served view's segments are
+// distance-permutation indexes, and which are too small to bound (Bounded).
+func (e *Engine) ScanSegments() (perm int, scans []int) {
+	for s, seg := range e.cur.Load().segs {
+		if px, ok := seg.idx.(*sisap.PermIndex); ok {
+			perm++
+			if !px.Bounded() {
+				scans = append(scans, s)
+			}
+		}
+	}
+	return perm, scans
+}
+
 // ShardStats returns one EngineStats snapshot per shard (a single entry for
 // a plain index). Every query walks every shard, so per-shard Queries count
 // sub-queries: S shards serving a B-query batch record B sub-queries each,

@@ -15,12 +15,13 @@ import (
 // dataset, and retry.
 var ErrNeedDB = sisap.ErrNeedDB
 
-// WriteFrozenIndex writes the frozen container form (PFR3) of a
+// WriteFrozenIndex writes the frozen container form (PFR4) of a
 // distance-permutation index: position-independent sections (sites, raw rank
-// matrix, row IDs, bucket directory and — when the metric is named and the
-// points are plain vectors — the point data itself, in the directory's order)
-// that a later Load with Mmap can map read-only in O(1) and serve without
-// copying a coordinate. PFR2 files (points in ID order) keep loading.
+// matrix, row IDs, bucket directory, the walk's cells and bounds and — when
+// the metric is named and the points are plain vectors — the point data
+// itself, in cell order) that a later Load with Mmap can map read-only in
+// O(1) and walk without copying a coordinate or sweeping a bound. PFR3 and
+// PFR2 files keep loading (re-freeze them).
 func WriteFrozenIndex(w io.Writer, x *PermIndex) (int64, error) {
 	return sisap.WriteFrozen(w, x)
 }

@@ -128,7 +128,7 @@ func registerEngineMetrics(reg *obs.Registry, e *distperm.Engine) {
 		"Distinct permutation rows in the served rank table", nil,
 		func() float64 { return float64(e.Stats().DistinctRows) })
 	reg.GaugeFunc("distperm_engine_bucket_rows_heap_bytes",
-		"Heap held by bucket-major copies of the coordinates and their labels under the served view (0 for a PFR3 store)", nil,
+		"Heap held by bucket-major copies of the coordinates and their labels under the served view (0 for a frozen store opened with no database)", nil,
 		func() float64 { return float64(e.Stats().BucketRowsHeapBytes) })
 	reg.GaugeFunc("distperm_engine_bound_cells",
 		"Cells the exact walk bounds, summed over the served view's segments (0 for a store without bounds)", nil,

@@ -342,10 +342,11 @@ func TestMetricFamilyInventory(t *testing.T) {
 // the heap a store spends on a bucket-major copy of its coordinates and their
 // labels — n·d·8 + n·4 for a heap-built store from the first query that reads
 // a bucket, exact or approximate, and nothing, ever, for one served out of a
-// frozen (PFR3) container, whose points section already lies that way. Beside
-// it, distperm_engine_bound_cells is 0 until the first exact query bounds the
-// store, then the heap-built store's cells (more than its buckets) and the
-// PFR3 store's buckets, one cell each.
+// frozen (PFR4) container, whose points section already lies that way. Beside
+// it, distperm_engine_bound_cells is the cells the store's walks bound, more
+// than its buckets: 0 on the heap-built store until its first query bounds
+// it, exact or approximate, and on the frozen one, which carries the cells and
+// bounds of the store it was frozen from, those cells from the open on.
 func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 	const n, d = 2400, 3
 	rng := rand.New(rand.NewSource(91))
@@ -374,21 +375,25 @@ func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buckets := float64(idx.(*distperm.PermIndex).ApproxBuckets())
+	cells := float64(st.Index.(*distperm.PermIndex).BoundCells())
+	if buckets := float64(idx.(*distperm.PermIndex).ApproxBuckets()); cells <= buckets {
+		t.Fatalf("the store bounds %g cells over %g buckets", cells, buckets)
+	}
 	for _, c := range []struct {
-		name string
-		db   *distperm.DB
-		idx  distperm.Index
-		want float64 // after the first query that reads a bucket
-	}{{"heap-built", db, idx, n*d*8 + n*4}, {"frozen", st.DB, st.Index, 0}} {
+		name   string
+		db     *distperm.DB
+		idx    distperm.Index
+		want   float64 // after the first query that reads a bucket
+		opened float64 // bound cells before any query
+	}{{"heap-built", db, idx, n*d*8 + n*4, 0}, {"frozen", st.DB, st.Index, 0, cells}} {
 		srv := newServer(t, c.db, c.idx, 2, dpserver.Config{})
 		ts := httptest.NewServer(srv)
 		gauges := func() (float64, float64) {
 			fams := scrape(t, ts.URL)
 			return sampleValue(t, fams, "distperm_engine_bucket_rows_heap_bytes", nil), sampleValue(t, fams, "distperm_engine_bound_cells", nil)
 		}
-		if v, cells := gauges(); v != 0 || cells != 0 {
-			t.Errorf("%s: %g bytes of rows and %g bound cells before any query", c.name, v, cells)
+		if v, got := gauges(); v != 0 || got != c.opened {
+			t.Errorf("%s: %g bytes of rows and %g bound cells before any query, want 0 and %g", c.name, v, got, c.opened)
 		}
 		for _, body := range []string{`{"query":%s,"k":3,"approx":true,"nprobe":1}`, `{"query":%s,"k":3}`} {
 			resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(fmt.Sprintf(body, q)))
@@ -400,13 +405,8 @@ func TestMetricsBucketRowsHeapBytes(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: POST /v1/knn %s = %d", c.name, body, resp.StatusCode)
 			}
-			v, cells := gauges()
-			if v != c.want {
-				t.Errorf("%s: %g bytes of rows after %s, want %g", c.name, v, body, c.want)
-			}
-			switch exact := !strings.Contains(body, "approx"); {
-			case !exact && cells != 0, exact && c.want > 0 && cells <= buckets, exact && c.want == 0 && cells != buckets:
-				t.Errorf("%s: %g bound cells after %s over %g buckets", c.name, cells, body, buckets)
+			if v, got := gauges(); v != c.want || got != cells {
+				t.Errorf("%s: %g bytes of rows and %g bound cells after %s, want %g and %g", c.name, v, got, body, c.want, cells)
 			}
 		}
 		ts.Close()

@@ -1,10 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,289 +15,313 @@ BenchmarkKNNLinear-8   	   35870	     33099 ns/op
 BenchmarkKNNLinear-8   	   36012	     32950 ns/op
 BenchmarkKNNLinear-8   	   35011	     34001 ns/op
 BenchmarkEngineThroughput/workers=4-8  	    2623	    456087 ns/op	    561623 queries/s
-BenchmarkEngineThroughput/workers=4-8  	    2590	    460100 ns/op	    555002 queries/s
 BenchmarkPermutationL2-8	 4524525	       265.1 ns/op	       0 B/op	       0 allocs/op
+BenchmarkApproxKNN/data=clustered/nprobe=4-2         	   10000	     56000 ns/op	         0.9703 recall@10	      5639 evals/op
+BenchmarkApproxKNN/data=clustered/nprobe=4-2         	   10000	     55000 ns/op	         0.9702 recall@10	      5640 evals/op
+BenchmarkRecallCurve-2	       1	  12345 ns/op	         0.8000 recall@5%
 PASS
 ok  	distperm	12.3s
 `
 
 func TestParseBench(t *testing.T) {
-	points, err := parseBench(strings.NewReader(sampleOutput))
+	points, err := parseBench(sampleOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, ok := points["BenchmarkKNNLinear"]
-	if !ok || lin.Runs != 3 || lin.NsPerOp != 32950 {
-		t.Errorf("KNNLinear = %+v (want min of 3 runs, 32950 ns/op)", lin)
+	want := map[string]Point{
+		"BenchmarkKNNLinear":                         {NsPerOp: 32950},
+		"BenchmarkEngineThroughput/workers=4":        {NsPerOp: 456087},
+		"BenchmarkPermutationL2":                     {NsPerOp: 265.1},
+		"BenchmarkApproxKNN/data=clustered/nprobe=4": {NsPerOp: 55000, Counts: Counts{Evals: 5640, Recall: 0.9702}},
+		"BenchmarkRecallCurve":                       {NsPerOp: 12345},
 	}
-	eng, ok := points["BenchmarkEngineThroughput/workers=4"]
-	if !ok || eng.Runs != 2 || eng.NsPerOp != 456087 || eng.QPS != 561623 {
-		t.Errorf("EngineThroughput = %+v", eng)
+	if len(points) != len(want) {
+		t.Errorf("parsed %d rows, want %d: %+v", len(points), len(want), points)
 	}
-	perm, ok := points["BenchmarkPermutationL2"]
-	if !ok || perm.NsPerOp != 265.1 || perm.QPS != 0 {
-		t.Errorf("PermutationL2 = %+v", perm)
+	for name, w := range want {
+		if got := points[name]; got != w {
+			t.Errorf("%s = %+v, want %+v (least ns/op, most evals/op, least recall@10)", name, got, w)
+		}
 	}
-	if empty, err := parseBench(strings.NewReader("no benchmarks here")); err != nil || len(empty) != 0 {
+	if empty, err := parseBench("no benchmarks here"); err != nil || len(empty) != 0 {
 		t.Errorf("garbage input: %v, %v", empty, err)
 	}
 }
 
-func TestCompareGate(t *testing.T) {
-	base := map[string]Point{
-		"A": {NsPerOp: 1000, Runs: 3},
-		"B": {NsPerOp: 500, QPS: 10000, Runs: 3},
-		"C": {NsPerOp: 200, Runs: 3}, // retired
-	}
-	cur := map[string]Point{
-		"A": {NsPerOp: 1200, Runs: 3},           // 20% slower: within a 25% gate
-		"B": {NsPerOp: 500, QPS: 7000, Runs: 3}, // 30% fewer queries/s: regression
-		"D": {NsPerOp: 50, Runs: 3},             // new
-	}
-	regs, onlyBase, onlyCur := compare(base, cur, 0.25)
-	if len(regs) != 1 || regs[0].name != "B" || regs[0].metric != "queries/s" {
-		t.Fatalf("regs = %+v, want exactly B on queries/s", regs)
-	}
-	if len(onlyBase) != 1 || onlyBase[0] != "C" || len(onlyCur) != 1 || onlyCur[0] != "D" {
-		t.Errorf("membership notes: %v, %v", onlyBase, onlyCur)
-	}
-	// A tighter gate catches the ns/op drift too.
-	regs, _, _ = compare(base, cur, 0.1)
-	if len(regs) != 2 {
-		t.Errorf("10%% gate: %+v, want A and B", regs)
-	}
-	// Identical runs never regress.
-	if regs, _, _ := compare(base, base, 0.25); len(regs) != 0 {
-		t.Errorf("self-compare regressed: %+v", regs)
-	}
-	// With anchors in both files the gate measures against them: a box that
-	// ran everything 1.7× slower reads flat, the one benchmark that lost 40%
-	// on top of that is caught, and an anchor that alone doubles is caught
-	// too (it moves the four-anchor mean by only 2^¼).
-	day := func(scale float64, extra map[string]float64) map[string]Point {
-		out := map[string]Point{}
-		for name, ns := range map[string]float64{"BenchmarkKendallTau": 1300, "BenchmarkEditDistance": 220,
-			"BenchmarkKNNLinear": 20800, "BenchmarkKNNVPTree": 7300, "BenchmarkServe": 150000, "BenchmarkScan": 900000} {
-			f := scale
-			if e, ok := extra[name]; ok {
-				f *= e
+// side is a canned test binary: every pass reads ns, and evals where given.
+func side(ns, evals map[string]float64) func() (map[string]Point, error) {
+	return func() (map[string]Point, error) {
+		var b strings.Builder
+		for name, v := range ns {
+			fmt.Fprintf(&b, "%s-2   \t 1000\t %.1f ns/op", name, v)
+			if e, ok := evals[name]; ok {
+				fmt.Fprintf(&b, "\t %.0f evals/op", e)
 			}
-			out[name] = Point{NsPerOp: ns * f, QPS: 1e9 / (ns * f), Runs: 3}
+			b.WriteString("\n")
 		}
-		return out
-	}
-	if regs, _, _ := compare(day(1, nil), day(1.7, nil), 0.25); len(regs) != 0 {
-		t.Errorf("a uniformly 1.7× slower box regressed: %+v", regs)
-	}
-	regs, _, _ = compare(day(1, nil), day(1.7, map[string]float64{"BenchmarkServe": 1.4}), 0.25)
-	if len(regs) != 2 || regs[0].name != "BenchmarkServe" || regs[1].name != "BenchmarkServe" {
-		t.Errorf("slow box + one real 40%% loss: %+v, want BenchmarkServe on ns/op and queries/s", regs)
-	}
-	regs, _, _ = compare(day(1, nil), day(1, map[string]float64{"BenchmarkKNNLinear": 2}), 0.25)
-	if len(regs) == 0 || regs[0].name != "BenchmarkKNNLinear" {
-		t.Errorf("an anchor that alone doubled: %+v, want it caught", regs)
+		return parseBench(b.String())
 	}
 }
 
-// TestEvalsGate: evals/op is parsed beside ns/op and gated raw — a count
-// of distance evaluations reads the same on any box, so one more eval a
-// query fails even when the anchors say the box ran 2× faster, and fewer
-// evals pass even on a box 2× slower.
-func TestEvalsGate(t *testing.T) {
-	const out = `BenchmarkKNNLinear-2   	   35870	     33099 ns/op
-BenchmarkKNNExhaustive/knn-2   	    8000	    150000 ns/op	      6402 evals/op
-BenchmarkKNNExhaustive/knn-2   	    8200	    148000 ns/op	      6402 evals/op
-BenchmarkKNNExhaustive/linear-2	     900	   1300000 ns/op
-`
-	points, err := parseBench(strings.NewReader(out))
+// TestPairsAlternate: the parent goes first in even rounds and the change in
+// odd ones, each side's rounds come back in order, and a failing side stops
+// the gate.
+func TestPairsAlternate(t *testing.T) {
+	var order strings.Builder
+	round := [2]float64{}
+	tagged := func(s int, tag string) func() (map[string]Point, error) {
+		return func() (map[string]Point, error) {
+			order.WriteString(tag)
+			round[s]++
+			return map[string]Point{"BenchmarkX": {NsPerOp: 100*float64(s) + round[s]}}, nil
+		}
+	}
+	var log strings.Builder
+	got, err := pairs(6, [2]func() (map[string]Point, error){tagged(0, "p"), tagged(1, "c")}, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := points["BenchmarkKNNExhaustive/knn"]; p.Evals != 6402 || p.NsPerOp != 148000 || p.Runs != 2 {
-		t.Errorf("knn = %+v, want 6402 evals/op at 148000 ns/op over 2 runs", p)
+	if order.String() != "pccppccppccp" {
+		t.Errorf("run order %q, want pc cp pc cp pc cp", order.String())
 	}
-	if p := points["BenchmarkKNNExhaustive/linear"]; p.Evals != 0 {
-		t.Errorf("linear = %+v, want no evals/op", p)
-	}
-	at := func(anchorNs, evals float64) map[string]Point {
-		return map[string]Point{
-			"BenchmarkKNNLinear":         {NsPerOp: anchorNs, Runs: 1},
-			"BenchmarkKNNExhaustive/knn": {NsPerOp: 150000 * anchorNs / 33099, Evals: evals, Runs: 1},
+	for s, base := range []float64{0, 100} {
+		for r, rows := range got[s] {
+			if rows["BenchmarkX"].NsPerOp != base+float64(r+1) {
+				t.Errorf("side %d round %d = %+v", s, r, rows)
+			}
 		}
 	}
-	base := at(33099, 6402)
-	if regs, _, _ := compare(base, at(33099, 6402), 0.25); len(regs) != 0 {
-		t.Errorf("same evals regressed: %+v", regs)
+	if !strings.Contains(log.String(), "round 2/6: change first") {
+		t.Errorf("log does not say who went first:\n%s", log.String())
 	}
-	if regs, _, _ := compare(base, at(33099/2.0, 6403), 0.25); len(regs) != 1 || regs[0].metric != "evals/op" || regs[0].cur != 6403 {
-		t.Errorf("one more eval a query on a 2× faster box: %+v, want exactly the evals/op regression", regs)
-	}
-	if regs, _, _ := compare(base, at(33099*2, 6000), 0.25); len(regs) != 0 {
-		t.Errorf("fewer evals on a 2× slower box regressed: %+v", regs)
-	}
-	// A baseline without the field gates nothing on it.
-	if regs, _, _ := compare(at(33099, 0), base, 0.25); len(regs) != 0 {
-		t.Errorf("a baseline without evals/op gated it: %+v", regs)
-	}
-	dir := t.TempDir()
-	var paths [2]string
-	for i, text := range []string{out, strings.ReplaceAll(out, "6402 evals/op", "6410 evals/op")} {
-		in := filepath.Join(dir, "in.txt")
-		if err := os.WriteFile(in, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		paths[i] = filepath.Join(dir, fmt.Sprintf("p%d.json", i))
-		if err := run(true, in, paths[i], "", "", "", 0.25, nil, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var sink strings.Builder
-	if err := run(false, "", "", "", paths[0], paths[1], 0.25, nil, &sink); err == nil ||
-		!strings.Contains(sink.String(), "REGRESSION: BenchmarkKNNExhaustive/knn evals/op 6402 → 6410") {
-		t.Errorf("8 more evals a query passed the gate (%v):\n%s", err, sink.String())
+	broken := errors.New("exit status 1")
+	fail := func() (map[string]Point, error) { return nil, broken }
+	if _, err := pairs(1, [2]func() (map[string]Point, error){tagged(0, "p"), fail}, &log); !errors.Is(err, broken) {
+		t.Errorf("a failing side: %v", err)
 	}
 }
 
-// TestEndToEndGate drives record and compare through run(), including the
-// injected-slowdown failure the CI gate exists for.
-func TestEndToEndGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+// perRound builds one round per ns/op given, of one row.
+func perRound(name string, ns ...float64) []map[string]Point {
+	out := make([]map[string]Point, len(ns))
+	for r, v := range ns {
+		out[r] = map[string]Point{name: {NsPerOp: v}}
 	}
-	in := write("bench.txt", sampleOutput)
-	basePath := filepath.Join(dir, "base.json")
-	var sink strings.Builder
-	if err := run(true, in, basePath, "abc123", "", "", 0.25, nil, &sink); err != nil {
-		t.Fatal(err)
-	}
-	// Same numbers against themselves: the gate passes.
-	if err := run(false, "", "", "", basePath, basePath, 0.25, nil, &sink); err != nil {
-		t.Fatalf("self-compare failed: %v", err)
-	}
-	// Inject a slowdown into the code under the gate — every figure but the
-	// anchor's (BenchmarkKNNLinear) 10× worse — and the gate must trip.
-	slow := strings.NewReplacer("456087", "4560870", "460100", "4601000", "265.1", "2651").Replace(sampleOutput)
-	slowIn := write("slow.txt", slow)
-	curPath := filepath.Join(dir, "cur.json")
-	if err := run(true, slowIn, curPath, "def456", "", "", 0.25, nil, &sink); err != nil {
-		t.Fatal(err)
-	}
-	sink.Reset()
-	err := run(false, "", "", "", basePath, curPath, 0.25, nil, &sink)
-	if err == nil {
-		t.Fatalf("injected slowdown passed the gate:\n%s", sink.String())
-	}
-	if !strings.Contains(sink.String(), "REGRESSION: BenchmarkEngineThroughput/workers=4") ||
-		!strings.Contains(sink.String(), "REGRESSION: BenchmarkPermutationL2") {
-		t.Errorf("regression report missing:\n%s", sink.String())
-	}
-	// The same 10× on every line, the anchor included, is a slower box, not
-	// a regression: figures from another machine or another day gate nothing
-	// by themselves, which is what lets any committed point be the baseline.
-	slowBox := strings.NewReplacer("33099", "330990", "32950", "329500", "34001", "340010").Replace(slow)
-	boxPath := filepath.Join(dir, "box.json")
-	if err := run(true, write("box.txt", slowBox), boxPath, "fed789", "", "", 0.25, nil, &sink); err != nil {
-		t.Fatal(err)
-	}
-	sink.Reset()
-	if err := run(false, "", "", "", basePath, boxPath, 0.25, nil, &sink); err != nil ||
-		!strings.Contains(sink.String(), "anchors that read ×10.00 its (KNNLinear ×10.00; max ÷ min ×1.00)") {
-		t.Errorf("a 10× slower box failed the gate: %v\n%s", err, sink.String())
-	}
-	// Anchors that disagree — KendallTau 4× slower, KNNLinear 10× — are each
-	// reported beside their geometric mean, with their spread; the mean, √40,
-	// still leaves the rest 1.58× worse, and the gate trips.
-	kendall := "BenchmarkKendallTau-8  1000  %s ns/op\n"
-	twoBase := filepath.Join(dir, "two-base.json")
-	twoBox := filepath.Join(dir, "two-box.json")
-	if err := run(true, write("two-base.txt", sampleOutput+fmt.Sprintf(kendall, "100")), twoBase, "a2", "", "", 0.25, nil, &sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(true, write("two-box.txt", slowBox+fmt.Sprintf(kendall, "400")), twoBox, "b2", "", "", 0.25, nil, &sink); err != nil {
-		t.Fatal(err)
-	}
-	err = run(false, "", "", "", twoBase, twoBox, 0.25, nil, &sink)
-	if want := "anchors that read ×6.32 its (KendallTau ×4.00, KNNLinear ×10.00; max ÷ min ×2.50)"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("disagreeing anchors: got %v, want the fail line to carry %q", err, want)
-	}
-
-	// Missing-benchmark edge: an empty input errors in record mode.
-	if err := run(true, write("empty.txt", "PASS\n"), "", "", "", "", 0.25, nil, &sink); err == nil {
-		t.Error("empty benchmark output should error")
-	}
-	// No mode selected is a usage error.
-	if err := run(false, "", "", "", "", "", 0.25, nil, &sink); err == nil {
-		t.Error("no mode should error")
-	}
+	return out
 }
 
-// TestReportTable renders a three-commit trajectory as the markdown drift
-// table the ROADMAP's bench-trajectory item asks for.
-func TestReportTable(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	a := write("BENCH_a.json", `{"sha":"aaaaaaaaaaaaaaaa","benchmarks":{
-		"BenchmarkX":{"ns_per_op":1000,"runs":3},
-		"BenchmarkRetired":{"ns_per_op":50,"runs":3}}}`)
-	b := write("BENCH_b.json", `{"sha":"bbbbbbbbbbbbbbbb","benchmarks":{
-		"BenchmarkX":{"ns_per_op":1100,"runs":3},
-		"BenchmarkNew":{"ns_per_op":200,"runs":3},
-		"BenchmarkBatchedKernel/data=uniform/batch=64":{"ns_per_op":16000000,"runs":3}}}`)
-	c := write("BENCH_c.json", `{"benchmarks":{
-		"BenchmarkX":{"ns_per_op":880,"runs":3},
-		"BenchmarkNew":{"ns_per_op":200,"runs":3},
-		"BenchmarkBatchedKernel/data=uniform/batch=64":{"ns_per_op":12000000,"runs":3}}}`)
-
-	var sink strings.Builder
-	if err := run(false, "", "", "", "", "", 0.25, []string{a, b, c}, &sink); err != nil {
-		t.Fatal(err)
-	}
-	got := sink.String()
-	for _, want := range []string{
-		// Columns: short SHA, basename fallback. First
-		// appearance of a benchmark has no drift; later cells show % vs the
-		// previous commit carrying it, and absences render as a dash.
-		"| benchmark | aaaaaaaaaaaa | bbbbbbbbbbbb | BENCH_c.json |",
-		"| BenchmarkX | 1000 ns/op | 1100 ns/op (+10.0%) | 880 ns/op (-20.0%) |",
-		"| BenchmarkRetired | 50 ns/op | — | — |",
-		"| BenchmarkNew | — | 200 ns/op | 200 ns/op (+0.0%) |",
-		// Sub-benchmark paths (slashes, key=value components) flow through
-		// the drift cells untouched.
-		"| BenchmarkBatchedKernel/data=uniform/batch=64 | — | 1.6e+07 ns/op | 1.2e+07 ns/op (-25.0%) |",
+// TestPairRule: a row is slower only on a median ratio past the bound and
+// nine or more pairs in ten lost; ties count for neither side; rows one side
+// never ran are noted, never judged.
+func TestPairRule(t *testing.T) {
+	parent := perRound("X", 100, 100, 100, 100, 100, 100, 100, 100, 100, 100)
+	for _, tc := range []struct {
+		name   string
+		change []float64
+		median float64
+		lost   int
+		slower bool
+	}{
+		{"20% slower every pair", []float64{120, 120, 120, 120, 120, 120, 120, 120, 120, 120}, 1.2, 10, true},
+		{"slower in nine", []float64{125, 121, 130, 118, 140, 119, 122, 124, 126, 90}, 1.23, 9, true},
+		{"slow median, eight pairs", []float64{125, 121, 130, 118, 140, 119, 122, 124, 90, 95}, 1.215, 8, false},
+		{"lost all, median inside", []float64{105, 105, 105, 105, 105, 105, 105, 105, 105, 105}, 1.05, 10, false},
+		{"ties count for neither", []float64{100, 100, 100, 100, 100, 100, 100, 100, 100, 150}, 1, 1, false},
+		{"just past the bound", []float64{111, 111, 111, 111, 111, 111, 111, 111, 111, 111}, 1.11, 10, true},
 	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report missing %q:\n%s", want, got)
+		vs, notes := judge(parent, perRound("X", tc.change...))
+		if len(vs) != 1 || len(notes) != 0 {
+			t.Fatalf("%s: %d verdicts, notes %q", tc.name, len(vs), notes)
+		}
+		v := vs[0]
+		if d := v.median - tc.median; d > 1e-9 || d < -1e-9 || v.lost != tc.lost || v.npairs != 10 || v.slower != tc.slower {
+			t.Errorf("%s: median %v, lost %d of %d, slower %v; want %v, %d of 10, %v",
+				tc.name, v.median, v.lost, v.npairs, v.slower, tc.median, tc.lost, tc.slower)
 		}
 	}
-	// An unreadable file is an error, not a blank column.
-	if err := run(false, "", "", "", "", "", 0.25, []string{filepath.Join(dir, "missing.json")}, &sink); err == nil {
-		t.Error("missing trajectory file should error")
+	// Rows on one side only, and a round only one side has, are not paired.
+	par := []map[string]Point{{"A": {NsPerOp: 1}, "Old": {NsPerOp: 1}}, {"A": {NsPerOp: 1}}}
+	chg := []map[string]Point{{"A": {NsPerOp: 2}, "New": {NsPerOp: 1}}}
+	vs, notes := judge(par, chg)
+	if len(vs) != 1 || vs[0].name != "A" || vs[0].npairs != 1 || vs[0].median != 2 {
+		t.Errorf("verdicts %+v, want A paired once at ×2", vs)
 	}
-	// Files that carry anchors report drift over the anchors' own: the box
-	// ran 1.5× slower for the second file and BenchmarkX 1.53× — +2% — while
-	// BenchmarkY, unmoved on the clock, got a third faster.
-	d := write("BENCH_d.json", `{"sha":"d","benchmarks":{"BenchmarkKNNLinear":{"ns_per_op":20000,"runs":3},
-		"BenchmarkX":{"ns_per_op":1000,"runs":3},"BenchmarkY":{"ns_per_op":600,"runs":3}}}`)
-	e := write("BENCH_e.json", `{"sha":"e","benchmarks":{"BenchmarkKNNLinear":{"ns_per_op":30000,"runs":3},
-		"BenchmarkX":{"ns_per_op":1530,"runs":3},"BenchmarkY":{"ns_per_op":600,"runs":3}}}`)
-	sink.Reset()
-	if err := run(false, "", "", "", "", "", 0.25, []string{d, e}, &sink); err != nil {
+	if want := "note: New ran on the change only\nnote: Old ran on the parent only\n"; strings.Join(notes, "") != want {
+		t.Errorf("notes %q, want %q", notes, want)
+	}
+}
+
+// objdumpL2 is `go tool objdump` of DB.measure's L2 case, cut down, with a
+// MULSD added to the outer loop (a halving, say): the outer loop's backward
+// JMP spans both MULSDs, the inner loop's JL only its own, and is shorter.
+const objdumpL2 = `TEXT distperm/internal/sisap.(*DB).measure(SB) /src/internal/sisap/measure.go
+  measure.go:275	0x6fb545		48ffc0			INCQ AX
+  measure.go:275	0x6fb548		4939c3			CMPQ R11, AX
+  measure.go:275	0x6fb54b		0f8ec9000000		JLE 0x6fb61a
+  measure.go:282	0x6fb5a0		77a3			JA 0x6fb545
+  measure.go:290	0x6fb5a2		f20f59d3		MULSD X3, X2
+  measure.go:283	0x6fb615		e92bffffff		JMP 0x6fb545
+  measure.go:286	0x6fb620		c3			RET
+  measure.go:278	0x6fb621		f2410f1014d4		MOVSD_XMM 0(R12)(DX*8), X2
+  measure.go:279	0x6fb627		f20f5c14d1		SUBSD 0(CX)(DX*8), X2
+  measure.go:280	0x6fb62c		f20f59d2		MULSD X2, X2
+  measure.go:278	0x6fb630		48ffc2			INCQ DX
+  measure.go:280	0x6fb633		f20f58c2		ADDSD X2, X0
+  measure.go:278	0x6fb637		4c39ea			CMPQ DX, R13
+  measure.go:278	0x6fb63a		7ce5			JL 0x6fb621
+  measure.go:278	0x6fb63c		0f1f4000		NOPL 0(AX)
+  measure.go:278	0x6fb640		e951ffffff		JMP 0x6fb596
+`
+
+func TestPlacement(t *testing.T) {
+	p, err := l2Loop(objdumpL2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"| BenchmarkX | 1000 ns/op | 1530 ns/op (+2.0%) |", "| BenchmarkY | 600 ns/op | 600 ns/op (-33.3%) |"} {
-		if !strings.Contains(sink.String(), want) {
-			t.Errorf("normalised report missing %q:\n%s", want, sink.String())
+	if want := "0x6fb621–0x6fb63c, 27 bytes, starts 33 mod 64, crosses a 64-byte line: false"; p != (placement{0x6fb621, 0x6fb63c}) || p.String() != want {
+		t.Errorf("loop %q, want %q", p, want)
+	}
+	// The loop from 55 mod 64 crosses a line.
+	moved := "  m.go:1\t0x1037\t\tf2410f1014d4\t\tMOVSD_XMM 0(R12)(DX*8), X2\n" +
+		"  m.go:2\t0x1042\t\tf20f59d2\t\tMULSD X2, X2\n" +
+		"  m.go:3\t0x1050\t\t7ce5\t\t\tJL 0x1037\n"
+	if p, err := l2Loop(moved); err != nil || p != (placement{0x1037, 0x1052}) || !p.crosses() || p.start%64 != 55 {
+		t.Errorf("moved loop %v (%v), want 0x1037–0x1052 crossing a line", p, err)
+	}
+	// An L1 or L∞ loop squares nothing: no L2 loop is an error.
+	if _, err := l2Loop(strings.ReplaceAll(objdumpL2, "MULSD", "ANDPD")); err == nil {
+		t.Error("found an L2 loop with no MULSD")
+	}
+}
+
+// scaled returns base with the rows of scale multiplied by it.
+func scaled(base, scale map[string]float64) map[string]float64 {
+	out := map[string]float64{}
+	for name, ns := range base {
+		out[name] = ns
+		if s, ok := scale[name]; ok {
+			out[name] = ns * s
 		}
+	}
+	return out
+}
+
+// TestEndToEndGate drives the gate as CI runs it, on canned outputs: the
+// change's rows on out, an injected slowdown failing, and the same slowdown
+// across placements that differ in kind reported, not failed.
+func TestEndToEndGate(t *testing.T) {
+	base := map[string]float64{"BenchmarkKNNExhaustive/knn": 60000, "BenchmarkKNNLinear": 33000}
+	evals := map[string]float64{"BenchmarkKNNExhaustive/knn": 6203}
+	committed := map[string]Counts{"BenchmarkKNNExhaustive/knn": {Evals: 6203}}
+	inside, crossing := placement{0x6fb621, 0x6fb63c}, placement{0x6fb637, 0x6fb652}
+	slowed := func(scale map[string]float64) [2]func() (map[string]Point, error) {
+		return [2]func() (map[string]Point, error){side(base, nil), side(scaled(base, scale), evals)}
+	}
+
+	var out, log strings.Builder
+	if err := gate(slowed(nil), [2]placement{inside, inside}, committed, &out, &log); err != nil {
+		t.Fatalf("no change failed the gate: %v\n%s", err, log.String())
+	}
+	var rows map[string]Point
+	if err := json.Unmarshal([]byte(out.String()), &rows); err != nil {
+		t.Fatal(err)
+	}
+	if p := rows["BenchmarkKNNExhaustive/knn"]; len(rows) != 2 || p.NsPerOp != 60000 || p.Evals != 6203 {
+		t.Errorf("the change's rows: %+v", rows)
+	}
+	for _, want := range []string{"parent 0x6fb621–0x6fb63c, 27 bytes, starts 33 mod 64", "change 0x6fb621", "round 10/10"} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("log lacks %q:\n%s", want, log.String())
+		}
+	}
+
+	slow := map[string]float64{"BenchmarkKNNExhaustive/knn": 1.25}
+	out.Reset()
+	err := gate(slowed(slow), [2]placement{inside, inside}, committed, &out, &log)
+	if err == nil || !strings.Contains(err.Error(), "FAIL: BenchmarkKNNExhaustive/knn: median change ÷ parent ×1.250, lost 10 of 10 pairs") ||
+		strings.Contains(err.Error(), "BenchmarkKNNLinear") {
+		t.Errorf("a 25%% slowdown: %v", err)
+	}
+	if out.Len() == 0 {
+		t.Error("a failing gate wrote no rows")
+	}
+	log.Reset()
+	if err := gate(slowed(slow), [2]placement{inside, crossing}, committed, &out, &log); err != nil ||
+		!strings.Contains(log.String(), "slower, but placement differs: not failed") {
+		t.Errorf("a slowdown across placements: %v\n%s", err, log.String())
+	}
+	// Placements that differ in address but not in kind excuse nothing.
+	if err := gate(slowed(slow), [2]placement{inside, {0x6fb601, 0x6fb61c}}, committed, &out, &log); err == nil {
+		t.Error("a slowdown at a placement of the same kind passed")
+	}
+}
+
+// TestEvalsGate: evals/op and recall@10 are gated raw against the committed
+// file, whatever the clock says.
+func TestEvalsGate(t *testing.T) {
+	committed := map[string]Counts{
+		"Exhaustive/knn":   {Evals: 6203},
+		"Approx/nprobe=4":  {Evals: 5639, Recall: 0.9703},
+		"Approx/linear":    {Recall: 1},
+		"Exhaustive/range": {Evals: 6203},
+	}
+	for _, tc := range []struct {
+		name string
+		row  string
+		got  Counts
+		want string // "" when it passes
+	}{
+		{"unchanged", "Exhaustive/knn", Counts{Evals: 6203}, ""},
+		{"every cell at its bucket's LB", "Exhaustive/knn", Counts{Evals: 9386}, "Exhaustive/knn: evals/op 6203 → 9386"},
+		{"one eval more", "Exhaustive/knn", Counts{Evals: 6204}, "evals/op 6203 → 6204"},
+		{"fewer evals", "Exhaustive/knn", Counts{Evals: 6000}, ""},
+		{"lower recall", "Approx/nprobe=4", Counts{Evals: 5639, Recall: 0.9702}, "recall@10 0.9703 → 0.9702"},
+		{"higher recall, fewer evals", "Approx/nprobe=4", Counts{Evals: 5000, Recall: 0.99}, ""},
+		{"stops reporting recall", "Approx/nprobe=4", Counts{Evals: 5639}, "recall@10 0.9703 → 0"},
+		{"starts reporting evals", "Approx/linear", Counts{Evals: 10, Recall: 1}, "evals/op 0 → 10"},
+	} {
+		got := map[string]Counts{}
+		for name, c := range committed {
+			got[name] = c
+		}
+		got[tc.row] = tc.got
+		fails := checkCounts(committed, got)
+		if tc.want == "" && len(fails) != 0 || tc.want != "" && (len(fails) != 1 || !strings.Contains(fails[0], tc.want)) {
+			t.Errorf("%s: %q, want %q", tc.name, fails, tc.want)
+		}
+	}
+	// A row in one and not the other fails until the file is re-recorded.
+	got := map[string]Counts{"Exhaustive/knn": {Evals: 6203}, "Approx/nprobe=4": {Evals: 5639, Recall: 0.9703},
+		"Approx/linear": {Recall: 1}, "New/row": {Evals: 7}}
+	if fails := checkCounts(committed, got); len(fails) != 2 ||
+		!strings.Contains(fails[0], "Exhaustive/range: counts in the file true, in the run false") ||
+		!strings.Contains(fails[1], "New/row: counts in the file false, in the run true") {
+		t.Errorf("membership: %q", fails)
+	}
+
+	// What -record prints is the file the gate reads back: the rows that
+	// report a count, and no time. Against it the gate fails a count whatever
+	// the clock says.
+	base := map[string]float64{"BenchmarkKNNExhaustive/knn": 60000, "BenchmarkKNNExhaustive/linear": 1e6}
+	rows, err := side(base, map[string]float64{"BenchmarkKNNExhaustive/knn": 6203})()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file strings.Builder
+	if err := writeJSON(&file, countsOf(rows)); err != nil {
+		t.Fatal(err)
+	}
+	var recorded map[string]Counts
+	if err := json.Unmarshal([]byte(file.String()), &recorded); err != nil || strings.Contains(file.String(), "ns_per_op") ||
+		len(recorded) != 1 || recorded["BenchmarkKNNExhaustive/knn"] != (Counts{Evals: 6203}) {
+		t.Fatalf("recorded %s (%v), want only BenchmarkKNNExhaustive/knn at 6203 evals/op", file.String(), err)
+	}
+	faster := scaled(base, map[string]float64{"BenchmarkKNNExhaustive/knn": 0.5})
+	sides := [2]func() (map[string]Point, error){side(base, nil), side(faster, map[string]float64{"BenchmarkKNNExhaustive/knn": 6210})}
+	inside := placement{0x6fb621, 0x6fb63c}
+	var out, log strings.Builder
+	if err := gate(sides, [2]placement{inside, inside}, recorded, &out, &log); err == nil ||
+		!strings.Contains(err.Error(), "FAIL: BenchmarkKNNExhaustive/knn: evals/op 6203 → 6210") {
+		t.Errorf("7 more evals a query on a 2× faster change passed: %v", err)
 	}
 }

@@ -339,6 +339,36 @@ func TestPrunedNaNExpanded(t *testing.T) {
 	}
 }
 
+// TestPrunedStrictStop: an entry whose LB equals the k-th distance is still
+// expanded, by push and by drain, so a point at exactly that distance with a
+// lower ID than the k-th is collected, as the (distance, ID) tie-break of
+// LinearScan requires. The rounding slack keeps real LBs below the distances
+// they bound, so only an entry queued at the limit itself reaches the case.
+func TestPrunedStrictStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	pts := dataset.ClusteredVectors(rng, 600, 2, 3, 0.1)
+	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(600)[:5], Footrule)
+	bb, lb, q := forceBounds(idx), idx.lb, dataset.UniformVectors(rng, 1, 2)[0]
+	cell, cells := 0, idx.PrefixLen()+1
+	tied, limit := -1, math.Inf(1) // the cell's nearest point
+	for _, id := range lb.labels[lb.cellStarts[cell]:lb.cellStarts[cell+1]] {
+		if d := idx.db.Metric.Distance(q, pts[id]); d < limit || d == limit && int(id) < tied {
+			tied, limit = int(id), d
+		}
+	}
+	c := &collector{h: newKNNHeap(1)}
+	c.add(len(pts), limit) // the k-th: at the limit, under an ID above every point's
+	w := walk{x: idx, bb: bb, q: q, c: c}
+	w.push(entry{limit, cell, cell + 1, cells})
+	if len(w.heap) != 1 || w.measured != 0 {
+		t.Fatalf("a cell pushed at LB = limit %v above front 0: frontier %v, %d measured, want it queued", limit, w.heap, w.measured)
+	}
+	w.drain()
+	if got := c.results(); w.measured == 0 || len(got) != 1 || got[0].ID != tied || got[0].Distance != limit {
+		t.Errorf("after the drain: %v (%d measured), want point %d at %v, the tie's lower ID", got, w.measured, tied, limit)
+	}
+}
+
 // TestBoundNonFinite:an interval that is not finite, or a query whose site
 // distances are not, must never prune.
 func TestBoundNonFinite(t *testing.T) {

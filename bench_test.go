@@ -830,7 +830,7 @@ func openContainerFiles(b *testing.B) (*distperm.DB, string, string) {
 // makes the 200k Points views of the mapped coordinates, and nothing else.
 // mode=mmap-selfcontained/first=knn is that open through its first exact
 // 10-NN answer: the walk over the cells and bounds the file carries (PFR4),
-// where a PFR3 file's store first swept its own, one cell per bucket.
+// with nothing swept or copied.
 func BenchmarkOpenContainer(b *testing.B) {
 	db, compact, frozen := openContainerFiles(b)
 	q := db.Points[0]

@@ -190,6 +190,29 @@ func TestBuildServerModes(t *testing.T) {
 // Open: the daemon exits 2 instead of serving a store whose first
 // query panics a worker. Beside an older intact checkpoint, recovery starts
 // from that one instead.
+// TestRetiredFrozenRevisionRefusedAtBoot: -load of a PFR3 or PFR2 file, with
+// or without -mmap, fails at boot with the error that names the revision and
+// says how to re-freeze it; a mapped one is refused before the dataset is read.
+func TestRetiredFrozenRevisionRefusedAtBoot(t *testing.T) {
+	ds, err := dataset.Load(rand.New(rand.NewSource(19)), "uniform", "", 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rev := range []string{"PFR3", "PFR2"} {
+		path := filepath.Join("..", "..", "internal", "sisap", "testdata", "golden", "distperm-frozen-"+strings.ToLower(rev)+".dpermidx")
+		want := "unsupported frozen revision " + rev + ", no longer read: re-freeze it with an earlier build (distpermd <dataset flags> -load old -freeze new)"
+		for _, cfg := range []distperm.OpenConfig{{Dataset: pointsOf(ds), Load: path}, {Dataset: noPoints(t), Load: path, Mmap: true}} {
+			srv, _, err := boot(cfg, dpserver.Config{})
+			if err == nil {
+				srv.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, mmap %v: boot returned %v, want %q", rev, cfg.Mmap, err, want)
+			}
+		}
+	}
+}
+
 func TestMisshapedCheckpointRefusedAtBoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ds, err := dataset.Load(rng, "uniform", "", 200, 3)

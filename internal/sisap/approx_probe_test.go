@@ -40,7 +40,7 @@ func liveCandidates(db *DB, cand map[int]bool, dead Tombs) map[int]bool {
 // nprobe from 1 to the directory size — with and without a dead set, on a
 // heap-built store (which bounds itself on its first probe), on the PFR4 file
 // of it mapped and decoded, which walk its cells under its bounds and cost
-// what it costs, and on the PFR3 file, one cell per bucket — and so does a
+// what it costs, and on a twin laid out one cell per bucket — and so does a
 // mutated store (tombstones and a delta) and a sharded one, probed the way the
 // engine probes their segments. Each probe measures exactly the points
 // referenceProbe works out cell by cell, the rest of the candidates pruned,
@@ -59,7 +59,7 @@ func TestApproxProbeMatchesWholeBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores := []permBackend{{"heap", idx}, {"pfr4-heap", decoded}, {"pfr4-mmap", openMappedPath(t, writeImage(t, image), nil)},
-		{"pfr3-mmap", openMappedPath(t, writeImage(t, pfr3Image(t, image)), nil)}}
+		{"whole-buckets", wholeBucketTwin(NewPermIndex(db, idx.siteIDs, Footrule))}}
 	dead := Tombs{}
 	for i := 3; i < n; i += 5 {
 		dead = dead.With(i)
@@ -87,7 +87,7 @@ func TestApproxProbeMatchesWholeBuckets(t *testing.T) {
 					}
 					pruned[st.name] += gst.PrunedEvals
 					key := fmt.Sprint(qi, sc.Dead != nil, nprobe)
-					if prev, ok := costs[key]; st.name != "pfr3-mmap" && ok && prev != gst {
+					if prev, ok := costs[key]; st.name != "whole-buckets" && ok && prev != gst {
 						t.Fatalf("%s: stats %+v, the heap-built store's %+v", label, gst, prev)
 					}
 					costs[key] = gst
@@ -98,9 +98,9 @@ func TestApproxProbeMatchesWholeBuckets(t *testing.T) {
 			t.Fatalf("%s: no probe pruned a point", st.name)
 		}
 	}
-	if idx.BoundCells() <= idx.ApproxBuckets() || pruned["pfr3-mmap"] >= pruned["heap"] {
-		t.Fatalf("the heap-built store bounds %d cells over %d buckets and prunes %d points, its PFR3 twin %d",
-			idx.BoundCells(), idx.ApproxBuckets(), pruned["heap"], pruned["pfr3-mmap"])
+	if idx.BoundCells() <= idx.ApproxBuckets() || pruned["whole-buckets"] >= pruned["heap"] {
+		t.Fatalf("the heap-built store bounds %d cells over %d buckets and prunes %d points, its twin of one cell a bucket %d",
+			idx.BoundCells(), idx.ApproxBuckets(), pruned["heap"], pruned["whole-buckets"])
 	}
 
 	// The mutated store: a base over the first 3600 points, the rest a delta,

@@ -7,8 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"distperm/internal/metric"
@@ -93,12 +93,9 @@ func (fx codecFixture) bytesOf(t testing.TB) []byte {
 // are the reference.
 //
 // distperm-frozen-pfr3 and distperm-frozen-pfr2 are the files the earlier
-// writers produced: load-only, since those writers are gone. They must keep opening,
-// with a database and without, to the index the PFR4 file opens to, and are,
-// byte for byte, what pfr3Image and pfr2Image make of the PFR4 file — the
-// revisions differ in the tag, the layout section, the order of the points
-// section (and of the posting lists, where a bucket has several cells) and
-// that section's checksum, and in nothing else.
+// writers produced, of the same index: neither reader is left, and both files
+// must be refused — mapped and decoded, with a database and without — by an
+// error that names the revision (retiredFrozen).
 func TestGoldenContainers(t *testing.T) {
 	db, fixtures := codecFixtures(t)
 	q := metric.Vector{0.4, 0.6, 0.5}
@@ -139,36 +136,19 @@ func TestGoldenContainers(t *testing.T) {
 	if os.Getenv("GEN_GOLDEN") == "1" {
 		return
 	}
-	read := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join("testdata", "golden", name+".dpermidx"))
+	for _, rev := range []string{"PFR3", "PFR2"} {
+		path := filepath.Join("testdata", "golden", "distperm-frozen-"+strings.ToLower(rev)+".dpermidx")
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return raw
-	}
-	pfr4, pfr3, pfr2 := read("distperm-frozen"), read("distperm-frozen-pfr3"), read("distperm-frozen-pfr2")
-	if !bytes.Equal(pfr3Image(t, pfr4), pfr3) || !bytes.Equal(pfr2Image(t, pfr4), pfr2) || !bytes.Equal(pfr2Image(t, pfr3), pfr2) {
-		t.Error("the PFR3 and PFR2 golden files are not the PFR4 one with its tag, layout, point order and points checksum put back")
-	}
-	for _, against := range []*DB{db, nil} {
-		cur, _, err := openFrozenBytes(pfr4, against, false)
-		if err != nil {
-			t.Fatalf("PFR4 golden file does not load: %v", err)
+		want := "unsupported frozen revision " + rev + ", no longer read: re-freeze it with an earlier build"
+		if x, err := ReadIndex(bytes.NewReader(raw), db); err == nil || x != nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s golden file: ReadIndex returned %v, want %q", rev, err, want)
 		}
-		b, bst := cur.KNN(q, 7)
-		for rev, raw := range map[string][]byte{"PFR3": pfr3, "PFR2": pfr2} {
-			old, odb, err := openFrozenBytes(raw, against, false)
-			if err != nil {
-				t.Fatalf("%s golden file does not load: %v", rev, err)
-			}
-			if (odb.order == nil) != (rev == "PFR2" || against != nil) || !reflect.DeepEqual(old.SiteIDs(), cur.SiteIDs()) || old.IndexBits() != cur.IndexBits() {
-				t.Errorf("%s golden file: order %v, sites %v, %d bits; the PFR4 one has sites %v, %d bits",
-					rev, odb.order, old.SiteIDs(), old.IndexBits(), cur.SiteIDs(), cur.IndexBits())
-			}
-			a, ast := old.KNN(q, 7)
-			sameResults(t, rev+" golden kNN", a, b)
-			if ast != bst {
-				t.Errorf("%s golden file costs %+v, the PFR4 one %+v", rev, ast, bst)
+		for _, against := range []*DB{db, nil} {
+			if m, err := OpenMapped(path, against); err == nil || m != nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s golden file (database %v): OpenMapped returned %v, want %q", rev, against != nil, err, want)
 			}
 		}
 	}

@@ -31,8 +31,7 @@ import (
 // Frozen payload layout (little-endian), inside the standard v2 container
 // (magic, version, kind "distperm"):
 //
-//	tag        uint32   permFrozenV4Tag ("PFR4"), permFrozenV3Tag ("PFR3") or
-//	                    permFrozenV2Tag ("PFR2")
+//	tag        uint32   permFrozenV4Tag ("PFR4")
 //	headerOff  uint64   absolute file offset of the tag: always
 //	                    frozenPrefixLen — a frozen container is a file
 //	                    image (section offsets below are absolute) and does
@@ -44,21 +43,21 @@ import (
 //	rankWidth  uint32   bytes per rank: 1 when k ≤ 256, else 2
 //	dims       uint32   dimensions of embedded point vectors (0 = none)
 //	metricLen  uint32   length of the metric name (0 when no points)
-//	sections   5 × {off uint64, len uint64, crc32c uint32, _ uint32} (PFR4: 6)
+//	sections   6 × {off uint64, len uint64, crc32c uint32, _ uint32}
 //	ell        uint32   directory prefix length (1..k)
 //	nbuckets   uint32   directory size (1..distinct)
-//	cellEll    uint32   PFR4 only: the cells' prefix length ℓ' (ell..k),
-//	cells      uint32   their count (1..n) and the layout's flags
-//	flags      uint32   (1: bounds, 2: the sweep's bisector verdict offPrefix)
+//	cellEll    uint32   the cells' prefix length ℓ' (ell..k),
+//	cells      uint32   their count (1..n) and the layout's flags: 0, 1
+//	flags      uint32   (bounds) or 3 (bounds, the sweep's verdict offPrefix)
 //	metric     metricLen bytes
 //	sections:  sites   k × uint64        database IDs of the sites
 //	           ranks   distinct×k ranks  raw row-major rank matrix
 //	           ids     n × uint32        per-point table row IDs
 //	           points  n × dims × float64  vectors (optional): row j is
-//	                   point ptOrder[j] under PFR4 and PFR3, point j under PFR2
+//	                   point ptOrder[j]
 //	           buckets 4·(nbuckets·ell + 2·(nbuckets+1) + distinct + n) bytes:
 //	                   uint32 arrays [prefixes][rowStarts][rowOrder][ptStarts][ptOrder]
-//	           layout  (PFR4) with bounds, float64 arrays [cell lo][cell hi]
+//	           layout  with bounds, float64 arrays [cell lo][cell hi]
 //	                   (cells×k); without, empty
 //
 // Sections sit at ascending 64-byte-aligned offsets with zero padding
@@ -71,20 +70,17 @@ import (
 // prefixbuckets.go, so mapped opens serve approximate queries zero-copy
 // instead of rebuilding the directory per process.
 //
-// PFR4, the one WriteFrozen emits, is the heap store's walk layout: points,
-// ptOrder and each bucket's rows go by cell (cellLayout), which the reader
-// re-derives from ℓ' (verifyDirectory), and the layout section carries the
-// cells' bounds where the store had them, so a mapped store walks its cells in
-// place, copying and sweeping nothing. PFR3 lists the points by bucket: its
-// store walks one cell per bucket and sweeps on its first query. PFR2 keeps ID
-// order and makes the copy a heap store makes. "PFRZ" is rejected by tag.
+// PFR4 is the heap store's walk layout: points, ptOrder and each bucket's rows
+// go by cell (cellLayout), which the reader re-derives from ℓ'
+// (verifyDirectory), and the layout section carries the cells' bounds where
+// the store had them, so a mapped store walks its cells in place, copying and
+// sweeping nothing. The revisions before it, PFR3 and PFR2, are refused by
+// name (retiredFrozen); "PFRZ" is rejected by tag.
 const (
-	permFrozenV2Tag = 0x32524650 // "PFR2" read little-endian
-	permFrozenV3Tag = 0x33524650 // "PFR3"
-	permFrozenV4Tag = 0x34524650 // "PFR4"
+	permFrozenV4Tag = 0x34524650 // "PFR4" read little-endian
 	frozenAlign     = 64
 	frozenNumSecs   = 6
-	frozenFixedLen  = 168 // header bytes after the tag, before the metric name (PFR4: 204)
+	frozenFixedLen  = 204 // header bytes after the tag, before the metric name
 	frozenMaxDims   = 1 << 16
 	frozenKind      = "distperm"
 	// frozenPrefixLen is where WriteFrozen puts the tag: after the v2
@@ -99,7 +95,7 @@ const (
 	frozenSecIDs
 	frozenSecPoints
 	frozenSecBuckets
-	frozenSecLayout // PFR4 only
+	frozenSecLayout
 )
 
 var frozenSectionName = [frozenNumSecs]string{"sites", "ranks", "ids", "points", "buckets", "layout"}
@@ -125,7 +121,7 @@ type frozenSection struct {
 
 // frozenHeader is the tag and the fixed header of a frozen payload.
 type frozenHeader struct {
-	tag       uint32 // permFrozenV4Tag, permFrozenV3Tag or permFrozenV2Tag
+	tag       uint32 // permFrozenV4Tag
 	headerOff uint64
 	k         int
 	dist      PermDistance
@@ -136,18 +132,10 @@ type frozenHeader struct {
 	metricLen int
 	ell       int // directory prefix length
 	nbuckets  int // directory size
-	cellEll   int // PFR4: the cells' prefix length ℓ', their count and flags
+	cellEll   int // the cells' prefix length ℓ', their count and the flags
 	cells     int
 	flags     uint32
 	sec       [frozenNumSecs]frozenSection
-}
-
-// nsec returns how many sections the revision has: a layout under PFR4.
-func (h *frozenHeader) nsec() int {
-	if h.tag == permFrozenV4Tag {
-		return frozenNumSecs
-	}
-	return frozenSecLayout
 }
 
 // layout returns the one section table the header's counts allow: ascending
@@ -165,8 +153,8 @@ func (h *frozenHeader) layout() (sec [frozenNumSecs]frozenSection) {
 		frozenSecBuckets: 4 * (nb*uint64(h.ell) + 2*(nb+1) + uint64(h.distinct) + h.n),
 		frozenSecLayout:  16 * uint64(h.k) * cells * uint64(h.flags&1),
 	}
-	pos := h.headerOff + 4 + frozenFixedLen + 36*uint64(h.nsec()-frozenSecLayout) + uint64(h.metricLen)
-	for i, length := range lens[:h.nsec()] {
+	pos := h.headerOff + 4 + frozenFixedLen + uint64(h.metricLen)
+	for i, length := range lens {
 		sec[i] = frozenSection{off: align64(pos), length: length}
 		pos = sec[i].off + length
 	}
@@ -175,7 +163,7 @@ func (h *frozenHeader) layout() (sec [frozenNumSecs]frozenSection) {
 
 // end returns the file offset one past the last section.
 func (h *frozenHeader) end() uint64 {
-	last := h.sec[h.nsec()-1]
+	last := h.sec[frozenNumSecs-1]
 	return last.off + last.length
 }
 
@@ -190,17 +178,13 @@ func (h *frozenHeader) encode(e *enc) {
 	e.u32(uint32(h.rankWidth))
 	e.u32(uint32(h.dims))
 	e.u32(uint32(h.metricLen))
-	for _, s := range h.sec[:h.nsec()] {
+	for _, s := range h.sec {
 		e.u64(s.off)
 		e.u64(s.length)
 		e.u32(s.crc)
 		e.u32(0)
 	}
-	e.u32(uint32(h.ell))
-	e.u32(uint32(h.nbuckets))
-	if h.nsec() > frozenSecLayout {
-		e.u32s([]uint32{uint32(h.cellEll), uint32(h.cells), h.flags})
-	}
+	e.u32s([]uint32{uint32(h.ell), uint32(h.nbuckets), uint32(h.cellEll), uint32(h.cells), h.flags})
 }
 
 // decodeFrozenHeader reads the tag and the header that follows it and
@@ -209,8 +193,13 @@ func (h *frozenHeader) encode(e *enc) {
 // a reader out of bounds or into an oversized allocation.
 func decodeFrozenHeader(d *dec) frozenHeader {
 	var h frozenHeader
-	if h.tag = d.u32(); d.err == nil && h.tag != permFrozenV4Tag && h.tag != permFrozenV3Tag && h.tag != permFrozenV2Tag {
-		d.fail("container payload tag %#08x is not a frozen form, PFR4, PFR3 or PFR2 (write it with WriteFrozen, or decode it with ReadIndex)", h.tag)
+	switch h.tag = d.u32(); {
+	case d.err != nil || h.tag == permFrozenV4Tag:
+	case retiredFrozen(h.tag):
+		d.fail("unsupported frozen revision %s, no longer read: re-freeze it with an earlier build (distpermd <dataset flags> -load old -freeze new) or rebuild it from the data",
+			binary.LittleEndian.AppendUint32(nil, h.tag))
+	default:
+		d.fail("container payload tag %#08x is not the frozen form, PFR4 (write it with WriteFrozen, or decode it with ReadIndex)", h.tag)
 	}
 	if h.headerOff = d.u64(); d.err == nil && h.headerOff != uint64(frozenPrefixLen) {
 		d.fail("frozen header claims offset %d, found at %d", h.headerOff, frozenPrefixLen)
@@ -228,22 +217,21 @@ func decodeFrozenHeader(d *dec) frozenHeader {
 	h.rankWidth = d.count("frozen rank width", uint64(d.u32()), wantWidth, wantWidth)
 	h.dims = d.count("frozen point dimensionality", uint64(d.u32()), 0, frozenMaxDims)
 	h.metricLen = d.count("frozen metric name length", uint64(d.u32()), 0, maxKindLen)
-	for i := range h.nsec() {
+	for i := range h.sec {
 		h.sec[i] = frozenSection{off: d.u64(), length: d.u64(), crc: d.u32()}
 		d.u32() // reserved
 	}
 	h.ell = d.count("frozen bucket prefix length", uint64(d.u32()), 1, h.k)
 	h.nbuckets = d.count("frozen bucket count", uint64(d.u32()), 1, h.distinct)
-	h.cellEll, h.cells = h.ell, h.nbuckets // PFR3 and PFR2: a cell a bucket
-	if h.nsec() > frozenSecLayout {
-		h.cellEll = d.count("frozen cell prefix length", uint64(d.u32()), h.ell, h.k)
-		h.cells = d.count("frozen cell count", uint64(d.u32()), 1, int(min(h.n, math.MaxInt)))
-		h.flags = uint32(d.count("frozen layout flags", uint64(d.u32()), 0, 3))
+	h.cellEll = d.count("frozen cell prefix length", uint64(d.u32()), h.ell, h.k)
+	h.cells = d.count("frozen cell count", uint64(d.u32()), 1, int(min(h.n, math.MaxInt)))
+	if h.flags = d.u32(); d.err == nil && h.flags != 0 && h.flags != 1 && h.flags != 3 {
+		d.fail("frozen layout flags %d are not 0, 1 or 3 (the bisector verdict, 2, needs bounds, 1)", h.flags)
 	}
 	if d.err == nil && h.dims > 0 && h.metricLen == 0 {
 		d.fail("frozen container embeds points but no metric name")
 	}
-	for i, want := range h.layout() { // a PFR3 or PFR2 header's sixth is zero both ways
+	for i, want := range h.layout() {
 		if s := h.sec[i]; d.err == nil && (s.off != want.off || s.length != want.length) {
 			d.fail("frozen %s section is %d bytes at offset %d, want %d at %d",
 				frozenSectionName[i], s.length, s.off, want.length, want.off)
@@ -252,17 +240,24 @@ func decodeFrozenHeader(d *dec) frozenHeader {
 	return h
 }
 
+// retiredFrozen reports whether tag is PFR3 or PFR2, a frozen revision before
+// PFR4 that earlier builds read and re-freeze.
+func retiredFrozen(tag uint32) bool {
+	rev := byte(tag >> 24)
+	return tag&0xffffff == permFrozenV4Tag&0xffffff && (rev == '2' || rev == '3')
+}
+
 // sectionCRC returns the checksum section i carries over its bytes b. The
-// tags, in a header with no checksum of its own, say which point every row is:
-// a PFR3 or PFR4 points section is summed behind its tag (PFR2's stays plain),
-// so a re-tagged file fails here. The layout section is summed behind the
-// sites' and points' sums, whose distances its bounds are, and its fields.
+// points section is summed behind the tag, which says, in a header with no
+// checksum of its own, which point every row is. The layout section is summed
+// behind the sites' and points' sums, whose distances its bounds are, and its
+// fields.
 func (h *frozenHeader) sectionCRC(i int, b []byte) uint32 {
 	var head []byte
-	switch {
-	case i == frozenSecPoints && h.tag != permFrozenV2Tag:
+	switch i {
+	case frozenSecPoints:
 		head = binary.LittleEndian.AppendUint32(nil, h.tag)
-	case i == frozenSecLayout:
+	case frozenSecLayout:
 		for _, v := range []uint32{h.sec[frozenSecSites].crc, h.sec[frozenSecPoints].crc, uint32(h.cellEll), uint32(h.cells), h.flags} {
 			head = binary.LittleEndian.AppendUint32(head, v)
 		}
@@ -311,15 +306,12 @@ func (h *frozenHeader) verifySections(secs [][]byte, zeroCopy bool) (*frozenPart
 	u, nb, at := frozenView[uint32](secs[frozenSecBuckets], zeroCopy), h.nbuckets, 0
 	cut := func(n int) []uint32 { s := u[at : at+n : at+n]; at += n; return s }
 	p.pb = &prefixBuckets{ell: h.ell, prefixes: cut(nb * h.ell), rowStarts: cut(nb + 1), rowOrder: cut(h.distinct), ptStarts: cut(nb + 1), ptOrder: cut(int(h.n))}
-	if h.tag == permFrozenV4Tag {
-		// No bound may run below 0 or backwards (a NaN never prunes; buildFrozenIndex).
-		r := frozenView[float64](secs[frozenSecLayout], zeroCopy)
-		for i, lo := range r[:len(r)/2] {
-			if hi := r[len(r)/2+i]; lo < 0 || lo > hi {
-				return nil, fmt.Errorf("sisap: frozen cell %d's range of site %d is [%v, %v]", i/h.k, i%h.k, lo, hi)
-			}
+	// No bound may run below 0 or backwards (a NaN never prunes; buildFrozenIndex).
+	p.bounds = frozenView[float64](secs[frozenSecLayout], zeroCopy)
+	for i, lo := range p.bounds[:len(p.bounds)/2] {
+		if hi := p.bounds[len(p.bounds)/2+i]; lo < 0 || lo > hi {
+			return nil, fmt.Errorf("sisap: frozen cell %d's range of site %d is [%v, %v]", i/h.k, i%h.k, lo, hi)
 		}
-		p.bounds = r
 	}
 	return p, h.verifyDirectory(p)
 }
@@ -347,11 +339,10 @@ func (h *frozenHeader) rankAt(p *frozenParts, r, s int) int {
 // rowOrder must be a permutation and — the mis-probe guarantee — every row
 // listed under a bucket must carry its prefix (read from the rank matrix). A
 // bucket's rows open a cell at each row that does not carry the ℓ'-prefix of
-// the row before (ℓ' = ℓ under PFR3 and PFR2: a cell a bucket), as many as the
-// header gives; ptStarts must bound each bucket's cells, and ptOrder list each
-// point under its row's cell, ascending. A directory that survives this is a
-// correct one, so corruption fails decode instead of silently degrading
-// answers. It sets p's cells and each table row's.
+// the row before, as many as the header gives; ptStarts must bound each
+// bucket's cells, and ptOrder list each point under its row's cell, ascending.
+// A directory that survives this is a correct one, so corruption fails decode
+// instead of silently degrading answers. It sets p's cells and each table row's.
 func (h *frozenHeader) verifyDirectory(p *frozenParts) error {
 	pb, nb, c := p.pb, h.nbuckets, -1
 	for _, s := range pb.prefixes {
@@ -564,20 +555,20 @@ func frozenView[T uint16 | uint32 | float64](b []byte, zeroCopy bool) []T {
 // section bytes and the parts verifySections read of them: views into the
 // section bytes with zeroCopy, otherwise decoded copies.
 //
-// Opened without a database, a PFR4 store walks under the bounds its file
-// carries. They are trusted input — re-deriving them is the sweep the section
-// saves — summed behind the sites and points sections just verified, so a
-// section spliced in from another file fails the open; a file forged with the
-// chained sum recomputed opens and can answer wrongly. Beside a caller's
+// Opened without a database, a store walks the file's cells under the bounds
+// it carries, or scans them in memory order if it carries none: it sweeps
+// nothing. The bounds are trusted input — re-deriving them is the sweep the
+// section saves — summed behind the sites and points sections just verified,
+// so a section spliced in from another file fails the open; a file forged with
+// the chained sum recomputed opens and can answer wrongly. Beside a caller's
 // database, which need not be the one they were swept from, the store makes
 // its own cells, copy and sweep.
 func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *frozenParts, db *DB, zeroCopy bool) (*PermIndex, *DB, error) {
 	// The verified directory becomes the index's bucket directory directly —
 	// views into the mapping on the zero-copy path — so no process ever
 	// rebuilds what the file already stores.
-	lb, ids := &lazyBuckets{pb: p.pb}, p.ids
-	var bb *bucketBounds
-	if db != nil {
+	lb, ids, own := &lazyBuckets{pb: p.pb}, p.ids, db == nil
+	if !own {
 		if uint64(db.N()) != h.n {
 			return nil, nil, fmt.Errorf("sisap: index has %d points, database has %d", h.n, db.N())
 		}
@@ -589,22 +580,14 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *froz
 		if err != nil {
 			return nil, nil, fmt.Errorf("sisap: frozen container metric: %w", err)
 		}
-		// The points section is the database's coordinate block as stored:
-		// on the mapped path no coordinate is copied or allocated. Under PFR4
-		// and PFR3 it is the bucket-major rows already.
+		// The points section is the database's coordinate block as stored,
+		// the bucket-major rows already: on the mapped path no coordinate is
+		// copied or allocated.
 		floats := frozenView[float64](secs[frozenSecPoints], zeroCopy)
-		if r := p.bounds; len(r) > 0 {
-			bb = &bucketBounds{cells: siteRanges{r[:len(r)/2], r[len(r)/2:]}}
-			bb.offPrefix.Store(h.flags&2 != 0)
-		}
-		if h.tag == permFrozenV2Tag {
-			db = packedDB(m, make([]metric.Point, h.n), floats, h.dims)
-		} else {
-			db = bucketMajorDB(m, floats, h.dims, p.cellStarts, p.rowCell, ids, lb.pb.ptOrder)
-			lb.rowsOnce.Do(func() {
-				lb.rows, lb.labels, lb.cellStarts, lb.bucketCells, lb.cellEll = floats, lb.pb.ptOrder, p.cellStarts, p.bucketCells, h.cellEll
-			})
-		}
+		db = bucketMajorDB(m, floats, h.dims, p.cellStarts, p.rowCell, ids, lb.pb.ptOrder)
+		lb.rowsOnce.Do(func() {
+			lb.rows, lb.labels, lb.cellStarts, lb.bucketCells, lb.cellEll = floats, lb.pb.ptOrder, p.cellStarts, p.bucketCells, h.cellEll
+		})
 	}
 	sites := newDec(secs[frozenSecSites])
 	siteIDs := sites.ids("frozen site ID", h.k, int(h.n))
@@ -626,13 +609,19 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *froz
 	}
 	idx := newPermIndexFromTable(db, siteIDs, h.dist, table, ids)
 	idx.lb = lb
-	if bb != nil {
-		lb.boundsOnce.Do(func() { lb.bounds = idx.finishBounds(bb) })
+	if own { // the file's bounds, or none: nothing sweeps
+		lb.boundsOnce.Do(func() {
+			if r := p.bounds; len(r) > 0 {
+				bb := &bucketBounds{cells: siteRanges{r[:len(r)/2], r[len(r)/2:]}}
+				bb.offPrefix.Store(h.flags&2 != 0)
+				lb.bounds = idx.finishBounds(bb)
+			}
+		})
 	}
 	return idx, db, nil
 }
 
-// bucketMajorDB assembles the database of a PFR3 or PFR4 container over its
+// bucketMajorDB assembles the database of a self-contained container over its
 // points section, whose row j holds point order[j]. Points is filled in ID
 // order (through order, 200k points cost the open half as much again): each
 // point takes the next row of its row's cell (starts), as verifyDirectory proved.
@@ -692,7 +681,7 @@ func (m *Mapped) Close() error {
 // copying it: the header and per-section checksums are verified (one
 // sequential pass, no per-element decode or allocation), then the index
 // is assembled from views into the read-only mapping. db may be nil for
-// self-contained containers (embedded points) — a PFR4 one then walks the
+// self-contained containers (embedded points) — the store then walks the
 // cells and bounds of the store it was frozen from, with no copy and no
 // sweep, and those bounds are trusted input (buildFrozenIndex); otherwise db
 // must be the database the index was built on, and the store lays out and
@@ -755,8 +744,8 @@ func openFrozenBytes(data []byte, db *DB, zeroCopy bool) (*PermIndex, *DB, error
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	secs := make([][]byte, h.nsec())
-	for i, s := range h.sec[:h.nsec()] {
+	secs := make([][]byte, frozenNumSecs)
+	for i, s := range h.sec {
 		secs[i] = data[s.off : s.off+s.length : s.off+s.length]
 	}
 	p, err := h.verifySections(secs, zeroCopy)

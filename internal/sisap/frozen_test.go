@@ -60,69 +60,18 @@ func frozenImage(t testing.TB, idx *PermIndex) []byte {
 	return buf.Bytes()
 }
 
-// pfr2Image rewrites a PFR4 or PFR3 image as the PFR2 file of the same index
-// (frozenAs).
-func pfr2Image(t testing.TB, image []byte) []byte { return frozenAs(t, image, permFrozenV2Tag) }
-
-// pfr3Image rewrites a PFR4 image as the PFR3 file of the same index
-// (frozenAs).
-func pfr3Image(t testing.TB, pfr4 []byte) []byte { return frozenAs(t, pfr4, permFrozenV3Tag) }
-
-// frozenAs rewrites a PFR4 or PFR3 image as the file of the same index under
-// an earlier revision, tag — the bytes the last PFR3 and PFR2 writers
-// produced, which TestGoldenContainers holds it to: no layout section, the
-// directory's row and posting lists ascending within each bucket, the points
-// section in their order under PFR3 and in ID order under PFR2, and its
-// checksum taken as the revision takes it. Nothing else differs.
-func frozenAs(t testing.TB, image []byte, tag uint32) []byte {
+// bareImage rewrites a PFR4 image as the file of the same store frozen without
+// bounds: its layout flags set to flags (0 is what WriteFrozen writes for a
+// store without bounds) and its layout section dropped, the chained sum
+// recomputed.
+func bareImage(t testing.TB, image []byte, flags uint32) []byte {
 	t.Helper()
-	le := binary.LittleEndian
-	d := newDec(image)
-	d.header()
-	h := decodeFrozenHeader(d)
-	name := d.bytes(uint64(h.metricLen))
-	if d.err != nil || h.tag == permFrozenV2Tag || h.tag == tag || tag != permFrozenV3Tag && tag != permFrozenV2Tag {
-		t.Fatalf("frozenAs: cannot rewrite %#08x as %#08x (%v)", h.tag, tag, d.err)
-	}
-	sec := func(i int) []byte { return image[h.sec[i].off:][:h.sec[i].length] }
-	n, nb, rowLen := int(h.n), h.nbuckets, 8*h.dims
-	buckets, ptStarts := bytes.Clone(sec(frozenSecBuckets)), 4*(nb*h.ell+nb+1+h.distinct)
-	ptOrder := frozenView[uint32](buckets[ptStarts+4*(nb+1):], false)
-	byID := make([][]byte, n)
-	for j, id := range ptOrder {
-		byID[id] = sec(frozenSecPoints)[j*rowLen:][:rowLen]
-	}
-	rowStarts, rowOrder := 4*nb*h.ell, frozenView[uint32](buckets[4*(nb*h.ell+nb+1):ptStarts], false)
-	for b := range nb {
-		slices.Sort(ptOrder[le.Uint32(buckets[ptStarts+4*b:]):le.Uint32(buckets[ptStarts+4*b+4:])])
-		slices.Sort(rowOrder[le.Uint32(buckets[rowStarts+4*b:]):le.Uint32(buckets[rowStarts+4*b+4:])])
-	}
-	var points []byte
-	for j := range n {
-		if tag == permFrozenV3Tag {
-			j = int(ptOrder[j])
-		}
-		points = append(points, byID[j]...)
-	}
-	for j, id := range ptOrder {
-		le.PutUint32(buckets[ptStarts+4*(nb+1+j):], id)
-	}
-	for i, r := range rowOrder {
-		le.PutUint32(buckets[4*(nb*h.ell+nb+1+i):], r)
-	}
-	content := [][]byte{sec(frozenSecSites), sec(frozenSecRanks), sec(frozenSecIDs), points, buckets}
-	h.tag, h.sec[frozenSecLayout] = tag, frozenSection{}
-	h.sec = h.layout()
-	out := make([]byte, h.end())
-	for i, b := range content {
-		copy(out[h.sec[i].off:], b)
-		h.sec[i].crc = h.sectionCRC(i, b)
-	}
-	hdr := enc{b: out[:0]}
-	hdr.header(frozenKind)
-	h.encode(&hdr)
-	hdr.str(string(name))
-	return out
+	head, lo, _, _, _, _ := frozenLayoutAt(image)
+	bare := bytes.Clone(image[:lo])
+	binary.LittleEndian.PutUint32(bare[head+8:], flags)
+	binary.LittleEndian.PutUint64(bare[68+24*frozenSecLayout+8:], 0)
+	refreezeCRC(bare, frozenSecLayout)
+	return bare
 }
 
 // writeImage puts a container image in a temp file and returns its path.
@@ -289,72 +238,42 @@ func TestFrozenRejectsWrongDatabase(t *testing.T) {
 }
 
 // refreezeCRC recomputes the stored CRC of section i from the (possibly
-// mutated) section bytes, under the tag the image carries — and, in a PFR4
-// image, the layout's, which is summed behind the sites' and points' — so
-// corruption tests can separate "checksum catches it" from "bounds validation
-// catches it".
+// mutated) section bytes — and the layout's, which is summed behind the
+// sites' and points' — so corruption tests can separate "checksum catches it"
+// from "bounds validation catches it".
 func refreezeCRC(data []byte, i int) {
 	le := binary.LittleEndian
 	desc := func(i int) int { return frozenPrefixLen + 4 + 40 + 24*i } // where section i's descriptor is
 	h := frozenHeader{tag: le.Uint32(data[frozenPrefixLen:])}
 	h.sec[frozenSecSites].crc = le.Uint32(data[desc(frozenSecSites)+16:])
 	h.sec[frozenSecPoints].crc = le.Uint32(data[desc(frozenSecPoints)+16:])
-	if at := frozenPrefixLen + 4 + frozenFixedLen + 24; h.tag == permFrozenV4Tag {
-		h.cellEll, h.cells, h.flags = int(le.Uint32(data[at:])), int(le.Uint32(data[at+4:])), le.Uint32(data[at+8:])
-	}
+	at := frozenPrefixLen + 4 + frozenFixedLen - 12
+	h.cellEll, h.cells, h.flags = int(le.Uint32(data[at:])), int(le.Uint32(data[at+4:])), le.Uint32(data[at+8:])
 	off, length := le.Uint64(data[desc(i):]), le.Uint64(data[desc(i)+8:])
 	le.PutUint32(data[desc(i)+16:], h.sectionCRC(i, data[off:off+length]))
-	if h.tag == permFrozenV4Tag && (i == frozenSecSites || i == frozenSecPoints) {
+	if i == frozenSecSites || i == frozenSecPoints {
 		refreezeCRC(data, frozenSecLayout)
 	}
-}
-
-// frozenRevisions returns idx frozen under every revision the reader takes:
-// what WriteFrozen emits, and the PFR3 and PFR2 files of the same index.
-func frozenRevisions(t testing.TB, idx *PermIndex) map[string][]byte {
-	pfr4 := frozenImage(t, idx)
-	return map[string][]byte{"PFR4": pfr4, "PFR3": pfr3Image(t, pfr4), "PFR2": pfr2Image(t, pfr4)}
 }
 
 func TestFrozenRejectsCorruptContainers(t *testing.T) {
 	db, rng := testDB(717, 200, 3, metric.L2{})
 	sites := rng.Perm(db.N())[:6]
 	idx := NewPermIndex(db, sites, Footrule)
-	// The tags decide which point every row is. PFR3 and PFR2 are one bit
-	// apart: a file re-tagged as the other, every other byte intact, must fail
-	// on the points section's checksum — with or without a database to open
-	// against — and be counted. A PFR4 header has one section descriptor more
-	// than theirs: re-tagged as either, its layout section's offset, past the
-	// 8k bytes of sites, is read as ℓ and fails its range.
-	for rev, pristine := range frozenRevisions(t, idx) {
-		t.Run(rev, func(t *testing.T) { rejectCorruptContainers(t, db, pristine) })
-		if rev == "PFR4" {
-			for _, tag := range []uint32{permFrozenV3Tag, permFrozenV2Tag} {
-				retagged := bytes.Clone(pristine)
-				binary.LittleEndian.PutUint32(retagged[frozenPrefixLen:], tag)
-				for _, against := range []*DB{db, nil} {
-					if _, _, err := openFrozenBytes(retagged, against, false); err == nil || !strings.Contains(err.Error(), "frozen bucket prefix length") {
-						t.Errorf("PFR4 re-tagged %#08x: open returned %v, want ℓ out of range", tag, err)
-					}
+	pristine := frozenImage(t, idx)
+	t.Run("PFR4", func(t *testing.T) { rejectCorruptContainers(t, db, pristine) })
+	// The revisions before PFR4 are refused by name, before any other field
+	// is read: a PFR4 file re-tagged as either, with or without a database.
+	for _, rev := range []string{"PFR3", "PFR2"} {
+		t.Run(rev, func(t *testing.T) {
+			retagged := bytes.Clone(pristine)
+			copy(retagged[frozenPrefixLen:], rev)
+			for _, against := range []*DB{db, nil} {
+				if _, _, err := openFrozenBytes(retagged, against, false); err == nil || !strings.Contains(err.Error(), "unsupported frozen revision "+rev+", no longer read") {
+					t.Errorf("PFR4 re-tagged %s: open returned %v, want the revision refused by name", rev, err)
 				}
 			}
-			continue
-		}
-		flipped := bytes.Clone(pristine)
-		flipped[frozenPrefixLen+3] ^= '2' ^ '3' // the tag's one differing bit
-		for _, against := range []*DB{db, nil} {
-			before := ReadMmapStats().ChecksumFailures
-			_, _, err := openFrozenBytes(flipped, against, false)
-			if err == nil || !strings.Contains(err.Error(), "points section checksum mismatch") {
-				t.Errorf("%s re-tagged: open returned %v, want the points-section checksum error", rev, err)
-			}
-			if got := ReadMmapStats().ChecksumFailures; got != before+1 {
-				t.Errorf("%s re-tagged: %d checksum failures counted, want 1", rev, got-before)
-			}
-		}
-		if _, err := ReadIndex(bytes.NewReader(flipped), db); err == nil {
-			t.Errorf("%s re-tagged: ReadIndex accepted it", rev)
-		}
+		})
 	}
 	// The layout section's every field, on a store cut into cells under
 	// bounds: each corruption, its checksum recomputed, fails the open.
@@ -368,7 +287,7 @@ func TestFrozenRejectsCorruptContainers(t *testing.T) {
 // cells' hi ranges in it start, and k, the cell and bucket counts.
 func frozenLayoutAt(d []byte) (head, lo, hi, k, cells, nb int) {
 	le := binary.LittleEndian
-	head = frozenPrefixLen + 4 + frozenFixedLen + 24
+	head = frozenPrefixLen + 4 + frozenFixedLen - 12
 	lo = int(le.Uint64(d[68+24*frozenSecLayout:]))
 	k, cells, nb = int(le.Uint32(d[36:])), int(le.Uint32(d[head+4:])), int(le.Uint32(d[head-4:]))
 	return head, lo, lo + 8*k*cells, k, cells, nb
@@ -440,6 +359,58 @@ func rejectCorruptLayout(t *testing.T, db *DB, pristine []byte) {
 			if x, _, err := openFrozenBytes(data, against, false); err == nil || x != nil {
 				t.Errorf("%s (database %v): open accepted the corruption", tc.name, against != nil)
 			}
+		}
+	}
+	// The same store frozen without bounds opens; flag 2 alone on that file,
+	// the bisector verdict with no bounds to apply it to, no writer sets.
+	if _, _, err := openFrozenBytes(bareImage(t, pristine, 0), nil, false); err != nil {
+		t.Fatalf("the file without bounds should open: %v", err)
+	}
+	for _, against := range []*DB{db, nil} {
+		if x, _, err := openFrozenBytes(bareImage(t, pristine, 2), against, false); err == nil || x != nil || !strings.Contains(err.Error(), "layout flags 2") {
+			t.Errorf("bisector verdict without bounds (database %v): open returned %v", against != nil, err)
+		}
+	}
+}
+
+// TestFrozenWithoutBoundsScans: a self-contained file that carries no bounds —
+// here a bounded store's, its bounds flag cleared and its layout section
+// dropped, the chained sum recomputed — is served as it stands, whatever
+// boundMinFill makes of its shape: opened with no database, mapped or decoded,
+// an exact query scans its rows in memory order and a probe measures its
+// buckets whole, nothing is swept or copied, and each answers as LinearScan
+// does over the same candidates.
+func TestFrozenWithoutBoundsScans(t *testing.T) {
+	db, rng := testDB(724, 2000, 3, metric.L2{})
+	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
+	if forceBounds(idx) == nil || !idx.Bounded() {
+		t.Fatal("the store does not qualify for bounds")
+	}
+	image := bareImage(t, frozenImage(t, idx), 0)
+	decoded, _, err := openFrozenBytes(image, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear := NewLinearScan(db)
+	for _, st := range []permBackend{{"mmap", openMappedPath(t, writeImage(t, image), nil)}, {"frozen-heap", decoded}} {
+		x := st.idx
+		for qi, q := range dataset.UniformVectors(rng, 20, 3) {
+			label := fmt.Sprintf("%s query %d", st.name, qi)
+			want, _ := linear.KNN(q, 5)
+			got, gst := x.KNN(q, 5)
+			sameBits(t, label+" KNN", got, want)
+			if gst != (Stats{DistanceEvals: 6 + db.N()}) {
+				t.Fatalf("%s: KNN stats %+v, want a scan's", label, gst)
+			}
+			cand, wantA := referenceProbe(x, q, 5, 2, nil)
+			approx, ast := x.KNNApprox(q, 5, 2)
+			sameBits(t, label+" KNNApprox", approx, candidateAnswer(db, q, 5, cand))
+			if ast != wantA || ast.PrunedEvals != 0 {
+				t.Fatalf("%s: KNNApprox stats %+v, measuring whole buckets %+v", label, ast, wantA)
+			}
+		}
+		if x.BoundCells() != 0 || x.RowsHeapBytes() != 0 {
+			t.Fatalf("%s: %d cells bounded and %d bytes of rows copied after exact and approximate queries", st.name, x.BoundCells(), x.RowsHeapBytes())
 		}
 	}
 }
@@ -557,24 +528,19 @@ func OpenMappedBytesForTest(data []byte, db *DB) (*PermIndex, error) {
 }
 
 // frozenEllAt is where an image's ℓ is, nbuckets four bytes on.
-func frozenEllAt(d []byte) int {
-	if binary.LittleEndian.Uint32(d[frozenPrefixLen:]) == permFrozenV4Tag {
-		return 212
-	}
-	return 188
-}
+const frozenEllAt = frozenPrefixLen + 4 + frozenFixedLen - 20
 
 // frozenBucketGeometry reads the directory geometry back out of a frozen
 // container image: the absolute byte offsets of the five uint32 arrays in
 // the buckets section, plus ell and nbuckets. Field positions: n@44,
-// distinct@52, buckets descriptor @68+24·frozenSecBuckets, ell@188 and
-// nbuckets@192 (PFR4, with a sixth section descriptor: @212 and @216).
+// distinct@52, buckets descriptor @68+24·frozenSecBuckets, ell@212 and
+// nbuckets@216.
 func frozenBucketGeometry(d []byte) (n, distinct, ell, nb, prefixesOff, rowStartsOff, rowOrderOff, ptStartsOff, ptOrderOff int) {
 	le := binary.LittleEndian
 	n = int(le.Uint64(d[44:]))
 	distinct = int(le.Uint32(d[52:]))
-	ell = int(le.Uint32(d[frozenEllAt(d):]))
-	nb = int(le.Uint32(d[frozenEllAt(d)+4:]))
+	ell = int(le.Uint32(d[frozenEllAt:]))
+	nb = int(le.Uint32(d[frozenEllAt+4:]))
 	prefixesOff = int(le.Uint64(d[68+24*frozenSecBuckets:]))
 	rowStartsOff = prefixesOff + 4*nb*ell
 	rowOrderOff = rowStartsOff + 4*(nb+1)
@@ -589,10 +555,8 @@ func TestFrozenRejectsCorruptBucketDirectory(t *testing.T) {
 	// decode on both the mapped and stream paths, never serve wrong
 	// candidates.
 	db, rng := testDB(718, 200, 3, metric.L2{})
-	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-	for rev, pristine := range frozenRevisions(t, idx) {
-		t.Run(rev, func(t *testing.T) { rejectCorruptBucketDirectory(t, db, pristine) })
-	}
+	pristine := frozenImage(t, NewPermIndex(db, rng.Perm(db.N())[:6], Footrule))
+	t.Run("PFR4", func(t *testing.T) { rejectCorruptBucketDirectory(t, db, pristine) })
 }
 
 // rejectCorruptBucketDirectory replays every directory corruption over one
@@ -617,10 +581,10 @@ func rejectCorruptBucketDirectory(t *testing.T, db *DB, pristine []byte) {
 		mutate func(d []byte)
 	}{
 		{"buckets checksum mismatch", false, func(d []byte) { d[prefixesOff] ^= 0xFF }},
-		{"ell zero", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d):], 0) }},
-		{"ell beyond k", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d):], 7) }},
-		{"nbuckets zero", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d)+4:], 0) }},
-		{"nbuckets beyond distinct", false, func(d []byte) { le.PutUint32(d[frozenEllAt(d)+4:], uint32(distinct)+1) }},
+		{"ell zero", false, func(d []byte) { le.PutUint32(d[frozenEllAt:], 0) }},
+		{"ell beyond k", false, func(d []byte) { le.PutUint32(d[frozenEllAt:], 7) }},
+		{"nbuckets zero", false, func(d []byte) { le.PutUint32(d[frozenEllAt+4:], 0) }},
+		{"nbuckets beyond distinct", false, func(d []byte) { le.PutUint32(d[frozenEllAt+4:], uint32(distinct)+1) }},
 		{"prefix site out of range", true, func(d []byte) { le.PutUint32(d[prefixesOff:], 99) }},
 		{"row boundaries start past 0", true, func(d []byte) { le.PutUint32(d[rowStartsOff:], 1) }},
 		{"duplicate row in posting list", true, func(d []byte) {
@@ -719,7 +683,7 @@ func TestFrozenBucketDirectoryRoundTrip(t *testing.T) {
 }
 
 // TestFrozenBucketMajorDBPrefix: a "mutable" container decoded against the
-// database of a PFR3 store builds its base over a prefix of it. The whole
+// database of a self-contained frozen store builds its base over a prefix of it. The whole
 // store keeps its block with the row labels; a proper prefix is no run of a
 // bucket-major block and is served through Points. Either way the base's
 // scans, batches included, answer as a scan of the source's points does.
@@ -730,7 +694,7 @@ func TestFrozenBucketMajorDBPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fdb.order == nil {
-		t.Fatal("a PFR3 store opened in ID order")
+		t.Fatal("a self-contained store opened in ID order")
 	}
 	queries := dataset.UniformVectors(rng, 8, 3)
 	for _, nb := range []int{db.N(), 200} {

@@ -188,39 +188,25 @@ func checkSkip(t testing.TB, label string, x *PermIndex, q metric.Point, k int, 
 	}
 }
 
-// fullSetStores returns idx as built, decoded from its frozen container
-// (PFR4) onto the heap, opened in place from a mapping of it, the same two of
-// the PFR3 file of the same index, and opened from a mapping of its PFR2 file
-// — the latter five over the container's embedded database, whose coordinate
-// block is the points section itself: in idx's cells under PFR4, by bucket
-// under PFR3, labelled by the directory's posting list, and in ID order under
-// PFR2. A packed L1/L2/L∞ store gets bounds however small it is (forceBounds;
-// idx before it is frozen, so that the PFR4 stores carry its cells and
-// bounds), so its exact queries and probes here are the pruned walk, not the
-// scan.
+// fullSetStores returns idx as built, decoded from its frozen container onto
+// the heap and opened in place from a mapping of it — the latter two over the
+// container's embedded database, whose coordinate block is the points section
+// itself, in idx's cells, labelled by the directory's posting list. A packed
+// L1/L2/L∞ store gets bounds however small it is (forceBounds; idx before it is
+// frozen, so that the frozen stores carry its cells and bounds), so its exact
+// queries and probes here are the pruned walk, not the scan.
 func fullSetStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
 	forceBounds(idx)
 	image := frozenImage(t, idx)
-	stores := []permBackend{{"heap", idx}}
-	for _, rev := range []struct {
-		name  string
-		image []byte
-	}{{"", image}, {"pfr3-", pfr3Image(t, image)}} {
-		frozen, fdb, err := openFrozenBytes(rev.image, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fdb.dim != idx.db.dim || len(fdb.block) != len(idx.db.block) {
-			t.Fatalf("%sfrozen-heap database is not packed like the original: dim %d, block %d", rev.name, fdb.dim, len(fdb.block))
-		}
-		stores = append(stores, permBackend{rev.name + "frozen-heap", frozen}, permBackend{rev.name + "mmap", openMappedPath(t, writeImage(t, rev.image), nil)})
+	frozen, fdb, err := openFrozenBytes(image, nil, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stores = append(stores, permBackend{"pfr2-mmap", openMappedPath(t, writeImage(t, pfr2Image(t, image)), nil)})
-	for _, st := range stores {
-		forceBounds(st.idx)
+	if fdb.dim != idx.db.dim || len(fdb.block) != len(idx.db.block) {
+		t.Fatalf("frozen-heap database is not packed like the original: dim %d, block %d", fdb.dim, len(fdb.block))
 	}
-	return stores
+	return []permBackend{{"heap", idx}, {"frozen-heap", frozen}, {"mmap", openMappedPath(t, writeImage(t, image), nil)}}
 }
 
 func TestFullSetEquivalence(t *testing.T) {

@@ -83,8 +83,8 @@ func (pb *prefixBuckets) bucketKeys(qinv []int32, keys []int64) int64 {
 // lazyBuckets holds an index's once-built directory, and the bucket-major
 // rows and bounds its buckets are read and pruned with, for every query
 // running on it at once. A frozen open pre-fills pb and, with no database,
-// rows and cells (rowsOnce) and a PFR4 file's bounds (boundsOnce); any other
-// store makes them on its first query that reads a bucket, exact or not.
+// rows and cells (rowsOnce) and the file's bounds, or none (boundsOnce); any
+// other store makes them on its first query that reads a bucket, exact or not.
 type lazyBuckets struct {
 	once     sync.Once
 	pb       *prefixBuckets
@@ -300,51 +300,46 @@ func (x *PermIndex) buckets() *prefixBuckets {
 // frozen store opened with no database has them: its block. Any other packed
 // store under L1, L2 or L∞ (DB.measure's split) lays them out in cells
 // (cellLayout), n·d·8 bytes of heap and n·4 of labels; others have none (nil).
+// They are laid out through bounds, so a store that gets bounds sweeps its
+// rows once, as it fills them.
 func (x *PermIndex) rows() ([]float64, []uint32) {
+	x.bounds()
 	x.fillRows(boundMinFill, nil)
 	return x.lb.rows, x.lb.labels
 }
 
 // fillRows makes the rows of a store that has them to make, once, in cells of
-// minFill points on average, and reports whether this call did: it has then
-// bounded every bucket into bb (when not nil) while still in cache. A store
-// with none reads its buckets by ptOrder, one cell each.
-func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) (filled bool) {
+// minFill points on average, working through the buckets many at a time and
+// bounding each into bb (sized here, when not nil) while still in cache. A
+// store with none reads its buckets by ptOrder, one cell each.
+func (x *PermIndex) fillRows(minFill int, bb *bucketBounds) {
 	x.lb.rowsOnce.Do(func() {
-		lb, pb := x.lb, x.buckets()
-		if filled = x.newSiteKernel() != nil; !filled {
+		db, d, lb, pb, kern := x.db, x.db.dim, x.lb, x.buckets(), x.newSiteKernel()
+		if kern == nil {
 			lb.cellEll, lb.labels, lb.cellStarts, lb.bucketCells = pb.ell, pb.ptOrder, pb.ptStarts, ascending(pb.numBuckets()+1)
 			return
 		}
 		lb.cellEll, lb.labels, lb.cellStarts, lb.bucketCells = cellLayout(x.table, x.tableIDs, pb, minFill)
-		lb.rows = make([]float64, x.db.N()*x.db.dim)
+		lb.rows = make([]float64, db.N()*d)
 		lb.rowsHeap.Store(int64(8*len(lb.rows) + 4*len(lb.labels)))
-		x.eachBucket(true, bb)
-	})
-	return filled
-}
-
-// eachBucket works through the buckets, many at a time, filling a bucket's
-// rows if fill is set, then bounding it into bb (sized here) unless bb is nil.
-func (x *PermIndex) eachBucket(fill bool, bb *bucketBounds) {
-	db, d, lb, kern := x.db, x.db.dim, x.lb, x.newSiteKernel()
-	nb, k := len(lb.bucketCells)-1, x.K()
-	if bb != nil {
-		bb.cells = emptyRanges(int(lb.bucketCells[nb]) * k)
-	}
-	workers := 1
-	if db.N() >= parallelBuildThreshold {
-		workers = 4 * core.ShardWorkers(nb) // buckets are uneven: more shards than cores
-	}
-	core.ShardIndexes(nb, workers, func(_, b0, b1 int) {
-		for b := b0; b < b1; b++ {
-			for j := int(lb.pb.ptStarts[b]); fill && j < int(lb.pb.ptStarts[b+1]); j++ {
-				copy(lb.rows[j*d:][:d], db.row(int(lb.labels[j])))
-			}
-			if bb != nil {
-				x.bound(bb, b, kern)
-			}
+		nb := pb.numBuckets()
+		if bb != nil {
+			bb.cells = emptyRanges(int(lb.bucketCells[nb]) * x.K())
 		}
+		workers := 1
+		if db.N() >= parallelBuildThreshold {
+			workers = 4 * core.ShardWorkers(nb) // buckets are uneven: more shards than cores
+		}
+		core.ShardIndexes(nb, workers, func(_, b0, b1 int) {
+			for b := b0; b < b1; b++ {
+				for j := int(pb.ptStarts[b]); j < int(pb.ptStarts[b+1]); j++ {
+					copy(lb.rows[j*d:][:d], db.row(int(lb.labels[j])))
+				}
+				if bb != nil {
+					x.bound(bb, b, kern)
+				}
+			}
+		})
 	})
 }
 
@@ -391,18 +386,16 @@ type bucketBounds struct {
 // the bounds exclude, and that follows the data, not the store's shape.
 const boundMinFill = 32
 
-// siteBounds computes the bounds from what every store holds whatever its
-// origin — points, site IDs, bucket-major rows — in one pass (bound) right
-// after a bucket is filled where the rows are still to make, so the copy costs
-// nothing over bounding scattered points.
+// siteBounds computes the bounds of a store that qualifies from its points and
+// site IDs, in one pass (bound) right after each bucket's rows are filled, so
+// the copy costs nothing over bounding scattered points. Nothing lays the rows
+// out before bounds (rows), so they are still to make here.
 func (x *PermIndex) siteBounds(minFill int) *bucketBounds {
 	if !x.qualifies(minFill) {
 		return nil
 	}
 	bb := &bucketBounds{}
-	if !x.fillRows(minFill, bb) {
-		x.eachBucket(false, bb)
-	}
+	x.fillRows(minFill, bb)
 	return x.finishBounds(bb)
 }
 

@@ -138,15 +138,13 @@ func TestApproxFullCoverageByteIdentical(t *testing.T) {
 	points := append(append([]metric.Point{}, pts...), pts[:100]...)
 	for _, pd := range []PermDistance{Footrule, KendallTau, SpearmanRho} {
 		built := approxTestIndex(t, points, 9, pd, 29)
-		// Every frozen origin too — PFR3 mapped and decoded, PFR2 mapped —
-		// opened with no database and left to the qualification rule.
-		image := frozenImage(t, built)
-		decoded, _, err := openFrozenBytes(image, nil, false)
+		// The frozen file too, mapped and decoded, opened with no database:
+		// it carries the layout the built store's first query makes.
+		decoded, _, err := openFrozenBytes(frozenImage(t, built), nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []permBackend{{"heap", built}, {"pfr3-mmap", mappedCopy(t, built, nil)}, {"pfr3-heap", decoded},
-			{"pfr2-mmap", openMappedPath(t, writeImage(t, pfr2Image(t, image)), nil)}} {
+		for _, st := range []permBackend{{"heap", built}, {"pfr4-mmap", mappedCopy(t, built, nil)}, {"pfr4-heap", decoded}} {
 			idx, nb := st.idx, st.idx.ApproxBuckets()
 			linear := NewLinearScan(idx.db)
 			qrng := rand.New(rand.NewSource(31))

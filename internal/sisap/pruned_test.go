@@ -28,17 +28,27 @@ var boundMetrics = []metric.Metric{metric.L1{}, metric.L2{}, metric.LInf{}}
 // through, but without the rule that leaves a finely cut store unbounded
 // (boundMinFill): the hostile stores these tests build are a few hundred
 // points, and a walk over them is slow, not wrong — what is pinned here is
-// that it is not wrong.
+// that it is not wrong. A store opened with no database from a frozen file has
+// the file's bounds, or none, from the open: force them before freezing.
 func forceBounds(x *PermIndex) *bucketBounds {
 	x.lb.boundsOnce.Do(func() { x.lb.bounds = x.siteBounds(0) })
 	return x.lb.bounds
 }
 
+// wholeBucketTwin returns a heap twin of idx laid out one cell a bucket — at a
+// fill past n, which no cut reaches — and bounded so, whatever its size.
+func wholeBucketTwin(idx *PermIndex) *PermIndex {
+	twin, bb := newPermIndexFromTable(idx.db, idx.siteIDs, idx.dist, idx.table, idx.tableIDs), &bucketBounds{}
+	twin.fillRows(idx.db.N()+1, bb)
+	twin.lb.boundsOnce.Do(func() { twin.lb.bounds = twin.finishBounds(bb) })
+	return twin
+}
+
 // prunedStores returns idx over every origin a store can have: as built,
-// decoded from a PTBL container, and decoded or mapped from a frozen one of
-// each revision. A PFR4 store opened with no database walks the bounds its
-// file carries (idx's, forced before freezing); every other store computes
-// its own, here whatever its size (forceBounds).
+// decoded from a PTBL container, and decoded or mapped from a frozen one. A
+// frozen store opened with no database walks the bounds its file carries
+// (idx's, forced before freezing); the others compute their own, here
+// whatever their size (forceBounds).
 func prunedStores(t *testing.T, idx *PermIndex) []permBackend {
 	t.Helper()
 	var buf bytes.Buffer
@@ -49,9 +59,11 @@ func prunedStores(t *testing.T, idx *PermIndex) []permBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := append(fullSetStores(t, idx), permBackend{"ptbl", loaded.(*PermIndex)})
+	ptbl := loaded.(*PermIndex)
+	forceBounds(ptbl)
+	stores := append(fullSetStores(t, idx), permBackend{"ptbl", ptbl})
 	for _, st := range stores {
-		if forceBounds(st.idx) == nil {
+		if st.idx.bounds() == nil {
 			t.Fatalf("%s: a packed store has no bounds", st.name)
 		}
 	}
@@ -464,12 +476,11 @@ func TestBoundBisectorNeedsItsPoints(t *testing.T) {
 // — on every store origin, Points[id] is the source's point whatever order the
 // block lies in. Every bucket's
 // run of labels is the set the as-built store's ptOrder lists for it, cut into
-// cells of ascending IDs. A store opened from a PFR3 or PFR4 container, mapped
-// or decoded, has no copy to compare: its rows are its database's block, the
-// file's points section as it lies, labelled by ptOrder — one cell per bucket
-// under PFR3, under PFR4 the cells of the store it was frozen from. Every
-// other origin keeps an ID-ordered block and the one copy of it, in cells
-// under labels of its own.
+// cells of ascending IDs. A store opened from a frozen container, mapped or
+// decoded, has no copy to compare: its rows are its database's block, the
+// file's points section as it lies, labelled by ptOrder in the cells of the
+// store it was frozen from. Every other origin keeps an ID-ordered block and
+// the one copy of it, in cells under labels of its own.
 func TestBoundRowsLayout(t *testing.T) {
 	const n, d = 400, 3
 	rng := rand.New(rand.NewSource(5))
@@ -497,10 +508,6 @@ func TestBoundRowsLayout(t *testing.T) {
 		nb, cells := pb.numBuckets(), len(lb.cellStarts)-1
 		built := stores[0].idx.lb
 		switch heap := st.idx.RowsHeapBytes(); st.name {
-		case "pfr3-frozen-heap", "pfr3-mmap":
-			if &rows[0] != &db.block[0] || &labels[0] != &pb.ptOrder[0] || cells != nb || heap != 0 {
-				t.Fatalf("%s: a store opened bucket-major copied its rows or relabelled them (%d bytes, %d cells, %d buckets)", st.name, heap, cells, nb)
-			}
 		case "frozen-heap", "mmap":
 			if &rows[0] != &db.block[0] || &labels[0] != &pb.ptOrder[0] || heap != 0 ||
 				!slices.Equal(labels, built.labels) || !slices.Equal(lb.cellStarts, built.cellStarts) || !slices.Equal(lb.bucketCells, built.bucketCells) {
@@ -676,15 +683,14 @@ func TestBoundQualification(t *testing.T) {
 // nprobe short of the whole directory; the exact walk that serves full
 // coverage answers alike too. The store is bounded whatever its size
 // (forceBounds), so it is cut as finely as its prefixes go, and then frozen,
-// so that the twin walks those cells without a sweep of its own (a store
-// frozen unbounded gets the cells its first query would make, not these).
+// so that the twin walks those cells (a store frozen unbounded gets the cells
+// its first query would make, not these).
 func TestApproxCellsMatchFrozenTwin(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := dataset.ClusteredVectors(rng, 20000, 6, 32, 0.05)
 	idx := NewPermIndex(NewDB(metric.L2{}, pts), rng.Perm(len(pts))[:12], Footrule)
 	forceBounds(idx)
 	twin := mappedCopy(t, idx, nil)
-	forceBounds(twin)
 	queries := append(dataset.UniformVectors(rng, 8, 6), pts[:24]...)
 	for qi, q := range queries {
 		for _, nprobe := range []int{1, 3, 8, idx.ApproxBuckets() / 2, idx.ApproxBuckets()} {
@@ -774,16 +780,16 @@ const boundaryQueries = 1500
 // inequality tight. This is the case that returns wrong answers when
 // boundSlack is forced to 0. Every store accounts for each site and point
 // once, stores laid out alike agree on Stats, and the stores that cut their
-// buckets into cells (every origin but PFR3) measure no more than a PFR3
-// store, which walks one cell per bucket.
+// buckets into cells (every origin) measure no more than a twin laid out one
+// cell per bucket (wholeBucketTwin).
 func TestPrunedBoundaryRadius(t *testing.T) {
 	for _, d := range []int{1, 2} {
 		for mi, m := range boundMetrics {
 			db, rng := testDB(int64(900+10*d+mi), 600, d, m)
 			idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
-			stores := prunedStores(t, idx)
+			stores := append(prunedStores(t, idx), permBackend{"whole-buckets", wholeBucketTwin(idx)})
 			linear := NewLinearScan(db)
-			var evals [2]int // kNN evals summed over the queries: with cells, then PFR3's
+			var evals [2]int // kNN evals summed over the queries: with cells, then one a bucket
 			for qi, q := range dataset.UniformVectors(rng, boundaryQueries, d) {
 				want, _ := linear.KNN(q, 5)
 				wantR, _ := linear.Range(q, want[4].Distance)

@@ -19,15 +19,15 @@ import (
 //     instead of n, scattering the IDs straight into the in-memory table
 //     encoding. This bit-packed form is the compact wire format WriteIndex
 //     emits.
-//   - frozen (permFrozenV4Tag, "PFR4", and its predecessors permFrozenV3Tag,
-//     "PFR3", and permFrozenV2Tag, "PFR2"; frozen.go): the table encoding laid
+//   - frozen (permFrozenV4Tag, "PFR4"; frozen.go): the table encoding laid
 //     out raw in 64-byte-aligned checksummed sections so OpenMapped can
 //     serve the file zero-copy out of the page cache; ReadIndex decodes the
 //     same image onto the heap. Written by WriteFrozen.
 //
 // Earlier generations — the per-point payload whose first uint32 was k
-// itself, the standalone version-1 container, and the four-section "PFRZ"
-// frozen revision — had no writer left and are rejected with an error.
+// itself, the standalone version-1 container, and the "PFRZ", "PFR2" and
+// "PFR3" frozen revisions — had no writer left and are rejected with an
+// error, PFR2 and PFR3 by name (retiredFrozen).
 //
 // The database points themselves are never serialised — like the SISAP
 // library, the index file accompanies the data file.
@@ -171,15 +171,15 @@ func decodePermPayload(d *dec, db *DB) (*PermIndex, error) {
 		return nil, d.err
 	case tag == permTableTag:
 		return decodeTablePayload(d, db)
-	case tag == permFrozenV4Tag || tag == permFrozenV3Tag || tag == permFrozenV2Tag:
+	case tag == permFrozenV4Tag || retiredFrozen(tag):
 		// A frozen container is a file image — its section offsets are
 		// absolute — so it is validated and decoded whole, by the code that
-		// opens a mapping.
+		// opens a mapping, which refuses a retired revision by name.
 		idx, _, err := openFrozenBytes(d.all, db, false)
 		d.b = nil
 		return idx, err
 	default:
-		return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL, PFR4, PFR3 or PFR2; the per-point and PFRZ payloads are no longer read)", tag)
+		return nil, fmt.Errorf("sisap: unsupported distperm payload tag %#08x (want PTBL or PFR4; the per-point and PFRZ payloads are no longer read)", tag)
 	}
 }
 

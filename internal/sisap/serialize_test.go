@@ -108,8 +108,8 @@ func encodeLegacyPayload(t testing.TB, w *bytes.Buffer, x *PermIndex) {
 // the decoders no longer read: the standalone version-1 container (magic,
 // version 1, table payload, no kind field), the per-point payload (in a
 // version-1 container and in a current "distperm" one), and the committed
-// four-section PFRZ frozen revision. The PFRZ bytes come from the fuzz
-// corpus — their writer is long gone — and were written against the
+// four-section PFRZ, PFR3 and PFR2 frozen revisions. Their bytes come from the
+// fuzz corpus — their writers are gone — and were written against the
 // reproducible testDB(607, 50, 3) index.
 func removedFormats(t testing.TB, idx *PermIndex) []removedFormat {
 	t.Helper()
@@ -126,6 +126,8 @@ func removedFormats(t testing.TB, idx *PermIndex) []removedFormat {
 		{"per-point payload, v1", slices.Concat(v1Header, legacy.Bytes())},
 		{"per-point payload, current", slices.Concat(current.Bytes()[:prefix], legacy.Bytes())},
 		{"PFRZ frozen revision", readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-v1"))},
+		{"PFR3 frozen revision", readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-pfr3"))},
+		{"PFR2 frozen revision", readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-pfr2"))},
 	}
 }
 
@@ -182,7 +184,7 @@ func TestReadPermIndexRejectsCorruption(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(vbad), db); err == nil {
 		t.Error("bad version should error")
 	}
-	// Unknown payload tag (neither PTBL nor PFR2), 24 bytes in: after
+	// Unknown payload tag (neither PTBL nor PFR4), 24 bytes in: after
 	// magic, version, kind length, and the kind "distperm".
 	dbad := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(dbad[24:], 999)
@@ -193,8 +195,9 @@ func TestReadPermIndexRejectsCorruption(t *testing.T) {
 
 // FuzzReadIndex drives the container decoder with arbitrary bytes, seeded
 // with one valid container of every kind (both distperm forms), the
-// must-reject hostile containers, a torn and an inconsistent frozen image,
-// and the removed generations. Any input may fail to decode; none may panic
+// must-reject hostile containers, a torn and an inconsistent frozen image, one
+// whose layout flags set the bisector verdict alone, and the removed
+// generations (the PFR3 and PFR2 ones from the committed corpus). Any input may fail to decode; none may panic
 // or over-allocate — and whatever does decode must answer a query, so
 // "accepted at decode, panics at query" is inside the fuzzer's reach.
 func FuzzReadIndex(f *testing.F) {
@@ -208,11 +211,10 @@ func FuzzReadIndex(f *testing.F) {
 		}
 	}
 	f.Add(frozen[:90])
-	f.Add(pfr3Image(f, frozen))
-	f.Add(pfr2Image(f, frozen))
 	bounded := NewPermIndex(db, idx.siteIDs, idx.dist)
 	forceBounds(bounded)
 	f.Add(frozenImage(f, bounded))
+	f.Add(bareImage(f, frozenImage(f, bounded), 2))
 	// A checksum-valid but inconsistent bucket directory, seeding the
 	// fuzzer at the directory-consistency validation.
 	badBuckets := append([]byte(nil), frozen...)

@@ -61,8 +61,8 @@ type DB struct {
 	block []float64
 	dim   int
 	// order labels the block's rows when they are not in ID order: row j is
-	// point order[j]. nil, what NewDB makes, is the identity; a PFR4 or PFR3
-	// container (frozen.go) opens to the directory's posting list.
+	// point order[j]. nil, what NewDB makes, is the identity; a self-contained
+	// frozen container (frozen.go) opens to the directory's posting list.
 	order []uint32
 }
 
@@ -86,17 +86,11 @@ func NewDB(m metric.Metric, points []metric.Point) *DB {
 	for _, p := range points {
 		block = append(block, p.(metric.Vector)...)
 	}
-	return packedDB(m, points, block, d)
-}
-
-// packedDB assembles a database over an already-contiguous coordinate
-// block (freshly packed, or a frozen container's ID-ordered points section
-// used in place), pointing every entry of points at its range of the block.
-func packedDB(m metric.Metric, points []metric.Point, block []float64, d int) *DB {
 	for i := range points {
 		points[i] = metric.Vector(block[i*d : (i+1)*d : (i+1)*d])
 	}
-	return &DB{Metric: m, Points: points, block: block, dim: d}
+	db.block, db.dim = block, d
+	return db
 }
 
 // prefix returns the database of the first n points, sharing Points and the

@@ -204,12 +204,12 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	emit("FuzzReadIndex", "seed-frozen", frozen.Bytes()) // PFR4, points embedded
-	emit("FuzzReadIndex", "seed-frozen-pfr3", pfr3Image(t, frozen.Bytes()))
-	emit("FuzzReadIndex", "seed-frozen-pfr2", pfr2Image(t, frozen.Bytes()))
-	// The same store cut into cells and bounded, as a PFR4 file carries them.
+	// The same store cut into cells and bounded, as a PFR4 file carries them,
+	// and the file without bounds whose flags set the bisector verdict alone.
 	bounded := NewPermIndex(db, idx.siteIDs, Footrule)
 	forceBounds(bounded)
 	emit("FuzzReadIndex", "seed-frozen-bounds", frozenImage(t, bounded))
+	emit("FuzzReadIndex", "seed-frozen-flags2", bareImage(t, frozenImage(t, bounded), 2))
 	emit("FuzzReadIndex", "seed-frozen-torn", frozen.Bytes()[:90])
 	// A directory-inconsistency seed: duplicate the first point posting and
 	// recompute the section CRC, starting the fuzzer right at the
@@ -219,12 +219,15 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	copy(badBuckets[ptOrderOff:ptOrderOff+4], badBuckets[ptOrderOff+4:ptOrderOff+8])
 	refreezeCRC(badBuckets, frozenSecBuckets)
 	emit("FuzzReadIndex", "seed-frozen-badbuckets", badBuckets)
-	// seed-frozen-v1 is a must-reject input: a well-formed file of the
-	// removed PFRZ revision (no bucket directory). It was committed from the
-	// last v1 writer and cannot be regenerated, so it is asserted present
-	// but never rewritten.
-	if _, err := os.Stat(filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-v1")); err != nil {
-		t.Errorf("missing committed v1 frozen seed: %v", err)
+	// seed-frozen-v1, -pfr3 and -pfr2 are must-reject inputs: well-formed
+	// files of the removed PFRZ (no bucket directory), PFR3 and PFR2
+	// revisions of this store. They were committed from writers that are
+	// gone and cannot be regenerated, so they are asserted present but never
+	// rewritten.
+	for _, rev := range []string{"v1", "pfr3", "pfr2"} {
+		if _, err := os.Stat(filepath.Join("testdata", "fuzz", "FuzzReadIndex", "seed-frozen-"+rev)); err != nil {
+			t.Errorf("missing committed %s frozen seed: %v", rev, err)
+		}
 	}
 	// The hostile containers are must-reject inputs too: a field that lies
 	// about an ID or a length (TestReadIndexRejectsHostileContainers).

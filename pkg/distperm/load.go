@@ -20,8 +20,8 @@ var ErrNeedDB = sisap.ErrNeedDB
 // matrix, row IDs, bucket directory, the walk's cells and bounds and — when
 // the metric is named and the points are plain vectors — the point data
 // itself, in cell order) that a later Load with Mmap can map read-only in
-// O(1) and walk without copying a coordinate or sweeping a bound. PFR3 and
-// PFR2 files keep loading (re-freeze them).
+// O(1) and walk without copying a coordinate or sweeping a bound. It is the
+// one frozen revision Load reads: a PFR3 or PFR2 file is refused by name.
 func WriteFrozenIndex(w io.Writer, x *PermIndex) (int64, error) {
 	return sisap.WriteFrozen(w, x)
 }

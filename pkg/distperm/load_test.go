@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"distperm/internal/dataset"
@@ -214,6 +215,26 @@ func TestLoadNeedDB(t *testing.T) {
 	want, _ := idx.KNN(q, 3)
 	if !sameResultSlices(got, want) {
 		t.Fatalf("kNN over retried load %v != %v", got, want)
+	}
+}
+
+// TestLoadRefusesRetiredRevisions: the PFR3 and PFR2 golden files, which
+// earlier builds wrote, are refused by every Load — mapped with and without a
+// database, and decoded onto the heap — by an error that names the revision
+// and says how to re-freeze it.
+func TestLoadRefusesRetiredRevisions(t *testing.T) {
+	db, err := distperm.NewDB(distperm.L2, dataset.UniformVectors(rand.New(rand.NewSource(706)), 50, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rev := range []string{"PFR3", "PFR2"} {
+		path := filepath.Join("..", "..", "internal", "sisap", "testdata", "golden", "distperm-frozen-"+strings.ToLower(rev)+".dpermidx")
+		want := "unsupported frozen revision " + rev + ", no longer read: re-freeze it with an earlier build (distpermd <dataset flags> -load old -freeze new)"
+		for _, opts := range []distperm.LoadOptions{{Mmap: true}, {Mmap: true, DB: db}, {DB: db}} {
+			if st, err := distperm.Load(path, opts); err == nil || st != nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, mmap %v, database %v: Load returned %v, want %q", rev, opts.Mmap, opts.DB != nil, err, want)
+			}
+		}
 	}
 }
 

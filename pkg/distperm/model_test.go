@@ -24,7 +24,7 @@ import (
 // answers must agree to the bit. Every round trip also serves the container
 // it read back through a plain Engine, read-only, under every query form. The unsharded distperm legs also freeze the
 // store in mid-history, map the file back with no database and go on over the
-// mapping — a PFR3 container, whose points lie bucket by bucket — so the plain
+// mapping — a PFR4 container, whose points lie cell by cell — so the plain
 // engine reads it under every query form and the mutable one lays tombstones,
 // a delta and gids over it and rebuilds out of it. Every writable history
 // logs to a WAL, writes a checkpoint at a seeded step, writes on, and crashes

@@ -827,7 +827,7 @@ func openContainerFiles(b *testing.B) (*distperm.DB, string, string) {
 // (a full scan would bury the open cost under 200k metric evaluations).
 // mode=mmap-selfcontained supplies no database — the open a restarted daemon
 // (and perflab's approx-mmap set-up) pays: on top of the checksum pass it
-// makes the 200k Points views of the mapped coordinates, and nothing else.
+// notes which row holds each point, n uint32s, and boxes no point.
 // mode=mmap-selfcontained/first=knn is that open through its first exact
 // 10-NN answer: the walk over the cells and bounds the file carries (PFR4),
 // with nothing swept or copied.

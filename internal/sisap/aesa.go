@@ -29,7 +29,7 @@ func NewAESA(db *DB) *AESA {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := db.Metric.Distance(db.Points[i], db.Points[j])
+			d := db.Metric.Distance(db.Point(i), db.Point(j))
 			m[i][j] = d
 			m[j][i] = d
 		}
@@ -88,7 +88,7 @@ func eliminate(db *DB, matrix [][]float64, q metric.Point, c *collector, next fu
 	var qd []float64
 	for best := next(alive, lower, pivots, qd); best >= 0; best = next(alive, lower, pivots, qd) {
 		alive[best] = false
-		d := db.Metric.Distance(q, db.Points[best])
+		d := db.Metric.Distance(q, db.Point(best))
 		radius := c.add(best, d)
 		pivots, qd = append(pivots, best), append(qd, d)
 		// Elimination step: tighten lower bounds through the new pivot.

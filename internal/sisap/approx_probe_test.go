@@ -17,7 +17,7 @@ import (
 func candidateAnswer(db *DB, q metric.Point, k int, ids map[int]bool) []Result {
 	c := collector{h: newKNNHeap(k)}
 	for id := range ids {
-		c.add(id, db.Metric.Distance(q, db.Points[id]))
+		c.add(id, db.Metric.Distance(q, db.Point(id)))
 	}
 	return c.results()
 }
@@ -71,7 +71,7 @@ func TestApproxProbeMatchesWholeBuckets(t *testing.T) {
 		for qi, q := range queries {
 			qd, order := make([]float64, x.K()), make(perm.Permutation, x.K())
 			for i, id := range x.siteIDs {
-				qd[i] = x.db.Metric.Distance(x.db.Points[id], q)
+				qd[i] = x.db.Metric.Distance(x.db.Point(id), q)
 			}
 			if core.Order(qd, order); !order.Equal(x.permuter.Permutation(q)) {
 				t.Fatalf("%s query %d: the footrule's permutation %v, the Permuter's %v", st.name, qi, order, x.permuter.Permutation(q))

@@ -317,12 +317,12 @@ func (h *frozenHeader) verifySections(secs [][]byte, zeroCopy bool) (*frozenPart
 }
 
 // frozenParts is what verifySections read: the ranks section, row IDs,
-// directory, the cells (verifyDirectory), each table row's, and their bounds.
+// directory, the cells (verifyDirectory) and their bounds.
 type frozenParts struct {
-	ranks                                 []byte
-	ids, rowCell, cellStarts, bucketCells []uint32
-	pb                                    *prefixBuckets
-	bounds                                []float64
+	ranks                        []byte
+	ids, cellStarts, bucketCells []uint32
+	pb                           *prefixBuckets
+	bounds                       []float64
 }
 
 // rankAt reads the stored rank of site s in table row r straight from the
@@ -342,7 +342,7 @@ func (h *frozenHeader) rankAt(p *frozenParts, r, s int) int {
 // the row before, as many as the header gives; ptStarts must bound each
 // bucket's cells, and ptOrder list each point under its row's cell, ascending.
 // A directory that survives this is a correct one, so corruption fails decode
-// instead of silently degrading answers. It sets p's cells and each table row's.
+// instead of silently degrading answers. It sets p's cells.
 func (h *frozenHeader) verifyDirectory(p *frozenParts) error {
 	pb, nb, c := p.pb, h.nbuckets, -1
 	for _, s := range pb.prefixes {
@@ -398,7 +398,7 @@ func (h *frozenHeader) verifyDirectory(p *frozenParts) error {
 	}
 	// Taken in ID order, every point must sit in the next slot of its row's
 	// cell: n points in n slots make ptOrder the permutation cellLayout makes,
-	// which lets a frozen open label its points section (bucketMajorDB).
+	// which lets a frozen open label its points section (buildFrozenIndex).
 	next := slices.Clone(starts[:h.cells])
 	for pt, row := range p.ids {
 		g := rowCell[row]
@@ -407,7 +407,7 @@ func (h *frozenHeader) verifyDirectory(p *frozenParts) error {
 			return fmt.Errorf("sisap: frozen point %d is not listed, in ascending order, under its row's cell", pt)
 		}
 	}
-	p.cellStarts, p.bucketCells, p.rowCell = starts, cells, rowCell
+	p.cellStarts, p.bucketCells = starts, cells
 	return nil
 }
 
@@ -581,10 +581,15 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *froz
 			return nil, nil, fmt.Errorf("sisap: frozen container metric: %w", err)
 		}
 		// The points section is the database's coordinate block as stored,
-		// the bucket-major rows already: on the mapped path no coordinate is
-		// copied or allocated.
-		floats := frozenView[float64](secs[frozenSecPoints], zeroCopy)
-		db = bucketMajorDB(m, floats, h.dims, p.cellStarts, p.rowCell, ids, lb.pb.ptOrder)
+		// the bucket-major rows already, labelled by ptOrder, a permutation
+		// (verifyDirectory): point id is row rowOf[id]. On the mapped path no
+		// coordinate is copied and no point boxed.
+		floats, order := frozenView[float64](secs[frozenSecPoints], zeroCopy), lb.pb.ptOrder
+		rowOf := make([]uint32, len(order))
+		for j, id := range order {
+			rowOf[id] = uint32(j)
+		}
+		db = &DB{Metric: m, block: floats, dim: h.dims, n: len(order), order: order, rowOf: rowOf}
 		lb.rowsOnce.Do(func() {
 			lb.rows, lb.labels, lb.cellStarts, lb.bucketCells, lb.cellEll = floats, lb.pb.ptOrder, p.cellStarts, p.bucketCells, h.cellEll
 		})
@@ -610,6 +615,9 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *froz
 	idx := newPermIndexFromTable(db, siteIDs, h.dist, table, ids)
 	idx.lb = lb
 	if own { // the file's bounds, or none: nothing sweeps
+		if lb.fileBounds = true; idx.newSiteKernel() == nil { // DB.measure's generic loop reads boxed points
+			db.Points = db.points(0, db.n)
+		}
 		lb.boundsOnce.Do(func() {
 			if r := p.bounds; len(r) > 0 {
 				bb := &bucketBounds{cells: siteRanges{r[:len(r)/2], r[len(r)/2:]}}
@@ -619,21 +627,6 @@ func buildFrozenIndex(h *frozenHeader, metricName string, secs [][]byte, p *froz
 		})
 	}
 	return idx, db, nil
-}
-
-// bucketMajorDB assembles the database of a self-contained container over its
-// points section, whose row j holds point order[j]. Points is filled in ID
-// order (through order, 200k points cost the open half as much again): each
-// point takes the next row of its row's cell (starts), as verifyDirectory proved.
-func bucketMajorDB(m metric.Metric, block []float64, d int, starts, rowCell, tableIDs, order []uint32) *DB {
-	next := slices.Clone(starts)
-	points := make([]metric.Point, len(tableIDs))
-	for id, row := range tableIDs {
-		j := int(next[rowCell[row]])
-		next[rowCell[row]]++
-		points[id] = metric.Vector(block[j*d : (j+1)*d : (j+1)*d])
-	}
-	return &DB{Metric: m, Points: points, block: block, dim: d, order: order}
 }
 
 // --- mapped open ---

@@ -74,6 +74,12 @@ func bareImage(t testing.TB, image []byte, flags uint32) []byte {
 	return bare
 }
 
+// BareFrozenForTest is bareImage of x's PFR4 image with flags 0: the file of
+// x frozen without bounds, for tests outside the package.
+func BareFrozenForTest(t testing.TB, x *PermIndex) []byte {
+	return bareImage(t, frozenImage(t, x), 0)
+}
+
 // writeImage puts a container image in a temp file and returns its path.
 func writeImage(t testing.TB, data []byte) string {
 	t.Helper()
@@ -378,8 +384,8 @@ func rejectCorruptLayout(t *testing.T, db *DB, pristine []byte) {
 // dropped, the chained sum recomputed — is served as it stands, whatever
 // boundMinFill makes of its shape: opened with no database, mapped or decoded,
 // an exact query scans its rows in memory order and a probe measures its
-// buckets whole, nothing is swept or copied, and each answers as LinearScan
-// does over the same candidates.
+// buckets whole, nothing is swept or copied, each answers as LinearScan does
+// over the same candidates, and Bounded says so.
 func TestFrozenWithoutBoundsScans(t *testing.T) {
 	db, rng := testDB(724, 2000, 3, metric.L2{})
 	idx := NewPermIndex(db, rng.Perm(db.N())[:6], Footrule)
@@ -394,6 +400,9 @@ func TestFrozenWithoutBoundsScans(t *testing.T) {
 	linear := NewLinearScan(db)
 	for _, st := range []permBackend{{"mmap", openMappedPath(t, writeImage(t, image), nil)}, {"frozen-heap", decoded}} {
 		x := st.idx
+		if x.Bounded() {
+			t.Fatalf("%s: a store whose file carries no bounds reads Bounded", st.name)
+		}
 		for qi, q := range dataset.UniformVectors(rng, 20, 3) {
 			label := fmt.Sprintf("%s query %d", st.name, qi)
 			want, _ := linear.KNN(q, 5)
@@ -409,7 +418,7 @@ func TestFrozenWithoutBoundsScans(t *testing.T) {
 				t.Fatalf("%s: KNNApprox stats %+v, measuring whole buckets %+v", label, ast, wantA)
 			}
 		}
-		if x.BoundCells() != 0 || x.RowsHeapBytes() != 0 {
+		if x.BoundCells() != 0 || x.RowsHeapBytes() != 0 || x.Bounded() {
 			t.Fatalf("%s: %d cells bounded and %d bytes of rows copied after exact and approximate queries", st.name, x.BoundCells(), x.RowsHeapBytes())
 		}
 	}

@@ -44,7 +44,7 @@ func orderedReference(x *PermIndex, q metric.Point, k int, r float64, cand map[i
 		if cand != nil && !cand[i] {
 			continue
 		}
-		res := Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Points[i])}
+		res := Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Point(i))}
 		if k > 0 {
 			h.push(res)
 		} else if res.Distance <= r {
@@ -117,13 +117,13 @@ func probeMeasured(x *PermIndex, q metric.Point, k, nprobe int, probed []int, ca
 	var live []float64
 	for id := range cand {
 		if !dead.Has(id) {
-			live = append(live, x.db.Metric.Distance(q, x.db.Points[id]))
+			live = append(live, x.db.Metric.Distance(q, x.db.Point(id)))
 		}
 	}
 	slices.Sort(live)
 	limit, qd, s := live[k-1], make([]float64, x.K()), &permScratch{}
 	for i, id := range x.siteIDs {
-		qd[i] = x.db.Metric.Distance(x.db.Points[id], q)
+		qd[i] = x.db.Metric.Distance(x.db.Point(id), q)
 	}
 	if bb.inv != nil {
 		bb.bisectors(qd, pb.ell, s)

@@ -47,11 +47,11 @@ func (t *GHTree) build(ids []int, rng *rand.Rand) *ghNode {
 	j := 1 + rng.Intn(len(ids)-1)
 	ids[1], ids[j] = ids[j], ids[1]
 	n := &ghNode{a: ids[0], b: ids[1]}
-	pa, pb := t.db.Points[n.a], t.db.Points[n.b]
+	pa, pb := t.db.Point(n.a), t.db.Point(n.b)
 	var left, right []int
 	for _, id := range ids[2:] {
-		da := t.db.Metric.Distance(pa, t.db.Points[id])
-		db := t.db.Metric.Distance(pb, t.db.Points[id])
+		da := t.db.Metric.Distance(pa, t.db.Point(id))
+		db := t.db.Metric.Distance(pb, t.db.Point(id))
 		if da <= db { // ties to the first pivot, like the paper's tie-break
 			left = append(left, id)
 		} else {
@@ -94,12 +94,12 @@ func (t *GHTree) walk(n *ghNode, q metric.Point, c *collector) int {
 	if n == nil {
 		return 0
 	}
-	da := t.db.Metric.Distance(q, t.db.Points[n.a])
+	da := t.db.Metric.Distance(q, t.db.Point(n.a))
 	c.add(n.a, da)
 	if n.b < 0 {
 		return 1
 	}
-	db := t.db.Metric.Distance(q, t.db.Points[n.b])
+	db := t.db.Metric.Distance(q, t.db.Point(n.b))
 	c.add(n.b, db)
 	near, far, gap := n.left, n.right, slackGap(db, da)
 	if da > db {

@@ -30,8 +30,9 @@ func NewLAESA(db *DB, pivots []int) *LAESA {
 	table := make([][]float64, len(pivots))
 	for p, id := range pivots {
 		row := make([]float64, db.N())
-		for i, pt := range db.Points {
-			row[i] = db.Metric.Distance(db.Points[id], pt)
+		pivot := db.Point(id)
+		for i := range row {
+			row[i] = db.Metric.Distance(pivot, db.Point(i))
 		}
 		table[p] = row
 	}
@@ -49,7 +50,7 @@ func NewLAESAMaxSpread(db *DB, m int) *LAESA {
 	pivots := []int{0}
 	minDist := make([]float64, db.N())
 	for i := range minDist {
-		minDist[i] = db.Metric.Distance(db.Points[0], db.Points[i])
+		minDist[i] = db.Metric.Distance(db.Point(0), db.Point(i))
 	}
 	for len(pivots) < m {
 		best, bestD := -1, -1.0
@@ -60,7 +61,7 @@ func NewLAESAMaxSpread(db *DB, m int) *LAESA {
 		}
 		pivots = append(pivots, best)
 		for i := range minDist {
-			if d := db.Metric.Distance(db.Points[best], db.Points[i]); d < minDist[i] {
+			if d := db.Metric.Distance(db.Point(best), db.Point(i)); d < minDist[i] {
 				minDist[i] = d
 			}
 		}
@@ -88,7 +89,7 @@ func (l *LAESA) Pivots() []int { return append([]int(nil), l.pivots...) }
 func (l *LAESA) lowerBounds(q metric.Point) (lb, qd []float64) {
 	qd = make([]float64, len(l.pivots))
 	for p, id := range l.pivots {
-		qd[p] = l.db.Metric.Distance(q, l.db.Points[id])
+		qd[p] = l.db.Metric.Distance(q, l.db.Point(id))
 	}
 	lb = make([]float64, l.db.N())
 	for i := range lb {
@@ -133,7 +134,7 @@ func (l *LAESA) search(q metric.Point, c *collector) Stats {
 		if isPivot[i] || lb[i] > c.limit() {
 			continue
 		}
-		c.add(i, l.db.Metric.Distance(q, l.db.Points[i]))
+		c.add(i, l.db.Metric.Distance(q, l.db.Point(i)))
 		evals++
 	}
 	return Stats{DistanceEvals: evals}

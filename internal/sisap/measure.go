@@ -243,7 +243,7 @@ func bisectorGap(a, b, inv, slack float64) float64 {
 // directory's posting list (a bucket).
 // Under L1, L2 or L∞ it reads such rows directly, with the expression shape
 // and left-to-right summation of internal/metric, so every distance is
-// bit-identical to Metric.Distance(q, Points[id]); any other metric, point
+// bit-identical to Metric.Distance(q, Point(id)); any other metric, point
 // type or query shape, and a store without rows (nil), takes the generic loop
 // by label (where a mismatched query panics exactly as the metric always
 // has). Distances above c's limit are dropped before the call — they could
@@ -302,7 +302,7 @@ func (db *DB) measure(q metric.Point, rows []float64, ids []uint32, lo, hi int, 
 	}
 	for i := lo; i < hi; i++ {
 		id := label(i)
-		if s := db.Metric.Distance(q, db.Points[id]); !(s > limit) {
+		if s := db.Metric.Distance(q, db.Point(id)); !(s > limit) {
 			limit = c.add(id, s)
 		}
 	}

@@ -83,7 +83,7 @@ func NewMutableIndex(full *DB, nb int, base Index, gids []int, tombs []int, next
 	return &MutableIndex{
 		base:    base,
 		baseDB:  full.prefix(nb),
-		delta:   full.Points[nb:n:n],
+		delta:   full.points(nb, n),
 		gids:    slices.Clip(gids),
 		dead:    Tombs{}.With(dead...),
 		ntombs:  len(tombs),
@@ -136,13 +136,13 @@ func (x *MutableIndex) Tombstones() []int {
 // points, including tombstoned ones (the base index is built over them;
 // every query skips them).
 func (x *MutableIndex) DB() *DB {
-	return NewDB(x.baseDB.Metric, slices.Concat(x.baseDB.Points, x.delta))
+	return NewDB(x.baseDB.Metric, slices.Concat(x.baseDB.points(0, x.BaseN()), x.delta))
 }
 
 // Live returns the live points' gids and the points, in gid order: the point
 // set a rebuild indexes.
 func (x *MutableIndex) Live() ([]int, []metric.Point) {
-	all := slices.Concat(x.baseDB.Points, x.delta)
+	all := slices.Concat(x.baseDB.points(0, x.BaseN()), x.delta)
 	gids, pts := make([]int, 0, x.LiveN()), make([]metric.Point, 0, x.LiveN())
 	for pos, g := range x.gids {
 		if !x.dead.Has(pos) {

@@ -69,6 +69,7 @@ func (p PermDistance) String() string {
 type PermIndex struct {
 	db       *DB
 	siteIDs  []int
+	sites    []metric.Point // the site points, boxed once for the Permuter
 	permuter *core.Permuter
 	dist     PermDistance
 	// table holds one row per distinct stored inverse permutation
@@ -138,11 +139,12 @@ func NewPermIndex(db *DB, siteIDs []int, dist PermDistance) *PermIndex {
 func newPermIndexFromTable(db *DB, siteIDs []int, dist PermDistance, table *rankTable, ids []uint32) *PermIndex {
 	sites := make([]metric.Point, len(siteIDs))
 	for i, id := range siteIDs {
-		sites[i] = db.Points[id]
+		sites[i] = db.Point(id)
 	}
 	return &PermIndex{
 		db:       db,
 		siteIDs:  siteIDs,
+		sites:    sites,
 		permuter: core.NewPermuter(db.Metric, sites),
 		dist:     dist,
 		table:    table,
@@ -234,7 +236,7 @@ func buildTable[K comparable](x *PermIndex, keyOf func(fwd perm.Permutation, buf
 		d, fwd, buf := make([]float64, k), make(perm.Permutation, k), make([]byte, 2*k)
 		for i := lo; i < hi; i++ {
 			if kern == nil || !kern.permute(x.db.row(i), d, fwd) {
-				pm.PermutationInto(x.db.Points[i], fwd)
+				pm.PermutationInto(x.db.Point(i), fwd)
 			}
 			key := keyOf(fwd, buf)
 			row, ok := index[key]
@@ -400,7 +402,7 @@ func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats)
 		order := make([]int, maxEvals)
 		x.scanOrderInto(q, order)
 		for _, i := range order {
-			c.h.push(Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Points[i])})
+			c.h.push(Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Point(i))})
 		}
 	}
 	return c.results(), Stats{DistanceEvals: x.K() + maxEvals}

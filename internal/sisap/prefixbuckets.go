@@ -98,6 +98,7 @@ type lazyBuckets struct {
 	rowsHeap                        atomic.Int64 // bytes rowsOnce had to allocate (RowsHeapBytes)
 	boundsOnce                      sync.Once
 	bounds                          *bucketBounds // nil after boundsOnce: the store does not qualify
+	fileBounds                      bool          // bounds are the file's, or none (a frozen open)
 	boundCells                      atomic.Int64  // cells the bounds cover (BoundCells)
 }
 
@@ -405,9 +406,15 @@ func (x *PermIndex) qualifies(minFill int) bool {
 	return x.newSiteKernel() != nil && x.db.dim <= boundMaxDim && x.db.N() >= minFill*x.buckets().numBuckets()
 }
 
-// Bounded reports whether x's exact queries walk under bounds, by the rule
-// that decides which stores get them: otherwise each measures every point.
-func (x *PermIndex) Bounded() bool { return x.qualifies(boundMinFill) }
+// Bounded reports whether x's exact queries walk under bounds — otherwise each
+// measures every point: a store opened with no database as its file says, any
+// other by the rule that decides which stores get them, sweeping nothing.
+func (x *PermIndex) Bounded() bool {
+	if x.lb.fileBounds {
+		return x.bounds() != nil
+	}
+	return x.qualifies(boundMinFill)
+}
 
 // finishBounds completes bounds whose cells' ranges are in: takes each
 // bucket's as their hull (what one sweep of it gives; min and max keep a NaN,
@@ -432,9 +439,9 @@ func (x *PermIndex) finishBounds(bb *bucketBounds) *bucketBounds {
 		far[i%k] = max(far[i%k], h)
 	}
 	bb.inv, bb.slack = make([]float64, k*k), make([]float64, k*k)
-	for a, ida := range x.siteIDs {
-		for s, ids := range x.siteIDs {
-			d := x.db.Metric.Distance(x.db.Points[ida], x.db.Points[ids])
+	for a, sa := range x.sites {
+		for s, ss := range x.sites {
+			d := x.db.Metric.Distance(sa, ss)
 			bb.inv[a*k+s], bb.slack[a*k+s] = bisectorPair(d, far[a]+far[s])
 		}
 	}
@@ -698,8 +705,8 @@ func (x *PermIndex) search(q metric.Point, c *collector) Stats {
 	defer x.scratch.Put(s)
 	// The sites are measured as the scan measures any point, so a query of
 	// the wrong shape fails here with the scan's own panic.
-	for i, id := range x.siteIDs {
-		s.qd[i] = x.db.Metric.Distance(q, x.db.Points[id])
+	for i, site := range x.sites {
+		s.qd[i] = x.db.Metric.Distance(q, site)
 	}
 	w, m := walk{x: x, bb: bb, q: q, c: c, qd: s.qd, heap: s.heap[:0]}, x.lb.pb.ell
 	if bb.inv != nil { // from the trie's root
@@ -758,8 +765,8 @@ func (x *PermIndex) knnApprox(q metric.Point, k, nprobe int, sc Scope) ([]Result
 	}
 	// The site distances, measured as the Permuter measures them (under L1,
 	// L2 and L∞ the bits search's are), give the footrule its permutation.
-	for i, id := range x.siteIDs {
-		s.qd[i] = x.db.Metric.Distance(x.db.Points[id], q)
+	for i, site := range x.sites {
+		s.qd[i] = x.db.Metric.Distance(site, q)
 	}
 	core.Order(s.qd, s.qbuf)
 	for rank, site := range s.qbuf {

@@ -536,10 +536,10 @@ func TestBoundRowsLayout(t *testing.T) {
 			}
 		}
 		for j, id := range labels {
-			sameRow(fmt.Sprintf("%s: row %d against point %d", st.name, j, id), rows[j*d:][:d], db.Points[id].(metric.Vector))
+			sameRow(fmt.Sprintf("%s: row %d against point %d", st.name, j, id), rows[j*d:][:d], db.Point(int(id)).(metric.Vector))
 		}
 		for id, p := range pts {
-			sameRow(fmt.Sprintf("%s: point %d against the source", st.name, id), db.Points[id].(metric.Vector), p.(metric.Vector))
+			sameRow(fmt.Sprintf("%s: point %d against the source", st.name, id), db.Point(id).(metric.Vector), p.(metric.Vector))
 		}
 	}
 }
@@ -968,7 +968,7 @@ func FuzzPrunedKNN(f *testing.F) {
 		want, _ := NewLinearScan(idx.db).KNN(q, k)
 		qd := make([]float64, idx.K())
 		for i, id := range idx.siteIDs {
-			qd[i] = idx.db.Metric.Distance(q, idx.db.Points[id])
+			qd[i] = idx.db.Metric.Distance(q, idx.db.Point(id))
 		}
 		if idx.bounds().inv == nil { // L1/L∞: no bisector term
 			continue

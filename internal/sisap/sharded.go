@@ -71,7 +71,7 @@ func NewShardedIndex(db *DB, parts [][]int, build func(shard int, sdb *DB) (Inde
 	for s, part := range parts {
 		pts := make([]metric.Point, len(part))
 		for i, id := range part {
-			pts[i] = db.Points[id]
+			pts[i] = db.Point(id)
 		}
 		x.dbs[s] = NewDB(db.Metric, pts)
 		idx, err := build(s, x.dbs[s])

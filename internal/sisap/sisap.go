@@ -48,10 +48,13 @@ import (
 )
 
 // DB is an immutable database of points under a metric: neither Points nor
-// the vectors in it may be modified once NewDB has returned.
+// the vectors in it may be modified once NewDB has returned. Read a point
+// through Point and the size through N: a self-contained frozen store
+// (frozen.go) under L1, L2 or L∞ has no Points and boxes a view of a point's
+// coordinates only when Point asks for it.
 type DB struct {
 	Metric metric.Metric
-	Points []metric.Point
+	Points []metric.Point // point i by ID; nil in a self-contained frozen store
 	// block packs the coordinates of a database whose points are all
 	// metric.Vectors of one dimension dim > 0: point i is
 	// block[i*dim:(i+1)*dim], and Points[i] is a view of exactly that range,
@@ -60,10 +63,12 @@ type DB struct {
 	// Metric.Distance. The block may be a read-only file mapping.
 	block []float64
 	dim   int
+	n     int
 	// order labels the block's rows when they are not in ID order: row j is
-	// point order[j]. nil, what NewDB makes, is the identity; a self-contained
-	// frozen container (frozen.go) opens to the directory's posting list.
-	order []uint32
+	// point order[j], and point id is row rowOf[id]. nil, what NewDB makes, is
+	// the identity; a self-contained frozen container opens to the
+	// directory's posting list.
+	order, rowOf []uint32
 }
 
 // NewDB returns a database. The point slice is retained, not copied; when
@@ -74,7 +79,7 @@ func NewDB(m metric.Metric, points []metric.Point) *DB {
 	if len(points) == 0 {
 		panic("sisap: empty database")
 	}
-	db := &DB{Metric: m, Points: points}
+	db := &DB{Metric: m, Points: points, n: len(points)}
 	first, _ := points[0].(metric.Vector)
 	d := len(first)
 	for _, p := range points {
@@ -97,23 +102,46 @@ func NewDB(m metric.Metric, points []metric.Point) *DB {
 // block with db; a proper prefix of reordered rows is no run of the block and
 // is served unpacked.
 func (db *DB) prefix(n int) *DB {
-	if n < db.N() && db.order != nil {
-		return &DB{Metric: db.Metric, Points: db.Points[:n]}
+	switch {
+	case n == db.n:
+		return db
+	case db.order != nil:
+		return &DB{Metric: db.Metric, Points: db.points(0, n), n: n}
 	}
-	return &DB{Metric: db.Metric, Points: db.Points[:n], block: db.block[:n*db.dim], dim: db.dim, order: db.order}
+	return &DB{Metric: db.Metric, Points: db.Points[:n], block: db.block[:n*db.dim], dim: db.dim, n: n}
 }
 
-// row returns point id's coordinates in a packed database, sparing Points'
-// two dependent loads where the block is in ID order.
+// row returns point id's coordinates in a packed database.
 func (db *DB) row(id int) []float64 {
-	if db.order == nil {
-		return db.block[id*db.dim:][:db.dim]
+	if db.rowOf != nil {
+		id = int(db.rowOf[id])
 	}
-	return db.Points[id].(metric.Vector)
+	return db.block[id*db.dim : (id+1)*db.dim : (id+1)*db.dim]
+}
+
+// Point returns point id: Points[id], or in a store without Points a view
+// of its coordinates, boxed on each call.
+func (db *DB) Point(id int) metric.Point {
+	if db.Points == nil {
+		return metric.Vector(db.row(id))
+	}
+	return db.Points[id]
+}
+
+// points returns points lo..hi-1, boxing them where db has no Points.
+func (db *DB) points(lo, hi int) []metric.Point {
+	if db.Points != nil {
+		return db.Points[lo:hi:hi]
+	}
+	pts := make([]metric.Point, hi-lo)
+	for i := range pts {
+		pts[i] = db.Point(lo + i)
+	}
+	return pts
 }
 
 // N returns the database size.
-func (db *DB) N() int { return len(db.Points) }
+func (db *DB) N() int { return db.n }
 
 // Result is one answer to a proximity query: a database point index and its
 // distance to the query. The JSON tags are its wire form (pkg/dpserver).

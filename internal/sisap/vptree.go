@@ -48,9 +48,9 @@ func (t *VPTree) build(ids []int, rng *rand.Rand) *vpNode {
 		return node
 	}
 	d := make([]float64, len(rest))
-	vp := t.db.Points[node.id]
+	vp := t.db.Point(node.id)
 	for i, id := range rest {
-		d[i] = t.db.Metric.Distance(vp, t.db.Points[id])
+		d[i] = t.db.Metric.Distance(vp, t.db.Point(id))
 	}
 	node.median = medianSplit(rest, d)
 	mid := 0
@@ -110,7 +110,7 @@ func (t *VPTree) walk(n *vpNode, q metric.Point, c *collector) int {
 	if n == nil {
 		return 0
 	}
-	d := t.db.Metric.Distance(q, t.db.Points[n.id])
+	d := t.db.Metric.Distance(q, t.db.Point(n.id))
 	c.add(n.id, d)
 	near, far, gap := n.inside, n.outside, slackGap(n.median, d)
 	if d >= n.median {

@@ -221,7 +221,7 @@ func AppendCheckpoint(dst []byte, seq uint64, snap *MutableIndex) ([]byte, error
 	e.u32(uint32(len(name)))
 	e.str(name)
 	e.u64(uint64(len(snap.gids)))
-	for _, pts := range [][]metric.Point{snap.baseDB.Points, snap.delta} {
+	for _, pts := range [][]metric.Point{snap.baseDB.points(0, snap.BaseN()), snap.delta} {
 		for _, p := range pts {
 			if err := e.point(p); err != nil {
 				return nil, err

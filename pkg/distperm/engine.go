@@ -279,7 +279,7 @@ func (e *Engine) Metric() Metric { return e.cur.Load().db.Metric }
 
 // Proto returns a representative point of the store — the shape inserts
 // and queries are validated against.
-func (e *Engine) Proto() Point { return e.cur.Load().db.Points[0] }
+func (e *Engine) Proto() Point { return e.cur.Load().proto }
 
 // IndexBits reports the storage cost of the index under the served view.
 func (e *Engine) IndexBits() int64 { return e.cur.Load().idx.IndexBits() }
@@ -303,21 +303,23 @@ type segment struct {
 }
 
 // view is an immutable list of segments served together as the one database
-// db indexed by idx. A writable Engine publishes a new view per rebuild; a
-// superseded one lives as long as a search still holds it and is then the
-// garbage collector's. Storage a view only borrows — a mapped container —
-// belongs to whoever opened it (see Store.Close).
+// db indexed by idx, and db's point 0, boxed once for Proto. A writable
+// Engine publishes a new view per rebuild; a superseded one lives as long as
+// a search still holds it and is then the garbage collector's. Storage a view
+// only borrows — a mapped container — belongs to whoever opened it (see
+// Store.Close).
 type view struct {
-	db   *DB
-	idx  Index
-	segs []segment
+	db    *DB
+	idx   Index
+	segs  []segment
+	proto Point
 }
 
 // newView lays idx out for serving: a *ShardedIndex becomes one segment per
 // shard with the shard's local→global ID map, any other index the
 // one-segment identity view.
 func newView(db *DB, idx Index) *view {
-	v := &view{db: db, idx: idx, segs: []segment{{db: db, idx: idx}}}
+	v := &view{db: db, idx: idx, segs: []segment{{db: db, idx: idx}}, proto: db.Point(0)}
 	if sx, ok := idx.(*ShardedIndex); ok {
 		v.segs = make([]segment, sx.NumShards())
 		for s := range v.segs {

@@ -130,7 +130,7 @@ func Partition(db *DB, shards int, p Partitioner) ([][]int, error) {
 	}
 	parts := make([][]int, shards)
 	for id := 0; id < db.N(); id++ {
-		s := p.Shard(id, db.Points[id], shards)
+		s := p.Shard(id, db.Point(id), shards)
 		if s < 0 || s >= shards {
 			return nil, fmt.Errorf("distperm: partitioner %s sent ID %d to shard %d of %d", p.Name(), id, s, shards)
 		}

@@ -7,14 +7,11 @@
 //	benchgate -parent ../parent/parent.test -change ./change.test -counts bench/COUNTS.json > BENCH.json
 //
 // A row fails when its median change ÷ parent ns/op ratio is past the bound
-// and the change lost at least nine pairs in ten, unless the two binaries
-// differ in whether DB.measure's L2 loop crosses a 64-byte line (ROADMAP 8):
-// then it is reported as "placement differs", not failed. evals/op and
-// recall@10 are deterministic, so any evals/op increase or recall@10
-// decrease against the committed file fails, as does a row in only one of
-// the file and the run. A change that moves a count on purpose re-records
-// the file (benchgate -record -change ./change.test > bench/COUNTS.json).
-// benchgate -placement BIN prints BIN's loop placement by the gate's rule.
+// and the change lost at least nine pairs in ten. evals/op and recall@10 are
+// deterministic, so any evals/op increase or recall@10 decrease against the
+// committed file fails, as does a row in only one of the file and the run. A
+// change that moves a count on purpose re-records the file (benchgate
+// -record -change ./change.test > bench/COUNTS.json).
 package main
 
 import (
@@ -184,60 +181,6 @@ func judge(parent, change []map[string]Point) (vs []verdict, notes []string) {
 	return vs, notes
 }
 
-// placement is where a binary has the L2 loop of sisap.(*DB).measure: from
-// the loop's backward branch's target through that branch.
-type placement struct{ start, end uint64 }
-
-func (p placement) crosses() bool { return p.start/64 != (p.end-1)/64 }
-
-func (p placement) String() string {
-	return fmt.Sprintf("%#x–%#x, %d bytes, starts %d mod 64, crosses a 64-byte line: %v",
-		p.start, p.end, p.end-p.start, p.start%64, p.crosses())
-}
-
-// l2Loop finds the L2 loop in `go tool objdump` output of DB.measure: the
-// shortest span from a backward branch's target through the branch that
-// holds a MULSD (the L1 and L∞ loops square nothing).
-func l2Loop(objdump string) (placement, error) {
-	var best placement
-	var mulsd []uint64 // in address order, as objdump lists the code
-	for _, line := range strings.Split(objdump, "\n") {
-		f := strings.Fields(line) // file:line, address, bytes, op, args
-		if len(f) < 5 {
-			continue
-		}
-		at, err := strconv.ParseUint(f[1], 0, 64)
-		target, _ := strconv.ParseUint(f[4], 0, 64)
-		loop := placement{target, at + uint64(len(f[2])/2)}
-		switch {
-		case err != nil:
-		case f[3] == "MULSD":
-			mulsd = append(mulsd, at)
-		case f[3][0] == 'J' && target != 0 && target < at && slices.ContainsFunc(mulsd, func(m uint64) bool { return m >= target }):
-			if best.end == 0 || loop.end-loop.start < best.end-best.start {
-				best = loop
-			}
-		}
-	}
-	if best.end == 0 {
-		return best, errors.New("no backward branch around a MULSD")
-	}
-	return best, nil
-}
-
-// findPlacement reads bin's L2 loop with go tool objdump.
-func findPlacement(bin string) (placement, error) {
-	out, err := exec.Command("go", "tool", "objdump", "-s", `sisap\.\(\*DB\)\.measure$`, bin).CombinedOutput()
-	if err != nil {
-		return placement{}, fmt.Errorf("benchgate: go tool objdump %s: %w\n%s", bin, err, out)
-	}
-	p, err := l2Loop(string(out))
-	if err != nil {
-		err = fmt.Errorf("benchgate: DB.measure's L2 loop in %s: %w", bin, err)
-	}
-	return p, err
-}
-
 // countsOf returns the counts of every row that reports any.
 func countsOf(rows map[string]Point) map[string]Counts {
 	out := map[string]Counts{}
@@ -272,8 +215,7 @@ func checkCounts(committed, got map[string]Counts) []string {
 
 // gate runs the pairs and the counts check, writes the change's rows to out
 // and the log to log, and returns an error when any row fails.
-func gate(sides [2]func() (map[string]Point, error), place [2]placement, committed map[string]Counts, out, log io.Writer) error {
-	fmt.Fprintf(log, "DB.measure L2 loop: parent %v\nDB.measure L2 loop: change %v\n", place[0], place[1])
+func gate(sides [2]func() (map[string]Point, error), committed map[string]Counts, out, log io.Writer) error {
 	got, err := pairs(rounds, sides, log)
 	if err != nil {
 		return err
@@ -284,10 +226,7 @@ func gate(sides [2]func() (map[string]Point, error), place [2]placement, committ
 	fmt.Fprintf(log, "%-64s %8s %6s\n", "row", "median", "lost")
 	for _, v := range vs {
 		mark := ""
-		switch {
-		case v.slower && place[0].crosses() != place[1].crosses():
-			mark = "  slower, but placement differs: not failed"
-		case v.slower:
+		if v.slower {
 			mark = "  SLOWER"
 			fails = append(fails, fmt.Sprintf("%s: median change ÷ parent ×%.3f, lost %d of %d pairs", v.name, v.median, v.lost, v.npairs))
 		}
@@ -323,23 +262,16 @@ func main() {
 		change = flag.String("change", "", "the change's test binary")
 		counts = flag.String("counts", "", "the committed evals/op and recall@10 to gate against, bench/COUNTS.json")
 		record = flag.Bool("record", false, "print the counts of one pass of -change, to commit as -counts, instead of gating")
-		place  = flag.String("placement", "", "print where this binary has DB.measure's L2 loop")
 	)
 	flag.Parse()
-	if err := run(*parent, *change, *counts, *record, *place); err != nil {
+	if err := run(*parent, *change, *counts, *record); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(parent, change, counts string, record bool, place string) error {
+func run(parent, change, counts string, record bool) error {
 	switch {
-	case place != "":
-		p, err := findPlacement(place)
-		if err == nil {
-			fmt.Printf("DB.measure L2 loop: %s %v\n", place, p)
-		}
-		return err
 	case record && change != "":
 		rows, err := pass(change)
 		if err != nil {
@@ -356,15 +288,11 @@ func run(parent, change, counts string, record bool, place string) error {
 			return fmt.Errorf("benchgate: %s: %w", counts, err)
 		}
 		var sides [2]func() (map[string]Point, error)
-		var where [2]placement
 		for i, bin := range []string{parent, change} {
 			sides[i] = func() (map[string]Point, error) { return pass(bin) }
-			if where[i], err = findPlacement(bin); err != nil {
-				return err
-			}
 		}
-		return gate(sides, where, committed, os.Stdout, os.Stderr)
+		return gate(sides, committed, os.Stdout, os.Stderr)
 	default:
-		return errors.New("benchgate: use -parent, -change and -counts; -record with -change; or -placement (see package doc)")
+		return errors.New("benchgate: use -parent, -change and -counts, or -record with -change (see package doc)")
 	}
 }

@@ -161,15 +161,13 @@ func (L2) Name() string { return "L2" }
 // LInf is the Chebyshev (maximum) metric.
 type LInf struct{}
 
-// Distance implements Metric.
+// Distance implements Metric. It takes the builtin max, with no branch on the
+// data, so a NaN coordinate makes the distance NaN, as it does under L1 and L2.
 func (LInf) Distance(a, b Point) float64 {
 	x, y := mustVectors(a, b)
 	var s float64
 	for i := range x {
-		d := math.Abs(x[i] - y[i])
-		if d > s {
-			s = d
-		}
+		s = max(s, math.Abs(x[i]-y[i]))
 	}
 	return s
 }

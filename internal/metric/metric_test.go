@@ -293,3 +293,17 @@ func TestMetricNames(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNCoordinate: under L1, L2 and L∞ alike a NaN coordinate on either side
+// makes the distance NaN, wherever it sits and whatever the other terms; L∞
+// took its branch's rule (skip the NaN term) until it took the builtin max.
+func TestNaNCoordinate(t *testing.T) {
+	nan := math.NaN()
+	for _, m := range []Metric{L1{}, L2{}, LInf{}} {
+		for _, pair := range [][2]Vector{{{nan, 0, 0}, {1, 2, 3}}, {{0, 5, 0}, {1, nan, 3}}, {{0, 0, 9}, {1, 2, nan}}} {
+			if d := m.Distance(pair[0], pair[1]); !math.IsNaN(d) {
+				t.Errorf("%s%v = %v, want NaN", m.Name(), pair, d)
+			}
+		}
+	}
+}

@@ -137,3 +137,30 @@ func TestFrozenGenericMetricBoxesOnce(t *testing.T) {
 		t.Fatalf("an exact query over a self-contained angular store allocates %v objects", allocs)
 	}
 }
+
+// TestKNNBudgetAllocsMatchHeap: a budgeted KNNBudget measures its candidates
+// through DB.measure's kernels, reading each one's row, so on a self-contained
+// mapped store it allocates what it does on the heap store it was frozen
+// from — no boxed point a candidate — and answers the same, bit for bit.
+func TestKNNBudgetAllocsMatchHeap(t *testing.T) {
+	db, rng := testDB(736, 4000, 6, metric.L2{})
+	heap := NewPermIndex(db, rng.Perm(db.N())[:8], Footrule)
+	mapped := mappedCopy(t, heap, nil)
+	if mapped.db.Points != nil {
+		t.Fatal("a self-contained store opened with Points")
+	}
+	for qi, q := range dataset.UniformVectors(rng, 8, 6) {
+		want, wst := heap.KNNBudget(q, 1, 64)
+		got, gst := mapped.KNNBudget(q, 1, 64)
+		sameBits(t, fmt.Sprintf("query %d", qi), got, want)
+		if gst != wst {
+			t.Fatalf("query %d: stats %+v, heap %+v", qi, gst, wst)
+		}
+	}
+	q := dataset.UniformVectors(rng, 1, 6)[0]
+	heapAllocs := testing.AllocsPerRun(50, func() { heap.KNNBudget(q, 1, 64) })
+	mappedAllocs := testing.AllocsPerRun(50, func() { mapped.KNNBudget(q, 1, 64) })
+	if mappedAllocs != heapAllocs {
+		t.Fatalf("KNNBudget(q, 1, 64) allocates %v objects on the mapped store, %v on its heap twin", mappedAllocs, heapAllocs)
+	}
+}

@@ -233,6 +233,138 @@ func bisectorGap(a, b, inv, slack float64) float64 {
 	return (a*a*(1-2*boundSlack)-b*b*(1+2*boundSlack))*inv - slack
 }
 
+// sqSums sets out[i] to Σⱼ (rows[i·d + j] − v[j])², d = len(v), for every i of
+// out: the one L2 kernel, run by DB.measure over a run of a store's rows and
+// by siteKernel.sums over the k sites. Go unrolls no loop, and a loop over
+// d coordinates costs about twice the arithmetic it does, so for d ≤ 8 each
+// dimension has a straight-line body; above 8 the loop stays. Every body
+// sums left to right in internal/metric's statement shape, s := t0*t0 then
+// s += t1*t1 and so on (the metric's 0 + t0*t0 is t0*t0, a square being
+// never −0), because Go fuses x*y + z into one rounding on arm64 and the same
+// statements on both sides fuse alike; and row − v squares to the metric's
+// v − row bit for bit. So a sum is Metric.Distance's before its root.
+func sqSums(rows, v, out []float64) {
+	switch len(v) {
+	case 1:
+		v0 := v[0]
+		for i := range out {
+			t0 := rows[i] - v0
+			out[i] = t0 * t0
+		}
+	case 2:
+		v0, v1 := v[0], v[1]
+		for i := range out {
+			r := rows[2*i : 2*i+2 : 2*i+2]
+			t0, t1 := r[0]-v0, r[1]-v1
+			s := t0 * t0
+			s += t1 * t1
+			out[i] = s
+		}
+	case 3:
+		v0, v1, v2 := v[0], v[1], v[2]
+		for i := range out {
+			r := rows[3*i : 3*i+3 : 3*i+3]
+			t0, t1, t2 := r[0]-v0, r[1]-v1, r[2]-v2
+			s := t0 * t0
+			s += t1 * t1
+			s += t2 * t2
+			out[i] = s
+		}
+	case 4:
+		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+		for i := range out {
+			r := rows[4*i : 4*i+4 : 4*i+4]
+			t0, t1, t2, t3 := r[0]-v0, r[1]-v1, r[2]-v2, r[3]-v3
+			s := t0 * t0
+			s += t1 * t1
+			s += t2 * t2
+			s += t3 * t3
+			out[i] = s
+		}
+	case 5:
+		v0, v1, v2, v3, v4 := v[0], v[1], v[2], v[3], v[4]
+		for i := range out {
+			r := rows[5*i : 5*i+5 : 5*i+5]
+			t0, t1, t2, t3, t4 := r[0]-v0, r[1]-v1, r[2]-v2, r[3]-v3, r[4]-v4
+			s := t0 * t0
+			s += t1 * t1
+			s += t2 * t2
+			s += t3 * t3
+			s += t4 * t4
+			out[i] = s
+		}
+	case 6:
+		v0, v1, v2, v3, v4, v5 := v[0], v[1], v[2], v[3], v[4], v[5]
+		for i := range out {
+			r := rows[6*i : 6*i+6 : 6*i+6]
+			kernelPad(false)
+			t0, t1, t2, t3, t4, t5 := r[0]-v0, r[1]-v1, r[2]-v2, r[3]-v3, r[4]-v4, r[5]-v5
+			s := t0 * t0
+			s += t1 * t1
+			s += t2 * t2
+			s += t3 * t3
+			s += t4 * t4
+			s += t5 * t5
+			out[i] = s
+			kernelPad(true)
+		}
+	case 7:
+		v0, v1, v2, v3, v4, v5, v6 := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
+		for i := range out {
+			r := rows[7*i : 7*i+7 : 7*i+7]
+			t0, t1, t2, t3, t4, t5, t6 := r[0]-v0, r[1]-v1, r[2]-v2, r[3]-v3, r[4]-v4, r[5]-v5, r[6]-v6
+			s := t0 * t0
+			s += t1 * t1
+			s += t2 * t2
+			s += t3 * t3
+			s += t4 * t4
+			s += t5 * t5
+			s += t6 * t6
+			out[i] = s
+		}
+	case 8:
+		v0, v1, v2, v3, v4, v5, v6, v7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
+		for i := range out {
+			r := rows[8*i : 8*i+8 : 8*i+8]
+			t0, t1, t2, t3, t4, t5, t6, t7 := r[0]-v0, r[1]-v1, r[2]-v2, r[3]-v3, r[4]-v4, r[5]-v5, r[6]-v6, r[7]-v7
+			s := t0 * t0
+			s += t1 * t1
+			s += t2 * t2
+			s += t3 * t3
+			s += t4 * t4
+			s += t5 * t5
+			s += t6 * t6
+			s += t7 * t7
+			out[i] = s
+		}
+	default:
+		d := len(v)
+		for i := range out {
+			r := rows[i*d:][:d]
+			var s float64
+			for j, x := range v {
+				t := r[j] - x
+				s += t * t
+			}
+			out[i] = s
+		}
+	}
+}
+
+// sqCut returns a squared sum above which every correctly rounded root is
+// above limit: limit² rounded up by far more than the ≈ 2 ulps the root's
+// rounding and the square's own can take back (a root at most limit is
+// below limit·(1 + 2⁻⁵³), whose square is below limit²·(1 + 2⁻⁵²)). +Inf —
+// reject nothing on the square — where that is not safe: a limit outside
+// [2⁻⁵⁰⁰, 2⁵⁰⁰], where the square could underflow or overflow, and a NaN or
+// infinite one, a range collector's −Inf after too many answers included.
+func sqCut(limit float64) float64 {
+	if !(limit >= 0x1p-500 && limit <= 0x1p500) {
+		return math.Inf(1)
+	}
+	return limit * limit * (1 + 0x1p-49)
+}
+
 // measure is the one loop that evaluates the metric over a whole candidate
 // set: candidates lo..hi-1, candidate i being point ids[i] (point i when ids
 // is nil), each offered to c with its distance to q. A caller chooses where
@@ -247,7 +379,8 @@ func bisectorGap(a, b, inv, slack float64) float64 {
 // type or query shape, and a store without rows (nil), takes the generic loop
 // by label (where a mismatched query panics exactly as the metric always
 // has). Distances above c's limit are dropped before the call — they could
-// not be kept.
+// not be kept — and under L2 before the root, on the squared sum (sqCut): a
+// NaN sum is rooted and offered as the metric would have it.
 func (db *DB) measure(q metric.Point, rows []float64, ids []uint32, lo, hi int, c *collector) {
 	limit := c.limit()
 	label := func(i int) int { // candidate i's point ID
@@ -272,15 +405,20 @@ func (db *DB) measure(q metric.Point, rows []float64, ids []uint32, lo, hi int, 
 			}
 			return
 		case metric.L2:
-			for i := lo; i < hi; i++ {
-				p := rows[i*d:][:len(qv)]
-				var s float64
-				for j, x := range qv {
-					t := x - p[j]
-					s += t * t
-				}
-				if s = math.Sqrt(s); !(s > limit) {
-					limit = c.add(label(i), s)
+			var sums [64]float64 // the squared sums of up to 64 rows at a time
+			cut := sqCut(limit)
+			for ; lo < hi; lo += len(sums) {
+				run := sums[:min(hi-lo, len(sums))]
+				sqSums(rows[lo*d:(lo+len(run))*d], qv, run)
+				for j, s := range run {
+					if s > cut {
+						continue
+					}
+					if s = math.Sqrt(s); !(s > limit) {
+						if l := c.add(label(lo+j), s); l != limit {
+							limit, cut = l, sqCut(l)
+						}
+					}
 				}
 			}
 			return
@@ -289,9 +427,7 @@ func (db *DB) measure(q metric.Point, rows []float64, ids []uint32, lo, hi int, 
 				p := rows[i*d:][:len(qv)]
 				var s float64
 				for j, x := range qv {
-					if t := math.Abs(x - p[j]); t > s {
-						s = t
-					}
+					s = max(s, math.Abs(x-p[j]))
 				}
 				if !(s > limit) {
 					limit = c.add(label(i), s)

@@ -176,23 +176,22 @@ func (x *PermIndex) newSiteKernel() *siteKernel {
 }
 
 // sums fills out (len k) with row p's raw sums against every site, site minus
-// point, left to right: Σ|s − p|, Σ(s − p)² (no root), or max |s − p| by the
-// builtin, which keeps a NaN term as the sweep's min and max do; measure skips it.
+// point, left to right: Σ|s − p|, Σ(s − p)² (no root: sqSums, the sites its
+// rows), or max |s − p| by the builtin, which keeps a NaN term as the
+// metric and the sweep's min and max do.
 func (kern *siteKernel) sums(p, out []float64) {
 	d, sites := len(p), kern.sites
+	if kern.l2 {
+		sqSums(sites, p, out)
+		return
+	}
 	for s := range out {
 		a, v := sites[s*d:][:d], 0.0
-		switch {
-		case kern.l2:
-			for j, x := range p {
-				t := a[j] - x
-				v += t * t
-			}
-		case kern.l1:
+		if kern.l1 {
 			for j, x := range p {
 				v += math.Abs(a[j] - x)
 			}
-		default:
+		} else {
 			for j, x := range p {
 				v = max(v, math.Abs(a[j]-x))
 			}
@@ -203,7 +202,7 @@ func (kern *siteKernel) sums(p, out []float64) {
 
 // permute writes row p's distance permutation into fwd as core.Permuter
 // does: the sums, rooted under L2, in insertion order, ties to the lower site.
-// At a NaN sum it reports false, fwd unfinished (L∞ Metric.Distance skips it).
+// At a NaN sum it reports false, fwd unfinished, and the Permuter places it.
 func (kern *siteKernel) permute(p, d []float64, fwd perm.Permutation) bool {
 	kern.sums(p, d)
 	for s, v := range d { // d[:s] holds the sorted distances, fwd[:s] their sites
@@ -390,7 +389,9 @@ func (x *PermIndex) KNNBatch(qs []metric.Point, k int) ([][]Result, []Stats) {
 // of the candidate set, not of the visiting order. The exhaustive scan
 // therefore skips permutation, row kernel, key scatter and counting sort
 // and walks the database in memory order (DB.measure): byte-identical
-// answers, and Stats still charge the k site evaluations.
+// answers, and Stats still charge the k site evaluations. A smaller budget
+// measures each scheduled candidate's row through DB.measure too, so a store
+// without Points boxes none.
 func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats) {
 	n := x.db.N()
 	checkK(k, n)
@@ -402,7 +403,8 @@ func (x *PermIndex) KNNBudget(q metric.Point, k, maxEvals int) ([]Result, Stats)
 		order := make([]int, maxEvals)
 		x.scanOrderInto(q, order)
 		for _, i := range order {
-			c.h.push(Result{ID: i, Distance: x.db.Metric.Distance(q, x.db.Point(i))})
+			id := [1]uint32{uint32(i)}
+			x.db.measure(q, x.db.row(i), id[:], 0, 1, &c)
 		}
 	}
 	return c.results(), Stats{DistanceEvals: x.K() + maxEvals}

@@ -376,15 +376,16 @@ type bucketBounds struct {
 
 // boundMinFill is the mean bucket size below which a store gets no bounds.
 // Bounding and ordering a bucket costs 2k slack gaps plus its share of the
-// sort, ≈ 40 ns at k = 12, and buys at best not measuring its points at
-// ≈ 4.5 ns each (d = 6, contiguous). On uniform data, where the bounds
-// exclude barely half the buckets, the walk beats the memory-order scan only
-// from 25–40 points per bucket up (n / buckets → walk ÷ scan at k = 12,
-// d = 6: 6 → 2.3, 12 → 1.8, 19 → 1.4, 23 → 1.1, 40 → 1.06, 42 → 0.58);
-// clustered data stops losing at 14–18. Scaling the threshold by k/d, as the
-// two costs suggest, fits worse than the plain count (d = 2 wins from 25 up
-// at k = 12, k = 20 from 34 at d = 6): what moves the break-even is how much
-// the bounds exclude, and that follows the data, not the store's shape.
+// sort, ≈ 40 ns at k = 12, and buys at best not measuring its points at ≈ 3 ns
+// each (d = 6, contiguous; 4.5 ns before sqSums, which takes ≈ 0.66 × the time
+// in paired runs). On uniform data, where the bounds exclude barely half the
+// buckets, the walk beats the memory-order scan only from 25–40 points per
+// bucket up (n / buckets → walk ÷ scan at k = 12, d = 6: 6 → 2.3,
+// 12 → 1.8, 19 → 1.4, 23 → 1.1, 40 → 1.06, 42 → 0.58); clustered data stops
+// losing at 14–18. Scaling the threshold by k/d, as the two costs suggest,
+// fits worse than the plain count (d = 2 wins from 25 up at k = 12, k = 20
+// from 34 at d = 6): what moves the break-even is how much the bounds
+// exclude, and that follows the data, not the store's shape.
 const boundMinFill = 32
 
 // siteBounds computes the bounds of a store that qualifies from its points and

@@ -175,22 +175,6 @@ func (LInf) Distance(a, b Point) float64 {
 // Name implements Metric.
 func (LInf) Name() string { return "Linf" }
 
-// SquaredL2 returns the squared Euclidean distance between two vectors.
-// It is not itself a metric (it violates the triangle inequality) but is
-// useful for nearest-neighbour comparisons where the monotone transform is
-// harmless and the square root is wasted work.
-func SquaredL2(x, y Vector) float64 {
-	if len(x) != len(y) {
-		panic(dimMismatch(len(x), len(y)))
-	}
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	return s
-}
-
 func mustVectors(a, b Point) (Vector, Vector) {
 	x, ok := a.(Vector)
 	if !ok {

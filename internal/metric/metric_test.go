@@ -126,12 +126,6 @@ func TestVectorPanicsOnWrongType(t *testing.T) {
 	L2{}.Distance(String("x"), Vector{1})
 }
 
-func TestSquaredL2(t *testing.T) {
-	if got := SquaredL2(Vector{0, 0}, Vector{3, 4}); got != 25 {
-		t.Errorf("SquaredL2 = %v, want 25", got)
-	}
-}
-
 func TestVectorClone(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := v.Clone()

@@ -297,7 +297,6 @@ func sqSums(rows, v, out []float64) {
 		v0, v1, v2, v3, v4, v5 := v[0], v[1], v[2], v[3], v[4], v[5]
 		for i := range out {
 			r := rows[6*i : 6*i+6 : 6*i+6]
-			kernelPad(false)
 			t0, t1, t2, t3, t4, t5 := r[0]-v0, r[1]-v1, r[2]-v2, r[3]-v3, r[4]-v4, r[5]-v5
 			s := t0 * t0
 			s += t1 * t1
@@ -306,7 +305,6 @@ func sqSums(rows, v, out []float64) {
 			s += t4 * t4
 			s += t5 * t5
 			out[i] = s
-			kernelPad(true)
 		}
 	case 7:
 		v0, v1, v2, v3, v4, v5, v6 := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
